@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for the index's tunable design choices:
 //!
 //! * division factor `f` (the paper fixes `f = 4`, §4.2/§6),
 //! * reorganization period (the paper uses 100 queries, §7.1),

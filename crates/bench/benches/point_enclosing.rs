@@ -1,12 +1,11 @@
 //! Criterion bench for E9 (§7.2 point-enclosing queries): the index's
 //! best case thanks to the queries' high selectivity. `AC` runs the
-//! columnar scan kernel, `AC-oracle` the bit-identical scalar
-//! verification path — their gap is the kernel's speedup on the
-//! scan-dominated workload.
+//! production path, `AC-oracle` the bit-identical reference — their gap
+//! is the production path's speedup on the scan-dominated workload.
 
-use acx_bench::{build_ac, build_ss};
-use acx_core::{AdaptiveClusterIndex, IndexConfig, ScanMode};
-use acx_geom::{ObjectId, SpatialQuery};
+use acx_bench::{build_ac, build_ac_with, build_ss};
+use acx_core::IndexConfig;
+use acx_geom::SpatialQuery;
 use acx_storage::StorageScenario;
 use acx_workloads::{UniformWorkload, Workload, WorkloadConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -24,14 +23,11 @@ fn bench_point_enclosing(c: &mut Criterion) {
         .map(|_| SpatialQuery::point_enclosing(workload.sample_point(&mut rng)))
         .collect();
     let mut ac = build_ac(DIMS, StorageScenario::Memory, &data);
-    let mut oracle = AdaptiveClusterIndex::new(IndexConfig {
-        scan_mode: ScanMode::ScalarOracle,
+    let reference = IndexConfig {
+        reference: true,
         ..IndexConfig::memory(DIMS)
-    })
-    .unwrap();
-    for (i, rect) in data.iter().enumerate() {
-        oracle.insert(ObjectId(i as u32), rect.clone()).unwrap();
-    }
+    };
+    let mut oracle = build_ac_with(reference, &data);
     for q in &queries {
         ac.execute(q);
         oracle.execute(q);

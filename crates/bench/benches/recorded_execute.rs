@@ -3,16 +3,15 @@
 //! and per-candidate counters), the part of `execute` that the columnar
 //! candidate kernel and the bitmask/zone-map member kernel accelerate.
 //!
-//! The three strategies come from [`acx_bench::recorded_strategies`]
-//! (the same matrix the `scan_bench` snapshot measures, so the criterion
-//! bench and the committed `BENCH_scan.json` can never drift apart):
-//! the current default, the PR 3 execution strategy (columnar members,
-//! scalar candidate loop, no zone maps), and the all-scalar oracle.
+//! The two sides come from [`acx_bench::strategies`] (the same pair the
+//! `scan_bench` snapshot measures, so the criterion bench and the
+//! committed `BENCH_scan.json` can never drift apart): the production
+//! path and the object-at-a-time reference.
 //!
-//! All three record bit-identical statistics, so their gap is pure
-//! kernel speedup.
+//! Both record bit-identical statistics, so their gap is pure kernel
+//! speedup.
 
-use acx_bench::{adapted_ac, recorded_strategies};
+use acx_bench::{adapted_ac, strategies};
 use acx_core::{QueryScratch, StatsDelta};
 use acx_geom::SpatialQuery;
 use acx_workloads::{UniformWorkload, Workload, WorkloadConfig};
@@ -32,7 +31,7 @@ fn bench_recorded_execute(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("recorded_execute");
     group.sample_size(30);
-    for (label, config) in recorded_strategies(DIMS) {
+    for (label, config) in strategies(DIMS) {
         let index = adapted_ac(config, &data, &queries);
         let mut scratch = QueryScratch::new();
         let mut delta = StatsDelta::new();

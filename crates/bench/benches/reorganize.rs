@@ -2,11 +2,11 @@
 //! maintenance half of adaptive serving, and (since the bitmask read
 //! kernels landed) the dominant non-matching cost of `execute` at scale.
 //!
-//! The two strategies come from [`acx_bench::reorg_strategies`] (the
-//! same matrix the `scan_bench` snapshot measures, so the criterion
-//! bench and the committed `BENCH_reorg.json` can never drift apart):
-//! the default incremental pass (dirty set + O(1) no-split screen +
-//! columnar benefit columns) and the decision-identical full scalar
+//! The two sides come from [`acx_bench::strategies`] (the same pair
+//! the `scan_bench` snapshot measures, so the criterion bench and the
+//! committed `BENCH_reorg.json` can never drift apart): the production
+//! incremental pass (dirty set + O(1) no-split screen + columnar
+//! benefit columns) and the reference's decision-identical full scalar
 //! sweep.
 //!
 //! Each iteration replays one full reorganization period — the paper's
@@ -18,7 +18,7 @@
 
 use std::time::{Duration, Instant};
 
-use acx_bench::{build_ac_with, reorg_strategies};
+use acx_bench::{build_ac_with, strategies};
 use acx_geom::SpatialQuery;
 use acx_workloads::{UniformWorkload, Workload, WorkloadConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -38,7 +38,7 @@ fn bench_reorganize(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("reorganize");
     group.sample_size(12);
-    for (label, mut config) in reorg_strategies(DIMS) {
+    for (label, mut config) in strategies(DIMS) {
         // Drive the paper's period explicitly (auto-reorganization off)
         // so the timed call is the pass alone: adaptation replays the
         // stream in period-sized windows exactly as `reorg_period = 100`

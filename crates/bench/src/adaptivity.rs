@@ -21,9 +21,10 @@
 //!    thrash accounting ([`acx_core::ReorgProfile::thrash_cycles`])
 //!    surfaces split→merge→split cycles.
 //!
-//! The binary `adaptivity` runs every zoo scenario under both
-//! [`acx_core::ReorgMode`]s plus a hysteresis before/after pair on the
-//! oscillating adversary, and records `BENCH_adaptivity.json`.
+//! The binary `adaptivity` runs every zoo scenario on the production
+//! index and on the reference ([`IndexConfig::reference`]) plus a
+//! hysteresis before/after pair on the oscillating adversary, and
+//! records `BENCH_adaptivity.json`.
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig};
 use acx_geom::HyperRect;
@@ -123,7 +124,7 @@ pub fn make_objects(name: &str, cfg: &WorkloadConfig) -> Vec<HyperRect> {
 pub struct AdaptivityRow {
     /// Scenario label.
     pub scenario: String,
-    /// Reorganization mode label (`incremental` / `full_oracle`).
+    /// Execution label (`production` / `reference`).
     pub mode: &'static str,
     /// The [`IndexConfig::merge_cooldown`] the row ran with.
     pub merge_cooldown: u64,
@@ -152,8 +153,7 @@ pub struct AdaptivityRow {
     pub splits: u64,
     /// Materialized clusters at the end of the run.
     pub clusters: usize,
-    /// Live statistics-arena bytes after the final reorganization pass
-    /// (`0` under [`acx_core::StatsLayout::PerClusterOracle`]).
+    /// Live statistics-arena bytes after the final reorganization pass.
     pub arena_live_bytes: u64,
     /// Arena slab capacity after the final pass; the gap to
     /// `arena_live_bytes` is garbage awaiting compaction.
@@ -186,8 +186,9 @@ fn percentile(samples: &mut [f64], q: f64) -> f64 {
 /// index configuration (see the module docs), returning the filled row.
 ///
 /// The caller passes a *fresh* scenario per row: two rows built from
-/// the same seed then see bit-identical query streams, so e.g. the two
-/// [`acx_core::ReorgMode`]s are compared on exactly the same input.
+/// the same seed then see bit-identical query streams, so e.g. the
+/// production index and the reference are compared on exactly the same
+/// input.
 pub fn measure_readapt(
     label: String,
     mode: &'static str,
@@ -310,7 +311,7 @@ mod tests {
         let config = crate::ac_config(params.dims, StorageScenario::Memory);
         let row = measure_readapt(
             "flash_crowd".into(),
-            "incremental",
+            "production",
             scenario.as_mut(),
             config,
             &data,

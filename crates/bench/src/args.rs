@@ -1,17 +1,21 @@
 //! Minimal command-line parsing for the experiment binaries (no external
 //! dependency needed for `--key value` flags).
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 
-use acx_core::{AdaptiveClusterIndex, IndexConfig, ReorgMode, ScanMode, StatsLayout};
+use acx_core::AdaptiveClusterIndex;
 use acx_serve::{ShardBy, DEFAULT_QUEUE_CAP};
 use acx_storage::{FileBacking, FlushPolicy, Wal};
 
-/// Parsed `--key value` flags.
+/// Parsed `--key value` flags. Every lookup is remembered, so
+/// [`Flags::finish`] can reject what was passed but never asked for.
 pub struct Flags {
     values: HashMap<String, String>,
     present: Vec<String>,
+    /// Names looked up so far, by any accessor.
+    read: RefCell<HashSet<String>>,
 }
 
 impl Flags {
@@ -22,8 +26,7 @@ impl Flags {
     }
 
     /// Parses an explicit argument vector (no leading program name) —
-    /// the testable entry point the strategy-matrix smoke tests drive
-    /// the CLI path through.
+    /// the testable entry point.
     pub fn from_args(argv: Vec<String>) -> Self {
         let mut values = HashMap::new();
         let mut present = Vec::new();
@@ -40,38 +43,56 @@ impl Flags {
             }
             i += 1;
         }
-        Self { values, present }
+        Self {
+            values,
+            present,
+            read: RefCell::new(HashSet::new()),
+        }
+    }
+
+    /// The value passed for `--name`, if any; records the lookup.
+    fn value(&self, name: &str) -> Option<&String> {
+        self.read.borrow_mut().insert(name.to_string());
+        self.values.get(name)
+    }
+
+    /// Ends flag parsing: call once every flag the binary understands
+    /// has been looked up, before any work starts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a flag was passed that no accessor asked for — a typo,
+    /// or a flag this binary no longer has. Ignoring it would run the
+    /// defaults under a command line that says otherwise (an old script
+    /// passing `--stats-layout per-cluster` would measure the production
+    /// path and label it an ablation).
+    pub fn finish(&self) {
+        let read = self.read.borrow();
+        let mut unread: Vec<&str> = self
+            .values
+            .keys()
+            .chain(&self.present)
+            .map(String::as_str)
+            .filter(|name| !read.contains(*name))
+            .collect();
+        unread.sort_unstable();
+        assert!(
+            unread.is_empty(),
+            "unknown flag(s): --{}",
+            unread.join(", --")
+        );
     }
 
     /// Typed lookup with default.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.values
-            .get(name)
+        self.value(name)
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
     }
 
     /// Whether a bare flag was passed.
     pub fn has(&self, name: &str) -> bool {
-        self.present.iter().any(|p| p == name) || self.values.contains_key(name)
-    }
-
-    /// Boolean flag accepting `on`/`off`, `true`/`false`, `1`/`0`
-    /// (case-insensitive).
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other value: a kernel-ablation flag that silently
-    /// fell back to its default would mislabel the measurement.
-    pub fn get_bool(&self, name: &str, default: bool) -> bool {
-        match self.values.get(name) {
-            None => default,
-            Some(v) => match v.to_ascii_lowercase().as_str() {
-                "on" | "true" | "1" | "yes" => true,
-                "off" | "false" | "0" | "no" => false,
-                other => panic!("--{name}: expected on/off, got {other:?}"),
-            },
-        }
+        self.value(name).is_some() || self.present.iter().any(|p| p == name)
     }
 
     /// Typed lookup that **panics** on a present-but-unparseable value
@@ -83,7 +104,7 @@ impl Flags {
         T: std::str::FromStr,
         T::Err: std::fmt::Display,
     {
-        match self.values.get(name) {
+        match self.value(name) {
             None => default,
             Some(v) => match v.parse() {
                 Ok(parsed) => parsed,
@@ -92,79 +113,25 @@ impl Flags {
         }
     }
 
-    /// `--scan-mode columnar|oracle`: member verification strategy.
-    pub fn scan_mode(&self) -> ScanMode {
-        self.get_strict("scan-mode", ScanMode::Columnar)
-    }
-
-    /// `--candidate-scan columnar|oracle`: candidate matching strategy.
-    pub fn candidate_scan(&self) -> ScanMode {
-        self.get_strict("candidate-scan", ScanMode::Columnar)
-    }
-
-    /// `--zone-maps on|off`: block skipping in member verification.
-    pub fn zone_maps(&self) -> bool {
-        self.get_bool("zone-maps", true)
-    }
-
-    /// `--reorg-mode incremental|full`: reorganization pass strategy
-    /// (decision-identical either way; only the maintenance cost
-    /// differs).
-    pub fn reorg_mode(&self) -> ReorgMode {
-        self.get_strict("reorg-mode", ReorgMode::Incremental)
-    }
-
-    /// `--stats-layout arena|per-cluster`: where candidate statistics
-    /// live (one index-wide slab vs. one `Vec` set per cluster).
-    /// Decision-identical either way; only locality and allocation
-    /// behavior differ.
-    pub fn stats_layout(&self) -> StatsLayout {
-        self.get_strict("stats-layout", StatsLayout::Arena)
-    }
-
     /// `--merge-cooldown N`: the split→merge thrash hysteresis window
-    /// in reorganization passes (`0` = off, the default). Unlike the
-    /// [`Flags::apply_scan_flags`] toggles this **changes
-    /// reorganization decisions** (identically in both
-    /// [`ReorgMode`]s), so it is applied separately by the binaries
-    /// that expose it.
+    /// in reorganization passes (`0` = off, the default). This
+    /// **changes reorganization decisions**, so only the binaries that
+    /// study it expose it.
     pub fn merge_cooldown(&self) -> u64 {
         self.get_strict("merge-cooldown", 0)
     }
 
-    /// `--flush-policy record|batch[:N]|epoch`: WAL durability policy,
-    /// meaningful only together with [`Flags::wal_path`]. Defaults to
-    /// `record` (every record flushed before the mutation applies).
-    pub fn flush_policy(&self) -> FlushPolicy {
-        self.get_strict("flush-policy", FlushPolicy::PerRecord)
-    }
-
-    /// `--wal PATH`: log every structural mutation to a write-ahead log
-    /// at `PATH`. Off by default — the experiments measure the index
-    /// itself unless durability overhead is the point.
-    pub fn wal_path(&self) -> Option<PathBuf> {
-        self.values.get("wal").map(PathBuf::from)
-    }
-
-    /// Attaches a [`FileBacking`] WAL to `index` when `--wal PATH` was
-    /// passed (with the [`Flags::flush_policy`] durability policy) and
-    /// returns whether one was attached. Deliberately **not** part of
-    /// [`Flags::apply_scan_flags`]: logging adds I/O on the mutation
-    /// path but never changes a clustering decision, and the bins that
-    /// report decision-surface metrics must stay byte-identical with
-    /// and without it.
-    pub fn attach_wal(&self, index: &mut AdaptiveClusterIndex) -> bool {
-        let Some(path) = self.wal_path() else {
-            return false;
-        };
-        let backing =
-            FileBacking::create(&path).unwrap_or_else(|e| panic!("--wal {}: {e}", path.display()));
-        let wal = Wal::create(Box::new(backing), self.flush_policy(), index.config().dims)
-            .unwrap_or_else(|e| panic!("--wal {}: {e}", path.display()));
-        index
-            .attach_wal(wal)
-            .unwrap_or_else(|e| panic!("--wal {}: {e}", path.display()));
-        true
+    /// `--wal PATH` and `--flush-policy record|batch[:N]|epoch`: log
+    /// every structural mutation to a write-ahead log at `PATH`. Off by
+    /// default — the experiments measure the index itself unless
+    /// durability overhead is the point; the policy defaults to
+    /// `record` (every record flushed before the mutation applies) and
+    /// is meaningful only together with a path.
+    pub fn wal(&self) -> WalFlags {
+        WalFlags {
+            path: self.value("wal").map(PathBuf::from),
+            policy: self.get_strict("flush-policy", FlushPolicy::PerRecord),
+        }
     }
 
     /// `--shards N`: shard count for the serving-tier runs. Defaults
@@ -188,19 +155,66 @@ impl Flags {
     pub fn queue_cap(&self) -> usize {
         self.get_strict("queue-cap", DEFAULT_QUEUE_CAP).max(1)
     }
+}
 
-    /// Applies the kernel and maintenance toggles (`--scan-mode`,
-    /// `--candidate-scan`, `--zone-maps`, `--reorg-mode`,
-    /// `--stats-layout`) to an index configuration, so every experiment
-    /// binary compares oracle vs. columnar vs. bitmask/zone-map
-    /// execution — and full-sweep vs. incremental reorganization, slab
-    /// vs. per-cluster statistics — without recompiling.
-    pub fn apply_scan_flags(&self, mut config: IndexConfig) -> IndexConfig {
-        config.scan_mode = self.scan_mode();
-        config.candidate_scan = self.candidate_scan();
-        config.zone_maps = self.zone_maps();
-        config.reorg_mode = self.reorg_mode();
-        config.stats_layout = self.stats_layout();
-        config
+/// The parsed `--wal` / `--flush-policy` pair ([`Flags::wal`]).
+pub struct WalFlags {
+    path: Option<PathBuf>,
+    policy: FlushPolicy,
+}
+
+impl WalFlags {
+    /// Attaches a [`FileBacking`] WAL to `index` when `--wal PATH` was
+    /// passed and returns whether one was attached. Logging adds I/O on
+    /// the mutation path but never changes a clustering decision, so
+    /// the bins that report decision-surface metrics stay byte-identical
+    /// with and without it.
+    pub fn attach(&self, index: &mut AdaptiveClusterIndex) -> bool {
+        let Some(path) = &self.path else {
+            return false;
+        };
+        let backing =
+            FileBacking::create(path).unwrap_or_else(|e| panic!("--wal {}: {e}", path.display()));
+        let wal = Wal::create(Box::new(backing), self.policy, index.config().dims)
+            .unwrap_or_else(|e| panic!("--wal {}: {e}", path.display()));
+        index
+            .attach_wal(wal)
+            .unwrap_or_else(|e| panic!("--wal {}: {e}", path.display()));
+        true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn flags(argv: &[&str]) -> Flags {
+        Flags::from_args(argv.iter().map(|s| s.to_string()).collect())
+    }
+
+    #[test]
+    fn finish_accepts_flags_that_were_all_read() {
+        let flags = flags(&["--objects", "40", "--quick", "--shard-by", "space"]);
+        assert_eq!(flags.get("objects", 7usize), 40);
+        assert!(flags.has("quick"));
+        assert_eq!(flags.shard_by(), ShardBy::Space);
+        assert_eq!(flags.get("seed", 3u64), 3, "absent flags keep their default");
+        flags.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag(s): --stats-layout, --zone-maps")]
+    fn finish_rejects_flags_nobody_read() {
+        let flags = flags(&["--zone-maps", "off", "--objects", "40", "--stats-layout", "per-cluster"]);
+        assert_eq!(flags.get("objects", 7usize), 40);
+        flags.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag(s): --fulll")]
+    fn finish_rejects_unread_bare_flags() {
+        let flags = flags(&["--fulll"]);
+        assert!(!flags.has("full"));
+        flags.finish();
     }
 }

@@ -2,8 +2,8 @@
 //! query distributions that **vary in time**. The scenario-zoo edition:
 //! every [`acx_bench::adaptivity::SCENARIOS`] stream — drifting,
 //! periodic, bursty, adversarial, mixed-kind, and clustered-population
-//! — is driven through the index under both reorganization modes, and
-//! the harness reports *time-to-readapt* after each scenario's abrupt
+//! — is driven through the production index and the reference
+//! ([`acx_core::IndexConfig::reference`]), and the harness reports *time-to-readapt* after each scenario's abrupt
 //! shift, wall-clock p50/p99 during the recovery churn, and the
 //! split→merge thrash counters. A before/after hysteresis pair on the
 //! oscillating adversary shows what the
@@ -18,8 +18,6 @@
 //!     [--quick] [--out BENCH_adaptivity.json] [--scenario NAME]
 //!     [--objects 20000] [--dims 8] [--warmup 3000] [--post 3000]
 //!     [--band 1.25] [--merge-cooldown 0] [--hysteresis-cooldown 8]
-//!     [--scan-mode columnar|oracle] [--candidate-scan columnar|oracle]
-//!     [--zone-maps on|off] [--stats-layout arena|per-cluster]
 //! ```
 //! `--scenario` restricts the zoo sweep to one scenario;
 //! `--merge-cooldown` applies to the zoo rows, while the dedicated
@@ -32,7 +30,7 @@ use acx_bench::adaptivity::{
     make_objects, make_scenario, measure_readapt, AdaptivityParams, AdaptivityRow, SCENARIOS,
 };
 use acx_bench::args::Flags;
-use acx_bench::{ac_config, reorg_strategies};
+use acx_bench::{ac_config, strategies};
 use acx_storage::StorageScenario;
 use acx_workloads::WorkloadConfig;
 
@@ -57,12 +55,10 @@ fn print_row(r: &AdaptivityRow) {
         r.splits,
         r.clusters,
     );
-    if r.arena_capacity_bytes > 0 {
-        println!(
-            "{:>20}   arena: {} live / {} capacity bytes, {} compactions",
-            "", r.arena_live_bytes, r.arena_capacity_bytes, r.compactions,
-        );
-    }
+    println!(
+        "{:>20}   arena: {} live / {} capacity bytes, {} compactions",
+        "", r.arena_live_bytes, r.arena_capacity_bytes, r.compactions,
+    );
 }
 
 fn json_row(json: &mut String, r: &AdaptivityRow, last: bool) {
@@ -119,6 +115,7 @@ fn main() {
     };
     let zoo_cooldown = flags.merge_cooldown();
     let hysteresis_cooldown: u64 = flags.get("hysteresis-cooldown", 8);
+    flags.finish();
 
     println!("== Adaptivity across the scenario zoo ==");
     println!(
@@ -138,12 +135,7 @@ fn main() {
             continue;
         }
         let data = make_objects(name, &obj_cfg(&params));
-        for (mode, mode_config) in reorg_strategies(params.dims) {
-            let mut config = flags.apply_scan_flags(ac_config(
-                params.dims,
-                StorageScenario::Memory,
-            ));
-            config.reorg_mode = mode_config.reorg_mode;
+        for (mode, mut config) in strategies(params.dims) {
             config.merge_cooldown = zoo_cooldown;
             let mut scenario = make_scenario(name, &qry_cfg(&params));
             let row = measure_readapt(
@@ -160,20 +152,20 @@ fn main() {
     }
 
     // Hysteresis before/after on the adversary: same stream, cool-down
-    // off vs on, incremental mode (decision-identity across modes is
-    // asserted by the equivalence tests, cool-down included).
+    // off vs on, production path (decision-identity with the reference
+    // is asserted by the equivalence tests, cool-down included).
     let mut hysteresis: Vec<AdaptivityRow> = Vec::new();
     if only.is_empty() || only == "oscillating_heat" {
         println!("-- hysteresis on the oscillating adversary --");
         let data = make_objects("oscillating_heat", &obj_cfg(&params));
         for cooldown in [0, hysteresis_cooldown] {
             let mut config =
-                flags.apply_scan_flags(ac_config(params.dims, StorageScenario::Memory));
+                ac_config(params.dims, StorageScenario::Memory);
             config.merge_cooldown = cooldown;
             let mut scenario = make_scenario("oscillating_heat", &qry_cfg(&params));
             let row = measure_readapt(
                 "oscillating_heat".to_string(),
-                "incremental",
+                "production",
                 scenario.as_mut(),
                 config,
                 &data,

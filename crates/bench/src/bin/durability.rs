@@ -110,6 +110,7 @@ fn main() {
     let dims: usize = flags.get("dims", 8);
     let seed: u64 = flags.get("seed", 24_029);
     let out: String = flags.get("out", "BENCH_durability.json".to_string());
+    flags.finish();
 
     let workload =
         UniformWorkload::with_max_length(WorkloadConfig::new(dims, objects_n, seed), 0.3);

@@ -7,14 +7,11 @@
 //! ```text
 //! cargo run --release -p acx-bench --bin fig8 [--objects 30000]
 //!     [--warmup 600] [--measured 200] [--seed 24029] [--full]
-//!     [--scan-mode columnar|oracle] [--candidate-scan columnar|oracle]
-//!     [--zone-maps on|off] [--reorg-mode incremental|full]
-//!     [--stats-layout arena|per-cluster]
 //!     [--wal PATH] [--flush-policy record|batch[:N]|epoch]
 //! ```
 
 use acx_bench::args::Flags;
-use acx_bench::{ac_config, build_ac_with, build_rs, build_ss, run_ac, run_baseline, MethodReport};
+use acx_bench::{build_ac, build_rs, build_ss, run_ac, run_baseline, MethodReport};
 use acx_geom::SpatialQuery;
 use acx_storage::StorageScenario;
 use acx_workloads::{calibrate, SkewedWorkload, WorkloadConfig};
@@ -29,6 +26,8 @@ fn main() {
     let warmup_n: usize = flags.get("warmup", 600);
     let measured_n: usize = flags.get("measured", 200);
     let seed: u64 = flags.get("seed", 0x5EED);
+    let wal = flags.wal();
+    flags.finish();
     let target_selectivity = 5e-4; // 0.05 % (paper §7.2)
     let dims_list = [16usize, 20, 24, 28, 32, 36, 40];
 
@@ -63,19 +62,13 @@ fn main() {
         let ss = build_ss(dims, &data);
 
         eprintln!("dims={dims}: adaptive clustering (memory) …");
-        let mut ac_mem = build_ac_with(
-            flags.apply_scan_flags(ac_config(dims, StorageScenario::Memory)),
-            &data,
-        );
-        flags.attach_wal(&mut ac_mem);
+        let mut ac_mem = build_ac(dims, StorageScenario::Memory, &data);
+        wal.attach(&mut ac_mem);
         let ac_mem_report = run_ac(&mut ac_mem, &warmup, &measured, objects);
 
         eprintln!("dims={dims}: adaptive clustering (disk) …");
-        let mut ac_disk = build_ac_with(
-            flags.apply_scan_flags(ac_config(dims, StorageScenario::Disk)),
-            &data,
-        );
-        flags.attach_wal(&mut ac_disk);
+        let mut ac_disk = build_ac(dims, StorageScenario::Disk, &data);
+        wal.attach(&mut ac_disk);
         let ac_disk_report = run_ac(&mut ac_disk, &warmup, &measured, objects);
 
         let rs_report = run_baseline("RS", rs.node_count(), objects, dims, &measured, |q| {

@@ -6,14 +6,11 @@
 //! ```text
 //! cargo run --release -p acx-bench --bin point_enclosing
 //!     [--objects 50000] [--dims 16] [--warmup 600] [--measured 300]
-//!     [--scan-mode columnar|oracle] [--candidate-scan columnar|oracle]
-//!     [--zone-maps on|off] [--reorg-mode incremental|full]
-//!     [--stats-layout arena|per-cluster]
 //!     [--wal PATH] [--flush-policy record|batch[:N]|epoch]
 //! ```
 
 use acx_bench::args::Flags;
-use acx_bench::{ac_config, build_ac_with, build_ss, run_ac, run_baseline};
+use acx_bench::{build_ac, build_ss, run_ac, run_baseline};
 use acx_geom::SpatialQuery;
 use acx_storage::StorageScenario;
 use acx_workloads::{SkewedWorkload, UniformWorkload, Workload, WorkloadConfig};
@@ -25,6 +22,8 @@ fn main() {
     let warmup_n: usize = flags.get("warmup", 600);
     let measured_n: usize = flags.get("measured", 300);
     let seed: u64 = flags.get("seed", 0x5EED);
+    let wal = flags.wal();
+    flags.finish();
 
     println!("== Point-enclosing queries: AC speedup over Sequential Scan ==");
     println!("objects={objects} dims={dims}");
@@ -53,17 +52,11 @@ fn main() {
         let ss = build_ss(dims, &data);
         let ss_report = run_baseline("SS", 1, objects, dims, &measured, |q| ss.execute(q));
 
-        let mut ac_mem = build_ac_with(
-            flags.apply_scan_flags(ac_config(dims, StorageScenario::Memory)),
-            &data,
-        );
-        flags.attach_wal(&mut ac_mem);
+        let mut ac_mem = build_ac(dims, StorageScenario::Memory, &data);
+        wal.attach(&mut ac_mem);
         let ac_mem_report = run_ac(&mut ac_mem, &warmup, &measured, objects);
-        let mut ac_disk = build_ac_with(
-            flags.apply_scan_flags(ac_config(dims, StorageScenario::Disk)),
-            &data,
-        );
-        flags.attach_wal(&mut ac_disk);
+        let mut ac_disk = build_ac(dims, StorageScenario::Disk, &data);
+        wal.attach(&mut ac_disk);
         let ac_disk_report = run_ac(&mut ac_disk, &warmup, &measured, objects);
 
         let mem_speedup = ss_report.priced_memory_ms / ac_mem_report.priced_memory_ms;

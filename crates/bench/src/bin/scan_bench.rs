@@ -1,56 +1,44 @@
-//! Snapshot benchmark of the columnar/bitmask scan kernels vs their
-//! scalar oracles, recorded to `BENCH_scan.json` and
-//! `BENCH_candidates.json` so the repository's perf trajectory is
-//! tracked across PRs.
+//! Snapshot benchmark of the production kernels and passes against
+//! their references, recorded to `BENCH_scan.json`,
+//! `BENCH_candidates.json` and `BENCH_reorg.json` so the repository's
+//! perf trajectory is tracked across PRs.
 //!
-//! Four layers are measured single-threaded:
+//! Five layers are measured single-threaded:
 //!
 //! * **kernel** — `scan_columns` against per-object `matches_flat` over
 //!   one flat segment, for every (objects, dims) in the matrix.
 //! * **candidate kernel** — `scan_candidates` against the scalar
-//!   candidate-at-a-time loop over one cluster's candidate set, for
-//!   division factors yielding `f²·Nd` from hundreds to thousands —
-//!   columns read both from an owned per-cluster set and from a range
-//!   of the index-wide statistics arena (identical kernel, different
-//!   backing memory).
+//!   candidate-at-a-time loop over one cluster's candidate range of a
+//!   statistics arena, for division factors yielding `f²·Nd` from a
+//!   dozen to thousands.
 //! * **index** — `AdaptiveClusterIndex` point-enclosing queries (§7.2,
 //!   the scan-dominated workload) through the read-only `query_with`
-//!   path, columnar vs scalar oracle, on identically adapted indexes.
-//! * **recorded execute** — the full `execute` path (statistics
-//!   recording included) under three strategies: the current default
-//!   (bitmask members + bitmask candidates + zone maps), the PR 3
-//!   equivalent (columnar members, scalar candidate loop, no zones),
-//!   and the full scalar oracle.
+//!   path, production vs reference, on identically adapted indexes.
+//! * **recorded execute** — the statistics-recording read phase and the
+//!   full `execute` path, production vs reference.
 //! * **reorganization** — the per-period maintenance pass on an adapted
-//!   index: the incremental pass (dirty set + screen + columnar benefit
-//!   columns) over the statistics arena, the same pass over per-cluster
-//!   `Vec` columns, and the decision-identical full scalar sweep, all
-//!   recorded to `BENCH_reorg.json`.
+//!   index: the production incremental pass (dirty set + screen +
+//!   columnar benefit columns) against the reference's
+//!   decision-identical full scalar sweep.
+//!
+//! The index-level sections build both sides from
+//! [`acx_bench::strategies`].
 //!
 //! Usage:
 //! ```text
 //! cargo run --release -p acx_bench --bin scan_bench
 //!     [--quick] [--out BENCH_scan.json] [--cand-out BENCH_candidates.json]
 //!     [--reorg-out BENCH_reorg.json] [--index-objects N] [--repeats N]
-//!     [--scan-mode columnar|oracle] [--candidate-scan columnar|oracle]
-//!     [--zone-maps on|off] [--stats-layout arena|per-cluster]
 //! ```
-//! The kernel toggles apply to the *index* section so oracle vs
-//! columnar vs bitmask/zone-map runs need no recompilation; the
-//! recorded-execute and reorganization sections always measure their
-//! fixed strategy matrices.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use acx_bench::args::Flags;
-use acx_bench::{adapted_ac, build_ac_with, recorded_strategies, reorg_layout_strategies};
-use acx_core::candidates::{CandidateSet, StatsArena};
-use acx_core::{IndexConfig, QueryScratch, ScanMode, Signature, StatsDelta};
-use acx_geom::scan::{
-    scan_candidates_with_cutoff, scan_columns, PairedColumns, ScanScratch,
-    CANDIDATE_DIRECT_CUTOFF,
-};
+use acx_bench::{adapted_ac, build_ac_with, strategies};
+use acx_core::candidates::{generate_candidates, StatsArena};
+use acx_core::{QueryScratch, Signature, StatsDelta};
+use acx_geom::scan::{scan_candidates, scan_columns, PairedColumns, ScanScratch};
 use acx_geom::{Scalar, SpatialQuery, OBJECT_ID_BYTES};
 use acx_workloads::{UniformWorkload, Workload, WorkloadConfig};
 
@@ -135,31 +123,25 @@ struct CandidateRow {
     division_factor: u8,
     candidates: usize,
     kernel_ns: f64,
-    arena_kernel_ns: f64,
-    direct_ns: f64,
     scalar_ns: f64,
 }
 
 /// One cluster's candidate loop in isolation: the bitmask kernel vs the
-/// candidate-at-a-time scalar oracle, across division factors pushing
-/// `f²·Nd` from the paper's 160 (f = 4, 16 d) past 1k. The kernel is
-/// timed twice — over an owned per-cluster set's columns and over the
-/// same columns as a mid-slab range of a populated statistics arena —
-/// so a projection or locality cost of the slab layout would show here.
-/// Both dispatch paths of `scan_candidates` are forced per row
-/// (vectorized via cutoff 0, direct mask-bit loop via cutoff MAX) so
-/// the committed snapshot records the crossover that justifies
-/// `CANDIDATE_DIRECT_CUTOFF`.
+/// candidate-at-a-time scalar reference, across division factors
+/// pushing `f²·Nd` from a dozen past the paper's 160 (f = 4, 16 d) to
+/// thousands. Both read the same mid-slab range of a populated
+/// statistics arena, as they do inside an index.
 fn candidate_matrix(configs: &[(usize, u8)], repeats: usize) -> Vec<CandidateRow> {
     let mut rows = Vec::new();
     for &(dims, f) in configs {
-        let cands = CandidateSet::generate(&Signature::root(dims), f);
+        let set = generate_candidates(&Signature::root(dims), f);
         // The measured range sits between neighbors, as it would in an
         // index whose clusters all share the slab.
         let mut arena = StatsArena::new();
-        arena.alloc(&cands);
-        let mid = arena.alloc(&cands);
-        arena.alloc(&cands);
+        arena.alloc(&set);
+        let mid = arena.alloc(&set);
+        arena.alloc(&set);
+        let cands = arena.slice(mid);
         let workload = UniformWorkload::with_max_length(
             WorkloadConfig::new(dims, 1024, 0xCA7D),
             0.3,
@@ -176,15 +158,7 @@ fn candidate_matrix(configs: &[(usize, u8)], repeats: usize) -> Vec<CandidateRow
 
         let mut scratch = ScanScratch::new();
         let kernel_ns = time_per_query(queries.len(), repeats, |k| {
-            scan_candidates_with_cutoff(&queries[k], &cands.columns(), &mut scratch, 0) as u64
-        });
-        let arena_kernel_ns = time_per_query(queries.len(), repeats, |k| {
-            scan_candidates_with_cutoff(&queries[k], &arena.slice(mid).columns(), &mut scratch, 0)
-                as u64
-        });
-        let direct_ns = time_per_query(queries.len(), repeats, |k| {
-            scan_candidates_with_cutoff(&queries[k], &cands.columns(), &mut scratch, usize::MAX)
-                as u64
+            scan_candidates(&queries[k], &cands.columns(), &mut scratch) as u64
         });
         let scalar_ns = time_per_query(queries.len(), repeats, |k| {
             let mut acc = 0u64;
@@ -194,22 +168,15 @@ fn candidate_matrix(configs: &[(usize, u8)], repeats: usize) -> Vec<CandidateRow
             acc
         });
         println!(
-            "cands   d={dims} f={f} ({:>5} candidates): kernel {kernel_ns:>9.0} ns/q  arena {arena_kernel_ns:>9.0} ns/q  direct {direct_ns:>9.0} ns/q  scalar {scalar_ns:>9.0} ns/q  speedup {:.2}x  [default: {}]",
+            "cands   d={dims} f={f} ({:>5} candidates): kernel {kernel_ns:>9.0} ns/q  scalar {scalar_ns:>9.0} ns/q  speedup {:.2}x",
             cands.len(),
             scalar_ns / kernel_ns,
-            if cands.len() < CANDIDATE_DIRECT_CUTOFF {
-                "direct"
-            } else {
-                "kernel"
-            }
         );
         rows.push(CandidateRow {
             dims,
             division_factor: f,
             candidates: cands.len(),
             kernel_ns,
-            arena_kernel_ns,
-            direct_ns,
             scalar_ns,
         });
     }
@@ -217,7 +184,7 @@ fn candidate_matrix(configs: &[(usize, u8)], repeats: usize) -> Vec<CandidateRow
 }
 
 struct IndexRow {
-    mode: String,
+    mode: &'static str,
     ns_per_query: f64,
 }
 
@@ -228,9 +195,8 @@ struct RecordedRow {
 }
 
 /// The acceptance workload: §7.2 point-enclosing queries on an adapted
-/// 16-d index through the read-only path, columnar (with the CLI's zone
-/// toggle) vs scalar oracle.
-fn index_point_enclosing(objects: usize, repeats: usize, flags: &Flags) -> Vec<IndexRow> {
+/// 16-d index through the read-only path, production vs reference.
+fn index_point_enclosing(objects: usize, repeats: usize) -> Vec<IndexRow> {
     let dims = 16;
     let workload =
         UniformWorkload::with_max_length(WorkloadConfig::new(dims, objects, 0x5EED), 0.3);
@@ -241,21 +207,7 @@ fn index_point_enclosing(objects: usize, repeats: usize, flags: &Flags) -> Vec<I
         .collect();
 
     let mut rows = Vec::new();
-    let columnar_cfg = flags.apply_scan_flags(IndexConfig::memory(dims));
-    let columnar_label = match (columnar_cfg.scan_mode, columnar_cfg.zone_maps) {
-        (ScanMode::Columnar, true) => "columnar".to_string(),
-        (ScanMode::Columnar, false) => "columnar_nozones".to_string(),
-        (ScanMode::ScalarOracle, _) => "flagged_oracle".to_string(),
-    };
-    let oracle_cfg = IndexConfig {
-        scan_mode: ScanMode::ScalarOracle,
-        candidate_scan: ScanMode::ScalarOracle,
-        ..IndexConfig::memory(dims)
-    };
-    for (config, label) in [
-        (columnar_cfg, columnar_label),
-        (oracle_cfg, "scalar_oracle".to_string()),
-    ] {
+    for (label, config) in strategies(dims) {
         let index = adapted_ac(config, &data, &queries);
         let mut scratch = QueryScratch::new();
         let ns = time_per_query(queries.len(), repeats, |k| {
@@ -272,7 +224,7 @@ fn index_point_enclosing(objects: usize, repeats: usize, flags: &Flags) -> Vec<I
         });
     }
     println!(
-        "index   speedup columnar over oracle: {:.2}x",
+        "index   speedup production over reference: {:.2}x",
         rows[1].ns_per_query / rows[0].ns_per_query
     );
     rows
@@ -282,10 +234,9 @@ fn index_point_enclosing(objects: usize, repeats: usize, flags: &Flags) -> Vec<I
 /// statistics-recording read phase (`query_recorded_with` through a
 /// reused, cleared delta — what batch workers run) and the full
 /// `execute` (recording plus `apply_stats` plus amortized periodic
-/// reorganization). The current default is compared against its own
-/// scalar-candidate/no-zones mode and the full oracle; the committed
-/// JSON additionally carries the numbers measured at the PR 3 commit
-/// with the same harness for the cross-PR trajectory.
+/// reorganization). The committed JSON additionally carries the
+/// numbers measured at the PR 3 commit with the same harness for the
+/// cross-PR trajectory.
 fn recorded_execute(objects: usize, repeats: usize) -> Vec<RecordedRow> {
     let dims = 16;
     let workload =
@@ -297,7 +248,7 @@ fn recorded_execute(objects: usize, repeats: usize) -> Vec<RecordedRow> {
         .collect();
 
     let mut rows = Vec::new();
-    for (label, config) in recorded_strategies(dims) {
+    for (label, config) in strategies(dims) {
         let mut index = adapted_ac(config, &data, &queries);
         let mut scratch = QueryScratch::new();
         let mut delta = StatsDelta::new();
@@ -329,9 +280,8 @@ fn recorded_execute(objects: usize, repeats: usize) -> Vec<RecordedRow> {
         });
     }
     println!(
-        "record  execute speedup over scalar-candidate mode: {:.2}x   over oracle: {:.2}x",
-        rows[1].execute_ns / rows[0].execute_ns,
-        rows[2].execute_ns / rows[0].execute_ns
+        "record  execute speedup production over reference: {:.2}x",
+        rows[1].execute_ns / rows[0].execute_ns
     );
     rows
 }
@@ -350,13 +300,12 @@ struct ReorgRow {
 }
 
 /// The per-period reorganization cost on an adapted 16-d index: the
-/// incremental pass over the statistics arena, the same pass over
-/// per-cluster `Vec` columns, and the decision-identical full scalar
-/// sweep, driven through identical streams (auto-reorganization off,
-/// one explicit pass every `period` recorded executes — exactly the
-/// paper's `reorg_period` cadence) so only the timed `reorganize()`
-/// call differs. Decision identity across all three strategies is
-/// asserted on the final clustering state.
+/// production incremental pass and the reference's decision-identical
+/// full scalar sweep, driven through identical streams
+/// (auto-reorganization off, one explicit pass every `period` recorded
+/// executes — exactly the paper's `reorg_period` cadence) so the timed
+/// `reorganize()` call is what differs. Decision identity is asserted
+/// on the final clustering state.
 fn reorg_matrix(objects: usize, repeats: usize) -> Vec<ReorgRow> {
     let dims = 16;
     let period = 100usize;
@@ -381,7 +330,7 @@ fn reorg_matrix(objects: usize, repeats: usize) -> Vec<ReorgRow> {
     // set starts cold after the bulk adaptation); the workload is
     // deterministic, so every block of a mode reproduces the identical
     // index and decisions.
-    const MODES: usize = 3;
+    const MODES: usize = 2;
     let rounds = 2usize;
     let block = repeats.div_ceil(rounds);
     let mut samples: [Vec<f64>; MODES] = std::array::from_fn(|_| Vec::with_capacity(repeats));
@@ -391,7 +340,7 @@ fn reorg_matrix(objects: usize, repeats: usize) -> Vec<ReorgRow> {
         std::array::from_fn(|_| Vec::new());
     let mut cluster_counts = [0usize; MODES];
     for _ in 0..rounds {
-        for (which, (_, config)) in reorg_layout_strategies(dims).into_iter().enumerate() {
+        for (which, (_, config)) in strategies(dims).into_iter().enumerate() {
             let mut config = config;
             config.reorg_period = 0;
             let mut index = build_ac_with(config, &data);
@@ -429,14 +378,10 @@ fn reorg_matrix(objects: usize, repeats: usize) -> Vec<ReorgRow> {
     }
     assert_eq!(
         final_snapshots[0], final_snapshots[1],
-        "arena and per-cluster statistics must be decision-identical on the measured stream"
-    );
-    assert_eq!(
-        final_snapshots[0], final_snapshots[2],
-        "incremental and full-oracle passes must be decision-identical on the measured stream"
+        "production and reference passes must be decision-identical on the measured stream"
     );
     let mut rows = Vec::new();
-    for (which, (label, _)) in reorg_layout_strategies(dims).into_iter().enumerate() {
+    for (which, (label, _)) in strategies(dims).into_iter().enumerate() {
         let samples = &mut samples[which];
         samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         let pass_ns = samples[samples.len() / 2];
@@ -466,9 +411,8 @@ fn reorg_matrix(objects: usize, repeats: usize) -> Vec<ReorgRow> {
         });
     }
     println!(
-        "reorg   arena speedup over per-cluster: {:.2}x   over full oracle: {:.2}x",
-        rows[1].pass_ns / rows[0].pass_ns,
-        rows[2].pass_ns / rows[0].pass_ns
+        "reorg   speedup production over reference: {:.2}x",
+        rows[1].pass_ns / rows[0].pass_ns
     );
     rows
 }
@@ -489,19 +433,20 @@ fn main() {
     // execute, reorganization) without changing the kernel matrix.
     let index_objects: usize = flags.get("index-objects", default_index_objects);
     let repeats: usize = flags.get("repeats", repeats);
+    flags.finish();
     let dims_list = [2usize, 4, 8];
     let cand_configs: &[(usize, u8)] = if quick {
         &[(16, 4), (16, 12)]
     } else {
-        // (4,2)/(16,2) bracket the small-set dispatch cutoff from below
-        // (12 and 48 candidates); the rest sweep f²·Nd past 1k.
+        // (4,2)/(16,2) are the small sets (12 and 48 candidates) where
+        // the kernel's fixed costs show; the rest sweep f²·Nd past 1k.
         &[(4, 2), (16, 2), (8, 4), (16, 4), (16, 8), (16, 12), (32, 12)]
     };
 
-    println!("== scan kernel snapshot (bitmask vs scalar oracle, single thread) ==");
+    println!("== scan kernel snapshot (production vs reference, single thread) ==");
     let kernel = kernel_matrix(&sizes, &dims_list, repeats);
     let cands = candidate_matrix(cand_configs, repeats);
-    let index = index_point_enclosing(index_objects, repeats, &flags);
+    let index = index_point_enclosing(index_objects, repeats);
     let recorded = recorded_execute(index_objects, repeats);
     let reorg = reorg_matrix(index_objects, repeats);
 
@@ -542,13 +487,8 @@ fn main() {
     }
     let _ = writeln!(
         json,
-        "    \"execute_speedup_vs_scalar_candidates\": {:.3},",
+        "    \"execute_speedup_vs_reference\": {:.3},",
         recorded[1].execute_ns / recorded[0].execute_ns
-    );
-    let _ = writeln!(
-        json,
-        "    \"execute_speedup_vs_oracle\": {:.3},",
-        recorded[2].execute_ns / recorded[0].execute_ns
     );
     // Measured at commit 63cb979 (PR 3) on this container with the same
     // harness (256 point-enclosing queries, warmed index, min-of-9):
@@ -564,27 +504,17 @@ fn main() {
 
     let mut json = String::from("{\n  \"bench\": \"candidate_kernel\",\n");
     let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"small_set_cutoff\": {CANDIDATE_DIRECT_CUTOFF},");
     json.push_str("  \"candidate_matching\": [\n");
     for (i, r) in cands.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"dims\": {}, \"division_factor\": {}, \"candidates\": {}, \"kernel_ns_per_query\": {:.0}, \"arena_kernel_ns_per_query\": {:.0}, \"direct_ns_per_query\": {:.0}, \"scalar_ns_per_query\": {:.0}, \"speedup\": {:.3}, \"arena_vs_per_cluster\": {:.3}, \"direct_vs_kernel\": {:.3}, \"default_path\": \"{}\"}}",
+            "    {{\"dims\": {}, \"division_factor\": {}, \"candidates\": {}, \"kernel_ns_per_query\": {:.0}, \"scalar_ns_per_query\": {:.0}, \"speedup\": {:.3}}}",
             r.dims,
             r.division_factor,
             r.candidates,
             r.kernel_ns,
-            r.arena_kernel_ns,
-            r.direct_ns,
             r.scalar_ns,
             r.scalar_ns / r.kernel_ns,
-            r.kernel_ns / r.arena_kernel_ns,
-            r.kernel_ns / r.direct_ns,
-            if r.candidates < CANDIDATE_DIRECT_CUTOFF {
-                "direct"
-            } else {
-                "kernel"
-            }
         );
         json.push_str(if i + 1 == cands.len() { "\n" } else { ",\n" });
     }
@@ -617,27 +547,9 @@ fn main() {
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"arena_speedup_vs_per_cluster\": {:.3},",
+        "  \"production_speedup_vs_reference\": {:.3}",
         reorg[1].pass_ns / reorg[0].pass_ns
     );
-    let _ = writeln!(
-        json,
-        "  \"incremental_speedup_vs_full_oracle\": {:.3},",
-        reorg[2].pass_ns / reorg[0].pass_ns
-    );
-    // Measured with this harness during PR 5 on a quiet host, when the
-    // incremental pass still streamed per-cluster Vec columns. That
-    // layout was memory-latency-bound, so shared-host contention
-    // compressed its ratio toward ~3x while the compute-bound full
-    // sweep barely moved; the index-wide statistics arena this PR adds
-    // exists to narrow exactly that contended-vs-quiet gap (compare
-    // the incremental_arena and incremental_per_cluster rows above).
-    json.push_str(concat!(
-        "  \"pr5_quiet_host_reference\": {\"incremental_pass_ns\": 155021,",
-        " \"full_oracle_pass_ns\": 958828, \"speedup\": 6.185,",
-        " \"note\": \"per-cluster layout on a quiet-host window; contention",
-        " compressed the memory-bound pass toward ~3x\"}\n",
-    ));
     json.push_str("}\n");
     std::fs::write(&reorg_out, &json).expect("write reorganization snapshot");
     println!("wrote {reorg_out}");

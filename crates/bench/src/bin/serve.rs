@@ -193,6 +193,7 @@ fn main() {
         vec![ShardBy::Hash, ShardBy::Space]
     };
     let queue_cap = flags.queue_cap();
+    flags.finish();
 
     println!("== Sharded serving tier vs single index ==");
     println!(
@@ -212,7 +213,7 @@ fn main() {
     let mut stream = EventStream::with_flexibility(generator, seed ^ 0xF00D, flexibility);
     let warmup = stream.next_batch(warmup_n);
     let measured = stream.next_batch(events);
-    let pubsub_cfg = flags.apply_scan_flags(ac_config(dims, StorageScenario::Memory));
+    let pubsub_cfg = ac_config(dims, StorageScenario::Memory);
     let pubsub_single = run_workload(
         "pubsub",
         &pubsub_cfg,
@@ -237,7 +238,7 @@ fn main() {
     };
     let warmup = make(&mut qrng, warmup_n);
     let measured = make(&mut qrng, events);
-    let skewed_cfg = flags.apply_scan_flags(ac_config(dims, StorageScenario::Memory));
+    let skewed_cfg = ac_config(dims, StorageScenario::Memory);
     let skewed_single = run_workload(
         "skewed",
         &skewed_cfg,

@@ -6,14 +6,11 @@
 //! ```text
 //! cargo run --release -p acx-bench --bin stability
 //!     [--objects 30000] [--dims 16] [--steps 15]
-//!     [--scan-mode columnar|oracle] [--candidate-scan columnar|oracle]
-//!     [--zone-maps on|off] [--reorg-mode incremental|full]
-//!     [--stats-layout arena|per-cluster]
 //!     [--wal PATH] [--flush-policy record|batch[:N]|epoch]
 //! ```
 
 use acx_bench::args::Flags;
-use acx_bench::{ac_config, build_ac_with};
+use acx_bench::build_ac;
 use acx_geom::SpatialQuery;
 use acx_storage::StorageScenario;
 use acx_workloads::{calibrate, UniformWorkload, Workload, WorkloadConfig};
@@ -24,6 +21,8 @@ fn main() {
     let dims: usize = flags.get("dims", 16);
     let steps: usize = flags.get("steps", 15);
     let seed: u64 = flags.get("seed", 0x5EED);
+    let wal = flags.wal();
+    flags.finish();
 
     println!("== Clustering stability under a fixed query distribution ==");
     let workload = UniformWorkload::with_max_length(WorkloadConfig::new(dims, objects, seed), 0.5);
@@ -31,11 +30,8 @@ fn main() {
     let extent = calibrate::uniform_query_extent(&workload, 5e-4, seed);
     let mut qrng = WorkloadConfig::new(dims, objects, seed ^ 0xF1E1D).rng();
 
-    let mut index = build_ac_with(
-        flags.apply_scan_flags(ac_config(dims, StorageScenario::Memory)),
-        &data,
-    );
-    flags.attach_wal(&mut index);
+    let mut index = build_ac(dims, StorageScenario::Memory, &data);
+    wal.attach(&mut index);
     println!(
         "{:>5} {:>8} {:>8} {:>10} {:>8}",
         "step", "merges", "splits", "clusters", "churn%"

@@ -20,20 +20,17 @@
 //!     [--objects 50000] [--events 2000] [--warmup 600]
 //!     [--max-threads 8] [--flexibility 0.0] [--seed 24141]
 //!     [--shards N] [--shard-by hash|space] [--queue-cap N]
-//!     [--scan-mode columnar|oracle] [--candidate-scan columnar|oracle]
-//!     [--zone-maps on|off] [--reorg-mode incremental|full]
-//!     [--stats-layout arena|per-cluster]
 //!     [--wal PATH] [--flush-policy record|batch[:N]|epoch]
 //! ```
 
 use std::time::Instant;
 
 use acx_baselines::BatchExecute;
-use acx_bench::args::Flags;
+use acx_bench::args::{Flags, WalFlags};
 use acx_bench::{
     ac_config, build_ac_with, build_rs, build_ss, run_ac_batch, run_serve, MethodReport,
 };
-use acx_serve::ServeConfig;
+use acx_serve::{ServeConfig, ShardBy};
 use acx_core::IndexConfig;
 use acx_geom::{HyperRect, SpatialQuery};
 use acx_storage::StorageScenario;
@@ -63,7 +60,7 @@ fn qps(queries: usize, elapsed_secs: f64) -> f64 {
 /// adapted clustering (the batch path reaches the identical state
 /// regardless of `threads`).
 fn measure_ac(
-    flags: &Flags,
+    wal: &WalFlags,
     config: IndexConfig,
     objects: &[HyperRect],
     warmup: &[SpatialQuery],
@@ -71,8 +68,16 @@ fn measure_ac(
     threads: usize,
 ) -> MethodReport {
     let mut index = build_ac_with(config, objects);
-    flags.attach_wal(&mut index);
+    wal.attach(&mut index);
     run_ac_batch(&mut index, warmup, measured, threads, objects.len())
+}
+
+/// What the command line chose for every workload of the run.
+struct Setup {
+    wal: WalFlags,
+    shards: usize,
+    shard_by: ShardBy,
+    queue_cap: usize,
 }
 
 fn main() {
@@ -83,6 +88,13 @@ fn main() {
     let max_threads: usize = flags.get("max-threads", 8).max(1);
     let flexibility: f32 = flags.get("flexibility", 0.0);
     let seed: u64 = flags.get("seed", 0x5E41);
+    let setup = Setup {
+        wal: flags.wal(),
+        shards: flags.shards(),
+        shard_by: flags.shard_by(),
+        queue_cap: flags.queue_cap(),
+    };
+    flags.finish();
 
     println!("== Serving throughput: concurrent read path vs baselines ==");
     println!("objects={objects} events={events} warmup={warmup_n} max_threads={max_threads}");
@@ -97,9 +109,9 @@ fn main() {
     let mut stream = EventStream::with_flexibility(generator, seed ^ 0xF00D, flexibility);
     let warmup = stream.next_batch(warmup_n);
     let measured = stream.next_batch(events);
-    let ac_cfg = flags.apply_scan_flags(ac_config(dims, StorageScenario::Memory));
+    let ac_cfg = ac_config(dims, StorageScenario::Memory);
     run_workload(
-        &flags,
+        &setup,
         "pub/sub",
         &ac_cfg,
         &subscriptions,
@@ -120,9 +132,9 @@ fn main() {
     };
     let warmup = make(&mut qrng, warmup_n);
     let measured = make(&mut qrng, events);
-    let ac_cfg = flags.apply_scan_flags(ac_config(dims, StorageScenario::Memory));
+    let ac_cfg = ac_config(dims, StorageScenario::Memory);
     run_workload(
-        &flags,
+        &setup,
         "skewed",
         &ac_cfg,
         &data,
@@ -133,7 +145,7 @@ fn main() {
 }
 
 fn run_workload(
-    flags: &Flags,
+    setup: &Setup,
     name: &str,
     config: &IndexConfig,
     objects: &[HyperRect],
@@ -148,7 +160,7 @@ fn run_workload(
     let mut ac_base = 0.0f64;
     let mut clusters = 0usize;
     for &t in &counts {
-        let report = measure_ac(flags, config.clone(), objects, warmup, measured, t);
+        let report = measure_ac(&setup.wal, config.clone(), objects, warmup, measured, t);
         let rate = 1000.0 / report.wall_ms.max(1e-12); // wall_ms is per query
         if t == 1 {
             ac_base = rate;
@@ -168,16 +180,16 @@ fn run_workload(
     // per-event fan-out through bounded queues instead of one batched
     // call, reorganization stalling one shard at a time.
     let serve_cfg = ServeConfig::new(config.clone())
-        .with_shards(flags.shards())
-        .with_shard_by(flags.shard_by())
-        .with_queue_cap(flags.queue_cap());
+        .with_shards(setup.shards)
+        .with_shard_by(setup.shard_by)
+        .with_queue_cap(setup.queue_cap);
     let stats = run_serve(serve_cfg, objects, warmup, measured);
     let stall_ms = stats.reorg_stall_ns as f64 / 1e6;
     println!(
         "serve shards={} ({}): {:>12.0} q/s  lat p50={:.1}us p99={:.1}us  \
          reorg_stall={stall_ms:.3}ms/{} passes",
-        flags.shards(),
-        flags.shard_by(),
+        setup.shards,
+        setup.shard_by,
         stats.qps(),
         stats.latency_p50_ns as f64 / 1e3,
         stats.latency_p99_ns as f64 / 1e3,

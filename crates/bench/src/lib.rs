@@ -1,6 +1,6 @@
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (§7). See DESIGN.md §4 for the experiment index and
-//! EXPERIMENTS.md for paper-vs-measured results.
+//! evaluation (§7). The root README's "Benchmarks and experiment
+//! binaries" section lists the binaries.
 //!
 //! The harness builds the three competitors — Adaptive Clustering (AC),
 //! R*-tree (RS), Sequential Scan (SS) — over identical object sets, runs
@@ -13,7 +13,6 @@ pub mod args;
 pub mod runner;
 
 pub use runner::{
-    ac_config, adapted_ac, build_ac, build_ac_with, build_rs, build_ss, recorded_strategies,
-    reorg_layout_strategies, reorg_strategies, run_ac, run_ac_batch, run_baseline, run_serve,
-    ExperimentScale, MethodReport,
+    ac_config, adapted_ac, build_ac, build_ac_with, build_rs, build_ss, run_ac, run_ac_batch,
+    run_baseline, run_serve, strategies, MethodReport,
 };

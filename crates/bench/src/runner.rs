@@ -6,32 +6,6 @@ use acx_core::{AdaptiveClusterIndex, IndexConfig};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
 use acx_storage::{AccessStats, CostModel, StorageScenario};
 
-/// Scale parameters of one experiment run.
-#[derive(Debug, Clone, Copy)]
-pub struct ExperimentScale {
-    /// Database size.
-    pub objects: usize,
-    /// Queries used to reach the stable clustering state (AC only).
-    pub warmup_queries: usize,
-    /// Queries measured and averaged.
-    pub measured_queries: usize,
-    /// Workload / query seed.
-    pub seed: u64,
-}
-
-impl ExperimentScale {
-    /// Default reduced scale: results keep the paper's *shape* while
-    /// running on a laptop in minutes (see DESIGN.md §3).
-    pub fn default_reduced(objects: usize) -> Self {
-        Self {
-            objects,
-            warmup_queries: 600,
-            measured_queries: 200,
-            seed: 0x5EED,
-        }
-    }
-}
-
 /// Averaged per-query measurements of one access method.
 #[derive(Debug, Clone)]
 pub struct MethodReport {
@@ -80,9 +54,7 @@ pub fn build_ac(
     build_ac_with(ac_config(dims, scenario), objects)
 }
 
-/// Builds an adaptive clustering index from an explicit configuration —
-/// the entry point the experiment binaries use to apply CLI kernel
-/// toggles ([`crate::args::Flags::apply_scan_flags`]).
+/// Builds an adaptive clustering index from an explicit configuration.
 pub fn build_ac_with(config: IndexConfig, objects: &[HyperRect]) -> AdaptiveClusterIndex {
     let mut index = AdaptiveClusterIndex::new(config).expect("valid config");
     for (i, rect) in objects.iter().enumerate() {
@@ -107,103 +79,22 @@ pub fn adapted_ac(
     index
 }
 
-/// The three recorded-execution strategies compared by the
-/// `recorded_execute` criterion bench and the `scan_bench` snapshot —
-/// one definition so the two measurements can never drift apart:
+/// The two executions every comparison measures — by the
+/// `recorded_execute` and `reorganize` criterion benches, the
+/// `scan_bench` snapshot and the `adaptivity` harness; one definition so
+/// the measurements can never drift apart:
 ///
-/// * `bitmask_zones` — the default: bitmask member kernel + zone maps +
-///   bitmask candidate kernel;
-/// * `scalar_candidates_nozones` — the PR 3 execution strategy:
-///   columnar members, candidate-at-a-time scalar loop, no zone maps;
-/// * `scalar_oracle` — the all-scalar reference.
-pub fn recorded_strategies(dims: usize) -> [(&'static str, IndexConfig); 3] {
-    let base = IndexConfig::memory(dims);
-    [
-        ("bitmask_zones", base.clone()),
-        (
-            "scalar_candidates_nozones",
-            IndexConfig {
-                candidate_scan: acx_core::ScanMode::ScalarOracle,
-                zone_maps: false,
-                ..base.clone()
-            },
-        ),
-        (
-            "scalar_oracle",
-            IndexConfig {
-                scan_mode: acx_core::ScanMode::ScalarOracle,
-                candidate_scan: acx_core::ScanMode::ScalarOracle,
-                ..base
-            },
-        ),
-    ]
-}
-
-/// The two reorganization strategies compared by the `reorganize`
-/// criterion bench and the `scan_bench` reorg section — one definition
-/// so the two measurements can never drift apart:
-///
-/// * `incremental` — the default: dirty-set + O(1) screen + columnar
-///   benefit evaluation;
-/// * `full_oracle` — the decision-identical full scalar sweep, the
-///   reference row of `BENCH_reorg.json`.
-pub fn reorg_strategies(dims: usize) -> [(&'static str, IndexConfig); 2] {
-    let base = IndexConfig::memory(dims);
-    [
-        (
-            "incremental",
-            IndexConfig {
-                reorg_mode: acx_core::ReorgMode::Incremental,
-                ..base.clone()
-            },
-        ),
-        (
-            "full_oracle",
-            IndexConfig {
-                reorg_mode: acx_core::ReorgMode::FullOracle,
-                ..base
-            },
-        ),
-    ]
-}
-
-/// The reorganization strategies crossed with the statistics layout,
-/// compared by the `scan_bench` reorg section — the arena row against
-/// its per-cluster decision oracle, plus the full scalar sweep:
-///
-/// * `incremental_arena` — the default: dirty-set + O(1) screen +
-///   columnar benefit evaluation over the index-wide statistics slab;
-/// * `incremental_per_cluster` — the same pass over per-cluster `Vec`
-///   columns, isolating what the slab layout buys;
-/// * `full_oracle` — the decision-identical full scalar sweep, the
-///   reference row of `BENCH_reorg.json`.
-pub fn reorg_layout_strategies(dims: usize) -> [(&'static str, IndexConfig); 3] {
-    let base = IndexConfig::memory(dims);
-    [
-        (
-            "incremental_arena",
-            IndexConfig {
-                reorg_mode: acx_core::ReorgMode::Incremental,
-                stats_layout: acx_core::StatsLayout::Arena,
-                ..base.clone()
-            },
-        ),
-        (
-            "incremental_per_cluster",
-            IndexConfig {
-                reorg_mode: acx_core::ReorgMode::Incremental,
-                stats_layout: acx_core::StatsLayout::PerClusterOracle,
-                ..base.clone()
-            },
-        ),
-        (
-            "full_oracle",
-            IndexConfig {
-                reorg_mode: acx_core::ReorgMode::FullOracle,
-                ..base
-            },
-        ),
-    ]
+/// * `production` — the default: columnar member kernel with zone maps,
+///   bitmask candidate kernel, incremental reorganization pass;
+/// * `reference` — [`IndexConfig::reference`]: the object-at-a-time
+///   loops and the full scalar sweep, decision- and answer-identical.
+pub fn strategies(dims: usize) -> [(&'static str, IndexConfig); 2] {
+    let production = IndexConfig::memory(dims);
+    let reference = IndexConfig {
+        reference: true,
+        ..production.clone()
+    };
+    [("production", production), ("reference", reference)]
 }
 
 /// Builds an R*-tree over the objects (structure is scenario-independent).
@@ -404,23 +295,4 @@ where
         &mem_model,
         &disk_model,
     )
-}
-
-/// Renders one paper-style table row.
-pub fn row(label: &str, reports: &[&MethodReport]) -> String {
-    use std::fmt::Write as _;
-    let mut s = format!("{label:>10} |");
-    for r in reports {
-        let _ = write!(
-            s,
-            " {:>3} mem={:>9.4}ms disk={:>10.2}ms units={:>6} expl={:>5.1}% objs={:>5.1}% |",
-            r.method,
-            r.priced_memory_ms,
-            r.priced_disk_ms,
-            r.total_units,
-            r.explored_fraction * 100.0,
-            r.verified_fraction * 100.0,
-        );
-    }
-    s
 }

@@ -1,21 +1,21 @@
-//! Strategy-matrix smoke test: every scenario-zoo stream stays green —
-//! and answer-identical — under the full cross product of the CLI
-//! kernel toggles, driven through the same [`Flags::from_args`] →
-//! [`Flags::apply_scan_flags`] path the experiment binaries use.
+//! Scenario-zoo equivalence: every zoo stream, built through the same
+//! [`build_ac_with`] path the experiment binaries use, runs green on the
+//! production index and on the reference
+//! ([`IndexConfig::reference`]) and leaves bit-identical traces — per
+//! query the ordered match set, the `AccessStats` and the recorded
+//! `StatsDelta`; per pass the `ReorgReport`; at the end the
+//! `ClusterSnapshot`s.
 //!
-//! The toggles select *execution strategies* (`--scan-mode`,
-//! `--candidate-scan`, `--zone-maps`, `--stats-layout`) and the
-//! maintenance strategy (`--reorg-mode`), none of which may change
-//! which objects a query returns or which clusters a reorganization
-//! pass builds. A config that crashes, hangs, or answers differently
-//! under some toggle combination would invalidate every ablation row
-//! built from it.
+//! `reference` selects an *execution strategy*: a stream that answers
+//! or reorganizes differently on one side would invalidate every
+//! reference row the bench binaries print.
 
 use acx_bench::adaptivity::{make_objects, make_scenario, SCENARIOS};
 use acx_bench::args::Flags;
 use acx_bench::build_ac_with;
-use acx_core::{IndexConfig, ReorgMode, ScanMode, StatsLayout};
+use acx_core::{ClusterSnapshot, IndexConfig, ReorgReport, StatsDelta};
 use acx_geom::ObjectId;
+use acx_storage::AccessStats;
 use acx_workloads::WorkloadConfig;
 
 const DIMS: usize = 4;
@@ -24,120 +24,101 @@ const PERIODS: usize = 4;
 const QUERIES_PER_PERIOD: usize = 45;
 const SHIFT_AT: usize = 2;
 
-/// Builds the argv a user would type for one toggle combination.
-fn combo_argv(scan: &str, cand: &str, zone_maps: &str, reorg: &str, layout: &str) -> Vec<String> {
-    [
-        "--scan-mode",
-        scan,
-        "--candidate-scan",
-        cand,
-        "--zone-maps",
-        zone_maps,
-        "--reorg-mode",
-        reorg,
-        "--stats-layout",
-        layout,
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect()
+/// Everything observable about one replay of a scenario stream.
+struct Trace {
+    /// Per query: matches in exploration order, access counters, and the
+    /// delta a read-only recording of the query produced just before.
+    queries: Vec<(Vec<ObjectId>, AccessStats, StatsDelta)>,
+    /// Per period: the explicit reorganization pass's report.
+    passes: Vec<ReorgReport>,
+    /// The clustering the stream left behind.
+    snapshots: Vec<ClusterSnapshot>,
 }
 
 /// Replays the scenario stream (with its mid-run shift) against an
-/// index built from `config`, returning the sorted match set of every
-/// query.
-fn run_stream(name: &str, config: IndexConfig) -> Vec<Vec<ObjectId>> {
+/// index built from `config`.
+fn run_stream(name: &str, config: IndexConfig) -> Trace {
     let cfg = WorkloadConfig::new(DIMS, OBJECTS, 0xA11CE);
     let objects = make_objects(name, &cfg);
     let mut scenario = make_scenario(name, &cfg);
     let mut index = build_ac_with(config, &objects);
-    let mut results = Vec::with_capacity(PERIODS * QUERIES_PER_PERIOD);
+    let mut queries = Vec::with_capacity(PERIODS * QUERIES_PER_PERIOD);
+    let mut passes = Vec::with_capacity(PERIODS);
     for period in 0..PERIODS {
         if period == SHIFT_AT {
             scenario.shift();
         }
         for _ in 0..QUERIES_PER_PERIOD {
-            let mut r = index.execute(&scenario.next_query());
-            r.matches.sort_unstable();
-            results.push(r.matches);
+            let q = scenario.next_query();
+            // A fresh delta per query, so an `execute`-triggered pass
+            // between queries never strands an epoch.
+            let mut delta = StatsDelta::new();
+            index.query_recorded(&q, &mut delta);
+            let r = index.execute(&q);
+            queries.push((r.matches, r.metrics.stats, delta));
         }
-        index.reorganize();
+        passes.push(index.reorganize());
     }
     index.check_invariants().unwrap();
-    results
+    Trace {
+        queries,
+        passes,
+        snapshots: index.snapshots(),
+    }
 }
 
-/// The full `{scan_mode} × {candidate_scan} × {zone_maps} ×
-/// {reorg_mode} × {stats_layout}` matrix over every zoo scenario: all
-/// 32 parsed configs run green and return the exact same answers.
+/// Every zoo scenario on both sides of [`IndexConfig::reference`]: both
+/// run green and leave the exact same trace.
 #[test]
 fn zoo_is_green_and_answer_identical_across_strategy_matrix() {
     for name in SCENARIOS {
-        let mut reference: Option<Vec<Vec<ObjectId>>> = None;
-        for scan in ["columnar", "oracle"] {
-            for cand in ["columnar", "oracle"] {
-                for zone_maps in ["on", "off"] {
-                    for reorg in ["incremental", "full"] {
-                        for layout in ["arena", "per-cluster"] {
-                            let flags = Flags::from_args(combo_argv(
-                                scan, cand, zone_maps, reorg, layout,
-                            ));
-                            let config = flags.apply_scan_flags(IndexConfig::memory(DIMS));
-                            // Round-trip: the argv must reach the config.
-                            assert_eq!(
-                                config.scan_mode == ScanMode::Columnar,
-                                scan == "columnar"
-                            );
-                            assert_eq!(
-                                config.candidate_scan == ScanMode::Columnar,
-                                cand == "columnar"
-                            );
-                            assert_eq!(config.zone_maps, zone_maps == "on");
-                            assert_eq!(
-                                config.reorg_mode == ReorgMode::Incremental,
-                                reorg == "incremental"
-                            );
-                            assert_eq!(
-                                config.stats_layout == StatsLayout::Arena,
-                                layout == "arena"
-                            );
-                            let results = run_stream(name, config);
-                            match &reference {
-                                None => reference = Some(results),
-                                Some(expected) => assert_eq!(
-                                    expected, &results,
-                                    "{name}: --scan-mode {scan} --candidate-scan {cand} \
-                                     --zone-maps {zone_maps} --reorg-mode {reorg} \
-                                     --stats-layout {layout} changed query answers"
-                                ),
-                            }
-                        }
-                    }
-                }
-            }
+        let production = run_stream(name, IndexConfig::memory(DIMS));
+        let reference = run_stream(
+            name,
+            IndexConfig {
+                reference: true,
+                ..IndexConfig::memory(DIMS)
+            },
+        );
+        assert_eq!(production.queries.len(), reference.queries.len());
+        for (k, (p, r)) in production.queries.iter().zip(&reference.queries).enumerate() {
+            assert_eq!(p.0, r.0, "{name}: query {k} matches (ordered)");
+            assert_eq!(p.1, r.1, "{name}: query {k} AccessStats");
+            assert_eq!(p.2, r.2, "{name}: query {k} recorded StatsDelta");
         }
+        assert_eq!(production.passes, reference.passes, "{name}: ReorgReports");
+        assert_eq!(production.snapshots, reference.snapshots, "{name}: snapshots");
     }
 }
 
-/// `--merge-cooldown` rides the same CLI path (via its own accessor —
-/// it changes reorganization *decisions*, so it is deliberately not
-/// part of [`Flags::apply_scan_flags`]) and must leave every scenario
-/// green and answer-identical: hysteresis defers reclustering, it
-/// never changes which objects match.
+/// `--merge-cooldown` rides the CLI path (it changes reorganization
+/// *decisions*, so it is a flag, not an execution strategy) and must
+/// leave every scenario green and answer-identical: hysteresis defers
+/// reclustering, it never changes which objects match.
 #[test]
 fn merge_cooldown_flag_keeps_zoo_green() {
-    let flags = Flags::from_args(
-        ["--merge-cooldown", "6", "--reorg-mode", "incremental"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-    );
+    let flags = Flags::from_args(vec!["--merge-cooldown".into(), "6".into()]);
     assert_eq!(flags.merge_cooldown(), 6);
+    flags.finish();
+    let sorted_matches = |trace: Trace| -> Vec<Vec<ObjectId>> {
+        trace
+            .queries
+            .into_iter()
+            .map(|(mut matches, ..)| {
+                matches.sort_unstable();
+                matches
+            })
+            .collect()
+    };
     for name in SCENARIOS {
-        let baseline = run_stream(name, flags.apply_scan_flags(IndexConfig::memory(DIMS)));
-        let mut config = flags.apply_scan_flags(IndexConfig::memory(DIMS));
+        let baseline = run_stream(name, IndexConfig::memory(DIMS));
+        let mut config = IndexConfig::memory(DIMS);
         config.merge_cooldown = flags.merge_cooldown();
         let cooled = run_stream(name, config);
-        assert_eq!(baseline, cooled, "{name}: cool-down changed query answers");
+        assert_eq!(
+            sorted_matches(baseline),
+            sorted_matches(cooled),
+            "{name}: cool-down changed query answers"
+        );
     }
 }

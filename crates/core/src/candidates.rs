@@ -36,22 +36,22 @@
 //!
 //! ## Index-wide statistics arena
 //!
-//! Under [`crate::StatsLayout::Arena`] (the default) clusters do **not**
-//! own their columns: the index holds one [`StatsArena`] — a single slab
-//! per column family — and each cluster slot owns a [`CandHandle`] naming
-//! a `(base, len)` range into the slabs. The reorganization pass then
-//! streams one contiguous counter column instead of pointer-chasing ~11
-//! separate `Vec`s per cluster. Ranges are bump-allocated at the tail,
-//! retired (not freed) when a cluster is merged away or re-materialized,
-//! and compacted during reorganization when dead bytes reach a quarter
-//! of capacity — the pass walks every slot anyway, so compaction is
-//! amortized free and keeps hot clusters' columns adjacent.
+//! Clusters do **not** own their columns: the index holds one
+//! [`StatsArena`] — a single slab per column family — and each cluster
+//! slot owns a [`CandHandle`] naming a `(base, len)` range into the
+//! slabs. The reorganization pass then streams one contiguous counter
+//! column instead of pointer-chasing ~11 separate `Vec`s per cluster.
+//! Ranges are bump-allocated at the tail, retired (not freed) when a
+//! cluster is merged away or re-materialized, and compacted during
+//! reorganization when dead bytes reach a quarter of capacity — the pass
+//! walks every slot anyway, so compaction is amortized free and keeps
+//! hot clusters' columns adjacent.
 //!
 //! All statistics logic is written once, on the borrowed views
-//! [`CandidateSlice`] / [`CandidateSliceMut`]: an owned [`CandidateSet`]
-//! (the [`crate::StatsLayout::PerClusterOracle`] layout) and an arena
-//! range both project to the same view types, so the two layouts are
-//! decision-identical by construction.
+//! [`CandidateSlice`] / [`CandidateSliceMut`]. An owned [`CandidateSet`]
+//! is only the *generator* handed to [`StatsArena::alloc`]; it projects
+//! to the same view types, which is what lets this module's tests mirror
+//! every arena range against an independently mutated owned set.
 
 use acx_geom::scan::{CandidateColumns, RunBounds};
 use acx_geom::{Scalar, SpatialQuery};
@@ -106,8 +106,8 @@ impl CandidateBounds {
 
 /// Borrowed, read-only view of one cluster's candidate statistics —
 /// the common projection of an owned [`CandidateSet`] and a
-/// [`StatsArena`] range. All read logic lives here; both layouts
-/// delegate, so their answers are bit-identical by construction.
+/// [`StatsArena`] range. All read logic lives here, so the two
+/// answer bit-identically by construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateSlice<'a> {
     /// Candidate range per dimension, **range-relative** (first entry is
@@ -413,7 +413,24 @@ impl CandidateSliceMut<'_> {
 
     /// Replays `epochs` missed statistics-epoch closes at once — the
     /// lazy-decay catch-up applied on the first touch after epoch rolls.
-    /// See [`CandidateSet::catch_up`] for the bit-identity argument.
+    ///
+    /// Bit-identical to calling [`CandidateSliceMut::decay`] `epochs`
+    /// times: the first replayed close folds the pending `q` counters
+    /// (which accumulated while the set's stamp epoch was open — later
+    /// epochs saw no touches, so their folds add exactly zero), and
+    /// every further close multiplies the history by `gamma`.
+    /// `γ·x + 0.0` equals `γ·x` bitwise for the non-negative histories
+    /// stored here, so the catch-up runs the pure multiplications,
+    /// element-major: each history stops at its own underflow to exactly
+    /// `+0.0` (multiplying `+0.0` further is the identity), so a
+    /// mostly-cold set costs one check per zero history regardless of
+    /// how many epochs it slept. Saturated `q` counters (pinned at
+    /// `u32::MAX`) fold like any other value. The worst case is bounded
+    /// by the rounds a history needs to underflow (≈ 1 100 for the
+    /// default `γ = 0.5`; configurations with `γ` near 1 pay
+    /// proportionally more, but only once, on the first touch after the
+    /// idle stretch — the same multiplications an eager fold would have
+    /// spread across the idle epochs).
     pub fn catch_up(&mut self, gamma: f64, epochs: u64) {
         if epochs == 0 {
             return;
@@ -456,12 +473,40 @@ impl CandidateSliceMut<'_> {
     pub(crate) fn set_stamp(&mut self, epoch: u64) {
         *self.stamp = epoch;
     }
+
+    /// Restores persisted query counters onto a freshly regenerated set —
+    /// the checkpoint-recovery path. The `n` column is never persisted
+    /// (membership replay recomputes it exactly), so only the query
+    /// columns, the `n_hi` bound, and the decay stamp come from disk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the column lengths do not match this set's candidate
+    /// count; callers validate against the checkpoint before reaching
+    /// here, so a mismatch is a logic error.
+    pub(crate) fn restore_counters(&mut self, q: &[u32], q_eff: &[f64], n_hi: u32, stamp: u64) {
+        assert_eq!(q.len(), self.q.len(), "restored q column length");
+        assert_eq!(
+            q_eff.len(),
+            self.q_eff.len(),
+            "restored q_eff column length"
+        );
+        self.q.copy_from_slice(q);
+        self.q_eff.copy_from_slice(q_eff);
+        // The persisted bound was valid for the persisted membership; the
+        // members replayed so far may already exceed a stale bound, so
+        // keep whichever is higher (the bound may be loose, never low).
+        let replayed_max = self.n.iter().copied().max().unwrap_or(0);
+        *self.n_hi = n_hi.max(replayed_max);
+        *self.stamp = stamp;
+    }
 }
 
-/// The candidate subclusters of one materialized cluster, stored as
-/// dimension-grouped columns (see the module docs) — the owned,
-/// per-cluster layout ([`crate::StatsLayout::PerClusterOracle`]) and
-/// the staging value [`StatsArena::alloc`] copies from.
+/// The candidate subclusters of one cluster signature as owned,
+/// dimension-grouped columns (see the module docs): the generator and
+/// staging value [`StatsArena::alloc`] copies from, and the reference
+/// this module's tests mirror arena ranges against. The index never
+/// keeps one — clusters hold a [`CandHandle`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CandidateSet {
     /// Candidate range per dimension: dimension `d` owns candidates
@@ -617,178 +662,6 @@ impl CandidateSet {
     /// Number of dimensions the candidates specialize.
     pub fn dims(&self) -> usize {
         self.dim_offsets.len() - 1
-    }
-
-    /// The bound columns as the batch kernel's borrowed view.
-    pub fn columns(&self) -> CandidateColumns<'_> {
-        self.as_slice().columns()
-    }
-
-    /// The identity of candidate `ci`.
-    pub fn id(&self, ci: usize) -> CandidateId {
-        self.as_slice().id(ci)
-    }
-
-    /// The membership bounds of candidate `ci`, copied out.
-    pub fn bounds(&self, ci: usize) -> CandidateBounds {
-        self.as_slice().bounds(ci)
-    }
-
-    /// Qualifying-member count of candidate `ci`.
-    pub fn n(&self, ci: usize) -> u32 {
-        self.n[ci]
-    }
-
-    /// Matching-query count of candidate `ci` in the current epoch.
-    pub fn q(&self, ci: usize) -> u32 {
-        self.q[ci]
-    }
-
-    /// Decayed matching-query history of candidate `ci`.
-    pub fn q_eff(&self, ci: usize) -> f64 {
-        self.q_eff[ci]
-    }
-
-    /// The qualifying-member counter column (parallel to the candidate
-    /// index) — input of the batched benefit evaluation.
-    pub fn n_col(&self) -> &[u32] {
-        &self.n
-    }
-
-    /// The epoch matching-query counter column.
-    pub fn q_col(&self) -> &[u32] {
-        &self.q
-    }
-
-    /// The decayed matching-query history column.
-    pub fn q_eff_col(&self) -> &[f64] {
-        &self.q_eff
-    }
-
-    /// Cached upper bound on the maximal qualifying-member count over
-    /// all candidates (see the field docs: may be loose, never low).
-    pub fn n_hi(&self) -> u32 {
-        self.n_hi
-    }
-
-    /// Re-tightens the cached bound to the exact maximum, as computed by
-    /// a pass that walked the `n` column anyway.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that `exact_max` really bounds every counter.
-    #[cfg(test)]
-    pub(crate) fn set_n_hi(&mut self, exact_max: u32) {
-        self.as_slice_mut().set_n_hi(exact_max);
-    }
-
-    /// Advances the lazy-decay stamp to `epoch`.
-    pub(crate) fn set_stamp(&mut self, epoch: u64) {
-        self.stamp = epoch;
-    }
-
-    /// Restores persisted query counters onto a freshly regenerated set —
-    /// the checkpoint-recovery path. The `n` column is never persisted
-    /// (membership replay recomputes it exactly), so only the query
-    /// columns, the `n_hi` bound, and the decay stamp come from disk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column lengths do not match this set's candidate
-    /// count; callers validate against the checkpoint before reaching
-    /// here, so a mismatch is a logic error.
-    pub(crate) fn restore_counters(&mut self, q: &[u32], q_eff: &[f64], n_hi: u32, stamp: u64) {
-        assert_eq!(q.len(), self.q.len(), "restored q column length");
-        assert_eq!(
-            q_eff.len(),
-            self.q_eff.len(),
-            "restored q_eff column length"
-        );
-        self.q.copy_from_slice(q);
-        self.q_eff.copy_from_slice(q_eff);
-        // The persisted bound was valid for the persisted membership; the
-        // members replayed so far may already exceed a stale bound, so
-        // keep whichever is higher (the bound may be loose, never low).
-        let replayed_max = self.n.iter().copied().max().unwrap_or(0);
-        self.n_hi = n_hi.max(replayed_max);
-        self.stamp = stamp;
-    }
-
-    /// Whether an object *that already satisfies the parent signature*
-    /// also satisfies candidate `ci`.
-    #[inline]
-    pub fn accepts_member(&self, ci: usize, flat: &[Scalar]) -> bool {
-        self.as_slice().accepts_member(ci, flat)
-    }
-
-    /// Whether a query *that already matches the parent signature* also
-    /// matches candidate `ci` (only the specialized dimension is
-    /// checked) — the scalar oracle of
-    /// [`acx_geom::scan::scan_candidates`], same comparisons in the same
-    /// order.
-    #[inline]
-    pub fn matches_query(&self, ci: usize, query: &SpatialQuery) -> bool {
-        self.as_slice().matches_query(ci, query)
-    }
-
-    /// Counts a new member of the parent cluster into every candidate
-    /// accepting it.
-    pub fn record_member(&mut self, flat: &[Scalar]) {
-        self.as_slice_mut().record_member(flat);
-    }
-
-    /// Removes a departing member of the parent cluster from every
-    /// candidate accepting it.
-    pub fn unrecord_member(&mut self, flat: &[Scalar]) {
-        self.as_slice_mut().unrecord_member(flat);
-    }
-
-    /// Adds `inc` matching queries to candidate `ci`, saturating at
-    /// `u32::MAX` instead of wrapping.
-    pub fn add_q(&mut self, ci: usize, inc: u32) {
-        self.as_slice_mut().add_q(ci, inc);
-    }
-
-    /// Adds a whole per-candidate increment vector (saturating) — the
-    /// branch-free bulk form [`crate::StatsDelta`] application uses.
-    /// `incs` may be shorter than the set; missing entries add nothing.
-    pub fn add_q_slice(&mut self, incs: &[u32]) {
-        self.as_slice_mut().add_q_slice(incs);
-    }
-
-    /// Closes the statistics epoch: folds each candidate's `q` into its
-    /// decayed history with weight `gamma` and resets the epoch counter.
-    pub fn decay(&mut self, gamma: f64) {
-        self.as_slice_mut().decay(gamma);
-    }
-
-    /// Replays `epochs` missed statistics-epoch closes at once — the
-    /// lazy-decay catch-up applied on the first touch after epoch rolls.
-    ///
-    /// Bit-identical to calling [`CandidateSet::decay`] `epochs` times:
-    /// the first replayed close folds the pending `q` counters (which
-    /// accumulated while the set's stamp epoch was open — later epochs
-    /// saw no touches, so their folds add exactly zero), and every
-    /// further close multiplies the history by `gamma`. `γ·x + 0.0`
-    /// equals `γ·x` bitwise for the non-negative histories stored here,
-    /// so the catch-up runs the pure multiplications, element-major:
-    /// each history stops at its own underflow to exactly `+0.0`
-    /// (multiplying `+0.0` further is the identity), so a mostly-cold
-    /// set costs one check per zero history regardless of how many
-    /// epochs it slept. Saturated `q` counters (pinned at `u32::MAX`)
-    /// fold like any other value. The worst case is bounded by the
-    /// rounds a history needs to underflow (≈ 1 100 for the default
-    /// `γ = 0.5`; configurations with `γ` near 1 pay proportionally
-    /// more, but only once, on the first touch after the idle
-    /// stretch — the same multiplications an eager fold would have
-    /// spread across the idle epochs).
-    pub fn catch_up(&mut self, gamma: f64, epochs: u64) {
-        self.as_slice_mut().catch_up(gamma, epochs);
-    }
-
-    /// Materializes the full signature of candidate `ci`.
-    pub fn signature(&self, ci: usize, parent: &Signature, f: u8) -> Signature {
-        self.as_slice().signature(ci, parent, f)
     }
 }
 
@@ -1203,39 +1076,6 @@ impl StatsArena {
     }
 }
 
-/// Where one cluster's candidate statistics live: owned per-cluster
-/// columns (the [`crate::StatsLayout::PerClusterOracle`] decision
-/// oracle) or a range of the index-wide [`StatsArena`].
-#[derive(Debug, Clone)]
-pub(crate) enum CandStore {
-    /// The cluster owns its columns (boxed: the store is embedded in
-    /// every `Cluster`, and the arena variant is a 4-byte handle).
-    Owned(Box<CandidateSet>),
-    /// The cluster's columns live in the index's arena.
-    Arena(CandHandle),
-}
-
-/// Projects a store to the shared read-only view.
-#[inline]
-pub(crate) fn view<'a>(arena: &'a StatsArena, store: &'a CandStore) -> CandidateSlice<'a> {
-    match store {
-        CandStore::Owned(set) => set.as_slice(),
-        CandStore::Arena(h) => arena.slice(*h),
-    }
-}
-
-/// Projects a store to the shared mutable view.
-#[inline]
-pub(crate) fn view_mut<'a>(
-    arena: &'a mut StatsArena,
-    store: &'a mut CandStore,
-) -> CandidateSliceMut<'a> {
-    match store {
-        CandStore::Owned(set) => set.as_slice_mut(),
-        CandStore::Arena(h) => arena.slice_mut(*h),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1275,10 +1115,10 @@ mod tests {
         let sig = Signature::root(3).specialize(1, 4, 0, 3);
         let cands = generate_candidates(&sig, 4);
         for d in 0..cands.dims() {
-            let cols = cands.columns();
+            let cols = cands.as_slice().columns();
             assert_eq!(cols.dims(), 3);
             for ci in cands.dim_offsets[d] as usize..cands.dim_offsets[d + 1] as usize {
-                assert_eq!(cands.id(ci).dim as usize, d);
+                assert_eq!(cands.as_slice().id(ci).dim as usize, d);
             }
         }
         assert_eq!(*cands.dim_offsets.last().unwrap() as usize, cands.len());
@@ -1287,7 +1127,7 @@ mod tests {
     fn find(cands: &CandidateSet, dim: u16, i: u8, j: u8) -> usize {
         (0..cands.len())
             .find(|&ci| {
-                let id = cands.id(ci);
+                let id = cands.as_slice().id(ci);
                 id.dim == dim && id.i == i && id.j == j
             })
             .expect("candidate exists")
@@ -1299,13 +1139,15 @@ mod tests {
         let cands = generate_candidates(&sig, 4);
         // Candidate: d0, starts in [0,0.25), ends in [0,0.25).
         let c = find(&cands, 0, 0, 0);
-        assert!(cands.accepts_member(c, &rect(&[0.1, 0.9], &[0.2, 1.0]).to_flat()));
-        assert!(!cands.accepts_member(c, &rect(&[0.1, 0.9], &[0.3, 1.0]).to_flat()));
+        assert!(cands.as_slice().accepts_member(c, &rect(&[0.1, 0.9], &[0.2, 1.0]).to_flat()));
+        assert!(!cands.as_slice().accepts_member(c, &rect(&[0.1, 0.9], &[0.3, 1.0]).to_flat()));
         // The copied-out bounds agree.
         assert!(cands
+            .as_slice()
             .bounds(c)
             .accepts_member(&rect(&[0.1, 0.9], &[0.2, 1.0]).to_flat()));
         assert!(!cands
+            .as_slice()
             .bounds(c)
             .accepts_member(&rect(&[0.1, 0.9], &[0.3, 1.0]).to_flat()));
     }
@@ -1318,9 +1160,9 @@ mod tests {
         let sig = Signature::root(1);
         let cands = generate_candidates(&sig, 4);
         let c = find(&cands, 0, 0, 0);
-        assert!(cands.accepts_member(c, &[0.0, 0.2499]));
-        assert!(!cands.accepts_member(c, &[0.0, 0.25]));
-        assert!(cands.accepts_member(c, &[0.0, 0.25f32.next_down()]));
+        assert!(cands.as_slice().accepts_member(c, &[0.0, 0.2499]));
+        assert!(!cands.as_slice().accepts_member(c, &[0.0, 0.25]));
+        assert!(cands.as_slice().accepts_member(c, &[0.0, 0.25f32.next_down()]));
     }
 
     #[test]
@@ -1328,9 +1170,9 @@ mod tests {
         let sig = Signature::root(3);
         let cands = generate_candidates(&sig, 4);
         for ci in 0..5 {
-            let id = cands.id(ci);
+            let id = cands.as_slice().id(ci);
             let expected = sig.specialize(id.dim as usize, 4, id.i, id.j);
-            assert_eq!(cands.signature(ci, &sig, 4), expected);
+            assert_eq!(cands.as_slice().signature(ci, &sig, 4), expected);
         }
     }
 
@@ -1345,13 +1187,13 @@ mod tests {
             SpatialQuery::point_enclosing(vec![0.3, 0.7]),
         ];
         for ci in 0..cands.len() {
-            let full = cands.signature(ci, &sig, 4);
+            let full = cands.as_slice().signature(ci, &sig, 4);
             for q in &queries {
                 assert_eq!(
-                    cands.matches_query(ci, q),
+                    cands.as_slice().matches_query(ci, q),
                     full.matches_query(q),
                     "candidate {:?} vs query {q:?}",
-                    cands.id(ci)
+                    cands.as_slice().id(ci)
                 );
             }
         }
@@ -1373,12 +1215,12 @@ mod tests {
         ];
         let mut scratch = ScanScratch::new();
         for q in &queries {
-            let matched = scan_candidates(q, &cands.columns(), &mut scratch);
+            let matched = scan_candidates(q, &cands.as_slice().columns(), &mut scratch);
             let mut want = 0usize;
             for ci in 0..cands.len() {
                 let bit = scratch.mask_words()[ci / BLOCK] >> (ci % BLOCK) & 1 == 1;
-                assert_eq!(bit, cands.matches_query(ci, q), "candidate {ci} on {q:?}");
-                want += cands.matches_query(ci, q) as usize;
+                assert_eq!(bit, cands.as_slice().matches_query(ci, q), "candidate {ci} on {q:?}");
+                want += cands.as_slice().matches_query(ci, q) as usize;
             }
             assert_eq!(matched, want);
         }
@@ -1396,33 +1238,33 @@ mod tests {
         let sig = Signature::root(2);
         let mut cands = generate_candidates(&sig, 4);
         for ci in 0..cands.len() {
-            assert_eq!(cands.n(ci), 0);
-            assert_eq!(cands.q(ci), 0);
-            assert_eq!(cands.q_eff(ci), 0.0);
+            assert_eq!(cands.as_slice().n(ci), 0);
+            assert_eq!(cands.as_slice().q(ci), 0);
+            assert_eq!(cands.as_slice().q_eff(ci), 0.0);
         }
         let flat = rect(&[0.1, 0.6], &[0.2, 0.9]).to_flat();
-        cands.record_member(&flat);
-        let total: u32 = (0..cands.len()).map(|ci| cands.n(ci)).sum();
+        cands.as_slice_mut().record_member(&flat);
+        let total: u32 = (0..cands.len()).map(|ci| cands.as_slice().n(ci)).sum();
         // Exactly one accepting candidate per dimension (§4.2 cells).
         assert_eq!(total, 2);
-        cands.unrecord_member(&flat);
-        assert!((0..cands.len()).all(|ci| cands.n(ci) == 0));
+        cands.as_slice_mut().unrecord_member(&flat);
+        assert!((0..cands.len()).all(|ci| cands.as_slice().n(ci) == 0));
     }
 
     #[test]
     fn q_counters_saturate_instead_of_wrapping() {
         let sig = Signature::root(1);
         let mut cands = generate_candidates(&sig, 2);
-        cands.add_q(0, u32::MAX - 1);
-        cands.add_q(0, 5);
-        assert_eq!(cands.q(0), u32::MAX, "increment must saturate");
-        cands.add_q(0, 1);
-        assert_eq!(cands.q(0), u32::MAX, "saturated counter stays pinned");
+        cands.as_slice_mut().add_q(0, u32::MAX - 1);
+        cands.as_slice_mut().add_q(0, 5);
+        assert_eq!(cands.as_slice().q(0), u32::MAX, "increment must saturate");
+        cands.as_slice_mut().add_q(0, 1);
+        assert_eq!(cands.as_slice().q(0), u32::MAX, "saturated counter stays pinned");
         // Decay folds the saturated value into history and reopens the
         // epoch counter.
-        cands.decay(0.5);
-        assert_eq!(cands.q(0), 0);
-        assert_eq!(cands.q_eff(0), u32::MAX as f64);
+        cands.as_slice_mut().decay(0.5);
+        assert_eq!(cands.as_slice().q(0), 0);
+        assert_eq!(cands.as_slice().q_eff(0), u32::MAX as f64);
     }
 
     #[test]
@@ -1433,23 +1275,23 @@ mod tests {
         let mut eager = generate_candidates(&sig, 4);
         // A spread of magnitudes, including a saturated counter and a
         // tiny history that decays through many epochs.
-        eager.add_q(0, 10);
-        eager.add_q(3, u32::MAX);
-        eager.add_q(7, 1);
-        eager.decay(0.5);
-        eager.add_q(7, 3);
+        eager.as_slice_mut().add_q(0, 10);
+        eager.as_slice_mut().add_q(3, u32::MAX);
+        eager.as_slice_mut().add_q(7, 1);
+        eager.as_slice_mut().decay(0.5);
+        eager.as_slice_mut().add_q(7, 3);
         let mut lazy = eager.clone();
         let gamma = 0.37;
         for k in [1u64, 2, 5, 40] {
             for _ in 0..k {
-                eager.decay(gamma);
+                eager.as_slice_mut().decay(gamma);
             }
-            lazy.catch_up(gamma, k);
+            lazy.as_slice_mut().catch_up(gamma, k);
             assert_eq!(lazy, eager, "diverged after catching up {k} epochs");
             for ci in 0..eager.len() {
                 assert_eq!(
-                    lazy.q_eff(ci).to_bits(),
-                    eager.q_eff(ci).to_bits(),
+                    lazy.as_slice().q_eff(ci).to_bits(),
+                    eager.as_slice().q_eff(ci).to_bits(),
                     "candidate {ci} after {k} epochs"
                 );
             }
@@ -1457,14 +1299,14 @@ mod tests {
         // Far past underflow: every history is exactly +0.0 in both, and
         // the lazy early-exit must not change that.
         for _ in 0..4000 {
-            eager.decay(gamma);
+            eager.as_slice_mut().decay(gamma);
         }
-        lazy.catch_up(gamma, 4000);
+        lazy.as_slice_mut().catch_up(gamma, 4000);
         for ci in 0..eager.len() {
-            assert_eq!(lazy.q_eff(ci).to_bits(), eager.q_eff(ci).to_bits());
-            assert_eq!(lazy.q_eff(ci), 0.0, "histories underflow to exact zero");
+            assert_eq!(lazy.as_slice().q_eff(ci).to_bits(), eager.as_slice().q_eff(ci).to_bits());
+            assert_eq!(lazy.as_slice().q_eff(ci), 0.0, "histories underflow to exact zero");
         }
-        lazy.catch_up(gamma, 0); // no-op
+        lazy.as_slice_mut().catch_up(gamma, 0); // no-op
         assert_eq!(lazy, eager);
     }
 
@@ -1472,34 +1314,34 @@ mod tests {
     fn n_hi_bounds_member_counts() {
         let sig = Signature::root(2);
         let mut cands = generate_candidates(&sig, 4);
-        assert_eq!(cands.n_hi(), 0);
+        assert_eq!(cands.as_slice().n_hi(), 0);
         let a = rect(&[0.1, 0.6], &[0.2, 0.9]).to_flat();
         let b = rect(&[0.12, 0.6], &[0.2, 0.9]).to_flat();
-        cands.record_member(&a);
-        cands.record_member(&b);
-        assert_eq!(cands.n_hi(), 2, "raised by recordings");
-        cands.unrecord_member(&a);
-        assert_eq!(cands.n_hi(), 2, "removals leave the bound loose, never low");
-        let max_n = (0..cands.len()).map(|ci| cands.n(ci)).max().unwrap();
-        assert!(cands.n_hi() >= max_n);
-        cands.set_n_hi(max_n);
-        assert_eq!(cands.n_hi(), 1, "scans re-tighten to the exact maximum");
+        cands.as_slice_mut().record_member(&a);
+        cands.as_slice_mut().record_member(&b);
+        assert_eq!(cands.as_slice().n_hi(), 2, "raised by recordings");
+        cands.as_slice_mut().unrecord_member(&a);
+        assert_eq!(cands.as_slice().n_hi(), 2, "removals leave the bound loose, never low");
+        let max_n = (0..cands.len()).map(|ci| cands.as_slice().n(ci)).max().unwrap();
+        assert!(cands.as_slice().n_hi() >= max_n);
+        cands.as_slice_mut().set_n_hi(max_n);
+        assert_eq!(cands.as_slice().n_hi(), 1, "scans re-tighten to the exact maximum");
         // Decay never touches member counts or the bound.
-        cands.catch_up(0.5, 3);
-        assert_eq!(cands.n_hi(), 1);
+        cands.as_slice_mut().catch_up(0.5, 3);
+        assert_eq!(cands.as_slice().n_hi(), 1);
     }
 
     #[test]
     fn decay_folds_and_resets() {
         let sig = Signature::root(1);
         let mut cands = generate_candidates(&sig, 2);
-        cands.add_q(1, 10);
-        cands.decay(0.5);
-        assert_eq!(cands.q(1), 0);
-        assert_eq!(cands.q_eff(1), 10.0);
-        cands.add_q(1, 4);
-        cands.decay(0.5);
-        assert_eq!(cands.q_eff(1), 9.0);
+        cands.as_slice_mut().add_q(1, 10);
+        cands.as_slice_mut().decay(0.5);
+        assert_eq!(cands.as_slice().q(1), 0);
+        assert_eq!(cands.as_slice().q_eff(1), 10.0);
+        cands.as_slice_mut().add_q(1, 4);
+        cands.as_slice_mut().decay(0.5);
+        assert_eq!(cands.as_slice().q_eff(1), 9.0);
     }
 
     /// A candidate set with pseudo-random member/query history, used as
@@ -1520,14 +1362,14 @@ mod tests {
                 flat.push(a.min(b));
                 flat.push(a.max(b));
             }
-            set.record_member(&flat);
+            set.as_slice_mut().record_member(&flat);
         }
         for ci in 0..set.len().min(7) {
-            set.add_q(ci, (seed % 11) as u32 + ci as u32);
+            set.as_slice_mut().add_q(ci, (seed % 11) as u32 + ci as u32);
         }
-        set.decay(0.5);
-        set.add_q(0, 3);
-        set.set_stamp(seed % 5);
+        set.as_slice_mut().decay(0.5);
+        set.as_slice_mut().add_q(0, 3);
+        set.as_slice_mut().set_stamp(seed % 5);
         set
     }
 
@@ -1571,7 +1413,7 @@ mod tests {
         for ci in 0..owned.len() {
             assert_eq!(
                 arena.slice(h).q_eff(ci).to_bits(),
-                owned.q_eff(ci).to_bits()
+                owned.as_slice().q_eff(ci).to_bits()
             );
         }
     }
@@ -1632,23 +1474,6 @@ mod tests {
         arena.retire(h);
         arena.retire(h);
     }
-
-    #[test]
-    fn cand_store_views_dispatch_to_both_layouts() {
-        let mut arena = StatsArena::new();
-        let set = seasoned_set(2, 4, 42);
-        let h = arena.alloc(&set);
-        let mut owned_store = CandStore::Owned(Box::new(set.clone()));
-        let mut arena_store = CandStore::Arena(h);
-        assert_eq!(
-            view(&arena, &owned_store),
-            view(&arena, &arena_store),
-            "both stores project the same statistics"
-        );
-        view_mut(&mut arena, &mut owned_store).add_q(0, 9);
-        view_mut(&mut arena, &mut arena_store).add_q(0, 9);
-        assert_eq!(view(&arena, &owned_store), view(&arena, &arena_store));
-    }
 }
 
 #[cfg(test)]
@@ -1705,12 +1530,12 @@ mod proptests {
             };
 
             let mut scratch = ScanScratch::new();
-            let matched = scan_candidates(&query, &cands.columns(), &mut scratch);
+            let matched = scan_candidates(&query, &cands.as_slice().columns(), &mut scratch);
             let mut want = 0usize;
             for ci in 0..cands.len() {
                 let bit = scratch.mask_words()[ci / BLOCK] >> (ci % BLOCK) & 1 == 1;
-                let oracle = cands.matches_query(ci, &query);
-                prop_assert_eq!(bit, oracle, "candidate {} ({:?})", ci, cands.id(ci));
+                let oracle = cands.as_slice().matches_query(ci, &query);
+                prop_assert_eq!(bit, oracle, "candidate {} ({:?})", ci, cands.as_slice().id(ci));
                 // When the parent signature matches the query — the
                 // precondition under which `explore` consults candidates
                 // — the one-dimension check equals full-signature
@@ -1718,7 +1543,7 @@ mod proptests {
                 if sig.matches_query(&query) {
                     prop_assert_eq!(
                         oracle,
-                        cands.signature(ci, &sig, f).matches_query(&query),
+                        cands.as_slice().signature(ci, &sig, f).matches_query(&query),
                         "candidate matching diverged from the full signature"
                     );
                 }
@@ -1773,19 +1598,19 @@ mod proptests {
             };
 
             let mut scratch = ScanScratch::new();
-            scan_candidates(&query, &cands.columns(), &mut scratch);
+            scan_candidates(&query, &cands.as_slice().columns(), &mut scratch);
             for ci in 0..cands.len() {
                 let bit = scratch.mask_words()[ci / BLOCK] >> (ci % BLOCK) & 1 == 1;
                 prop_assert_eq!(
                     bit,
-                    cands.matches_query(ci, &query),
+                    cands.as_slice().matches_query(ci, &query),
                     "candidate {} under {:?}", ci, &query
                 );
                 // A full-domain interval cannot discriminate candidates
                 // of its dimension for intersection/containment: all
                 // bounds live inside the domain, so the whole run
                 // matches.
-                let d = cands.id(ci).dim as usize;
+                let d = cands.as_slice().id(ci).dim as usize;
                 if full_mask >> d & 1 == 1 && kind < 2 {
                     prop_assert!(bit, "full-domain run candidate {} must match", ci);
                 }
@@ -1841,7 +1666,7 @@ mod proptests {
                                 flat.push(a.max(b));
                             }
                             arena.slice_mut(*h).record_member(&flat);
-                            set.record_member(&flat);
+                            set.as_slice_mut().record_member(&flat);
                         }
                     }
                     4 => {
@@ -1851,9 +1676,9 @@ mod proptests {
                             let ci = pick % set.len();
                             let inc = (seed % 100) as u32;
                             arena.slice_mut(*h).add_q(ci, inc);
-                            set.add_q(ci, inc);
+                            set.as_slice_mut().add_q(ci, inc);
                             arena.slice_mut(*h).catch_up(0.5, seed % 3);
-                            set.catch_up(0.5, seed % 3);
+                            set.as_slice_mut().catch_up(0.5, seed % 3);
                         }
                     }
                     _ => {
@@ -1876,7 +1701,7 @@ mod proptests {
                 for ci in 0..set.len() {
                     prop_assert_eq!(
                         arena.slice(*h).q_eff(ci).to_bits(),
-                        set.q_eff(ci).to_bits()
+                        set.as_slice().q_eff(ci).to_bits()
                     );
                 }
             }

@@ -1,117 +1,6 @@
 use acx_geom::object_size_bytes;
 use acx_storage::{CostModel, DeviceProfile, StorageScenario};
 
-/// How cluster exploration verifies the members of a matched cluster.
-///
-/// Both modes perform the same comparisons in the same dimension order
-/// and are bit-identical in match sets, access statistics
-/// (`dims_checked`-derived byte counters included) and therefore in
-/// every reorganization decision; only the memory access pattern and
-/// speed differ. The scalar mode is kept as the correctness and
-/// metrics *oracle* for equivalence tests and benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanMode {
-    /// Dimension-major batch kernel over the store's coordinate columns
-    /// ([`acx_geom::scan::scan_columns`]): branch-light blocked loops
-    /// over a survivors bitmask that the compiler auto-vectorizes.
-    #[default]
-    Columnar,
-    /// Object-at-a-time verification via
-    /// [`acx_geom::SpatialQuery::matches_flat`] — the seed's original
-    /// loop, gathering each object from the columns before checking it.
-    ScalarOracle,
-}
-
-impl std::str::FromStr for ScanMode {
-    type Err = String;
-
-    /// Parses `"columnar"` or `"oracle"`/`"scalar"`/`"scalar-oracle"`
-    /// (case-insensitive) — the spelling used by the bench CLI flags.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "columnar" => Ok(ScanMode::Columnar),
-            "oracle" | "scalar" | "scalar-oracle" | "scalar_oracle" => Ok(ScanMode::ScalarOracle),
-            other => Err(format!("unknown scan mode {other:?}")),
-        }
-    }
-}
-
-/// How the periodic reorganization pass evaluates the benefit functions.
-///
-/// Both modes make **identical decisions** — same merges, same
-/// materializations, same [`crate::ReorgReport`]s, bit-identical
-/// [`crate::ClusterSnapshot`]s — on any workload; only the amount of
-/// work spent reaching those decisions differs. The full sweep is kept
-/// as the correctness *oracle* for equivalence tests and as the
-/// reference row of the reorganization benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReorgMode {
-    /// Incremental + columnar pass: an O(1) sound screen (driven by a
-    /// cached upper bound on candidate member counts) skips the
-    /// candidate scan of clusters that provably cannot split, merge
-    /// benefits are evaluated in one batched column over the cluster
-    /// slots, and the scans that do run batch the benefit arithmetic
-    /// over the candidate counter columns.
-    #[default]
-    Incremental,
-    /// The full sweep: every cluster's candidates are re-evaluated with
-    /// per-candidate scalar benefit arithmetic each pass.
-    FullOracle,
-}
-
-impl std::str::FromStr for ReorgMode {
-    type Err = String;
-
-    /// Parses `"incremental"` or `"full"`/`"oracle"`/`"full-oracle"`
-    /// (case-insensitive) — the spelling used by the bench CLI flags.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "incremental" => Ok(ReorgMode::Incremental),
-            "full" | "oracle" | "full-oracle" | "full_oracle" => Ok(ReorgMode::FullOracle),
-            other => Err(format!("unknown reorganization mode {other:?}")),
-        }
-    }
-}
-
-/// Where candidate statistics columns live.
-///
-/// Both layouts hold **bit-identical data** operated on by the **same
-/// view code** ([`crate::candidates::CandidateSlice`] /
-/// [`crate::candidates::CandidateSliceMut`]), so every recorded
-/// statistic, every [`crate::ReorgReport`], and every snapshot is
-/// identical across the toggle; only the memory placement — and
-/// therefore the cache behavior of the reorganization pass — differs.
-/// The per-cluster layout is kept as the *oracle* for equivalence
-/// tests and as the reference row of the reorganization benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StatsLayout {
-    /// One index-wide slab per column family
-    /// ([`crate::candidates::StatsArena`]): each cluster owns a
-    /// `(base, len)` range, ranges are bump-allocated at the tail and
-    /// compacted during the reorganization pass, so the pass streams
-    /// contiguous columns instead of chasing per-cluster heap `Vec`s.
-    #[default]
-    Arena,
-    /// The pre-arena layout: every cluster owns its own
-    /// [`crate::candidates::CandidateSet`] with ~11 private heap
-    /// `Vec`s — scattered, but simple; the decision oracle.
-    PerClusterOracle,
-}
-
-impl std::str::FromStr for StatsLayout {
-    type Err = String;
-
-    /// Parses `"arena"` or `"per-cluster"`/`"per_cluster"`/`"oracle"`
-    /// (case-insensitive) — the spelling used by the bench CLI flags.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "arena" => Ok(StatsLayout::Arena),
-            "per-cluster" | "per_cluster" | "oracle" => Ok(StatsLayout::PerClusterOracle),
-            other => Err(format!("unknown stats layout {other:?}")),
-        }
-    }
-}
-
 /// Configuration of an [`crate::AdaptiveClusterIndex`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexConfig {
@@ -154,42 +43,37 @@ pub struct IndexConfig {
     /// the first split at reduced database scale is marginal and a two-
     /// standard-error gate never lets clustering start.
     pub confidence_z: f64,
-    /// Member verification strategy of cluster exploration. Defaults to
-    /// [`ScanMode::Columnar`]; [`ScanMode::ScalarOracle`] selects the
-    /// bit-identical object-at-a-time reference path.
-    pub scan_mode: ScanMode,
-    /// Candidate-statistics matching strategy of recorded execution:
-    /// [`ScanMode::Columnar`] (default) drives the per-candidate `q`
-    /// increments from the batch kernel's survivors bitmask
-    /// ([`acx_geom::scan::scan_candidates`]);
-    /// [`ScanMode::ScalarOracle`] keeps the candidate-at-a-time loop.
-    /// Bit-identical recorded statistics either way.
-    pub candidate_scan: ScanMode,
-    /// Whether member verification consults the segment store's
-    /// per-block zone maps to skip whole 64-object blocks. Defaults to
-    /// `true`; match sets and every access statistic are identical
-    /// either way (skipped blocks still charge their `dims_checked`).
-    pub zone_maps: bool,
-    /// Evaluation strategy of the periodic reorganization pass.
-    /// Defaults to [`ReorgMode::Incremental`];
-    /// [`ReorgMode::FullOracle`] selects the decision-identical full
-    /// scalar sweep kept as the reference path.
-    pub reorg_mode: ReorgMode,
+    /// Selects the **reference execution** instead of the production
+    /// one. Defaults to `false`.
+    ///
+    /// Production (`false`) verifies members with the columnar batch
+    /// kernel over the store's zone-mapped columns
+    /// ([`acx_geom::scan::scan_columns`]), matches candidates with the
+    /// bitmask kernel ([`acx_geom::scan::scan_candidates`]) and
+    /// reorganizes incrementally (dirty set, O(1) screens, batched
+    /// benefit columns). The reference (`true`) is the seed's
+    /// object-at-a-time execution end to end: a
+    /// [`acx_geom::SpatialQuery::matches_flat`] loop over every member
+    /// (no zone maps by construction), a
+    /// [`crate::candidates::CandidateSlice::matches_query`] loop over
+    /// every candidate, and a full scalar sweep of every cluster each
+    /// pass. Match sets, match order, every access statistic, every
+    /// recorded [`crate::StatsDelta`], every [`crate::ReorgReport`] and
+    /// every [`crate::ClusterSnapshot`] are bit-identical between the
+    /// two; only speed differs. It is the single index-level oracle the
+    /// equivalence suites compare against, not a tuning knob.
+    pub reference: bool,
     /// Split→merge thrash hysteresis: a candidate whose signature was
     /// merged away within the last `merge_cooldown` reorganization
     /// passes is not eligible for re-materialization. `0` (the default)
     /// disables the cool-down, reproducing the paper's bare benefit
-    /// functions. The veto is applied identically by both
-    /// [`ReorgMode`]s, so decision-identity between them is preserved
-    /// for every value. Thrash cycles are *counted* either way (see
+    /// functions. The veto is applied identically by the production and
+    /// the [`IndexConfig::reference`] pass, so decision-identity
+    /// between them is preserved for every value. Thrash cycles are
+    /// *counted* either way (see
     /// [`crate::ReorgProfile::thrash_cycles`]); the cool-down only
     /// changes whether they are acted on.
     pub merge_cooldown: u64,
-    /// Memory placement of the candidate statistics columns. Defaults
-    /// to [`StatsLayout::Arena`] (one index-wide slab, compacted at
-    /// reorganization); [`StatsLayout::PerClusterOracle`] selects the
-    /// bit-identical per-cluster-`Vec` reference layout.
-    pub stats_layout: StatsLayout,
 }
 
 impl IndexConfig {
@@ -207,12 +91,8 @@ impl IndexConfig {
             stats_decay: 0.5,
             reorg_cost_horizon: 400.0,
             confidence_z: 2.0,
-            scan_mode: ScanMode::Columnar,
-            candidate_scan: ScanMode::Columnar,
-            zone_maps: true,
-            reorg_mode: ReorgMode::Incremental,
+            reference: false,
             merge_cooldown: 0,
-            stats_layout: StatsLayout::Arena,
         }
     }
 
@@ -283,6 +163,7 @@ mod tests {
         assert_eq!(c.reorg_period, 100);
         assert_eq!(c.scenario, StorageScenario::Memory);
         assert!((0.20..=0.30).contains(&c.reserve_fraction));
+        assert!(!c.reference, "the production path is the default");
         assert!(c.validate().is_ok());
     }
 
@@ -303,32 +184,6 @@ mod tests {
         c.division_factor = 4;
         c.reserve_fraction = 1.5;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn reorg_mode_parses_strictly() {
-        assert_eq!("incremental".parse::<ReorgMode>(), Ok(ReorgMode::Incremental));
-        assert_eq!("Full".parse::<ReorgMode>(), Ok(ReorgMode::FullOracle));
-        assert_eq!("oracle".parse::<ReorgMode>(), Ok(ReorgMode::FullOracle));
-        assert_eq!("full-oracle".parse::<ReorgMode>(), Ok(ReorgMode::FullOracle));
-        assert!("fullish".parse::<ReorgMode>().is_err());
-        assert_eq!(ReorgMode::default(), ReorgMode::Incremental);
-    }
-
-    #[test]
-    fn stats_layout_parses_strictly() {
-        assert_eq!("arena".parse::<StatsLayout>(), Ok(StatsLayout::Arena));
-        assert_eq!(
-            "per-cluster".parse::<StatsLayout>(),
-            Ok(StatsLayout::PerClusterOracle)
-        );
-        assert_eq!(
-            "Per_Cluster".parse::<StatsLayout>(),
-            Ok(StatsLayout::PerClusterOracle)
-        );
-        assert_eq!("oracle".parse::<StatsLayout>(), Ok(StatsLayout::PerClusterOracle));
-        assert!("slab".parse::<StatsLayout>().is_err());
-        assert_eq!(StatsLayout::default(), StatsLayout::Arena);
     }
 
     #[test]

@@ -19,8 +19,7 @@ use acx_storage::{
 };
 
 use crate::batch::StatsDelta;
-use crate::candidates::{generate_candidates, view, view_mut, CandStore, CandidateSet, StatsArena};
-use crate::config::{ReorgMode, ScanMode, StatsLayout};
+use crate::candidates::{generate_candidates, CandHandle, StatsArena};
 use crate::cost::{
     materialization_benefit, materialization_benefit_column, merging_benefit,
     merging_benefit_column,
@@ -33,7 +32,7 @@ use crate::{IndexConfig, IndexError};
 
 /// Reusable per-query scratch arena for the read-only matching phase:
 /// the scan kernel's survivors bitmask and match buffer, the result
-/// buffer, the cluster traversal stack, and the scalar oracle's gather
+/// buffer, the cluster traversal stack, and the reference loop's gather
 /// buffer. Buffers grow to the workload's high-water mark and are then
 /// reused, so a warmed-up scratch lets
 /// [`AdaptiveClusterIndex::query_with`] execute without allocating.
@@ -49,7 +48,7 @@ pub struct QueryScratch {
     matches: Vec<ObjectId>,
     /// DFS stack over cluster slots.
     stack: Vec<u32>,
-    /// Interleaved gather buffer for the scalar oracle mode.
+    /// Interleaved gather buffer of the [`IndexConfig::reference`] member loop.
     flat: Vec<Scalar>,
 }
 
@@ -182,12 +181,10 @@ struct Cluster {
     parent: Option<u32>,
     children: Vec<u32>,
     segment: SegmentId,
-    /// Where the cluster's candidate statistics live: an owned
-    /// [`CandidateSet`] ([`StatsLayout::PerClusterOracle`]) or a range
-    /// of the index-wide [`StatsArena`] ([`StatsLayout::Arena`]). The
-    /// lazy-decay stamp travels with the statistics (see
+    /// The cluster's candidate statistics: a range of the index-wide
+    /// [`StatsArena`]. The lazy-decay stamp travels with the range (see
     /// `AdaptiveClusterIndex::materialize_candidates`).
-    candidates: CandStore,
+    candidates: CandHandle,
     /// Queries whose signature matched this cluster since `epoch_start`.
     q_count: u64,
     /// Global query counter value when this cluster's statistics epoch
@@ -221,9 +218,8 @@ pub struct AdaptiveClusterIndex {
     config: IndexConfig,
     model: CostModel,
     store: SegmentStore,
-    /// The index-wide candidate statistics slabs (empty under
-    /// [`StatsLayout::PerClusterOracle`], where clusters own their
-    /// columns). Compacted by the reorganization pass.
+    /// The index-wide candidate statistics slabs, one range per
+    /// cluster. Compacted by the reorganization pass.
     stats_arena: StatsArena,
     clusters: Vec<Option<Cluster>>,
     free_slots: Vec<u32>,
@@ -247,6 +243,10 @@ pub struct AdaptiveClusterIndex {
     hist_verified_bytes: f64,
     /// Exponentially decayed full-byte history.
     hist_full_bytes: f64,
+    /// DFS stack of `insert`'s descent, `(slot, depth)`, kept for its
+    /// capacity: a root with thousands of children regrew a fresh one a
+    /// dozen times per insert.
+    insert_stack: Vec<(u32, usize)>,
     /// Scratch arena reused by the sequential `execute` path.
     query_scratch: QueryScratch,
     /// Statistics delta reused by the sequential `execute` path.
@@ -374,11 +374,8 @@ impl AdaptiveClusterIndex {
         let segment = store.create(16);
         let signature = Signature::root(config.dims);
         let mut stats_arena = StatsArena::new();
-        let candidates = generate_candidates(&signature, config.division_factor);
-        let candidates = match config.stats_layout {
-            StatsLayout::Arena => CandStore::Arena(stats_arena.alloc(&candidates)),
-            StatsLayout::PerClusterOracle => CandStore::Owned(Box::new(candidates)),
-        };
+        let candidates =
+            stats_arena.alloc(&generate_candidates(&signature, config.division_factor));
         let root = Cluster {
             signature,
             parent: None,
@@ -411,6 +408,7 @@ impl AdaptiveClusterIndex {
             epoch_full_bytes: 0,
             hist_verified_bytes: 0.0,
             hist_full_bytes: 0.0,
+            insert_stack: Vec::new(),
             query_scratch: QueryScratch::new(),
             delta_scratch: StatsDelta::new(),
             stats_epoch: 0,
@@ -613,7 +611,9 @@ impl AdaptiveClusterIndex {
         // Backward compatibility makes acceptance hereditary: descend the
         // tree, pruning subtrees whose root rejects the object.
         let mut best: Option<(u32, f64, usize)> = None; // (slot, p, depth)
-        let mut stack: Vec<(u32, usize)> = vec![(self.root, 0)];
+        let mut stack = std::mem::take(&mut self.insert_stack);
+        stack.clear();
+        stack.push((self.root, 0));
         while let Some((slot, depth)) = stack.pop() {
             let cluster = self.cluster(slot);
             if !cluster.signature.accepts_flat(&flat) {
@@ -637,12 +637,13 @@ impl AdaptiveClusterIndex {
                 stack.push((child, depth + 1));
             }
         }
+        self.insert_stack = stack;
         let (slot, _, _) = best.expect("root accepts every object");
 
         let cluster = self.clusters[slot as usize]
             .as_mut()
             .expect("cluster slot is live");
-        view_mut(&mut self.stats_arena, &mut cluster.candidates).record_member(&flat);
+        self.stats_arena.slice_mut(cluster.candidates).record_member(&flat);
         self.store.push(cluster.segment, id.raw(), &flat);
         self.object_cluster.insert(id.raw(), slot);
         self.mark_dirty(slot);
@@ -668,7 +669,7 @@ impl AdaptiveClusterIndex {
     /// Brings a cluster's candidate counters up to the current
     /// statistics epoch by replaying every close it skipped — the lazy
     /// half of [`AdaptiveClusterIndex::decay_statistics`]. The replay
-    /// ([`CandidateSet::catch_up`]) is bit-identical to having folded
+    /// ([`crate::candidates::CandidateSliceMut::catch_up`]) is bit-identical to having folded
     /// the counters eagerly at each close, so lazily decayed clusters
     /// are indistinguishable from eagerly decayed ones at every read.
     fn materialize_candidates(&mut self, slot: u32) {
@@ -677,7 +678,7 @@ impl AdaptiveClusterIndex {
         let cluster = self.clusters[slot as usize]
             .as_mut()
             .expect("cluster slot is live");
-        let mut cands = view_mut(&mut self.stats_arena, &mut cluster.candidates);
+        let mut cands = self.stats_arena.slice_mut(cluster.candidates);
         let behind = epoch - cands.stamp();
         if behind > 0 {
             cands.catch_up(gamma, behind);
@@ -702,7 +703,7 @@ impl AdaptiveClusterIndex {
             .as_mut()
             .expect("cluster slot is live");
         debug_assert_eq!(cluster.segment, segment);
-        view_mut(&mut self.stats_arena, &mut cluster.candidates).unrecord_member(&flat);
+        self.stats_arena.slice_mut(cluster.candidates).unrecord_member(&flat);
         self.store.swap_remove(cluster.segment, idx);
         self.object_cluster.remove(&id.raw());
         self.mark_dirty(slot);
@@ -764,11 +765,13 @@ impl AdaptiveClusterIndex {
     /// recorded into it instead of mutating the index, so the matching
     /// phase needs only `&self`.
     ///
-    /// Member verification follows `config.scan_mode`: the columnar batch
-    /// kernel over the store's dimension-major columns, or the scalar
-    /// object-at-a-time oracle. Both are bit-identical in matches, match
-    /// order, and every statistic. Nothing is allocated once the
-    /// scratch's buffers have grown to the workload's high-water mark.
+    /// Member verification and candidate matching follow
+    /// [`IndexConfig::reference`]: the batch kernels over the store's
+    /// zone-mapped columns and the candidate bound columns, or the
+    /// object-at-a-time reference loops. Both are bit-identical in
+    /// matches, match order, and every statistic. Nothing is allocated
+    /// once the scratch's buffers have grown to the workload's
+    /// high-water mark.
     fn explore(
         &self,
         query: &SpatialQuery,
@@ -802,21 +805,18 @@ impl AdaptiveClusterIndex {
             // so the candidate mask must be consumed into the delta
             // before member verification overwrites it.
             if let Some(delta) = delta.as_deref_mut() {
-                let cands = view(&self.stats_arena, &cluster.candidates);
+                let cands = self.stats_arena.slice(cluster.candidates);
                 let recorded = delta.cluster_mut(slot, cands.len());
                 recorded.q_count += 1;
-                match self.config.candidate_scan {
-                    ScanMode::Columnar => {
-                        scan_candidates(query, &cands.columns(), &mut scratch.scan);
-                        recorded.add_candidate_mask(scratch.scan.mask_words());
-                    }
-                    ScanMode::ScalarOracle => {
-                        for ci in 0..cands.len() {
-                            if cands.matches_query(ci, query) {
-                                recorded.bump_candidate(ci as u32);
-                            }
+                if self.config.reference {
+                    for ci in 0..cands.len() {
+                        if cands.matches_query(ci, query) {
+                            recorded.bump_candidate(ci as u32);
                         }
                     }
+                } else {
+                    scan_candidates(query, &cands.columns(), &mut scratch.scan);
+                    recorded.add_candidate_mask(scratch.scan.mask_words());
                 }
             }
             let n = self.store.segment_len(cluster.segment);
@@ -825,30 +825,23 @@ impl AdaptiveClusterIndex {
             stats.transfer_bytes += n as u64 * object_bytes;
             stats.objects_verified += n as u64;
             let ids = self.store.ids(cluster.segment);
-            match self.config.scan_mode {
-                ScanMode::Columnar => {
-                    let columns = self.store.columns(cluster.segment);
-                    let outcome = if self.config.zone_maps {
-                        scan_columns(query, &columns, &mut scratch.scan)
-                    } else {
-                        scan_columns(query, &columns.without_zones(), &mut scratch.scan)
-                    };
-                    stats.verified_bytes += outcome.verified_bytes();
-                    for &idx in scratch.scan.matches() {
-                        scratch.matches.push(ObjectId(ids[idx as usize]));
+            if self.config.reference {
+                for (idx, &oid) in ids.iter().enumerate() {
+                    self.store
+                        .read_object_into(cluster.segment, idx, &mut scratch.flat);
+                    let outcome = query.matches_flat(&scratch.flat);
+                    stats.verified_bytes +=
+                        OBJECT_ID_BYTES as u64 + 8 * outcome.dims_checked as u64;
+                    if outcome.matched {
+                        scratch.matches.push(ObjectId(oid));
                     }
                 }
-                ScanMode::ScalarOracle => {
-                    for (idx, &oid) in ids.iter().enumerate() {
-                        self.store
-                            .read_object_into(cluster.segment, idx, &mut scratch.flat);
-                        let outcome = query.matches_flat(&scratch.flat);
-                        stats.verified_bytes +=
-                            OBJECT_ID_BYTES as u64 + 8 * outcome.dims_checked as u64;
-                        if outcome.matched {
-                            scratch.matches.push(ObjectId(oid));
-                        }
-                    }
+            } else {
+                let columns = self.store.columns(cluster.segment);
+                let outcome = scan_columns(query, &columns, &mut scratch.scan);
+                stats.verified_bytes += outcome.verified_bytes();
+                for &idx in scratch.scan.matches() {
+                    scratch.matches.push(ObjectId(ids[idx as usize]));
                 }
             }
             scratch.stack.extend_from_slice(&cluster.children);
@@ -1017,7 +1010,7 @@ impl AdaptiveClusterIndex {
                     .and_then(|c| c.as_mut())
                     .expect("delta epoch matches, so its cluster slots are live");
                 cluster.q_count += recorded.q_count;
-                view_mut(&mut self.stats_arena, &mut cluster.candidates)
+                self.stats_arena.slice_mut(cluster.candidates)
                     .add_q_slice(&recorded.cand_q);
                 // Inline `mark_dirty` (the cluster is already borrowed):
                 // the new increments void the cached no-split verdict
@@ -1218,11 +1211,12 @@ impl AdaptiveClusterIndex {
     /// benefit is positive, otherwise greedily materialize its profitable
     /// candidate subclusters. Statistics epochs restart afterwards.
     ///
-    /// Two decision-identical evaluation strategies exist
-    /// ([`crate::ReorgMode`]): the full scalar sweep, and the default
-    /// incremental pass, which screens out clusters that provably cannot
-    /// split and batches the remaining benefit arithmetic over the
-    /// candidate counter columns. Both produce the same [`ReorgReport`],
+    /// Two decision-identical evaluation strategies exist: the
+    /// production incremental pass, which screens out clusters that
+    /// provably cannot split and batches the remaining benefit
+    /// arithmetic over the candidate counter columns, and the full
+    /// scalar sweep [`IndexConfig::reference`] selects. Both produce the
+    /// same [`ReorgReport`],
     /// the same merges and materializations, and bit-identical
     /// [`ClusterSnapshot`]s; the work they spend differs
     /// ([`AdaptiveClusterIndex::last_reorg_profile`]).
@@ -1243,9 +1237,10 @@ impl AdaptiveClusterIndex {
         snapshot.extend(
             (0..self.clusters.len() as u32).filter(|&s| self.clusters[s as usize].is_some()),
         );
-        match self.config.reorg_mode {
-            ReorgMode::FullOracle => self.full_pass(&snapshot, &mut report, &mut profile),
-            ReorgMode::Incremental => self.incremental_pass(&snapshot, &mut report, &mut profile),
+        if self.config.reference {
+            self.full_pass(&snapshot, &mut report, &mut profile);
+        } else {
+            self.incremental_pass(&snapshot, &mut report, &mut profile);
         }
         self.reorg_scratch.snapshot = snapshot;
         profile.thrash_cycles = self.pass_thrash;
@@ -1289,7 +1284,8 @@ impl AdaptiveClusterIndex {
     /// Work profile of the most recent reorganization pass — how many
     /// clusters were dirty, evaluated, candidate-scanned, or screened
     /// out. Diagnostics only: unlike the [`ReorgReport`], the profile
-    /// legitimately differs between [`crate::ReorgMode`]s.
+    /// legitimately differs between the production pass and the
+    /// [`IndexConfig::reference`] sweep.
     pub fn last_reorg_profile(&self) -> ReorgProfile {
         self.last_profile
     }
@@ -1331,7 +1327,8 @@ impl AdaptiveClusterIndex {
                 self.merge_cluster(slot);
                 report.merges += 1;
             } else {
-                let splits = self.try_cluster_split(slot, epoch_len);
+                self.materialize_candidates(slot);
+                let splits = self.split_scan_scalar(slot, epoch_len);
                 profile.candidate_scans += 1 + splits;
                 report.splits += splits;
             }
@@ -1484,7 +1481,7 @@ impl AdaptiveClusterIndex {
                 // the scan it skipped and insist it finds nothing.
                 #[cfg(debug_assertions)]
                 {
-                    let n_hi = view(&self.stats_arena, &self.cluster(slot).candidates).n_hi();
+                    let n_hi = self.stats_arena.slice(self.cluster(slot).candidates).n_hi();
                     let splits = self.try_cluster_split_columnar_entry(
                         slot,
                         epoch_len,
@@ -1556,7 +1553,8 @@ impl AdaptiveClusterIndex {
     ///
     /// The screen prices the most profitable candidate any scan could
     /// find: a hypothetical candidate holding the cluster's cached
-    /// maximal member count ([`CandidateSet::n_hi`] — exact after every
+    /// maximal member count
+    /// ([`crate::candidates::CandidateSlice::n_hi`] — exact after every
     /// scan, only ever *raised* by mutations in between) with access
     /// probability zero. Soundness against the scalar scan, including
     /// its float arithmetic:
@@ -1586,7 +1584,7 @@ impl AdaptiveClusterIndex {
         p_c: f64,
     ) -> bool {
         let cluster = self.cluster(slot);
-        let n_hi = view(&self.stats_arena, &cluster.candidates).n_hi() as usize;
+        let n_hi = self.stats_arena.slice(cluster.candidates).n_hi() as usize;
         if n_hi == 0 {
             return true; // no candidate holds members: the scan skips them all
         }
@@ -1680,9 +1678,7 @@ impl AdaptiveClusterIndex {
         self.free_slots.push(slot);
         // The dying cluster's statistics range is dead arena bytes from
         // here on; the next reorganization-pass compaction reclaims it.
-        if let CandStore::Arena(h) = cluster.candidates {
-            self.stats_arena.retire(h);
-        }
+        self.stats_arena.retire(cluster.candidates);
         // Remember the dying signature: a near-term re-materialization
         // of it is a thrash cycle (and, under the cool-down, vetoed).
         self.recent_merges
@@ -1696,7 +1692,7 @@ impl AdaptiveClusterIndex {
                 .expect("parent slot is live");
             parent.children.retain(|&c| c != slot);
             let parent_segment = parent.segment;
-            let mut pcands = view_mut(&mut self.stats_arena, &mut parent.candidates);
+            let mut pcands = self.stats_arena.slice_mut(parent.candidates);
             for (i, oid) in ids.iter().enumerate() {
                 let flat = &coords[i * width..(i + 1) * width];
                 debug_assert!(parent.signature.accepts_flat(flat));
@@ -1711,21 +1707,6 @@ impl AdaptiveClusterIndex {
         }
         self.mark_dirty(parent_slot);
         self.reorg_fault(ReorgFaultPoint::AfterMerge);
-    }
-
-    /// Paper Fig. 3: greedily materializes the best positive-benefit
-    /// candidate subclusters of `slot` with the full sweep's
-    /// candidate-at-a-time scalar arithmetic. Returns the number of
-    /// materializations performed.
-    ///
-    /// The cluster's candidate counters are brought up to the current
-    /// statistics epoch first (lazy-decay catch-up). The incremental
-    /// pass runs the decision-identical
-    /// [`AdaptiveClusterIndex::try_cluster_split_columnar_entry`]
-    /// instead; both pick identical candidates.
-    fn try_cluster_split(&mut self, slot: u32, epoch_len: u64) -> u64 {
-        self.materialize_candidates(slot);
-        self.split_scan_scalar(slot, epoch_len)
     }
 
     /// The incremental pass's split scan: lazy-decay catch-up, then the
@@ -1743,8 +1724,12 @@ impl AdaptiveClusterIndex {
         self.split_scan_columnar(slot, epoch_len, costs, p_c)
     }
 
-    /// The scalar split scan: the candidate-at-a-time loop, kept as the
-    /// decision oracle of the columnar scan.
+    /// Paper Fig. 3, the reference's split scan: greedily materializes
+    /// the best positive-benefit candidate subclusters of `slot` with
+    /// candidate-at-a-time scalar arithmetic — the decision oracle of
+    /// the columnar scan. The caller has caught the cluster's candidate
+    /// counters up to the current statistics epoch. Returns the number
+    /// of materializations performed.
     fn split_scan_scalar(&mut self, slot: u32, epoch_len: u64) -> u64 {
         let mut splits = 0u64;
         let mut blocked = 0u64;
@@ -1754,7 +1739,7 @@ impl AdaptiveClusterIndex {
                 let cluster = self.cluster(slot);
                 let p_c = self.access_probability(cluster);
                 let denom = cluster.weight + epoch_len as f64;
-                let cands = view(&self.stats_arena, &cluster.candidates);
+                let cands = self.stats_arena.slice(cluster.candidates);
                 let mut best: Option<(usize, f64)> = None;
                 let mut max_n = 0u32;
                 for idx in 0..cands.len() {
@@ -1787,7 +1772,7 @@ impl AdaptiveClusterIndex {
                 let cluster = self.clusters[slot as usize]
                     .as_mut()
                     .expect("cluster slot is live");
-                view_mut(&mut self.stats_arena, &mut cluster.candidates).set_n_hi(max_n);
+                self.stats_arena.slice_mut(cluster.candidates).set_n_hi(max_n);
             }
             let Some((cand_idx, _)) = best else {
                 break;
@@ -1830,7 +1815,7 @@ impl AdaptiveClusterIndex {
                 let cluster = self.cluster(slot);
                 debug_assert_eq!(p_c.to_bits(), self.access_probability(cluster).to_bits());
                 let denom = cluster.weight + epoch_len as f64;
-                let cands = view(&self.stats_arena, &cluster.candidates);
+                let cands = self.stats_arena.slice(cluster.candidates);
                 // Division- and sqrt-free threshold floor, hoisted per
                 // scan: a candidate's significance threshold is at
                 // least `2nC/H + (z/D)(nC + B)` (move margin plus the
@@ -1918,7 +1903,7 @@ impl AdaptiveClusterIndex {
                 let cluster = self.clusters[slot as usize]
                     .as_mut()
                     .expect("cluster slot is live");
-                view_mut(&mut self.stats_arena, &mut cluster.candidates).set_n_hi(max_n);
+                self.stats_arena.slice_mut(cluster.candidates).set_n_hi(max_n);
             }
             let Some((cand_idx, _)) = best else {
                 break;
@@ -1940,8 +1925,8 @@ impl AdaptiveClusterIndex {
     /// Called by both split scans at the same point of their selection
     /// semantics — only for a candidate that cleared its significance
     /// threshold and the best-so-far — so the veto is a pure filter on
-    /// the qualifying set and [`crate::ReorgMode`] decision-identity is
-    /// preserved for every cool-down value. Rendering the candidate
+    /// the qualifying set and production-vs-reference decision-identity
+    /// is preserved for every cool-down value. Rendering the candidate
     /// signature is deferred to that rare case, keeping the veto off an
     /// adapted index's hot path. Soundness of the incremental pass's
     /// screens is unaffected: the cool-down only *removes*
@@ -1952,7 +1937,7 @@ impl AdaptiveClusterIndex {
         if self.config.merge_cooldown == 0 || self.recent_merges.is_empty() {
             return false;
         }
-        let sig = view(&self.stats_arena, &cluster.candidates).signature(
+        let sig = self.stats_arena.slice(cluster.candidates).signature(
             idx,
             &cluster.signature,
             self.config.division_factor,
@@ -1972,7 +1957,7 @@ impl AdaptiveClusterIndex {
         use std::fmt::Write as _;
         self.materialize_candidates(slot);
         let cluster = self.cluster(slot);
-        let cands = view(&self.stats_arena, &cluster.candidates);
+        let cands = self.stats_arena.slice(cluster.candidates);
         let p_c = self.access_probability(cluster);
         let denom = cluster.weight + epoch_len as f64;
         let mut out = format!(
@@ -2080,7 +2065,7 @@ impl AdaptiveClusterIndex {
         let width = 2 * self.config.dims;
         let (new_signature, expected, inherited_q, inherited_q_eff, parent_epoch, parent_weight) = {
             let cluster = self.cluster(slot);
-            let cands = view(&self.stats_arena, &cluster.candidates);
+            let cands = self.stats_arena.slice(cluster.candidates);
             (
                 cands.signature(cand_idx, &cluster.signature, f),
                 cands.n(cand_idx) as usize,
@@ -2101,10 +2086,13 @@ impl AdaptiveClusterIndex {
             }
         }
         let new_segment = self.store.create(expected.max(1));
-        let mut new_candidates = generate_candidates(&new_signature, f);
+        let candidates = self
+            .stats_arena
+            .alloc(&generate_candidates(&new_signature, f));
         // Fresh counters are de-facto materialized to the open epoch.
-        new_candidates.set_stamp(self.stats_epoch);
-        let candidates = self.store_candidates(new_candidates);
+        self.stats_arena
+            .slice_mut(candidates)
+            .set_stamp(self.stats_epoch);
         let new_slot = self.alloc_slot(Cluster {
             signature: new_signature,
             parent: Some(slot),
@@ -2124,7 +2112,7 @@ impl AdaptiveClusterIndex {
             .as_mut()
             .expect("cluster slot is live");
         let parent_segment = parent_cluster.segment;
-        let cand = view(&self.stats_arena, &parent_cluster.candidates).bounds(cand_idx);
+        let cand = self.stats_arena.slice(parent_cluster.candidates).bounds(cand_idx);
         let mut moved: Vec<(u32, Vec<Scalar>)> = Vec::with_capacity(expected);
         let mut flat = Vec::with_capacity(width);
         let mut idx = 0;
@@ -2139,7 +2127,7 @@ impl AdaptiveClusterIndex {
             }
         }
         {
-            let mut pcands = view_mut(&mut self.stats_arena, &mut parent_cluster.candidates);
+            let mut pcands = self.stats_arena.slice_mut(parent_cluster.candidates);
             for (oid, flat) in &moved {
                 pcands.unrecord_member(flat);
                 self.object_cluster.insert(*oid, new_slot);
@@ -2147,14 +2135,14 @@ impl AdaptiveClusterIndex {
         }
         parent_cluster.children.push(new_slot);
         debug_assert_eq!(
-            view(&self.stats_arena, &parent_cluster.candidates).n(cand_idx),
+            self.stats_arena.slice(parent_cluster.candidates).n(cand_idx),
             0
         );
 
         let new_cluster = self.clusters[new_slot as usize]
             .as_mut()
             .expect("new slot is live");
-        let mut ncands = view_mut(&mut self.stats_arena, &mut new_cluster.candidates);
+        let mut ncands = self.stats_arena.slice_mut(new_cluster.candidates);
         for (oid, flat) in &moved {
             ncands.record_member(flat);
             self.store.push(new_segment, *oid, flat);
@@ -2162,17 +2150,6 @@ impl AdaptiveClusterIndex {
         self.mark_dirty(slot);
         self.mark_dirty(new_slot);
         self.reorg_fault(ReorgFaultPoint::AfterMaterialize);
-    }
-
-    /// Places a freshly generated candidate set into the layout the
-    /// index runs under: copied into the arena slabs
-    /// ([`StatsLayout::Arena`]) or kept as an owned per-cluster value
-    /// ([`StatsLayout::PerClusterOracle`]).
-    fn store_candidates(&mut self, set: CandidateSet) -> CandStore {
-        match self.config.stats_layout {
-            StatsLayout::Arena => CandStore::Arena(self.stats_arena.alloc(&set)),
-            StatsLayout::PerClusterOracle => CandStore::Owned(Box::new(set)),
-        }
     }
 
     fn alloc_slot(&mut self, cluster: Cluster) -> u32 {
@@ -2312,7 +2289,7 @@ impl AdaptiveClusterIndex {
             .iter()
             .map(|&slot| {
                 let cluster = self.cluster(slot);
-                let cands = view(&self.stats_arena, &cluster.candidates);
+                let cands = self.stats_arena.slice(cluster.candidates);
                 ClusterMeta {
                     slot,
                     q_count: cluster.q_count,
@@ -2397,10 +2374,15 @@ impl AdaptiveClusterIndex {
             }
             None => (0..cluster_records.len() as u32).collect(),
         };
-        let capacity = slots.last().map_or(0, |&s| s as usize + 1);
+        // Live and free slots partition the slot space (checked below),
+        // so its size is their count — not the highest live slot plus
+        // one: merges can free the topmost slots.
+        let capacity = slots.len() + meta.as_ref().map_or(0, |m| m.free_slots.len());
         let mut live = vec![false; capacity];
         for &slot in &slots {
-            live[slot as usize] = true;
+            *live
+                .get_mut(slot as usize)
+                .ok_or_else(|| corrupt(format!("cluster slot {slot} out of range")))? = true;
         }
         let f = config.division_factor;
         let width = 2 * dims;
@@ -2425,7 +2407,8 @@ impl AdaptiveClusterIndex {
                 });
             }
             let segment = store.create(rec.ids.len());
-            let mut candidates = generate_candidates(&signature, f);
+            let handle = stats_arena.alloc(&generate_candidates(&signature, f));
+            let mut candidates = stats_arena.slice_mut(handle);
             for (k, &oid) in rec.ids.iter().enumerate() {
                 let flat = &rec.coords[k * width..(k + 1) * width];
                 if !signature.accepts_flat(flat) {
@@ -2480,17 +2463,13 @@ impl AdaptiveClusterIndex {
                 Some(parent)
             };
             parents.push(parent);
-            let candidates = match config.stats_layout {
-                StatsLayout::Arena => CandStore::Arena(stats_arena.alloc(&candidates)),
-                StatsLayout::PerClusterOracle => CandStore::Owned(Box::new(candidates)),
-            };
             let (q_count, epoch_start, q_eff, weight) = cluster_meta.unwrap_or((0, 0, 0.0, 0.0));
             clusters[slot as usize] = Some(Cluster {
                 signature,
                 parent,
                 children: Vec::new(),
                 segment,
-                candidates,
+                candidates: handle,
                 q_count,
                 epoch_start,
                 q_eff,
@@ -2508,8 +2487,8 @@ impl AdaptiveClusterIndex {
                     .push(slots[i]);
             }
         }
-        // The free list must account for exactly the holes in the slot
-        // space, so recycled slot numbers stay replay-stable.
+        // The free list must be exactly the holes in the slot space, so
+        // recycled slot numbers stay replay-stable (distinct + not live).
         let free_slots = match &meta {
             Some(meta) => {
                 let mut seen = vec![false; capacity];
@@ -2520,13 +2499,6 @@ impl AdaptiveClusterIndex {
                     if std::mem::replace(&mut seen[slot as usize], true) {
                         return Err(corrupt(format!("free slot {slot} listed twice")));
                     }
-                }
-                if meta.free_slots.len() + slots.len() != capacity {
-                    return Err(corrupt(format!(
-                        "{} free + {} live slots do not cover the {capacity}-slot space",
-                        meta.free_slots.len(),
-                        slots.len()
-                    )));
                 }
                 meta.free_slots.clone()
             }
@@ -2553,6 +2525,7 @@ impl AdaptiveClusterIndex {
             epoch_full_bytes: 0,
             hist_verified_bytes: 0.0,
             hist_full_bytes: 0.0,
+            insert_stack: Vec::new(),
             query_scratch: QueryScratch::new(),
             delta_scratch: StatsDelta::new(),
             stats_epoch: 0,
@@ -2848,7 +2821,7 @@ impl AdaptiveClusterIndex {
                 // child inherits identically decayed statistics.
                 self.materialize_candidates(slot);
                 let ci = *candidate as usize;
-                let ncand = view(&self.stats_arena, &self.cluster(slot).candidates).len();
+                let ncand = self.stats_arena.slice(self.cluster(slot).candidates).len();
                 if ci >= ncand {
                     return Err(format!("candidate {ci} out of range ({ncand} candidates)"));
                 }
@@ -2885,13 +2858,9 @@ impl AdaptiveClusterIndex {
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut seen_objects = 0usize;
         let mut flat = Vec::new();
-        let mut arena_stored = 0usize;
         for (slot, cluster) in self.clusters.iter().enumerate() {
             let Some(cluster) = cluster else { continue };
-            if matches!(cluster.candidates, CandStore::Arena(_)) {
-                arena_stored += 1;
-            }
-            let cands = view(&self.stats_arena, &cluster.candidates);
+            let cands = self.stats_arena.slice(cluster.candidates);
             let ids = self.store.ids(cluster.segment);
             seen_objects += ids.len();
             let mut expected_n = vec![0u32; cands.len()];
@@ -2973,11 +2942,11 @@ impl AdaptiveClusterIndex {
             }
         }
         self.stats_arena.check()?;
-        if self.stats_arena.live_ranges() != arena_stored {
+        if self.stats_arena.live_ranges() != self.cluster_count() {
             return Err(format!(
-                "{} live arena ranges but {} clusters store their statistics there",
+                "{} live arena ranges for {} clusters",
                 self.stats_arena.live_ranges(),
-                arena_stored
+                self.cluster_count()
             ));
         }
         Ok(())

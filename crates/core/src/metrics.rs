@@ -23,10 +23,10 @@ impl ReorgReport {
 /// Work profile of the most recent reorganization pass — diagnostics
 /// for the incremental pass, *not* part of its decision surface.
 ///
-/// Unlike [`ReorgReport`], which is identical across
-/// [`crate::ReorgMode`]s by construction, the profile describes how much
-/// work a pass performed and therefore legitimately differs between the
-/// incremental pass and the full sweep (the full sweep scans every
+/// Unlike [`ReorgReport`], which is identical between the production
+/// pass and the [`crate::IndexConfig::reference`] sweep by construction,
+/// the profile describes how much work a pass performed and therefore
+/// legitimately differs between them (the full sweep scans every
 /// evaluated cluster and screens none).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReorgProfile {
@@ -59,9 +59,7 @@ pub struct ReorgProfile {
     /// when the cool-down is disabled).
     pub cooldown_blocked: u64,
     /// Bytes of live candidate statistics in the index-wide arena at
-    /// pass end (always `0` under
-    /// [`crate::StatsLayout::PerClusterOracle`], where every cluster
-    /// owns its columns).
+    /// pass end.
     pub arena_live_bytes: u64,
     /// Bytes the arena slabs currently occupy, live or dead. The gap to
     /// [`ReorgProfile::arena_live_bytes`] is garbage from retired

@@ -1,10 +1,9 @@
 //! Regression test: once its scratch buffers are warm, the read-only
 //! matching phase (`query_with` / `query_recorded_with` with a reused
 //! [`StatsDelta`]) performs **zero heap allocations per query** — and
-//! under [`StatsLayout::Arena`] a settled reorganization pass performs
-//! **zero heap allocations** outright: every candidate column it scans
-//! lives in the index-wide statistics slab, and the pass scratch is
-//! index-owned.
+//! a settled reorganization pass performs **zero heap allocations**
+//! outright: every candidate column it scans lives in the index-wide
+//! statistics slab, and the pass scratch is index-owned.
 //!
 //! A counting global allocator wraps the system allocator; the tests
 //! warm the relevant state over the full stream, then assert the
@@ -14,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use acx_core::{AdaptiveClusterIndex, IndexConfig, QueryScratch, StatsDelta, StatsLayout};
+use acx_core::{AdaptiveClusterIndex, IndexConfig, QueryScratch, StatsDelta};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
 
 /// The allocation counter is process-global, so tests measuring it must
@@ -151,7 +150,7 @@ fn warmed_up_read_path_allocates_nothing_per_query() {
     );
 }
 
-/// Under the arena layout, a *settled* reorganization pass — the stream
+/// A *settled* production reorganization pass — the stream
 /// has stopped forcing splits and merges, so the pass only screens,
 /// scans candidate columns, and folds the epoch — allocates nothing:
 /// the columns live in the statistics slab and every scratch buffer is
@@ -163,7 +162,6 @@ fn warmed_reorg_pass_allocates_nothing_under_arena() {
     let mut state = 0xA2E7A_u64;
     let mut config = IndexConfig::memory(dims);
     config.reorg_period = 0; // explicit passes below
-    config.stats_layout = StatsLayout::Arena;
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     for i in 0..2000u32 {
         let (lo, hi): (Vec<f32>, Vec<f32>) = (0..dims)
@@ -218,7 +216,6 @@ fn warmed_reorg_pass_allocates_nothing_under_arena() {
     let profile = index.last_reorg_profile();
     assert!(profile.evaluated > 0, "test premise: the pass must evaluate clusters");
     assert!(index.cluster_count() > 1, "test premise: clusters must have materialized");
-    assert!(profile.arena_capacity_bytes > 0, "test premise: arena layout in use");
     assert_eq!(
         after - before,
         0,

@@ -1,107 +1,34 @@
-//! The columnar scan kernels must be **bit-identical** to the scalar
-//! oracle — not just in match sets, but in every access counter
-//! (`AccessStats`), every recorded statistic (`StatsDelta`), and every
-//! reorganization decision derived from them. Indexes differing only in
-//! [`ScanMode`] (member verification *and* candidate matching), in
-//! whether zone maps may skip blocks, and in where the candidate
-//! statistics live ([`StatsLayout`]: index-wide arena vs per-cluster
-//! columns) are driven through identical workloads and compared query
-//! by query.
+//! The production execution must be **bit-identical** to the reference
+//! ([`IndexConfig::reference`]) — not just in match sets, but in every
+//! access counter (`AccessStats`), every recorded statistic
+//! (`StatsDelta`), and every reorganization decision derived from them.
+//! A production index (columnar member kernel with zone maps, bitmask
+//! candidate kernel, incremental pass) and a reference index
+//! (object-at-a-time loops, full scalar sweep) are driven through
+//! identical workloads and compared query by query.
+//!
+//! The layers underneath are pinned by their own suites: the member
+//! kernel against `matches_flat` and zone maps against a zone-free view
+//! in `acx_geom::scan`, zone-map maintenance in `acx_storage::segment`,
+//! the candidate kernel against the scalar loop and arena ranges against
+//! owned sets in `acx_core::candidates`.
 
-use acx_core::{
-    AdaptiveClusterIndex, IndexConfig, QueryScratch, ScanMode, StatsDelta, StatsLayout,
-};
+use acx_core::{AdaptiveClusterIndex, IndexConfig, QueryScratch, StatsDelta};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The full oracle: scalar member verification, scalar candidate loop,
-/// per-cluster statistics columns.
-fn oracle_config(config: &IndexConfig) -> IndexConfig {
-    IndexConfig {
-        scan_mode: ScanMode::ScalarOracle,
-        candidate_scan: ScanMode::ScalarOracle,
-        stats_layout: StatsLayout::PerClusterOracle,
-        ..config.clone()
-    }
-}
-
-/// Every bitmask/zone-map/statistics-layout execution strategy that
-/// must equal the oracle: the default (all columnar, zones on, arena
-/// statistics), zones off, the mixed modes keeping one scalar loop
-/// each, and the two variants isolating the statistics layout — the
-/// columnar kernels fed from per-cluster columns, and the scalar loops
-/// fed from the arena.
-fn variant_configs(config: &IndexConfig) -> Vec<(&'static str, IndexConfig)> {
-    vec![
-        (
-            "columnar+zones",
-            IndexConfig {
-                scan_mode: ScanMode::Columnar,
-                candidate_scan: ScanMode::Columnar,
-                zone_maps: true,
-                stats_layout: StatsLayout::Arena,
-                ..config.clone()
-            },
-        ),
-        (
-            "columnar-nozones",
-            IndexConfig {
-                scan_mode: ScanMode::Columnar,
-                candidate_scan: ScanMode::Columnar,
-                zone_maps: false,
-                stats_layout: StatsLayout::Arena,
-                ..config.clone()
-            },
-        ),
-        (
-            "columnar-members-scalar-candidates",
-            IndexConfig {
-                scan_mode: ScanMode::Columnar,
-                candidate_scan: ScanMode::ScalarOracle,
-                zone_maps: false,
-                ..config.clone()
-            },
-        ),
-        (
-            "scalar-members-columnar-candidates",
-            IndexConfig {
-                scan_mode: ScanMode::ScalarOracle,
-                candidate_scan: ScanMode::Columnar,
-                ..config.clone()
-            },
-        ),
-        (
-            "columnar-per-cluster-stats",
-            IndexConfig {
-                scan_mode: ScanMode::Columnar,
-                candidate_scan: ScanMode::Columnar,
-                zone_maps: true,
-                stats_layout: StatsLayout::PerClusterOracle,
-                ..config.clone()
-            },
-        ),
-        (
-            "scalar-arena-stats",
-            IndexConfig {
-                scan_mode: ScanMode::ScalarOracle,
-                candidate_scan: ScanMode::ScalarOracle,
-                stats_layout: StatsLayout::Arena,
-                ..config.clone()
-            },
-        ),
-    ]
-}
-
+/// A production index and its reference twin over the same configuration.
 fn pair(config: IndexConfig) -> (AdaptiveClusterIndex, AdaptiveClusterIndex) {
-    let columnar = AdaptiveClusterIndex::new(IndexConfig {
-        scan_mode: ScanMode::Columnar,
+    let reference = IndexConfig {
+        reference: true,
         ..config.clone()
-    })
-    .unwrap();
-    let oracle = AdaptiveClusterIndex::new(oracle_config(&config)).unwrap();
-    (columnar, oracle)
+    };
+    (
+        AdaptiveClusterIndex::new(config).unwrap(),
+        AdaptiveClusterIndex::new(reference).unwrap(),
+    )
 }
 
 fn random_rect(rng: &mut StdRng, dims: usize, grid: u32) -> HyperRect {
@@ -132,58 +59,46 @@ fn random_query(rng: &mut StdRng, dims: usize, grid: u32) -> SpatialQuery {
     }
 }
 
-/// Drives the oracle and every bitmask/zone-map variant through the
-/// same insert + query stream, asserting bit-identical results,
-/// metrics, and adaptive state at every step.
+/// Drives the production index and the reference through the same
+/// insert + query stream, asserting bit-identical results, metrics, and
+/// adaptive state at every step.
 fn assert_equivalent(dims: usize, objects: usize, queries: usize, seed: u64) {
     let mut config = IndexConfig::memory(dims);
     config.reorg_period = 40; // several reorganizations within the stream
-    let mut oracle = AdaptiveClusterIndex::new(oracle_config(&config)).unwrap();
-    let mut variants: Vec<(&str, AdaptiveClusterIndex)> = variant_configs(&config)
-        .into_iter()
-        .map(|(label, cfg)| (label, AdaptiveClusterIndex::new(cfg).unwrap()))
-        .collect();
+    let (mut columnar, mut oracle) = pair(config);
 
     let mut rng = StdRng::seed_from_u64(seed);
     for i in 0..objects {
         let rect = random_rect(&mut rng, dims, 8);
-        for (_, index) in variants.iter_mut() {
-            index.insert(ObjectId(i as u32), rect.clone()).unwrap();
-        }
+        columnar.insert(ObjectId(i as u32), rect.clone()).unwrap();
         oracle.insert(ObjectId(i as u32), rect).unwrap();
     }
 
     for k in 0..queries {
         let q = random_query(&mut rng, dims, 8);
+        let a = columnar.execute(&q);
         let b = oracle.execute(&q);
-        for (label, index) in variants.iter_mut() {
-            let a = index.execute(&q);
-            assert_eq!(
-                a.matches, b.matches,
-                "[{label}] match set/order diverged on query {k}"
-            );
-            assert_eq!(
-                a.metrics.stats, b.metrics.stats,
-                "[{label}] AccessStats diverged on query {k}"
-            );
-            assert_eq!(
-                a.metrics.priced_ms, b.metrics.priced_ms,
-                "[{label}] priced cost diverged on query {k}"
-            );
-        }
+        assert_eq!(a.matches, b.matches, "match set/order diverged on query {k}");
+        assert_eq!(
+            a.metrics.stats, b.metrics.stats,
+            "AccessStats diverged on query {k}"
+        );
+        assert_eq!(
+            a.metrics.priced_ms, b.metrics.priced_ms,
+            "priced cost diverged on query {k}"
+        );
     }
 
     // The adaptive state — reorganization decisions included — is
     // bit-identical because every statistic feeding it was.
+    assert_eq!(columnar.reorganizations(), oracle.reorganizations());
+    assert!(columnar.reorganizations() > 0, "the stream must reorganize");
+    assert_eq!(columnar.total_merges(), oracle.total_merges());
+    assert_eq!(columnar.total_splits(), oracle.total_splits());
+    assert_eq!(columnar.verify_fraction(), oracle.verify_fraction());
+    assert_eq!(columnar.snapshots(), oracle.snapshots());
+    columnar.check_invariants().unwrap();
     oracle.check_invariants().unwrap();
-    for (label, index) in &variants {
-        assert_eq!(index.reorganizations(), oracle.reorganizations(), "[{label}]");
-        assert_eq!(index.total_merges(), oracle.total_merges(), "[{label}]");
-        assert_eq!(index.total_splits(), oracle.total_splits(), "[{label}]");
-        assert_eq!(index.verify_fraction(), oracle.verify_fraction(), "[{label}]");
-        assert_eq!(index.snapshots(), oracle.snapshots(), "[{label}]");
-        index.check_invariants().unwrap();
-    }
 }
 
 #[test]
@@ -305,22 +220,19 @@ fn boundary_coincident_edges_agree() {
 proptest! {
     /// Random workloads in 1–8 dimensions, all query kinds, with
     /// boundary-coincident edges (grid-snapped coordinates): executing
-    /// the same stream under a random bitmask/zone-map/stats-layout
-    /// variant and the scalar oracle leaves identical matches,
-    /// `AccessStats`, recorded `StatsDelta`s and clustering state.
+    /// the same stream on the production index and the reference leaves
+    /// identical matches, `AccessStats`, recorded `StatsDelta`s and
+    /// clustering state.
     #[test]
     fn prop_columnar_equals_oracle(
         dims in 1usize..=8,
         n_objects in 1usize..140,
         n_queries in 1usize..40,
         seed in 0u64..1_000_000,
-        variant in 0usize..6,
     ) {
         let mut config = IndexConfig::memory(dims);
         config.reorg_period = 25;
-        let variant_cfg = variant_configs(&config).swap_remove(variant).1;
-        let mut columnar = AdaptiveClusterIndex::new(variant_cfg).unwrap();
-        let mut oracle = AdaptiveClusterIndex::new(oracle_config(&config)).unwrap();
+        let (mut columnar, mut oracle) = pair(config);
         let mut rng = StdRng::seed_from_u64(seed);
         for i in 0..n_objects {
             let rect = random_rect(&mut rng, dims, 6);

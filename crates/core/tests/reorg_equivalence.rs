@@ -1,25 +1,20 @@
-//! The incremental reorganization pass must be **decision-identical**
-//! to the full scalar sweep: same [`ReorgReport`] from every pass, same
-//! merges and materializations, bit-identical [`ClusterSnapshot`]s —
-//! across mutation/query interleavings, every query kind, and streams
-//! that force both splits and merges. Two indexes differing only in
-//! [`ReorgMode`] are driven through identical workloads and compared
-//! pass by pass.
+//! The production reorganization pass must be **decision-identical**
+//! to the reference's full scalar sweep ([`IndexConfig::reference`]):
+//! same [`ReorgReport`] from every pass, same merges and
+//! materializations, bit-identical [`ClusterSnapshot`]s — across
+//! mutation/query interleavings, every query kind, and streams that
+//! force both splits and merges. A production index and a reference
+//! index are driven through identical workloads and compared pass by
+//! pass.
 //!
 //! The screen, the batched benefit columns, and the lazy candidate
-//! decay are all exercised here: the incremental index skips scans and
+//! decay are all exercised here: the production index skips scans and
 //! leaves untouched counters un-decayed, yet every observable decision
-//! must equal the oracle's.
-//!
-//! The [`StatsLayout`] toggle rides the same harness: the pairwise
-//! tests cross **both** toggles at once (incremental over the
-//! statistics arena vs the full sweep over per-cluster columns), while
-//! the main drivers run a *triple* — incremental/arena,
-//! incremental/per-cluster, full-oracle/per-cluster — asserted
-//! pairwise, so a divergence is attributed to the pass strategy or the
-//! statistics layout, not just detected.
+//! must equal the reference's. Because `reference` also selects the
+//! object-at-a-time query execution, every per-query comparison below
+//! crosses the scan kernels as well.
 
-use acx_core::{AdaptiveClusterIndex, IndexConfig, ReorgMode, StatsLayout};
+use acx_core::{AdaptiveClusterIndex, IndexConfig};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
 use acx_workloads::{
     AdaptiveScenario, ClusteredObjects, FlashCrowd, MigratingHotspot, MixedTraffic,
@@ -29,47 +24,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The strategy triple the main drivers compare, with attribution
-/// labels: index 1 isolates the statistics layout (same pass), index 2
-/// isolates the pass strategy (same layout as 1).
-const TRIPLE: [(&str, ReorgMode, StatsLayout); 3] = [
-    ("incremental/arena", ReorgMode::Incremental, StatsLayout::Arena),
-    (
-        "incremental/per-cluster",
-        ReorgMode::Incremental,
-        StatsLayout::PerClusterOracle,
-    ),
-    (
-        "full-oracle/per-cluster",
-        ReorgMode::FullOracle,
-        StatsLayout::PerClusterOracle,
-    ),
-];
-
-fn mode_triple(config: &IndexConfig) -> [AdaptiveClusterIndex; 3] {
-    TRIPLE.map(|(_, reorg_mode, stats_layout)| {
-        AdaptiveClusterIndex::new(IndexConfig {
-            reorg_mode,
-            stats_layout,
-            ..config.clone()
-        })
-        .unwrap()
-    })
-}
-
-/// Crosses both toggles in one pair: the production configuration
-/// (incremental pass, statistics arena) against the doubly-oracle
-/// reference (full scalar sweep, per-cluster columns).
+/// The production configuration (incremental pass, batch kernels)
+/// against the reference (full scalar sweep, object-at-a-time loops).
 fn mode_pair(config: &IndexConfig) -> (AdaptiveClusterIndex, AdaptiveClusterIndex) {
-    let incremental = AdaptiveClusterIndex::new(IndexConfig {
-        reorg_mode: ReorgMode::Incremental,
-        stats_layout: StatsLayout::Arena,
-        ..config.clone()
-    })
-    .unwrap();
+    let incremental = AdaptiveClusterIndex::new(config.clone()).unwrap();
     let oracle = AdaptiveClusterIndex::new(IndexConfig {
-        reorg_mode: ReorgMode::FullOracle,
-        stats_layout: StatsLayout::PerClusterOracle,
+        reference: true,
         ..config.clone()
     })
     .unwrap();
@@ -134,21 +94,9 @@ fn assert_state_identical(
     oracle.check_invariants().unwrap();
 }
 
-/// Asserts indexes 1 and 2 of the triple against index 0, labelling
-/// each comparison so a failure names the strategy that diverged.
-fn assert_triple_identical(triple: &[AdaptiveClusterIndex; 3], context: &str) {
-    for i in 1..3 {
-        assert_state_identical(
-            &triple[0],
-            &triple[i],
-            &format!("{context} ({} vs {})", TRIPLE[0].0, TRIPLE[i].0),
-        );
-    }
-}
-
-/// Drives the strategy triple through one scenario-zoo query stream
-/// (with its abrupt shift mid-way), comparing reports and full state
-/// per pass — the drifting/adversarial/mixed analogue of
+/// Drives the production/reference pair through one scenario-zoo query
+/// stream (with its abrupt shift mid-way), comparing reports and full
+/// state per pass — the drifting/adversarial/mixed analogue of
 /// `drive_and_compare`.
 fn drive_scenario_pair(
     mut scenario: Box<dyn AdaptiveScenario>,
@@ -161,11 +109,10 @@ fn drive_scenario_pair(
     let mut config = IndexConfig::memory(scenario.dims());
     config.reorg_period = 0; // explicit passes below
     config.merge_cooldown = merge_cooldown;
-    let mut triple = mode_triple(&config);
+    let (mut incremental, mut oracle) = mode_pair(&config);
     for (i, rect) in objects.iter().enumerate() {
-        for index in triple.iter_mut() {
-            index.insert(ObjectId(i as u32), rect.clone()).unwrap();
-        }
+        incremental.insert(ObjectId(i as u32), rect.clone()).unwrap();
+        oracle.insert(ObjectId(i as u32), rect.clone()).unwrap();
     }
     for period in 0..periods {
         if period == shift_at {
@@ -173,38 +120,27 @@ fn drive_scenario_pair(
         }
         for k in 0..queries_per_period {
             let q = scenario.next_query();
-            let a = triple[0].execute(&q);
-            for i in 1..3 {
-                let b = triple[i].execute(&q);
-                let label = TRIPLE[i].0;
-                assert_eq!(a.matches, b.matches, "period {period} query {k} vs {label}");
-                assert_eq!(
-                    a.metrics.stats, b.metrics.stats,
-                    "period {period} query {k} vs {label}"
-                );
-            }
+            let a = incremental.execute(&q);
+            let b = oracle.execute(&q);
+            assert_eq!(a.matches, b.matches, "period {period} query {k}");
+            assert_eq!(a.metrics.stats, b.metrics.stats, "period {period} query {k}");
         }
-        let ra = triple[0].reorganize();
-        for i in 1..3 {
-            let rb = triple[i].reorganize();
-            assert_eq!(
-                ra, rb,
-                "period {period}: ReorgReport diverged vs {}",
-                TRIPLE[i].0
-            );
-        }
-        assert_triple_identical(&triple, &format!("period {period}"));
+        let ra = incremental.reorganize();
+        let rb = oracle.reorganize();
+        assert_eq!(ra, rb, "period {period}: ReorgReport diverged");
+        assert_state_identical(&incremental, &oracle, &format!("period {period}"));
     }
     (
-        triple[0].total_splits(),
-        triple[0].total_merges(),
-        triple[0].total_thrash(),
+        incremental.total_splits(),
+        incremental.total_merges(),
+        incremental.total_thrash(),
     )
 }
 
-/// Drives the strategy triple through the same insert/query/mutate
-/// stream with explicit reorganization passes, comparing the per-pass
-/// reports and the full cluster state after every pass.
+/// Drives the production/reference pair through the same
+/// insert/query/mutate stream with explicit reorganization passes,
+/// comparing the per-pass reports and the full cluster state after
+/// every pass.
 fn drive_and_compare(
     dims: usize,
     objects: usize,
@@ -214,15 +150,14 @@ fn drive_and_compare(
 ) -> (u64, u64) {
     let mut config = IndexConfig::memory(dims);
     config.reorg_period = 0; // explicit passes below
-    let mut triple = mode_triple(&config);
+    let (mut incremental, mut oracle) = mode_pair(&config);
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut next_id = 0u32;
     for _ in 0..objects {
         let rect = random_rect(&mut rng, dims, 8);
-        for index in triple.iter_mut() {
-            index.insert(ObjectId(next_id), rect.clone()).unwrap();
-        }
+        incremental.insert(ObjectId(next_id), rect.clone()).unwrap();
+        oracle.insert(ObjectId(next_id), rect).unwrap();
         next_id += 1;
     }
 
@@ -233,61 +168,43 @@ fn drive_and_compare(
             match rng.gen_range(0..10u32) {
                 0 => {
                     let rect = random_rect(&mut rng, dims, 8);
-                    for index in triple.iter_mut() {
-                        index.insert(ObjectId(next_id), rect.clone()).unwrap();
-                    }
+                    incremental.insert(ObjectId(next_id), rect.clone()).unwrap();
+                    oracle.insert(ObjectId(next_id), rect).unwrap();
                     next_id += 1;
                 }
                 1 if next_id > 0 => {
                     let id = ObjectId(rng.gen_range(0..next_id));
-                    let a = triple[0].contains(id);
-                    for i in 1..3 {
-                        assert_eq!(a, triple[i].contains(id), "vs {}", TRIPLE[i].0);
-                    }
+                    let a = incremental.contains(id);
+                    assert_eq!(a, oracle.contains(id));
                     if a {
-                        let ra = triple[0].remove(id).unwrap();
-                        for index in triple.iter_mut().skip(1) {
-                            let rb = index.remove(id).unwrap();
-                            assert_eq!(ra, rb, "period {period} op {k}: removed rect");
-                        }
+                        let ra = incremental.remove(id).unwrap();
+                        let rb = oracle.remove(id).unwrap();
+                        assert_eq!(ra, rb, "period {period} op {k}: removed rect");
                     }
                 }
                 2 if next_id > 0 => {
                     let id = ObjectId(rng.gen_range(0..next_id));
-                    if triple[0].contains(id) {
+                    if incremental.contains(id) {
                         let rect = random_rect(&mut rng, dims, 8);
-                        for index in triple.iter_mut() {
-                            index.update(id, rect.clone()).unwrap();
-                        }
+                        incremental.update(id, rect.clone()).unwrap();
+                        oracle.update(id, rect).unwrap();
                     }
                 }
                 _ => {
                     let q = random_query(&mut rng, dims, 8);
-                    let a = triple[0].execute(&q);
-                    for i in 1..3 {
-                        let b = triple[i].execute(&q);
-                        let label = TRIPLE[i].0;
-                        assert_eq!(a.matches, b.matches, "period {period} query {k} vs {label}");
-                        assert_eq!(
-                            a.metrics.stats, b.metrics.stats,
-                            "period {period} query {k} vs {label}"
-                        );
-                    }
+                    let a = incremental.execute(&q);
+                    let b = oracle.execute(&q);
+                    assert_eq!(a.matches, b.matches, "period {period} query {k}");
+                    assert_eq!(a.metrics.stats, b.metrics.stats, "period {period} query {k}");
                 }
             }
         }
-        let ra = triple[0].reorganize();
-        for i in 1..3 {
-            let rb = triple[i].reorganize();
-            assert_eq!(
-                ra, rb,
-                "period {period}: ReorgReport diverged vs {}",
-                TRIPLE[i].0
-            );
-        }
-        assert_triple_identical(&triple, &format!("period {period}"));
+        let ra = incremental.reorganize();
+        let rb = oracle.reorganize();
+        assert_eq!(ra, rb, "period {period}: ReorgReport diverged");
+        assert_state_identical(&incremental, &oracle, &format!("period {period}"));
     }
-    (triple[0].total_splits(), triple[0].total_merges())
+    (incremental.total_splits(), incremental.total_merges())
 }
 
 #[test]

@@ -12,7 +12,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use acx_core::{AdaptiveClusterIndex, IndexConfig, ReorgFaultPoint, ReorgMode};
+use acx_core::{AdaptiveClusterIndex, IndexConfig, ReorgFaultPoint};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
 use acx_storage::{FlushPolicy, MemBacking, Wal};
 use acx_workloads::{AdaptiveScenario, OscillatingHeat, UniformWorkload, WorkloadConfig};
@@ -28,7 +28,6 @@ fn adversary(seed: u64) -> (AdaptiveClusterIndex, Vec<HyperRect>, OscillatingHea
     let mut config = IndexConfig::memory(DIMS);
     config.reorg_period = 0;
     config.confidence_z = 0.0;
-    config.reorg_mode = ReorgMode::Incremental;
     let index = AdaptiveClusterIndex::new(config).unwrap();
     (index, objects, scenario)
 }

@@ -11,7 +11,7 @@
 //! just-merged signature is vetoed, so the cycle count must drop to
 //! exactly zero while the veto counter shows the hysteresis working.
 
-use acx_core::{AdaptiveClusterIndex, IndexConfig, ReorgMode};
+use acx_core::{AdaptiveClusterIndex, IndexConfig};
 use acx_geom::ObjectId;
 use acx_workloads::{AdaptiveScenario, OscillatingHeat, UniformWorkload, WorkloadConfig};
 
@@ -30,7 +30,6 @@ fn drive_adversary(merge_cooldown: u64) -> (u64, u64, u64, u64) {
     config.reorg_period = 0;
     config.confidence_z = 0.0; // act on any positive benefit: maximal churn
     config.merge_cooldown = merge_cooldown;
-    config.reorg_mode = ReorgMode::Incremental;
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     for (i, rect) in objects.iter().enumerate() {
         index.insert(ObjectId(i as u32), rect.clone()).unwrap();

@@ -877,16 +877,6 @@ impl<'a> CandidateColumns<'a> {
     pub fn dims(&self) -> usize {
         self.dim_offsets.len() - 1
     }
-
-    /// The start lower-bound column (for benchmarks and diagnostics).
-    pub fn start_lo_col(&self) -> &'a [Scalar] {
-        self.start_lo
-    }
-
-    /// The end reach column (for benchmarks and diagnostics).
-    pub fn end_reach_col(&self) -> &'a [Scalar] {
-        self.end_reach
-    }
 }
 
 /// Evaluates one query against every candidate of a cluster,
@@ -902,45 +892,14 @@ impl<'a> CandidateColumns<'a> {
 ///
 /// with the `(x, y)` columns and `(t1, t2)` thresholds chosen per
 /// relation from the query bounds of the candidate's dimension. The bit
-/// for candidate `i` equals the scalar oracle's
-/// `Candidate::matches_query` outcome exactly (the pre-adjusted closed
-/// bounds encode the open/closed upper-bound semantics losslessly for
-/// finite `f32`).
+/// for candidate `i` equals the scalar reference loop's
+/// `acx_core::candidates::CandidateSlice::matches_query` outcome exactly
+/// (the pre-adjusted closed bounds encode the open/closed upper-bound
+/// semantics losslessly for finite `f32`).
 pub fn scan_candidates(
     query: &SpatialQuery,
     cols: &CandidateColumns<'_>,
     scratch: &mut ScanScratch,
-) -> usize {
-    scan_candidates_with_cutoff(query, cols, scratch, CANDIDATE_DIRECT_CUTOFF)
-}
-
-/// Candidate count below which [`scan_candidates`] takes the direct
-/// per-candidate mask loop instead of the byte-fill + pack kernel: at
-/// tiny sets the kernel's fixed costs (byte buffer resize, AVX2
-/// dispatch, the separate packing pass) dominate the comparisons
-/// themselves. The crossover was once predicted near ~500 (when
-/// per-cluster `Vec` columns made the kernel pay pointer chasing per
-/// run), but the index-wide statistics arena removed that overhead and
-/// the measured break-even on the reference container sits near 64:
-/// the direct loop wins clearly at 12 candidates and loses clearly
-/// from 80 up, with the 48-candidate point breathing either way under
-/// host noise (`BENCH_candidates.json`, `small_set_cutoff` and the
-/// per-row `direct_ns_per_query` column, forced via
-/// [`scan_candidates_with_cutoff`]).
-pub const CANDIDATE_DIRECT_CUTOFF: usize = 64;
-
-/// [`scan_candidates`] with an explicit small-set cutoff: candidate sets
-/// smaller than `cutoff` take the direct scalar mask loop, larger ones
-/// the vectorized byte-fill kernel. `0` forces the kernel, `usize::MAX`
-/// forces the direct loop — both paths perform the identical
-/// comparisons in the identical order and produce bit-identical masks
-/// (asserted by the kernel proptest across both forcings), so the
-/// cutoff is purely a performance choice.
-pub fn scan_candidates_with_cutoff(
-    query: &SpatialQuery,
-    cols: &CandidateColumns<'_>,
-    scratch: &mut ScanScratch,
-    cutoff: usize,
 ) -> usize {
     debug_assert_eq!(cols.dims(), query.dims(), "dimensionality mismatch");
     let rel = load_bounds(query, &mut scratch.qa, &mut scratch.qb);
@@ -960,9 +919,6 @@ pub fn scan_candidates_with_cutoff(
         // start.lo ≤ q.lo ∧ end can reach q.hi (points: q.lo = q.hi)
         Relation::Enclosure => (cols.start_lo, cols.end_reach),
     };
-    if n < cutoff {
-        return scan_candidates_direct(rel, cols, &scratch.qa, &scratch.qb, x_col, y_col, &mut scratch.mask);
-    }
     // Evaluate each dimension run with its constant thresholds into
     // per-candidate pass bytes (contiguous branch-free compare loops the
     // compiler vectorizes; runs are too short to amortize per-run bit
@@ -980,59 +936,6 @@ pub fn scan_candidates_with_cutoff(
         let w = pack_bytes(&bytes[start..end]);
         *word = w;
         matched += w.count_ones() as usize;
-    }
-    matched
-}
-
-/// The small-set fallback of [`scan_candidates`]: the same per-run
-/// constant-threshold comparisons (including the sparse-query
-/// matches-all fast path), but writing mask bits directly instead of
-/// going through the byte buffer and the packing pass. Bit-identical to
-/// the kernel by construction — every candidate belongs to exactly one
-/// dimension run (asserted by [`CandidateColumns::new`]) and its bit is
-/// `(x ≤ t1) ∧ (y ≥ t2)` with the same operands either way.
-fn scan_candidates_direct(
-    rel: Relation,
-    cols: &CandidateColumns<'_>,
-    qa: &[Scalar],
-    qb: &[Scalar],
-    x_col: &[Scalar],
-    y_col: &[Scalar],
-    mask: &mut [u64],
-) -> usize {
-    let mut matched = 0usize;
-    for d in 0..cols.dims() {
-        let run = cols.dim_offsets[d] as usize..cols.dim_offsets[d + 1] as usize;
-        if run.is_empty() {
-            continue;
-        }
-        let (t1, t2) = match rel {
-            Relation::Intersection | Relation::Containment => (qb[d], qa[d]),
-            Relation::Enclosure => (qa[d], qb[d]),
-        };
-        // Same sparse-query fast path as the byte fill: when the run's
-        // worst candidate passes, every bit of the run is set without
-        // touching the bound columns.
-        let rb = &cols.run_bounds[d];
-        let (x_max, y_min) = match rel {
-            Relation::Intersection | Relation::Enclosure => (rb.start_lo_max, rb.end_reach_min),
-            Relation::Containment => (rb.end_lo_max, rb.start_reach_min),
-        };
-        if x_max <= t1 && y_min >= t2 {
-            for i in run.clone() {
-                mask[i / BLOCK] |= 1u64 << (i % BLOCK);
-            }
-            matched += run.len();
-            continue;
-        }
-        let x = &x_col[run.clone()];
-        let y = &y_col[run.clone()];
-        for (k, (&xv, &yv)) in x.iter().zip(y).enumerate() {
-            let pass = ((xv <= t1) & (yv >= t2)) as u64;
-            let i = run.start + k;
-            mask[i / BLOCK] |= pass << (i % BLOCK);
-            matched += pass as usize;
-        }
     }
     matched
 }
@@ -1516,56 +1419,6 @@ mod tests {
         );
         let want = cand_oracle(&q, &start, &end, &offsets);
         assert!(want[..3].iter().all(|&m| m), "dim 0 run must be all-match");
-    }
-
-    #[test]
-    fn direct_small_set_path_is_bit_identical_to_kernel() {
-        // Forced-direct (cutoff = MAX) and forced-kernel (cutoff = 0)
-        // scans must produce identical masks and counts for every query
-        // kind, including one run taken by the matches-all fast path
-        // and a word-straddling run.
-        let start: Vec<(Scalar, Scalar, bool)> = (0..70)
-            .map(|i| (i as Scalar / 70.0, 1.0, i % 3 == 0))
-            .chain([(0.0, 0.5, true), (0.5, 0.75, true), (0.75, 1.0, false)])
-            .collect();
-        let end: Vec<(Scalar, Scalar, bool)> = (0..70)
-            .map(|i| (0.0, 1.0, i % 2 == 0))
-            .chain([(0.0, 0.5, false), (0.5, 1.0, true), (0.0, 1.0, false)])
-            .collect();
-        let offsets = [0u32, 70, 73];
-        let (sl, sr, el, er, off) = cand_cols(&start, &end, &offsets);
-        let rb = RunBounds::compute_all(&sl, &sr, &el, &er, &off);
-        let cols = CandidateColumns::new(&sl, &sr, &el, &er, &off, &rb);
-        let full = HyperRect::from_bounds(&[0.0, 0.0], &[1.0, 1.0]).unwrap();
-        let w = HyperRect::from_bounds(&[0.25, 0.5], &[0.5, 0.75]).unwrap();
-        for q in [
-            SpatialQuery::intersection(w.clone()),
-            SpatialQuery::containment(w.clone()),
-            SpatialQuery::enclosure(w),
-            SpatialQuery::intersection(full),
-            SpatialQuery::point_enclosing(vec![0.5, 0.6]),
-        ] {
-            let mut kernel = ScanScratch::new();
-            let via_kernel = scan_candidates_with_cutoff(&q, &cols, &mut kernel, 0);
-            let mut direct = ScanScratch::new();
-            let via_direct =
-                scan_candidates_with_cutoff(&q, &cols, &mut direct, usize::MAX);
-            assert_eq!(via_kernel, via_direct, "count diverged on {q:?}");
-            assert_eq!(
-                kernel.mask_words(),
-                direct.mask_words(),
-                "mask diverged on {q:?}"
-            );
-            let want = cand_oracle(&q, &start, &end, &offsets);
-            for (i, &wm) in want.iter().enumerate() {
-                let got = direct.mask_words()[i / BLOCK] >> (i % BLOCK) & 1 == 1;
-                assert_eq!(got, wm, "candidate {i} diverged from oracle on {q:?}");
-            }
-        }
-        // Premise: the dispatch boundary sits inside the size range the
-        // forcings above cover, so the default entry point really does
-        // route some sets down each path.
-        assert!((1..=start.len()).contains(&CANDIDATE_DIRECT_CUTOFF));
     }
 
     #[test]

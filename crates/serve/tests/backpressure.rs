@@ -64,9 +64,12 @@ fn full_queue_rejects_and_loses_nothing() {
         "event CAP must be rejected while the worker is parked"
     );
     // The rejection rolled back shard 1's reservation too: shard 1
-    // still accepts a full fan-out after shard 0 resumes.
+    // still accepts a full fan-out after shard 0 resumes. (The flush
+    // waits for the resumed worker to drain its full queue; submitting
+    // straight away would race it for the first free slot.)
     gate.send(()).unwrap();
     parked.recv().expect("worker resumes");
+    index.flush();
     index.try_submit(query()).unwrap();
     index.flush();
 

@@ -1,5 +1,5 @@
-//! Storage substrate: device cost profiles, simulated disk, sequential
-//! segment store, and a file-backed persistent store.
+//! Storage substrate: device cost profiles, sequential segment store,
+//! a file-backed persistent store, and the write-ahead log.
 //!
 //! The paper evaluates two storage scenarios (§5):
 //!
@@ -14,7 +14,8 @@
 //! 20 MB/s sustained transfer, 64 MB RAM cap). This crate reproduces that
 //! environment as a **simulation**: query execution collects exact access
 //! counters ([`AccessStats`]) which a [`CostModel`] prices with the paper's
-//! own Table 2 constants. See DESIGN.md §3 for the substitution rationale.
+//! own Table 2 constants ([`DeviceProfile::edbt2004`]): the priced times
+//! depend only on what a query touched, not on the host that ran it.
 
 mod cost;
 mod counters;
@@ -23,7 +24,6 @@ mod device;
 mod file;
 mod result;
 mod segment;
-mod simdisk;
 pub mod wal;
 
 pub use cost::CostModel;
@@ -33,7 +33,6 @@ pub use device::{DeviceProfile, StorageScenario};
 pub use file::{ClusterRecord, FileStore, SalvagedStore, StoreError, TailCorruption};
 pub use result::{QueryMetrics, QueryResult};
 pub use segment::{SegmentColumns, SegmentId, SegmentStore};
-pub use simdisk::SimulatedDisk;
 pub use wal::{
     BackingStore, FaultInjector, FaultPlan, FileBacking, FlushPolicy, MemBacking, TornTail, Wal,
     WalError, WalRecord, WalReplay,

@@ -126,23 +126,14 @@ impl Segment {
 /// Dimension-major column view of one segment, ready for the batch
 /// verification kernel ([`acx_geom::scan::scan_columns`]): implements
 /// [`ColumnAccess`] and serves the segment's per-block zone maps so the
-/// kernel can skip whole blocks; [`SegmentColumns::without_zones`]
-/// drops the zone maps (for A/B comparison — results and accounting are
-/// identical either way, by the kernel's construction).
+/// kernel can skip whole blocks (results and accounting are identical
+/// with or without them, by the kernel's construction).
 #[derive(Debug, Clone, Copy)]
 pub struct SegmentColumns<'a> {
     cols: &'a [Vec<Scalar>],
-    zones: Option<&'a [Scalar]>,
+    zones: &'a [Scalar],
     dims: usize,
     len: usize,
-}
-
-impl SegmentColumns<'_> {
-    /// The same view with zone-map skipping disabled.
-    pub fn without_zones(mut self) -> Self {
-        self.zones = None;
-        self
-    }
 }
 
 impl ColumnAccess for SegmentColumns<'_> {
@@ -159,9 +150,8 @@ impl ColumnAccess for SegmentColumns<'_> {
     }
 
     fn zone(&self, d: usize, block: usize) -> Option<ZoneEntry> {
-        let zones = self.zones?;
         let at = (block * self.dims + d) * ZONE_STRIDE;
-        let z = &zones[at..at + ZONE_STRIDE];
+        let z = &self.zones[at..at + ZONE_STRIDE];
         Some(ZoneEntry {
             min_lo: z[0],
             max_lo: z[1],
@@ -401,7 +391,7 @@ impl SegmentStore {
         let seg = self.segment(id);
         SegmentColumns {
             cols: &seg.cols,
-            zones: Some(&seg.zones),
+            zones: &seg.zones,
             dims: self.dims,
             len: seg.ids.len(),
         }
@@ -726,15 +716,6 @@ mod tests {
         assert_eq!(served_zones(&s, a), expected_zones(&s, a));
         s.merge_into(b, a);
         assert_eq!(served_zones(&s, a), expected_zones(&s, a));
-    }
-
-    #[test]
-    fn without_zones_serves_no_entries() {
-        let mut s = SegmentStore::new(1);
-        let seg = s.create(2);
-        s.push(seg, 1, &[0.1, 0.9]);
-        assert!(s.columns(seg).zone(0, 0).is_some());
-        assert!(s.columns(seg).without_zones().zone(0, 0).is_none());
     }
 
     #[test]

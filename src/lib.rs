@@ -12,8 +12,8 @@
 //! ## Crate map
 //!
 //! * [`geom`] — intervals, hyper-rectangles, spatial relations.
-//! * [`storage`] — device cost profiles, simulated disk, segment and
-//!   file-backed stores.
+//! * [`storage`] — device cost profiles, segment and file-backed
+//!   stores, the write-ahead log.
 //! * [`index`] — the paper's contribution: signatures, candidate
 //!   subclusters, benefit functions, reorganization, the
 //!   [`index::AdaptiveClusterIndex`] itself.
@@ -52,7 +52,7 @@ pub mod prelude {
     pub use acx_baselines::{BatchExecute, RStarConfig, RStarTree, SeqScan};
     pub use acx_core::{
         AdaptiveClusterIndex, ClusterSnapshot, IndexConfig, IndexError, QueryMetrics, QueryResult,
-        QueryScratch, ReorgMode, ReorgProfile, ReorgReport, ScanMode, StatsDelta,
+        QueryScratch, ReorgProfile, ReorgReport, StatsDelta,
     };
     pub use acx_geom::{
         HyperRect, Interval, ObjectId, Scalar, SpatialQuery, SpatialRelation,
