@@ -1,7 +1,12 @@
 //! Criterion bench for the **recorded** execution path — the hot loop
 //! of adaptive serving: matching plus statistics recording (per-cluster
-//! and per-candidate counters), the part of `execute` that the columnar
-//! candidate kernel and the bitmask/zone-map member kernel accelerate.
+//! and per-candidate counters), the part of `execute` that the
+//! compare-and-count candidate kernel and the bitmask/zone-map member
+//! kernel accelerate. Three rows per strategy: recording into a delta,
+//! recording plus `apply_stats` (the two-phase path), and `execute`
+//! (the same traversal writing the statistics arena in place); the
+//! last two leave the index in the same state and include the
+//! amortized periodic pass.
 //!
 //! The two sides come from [`acx_bench::strategies`] (the same pair the
 //! `scan_bench` snapshot measures, so the criterion bench and the
@@ -32,16 +37,32 @@ fn bench_recorded_execute(c: &mut Criterion) {
     let mut group = c.benchmark_group("recorded_execute");
     group.sample_size(30);
     for (label, config) in strategies(DIMS) {
-        let index = adapted_ac(config, &data, &queries);
+        let mut index = adapted_ac(config, &data, &queries);
         let mut scratch = QueryScratch::new();
         let mut delta = StatsDelta::new();
         let mut k = 0usize;
-        group.bench_function(label, |b| {
+        group.bench_function(format!("{label}/recorded"), |b| {
             b.iter(|| {
                 k = (k + 1) % queries.len();
                 delta.clear();
                 let metrics = index.query_recorded_with(&queries[k], &mut delta, &mut scratch);
                 metrics.stats.verified_bytes + scratch.matches().len() as u64
+            })
+        });
+        group.bench_function(format!("{label}/recorded+apply"), |b| {
+            b.iter(|| {
+                k = (k + 1) % queries.len();
+                delta.clear();
+                let metrics = index.query_recorded_with(&queries[k], &mut delta, &mut scratch);
+                index.apply_stats(&delta);
+                metrics.stats.verified_bytes + scratch.matches().len() as u64
+            })
+        });
+        group.bench_function(format!("{label}/execute"), |b| {
+            b.iter(|| {
+                k = (k + 1) % queries.len();
+                let result = index.execute(&queries[k]);
+                result.metrics.stats.verified_bytes + result.matches.len() as u64
             })
         });
     }

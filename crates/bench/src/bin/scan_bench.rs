@@ -7,15 +7,17 @@
 //!
 //! * **kernel** — `scan_columns` against per-object `matches_flat` over
 //!   one flat segment, for every (objects, dims) in the matrix.
-//! * **candidate kernel** — `scan_candidates` against the scalar
-//!   candidate-at-a-time loop over one cluster's candidate range of a
-//!   statistics arena, for division factors yielding `f²·Nd` from a
-//!   dozen to thousands.
+//! * **candidate kernel** — `count_candidates` (compare and count into
+//!   a counter column, bounds pre-loaded as `explore` does) against the
+//!   scalar candidate-at-a-time `matches_query` + bump loop over one
+//!   cluster's candidate range of a statistics arena, for division
+//!   factors yielding `f²·Nd` from a dozen to thousands.
 //! * **index** — `AdaptiveClusterIndex` point-enclosing queries (§7.2,
 //!   the scan-dominated workload) through the read-only `query_with`
 //!   path, production vs reference, on identically adapted indexes.
-//! * **recorded execute** — the statistics-recording read phase and the
-//!   full `execute` path, production vs reference.
+//! * **recorded execute** — the statistics-recording read phase (delta
+//!   sink) and the full `execute` path (arena sink plus the amortized
+//!   pass), production vs reference.
 //! * **reorganization** — the per-period maintenance pass on an adapted
 //!   index: the production incremental pass (dirty set + screen +
 //!   columnar benefit columns) against the reference's
@@ -38,7 +40,9 @@ use acx_bench::args::Flags;
 use acx_bench::{adapted_ac, build_ac_with, strategies};
 use acx_core::candidates::{generate_candidates, StatsArena};
 use acx_core::{QueryScratch, Signature, StatsDelta};
-use acx_geom::scan::{scan_candidates, scan_columns, PairedColumns, ScanScratch};
+use acx_geom::scan::{
+    count_candidates, scan_columns, PairedColumns, QueryBounds, ScanScratch,
+};
 use acx_geom::{Scalar, SpatialQuery, OBJECT_ID_BYTES};
 use acx_workloads::{UniformWorkload, Workload, WorkloadConfig};
 
@@ -126,11 +130,12 @@ struct CandidateRow {
     scalar_ns: f64,
 }
 
-/// One cluster's candidate loop in isolation: the bitmask kernel vs the
-/// candidate-at-a-time scalar reference, across division factors
-/// pushing `f²·Nd` from a dozen past the paper's 160 (f = 4, 16 d) to
-/// thousands. Both read the same mid-slab range of a populated
-/// statistics arena, as they do inside an index.
+/// One cluster's candidate loop in isolation: the compare-and-count
+/// kernel vs the candidate-at-a-time scalar reference, across division
+/// factors pushing `f²·Nd` from a dozen past the paper's 160 (f = 4,
+/// 16 d) to thousands. Both read the same mid-slab range of a populated
+/// statistics arena and add into the same kind of counter column, as
+/// they do inside an index.
 fn candidate_matrix(configs: &[(usize, u8)], repeats: usize) -> Vec<CandidateRow> {
     let mut rows = Vec::new();
     for &(dims, f) in configs {
@@ -156,16 +161,28 @@ fn candidate_matrix(configs: &[(usize, u8)], repeats: usize) -> Vec<CandidateRow
             })
             .collect();
 
-        let mut scratch = ScanScratch::new();
+        // `explore` loads a query's bounds once, not once per cluster.
+        let bounds: Vec<QueryBounds> = queries
+            .iter()
+            .map(|q| {
+                let mut b = QueryBounds::new();
+                b.load(q);
+                b
+            })
+            .collect();
+        let mut counters = vec![0u32; cands.len()];
         let kernel_ns = time_per_query(queries.len(), repeats, |k| {
-            scan_candidates(&queries[k], &cands.columns(), &mut scratch) as u64
+            count_candidates(&bounds[k], &cands.columns(), &mut counters);
+            counters[k % counters.len()] as u64
         });
+        counters.fill(0);
         let scalar_ns = time_per_query(queries.len(), repeats, |k| {
-            let mut acc = 0u64;
-            for ci in 0..cands.len() {
-                acc += cands.matches_query(ci, &queries[k]) as u64;
+            for (ci, c) in counters.iter_mut().enumerate() {
+                if cands.matches_query(ci, &queries[k]) {
+                    *c = c.saturating_add(1);
+                }
             }
-            acc
+            counters[k % counters.len()] as u64
         });
         println!(
             "cands   d={dims} f={f} ({:>5} candidates): kernel {kernel_ns:>9.0} ns/q  scalar {scalar_ns:>9.0} ns/q  speedup {:.2}x",
@@ -233,7 +250,7 @@ fn index_point_enclosing(objects: usize, repeats: usize) -> Vec<IndexRow> {
 /// Recorded execution at 16 dims, two layers per strategy: the
 /// statistics-recording read phase (`query_recorded_with` through a
 /// reused, cleared delta — what batch workers run) and the full
-/// `execute` (recording plus `apply_stats` plus amortized periodic
+/// `execute` (recording in place plus amortized periodic
 /// reorganization). The committed JSON additionally carries the
 /// numbers measured at the PR 3 commit with the same harness for the
 /// cross-PR trajectory.
@@ -504,6 +521,11 @@ fn main() {
 
     let mut json = String::from("{\n  \"bench\": \"candidate_kernel\",\n");
     let _ = writeln!(json, "  \"quick\": {quick},");
+    json.push_str(
+        "  \"measures\": \"compare and count into a u32 counter column, query bounds pre-loaded; \
+         kernel = count_candidates, scalar = matches_query + saturating bump \
+         (rows recorded before the fused kernel timed matching alone, without the count)\",\n",
+    );
     json.push_str("  \"candidate_matching\": [\n");
     for (i, r) in cands.iter().enumerate() {
         let _ = write!(

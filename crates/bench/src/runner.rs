@@ -85,7 +85,7 @@ pub fn adapted_ac(
 /// the measurements can never drift apart:
 ///
 /// * `production` — the default: columnar member kernel with zone maps,
-///   bitmask candidate kernel, incremental reorganization pass;
+///   compare-and-count candidate kernel, incremental reorganization pass;
 /// * `reference` — [`IndexConfig::reference`]: the object-at-a-time
 ///   loops and the full scalar sweep, decision- and answer-identical.
 pub fn strategies(dims: usize) -> [(&'static str, IndexConfig); 2] {

@@ -9,12 +9,16 @@
 //! `reference` selects an *execution strategy*: a stream that answers
 //! or reorganizes differently on one side would invalidate every
 //! reference row the bench binaries print.
+//!
+//! The same traces must come out whichever statistics sink carries the
+//! stream ([`Sink`]): `execute` writing the arena in place,
+//! `query_recorded` + `apply_stats`, or `execute_batch`.
 
 use acx_bench::adaptivity::{make_objects, make_scenario, SCENARIOS};
 use acx_bench::args::Flags;
 use acx_bench::build_ac_with;
-use acx_core::{ClusterSnapshot, IndexConfig, ReorgReport, StatsDelta};
-use acx_geom::ObjectId;
+use acx_core::{AdaptiveClusterIndex, ClusterSnapshot, IndexConfig, ReorgReport, StatsDelta};
+use acx_geom::{ObjectId, SpatialQuery};
 use acx_storage::AccessStats;
 use acx_workloads::WorkloadConfig;
 
@@ -35,9 +39,20 @@ struct Trace {
     snapshots: Vec<ClusterSnapshot>,
 }
 
+/// The path a stream's statistics take into the index.
+#[derive(Clone, Copy, Debug)]
+enum Sink {
+    /// `execute`: the arena, in place.
+    Direct,
+    /// `query_recorded` into a delta, then `apply_stats`.
+    TwoPhase,
+    /// `execute_batch` over a period's queries with this many threads.
+    Batch(usize),
+}
+
 /// Replays the scenario stream (with its mid-run shift) against an
-/// index built from `config`.
-fn run_stream(name: &str, config: IndexConfig) -> Trace {
+/// index built from `config`, its statistics going through `sink`.
+fn run_stream(name: &str, config: IndexConfig, sink: Sink) -> Trace {
     let cfg = WorkloadConfig::new(DIMS, OBJECTS, 0xA11CE);
     let objects = make_objects(name, &cfg);
     let mut scenario = make_scenario(name, &cfg);
@@ -48,14 +63,39 @@ fn run_stream(name: &str, config: IndexConfig) -> Trace {
         if period == SHIFT_AT {
             scenario.shift();
         }
-        for _ in 0..QUERIES_PER_PERIOD {
-            let q = scenario.next_query();
-            // A fresh delta per query, so an `execute`-triggered pass
-            // between queries never strands an epoch.
+        let period_queries: Vec<_> = (0..QUERIES_PER_PERIOD)
+            .map(|_| scenario.next_query())
+            .collect();
+        // A fresh delta per query, recorded read-only just before the
+        // query counts (or, for a batch, before the batch: the
+        // clustering only changes at the explicit pass below).
+        let record = |index: &AdaptiveClusterIndex, q: &SpatialQuery| {
             let mut delta = StatsDelta::new();
-            index.query_recorded(&q, &mut delta);
-            let r = index.execute(&q);
-            queries.push((r.matches, r.metrics.stats, delta));
+            let r = index.query_recorded(q, &mut delta);
+            (r, delta)
+        };
+        match sink {
+            Sink::Direct => {
+                for q in &period_queries {
+                    let (_, delta) = record(&index, q);
+                    let r = index.execute(q);
+                    queries.push((r.matches, r.metrics.stats, delta));
+                }
+            }
+            Sink::TwoPhase => {
+                for q in &period_queries {
+                    let (r, delta) = record(&index, q);
+                    index.apply_stats(&delta);
+                    queries.push((r.matches, r.metrics.stats, delta));
+                }
+            }
+            Sink::Batch(threads) => {
+                let deltas: Vec<_> = period_queries.iter().map(|q| record(&index, q).1).collect();
+                let results = index.execute_batch(&period_queries, threads);
+                for (r, delta) in results.into_iter().zip(deltas) {
+                    queries.push((r.matches, r.metrics.stats, delta));
+                }
+            }
         }
         passes.push(index.reorganize());
     }
@@ -67,27 +107,49 @@ fn run_stream(name: &str, config: IndexConfig) -> Trace {
     }
 }
 
+fn assert_same_trace(what: &str, a: &Trace, b: &Trace) {
+    assert_eq!(a.queries.len(), b.queries.len());
+    for (k, (p, r)) in a.queries.iter().zip(&b.queries).enumerate() {
+        assert_eq!(p.0, r.0, "{what}: query {k} matches (ordered)");
+        assert_eq!(p.1, r.1, "{what}: query {k} AccessStats");
+        assert_eq!(p.2, r.2, "{what}: query {k} recorded StatsDelta");
+    }
+    assert_eq!(a.passes, b.passes, "{what}: ReorgReports");
+    assert_eq!(a.snapshots, b.snapshots, "{what}: snapshots");
+}
+
+fn reference_config() -> IndexConfig {
+    IndexConfig {
+        reference: true,
+        ..IndexConfig::memory(DIMS)
+    }
+}
+
 /// Every zoo scenario on both sides of [`IndexConfig::reference`]: both
 /// run green and leave the exact same trace.
 #[test]
 fn zoo_is_green_and_answer_identical_across_strategy_matrix() {
     for name in SCENARIOS {
-        let production = run_stream(name, IndexConfig::memory(DIMS));
-        let reference = run_stream(
-            name,
-            IndexConfig {
-                reference: true,
-                ..IndexConfig::memory(DIMS)
-            },
-        );
-        assert_eq!(production.queries.len(), reference.queries.len());
-        for (k, (p, r)) in production.queries.iter().zip(&reference.queries).enumerate() {
-            assert_eq!(p.0, r.0, "{name}: query {k} matches (ordered)");
-            assert_eq!(p.1, r.1, "{name}: query {k} AccessStats");
-            assert_eq!(p.2, r.2, "{name}: query {k} recorded StatsDelta");
+        let production = run_stream(name, IndexConfig::memory(DIMS), Sink::Direct);
+        let reference = run_stream(name, reference_config(), Sink::Direct);
+        assert_same_trace(name, &production, &reference);
+    }
+}
+
+/// Every zoo scenario through each statistics sink, on both sides of
+/// [`IndexConfig::reference`]: `execute` ≡ `query_recorded` +
+/// `apply_stats` ≡ `execute_batch(…, 1 | 4)`.
+#[test]
+fn zoo_traces_are_identical_across_statistics_sinks() {
+    for name in SCENARIOS {
+        for config in [IndexConfig::memory(DIMS), reference_config()] {
+            let direct = run_stream(name, config.clone(), Sink::Direct);
+            for sink in [Sink::TwoPhase, Sink::Batch(1), Sink::Batch(4)] {
+                let other = run_stream(name, config.clone(), sink);
+                let what = format!("{name} (reference: {}) via {sink:?}", config.reference);
+                assert_same_trace(&what, &direct, &other);
+            }
         }
-        assert_eq!(production.passes, reference.passes, "{name}: ReorgReports");
-        assert_eq!(production.snapshots, reference.snapshots, "{name}: snapshots");
     }
 }
 
@@ -111,10 +173,10 @@ fn merge_cooldown_flag_keeps_zoo_green() {
             .collect()
     };
     for name in SCENARIOS {
-        let baseline = run_stream(name, IndexConfig::memory(DIMS));
+        let baseline = run_stream(name, IndexConfig::memory(DIMS), Sink::Direct);
         let mut config = IndexConfig::memory(DIMS);
         config.merge_cooldown = flags.merge_cooldown();
-        let cooled = run_stream(name, config);
+        let cooled = run_stream(name, config, Sink::Direct);
         assert_eq!(
             sorted_matches(baseline),
             sorted_matches(cooled),

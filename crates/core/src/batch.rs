@@ -1,49 +1,23 @@
-//! Recorded statistics of read-only query execution — the "write half"
-//! of the split read path.
+//! Recorded statistics of read-only query execution — the delta sink of
+//! the one traversal every query entry point shares.
 //!
-//! [`crate::AdaptiveClusterIndex::execute`] interleaved matching with
-//! statistics bookkeeping in the seed, which forced `&mut self` onto the
-//! hottest path of the system. The split read path instead *records* what
-//! an execution would have written — per-cluster matching-query counts,
-//! per-candidate matching-query counts, and the epoch byte counters
-//! feeding the early-exit verification fraction — into a [`StatsDelta`]
-//! that is applied to the index afterwards, under the exclusive borrow.
+//! One traversal, three sinks, identical state: `query` records
+//! nothing; [`crate::AdaptiveClusterIndex::execute`] holds `&mut self`
+//! and writes the statistics arena in place; and a caller that matches
+//! on `&self` — concurrent readers, the workers of
+//! [`crate::AdaptiveClusterIndex::execute_batch`] — *records* what an
+//! execution would have written — per-cluster matching-query counts,
+//! per-candidate matching-query counts (through the same
+//! compare-and-count kernel), and the epoch byte counters feeding the
+//! early-exit verification fraction — into a [`StatsDelta`] that is
+//! applied to the index afterwards, under the exclusive borrow. Applying
+//! a query's delta leaves the index exactly where `execute` leaves it.
 //!
 //! Deltas are pure sums of integers, so merging them is associative and
 //! commutative: a batch fanned across worker threads (one delta each,
 //! merged serially afterwards) leaves the index with *exactly* the same
 //! statistics as executing the same queries sequentially, and therefore
 //! with identical reorganization decisions.
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// A multiplicative hasher for the `u32` cluster-slot keys of
-/// [`StatsDelta::clusters`]: slots are small dense integers, so one
-/// odd-constant multiply (Fibonacci hashing) spreads them perfectly well
-/// and costs a fraction of the default SipHash on the recording hot
-/// path.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct SlotHasher(u64);
-
-impl Hasher for SlotHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (unused by u32 keys, kept for correctness).
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    fn write_u32(&mut self, value: u32) {
-        self.0 = (value as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-pub(crate) type SlotMap<V> = HashMap<u32, V, BuildHasherDefault<SlotHasher>>;
 
 /// Statistics recorded by [`crate::AdaptiveClusterIndex::query_recorded`]
 /// and applied by [`crate::AdaptiveClusterIndex::apply_stats`].
@@ -74,13 +48,15 @@ pub struct StatsDelta {
     pub(crate) verified_bytes: u64,
     /// Full-object bytes of the objects the recorded queries verified.
     pub(crate) full_bytes: u64,
-    /// Per-cluster increments, keyed by cluster slot.
-    pub(crate) clusters: SlotMap<ClusterDelta>,
+    /// Per-cluster increments, indexed by cluster slot (slots are small
+    /// dense integers, so recording is an array index, not a lookup).
+    /// Grown on demand to the highest slot recorded.
+    pub(crate) clusters: Vec<ClusterDelta>,
     /// Slots whose entry has recorded something since the last
     /// [`StatsDelta::clear`] — the *dirty list*. Clearing and applying a
-    /// delta walk this list instead of the whole map, so a reused delta
-    /// costs O(explored clusters) per query even after it has grown
-    /// entries for every cluster of the index.
+    /// delta walk this list instead of the whole vector, so a reused
+    /// delta costs O(explored clusters) per query even after it has
+    /// grown entries for every cluster of the index.
     pub(crate) touched: Vec<u32>,
 }
 
@@ -101,8 +77,8 @@ impl PartialEq for StatsDelta {
         a.sort_unstable();
         b.sort_unstable();
         a == b
-            && a.iter().all(|slot| {
-                let (x, y) = (&self.clusters[slot], &other.clusters[slot]);
+            && a.iter().all(|&slot| {
+                let (x, y) = (&self.clusters[slot as usize], &other.clusters[slot as usize]);
                 x.q_count == y.q_count && cand_eq(&x.cand_q, &y.cand_q)
             })
     }
@@ -120,10 +96,10 @@ fn cand_eq(a: &[u32], b: &[u32]) -> bool {
 /// Increments destined for one cluster's statistics.
 ///
 /// Candidate increments are a dense counter vector indexed by candidate
-/// position (sized to the cluster's candidate count on first use), so
-/// recording a match is one add — no hashing — and a delta's size stays
-/// O(explored clusters × candidates) regardless of how many queries it
-/// accumulates.
+/// position (sized to the cluster's candidate count on first use) — the
+/// column the compare-and-count kernel adds into — so a delta's size
+/// stays O(explored clusters × candidates) regardless of how many
+/// queries it accumulates.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ClusterDelta {
     /// Queries whose signature matched the cluster.
@@ -172,7 +148,7 @@ impl StatsDelta {
     /// a scratch delta reused across sequential queries stops allocating
     /// once it has seen every explored cluster.
     /// [`crate::AdaptiveClusterIndex::apply_stats`] walks the same dirty
-    /// list, so retained keys whose cluster was since merged away are
+    /// list, so retained entries whose cluster was since merged away are
     /// harmless.
     pub fn clear(&mut self) {
         self.epoch = None;
@@ -180,10 +156,7 @@ impl StatsDelta {
         self.verified_bytes = 0;
         self.full_bytes = 0;
         for slot in self.touched.drain(..) {
-            let delta = self
-                .clusters
-                .get_mut(&slot)
-                .expect("touched slots have entries");
+            let delta = &mut self.clusters[slot as usize];
             delta.q_count = 0;
             delta.cand_q.iter_mut().for_each(|q| *q = 0);
             delta.dirty = false;
@@ -211,7 +184,7 @@ impl StatsDelta {
         self.verified_bytes += other.verified_bytes;
         self.full_bytes += other.full_bytes;
         for &slot in &other.touched {
-            let delta = &other.clusters[&slot];
+            let delta = &other.clusters[slot as usize];
             let mine = self.cluster_mut(slot, delta.cand_q.len());
             mine.q_count += delta.q_count;
             for (acc, &q) in mine.cand_q.iter_mut().zip(&delta.cand_q) {
@@ -221,9 +194,14 @@ impl StatsDelta {
     }
 
     /// The increment slot for one cluster, with its counter vector sized
-    /// for `candidates` entries; marks the entry dirty.
+    /// for at least `candidates` entries; marks the entry dirty. A
+    /// reused entry may be longer — its slot once held a cluster with
+    /// more candidates — and the surplus stays zero.
     pub(crate) fn cluster_mut(&mut self, slot: u32, candidates: usize) -> &mut ClusterDelta {
-        let delta = self.clusters.entry(slot).or_default();
+        if self.clusters.len() <= slot as usize {
+            self.clusters.resize_with(slot as usize + 1, ClusterDelta::default);
+        }
+        let delta = &mut self.clusters[slot as usize];
         if !delta.dirty {
             delta.dirty = true;
             self.touched.push(slot);
@@ -240,25 +218,6 @@ impl ClusterDelta {
         let q = &mut self.cand_q[cand as usize];
         *q = q.saturating_add(1);
     }
-
-    /// Adds the set bits of a candidate match bitmask (word `k` bit `i`
-    /// = candidate `64·k + i`, as written by
-    /// [`acx_geom::scan::scan_candidates`]) into the counter vector —
-    /// the columnar equivalent of one [`ClusterDelta::bump_candidate`]
-    /// call per set bit, in the same candidate order. Cost is
-    /// proportional to the *matching* candidates (set-bit iteration),
-    /// not the candidate count.
-    pub(crate) fn add_candidate_mask(&mut self, words: &[u64]) {
-        for (chunk, &word) in self.cand_q.chunks_mut(64).zip(words) {
-            let mut bits = word;
-            while bits != 0 {
-                let i = bits.trailing_zeros() as usize;
-                let q = &mut chunk[i];
-                *q = q.saturating_add(1);
-                bits &= bits - 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -266,7 +225,7 @@ mod tests {
     use super::*;
 
     fn candidate_total(delta: &StatsDelta, slot: u32, cand: u32) -> u32 {
-        delta.clusters[&slot].cand_q[cand as usize]
+        delta.clusters[slot as usize].cand_q[cand as usize]
     }
 
     #[test]
@@ -297,9 +256,9 @@ mod tests {
         assert_eq!(a.queries, 3);
         assert_eq!(a.verified_bytes, 150);
         assert_eq!(a.full_bytes, 420);
-        assert_eq!(a.clusters[&0].q_count, 3);
+        assert_eq!(a.clusters[0].q_count, 3);
         assert_eq!(candidate_total(&a, 0, 3), 2);
-        assert_eq!(a.clusters[&7].q_count, 1);
+        assert_eq!(a.clusters[7].q_count, 1);
     }
 
     #[test]
@@ -318,8 +277,8 @@ mod tests {
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab.queries, ba.queries);
-        assert_eq!(ab.clusters[&1].q_count, ba.clusters[&1].q_count);
-        assert_eq!(ab.clusters[&2].q_count, ba.clusters[&2].q_count);
+        assert_eq!(ab.clusters[1].q_count, ba.clusters[1].q_count);
+        assert_eq!(ab.clusters[2].q_count, ba.clusters[2].q_count);
         assert_eq!(candidate_total(&ab, 1, 0), candidate_total(&ba, 1, 0));
     }
 
@@ -351,14 +310,14 @@ mod tests {
         assert_eq!(d.full_bytes, 0);
         // The per-cluster entry survives, zeroed, with its counter
         // vector, but is off the dirty list.
-        assert!(!d.clusters[&2].dirty);
+        assert!(!d.clusters[2].dirty);
         assert!(d.touched.is_empty());
-        assert_eq!(d.clusters[&2].q_count, 0);
-        assert!(d.clusters[&2].cand_q.iter().all(|&q| q == 0));
-        assert_eq!(d.clusters[&2].cand_q.len(), 4);
+        assert_eq!(d.clusters[2].q_count, 0);
+        assert!(d.clusters[2].cand_q.iter().all(|&q| q == 0));
+        assert_eq!(d.clusters[2].cand_q.len(), 4);
         // Reuse records into the retained storage and re-dirties it.
         d.cluster_mut(2, 4).q_count = 1;
-        assert!(d.clusters[&2].dirty);
+        assert!(d.clusters[2].dirty);
         assert_eq!(d.touched, vec![2]);
     }
 
@@ -386,33 +345,18 @@ mod tests {
     }
 
     #[test]
-    fn candidate_mask_bits_equal_scalar_bumps() {
-        // 70 candidates: the mask spans two words.
-        let mut via_mask = StatsDelta::new();
-        let mut via_bumps = StatsDelta::new();
-        let words = [0x8000_0000_0000_0401u64, 0b101u64];
-        via_mask.cluster_mut(3, 70).add_candidate_mask(&words);
-        for ci in [0u32, 10, 63, 64, 66] {
-            via_bumps.cluster_mut(3, 70).bump_candidate(ci);
-        }
-        assert_eq!(via_mask.clusters[&3].cand_q, via_bumps.clusters[&3].cand_q);
-    }
-
-    #[test]
     fn candidate_counters_saturate_not_wrap() {
         let mut d = StatsDelta::new();
         d.cluster_mut(0, 2).cand_q[1] = u32::MAX - 1;
         d.cluster_mut(0, 2).bump_candidate(1);
         d.cluster_mut(0, 2).bump_candidate(1);
-        assert_eq!(d.clusters[&0].cand_q[1], u32::MAX);
-        d.cluster_mut(0, 2).add_candidate_mask(&[0b10]);
-        assert_eq!(d.clusters[&0].cand_q[1], u32::MAX);
+        assert_eq!(d.clusters[0].cand_q[1], u32::MAX);
         // Merging two near-max deltas saturates too.
         let mut other = StatsDelta::new();
         other.cluster_mut(0, 2).cand_q[1] = u32::MAX;
         other.queries = 1;
         d.merge(&other);
-        assert_eq!(d.clusters[&0].cand_q[1], u32::MAX);
+        assert_eq!(d.clusters[0].cand_q[1], u32::MAX);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! * four bound columns (`start_lo`, `start_reach`, `end_lo`,
 //!   `end_reach`) shaped exactly like object coordinate columns, and
 //! * parallel counter columns (`n`, `q`, `q_eff`) addressed by candidate
-//!   index — the `q` counters the survivors bitmask of
-//!   [`acx_geom::scan::scan_candidates`] drives.
+//!   index — the `q` column
+//!   [`acx_geom::scan::count_candidates`] adds into.
 //!
 //! `*_reach` is the variation interval's upper bound pre-adjusted for
 //! open intervals: `hi` when closed, [`f32::next_down`]`(hi)` when open.
@@ -53,7 +53,7 @@
 //! to the same view types, which is what lets this module's tests mirror
 //! every arena range against an independently mutated owned set.
 
-use acx_geom::scan::{CandidateColumns, RunBounds};
+use acx_geom::scan::{count_candidates, CandidateColumns, QueryBounds, RunBounds};
 use acx_geom::{Scalar, SpatialQuery};
 
 use crate::signature::{SigInterval, Signature};
@@ -114,7 +114,7 @@ pub struct CandidateSlice<'a> {
     /// always `0`). Length `dims + 1`.
     dim_offsets: &'a [u32],
     /// Aggregate bounds per dimension run, driving the matches-all fast
-    /// path of [`acx_geom::scan::scan_candidates`]. Length `dims`.
+    /// path of [`acx_geom::scan::count_candidates`]. Length `dims`.
     run_bounds: &'a [RunBounds],
     /// Specialized dimension per candidate.
     dim: &'a [u16],
@@ -259,7 +259,7 @@ impl<'a> CandidateSlice<'a> {
     /// Whether a query *that already matches the parent signature* also
     /// matches candidate `ci` (only the specialized dimension is
     /// checked) — the scalar oracle of
-    /// [`acx_geom::scan::scan_candidates`], same comparisons in the same
+    /// [`acx_geom::scan::count_candidates`], same comparisons in the same
     /// order.
     #[inline]
     pub fn matches_query(&self, ci: usize, query: &SpatialQuery) -> bool {
@@ -395,11 +395,29 @@ impl CandidateSliceMut<'_> {
 
     /// Adds a whole per-candidate increment vector (saturating) — the
     /// branch-free bulk form [`crate::StatsDelta`] application uses.
-    /// `incs` may be shorter than the set; missing entries add nothing.
+    /// `incs` and the set are zipped: a shorter `incs` adds nothing to
+    /// the missing entries, and the surplus of a longer one (a reused
+    /// delta entry whose slot once held a wider cluster) is ignored.
     pub fn add_q_slice(&mut self, incs: &[u32]) {
         for (q, &inc) in self.q.iter_mut().zip(incs) {
             *q = q.saturating_add(inc);
         }
+    }
+
+    /// Counts one query into the `q` counter of every candidate it
+    /// matches, in place: [`acx_geom::scan::count_candidates`] over this
+    /// set's own bound columns — what [`CandidateSlice::matches_query`]
+    /// plus [`CandidateSliceMut::add_q`] per candidate would leave.
+    pub fn count_query(&mut self, bounds: &QueryBounds) {
+        let cols = CandidateColumns::new(
+            self.start_lo,
+            self.start_reach,
+            self.end_lo,
+            self.end_reach,
+            self.dim_offsets,
+            self.run_bounds,
+        );
+        count_candidates(bounds, &cols, self.q);
     }
 
     /// Closes the statistics epoch: folds each candidate's `q` into its
@@ -443,6 +461,18 @@ impl CandidateSliceMut<'_> {
                 }
                 *q_eff *= gamma;
             }
+        }
+    }
+
+    /// Brings the counters up to statistics epoch `epoch` by replaying
+    /// the closes the set's stamp lags behind
+    /// ([`CandidateSliceMut::catch_up`]) — a no-op for a set already
+    /// there.
+    pub(crate) fn catch_up_to(&mut self, epoch: u64, gamma: f64) {
+        let behind = epoch - *self.stamp;
+        if behind > 0 {
+            self.catch_up(gamma, behind);
+            *self.stamp = epoch;
         }
     }
 
@@ -1200,12 +1230,12 @@ mod tests {
     }
 
     #[test]
-    fn kernel_mask_agrees_with_scalar_oracle() {
-        use acx_geom::scan::{scan_candidates, ScanScratch, BLOCK};
+    fn kernel_counts_agree_with_scalar_oracle() {
         // A specialized signature in 3 dims; boundary-coincident query
-        // edges on the f = 4 grid.
+        // edges on the f = 4 grid. The counters accumulate across the
+        // queries, in place and into a separate column alike.
         let sig = Signature::root(3).specialize(2, 4, 1, 3);
-        let cands = generate_candidates(&sig, 4);
+        let mut cands = generate_candidates(&sig, 4);
         let queries = [
             SpatialQuery::intersection(rect(&[0.25, 0.0, 0.5], &[0.5, 0.25, 0.75])),
             SpatialQuery::containment(rect(&[0.0, 0.25, 0.25], &[0.75, 1.0, 1.0])),
@@ -1213,17 +1243,23 @@ mod tests {
             SpatialQuery::point_enclosing(vec![0.25, 0.75, 0.5]),
             SpatialQuery::point_enclosing(vec![0.0, 1.0, 0.9999]),
         ];
-        let mut scratch = ScanScratch::new();
+        let mut bounds = QueryBounds::new();
+        let mut want = vec![0u32; cands.len()];
+        let mut column = vec![0u32; cands.len()];
         for q in &queries {
-            let matched = scan_candidates(q, &cands.as_slice().columns(), &mut scratch);
-            let mut want = 0usize;
-            for ci in 0..cands.len() {
-                let bit = scratch.mask_words()[ci / BLOCK] >> (ci % BLOCK) & 1 == 1;
-                assert_eq!(bit, cands.as_slice().matches_query(ci, q), "candidate {ci} on {q:?}");
-                want += cands.as_slice().matches_query(ci, q) as usize;
+            bounds.load(q);
+            count_candidates(&bounds, &cands.as_slice().columns(), &mut column);
+            cands.as_slice_mut().count_query(&bounds);
+            for (ci, w) in want.iter_mut().enumerate() {
+                *w += cands.as_slice().matches_query(ci, q) as u32;
             }
-            assert_eq!(matched, want);
+            assert_eq!(column, want, "separate column after {q:?}");
+            assert_eq!(cands.as_slice().q_col(), &want[..], "in place after {q:?}");
         }
+        assert!(
+            want.iter().any(|&w| w > 1) && want.iter().min() != want.iter().max(),
+            "test premise: counts accumulate and discriminate"
+        );
     }
 
     #[test]
@@ -1408,6 +1444,8 @@ mod tests {
             view.catch_up(0.5, 2);
             view.unrecord_member(&flat);
             view.set_stamp(9);
+            view.catch_up_to(11, 0.5);
+            view.catch_up_to(11, 0.25); // already there: a no-op
         }
         assert_eq!(arena.slice(h), owned.as_slice());
         for ci in 0..owned.len() {
@@ -1479,9 +1517,18 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use acx_geom::scan::{scan_candidates, ScanScratch, BLOCK};
     use acx_geom::HyperRect;
     use proptest::prelude::*;
+
+    /// One kernel pass over zeroed counters, as match flags.
+    fn kernel_matches(cands: &CandidateSet, query: &SpatialQuery) -> Vec<bool> {
+        let mut bounds = QueryBounds::new();
+        bounds.load(query);
+        let mut counters = vec![0u32; cands.len()];
+        count_candidates(&bounds, &cands.as_slice().columns(), &mut counters);
+        assert!(counters.iter().all(|&c| c <= 1), "one pass adds at most one");
+        counters.iter().map(|&c| c == 1).collect()
+    }
 
     /// Grid-snapped coordinate so query edges coincide with the f = 4
     /// subdivision boundaries constantly.
@@ -1490,7 +1537,7 @@ mod proptests {
     }
 
     proptest! {
-        /// The candidate bitmask kernel equals the scalar oracle for
+        /// The candidate kernel equals the scalar oracle for
         /// 1–8 dimensions, both division factors, all four query kinds,
         /// and signatures specialized to produce open and closed
         /// variation intervals — including boundary-coincident query
@@ -1529,11 +1576,8 @@ mod proptests {
                 _ => SpatialQuery::point_enclosing(lo.clone()),
             };
 
-            let mut scratch = ScanScratch::new();
-            let matched = scan_candidates(&query, &cands.as_slice().columns(), &mut scratch);
-            let mut want = 0usize;
-            for ci in 0..cands.len() {
-                let bit = scratch.mask_words()[ci / BLOCK] >> (ci % BLOCK) & 1 == 1;
+            let matched = kernel_matches(&cands, &query);
+            for (ci, &bit) in matched.iter().enumerate() {
                 let oracle = cands.as_slice().matches_query(ci, &query);
                 prop_assert_eq!(bit, oracle, "candidate {} ({:?})", ci, cands.as_slice().id(ci));
                 // When the parent signature matches the query — the
@@ -1547,16 +1591,14 @@ mod proptests {
                         "candidate matching diverged from the full signature"
                     );
                 }
-                want += oracle as usize;
             }
-            prop_assert_eq!(matched, want);
         }
 
         /// The per-run matches-all fast path (a query interval spanning
         /// the full domain of a specialized dimension) is bit-identical
-        /// to the per-candidate evaluation: masks equal the scalar
+        /// to the per-candidate evaluation: counts equal the scalar
         /// oracle, and full-domain intersection/containment runs are
-        /// all-ones.
+        /// counted whole.
         #[test]
         fn full_domain_query_intervals_match_whole_runs(
             dims in 1usize..=6,
@@ -1597,10 +1639,8 @@ mod proptests {
                 _ => SpatialQuery::enclosure(w),
             };
 
-            let mut scratch = ScanScratch::new();
-            scan_candidates(&query, &cands.as_slice().columns(), &mut scratch);
-            for ci in 0..cands.len() {
-                let bit = scratch.mask_words()[ci / BLOCK] >> (ci % BLOCK) & 1 == 1;
+            let matched = kernel_matches(&cands, &query);
+            for (ci, &bit) in matched.iter().enumerate() {
                 prop_assert_eq!(
                     bit,
                     cands.as_slice().matches_query(ci, &query),
@@ -1615,6 +1655,92 @@ mod proptests {
                     prop_assert!(bit, "full-domain run candidate {} must match", ci);
                 }
             }
+        }
+
+        /// The compare-and-count kernel against the scalar
+        /// [`CandidateSlice::matches_query`] loop on hand-built ragged
+        /// sets — empty runs, runs of 10–16 candidates, open and closed
+        /// upper bounds, runs a full-domain query interval counts whole
+        /// — with counters pre-seeded up to `u32::MAX − 1`: two passes
+        /// add exactly what the loop adds, pinned at the maximum.
+        #[test]
+        fn compare_and_count_equals_scalar_loop_on_ragged_runs(
+            runs in prop::collection::vec(prop_oneof![Just(0usize), 10usize..=16], 1..7),
+            starts in prop::collection::vec((coord(), coord(), 0u8..2), 6 * 16),
+            ends in prop::collection::vec((coord(), coord(), 0u8..2, 0u8..4), 6 * 16),
+            full_mask in 0u8..64,
+            pairs in prop::collection::vec((coord(), coord()), 6),
+            kind in 0usize..4,
+        ) {
+            let dims = runs.len();
+            let mut set = CandidateSet::generate(&Signature::root(dims), 2);
+            let n: usize = runs.iter().sum();
+            set.dim_offsets = std::iter::once(0)
+                .chain(runs.iter().scan(0u32, |at, &len| {
+                    *at += len as u32;
+                    Some(*at)
+                }))
+                .collect();
+            set.dim = runs
+                .iter()
+                .enumerate()
+                .flat_map(|(d, &len)| std::iter::repeat_n(d as u16, len))
+                .collect();
+            let (starts, ends) = (&starts[..n], &ends[..n]);
+            let reach = |hi: Scalar, open: u8| if open == 1 { hi.next_down() } else { hi };
+            set.start_lo = starts.iter().map(|s| s.0.min(s.1)).collect();
+            set.start_reach = starts.iter().map(|s| reach(s.0.max(s.1), s.2)).collect();
+            set.end_lo = ends.iter().map(|e| e.0.min(e.1)).collect();
+            set.end_reach = ends.iter().map(|e| reach(e.0.max(e.1), e.2)).collect();
+            set.run_bounds = RunBounds::compute_all(
+                &set.start_lo,
+                &set.start_reach,
+                &set.end_lo,
+                &set.end_reach,
+                &set.dim_offsets,
+            );
+            set.sub_i = vec![0; n];
+            set.sub_j = vec![0; n];
+            set.n = vec![0; n];
+            set.q_eff = vec![0.0; n];
+            set.q = ends
+                .iter()
+                .map(|e| [0, 7, u32::MAX - 1, u32::MAX][e.3 as usize])
+                .collect();
+
+            // Full [0, 1] intervals on the masked dimensions: whole runs
+            // match an intersection there, whatever their bounds.
+            let (lo, hi): (Vec<Scalar>, Vec<Scalar>) = pairs
+                .iter()
+                .take(dims)
+                .enumerate()
+                .map(|(d, &(a, b))| {
+                    if full_mask >> d & 1 == 1 { (0.0, 1.0) } else { (a.min(b), a.max(b)) }
+                })
+                .unzip();
+            let w = HyperRect::from_bounds(&lo, &hi).unwrap();
+            let query = match kind {
+                0 => SpatialQuery::intersection(w),
+                1 => SpatialQuery::containment(w),
+                2 => SpatialQuery::enclosure(w),
+                _ => SpatialQuery::point_enclosing(lo.clone()),
+            };
+
+            let mut want = set.q.clone();
+            let mut column = set.q.clone();
+            let mut bounds = QueryBounds::new();
+            bounds.load(&query);
+            for _ in 0..2 {
+                for (ci, w) in want.iter_mut().enumerate() {
+                    if set.as_slice().matches_query(ci, &query) {
+                        *w = w.saturating_add(1);
+                    }
+                }
+                count_candidates(&bounds, &set.as_slice().columns(), &mut column);
+                set.as_slice_mut().count_query(&bounds);
+            }
+            prop_assert_eq!(&column, &want, "into a separate column");
+            prop_assert_eq!(set.as_slice().q_col(), &want[..], "in place");
         }
 
         /// Arena life-cycle invariants across random interleavings of

@@ -48,8 +48,9 @@ pub struct IndexConfig {
     ///
     /// Production (`false`) verifies members with the columnar batch
     /// kernel over the store's zone-mapped columns
-    /// ([`acx_geom::scan::scan_columns`]), matches candidates with the
-    /// bitmask kernel ([`acx_geom::scan::scan_candidates`]) and
+    /// ([`acx_geom::scan::scan_columns`]), counts matching candidates
+    /// with the compare-and-count kernel
+    /// ([`acx_geom::scan::count_candidates`]) and
     /// reorganizes incrementally (dirty set, O(1) screens, batched
     /// benefit columns). The reference (`true`) is the seed's
     /// object-at-a-time execution end to end: a

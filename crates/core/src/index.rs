@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::time::Instant;
 
-use acx_geom::scan::{scan_candidates, scan_columns, ScanScratch};
+use acx_geom::scan::{count_candidates, scan_columns_loaded, QueryBounds, ScanScratch};
 use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery, OBJECT_ID_BYTES};
 use acx_storage::{
     AccessStats, BackingStore, ClusterRecord, CostModel, FileStore, FlushPolicy, SegmentId,
@@ -30,11 +30,11 @@ use crate::metrics::{
 use crate::signature::Signature;
 use crate::{IndexConfig, IndexError};
 
-/// Reusable per-query scratch arena for the read-only matching phase:
-/// the scan kernel's survivors bitmask and match buffer, the result
-/// buffer, the cluster traversal stack, and the reference loop's gather
-/// buffer. Buffers grow to the workload's high-water mark and are then
-/// reused, so a warmed-up scratch lets
+/// Reusable per-query scratch arena for the matching phase: the query's
+/// loaded bounds, the scan kernel's survivors bitmask and match buffer,
+/// the result buffer, the cluster traversal stack, and the reference
+/// loop's gather buffer. Buffers grow to the workload's high-water mark
+/// and are then reused, so a warmed-up scratch lets
 /// [`AdaptiveClusterIndex::query_with`] execute without allocating.
 ///
 /// One scratch serves one thread: batch execution gives each worker its
@@ -42,6 +42,9 @@ use crate::{IndexConfig, IndexError};
 /// one inside the index.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
+    /// The query's comparison shape and per-dimension bounds, loaded
+    /// once per exploration and shared by both kernels' every call.
+    bounds: QueryBounds,
     /// Columnar kernel state (bitmask + per-segment match indices).
     scan: ScanScratch,
     /// Matches of the last query, across all explored clusters.
@@ -247,10 +250,13 @@ pub struct AdaptiveClusterIndex {
     /// capacity: a root with thousands of children regrew a fresh one a
     /// dozen times per insert.
     insert_stack: Vec<(u32, usize)>,
-    /// Scratch arena reused by the sequential `execute` path.
+    /// Scratch arena reused by `execute` and `execute_batch`.
     query_scratch: QueryScratch,
-    /// Statistics delta reused by the sequential `execute` path.
+    /// Statistics delta reused by `execute_batch`'s windows.
     delta_scratch: StatsDelta,
+    /// The clusters `execute`'s last query explored, in exploration
+    /// order (kept for its capacity).
+    explored_scratch: Vec<u32>,
     /// Completed statistics epochs (one per reorganization pass) — the
     /// clock the per-cluster `cand_stamp`s lag behind.
     stats_epoch: u64,
@@ -364,6 +370,169 @@ impl ReorgScratch {
     }
 }
 
+/// What the matching phase reads of the index, borrowed field by field:
+/// [`AdaptiveClusterIndex::execute`] lends the statistics arena to its
+/// sink mutably while the traversal walks the cluster tree and the
+/// segment store.
+struct ReadView<'a> {
+    config: &'a IndexConfig,
+    model: &'a CostModel,
+    store: &'a SegmentStore,
+    clusters: &'a [Option<Cluster>],
+    root: u32,
+}
+
+/// Where the statistics of one exploration go. There is one traversal
+/// and one compare-and-count kernel; the sinks differ only in the
+/// counter column the kernel adds into, and all three leave the index
+/// in the same state once a delta is applied.
+enum StatsSink<'a> {
+    /// `query*`: nothing is recorded.
+    None,
+    /// `query_recorded*` and `execute_batch` workers: into a
+    /// [`StatsDelta`], applied later under the exclusive borrow.
+    Delta {
+        arena: &'a StatsArena,
+        delta: &'a mut StatsDelta,
+    },
+    /// `execute`: straight into the arena's `q` column, each cluster
+    /// caught up on its lazily skipped decay epochs first. The explored
+    /// slots are listed for the caller, which owns the per-cluster
+    /// counters and the dirty set.
+    Arena {
+        arena: &'a mut StatsArena,
+        stats_epoch: u64,
+        gamma: f64,
+        explored: &'a mut Vec<u32>,
+    },
+}
+
+impl StatsSink<'_> {
+    /// Counts `query` on a cluster whose signature it matched and on
+    /// each of the cluster's candidates it matches: through the kernel,
+    /// or — under [`IndexConfig::reference`] — candidate by candidate.
+    #[inline]
+    fn record(
+        &mut self,
+        slot: u32,
+        handle: CandHandle,
+        query: &SpatialQuery,
+        bounds: &QueryBounds,
+        reference: bool,
+    ) {
+        match self {
+            StatsSink::None => {}
+            StatsSink::Delta { arena, delta } => {
+                let cands = arena.slice(handle);
+                let recorded = delta.cluster_mut(slot, cands.len());
+                recorded.q_count += 1;
+                if reference {
+                    for ci in 0..cands.len() {
+                        if cands.matches_query(ci, query) {
+                            recorded.bump_candidate(ci as u32);
+                        }
+                    }
+                } else {
+                    let counters = &mut recorded.cand_q[..cands.len()];
+                    count_candidates(bounds, &cands.columns(), counters);
+                }
+            }
+            StatsSink::Arena {
+                arena,
+                stats_epoch,
+                gamma,
+                explored,
+            } => {
+                let mut cands = arena.slice_mut(handle);
+                cands.catch_up_to(*stats_epoch, *gamma);
+                if reference {
+                    for ci in 0..cands.len() {
+                        if cands.as_slice().matches_query(ci, query) {
+                            cands.add_q(ci, 1);
+                        }
+                    }
+                } else {
+                    cands.count_query(bounds);
+                }
+                explored.push(slot);
+            }
+        }
+    }
+}
+
+impl ReadView<'_> {
+    /// The matching phase shared by every query entry point (paper
+    /// §3.6, Fig. 5): explores every materialized cluster whose
+    /// signature matches the query, hands it to the sink, and verifies
+    /// its members sequentially, leaving the matches in `scratch`.
+    ///
+    /// Member verification and candidate matching follow
+    /// [`IndexConfig::reference`]: the batch kernels over the store's
+    /// zone-mapped columns and the candidate bound columns, with the
+    /// query's bounds loaded once, or the object-at-a-time reference
+    /// loops. Both are bit-identical in matches, match order, and every
+    /// statistic. Nothing is allocated once the scratch's buffers have
+    /// grown to the workload's high-water mark.
+    fn explore(
+        &self,
+        query: &SpatialQuery,
+        mut sink: StatsSink<'_>,
+        scratch: &mut QueryScratch,
+    ) -> QueryMetrics {
+        let started = Instant::now();
+        let mut stats = AccessStats::new();
+        let object_bytes = self.store.object_bytes() as u64;
+        let reference = self.config.reference;
+        scratch.matches.clear();
+        scratch.bounds.load(query);
+        scratch.stack.clear();
+        scratch.stack.push(self.root);
+        while let Some(slot) = scratch.stack.pop() {
+            stats.signature_checks += 1;
+            let cluster = self.clusters[slot as usize]
+                .as_ref()
+                .expect("cluster slot is live");
+            if !cluster.signature.matches_query(query) {
+                continue;
+            }
+            sink.record(slot, cluster.candidates, query, &scratch.bounds, reference);
+            let n = self.store.segment_len(cluster.segment);
+            stats.clusters_explored += 1;
+            stats.seeks += 1;
+            stats.transfer_bytes += n as u64 * object_bytes;
+            stats.objects_verified += n as u64;
+            let ids = self.store.ids(cluster.segment);
+            if reference {
+                for (idx, &oid) in ids.iter().enumerate() {
+                    self.store
+                        .read_object_into(cluster.segment, idx, &mut scratch.flat);
+                    let outcome = query.matches_flat(&scratch.flat);
+                    stats.verified_bytes +=
+                        OBJECT_ID_BYTES as u64 + 8 * outcome.dims_checked as u64;
+                    if outcome.matched {
+                        scratch.matches.push(ObjectId(oid));
+                    }
+                }
+            } else {
+                let columns = self.store.columns(cluster.segment);
+                let outcome = scan_columns_loaded(&scratch.bounds, &columns, &mut scratch.scan);
+                stats.verified_bytes += outcome.verified_bytes();
+                for &idx in scratch.scan.matches() {
+                    scratch.matches.push(ObjectId(ids[idx as usize]));
+                }
+            }
+            scratch.stack.extend_from_slice(&cluster.children);
+        }
+
+        let priced_ms = self.model.price(&stats);
+        QueryMetrics {
+            stats,
+            priced_ms,
+            wall: started.elapsed(),
+        }
+    }
+}
+
 impl AdaptiveClusterIndex {
     /// Creates an empty index: a single root cluster whose general
     /// signature accepts any spatial object.
@@ -411,6 +580,7 @@ impl AdaptiveClusterIndex {
             insert_stack: Vec::new(),
             query_scratch: QueryScratch::new(),
             delta_scratch: StatsDelta::new(),
+            explored_scratch: Vec::new(),
             stats_epoch: 0,
             dirty_slots: Vec::new(),
             scan_caches: Vec::new(),
@@ -673,17 +843,10 @@ impl AdaptiveClusterIndex {
     /// the counters eagerly at each close, so lazily decayed clusters
     /// are indistinguishable from eagerly decayed ones at every read.
     fn materialize_candidates(&mut self, slot: u32) {
-        let epoch = self.stats_epoch;
-        let gamma = self.config.stats_decay;
-        let cluster = self.clusters[slot as usize]
-            .as_mut()
-            .expect("cluster slot is live");
-        let mut cands = self.stats_arena.slice_mut(cluster.candidates);
-        let behind = epoch - cands.stamp();
-        if behind > 0 {
-            cands.catch_up(gamma, behind);
-            cands.set_stamp(epoch);
-        }
+        let handle = self.cluster(slot).candidates;
+        self.stats_arena
+            .slice_mut(handle)
+            .catch_up_to(self.stats_epoch, self.config.stats_decay);
     }
 
     /// Removes an object, returning its rectangle. The object is located
@@ -756,109 +919,46 @@ impl AdaptiveClusterIndex {
         Ok(())
     }
 
-    /// The read-only matching phase shared by every query entry point
-    /// (paper §3.6, Fig. 5): explores every materialized cluster whose
-    /// signature matches the query and verifies its members sequentially,
-    /// leaving the matches in `scratch`. When `delta` is given, the
-    /// statistics the execution would have written — per-cluster and
-    /// per-candidate matching-query counts, epoch byte counters — are
-    /// recorded into it instead of mutating the index, so the matching
-    /// phase needs only `&self`.
-    ///
-    /// Member verification and candidate matching follow
-    /// [`IndexConfig::reference`]: the batch kernels over the store's
-    /// zone-mapped columns and the candidate bound columns, or the
-    /// object-at-a-time reference loops. Both are bit-identical in
-    /// matches, match order, and every statistic. Nothing is allocated
-    /// once the scratch's buffers have grown to the workload's
-    /// high-water mark.
+    /// What the matching phase reads of the index.
+    fn read_view(&self) -> ReadView<'_> {
+        ReadView {
+            config: &self.config,
+            model: &self.model,
+            store: &self.store,
+            clusters: &self.clusters,
+            root: self.root,
+        }
+    }
+
+    /// The matching phase of the `&self` entry points
+    /// ([`ReadView::explore`]): read-only, or — when `delta` is given —
+    /// recording the statistics the execution would have written into
+    /// it instead of mutating the index.
     fn explore(
         &self,
         query: &SpatialQuery,
-        mut delta: Option<&mut StatsDelta>,
+        delta: Option<&mut StatsDelta>,
         scratch: &mut QueryScratch,
     ) -> QueryMetrics {
-        let started = Instant::now();
-        let mut stats = AccessStats::new();
-        let object_bytes = self.store.object_bytes() as u64;
-        scratch.matches.clear();
-
-        if let Some(delta) = delta.as_deref_mut() {
-            match delta.epoch {
-                None => delta.epoch = Some(self.structure_epoch),
-                Some(e) => assert_eq!(
-                    e, self.structure_epoch,
-                    "StatsDelta was recorded against a different clustering state"
-                ),
-            }
+        let Some(delta) = delta else {
+            return self.read_view().explore(query, StatsSink::None, scratch);
+        };
+        match delta.epoch {
+            None => delta.epoch = Some(self.structure_epoch),
+            Some(e) => assert_eq!(
+                e, self.structure_epoch,
+                "StatsDelta was recorded against a different clustering state"
+            ),
         }
-        scratch.stack.clear();
-        scratch.stack.push(self.root);
-        while let Some(slot) = scratch.stack.pop() {
-            stats.signature_checks += 1;
-            let cluster = self.cluster(slot);
-            if !cluster.signature.matches_query(query) {
-                continue;
-            }
-            // Record candidate statistics first: the candidate kernel
-            // and the member kernel share the scratch's bitmask buffer,
-            // so the candidate mask must be consumed into the delta
-            // before member verification overwrites it.
-            if let Some(delta) = delta.as_deref_mut() {
-                let cands = self.stats_arena.slice(cluster.candidates);
-                let recorded = delta.cluster_mut(slot, cands.len());
-                recorded.q_count += 1;
-                if self.config.reference {
-                    for ci in 0..cands.len() {
-                        if cands.matches_query(ci, query) {
-                            recorded.bump_candidate(ci as u32);
-                        }
-                    }
-                } else {
-                    scan_candidates(query, &cands.columns(), &mut scratch.scan);
-                    recorded.add_candidate_mask(scratch.scan.mask_words());
-                }
-            }
-            let n = self.store.segment_len(cluster.segment);
-            stats.clusters_explored += 1;
-            stats.seeks += 1;
-            stats.transfer_bytes += n as u64 * object_bytes;
-            stats.objects_verified += n as u64;
-            let ids = self.store.ids(cluster.segment);
-            if self.config.reference {
-                for (idx, &oid) in ids.iter().enumerate() {
-                    self.store
-                        .read_object_into(cluster.segment, idx, &mut scratch.flat);
-                    let outcome = query.matches_flat(&scratch.flat);
-                    stats.verified_bytes +=
-                        OBJECT_ID_BYTES as u64 + 8 * outcome.dims_checked as u64;
-                    if outcome.matched {
-                        scratch.matches.push(ObjectId(oid));
-                    }
-                }
-            } else {
-                let columns = self.store.columns(cluster.segment);
-                let outcome = scan_columns(query, &columns, &mut scratch.scan);
-                stats.verified_bytes += outcome.verified_bytes();
-                for &idx in scratch.scan.matches() {
-                    scratch.matches.push(ObjectId(ids[idx as usize]));
-                }
-            }
-            scratch.stack.extend_from_slice(&cluster.children);
-        }
-
-        if let Some(delta) = delta {
-            delta.queries += 1;
-            delta.verified_bytes += stats.verified_bytes;
-            delta.full_bytes += stats.objects_verified * object_bytes;
-        }
-
-        let priced_ms = self.model.price(&stats);
-        QueryMetrics {
-            stats,
-            priced_ms,
-            wall: started.elapsed(),
-        }
+        let sink = StatsSink::Delta {
+            arena: &self.stats_arena,
+            delta: &mut *delta,
+        };
+        let metrics = self.read_view().explore(query, sink, scratch);
+        delta.queries += 1;
+        delta.verified_bytes += metrics.stats.verified_bytes;
+        delta.full_bytes += metrics.stats.objects_verified * self.store.object_bytes() as u64;
+        metrics
     }
 
     /// Executes a spatial selection **read-only**: identical match set and
@@ -989,11 +1089,7 @@ impl AdaptiveClusterIndex {
     /// global query and byte totals — which stay meaningful — are still
     /// counted.
     pub fn apply_stats(&mut self, delta: &StatsDelta) {
-        self.total_queries += delta.queries;
-        self.epoch_verified_bytes += delta.verified_bytes;
-        self.epoch_full_bytes += delta.full_bytes;
-        let current = delta.epoch.is_none_or(|e| e == self.structure_epoch);
-        if current {
+        if delta.epoch.is_none_or(|e| e == self.structure_epoch) {
             // Only the dirty list carries increments: a reused delta
             // (see [`StatsDelta::clear`]) may retain zeroed entries for
             // clusters of earlier epochs whose slots were since recycled
@@ -1002,30 +1098,33 @@ impl AdaptiveClusterIndex {
             // touched cluster replays any lazily skipped decay epochs
             // before the new increments land on it.
             for &slot in &delta.touched {
-                let recorded = &delta.clusters[&slot];
-                self.materialize_candidates(slot);
-                let cluster = self
-                    .clusters
-                    .get_mut(slot as usize)
-                    .and_then(|c| c.as_mut())
-                    .expect("delta epoch matches, so its cluster slots are live");
-                cluster.q_count += recorded.q_count;
-                self.stats_arena.slice_mut(cluster.candidates)
-                    .add_q_slice(&recorded.cand_q);
-                // Inline `mark_dirty` (the cluster is already borrowed):
-                // the new increments void the cached no-split verdict
-                // and put the slot on the dirty set.
-                let newly_dirty = !cluster.dirty;
-                cluster.dirty = true;
-                if newly_dirty {
-                    self.dirty_slots.push(slot);
-                }
-                if let Some(cache) = self.scan_caches.get_mut(slot as usize) {
-                    *cache = None;
-                }
+                let recorded = &delta.clusters[slot as usize];
+                let handle = self.cluster(slot).candidates;
+                let mut cands = self.stats_arena.slice_mut(handle);
+                cands.catch_up_to(self.stats_epoch, self.config.stats_decay);
+                cands.add_q_slice(&recorded.cand_q);
+                self.count_cluster_queries(slot, recorded.q_count);
             }
         }
-        self.queries_since_reorg += delta.queries;
+        self.close_queries(delta.queries, delta.verified_bytes, delta.full_bytes);
+    }
+
+    /// Counts `queries` signature matches on a cluster; the new
+    /// statistics put it on the dirty set and void its cached no-split
+    /// verdict.
+    fn count_cluster_queries(&mut self, slot: u32, queries: u64) {
+        self.cluster_mut(slot).q_count += queries;
+        self.mark_dirty(slot);
+    }
+
+    /// The tail of every statistics-writing path: counts the queries
+    /// and the bytes they verified into the running epoch, then runs a
+    /// reorganization pass if the configured `reorg_period` has elapsed.
+    fn close_queries(&mut self, queries: u64, verified_bytes: u64, full_bytes: u64) {
+        self.total_queries += queries;
+        self.epoch_verified_bytes += verified_bytes;
+        self.epoch_full_bytes += full_bytes;
+        self.queries_since_reorg += queries;
         if self.config.reorg_period > 0 && self.queries_since_reorg >= self.config.reorg_period {
             self.reorganize();
         }
@@ -1042,8 +1141,11 @@ impl AdaptiveClusterIndex {
 
     /// Executes a spatial selection (paper §3.6, Fig. 5) and maintains
     /// the statistics of explored clusters and their candidate
-    /// subclusters: a thin wrapper that runs the read-only matching phase
-    /// and applies the recorded [`StatsDelta`].
+    /// subclusters, in place: the one traversal every entry point shares,
+    /// with the statistics arena as its sink. It leaves the index
+    /// exactly where
+    /// [`AdaptiveClusterIndex::query_recorded_with`] followed by
+    /// [`AdaptiveClusterIndex::apply_stats`] would.
     ///
     /// When `reorg_period` is non-zero, a cluster reorganization pass runs
     /// automatically every `reorg_period` executed queries.
@@ -1060,21 +1162,45 @@ impl AdaptiveClusterIndex {
     /// Fallible variant of [`AdaptiveClusterIndex::execute`]: returns
     /// [`IndexError::DimensionMismatch`] instead of panicking.
     ///
-    /// The matching phase runs through the index-owned scratch arena and
-    /// a reused [`StatsDelta`] (cleared in place, keeping capacity), so
-    /// the only per-query allocation left is the returned match vector.
+    /// The matching phase runs through the index-owned scratch arena,
+    /// so the only per-query allocation left is the returned match
+    /// vector.
     pub fn try_execute(&mut self, query: &SpatialQuery) -> Result<QueryResult, IndexError> {
         self.check_query_dims(query)?;
-        // Move the scratch pair out so `explore` can borrow `self`
-        // immutably; both moves are pointer swaps, not allocations.
-        let mut delta = std::mem::take(&mut self.delta_scratch);
+        // Move the scratch out (pointer swaps, not allocations) and
+        // borrow the index field by field: the traversal reads the
+        // tree and the store while the sink writes the arena.
         let mut scratch = std::mem::take(&mut self.query_scratch);
-        delta.clear();
-        let metrics = self.explore(query, Some(&mut delta), &mut scratch);
-        self.apply_stats(&delta);
+        let mut explored = std::mem::take(&mut self.explored_scratch);
+        explored.clear();
+        let view = ReadView {
+            config: &self.config,
+            model: &self.model,
+            store: &self.store,
+            clusters: &self.clusters,
+            root: self.root,
+        };
+        let sink = StatsSink::Arena {
+            arena: &mut self.stats_arena,
+            stats_epoch: self.stats_epoch,
+            gamma: self.config.stats_decay,
+            explored: &mut explored,
+        };
+        let metrics = view.explore(query, sink, &mut scratch);
+        // The part of the record that lives in the clusters themselves,
+        // in exploration order — the order `apply_stats` walks a
+        // one-query delta's dirty list in.
+        for &slot in &explored {
+            self.count_cluster_queries(slot, 1);
+        }
+        self.close_queries(
+            1,
+            metrics.stats.verified_bytes,
+            metrics.stats.objects_verified * self.store.object_bytes() as u64,
+        );
         let matches = scratch.matches.clone();
-        self.delta_scratch = delta;
         self.query_scratch = scratch;
+        self.explored_scratch = explored;
         Ok(QueryResult { matches, metrics })
     }
 
@@ -2528,6 +2654,7 @@ impl AdaptiveClusterIndex {
             insert_stack: Vec::new(),
             query_scratch: QueryScratch::new(),
             delta_scratch: StatsDelta::new(),
+            explored_scratch: Vec::new(),
             stats_epoch: 0,
             dirty_slots: Vec::new(),
             scan_caches: Vec::new(),
@@ -3191,7 +3318,44 @@ impl CheckpointMeta {
 
 #[cfg(test)]
 mod tests {
-    use super::probabilities_tie;
+    use super::*;
+
+    #[test]
+    fn apply_adds_only_as_many_counters_as_the_cluster_has() {
+        // A reused delta keeps each slot's counter vector at the widest
+        // cluster the slot ever held. Once the slot is recycled for a
+        // cluster with fewer candidates, applying must stop at the
+        // cluster's own range — whatever the surplus holds — and leave
+        // the next range of the slab alone.
+        let mut index = AdaptiveClusterIndex::new(IndexConfig::memory(2)).unwrap();
+        let root = index.root;
+        let neighbour = index
+            .stats_arena
+            .alloc(&generate_candidates(&Signature::root(2), 4));
+        let len = index.stats_arena.slice(index.cluster(root).candidates).len();
+        let mut delta = StatsDelta::new();
+        let entry = delta.cluster_mut(root, len + 5);
+        entry.q_count = 3;
+        entry.cand_q.fill(2);
+        delta.queries = 3;
+        index.apply_stats(&delta);
+
+        let cands = index.stats_arena.slice(index.cluster(root).candidates);
+        assert_eq!(cands.q_col(), &vec![2; len][..]);
+        assert_eq!(index.cluster(root).q_count, 3);
+        let next = index.stats_arena.slice(neighbour);
+        assert!(next.q_col().iter().all(|&q| q == 0), "the surplus spilled over");
+
+        // Recording after a clear keeps the wide vector and writes only
+        // the cluster's own prefix of it.
+        delta.clear();
+        let q = SpatialQuery::point_enclosing(vec![0.5, 0.5]);
+        index.query_recorded_with(&q, &mut delta, &mut QueryScratch::new());
+        let entry = &delta.clusters[root as usize];
+        assert_eq!(entry.cand_q.len(), len + 5);
+        assert!(entry.cand_q[..len].contains(&1));
+        assert!(entry.cand_q[len..].iter().all(|&q| q == 0));
+    }
 
     #[test]
     fn exact_equality_ties() {

@@ -2,10 +2,17 @@
 //! ([`IndexConfig::reference`]) — not just in match sets, but in every
 //! access counter (`AccessStats`), every recorded statistic
 //! (`StatsDelta`), and every reorganization decision derived from them.
-//! A production index (columnar member kernel with zone maps, bitmask
-//! candidate kernel, incremental pass) and a reference index
-//! (object-at-a-time loops, full scalar sweep) are driven through
-//! identical workloads and compared query by query.
+//! A production index (columnar member kernel with zone maps,
+//! compare-and-count candidate kernel, incremental pass) and a
+//! reference index (object-at-a-time loops, full scalar sweep) are
+//! driven through identical workloads and compared query by query.
+//!
+//! The same holds across the three statistics sinks of one index
+//! configuration: `execute` (the arena, in place),
+//! `query_recorded_with` + `apply_stats` (a delta) and `execute_batch`
+//! (per-worker deltas, merged) answer alike and leave checkpoints that
+//! are equal byte for byte — every cluster's and candidate's `q`,
+//! `q_eff` and decay stamp included.
 //!
 //! The layers underneath are pinned by their own suites: the member
 //! kernel against `matches_flat` and zone maps against a zone-free view
@@ -13,7 +20,7 @@
 //! the candidate kernel against the scalar loop and arena ranges against
 //! owned sets in `acx_core::candidates`.
 
-use acx_core::{AdaptiveClusterIndex, IndexConfig, QueryScratch, StatsDelta};
+use acx_core::{AdaptiveClusterIndex, IndexConfig, QueryScratch, ReorgReport, StatsDelta};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -147,6 +154,240 @@ fn recorded_stats_deltas_are_identical() {
     }
     assert_eq!(delta_c, delta_o, "recorded StatsDelta diverged");
     assert_eq!(delta_c.queries(), 40);
+}
+
+/// One index per statistics sink, all of one configuration, driven
+/// through the same operations.
+struct Trio {
+    /// `execute`: the arena, in place.
+    direct: AdaptiveClusterIndex,
+    /// `query_recorded_with` + `apply_stats`: a reused delta.
+    two_phase: AdaptiveClusterIndex,
+    /// `execute_batch`: per-worker deltas, merged.
+    batch: AdaptiveClusterIndex,
+    delta: StatsDelta,
+    scratch: QueryScratch,
+    threads: usize,
+}
+
+impl Trio {
+    fn new(config: IndexConfig, threads: usize) -> Self {
+        let index = || AdaptiveClusterIndex::new(config.clone()).unwrap();
+        Self {
+            direct: index(),
+            two_phase: index(),
+            batch: index(),
+            delta: StatsDelta::new(),
+            scratch: QueryScratch::new(),
+            threads,
+        }
+    }
+
+    fn each(&mut self) -> [&mut AdaptiveClusterIndex; 3] {
+        [&mut self.direct, &mut self.two_phase, &mut self.batch]
+    }
+
+    fn insert(&mut self, id: u32, rect: &HyperRect) {
+        for index in self.each() {
+            index.insert(ObjectId(id), rect.clone()).unwrap();
+        }
+    }
+
+    /// Runs `queries` through each index's own path; answers, access
+    /// counters and the state left behind must not differ.
+    fn run(&mut self, queries: &[SpatialQuery]) {
+        let batched = self.batch.execute_batch(queries, self.threads);
+        for (q, c) in queries.iter().zip(batched) {
+            let a = self.direct.execute(q);
+            self.delta.clear();
+            let b = self
+                .two_phase
+                .query_recorded_with(q, &mut self.delta, &mut self.scratch);
+            self.two_phase.apply_stats(&self.delta);
+            assert_eq!(a.matches, self.scratch.matches(), "two-phase matches on {q:?}");
+            assert_eq!(a.matches, c.matches, "batch matches on {q:?}");
+            assert_eq!(a.metrics.stats, b.stats, "two-phase AccessStats on {q:?}");
+            assert_eq!(a.metrics.stats, c.metrics.stats, "batch AccessStats on {q:?}");
+        }
+        self.assert_same_state();
+    }
+
+    /// An explicit pass on all three: the same report.
+    fn reorganize(&mut self) -> ReorgReport {
+        let [a, b, c] = self.each().map(|index| index.reorganize());
+        assert_eq!(a, b, "two-phase ReorgReport");
+        assert_eq!(a, c, "batch ReorgReport");
+        self.assert_same_state();
+        a
+    }
+
+    /// Checkpoints are byte-deterministic and carry every counter of
+    /// every cluster and candidate, so equal bytes are equal state.
+    fn assert_same_state(&self) {
+        static NEXT: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+        let bytes = |index: &AdaptiveClusterIndex| {
+            let path = std::env::temp_dir().join(format!(
+                "acx-sinks-{}-{}.ckpt",
+                std::process::id(),
+                NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+            ));
+            index.save(&path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            bytes
+        };
+        let direct = bytes(&self.direct);
+        assert!(direct == bytes(&self.two_phase), "two-phase checkpoint differs");
+        assert!(direct == bytes(&self.batch), "batch checkpoint differs");
+        assert_eq!(self.direct.snapshots(), self.two_phase.snapshots());
+        assert_eq!(self.direct.snapshots(), self.batch.snapshots());
+        assert_eq!(self.direct.reorganizations(), self.two_phase.reorganizations());
+        assert_eq!(self.direct.reorganizations(), self.batch.reorganizations());
+    }
+}
+
+/// Point queries inside `[lo, lo + 0.25]` of every dimension.
+fn corner_points(rng: &mut StdRng, dims: usize, lo: f32, n: usize) -> Vec<SpatialQuery> {
+    (0..n)
+        .map(|_| {
+            SpatialQuery::point_enclosing(
+                (0..dims).map(|_| lo + rng.gen_range(0..=8) as f32 / 32.0).collect(),
+            )
+        })
+        .collect()
+}
+
+/// `execute` ≡ `query_recorded_with` + `apply_stats` ≡ `execute_batch`,
+/// with automatic passes (`period > 0`: batches split into windows at
+/// the boundaries) or explicit ones (`period == 0`: reports compared).
+fn assert_sinks_equivalent(reference: bool, threads: usize, period: u64) {
+    let dims = 3;
+    let mut config = IndexConfig::memory(dims);
+    config.reference = reference;
+    config.reorg_period = period;
+    let mut trio = Trio::new(config, threads);
+    let mut rng = StdRng::seed_from_u64(0x51C + threads as u64 + period);
+    for i in 0..600u32 {
+        trio.insert(i, &random_rect(&mut rng, dims, 8));
+    }
+    // Ragged chunk sizes: single queries, chunks too small to fan out,
+    // chunks that cross an automatic pass.
+    let epoch = |trio: &mut Trio, queries: &[SpatialQuery]| -> ReorgReport {
+        let mut rest = queries;
+        for size in [1usize, 3, 17].iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (head, tail) = rest.split_at((*size).min(rest.len()));
+            trio.run(head);
+            rest = tail;
+        }
+        if period == 0 {
+            trio.reorganize()
+        } else {
+            ReorgReport::default()
+        }
+    };
+    let mixed = |rng: &mut StdRng| -> Vec<SpatialQuery> {
+        (0..40).map(|_| random_query(rng, dims, 8)).collect()
+    };
+
+    // Shape a tree around the low corner.
+    let mut changed = false;
+    for _ in 0..4 {
+        let mut queries = corner_points(&mut rng, dims, 0.0, 30);
+        queries.extend(mixed(&mut rng));
+        changed |= epoch(&mut trio, &queries).changed();
+    }
+    assert!(trio.direct.cluster_count() > 1, "test premise: clusters materialized");
+    assert!(period > 0 || changed, "test premise: a pass changed the clustering");
+
+    // Three epochs that only visit the high corner: the low corner's
+    // clusters sleep through three closes…
+    let mut asleep = u64::MAX;
+    for _ in 0..3 {
+        let queries = corner_points(&mut rng, dims, 0.75, 70);
+        epoch(&mut trio, &queries);
+        if period == 0 {
+            let dirty = trio.direct.last_reorg_profile().dirty_clusters;
+            assert!(
+                dirty < trio.direct.cluster_count() as u64,
+                "test premise: some clusters were left untouched"
+            );
+            asleep = asleep.min(dirty);
+        }
+    }
+    // …and are then hit again: each replays the closes it skipped
+    // before the first new increment lands on it.
+    let queries = corner_points(&mut rng, dims, 0.0, 70);
+    epoch(&mut trio, &queries);
+    if period == 0 {
+        assert!(
+            trio.direct.last_reorg_profile().dirty_clusters > asleep,
+            "test premise: sleeping clusters were hit again"
+        );
+    }
+
+    // A delta recorded before a pass that changes the clustering and
+    // applied after it is stale on every index alike: totals counted,
+    // per-cluster increments dropped.
+    if period == 0 {
+        let stale_queries = mixed(&mut rng);
+        let mut stale = [StatsDelta::new(), StatsDelta::new(), StatsDelta::new()];
+        for (index, delta) in trio.each().into_iter().zip(&mut stale) {
+            for q in &stale_queries {
+                index.query_recorded(q, delta);
+            }
+        }
+        let mut restructured = false;
+        for _ in 0..6 {
+            let mut queries = corner_points(&mut rng, dims, 0.5, 40);
+            queries.extend(mixed(&mut rng));
+            trio.run(&queries);
+            if trio.reorganize().changed() {
+                restructured = true;
+                break;
+            }
+        }
+        assert!(restructured, "test premise: the clustering changed under the deltas");
+        let total = trio.direct.total_queries();
+        let before = trio.direct.snapshots();
+        for (index, delta) in trio.each().into_iter().zip(&stale) {
+            index.apply_stats(delta);
+        }
+        trio.assert_same_state();
+        assert_eq!(trio.direct.total_queries(), total + stale_queries.len() as u64);
+        for (was, now) in before.iter().zip(trio.direct.snapshots()) {
+            assert!(
+                now.access_probability <= was.access_probability,
+                "stale delta credited cluster {}",
+                now.id
+            );
+        }
+        let queries = mixed(&mut rng);
+        epoch(&mut trio, &queries);
+    }
+    for index in trio.each() {
+        index.check_invariants().unwrap();
+    }
+}
+
+#[test]
+fn three_sinks_leave_identical_state_with_explicit_passes() {
+    for reference in [false, true] {
+        for threads in [1, 4] {
+            assert_sinks_equivalent(reference, threads, 0);
+        }
+    }
+}
+
+#[test]
+fn three_sinks_leave_identical_state_with_automatic_passes() {
+    for reference in [false, true] {
+        for threads in [1, 4] {
+            assert_sinks_equivalent(reference, threads, 35);
+        }
+    }
 }
 
 #[test]

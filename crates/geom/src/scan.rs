@@ -25,10 +25,15 @@
 //! * [`scan_interleaved`] — the same kernel over row-major input
 //!   (R*-tree leaf pages), gathering one block-sized tile per
 //!   (block, dimension) lazily.
-//! * [`scan_candidates`] — one query against *all candidate subclusters*
+//! * [`count_candidates`] — one query against *all candidate subclusters*
 //!   of a cluster, dimension-major over [`CandidateColumns`]; every
 //!   candidate is a single two-sided comparison on its own specialized
-//!   dimension, so the result is a match bitmask, not a refinement.
+//!   dimension, so there is no refinement and no mask: the outcome is
+//!   added straight into a counter column.
+//!
+//! A caller that runs many kernel calls for one query (an index
+//! exploring hundreds of clusters) loads the query's [`QueryBounds`]
+//! once and uses the `*_loaded` entry points.
 //!
 //! ## Zone maps
 //!
@@ -62,7 +67,7 @@
 //! the compiler auto-vectorizes, followed by a multiply-gather of the
 //! 0/1 bytes into mask bits. On x86_64 the loop is additionally
 //! dispatched to an AVX2-compiled clone when the CPU supports it
-//! (runtime-detected once, like the candidate kernel's byte fill), so
+//! (runtime-detected once, like the candidate kernel's count loop), so
 //! the default build vectorizes at eight lanes. The `simd` cargo
 //! feature instead swaps in an explicit `core::arch::x86_64` path
 //! (SSE `cmpleps` + `movmskps` baseline, AVX2 `vcmpps` when detected)
@@ -197,8 +202,9 @@ impl ScanOutcome {
 }
 
 /// Reusable scan state: the survivors bitmask (one `u64` word per
-/// [`BLOCK`] lanes), the match index buffer, per-dimension query bounds,
-/// and transpose buffers for interleaved inputs. Allocations grow to the
+/// [`BLOCK`] lanes), the match index buffer, the query bounds of the
+/// entry points that load them per call, and transpose buffers for
+/// interleaved inputs. Allocations grow to the
 /// largest scanned segment and are then reused, so a warmed-up scratch
 /// performs no allocation per scan.
 #[derive(Debug, Default)]
@@ -208,18 +214,14 @@ pub struct ScanScratch {
     mask: Vec<u64>,
     /// Indices (ascending) of the objects that matched the last scan.
     matches: Vec<u32>,
-    /// Per-dimension query bounds (`a` side), see the relation mapping.
-    qa: Vec<Scalar>,
-    /// Per-dimension query bounds (`b` side).
-    qb: Vec<Scalar>,
+    /// Bounds of the query last passed to [`scan_columns`] or
+    /// [`scan_interleaved`].
+    bounds: QueryBounds,
     /// Per-block lower-bound gather tile ([`BLOCK`] scalars) for
     /// interleaved inputs.
     t_lo: Vec<Scalar>,
     /// Per-block upper-bound gather tile for interleaved inputs.
     t_hi: Vec<Scalar>,
-    /// Per-candidate pass bytes of [`scan_candidates`] (packed into
-    /// `mask` once all dimension runs are evaluated).
-    bytes: Vec<u8>,
 }
 
 impl ScanScratch {
@@ -234,9 +236,7 @@ impl ScanScratch {
         &self.matches
     }
 
-    /// The bitmask words written by the most recent scan: for
-    /// [`scan_columns`]/[`scan_interleaved`] the survivors of every
-    /// block, for [`scan_candidates`] the matching candidates. Word `k`
+    /// The survivors of every block of the most recent scan: word `k`
     /// bit `i` corresponds to lane `64·k + i`.
     pub fn mask_words(&self) -> &[u64] {
         &self.mask
@@ -296,7 +296,7 @@ fn portable_word_rel(rel: u8, lo: &[Scalar], hi: &[Scalar], a: Scalar, b: Scalar
 
 /// [`portable_word_rel`] compiled for AVX2, selected at runtime when the
 /// CPU supports it (detected once, cached) — the same trick
-/// [`fill_candidate_bytes`] uses for the candidate kernel, so the
+/// [`count_candidates`] uses for the candidate kernel, so the
 /// default build's member kernel vectorizes at eight lanes without the
 /// `simd` feature. Comparison outcomes are identical; only the lane
 /// width changes.
@@ -517,35 +517,64 @@ impl Pred for Encloses {
 
 /// The three comparison shapes; point-enclosing queries reduce to
 /// [`Relation::Enclosure`] with degenerate per-dimension bounds.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 enum Relation {
+    #[default]
     Intersection,
     Containment,
     Enclosure,
 }
 
-/// Loads the per-dimension bounds of `query` into `qa`/`qb` and returns
-/// the comparison shape.
-fn load_bounds(query: &SpatialQuery, qa: &mut Vec<Scalar>, qb: &mut Vec<Scalar>) -> Relation {
-    qa.clear();
-    qb.clear();
-    match query {
-        SpatialQuery::Intersection(q) | SpatialQuery::Containment(q) | SpatialQuery::Enclosure(q) => {
-            for d in 0..q.dims() {
-                qa.push(q.interval(d).lo());
-                qb.push(q.interval(d).hi());
+/// A query's comparison shape and per-dimension bounds in the form the
+/// kernels consume. Loading is a copy of `2·dims` scalars: cheap once,
+/// but an index exploring hundreds of clusters runs two kernels per
+/// cluster, so it loads the bounds once per query and calls
+/// [`scan_columns_loaded`] and [`count_candidates`] with them.
+#[derive(Debug, Default)]
+pub struct QueryBounds {
+    rel: Relation,
+    /// Per-dimension `a` side: the window's lower bounds, or the point.
+    qa: Vec<Scalar>,
+    /// Per-dimension `b` side: the window's upper bounds, or the point.
+    qb: Vec<Scalar>,
+}
+
+impl QueryBounds {
+    /// Empty bounds (zero dimensions); buffers are sized by the first
+    /// [`QueryBounds::load`].
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Replaces the contents with `query`'s shape and bounds, reusing
+    /// the buffers.
+    pub fn load(&mut self, query: &SpatialQuery) {
+        self.qa.clear();
+        self.qb.clear();
+        match query {
+            SpatialQuery::Intersection(q)
+            | SpatialQuery::Containment(q)
+            | SpatialQuery::Enclosure(q) => {
+                for d in 0..q.dims() {
+                    self.qa.push(q.interval(d).lo());
+                    self.qb.push(q.interval(d).hi());
+                }
             }
-            match query {
-                SpatialQuery::Intersection(_) => Relation::Intersection,
-                SpatialQuery::Containment(_) => Relation::Containment,
-                _ => Relation::Enclosure,
+            SpatialQuery::PointEnclosing(p) => {
+                self.qa.extend_from_slice(p);
+                self.qb.extend_from_slice(p);
             }
         }
-        SpatialQuery::PointEnclosing(p) => {
-            qa.extend_from_slice(p);
-            qb.extend_from_slice(p);
-            Relation::Enclosure
-        }
+        self.rel = match query {
+            SpatialQuery::Intersection(_) => Relation::Intersection,
+            SpatialQuery::Containment(_) => Relation::Containment,
+            SpatialQuery::Enclosure(_) | SpatialQuery::PointEnclosing(_) => Relation::Enclosure,
+        };
+    }
+
+    /// Dimensionality of the loaded query.
+    pub fn dims(&self) -> usize {
+        self.qa.len()
     }
 }
 
@@ -573,11 +602,34 @@ pub fn scan_columns<C: ColumnAccess + ?Sized>(
     cols: &C,
     scratch: &mut ScanScratch,
 ) -> ScanOutcome {
-    let rel = load_bounds(query, &mut scratch.qa, &mut scratch.qb);
     let ScanScratch {
-        mask, matches, qa, qb, ..
+        mask,
+        matches,
+        bounds,
+        ..
     } = scratch;
-    match rel {
+    bounds.load(query);
+    run_loaded(bounds, cols, mask, matches)
+}
+
+/// [`scan_columns`] for a query whose bounds the caller already loaded:
+/// same outcome, without copying the bounds again.
+pub fn scan_columns_loaded<C: ColumnAccess + ?Sized>(
+    bounds: &QueryBounds,
+    cols: &C,
+    scratch: &mut ScanScratch,
+) -> ScanOutcome {
+    run_loaded(bounds, cols, &mut scratch.mask, &mut scratch.matches)
+}
+
+fn run_loaded<C: ColumnAccess + ?Sized>(
+    bounds: &QueryBounds,
+    cols: &C,
+    mask: &mut Vec<u64>,
+    matches: &mut Vec<u32>,
+) -> ScanOutcome {
+    let (qa, qb) = (&bounds.qa[..], &bounds.qb[..]);
+    match bounds.rel {
         Relation::Intersection => run::<C, Intersects>(cols, qa, qb, mask, matches),
         Relation::Containment => run::<C, Contained>(cols, qa, qb, mask, matches),
         Relation::Enclosure => run::<C, Encloses>(cols, qa, qb, mask, matches),
@@ -668,19 +720,18 @@ pub fn scan_interleaved(
 ) -> ScanOutcome {
     let width = 2 * query.dims();
     debug_assert_eq!(flat.len() % width, 0, "coordinate arity mismatch");
-    let rel = load_bounds(query, &mut scratch.qa, &mut scratch.qb);
     let ScanScratch {
         mask,
         matches,
-        qa,
-        qb,
+        bounds,
         t_lo,
         t_hi,
-        ..
     } = scratch;
+    bounds.load(query);
+    let (qa, qb) = (&bounds.qa[..], &bounds.qb[..]);
     t_lo.resize(BLOCK, 0.0);
     t_hi.resize(BLOCK, 0.0);
-    match rel {
+    match bounds.rel {
         Relation::Intersection => {
             run_interleaved::<Intersects>(flat, width, qa, qb, mask, matches, t_lo, t_hi)
         }
@@ -753,8 +804,8 @@ fn run_interleaved<P: Pred>(
 /// the full domain of a specialized dimension cannot discriminate that
 /// dimension's candidates: when the run's *worst* candidate passes the
 /// relation's `x ≤ t1 ∧ y ≥ t2` condition, every candidate does, and
-/// the kernel sets the whole run's match bits without evaluating
-/// per-candidate bounds. Candidate bounds are immutable after
+/// the kernel counts the whole run without evaluating per-candidate
+/// bounds. Candidate bounds are immutable after
 /// generation, so these aggregates are computed once.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunBounds {
@@ -826,7 +877,7 @@ pub struct CandidateColumns<'a> {
     /// `dim_offsets[d] .. dim_offsets[d + 1]`.
     dim_offsets: &'a [u32],
     /// Aggregate bounds per dimension run (length `dims`), driving the
-    /// per-run matches-all fast path of [`scan_candidates`].
+    /// per-run matches-all fast path of [`count_candidates`].
     run_bounds: &'a [RunBounds],
 }
 
@@ -846,9 +897,9 @@ impl<'a> CandidateColumns<'a> {
         let n = start_lo.len();
         assert!(start_reach.len() == n && end_lo.len() == n && end_reach.len() == n);
         assert!(!dim_offsets.is_empty());
-        // The runs must cover every candidate exactly: [`scan_candidates`]
-        // reuses its pass-byte buffer across scans and only writes the
-        // offsets' runs, so an uncovered prefix would read stale bytes.
+        // The runs must cover every candidate exactly: [`count_candidates`]
+        // only visits the offsets' runs, so an uncovered candidate would
+        // never be counted.
         assert_eq!(dim_offsets[0], 0, "first dimension run must start at 0");
         assert_eq!(*dim_offsets.last().expect("non-empty") as usize, n);
         assert_eq!(run_bounds.len(), dim_offsets.len() - 1);
@@ -880,9 +931,9 @@ impl<'a> CandidateColumns<'a> {
 }
 
 /// Evaluates one query against every candidate of a cluster,
-/// dimension-major, writing the matching candidates as a bitmask into
-/// `scratch` ([`ScanScratch::mask_words`], bit `i` of word `k` =
-/// candidate `64·k + i` matches). Returns the number of matches.
+/// dimension-major, and adds one (saturating at `u32::MAX`) to
+/// `counters[i]` for every matching candidate `i` — compare and count
+/// in one pass, with no intermediate mask.
 ///
 /// A candidate constrains only its own specialized dimension, so unlike
 /// member verification there is no survivors refinement: every relation
@@ -891,98 +942,46 @@ impl<'a> CandidateColumns<'a> {
 /// > `x[i] ≤ t1 ∧ y[i] ≥ t2`
 ///
 /// with the `(x, y)` columns and `(t1, t2)` thresholds chosen per
-/// relation from the query bounds of the candidate's dimension. The bit
-/// for candidate `i` equals the scalar reference loop's
+/// relation from the query bounds of the candidate's dimension. The
+/// increment of candidate `i` equals the scalar reference loop's
 /// `acx_core::candidates::CandidateSlice::matches_query` outcome exactly
 /// (the pre-adjusted closed bounds encode the open/closed upper-bound
 /// semantics losslessly for finite `f32`).
-pub fn scan_candidates(
-    query: &SpatialQuery,
-    cols: &CandidateColumns<'_>,
-    scratch: &mut ScanScratch,
-) -> usize {
-    debug_assert_eq!(cols.dims(), query.dims(), "dimensionality mismatch");
-    let rel = load_bounds(query, &mut scratch.qa, &mut scratch.qb);
-    let n = cols.len();
-    scratch.mask.clear();
-    scratch.mask.resize(n.div_ceil(BLOCK), 0);
-    if n == 0 {
-        return 0;
-    }
-    // The `(x, y)` bound columns of the relation's pass condition
-    // `x[i] ≤ t1 ∧ y[i] ≥ t2` (see the scalar oracle).
-    let (x_col, y_col) = match rel {
-        // start.lo ≤ q.hi ∧ end can reach q.lo
-        Relation::Intersection => (cols.start_lo, cols.end_reach),
-        // end.lo ≤ q.hi ∧ start can reach q.lo
-        Relation::Containment => (cols.end_lo, cols.start_reach),
-        // start.lo ≤ q.lo ∧ end can reach q.hi (points: q.lo = q.hi)
-        Relation::Enclosure => (cols.start_lo, cols.end_reach),
-    };
-    // Evaluate each dimension run with its constant thresholds into
-    // per-candidate pass bytes (contiguous branch-free compare loops the
-    // compiler vectorizes; runs are too short to amortize per-run bit
-    // packing), then pack the whole byte buffer into mask words. On
-    // x86_64 the fill is dispatched to an AVX2-compiled clone of the
-    // same loop when the CPU supports it (detected once) — identical
-    // comparisons, twice the lanes.
-    let bytes = &mut scratch.bytes;
-    bytes.resize(n, 0);
-    fill_candidate_bytes(rel, cols, &scratch.qa, &scratch.qb, x_col, y_col, bytes);
-    let mut matched = 0usize;
-    for (block, word) in scratch.mask.iter_mut().enumerate() {
-        let start = block * BLOCK;
-        let end = (start + BLOCK).min(n);
-        let w = pack_bytes(&bytes[start..end]);
-        *word = w;
-        matched += w.count_ones() as usize;
-    }
-    matched
-}
-
-/// Fills one pass byte per candidate: per dimension run, the constant
-/// thresholds of the relation's `x ≤ t1 ∧ y ≥ t2` condition against the
-/// two bound columns.
-fn fill_candidate_bytes(
-    rel: Relation,
-    cols: &CandidateColumns<'_>,
-    qa: &[Scalar],
-    qb: &[Scalar],
-    x_col: &[Scalar],
-    y_col: &[Scalar],
-    bytes: &mut [u8],
-) {
+///
+/// Each dimension run is one contiguous branch-free loop the compiler
+/// vectorizes. On x86_64 it is dispatched to an AVX2-compiled clone of
+/// the same loop when the CPU supports it (detected once) — identical
+/// comparisons, twice the lanes.
+///
+/// # Panics
+///
+/// Panics if `counters` does not hold exactly one counter per candidate.
+pub fn count_candidates(bounds: &QueryBounds, cols: &CandidateColumns<'_>, counters: &mut [u32]) {
+    debug_assert_eq!(cols.dims(), bounds.dims(), "dimensionality mismatch");
+    assert_eq!(counters.len(), cols.len(), "one counter per candidate");
     #[cfg(target_arch = "x86_64")]
     if avx2_detected() {
         // SAFETY: AVX2 presence was just verified; the callee is the
         // same safe loop compiled with the feature enabled.
         unsafe {
-            return fill_candidate_bytes_avx2(rel, cols, qa, qb, x_col, y_col, bytes);
+            return count_candidates_avx2(bounds, cols, counters);
         }
     }
-    fill_candidate_bytes_impl(rel, cols, qa, qb, x_col, y_col, bytes);
+    count_candidates_impl(bounds, cols, counters);
 }
 
-/// [`fill_candidate_bytes_impl`] compiled for AVX2 so the byte loop
+/// [`count_candidates_impl`] compiled for AVX2 so the count loop
 /// auto-vectorizes at eight lanes — comparison outcomes are identical,
 /// only the lane width changes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn fill_candidate_bytes_avx2(
-    rel: Relation,
-    cols: &CandidateColumns<'_>,
-    qa: &[Scalar],
-    qb: &[Scalar],
-    x_col: &[Scalar],
-    y_col: &[Scalar],
-    bytes: &mut [u8],
-) {
-    fill_candidate_bytes_impl(rel, cols, qa, qb, x_col, y_col, bytes);
+fn count_candidates_avx2(bounds: &QueryBounds, cols: &CandidateColumns<'_>, counters: &mut [u32]) {
+    count_candidates_impl(bounds, cols, counters);
 }
 
 /// Whether the CPU supports AVX2 (detected once, cached) — the runtime
 /// dispatch gate shared by every kernel with an AVX2-compiled clone
-/// (member pass-words, candidate byte fill, and the reorganization
+/// (member pass-words, candidate counting, and the reorganization
 /// benefit column in `acx_core`).
 #[cfg(target_arch = "x86_64")]
 #[inline]
@@ -993,65 +992,49 @@ pub fn avx2_detected() -> bool {
 }
 
 #[inline(always)]
-fn fill_candidate_bytes_impl(
-    rel: Relation,
-    cols: &CandidateColumns<'_>,
-    qa: &[Scalar],
-    qb: &[Scalar],
-    x_col: &[Scalar],
-    y_col: &[Scalar],
-    bytes: &mut [u8],
-) {
+fn count_candidates_impl(bounds: &QueryBounds, cols: &CandidateColumns<'_>, counters: &mut [u32]) {
+    // Per relation: the `(x, y)` bound columns of the pass condition
+    // `x[i] ≤ t1 ∧ y[i] ≥ t2`, which query side each threshold comes
+    // from, and whether the run aggregates to screen with are the
+    // containment pair.
+    let (x_col, y_col, t1s, t2s, containment) = match bounds.rel {
+        // start.lo ≤ q.hi ∧ end can reach q.lo
+        Relation::Intersection => (cols.start_lo, cols.end_reach, &bounds.qb, &bounds.qa, false),
+        // end.lo ≤ q.hi ∧ start can reach q.lo
+        Relation::Containment => (cols.end_lo, cols.start_reach, &bounds.qb, &bounds.qa, true),
+        // start.lo ≤ q.lo ∧ end can reach q.hi (points: q.lo = q.hi)
+        Relation::Enclosure => (cols.start_lo, cols.end_reach, &bounds.qa, &bounds.qb, false),
+    };
     for d in 0..cols.dims() {
         let run = cols.dim_offsets[d] as usize..cols.dim_offsets[d + 1] as usize;
-        if run.is_empty() {
-            continue;
-        }
-        let (t1, t2) = match rel {
-            Relation::Intersection | Relation::Containment => (qb[d], qa[d]),
-            Relation::Enclosure => (qa[d], qb[d]),
-        };
+        let (t1, t2) = (t1s[d], t2s[d]);
         // Sparse-query fast path: when even the run's worst candidate
         // passes (its largest `x` and smallest `y` — typically a query
         // interval spanning the dimension's full domain), the run
-        // cannot be discriminated and every bit is set without touching
-        // the bound columns. Exact by monotonicity: all values are
-        // finite, so `max(x) ≤ t1` implies every `x ≤ t1` and
-        // `min(y) ≥ t2` implies every `y ≥ t2`.
+        // cannot be discriminated and every candidate is counted
+        // without touching the bound columns. Exact by monotonicity:
+        // all values are finite, so `max(x) ≤ t1` implies every
+        // `x ≤ t1` and `min(y) ≥ t2` implies every `y ≥ t2`. (An empty
+        // run aggregates to `-∞`/`+∞` and counts nothing here.)
         let rb = &cols.run_bounds[d];
-        let (x_max, y_min) = match rel {
-            Relation::Intersection | Relation::Enclosure => (rb.start_lo_max, rb.end_reach_min),
-            Relation::Containment => (rb.end_lo_max, rb.start_reach_min),
+        let (x_max, y_min) = if containment {
+            (rb.end_lo_max, rb.start_reach_min)
+        } else {
+            (rb.start_lo_max, rb.end_reach_min)
         };
+        let out = &mut counters[run.clone()];
         if x_max <= t1 && y_min >= t2 {
-            bytes[run].fill(1);
+            for c in out {
+                *c = c.saturating_add(1);
+            }
             continue;
         }
         let x = &x_col[run.clone()];
-        let y = &y_col[run.clone()];
-        for ((byte, &xv), &yv) in bytes[run.clone()].iter_mut().zip(x).zip(y) {
-            *byte = ((xv <= t1) as u8) & ((yv >= t2) as u8);
+        let y = &y_col[run];
+        for ((c, &xv), &yv) in out.iter_mut().zip(x).zip(y) {
+            *c = c.saturating_add(((xv <= t1) & (yv >= t2)) as u32);
         }
     }
-}
-
-/// Packs up to [`BLOCK`] 0/1 bytes into mask bits (byte `i` → bit `i`)
-/// from a slice — the ragged-tail form of [`pack_tile`].
-#[inline]
-fn pack_bytes(bytes: &[u8]) -> u64 {
-    debug_assert!(!bytes.is_empty() && bytes.len() <= BLOCK);
-    let mut word = 0u64;
-    let mut chunks = bytes.chunks_exact(8);
-    for (k, chunk) in chunks.by_ref().enumerate() {
-        let x = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"))
-            & 0x0101_0101_0101_0101;
-        word |= (x.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
-    }
-    let tail_at = bytes.len() - chunks.remainder().len();
-    for (i, &b) in chunks.remainder().iter().enumerate() {
-        word |= ((b & 1) as u64) << (tail_at + i);
-    }
-    word
 }
 
 #[cfg(test)]
@@ -1318,6 +1301,16 @@ mod tests {
             .collect()
     }
 
+    /// One kernel pass over zeroed counters, as match flags.
+    fn kernel_matches(query: &SpatialQuery, cols: &CandidateColumns<'_>) -> Vec<bool> {
+        let mut bounds = QueryBounds::new();
+        bounds.load(query);
+        let mut counters = vec![0u32; cols.len()];
+        count_candidates(&bounds, cols, &mut counters);
+        assert!(counters.iter().all(|&c| c <= 1), "one pass adds at most one");
+        counters.iter().map(|&c| c == 1).collect()
+    }
+
     #[test]
     fn candidate_kernel_matches_oracle_with_open_bounds() {
         // Two dimensions, three candidates each; open upper bounds make
@@ -1342,20 +1335,15 @@ mod tests {
             SpatialQuery::point_enclosing(vec![0.25, 0.5]),
             SpatialQuery::point_enclosing(vec![0.5, 1.0]),
         ] {
-            let mut scratch = ScanScratch::new();
-            let matched = scan_candidates(&q, &cols, &mut scratch);
             let want = cand_oracle(&q, &start, &end, &offsets);
-            for (i, &w) in want.iter().enumerate() {
-                let got = scratch.mask_words()[i / BLOCK] >> (i % BLOCK) & 1 == 1;
-                assert_eq!(got, w, "candidate {i} diverged on {q:?}");
-            }
-            assert_eq!(matched, want.iter().filter(|&&m| m).count());
+            assert_eq!(kernel_matches(&q, &cols), want, "diverged on {q:?}");
         }
     }
 
     #[test]
-    fn candidate_kernel_handles_word_straddling_runs() {
-        // One dimension with 70 candidates: the run crosses a word edge.
+    fn candidate_kernel_handles_runs_longer_than_a_vector() {
+        // One dimension with 70 candidates: several full vector steps
+        // and a ragged tail within a single run.
         let start: Vec<(Scalar, Scalar, bool)> =
             (0..70).map(|i| (i as Scalar / 70.0, 1.0, false)).collect();
         let end: Vec<(Scalar, Scalar, bool)> = (0..70).map(|_| (0.0, 1.0, false)).collect();
@@ -1363,16 +1351,34 @@ mod tests {
         let (sl, sr, el, er, off) = cand_cols(&start, &end, &offsets);
         let rb = RunBounds::compute_all(&sl, &sr, &el, &er, &off);
         let cols = CandidateColumns::new(&sl, &sr, &el, &er, &off, &rb);
-        let mut scratch = ScanScratch::new();
         let q = SpatialQuery::point_enclosing(vec![0.5]);
-        let matched = scan_candidates(&q, &cols, &mut scratch);
         let want = cand_oracle(&q, &start, &end, &offsets);
-        assert_eq!(matched, want.iter().filter(|&&m| m).count());
+        let matched = want.iter().filter(|&&m| m).count();
         assert!(matched > 0 && matched < 70);
-        for (i, &w) in want.iter().enumerate() {
-            let got = scratch.mask_words()[i / BLOCK] >> (i % BLOCK) & 1 == 1;
-            assert_eq!(got, w, "candidate {i}");
+        assert_eq!(kernel_matches(&q, &cols), want);
+    }
+
+    #[test]
+    fn candidate_counters_accumulate_and_saturate() {
+        // Two runs: the first is matched through the per-candidate loop,
+        // the second through the matches-all path (full-domain window).
+        let start = [(0.0, 0.5, true), (0.5, 1.0, false), (0.0, 1.0, false)];
+        let end = [(0.0, 0.5, true), (0.5, 1.0, false), (0.0, 1.0, false)];
+        let offsets = [0u32, 2, 3];
+        let (sl, sr, el, er, off) = cand_cols(&start, &end, &offsets);
+        let rb = RunBounds::compute_all(&sl, &sr, &el, &er, &off);
+        let cols = CandidateColumns::new(&sl, &sr, &el, &er, &off, &rb);
+        let q = SpatialQuery::intersection(
+            HyperRect::from_bounds(&[0.6, 0.0], &[0.7, 1.0]).unwrap(),
+        );
+        assert_eq!(cand_oracle(&q, &start, &end, &offsets), [false, true, true]);
+        let mut bounds = QueryBounds::new();
+        bounds.load(&q);
+        let mut counters = [7, u32::MAX - 1, u32::MAX - 1];
+        for _ in 0..3 {
+            count_candidates(&bounds, &cols, &mut counters);
         }
+        assert_eq!(counters, [7, u32::MAX, u32::MAX], "pinned at the maximum, never wrapped");
     }
 
     #[test]
@@ -1380,7 +1386,7 @@ mod tests {
         // Dimension 0's candidates are all reachable by a full-domain
         // interval (the fast path fills the whole run); dimension 1 has
         // one candidate that fails, forcing the per-candidate loop. The
-        // mask must equal the scalar oracle bit for bit either way.
+        // counts must equal the scalar oracle either way.
         let start = [
             (0.0, 0.25, true), (0.25, 0.5, true), (0.5, 1.0, false),
             (0.0, 0.5, true), (0.5, 0.75, true), (0.75, 1.0, false),
@@ -1403,14 +1409,8 @@ mod tests {
             SpatialQuery::containment(full.clone()),
             SpatialQuery::enclosure(full),
         ] {
-            let mut scratch = ScanScratch::new();
-            let matched = scan_candidates(&q, &cols, &mut scratch);
             let want = cand_oracle(&q, &start, &end, &offsets);
-            for (i, &w) in want.iter().enumerate() {
-                let got = scratch.mask_words()[i / BLOCK] >> (i % BLOCK) & 1 == 1;
-                assert_eq!(got, w, "candidate {i} diverged on {q:?}");
-            }
-            assert_eq!(matched, want.iter().filter(|&&m| m).count());
+            assert_eq!(kernel_matches(&q, &cols), want, "diverged on {q:?}");
         }
         // Premise: the intersection over the full window really is
         // all-match on dim 0's run (fast path taken, not vacuous).
