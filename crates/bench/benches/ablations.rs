@@ -10,8 +10,10 @@
 //! execution, so both the equilibrium clustering quality and the steady
 //! -state cost are visible.
 
+use acx_bench::ac_config;
 use acx_core::{AdaptiveClusterIndex, IndexConfig};
 use acx_geom::{ObjectId, SpatialQuery};
+use acx_storage::StorageScenario;
 use acx_workloads::{calibrate, UniformWorkload, Workload, WorkloadConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -46,7 +48,7 @@ fn bench_division_factor(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_division_factor");
     group.sample_size(20);
     for f in [2u8, 4, 8] {
-        let mut config = IndexConfig::memory(DIMS);
+        let mut config = ac_config(DIMS, StorageScenario::Memory);
         config.division_factor = f;
         let mut index = warmed_index(config, &queries);
         let mut k = 0usize;
@@ -65,7 +67,7 @@ fn bench_reorg_period(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_reorg_period");
     group.sample_size(20);
     for period in [25u64, 100, 400] {
-        let mut config = IndexConfig::memory(DIMS);
+        let mut config = ac_config(DIMS, StorageScenario::Memory);
         config.reorg_period = period;
         let mut index = warmed_index(config, &queries);
         let mut k = 0usize;
@@ -85,7 +87,7 @@ fn bench_statistics_policy(c: &mut Criterion) {
     group.sample_size(20);
     // (decay, confidence): paper-bare vs smoothed+hysteresis (default).
     for (label, decay, z) in [("paper_bare", 0.0, 0.0), ("smoothed", 0.5, 2.0)] {
-        let mut config = IndexConfig::memory(DIMS);
+        let mut config = ac_config(DIMS, StorageScenario::Memory);
         config.stats_decay = decay;
         config.confidence_z = z;
         let mut index = warmed_index(config, &queries);

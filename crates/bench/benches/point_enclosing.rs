@@ -3,7 +3,7 @@
 //! production path, `AC-oracle` the bit-identical reference — their gap
 //! is the production path's speedup on the scan-dominated workload.
 
-use acx_bench::{build_ac, build_ac_with, build_ss};
+use acx_bench::{ac_config, build_ac, build_ac_with, build_ss};
 use acx_core::IndexConfig;
 use acx_geom::SpatialQuery;
 use acx_storage::StorageScenario;
@@ -25,7 +25,7 @@ fn bench_point_enclosing(c: &mut Criterion) {
     let mut ac = build_ac(DIMS, StorageScenario::Memory, &data);
     let reference = IndexConfig {
         reference: true,
-        ..IndexConfig::memory(DIMS)
+        ..ac_config(DIMS, StorageScenario::Memory)
     };
     let mut oracle = build_ac_with(reference, &data);
     for q in &queries {

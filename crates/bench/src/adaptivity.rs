@@ -173,7 +173,7 @@ fn mean(xs: &[f64]) -> f64 {
 }
 
 /// The `q`-quantile of an unsorted sample set (nearest-rank).
-fn percentile(samples: &mut [f64], q: f64) -> f64 {
+pub(crate) fn percentile(samples: &mut [f64], q: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
@@ -318,6 +318,7 @@ mod tests {
             &params,
         );
         assert!(row.steady_ms > 0.0);
+        assert!(row.splits > 0, "the paper's platform clusters 300 objects");
         assert!(row.p99_wall_ms >= row.p50_wall_ms);
         assert_eq!(row.merge_cooldown, 0);
         assert_eq!(row.cooldown_blocked, 0);

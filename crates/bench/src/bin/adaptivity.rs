@@ -119,8 +119,12 @@ fn main() {
 
     println!("== Adaptivity across the scenario zoo ==");
     println!(
-        "objects={} dims={} warmup={} post={} band={} reorg_period=100",
+        "objects={} dims={} warmup={} post={} band={} reorg_period=100 profile=edbt2004",
         params.objects, params.dims, params.warmup_queries, params.post_queries, params.band
+    );
+    println!(
+        "(the paper's platform, `ac_config`: it is Table 2 that clusters a few thousand \
+         objects, and re-adaptation wants clusters to re-adapt)"
     );
 
     // Objects and queries derive from distinct seeds so the two streams
@@ -179,6 +183,7 @@ fn main() {
     // Hand-rolled JSON: the workspace is offline, no serde available.
     let mut json = String::from("{\n  \"bench\": \"adaptivity\",\n");
     let _ = writeln!(json, "  \"quick\": {quick},");
+    json.push_str("  \"profile\": \"edbt2004\",\n");
     let _ = writeln!(
         json,
         "  \"objects\": {}, \"dims\": {}, \"warmup_queries\": {}, \"post_shift_queries\": {},",

@@ -26,17 +26,27 @@
 //! The index-level sections build both sides from
 //! [`acx_bench::strategies`].
 //!
+//! `--cost-terms` additionally measures the five terms of the memory
+//! cost model ([`acx_bench::cost_terms`]) and writes them, beside the
+//! constants committed in `DeviceProfile::measured`, as the
+//! `calibration` object of `BENCH_scan.json`. The run exits 1 when a
+//! measured term is more than 10× off its committed constant: a kernel
+//! change has invalidated the model, and the constants want measuring
+//! again (by hand — nothing is ever calibrated at run time).
+//!
 //! Usage:
 //! ```text
 //! cargo run --release -p acx_bench --bin scan_bench
-//!     [--quick] [--out BENCH_scan.json] [--cand-out BENCH_candidates.json]
-//!     [--reorg-out BENCH_reorg.json] [--index-objects N] [--repeats N]
+//!     [--quick] [--cost-terms] [--out BENCH_scan.json]
+//!     [--cand-out BENCH_candidates.json] [--reorg-out BENCH_reorg.json]
+//!     [--index-objects N] [--repeats N]
 //! ```
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use acx_bench::args::Flags;
+use acx_bench::cost_terms::{self, CostTerms};
 use acx_bench::{adapted_ac, build_ac_with, strategies};
 use acx_core::candidates::{generate_candidates, StatsArena};
 use acx_core::{QueryScratch, Signature, StatsDelta};
@@ -434,6 +444,80 @@ fn reorg_matrix(objects: usize, repeats: usize) -> Vec<ReorgRow> {
     rows
 }
 
+/// First line of a command's output, or `"unknown"` — the provenance
+/// stamps of the calibration object.
+fn first_line_of(program: &str, args: &[&str]) -> String {
+    std::process::Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .and_then(|text| text.lines().next().map(str::to_owned))
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
+/// A measured term may be this many times what the committed constants
+/// make it, or that fraction of it, before the run fails.
+const CALIBRATION_TOLERANCE: f64 = 10.0;
+
+/// Prints the measured terms, appends the `calibration` object to
+/// `json` and returns the terms out of [`CALIBRATION_TOLERANCE`].
+fn report_calibration(
+    terms: &CostTerms,
+    objects: usize,
+    rounds: usize,
+    json: &mut String,
+) -> Vec<String> {
+    json.push_str("  \"calibration\": {\n");
+    let _ = writeln!(
+        json,
+        "    \"command\": \"scan_bench --cost-terms\", \"objects\": {objects}, \"rounds\": {rounds}, \"host_cores\": {}, \"commit\": \"{}\", \"rustc\": \"{}\",",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        first_line_of("git", &["rev-parse", "HEAD"]),
+        first_line_of("rustc", &["--version"]),
+    );
+    json.push_str("    \"per_dims\": [\n");
+    for (i, t) in terms.per_dims.iter().enumerate() {
+        println!(
+            "terms   d={:>2} ({:>4} clusters): A {:>6.1} ns/check  B {:>7.1} ns/exploration (recording {:>6.1})  C {:.4} ns/byte  M {:>7.1} ns/object",
+            t.dims,
+            t.clusters,
+            t.signature_check_ns,
+            t.exploration_ns,
+            t.recording_ns,
+            t.verify_ns_per_byte,
+            t.move_ns_per_object,
+        );
+        let _ = write!(
+            json,
+            "      {{\"dims\": {}, \"clusters\": {}, \"signature_check_ns\": {:.2}, \"exploration_ns\": {:.1}, \"recording_ns\": {:.1}, \"verify_ns_per_byte\": {:.4}, \"move_ns_per_object\": {:.1}}}",
+            t.dims,
+            t.clusters,
+            t.signature_check_ns,
+            t.exploration_ns,
+            t.recording_ns,
+            t.verify_ns_per_byte,
+            t.move_ns_per_object,
+        );
+        json.push_str(if i + 1 == terms.per_dims.len() { "\n" } else { ",\n" });
+    }
+    json.push_str("    ],\n    \"terms\": {\n");
+    let rows = terms.against_committed();
+    for (i, (name, measured, committed)) in rows.iter().enumerate() {
+        println!(
+            "terms   {name:<24} measured {measured:>9.4}  committed {committed:>9.4}  ratio {:>5.2}",
+            measured / committed
+        );
+        let _ = write!(
+            json,
+            "      \"{name}\": {{\"measured\": {measured:.4}, \"committed\": {committed:.4}}}"
+        );
+        json.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
+    }
+    json.push_str("    }\n  },\n");
+    terms.out_of_tolerance(CALIBRATION_TOLERANCE)
+}
+
 fn main() {
     let flags = Flags::from_env();
     let quick = flags.has("quick");
@@ -450,6 +534,7 @@ fn main() {
     // execute, reorganization) without changing the kernel matrix.
     let index_objects: usize = flags.get("index-objects", default_index_objects);
     let repeats: usize = flags.get("repeats", repeats);
+    let cost_terms = flags.has("cost-terms");
     flags.finish();
     let dims_list = [2usize, 4, 8];
     let cand_configs: &[(usize, u8)] = if quick {
@@ -470,6 +555,12 @@ fn main() {
     // Hand-rolled JSON: the workspace is offline, no serde available.
     let mut json = String::from("{\n  \"bench\": \"scan_kernel\",\n");
     let _ = writeln!(json, "  \"quick\": {quick},");
+    let mut uncalibrated = Vec::new();
+    if cost_terms {
+        let (objects, rounds) = if quick { (4_000, 3) } else { (20_000, 9) };
+        let terms = cost_terms::measure(objects, rounds);
+        uncalibrated = report_calibration(&terms, objects, rounds, &mut json);
+    }
     json.push_str("  \"kernel_point_enclosing\": [\n");
     for (i, r) in kernel.iter().enumerate() {
         let _ = write!(
@@ -575,4 +666,12 @@ fn main() {
     json.push_str("}\n");
     std::fs::write(&reorg_out, &json).expect("write reorganization snapshot");
     println!("wrote {reorg_out}");
+    if !uncalibrated.is_empty() {
+        eprintln!(
+            "scan_bench: more than {CALIBRATION_TOLERANCE}x off the constants committed in \
+             DeviceProfile::measured:\n  {}",
+            uncalibrated.join("\n  ")
+        );
+        std::process::exit(1);
+    }
 }

@@ -10,6 +10,7 @@
 
 pub mod adaptivity;
 pub mod args;
+pub mod cost_terms;
 pub mod runner;
 
 pub use runner::{

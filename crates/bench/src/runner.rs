@@ -37,12 +37,21 @@ pub struct MethodReport {
     pub reorg_stall_ns: u64,
 }
 
-/// The paper-default configuration for a storage scenario.
+/// The paper's platform for a storage scenario
+/// ([`IndexConfig::edbt2004`]): what the figures, and every harness
+/// whose subject is the mechanism rather than the wall clock, build.
 pub fn ac_config(dims: usize, scenario: StorageScenario) -> IndexConfig {
-    match scenario {
-        StorageScenario::Memory => IndexConfig::memory(dims),
-        StorageScenario::Disk => IndexConfig::disk(dims),
-    }
+    IndexConfig::edbt2004(dims, scenario)
+}
+
+/// The paper's Table 2 cost models `(memory, disk)` every method's
+/// access counters are priced with, so that AC, RS and SS are compared
+/// in one currency.
+fn paper_models(dims: usize) -> (CostModel, CostModel) {
+    (
+        ac_config(dims, StorageScenario::Memory).cost_model(),
+        ac_config(dims, StorageScenario::Disk).cost_model(),
+    )
 }
 
 /// Builds an adaptive clustering index over the objects.
@@ -88,8 +97,13 @@ pub fn adapted_ac(
 ///   compare-and-count candidate kernel, incremental reorganization pass;
 /// * `reference` — [`IndexConfig::reference`]: the object-at-a-time
 ///   loops and the full scalar sweep, decision- and answer-identical.
+///
+/// Both on the paper's platform ([`ac_config`]): what is compared is
+/// the mechanism, and at the few thousand objects these harnesses use
+/// it is Table 2 that builds the hundreds of clusters a traversal, a
+/// recording or a pass needs to be worth timing.
 pub fn strategies(dims: usize) -> [(&'static str, IndexConfig); 2] {
-    let production = IndexConfig::memory(dims);
+    let production = ac_config(dims, StorageScenario::Memory);
     let reference = IndexConfig {
         reference: true,
         ..production.clone()
@@ -124,9 +138,9 @@ fn summarize(
     agg: AccessStats,
     wall_ns: u128,
     matches: u64,
-    mem_model: &CostModel,
-    disk_model: &CostModel,
+    dims: usize,
 ) -> MethodReport {
+    let (mem_model, disk_model) = paper_models(dims);
     let q = queries as f64;
     let avg = agg.averaged(queries as u64);
     MethodReport {
@@ -159,8 +173,6 @@ pub fn run_ac(
     for q in warmup {
         index.execute(q);
     }
-    let mem_model = IndexConfig::memory(index.dims()).cost_model();
-    let disk_model = IndexConfig::disk(index.dims()).cost_model();
     let reorg_base = (index.reorganizations(), index.reorg_wall_ns());
     let mut agg = AccessStats::new();
     let mut wall_ns = 0u128;
@@ -179,8 +191,7 @@ pub fn run_ac(
         agg,
         wall_ns,
         matches,
-        &mem_model,
-        &disk_model,
+        index.dims(),
     );
     report.reorg_passes = index.reorganizations() - reorg_base.0;
     report.reorg_stall_ns = index.reorg_wall_ns() - reorg_base.1;
@@ -201,8 +212,6 @@ pub fn run_ac_batch(
     n_objects: usize,
 ) -> MethodReport {
     index.execute_batch(warmup, threads);
-    let mem_model = IndexConfig::memory(index.dims()).cost_model();
-    let disk_model = IndexConfig::disk(index.dims()).cost_model();
     let reorg_base = (index.reorganizations(), index.reorg_wall_ns());
     let started = std::time::Instant::now();
     let results = index.execute_batch(measured, threads);
@@ -221,8 +230,7 @@ pub fn run_ac_batch(
         agg,
         wall_ns,
         matches,
-        &mem_model,
-        &disk_model,
+        index.dims(),
     );
     report.reorg_passes = index.reorganizations() - reorg_base.0;
     report.reorg_stall_ns = index.reorg_wall_ns() - reorg_base.1;
@@ -273,8 +281,6 @@ pub fn run_baseline<F>(
 where
     F: FnMut(&SpatialQuery) -> acx_storage::QueryResult,
 {
-    let mem_model = IndexConfig::memory(dims).cost_model();
-    let disk_model = IndexConfig::disk(dims).cost_model();
     let mut agg = AccessStats::new();
     let mut wall_ns = 0u128;
     let mut matches = 0u64;
@@ -292,7 +298,6 @@ where
         agg,
         wall_ns,
         matches,
-        &mem_model,
-        &disk_model,
+        dims,
     )
 }

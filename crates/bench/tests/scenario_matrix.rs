@@ -13,10 +13,15 @@
 //! The same traces must come out whichever statistics sink carries the
 //! stream ([`Sink`]): `execute` writing the arena in place,
 //! `query_recorded` + `apply_stats`, or `execute_batch`.
+//!
+//! Both sides come from [`strategies`], which pins the paper's
+//! platform: at 500 objects it is Table 2 that materializes clusters,
+//! and every scenario must (`run_stream` asserts splits), or the
+//! traces would agree about a root that never moved.
 
 use acx_bench::adaptivity::{make_objects, make_scenario, SCENARIOS};
 use acx_bench::args::Flags;
-use acx_bench::build_ac_with;
+use acx_bench::{build_ac_with, strategies};
 use acx_core::{AdaptiveClusterIndex, ClusterSnapshot, IndexConfig, ReorgReport, StatsDelta};
 use acx_geom::{ObjectId, SpatialQuery};
 use acx_storage::AccessStats;
@@ -100,6 +105,10 @@ fn run_stream(name: &str, config: IndexConfig, sink: Sink) -> Trace {
         passes.push(index.reorganize());
     }
     index.check_invariants().unwrap();
+    assert!(
+        index.total_splits() > 0,
+        "{name}: the stream must materialize clusters to compare anything"
+    );
     Trace {
         queries,
         passes,
@@ -118,11 +127,10 @@ fn assert_same_trace(what: &str, a: &Trace, b: &Trace) {
     assert_eq!(a.snapshots, b.snapshots, "{what}: snapshots");
 }
 
-fn reference_config() -> IndexConfig {
-    IndexConfig {
-        reference: true,
-        ..IndexConfig::memory(DIMS)
-    }
+/// The production configuration of [`strategies`].
+fn production_config() -> IndexConfig {
+    let [(_, production), _] = strategies(DIMS);
+    production
 }
 
 /// Every zoo scenario on both sides of [`IndexConfig::reference`]: both
@@ -130,8 +138,8 @@ fn reference_config() -> IndexConfig {
 #[test]
 fn zoo_is_green_and_answer_identical_across_strategy_matrix() {
     for name in SCENARIOS {
-        let production = run_stream(name, IndexConfig::memory(DIMS), Sink::Direct);
-        let reference = run_stream(name, reference_config(), Sink::Direct);
+        let [production, reference] =
+            strategies(DIMS).map(|(_, config)| run_stream(name, config, Sink::Direct));
         assert_same_trace(name, &production, &reference);
     }
 }
@@ -142,7 +150,7 @@ fn zoo_is_green_and_answer_identical_across_strategy_matrix() {
 #[test]
 fn zoo_traces_are_identical_across_statistics_sinks() {
     for name in SCENARIOS {
-        for config in [IndexConfig::memory(DIMS), reference_config()] {
+        for (_, config) in strategies(DIMS) {
             let direct = run_stream(name, config.clone(), Sink::Direct);
             for sink in [Sink::TwoPhase, Sink::Batch(1), Sink::Batch(4)] {
                 let other = run_stream(name, config.clone(), sink);
@@ -173,8 +181,8 @@ fn merge_cooldown_flag_keeps_zoo_green() {
             .collect()
     };
     for name in SCENARIOS {
-        let baseline = run_stream(name, IndexConfig::memory(DIMS), Sink::Direct);
-        let mut config = IndexConfig::memory(DIMS);
+        let baseline = run_stream(name, production_config(), Sink::Direct);
+        let mut config = production_config();
         config.merge_cooldown = flags.merge_cooldown();
         let cooled = run_stream(name, config, Sink::Direct);
         assert_eq!(

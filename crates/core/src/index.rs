@@ -139,18 +139,21 @@ struct PassCosts {
     b: f64,
     /// Effective per-object cost `C` (`decision_c` at pass start).
     c: f64,
+    /// Cost of moving one object between clusters, `2·C + M`.
+    moved: f64,
     /// Reorganization pay-back horizon (queries).
     horizon: f64,
     /// Confidence factor `z`.
     z: f64,
 }
 
-/// The single definition of the move margin `2·n·C / horizon` — the
-/// per-call method and every hoisted pass-loop use delegate here, so
-/// their float results cannot drift apart.
+/// The single definition of the move margin `n·(2·C + M) / horizon`,
+/// with `moved = 2·C + M` the cost of moving one object — the per-call
+/// method and every hoisted pass-loop use delegate here, so their float
+/// results cannot drift apart.
 #[inline]
-fn move_margin_c(c: f64, horizon: f64, n: usize) -> f64 {
-    2.0 * n as f64 * c / horizon
+fn move_margin_c(moved: f64, horizon: f64, n: usize) -> f64 {
+    n as f64 * moved / horizon
 }
 
 /// The single definition of the confidence margin — see
@@ -283,6 +286,8 @@ pub struct AdaptiveClusterIndex {
     recent_merges: HashMap<Vec<u8>, u64>,
     /// Thrash cycles detected by the pass currently running.
     pass_thrash: u64,
+    /// Objects moved between clusters by the pass currently running.
+    pass_moved: u64,
     /// Cool-down vetoes applied by the pass currently running.
     pass_cooldown_blocked: u64,
     /// Cumulative thrash cycles across all passes.
@@ -362,9 +367,8 @@ impl ReorgScratch {
     /// its column — possibly long after warm-up, once a cached verdict
     /// expires — must not be the one that pays the allocation.
     fn with_candidate_capacity(config: &IndexConfig) -> Self {
-        let f = config.division_factor as usize;
         Self {
-            benefits: Vec::with_capacity(config.dims * (f * (f + 1)) / 2),
+            benefits: Vec::with_capacity(config.candidates_per_cluster()),
             ..Self::default()
         }
     }
@@ -588,6 +592,7 @@ impl AdaptiveClusterIndex {
             last_profile: ReorgProfile::default(),
             recent_merges: HashMap::new(),
             pass_thrash: 0,
+            pass_moved: 0,
             pass_cooldown_blocked: 0,
             total_thrash: 0,
             checkpoint_id: 0,
@@ -725,16 +730,27 @@ impl AdaptiveClusterIndex {
             a: self.model.a(),
             b: self.model.b(),
             c: self.decision_c(),
+            moved: self.move_cost(),
             horizon: self.config.reorg_cost_horizon,
             z: self.config.confidence_z,
         }
     }
 
+    /// What moving one object between clusters costs: reading and
+    /// writing it through the verification path (`2·C`, the paper-era
+    /// estimate and all the paper's platform charges) plus the
+    /// platform's `M` — the segment, candidate-count and map updates
+    /// `materialize_candidate` and `merge_cluster` spend per object,
+    /// measured by `scan_bench --cost-terms`.
+    fn move_cost(&self) -> f64 {
+        2.0 * self.decision_c() + self.model.m()
+    }
+
     /// Hysteresis threshold: a reorganization that moves `n` objects must
-    /// save more than the move cost (read + write ≈ `2·n·C`) amortized
-    /// over the configured pay-back horizon.
+    /// save more than the move cost `n·(2·C + M)` amortized over the
+    /// configured pay-back horizon.
     fn move_margin(&self, n: usize) -> f64 {
-        move_margin_c(self.decision_c(), self.config.reorg_cost_horizon, n)
+        move_margin_c(self.move_cost(), self.config.reorg_cost_horizon, n)
     }
 
     /// Statistical margin: `z` standard errors of a benefit estimate whose
@@ -1357,6 +1373,7 @@ impl AdaptiveClusterIndex {
             ..Default::default()
         };
         self.pass_thrash = 0;
+        self.pass_moved = 0;
         self.pass_cooldown_blocked = 0;
         let mut snapshot = std::mem::take(&mut self.reorg_scratch.snapshot);
         snapshot.clear();
@@ -1370,6 +1387,7 @@ impl AdaptiveClusterIndex {
         }
         self.reorg_scratch.snapshot = snapshot;
         profile.thrash_cycles = self.pass_thrash;
+        profile.objects_moved = self.pass_moved;
         profile.cooldown_blocked = self.pass_cooldown_blocked;
         report.clusters_after = self.cluster_count();
         self.reorg_fault(ReorgFaultPoint::BeforeEpochClose);
@@ -1529,7 +1547,7 @@ impl AdaptiveClusterIndex {
             &mut scratch.merge_benefits,
         );
         // Division- and sqrt-free floor under every cluster's merge
-        // threshold: `threshold ≥ 2nC/H + (z/D)(nC + B)` with `D` at
+        // threshold: `threshold ≥ n(2C + M)/H + (z/D)(nC + B)` with `D` at
         // most the largest statistics denominator of the pass (smaller
         // `D` only raises the confidence term), deflated by the slack
         // that dominates the rounding error of either side. Clusters
@@ -1544,7 +1562,7 @@ impl AdaptiveClusterIndex {
             0.0
         };
         let merge_r_floor =
-            (2.0 * costs.c / costs.horizon + zd_merge * costs.c) * (1.0 - FLOOR_SLACK);
+            (costs.moved / costs.horizon + zd_merge * costs.c) * (1.0 - FLOOR_SLACK);
         let merge_s_floor = zd_merge * costs.b * (1.0 - FLOOR_SLACK);
 
         let mut structure_changed = false;
@@ -1731,12 +1749,12 @@ impl AdaptiveClusterIndex {
         // prefilter) resolves almost every screened cluster without the
         // sqrt-bearing confidence margin.
         let zd = if costs.z > 0.0 { costs.z / denom } else { 0.0 };
-        let floor = (n_hi as f64 * (2.0 * costs.c / costs.horizon + zd * costs.c) + zd * costs.b)
+        let floor = (n_hi as f64 * (costs.moved / costs.horizon + zd * costs.c) + zd * costs.b)
             * (1.0 - FLOOR_SLACK);
         if benefit_hi <= floor {
             return true;
         }
-        let threshold_lo = move_margin_c(costs.c, costs.horizon, n_hi)
+        let threshold_lo = move_margin_c(costs.moved, costs.horizon, n_hi)
             + confidence_margin_c(costs.z, costs.c, costs.b, 0.0, denom, n_hi);
         benefit_hi <= threshold_lo
     }
@@ -1780,7 +1798,8 @@ impl AdaptiveClusterIndex {
         } else {
             0.0
         };
-        let thr1 = (2.0 * costs.c / costs.horizon + zd * (costs.c + costs.b)) * (1.0 - FLOOR_SLACK);
+        let thr1 =
+            (costs.moved / costs.horizon + zd * (costs.c + costs.b)) * (1.0 - FLOOR_SLACK);
         benefit_hi <= thr1
     }
 
@@ -1811,6 +1830,7 @@ impl AdaptiveClusterIndex {
             .insert(cluster.signature.to_bytes(), self.reorganizations);
 
         let (ids, coords) = self.store.remove(cluster.segment);
+        self.pass_moved += ids.len() as u64;
         let width = 2 * self.config.dims;
         {
             let parent = self.clusters[parent_slot as usize]
@@ -1944,7 +1964,7 @@ impl AdaptiveClusterIndex {
                 let cands = self.stats_arena.slice(cluster.candidates);
                 // Division- and sqrt-free threshold floor, hoisted per
                 // scan: a candidate's significance threshold is at
-                // least `2nC/H + (z/D)(nC + B)` (move margin plus the
+                // least `n(2C + M)/H + (z/D)(nC + B)` (move margin plus the
                 // confidence margin at its variance floor `1/D²`, both
                 // monotone under IEEE rounding), so `n·r_floor +
                 // s_floor` — deflated by 1e-12, ten thousand times the
@@ -1959,7 +1979,8 @@ impl AdaptiveClusterIndex {
                 } else {
                     0.0
                 };
-                let r_floor = (2.0 * costs.c / costs.horizon + zd * costs.c) * (1.0 - FLOOR_SLACK);
+                let r_floor =
+                    (costs.moved / costs.horizon + zd * costs.c) * (1.0 - FLOOR_SLACK);
                 let s_floor = zd * costs.b * (1.0 - FLOOR_SLACK);
                 let summary = materialization_benefit_column(
                     costs.a,
@@ -2008,7 +2029,7 @@ impl AdaptiveClusterIndex {
                                 continue;
                             }
                         }
-                        let margin = move_margin_c(costs.c, costs.horizon, n);
+                        let margin = move_margin_c(costs.moved, costs.horizon, n);
                         if benefit <= margin {
                             continue;
                         }
@@ -2239,22 +2260,14 @@ impl AdaptiveClusterIndex {
             .expect("cluster slot is live");
         let parent_segment = parent_cluster.segment;
         let cand = self.stats_arena.slice(parent_cluster.candidates).bounds(cand_idx);
-        let mut moved: Vec<(u32, Vec<Scalar>)> = Vec::with_capacity(expected);
-        let mut flat = Vec::with_capacity(width);
-        let mut idx = 0;
-        while idx < self.store.segment_len(parent_segment) {
-            self.store.read_object_into(parent_segment, idx, &mut flat);
-            if cand.accepts_member(&flat) {
-                let oid = self.store.ids(parent_segment)[idx];
-                self.store.swap_remove(parent_segment, idx);
-                moved.push((oid, flat.clone()));
-            } else {
-                idx += 1;
-            }
-        }
+        let (moved_ids, moved_coords) = self
+            .store
+            .extract(parent_segment, |flat| cand.accepts_member(flat));
+        self.pass_moved += moved_ids.len() as u64;
+        let moved = || moved_ids.iter().zip(moved_coords.chunks_exact(width));
         {
             let mut pcands = self.stats_arena.slice_mut(parent_cluster.candidates);
-            for (oid, flat) in &moved {
+            for (oid, flat) in moved() {
                 pcands.unrecord_member(flat);
                 self.object_cluster.insert(*oid, new_slot);
             }
@@ -2269,7 +2282,7 @@ impl AdaptiveClusterIndex {
             .as_mut()
             .expect("new slot is live");
         let mut ncands = self.stats_arena.slice_mut(new_cluster.candidates);
-        for (oid, flat) in &moved {
+        for (oid, flat) in moved() {
             ncands.record_member(flat);
             self.store.push(new_segment, *oid, flat);
         }
@@ -2662,6 +2675,7 @@ impl AdaptiveClusterIndex {
             last_profile: ReorgProfile::default(),
             recent_merges: HashMap::new(),
             pass_thrash: 0,
+            pass_moved: 0,
             pass_cooldown_blocked: 0,
             total_thrash: 0,
             checkpoint_id: 0,

@@ -49,6 +49,11 @@ pub struct ReorgProfile {
     /// pure decay (a subset of the dirty-set savings; counted within
     /// `screened_out` as well).
     pub cached_verdicts: u64,
+    /// Objects the pass's merges and materializations moved from one
+    /// cluster to another — what the move margin's per-object cost `M`
+    /// is charged for (`scan_bench --cost-terms` divides pass time by
+    /// it).
+    pub objects_moved: u64,
     /// Materializations this pass that re-created a cluster signature
     /// merged away within the last few passes — one completed
     /// split→merge→split cycle each. Counted whether or not the

@@ -17,6 +17,14 @@ use std::sync::Mutex;
 use acx_core::{AdaptiveClusterIndex, IndexConfig, QueryScratch, StatsDelta};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
 
+/// The paper's platform, which materializes clusters from the few
+/// hundred to few thousand objects of these streams (`reorg_equivalence.rs`
+/// holds the measured profile to the same standard at its own scale).
+fn paper(dims: usize) -> IndexConfig {
+    IndexConfig::edbt2004(dims, StorageScenario::Memory)
+}
+use acx_storage::StorageScenario;
+
 /// The allocation counter is process-global, so tests measuring it must
 /// not run concurrently — each one holds this lock across its body.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -64,7 +72,7 @@ fn warmed_up_read_path_allocates_nothing_per_query() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let dims = 6;
     let mut state = 0x5EED_u64;
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 0; // explicit passes below: none may fall into a measured loop
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     for i in 0..3000u32 {
@@ -175,7 +183,7 @@ fn warmed_reorg_pass_allocates_nothing_under_arena() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let dims = 5;
     let mut state = 0xA2E7A_u64;
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 0; // explicit passes below
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     for i in 0..2000u32 {

@@ -22,9 +22,17 @@
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, QueryScratch, ReorgReport, StatsDelta};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
+use acx_storage::StorageScenario;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The paper's platform, which materializes clusters from the few
+/// hundred to few thousand objects of these streams (`reorg_equivalence.rs`
+/// holds the measured profile to the same standard at its own scale).
+fn paper(dims: usize) -> IndexConfig {
+    IndexConfig::edbt2004(dims, StorageScenario::Memory)
+}
 
 /// A production index and its reference twin over the same configuration.
 fn pair(config: IndexConfig) -> (AdaptiveClusterIndex, AdaptiveClusterIndex) {
@@ -70,7 +78,7 @@ fn random_query(rng: &mut StdRng, dims: usize, grid: u32) -> SpatialQuery {
 /// insert + query stream, asserting bit-identical results, metrics, and
 /// adaptive state at every step.
 fn assert_equivalent(dims: usize, objects: usize, queries: usize, seed: u64) {
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 40; // several reorganizations within the stream
     let (mut columnar, mut oracle) = pair(config);
 
@@ -126,7 +134,7 @@ fn columnar_equals_oracle_high_dims() {
 #[test]
 fn recorded_stats_deltas_are_identical() {
     let dims = 4;
-    let (mut columnar, mut oracle) = pair(IndexConfig::memory(dims));
+    let (mut columnar, mut oracle) = pair(paper(dims));
     let mut rng = StdRng::seed_from_u64(0xDE17A);
     for i in 0..500u32 {
         let rect = random_rect(&mut rng, dims, 8);
@@ -262,7 +270,7 @@ fn corner_points(rng: &mut StdRng, dims: usize, lo: f32, n: usize) -> Vec<Spatia
 /// the boundaries) or explicit ones (`period == 0`: reports compared).
 fn assert_sinks_equivalent(reference: bool, threads: usize, period: u64) {
     let dims = 3;
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reference = reference;
     config.reorg_period = period;
     let mut trio = Trio::new(config, threads);
@@ -393,7 +401,7 @@ fn three_sinks_leave_identical_state_with_automatic_passes() {
 #[test]
 fn read_only_paths_agree_with_execute() {
     let dims = 3;
-    let (mut columnar, _) = pair(IndexConfig::memory(dims));
+    let (mut columnar, _) = pair(paper(dims));
     let mut rng = StdRng::seed_from_u64(0x0A11);
     for i in 0..400u32 {
         let rect = random_rect(&mut rng, dims, 8);
@@ -420,7 +428,7 @@ fn boundary_coincident_edges_agree() {
     // Objects whose edges coincide exactly with the query window edges
     // in every combination, including degenerate (zero-width) intervals.
     let dims = 2;
-    let (mut columnar, mut oracle) = pair(IndexConfig::memory(dims));
+    let (mut columnar, mut oracle) = pair(paper(dims));
     let coords = [0.0f32, 0.25, 0.5, 0.75, 1.0];
     let mut id = 0u32;
     for &a in &coords {
@@ -471,7 +479,7 @@ proptest! {
         n_queries in 1usize..40,
         seed in 0u64..1_000_000,
     ) {
-        let mut config = IndexConfig::memory(dims);
+        let mut config = paper(dims);
         config.reorg_period = 25;
         let (mut columnar, mut oracle) = pair(config);
         let mut rng = StdRng::seed_from_u64(seed);

@@ -8,8 +8,16 @@ use std::time::Instant;
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, IndexError, StatsDelta};
 use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery};
+use acx_storage::StorageScenario;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The paper's platform, which materializes clusters from the few
+/// hundred to few thousand objects of these streams (`reorg_equivalence.rs`
+/// holds the measured profile to the same standard at its own scale).
+fn paper(dims: usize) -> IndexConfig {
+    IndexConfig::edbt2004(dims, StorageScenario::Memory)
+}
 
 fn random_rect(rng: &mut StdRng, dims: usize) -> HyperRect {
     let mut lo = Vec::with_capacity(dims);
@@ -56,7 +64,7 @@ fn build(dims: usize, n: usize, seed: u64, config: IndexConfig) -> AdaptiveClust
 #[test]
 fn queries_run_concurrently_over_a_shared_reference() {
     let dims = 4;
-    let mut index = build(dims, 2000, 1, IndexConfig::memory(dims));
+    let mut index = build(dims, 2000, 1, paper(dims));
     // Warm up so the tree has real clusters, then freeze it.
     let mut rng = StdRng::seed_from_u64(2);
     for q in mixed_queries(&mut rng, dims, 150) {
@@ -85,8 +93,8 @@ fn queries_run_concurrently_over_a_shared_reference() {
 #[test]
 fn execute_batch_is_byte_identical_to_sequential_execution() {
     let dims = 5;
-    let mut sequential = build(dims, 3000, 7, IndexConfig::memory(dims));
-    let mut batched = build(dims, 3000, 7, IndexConfig::memory(dims));
+    let mut sequential = build(dims, 3000, 7, paper(dims));
+    let mut batched = build(dims, 3000, 7, paper(dims));
 
     let mut rng = StdRng::seed_from_u64(8);
     // 370 queries: crosses three reorganization boundaries (period 100).
@@ -121,7 +129,7 @@ fn batch_thread_count_does_not_change_outcomes() {
     let queries = mixed_queries(&mut rng, dims, 230);
     let mut reference: Option<(Vec<Vec<ObjectId>>, Vec<_>)> = None;
     for threads in [1usize, 2, 4, 7] {
-        let mut index = build(dims, 1500, 20, IndexConfig::memory(dims));
+        let mut index = build(dims, 1500, 20, paper(dims));
         let results = index.execute_batch(&queries, threads);
         let matches: Vec<Vec<ObjectId>> = results.into_iter().map(|r| r.matches).collect();
         let snaps = index.snapshots();
@@ -138,8 +146,8 @@ fn batch_thread_count_does_not_change_outcomes() {
 #[test]
 fn query_recorded_plus_apply_stats_equals_execute() {
     let dims = 4;
-    let mut via_execute = build(dims, 1200, 3, IndexConfig::memory(dims));
-    let mut via_delta = build(dims, 1200, 3, IndexConfig::memory(dims));
+    let mut via_execute = build(dims, 1200, 3, paper(dims));
+    let mut via_delta = build(dims, 1200, 3, paper(dims));
     let mut rng = StdRng::seed_from_u64(4);
     // Stay under one reorganization period so manual deltas may be
     // grouped freely before being applied.
@@ -223,7 +231,7 @@ fn get_does_no_per_object_work_at_100k_objects() {
     let small_n = 2_000u32;
     let large_n = 100_000u32;
     let config = |dims| {
-        let mut c = IndexConfig::memory(dims);
+        let mut c = paper(dims);
         c.reorg_period = 0; // keep both indexes a single root cluster
         c
     };
@@ -257,7 +265,7 @@ fn get_does_no_per_object_work_at_100k_objects() {
 #[should_panic(expected = "different clustering state")]
 fn recording_into_one_delta_across_a_reorganization_panics() {
     let dims = 4;
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 0; // manual reorganizations
     let mut index = build(dims, 1500, 40, config);
     let mut rng = StdRng::seed_from_u64(41);
@@ -284,7 +292,7 @@ fn recording_into_one_delta_across_a_reorganization_panics() {
 #[test]
 fn applying_a_stale_delta_drops_cluster_increments_but_counts_queries() {
     let dims = 4;
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 0;
     let mut index = build(dims, 1500, 42, config);
     let mut rng = StdRng::seed_from_u64(43);

@@ -9,6 +9,10 @@
 //! the deterministic [`FaultInjector`] (torn writes, ENOSPC, flush
 //! failures, crashes) must surface as typed errors without corrupting
 //! the in-memory index.
+//!
+//! The streams are a few hundred 2-d and 3-d objects; every index that
+//! is expected to log structural records runs on the paper's platform
+//! ([`paper`]), which splits and merges at that scale.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -16,7 +20,8 @@ use std::path::PathBuf;
 use acx_core::{AdaptiveClusterIndex, IndexConfig, IndexError};
 use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery};
 use acx_storage::{
-    BackingStore, FaultInjector, FaultPlan, FlushPolicy, MemBacking, Wal, WalRecord,
+    BackingStore, FaultInjector, FaultPlan, FlushPolicy, MemBacking, StorageScenario, Wal,
+    WalRecord,
 };
 use proptest::prelude::*;
 
@@ -30,8 +35,13 @@ fn temp_path(tag: &str) -> PathBuf {
     path
 }
 
+/// The paper's platform ([`IndexConfig::edbt2004`], in memory).
+fn paper(dims: usize) -> IndexConfig {
+    IndexConfig::edbt2004(dims, StorageScenario::Memory)
+}
+
 fn config_2d() -> IndexConfig {
-    let mut config = IndexConfig::memory(2);
+    let mut config = paper(2);
     config.reorg_period = 17; // trigger automatic reorgs mid-stream
     config.min_epoch_queries = 5;
     config
@@ -506,7 +516,7 @@ fn wal_failure_inside_a_pass_degrades_gracefully() {
     let cfg = WorkloadConfig::new(dims, 600, 0x51AB);
     let objects = UniformWorkload::with_max_length(cfg.clone(), 0.4).generate_objects();
     let mut scenario = OscillatingHeat::new(&cfg, 120, 0.3, 0.08);
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 0;
     config.confidence_z = 0.0;
 
@@ -553,7 +563,7 @@ fn wal_failure_inside_a_pass_degrades_gracefully() {
         None,
         Box::new(MemBacking::from_bytes(survived)),
         FlushPolicy::PerRecord,
-        IndexConfig::memory(dims),
+        paper(dims),
     )
     .unwrap();
     recovered.check_invariants().unwrap();

@@ -4,8 +4,16 @@
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, IndexError};
 use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery};
+use acx_storage::StorageScenario;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The paper's platform, which materializes clusters from the few
+/// hundred to few thousand objects of these streams (`reorg_equivalence.rs`
+/// holds the measured profile to the same standard at its own scale).
+fn paper(dims: usize) -> IndexConfig {
+    IndexConfig::edbt2004(dims, StorageScenario::Memory)
+}
 
 fn rect(lo: &[Scalar], hi: &[Scalar]) -> HyperRect {
     HyperRect::from_bounds(lo, hi).unwrap()
@@ -145,7 +153,7 @@ fn update_moves_object() {
 fn query_results_match_naive_reference_before_and_after_reorg() {
     let mut rng = StdRng::seed_from_u64(11);
     let dims = 4;
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 0; // manual reorganizations only
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     let mut objects = Vec::new();
@@ -183,7 +191,7 @@ fn query_results_match_naive_reference_before_and_after_reorg() {
 fn reorganization_reduces_verified_objects_on_selective_workload() {
     let mut rng = StdRng::seed_from_u64(42);
     let dims = 4;
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 0;
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     for i in 0..3000u32 {
@@ -221,7 +229,7 @@ fn reorganization_reduces_verified_objects_on_selective_workload() {
 fn broad_queries_trigger_merges_back_to_coarser_clustering() {
     let mut rng = StdRng::seed_from_u64(3);
     let dims = 3;
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 0;
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     for i in 0..2000u32 {
@@ -265,7 +273,7 @@ fn clustering_reaches_stable_state_under_fixed_distribution() {
     // stabilizes in fewer than 10 reorganization steps.
     let mut rng = StdRng::seed_from_u64(7);
     let dims = 4;
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 0;
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     for i in 0..3000u32 {
@@ -303,7 +311,7 @@ fn clustering_reaches_stable_state_under_fixed_distribution() {
 fn automatic_reorganization_fires_every_period() {
     let mut rng = StdRng::seed_from_u64(21);
     let dims = 3;
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 50;
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     for i in 0..1000u32 {
@@ -326,7 +334,7 @@ fn automatic_reorganization_fires_every_period() {
 fn insertion_prefers_lowest_access_probability() {
     let mut rng = StdRng::seed_from_u64(5);
     let dims = 2;
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 0;
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     // Objects concentrated in the first quarter of d1 → splittable cell.
@@ -374,7 +382,7 @@ fn insertion_prefers_lowest_access_probability() {
 fn mixed_churn_preserves_invariants_and_correctness() {
     let mut rng = StdRng::seed_from_u64(99);
     let dims = 3;
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 40;
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     let mut objects: Vec<(u32, HyperRect)> = Vec::new();
@@ -418,7 +426,7 @@ fn mixed_churn_preserves_invariants_and_correctness() {
 fn snapshots_reflect_tree_shape() {
     let mut rng = StdRng::seed_from_u64(17);
     let dims = 3;
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 0;
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     for i in 0..2000u32 {
@@ -468,7 +476,7 @@ fn disk_scenario_produces_fewer_clusters_than_memory() {
         }
         index
     };
-    let mut mem_cfg = IndexConfig::memory(dims);
+    let mut mem_cfg = paper(dims);
     mem_cfg.reorg_period = 0;
     let mut disk_cfg = IndexConfig::disk(dims);
     disk_cfg.reorg_period = 0;
@@ -486,7 +494,7 @@ fn disk_scenario_produces_fewer_clusters_than_memory() {
 fn save_load_roundtrip_preserves_contents_and_results() {
     let mut rng = StdRng::seed_from_u64(55);
     let dims = 3;
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 0;
     let mut index = AdaptiveClusterIndex::new(config.clone()).unwrap();
     let mut objects = Vec::new();
@@ -542,7 +550,7 @@ fn priced_cost_drops_after_adaptation() {
     // (scan-equivalent) cost once clustering kicks in.
     let mut rng = StdRng::seed_from_u64(2024);
     let dims = 6;
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 0;
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     for i in 0..5000u32 {
@@ -597,7 +605,7 @@ fn fresh_child_cluster_beats_root_at_equal_probability() {
     let mut path = std::env::temp_dir();
     path.push(format!("acx-tie-break-{}.acx", std::process::id()));
     FileStore::save(&path, dims, &records).unwrap();
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 0;
     let mut index = AdaptiveClusterIndex::load(&path, config).unwrap();
     std::fs::remove_file(&path).unwrap();

@@ -13,9 +13,16 @@
 //! must equal the reference's. Because `reference` also selects the
 //! object-at-a-time query execution, every per-query comparison below
 //! crosses the scan kernels as well.
+//!
+//! The streams here are a few hundred to a few thousand objects, where
+//! it is the paper's platform that materializes clusters for the pass
+//! to act on, so they pin it ([`paper`]); the measured profile, whose
+//! move term both passes price alike, is compared at the scale it
+//! clusters at by `measured_profile_is_decision_identical_at_scale`.
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
+use acx_storage::StorageScenario;
 use acx_workloads::{
     AdaptiveScenario, ClusteredObjects, FlashCrowd, MigratingHotspot, MixedTraffic,
     OscillatingHeat, UniformWorkload, WorkloadConfig,
@@ -23,6 +30,11 @@ use acx_workloads::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The paper's platform ([`IndexConfig::edbt2004`], in memory).
+fn paper(dims: usize) -> IndexConfig {
+    IndexConfig::edbt2004(dims, StorageScenario::Memory)
+}
 
 /// The production configuration (incremental pass, batch kernels)
 /// against the reference (full scalar sweep, object-at-a-time loops).
@@ -99,6 +111,7 @@ fn assert_state_identical(
 /// state per pass — the drifting/adversarial/mixed analogue of
 /// `drive_and_compare`.
 fn drive_scenario_pair(
+    mut config: IndexConfig,
     mut scenario: Box<dyn AdaptiveScenario>,
     objects: Vec<HyperRect>,
     merge_cooldown: u64,
@@ -106,7 +119,6 @@ fn drive_scenario_pair(
     queries_per_period: usize,
     shift_at: usize,
 ) -> (u64, u64, u64) {
-    let mut config = IndexConfig::memory(scenario.dims());
     config.reorg_period = 0; // explicit passes below
     config.merge_cooldown = merge_cooldown;
     let (mut incremental, mut oracle) = mode_pair(&config);
@@ -130,11 +142,37 @@ fn drive_scenario_pair(
         assert_eq!(ra, rb, "period {period}: ReorgReport diverged");
         assert_state_identical(&incremental, &oracle, &format!("period {period}"));
     }
+    // The production pass leaves the candidate counters of clusters
+    // it screened out un-decayed until their next touch; one query that
+    // every signature matches is that touch, after which the two
+    // checkpoints hold the same bytes.
+    let everything = SpatialQuery::intersection(HyperRect::unit(config.dims));
+    assert_eq!(incremental.execute(&everything).matches.len(), objects.len());
+    assert_eq!(oracle.execute(&everything).matches.len(), objects.len());
+    assert!(
+        checkpoint_bytes(&incremental) == checkpoint_bytes(&oracle),
+        "final checkpoints differ"
+    );
     (
         incremental.total_splits(),
         incremental.total_merges(),
         incremental.total_thrash(),
     )
+}
+
+/// The index's checkpoint: byte-deterministic, and every counter of
+/// every cluster and candidate is in it.
+fn checkpoint_bytes(index: &AdaptiveClusterIndex) -> Vec<u8> {
+    static NEXT: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "acx-reorg-eq-{}-{}.ckpt",
+        std::process::id(),
+        NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
+    index.save(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    bytes
 }
 
 /// Drives the production/reference pair through the same
@@ -148,7 +186,7 @@ fn drive_and_compare(
     queries_per_period: usize,
     seed: u64,
 ) -> (u64, u64) {
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 0; // explicit passes below
     let (mut incremental, mut oracle) = mode_pair(&config);
 
@@ -231,7 +269,7 @@ fn incremental_equals_full_high_dims() {
 #[test]
 fn forced_splits_then_merges_are_identical() {
     let dims = 3;
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 0;
     config.confidence_z = 0.0; // act on any positive benefit: maximal churn
     let (mut incremental, mut oracle) = mode_pair(&config);
@@ -281,7 +319,7 @@ fn forced_splits_then_merges_are_identical() {
 #[test]
 fn screen_skips_scans_without_changing_decisions() {
     let dims = 6;
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 0;
     let (mut incremental, mut oracle) = mode_pair(&config);
     let mut rng = StdRng::seed_from_u64(0x5C1);
@@ -324,7 +362,7 @@ fn screen_skips_scans_without_changing_decisions() {
 #[test]
 fn cached_verdicts_carry_fully_abandoned_clusters() {
     let dims = 2;
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 0;
     config.confidence_z = 0.0;
     let (mut incremental, mut oracle) = mode_pair(&config);
@@ -391,7 +429,7 @@ fn cached_verdicts_carry_fully_abandoned_clusters() {
 #[test]
 fn auto_triggered_passes_and_batches_are_identical() {
     let dims = 4;
-    let mut config = IndexConfig::memory(dims);
+    let mut config = paper(dims);
     config.reorg_period = 40;
     let (mut incremental, mut oracle) = mode_pair(&config);
     let mut rng = StdRng::seed_from_u64(0xBA7C);
@@ -422,7 +460,7 @@ fn scenario_equivalence_migrating_hotspot() {
     let cfg = WorkloadConfig::new(5, 900, 0xD21F7);
     let objects = UniformWorkload::with_max_length(cfg.clone(), 0.4).generate_objects();
     let scenario = Box::new(MigratingHotspot::new(&cfg, 8e-3, 0.35, 0.08));
-    let (splits, ..) = drive_scenario_pair(scenario, objects, 0, 8, 80, 4);
+    let (splits, ..) = drive_scenario_pair(paper(cfg.dims), scenario, objects, 0, 8, 80, 4);
     assert!(splits > 0, "a hotspot stream must force materializations");
 }
 
@@ -434,7 +472,7 @@ fn scenario_equivalence_flash_crowd() {
     let cfg = WorkloadConfig::new(4, 1000, 0xF1A58);
     let objects = UniformWorkload::with_max_length(cfg.clone(), 0.4).generate_objects();
     let scenario = Box::new(FlashCrowd::new(&cfg, 150, 90, 0.25, 0.06));
-    drive_scenario_pair(scenario, objects, 0, 8, 80, 4);
+    drive_scenario_pair(paper(cfg.dims), scenario, objects, 0, 8, 80, 4);
 }
 
 /// Mixed query kinds over a drifting hotspot — the stream class that
@@ -449,7 +487,7 @@ fn scenario_equivalence_mixed_traffic_clustered() {
     let cfg = WorkloadConfig::new(5, 1100, 0x31BED);
     let objects = ClusteredObjects::new(cfg.clone(), 6, 0.08, 0.15).generate_objects();
     let scenario = Box::new(MixedTraffic::new(&cfg, 160, 0.35, 0.08));
-    let (splits, ..) = drive_scenario_pair(scenario, objects, 0, 10, 80, 5);
+    let (splits, ..) = drive_scenario_pair(paper(cfg.dims), scenario, objects, 0, 10, 80, 5);
     assert!(splits > 0, "mixed traffic must force materializations");
 }
 
@@ -463,8 +501,26 @@ fn scenario_equivalence_oscillating_adversary_with_cooldown() {
     let objects = UniformWorkload::with_max_length(cfg.clone(), 0.4).generate_objects();
     for cooldown in [0u64, 3] {
         let scenario = Box::new(OscillatingHeat::new(&cfg, 120, 0.3, 0.08));
-        drive_scenario_pair(scenario, objects.clone(), cooldown, 10, 60, 5);
+        drive_scenario_pair(paper(cfg.dims), scenario, objects.clone(), cooldown, 10, 60, 5);
     }
+}
+
+/// The measured profile at the scale it clusters at: 20 000 clustered
+/// 4-d objects under a hotspot that glides and, half-way, jumps. Both
+/// passes price the recording term in `B` and the move term `M` in
+/// every margin, floor and cached verdict alike — per-pass reports,
+/// snapshots and the final checkpoint bytes are equal, with splits and
+/// merges on the way.
+#[test]
+fn measured_profile_is_decision_identical_at_scale() {
+    let cfg = WorkloadConfig::new(4, 20_000, 0x3EA5);
+    let objects = ClusteredObjects::new(cfg.clone(), 8, 0.06, 0.05).generate_objects();
+    let scenario = Box::new(MigratingHotspot::new(&cfg, 2e-3, 0.3, 0.04));
+    let config = IndexConfig::memory(cfg.dims);
+    assert!(config.profile.move_ms_per_object > 0.0 && config.profile.record_ms_per_candidate > 0.0);
+    let (splits, merges, _) = drive_scenario_pair(config, scenario, objects, 0, 8, 100, 4);
+    assert!(splits > 0, "the measured profile must split at this scale");
+    println!("measured profile, 20 000 objects: {splits} splits, {merges} merges");
 }
 
 /// Bench-scale regression for the scan-cache fold-drift bug (fixed in
@@ -482,7 +538,7 @@ fn scenario_equivalence_mixed_traffic_bench_scale() {
     let qry_cfg = WorkloadConfig::new(dims, 20_000, 0x5EED ^ 0xF1E1D);
     let objects = UniformWorkload::with_max_length(obj_cfg, 0.4).generate_objects();
     let scenario = Box::new(MixedTraffic::new(&qry_cfg, 800, 0.35, 0.08));
-    drive_scenario_pair(scenario, objects, 0, 60, 100, 30);
+    drive_scenario_pair(paper(dims), scenario, objects, 0, 60, 100, 30);
 }
 
 proptest! {
@@ -498,7 +554,7 @@ proptest! {
         queries_per_period in 1usize..35,
         seed in 0u64..1_000_000,
     ) {
-        let mut config = IndexConfig::memory(dims);
+        let mut config = paper(dims);
         config.reorg_period = 0;
         let (mut incremental, mut oracle) = mode_pair(&config);
         let mut rng = StdRng::seed_from_u64(seed);

@@ -6,7 +6,7 @@
 use acx_core::{AdaptiveClusterIndex, ClusterSnapshot, IndexConfig};
 use acx_geom::{ObjectId, SpatialQuery};
 use acx_serve::{ServeConfig, ShardBy, ShardedIndex};
-use acx_storage::FlushPolicy;
+use acx_storage::{FlushPolicy, StorageScenario};
 use acx_workloads::{EventStream, PubSubGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,8 +23,12 @@ fn temp_dir(tag: &str) -> PathBuf {
     path
 }
 
+/// Three shards on the paper's platform, which materializes clusters
+/// from a shard's few dozen subscriptions (asserted where a test needs
+/// them): what is recovered must be a cluster tree, not a lone root.
 fn config() -> ServeConfig {
-    let mut index = IndexConfig::memory(PubSubGenerator::apartments().dims());
+    let dims = PubSubGenerator::apartments().dims();
+    let mut index = IndexConfig::edbt2004(dims, StorageScenario::Memory);
     index.reorg_period = 32;
     ServeConfig::new(index)
         .with_shards(3)
@@ -52,10 +56,10 @@ fn wal_checkpoint_recover_roundtrip() {
 
     // Phase 1: inserts + events, then a checkpoint.
     index
-        .insert_all((0..120).map(|i| (ObjectId(i), generator.subscription(i, &mut rng).ranges)))
+        .insert_all((0..360).map(|i| (ObjectId(i), generator.subscription(i, &mut rng).ranges)))
         .unwrap();
     let mut stream = EventStream::with_flexibility(PubSubGenerator::apartments(), 8, 0.02);
-    for q in stream.next_batch(60) {
+    for q in stream.next_batch(240) {
         index.submit(q);
     }
     index.flush();
@@ -63,7 +67,7 @@ fn wal_checkpoint_recover_roundtrip() {
 
     // Phase 2: more mutations after the checkpoint — these live only
     // in the per-shard logs.
-    for i in 120..150 {
+    for i in 360..390 {
         index
             .insert(ObjectId(i), generator.subscription(i, &mut rng).ranges)
             .unwrap();
@@ -72,6 +76,10 @@ fn wal_checkpoint_recover_roundtrip() {
         index.remove(ObjectId(i)).unwrap();
     }
     let before = shard_states(&index);
+    assert!(
+        before.iter().any(|(snapshots, _)| snapshots.len() > 1),
+        "premise: some shard materialized clusters before the crash"
+    );
     let survivors = index.object_ids();
     drop(index); // "crash": queues close, workers drain, logs stay
 

@@ -18,6 +18,7 @@
 use acx_core::{AdaptiveClusterIndex, ClusterSnapshot, IndexConfig};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
 use acx_serve::{ServeConfig, ShardBy, ShardedIndex};
+use acx_storage::StorageScenario;
 use acx_workloads::{EventStream, PubSubGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,9 +32,12 @@ fn subscriptions(n: u32) -> Vec<(ObjectId, HyperRect)> {
         .collect()
 }
 
-/// Frequent reorganizations so passes fire mid-stream on every shard.
+/// Frequent reorganizations so passes fire mid-stream on every shard,
+/// on the paper's platform so that they materialize clusters from a
+/// shard's hundred-odd subscriptions (each test asserts that they did).
 fn config() -> IndexConfig {
-    let mut config = IndexConfig::memory(PubSubGenerator::apartments().dims());
+    let dims = PubSubGenerator::apartments().dims();
+    let mut config = IndexConfig::edbt2004(dims, StorageScenario::Memory);
     config.reorg_period = 64;
     config
 }
@@ -65,6 +69,7 @@ fn union_is_identical_across_shard_counts_and_strategies() {
         "premise: some events must match"
     );
     assert!(reference.reorganizations() > 0, "premise: reorgs fired");
+    assert!(reference.total_splits() > 0, "premise: clusters materialized");
 
     for shard_by in [ShardBy::Hash, ShardBy::Space] {
         for shards in [1usize, 2, 4] {
@@ -131,6 +136,7 @@ fn each_shard_is_bit_identical_to_an_index_over_its_partition() {
             for q in &stream {
                 solo.execute(q);
             }
+            assert!(solo.total_splits() > 0, "premise: shard {shard} materialized clusters");
             let shard_state = index.with_shard(
                 shard,
                 |i: &mut AdaptiveClusterIndex| -> (Vec<ClusterSnapshot>, u64, u64, usize) {
@@ -213,6 +219,7 @@ fn mutations_mid_stream_keep_the_union_contract() {
             );
         }
         assert_eq!(index.len(), reference.len());
+        assert!(reference.total_splits() > 0, "premise: clusters materialized");
     }
 }
 

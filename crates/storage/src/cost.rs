@@ -13,7 +13,9 @@ use crate::{AccessStats, DeviceProfile, StorageScenario};
 /// and:
 ///
 /// * `A` — signature verification time,
-/// * `B` — exploration setup (memory) plus one disk access (disk scenario),
+/// * `B` — exploration setup plus the recording of the query on every
+///   candidate subcluster of the explored cluster, plus one disk access
+///   in the disk scenario,
 /// * `C` — per-object verification time (memory) plus per-object transfer
 ///   time (disk scenario).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,17 +23,32 @@ pub struct CostModel {
     profile: DeviceProfile,
     scenario: StorageScenario,
     object_bytes: usize,
+    /// Candidate subclusters whose statistics an exploration records.
+    candidates: usize,
 }
 
 impl CostModel {
     /// Builds a cost model for the scenario, pricing objects of
-    /// `object_bytes` bytes (see [`acx_geom::object_size_bytes`]).
+    /// `object_bytes` bytes (see [`acx_geom::object_size_bytes`]) and
+    /// explorations that record no candidate statistics — what a
+    /// sequential scan or an R*-tree node visit is. An index whose
+    /// clusters carry candidates adds them with
+    /// [`CostModel::recording`].
     pub fn new(profile: DeviceProfile, scenario: StorageScenario, object_bytes: usize) -> Self {
         Self {
             profile,
             scenario,
             object_bytes,
+            candidates: 0,
         }
+    }
+
+    /// The same model for explorations that each record the query on
+    /// `candidates` candidate subclusters (`dims · f(f+1)/2` for the
+    /// adaptive index): `B` and every priced exploration grow by
+    /// `candidates · record_ms_per_candidate`.
+    pub fn recording(self, candidates: usize) -> Self {
+        Self { candidates, ..self }
     }
 
     /// Memory-scenario model on the paper's reference platform.
@@ -73,13 +90,23 @@ impl CostModel {
         self.profile.signature_check_ms
     }
 
-    /// Model parameter `B`: cluster exploration preparation time (ms).
+    /// CPU time of one cluster exploration before any member is
+    /// verified (ms): the fixed setup plus the recording of the query
+    /// on each candidate.
+    #[inline]
+    fn exploration_cpu_ms(&self) -> f64 {
+        self.profile.exploration_setup_ms
+            + self.candidates as f64 * self.profile.record_ms_per_candidate
+    }
+
+    /// Model parameter `B`: cluster exploration preparation time (ms),
+    /// `exploration_setup_ms + candidates · record_ms_per_candidate`.
     /// In the disk scenario this includes one random disk access.
     #[inline]
     pub fn b(&self) -> f64 {
         match self.scenario {
-            StorageScenario::Memory => self.profile.exploration_setup_ms,
-            StorageScenario::Disk => self.profile.exploration_setup_ms + self.profile.seek_ms,
+            StorageScenario::Memory => self.exploration_cpu_ms(),
+            StorageScenario::Disk => self.exploration_cpu_ms() + self.profile.seek_ms,
         }
     }
 
@@ -110,6 +137,14 @@ impl CostModel {
         }
     }
 
+    /// Reorganization parameter `M`: what a split or merge spends per
+    /// object it moves between clusters (ms). Not a term of `T`; the
+    /// index's move margin `n·(2·C + M)/horizon` charges it.
+    #[inline]
+    pub fn m(&self) -> f64 {
+        self.profile.move_ms_per_object
+    }
+
     /// Expected per-query time `T = A + p·(B + n·C)` for a cluster with
     /// access probability `p` and `n` objects (ms).
     pub fn expected_cluster_time(&self, p: f64, n: usize) -> f64 {
@@ -120,11 +155,12 @@ impl CostModel {
     ///
     /// Unlike [`CostModel::expected_cluster_time`], which the index uses
     /// *prospectively* to decide reorganizations, this prices what a query
-    /// *actually did*: signature checks, explorations, byte verifications,
-    /// and — in the disk scenario — seeks and transfers.
+    /// *actually did*: signature checks, explorations (each with its
+    /// candidate recording), byte verifications, and — in the disk
+    /// scenario — seeks and transfers.
     pub fn price(&self, stats: &AccessStats) -> f64 {
         let mut ms = stats.signature_checks as f64 * self.profile.signature_check_ms
-            + stats.clusters_explored as f64 * self.profile.exploration_setup_ms
+            + stats.clusters_explored as f64 * self.exploration_cpu_ms()
             + stats.verified_bytes as f64 * self.profile.verify_ms_per_byte;
         if self.scenario == StorageScenario::Disk {
             ms += stats.seeks as f64 * self.profile.seek_ms
@@ -147,6 +183,60 @@ mod tests {
         assert_eq!(m.b(), 1e-3);
         // C = 132 bytes · ≈3.18e-6 ms/B ≈ 4.2e-4 ms (Table 2 rounds the rate).
         assert!((m.c() - 132.0 * 3.18e-6).abs() / m.c() < 1e-2);
+    }
+
+    /// `edbt2004` charges nothing for recording or moving, so the
+    /// paper's terms are what they were before those terms existed —
+    /// to the bit, whatever the candidate count.
+    #[test]
+    fn paper_terms_ignore_the_candidate_count() {
+        for base in [CostModel::memory(OBJ_16D), CostModel::disk(OBJ_16D)] {
+            let recording = base.recording(160);
+            assert_eq!(recording.a().to_bits(), base.a().to_bits());
+            assert_eq!(recording.b().to_bits(), base.b().to_bits());
+            assert_eq!(recording.c().to_bits(), base.c().to_bits());
+            assert_eq!(recording.m(), 0.0);
+        }
+        assert_eq!(CostModel::memory(OBJ_16D).b().to_bits(), 1e-3f64.to_bits());
+        assert_eq!(CostModel::disk(OBJ_16D).b().to_bits(), (1e-3f64 + 15.0).to_bits());
+    }
+
+    #[test]
+    fn measured_b_grows_with_the_recorded_candidates() {
+        let profile = DeviceProfile::measured();
+        let model = |candidates| {
+            CostModel::new(profile, StorageScenario::Memory, OBJ_16D).recording(candidates)
+        };
+        assert_eq!(model(0).b(), profile.exploration_setup_ms);
+        assert!(model(40).b() < model(80).b() && model(80).b() < model(160).b());
+        let per_candidate = (model(160).b() - model(40).b()) / 120.0;
+        assert!((per_candidate - profile.record_ms_per_candidate).abs() < 1e-12);
+        assert_eq!(model(160).m(), profile.move_ms_per_object);
+        // C is bytes times the measured rate, as on the paper's platform.
+        assert_eq!(model(160).c(), OBJ_16D as f64 * profile.verify_ms_per_byte);
+    }
+
+    #[test]
+    fn price_charges_recording_per_explored_cluster() {
+        let stats = AccessStats {
+            signature_checks: 100,
+            clusters_explored: 10,
+            objects_verified: 1000,
+            verified_bytes: 132_000,
+            seeks: 10,
+            transfer_bytes: 132_000,
+        };
+        let profile = DeviceProfile::measured();
+        let bare = CostModel::new(profile, StorageScenario::Memory, OBJ_16D);
+        let recording = bare.recording(160);
+        let extra = recording.price(&stats) - bare.price(&stats);
+        assert!((extra - 10.0 * 160.0 * profile.record_ms_per_candidate).abs() < 1e-12);
+        // What a query is priced at is what the prospective model
+        // expects of the clusters it explored.
+        let expected = 100.0 * recording.a()
+            + 10.0 * recording.b()
+            + 132_000.0 * profile.verify_ms_per_byte;
+        assert!((recording.price(&stats) - expected).abs() < 1e-12);
     }
 
     #[test]

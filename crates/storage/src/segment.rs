@@ -182,7 +182,7 @@ impl ColumnAccess for SegmentColumns<'_> {
 /// id → (segment, position) map so [`SegmentStore::position_of`] answers
 /// in O(1) instead of scanning a segment, and the map is maintained
 /// through [`SegmentStore::push`], [`SegmentStore::swap_remove`],
-/// [`SegmentStore::remove`], [`SegmentStore::merge_into`] and segment
+/// [`SegmentStore::extract`], [`SegmentStore::remove`], [`SegmentStore::merge_into`] and segment
 /// relocations (a relocation changes a segment's layout offset, never the
 /// positions of its members).
 #[derive(Debug)]
@@ -377,6 +377,59 @@ impl SegmentStore {
         self.positions.remove(&removed);
         self.live_objects -= 1;
         removed
+    }
+
+    /// Removes every member `takes` accepts and returns their ids and
+    /// interleaved coordinates (as [`SegmentStore::remove`] does for a
+    /// whole segment). Members are tested front to back and a removed
+    /// member's place is taken by the segment's last, which is tested
+    /// next: the removal order, and the survivors' positions, of one
+    /// [`SegmentStore::swap_remove`] per match. The zone maps are
+    /// rebuilt once at the end instead — per removal that is two blocks
+    /// of every column, most of what moving an object used to cost.
+    pub fn extract(
+        &mut self,
+        id: SegmentId,
+        mut takes: impl FnMut(&[Scalar]) -> bool,
+    ) -> (Vec<u32>, Vec<Scalar>) {
+        let seg = self.segments[id.0 as usize]
+            .as_mut()
+            .expect("segment was removed");
+        let dims = seg.dims();
+        let (mut ids, mut coords) = (Vec::new(), Vec::new());
+        let mut flat = Vec::with_capacity(2 * dims);
+        let mut first_removed = None;
+        let mut index = 0;
+        while index < seg.ids.len() {
+            flat.clear();
+            seg.read_into(index, &mut flat);
+            if !takes(&flat) {
+                index += 1;
+                continue;
+            }
+            first_removed.get_or_insert(index);
+            ids.push(seg.ids.swap_remove(index));
+            for col in seg.cols.iter_mut() {
+                col.swap_remove(index);
+            }
+            coords.extend_from_slice(&flat);
+            if let Some(&moved) = seg.ids.get(index) {
+                self.positions.insert(moved, (id.0, index as u32));
+            }
+        }
+        for object_id in &ids {
+            self.positions.remove(object_id);
+        }
+        self.live_objects -= ids.len();
+        if let Some(first) = first_removed {
+            // Blocks before the first removal kept their members.
+            let blocks = seg.ids.len().div_ceil(BLOCK);
+            seg.zones.truncate(blocks * dims * ZONE_STRIDE);
+            for block in first / BLOCK..blocks {
+                seg.zone_recompute(block);
+            }
+        }
+        (ids, coords)
     }
 
     /// Object ids of a segment, in storage order.
@@ -716,6 +769,48 @@ mod tests {
         assert_eq!(served_zones(&s, a), expected_zones(&s, a));
         s.merge_into(b, a);
         assert_eq!(served_zones(&s, a), expected_zones(&s, a));
+    }
+
+    /// `extract` leaves exactly what one `swap_remove` per match does:
+    /// removal order, survivor order, positions and zone maps.
+    #[test]
+    fn extract_equals_a_swap_remove_per_match() {
+        let fill = |s: &mut SegmentStore| {
+            let seg = s.create(4);
+            for i in 0..300u32 {
+                let x = (i * 37 % 100) as Scalar / 100.0;
+                s.push(seg, i, &[x, x, 0.0, (i % 7) as Scalar]);
+            }
+            seg
+        };
+        let takes = |flat: &[Scalar]| flat[0] < 0.4 || flat[3] == 6.0;
+        let (mut one_by_one, mut batched) = (SegmentStore::new(2), SegmentStore::new(2));
+        let (a, b) = (fill(&mut one_by_one), fill(&mut batched));
+
+        let (mut ids, mut coords) = (Vec::new(), Vec::new());
+        let mut index = 0;
+        while index < one_by_one.segment_len(a) {
+            let flat = one_by_one.object_flat(a, index);
+            if takes(&flat) {
+                ids.push(one_by_one.swap_remove(a, index));
+                coords.extend(flat);
+            } else {
+                index += 1;
+            }
+        }
+        assert_eq!(batched.extract(b, takes), (ids.clone(), coords));
+        assert!(ids.len() > 100 && one_by_one.segment_len(a) > 100);
+        assert_eq!(batched.ids(b), one_by_one.ids(a));
+        assert_eq!(batched.interleaved_coords(b), one_by_one.interleaved_coords(a));
+        assert_eq!(served_zones(&batched, b), served_zones(&one_by_one, a));
+        assert_eq!(served_zones(&batched, b), expected_zones(&batched, b));
+        assert_eq!(batched.len(), one_by_one.len());
+        for i in 0..300u32 {
+            assert_eq!(batched.position_of(i), one_by_one.position_of(i), "object {i}");
+        }
+        // Nothing matches: nothing moves, the zone maps are not touched.
+        assert_eq!(batched.extract(b, |_| false), (Vec::new(), Vec::new()));
+        assert_eq!(served_zones(&batched, b), expected_zones(&batched, b));
     }
 
     #[test]
