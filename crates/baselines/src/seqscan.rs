@@ -111,7 +111,7 @@ impl SeqScan {
 
     /// [`SeqScan::execute`] through a reusable kernel scratch: a
     /// warmed-up scratch lets repeated scans run without growing the
-    /// survivors bitmask, leaving the returned match vector as the only
+    /// match buffer, leaving the returned match vector as the only
     /// per-query allocation.
     ///
     /// # Panics

@@ -1,8 +1,8 @@
 //! Criterion bench for the **recorded** execution path — the hot loop
 //! of adaptive serving: matching plus statistics recording (per-cluster
 //! and per-candidate counters), the part of `execute` that the
-//! compare-and-count candidate kernel and the bitmask/zone-map member
-//! kernel accelerate. Three rows per strategy: recording into a delta,
+//! compare-and-count candidate kernel and the bitmask member kernel
+//! accelerate. Three rows per strategy: recording into a delta,
 //! recording plus `apply_stats` (the two-phase path), and `execute`
 //! (the same traversal writing the statistics arena in place); the
 //! last two leave the index in the same state and include the

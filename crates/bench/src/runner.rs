@@ -93,7 +93,7 @@ pub fn adapted_ac(
 /// `scan_bench` snapshot and the `adaptivity` harness; one definition so
 /// the measurements can never drift apart:
 ///
-/// * `production` — the default: columnar member kernel with zone maps,
+/// * `production` — the default: columnar member kernel,
 ///   compare-and-count candidate kernel, incremental reorganization pass;
 /// * `reference` — [`IndexConfig::reference`]: the object-at-a-time
 ///   loops and the full scalar sweep, decision- and answer-identical.

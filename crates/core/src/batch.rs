@@ -34,7 +34,7 @@
 /// Two deltas compare equal when they hold the same totals and the same
 /// **live** per-cluster increments — used by tests proving that
 /// different execution strategies (columnar vs. scalar verification,
-/// zone maps on or off, parallel vs. sequential batches) record
+/// parallel vs. sequential batches) record
 /// identical statistics. A cleared, reused delta retains zeroed
 /// per-cluster entries for capacity; they are ignored by equality.
 #[derive(Debug, Clone, Default)]

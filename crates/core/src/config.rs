@@ -49,15 +49,14 @@ pub struct IndexConfig {
     /// one. Defaults to `false`.
     ///
     /// Production (`false`) verifies members with the columnar batch
-    /// kernel over the store's zone-mapped columns
+    /// kernel over the store's columns
     /// ([`acx_geom::scan::scan_columns`]), counts matching candidates
     /// with the compare-and-count kernel
     /// ([`acx_geom::scan::count_candidates`]) and
     /// reorganizes incrementally (dirty set, O(1) screens, batched
     /// benefit columns). The reference (`true`) is the seed's
     /// object-at-a-time execution end to end: a
-    /// [`acx_geom::SpatialQuery::matches_flat`] loop over every member
-    /// (no zone maps by construction), a
+    /// [`acx_geom::SpatialQuery::matches_flat`] loop over every member, a
     /// [`crate::candidates::CandidateSlice::matches_query`] loop over
     /// every candidate, and a full scalar sweep of every cluster each
     /// pass. Match sets, match order, every access statistic, every

@@ -31,7 +31,7 @@ use crate::signature::Signature;
 use crate::{IndexConfig, IndexError};
 
 /// Reusable per-query scratch arena for the matching phase: the query's
-/// loaded bounds, the scan kernel's survivors bitmask and match buffer,
+/// loaded bounds, the scan kernel's match buffer,
 /// the result buffer, the cluster traversal stack, and the reference
 /// loop's gather buffer. Buffers grow to the workload's high-water mark
 /// and are then reused, so a warmed-up scratch lets
@@ -45,7 +45,7 @@ pub struct QueryScratch {
     /// The query's comparison shape and per-dimension bounds, loaded
     /// once per exploration and shared by both kernels' every call.
     bounds: QueryBounds,
-    /// Columnar kernel state (bitmask + per-segment match indices).
+    /// Columnar kernel state (per-segment match indices).
     scan: ScanScratch,
     /// Matches of the last query, across all explored clusters.
     matches: Vec<ObjectId>,
@@ -472,7 +472,7 @@ impl ReadView<'_> {
     ///
     /// Member verification and candidate matching follow
     /// [`IndexConfig::reference`]: the batch kernels over the store's
-    /// zone-mapped columns and the candidate bound columns, with the
+    /// member columns and the candidate bound columns, with the
     /// query's bounds loaded once, or the object-at-a-time reference
     /// loops. Both are bit-identical in matches, match order, and every
     /// statistic. Nothing is allocated once the scratch's buffers have

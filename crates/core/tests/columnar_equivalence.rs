@@ -2,7 +2,7 @@
 //! ([`IndexConfig::reference`]) — not just in match sets, but in every
 //! access counter (`AccessStats`), every recorded statistic
 //! (`StatsDelta`), and every reorganization decision derived from them.
-//! A production index (columnar member kernel with zone maps,
+//! A production index (columnar member kernel,
 //! compare-and-count candidate kernel, incremental pass) and a
 //! reference index (object-at-a-time loops, full scalar sweep) are
 //! driven through identical workloads and compared query by query.
@@ -14,11 +14,10 @@
 //! are equal byte for byte — every cluster's and candidate's `q`,
 //! `q_eff` and decay stamp included.
 //!
-//! The layers underneath are pinned by their own suites: the member
-//! kernel against `matches_flat` and zone maps against a zone-free view
-//! in `acx_geom::scan`, zone-map maintenance in `acx_storage::segment`,
-//! the candidate kernel against the scalar loop and arena ranges against
-//! owned sets in `acx_core::candidates`.
+//! The layers underneath are pinned by their own suites: every
+//! instruction tier of the member kernel against `matches_flat` in
+//! `acx_geom::scan`, the candidate kernel against the scalar loop and
+//! arena ranges against owned sets in `acx_core::candidates`.
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, QueryScratch, ReorgReport, StatsDelta};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};

@@ -12,15 +12,14 @@
 //! The kernel tests a whole block of [`BLOCK`] = 64 objects against one
 //! query dimension at a time, keeping the survivors of each block as one
 //! `u64` bitmask (bit `i` = object `i` of the block still matches).
-//! Per dimension the pass bits of the block are packed movemask-style
-//! into a word and ANDed into the mask; survivor counting is a single
-//! `popcount`. A block whose mask reaches zero skips its remaining
-//! dimensions — the columnar analogue of the scalar path's per-object
-//! early exit.
+//! Per dimension the pass bits of the block are ANDed into the mask;
+//! survivor counting is a single `popcount`. A block whose mask reaches
+//! zero skips its remaining dimensions — the columnar analogue of the
+//! scalar path's per-object early exit.
 //!
-//! Three layers build on the same mask machinery:
+//! Three entry points, the first two sharing one block loop:
 //!
-//! * [`scan_columns`] — member verification over any [`ColumnAccess`]
+//! * [`scan_columns`] — member verification over [`PairedColumns`]
 //!   (the adaptive index's segments, the sequential-scan baseline).
 //! * [`scan_interleaved`] — the same kernel over row-major input
 //!   (R*-tree leaf pages), gathering one block-sized tile per
@@ -35,17 +34,6 @@
 //! exploring hundreds of clusters) loads the query's [`QueryBounds`]
 //! once and uses the `*_loaded` entry points.
 //!
-//! ## Zone maps
-//!
-//! A [`ColumnAccess`] implementation may additionally expose per-block
-//! min/max bounds per dimension ([`ZoneEntry`], one entry per 64-lane
-//! block). When the entry proves that *every* lane of the block fails
-//! the dimension, the kernel zeroes the block without reading the
-//! columns; when it proves every lane passes, it skips the read and
-//! keeps the mask. Both skips charge exactly the `dims_checked` the full
-//! evaluation would have charged (all surviving lanes inspected this
-//! dimension), so byte accounting stays bit-identical — see below.
-//!
 //! ## Metrics are bit-identical to the scalar path
 //!
 //! The scalar loop charges each object `dims_checked` = the index of its
@@ -55,25 +43,20 @@
 //! the sum over dimensions of the number of objects still alive when
 //! that dimension is evaluated — which is precisely the sum of mask
 //! popcounts the kernel accumulates. Dimensions are evaluated in the
-//! same order (`0, 1, 2, …`) with the same comparisons (a zone skip only
-//! triggers when the per-lane outcome is implied for every lane), so
+//! same order (`0, 1, 2, …`) with the same comparisons, so
 //! [`ScanOutcome`] totals — and every byte counter and reorganization
 //! decision derived from them — are bit-identical to object-at-a-time
 //! verification.
 //!
-//! ## SIMD
+//! ## Instruction tiers
 //!
-//! The default pass-word packing is portable: a branch-free compare loop
-//! the compiler auto-vectorizes, followed by a multiply-gather of the
-//! 0/1 bytes into mask bits. On x86_64 the loop is additionally
-//! dispatched to an AVX2-compiled clone when the CPU supports it
-//! (runtime-detected once, like the candidate kernel's count loop), so
-//! the default build vectorizes at eight lanes. The `simd` cargo
-//! feature instead swaps in an explicit `core::arch::x86_64` path
-//! (SSE `cmpleps` + `movmskps` baseline, AVX2 `vcmpps` when detected)
-//! producing the same words bit for bit. (`std::simd` would be
-//! preferable but is still nightly-only; the stable intrinsics express
-//! the same kernel.)
+//! One `#[inline(always)]` block loop is instantiated inside two
+//! whole-scan functions: AVX2 (`vcmpps` + `movmskps` straight into the
+//! survivors word, `vmaskmovps` for a partial block, no scalar tail) and
+//! a portable loop the compiler auto-vectorizes, for every other CPU.
+//! The best tier the CPU reports is resolved once per process and chosen
+//! once per scan call, outside the block and dimension loops; both tiers
+//! compute the same pass bits, so results do not depend on the machine.
 
 use crate::{Scalar, SpatialQuery, OBJECT_ID_BYTES};
 
@@ -83,61 +66,10 @@ use crate::{Scalar, SpatialQuery, OBJECT_ID_BYTES};
 /// vectorize and survivor counting is one `popcount`.
 pub const BLOCK: usize = 64;
 
-/// Per-block, per-dimension min/max bounds used to skip whole blocks
-/// without reading their columns (zone maps). Entry `k` of dimension `d`
-/// summarizes lanes `64·k .. 64·(k+1)` of that dimension's columns.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ZoneEntry {
-    /// Minimum of the block's lower bounds.
-    pub min_lo: Scalar,
-    /// Maximum of the block's lower bounds.
-    pub max_lo: Scalar,
-    /// Minimum of the block's upper bounds.
-    pub min_hi: Scalar,
-    /// Maximum of the block's upper bounds.
-    pub max_hi: Scalar,
-}
-
-/// What a [`ZoneEntry`] proves about a block for one query dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ZoneVerdict {
-    /// Every lane of the block fails this dimension.
-    AllFail,
-    /// Every lane of the block passes this dimension.
-    AllPass,
-    /// Inconclusive: the columns must be read.
-    Mixed,
-}
-
-/// Read access to a dimension-major coordinate layout: one `lo` and one
-/// `hi` column per dimension, each holding one scalar per object.
-pub trait ColumnAccess {
-    /// Number of objects (every column has exactly this length).
-    fn len(&self) -> usize;
-    /// Whether the column set holds no objects.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Lower-bound column of dimension `d`.
-    fn lo_col(&self, d: usize) -> &[Scalar];
-    /// Upper-bound column of dimension `d`.
-    fn hi_col(&self, d: usize) -> &[Scalar];
-    /// Zone-map entry for dimension `d`, 64-lane block `block`, when the
-    /// layout maintains one. `None` (the default) always reads columns.
-    ///
-    /// Entries must summarize exactly lanes `64·block ..
-    /// min(64·(block+1), len)` of the dimension's columns; a stale entry
-    /// breaks the kernel's bit-identical accounting guarantee.
-    fn zone(&self, _d: usize, _block: usize) -> Option<ZoneEntry> {
-        None
-    }
-}
-
 /// Borrowed view over paired columns stored as `[lo0, hi0, lo1, hi1, …]`
-/// — the convention used by `acx_storage::SegmentStore` and the
+/// — the layout of `acx_storage::SegmentStore`'s segments and of the
 /// sequential-scan baseline. Supports sub-ranges so parallel scans can
-/// hand each worker a disjoint slice of every column. Carries no zone
-/// maps (sub-ranges are not 64-lane aligned).
+/// hand each worker a disjoint slice of every column.
 #[derive(Debug, Clone, Copy)]
 pub struct PairedColumns<'a> {
     cols: &'a [Vec<Scalar>],
@@ -148,32 +80,45 @@ pub struct PairedColumns<'a> {
 impl<'a> PairedColumns<'a> {
     /// View over all objects of the column set. `cols` must hold `2·dims`
     /// equal-length vectors, lower bounds at even indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column is shorter than the first.
     pub fn new(cols: &'a [Vec<Scalar>]) -> Self {
-        let len = cols.first().map_or(0, Vec::len);
-        Self {
-            cols,
-            start: 0,
-            len,
-        }
+        Self::slice(cols, 0, cols.first().map_or(0, Vec::len))
     }
 
     /// View over objects `start..start + len`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column does not cover `start + len` objects.
     pub fn slice(cols: &'a [Vec<Scalar>], start: usize, len: usize) -> Self {
-        debug_assert!(cols.first().map_or(0, Vec::len) >= start + len);
+        let end = start.checked_add(len).expect("view range overflows");
+        assert!(
+            cols.iter().all(|col| col.len() >= end),
+            "every column must cover the view's {end} objects"
+        );
         Self { cols, start, len }
     }
-}
 
-impl ColumnAccess for PairedColumns<'_> {
-    fn len(&self) -> usize {
+    /// Number of objects in the view.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn lo_col(&self, d: usize) -> &[Scalar] {
+    /// Whether the view holds no objects.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Lower-bound column of dimension `d`.
+    pub fn lo_col(&self, d: usize) -> &'a [Scalar] {
         &self.cols[2 * d][self.start..self.start + self.len]
     }
 
-    fn hi_col(&self, d: usize) -> &[Scalar] {
+    /// Upper-bound column of dimension `d`.
+    pub fn hi_col(&self, d: usize) -> &'a [Scalar] {
         &self.cols[2 * d + 1][self.start..self.start + self.len]
     }
 }
@@ -201,27 +146,21 @@ impl ScanOutcome {
     }
 }
 
-/// Reusable scan state: the survivors bitmask (one `u64` word per
-/// [`BLOCK`] lanes), the match index buffer, the query bounds of the
-/// entry points that load them per call, and transpose buffers for
-/// interleaved inputs. Allocations grow to the
-/// largest scanned segment and are then reused, so a warmed-up scratch
-/// performs no allocation per scan.
+/// Reusable scan state: the match index buffer, the query bounds of the
+/// entry points that load them per call, and gather tiles for
+/// interleaved inputs. Allocations grow to the largest match set and are
+/// then reused, so a warmed-up scratch performs no allocation per scan.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
-    /// Survivors bitmask: word `k` covers lanes `64·k .. 64·k + 63`,
-    /// bit `i` set = lane `64·k + i` still matching.
-    mask: Vec<u64>,
     /// Indices (ascending) of the objects that matched the last scan.
     matches: Vec<u32>,
     /// Bounds of the query last passed to [`scan_columns`] or
     /// [`scan_interleaved`].
     bounds: QueryBounds,
-    /// Per-block lower-bound gather tile ([`BLOCK`] scalars) for
-    /// interleaved inputs.
-    t_lo: Vec<Scalar>,
-    /// Per-block upper-bound gather tile for interleaved inputs.
-    t_hi: Vec<Scalar>,
+    /// Per-block gather tiles ([`BLOCK`] scalars each) for interleaved
+    /// inputs: the `x` and `y` sides of [`Compare::word`]'s comparison.
+    tile_x: Vec<Scalar>,
+    tile_y: Vec<Scalar>,
 }
 
 impl ScanScratch {
@@ -235,12 +174,6 @@ impl ScanScratch {
     pub fn matches(&self) -> &[u32] {
         &self.matches
     }
-
-    /// The survivors of every block of the most recent scan: word `k`
-    /// bit `i` corresponds to lane `64·k + i`.
-    pub fn mask_words(&self) -> &[u64] {
-        &self.mask
-    }
 }
 
 /// Mask word with the lowest `len` bits set (`len` in `1..=64`).
@@ -252,9 +185,7 @@ fn lane_mask(len: usize) -> u64 {
 
 /// Packs up to [`BLOCK`] 0/1 bytes into mask bits (byte `i` → bit `i`):
 /// eight bytes at a time, a multiply gathers their low bits into the top
-/// byte of the product — the portable movemask. (The SSE build replaces
-/// its only production caller but keeps it compiled for the unit tests.)
-#[cfg_attr(all(feature = "simd", target_arch = "x86_64"), allow(dead_code))]
+/// byte of the product — the portable movemask.
 #[inline]
 fn pack_tile(tile: &[u8; BLOCK], len: usize) -> u64 {
     let mut word = 0u64;
@@ -266,263 +197,141 @@ fn pack_tile(tile: &[u8; BLOCK], len: usize) -> u64 {
     word & lane_mask(len)
 }
 
-/// Portable pass-word evaluation: branch-free compares into a byte tile
-/// (auto-vectorized), then [`pack_tile`].
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-#[inline(always)]
-fn portable_word<L>(lo: &[Scalar], hi: &[Scalar], a: Scalar, b: Scalar, lane: L) -> u64
-where
-    L: Fn(Scalar, Scalar, Scalar, Scalar) -> bool,
-{
-    debug_assert!(lo.len() == hi.len() && !lo.is_empty() && lo.len() <= BLOCK);
-    let mut tile = [0u8; BLOCK];
-    for ((t, &l), &h) in tile.iter_mut().zip(lo).zip(hi) {
-        *t = lane(l, h, a, b) as u8;
+/// One instruction tier's pass word. Every relation is the same
+/// two-sided comparison `x ≤ t1 ∧ y ≥ t2` once the [`Relation`] has said
+/// which bound column is `x` and which query side is `t1`, so each tier
+/// implements exactly one comparison.
+trait Compare {
+    /// Pass bits of the `x.len() ≤ 64` lanes: bit `i` set ⇔
+    /// `x[i] ≤ t1 ∧ y[i] ≥ t2`. Bits at and above `x.len()` are
+    /// unspecified (the block loop ANDs them away).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the tier's instruction set.
+    unsafe fn word(x: &[Scalar], y: &[Scalar], t1: Scalar, t2: Scalar) -> u64;
+}
+
+/// Branch-free compares into a byte tile (auto-vectorized), then
+/// [`pack_tile`]: runs anywhere.
+struct Portable;
+
+impl Compare for Portable {
+    #[inline(always)]
+    unsafe fn word(x: &[Scalar], y: &[Scalar], t1: Scalar, t2: Scalar) -> u64 {
+        debug_assert!(x.len() == y.len() && !x.is_empty() && x.len() <= BLOCK);
+        let mut tile = [0u8; BLOCK];
+        for ((t, &xv), &yv) in tile.iter_mut().zip(x).zip(y) {
+            *t = ((xv <= t1) & (yv >= t2)) as u8;
+        }
+        pack_tile(&tile, x.len())
     }
-    pack_tile(&tile, lo.len())
 }
 
-/// [`portable_word`] dispatched by relation tag — the non-generic shape
-/// shared by the baseline entry point and its AVX2-compiled clone.
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-#[inline(always)]
-fn portable_word_rel(rel: u8, lo: &[Scalar], hi: &[Scalar], a: Scalar, b: Scalar) -> u64 {
-    match rel {
-        REL_INTERSECTION => portable_word(lo, hi, a, b, Intersects::lane),
-        REL_CONTAINMENT => portable_word(lo, hi, a, b, Contained::lane),
-        _ => portable_word(lo, hi, a, b, Encloses::lane),
-    }
-}
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    //! The explicit compare→mask tier. `_CMP_LE_OQ`/`_CMP_GE_OQ` are
+    //! false on NaN like the scalar `<=`/`>=`, so the words equal
+    //! [`super::Portable`]'s bit for bit.
 
-/// [`portable_word_rel`] compiled for AVX2, selected at runtime when the
-/// CPU supports it (detected once, cached) — the same trick
-/// [`count_candidates`] uses for the candidate kernel, so the
-/// default build's member kernel vectorizes at eight lanes without the
-/// `simd` feature. Comparison outcomes are identical; only the lane
-/// width changes.
-#[cfg(all(target_arch = "x86_64", not(feature = "simd")))]
-#[target_feature(enable = "avx2")]
-fn portable_word_avx2(rel: u8, lo: &[Scalar], hi: &[Scalar], a: Scalar, b: Scalar) -> u64 {
-    portable_word_rel(rel, lo, hi, a, b)
-}
-
-/// Relation tags shared by the SIMD path (`match` on a constant folds
-/// away after inlining).
-const REL_INTERSECTION: u8 = 0;
-const REL_CONTAINMENT: u8 = 1;
-const REL_ENCLOSURE: u8 = 2;
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod simd {
-    //! Explicit SIMD pass-word packing: `cmpleps`/`vcmpps` compare
-    //! masks turned straight into mask bits by `movmskps`. SSE is part
-    //! of the x86_64 baseline, so the four-lane path is sound
-    //! unconditionally; when the CPU reports AVX2 (checked once,
-    //! cached), eight-lane steps are used instead. Comparison semantics
-    //! (`<=` on possibly-NaN floats is false, `_CMP_LE_OQ`) match the
-    //! scalar operators, so the words are bit-identical to
-    //! [`super::portable_word`] either way.
-
-    use super::{avx2_detected, Scalar, BLOCK, REL_CONTAINMENT, REL_INTERSECTION};
+    use super::{Compare, Scalar, BLOCK};
     #[allow(clippy::wildcard_imports)]
     use core::arch::x86_64::*;
 
-    #[inline]
-    pub(super) fn word(rel: u8, lo: &[Scalar], hi: &[Scalar], a: Scalar, b: Scalar) -> u64 {
-        debug_assert!(lo.len() == hi.len() && !lo.is_empty() && lo.len() <= BLOCK);
-        if avx2_detected() {
-            // SAFETY: AVX2 presence was just verified.
-            unsafe { word_avx2(rel, lo, hi, a, b) }
-        } else {
-            word_sse(rel, lo, hi, a, b)
-        }
-    }
+    /// Eight lanes per step: `vcmpps` + `movmskps`.
+    pub(super) struct Avx2;
 
-    #[inline]
-    fn word_sse(rel: u8, lo: &[Scalar], hi: &[Scalar], a: Scalar, b: Scalar) -> u64 {
-        let n = lo.len();
-        let mut out = 0u64;
-        let mut i = 0usize;
-        // SAFETY: SSE is baseline on x86_64; loads stay in bounds.
-        unsafe {
-            let av = _mm_set1_ps(a);
-            let bv = _mm_set1_ps(b);
-            while i + 4 <= n {
-                let l = _mm_loadu_ps(lo.as_ptr().add(i));
-                let h = _mm_loadu_ps(hi.as_ptr().add(i));
-                let pass = match rel {
-                    // l ≤ b ∧ h ≥ a
-                    REL_INTERSECTION => _mm_and_ps(_mm_cmple_ps(l, bv), _mm_cmple_ps(av, h)),
-                    // l ≥ a ∧ h ≤ b
-                    REL_CONTAINMENT => _mm_and_ps(_mm_cmple_ps(av, l), _mm_cmple_ps(h, bv)),
-                    // l ≤ a ∧ h ≥ b
-                    _ => _mm_and_ps(_mm_cmple_ps(l, av), _mm_cmple_ps(bv, h)),
+    impl Compare for Avx2 {
+        #[inline(always)]
+        unsafe fn word(x: &[Scalar], y: &[Scalar], t1: Scalar, t2: Scalar) -> u64 {
+            let len = x.len();
+            assert!(y.len() == len && len <= BLOCK, "one block of paired lanes");
+            let (t1v, t2v) = (_mm256_set1_ps(t1), _mm256_set1_ps(t2));
+            let mut word = 0u64;
+            let mut i = 0;
+            while i < len {
+                let left = len - i;
+                // SAFETY: `i < len = x.len() = y.len()` (asserted above).
+                // A full step reads lanes `i..i + 8 ≤ len`; the last,
+                // partial step enables only its `left < 8` lanes, and
+                // `vmaskmovps` does not access a disabled lane.
+                let (xv, yv) = if left >= 8 {
+                    (_mm256_loadu_ps(x.as_ptr().add(i)), _mm256_loadu_ps(y.as_ptr().add(i)))
+                } else {
+                    let lanes = _mm256_cmpgt_epi32(
+                        _mm256_set1_epi32(left as i32),
+                        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                    );
+                    (
+                        _mm256_maskload_ps(x.as_ptr().add(i), lanes),
+                        _mm256_maskload_ps(y.as_ptr().add(i), lanes),
+                    )
                 };
-                out |= (_mm_movemask_ps(pass) as u64) << i;
-                i += 4;
+                let pass = _mm256_and_ps(
+                    _mm256_cmp_ps::<_CMP_LE_OQ>(xv, t1v),
+                    _mm256_cmp_ps::<_CMP_GE_OQ>(yv, t2v),
+                );
+                word |= (_mm256_movemask_ps(pass) as u32 as u64) << i;
+                i += 8;
             }
-        }
-        out | scalar_tail(rel, lo, hi, a, b, i)
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn word_avx2(rel: u8, lo: &[Scalar], hi: &[Scalar], a: Scalar, b: Scalar) -> u64 {
-        let n = lo.len();
-        let mut out = 0u64;
-        let mut i = 0usize;
-        let av = _mm256_set1_ps(a);
-        let bv = _mm256_set1_ps(b);
-        while i + 8 <= n {
-            let l = _mm256_loadu_ps(lo.as_ptr().add(i));
-            let h = _mm256_loadu_ps(hi.as_ptr().add(i));
-            let pass = match rel {
-                REL_INTERSECTION => _mm256_and_ps(
-                    _mm256_cmp_ps::<_CMP_LE_OQ>(l, bv),
-                    _mm256_cmp_ps::<_CMP_LE_OQ>(av, h),
-                ),
-                REL_CONTAINMENT => _mm256_and_ps(
-                    _mm256_cmp_ps::<_CMP_LE_OQ>(av, l),
-                    _mm256_cmp_ps::<_CMP_LE_OQ>(h, bv),
-                ),
-                _ => _mm256_and_ps(
-                    _mm256_cmp_ps::<_CMP_LE_OQ>(l, av),
-                    _mm256_cmp_ps::<_CMP_LE_OQ>(bv, h),
-                ),
-            };
-            out |= (_mm256_movemask_ps(pass) as u32 as u64) << i;
-            i += 8;
-        }
-        out | scalar_tail(rel, lo, hi, a, b, i)
-    }
-
-    #[inline]
-    fn scalar_tail(rel: u8, lo: &[Scalar], hi: &[Scalar], a: Scalar, b: Scalar, from: usize) -> u64 {
-        let mut out = 0u64;
-        for i in from..lo.len() {
-            let pass = match rel {
-                REL_INTERSECTION => lo[i] <= b && hi[i] >= a,
-                REL_CONTAINMENT => lo[i] >= a && hi[i] <= b,
-                _ => lo[i] <= a && hi[i] >= b,
-            };
-            out |= (pass as u64) << i;
-        }
-        out
-    }
-
-}
-
-/// One comparison shape of the kernel: the scalar lane predicate, the
-/// packed pass-word over up to [`BLOCK`] lanes, and the zone-map
-/// implication tests. Implementations are zero-sized tags so the block
-/// loops monomorphize.
-trait Pred {
-    /// Tag for the explicit-SIMD and AVX2-clone dispatches.
-    const REL: u8;
-
-    /// Whether one object interval `[l, h]` passes the dimension with
-    /// query bounds `(a, b)` — the scalar spec of [`Pred::word`] (only
-    /// compiled into the portable build).
-    #[allow(dead_code)]
-    fn lane(l: Scalar, h: Scalar, a: Scalar, b: Scalar) -> bool;
-
-    /// What the zone entry proves about a whole block for `(a, b)`.
-    fn zone(z: &ZoneEntry, a: Scalar, b: Scalar) -> ZoneVerdict;
-
-    /// Pass bits of `lo.len() ≤ 64` lanes (bit `i` = lane `i` passes).
-    #[inline]
-    fn word(lo: &[Scalar], hi: &[Scalar], a: Scalar, b: Scalar) -> u64 {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        {
-            simd::word(Self::REL, lo, hi, a, b)
-        }
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        {
-            #[cfg(target_arch = "x86_64")]
-            if avx2_detected() {
-                // SAFETY: AVX2 presence was just verified; the callee is
-                // the same safe loop compiled with the feature enabled.
-                return unsafe { portable_word_avx2(Self::REL, lo, hi, a, b) };
-            }
-            portable_word_rel(Self::REL, lo, hi, a, b)
+            word
         }
     }
 }
 
-/// pass ⇔ `lo ≤ b ∧ hi ≥ a` with `a = q.lo(d)`, `b = q.hi(d)`.
-struct Intersects;
-/// pass ⇔ `lo ≥ a ∧ hi ≤ b`.
-struct Contained;
-/// pass ⇔ `lo ≤ a ∧ hi ≥ b` (point queries: `a = b = p[d]`).
-struct Encloses;
-
-impl Pred for Intersects {
-    const REL: u8 = REL_INTERSECTION;
-
-    #[inline]
-    fn lane(l: Scalar, h: Scalar, a: Scalar, b: Scalar) -> bool {
-        l <= b && h >= a
-    }
-
-    #[inline]
-    fn zone(z: &ZoneEntry, a: Scalar, b: Scalar) -> ZoneVerdict {
-        if z.min_lo > b || z.max_hi < a {
-            ZoneVerdict::AllFail
-        } else if z.max_lo <= b && z.min_hi >= a {
-            ZoneVerdict::AllPass
-        } else {
-            ZoneVerdict::Mixed
-        }
-    }
+/// The instruction tiers, worst to best.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
 }
 
-impl Pred for Contained {
-    const REL: u8 = REL_CONTAINMENT;
-
+impl Tier {
+    /// The best tier this CPU runs. The detection macro caches the CPU's
+    /// answer for the process; a scan call reads it once.
     #[inline]
-    fn lane(l: Scalar, h: Scalar, a: Scalar, b: Scalar) -> bool {
-        l >= a && h <= b
-    }
-
-    #[inline]
-    fn zone(z: &ZoneEntry, a: Scalar, b: Scalar) -> ZoneVerdict {
-        if z.max_lo < a || z.min_hi > b {
-            ZoneVerdict::AllFail
-        } else if z.min_lo >= a && z.max_hi <= b {
-            ZoneVerdict::AllPass
-        } else {
-            ZoneVerdict::Mixed
+    fn best() -> Tier {
+        // `popcnt` rides along so the block loop's survivor count is one
+        // instruction in the tier compiled for these CPUs.
+        #[cfg(target_arch = "x86_64")]
+        if avx2_detected() && std::arch::is_x86_feature_detected!("popcnt") {
+            return Tier::Avx2;
         }
-    }
-}
-
-impl Pred for Encloses {
-    const REL: u8 = REL_ENCLOSURE;
-
-    #[inline]
-    fn lane(l: Scalar, h: Scalar, a: Scalar, b: Scalar) -> bool {
-        l <= a && h >= b
-    }
-
-    #[inline]
-    fn zone(z: &ZoneEntry, a: Scalar, b: Scalar) -> ZoneVerdict {
-        if z.min_lo > a || z.max_hi < b {
-            ZoneVerdict::AllFail
-        } else if z.max_lo <= a && z.min_hi >= b {
-            ZoneVerdict::AllPass
-        } else {
-            ZoneVerdict::Mixed
-        }
+        Tier::Portable
     }
 }
 
 /// The three comparison shapes; point-enclosing queries reduce to
-/// [`Relation::Enclosure`] with degenerate per-dimension bounds.
+/// [`Relation::Enclosure`] with degenerate per-dimension bounds. Each is
+/// the tiers' `x ≤ t1 ∧ y ≥ t2` under a choice of columns and sides,
+/// with `a = q.lo(d)` and `b = q.hi(d)`:
+///
+/// | relation | condition | `x` | `t1` |
+/// |---|---|---|---|
+/// | intersection | `lo ≤ b ∧ hi ≥ a` | `lo` | `b` |
+/// | containment | `hi ≤ b ∧ lo ≥ a` | `hi` | `b` |
+/// | enclosure | `lo ≤ a ∧ hi ≥ b` | `lo` | `a` |
 #[derive(Debug, Clone, Copy, Default)]
 enum Relation {
     #[default]
     Intersection,
     Containment,
     Enclosure,
+}
+
+impl Relation {
+    /// Whether `x` is the upper-bound column and `y` the lower.
+    #[inline]
+    fn x_is_hi(self) -> bool {
+        matches!(self, Relation::Containment)
+    }
+
+    /// Whether `t1` is the query's `a` side and `t2` its `b` side.
+    #[inline]
+    fn t1_is_a(self) -> bool {
+        matches!(self, Relation::Enclosure)
+    }
 }
 
 /// A query's comparison shape and per-dimension bounds in the form the
@@ -578,12 +387,160 @@ impl QueryBounds {
     }
 }
 
+/// Where the block loop reads a (block, dimension) pair's lanes from.
+trait Lanes {
+    /// Number of objects.
+    fn len(&self) -> usize;
+
+    /// The `x` and `y` sides of dimension `d` for objects
+    /// `start..start + len`, each cut to exactly `len` lanes.
+    fn block(&mut self, start: usize, len: usize, d: usize) -> (&[Scalar], &[Scalar]);
+}
+
+/// Dimension-major input: the lanes are read in place.
+struct ColumnLanes<'a> {
+    cols: PairedColumns<'a>,
+    /// [`Relation::x_is_hi`].
+    x_is_hi: bool,
+}
+
+impl Lanes for ColumnLanes<'_> {
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.cols.len()
+    }
+
+    #[inline(always)]
+    fn block(&mut self, start: usize, len: usize, d: usize) -> (&[Scalar], &[Scalar]) {
+        let lo = &self.cols.lo_col(d)[start..start + len];
+        let hi = &self.cols.hi_col(d)[start..start + len];
+        if self.x_is_hi {
+            (hi, lo)
+        } else {
+            (lo, hi)
+        }
+    }
+}
+
+/// Row-major input: one dimension of the block's rows is gathered into
+/// the scratch tiles first.
+struct RowLanes<'a> {
+    flat: &'a [Scalar],
+    /// Scalars per row (`2·dims`).
+    width: usize,
+    x_is_hi: bool,
+    tile_x: &'a mut [Scalar],
+    tile_y: &'a mut [Scalar],
+}
+
+impl Lanes for RowLanes<'_> {
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.flat.len() / self.width
+    }
+
+    #[inline(always)]
+    fn block(&mut self, start: usize, len: usize, d: usize) -> (&[Scalar], &[Scalar]) {
+        let (x_at, y_at) = if self.x_is_hi { (2 * d + 1, 2 * d) } else { (2 * d, 2 * d + 1) };
+        let rows = &self.flat[start * self.width..(start + len) * self.width];
+        for (i, row) in rows.chunks_exact(self.width).enumerate() {
+            self.tile_x[i] = row[x_at];
+            self.tile_y[i] = row[y_at];
+        }
+        (&self.tile_x[..len], &self.tile_y[..len])
+    }
+}
+
+/// The blocked kernel: per block of [`BLOCK`] objects, AND each
+/// dimension's pass word into the block's survivors mask; survivor
+/// counting is a popcount and a block with no survivors skips its
+/// remaining dimensions.
+///
+/// # Safety
+///
+/// The CPU must support `C`'s instruction set.
+#[inline(always)]
+unsafe fn scan_blocks<C: Compare, L: Lanes>(
+    lanes: &mut L,
+    t1s: &[Scalar],
+    t2s: &[Scalar],
+    matches: &mut Vec<u32>,
+) -> ScanOutcome {
+    let n = lanes.len();
+    matches.clear();
+    let mut dims_checked = 0u64;
+    for start in (0..n).step_by(BLOCK) {
+        let len = (n - start).min(BLOCK);
+        let mut word = lane_mask(len);
+        for (d, (&t1, &t2)) in t1s.iter().zip(t2s).enumerate() {
+            let alive = word.count_ones() as u64;
+            if alive == 0 {
+                break;
+            }
+            dims_checked += alive;
+            let (x, y) = lanes.block(start, len, d);
+            // SAFETY: the caller vouches for the tier.
+            word &= C::word(x, y, t1, t2);
+        }
+        while word != 0 {
+            matches.push((start + word.trailing_zeros() as usize) as u32);
+            word &= word - 1;
+        }
+    }
+    ScanOutcome {
+        objects: n,
+        matched: matches.len(),
+        dims_checked,
+    }
+}
+
+/// [`scan_blocks`] compiled with AVX2 (and `popcnt`) enabled, so the
+/// tier's intrinsics inline into the block loop.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and `popcnt`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,popcnt")]
+unsafe fn scan_avx2<L: Lanes>(
+    lanes: &mut L,
+    t1s: &[Scalar],
+    t2s: &[Scalar],
+    matches: &mut Vec<u32>,
+) -> ScanOutcome {
+    scan_blocks::<x86::Avx2, L>(lanes, t1s, t2s, matches)
+}
+
+/// Runs one whole scan on `tier` — the only dispatch of a scan.
+///
+/// # Safety
+///
+/// `tier` must be [`Tier::Portable`] or [`Tier::best`].
+unsafe fn scan_on<L: Lanes>(
+    tier: Tier,
+    bounds: &QueryBounds,
+    lanes: &mut L,
+    matches: &mut Vec<u32>,
+) -> ScanOutcome {
+    let (t1s, t2s) = if bounds.rel.t1_is_a() {
+        (&bounds.qa[..], &bounds.qb[..])
+    } else {
+        (&bounds.qb[..], &bounds.qa[..])
+    };
+    // SAFETY: the caller vouches that the CPU supports `tier`.
+    match tier {
+        Tier::Portable => scan_blocks::<Portable, L>(lanes, t1s, t2s, matches),
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => scan_avx2(lanes, t1s, t2s, matches),
+    }
+}
+
 /// Scans a dimension-major column set against the query, leaving the
 /// matching indices in `scratch.matches()`.
 ///
 /// Match set, match order, and [`ScanOutcome::dims_checked`] are
 /// bit-identical to calling [`SpatialQuery::matches_flat`] on every
-/// object in storage order — with or without zone maps.
+/// object in storage order.
 ///
 /// ```
 /// use acx_geom::scan::{scan_columns, PairedColumns, ScanScratch};
@@ -597,110 +554,39 @@ impl QueryBounds {
 /// assert_eq!(outcome.matched, 1);
 /// assert_eq!(scratch.matches(), &[0]);
 /// ```
-pub fn scan_columns<C: ColumnAccess + ?Sized>(
+pub fn scan_columns(
     query: &SpatialQuery,
-    cols: &C,
+    cols: &PairedColumns<'_>,
     scratch: &mut ScanScratch,
 ) -> ScanOutcome {
-    let ScanScratch {
-        mask,
-        matches,
-        bounds,
-        ..
-    } = scratch;
+    let ScanScratch { matches, bounds, .. } = scratch;
     bounds.load(query);
-    run_loaded(bounds, cols, mask, matches)
+    // SAFETY: `Tier::best` names AVX2 only after detecting it and `popcnt`.
+    unsafe { columns_on(Tier::best(), bounds, cols, matches) }
 }
 
 /// [`scan_columns`] for a query whose bounds the caller already loaded:
 /// same outcome, without copying the bounds again.
-pub fn scan_columns_loaded<C: ColumnAccess + ?Sized>(
+pub fn scan_columns_loaded(
     bounds: &QueryBounds,
-    cols: &C,
+    cols: &PairedColumns<'_>,
     scratch: &mut ScanScratch,
 ) -> ScanOutcome {
-    run_loaded(bounds, cols, &mut scratch.mask, &mut scratch.matches)
+    // SAFETY: `Tier::best` names AVX2 only after detecting it and `popcnt`.
+    unsafe { columns_on(Tier::best(), bounds, cols, &mut scratch.matches) }
 }
 
-fn run_loaded<C: ColumnAccess + ?Sized>(
+/// # Safety
+///
+/// `tier` must be [`Tier::Portable`] or [`Tier::best`].
+unsafe fn columns_on(
+    tier: Tier,
     bounds: &QueryBounds,
-    cols: &C,
-    mask: &mut Vec<u64>,
+    cols: &PairedColumns<'_>,
     matches: &mut Vec<u32>,
 ) -> ScanOutcome {
-    let (qa, qb) = (&bounds.qa[..], &bounds.qb[..]);
-    match bounds.rel {
-        Relation::Intersection => run::<C, Intersects>(cols, qa, qb, mask, matches),
-        Relation::Containment => run::<C, Contained>(cols, qa, qb, mask, matches),
-        Relation::Enclosure => run::<C, Encloses>(cols, qa, qb, mask, matches),
-    }
-}
-
-/// The blocked kernel: per block of [`BLOCK`] objects, AND each
-/// dimension's pass word into the block's survivors mask; survivor
-/// counting is a popcount and a block with no survivors skips its
-/// remaining dimensions. Zone entries, when the layout provides them,
-/// resolve a whole (block, dimension) pair without reading the columns.
-fn run<C, P>(
-    cols: &C,
-    qa: &[Scalar],
-    qb: &[Scalar],
-    mask: &mut Vec<u64>,
-    matches: &mut Vec<u32>,
-) -> ScanOutcome
-where
-    C: ColumnAccess + ?Sized,
-    P: Pred,
-{
-    let n = cols.len();
-    let dims = qa.len();
-    let blocks = n.div_ceil(BLOCK);
-    mask.clear();
-    mask.resize(blocks, 0);
-    matches.clear();
-    let mut dims_checked = 0u64;
-    for (block, word_out) in mask.iter_mut().enumerate() {
-        let start = block * BLOCK;
-        let end = (start + BLOCK).min(n);
-        let mut word = lane_mask(end - start);
-        for d in 0..dims {
-            let alive = word.count_ones() as u64;
-            if alive == 0 {
-                break;
-            }
-            dims_checked += alive;
-            let (a, b) = (qa[d], qb[d]);
-            if let Some(zone) = cols.zone(d, block) {
-                match P::zone(&zone, a, b) {
-                    // Every alive lane fails this dimension — exactly
-                    // the `dims_checked` charge made above, then death.
-                    ZoneVerdict::AllFail => {
-                        word = 0;
-                        break;
-                    }
-                    // Every alive lane passes: mask unchanged, column
-                    // read skipped.
-                    ZoneVerdict::AllPass => continue,
-                    ZoneVerdict::Mixed => {}
-                }
-            }
-            let lo = &cols.lo_col(d)[start..end];
-            let hi = &cols.hi_col(d)[start..end];
-            word &= P::word(lo, hi, a, b);
-        }
-        *word_out = word;
-        let mut bits = word;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            matches.push((start + i) as u32);
-            bits &= bits - 1;
-        }
-    }
-    ScanOutcome {
-        objects: n,
-        matched: matches.len(),
-        dims_checked,
-    }
+    let mut lanes = ColumnLanes { cols: *cols, x_is_hi: bounds.rel.x_is_hi() };
+    scan_on(tier, bounds, &mut lanes, matches)
 }
 
 /// Scans objects stored as interleaved flat `[lo0, hi0, lo1, hi1, …]`
@@ -718,85 +604,28 @@ pub fn scan_interleaved(
     flat: &[Scalar],
     scratch: &mut ScanScratch,
 ) -> ScanOutcome {
-    let width = 2 * query.dims();
-    debug_assert_eq!(flat.len() % width, 0, "coordinate arity mismatch");
-    let ScanScratch {
-        mask,
-        matches,
-        bounds,
-        t_lo,
-        t_hi,
-    } = scratch;
-    bounds.load(query);
-    let (qa, qb) = (&bounds.qa[..], &bounds.qb[..]);
-    t_lo.resize(BLOCK, 0.0);
-    t_hi.resize(BLOCK, 0.0);
-    match bounds.rel {
-        Relation::Intersection => {
-            run_interleaved::<Intersects>(flat, width, qa, qb, mask, matches, t_lo, t_hi)
-        }
-        Relation::Containment => {
-            run_interleaved::<Contained>(flat, width, qa, qb, mask, matches, t_lo, t_hi)
-        }
-        Relation::Enclosure => {
-            run_interleaved::<Encloses>(flat, width, qa, qb, mask, matches, t_lo, t_hi)
-        }
-    }
+    // SAFETY: `Tier::best` names AVX2 only after detecting it and `popcnt`.
+    unsafe { interleaved_on(Tier::best(), query, flat, scratch) }
 }
 
-/// The blocked kernel over row-major input: per block, gather one
-/// dimension's bounds into the scratch tiles and AND the pass word into
-/// the survivors mask; a block with no survivors skips the gather and
-/// the check of its remaining dimensions.
-#[allow(clippy::too_many_arguments)]
-fn run_interleaved<P: Pred>(
+/// # Safety
+///
+/// `tier` must be [`Tier::Portable`] or [`Tier::best`].
+unsafe fn interleaved_on(
+    tier: Tier,
+    query: &SpatialQuery,
     flat: &[Scalar],
-    width: usize,
-    qa: &[Scalar],
-    qb: &[Scalar],
-    mask: &mut Vec<u64>,
-    matches: &mut Vec<u32>,
-    t_lo: &mut [Scalar],
-    t_hi: &mut [Scalar],
+    scratch: &mut ScanScratch,
 ) -> ScanOutcome {
-    let n = flat.len() / width;
-    let dims = qa.len();
-    let blocks = n.div_ceil(BLOCK);
-    mask.clear();
-    mask.resize(blocks, 0);
-    matches.clear();
-    let mut dims_checked = 0u64;
-    for (block, word_out) in mask.iter_mut().enumerate() {
-        let start = block * BLOCK;
-        let end = (start + BLOCK).min(n);
-        let len = end - start;
-        let mut word = lane_mask(len);
-        for d in 0..dims {
-            let alive = word.count_ones() as u64;
-            if alive == 0 {
-                break;
-            }
-            dims_checked += alive;
-            let rows = &flat[start * width..end * width];
-            for (i, row) in rows.chunks_exact(width).enumerate() {
-                t_lo[i] = row[2 * d];
-                t_hi[i] = row[2 * d + 1];
-            }
-            word &= P::word(&t_lo[..len], &t_hi[..len], qa[d], qb[d]);
-        }
-        *word_out = word;
-        let mut bits = word;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            matches.push((start + i) as u32);
-            bits &= bits - 1;
-        }
-    }
-    ScanOutcome {
-        objects: n,
-        matched: matches.len(),
-        dims_checked,
-    }
+    let width = 2 * query.dims();
+    assert!(width > 0 && flat.len().is_multiple_of(width), "coordinate arity mismatch");
+    let ScanScratch { matches, bounds, tile_x, tile_y } = scratch;
+    bounds.load(query);
+    tile_x.resize(BLOCK, 0.0);
+    tile_y.resize(BLOCK, 0.0);
+    let x_is_hi = bounds.rel.x_is_hi();
+    let mut lanes = RowLanes { flat, width, x_is_hi, tile_x, tile_y };
+    scan_on(tier, bounds, &mut lanes, matches)
 }
 
 /// Per-dimension-run aggregate bounds over the candidate bound columns
@@ -981,8 +810,8 @@ fn count_candidates_avx2(bounds: &QueryBounds, cols: &CandidateColumns<'_>, coun
 
 /// Whether the CPU supports AVX2 (detected once, cached) — the runtime
 /// dispatch gate shared by every kernel with an AVX2-compiled clone
-/// (member pass-words, candidate counting, and the reorganization
-/// benefit column in `acx_core`).
+/// (candidate counting, and the reorganization benefit column in
+/// `acx_core`).
 #[cfg(target_arch = "x86_64")]
 #[inline]
 pub fn avx2_detected() -> bool {
@@ -1093,7 +922,6 @@ mod tests {
         let out = scan_columns(&q, &PairedColumns::new(&cols), &mut scratch);
         assert_eq!(out, ScanOutcome { objects: 0, matched: 0, dims_checked: 0 });
         assert!(scratch.matches().is_empty());
-        assert!(scratch.mask_words().is_empty());
     }
 
     #[test]
@@ -1138,21 +966,6 @@ mod tests {
     }
 
     #[test]
-    fn mask_words_expose_survivors_per_block() {
-        // 65 one-dimensional objects; exactly objects 0 and 64 match.
-        let flat: Vec<Scalar> = (0..65)
-            .flat_map(|i| if i % 64 == 0 { [0.0, 1.0] } else { [0.9, 1.0] })
-            .collect();
-        let cols = columns(&flat, 1);
-        let mut scratch = ScanScratch::new();
-        let q = SpatialQuery::point_enclosing(vec![0.1]);
-        let out = scan_columns(&q, &PairedColumns::new(&cols), &mut scratch);
-        assert_eq!(out.matched, 2);
-        assert_eq!(scratch.mask_words(), &[1u64, 1u64]);
-        assert_eq!(scratch.matches(), &[0, 64]);
-    }
-
-    #[test]
     fn scratch_is_reusable_across_queries_and_sizes() {
         let mut scratch = ScanScratch::new();
         for n in [100usize, 10, 300] {
@@ -1183,72 +996,91 @@ mod tests {
         assert_eq!(scratch.matches(), &[0]); // index relative to the range
     }
 
-    /// A column set with externally supplied zone entries, used to prove
-    /// the zone fast paths leave results and accounting untouched.
-    struct ZonedView<'a> {
-        inner: PairedColumns<'a>,
-        dims: usize,
-    }
-
-    impl ColumnAccess for ZonedView<'_> {
-        fn len(&self) -> usize {
-            self.inner.len()
-        }
-
-        fn lo_col(&self, d: usize) -> &[Scalar] {
-            self.inner.lo_col(d)
-        }
-
-        fn hi_col(&self, d: usize) -> &[Scalar] {
-            self.inner.hi_col(d)
-        }
-
-        fn zone(&self, d: usize, block: usize) -> Option<ZoneEntry> {
-            let _ = self.dims;
-            let start = block * BLOCK;
-            let end = (start + BLOCK).min(self.len());
-            let lo = &self.inner.lo_col(d)[start..end];
-            let hi = &self.inner.hi_col(d)[start..end];
-            Some(ZoneEntry {
-                min_lo: lo.iter().copied().fold(Scalar::INFINITY, Scalar::min),
-                max_lo: lo.iter().copied().fold(Scalar::NEG_INFINITY, Scalar::max),
-                min_hi: hi.iter().copied().fold(Scalar::INFINITY, Scalar::min),
-                max_hi: hi.iter().copied().fold(Scalar::NEG_INFINITY, Scalar::max),
-            })
-        }
-    }
-
     #[test]
-    fn zone_maps_change_nothing_observable() {
-        // 3 blocks: one all-fail, one all-pass, one mixed per dimension.
-        let n = 160;
-        let flat: Vec<Scalar> = (0..n)
-            .flat_map(|i| {
-                let (lo, hi) = match i / BLOCK {
-                    0 => (0.8, 0.9),                       // block fails point 0.5
-                    1 => (0.0, 1.0),                       // block passes
-                    _ => ((i % 2) as Scalar * 0.5, 1.0),   // mixed
-                };
-                [lo, hi, 0.0, 1.0]
-            })
-            .collect();
-        let cols = columns(&flat, 2);
-        let plain = PairedColumns::new(&cols);
-        let zoned = ZonedView { inner: plain, dims: 2 };
-        for q in [
-            SpatialQuery::point_enclosing(vec![0.5, 0.5]),
-            SpatialQuery::intersection(HyperRect::from_bounds(&[0.1, 0.1], &[0.4, 0.4]).unwrap()),
-            SpatialQuery::containment(HyperRect::from_bounds(&[0.0, 0.0], &[1.0, 1.0]).unwrap()),
-            SpatialQuery::enclosure(HyperRect::from_bounds(&[0.2, 0.2], &[0.3, 0.3]).unwrap()),
-        ] {
-            let mut s1 = ScanScratch::new();
-            let mut s2 = ScanScratch::new();
-            let a = scan_columns(&q, &plain, &mut s1);
-            let b = scan_columns(&q, &zoned, &mut s2);
-            assert_eq!(a, b, "zone maps changed the outcome for {q:?}");
-            assert_eq!(s1.matches(), s2.matches());
-            assert_eq!(s1.mask_words(), s2.mask_words());
+    #[should_panic(expected = "every column must cover")]
+    fn short_column_is_rejected_at_view_construction() {
+        let mut cols = columns(&[0.1, 0.2, 0.4, 0.5, 0.7, 0.8], 1);
+        cols[1].pop();
+        let _ = PairedColumns::new(&cols);
+    }
+
+    /// Every tier the CPU reports computes what per-object
+    /// `matches_flat` computes — matches, their order and `dims_checked`
+    /// — through both entry points, at every block-boundary size and
+    /// with query bounds that coincide with object edges (all
+    /// coordinates sit on a 1/8 grid).
+    #[test]
+    fn every_tier_agrees_with_scalar_oracle() {
+        let mut tiers = vec![Tier::Portable];
+        if Tier::best() != Tier::Portable {
+            tiers.push(Tier::best());
         }
+        println!("tiers exercised: {tiers:?}");
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut grid = |below: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % below
+        };
+        let mut matched_by_kind = [0usize; 4];
+        for dims in 1..=16usize {
+            let edges: Vec<(u64, u64)> = (0..dims)
+                .map(|_| {
+                    let lo = grid(4);
+                    (lo, lo + 1 + grid(4))
+                })
+                .collect();
+            let a: Vec<Scalar> = edges.iter().map(|e| e.0 as Scalar / 8.0).collect();
+            let b: Vec<Scalar> = edges.iter().map(|e| e.1 as Scalar / 8.0).collect();
+            let window = HyperRect::from_bounds(&a, &b).unwrap();
+            let queries = [
+                SpatialQuery::intersection(window.clone()),
+                SpatialQuery::containment(window.clone()),
+                SpatialQuery::enclosure(window),
+                SpatialQuery::point_enclosing(a.clone()),
+            ];
+            for n in [0usize, 1, 15, 16, 17, 63, 64, 65, 127, 128, 129, 1000] {
+                let mut flat = Vec::with_capacity(n * 2 * dims);
+                for i in 0..n {
+                    for &edge in &edges {
+                        // Every fifth object equals the window (on every
+                        // edge at once); the others are mostly wide.
+                        let (lo, hi) = match (i % 5, grid(8)) {
+                            (0, _) => edge,
+                            (_, 0) => (grid(9), grid(9)),
+                            _ => (grid(3), 6 + grid(3)),
+                        };
+                        let (lo, hi) = (lo.min(hi), lo.max(hi));
+                        flat.extend([lo as Scalar / 8.0, hi as Scalar / 8.0]);
+                    }
+                }
+                let cols = columns(&flat, dims);
+                for (kind, query) in queries.iter().enumerate() {
+                    let (want_matches, want_checked) = oracle(query, &flat, dims);
+                    matched_by_kind[kind] += want_matches.len();
+                    let want = ScanOutcome {
+                        objects: n,
+                        matched: want_matches.len(),
+                        dims_checked: want_checked,
+                    };
+                    for &tier in &tiers {
+                        let mut scratch = ScanScratch::new();
+                        scratch.bounds.load(query);
+                        let ScanScratch { matches, bounds, .. } = &mut scratch;
+                        // SAFETY: `tier` is `Tier::Portable` or `Tier::best()`.
+                        let got = unsafe {
+                            columns_on(tier, bounds, &PairedColumns::new(&cols), matches)
+                        };
+                        assert_eq!(got, want, "{tier:?} columns, {dims} dims, n = {n}, {query:?}");
+                        assert_eq!(scratch.matches(), &want_matches[..], "{tier:?} columns");
+                        // SAFETY: as above.
+                        let got = unsafe { interleaved_on(tier, query, &flat, &mut scratch) };
+                        assert_eq!(got, want, "{tier:?} rows, {dims} dims, n = {n}, {query:?}");
+                        assert_eq!(scratch.matches(), &want_matches[..], "{tier:?} rows");
+                    }
+                }
+            }
+        }
+        assert!(matched_by_kind.iter().all(|&m| m > 0), "vacuous: {matched_by_kind:?}");
     }
 
     #[allow(clippy::type_complexity)]

@@ -102,7 +102,10 @@ impl DeviceProfile {
     /// commit that introduced this profile, on 2 cores of a shared
     /// x86-64 host (AVX2), rustc 1.95.0; `BENCH_scan.json` holds the
     /// `calibration` object of one such run, and CI fails when a term
-    /// drifts more than 10× from its constant. The five runs read:
+    /// drifts more than 10× from its constant. The constants were taken
+    /// on the member kernel of that commit (AVX2 pass words dispatched
+    /// per block); `acx_geom::scan`'s whole-scan tiers have not re-priced
+    /// them. The five runs read:
     ///
     /// | term | runs (ns) | constant |
     /// |---|---|---|

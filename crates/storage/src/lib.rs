@@ -32,7 +32,7 @@ pub use crc::crc32;
 pub use device::{DeviceProfile, StorageScenario};
 pub use file::{ClusterRecord, FileStore, SalvagedStore, StoreError, TailCorruption};
 pub use result::{QueryMetrics, QueryResult};
-pub use segment::{SegmentColumns, SegmentId, SegmentStore};
+pub use segment::{SegmentId, SegmentStore};
 pub use wal::{
     BackingStore, FaultInjector, FaultPlan, FileBacking, FlushPolicy, MemBacking, TornTail, Wal,
     WalError, WalRecord, WalReplay,

@@ -1,18 +1,15 @@
 use std::collections::HashMap;
 
-use acx_geom::scan::{ColumnAccess, ZoneEntry, BLOCK};
+use acx_geom::scan::PairedColumns;
 use acx_geom::{object_size_bytes, Scalar};
 
 /// Handle to one cluster's sequential object segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SegmentId(pub u32);
 
-/// Scalars per zone-map entry: `min_lo, max_lo, min_hi, max_hi`.
-const ZONE_STRIDE: usize = 4;
-
 /// One cluster's members, stored sequentially: a parallel id array plus
-/// dimension-major coordinate columns with per-block zone maps, and the
-/// segment's position in the (virtual) disk layout.
+/// dimension-major coordinate columns, and the segment's position in the
+/// (virtual) disk layout.
 #[derive(Debug)]
 struct Segment {
     ids: Vec<u32>,
@@ -20,12 +17,6 @@ struct Segment {
     /// lower bound in dimension `d`, `cols[2d + 1]` the upper bound. All
     /// `2·dims` columns are exactly `ids.len()` long.
     cols: Box<[Vec<Scalar>]>,
-    /// Zone maps: per 64-lane block `k` and dimension `d`, the four
-    /// scalars `min_lo, max_lo, min_hi, max_hi` of that block's column
-    /// values, at `((k·dims + d)·4)..`. Block-major so growth into a new
-    /// block appends instead of re-laying out; always covers exactly
-    /// `ceil(len / 64)` blocks.
-    zones: Vec<Scalar>,
     /// Reserved capacity in objects (allocation size on the layout).
     capacity: usize,
     /// Byte offset of the segment in the virtual sequential layout.
@@ -39,7 +30,6 @@ impl Segment {
             cols: (0..2 * dims)
                 .map(|_| Vec::with_capacity(capacity))
                 .collect(),
-            zones: Vec::new(),
             capacity,
             offset: 0,
         }
@@ -50,114 +40,6 @@ impl Segment {
         for col in self.cols.iter() {
             out.push(col[index]);
         }
-    }
-
-    fn dims(&self) -> usize {
-        self.cols.len() / 2
-    }
-
-    /// Folds the just-pushed member (at `ids.len() - 1`) into the zone
-    /// maps, opening a new block entry at block boundaries.
-    fn zone_push(&mut self) {
-        let index = self.ids.len() - 1;
-        let dims = self.dims();
-        let block = index / BLOCK;
-        if index.is_multiple_of(BLOCK) {
-            debug_assert_eq!(self.zones.len(), block * dims * ZONE_STRIDE);
-            for d in 0..dims {
-                let lo = self.cols[2 * d][index];
-                let hi = self.cols[2 * d + 1][index];
-                self.zones.extend_from_slice(&[lo, lo, hi, hi]);
-            }
-        } else {
-            for d in 0..dims {
-                let lo = self.cols[2 * d][index];
-                let hi = self.cols[2 * d + 1][index];
-                let at = (block * dims + d) * ZONE_STRIDE;
-                let z = &mut self.zones[at..at + ZONE_STRIDE];
-                z[0] = z[0].min(lo);
-                z[1] = z[1].max(lo);
-                z[2] = z[2].min(hi);
-                z[3] = z[3].max(hi);
-            }
-        }
-    }
-
-    /// Recomputes one block's zone entries from the column data.
-    fn zone_recompute(&mut self, block: usize) {
-        let dims = self.dims();
-        let start = block * BLOCK;
-        let end = (start + BLOCK).min(self.ids.len());
-        debug_assert!(start < end, "block must be non-empty");
-        for d in 0..dims {
-            let lo = &self.cols[2 * d][start..end];
-            let hi = &self.cols[2 * d + 1][start..end];
-            let at = (block * dims + d) * ZONE_STRIDE;
-            let z = &mut self.zones[at..at + ZONE_STRIDE];
-            z[0] = lo.iter().copied().fold(Scalar::INFINITY, Scalar::min);
-            z[1] = lo.iter().copied().fold(Scalar::NEG_INFINITY, Scalar::max);
-            z[2] = hi.iter().copied().fold(Scalar::INFINITY, Scalar::min);
-            z[3] = hi.iter().copied().fold(Scalar::NEG_INFINITY, Scalar::max);
-        }
-    }
-
-    /// Re-establishes the zone maps of the blocks disturbed by a
-    /// `swap_remove` of `index` (the receiving block, and the shrunken
-    /// or vanished last block).
-    fn zone_after_swap_remove(&mut self, index: usize) {
-        let dims = self.dims();
-        let n = self.ids.len();
-        let blocks = n.div_ceil(BLOCK);
-        self.zones.truncate(blocks * dims * ZONE_STRIDE);
-        if n == 0 {
-            return;
-        }
-        let touched = index / BLOCK;
-        if touched < blocks {
-            self.zone_recompute(touched);
-        }
-        let last = blocks - 1;
-        if last != touched {
-            self.zone_recompute(last);
-        }
-    }
-}
-
-/// Dimension-major column view of one segment, ready for the batch
-/// verification kernel ([`acx_geom::scan::scan_columns`]): implements
-/// [`ColumnAccess`] and serves the segment's per-block zone maps so the
-/// kernel can skip whole blocks (results and accounting are identical
-/// with or without them, by the kernel's construction).
-#[derive(Debug, Clone, Copy)]
-pub struct SegmentColumns<'a> {
-    cols: &'a [Vec<Scalar>],
-    zones: &'a [Scalar],
-    dims: usize,
-    len: usize,
-}
-
-impl ColumnAccess for SegmentColumns<'_> {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn lo_col(&self, d: usize) -> &[Scalar] {
-        &self.cols[2 * d]
-    }
-
-    fn hi_col(&self, d: usize) -> &[Scalar] {
-        &self.cols[2 * d + 1]
-    }
-
-    fn zone(&self, d: usize, block: usize) -> Option<ZoneEntry> {
-        let at = (block * self.dims + d) * ZONE_STRIDE;
-        let z = &self.zones[at..at + ZONE_STRIDE];
-        Some(ZoneEntry {
-            min_lo: z[0],
-            max_lo: z[1],
-            min_hi: z[2],
-            max_hi: z[3],
-        })
     }
 }
 
@@ -348,7 +230,6 @@ impl SegmentStore {
         for (col, &v) in seg.cols.iter_mut().zip(flat) {
             col.push(v);
         }
-        seg.zone_push();
         let index = (seg.ids.len() - 1) as u32;
         let previous = self.positions.insert(object_id, (id.0, index));
         debug_assert!(
@@ -367,7 +248,6 @@ impl SegmentStore {
             for col in seg.cols.iter_mut() {
                 col.swap_remove(index);
             }
-            seg.zone_after_swap_remove(index);
             let moved = seg.ids.get(index).copied();
             (removed, moved)
         };
@@ -384,9 +264,7 @@ impl SegmentStore {
     /// whole segment). Members are tested front to back and a removed
     /// member's place is taken by the segment's last, which is tested
     /// next: the removal order, and the survivors' positions, of one
-    /// [`SegmentStore::swap_remove`] per match. The zone maps are
-    /// rebuilt once at the end instead — per removal that is two blocks
-    /// of every column, most of what moving an object used to cost.
+    /// [`SegmentStore::swap_remove`] per match.
     pub fn extract(
         &mut self,
         id: SegmentId,
@@ -395,10 +273,8 @@ impl SegmentStore {
         let seg = self.segments[id.0 as usize]
             .as_mut()
             .expect("segment was removed");
-        let dims = seg.dims();
         let (mut ids, mut coords) = (Vec::new(), Vec::new());
-        let mut flat = Vec::with_capacity(2 * dims);
-        let mut first_removed = None;
+        let mut flat = Vec::with_capacity(seg.cols.len());
         let mut index = 0;
         while index < seg.ids.len() {
             flat.clear();
@@ -407,7 +283,6 @@ impl SegmentStore {
                 index += 1;
                 continue;
             }
-            first_removed.get_or_insert(index);
             ids.push(seg.ids.swap_remove(index));
             for col in seg.cols.iter_mut() {
                 col.swap_remove(index);
@@ -421,14 +296,6 @@ impl SegmentStore {
             self.positions.remove(object_id);
         }
         self.live_objects -= ids.len();
-        if let Some(first) = first_removed {
-            // Blocks before the first removal kept their members.
-            let blocks = seg.ids.len().div_ceil(BLOCK);
-            seg.zones.truncate(blocks * dims * ZONE_STRIDE);
-            for block in first / BLOCK..blocks {
-                seg.zone_recompute(block);
-            }
-        }
         (ids, coords)
     }
 
@@ -437,17 +304,10 @@ impl SegmentStore {
         &self.segment(id).ids
     }
 
-    /// Dimension-major column view of a segment — zone maps included —
-    /// ready for the batch verification kernel
-    /// ([`acx_geom::scan::scan_columns`]).
-    pub fn columns(&self, id: SegmentId) -> SegmentColumns<'_> {
-        let seg = self.segment(id);
-        SegmentColumns {
-            cols: &seg.cols,
-            zones: &seg.zones,
-            dims: self.dims,
-            len: seg.ids.len(),
-        }
+    /// Dimension-major column view of a segment, ready for the batch
+    /// verification kernel ([`acx_geom::scan::scan_columns`]).
+    pub fn columns(&self, id: SegmentId) -> PairedColumns<'_> {
+        PairedColumns::new(&self.segment(id).cols)
     }
 
     /// Lower-bound column of dimension `d`, one scalar per member.
@@ -577,7 +437,6 @@ mod tests {
         assert_eq!(s.hi_col(seg, 0), &[0.2, 0.6]);
         assert_eq!(s.lo_col(seg, 1), &[0.3, 0.7]);
         assert_eq!(s.hi_col(seg, 1), &[0.4, 0.8]);
-        use acx_geom::scan::ColumnAccess;
         let cols = s.columns(seg);
         assert_eq!(cols.len(), 2);
         assert_eq!(cols.lo_col(1), &[0.3, 0.7]);
@@ -702,77 +561,8 @@ mod tests {
         assert_eq!(s.object_bytes(), 132);
     }
 
-    /// Zone entries recomputed from scratch for every (dim, block).
-    fn expected_zones(s: &SegmentStore, id: SegmentId) -> Vec<Option<ZoneEntry>> {
-        let n = s.segment_len(id);
-        let dims = s.dims();
-        let mut out = Vec::new();
-        for block in 0..n.div_ceil(BLOCK) {
-            let start = block * BLOCK;
-            let end = (start + BLOCK).min(n);
-            for d in 0..dims {
-                let lo = &s.lo_col(id, d)[start..end];
-                let hi = &s.hi_col(id, d)[start..end];
-                out.push(Some(ZoneEntry {
-                    min_lo: lo.iter().copied().fold(Scalar::INFINITY, Scalar::min),
-                    max_lo: lo.iter().copied().fold(Scalar::NEG_INFINITY, Scalar::max),
-                    min_hi: hi.iter().copied().fold(Scalar::INFINITY, Scalar::min),
-                    max_hi: hi.iter().copied().fold(Scalar::NEG_INFINITY, Scalar::max),
-                }));
-            }
-        }
-        out
-    }
-
-    /// Zone entries as served to the kernel through [`SegmentColumns`].
-    fn served_zones(s: &SegmentStore, id: SegmentId) -> Vec<Option<ZoneEntry>> {
-        let cols = s.columns(id);
-        let n = s.segment_len(id);
-        let mut out = Vec::new();
-        for block in 0..n.div_ceil(BLOCK) {
-            for d in 0..s.dims() {
-                out.push(cols.zone(d, block));
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn zone_maps_track_pushes_across_blocks() {
-        let mut s = SegmentStore::new(2);
-        let seg = s.create(4);
-        for i in 0..150u32 {
-            let x = (i % 10) as Scalar / 10.0;
-            s.push(seg, i, &[x, x + 0.05, 0.2, 0.8]);
-        }
-        assert_eq!(served_zones(&s, seg), expected_zones(&s, seg));
-        let z = s.columns(seg).zone(1, 0).unwrap();
-        assert_eq!((z.min_lo, z.max_lo, z.min_hi, z.max_hi), (0.2, 0.2, 0.8, 0.8));
-    }
-
-    #[test]
-    fn zone_maps_survive_swap_remove_and_merge() {
-        let mut s = SegmentStore::new(1);
-        let a = s.create(4);
-        let b = s.create(4);
-        for i in 0..130u32 {
-            s.push(a, i, &[i as Scalar / 130.0, 1.0]);
-        }
-        for i in 130..140u32 {
-            s.push(b, i, &[0.5, 0.6]);
-        }
-        // Remove the current maximum of block 0 so the entry must shrink.
-        s.swap_remove(a, 63);
-        assert_eq!(served_zones(&s, a), expected_zones(&s, a));
-        // Remove the very last element (last block shrinks, may vanish).
-        s.swap_remove(a, s.segment_len(a) - 1);
-        assert_eq!(served_zones(&s, a), expected_zones(&s, a));
-        s.merge_into(b, a);
-        assert_eq!(served_zones(&s, a), expected_zones(&s, a));
-    }
-
     /// `extract` leaves exactly what one `swap_remove` per match does:
-    /// removal order, survivor order, positions and zone maps.
+    /// removal order, survivor order and positions.
     #[test]
     fn extract_equals_a_swap_remove_per_match() {
         let fill = |s: &mut SegmentStore| {
@@ -802,15 +592,13 @@ mod tests {
         assert!(ids.len() > 100 && one_by_one.segment_len(a) > 100);
         assert_eq!(batched.ids(b), one_by_one.ids(a));
         assert_eq!(batched.interleaved_coords(b), one_by_one.interleaved_coords(a));
-        assert_eq!(served_zones(&batched, b), served_zones(&one_by_one, a));
-        assert_eq!(served_zones(&batched, b), expected_zones(&batched, b));
         assert_eq!(batched.len(), one_by_one.len());
         for i in 0..300u32 {
             assert_eq!(batched.position_of(i), one_by_one.position_of(i), "object {i}");
         }
-        // Nothing matches: nothing moves, the zone maps are not touched.
+        // Nothing matches: nothing moves.
         assert_eq!(batched.extract(b, |_| false), (Vec::new(), Vec::new()));
-        assert_eq!(served_zones(&batched, b), expected_zones(&batched, b));
+        assert_eq!(batched.ids(b), one_by_one.ids(a));
     }
 
     #[test]
@@ -1029,75 +817,6 @@ mod proptests {
                 }
                 prop_assert_eq!(mapped, store.len());
                 prop_assert_eq!(store.position_of(next_id), None);
-            }
-        }
-
-        /// Zone-map invariant: after arbitrary push/swap_remove/
-        /// relocation/merge sequences, every served zone entry equals
-        /// the min/max recomputed from the column data — exactly one
-        /// entry per (64-lane block, dimension), none beyond the last
-        /// block. Tiny initial reservations force relocations too.
-        #[test]
-        fn zone_maps_agree_with_recomputation(ops in prop::collection::vec(op(), 1..120)) {
-            let mut store = SegmentStore::with_reserve(1, 0.25);
-            let mut live: Vec<SegmentId> = Vec::new();
-            let mut lens: Vec<usize> = Vec::new();
-            let mut next_id = 0u32;
-            for op in ops {
-                match op {
-                    Op::Create(_) => {
-                        live.push(store.create(1));
-                        lens.push(0);
-                    }
-                    Op::Push(s) => {
-                        if live.is_empty() { continue; }
-                        let k = s as usize % live.len();
-                        // Vary both bounds so min/max entries move.
-                        let lo = (next_id % 97) as Scalar / 97.0;
-                        store.push(live[k], next_id, &[lo, (lo + 0.3).min(1.0)]);
-                        next_id += 1;
-                        lens[k] += 1;
-                    }
-                    Op::SwapRemove(s, idx) => {
-                        if live.is_empty() { continue; }
-                        let k = s as usize % live.len();
-                        if lens[k] == 0 { continue; }
-                        store.swap_remove(live[k], idx as usize % lens[k]);
-                        lens[k] -= 1;
-                    }
-                    Op::Merge(a, b) => {
-                        if live.len() < 2 { continue; }
-                        let ka = a as usize % live.len();
-                        let mut kb = b as usize % live.len();
-                        if ka == kb { kb = (kb + 1) % live.len(); }
-                        store.merge_into(live[ka], live[kb]);
-                        lens[kb] += lens[ka];
-                        live.remove(ka);
-                        lens.remove(ka);
-                    }
-                }
-                for seg in &live {
-                    let cols = store.columns(*seg);
-                    let n = store.segment_len(*seg);
-                    for block in 0..n.div_ceil(acx_geom::scan::BLOCK) {
-                        let start = block * acx_geom::scan::BLOCK;
-                        let end = (start + acx_geom::scan::BLOCK).min(n);
-                        let lo = &store.lo_col(*seg, 0)[start..end];
-                        let hi = &store.hi_col(*seg, 0)[start..end];
-                        let z = cols.zone(0, block).expect("entry exists for live block");
-                        prop_assert_eq!(
-                            z,
-                            ZoneEntry {
-                                min_lo: lo.iter().copied().fold(Scalar::INFINITY, Scalar::min),
-                                max_lo: lo.iter().copied().fold(Scalar::NEG_INFINITY, Scalar::max),
-                                min_hi: hi.iter().copied().fold(Scalar::INFINITY, Scalar::min),
-                                max_hi: hi.iter().copied().fold(Scalar::NEG_INFINITY, Scalar::max),
-                            },
-                            "zone entry diverged for block {}",
-                            block
-                        );
-                    }
-                }
             }
         }
 
