@@ -5,23 +5,94 @@
 //! and merge counts and the final checkpoint digest that were recorded
 //! at commit db8861a (the last one whose only profile was Table 2) —
 //! through the production pass and through the `reference` sweep.
+//!
+//! Two digests of the final checkpoint are pinned: the CRC-32 of the
+//! file, which also pins the order members are stored in, and a
+//! canonical one ([`canonical_digest`], recorded at de6b4c8) that does
+//! not depend on it.
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig};
-use acx_geom::{HyperRect, ObjectId};
-use acx_storage::{crc32, StorageScenario};
+use acx_geom::{HyperRect, ObjectId, Scalar};
+use acx_storage::{crc32, ClusterRecord, FileStore, StorageScenario};
 use acx_workloads::{
     AdaptiveScenario, ClusteredObjects, MixedTraffic, OscillatingHeat, UniformWorkload,
     WorkloadConfig,
 };
 
+/// CRC-32 of a checkpoint's content in an order no storage layout can
+/// move: the metadata record's index-wide clocks and byte histories,
+/// then the clusters depth-first from the root (siblings by signature
+/// bytes), each as its depth, its signature, the per-cluster counters
+/// the metadata record carries for it (statistics, decay stamp, `n_hi`,
+/// candidate counters) and its `(id, coords)` pairs by ascending id,
+/// then the metadata's free-slot and recent-merge lists.
+fn canonical_digest(records: &[ClusterRecord]) -> u32 {
+    // The metadata blob (`CheckpointMeta::encode`): an 8-byte magic, 13
+    // index-wide `u64`s, then per cluster — in the order of the records
+    // that follow — `slot: u32`, 44 bytes of counters, `ncand: u32` and
+    // `ncand` `u32` + `ncand` `f64` candidate counters.
+    let (meta, clusters) = records.split_first().expect("metadata record");
+    let blob = &meta.signature[..];
+    let u32_at = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
+    let header_end = 8 + 13 * 8;
+    assert_eq!(u32_at(header_end) as usize, clusters.len());
+    let mut at = header_end + 4;
+    let mut counters = Vec::with_capacity(clusters.len());
+    let mut slots = Vec::with_capacity(clusters.len());
+    for _ in clusters {
+        slots.push(u32_at(at));
+        let ncand = u32_at(at + 48) as usize;
+        let end = at + 52 + 12 * ncand;
+        counters.push(&blob[at + 4..end]);
+        at = end;
+    }
+    let parent = |k: usize| u32::from_le_bytes(clusters[k].signature[..4].try_into().unwrap());
+    let children = |of: u32| {
+        let mut ks: Vec<usize> = (0..clusters.len()).filter(|&k| parent(k) == of).collect();
+        ks.sort_by_key(|&k| &clusters[k].signature[4..]);
+        ks
+    };
+
+    let mut out = blob[8..header_end].to_vec();
+    let mut stack: Vec<(usize, u32)> = children(u32::MAX).into_iter().map(|k| (k, 0)).collect();
+    assert_eq!(stack.len(), 1, "one root");
+    let mut visited = 0;
+    while let Some((k, depth)) = stack.pop() {
+        visited += 1;
+        let record = &clusters[k];
+        out.extend_from_slice(&depth.to_le_bytes());
+        out.extend_from_slice(&record.signature[4..]);
+        out.extend_from_slice(counters[k]);
+        let width = record.coords.len() / record.ids.len().max(1);
+        let mut members: Vec<(u32, &[Scalar])> = record
+            .ids
+            .iter()
+            .copied()
+            .zip(record.coords.chunks_exact(width.max(1)))
+            .collect();
+        members.sort_by_key(|&(id, _)| id);
+        for (id, coords) in members {
+            out.extend_from_slice(&id.to_le_bytes());
+            for c in coords {
+                out.extend_from_slice(&c.to_bits().to_le_bytes());
+            }
+        }
+        stack.extend(children(slots[k]).into_iter().rev().map(|c| (c, depth + 1)));
+    }
+    assert_eq!(visited, clusters.len(), "every cluster hangs off the root");
+    out.extend_from_slice(&blob[at..]);
+    crc32(&out)
+}
+
 /// `(cluster_count, total_splits, total_merges)` after each explicit
-/// pass, and the CRC-32 of the final checkpoint.
+/// pass, the CRC-32 of the final checkpoint file, and its canonical
+/// digest.
 fn drive(
     reference: bool,
     mut scenario: Box<dyn AdaptiveScenario>,
     objects: &[HyperRect],
     queries_per_period: usize,
-) -> (Vec<(usize, u64, u64)>, u32) {
+) -> (Vec<(usize, u64, u64)>, u32, u32) {
     let mut index = AdaptiveClusterIndex::new(IndexConfig {
         reorg_period: 0,
         reference,
@@ -53,8 +124,9 @@ fn drive(
     ));
     index.save(&path).unwrap();
     let digest = crc32(&std::fs::read(&path).unwrap());
+    let (_, records) = FileStore::load(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
-    (trail, digest)
+    (trail, digest, canonical_digest(&records))
 }
 
 #[test]
@@ -75,9 +147,10 @@ fn mixed_traffic_over_clustered_objects_repeats_the_recorded_passes() {
     ];
     for reference in [false, true] {
         let scenario = Box::new(MixedTraffic::new(&cfg, 160, 0.35, 0.08));
-        let (trail, digest) = drive(reference, scenario, &objects, 80);
+        let (trail, digest, canonical) = drive(reference, scenario, &objects, 80);
         assert_eq!(trail, golden, "reference = {reference}");
         assert_eq!(digest, 0xc241_f2c5, "reference = {reference}");
+        assert_eq!(canonical, 0x049b_ee2c, "reference = {reference}");
     }
 }
 
@@ -99,8 +172,9 @@ fn oscillating_heat_repeats_the_recorded_passes() {
     ];
     for reference in [false, true] {
         let scenario = Box::new(OscillatingHeat::new(&cfg, 120, 0.3, 0.08));
-        let (trail, digest) = drive(reference, scenario, &objects, 60);
+        let (trail, digest, canonical) = drive(reference, scenario, &objects, 60);
         assert_eq!(trail, golden, "reference = {reference}");
         assert_eq!(digest, 0x864a_78f7, "reference = {reference}");
+        assert_eq!(canonical, 0xd9c9_1b9b, "reference = {reference}");
     }
 }
