@@ -3,10 +3,15 @@
 //! `BENCH_candidates.json` and `BENCH_reorg.json` so the repository's
 //! perf trajectory is tracked across PRs.
 //!
-//! Five layers are measured single-threaded:
+//! Six layers are measured single-threaded:
 //!
 //! * **kernel** — `scan_columns` against per-object `matches_flat` over
 //!   one flat segment, for every (objects, dims) in the matrix.
+//! * **block order** — the same kernel over the same 20 000 objects
+//!   stored in arrival order and in key order (ascending lower bound of
+//!   dimension 0, what `SegmentStore` keeps): pass words evaluated per
+//!   64-object block and nanoseconds per object, for 8-d point events
+//!   over subscriptions and for 16-d windows of 1 % selectivity.
 //! * **candidate kernel** — `count_candidates` (compare and count into
 //!   a counter column, bounds pre-loaded as `explore` does) against the
 //!   scalar candidate-at-a-time `matches_query` + bump loop over one
@@ -51,10 +56,12 @@ use acx_bench::{adapted_ac, build_ac_with, strategies};
 use acx_core::candidates::{generate_candidates, StatsArena};
 use acx_core::{QueryScratch, Signature, StatsDelta};
 use acx_geom::scan::{
-    count_candidates, scan_columns, PairedColumns, QueryBounds, ScanScratch,
+    count_candidates, scan_columns, PairedColumns, QueryBounds, ScanScratch, BLOCK,
 };
-use acx_geom::{Scalar, SpatialQuery, OBJECT_ID_BYTES};
-use acx_workloads::{UniformWorkload, Workload, WorkloadConfig};
+use acx_geom::{HyperRect, Scalar, SpatialQuery, OBJECT_ID_BYTES};
+use acx_workloads::{
+    calibrate, EventStream, PubSubGenerator, UniformWorkload, Workload, WorkloadConfig,
+};
 
 /// Median-of-repeats nanoseconds per query for one closure.
 fn time_per_query<F: FnMut(usize) -> u64>(queries: usize, repeats: usize, mut run: F) -> f64 {
@@ -128,6 +135,93 @@ fn kernel_matrix(sizes: &[usize], dims_list: &[usize], repeats: usize) -> Vec<Ke
                 scalar_ns,
             });
         }
+    }
+    rows
+}
+
+struct BlockOrderRow {
+    workload: &'static str,
+    objects: usize,
+    /// `(pass words per block, ns per object)` as stored on arrival and
+    /// in key order.
+    arrival: (f64, f64),
+    key_order: (f64, f64),
+}
+
+/// What the order of a segment's members is worth to the kernel. A
+/// block is evaluated in a dimension while any of its lanes survives, so
+/// the pass words it costs are the largest `dims_checked` among its
+/// objects: a number that depends on which objects share a block and on
+/// nothing else, while the sum of `dims_checked` (asserted equal here)
+/// does not depend on it at all.
+fn block_order(quick: bool, repeats: usize) -> Vec<BlockOrderRow> {
+    let objects = if quick { 4_000 } else { 20_000 };
+    let pubsub = {
+        let generator = PubSubGenerator::apartments();
+        let mut rng = WorkloadConfig::new(8, objects, 0xB10C).rng();
+        let rects: Vec<HyperRect> = (0..objects as u32)
+            .map(|i| generator.subscription(i, &mut rng).ranges)
+            .collect();
+        let queries = EventStream::with_flexibility(generator, 0xB10D, 0.0).next_batch(64);
+        ("pubsub_8d_point_enclosing", rects, queries)
+    };
+    let uniform = {
+        let workload = UniformWorkload::new(WorkloadConfig::new(16, objects, 0xB10E));
+        let extent = calibrate::uniform_query_extent(&workload, 1e-2, 3);
+        let mut rng = WorkloadConfig::new(16, objects, 0xB10F).rng();
+        let queries = (0..64)
+            .map(|_| SpatialQuery::intersection(workload.sample_window(&mut rng, extent)))
+            .collect();
+        ("uniform_16d_window_1pct", workload.generate_objects(), queries)
+    };
+    let mut rows = Vec::new();
+    for (workload, rects, queries) in [pubsub, uniform] {
+        let arrival: Vec<Vec<Scalar>> = rects.iter().map(HyperRect::to_flat).collect();
+        let mut key_order = arrival.clone();
+        key_order.sort_by(|a, b| a[0].total_cmp(&b[0]));
+        let measure = |stored: &[Vec<Scalar>]| {
+            let (mut words, mut checked) = (0u64, 0u64);
+            for q in &queries {
+                for block in stored.chunks(BLOCK) {
+                    let mut longest = 0;
+                    for flat in block {
+                        let lane = q.matches_flat(flat).dims_checked as u64;
+                        longest = longest.max(lane);
+                        checked += lane;
+                    }
+                    words += longest;
+                }
+            }
+            let blocks = (stored.len().div_ceil(BLOCK) * queries.len()) as f64;
+            let mut cols = vec![Vec::with_capacity(stored.len()); stored[0].len()];
+            for flat in stored {
+                for (col, &v) in cols.iter_mut().zip(flat) {
+                    col.push(v);
+                }
+            }
+            let mut scratch = ScanScratch::new();
+            let ns = time_per_query(queries.len(), repeats, |k| {
+                let out = scan_columns(&queries[k], &PairedColumns::new(&cols), &mut scratch);
+                out.dims_checked + out.matched as u64
+            });
+            (words as f64 / blocks, ns / stored.len() as f64, checked)
+        };
+        let (arrival, key_order) = (measure(&arrival), measure(&key_order));
+        assert_eq!(arrival.2, key_order.2, "dims_checked is a sum over objects");
+        println!(
+            "order   {workload} n={objects}: arrival {:.2} words/block {:.3} ns/object  key order {:.2} words/block {:.3} ns/object  ({:.2} dims checked/object either way)",
+            arrival.0,
+            arrival.1,
+            key_order.0,
+            key_order.1,
+            arrival.2 as f64 / (objects * queries.len()) as f64,
+        );
+        rows.push(BlockOrderRow {
+            workload,
+            objects,
+            arrival: (arrival.0, arrival.1),
+            key_order: (key_order.0, key_order.1),
+        });
     }
     rows
 }
@@ -547,6 +641,7 @@ fn main() {
 
     println!("== scan kernel snapshot (production vs reference, single thread) ==");
     let kernel = kernel_matrix(&sizes, &dims_list, repeats);
+    let order = block_order(quick, repeats);
     let cands = candidate_matrix(cand_configs, repeats);
     let index = index_point_enclosing(index_objects, repeats);
     let recorded = recorded_execute(index_objects, repeats);
@@ -573,6 +668,15 @@ fn main() {
             r.scalar_ns / r.columnar_ns
         );
         json.push_str(if i + 1 == kernel.len() { "\n" } else { ",\n" });
+    }
+    json.push_str("  ],\n  \"block_order\": [\n");
+    for (i, r) in order.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"workload\": \"{}\", \"objects\": {}, \"arrival\": {{\"pass_words_per_block\": {:.2}, \"ns_per_object\": {:.3}}}, \"key_order\": {{\"pass_words_per_block\": {:.2}, \"ns_per_object\": {:.3}}}}}",
+            r.workload, r.objects, r.arrival.0, r.arrival.1, r.key_order.0, r.key_order.1
+        );
+        json.push_str(if i + 1 == order.len() { "\n" } else { ",\n" });
     }
     json.push_str("  ],\n  \"index_point_enclosing_16d\": {\n");
     let _ = writeln!(json, "    \"objects\": {index_objects},");

@@ -98,9 +98,20 @@ impl CandidateBounds {
     /// needs to be checked).
     #[inline]
     pub fn accepts_member(&self, flat: &[Scalar]) -> bool {
-        let a = flat[2 * self.dim];
-        let b = flat[2 * self.dim + 1];
-        self.start_lo <= a && a <= self.start_reach && self.end_lo <= b && b <= self.end_reach
+        self.accepts_bounds(flat[2 * self.dim], flat[2 * self.dim + 1])
+    }
+
+    /// The specialized dimension: the only one that tells a member of
+    /// the parent from a member of the candidate.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// [`CandidateBounds::accepts_member`] given the object's bounds in
+    /// [`CandidateBounds::dim`] alone.
+    #[inline]
+    pub fn accepts_bounds(&self, lo: Scalar, hi: Scalar) -> bool {
+        self.start_lo <= lo && lo <= self.start_reach && self.end_lo <= hi && hi <= self.end_reach
     }
 }
 

@@ -102,6 +102,9 @@ const SCAN_CACHE_SLACK: f64 = 1e-6;
 /// prices instead of `g_hi` itself.
 const SCAN_CACHE_C_HEADROOM: f64 = 1e-3;
 
+/// Segments of less than two kernel blocks have no block to save.
+const FOLD_MIN_MEMBERS: usize = 2 * acx_geom::scan::BLOCK;
+
 /// The cached verdict of a cluster's last candidate scan: the scan
 /// found nothing to materialize, and — while the cluster's statistics
 /// stay untouched — nothing can *become* materializable except through
@@ -317,6 +320,10 @@ pub struct AdaptiveClusterIndex {
     /// pass causes, surfaced per shard by the serving tier and per
     /// measured stream by the throughput harness.
     reorg_wall_ns: u64,
+    /// Set while [`AdaptiveClusterIndex::recover`] replays the log: the
+    /// write path leaves segments as they fall and `recover` orders
+    /// every one of them once, after the last record.
+    replaying: bool,
 }
 
 /// Boundaries of the atomic structural units of a reorganization pass.
@@ -600,6 +607,7 @@ impl AdaptiveClusterIndex {
             wal_failure: None,
             reorg_fault_hook: None,
             reorg_wall_ns: 0,
+            replaying: false,
         })
     }
 
@@ -829,11 +837,30 @@ impl AdaptiveClusterIndex {
         let cluster = self.clusters[slot as usize]
             .as_mut()
             .expect("cluster slot is live");
+        let segment = cluster.segment;
         self.stats_arena.slice_mut(cluster.candidates).record_member(&flat);
-        self.store.push(cluster.segment, id.raw(), &flat);
+        self.store.push(segment, id.raw(), &flat);
+        self.fold_if_due(segment);
         self.object_cluster.insert(id.raw(), slot);
         self.mark_dirty(slot);
         Ok(())
+    }
+
+    /// Keeps segments in key order from the write path: the mutation
+    /// that brings a segment's disorder ([`SegmentStore::disorder`]) to
+    /// half its length — a tail as long as the ordered run, or a stray
+    /// for every eighth member — pays for ordering it, about 50 ns a
+    /// member, so that no query and no reorganization pass ever does.
+    /// A growing segment is thus ordered once per doubling, and one that
+    /// churns in place once per eighth of its members removed. (Passes
+    /// keep the order they find: a child is built in key order,
+    /// extraction preserves it, a merged child arrives as one ordered
+    /// run.)
+    fn fold_if_due(&mut self, segment: SegmentId) {
+        let due = self.store.segment_len(segment).max(FOLD_MIN_MEMBERS);
+        if !self.replaying && 2 * self.store.disorder(segment) >= due {
+            self.store.order(segment);
+        }
     }
 
     /// Puts a cluster on the reorganization dirty set (idempotent): its
@@ -883,7 +910,8 @@ impl AdaptiveClusterIndex {
             .expect("cluster slot is live");
         debug_assert_eq!(cluster.segment, segment);
         self.stats_arena.slice_mut(cluster.candidates).unrecord_member(&flat);
-        self.store.swap_remove(cluster.segment, idx);
+        self.store.swap_remove(segment, idx);
+        self.fold_if_due(segment);
         self.object_cluster.remove(&id.raw());
         self.mark_dirty(slot);
         Ok(HyperRect::from_flat(&flat)?)
@@ -1422,6 +1450,14 @@ impl AdaptiveClusterIndex {
         self.queries_since_reorg = 0;
         if structure_changed {
             self.structure_epoch += 1;
+        }
+    }
+
+    /// Puts every segment in key order; one that already is costs
+    /// nothing.
+    fn order_segments(&mut self) {
+        for cluster in self.clusters.iter().flatten() {
+            self.store.order(cluster.segment);
         }
     }
 
@@ -2262,7 +2298,7 @@ impl AdaptiveClusterIndex {
         let cand = self.stats_arena.slice(parent_cluster.candidates).bounds(cand_idx);
         let (moved_ids, moved_coords) = self
             .store
-            .extract(parent_segment, |flat| cand.accepts_member(flat));
+            .extract(parent_segment, cand.dim(), |lo, hi| cand.accepts_bounds(lo, hi));
         self.pass_moved += moved_ids.len() as u64;
         let moved = || moved_ids.iter().zip(moved_coords.chunks_exact(width));
         {
@@ -2278,11 +2314,16 @@ impl AdaptiveClusterIndex {
             0
         );
 
+        // The child is built in key order, so it starts life ordered
+        // (an ordered parent hands its members over in that order
+        // already, and the sort finds nothing to do).
+        let mut in_key_order: Vec<_> = moved().collect();
+        in_key_order.sort_by(|a, b| SegmentStore::key(a.1).total_cmp(&SegmentStore::key(b.1)));
         let new_cluster = self.clusters[new_slot as usize]
             .as_mut()
             .expect("new slot is live");
         let mut ncands = self.stats_arena.slice_mut(new_cluster.candidates);
-        for (oid, flat) in moved() {
+        for (oid, flat) in in_key_order {
             ncands.record_member(flat);
             self.store.push(new_segment, *oid, flat);
         }
@@ -2683,6 +2724,7 @@ impl AdaptiveClusterIndex {
             wal_failure: None,
             reorg_fault_hook: None,
             reorg_wall_ns: 0,
+            replaying: false,
         };
         if let Some(meta) = meta {
             if !(meta.hist_verified_bytes.is_finite() && meta.hist_full_bytes.is_finite()) {
@@ -2814,8 +2856,14 @@ impl AdaptiveClusterIndex {
     /// history the checkpoint already absorbed. ([`save`] is durable
     /// before it returns: data fsync, rename, directory fsync.)
     ///
+    /// A checkpoint is maintenance time: whatever disorder the write
+    /// path has not folded yet is folded first, so the file lists every
+    /// cluster's members in key order and a reload has nothing to order
+    /// ([`save`] alone writes them as they are stored).
+    ///
     /// [`save`]: AdaptiveClusterIndex::save
     pub fn checkpoint(&mut self, path: &Path) -> Result<(), IndexError> {
+        self.order_segments();
         let id = self.checkpoint_id + 1;
         // The META record encodes `self.checkpoint_id`: bump before the
         // save, roll back if it fails so a retry reuses the id.
@@ -2883,6 +2931,7 @@ impl AdaptiveClusterIndex {
             (&replay.records[..], 0, replay.torn)
         };
         let mut epoch_changed = false;
+        index.replaying = true;
         for (i, record) in records.iter().enumerate() {
             index
                 .apply_wal_record(record, &mut epoch_changed)
@@ -2891,6 +2940,9 @@ impl AdaptiveClusterIndex {
                     detail,
                 })?;
         }
+        index.replaying = false;
+        // One ordering of everything instead of the write path's many.
+        index.order_segments();
         index
             .check_invariants()
             .map_err(|detail| IndexError::Recovery {

@@ -4,7 +4,9 @@
 //! `execute` allocates **exactly the match vector it returns** — and
 //! a settled reorganization pass performs **zero heap allocations**
 //! outright: every candidate column it scans lives in the index-wide
-//! statistics slab, and the pass scratch is index-owned.
+//! statistics slab, and the pass scratch is index-owned. So does the
+//! write path when it puts a segment back in key order: the mutation
+//! that folds allocates what any other does.
 //!
 //! A counting global allocator wraps the system allocator; the tests
 //! warm the relevant state over the full stream, then assert the
@@ -245,4 +247,62 @@ fn warmed_reorg_pass_allocates_nothing_under_arena() {
         "settled arena reorganization pass allocated {} times",
         after - before
     );
+}
+
+/// The mutation that brings a segment's disorder to the fold threshold
+/// orders the segment in store-owned scratch. Once that scratch has held
+/// a segment as large (here: after the stream's first fold), ordering
+/// allocates nothing: every later `remove` costs the same allocations,
+/// the ones that fold included.
+#[test]
+fn warmed_write_path_fold_allocates_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let dims = 4;
+    let mut state = 0xF01D_u64;
+    let mut index = AdaptiveClusterIndex::new(IndexConfig::memory(dims)).unwrap();
+    for i in 0..1500u32 {
+        let (lo, hi): (Vec<f32>, Vec<f32>) = (0..dims)
+            .map(|_| {
+                let a = coord(&mut state);
+                let b = coord(&mut state);
+                (a.min(b), a.max(b))
+            })
+            .unzip();
+        index
+            .insert(ObjectId(i), HyperRect::from_bounds(&lo, &hi).unwrap())
+            .unwrap();
+    }
+    assert_eq!(index.cluster_count(), 1, "test premise: one segment holds everything");
+    // Matches come back in storage order: a segment with no member below
+    // its predecessor's key has just been put in key order.
+    let everything =
+        SpatialQuery::intersection(HyperRect::from_bounds(&[0.0; 4], &[1.0; 4]).unwrap());
+    let in_key_order = |index: &AdaptiveClusterIndex| {
+        let keys: Vec<f32> = index
+            .query(&everything)
+            .matches
+            .iter()
+            .map(|&id| index.get(id).unwrap().interval(0).lo())
+            .collect();
+        keys.windows(2).all(|w| w[0] <= w[1])
+    };
+    let mut per_remove = std::collections::BTreeSet::new();
+    let (mut warm_folds, mut measured_folds) = (0, 0);
+    let mut ordered = in_key_order(&index);
+    for i in 0..800u32 {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        index.remove(ObjectId(i)).unwrap();
+        let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let now = in_key_order(&index);
+        let folded = now && !ordered;
+        ordered = now;
+        if warm_folds == 0 {
+            warm_folds += u32::from(folded);
+        } else {
+            per_remove.insert(allocated);
+            measured_folds += u32::from(folded);
+        }
+    }
+    assert!(measured_folds >= 1, "test premise: a warm fold must fall into the measured removes");
+    assert_eq!(per_remove.len(), 1, "a folding remove allocated differently: {per_remove:?}");
 }

@@ -20,8 +20,8 @@ use std::path::PathBuf;
 use acx_core::{AdaptiveClusterIndex, IndexConfig, IndexError};
 use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery};
 use acx_storage::{
-    BackingStore, FaultInjector, FaultPlan, FlushPolicy, MemBacking, StorageScenario, Wal,
-    WalRecord,
+    BackingStore, FaultInjector, FaultPlan, FileStore, FlushPolicy, MemBacking, StorageScenario,
+    Wal, WalRecord,
 };
 use proptest::prelude::*;
 
@@ -676,6 +676,72 @@ fn checkpoint_ids_are_monotone_across_recoveries() {
     let replay = Wal::replay(store.as_mut()).unwrap();
     std::fs::remove_file(&path).unwrap();
     assert_eq!(replay.checkpoint_id, Some(3));
+}
+
+/// A recovered index has the live one's cluster tree and answers every
+/// probe with the same objects, and every one of its segments comes back
+/// in key order: replay leaves them as the records fall and `recover`
+/// orders them once, after the last one. (Which cluster a replayed
+/// insert lands in depends on access statistics no log records, so
+/// member counts and verification costs are not compared.)
+#[test]
+fn recovered_index_answers_like_the_live_one_and_comes_back_ordered() {
+    let mut index = AdaptiveClusterIndex::new(config_2d()).unwrap();
+    index
+        .attach_wal(mem_wal(2, FlushPolicy::PerRecord))
+        .unwrap();
+    churn_until_compaction(&mut index);
+    // Mutations on top of the clustered population: removals leave
+    // strays in the ordered runs and re-insertions land in the tails.
+    for i in (0..600u32).step_by(3) {
+        let rect = index.remove(ObjectId(1000 + i)).unwrap();
+        if i % 2 == 0 {
+            index.insert(ObjectId(5000 + i), rect).unwrap();
+        }
+    }
+    assert!(index.total_splits() > 0 && index.cluster_count() > 1);
+    let bytes = wal_bytes(&mut index);
+    let (recovered, report) = AdaptiveClusterIndex::recover(
+        None,
+        Box::new(MemBacking::from_bytes(bytes)),
+        FlushPolicy::PerRecord,
+        config_2d(),
+    )
+    .unwrap();
+    assert!(report.replayed_records > 600);
+    let tree = |index: &AdaptiveClusterIndex| {
+        let mut tree: Vec<_> =
+            index.snapshots().into_iter().map(|s| (s.depth, s.signature)).collect();
+        tree.sort();
+        tree
+    };
+    assert_eq!(tree(&recovered), tree(&index));
+
+    for probe in [
+        SpatialQuery::point_enclosing(vec![0.06, 0.07]),
+        SpatialQuery::point_enclosing(vec![0.5, 0.5]),
+        SpatialQuery::intersection(HyperRect::from_bounds(&[0.0, 0.0], &[0.3, 0.9]).unwrap()),
+        SpatialQuery::containment(HyperRect::from_bounds(&[0.2, 0.1], &[0.9, 0.8]).unwrap()),
+    ] {
+        let (mut live, mut back) = (index.query(&probe).matches, recovered.query(&probe).matches);
+        assert!(!live.is_empty(), "test premise: {probe:?} matches something");
+        live.sort_unstable();
+        back.sort_unstable();
+        assert_eq!(live, back, "{probe:?}");
+    }
+
+    // A checkpoint lists members in storage order.
+    let path = temp_path("ordered");
+    recovered.save(&path).unwrap();
+    let (dims, records) = FileStore::load(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let mut members = 0;
+    for record in &records {
+        let keys: Vec<Scalar> = record.coords.chunks_exact(2 * dims).map(|c| c[0]).collect();
+        assert!(keys.windows(2).all(|w| w[0] <= w[1]), "a segment came back out of order");
+        members += keys.len();
+    }
+    assert_eq!(members, recovered.len());
 }
 
 // ---------------------------------------------------------------------

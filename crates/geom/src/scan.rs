@@ -17,6 +17,15 @@
 //! zero skips its remaining dimensions — the columnar analogue of the
 //! scalar path's per-object early exit.
 //!
+//! The skip is per block, not per object: one survivor keeps 63 dead
+//! lanes loading. How many pass words a block costs therefore depends on
+//! which objects share it, while the match set, [`ScanOutcome`] and every
+//! statistic are sums over objects and do not. Callers exploit that:
+//! `acx_storage::SegmentStore` keeps a cluster's members sorted by their
+//! lower bound in dimension 0, so the lanes of a block agree on that
+//! dimension and most blocks die in their first word (`scan_bench`'s
+//! `block_order` rows in `BENCH_scan.json` measure by how much).
+//!
 //! Three entry points, the first two sharing one block loop:
 //!
 //! * [`scan_columns`] — member verification over [`PairedColumns`]
@@ -86,6 +95,18 @@ impl<'a> PairedColumns<'a> {
     /// Panics if a column is shorter than the first.
     pub fn new(cols: &'a [Vec<Scalar>]) -> Self {
         Self::slice(cols, 0, cols.first().map_or(0, Vec::len))
+    }
+
+    /// [`PairedColumns::new`] for an owner that already checks, wherever
+    /// it changes a column's length, that all of them are equally long:
+    /// the view is built without comparing the lengths again (a debug
+    /// build still does). A broken promise cannot read out of bounds —
+    /// every block's lanes are cut from the columns by checked slicing —
+    /// it only panics later, at the short column's first missing block.
+    pub fn of_equal_columns(cols: &'a [Vec<Scalar>]) -> Self {
+        let len = cols.first().map_or(0, Vec::len);
+        debug_assert!(cols.iter().all(|col| col.len() == len));
+        Self { cols, start: 0, len }
     }
 
     /// View over objects `start..start + len`.
@@ -1349,6 +1370,75 @@ mod proptests {
             let via_rows = scan_interleaved(&query, &flat, &mut scratch);
             prop_assert_eq!(via_rows, got);
             prop_assert_eq!(scratch.matches(), &want_matches[..]);
+        }
+
+        /// Storage order is no input of a scan: on every tier, any
+        /// permutation of a segment's objects gives the same
+        /// [`ScanOutcome`] — `dims_checked` included — and the same set of
+        /// matching objects. Only the pass words spent may differ, which
+        /// is what lets a store order its members for speed alone.
+        #[test]
+        fn storage_order_changes_no_outcome_on_any_tier(
+            dims in 1usize..=6,
+            pairs in prop::collection::vec((coord(), coord()), 0..1200),
+            win in window(6),
+            point in prop::collection::vec(coord(), 6),
+            kind in 0usize..4,
+            shuffle in 0u64..u64::MAX,
+        ) {
+            let width = 2 * dims;
+            let rows: Vec<Vec<Scalar>> = pairs
+                .chunks_exact(dims)
+                .map(|row| row.iter().flat_map(|&(a, b)| [a.min(b), a.max(b)]).collect())
+                .collect();
+            let win = HyperRect::new(
+                (0..dims).map(|d| *win.interval(d)).collect::<Vec<_>>()
+            ).unwrap();
+            let query = match kind {
+                0 => SpatialQuery::intersection(win),
+                1 => SpatialQuery::containment(win),
+                2 => SpatialQuery::enclosure(win),
+                _ => SpatialQuery::point_enclosing(point[..dims].to_vec()),
+            };
+            // A Fisher–Yates shuffle of the row numbers.
+            let mut order: Vec<usize> = (0..rows.len()).collect();
+            let mut state = shuffle | 1;
+            for i in (1..order.len()).rev() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                order.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            let columns_in = |order: &[usize]| {
+                let mut cols = vec![Vec::with_capacity(order.len()); width];
+                for &row in order {
+                    for (col, &v) in cols.iter_mut().zip(&rows[row]) {
+                        col.push(v);
+                    }
+                }
+                cols
+            };
+            let stored: Vec<usize> = (0..rows.len()).collect();
+            let mut tiers = vec![Tier::Portable];
+            if Tier::best() != Tier::Portable {
+                tiers.push(Tier::best());
+            }
+            for tier in tiers {
+                let mut outcomes = Vec::new();
+                for order in [&stored, &order] {
+                    let cols = columns_in(order);
+                    let mut scratch = ScanScratch::new();
+                    scratch.bounds.load(&query);
+                    let ScanScratch { matches, bounds, .. } = &mut scratch;
+                    // SAFETY: `tier` is `Tier::Portable` or `Tier::best()`.
+                    let outcome = unsafe {
+                        columns_on(tier, bounds, &PairedColumns::new(&cols), matches)
+                    };
+                    let mut matched: Vec<usize> =
+                        scratch.matches().iter().map(|&i| order[i as usize]).collect();
+                    matched.sort_unstable();
+                    outcomes.push((outcome, matched));
+                }
+                prop_assert_eq!(&outcomes[0], &outcomes[1], "{:?}", tier);
+            }
         }
     }
 }

@@ -21,6 +21,12 @@ struct Segment {
     capacity: usize,
     /// Byte offset of the segment in the virtual sequential layout.
     offset: u64,
+    /// Members `..ordered` are in key order (see [`SegmentStore`]) but
+    /// for `strays` of them; members `ordered..` are the unordered tail.
+    ordered: usize,
+    /// Upper bound on the members of the ordered run that a removal
+    /// swapped in from elsewhere.
+    strays: usize,
 }
 
 impl Segment {
@@ -32,7 +38,23 @@ impl Segment {
                 .collect(),
             capacity,
             offset: 0,
+            ordered: 0,
+            strays: 0,
         }
+    }
+
+    /// The locality key of every member: the lower bound in dimension 0.
+    fn keys(&self) -> &[Scalar] {
+        &self.cols[0]
+    }
+
+    /// The store keeps every column as long as the id array; checked
+    /// wherever the lengths change, so [`SegmentStore::columns`] need not.
+    fn check_columns(&self) {
+        assert!(
+            self.cols.iter().all(|col| col.len() == self.ids.len()),
+            "segment columns fell out of step with the id array"
+        );
     }
 
     /// Interleaved flat coordinates of member `index`, appended to `out`.
@@ -64,9 +86,30 @@ impl Segment {
 /// id → (segment, position) map so [`SegmentStore::position_of`] answers
 /// in O(1) instead of scanning a segment, and the map is maintained
 /// through [`SegmentStore::push`], [`SegmentStore::swap_remove`],
-/// [`SegmentStore::extract`], [`SegmentStore::remove`], [`SegmentStore::merge_into`] and segment
+/// [`SegmentStore::extract`], [`SegmentStore::remove`],
+/// [`SegmentStore::merge_into`], [`SegmentStore::order`] and segment
 /// relocations (a relocation changes a segment's layout offset, never the
 /// positions of its members).
+///
+/// A segment's members are kept in *key order* — ascending lower bound
+/// in dimension 0 ([`SegmentStore::key`]) — so that the kernel's
+/// 64-object blocks hold members that agree on dimension 0 and most of
+/// them are rejected by their first pass word. The order is **soft**: no
+/// answer, statistic or decision depends on it (each is a sum over
+/// members), and a member out of place costs its block a pass word or
+/// two. That makes it cheap to keep. A segment is an ordered run followed
+/// by an unordered tail: [`SegmentStore::push`] extends the run when the
+/// new key continues it and appends to the tail otherwise,
+/// [`SegmentStore::swap_remove`] and [`SegmentStore::extract`] keep the
+/// run a run, [`SegmentStore::merge_into`] appends the source as it is
+/// stored (an ordered source arrives as a second ordered run, whose
+/// blocks agree as well as the first's), and [`SegmentStore::order`]
+/// folds tail and strays back into the run. The store never orders on
+/// its own: [`SegmentStore::disorder`] says how much there is to fold,
+/// and the owner says when — `acx_core` on the write path, at the
+/// mutation that brings a segment's disorder to half its length, at a
+/// checkpoint and at the end of a recovery; never inside a query or a
+/// reorganization pass.
 #[derive(Debug)]
 pub struct SegmentStore {
     dims: usize,
@@ -79,6 +122,11 @@ pub struct SegmentStore {
     live_objects: usize,
     /// object id → (segment slot, index within the segment).
     positions: HashMap<u32, (u32, u32)>,
+    /// Scratch of [`SegmentStore::order`], grown to the largest segment
+    /// ordered so far: the `(key, old index)` permutation and one column.
+    order_perm: Vec<(Scalar, u32)>,
+    order_col: Vec<Scalar>,
+    order_ids: Vec<u32>,
 }
 
 impl SegmentStore {
@@ -105,7 +153,16 @@ impl SegmentStore {
             relocations: 0,
             live_objects: 0,
             positions: HashMap::new(),
+            order_perm: Vec::new(),
+            order_col: Vec::new(),
+            order_ids: Vec::new(),
         }
+    }
+
+    /// The locality key of an object given as interleaved flat
+    /// coordinates: its lower bound in dimension 0.
+    pub fn key(flat: &[Scalar]) -> Scalar {
+        flat[0]
     }
 
     /// Dimensionality of stored objects.
@@ -226,10 +283,18 @@ impl SegmentStore {
             self.relocations += 1;
         }
         let seg = self.segment_mut(id);
+        // A member that continues a fully ordered segment extends the
+        // run (how a child built in key order stays ordered for free);
+        // any other joins the tail.
+        let continues = seg.keys().last().is_none_or(|&last| last <= Self::key(flat));
+        if continues && seg.ordered == seg.ids.len() {
+            seg.ordered += 1;
+        }
         seg.ids.push(object_id);
         for (col, &v) in seg.cols.iter_mut().zip(flat) {
             col.push(v);
         }
+        seg.check_columns();
         let index = (seg.ids.len() - 1) as u32;
         let previous = self.positions.insert(object_id, (id.0, index));
         debug_assert!(
@@ -239,64 +304,178 @@ impl SegmentStore {
         self.live_objects += 1;
     }
 
-    /// Removes the object at `index` by swapping in the last member.
-    /// Returns the removed object id.
+    /// Removes the object at `index` and returns its id; at most two
+    /// other members move.
+    ///
+    /// The segment's last member takes the vacated place — except inside
+    /// the ordered run when that member's key is lower than the one
+    /// leaving: then the run's own last member does, and the segment's
+    /// last closes the gap behind the run. Either way the run receives a
+    /// stray whose key is no lower than the key that left. Point,
+    /// intersection and enclosure queries bound dimension 0's lower
+    /// bounds from above, so whichever of them rejected the old member
+    /// in its first word rejects the new one there too, and the block
+    /// dies as early as before; a member with a lower key could survive
+    /// where its block would otherwise have died.
     pub fn swap_remove(&mut self, id: SegmentId, index: usize) -> u32 {
-        let (removed, moved) = {
-            let seg = self.segment_mut(id);
-            let removed = seg.ids.swap_remove(index);
-            for col in seg.cols.iter_mut() {
-                col.swap_remove(index);
+        let seg = self.segments[id.0 as usize]
+            .as_mut()
+            .expect("segment was removed");
+        let last = seg.ids.len() - 1;
+        let mut fill = last;
+        if index < seg.ordered {
+            let keys = seg.keys();
+            if seg.ordered > last || keys[last] < keys[index] {
+                seg.ordered -= 1;
+                fill = seg.ordered;
             }
-            let moved = seg.ids.get(index).copied();
-            (removed, moved)
-        };
-        if let Some(moved) = moved {
-            self.positions.insert(moved, (id.0, index as u32));
+            seg.strays = (seg.strays + usize::from(fill != index)).min(seg.ordered);
+        }
+        // `fill` takes the vacated place and the last member `fill`'s.
+        let removed = seg.ids[index];
+        seg.ids[index] = seg.ids[fill];
+        seg.ids[fill] = seg.ids[last];
+        seg.ids.truncate(last);
+        for col in seg.cols.iter_mut() {
+            col[index] = col[fill];
+            col[fill] = col[last];
+            col.truncate(last);
+        }
+        seg.check_columns();
+        for at in [index, fill] {
+            if let Some(&moved) = seg.ids.get(at) {
+                self.positions.insert(moved, (id.0, at as u32));
+            }
         }
         self.positions.remove(&removed);
         self.live_objects -= 1;
         removed
     }
 
-    /// Removes every member `takes` accepts and returns their ids and
-    /// interleaved coordinates (as [`SegmentStore::remove`] does for a
-    /// whole segment). Members are tested front to back and a removed
-    /// member's place is taken by the segment's last, which is tested
-    /// next: the removal order, and the survivors' positions, of one
-    /// [`SegmentStore::swap_remove`] per match.
+    /// Removes every member whose bounds in dimension `d` `takes`
+    /// accepts, and returns their ids and interleaved coordinates (as
+    /// [`SegmentStore::remove`] does for a whole segment) in storage
+    /// order. Only dimension `d`'s two columns are read to decide, and
+    /// only the members that leave are gathered.
+    ///
+    /// The ordered run's survivors close ranks without changing their
+    /// relative order, so what was ordered stays ordered; the tail has no
+    /// order to keep, so its survivors stay where they are unless that
+    /// place is cut off, and then fill the places vacated below. Only
+    /// members that move have their position entries rewritten.
     pub fn extract(
         &mut self,
         id: SegmentId,
-        mut takes: impl FnMut(&[Scalar]) -> bool,
+        d: usize,
+        mut takes: impl FnMut(Scalar, Scalar) -> bool,
     ) -> (Vec<u32>, Vec<Scalar>) {
+        const TAKEN: u32 = u32::MAX;
         let seg = self.segments[id.0 as usize]
             .as_mut()
             .expect("segment was removed");
+        // Where every member goes, [`TAKEN`] for those that leave.
+        let bounds = seg.cols[2 * d].iter().zip(&seg.cols[2 * d + 1]);
+        let mut to: Vec<u32> = bounds
+            .zip(0u32..)
+            .map(|((&lo, &hi), from)| if takes(lo, hi) { TAKEN } else { from })
+            .collect();
         let (mut ids, mut coords) = (Vec::new(), Vec::new());
-        let mut flat = Vec::with_capacity(seg.cols.len());
-        let mut index = 0;
-        while index < seg.ids.len() {
-            flat.clear();
-            seg.read_into(index, &mut flat);
-            if !takes(&flat) {
-                index += 1;
-                continue;
-            }
-            ids.push(seg.ids.swap_remove(index));
-            for col in seg.cols.iter_mut() {
-                col.swap_remove(index);
-            }
-            coords.extend_from_slice(&flat);
-            if let Some(&moved) = seg.ids.get(index) {
-                self.positions.insert(moved, (id.0, index as u32));
-            }
+        for from in (0..to.len()).filter(|&from| to[from] == TAKEN) {
+            ids.push(seg.ids[from]);
+            seg.read_into(from, &mut coords);
         }
+        // The run's survivors go to consecutive places from the front.
+        let mut run = 0;
+        for to in to[..seg.ordered].iter_mut().filter(|to| **to != TAKEN) {
+            *to = run;
+            run += 1;
+        }
+        let run = run as usize;
+        // The tail's survivors beyond the new length take the places
+        // below it that no survivor of the tail sits in.
+        let len = to.len() - ids.len();
+        let free = (run..len).filter(|&at| at < seg.ordered || to[at] == TAKEN);
+        let cut_off = (len.max(seg.ordered)..to.len()).filter(|&from| to[from] != TAKEN);
+        let fills: Vec<(usize, usize)> = cut_off.zip(free).collect();
+        for (from, at) in fills {
+            to[from] = at as u32;
+        }
+        // A member only ever moves down, into a place read before it.
+        let moves: Vec<(usize, usize)> = to
+            .iter()
+            .enumerate()
+            .filter(|&(from, &to)| to != TAKEN && to as usize != from)
+            .map(|(from, &to)| (from, to as usize))
+            .collect();
+        for col in seg.cols.iter_mut() {
+            for &(from, to) in &moves {
+                col[to] = col[from];
+            }
+            col.truncate(len);
+        }
+        for &(from, to) in &moves {
+            seg.ids[to] = seg.ids[from];
+            self.positions.insert(seg.ids[to], (id.0, to as u32));
+        }
+        seg.ids.truncate(len);
+        seg.check_columns();
+        seg.ordered = run;
+        seg.strays = seg.strays.min(run);
         for object_id in &ids {
             self.positions.remove(object_id);
         }
         self.live_objects -= ids.len();
         (ids, coords)
+    }
+
+    /// How far a segment is from key order, in tail members: a member of
+    /// the tail counts one and a stray inside the ordered run four. (A
+    /// tail member forgoes the gain of its own block and nothing else,
+    /// and a tail grows with its segment, which pays for folding it; a
+    /// stray sits in a block of the run, and removals leave strays
+    /// without the segment growing.)
+    pub fn disorder(&self, id: SegmentId) -> usize {
+        let seg = self.segment(id);
+        seg.ids.len() - seg.ordered + 4 * seg.strays
+    }
+
+    /// Puts a segment's members in key order (ties by current position,
+    /// so the result is a function of the storage order it starts from).
+    /// Works in store-owned scratch and rewrites the position entry of
+    /// the members that moved, no others; a segment with no disorder is
+    /// left alone.
+    pub fn order(&mut self, id: SegmentId) {
+        let seg = self.segments[id.0 as usize]
+            .as_mut()
+            .expect("segment was removed");
+        let n = seg.ids.len();
+        if seg.ordered == n && seg.strays == 0 {
+            return;
+        }
+        (seg.ordered, seg.strays) = (n, 0);
+        let perm = &mut self.order_perm;
+        perm.clear();
+        perm.extend(seg.keys().iter().copied().zip(0u32..));
+        perm.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        // Everything before the first member that moves stays put.
+        let Some(first) = perm.iter().zip(0u32..).position(|(p, at)| p.1 != at) else {
+            return;
+        };
+        let perm = &perm[first..];
+        for col in seg.cols.iter_mut() {
+            self.order_col.clear();
+            self.order_col.extend(perm.iter().map(|&(_, from)| col[from as usize]));
+            col[first..].copy_from_slice(&self.order_col);
+        }
+        self.order_ids.clear();
+        self.order_ids.extend(perm.iter().map(|&(_, from)| seg.ids[from as usize]));
+        seg.ids[first..].copy_from_slice(&self.order_ids);
+        for ((&(_, from), to), &object_id) in perm.iter().zip(first as u32..).zip(&self.order_ids) {
+            if from != to {
+                self.positions.insert(object_id, (id.0, to));
+            }
+        }
+        seg.check_columns();
     }
 
     /// Object ids of a segment, in storage order.
@@ -305,9 +484,11 @@ impl SegmentStore {
     }
 
     /// Dimension-major column view of a segment, ready for the batch
-    /// verification kernel ([`acx_geom::scan::scan_columns`]).
+    /// verification kernel ([`acx_geom::scan::scan_columns`]). The store
+    /// checks that the columns are equally long wherever it changes
+    /// their length, so the view is built without comparing them again.
     pub fn columns(&self, id: SegmentId) -> PairedColumns<'_> {
-        PairedColumns::new(&self.segment(id).cols)
+        PairedColumns::of_equal_columns(&self.segment(id).cols)
     }
 
     /// Lower-bound column of dimension `d`, one scalar per member.
@@ -393,7 +574,8 @@ impl SegmentStore {
     }
 
     /// Moves every member of `src` into `dst` (used by cluster merging),
-    /// removing `src`. Returns how many objects moved.
+    /// in `src`'s storage order, removing `src`. Returns how many objects
+    /// moved.
     pub fn merge_into(&mut self, src: SegmentId, dst: SegmentId) -> usize {
         let (ids, coords) = self.remove(src);
         let moved = ids.len();
@@ -561,44 +743,129 @@ mod tests {
         assert_eq!(s.object_bytes(), 132);
     }
 
-    /// `extract` leaves exactly what one `swap_remove` per match does:
-    /// removal order, survivor order and positions.
-    #[test]
-    fn extract_equals_a_swap_remove_per_match() {
-        let fill = |s: &mut SegmentStore| {
-            let seg = s.create(4);
-            for i in 0..300u32 {
-                let x = (i * 37 % 100) as Scalar / 100.0;
-                s.push(seg, i, &[x, x, 0.0, (i % 7) as Scalar]);
-            }
-            seg
-        };
-        let takes = |flat: &[Scalar]| flat[0] < 0.4 || flat[3] == 6.0;
-        let (mut one_by_one, mut batched) = (SegmentStore::new(2), SegmentStore::new(2));
-        let (a, b) = (fill(&mut one_by_one), fill(&mut batched));
+    /// 1-d members with the given keys, ids counting from `first`.
+    fn push_keys(s: &mut SegmentStore, seg: SegmentId, first: u32, keys: &[Scalar]) {
+        for (id, &key) in (first..).zip(keys) {
+            s.push(seg, id, &[key, key + 0.5]);
+        }
+    }
 
-        let (mut ids, mut coords) = (Vec::new(), Vec::new());
-        let mut index = 0;
-        while index < one_by_one.segment_len(a) {
-            let flat = one_by_one.object_flat(a, index);
-            if takes(&flat) {
-                ids.push(one_by_one.swap_remove(a, index));
-                coords.extend(flat);
-            } else {
-                index += 1;
-            }
+    fn assert_positions_agree(s: &SegmentStore, seg: SegmentId) {
+        for (index, &id) in s.ids(seg).iter().enumerate() {
+            assert_eq!(s.position_of(id), Some((seg, index)), "object {id}");
         }
-        assert_eq!(batched.extract(b, takes), (ids.clone(), coords));
-        assert!(ids.len() > 100 && one_by_one.segment_len(a) > 100);
-        assert_eq!(batched.ids(b), one_by_one.ids(a));
-        assert_eq!(batched.interleaved_coords(b), one_by_one.interleaved_coords(a));
-        assert_eq!(batched.len(), one_by_one.len());
+    }
+
+    #[test]
+    fn push_extends_the_run_only_in_key_order() {
+        let mut s = SegmentStore::new(1);
+        let seg = s.create(8);
+        push_keys(&mut s, seg, 0, &[0.1, 0.2, 0.2, 0.4]);
+        assert_eq!(s.disorder(seg), 0, "built in key order, ordered for free");
+        push_keys(&mut s, seg, 10, &[0.3]);
+        assert_eq!(s.disorder(seg), 1, "a lower key opens the tail");
+        push_keys(&mut s, seg, 20, &[0.9]);
+        assert_eq!(s.disorder(seg), 2, "behind a tail every member joins it");
+        assert_eq!(s.ids(seg), &[0, 1, 2, 3, 10, 20], "pushing never moves a member");
+    }
+
+    #[test]
+    fn swap_remove_inside_the_run_fills_with_no_lower_a_key() {
+        let mut s = SegmentStore::new(1);
+        let seg = s.create(8);
+        push_keys(&mut s, seg, 0, &[0.1, 0.2, 0.3, 0.4]);
+        push_keys(&mut s, seg, 10, &[0.25, 0.05]);
+        assert_eq!(s.disorder(seg), 2);
+        // The segment's last (#11) has a lower key than #1: the run's
+        // last (#3, the largest key) takes #1's place and #11 closes the
+        // gap behind the run.
+        assert_eq!(s.swap_remove(seg, 1), 1);
+        assert_eq!(s.ids(seg), &[0, 3, 2, 11, 10]);
+        assert_eq!(s.lo_col(seg, 0), &[0.1, 0.4, 0.3, 0.05, 0.25]);
+        assert_eq!(s.disorder(seg), 2 + 4, "two in the tail, and one stray counting four");
+        assert_positions_agree(&s, seg);
+        // The segment's last (#10) has a higher key than #0: it takes
+        // #0's place itself, and the run keeps its length.
+        assert_eq!(s.swap_remove(seg, 0), 0);
+        assert_eq!(s.ids(seg), &[10, 3, 2, 11]);
+        assert_eq!(s.disorder(seg), 1 + 2 * 4);
+        // In the tail the segment's last fills; here it is the one removed.
+        assert_eq!(s.swap_remove(seg, 3), 11);
+        assert_eq!(s.ids(seg), &[10, 3, 2]);
+        assert_eq!(s.disorder(seg), 2 * 4);
+        // Without a tail the run's last is the segment's last.
+        assert_eq!(s.swap_remove(seg, 0), 10);
+        assert_eq!(s.ids(seg), &[2, 3]);
+        assert_eq!(s.disorder(seg), 2 * 4, "never more strays than the run has members");
+        assert_positions_agree(&s, seg);
+    }
+
+    #[test]
+    fn order_sorts_by_key_and_maps_what_moved() {
+        let mut s = SegmentStore::new(1);
+        let seg = s.create(8);
+        push_keys(&mut s, seg, 0, &[0.1, 0.2, 0.6, 0.7]);
+        push_keys(&mut s, seg, 10, &[0.65, 0.2, 0.9]);
+        s.order(seg);
+        // Equal keys keep the order they were stored in.
+        assert_eq!(s.ids(seg), &[0, 1, 11, 2, 10, 3, 12]);
+        assert_eq!(s.lo_col(seg, 0), &[0.1, 0.2, 0.2, 0.6, 0.65, 0.7, 0.9]);
+        assert_eq!(s.hi_col(seg, 0), &[0.6, 0.7, 0.7, 1.1, 1.15, 1.2, 1.4]);
+        assert_eq!(s.disorder(seg), 0);
+        assert_positions_agree(&s, seg);
+        s.order(seg);
+        assert_eq!(s.ids(seg), &[0, 1, 11, 2, 10, 3, 12], "ordering twice is ordering once");
+        // An ordered segment goes on extending its run.
+        push_keys(&mut s, seg, 20, &[0.95]);
+        assert_eq!(s.disorder(seg), 0);
+    }
+
+    /// What `extract` guarantees: the taken members come back with their
+    /// coordinates in storage order; the run's survivors keep their
+    /// order (so the run stays a run, at the front); the tail's survivors
+    /// follow; every position is right.
+    #[test]
+    fn extract_keeps_the_run_in_order() {
+        let mut s = SegmentStore::new(2);
+        let seg = s.create(4);
+        let member = |i: u32| {
+            // The first 200 in key order, then a tail of 100.
+            let key = if i < 200 { i as Scalar / 200.0 } else { (i * 37 % 100) as Scalar / 100.0 };
+            [key, key, (i % 5) as Scalar, (i % 7) as Scalar]
+        };
         for i in 0..300u32 {
-            assert_eq!(batched.position_of(i), one_by_one.position_of(i), "object {i}");
+            s.push(seg, i, &member(i));
         }
+        assert_eq!(s.disorder(seg), 100);
+        let takes = |lo: Scalar, hi: Scalar| lo < 2.0 || hi == 6.0;
+        let taken = |i: &u32| takes(member(*i)[2], member(*i)[3]);
+
+        let (ids, coords) = s.extract(seg, 1, takes);
+        assert_eq!(ids, (0..300).filter(taken).collect::<Vec<_>>(), "in storage order");
+        assert!(ids.len() > 100 && ids.len() < 200);
+        for (id, flat) in ids.iter().zip(coords.chunks_exact(4)) {
+            assert_eq!(flat, member(*id), "object {id}");
+        }
+
+        let run_left: Vec<u32> = (0..200).filter(|i| !taken(i)).collect();
+        assert_eq!(s.ids(seg)[..run_left.len()], run_left[..], "survivors closed ranks");
+        let mut tail_left = s.ids(seg)[run_left.len()..].to_vec();
+        tail_left.sort_unstable();
+        assert_eq!(tail_left, (200..300).filter(|i| !taken(i)).collect::<Vec<_>>());
+        assert_eq!(s.disorder(seg), tail_left.len(), "the run is still a run");
+        assert_eq!(s.len(), 300 - ids.len());
+        assert_positions_agree(&s, seg);
+        for (index, &id) in s.ids(seg).iter().enumerate() {
+            assert_eq!(s.object_flat(seg, index), member(id), "object {id}");
+        }
+        for id in ids {
+            assert_eq!(s.position_of(id), None);
+        }
+
         // Nothing matches: nothing moves.
-        assert_eq!(batched.extract(b, |_| false), (Vec::new(), Vec::new()));
-        assert_eq!(batched.ids(b), one_by_one.ids(a));
+        let before = s.ids(seg).to_vec();
+        assert_eq!(s.extract(seg, 1, |_, _| false), (Vec::new(), Vec::new()));
+        assert_eq!(s.ids(seg), before);
     }
 
     #[test]
@@ -667,7 +934,10 @@ mod proptests {
         Create(u8),
         Push(u8),
         SwapRemove(u8, u8),
+        /// Extract from a segment the members whose key is below `k / 16`.
+        Extract(u8, u8),
         Merge(u8, u8),
+        Order(u8),
     }
 
     fn op() -> impl Strategy<Value = Op> {
@@ -675,15 +945,24 @@ mod proptests {
             1 => (1u8..8).prop_map(Op::Create),
             5 => (0u8..6).prop_map(Op::Push),
             2 => (0u8..6, 0u8..16).prop_map(|(s, k)| Op::SwapRemove(s, k)),
+            1 => (0u8..6, 0u8..16).prop_map(|(s, k)| Op::Extract(s, k)),
             1 => (0u8..6, 0u8..6).prop_map(|(a, b)| Op::Merge(a, b)),
+            1 => (0u8..6).prop_map(Op::Order),
         ]
     }
 
+    /// A key in `[0, 1)` that neither rises nor falls with the id.
+    fn key_of(id: u32) -> Scalar {
+        (id * 37 % 101) as Scalar / 101.0
+    }
+
     proptest! {
-        /// The segment store behaves like a vector of (id, coords) lists
-        /// under arbitrary create/push/remove/merge sequences, and its
-        /// id array and coordinate columns never fall out of sync. Object
-        /// ids are drawn from a counter: the store requires them unique.
+        /// The segment store behaves like a vector of (id, coords) sets
+        /// under arbitrary create/push/remove/extract/merge/order
+        /// sequences — none of them loses, duplicates or alters a member,
+        /// whatever order it leaves them in — and its id array and
+        /// coordinate columns never fall out of step. Object ids are
+        /// drawn from a counter: the store requires them unique.
         #[test]
         fn store_matches_model(ops in prop::collection::vec(op(), 1..80)) {
             let dims = 2;
@@ -702,7 +981,7 @@ mod proptests {
                         let k = s as usize % live.len();
                         let id = next_id;
                         next_id += 1;
-                        let flat = vec![id as f32 / 1000.0, 1.0, 0.25, 0.75];
+                        let flat = vec![key_of(id), 1.0, 0.25, id as Scalar];
                         store.push(live[k], id, &flat);
                         model[k].push((id, flat));
                     }
@@ -711,9 +990,25 @@ mod proptests {
                         let k = s as usize % live.len();
                         if model[k].is_empty() { continue; }
                         let i = idx as usize % model[k].len();
-                        let removed = store.swap_remove(live[k], i);
-                        let (expected, _) = model[k].swap_remove(i);
-                        prop_assert_eq!(removed, expected);
+                        let expected = store.ids(live[k])[i];
+                        prop_assert_eq!(store.swap_remove(live[k], i), expected);
+                        model[k].retain(|(id, _)| *id != expected);
+                    }
+                    Op::Extract(s, below) => {
+                        if live.is_empty() { continue; }
+                        let k = s as usize % live.len();
+                        let takes = |flat: &[Scalar]| flat[0] < below as Scalar / 16.0;
+                        let (ids, coords) = store.extract(live[k], 0, |lo, hi| takes(&[lo, hi]));
+                        let mut got: Vec<_> = ids.into_iter().zip(coords.chunks_exact(4)).collect();
+                        got.sort_by_key(|(id, _)| *id);
+                        let (mut taken, kept): (Vec<_>, Vec<_>) =
+                            model[k].drain(..).partition(|(_, flat)| takes(flat));
+                        taken.sort_by_key(|(id, _)| *id);
+                        prop_assert_eq!(got.len(), taken.len());
+                        for ((id, flat), (want_id, want_flat)) in got.into_iter().zip(&taken) {
+                            prop_assert_eq!((id, flat), (*want_id, &want_flat[..]));
+                        }
+                        model[k] = kept;
                     }
                     Op::Merge(a, b) => {
                         if live.len() < 2 { continue; }
@@ -727,6 +1022,16 @@ mod proptests {
                         live.remove(ka);
                         model.remove(ka);
                     }
+                    Op::Order(s) => {
+                        if live.is_empty() { continue; }
+                        let seg = live[s as usize % live.len()];
+                        store.order(seg);
+                        prop_assert_eq!(store.disorder(seg), 0);
+                        prop_assert!(store.lo_col(seg, 0).windows(2).all(|w| w[0] <= w[1]));
+                        let once = store.ids(seg).to_vec();
+                        store.order(seg);
+                        prop_assert_eq!(store.ids(seg), &once[..], "order twice is order once");
+                    }
                 }
                 // Global consistency: the store mirrors the model, and
                 // the per-object flat gather agrees with the columns.
@@ -735,6 +1040,7 @@ mod proptests {
                 prop_assert_eq!(store.segment_count(), live.len());
                 for (k, seg) in live.iter().enumerate() {
                     prop_assert_eq!(store.segment_len(*seg), model[k].len());
+                    prop_assert!(store.disorder(*seg) <= 4 * model[k].len());
                     let mut got: Vec<u32> = store.ids(*seg).to_vec();
                     let mut want: Vec<u32> = model[k].iter().map(|(id, _)| *id).collect();
                     got.sort_unstable();
@@ -744,6 +1050,10 @@ mod proptests {
                         store.interleaved_coords(*seg).len(),
                         model[k].len() * 2 * store.dims()
                     );
+                    for d in 0..store.dims() {
+                        prop_assert_eq!(store.lo_col(*seg, d).len(), model[k].len());
+                        prop_assert_eq!(store.hi_col(*seg, d).len(), model[k].len());
+                    }
                     for (idx, id) in store.ids(*seg).iter().enumerate() {
                         let flat = store.object_flat(*seg, idx);
                         let (_, expected) = model[k]
@@ -761,34 +1071,39 @@ mod proptests {
         }
 
         /// The O(1) position map agrees with a linear scan of every
-        /// segment after arbitrary push/swap_remove/relocation/merge
-        /// sequences (tiny initial reservations force relocations).
+        /// segment after arbitrary push/swap_remove/extract/relocation/
+        /// merge/order sequences (tiny initial reservations force
+        /// relocations).
         #[test]
         fn position_map_agrees_with_linear_scan(ops in prop::collection::vec(op(), 1..120)) {
             let mut store = SegmentStore::with_reserve(1, 0.25);
             let mut live: Vec<SegmentId> = Vec::new();
-            let mut lens: Vec<usize> = Vec::new();
             let mut next_id = 0u32;
             for op in ops {
                 match op {
                     Op::Create(_) => {
                         // Reserve a single slot so growth relocates early.
                         live.push(store.create(1));
-                        lens.push(0);
                     }
                     Op::Push(s) => {
                         if live.is_empty() { continue; }
                         let k = s as usize % live.len();
-                        store.push(live[k], next_id, &[0.25, 0.75]);
+                        store.push(live[k], next_id, &[key_of(next_id), 1.0]);
                         next_id += 1;
-                        lens[k] += 1;
                     }
                     Op::SwapRemove(s, idx) => {
                         if live.is_empty() { continue; }
-                        let k = s as usize % live.len();
-                        if lens[k] == 0 { continue; }
-                        store.swap_remove(live[k], idx as usize % lens[k]);
-                        lens[k] -= 1;
+                        let seg = live[s as usize % live.len()];
+                        if store.segment_len(seg) == 0 { continue; }
+                        store.swap_remove(seg, idx as usize % store.segment_len(seg));
+                    }
+                    Op::Extract(s, below) => {
+                        if live.is_empty() { continue; }
+                        let seg = live[s as usize % live.len()];
+                        let (ids, _) = store.extract(seg, 0, |lo, _| lo < below as Scalar / 16.0);
+                        for id in ids {
+                            prop_assert_eq!(store.position_of(id), None);
+                        }
                     }
                     Op::Merge(a, b) => {
                         if live.len() < 2 { continue; }
@@ -796,9 +1111,11 @@ mod proptests {
                         let mut kb = b as usize % live.len();
                         if ka == kb { kb = (kb + 1) % live.len(); }
                         store.merge_into(live[ka], live[kb]);
-                        lens[kb] += lens[ka];
                         live.remove(ka);
-                        lens.remove(ka);
+                    }
+                    Op::Order(s) => {
+                        if live.is_empty() { continue; }
+                        store.order(live[s as usize % live.len()]);
                     }
                 }
                 // The map and a linear scan must name the same position

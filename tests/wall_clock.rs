@@ -70,7 +70,7 @@ fn uniform_16d() -> (Vec<HyperRect>, Vec<SpatialQuery>) {
 /// pinned before clustering is judged.
 #[test]
 #[ignore = "timed; run with --release"]
-fn a_root_only_index_stays_within_half_again_of_the_scan() {
+fn a_root_only_index_stays_within_a_quarter_of_the_scan() {
     let (objects, queries) = uniform_16d();
     let config = IndexConfig {
         reorg_period: 0,
@@ -81,16 +81,18 @@ fn a_root_only_index_stays_within_half_again_of_the_scan() {
     assert_eq!(index.cluster_count(), 1);
     println!("root-only index {index_ns} ns, SeqScan {scan_ns} ns per query (medians)");
     assert!(
-        index_ns as f64 <= 1.5 * scan_ns as f64,
+        index_ns as f64 <= 1.25 * scan_ns as f64,
         "root-only index {index_ns} ns vs SeqScan {scan_ns} ns"
     );
 }
 
 /// The timed twin of `ac_beats_seqscan_on_selective_queries_in_both_scenarios`:
 /// after a warm-up that lets it cluster, the index's median query is no
-/// slower than the scan's, on a skewed stream (a hotspot of selective
-/// windows) and on a publish/subscribe stream (point events over
-/// subscriptions), 20 000 objects each.
+/// slower than the scan's on a skewed stream (a hotspot of selective
+/// windows), and takes at most three quarters of it on a
+/// publish/subscribe stream (point events over subscriptions, where
+/// members kept in key order let most kernel blocks die in dimension
+/// 0), 20 000 objects each.
 #[test]
 #[ignore = "timed; run with --release"]
 fn the_clustered_index_is_no_slower_than_the_scan() {
@@ -107,7 +109,7 @@ fn the_clustered_index_is_no_slower_than_the_scan() {
                 SpatialQuery::intersection(HyperRect::from_bounds(&lo, &hi).unwrap())
             })
             .collect();
-        ("skewed", workload.generate_objects(), queries)
+        ("skewed", 1.0, workload.generate_objects(), queries)
     };
     let pubsub = {
         let generator = PubSubGenerator::apartments();
@@ -116,9 +118,9 @@ fn the_clustered_index_is_no_slower_than_the_scan() {
             .map(|i| generator.subscription(i, &mut rng).ranges)
             .collect();
         let queries = EventStream::with_flexibility(generator, 0x9B5C, 0.02).next_batch(2_000);
-        ("pub/sub", objects, queries)
+        ("pub/sub", 0.75, objects, queries)
     };
-    for (name, objects, queries) in [skewed, pubsub] {
+    for (name, of_the_scan, objects, queries) in [skewed, pubsub] {
         let dims = objects[0].dims();
         let (mut index, scan) = build(IndexConfig::memory(dims), &objects);
         let (warmup, measured) = queries.split_at(1_500);
@@ -135,8 +137,8 @@ fn the_clustered_index_is_no_slower_than_the_scan() {
             "{name}: the measured profile must cluster"
         );
         assert!(
-            index_ns <= scan_ns,
-            "{name}: index {index_ns} ns vs SeqScan {scan_ns} ns"
+            index_ns as f64 <= of_the_scan * scan_ns as f64,
+            "{name}: index {index_ns} ns vs SeqScan {scan_ns} ns, bound {of_the_scan}"
         );
     }
 }
