@@ -5,9 +5,8 @@
 //! The two sides come from [`acx_bench::strategies`] (the same pair
 //! the `scan_bench` snapshot measures, so the criterion bench and the
 //! committed `BENCH_reorg.json` can never drift apart): the production
-//! incremental pass (dirty set + O(1) no-split screen + columnar
-//! benefit columns) and the reference's decision-identical full scalar
-//! sweep.
+//! pass (O(1) no-split screen + columnar split scan) and the
+//! reference's decision-identical scalar scan of every cluster.
 //!
 //! Each iteration replays one full reorganization period — the paper's
 //! `reorg_period = 100` queries feeding statistics into an adapted

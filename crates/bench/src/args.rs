@@ -84,10 +84,21 @@ impl Flags {
     }
 
     /// Typed lookup with default.
-    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.value(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    ///
+    /// # Panics
+    ///
+    /// Panics on a present-but-unparseable value, naming the flag and
+    /// giving the parser's own message: falling back to the default
+    /// would run a different experiment than the command line says.
+    pub fn get<T>(&self, name: &str, default: T) -> T
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
+        match self.value(name) {
+            None => default,
+            Some(v) => v.parse().unwrap_or_else(|e| panic!("--{name}: {e}")),
+        }
     }
 
     /// Whether a bare flag was passed.
@@ -95,30 +106,12 @@ impl Flags {
         self.value(name).is_some() || self.present.iter().any(|p| p == name)
     }
 
-    /// Typed lookup that **panics** on a present-but-unparseable value
-    /// (with the parser's own error message) instead of silently using
-    /// the default — for flags where a typo must not change which
-    /// experiment runs.
-    pub fn get_strict<T>(&self, name: &str, default: T) -> T
-    where
-        T: std::str::FromStr,
-        T::Err: std::fmt::Display,
-    {
-        match self.value(name) {
-            None => default,
-            Some(v) => match v.parse() {
-                Ok(parsed) => parsed,
-                Err(e) => panic!("--{name}: {e}"),
-            },
-        }
-    }
-
     /// `--merge-cooldown N`: the split→merge thrash hysteresis window
     /// in reorganization passes (`0` = off, the default). This
     /// **changes reorganization decisions**, so only the binaries that
     /// study it expose it.
     pub fn merge_cooldown(&self) -> u64 {
-        self.get_strict("merge-cooldown", 0)
+        self.get("merge-cooldown", 0)
     }
 
     /// `--wal PATH` and `--flush-policy record|batch[:N]|epoch`: log
@@ -130,7 +123,7 @@ impl Flags {
     pub fn wal(&self) -> WalFlags {
         WalFlags {
             path: self.value("wal").map(PathBuf::from),
-            policy: self.get_strict("flush-policy", FlushPolicy::PerRecord),
+            policy: self.get("flush-policy", FlushPolicy::PerRecord),
         }
     }
 
@@ -141,19 +134,19 @@ impl Flags {
         let default = std::thread::available_parallelism()
             .map(|n| n.get().min(4))
             .unwrap_or(1);
-        self.get_strict("shards", default).max(1)
+        self.get("shards", default).max(1)
     }
 
     /// `--shard-by hash|space`: subscription-to-shard assignment for
     /// the serving tier.
     pub fn shard_by(&self) -> ShardBy {
-        self.get_strict("shard-by", ShardBy::Hash)
+        self.get("shard-by", ShardBy::Hash)
     }
 
     /// `--queue-cap N`: per-shard ingestion queue capacity for the
     /// serving tier.
     pub fn queue_cap(&self) -> usize {
-        self.get_strict("queue-cap", DEFAULT_QUEUE_CAP).max(1)
+        self.get("queue-cap", DEFAULT_QUEUE_CAP).max(1)
     }
 }
 
@@ -208,6 +201,12 @@ mod tests {
         let flags = flags(&["--zone-maps", "off", "--objects", "40", "--stats-layout", "per-cluster"]);
         assert_eq!(flags.get("objects", 7usize), 40);
         flags.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "--objects: invalid digit")]
+    fn get_rejects_a_malformed_value() {
+        flags(&["--objects", "abc"]).get("objects", 7usize);
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!   sink) and the full `execute` path (arena sink plus the amortized
 //!   pass), production vs reference.
 //! * **reorganization** — the per-period maintenance pass on an adapted
-//!   index: the production incremental pass (dirty set + screen +
-//!   columnar benefit columns) against the reference's
-//!   decision-identical full scalar sweep.
+//!   index: the production pass (O(1) screen + columnar split scan)
+//!   against the reference's decision-identical scalar scan of every
+//!   cluster.
 //!
 //! The index-level sections build both sides from
 //! [`acx_bench::strategies`].
@@ -411,18 +411,16 @@ struct ReorgRow {
     mode: &'static str,
     pass_ns: f64,
     clusters: usize,
-    dirty: u64,
     evaluated: u64,
     scans: u64,
     screened: u64,
-    cached: u64,
     arena_live_bytes: u64,
     compactions: u64,
 }
 
 /// The per-period reorganization cost on an adapted 16-d index: the
-/// production incremental pass and the reference's decision-identical
-/// full scalar sweep, driven through identical streams
+/// production pass and the reference's decision-identical scalar scan
+/// of every cluster, driven through identical streams
 /// (auto-reorganization off, one explicit pass every `period` recorded
 /// executes — exactly the paper's `reorg_period` cadence) so the timed
 /// `reorganize()` call is what differs. Decision identity is asserted
@@ -455,7 +453,7 @@ fn reorg_matrix(objects: usize, repeats: usize) -> Vec<ReorgRow> {
     let rounds = 2usize;
     let block = repeats.div_ceil(rounds);
     let mut samples: [Vec<f64>; MODES] = std::array::from_fn(|_| Vec::with_capacity(repeats));
-    let mut counters = [[0u64; 6]; MODES];
+    let mut counters = [[0u64; 4]; MODES];
     let mut arena_stats = [[0u64; 2]; MODES];
     let mut final_snapshots: [Vec<acx_core::ClusterSnapshot>; MODES] =
         std::array::from_fn(|_| Vec::new());
@@ -483,12 +481,10 @@ fn reorg_matrix(objects: usize, repeats: usize) -> Vec<ReorgRow> {
                 if measured >= 3 {
                     samples[which].push(elapsed);
                     let profile = index.last_reorg_profile();
-                    counters[which][0] += profile.dirty_clusters;
-                    counters[which][1] += profile.evaluated;
-                    counters[which][2] += profile.candidate_scans;
-                    counters[which][3] += profile.screened_out;
-                    counters[which][4] += profile.cached_verdicts;
-                    counters[which][5] += 1;
+                    counters[which][0] += profile.evaluated;
+                    counters[which][1] += profile.candidate_scans;
+                    counters[which][2] += profile.screened_out;
+                    counters[which][3] += 1;
                 }
             }
             let profile = index.last_reorg_profile();
@@ -506,15 +502,13 @@ fn reorg_matrix(objects: usize, repeats: usize) -> Vec<ReorgRow> {
         let samples = &mut samples[which];
         samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         let pass_ns = samples[samples.len() / 2];
-        let [dirty, evaluated, scans, screened, cached, passes] = counters[which];
+        let [evaluated, scans, screened, passes] = counters[which];
         println!(
-            "reorg   d={dims} n={objects} [{label}]: {pass_ns:>10.0} ns/pass  ({} clusters; per pass: {:.0} dirty, {:.0} evaluated, {:.1} scans, {:.0} screened of which {:.0} cached verdicts; arena {} live bytes, {} compactions)",
+            "reorg   d={dims} n={objects} [{label}]: {pass_ns:>10.0} ns/pass  ({} clusters; per pass: {:.0} evaluated, {:.1} scans, {:.0} screened; arena {} live bytes, {} compactions)",
             cluster_counts[which],
-            dirty as f64 / passes as f64,
             evaluated as f64 / passes as f64,
             scans as f64 / passes as f64,
             screened as f64 / passes as f64,
-            cached as f64 / passes as f64,
             arena_stats[which][0],
             arena_stats[which][1],
         );
@@ -522,11 +516,9 @@ fn reorg_matrix(objects: usize, repeats: usize) -> Vec<ReorgRow> {
             mode: label,
             pass_ns,
             clusters: cluster_counts[which],
-            dirty: dirty / passes,
             evaluated: evaluated / passes,
             scans: scans / passes,
             screened: screened / passes,
-            cached: cached / passes,
             arena_live_bytes: arena_stats[which][0],
             compactions: arena_stats[which][1],
         });
@@ -747,15 +739,13 @@ fn main() {
     for (i, r) in reorg.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"mode\": \"{}\", \"pass_ns\": {:.0}, \"clusters\": {}, \"dirty\": {}, \"evaluated\": {}, \"candidate_scans\": {}, \"screened_out\": {}, \"cached_verdicts\": {}, \"arena_live_bytes\": {}, \"compactions\": {}}}",
+            "    {{\"mode\": \"{}\", \"pass_ns\": {:.0}, \"clusters\": {}, \"evaluated\": {}, \"candidate_scans\": {}, \"screened_out\": {}, \"arena_live_bytes\": {}, \"compactions\": {}}}",
             r.mode,
             r.pass_ns,
             r.clusters,
-            r.dirty,
             r.evaluated,
             r.scans,
             r.screened,
-            r.cached,
             r.arena_live_bytes,
             r.compactions
         );

@@ -94,9 +94,10 @@ pub fn adapted_ac(
 /// the measurements can never drift apart:
 ///
 /// * `production` — the default: columnar member kernel,
-///   compare-and-count candidate kernel, incremental reorganization pass;
+///   compare-and-count candidate kernel, screened columnar pass;
 /// * `reference` — [`IndexConfig::reference`]: the object-at-a-time
-///   loops and the full scalar sweep, decision- and answer-identical.
+///   loops and the scalar scan of every cluster, decision- and
+///   answer-identical.
 ///
 /// Both on the paper's platform ([`ac_config`]): what is compared is
 /// the mechanism, and at the few thousand objects these harnesses use

@@ -130,13 +130,9 @@ impl StatsDelta {
     /// The slots of the clusters this delta recorded statistics for — the
     /// *dirty list*, in first-touch order.
     ///
-    /// Applying a delta walks exactly this list, and the same machinery
-    /// feeds the index's persistent reorganization dirty set: a cluster
-    /// absent from every applied delta (and untouched by membership
-    /// mutations) reaches the next reorganization with provably unchanged
-    /// candidate statistics, which is what lets the incremental pass keep
-    /// its counters un-decayed (lazy epoch stamps) and skip its candidate
-    /// scan through the cached-verdict screen.
+    /// Applying a delta walks exactly this list: a cluster absent from
+    /// it has its candidate counters neither incremented nor caught up
+    /// on lazily skipped decay epochs.
     pub fn touched_slots(&self) -> &[u32] {
         &self.touched
     }

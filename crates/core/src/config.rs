@@ -53,8 +53,8 @@ pub struct IndexConfig {
     /// ([`acx_geom::scan::scan_columns`]), counts matching candidates
     /// with the compare-and-count kernel
     /// ([`acx_geom::scan::count_candidates`]) and
-    /// reorganizes incrementally (dirty set, O(1) screens, batched
-    /// benefit columns). The reference (`true`) is the seed's
+    /// reorganizes behind an O(1) screen with columnar benefit
+    /// arithmetic. The reference (`true`) is the seed's
     /// object-at-a-time execution end to end: a
     /// [`acx_geom::SpatialQuery::matches_flat`] loop over every member, a
     /// [`crate::candidates::CandidateSlice::matches_query`] loop over

@@ -96,10 +96,7 @@ const RECIPROCAL_SLACK: f64 = 1e-12;
 /// the pass runs **store-free** first (pure reduction over the counter
 /// columns) and fills `out` only when some bound cleared its floor —
 /// `out` then holds one bound per candidate, recomputed by the same
-/// expressions. The reduction also carries the maximum bound over
-/// populated candidates (the cached-verdict coefficient) in four
-/// explicit max lanes — a single fmax accumulator would serialize the
-/// loop — folded at the end.
+/// expressions.
 #[allow(clippy::too_many_arguments)] // mirrors the scalar call plus the three counter columns
 pub fn materialization_benefit_column(
     a: f64,
@@ -136,10 +133,6 @@ pub struct BenefitColumnSummary {
     /// Whether any candidate's benefit bound exceeded its threshold
     /// floor `n·floor_r + floor_s`.
     pub any_above_floor: bool,
-    /// Maximum benefit bound over candidates holding members
-    /// (`NEG_INFINITY` when none do) — the raw material of the cached
-    /// no-split verdict later passes screen with.
-    pub max_bound: f64,
 }
 
 /// [`materialization_benefit_column_impl`] compiled for AVX2 so the
@@ -180,9 +173,7 @@ fn materialization_benefit_column_impl(
     out: &mut Vec<f64>,
 ) -> BenefitColumnSummary {
     debug_assert!(q.len() == n.len() && q_eff.len() == n.len());
-    let len = n.len();
     let mut any_above_floor = false;
-    let mut max_lanes = [f64::NEG_INFINITY; 4];
     let inv = if denom <= 0.0 {
         // Every probability is exactly zero in the scalar loop; a zero
         // reciprocal reproduces that (`s · 0.0 = +0.0` for the
@@ -191,31 +182,14 @@ fn materialization_benefit_column_impl(
     } else {
         (1.0 / denom) * (1.0 - RECIPROCAL_SLACK)
     };
-    let mut i = 0;
-    while i + 4 <= len {
-        for j in 0..4 {
-            let n_s = n[i + j];
-            let p_s_lo = (q_eff[i + j] + q[i + j] as f64) * inv;
-            let bound = materialization_benefit(a, b, c, p_c, p_s_lo, n_s as usize);
-            any_above_floor |= bound > n_s as f64 * floor_r + floor_s;
-            let masked = if n_s > 0 { bound } else { f64::NEG_INFINITY };
-            max_lanes[j] = max_lanes[j].max(masked);
-        }
-        i += 4;
-    }
-    for k in i..len {
-        let n_s = n[k];
-        let p_s_lo = (q_eff[k] + q[k] as f64) * inv;
+    for ((&n_s, &q_s), &q_eff_s) in n.iter().zip(q).zip(q_eff) {
+        let p_s_lo = (q_eff_s + q_s as f64) * inv;
         let bound = materialization_benefit(a, b, c, p_c, p_s_lo, n_s as usize);
         any_above_floor |= bound > n_s as f64 * floor_r + floor_s;
-        if n_s > 0 {
-            max_lanes[0] = max_lanes[0].max(bound);
-        }
     }
-    let max_bound = max_lanes.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     out.clear();
     if any_above_floor {
-        out.resize(len, 0.0);
+        out.resize(n.len(), 0.0);
         for (((out_s, &n_s), &q_s), &q_eff_s) in out.iter_mut().zip(n).zip(q).zip(q_eff) {
             let p_s_lo = (q_eff_s + q_s as f64) * inv;
             *out_s = materialization_benefit(a, b, c, p_c, p_s_lo, n_s as usize);
@@ -224,30 +198,6 @@ fn materialization_benefit_column_impl(
     BenefitColumnSummary {
         max_n: n.iter().copied().max().unwrap_or(0),
         any_above_floor,
-        max_bound,
-    }
-}
-
-/// Merging benefits of many clusters at once: one vectorizable pass over
-/// per-slot `(p_c, p_a, n_c)` columns into a benefit column. Element `i`
-/// is bit-identical to `merging_benefit(a, b, c, p_c[i], p_a[i],
-/// n_c[i])` — the batched form the incremental reorganization pass
-/// evaluates up front over all cluster slots (falling back to the scalar
-/// call once a merge or split has changed the inputs mid-pass).
-pub fn merging_benefit_column(
-    a: f64,
-    b: f64,
-    c: f64,
-    p_c: &[f64],
-    p_a: &[f64],
-    n_c: &[u32],
-    out: &mut Vec<f64>,
-) {
-    debug_assert!(p_a.len() == p_c.len() && n_c.len() == p_c.len());
-    out.clear();
-    out.reserve(p_c.len());
-    for ((&pc, &pa), &n) in p_c.iter().zip(p_a).zip(n_c) {
-        out.push(merging_benefit(a, b, c, pc, pa, n as usize));
     }
 }
 
@@ -395,21 +345,6 @@ mod tests {
             a, b, c, p_c, denom, 1e9, 1e9, &n, &q, &q_eff, &mut col,
         );
         assert!(!summary.any_above_floor);
-    }
-
-    #[test]
-    fn merging_column_is_bit_identical_to_scalar_calls() {
-        let (a, b, c) = disk_terms();
-        let p_c = [0.0, 0.2, 0.95, 1.0];
-        let p_a = [0.5, 0.2, 1.0, 1.0];
-        let n_c = [0u32, 17, 400, 100_000];
-        let mut col = Vec::new();
-        merging_benefit_column(a, b, c, &p_c, &p_a, &n_c, &mut col);
-        assert_eq!(col.len(), p_c.len());
-        for i in 0..p_c.len() {
-            let want = merging_benefit(a, b, c, p_c[i], p_a[i], n_c[i] as usize);
-            assert_eq!(col[i].to_bits(), want.to_bits(), "slot {i}");
-        }
     }
 
     #[test]

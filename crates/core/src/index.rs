@@ -20,10 +20,7 @@ use acx_storage::{
 
 use crate::batch::StatsDelta;
 use crate::candidates::{generate_candidates, CandHandle, StatsArena};
-use crate::cost::{
-    materialization_benefit, materialization_benefit_column, merging_benefit,
-    merging_benefit_column,
-};
+use crate::cost::{materialization_benefit, materialization_benefit_column, merging_benefit};
 use crate::metrics::{
     ClusterSnapshot, QueryMetrics, QueryResult, RecoveryReport, ReorgProfile, ReorgReport,
 };
@@ -85,53 +82,8 @@ const THRASH_WINDOW: u64 = 8;
 /// of magnitude, small enough to stay a tight prefilter.
 const FLOOR_SLACK: f64 = 1e-12;
 
-/// Relative inflation applied to a cached no-split verdict's benefit
-/// coefficient: generous enough to dominate the per-epoch ulp drift of
-/// the lazily decayed counters it summarizes (bounded by
-/// epochs-until-underflow times the rounding unit, orders of magnitude
-/// below this), so the cached bound stays sound however long the
-/// cluster sleeps.
-const SCAN_CACHE_SLACK: f64 = 1e-6;
-
-/// Relative growth of the effective `C` a cached no-split verdict
-/// tolerates: `verify_fraction` jitters a little every period, and a
-/// hard `C' ≤ C` gate would void caches on every up-tick. For
-/// `C' ≤ C·(1 + h)` each benefit coefficient is bounded by
-/// `(1 + h)·g_hi + h·B` (the `C`-scaled part grows by at most `1 + h`,
-/// and the `−r·B` part gives back at most `h·B`), which the consult
-/// prices instead of `g_hi` itself.
-const SCAN_CACHE_C_HEADROOM: f64 = 1e-3;
-
 /// Segments of less than two kernel blocks have no block to save.
 const FOLD_MIN_MEMBERS: usize = 2 * acx_geom::scan::BLOCK;
-
-/// The cached verdict of a cluster's last candidate scan: the scan
-/// found nothing to materialize, and — while the cluster's statistics
-/// stay untouched — nothing can *become* materializable except through
-/// the cluster's own access probability. Invalidated by
-/// `AdaptiveClusterIndex::mark_dirty` (any query increment or
-/// membership change), i.e. exactly through the dirty-set machinery.
-///
-/// Soundness (see `scan_cache_rules_out`): for a cluster untouched in
-/// the epoch the verdict was stored in *and ever since*, every epoch
-/// close scales the candidate histories and the cluster's own by the
-/// same pure `×γ`, so the ratio `r_i = p_si / p_c` is invariant and
-/// each benefit is `p_c · g_i − A` with `g_i = (1 − r_i)·n_i·C −
-/// r_i·B` fixed up to the effective `C`. The cache stores an upper
-/// bound on `max g_i` (from the scan's benefit-bound column) plus the
-/// `C` it was priced at; benefits can only shrink while `C` does not
-/// grow (`r_i ∈ [0, 1]` since a candidate is never matched more often
-/// than its cluster). Verdicts are therefore only stored when
-/// `q_count == 0` (see `store_scan_cache`): a fold of fresh traffic
-/// mixes an *undecayed* count into `q_eff` and moves the ratios, which
-/// is not summarizable by the single cached coefficient.
-#[derive(Debug, Clone, Copy)]
-struct ScanCache {
-    /// Upper bound on `max_i g_i` over candidates holding members.
-    g_hi: f64,
-    /// Effective `C` the bound was priced at.
-    c: f64,
-}
 
 /// Per-pass cost terms — see `AdaptiveClusterIndex::pass_costs`.
 #[derive(Debug, Clone, Copy)]
@@ -204,9 +156,6 @@ struct Cluster {
     /// Exponentially decayed length (in queries) of completed epochs —
     /// the denominator paired with `q_eff`.
     weight: f64,
-    /// Whether this cluster is on the index's reorganization dirty set
-    /// (statistics changed since the last pass).
-    dirty: bool,
 }
 
 /// Cost-based adaptive clustering index over multidimensional extended
@@ -266,19 +215,7 @@ pub struct AdaptiveClusterIndex {
     /// Completed statistics epochs (one per reorganization pass) — the
     /// clock the per-cluster `cand_stamp`s lag behind.
     stats_epoch: u64,
-    /// The persistent dirty set: slots whose statistics (matching-query
-    /// counters or membership) changed since the last reorganization.
-    /// Fed from every applied [`StatsDelta`]'s dirty list and from the
-    /// membership mutation paths; cleared when a pass closes its epoch.
-    dirty_slots: Vec<u32>,
-    /// Cached no-split verdicts of the last candidate scans, indexed by
-    /// cluster slot (kept out of [`Cluster`]: the verdicts are touched
-    /// only by the pass and the invalidation paths, and fattening every
-    /// cluster would cost the latency-bound pass loop extra cache
-    /// lines). `None` = no valid verdict; entries past the end mean the
-    /// same.
-    scan_caches: Vec<Option<ScanCache>>,
-    /// Column buffers reused by the incremental reorganization pass.
+    /// Buffers reused by the reorganization pass.
     reorg_scratch: ReorgScratch,
     /// Work profile of the most recent reorganization pass.
     last_profile: ReorgProfile,
@@ -346,33 +283,26 @@ pub enum ReorgFaultPoint {
     BeforeEpochClose,
 }
 
-/// Reusable column buffers of the incremental reorganization pass: the
-/// per-candidate benefit column of the cluster currently being scanned
-/// and the per-slot merge-benefit columns of the batched pre-pass. Like
-/// [`QueryScratch`], buffers grow to the workload's high-water mark and
-/// are then reused, so a warmed-up pass allocates nothing.
+/// Reusable buffers of the reorganization pass: its slot snapshot and
+/// the per-candidate benefit column of the cluster currently being
+/// scanned. Like [`QueryScratch`], buffers grow to the workload's
+/// high-water mark and are then reused, so a warmed-up pass allocates
+/// nothing.
 #[derive(Debug, Default)]
 struct ReorgScratch {
     /// The pass's slot snapshot (live clusters at pass start).
     snapshot: Vec<u32>,
     /// Candidate materialization benefits (one per candidate).
     benefits: Vec<f64>,
-    /// Per-snapshot-slot access probability of each cluster.
-    merge_p_c: Vec<f64>,
-    /// Per-snapshot-slot access probability of each cluster's parent.
-    merge_p_a: Vec<f64>,
-    /// Per-snapshot-slot member count of each cluster.
-    merge_n: Vec<u32>,
-    /// Batched merge benefit per snapshot slot.
-    merge_benefits: Vec<f64>,
 }
 
 impl ReorgScratch {
     /// Pre-sizes the benefit column to the widest candidate set any
     /// cluster can own (`dims · f(f+1)/2` virtual subclusters), so a
     /// settled pass never grows it mid-scan: the first scan that prices
-    /// its column — possibly long after warm-up, once a cached verdict
-    /// expires — must not be the one that pays the allocation.
+    /// its column — possibly long after warm-up, once the screen stops
+    /// ruling a cluster out — must not be the one that pays the
+    /// allocation.
     fn with_candidate_capacity(config: &IndexConfig) -> Self {
         Self {
             benefits: Vec::with_capacity(config.candidates_per_cluster()),
@@ -409,7 +339,7 @@ enum StatsSink<'a> {
     /// `execute`: straight into the arena's `q` column, each cluster
     /// caught up on its lazily skipped decay epochs first. The explored
     /// slots are listed for the caller, which owns the per-cluster
-    /// counters and the dirty set.
+    /// counters.
     Arena {
         arena: &'a mut StatsArena,
         stats_epoch: u64,
@@ -566,7 +496,6 @@ impl AdaptiveClusterIndex {
             epoch_start: 0,
             q_eff: 0.0,
             weight: 0.0,
-            dirty: false,
         };
         let reorg_scratch = ReorgScratch::with_candidate_capacity(&config);
         Ok(Self {
@@ -593,8 +522,6 @@ impl AdaptiveClusterIndex {
             delta_scratch: StatsDelta::new(),
             explored_scratch: Vec::new(),
             stats_epoch: 0,
-            dirty_slots: Vec::new(),
-            scan_caches: Vec::new(),
             reorg_scratch,
             last_profile: ReorgProfile::default(),
             recent_merges: HashMap::new(),
@@ -842,7 +769,6 @@ impl AdaptiveClusterIndex {
         self.store.push(segment, id.raw(), &flat);
         self.fold_if_due(segment);
         self.object_cluster.insert(id.raw(), slot);
-        self.mark_dirty(slot);
         Ok(())
     }
 
@@ -860,22 +786,6 @@ impl AdaptiveClusterIndex {
         let due = self.store.segment_len(segment).max(FOLD_MIN_MEMBERS);
         if !self.replaying && 2 * self.store.disorder(segment) >= due {
             self.store.order(segment);
-        }
-    }
-
-    /// Puts a cluster on the reorganization dirty set (idempotent): its
-    /// statistics changed since the last pass.
-    fn mark_dirty(&mut self, slot: u32) {
-        // Any statistics change voids the cached no-split verdict.
-        if let Some(cache) = self.scan_caches.get_mut(slot as usize) {
-            *cache = None;
-        }
-        let cluster = self.clusters[slot as usize]
-            .as_mut()
-            .expect("cluster slot is live");
-        if !cluster.dirty {
-            cluster.dirty = true;
-            self.dirty_slots.push(slot);
         }
     }
 
@@ -913,7 +823,6 @@ impl AdaptiveClusterIndex {
         self.store.swap_remove(segment, idx);
         self.fold_if_due(segment);
         self.object_cluster.remove(&id.raw());
-        self.mark_dirty(slot);
         Ok(HyperRect::from_flat(&flat)?)
     }
 
@@ -1134,31 +1043,22 @@ impl AdaptiveClusterIndex {
     /// counted.
     pub fn apply_stats(&mut self, delta: &StatsDelta) {
         if delta.epoch.is_none_or(|e| e == self.structure_epoch) {
-            // Only the dirty list carries increments: a reused delta
+            // Only the touched list carries increments: a reused delta
             // (see [`StatsDelta::clear`]) may retain zeroed entries for
             // clusters of earlier epochs whose slots were since recycled
-            // or freed, but those are not on the list. The same list
-            // feeds the persistent reorganization dirty set, and each
-            // touched cluster replays any lazily skipped decay epochs
-            // before the new increments land on it.
+            // or freed, but those are not on the list. Each touched
+            // cluster replays any lazily skipped decay epochs before the
+            // new increments land on it.
             for &slot in &delta.touched {
                 let recorded = &delta.clusters[slot as usize];
                 let handle = self.cluster(slot).candidates;
                 let mut cands = self.stats_arena.slice_mut(handle);
                 cands.catch_up_to(self.stats_epoch, self.config.stats_decay);
                 cands.add_q_slice(&recorded.cand_q);
-                self.count_cluster_queries(slot, recorded.q_count);
+                self.cluster_mut(slot).q_count += recorded.q_count;
             }
         }
         self.close_queries(delta.queries, delta.verified_bytes, delta.full_bytes);
-    }
-
-    /// Counts `queries` signature matches on a cluster; the new
-    /// statistics put it on the dirty set and void its cached no-split
-    /// verdict.
-    fn count_cluster_queries(&mut self, slot: u32, queries: u64) {
-        self.cluster_mut(slot).q_count += queries;
-        self.mark_dirty(slot);
     }
 
     /// The tail of every statistics-writing path: counts the queries
@@ -1233,9 +1133,9 @@ impl AdaptiveClusterIndex {
         let metrics = view.explore(query, sink, &mut scratch);
         // The part of the record that lives in the clusters themselves,
         // in exploration order — the order `apply_stats` walks a
-        // one-query delta's dirty list in.
+        // one-query delta's touched list in.
         for &slot in &explored {
-            self.count_cluster_queries(slot, 1);
+            self.cluster_mut(slot).q_count += 1;
         }
         self.close_queries(
             1,
@@ -1381,14 +1281,13 @@ impl AdaptiveClusterIndex {
     /// benefit is positive, otherwise greedily materialize its profitable
     /// candidate subclusters. Statistics epochs restart afterwards.
     ///
-    /// Two decision-identical evaluation strategies exist: the
-    /// production incremental pass, which screens out clusters that
-    /// provably cannot split and batches the remaining benefit
-    /// arithmetic over the candidate counter columns, and the full
-    /// scalar sweep [`IndexConfig::reference`] selects. Both produce the
-    /// same [`ReorgReport`],
-    /// the same merges and materializations, and bit-identical
-    /// [`ClusterSnapshot`]s; the work they spend differs
+    /// Production and [`IndexConfig::reference`] run the same loop and
+    /// differ in the split step alone: production skips the candidate
+    /// scan of a cluster its O(1) screen proves cannot split and prices
+    /// the others over the candidate counter columns, `reference` scans
+    /// every cluster candidate by candidate. Both produce the same
+    /// [`ReorgReport`], the same merges and materializations, and
+    /// bit-identical [`ClusterSnapshot`]s; the work they spend differs
     /// ([`AdaptiveClusterIndex::last_reorg_profile`]).
     pub fn reorganize(&mut self) -> ReorgReport {
         let pass_started = std::time::Instant::now();
@@ -1396,10 +1295,7 @@ impl AdaptiveClusterIndex {
             clusters_before: self.cluster_count(),
             ..Default::default()
         };
-        let mut profile = ReorgProfile {
-            dirty_clusters: self.dirty_slots.len() as u64,
-            ..Default::default()
-        };
+        let mut profile = ReorgProfile::default();
         self.pass_thrash = 0;
         self.pass_moved = 0;
         self.pass_cooldown_blocked = 0;
@@ -1408,11 +1304,7 @@ impl AdaptiveClusterIndex {
         snapshot.extend(
             (0..self.clusters.len() as u32).filter(|&s| self.clusters[s as usize].is_some()),
         );
-        if self.config.reference {
-            self.full_pass(&snapshot, &mut report, &mut profile);
-        } else {
-            self.incremental_pass(&snapshot, &mut report, &mut profile);
-        }
+        self.pass(&snapshot, &mut report, &mut profile);
         self.reorg_scratch.snapshot = snapshot;
         profile.thrash_cycles = self.pass_thrash;
         profile.objects_moved = self.pass_moved;
@@ -1462,10 +1354,10 @@ impl AdaptiveClusterIndex {
     }
 
     /// Work profile of the most recent reorganization pass — how many
-    /// clusters were dirty, evaluated, candidate-scanned, or screened
-    /// out. Diagnostics only: unlike the [`ReorgReport`], the profile
-    /// legitimately differs between the production pass and the
-    /// [`IndexConfig::reference`] sweep.
+    /// clusters were evaluated, candidate-scanned, or screened out.
+    /// Diagnostics only: unlike the [`ReorgReport`], the profile
+    /// legitimately differs between production and
+    /// [`IndexConfig::reference`].
     pub fn last_reorg_profile(&self) -> ReorgProfile {
         self.last_profile
     }
@@ -1483,16 +1375,18 @@ impl AdaptiveClusterIndex {
         self.reorg_wall_ns
     }
 
-    /// The full-sweep reorganization pass: every cluster surviving the
-    /// epoch gate is merge-evaluated and candidate-scanned with scalar
-    /// benefit arithmetic — the decision oracle the incremental pass is
-    /// tested against.
-    fn full_pass(
-        &mut self,
-        snapshot: &[u32],
-        report: &mut ReorgReport,
-        profile: &mut ReorgProfile,
-    ) {
+    /// The pass loop (paper Fig. 1), one for both executions: same visit
+    /// order, same epoch gate, same merge expression. The split step is
+    /// where they part. [`IndexConfig::reference`] catches every
+    /// evaluated cluster's counters up and scans them with scalar
+    /// arithmetic — the decision oracle. Production first asks the O(1)
+    /// screen ([`AdaptiveClusterIndex::split_screen_rules_out`]), which
+    /// touches no candidate column and so leaves the cluster's decay
+    /// lazy, and runs the columnar scan
+    /// ([`AdaptiveClusterIndex::split_scan_columnar`]) only on a cluster
+    /// the screen cannot rule out.
+    fn pass(&mut self, snapshot: &[u32], report: &mut ReorgReport, profile: &mut ReorgProfile) {
+        let costs = self.pass_costs();
         for &slot in snapshot {
             if self.clusters[slot as usize].is_none() {
                 continue; // removed by an earlier merge in this pass
@@ -1506,195 +1400,39 @@ impl AdaptiveClusterIndex {
             if slot != self.root && self.merge_profitable(slot) {
                 self.merge_cluster(slot);
                 report.merges += 1;
-            } else {
-                self.materialize_candidates(slot);
-                let splits = self.split_scan_scalar(slot, epoch_len);
-                profile.candidate_scans += 1 + splits;
-                report.splits += splits;
-            }
-        }
-    }
-
-    /// The incremental reorganization pass. Decision-identical to
-    /// [`AdaptiveClusterIndex::full_pass`] (same visit order, same gate,
-    /// bit-identical benefit values), three layers cheaper:
-    ///
-    /// * merge benefits are evaluated up front in one batched column
-    ///   over the snapshot slots, falling back to the scalar expression
-    ///   once a merge or materialization has changed some cluster's
-    ///   inputs mid-pass (the column is the same arithmetic, batched);
-    /// * the O(1) screen ([`AdaptiveClusterIndex::split_screen_rules_out`])
-    ///   skips the candidate scan of every cluster that provably cannot
-    ///   materialize anything — with the dirty set, the common case of a
-    ///   cluster whose statistics barely moved costs O(1) per pass;
-    /// * the scans that do run evaluate their benefit column in one
-    ///   vectorizable pass over the candidate counter columns and price
-    ///   the sqrt-bearing significance threshold only for candidates
-    ///   whose benefit can still win.
-    fn incremental_pass(
-        &mut self,
-        snapshot: &[u32],
-        report: &mut ReorgReport,
-        profile: &mut ReorgProfile,
-    ) {
-        let mut scratch = std::mem::take(&mut self.reorg_scratch);
-        // This pass only needs the merge columns; park the benefit
-        // column back where the nested split scans will look for it.
-        self.reorg_scratch.benefits = std::mem::take(&mut scratch.benefits);
-        scratch.merge_p_c.clear();
-        scratch.merge_p_a.clear();
-        scratch.merge_n.clear();
-        let mut denom_min = f64::INFINITY;
-        let mut denom_max = f64::NEG_INFINITY;
-        for &slot in snapshot {
-            let cluster = self.cluster(slot);
-            let denom =
-                cluster.weight + self.total_queries.saturating_sub(cluster.epoch_start) as f64;
-            denom_min = denom_min.min(denom);
-            denom_max = denom_max.max(denom);
-            // `p_c` is invariant for the rest of the pass (no scalar
-            // statistic moves while it runs), so the gathered column
-            // also feeds the screen and the split scans.
-            scratch.merge_p_c.push(self.access_probability(cluster));
-            match cluster.parent {
-                Some(parent) => {
-                    scratch
-                        .merge_p_a
-                        .push(self.access_probability(self.cluster(parent)));
-                    scratch
-                        .merge_n
-                        .push(self.store.segment_len(cluster.segment) as u32);
-                }
-                // The root never merges; its benefit entry is never read.
-                None => {
-                    scratch.merge_p_a.push(0.0);
-                    scratch.merge_n.push(0);
-                }
-            }
-        }
-        let costs = self.pass_costs();
-        merging_benefit_column(
-            costs.a,
-            costs.b,
-            costs.c,
-            &scratch.merge_p_c,
-            &scratch.merge_p_a,
-            &scratch.merge_n,
-            &mut scratch.merge_benefits,
-        );
-        // Division- and sqrt-free floor under every cluster's merge
-        // threshold: `threshold ≥ n(2C + M)/H + (z/D)(nC + B)` with `D` at
-        // most the largest statistics denominator of the pass (smaller
-        // `D` only raises the confidence term), deflated by the slack
-        // that dominates the rounding error of either side. Clusters
-        // whose merge benefit sits at or below the floor are provably
-        // unprofitable without pricing the sqrt-bearing threshold —
-        // which includes the ubiquitous `benefit ≈ A` cold-on-cold
-        // pairs. The z-term is dropped if any denominator is
-        // non-positive (such a cluster's confidence margin is zero).
-        let zd_merge = if costs.z > 0.0 && denom_min > 0.0 {
-            costs.z / denom_max
-        } else {
-            0.0
-        };
-        let merge_r_floor =
-            (costs.moved / costs.horizon + zd_merge * costs.c) * (1.0 - FLOOR_SLACK);
-        let merge_s_floor = zd_merge * costs.b * (1.0 - FLOOR_SLACK);
-
-        let mut structure_changed = false;
-        for (k, &slot) in snapshot.iter().enumerate() {
-            if self.clusters[slot as usize].is_none() {
-                continue; // removed by an earlier merge in this pass
-            }
-            let cluster = self.cluster(slot);
-            let epoch_len = self.total_queries.saturating_sub(cluster.epoch_start);
-            if cluster.weight + (epoch_len as f64) < self.config.min_epoch_queries as f64 {
                 continue;
             }
-            profile.evaluated += 1;
-            let merges = slot != self.root && {
-                let (benefit, n_c) = if structure_changed {
-                    (
-                        self.merge_benefit(slot),
-                        self.store.segment_len(self.cluster(slot).segment),
-                    )
-                } else {
-                    (scratch.merge_benefits[k], scratch.merge_n[k] as usize)
-                };
-                // The threshold is non-negative, so a non-positive
-                // benefit can never clear it; the exact sqrt-bearing
-                // threshold is priced only for benefits above the floor.
-                benefit > 0.0
-                    && benefit > n_c as f64 * merge_r_floor + merge_s_floor
-                    && benefit > self.merge_threshold(slot)
-            };
-            if merges {
-                self.merge_cluster(slot);
-                report.merges += 1;
-                structure_changed = true;
-            } else if self.scan_cache_rules_out(slot, epoch_len, &costs, scratch.merge_p_c[k]) {
-                // Debug builds re-run the scan the cached verdict just
-                // skipped and insist it really finds nothing — a
-                // tripwire for any future hole in the cache's soundness
-                // argument (it caught a missing invalidation once).
-                #[cfg(debug_assertions)]
-                {
-                    let cache = self.scan_caches[slot as usize].expect("verdict implies cache");
-                    let diagnostics = self.debug_price_candidates(slot, epoch_len, &costs);
-                    let splits = self.try_cluster_split_columnar_entry(
-                        slot,
-                        epoch_len,
-                        &costs,
-                        scratch.merge_p_c[k],
-                    );
-                    assert_eq!(
-                        splits, 0,
-                        "cached verdict wrongly skipped a split on slot {slot}: p_c={} \
-                         g_hi={} cached_c={} current_c={} epoch_len={epoch_len}\n{diagnostics}",
-                        scratch.merge_p_c[k], cache.g_hi, cache.c, costs.c
-                    );
-                }
-                profile.screened_out += 1;
-                profile.cached_verdicts += 1;
-            } else if self.split_screen_rules_out(slot, epoch_len, &costs, scratch.merge_p_c[k]) {
-                // Same tripwire for the O(1) screen: debug builds run
-                // the scan it skipped and insist it finds nothing.
-                #[cfg(debug_assertions)]
-                {
-                    let n_hi = self.stats_arena.slice(self.cluster(slot).candidates).n_hi();
-                    let splits = self.try_cluster_split_columnar_entry(
-                        slot,
-                        epoch_len,
-                        &costs,
-                        scratch.merge_p_c[k],
-                    );
-                    assert_eq!(
-                        splits, 0,
-                        "screen wrongly skipped a split on slot {slot}: p_c={} \
-                         n_hi={n_hi} epoch_len={epoch_len}",
-                        scratch.merge_p_c[k]
-                    );
-                }
-                profile.screened_out += 1;
+            let splits = if self.config.reference {
+                self.materialize_candidates(slot);
+                self.split_scan_scalar(slot, epoch_len)
             } else {
-                let splits = self.try_cluster_split_columnar_entry(
-                    slot,
-                    epoch_len,
-                    &costs,
-                    scratch.merge_p_c[k],
-                );
-                profile.candidate_scans += 1 + splits;
-                report.splits += splits;
-                if splits > 0 {
-                    structure_changed = true;
+                // No scalar statistic moves while a pass runs, so the
+                // screen and the scan share one `p_c`.
+                let p_c = self.access_probability(self.cluster(slot));
+                if self.split_screen_rules_out(slot, epoch_len, &costs, p_c) {
+                    // Debug builds run the scan the screen skipped and
+                    // insist it finds nothing — a tripwire for any hole
+                    // in the screen's soundness argument.
+                    #[cfg(debug_assertions)]
+                    {
+                        let n_hi = self.stats_arena.slice(self.cluster(slot).candidates).n_hi();
+                        self.materialize_candidates(slot);
+                        let splits = self.split_scan_columnar(slot, epoch_len, &costs, p_c);
+                        assert_eq!(
+                            splits, 0,
+                            "screen wrongly skipped a split on slot {slot}: p_c={p_c} \
+                             n_hi={n_hi} epoch_len={epoch_len}"
+                        );
+                    }
+                    profile.screened_out += 1;
+                    continue;
                 }
-            }
+                self.materialize_candidates(slot);
+                self.split_scan_columnar(slot, epoch_len, &costs, p_c)
+            };
+            profile.candidate_scans += 1 + splits;
+            report.splits += splits;
         }
-        // The nested split scans parked the benefit column back into
-        // `self.reorg_scratch` (this pass holds the merge columns via
-        // `take`); carry it over or its capacity is dropped every pass.
-        scratch.benefits = std::mem::take(&mut self.reorg_scratch.benefits);
-        self.reorg_scratch = scratch;
     }
 
     /// Merging benefit `μ(c, parent)` of one cluster under current
@@ -1726,10 +1464,10 @@ impl AdaptiveClusterIndex {
         self.merge_benefit(slot) > self.merge_threshold(slot)
     }
 
-    /// The O(1) cached-verdict screen: decides — soundly — whether a
-    /// full candidate scan of `slot` could possibly materialize
-    /// anything, without touching the candidate columns (and therefore
-    /// without forcing their lazy decay).
+    /// The O(1) screen: decides — soundly — whether a full candidate
+    /// scan of `slot` could possibly materialize anything, without
+    /// touching the candidate columns (and therefore without forcing
+    /// their lazy decay).
     ///
     /// The screen prices the most profitable candidate any scan could
     /// find: a hypothetical candidate holding the cluster's cached
@@ -1795,50 +1533,6 @@ impl AdaptiveClusterIndex {
         benefit_hi <= threshold_lo
     }
 
-    /// The dirty-set-gated verdict cache (see [`ScanCache`]): `true`
-    /// when the cluster's last candidate scan found nothing, no
-    /// statistic has been touched since (any touch drops the cache via
-    /// [`AdaptiveClusterIndex::mark_dirty`]), and the cached benefit
-    /// coefficient proves the scan would still find nothing at the
-    /// current access probability and cost terms. Untouched clusters
-    /// only get *colder* — `p_c` is monotonically non-increasing under
-    /// pure decay and every candidate benefit is `p_c·g_i − A` with
-    /// `g_i` invariant (up to an effective `C` that must not have
-    /// grown) — so on workloads with any skew most clusters resolve
-    /// here, without even the screen's benefit pricing.
-    fn scan_cache_rules_out(&self, slot: u32, epoch_len: u64, costs: &PassCosts, p_c: f64) -> bool {
-        let Some(cache) = self.scan_caches.get(slot as usize).copied().flatten() else {
-            return false;
-        };
-        if costs.c > cache.c * (1.0 + SCAN_CACHE_C_HEADROOM) {
-            // The effective C grew past the verdict's headroom: the
-            // benefit coefficients may have too.
-            return false;
-        }
-        // Every candidate benefit is at most `p_c·g − A` with `g` the
-        // headroom-adjusted coefficient bound (see
-        // [`SCAN_CACHE_C_HEADROOM`]); the slack inflates the bound
-        // *upward* regardless of its sign (covering the lazily decayed
-        // counters' ulp drift).
-        let g = (1.0 + SCAN_CACHE_C_HEADROOM) * cache.g_hi + SCAN_CACHE_C_HEADROOM * costs.b;
-        let base = p_c * g;
-        let benefit_hi = base + base.abs() * SCAN_CACHE_SLACK - costs.a;
-        if benefit_hi <= 0.0 {
-            return true; // thresholds of populated candidates are strictly positive
-        }
-        // Thresholds are at least the n = 1 floor.
-        let cluster = self.cluster(slot);
-        let denom = cluster.weight + epoch_len as f64;
-        let zd = if costs.z > 0.0 && denom > 0.0 {
-            costs.z / denom
-        } else {
-            0.0
-        };
-        let thr1 =
-            (costs.moved / costs.horizon + zd * (costs.c + costs.b)) * (1.0 - FLOOR_SLACK);
-        benefit_hi <= thr1
-    }
-
     /// Paper Fig. 2: moves all members of `slot` into its parent, updates
     /// the parent's candidate statistics, reparents the children, and
     /// removes the cluster.
@@ -1847,10 +1541,6 @@ impl AdaptiveClusterIndex {
         if self.wal.is_some() {
             let signature = self.cluster(slot).signature.to_bytes();
             self.wal_log_structural(WalRecord::Merge { signature });
-        }
-        // The dying slot's verdict must not leak to a later occupant.
-        if let Some(cache) = self.scan_caches.get_mut(slot as usize) {
-            *cache = None;
         }
         let parent_slot = self.cluster(slot).parent.expect("non-root has a parent");
         let cluster = self.clusters[slot as usize]
@@ -1887,23 +1577,7 @@ impl AdaptiveClusterIndex {
             self.cluster_mut(child).parent = Some(parent_slot);
             self.cluster_mut(parent_slot).children.push(child);
         }
-        self.mark_dirty(parent_slot);
         self.reorg_fault(ReorgFaultPoint::AfterMerge);
-    }
-
-    /// The incremental pass's split scan: lazy-decay catch-up, then the
-    /// columnar benefit evaluation. `p_c` is the cluster's access
-    /// probability, invariant across the pass and therefore computed
-    /// once by the gather loop.
-    fn try_cluster_split_columnar_entry(
-        &mut self,
-        slot: u32,
-        epoch_len: u64,
-        costs: &PassCosts,
-        p_c: f64,
-    ) -> u64 {
-        self.materialize_candidates(slot);
-        self.split_scan_columnar(slot, epoch_len, costs, p_c)
     }
 
     /// Paper Fig. 3, the reference's split scan: greedily materializes
@@ -1949,7 +1623,7 @@ impl AdaptiveClusterIndex {
                 (best, max_n)
             };
             // The scan walked every counter anyway: re-tighten the
-            // cached bound the incremental screen prices.
+            // cached bound the production screen prices.
             {
                 let cluster = self.clusters[slot as usize]
                     .as_mut()
@@ -1987,10 +1661,6 @@ impl AdaptiveClusterIndex {
     ) -> u64 {
         let mut splits = 0u64;
         let mut blocked = 0u64;
-        // Re-assigned by every column evaluation; the loop always runs
-        // at least once before it is read.
-        #[allow(unused_assignments)]
-        let mut last_max_bound = f64::NEG_INFINITY;
         let mut benefits = std::mem::take(&mut self.reorg_scratch.benefits);
         loop {
             let (best, max_n) = {
@@ -2032,7 +1702,6 @@ impl AdaptiveClusterIndex {
                     &mut benefits,
                 );
                 let max_n = summary.max_n;
-                last_max_bound = summary.max_bound;
                 // Almost every scan of an adapted index finds *no*
                 // candidate above its floor (memberless candidates have
                 // negative bounds, so they can never fire); the branchy
@@ -2095,7 +1764,6 @@ impl AdaptiveClusterIndex {
             splits += 1;
         }
         self.reorg_scratch.benefits = benefits;
-        self.store_scan_cache(slot, p_c, costs, last_max_bound);
         self.pass_cooldown_blocked += blocked;
         splits
     }
@@ -2111,11 +1779,11 @@ impl AdaptiveClusterIndex {
     /// the qualifying set and production-vs-reference decision-identity
     /// is preserved for every cool-down value. Rendering the candidate
     /// signature is deferred to that rare case, keeping the veto off an
-    /// adapted index's hot path. Soundness of the incremental pass's
-    /// screens is unaffected: the cool-down only *removes*
-    /// materializations, and the cached-bound column still prices vetoed
-    /// candidates, so a profitable-but-vetoed candidate keeps its
-    /// cluster's scan alive until the cool-down expires.
+    /// adapted index's hot path. Soundness of the production screen is
+    /// unaffected: the cool-down only *removes* materializations, and
+    /// the screen still prices vetoed candidates, so a
+    /// profitable-but-vetoed candidate keeps its cluster's scan alive
+    /// until the cool-down expires.
     fn candidate_on_cooldown(&self, cluster: &Cluster, idx: usize) -> bool {
         if self.config.merge_cooldown == 0 || self.recent_merges.is_empty() {
             return false;
@@ -2129,108 +1797,6 @@ impl AdaptiveClusterIndex {
             Some(&at) => self.reorganizations.saturating_sub(at) < self.config.merge_cooldown,
             None => false,
         }
-    }
-
-    /// Debug-only: catches the candidate counters up and prices every
-    /// populated candidate with the scalar expressions, returning a dump
-    /// of those that would qualify for materialization — tripwire
-    /// forensics for an unsound screen/cache verdict.
-    #[cfg(debug_assertions)]
-    fn debug_price_candidates(&mut self, slot: u32, epoch_len: u64, costs: &PassCosts) -> String {
-        use std::fmt::Write as _;
-        self.materialize_candidates(slot);
-        let cluster = self.cluster(slot);
-        let cands = self.stats_arena.slice(cluster.candidates);
-        let p_c = self.access_probability(cluster);
-        let denom = cluster.weight + epoch_len as f64;
-        let mut out = format!(
-            "cluster: weight={} epoch_start={} denom={denom} p_c={p_c} q_count={} q_eff={} \
-             cand_stamp={} stats_epoch={} n_hi={}\n",
-            cluster.weight,
-            cluster.epoch_start,
-            cluster.q_count,
-            cluster.q_eff,
-            cands.stamp(),
-            self.stats_epoch,
-            cands.n_hi(),
-        );
-        for idx in 0..cands.len() {
-            let n = cands.n(idx);
-            if n == 0 {
-                continue;
-            }
-            let p_s = if denom <= 0.0 {
-                0.0
-            } else {
-                (cands.q_eff(idx) + cands.q(idx) as f64) / denom
-            };
-            let benefit = materialization_benefit(costs.a, costs.b, costs.c, p_c, p_s, n as usize);
-            let threshold =
-                self.move_margin(n as usize) + self.confidence_margin(p_s, denom, n as usize);
-            if benefit > threshold {
-                let _ = writeln!(
-                    out,
-                    "  QUALIFIES idx={idx}: n={n} q={} q_eff={} p_s={p_s} \
-                     benefit={benefit} threshold={threshold} g_i={}",
-                    cands.q(idx),
-                    cands.q_eff(idx),
-                    if p_c > 0.0 {
-                        (benefit + costs.a) / p_c
-                    } else {
-                        f64::NAN
-                    },
-                );
-            }
-        }
-        out
-    }
-
-    /// Records the final iteration's no-split outcome as the cluster's
-    /// cached verdict (after any materializations of this scan have
-    /// already re-marked it dirty and dropped the stale cache, so the
-    /// stored bound reflects the cluster's final state).
-    ///
-    /// A verdict is only stored for a cluster **untouched in the open
-    /// epoch** (`q_count == 0`). The epoch close that follows this pass
-    /// folds the fresh count undecayed (`q_eff ← γ·q_eff + q_count`)
-    /// while every history decays, so a cluster with fresh traffic has
-    /// its candidate/cluster probability *ratios* — exactly what the
-    /// cached coefficient bound summarizes — shifted at the fold: a
-    /// candidate whose traffic is relatively more historical than the
-    /// cluster's gets relatively colder, its benefit coefficient
-    /// *grows*, and a verdict priced pre-fold could wrongly rule the
-    /// post-fold scan out (observed as a missed split on a mixed-kind
-    /// workload). Since caches are only consulted in *later* passes —
-    /// always across at least one fold — such a verdict could never be
-    /// soundly used, so it is simply not stored. With `q_count == 0`
-    /// the fold is a pure `×γ` scaling of both sides of every ratio
-    /// (and the lazy candidate catch-up replays exactly those
-    /// multiplications), leaving the ratios invariant up to the ulp
-    /// drift [`SCAN_CACHE_SLACK`] absorbs.
-    fn store_scan_cache(&mut self, slot: u32, p_c: f64, costs: &PassCosts, max_bound: f64) {
-        if self.cluster(slot).q_count > 0 {
-            // mark_dirty already dropped any previous verdict when the
-            // cluster was touched this epoch.
-            debug_assert!(self
-                .scan_caches
-                .get(slot as usize)
-                .copied()
-                .flatten()
-                .is_none());
-            return;
-        }
-        let g_hi = if max_bound == f64::NEG_INFINITY || p_c <= 0.0 {
-            // No populated candidates, or a cluster whose probability —
-            // and with it every candidate's — is exactly zero and stays
-            // zero under decay: nothing can materialize while clean.
-            0.0
-        } else {
-            (max_bound + costs.a) / p_c
-        };
-        if self.scan_caches.len() <= slot as usize {
-            self.scan_caches.resize(slot as usize + 1, None);
-        }
-        self.scan_caches[slot as usize] = Some(ScanCache { g_hi, c: costs.c });
     }
 
     /// Materializes candidate `cand_idx` of cluster `slot` as a new
@@ -2286,7 +1852,6 @@ impl AdaptiveClusterIndex {
             epoch_start: parent_epoch,
             q_eff: inherited_q_eff,
             weight: parent_weight,
-            dirty: false,
         });
 
         // Move qualifying objects; maintain the source cluster's candidate
@@ -2327,8 +1892,6 @@ impl AdaptiveClusterIndex {
             ncands.record_member(flat);
             self.store.push(new_segment, *oid, flat);
         }
-        self.mark_dirty(slot);
-        self.mark_dirty(new_slot);
         self.reorg_fault(ReorgFaultPoint::AfterMaterialize);
     }
 
@@ -2354,10 +1917,6 @@ impl AdaptiveClusterIndex {
     /// ([`AdaptiveClusterIndex::materialize_candidates`]). A close is
     /// therefore O(clusters) scalar work plus O(changed counters)
     /// amortized, instead of O(total counters) every period.
-    ///
-    /// The close also retires the dirty set: every statistic is folded
-    /// (or stamped for lazy folding), so no cluster has changed relative
-    /// to the *new* epoch.
     fn decay_statistics(&mut self) {
         let now = self.total_queries;
         let gamma = self.config.stats_decay;
@@ -2374,20 +1933,6 @@ impl AdaptiveClusterIndex {
             cluster.epoch_start = now;
         }
         self.stats_epoch += 1;
-        let mut dirty = std::mem::take(&mut self.dirty_slots);
-        for slot in dirty.drain(..) {
-            // Entries may point at clusters merged away since they were
-            // marked (or, rarely, at a recycled slot — clearing a fresh
-            // cluster's flag is a no-op either way).
-            if let Some(cluster) = self
-                .clusters
-                .get_mut(slot as usize)
-                .and_then(|c| c.as_mut())
-            {
-                cluster.dirty = false;
-            }
-        }
-        self.dirty_slots = dirty;
     }
 
     /// Read-only snapshots of all materialized clusters (depth-first
@@ -2654,7 +2199,6 @@ impl AdaptiveClusterIndex {
                 epoch_start,
                 q_eff,
                 weight,
-                dirty: false,
             });
         }
         let root = root.ok_or_else(|| corrupt("no root cluster".into()))?;
@@ -2710,8 +2254,6 @@ impl AdaptiveClusterIndex {
             delta_scratch: StatsDelta::new(),
             explored_scratch: Vec::new(),
             stats_epoch: 0,
-            dirty_slots: Vec::new(),
-            scan_caches: Vec::new(),
             reorg_scratch,
             last_profile: ReorgProfile::default(),
             recent_merges: HashMap::new(),
@@ -3181,8 +2723,8 @@ struct ClusterMeta {
 /// The adaptive state a full-fidelity checkpoint carries beyond the
 /// cluster tree itself: index-wide clocks and byte histories, the
 /// per-cluster statistics, the free-slot stack, and the recent-merge
-/// memory. Everything else (candidate `n` counters, scan caches, dirty
-/// flags, scratch) is recomputed or safely dropped on load.
+/// memory. Everything else (candidate `n` counters, scratch) is
+/// recomputed or safely dropped on load.
 struct CheckpointMeta {
     /// Id of the checkpoint this META record belongs to; matched
     /// against the WAL header's stamp during recovery.

@@ -20,20 +20,16 @@ impl ReorgReport {
     }
 }
 
-/// Work profile of the most recent reorganization pass — diagnostics
-/// for the incremental pass, *not* part of its decision surface.
+/// Work profile of the most recent reorganization pass — diagnostics,
+/// *not* part of its decision surface.
 ///
-/// Unlike [`ReorgReport`], which is identical between the production
-/// pass and the [`crate::IndexConfig::reference`] sweep by construction,
-/// the profile describes how much work a pass performed and therefore
-/// legitimately differs between them (the full sweep scans every
-/// evaluated cluster and screens none).
+/// Unlike [`ReorgReport`], which is identical between production and
+/// [`crate::IndexConfig::reference`] by construction, the profile
+/// describes how much work a pass performed and therefore legitimately
+/// differs between them (`reference` scans every evaluated cluster and
+/// screens none).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReorgProfile {
-    /// Size of the dirty set at pass start: clusters whose statistics
-    /// (matching-query counters or membership) changed since the
-    /// previous pass.
-    pub dirty_clusters: u64,
     /// Clusters that passed the epoch gate and had their merge and
     /// split verdicts evaluated.
     pub evaluated: u64,
@@ -44,11 +40,6 @@ pub struct ReorgProfile {
     /// Clusters whose O(1) screen proved the candidate scan could not
     /// find a profitable split, skipping it entirely.
     pub screened_out: u64,
-    /// Clusters resolved even cheaper than the screen: untouched since
-    /// their last scan, their cached no-split verdict still holds under
-    /// pure decay (a subset of the dirty-set savings; counted within
-    /// `screened_out` as well).
-    pub cached_verdicts: u64,
     /// Objects the pass's merges and materializations moved from one
     /// cluster to another — what the move margin's per-object cost `M`
     /// is charged for (`scan_bench --cost-terms` divides pass time by

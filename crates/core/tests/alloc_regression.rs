@@ -108,8 +108,7 @@ fn warmed_up_read_path_allocates_nothing_per_query() {
 
     // Adapt the index so several clusters exist and exploration does
     // real tree traversal, run every query through `execute` on the
-    // adapted tree (warming the index-owned scratch and growing the
-    // dirty set to every cluster the queries reach), then warm the
+    // adapted tree (warming the index-owned scratch), then warm the
     // caller-owned scratch pair over every query.
     for _ in 0..2 {
         for q in &queries {

@@ -3,8 +3,8 @@
 //! access counter (`AccessStats`), every recorded statistic
 //! (`StatsDelta`), and every reorganization decision derived from them.
 //! A production index (columnar member kernel,
-//! compare-and-count candidate kernel, incremental pass) and a
-//! reference index (object-at-a-time loops, full scalar sweep) are
+//! compare-and-count candidate kernel, screened columnar pass) and a
+//! reference index (object-at-a-time loops, every cluster scanned) are
 //! driven through identical workloads and compared query by query.
 //!
 //! The same holds across the three statistics sinks of one index
@@ -175,6 +175,8 @@ struct Trio {
     delta: StatsDelta,
     scratch: QueryScratch,
     threads: usize,
+    /// Slots the recorded deltas touched since the test last cleared it.
+    touched: std::collections::HashSet<u32>,
 }
 
 impl Trio {
@@ -187,6 +189,7 @@ impl Trio {
             delta: StatsDelta::new(),
             scratch: QueryScratch::new(),
             threads,
+            touched: Default::default(),
         }
     }
 
@@ -210,6 +213,7 @@ impl Trio {
             let b = self
                 .two_phase
                 .query_recorded_with(q, &mut self.delta, &mut self.scratch);
+            self.touched.extend(self.delta.touched_slots());
             self.two_phase.apply_stats(&self.delta);
             assert_eq!(a.matches, self.scratch.matches(), "two-phase matches on {q:?}");
             assert_eq!(a.matches, c.matches, "batch matches on {q:?}");
@@ -311,26 +315,27 @@ fn assert_sinks_equivalent(reference: bool, threads: usize, period: u64) {
 
     // Three epochs that only visit the high corner: the low corner's
     // clusters sleep through three closes…
-    let mut asleep = u64::MAX;
+    let mut awake = usize::MAX;
     for _ in 0..3 {
         let queries = corner_points(&mut rng, dims, 0.75, 70);
+        trio.touched.clear();
         epoch(&mut trio, &queries);
         if period == 0 {
-            let dirty = trio.direct.last_reorg_profile().dirty_clusters;
             assert!(
-                dirty < trio.direct.cluster_count() as u64,
+                trio.touched.len() < trio.direct.cluster_count(),
                 "test premise: some clusters were left untouched"
             );
-            asleep = asleep.min(dirty);
+            awake = awake.min(trio.touched.len());
         }
     }
     // …and are then hit again: each replays the closes it skipped
     // before the first new increment lands on it.
     let queries = corner_points(&mut rng, dims, 0.0, 70);
+    trio.touched.clear();
     epoch(&mut trio, &queries);
     if period == 0 {
         assert!(
-            trio.direct.last_reorg_profile().dirty_clusters > asleep,
+            trio.touched.len() > awake,
             "test premise: sleeping clusters were hit again"
         );
     }

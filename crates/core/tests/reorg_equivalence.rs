@@ -1,5 +1,6 @@
 //! The production reorganization pass must be **decision-identical**
-//! to the reference's full scalar sweep ([`IndexConfig::reference`]):
+//! to the reference's scalar scan of every cluster
+//! ([`IndexConfig::reference`]):
 //! same [`ReorgReport`] from every pass, same merges and
 //! materializations, bit-identical [`ClusterSnapshot`]s — across
 //! mutation/query interleavings, every query kind, and streams that
@@ -7,7 +8,7 @@
 //! index are driven through identical workloads and compared pass by
 //! pass.
 //!
-//! The screen, the batched benefit columns, and the lazy candidate
+//! The screen, the columnar split scan, and the lazy candidate
 //! decay are all exercised here: the production index skips scans and
 //! leaves untouched counters un-decayed, yet every observable decision
 //! must equal the reference's. Because `reference` also selects the
@@ -20,7 +21,7 @@
 //! move term both passes price alike, is compared at the scale it
 //! clusters at by `measured_profile_is_decision_identical_at_scale`.
 
-use acx_core::{AdaptiveClusterIndex, IndexConfig};
+use acx_core::{AdaptiveClusterIndex, IndexConfig, ReorgReport};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
 use acx_storage::StorageScenario;
 use acx_workloads::{
@@ -36,8 +37,8 @@ fn paper(dims: usize) -> IndexConfig {
     IndexConfig::edbt2004(dims, StorageScenario::Memory)
 }
 
-/// The production configuration (incremental pass, batch kernels)
-/// against the reference (full scalar sweep, object-at-a-time loops).
+/// The production configuration (screened columnar pass, batch kernels)
+/// against the reference (every cluster scanned, object-at-a-time loops).
 fn mode_pair(config: &IndexConfig) -> (AdaptiveClusterIndex, AdaptiveClusterIndex) {
     let incremental = AdaptiveClusterIndex::new(config.clone()).unwrap();
     let oracle = AdaptiveClusterIndex::new(IndexConfig {
@@ -201,8 +202,8 @@ fn drive_and_compare(
 
     for period in 0..periods {
         for k in 0..queries_per_period {
-            // Interleave membership mutations with queries so dirty
-            // tracking sees inserts, removals and updates mid-epoch.
+            // Interleave membership mutations with queries so the
+            // passes see inserts, removals and updates mid-epoch.
             match rng.gen_range(0..10u32) {
                 0 => {
                     let rect = random_rect(&mut rng, dims, 8);
@@ -313,9 +314,10 @@ fn forced_splits_then_merges_are_identical() {
 }
 
 /// The screen must actually skip work while staying decision-identical:
-/// on a skewed stream, the incremental pass screens out a majority of
-/// its evaluated clusters (otherwise it silently degenerated into the
-/// full sweep and the equivalence above proves nothing about skipping).
+/// on a skewed stream, the production pass screens out a majority of
+/// its evaluated clusters (otherwise it silently degenerated into
+/// scanning everything and the equivalence above proves nothing about
+/// skipping).
 #[test]
 fn screen_skips_scans_without_changing_decisions() {
     let dims = 6;
@@ -355,12 +357,13 @@ fn screen_skips_scans_without_changing_decisions() {
 
 /// A cluster whose signature *rejects* every query of the current
 /// workload — both its start and end variation intervals specialized to
-/// a region the queries left — goes completely untouched: its cached
-/// no-split verdict from the last scan must then carry passes without a
-/// scan (the dirty-set-gated verdict cache), while decisions stay
-/// identical to the full sweep.
+/// a region the queries left — goes completely untouched: its
+/// candidate counters lag further behind the statistics epoch with
+/// every pass production screens it out of, while `reference` catches
+/// them up and scans them each time. Both must keep evaluating it,
+/// leave it as it is, and stay decision-identical.
 #[test]
-fn cached_verdicts_carry_fully_abandoned_clusters() {
+fn abandoned_clusters_stay_decision_identical() {
     let dims = 2;
     let mut config = paper(dims);
     config.reorg_period = 0;
@@ -389,8 +392,8 @@ fn cached_verdicts_carry_fully_abandoned_clusters() {
                          rng: &mut StdRng,
                          lo: f32,
                          passes: usize|
-     -> u64 {
-        let mut cached_verdicts = 0u64;
+     -> ReorgReport {
+        let mut last = ReorgReport::default();
         for _ in 0..passes {
             for _ in 0..60 {
                 let p: Vec<f32> =
@@ -398,11 +401,11 @@ fn cached_verdicts_carry_fully_abandoned_clusters() {
                 let q = SpatialQuery::point_enclosing(p);
                 assert_eq!(incremental.execute(&q).matches, oracle.execute(&q).matches);
             }
-            assert_eq!(incremental.reorganize(), oracle.reorganize());
-            cached_verdicts += incremental.last_reorg_profile().cached_verdicts;
+            last = incremental.reorganize();
+            assert_eq!(last, oracle.reorganize());
             assert_state_identical(incremental, oracle, "phase pass");
         }
-        cached_verdicts
+        last
     };
     // Phase A: high-corner points — the untouched low-corner candidate
     // is cold and huge, so it materializes as one big specialized
@@ -410,22 +413,35 @@ fn cached_verdicts_carry_fully_abandoned_clusters() {
     run_phase(&mut incremental, &mut oracle, &mut rng, 0.8, 2);
     assert!(incremental.total_splits() > 0, "phase A must materialize the cold corner");
     // Phase B: low-corner points heat that cluster up — it fails the
-    // screen, is scanned every pass, and (once its refinement cascade
-    // settles) stores its no-split verdict.
+    // screen, is scanned every pass, and its refinement cascade narrows
+    // it down to the 2000 identical objects.
     run_phase(&mut incremental, &mut oracle, &mut rng, 0.0, 6);
-    // Phase C: back to high-corner points. The low cluster's signature
-    // rejects them all, it is far too big to merge, and its cached
-    // verdict must now carry passes without a scan.
-    let cached_verdicts = run_phase(&mut incremental, &mut oracle, &mut rng, 0.8, 4);
-    assert!(
-        cached_verdicts > 0,
-        "abandoned clusters must resolve through their cached verdicts"
-    );
+    // Phase C: back to high-corner points; the first pass takes the
+    // cascade's last step. From then on the low cluster's signature
+    // rejects every query and it is far too big to merge: each pass
+    // evaluates it with every other cluster, and neither splits it nor
+    // merges it away, while the clusters around it keep changing.
+    run_phase(&mut incremental, &mut oracle, &mut rng, 0.8, 1);
+    let abandoned = |index: &AdaptiveClusterIndex| {
+        let cluster = index.snapshots().into_iter().max_by_key(|c| c.objects).unwrap();
+        (cluster.signature, cluster.objects, cluster.access_probability)
+    };
+    let before = abandoned(&incremental);
+    assert_eq!((before.1, before.2), (2000, 0.0), "test premise: one cluster is abandoned");
+    for pass in 0..3 {
+        let report = run_phase(&mut incremental, &mut oracle, &mut rng, 0.8, 1);
+        assert_eq!(
+            incremental.last_reorg_profile().evaluated,
+            report.clusters_before as u64,
+            "pass {pass}: every cluster, the abandoned one included, is evaluated"
+        );
+        assert_eq!(abandoned(&incremental), before, "pass {pass}: the abandoned cluster changed");
+    }
 }
 
 /// Auto-triggered passes (reorg_period > 0) through `execute` and
-/// `execute_batch` also stay identical — the dirty set survives batch
-/// windows and delta merging.
+/// `execute_batch` also stay identical across batch windows and delta
+/// merging.
 #[test]
 fn auto_triggered_passes_and_batches_are_identical() {
     let dims = 4;
@@ -454,7 +470,7 @@ fn auto_triggered_passes_and_batches_are_identical() {
 
 /// Drifting hotspot: the query focus migrates every period, so new
 /// regions keep materializing while abandoned ones merge back — the
-/// dirty set and the screens churn continuously under both modes.
+/// screen's verdicts churn continuously.
 #[test]
 fn scenario_equivalence_migrating_hotspot() {
     let cfg = WorkloadConfig::new(5, 900, 0xD21F7);
@@ -466,7 +482,7 @@ fn scenario_equivalence_migrating_hotspot() {
 
 /// Flash crowd: a calm uniform stream punctuated by a concentrated
 /// spike — the abrupt density change exercises the epoch gate and the
-/// cached verdicts of suddenly-hot clusters.
+/// screen on suddenly-hot clusters.
 #[test]
 fn scenario_equivalence_flash_crowd() {
     let cfg = WorkloadConfig::new(4, 1000, 0xF1A58);
@@ -475,13 +491,11 @@ fn scenario_equivalence_flash_crowd() {
     drive_scenario_pair(paper(cfg.dims), scenario, objects, 0, 8, 80, 4);
 }
 
-/// Mixed query kinds over a drifting hotspot — the stream class that
-/// exposed the scan-cache fold-drift hole: mixed kinds move the
-/// effective `C` (verify fraction) every pass, and a verdict cached in
-/// an epoch with fresh traffic went stale at the very next fold
-/// (`q_eff ← γ·q_eff + q_count` shifts the candidate/cluster
-/// probability ratios). The clustered object population adds
-/// correlated density for the shift to abandon.
+/// Mixed query kinds over a drifting hotspot: mixed kinds move the
+/// effective `C` (verify fraction) every pass, and each epoch fold
+/// (`q_eff ← γ·q_eff + q_count`) shifts the candidate/cluster
+/// probability ratios of the clusters with fresh traffic. The clustered
+/// object population adds correlated density for the shift to abandon.
 #[test]
 fn scenario_equivalence_mixed_traffic_clustered() {
     let cfg = WorkloadConfig::new(5, 1100, 0x31BED);
@@ -508,7 +522,7 @@ fn scenario_equivalence_oscillating_adversary_with_cooldown() {
 /// The measured profile at the scale it clusters at: 20 000 clustered
 /// 4-d objects under a hotspot that glides and, half-way, jumps. Both
 /// passes price the recording term in `B` and the move term `M` in
-/// every margin, floor and cached verdict alike — per-pass reports,
+/// every margin, floor and screen verdict alike — per-pass reports,
 /// snapshots and the final checkpoint bytes are equal, with splits and
 /// merges on the way.
 #[test]
@@ -523,12 +537,10 @@ fn measured_profile_is_decision_identical_at_scale() {
     println!("measured profile, 20 000 objects: {splits} splits, {merges} merges");
 }
 
-/// Bench-scale regression for the scan-cache fold-drift bug (fixed in
-/// `store_scan_cache`): before the fix, this exact stream diverged by
-/// one split at pass 49 — the cached verdict of a cluster that was hot
-/// when scanned under-priced a candidate after the epoch fold. Runs in
-/// seconds under `--release`, minutes in debug; kept `#[ignore]`d for
-/// on-demand full-scale verification:
+/// The mixed-traffic stream at bench scale: production against
+/// `reference` over 60 passes of 20 000 8-d objects, the effective `C`
+/// drifting every pass with the mix of query kinds. Runs in seconds
+/// under `--release`, minutes in debug, hence `#[ignore]`d in tier-1:
 /// `cargo test --release -p acx_core --test reorg_equivalence -- --ignored`
 #[test]
 #[ignore = "bench-scale; run explicitly with --release"]
@@ -543,8 +555,8 @@ fn scenario_equivalence_mixed_traffic_bench_scale() {
 
 proptest! {
     /// Random workloads in 1–8 dimensions, all query kinds, random
-    /// mutation interleavings and period lengths: the incremental pass
-    /// and the full sweep report identical `ReorgReport`s and leave
+    /// mutation interleavings and period lengths: production and
+    /// `reference` report identical `ReorgReport`s and leave
     /// bit-identical clustering state, pass after pass.
     #[test]
     fn prop_incremental_equals_full(
