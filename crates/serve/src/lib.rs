@@ -21,6 +21,22 @@
 //! absorbs arrivals up to the cap while the other shards keep serving,
 //! which is what bounds event-to-match latency during a pass.
 //!
+//! A handoff between a submitter and a worker costs a cache line, not a
+//! sleep. Each side notifies the other's condvar only when the other is
+//! parked on it, so a publish to a busy or spinning worker makes no
+//! syscall. A worker whose queue empties spins briefly on an atomic
+//! depth hint before it parks, because on a mutation-heavy stream the
+//! next command is usually microseconds away. A synchronous call
+//! ([`ShardedIndex::with_shard`], [`ShardedIndex::flush`] and every
+//! mutation) waits for its answer in a one-shot reply slot, again
+//! spinning before it parks; a slot the worker drops unanswered (the
+//! closure panicked, or the worker is gone) wakes the caller, which
+//! panics with "shard worker exited". Spinning pays only when the
+//! waiting thread has a core to itself, so the spin budget is zero —
+//! park at once — when `available_parallelism()` is no more than the
+//! shard count (the submitter needs a core too); it is read once, at
+//! construction.
+//!
 //! ## Backpressure contract
 //!
 //! Fan-out is all-or-nothing: [`ShardedIndex::try_submit`] reserves a
@@ -51,16 +67,20 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, IndexError, RecoveryReport};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
 use acx_storage::{FileBacking, FlushPolicy, Wal};
 use partition::shard_of;
-use queue::BoundedQueue;
+use queue::{reply_slot, BoundedQueue, Reply};
 
 /// Default per-shard ingestion queue capacity.
 pub const DEFAULT_QUEUE_CAP: usize = 1024;
+
+/// How long a worker with an empty queue, or a caller waiting for a
+/// reply, spins before it parks, when the host has a core to spare.
+const SPIN_BUDGET: Duration = Duration::from_micros(100);
 
 /// Configuration of a [`ShardedIndex`].
 #[derive(Debug, Clone)]
@@ -220,6 +240,19 @@ struct ShardShared {
     depth_hist: Vec<AtomicU64>,
 }
 
+/// Closes a shard's queue when its worker exits, however it exits, and
+/// drops what is left in it: a command stranded behind a panic then
+/// drops its reply slot, which wakes the caller, instead of waiting for
+/// a worker that is gone.
+struct CloseOnExit<'a>(&'a BoundedQueue<Command>);
+
+impl Drop for CloseOnExit<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+        while self.0.pop().is_some() {}
+    }
+}
+
 /// Per-shard counter baselines at the start of the current window
 /// (the inner index accumulates over its lifetime; windows subtract).
 struct WindowBaseline {
@@ -246,6 +279,8 @@ pub struct ShardedIndex {
     submit_stalls: AtomicU64,
     submit_stall_ns: AtomicU64,
     window: Mutex<WindowBaseline>,
+    /// [`SPIN_BUDGET`], or zero on a host without a core to spare.
+    spin: Duration,
 }
 
 impl ShardedIndex {
@@ -299,11 +334,20 @@ impl ShardedIndex {
             events_completed: AtomicU64::new(0),
             retain_results: config.retain_results,
         });
+        // Without a core to spare a spinner holds the core its peer
+        // needs: two shards spinning on two cores serve `churn_wal` at
+        // half the rate of parking at once.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let spin = if cores > config.shards {
+            SPIN_BUDGET
+        } else {
+            Duration::ZERO
+        };
         let mut shards = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
         for (i, mut index) in indexes.into_iter().enumerate() {
             let shared = Arc::new(ShardShared {
-                queue: BoundedQueue::new(config.queue_cap),
+                queue: BoundedQueue::new(config.queue_cap, spin),
                 events: AtomicU64::new(0),
                 depth_hist: (0..=config.queue_cap).map(|_| AtomicU64::new(0)).collect(),
             });
@@ -313,6 +357,7 @@ impl ShardedIndex {
                 std::thread::Builder::new()
                     .name(format!("acx-shard-{i}"))
                     .spawn(move || {
+                        let _close = CloseOnExit(&shared.queue);
                         while let Some(cmd) = shared.queue.pop() {
                             match cmd {
                                 Command::Event { seq, query } => {
@@ -345,6 +390,7 @@ impl ShardedIndex {
                 started: Instant::now(),
                 reorg,
             }),
+            spin,
         })
     }
 
@@ -449,20 +495,11 @@ impl ShardedIndex {
     /// executed on every shard. Queues are FIFO, so one round-trip
     /// no-op per shard is a full barrier.
     pub fn flush(&self) {
-        let receivers: Vec<_> = (0..self.shards.len())
-            .map(|i| {
-                let (tx, rx) = mpsc::channel();
-                self.send_apply(
-                    i,
-                    Box::new(move |_| {
-                        let _ = tx.send(());
-                    }),
-                );
-                rx
-            })
+        let replies: Vec<_> = (0..self.shards.len())
+            .map(|i| self.ask(i, |_| ()))
             .collect();
-        for rx in receivers {
-            rx.recv().expect("shard worker exited");
+        for reply in replies {
+            reply.wait(self.spin).expect("shard worker exited");
         }
     }
 
@@ -487,6 +524,18 @@ impl ShardedIndex {
         q.push_reserved(Command::Apply(f));
     }
 
+    /// Enqueues `f` on `shard`'s worker and returns the reply slot its
+    /// result comes back through.
+    fn ask<R, F>(&self, shard: usize, f: F) -> Reply<R>
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut AdaptiveClusterIndex) -> R + Send + 'static,
+    {
+        let (replier, reply) = reply_slot();
+        self.send_apply(shard, Box::new(move |index| replier.send(f(index))));
+        reply
+    }
+
     /// Runs `f` against `shard`'s index from its worker thread, after
     /// everything already queued there, and returns its result. The
     /// inspection hook for tests and stats — also how every mutation
@@ -496,8 +545,8 @@ impl ShardedIndex {
         R: Send + 'static,
         F: FnOnce(&mut AdaptiveClusterIndex) -> R + Send + 'static,
     {
-        self.with_shard_deferred(shard, f)
-            .recv()
+        self.ask(shard, f)
+            .wait(self.spin)
             .expect("shard worker exited")
     }
 
@@ -564,32 +613,24 @@ impl ShardedIndex {
                 groups[shard].push((id, rect));
             }
         }
-        let receivers: Vec<_> = groups
+        let replies: Vec<_> = groups
             .into_iter()
             .enumerate()
             .filter(|(_, group)| !group.is_empty())
             .map(|(shard, group)| {
                 let ids: Vec<ObjectId> = group.iter().map(|(id, _)| *id).collect();
-                let (tx, rx) = mpsc::channel();
-                self.send_apply(
-                    shard,
-                    Box::new(move |index| {
-                        let mut outcome: Result<(), (usize, IndexError)> = Ok(());
-                        for (k, (id, rect)) in group.into_iter().enumerate() {
-                            if let Err(e) = index.insert(id, rect) {
-                                outcome = Err((k, e));
-                                break;
-                            }
-                        }
-                        let _ = tx.send(outcome);
-                    }),
-                );
-                (ids, rx)
+                let reply = self.ask(shard, move |index| -> Result<(), (usize, IndexError)> {
+                    for (k, (id, rect)) in group.into_iter().enumerate() {
+                        index.insert(id, rect).map_err(|e| (k, e))?;
+                    }
+                    Ok(())
+                });
+                (ids, reply)
             })
             .collect();
         let mut first_error = None;
-        for (ids, rx) in receivers {
-            if let Err((applied, e)) = rx.recv().expect("shard worker exited") {
+        for (ids, reply) in replies {
+            if let Err((applied, e)) = reply.wait(self.spin).expect("shard worker exited") {
                 let mut routes = self.routes.lock().expect("routes lock");
                 for id in &ids[applied..] {
                     routes.remove(&id.0);
@@ -978,5 +1019,28 @@ mod tests {
         assert_eq!(stats.events_completed, 0);
         assert_eq!(stats.latency_p50_ns, 0);
         assert_eq!(stats.shards[0].events, 0);
+    }
+
+    #[test]
+    fn dropping_an_idle_index_joins_its_workers_promptly() {
+        // Right after the last reply the worker is spinning (where the
+        // host has a core to spare); well past the budget it is parked.
+        // Close ends either wait. A worker it failed to wake would never
+        // be joined; the bound is a second, not a multiple of the
+        // budget, because on a loaded single core the scheduler alone
+        // can delay the worker's wake-up by milliseconds.
+        for idle in [Duration::ZERO, SPIN_BUDGET * 10] {
+            let index = small_index(1);
+            index.insert(ObjectId(1), rect(0.2, 0.4)).unwrap();
+            index.flush();
+            std::thread::sleep(idle);
+            let started = Instant::now();
+            drop(index);
+            let took = started.elapsed();
+            assert!(
+                took < Duration::from_secs(1),
+                "idle {idle:?}: drop took {took:?}"
+            );
+        }
     }
 }

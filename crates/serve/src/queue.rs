@@ -1,4 +1,6 @@
-//! Bounded MPSC command queue with two-phase admission.
+//! The handoff between submitting threads and a shard worker: a bounded
+//! MPSC command queue with two-phase admission, and the one-shot reply
+//! slot a synchronous call waits on.
 //!
 //! Event submission fans one query out to every shard, and that fan-out
 //! must be all-or-nothing: an event queued on some shards but rejected
@@ -9,46 +11,93 @@
 //! submitter reserves on all shards in shard order (a total order, so
 //! concurrent blocking submitters cannot deadlock), rolling everything
 //! back on the first rejection, and only then publishes everywhere.
+//!
+//! A handoff costs a cache line, not a sleep, when a core is free for
+//! the waiting side: a thread about to wait first spins on an atomic
+//! hint for a bounded budget ([`spin_until`]), and parks on its condvar
+//! only after that. The other side notifies a condvar only when the
+//! flag it reads under the lock says a thread is parked there, so a
+//! handoff to a spinning or busy thread makes no syscall.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
+
+/// Spins until `ready()` holds or `budget` has passed. With a zero
+/// budget it checks `ready()` once; the caller re-checks under its lock
+/// either way.
+fn spin_until(budget: Duration, ready: impl Fn() -> bool) {
+    let started = Instant::now();
+    while !ready() && started.elapsed() < budget {
+        std::hint::spin_loop();
+    }
+}
 
 struct Inner<T> {
     items: VecDeque<T>,
     /// Slots claimed by reservations not yet published.
     reserved: usize,
-    closed: bool,
+    /// The worker waits on `not_empty`.
+    worker_parked: bool,
+    /// Submitters waiting on `not_full`.
+    submitters_parked: usize,
 }
 
 /// A capacity-bounded FIFO between the submitting threads and one shard
 /// worker.
 pub(crate) struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
+    /// `items.len()`, stored under the lock at every push and pop: what
+    /// the worker's spin reads without it. Relaxed, like `closed`: both
+    /// are hints, and the items are taken under the lock.
+    depth: AtomicUsize,
+    /// Set under the lock; read without it by the worker's spin.
+    closed: AtomicBool,
     not_full: Condvar,
     not_empty: Condvar,
     cap: usize,
+    /// How long [`BoundedQueue::pop`] spins on an empty queue before it
+    /// parks.
+    spin: Duration,
 }
 
 impl<T> BoundedQueue<T> {
-    pub fn new(cap: usize) -> Self {
+    pub fn new(cap: usize, spin: Duration) -> Self {
         assert!(cap > 0, "queue capacity must be positive");
         Self {
             inner: Mutex::new(Inner {
                 items: VecDeque::with_capacity(cap),
                 reserved: 0,
-                closed: false,
+                worker_parked: false,
+                submitters_parked: 0,
             }),
+            depth: AtomicUsize::new(0),
+            closed: AtomicBool::new(false),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
             cap,
+            spin,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+        self.inner.lock().expect("queue lock")
+    }
+
+    /// Wakes one parked submitter, if any; called with a slot just freed.
+    fn release_slot(&self, g: MutexGuard<'_, Inner<T>>) {
+        let wake = g.submitters_parked > 0;
+        drop(g);
+        if wake {
+            self.not_full.notify_one();
         }
     }
 
     /// Claims one slot if the queue has spare capacity, without
     /// publishing anything.
     pub fn try_reserve(&self) -> bool {
-        let mut g = self.inner.lock().expect("queue lock");
+        let mut g = self.lock();
         if g.items.len() + g.reserved < self.cap {
             g.reserved += 1;
             true
@@ -61,14 +110,16 @@ impl<T> BoundedQueue<T> {
     /// Returns the nanoseconds spent waiting (`0` when admission was
     /// immediate) so the caller can account backpressure stalls.
     pub fn reserve(&self) -> u64 {
-        let mut g = self.inner.lock().expect("queue lock");
+        let mut g = self.lock();
         if g.items.len() + g.reserved < self.cap {
             g.reserved += 1;
             return 0;
         }
         let started = Instant::now();
         while g.items.len() + g.reserved >= self.cap {
+            g.submitters_parked += 1;
             g = self.not_full.wait(g).expect("queue lock");
+            g.submitters_parked -= 1;
         }
         g.reserved += 1;
         started.elapsed().as_nanos() as u64
@@ -77,69 +128,178 @@ impl<T> BoundedQueue<T> {
     /// Rolls back one slot claimed by [`BoundedQueue::try_reserve`] /
     /// [`BoundedQueue::reserve`].
     pub fn cancel_reservation(&self) {
-        let mut g = self.inner.lock().expect("queue lock");
+        let mut g = self.lock();
         debug_assert!(g.reserved > 0, "cancel without a reservation");
         g.reserved = g.reserved.saturating_sub(1);
-        drop(g);
-        self.not_full.notify_one();
+        self.release_slot(g);
     }
 
     /// Publishes an item into a previously claimed slot — infallible by
     /// construction. Returns the queue depth right after the push (the
-    /// sample the depth histogram records).
+    /// sample the depth histogram records). On a closed queue the item
+    /// is dropped instead, since no worker will pop it.
     pub fn push_reserved(&self, item: T) -> usize {
-        let mut g = self.inner.lock().expect("queue lock");
+        let mut g = self.lock();
         debug_assert!(g.reserved > 0, "publish without a reservation");
         g.reserved = g.reserved.saturating_sub(1);
+        if self.closed.load(Ordering::Relaxed) {
+            drop(g);
+            drop(item);
+            return 0;
+        }
         g.items.push_back(item);
         let depth = g.items.len();
+        self.depth.store(depth, Ordering::Relaxed);
+        let wake = g.worker_parked;
         drop(g);
-        self.not_empty.notify_one();
+        if wake {
+            self.not_empty.notify_one();
+        }
         depth
     }
 
-    /// Dequeues the next item, blocking while the queue is empty.
-    /// `None` once the queue is closed **and** drained — the worker's
-    /// exit signal.
+    /// Dequeues the next item, spinning and then blocking while the
+    /// queue is empty. `None` once the queue is closed **and** drained
+    /// — the worker's exit signal.
     pub fn pop(&self) -> Option<T> {
-        let mut g = self.inner.lock().expect("queue lock");
+        let mut g = self.lock();
         loop {
             if let Some(item) = g.items.pop_front() {
-                drop(g);
-                self.not_full.notify_one();
+                self.depth.store(g.items.len(), Ordering::Relaxed);
+                self.release_slot(g);
                 return Some(item);
             }
-            if g.closed {
+            if self.closed.load(Ordering::Relaxed) {
                 return None;
             }
-            g = self.not_empty.wait(g).expect("queue lock");
+            drop(g);
+            spin_until(self.spin, || {
+                self.depth.load(Ordering::Relaxed) > 0 || self.closed.load(Ordering::Relaxed)
+            });
+            g = self.lock();
+            while g.items.is_empty() && !self.closed.load(Ordering::Relaxed) {
+                g.worker_parked = true;
+                g = self.not_empty.wait(g).expect("queue lock");
+                g.worker_parked = false;
+            }
         }
     }
 
     /// Published items currently waiting (reservations excluded).
     #[cfg(test)]
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("queue lock").items.len()
+        self.lock().items.len()
     }
 
     /// Closes the queue: the worker drains what remains, then sees
-    /// `None`. Called with no submitter alive (drop order), so no
-    /// reservation can be outstanding.
+    /// `None`, and anything published later is dropped.
     pub fn close(&self) {
-        self.inner.lock().expect("queue lock").closed = true;
+        let g = self.lock();
+        self.closed.store(true, Ordering::Relaxed);
+        drop(g);
         self.not_empty.notify_all();
         self.not_full.notify_all();
+    }
+}
+
+struct SlotState<R> {
+    reply: Option<R>,
+    caller_parked: bool,
+}
+
+struct Slot<R> {
+    /// Set under `state`'s lock once the reply is in or will never come;
+    /// read without it by the caller's spin. Relaxed: the reply itself
+    /// is taken under the lock, so the flag publishes nothing.
+    answered: AtomicBool,
+    state: Mutex<SlotState<R>>,
+    answered_cv: Condvar,
+}
+
+impl<R> Slot<R> {
+    /// Every update under this lock is one assignment, so the state is
+    /// valid even if a holder panicked; and [`Replier`]'s `Drop` must
+    /// not panic.
+    fn lock(&self) -> MutexGuard<'_, SlotState<R>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn answer(&self, reply: Option<R>) {
+        let mut state = self.lock();
+        state.reply = reply;
+        self.answered.store(true, Ordering::Relaxed);
+        let wake = state.caller_parked;
+        drop(state);
+        if wake {
+            self.answered_cv.notify_one();
+        }
+    }
+}
+
+/// A one-shot slot a synchronous call's answer comes back through: the
+/// worker side ([`Replier`]) and the caller's side ([`Reply`]).
+pub(crate) fn reply_slot<R>() -> (Replier<R>, Reply<R>) {
+    let slot = Arc::new(Slot {
+        answered: AtomicBool::new(false),
+        state: Mutex::new(SlotState {
+            reply: None,
+            caller_parked: false,
+        }),
+        answered_cv: Condvar::new(),
+    });
+    (Replier(Arc::clone(&slot)), Reply(slot))
+}
+
+/// The worker's end of a reply slot. Dropped without [`Replier::send`]
+/// — the closure carrying it panicked, or was dropped unrun because the
+/// worker is gone — it wakes the caller with no answer.
+pub(crate) struct Replier<R>(Arc<Slot<R>>);
+
+impl<R> Replier<R> {
+    pub fn send(self, reply: R) {
+        self.0.answer(Some(reply));
+    }
+}
+
+impl<R> Drop for Replier<R> {
+    fn drop(&mut self) {
+        // Only this side writes `answered`, so the load sees `send`'s store.
+        if !self.0.answered.load(Ordering::Relaxed) {
+            self.0.answer(None);
+        }
+    }
+}
+
+/// The caller's end of a reply slot.
+pub(crate) struct Reply<R>(Arc<Slot<R>>);
+
+impl<R> Reply<R> {
+    /// Waits for the answer, spinning up to `spin` before it parks.
+    /// `None` when the [`Replier`] was dropped unanswered.
+    pub fn wait(self, spin: Duration) -> Option<R> {
+        let slot = &self.0;
+        spin_until(spin, || slot.answered.load(Ordering::Relaxed));
+        let mut state = slot.lock();
+        while !slot.answered.load(Ordering::Relaxed) {
+            state.caller_parked = true;
+            state = slot
+                .answered_cv
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.caller_parked = false;
+        }
+        state.reply.take()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::mpsc;
 
     #[test]
     fn reservations_count_against_capacity() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(2);
+        let q: BoundedQueue<u32> = BoundedQueue::new(2, Duration::ZERO);
         assert!(q.try_reserve());
         assert!(q.try_reserve());
         assert!(!q.try_reserve(), "cap reached via reservations alone");
@@ -156,17 +316,19 @@ mod tests {
 
     #[test]
     fn close_drains_then_signals_exit() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(4);
+        let q: BoundedQueue<u32> = BoundedQueue::new(4, Duration::ZERO);
         assert!(q.try_reserve());
         q.push_reserved(7);
+        assert!(q.try_reserve());
         q.close();
+        q.push_reserved(8);
         assert_eq!(q.pop(), Some(7));
-        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop(), None, "published after close: dropped");
     }
 
     #[test]
     fn blocking_reserve_reports_the_stall() {
-        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(1));
+        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(1, Duration::ZERO));
         assert!(q.try_reserve());
         q.push_reserved(1);
         let producer = {
@@ -177,10 +339,88 @@ mod tests {
                 waited
             })
         };
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        std::thread::sleep(Duration::from_millis(20));
         assert_eq!(q.pop(), Some(1));
         let waited = producer.join().expect("producer");
         assert!(waited > 0, "reserve should have blocked");
         assert_eq!(q.pop(), Some(2));
+    }
+
+    /// How a popper on an empty queue was doing when the queue closed.
+    struct ClosedUnder {
+        returned_before: bool,
+        parked: bool,
+        popped: Option<u32>,
+        took: Duration,
+    }
+
+    /// Runs `pop` on an empty queue in another thread, waits until
+    /// `ready(q)`, closes the queue, and reports how long the popper
+    /// took to return after the close. Asserts nothing itself, so the
+    /// close always happens and the popper always ends.
+    fn close_under_pop(
+        q: &BoundedQueue<u32>,
+        ready: impl Fn(&BoundedQueue<u32>) -> bool,
+    ) -> ClosedUnder {
+        std::thread::scope(|scope| {
+            let (popped_tx, popped_rx) = mpsc::channel();
+            scope.spawn(move || popped_tx.send(q.pop()).expect("test alive"));
+            while !ready(q) {
+                std::thread::yield_now();
+            }
+            let returned_before = popped_rx.try_recv().is_ok();
+            let parked = q.lock().worker_parked;
+            let closed = Instant::now();
+            q.close();
+            let popped = popped_rx.recv().ok().flatten();
+            ClosedUnder {
+                returned_before,
+                parked,
+                popped,
+                took: closed.elapsed(),
+            }
+        })
+    }
+
+    #[test]
+    fn close_ends_the_spin_and_the_park() {
+        // A budget far longer than the test: 20 ms in, the popper is
+        // spinning, and close must end the spin rather than outlast it.
+        let spinning: BoundedQueue<u32> = BoundedQueue::new(1, Duration::from_secs(10));
+        let started = Instant::now();
+        let run = close_under_pop(&spinning, |_| started.elapsed() > Duration::from_millis(20));
+        assert!(
+            !run.returned_before && !run.parked,
+            "the popper was spinning"
+        );
+        assert_eq!(run.popped, None);
+        assert!(
+            run.took < Duration::from_secs(1),
+            "close ended the spin after {:?}",
+            run.took
+        );
+
+        let parking: BoundedQueue<u32> = BoundedQueue::new(1, Duration::ZERO);
+        let run = close_under_pop(&parking, |q| q.lock().worker_parked);
+        assert!(!run.returned_before && run.parked, "the popper was parked");
+        assert_eq!(run.popped, None);
+        assert!(
+            run.took < Duration::from_secs(1),
+            "close ended the park after {:?}",
+            run.took
+        );
+    }
+
+    #[test]
+    fn a_dropped_replier_answers_none() {
+        let (replier, reply) = reply_slot::<u32>();
+        let worker = std::thread::spawn(move || drop(replier));
+        assert_eq!(reply.wait(Duration::ZERO), None);
+        worker.join().expect("worker");
+
+        let (replier, reply) = reply_slot::<u32>();
+        let worker = std::thread::spawn(move || replier.send(5));
+        assert_eq!(reply.wait(Duration::from_millis(1)), Some(5));
+        worker.join().expect("worker");
     }
 }
