@@ -53,7 +53,7 @@
 //! to the same view types, which is what lets this module's tests mirror
 //! every arena range against an independently mutated owned set.
 
-use acx_geom::scan::{count_candidates, CandidateColumns, QueryBounds, RunBounds};
+use acx_geom::scan::{count_candidates, CandidateColumns, PairedColumns, QueryBounds, RunBounds};
 use acx_geom::{Scalar, SpatialQuery};
 
 use crate::signature::{SigInterval, Signature};
@@ -299,6 +299,61 @@ impl<'a> CandidateSlice<'a> {
     pub fn signature(&self, ci: usize, parent: &Signature, f: u8) -> Signature {
         parent.specialize(self.dim[ci] as usize, f, self.sub_i[ci], self.sub_j[ci])
     }
+
+    /// Counts, from scratch, how many of `members` (the parent
+    /// cluster's segment columns) each candidate accepts, into `out`
+    /// (one entry per candidate): per candidate, one branch-free pass
+    /// over the lower- and upper-bound columns of its specialized
+    /// dimension. Independent of the incremental
+    /// [`CandidateSliceMut::record_member`] bookkeeping, which is what
+    /// lets `check_invariants` audit that bookkeeping with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not exactly one entry per candidate.
+    pub fn count_members(&self, members: &PairedColumns<'_>, out: &mut [u32]) {
+        count_members(
+            self.start_lo,
+            self.start_reach,
+            self.end_lo,
+            self.end_reach,
+            self.dim_offsets,
+            members,
+            out,
+        );
+    }
+}
+
+/// The column recount behind [`CandidateSlice::count_members`] and
+/// [`CandidateSliceMut::recount_members`], over a set's bound columns.
+/// A member qualifies when its bounds in the candidate's dimension fall
+/// into the start and end subintervals; the four comparisons are
+/// combined with `&` rather than `&&`, so the member loop has no branch
+/// and vectorizes.
+fn count_members(
+    start_lo: &[Scalar],
+    start_reach: &[Scalar],
+    end_lo: &[Scalar],
+    end_reach: &[Scalar],
+    dim_offsets: &[u32],
+    members: &PairedColumns<'_>,
+    out: &mut [u32],
+) {
+    assert_eq!(out.len(), start_lo.len(), "one member count per candidate");
+    for d in 0..dim_offsets.len() - 1 {
+        let (lo, hi) = (members.lo_col(d), members.hi_col(d));
+        for ci in dim_offsets[d] as usize..dim_offsets[d + 1] as usize {
+            let (s_lo, s_reach) = (start_lo[ci], start_reach[ci]);
+            let (e_lo, e_reach) = (end_lo[ci], end_reach[ci]);
+            out[ci] = lo
+                .iter()
+                .zip(hi)
+                .map(|(&a, &b)| {
+                    ((s_lo <= a) & (a <= s_reach) & (e_lo <= b) & (b <= e_reach)) as u32
+                })
+                .sum();
+        }
+    }
 }
 
 /// Borrowed, mutable view of one cluster's candidate statistics — the
@@ -375,27 +430,58 @@ impl CandidateSliceMut<'_> {
         self.adjust_member(flat, false);
     }
 
+    /// At most one candidate per dimension run accepts a member: the `f`
+    /// start subintervals of a variation interval are disjoint, and so
+    /// are the `f` end subintervals (§4.2), so one `(i, j)` cell holds
+    /// the member's start and end — or none does, when that cell was
+    /// dropped as infeasible. The scan therefore stops at the first
+    /// accepting candidate of each run; debug builds scan the rest of
+    /// the run and insist nothing else accepts.
     fn adjust_member(&mut self, flat: &[Scalar], add: bool) {
+        let accepts = |ci: usize, a: Scalar, b: Scalar| {
+            self.start_lo[ci] <= a
+                && a <= self.start_reach[ci]
+                && self.end_lo[ci] <= b
+                && b <= self.end_reach[ci]
+        };
         for d in 0..self.dims() {
             let a = flat[2 * d];
             let b = flat[2 * d + 1];
             let run = self.dim_offsets[d] as usize..self.dim_offsets[d + 1] as usize;
-            for ci in run {
-                let accepts = self.start_lo[ci] <= a
-                    && a <= self.start_reach[ci]
-                    && self.end_lo[ci] <= b
-                    && b <= self.end_reach[ci];
-                if accepts {
-                    if add {
-                        self.n[ci] += 1;
-                        *self.n_hi = (*self.n_hi).max(self.n[ci]);
-                    } else {
-                        debug_assert!(self.n[ci] > 0);
-                        self.n[ci] -= 1;
-                    }
-                }
+            let Some(ci) = run.clone().find(|&ci| accepts(ci, a, b)) else {
+                continue;
+            };
+            debug_assert!(
+                !(ci + 1..run.end).any(|other| accepts(other, a, b)),
+                "two candidates of dimension {d} accept the member {flat:?}"
+            );
+            if add {
+                self.n[ci] += 1;
+                *self.n_hi = (*self.n_hi).max(self.n[ci]);
+            } else {
+                debug_assert!(self.n[ci] > 0);
+                self.n[ci] -= 1;
             }
         }
+    }
+
+    /// Replaces every candidate's member count with a recount over
+    /// `members` — the parent cluster's segment columns — and the
+    /// cached bound with their exact maximum
+    /// ([`CandidateSlice::count_members`], written in place): what
+    /// recording each member once into zeroed counters leaves, at a
+    /// column pass per candidate instead of a candidate run per member.
+    pub fn recount_members(&mut self, members: &PairedColumns<'_>) {
+        count_members(
+            self.start_lo,
+            self.start_reach,
+            self.end_lo,
+            self.end_reach,
+            self.dim_offsets,
+            members,
+            self.n,
+        );
+        *self.n_hi = self.n.iter().copied().max().unwrap_or(0);
     }
 
     /// Adds `inc` matching queries to candidate `ci`, saturating at
@@ -493,6 +579,13 @@ impl CandidateSliceMut<'_> {
         *self.n_hi
     }
 
+    /// The member-count column, writable: lets tests break the counts
+    /// the index's consistency check must catch.
+    #[cfg(test)]
+    pub(crate) fn n_col_mut(&mut self) -> &mut [u32] {
+        self.n
+    }
+
     /// Re-tightens the cached bound to the exact maximum, as computed by
     /// a pass that walked the `n` column anyway.
     ///
@@ -515,10 +608,11 @@ impl CandidateSliceMut<'_> {
         *self.stamp = epoch;
     }
 
-    /// Restores persisted query counters onto a freshly regenerated set —
-    /// the checkpoint-recovery path. The `n` column is never persisted
-    /// (membership replay recomputes it exactly), so only the query
-    /// columns, the `n_hi` bound, and the decay stamp come from disk.
+    /// Restores saved query counters, `n_hi` bound and decay stamp onto
+    /// the set, leaving the `n` column as it is — the checkpoint-recovery
+    /// path (`n` is never persisted: the load recounts it from the
+    /// members, [`CandidateSliceMut::recount_members`]), and how the
+    /// pass's debug tripwire puts back what its scan touched.
     ///
     /// # Panics
     ///
@@ -534,9 +628,9 @@ impl CandidateSliceMut<'_> {
         );
         self.q.copy_from_slice(q);
         self.q_eff.copy_from_slice(q_eff);
-        // The persisted bound was valid for the persisted membership; the
-        // members replayed so far may already exceed a stale bound, so
-        // keep whichever is higher (the bound may be loose, never low).
+        // A bound saved for these members is never below their counts; a
+        // damaged or hand-built checkpoint's may be, so keep whichever is
+        // higher (the bound may be loose, never low).
         let replayed_max = self.n.iter().copied().max().unwrap_or(0);
         *self.n_hi = n_hi.max(replayed_max);
         *self.stamp = stamp;
@@ -1752,6 +1846,92 @@ mod proptests {
             }
             prop_assert_eq!(&column, &want, "into a separate column");
             prop_assert_eq!(set.as_slice().q_col(), &want[..], "in place");
+        }
+
+        /// Member recording stops at the first accepting candidate of a
+        /// dimension run, and the column recount counts every candidate
+        /// at once; both must leave what the exhaustive loop — every
+        /// candidate that accepts a member counts it — leaves, on the
+        /// root and on chains of materialized children, for members
+        /// inside and outside the signature, on and off the subdivision
+        /// grid: `n` after recording, after removing every third member
+        /// again, and recounted; `n_hi` raised by recordings, untouched
+        /// by removals, and exact after the recount.
+        #[test]
+        fn first_hit_recording_and_recount_equal_the_exhaustive_loop(
+            dims in 1usize..=5,
+            f in prop_oneof![Just(2u8), Just(4u8)],
+            specs in prop::collection::vec((0usize..5, 0u8..4, 0u8..4), 0..4),
+            members in prop::collection::vec(
+                prop::collection::vec((0u8..=16, 0u8..=16, 0u32..1 << 20), 5),
+                1..40,
+            ),
+        ) {
+            let mut sig = Signature::root(dims);
+            for &(d, i, j) in &specs {
+                let (d, i, j) = (d % dims, i % f, j % f);
+                if sig.combination_feasible(d, f, i, j) {
+                    sig = sig.specialize(d, f, i, j);
+                }
+            }
+            // Grid-snapped ends hit subinterval boundaries; the rest are
+            // spread over [0, 1] off the grid.
+            let coord = |k: u8, jitter: u32| {
+                if jitter.is_multiple_of(3) {
+                    k as Scalar / 16.0
+                } else {
+                    jitter as Scalar / (1 << 20) as Scalar
+                }
+            };
+            let flats: Vec<Vec<Scalar>> = members
+                .iter()
+                .map(|m| {
+                    m.iter()
+                        .take(dims)
+                        .flat_map(|&(a, b, jitter)| {
+                            let (a, b) = (coord(a, jitter), coord(b, jitter / 3));
+                            [a.min(b), a.max(b)]
+                        })
+                        .collect()
+                })
+                .collect();
+
+            let mut set = CandidateSet::generate(&sig, f);
+            let mut oracle = vec![0u32; set.len()];
+            let record = |set: &mut CandidateSet, oracle: &mut [u32], flat: &[Scalar], add: bool| {
+                for (ci, n) in oracle.iter_mut().enumerate() {
+                    if set.as_slice().accepts_member(ci, flat) {
+                        *n = if add { *n + 1 } else { *n - 1 };
+                    }
+                }
+                if add {
+                    set.as_slice_mut().record_member(flat);
+                } else {
+                    set.as_slice_mut().unrecord_member(flat);
+                }
+            };
+            for flat in &flats {
+                record(&mut set, &mut oracle, flat, true);
+            }
+            // Counts only rose so far: the running maximum is the last.
+            let oracle_hi = oracle.iter().copied().max().unwrap_or(0);
+            prop_assert_eq!(set.as_slice().n_col(), &oracle[..]);
+            prop_assert_eq!(set.as_slice().n_hi(), oracle_hi);
+            for flat in flats.iter().step_by(3) {
+                record(&mut set, &mut oracle, flat, false);
+            }
+            prop_assert_eq!(set.as_slice().n_col(), &oracle[..]);
+            prop_assert_eq!(set.as_slice().n_hi(), oracle_hi);
+
+            let kept: Vec<&Vec<Scalar>> =
+                flats.iter().enumerate().filter(|(k, _)| k % 3 != 0).map(|(_, f)| f).collect();
+            let cols: Vec<Vec<Scalar>> = (0..2 * dims)
+                .map(|c| kept.iter().map(|flat| flat[c]).collect())
+                .collect();
+            let mut recounted = CandidateSet::generate(&sig, f);
+            recounted.as_slice_mut().recount_members(&PairedColumns::of_equal_columns(&cols));
+            prop_assert_eq!(recounted.as_slice().n_col(), &oracle[..]);
+            prop_assert_eq!(recounted.as_slice().n_hi(), oracle.iter().copied().max().unwrap_or(0));
         }
 
         /// Arena life-cycle invariants across random interleavings of

@@ -294,6 +294,12 @@ struct ReorgScratch {
     snapshot: Vec<u32>,
     /// Candidate materialization benefits (one per candidate).
     benefits: Vec<f64>,
+    /// The debug tripwire's copy of a screened-out cluster's query
+    /// counters, put back once its scan has run.
+    #[cfg(debug_assertions)]
+    saved_q: Vec<u32>,
+    #[cfg(debug_assertions)]
+    saved_q_eff: Vec<f64>,
 }
 
 impl ReorgScratch {
@@ -302,10 +308,17 @@ impl ReorgScratch {
     /// settled pass never grows it mid-scan: the first scan that prices
     /// its column — possibly long after warm-up, once the screen stops
     /// ruling a cluster out — must not be the one that pays the
-    /// allocation.
+    /// allocation. The tripwire's copies are sized for the most
+    /// candidates a specialized cluster can own (`dims · f²`).
     fn with_candidate_capacity(config: &IndexConfig) -> Self {
+        #[cfg(debug_assertions)]
+        let most = config.dims * (config.division_factor as usize).pow(2);
         Self {
             benefits: Vec::with_capacity(config.candidates_per_cluster()),
+            #[cfg(debug_assertions)]
+            saved_q: Vec::with_capacity(most),
+            #[cfg(debug_assertions)]
+            saved_q_eff: Vec::with_capacity(most),
             ..Self::default()
         }
     }
@@ -1412,10 +1425,22 @@ impl AdaptiveClusterIndex {
                 if self.split_screen_rules_out(slot, epoch_len, &costs, p_c) {
                     // Debug builds run the scan the screen skipped and
                     // insist it finds nothing — a tripwire for any hole
-                    // in the screen's soundness argument.
+                    // in the screen's soundness argument. The scan
+                    // catches the counters up and re-tightens `n_hi`;
+                    // both are put back, so a debug build leaves the
+                    // state (and writes the checkpoint) an optimized
+                    // one does.
                     #[cfg(debug_assertions)]
                     {
-                        let n_hi = self.stats_arena.slice(self.cluster(slot).candidates).n_hi();
+                        let handle = self.cluster(slot).candidates;
+                        let mut q = std::mem::take(&mut self.reorg_scratch.saved_q);
+                        let mut q_eff = std::mem::take(&mut self.reorg_scratch.saved_q_eff);
+                        let saved = self.stats_arena.slice(handle);
+                        q.clear();
+                        q.extend_from_slice(saved.q_col());
+                        q_eff.clear();
+                        q_eff.extend_from_slice(saved.q_eff_col());
+                        let (n_hi, stamp) = (saved.n_hi(), saved.stamp());
                         self.materialize_candidates(slot);
                         let splits = self.split_scan_columnar(slot, epoch_len, &costs, p_c);
                         assert_eq!(
@@ -1423,6 +1448,11 @@ impl AdaptiveClusterIndex {
                             "screen wrongly skipped a split on slot {slot}: p_c={p_c} \
                              n_hi={n_hi} epoch_len={epoch_len}"
                         );
+                        self.stats_arena
+                            .slice_mut(handle)
+                            .restore_counters(&q, &q_eff, n_hi, stamp);
+                        self.reorg_scratch.saved_q = q;
+                        self.reorg_scratch.saved_q_eff = q_eff;
                     }
                     profile.screened_out += 1;
                     continue;
@@ -1800,8 +1830,8 @@ impl AdaptiveClusterIndex {
     }
 
     /// Materializes candidate `cand_idx` of cluster `slot` as a new
-    /// cluster, moving the qualifying objects.
-    fn materialize_candidate(&mut self, slot: u32, cand_idx: usize) {
+    /// cluster, moving the qualifying objects; returns the new slot.
+    fn materialize_candidate(&mut self, slot: u32, cand_idx: usize) -> u32 {
         self.reorg_fault(ReorgFaultPoint::BeforeMaterialize);
         if self.wal.is_some() {
             let signature = self.cluster(slot).signature.to_bytes();
@@ -1884,15 +1914,14 @@ impl AdaptiveClusterIndex {
         // already, and the sort finds nothing to do).
         let mut in_key_order: Vec<_> = moved().collect();
         in_key_order.sort_by(|a, b| SegmentStore::key(a.1).total_cmp(&SegmentStore::key(b.1)));
-        let new_cluster = self.clusters[new_slot as usize]
-            .as_mut()
-            .expect("new slot is live");
-        let mut ncands = self.stats_arena.slice_mut(new_cluster.candidates);
         for (oid, flat) in in_key_order {
-            ncands.record_member(flat);
             self.store.push(new_segment, *oid, flat);
         }
+        self.stats_arena
+            .slice_mut(candidates)
+            .recount_members(&self.store.columns(new_segment));
         self.reorg_fault(ReorgFaultPoint::AfterMaterialize);
+        new_slot
     }
 
     fn alloc_slot(&mut self, cluster: Cluster) -> u32 {
@@ -1975,8 +2004,8 @@ impl AdaptiveClusterIndex {
     /// and the pass clocks — so a reloaded index resumes making exactly
     /// the reorganization decisions it would have made without the
     /// restart (the crash-recovery equivalence the durability suite
-    /// asserts). Candidate `n` counters are *not* persisted: membership
-    /// replay recomputes them exactly from the stored objects.
+    /// asserts). Candidate `n` counters are *not* persisted: the load
+    /// recounts them exactly from the stored objects.
     pub fn save(&self, path: &Path) -> Result<(), IndexError> {
         let live: Vec<u32> = (0..self.clusters.len() as u32)
             .filter(|&s| self.clusters[s as usize].is_some())
@@ -2132,8 +2161,6 @@ impl AdaptiveClusterIndex {
                 });
             }
             let segment = store.create(rec.ids.len());
-            let handle = stats_arena.alloc(&generate_candidates(&signature, f));
-            let mut candidates = stats_arena.slice_mut(handle);
             for (k, &oid) in rec.ids.iter().enumerate() {
                 let flat = &rec.coords[k * width..(k + 1) * width];
                 if !signature.accepts_flat(flat) {
@@ -2141,12 +2168,14 @@ impl AdaptiveClusterIndex {
                         "cluster {i}: object #{oid} violates signature"
                     )));
                 }
-                store.push(segment, oid, flat);
                 if object_cluster.insert(oid, slot).is_some() {
                     return Err(corrupt(format!("object #{oid} appears in two clusters")));
                 }
-                candidates.record_member(flat);
+                store.push(segment, oid, flat);
             }
+            let handle = stats_arena.alloc(&generate_candidates(&signature, f));
+            let mut candidates = stats_arena.slice_mut(handle);
+            candidates.recount_members(&store.columns(segment));
             let mut cluster_meta = None;
             if let Some(meta) = &meta {
                 let cm = &meta.clusters[i];
@@ -2473,10 +2502,16 @@ impl AdaptiveClusterIndex {
             (&replay.records[..], 0, replay.torn)
         };
         let mut epoch_changed = false;
+        let mut by_signature = SlotsBySignature::default();
+        for (slot, cluster) in index.clusters.iter().enumerate() {
+            if let Some(cluster) = cluster {
+                by_signature.insert(cluster.signature.to_bytes(), slot as u32);
+            }
+        }
         index.replaying = true;
         for (i, record) in records.iter().enumerate() {
             index
-                .apply_wal_record(record, &mut epoch_changed)
+                .apply_wal_record(record, &mut by_signature, &mut epoch_changed)
                 .map_err(|detail| IndexError::Recovery {
                     record: i as u64,
                     detail,
@@ -2510,11 +2545,14 @@ impl AdaptiveClusterIndex {
     /// public mutation paths (no log is attached yet, so nothing
     /// double-logs); structural records address their cluster by
     /// signature — slot numbers are checkpoint-stable but not
-    /// log-stable, signatures are both — and mirror exactly the state
-    /// transitions the live pass performs around them.
+    /// log-stable, signatures are both — resolved through
+    /// `by_signature`, which the record keeps current, and mirror
+    /// exactly the state transitions the live pass performs around
+    /// them.
     fn apply_wal_record(
         &mut self,
         record: &WalRecord,
+        by_signature: &mut SlotsBySignature,
         epoch_changed: &mut bool,
     ) -> Result<(), String> {
         match record {
@@ -2533,13 +2571,14 @@ impl AdaptiveClusterIndex {
                     .map_err(|e| e.to_string())
             }
             WalRecord::Merge { signature } => {
-                let slot = self
-                    .slot_of_signature(signature)
+                let slot = by_signature
+                    .slot(signature)
                     .ok_or("merge of an unknown cluster signature")?;
                 if slot == self.root {
                     return Err("merge of the root cluster".into());
                 }
                 self.merge_cluster(slot);
+                by_signature.remove(signature, slot);
                 self.total_merges += 1;
                 *epoch_changed = true;
                 Ok(())
@@ -2548,8 +2587,8 @@ impl AdaptiveClusterIndex {
                 signature,
                 candidate,
             } => {
-                let slot = self
-                    .slot_of_signature(signature)
+                let slot = by_signature
+                    .slot(signature)
                     .ok_or("materialization from an unknown cluster signature")?;
                 // The live scan catches the counters up to the open
                 // epoch before picking a candidate; mirror it so the
@@ -2560,7 +2599,8 @@ impl AdaptiveClusterIndex {
                 if ci >= ncand {
                     return Err(format!("candidate {ci} out of range ({ncand} candidates)"));
                 }
-                self.materialize_candidate(slot, ci);
+                let child = self.materialize_candidate(slot, ci);
+                by_signature.insert(self.cluster(child).signature.to_bytes(), child);
                 self.total_splits += 1;
                 *epoch_changed = true;
                 Ok(())
@@ -2573,32 +2613,23 @@ impl AdaptiveClusterIndex {
         }
     }
 
-    /// The live cluster carrying `signature` (rendered bytes), if any.
-    /// Signatures are unique across live clusters: every child's
-    /// signature strictly specializes its parent's.
-    fn slot_of_signature(&self, signature: &[u8]) -> Option<u32> {
-        (0..self.clusters.len() as u32).find(|&slot| {
-            self.clusters[slot as usize]
-                .as_ref()
-                .is_some_and(|c| c.signature.to_bytes() == signature)
-        })
-    }
-
     /// Verifies internal invariants; used by tests and debug assertions.
     ///
     /// Checks that every object is hosted by a cluster whose signature
     /// accepts it, that candidate `n` counters agree with the stored
-    /// members, that parent/child links are consistent, and that the
-    /// object map matches segment contents.
+    /// members (recounted from the segment columns, independently of the
+    /// incremental recording that maintains them), that parent/child
+    /// links are consistent, and that the object map matches segment
+    /// contents.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut seen_objects = 0usize;
         let mut flat = Vec::new();
+        let mut expected_n = Vec::new();
         for (slot, cluster) in self.clusters.iter().enumerate() {
             let Some(cluster) = cluster else { continue };
             let cands = self.stats_arena.slice(cluster.candidates);
             let ids = self.store.ids(cluster.segment);
             seen_objects += ids.len();
-            let mut expected_n = vec![0u32; cands.len()];
             for (k, &oid) in ids.iter().enumerate() {
                 self.store.read_object_into(cluster.segment, k, &mut flat);
                 if !cluster.signature.accepts_flat(&flat) {
@@ -2611,12 +2642,10 @@ impl AdaptiveClusterIndex {
                         "object #{oid} map entry disagrees with cluster {slot}"
                     ));
                 }
-                for (ci, expected) in expected_n.iter_mut().enumerate() {
-                    if cands.accepts_member(ci, &flat) {
-                        *expected += 1;
-                    }
-                }
             }
+            expected_n.clear();
+            expected_n.resize(cands.len(), 0);
+            cands.count_members(&self.store.columns(cluster.segment), &mut expected_n);
             for (ci, &expected) in expected_n.iter().enumerate() {
                 if cands.n(ci) != expected {
                     return Err(format!(
@@ -2691,6 +2720,35 @@ impl AdaptiveClusterIndex {
 /// Shorthand for a corrupt-checkpoint error.
 fn corrupt(msg: String) -> IndexError {
     IndexError::Store(acx_storage::StoreError::Corrupt(msg))
+}
+
+/// The live clusters by rendered signature, built once per recovery and
+/// kept current by the replayed structural records: it resolves a
+/// signature to the slot a scan of the slots in ascending order would
+/// find, without the scan. Two live clusters can carry one signature —
+/// specializations of different dimensions commute, so two branches of
+/// the tree can reach the same one — so a signature keeps every slot
+/// holding it and resolves to the lowest.
+#[derive(Default)]
+struct SlotsBySignature(HashMap<Vec<u8>, Vec<u32>>);
+
+impl SlotsBySignature {
+    fn insert(&mut self, signature: Vec<u8>, slot: u32) {
+        self.0.entry(signature).or_default().push(slot);
+    }
+
+    fn slot(&self, signature: &[u8]) -> Option<u32> {
+        self.0.get(signature)?.iter().copied().min()
+    }
+
+    fn remove(&mut self, signature: &[u8], slot: u32) {
+        if let Some(slots) = self.0.get_mut(signature) {
+            slots.retain(|&s| s != slot);
+            if slots.is_empty() {
+                self.0.remove(signature);
+            }
+        }
+    }
 }
 
 /// Magic prefix of the checkpoint metadata record (record 0 of a
@@ -2989,5 +3047,145 @@ mod tests {
     fn tie_is_symmetric() {
         let (a, b) = (0.7, 0.7 + 1e-13);
         assert_eq!(probabilities_tie(a, b), probabilities_tie(b, a));
+    }
+
+    /// A 3-d index on the paper's platform that has split under a skewed
+    /// query stream and then lost some members (so some `n_hi` bounds
+    /// are loose), and that passes its own consistency check.
+    fn clustered_index() -> AdaptiveClusterIndex {
+        let dims = 3;
+        let mut index = AdaptiveClusterIndex::new(IndexConfig {
+            reorg_period: 0,
+            ..IndexConfig::edbt2004(dims, acx_storage::StorageScenario::Memory)
+        })
+        .unwrap();
+        let mut state = 0x5EED_u64;
+        let mut coord = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 40) as Scalar / (1u64 << 24) as Scalar
+        };
+        for i in 0..1500u32 {
+            let (lo, hi): (Vec<Scalar>, Vec<Scalar>) = (0..dims)
+                .map(|_| {
+                    let (a, b) = (coord(), coord());
+                    (a.min(b), a.min(b) + (a - b).abs() * 0.2)
+                })
+                .unzip();
+            index
+                .insert(ObjectId(i), HyperRect::from_bounds(&lo, &hi).unwrap())
+                .unwrap();
+        }
+        let queries: Vec<SpatialQuery> = (0..60)
+            .map(|_| SpatialQuery::point_enclosing((0..dims).map(|_| coord() * 0.3).collect()))
+            .collect();
+        for _ in 0..6 {
+            for q in &queries {
+                index.execute(q);
+            }
+            index.reorganize();
+        }
+        for i in (0..1500u32).step_by(7) {
+            index.remove(ObjectId(i)).unwrap();
+        }
+        assert!(index.cluster_count() > 1, "test premise: the index split");
+        index.check_invariants().unwrap();
+        index
+    }
+
+    /// A live non-root cluster with at least two members.
+    fn populated_child(index: &AdaptiveClusterIndex) -> u32 {
+        (0..index.clusters.len() as u32)
+            .find(|&slot| {
+                slot != index.root
+                    && index.clusters[slot as usize]
+                        .as_ref()
+                        .is_some_and(|c| index.store.segment_len(c.segment) >= 2)
+            })
+            .expect("test premise: a child holds members")
+    }
+
+    #[test]
+    fn check_invariants_catches_a_member_count_off_by_one() {
+        let mut index = clustered_index();
+        let slot = populated_child(&index);
+        let handle = index.cluster(slot).candidates;
+        index.stats_arena.slice_mut(handle).n_col_mut()[3] += 1;
+        let err = index.check_invariants().unwrap_err();
+        assert!(
+            err.contains(&format!("cluster {slot} candidate 3")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn check_invariants_catches_a_member_outside_its_signature() {
+        let mut index = clustered_index();
+        let slot = populated_child(&index);
+        let cluster = index.cluster(slot);
+        let (segment, handle) = (cluster.segment, cluster.candidates);
+        let outside = [0.0, 1.0, 0.0, 1.0, 0.0, 1.0];
+        assert!(!cluster.signature.accepts_flat(&outside), "test premise");
+        // Every map and count agrees: only the signature is violated.
+        index.store.push(segment, 9999, &outside);
+        index.object_cluster.insert(9999, slot);
+        index.stats_arena.slice_mut(handle).record_member(&outside);
+        let err = index.check_invariants().unwrap_err();
+        assert!(
+            err.contains(&format!(
+                "object #9999 violates signature of cluster {slot}"
+            )),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn check_invariants_catches_a_misplaced_position_entry() {
+        let mut index = clustered_index();
+        let slot = populated_child(&index);
+        let segment = index.cluster(slot).segment;
+        let moved = index.store.ids(segment)[0];
+        index.store.misplace_for_test(moved, 1);
+        let err = index.check_invariants().unwrap_err();
+        assert!(
+            err.contains(&format!("position map misplaces object #{moved}")),
+            "{err}"
+        );
+    }
+
+    /// A reload rebuilds every member count from the stored members
+    /// alone; it must find the live index's counts and carry its bounds,
+    /// and saving the reloaded index must write the same file.
+    #[test]
+    fn save_load_save_is_byte_identical_and_recounts_the_live_counts() {
+        let index = clustered_index();
+        let dir = std::env::temp_dir();
+        let first = dir.join(format!("acx-resave-{}-a.ckpt", std::process::id()));
+        let second = dir.join(format!("acx-resave-{}-b.ckpt", std::process::id()));
+        index.save(&first).unwrap();
+        let loaded = AdaptiveClusterIndex::load(&first, index.config.clone()).unwrap();
+        loaded.save(&second).unwrap();
+        let (a, b) = (
+            std::fs::read(&first).unwrap(),
+            std::fs::read(&second).unwrap(),
+        );
+        std::fs::remove_file(&first).unwrap();
+        std::fs::remove_file(&second).unwrap();
+        assert!(a == b, "the reloaded index wrote a different checkpoint");
+
+        let mut loose = 0;
+        for (slot, cluster) in index.clusters.iter().enumerate() {
+            let Some(cluster) = cluster else { continue };
+            let live = index.stats_arena.slice(cluster.candidates);
+            let back = loaded
+                .stats_arena
+                .slice(loaded.cluster(slot as u32).candidates);
+            assert_eq!(back.n_col(), live.n_col(), "cluster {slot} member counts");
+            assert_eq!(back.n_hi(), live.n_hi(), "cluster {slot} bound");
+            loose += usize::from(live.n_col().iter().max() < Some(&live.n_hi()));
+        }
+        assert!(loose > 0, "test premise: a removal left some bound loose");
+        loaded.check_invariants().unwrap();
     }
 }

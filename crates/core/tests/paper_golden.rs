@@ -9,7 +9,11 @@
 //! The digest is canonical ([`canonical_digest`], recorded at de6b4c8
 //! beside the CRC-32 of the checkpoint file it replaced): members are
 //! stored in key order since, and the order they are stored in is no
-//! decision.
+//! decision. Nor is how lazily a candidate set's decay was applied: the
+//! production pass leaves the sets its screen rules out as they were,
+//! where `reference` catches every evaluated set up, so the digest reads
+//! each set caught up to the final pass's epoch ([`caught_up`]) — the
+//! same value either way, in debug and optimized builds alike.
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig};
 use acx_geom::{HyperRect, ObjectId, Scalar};
@@ -24,8 +28,9 @@ use acx_workloads::{
 /// then the clusters depth-first from the root (siblings by signature
 /// bytes), each as its depth, its signature, the per-cluster counters
 /// the metadata record carries for it (statistics, decay stamp, `n_hi`,
-/// candidate counters) and its `(id, coords)` pairs by ascending id,
-/// then the metadata's free-slot and recent-merge lists.
+/// candidate counters — caught up to the last pass's epoch) and its
+/// `(id, coords)` pairs by ascending id, then the metadata's free-slot
+/// and recent-merge lists.
 fn canonical_digest(records: &[ClusterRecord]) -> u32 {
     // The metadata blob (`CheckpointMeta::encode`): an 8-byte magic, 13
     // index-wide `u64`s, then per cluster — in the order of the records
@@ -35,6 +40,7 @@ fn canonical_digest(records: &[ClusterRecord]) -> u32 {
     let blob = &meta.signature[..];
     let u32_at = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
     let header_end = 8 + 13 * 8;
+    let stats_epoch = u64::from_le_bytes(blob[8 + 5 * 8..8 + 6 * 8].try_into().unwrap());
     assert_eq!(u32_at(header_end) as usize, clusters.len());
     let mut at = header_end + 4;
     let mut counters = Vec::with_capacity(clusters.len());
@@ -43,7 +49,7 @@ fn canonical_digest(records: &[ClusterRecord]) -> u32 {
         slots.push(u32_at(at));
         let ncand = u32_at(at + 48) as usize;
         let end = at + 52 + 12 * ncand;
-        counters.push(&blob[at + 4..end]);
+        counters.push(caught_up(&blob[at + 4..end], stats_epoch - 1));
         at = end;
     }
     let parent = |k: usize| u32::from_le_bytes(clusters[k].signature[..4].try_into().unwrap());
@@ -62,7 +68,7 @@ fn canonical_digest(records: &[ClusterRecord]) -> u32 {
         let record = &clusters[k];
         out.extend_from_slice(&depth.to_le_bytes());
         out.extend_from_slice(&record.signature[4..]);
-        out.extend_from_slice(counters[k]);
+        out.extend_from_slice(&counters[k]);
         let width = record.coords.len() / record.ids.len().max(1);
         let mut members: Vec<(u32, &[Scalar])> = record
             .ids
@@ -82,6 +88,39 @@ fn canonical_digest(records: &[ClusterRecord]) -> u32 {
     assert_eq!(visited, clusters.len(), "every cluster hangs off the root");
     out.extend_from_slice(&blob[at..]);
     crc32(&out)
+}
+
+/// One cluster's counters as the metadata record carries them (44 bytes
+/// of statistics, decay stamp and `n_hi`, then `ncand: u32`, `ncand`
+/// `u32` epoch counters and `ncand` `f64` histories), with the candidate
+/// counters' lazy decay caught up to `epoch` exactly as
+/// `CandidateSliceMut::catch_up` replays it: one fold of the epoch
+/// counter, then a `γ` multiply per further close until the history is
+/// zero. A candidate set no query or scan has touched since before
+/// `epoch` then reads as one the pass of `epoch` caught up; how lazily
+/// a set was decayed is no decision.
+fn caught_up(counters: &[u8], epoch: u64) -> Vec<u8> {
+    let gamma = IndexConfig::edbt2004(1, StorageScenario::Memory).stats_decay;
+    let mut out = counters.to_vec();
+    let stamp = u64::from_le_bytes(out[32..40].try_into().unwrap());
+    if stamp < epoch {
+        let ncand = u32::from_le_bytes(out[44..48].try_into().unwrap()) as usize;
+        let (q, q_eff) = out[48..].split_at_mut(4 * ncand);
+        for (q, hist) in q.chunks_exact_mut(4).zip(q_eff.chunks_exact_mut(8)) {
+            let pending = u32::from_le_bytes((&*q).try_into().unwrap());
+            let mut h = gamma * f64::from_le_bytes((&*hist).try_into().unwrap()) + pending as f64;
+            for _ in 1..epoch - stamp {
+                if h == 0.0 {
+                    break;
+                }
+                h *= gamma;
+            }
+            q.copy_from_slice(&0u32.to_le_bytes());
+            hist.copy_from_slice(&h.to_le_bytes());
+        }
+        out[32..40].copy_from_slice(&epoch.to_le_bytes());
+    }
+    out
 }
 
 /// `(cluster_count, total_splits, total_merges)` after each explicit

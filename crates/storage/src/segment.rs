@@ -548,6 +548,16 @@ impl SegmentStore {
         self.positions.contains_key(&object_id)
     }
 
+    /// Points `object_id`'s position entry at `index` of its segment
+    /// without moving any member — a deliberately inconsistent store, for
+    /// tests of an owner's consistency checks. Never called otherwise.
+    #[doc(hidden)]
+    pub fn misplace_for_test(&mut self, object_id: u32, index: usize) {
+        if let Some(entry) = self.positions.get_mut(&object_id) {
+            entry.1 = index as u32;
+        }
+    }
+
     /// Byte offset of the segment in the virtual layout.
     pub fn offset(&self, id: SegmentId) -> u64 {
         self.segment(id).offset
