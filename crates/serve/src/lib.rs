@@ -21,6 +21,13 @@
 //! absorbs arrivals up to the cap while the other shards keep serving,
 //! which is what bounds event-to-match latency during a pass.
 //!
+//! A worker serves a batch per wake-up: it takes everything queued under
+//! one lock, which frees every slot and wakes parked submitters at most
+//! once, and runs the batch in FIFO order. It publishes the batch's
+//! completed events to the collector under one lock too, at the end of
+//! the batch, and before any closure in it runs, so a synchronous call
+//! sees every event queued ahead of it completed.
+//!
 //! A handoff between a submitter and a worker costs a cache line, not a
 //! sleep. Each side notifies the other's condvar only when the other is
 //! parked on it, so a publish to a busy or spinning worker makes no
@@ -44,7 +51,9 @@
 //! the reservations back if one queue is full ([`SubmitError::QueueFull`]
 //! — the event is on no shard, nothing is dropped or double-counted).
 //! The blocking [`ShardedIndex::submit`] waits for capacity instead and
-//! reports the stall in [`ServeStats`].
+//! reports the stall in [`ServeStats`]. The cap bounds what is queued:
+//! a batch the worker has taken holds no slot, so a shard holds up to
+//! `queue_cap` queued commands plus the batch it is executing.
 //!
 //! ## Durability
 //!
@@ -62,7 +71,7 @@ mod stats;
 pub use partition::ShardBy;
 pub use stats::{ServeStats, ShardStats};
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -199,35 +208,57 @@ impl Collector {
         debug_assert!(prev.is_none(), "sequence number reused");
     }
 
-    fn complete(&self, seq: u64, matches: Vec<ObjectId>) {
-        let mut pending = self.pending.lock().expect("collector lock");
-        let entry = pending.get_mut(&seq).expect("completion without registration");
-        if entry.matches.is_empty() {
-            entry.matches = matches;
-        } else {
-            entry.matches.extend(matches);
-        }
-        entry.remaining -= 1;
-        if entry.remaining > 0 {
+    /// Publishes one shard's halves of a batch of events, `(seq,
+    /// matches)` in execution order, taking each collector lock once;
+    /// leaves `halves` empty. An event is complete once its last half
+    /// arrives. Lock order: `pending`, then `latencies`.
+    fn complete_all(&self, halves: &mut Vec<(u64, Vec<ObjectId>)>) {
+        if halves.is_empty() {
             return;
         }
-        let mut done = pending.remove(&seq).expect("entry present");
-        drop(pending);
-        // Disjoint partitions make the union a plain concatenation;
-        // sorting gives a deterministic, shard-count-independent order.
-        done.matches.sort_unstable();
-        let latency = done.submitted.elapsed().as_nanos() as u64;
-        self.latencies.lock().expect("collector lock").push(latency);
-        self.events_completed.fetch_add(1, Ordering::Relaxed);
+        let published = Instant::now();
+        // The completed events, compacted to the front of `halves`.
+        let mut finished = 0;
+        {
+            let mut pending = self.pending.lock().expect("collector lock");
+            let mut latencies = self.latencies.lock().expect("collector lock");
+            for k in 0..halves.len() {
+                let (seq, matches) = std::mem::take(&mut halves[k]);
+                let entry = pending
+                    .get_mut(&seq)
+                    .expect("completion without registration");
+                // Unretained, nobody reads the union: skip building it.
+                if self.retain_results {
+                    if entry.matches.is_empty() {
+                        entry.matches = matches;
+                    } else {
+                        entry.matches.extend(matches);
+                    }
+                }
+                entry.remaining -= 1;
+                if entry.remaining == 0 {
+                    let done = pending.remove(&seq).expect("entry present");
+                    latencies.push(published.duration_since(done.submitted).as_nanos() as u64);
+                    halves[finished] = (seq, done.matches);
+                    finished += 1;
+                }
+            }
+        }
+        self.events_completed
+            .fetch_add(finished as u64, Ordering::Relaxed);
         if self.retain_results {
+            // Disjoint partitions make the union a plain concatenation;
+            // sorting gives a deterministic, shard-count-independent order.
+            let results = halves.drain(..finished).map(|(seq, mut matches)| {
+                matches.sort_unstable();
+                EventResult { seq, matches }
+            });
             self.completed
                 .lock()
                 .expect("collector lock")
-                .push(EventResult {
-                    seq,
-                    matches: done.matches,
-                });
+                .extend(results);
         }
+        halves.clear();
     }
 }
 
@@ -249,7 +280,10 @@ struct CloseOnExit<'a>(&'a BoundedQueue<Command>);
 impl Drop for CloseOnExit<'_> {
     fn drop(&mut self) {
         self.0.close();
-        while self.0.pop().is_some() {}
+        let mut rest = VecDeque::new();
+        while self.0.pop_all(&mut rest) {
+            rest.clear();
+        }
     }
 }
 
@@ -343,6 +377,7 @@ impl ShardedIndex {
         } else {
             Duration::ZERO
         };
+        let queue_cap = config.queue_cap;
         let mut shards = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
         for (i, mut index) in indexes.into_iter().enumerate() {
@@ -358,15 +393,31 @@ impl ShardedIndex {
                     .name(format!("acx-shard-{i}"))
                     .spawn(move || {
                         let _close = CloseOnExit(&shared.queue);
-                        while let Some(cmd) = shared.queue.pop() {
-                            match cmd {
-                                Command::Event { seq, query } => {
-                                    let result = index.execute(&query);
-                                    shared.events.fetch_add(1, Ordering::Relaxed);
-                                    collector.complete(seq, result.matches);
+                        // Dropped unrun if a closure panics, which wakes
+                        // every caller queued behind it in the batch.
+                        let mut batch = VecDeque::with_capacity(queue_cap);
+                        let mut halves = Vec::with_capacity(queue_cap);
+                        let publish = |halves: &mut Vec<_>| {
+                            shared
+                                .events
+                                .fetch_add(halves.len() as u64, Ordering::Relaxed);
+                            collector.complete_all(halves);
+                        };
+                        while shared.queue.pop_all(&mut batch) {
+                            for cmd in batch.drain(..) {
+                                match cmd {
+                                    Command::Event { seq, query } => {
+                                        halves.push((seq, index.execute(&query).matches));
+                                    }
+                                    Command::Apply(f) => {
+                                        // A closure sees every event
+                                        // queued ahead of it completed.
+                                        publish(&mut halves);
+                                        f(&mut index);
+                                    }
                                 }
-                                Command::Apply(f) => f(&mut index),
                             }
+                            publish(&mut halves);
                         }
                     })
                     .expect("spawn shard worker")
@@ -1019,6 +1070,60 @@ mod tests {
         assert_eq!(stats.events_completed, 0);
         assert_eq!(stats.latency_p50_ns, 0);
         assert_eq!(stats.shards[0].events, 0);
+    }
+
+    #[test]
+    fn a_panic_mid_batch_wakes_every_caller_behind_it() {
+        const CALLERS: usize = 3;
+        let index = Arc::new(small_index(1));
+        index.insert(ObjectId(1), rect(0.2, 0.4)).unwrap();
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let (entered_tx, entered_rx) = mpsc::channel::<()>();
+        let _gate = index.with_shard_deferred(0, move |_| {
+            let _ = entered_tx.send(());
+            let _ = gate_rx.recv();
+        });
+        entered_rx.recv().expect("worker reaches the gate");
+
+        // Everything below queues behind the gate: one batch.
+        for _ in 0..2 {
+            index.submit(SpatialQuery::point_enclosing(vec![0.3, 0.3, 0.3]));
+        }
+        let _panicked = index.with_shard_deferred(0, |_| panic!("injected failure"));
+        let (woken_tx, woken_rx) = mpsc::channel();
+        for _ in 0..CALLERS {
+            let index = Arc::clone(&index);
+            let woken_tx = woken_tx.clone();
+            std::thread::spawn(move || {
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    index.with_shard(0, |i: &mut AdaptiveClusterIndex| i.len())
+                }));
+                let _ = woken_tx.send(outcome.is_err());
+            });
+        }
+        let deferred = index.with_shard_deferred(0, |i: &mut AdaptiveClusterIndex| i.len());
+        while index.shards[0].queue.len() < 2 + 1 + CALLERS + 1 {
+            std::thread::yield_now();
+        }
+        gate_tx.send(()).unwrap();
+
+        for k in 0..CALLERS {
+            let panicked = woken_rx
+                .recv_timeout(Duration::from_secs(2))
+                .unwrap_or_else(|_| panic!("caller {k} behind the panic was never woken"));
+            assert!(panicked, "caller {k}: \"shard worker exited\"");
+        }
+        assert_eq!(
+            deferred.recv_timeout(Duration::from_secs(2)),
+            Err(mpsc::RecvTimeoutError::Disconnected),
+            "a deferred closure behind the panic is dropped unrun"
+        );
+        let results = index.drain_results();
+        assert_eq!(
+            results.iter().map(|r| r.seq).collect::<Vec<_>>(),
+            vec![0, 1],
+            "events ahead of the panic in the batch were published first"
+        );
     }
 
     #[test]

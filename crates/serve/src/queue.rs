@@ -12,6 +12,11 @@
 //! concurrent blocking submitters cannot deadlock), rolling everything
 //! back on the first rejection, and only then publishes everywhere.
 //!
+//! The worker takes everything queued at once
+//! ([`BoundedQueue::pop_all`]): one lock and at most one wake-up of the
+//! parked submitters per batch, not per command, and the batch it
+//! executes holds no slot.
+//!
 //! A handoff costs a cache line, not a sleep, when a core is free for
 //! the waiting side: a thread about to wait first spins on an atomic
 //! hint for a bounded budget ([`spin_until`]), and parks on its condvar
@@ -48,7 +53,7 @@ struct Inner<T> {
 /// worker.
 pub(crate) struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
-    /// `items.len()`, stored under the lock at every push and pop: what
+    /// `items.len()`, stored under the lock at every push and take: what
     /// the worker's spin reads without it. Relaxed, like `closed`: both
     /// are hints, and the items are taken under the lock.
     depth: AtomicUsize,
@@ -57,8 +62,8 @@ pub(crate) struct BoundedQueue<T> {
     not_full: Condvar,
     not_empty: Condvar,
     cap: usize,
-    /// How long [`BoundedQueue::pop`] spins on an empty queue before it
-    /// parks.
+    /// How long [`BoundedQueue::pop_all`] spins on an empty queue before
+    /// it parks.
     spin: Duration,
 }
 
@@ -83,15 +88,6 @@ impl<T> BoundedQueue<T> {
 
     fn lock(&self) -> MutexGuard<'_, Inner<T>> {
         self.inner.lock().expect("queue lock")
-    }
-
-    /// Wakes one parked submitter, if any; called with a slot just freed.
-    fn release_slot(&self, g: MutexGuard<'_, Inner<T>>) {
-        let wake = g.submitters_parked > 0;
-        drop(g);
-        if wake {
-            self.not_full.notify_one();
-        }
     }
 
     /// Claims one slot if the queue has spare capacity, without
@@ -131,13 +127,17 @@ impl<T> BoundedQueue<T> {
         let mut g = self.lock();
         debug_assert!(g.reserved > 0, "cancel without a reservation");
         g.reserved = g.reserved.saturating_sub(1);
-        self.release_slot(g);
+        let wake = g.submitters_parked > 0;
+        drop(g);
+        if wake {
+            self.not_full.notify_one();
+        }
     }
 
     /// Publishes an item into a previously claimed slot — infallible by
     /// construction. Returns the queue depth right after the push (the
     /// sample the depth histogram records). On a closed queue the item
-    /// is dropped instead, since no worker will pop it.
+    /// is dropped instead, since no worker will take it.
     pub fn push_reserved(&self, item: T) -> usize {
         let mut g = self.lock();
         debug_assert!(g.reserved > 0, "publish without a reservation");
@@ -158,19 +158,28 @@ impl<T> BoundedQueue<T> {
         depth
     }
 
-    /// Dequeues the next item, spinning and then blocking while the
-    /// queue is empty. `None` once the queue is closed **and** drained
-    /// — the worker's exit signal.
-    pub fn pop(&self) -> Option<T> {
+    /// Moves every published item into `batch` (which must be empty;
+    /// the caller reuses it, and the queue keeps the buffer `batch`
+    /// held), spinning and then blocking while the queue is empty. One
+    /// lock frees every slot, and wakes the parked submitters at most
+    /// once. `false` once the queue is closed **and** drained — the
+    /// worker's exit signal.
+    pub fn pop_all(&self, batch: &mut VecDeque<T>) -> bool {
+        debug_assert!(batch.is_empty(), "pop_all into a non-empty batch");
         let mut g = self.lock();
         loop {
-            if let Some(item) = g.items.pop_front() {
-                self.depth.store(g.items.len(), Ordering::Relaxed);
-                self.release_slot(g);
-                return Some(item);
+            if !g.items.is_empty() {
+                std::mem::swap(&mut g.items, batch);
+                self.depth.store(0, Ordering::Relaxed);
+                let wake = g.submitters_parked > 0;
+                drop(g);
+                if wake {
+                    self.not_full.notify_all();
+                }
+                return true;
             }
             if self.closed.load(Ordering::Relaxed) {
-                return None;
+                return false;
             }
             drop(g);
             spin_until(self.spin, || {
@@ -192,7 +201,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Closes the queue: the worker drains what remains, then sees
-    /// `None`, and anything published later is dropped.
+    /// `false`, and anything published later is dropped.
     pub fn close(&self) {
         let g = self.lock();
         self.closed.store(true, Ordering::Relaxed);
@@ -297,6 +306,18 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
 
+    /// One [`BoundedQueue::pop_all`], as a vector: `None` when it
+    /// returned `false`.
+    fn take_all(q: &BoundedQueue<u32>) -> Option<Vec<u32>> {
+        let mut batch = VecDeque::new();
+        q.pop_all(&mut batch).then(|| batch.into())
+    }
+
+    fn publish(q: &BoundedQueue<u32>, item: u32) {
+        assert!(q.try_reserve());
+        q.push_reserved(item);
+    }
+
     #[test]
     fn reservations_count_against_capacity() {
         let q: BoundedQueue<u32> = BoundedQueue::new(2, Duration::ZERO);
@@ -309,28 +330,83 @@ mod tests {
         q.push_reserved(2);
         assert_eq!(q.len(), 2);
         assert!(!q.try_reserve(), "cap reached via published items");
-        assert_eq!(q.pop(), Some(1));
+        assert_eq!(take_all(&q), Some(vec![1, 2]));
         assert!(q.try_reserve());
+        assert!(q.try_reserve(), "a taken batch holds no slot");
         q.cancel_reservation();
+        q.cancel_reservation();
+    }
+
+    #[test]
+    fn pop_all_takes_every_item_in_fifo_order() {
+        let q: BoundedQueue<u32> = BoundedQueue::new(8, Duration::ZERO);
+        for item in [3, 1, 4, 1, 5] {
+            publish(&q, item);
+        }
+        assert_eq!(take_all(&q), Some(vec![3, 1, 4, 1, 5]));
+        assert_eq!(q.len(), 0);
+        publish(&q, 9);
+        assert_eq!(take_all(&q), Some(vec![9]), "nothing left over from the last batch");
+    }
+
+    /// Parks `n` submitters on `q`, each publishing `base + k` once
+    /// admitted, and returns once all are parked. Detached, so a
+    /// submitter that is never woken fails the test instead of hanging it.
+    fn park_submitters(q: &Arc<BoundedQueue<u32>>, n: usize, base: u32) -> mpsc::Receiver<()> {
+        let (admitted_tx, admitted_rx) = mpsc::channel();
+        for k in 0..n as u32 {
+            let (q, admitted_tx) = (Arc::clone(q), admitted_tx.clone());
+            std::thread::spawn(move || {
+                q.reserve();
+                q.push_reserved(base + k);
+                let _ = admitted_tx.send(());
+            });
+        }
+        while q.lock().submitters_parked < n {
+            std::thread::yield_now();
+        }
+        admitted_rx
+    }
+
+    #[test]
+    fn pop_all_frees_every_slot_at_once() {
+        for cap in [1, 3] {
+            let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(cap, Duration::ZERO));
+            for item in 0..cap as u32 {
+                publish(&q, item);
+            }
+            let admitted = park_submitters(&q, cap, 10);
+            // One call, and every parked submitter gets a slot: a
+            // `notify_one` here would leave all but one parked.
+            assert_eq!(take_all(&q), Some((0..cap as u32).collect()));
+            for k in 0..cap {
+                admitted
+                    .recv_timeout(Duration::from_secs(2))
+                    .unwrap_or_else(|_| panic!("cap {cap}: submitter {k} still parked"));
+            }
+            let mut taken = take_all(&q).expect("the submitters' items");
+            taken.sort_unstable();
+            assert_eq!(taken, (10..10 + cap as u32).collect::<Vec<_>>());
+        }
     }
 
     #[test]
     fn close_drains_then_signals_exit() {
         let q: BoundedQueue<u32> = BoundedQueue::new(4, Duration::ZERO);
-        assert!(q.try_reserve());
-        q.push_reserved(7);
+        publish(&q, 7);
+        publish(&q, 6);
         assert!(q.try_reserve());
         q.close();
         q.push_reserved(8);
-        assert_eq!(q.pop(), Some(7));
-        assert_eq!(q.pop(), None, "published after close: dropped");
+        assert_eq!(take_all(&q), Some(vec![7, 6]), "closed, not yet drained");
+        assert_eq!(take_all(&q), None, "published after close: dropped");
+        assert_eq!(take_all(&q), None, "and it stays closed");
     }
 
     #[test]
     fn blocking_reserve_reports_the_stall() {
         let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(1, Duration::ZERO));
-        assert!(q.try_reserve());
-        q.push_reserved(1);
+        publish(&q, 1);
         let producer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
@@ -340,43 +416,43 @@ mod tests {
             })
         };
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.pop(), Some(1));
+        assert_eq!(take_all(&q), Some(vec![1]));
         let waited = producer.join().expect("producer");
         assert!(waited > 0, "reserve should have blocked");
-        assert_eq!(q.pop(), Some(2));
+        assert_eq!(take_all(&q), Some(vec![2]));
     }
 
-    /// How a popper on an empty queue was doing when the queue closed.
+    /// How a taker on an empty queue was doing when the queue closed.
     struct ClosedUnder {
         returned_before: bool,
         parked: bool,
-        popped: Option<u32>,
+        taken: Option<Vec<u32>>,
         took: Duration,
     }
 
-    /// Runs `pop` on an empty queue in another thread, waits until
-    /// `ready(q)`, closes the queue, and reports how long the popper
+    /// Runs `pop_all` on an empty queue in another thread, waits until
+    /// `ready(q)`, closes the queue, and reports how long the taker
     /// took to return after the close. Asserts nothing itself, so the
-    /// close always happens and the popper always ends.
+    /// close always happens and the taker always ends.
     fn close_under_pop(
         q: &BoundedQueue<u32>,
         ready: impl Fn(&BoundedQueue<u32>) -> bool,
     ) -> ClosedUnder {
         std::thread::scope(|scope| {
-            let (popped_tx, popped_rx) = mpsc::channel();
-            scope.spawn(move || popped_tx.send(q.pop()).expect("test alive"));
+            let (taken_tx, taken_rx) = mpsc::channel();
+            scope.spawn(move || taken_tx.send(take_all(q)).expect("test alive"));
             while !ready(q) {
                 std::thread::yield_now();
             }
-            let returned_before = popped_rx.try_recv().is_ok();
+            let returned_before = taken_rx.try_recv().is_ok();
             let parked = q.lock().worker_parked;
             let closed = Instant::now();
             q.close();
-            let popped = popped_rx.recv().ok().flatten();
+            let taken = taken_rx.recv().ok().flatten();
             ClosedUnder {
                 returned_before,
                 parked,
-                popped,
+                taken,
                 took: closed.elapsed(),
             }
         })
@@ -384,16 +460,16 @@ mod tests {
 
     #[test]
     fn close_ends_the_spin_and_the_park() {
-        // A budget far longer than the test: 20 ms in, the popper is
+        // A budget far longer than the test: 20 ms in, the taker is
         // spinning, and close must end the spin rather than outlast it.
         let spinning: BoundedQueue<u32> = BoundedQueue::new(1, Duration::from_secs(10));
         let started = Instant::now();
         let run = close_under_pop(&spinning, |_| started.elapsed() > Duration::from_millis(20));
         assert!(
             !run.returned_before && !run.parked,
-            "the popper was spinning"
+            "the taker was spinning"
         );
-        assert_eq!(run.popped, None);
+        assert_eq!(run.taken, None);
         assert!(
             run.took < Duration::from_secs(1),
             "close ended the spin after {:?}",
@@ -402,8 +478,8 @@ mod tests {
 
         let parking: BoundedQueue<u32> = BoundedQueue::new(1, Duration::ZERO);
         let run = close_under_pop(&parking, |q| q.lock().worker_parked);
-        assert!(!run.returned_before && run.parked, "the popper was parked");
-        assert_eq!(run.popped, None);
+        assert!(!run.returned_before && run.parked, "the taker was parked");
+        assert_eq!(run.taken, None);
         assert!(
             run.took < Duration::from_secs(1),
             "close ended the park after {:?}",

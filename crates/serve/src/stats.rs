@@ -44,7 +44,9 @@ pub struct ServeStats {
     pub submit_stalls: u64,
     /// Total nanoseconds blocking submits spent waiting.
     pub submit_stall_ns: u64,
-    /// Median event-to-match latency (submit to last shard completing).
+    /// Median event-to-match latency: submit to the result published by
+    /// the last shard to finish it (at the end of that shard's batch, or
+    /// before the next synchronous command in it).
     pub latency_p50_ns: u64,
     /// 99th-percentile event-to-match latency.
     pub latency_p99_ns: u64,

@@ -1,7 +1,8 @@
 //! The handoff between submitters and shard workers: wake-ups are never
-//! lost, whether the waiting side was spinning or parked, and a worker
-//! that died answers every later synchronous call with a panic instead
-//! of leaving the caller waiting forever.
+//! lost, whether the waiting side was spinning or parked, a synchronous
+//! call returns only after every event queued ahead of it is published,
+//! and a worker that died answers every later synchronous call with a
+//! panic instead of leaving the caller waiting forever.
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
@@ -93,6 +94,70 @@ fn a_dead_worker_fails_later_calls_instead_of_hanging() {
             let _ = index.insert(id, rect);
         });
         assert_worker_exited(&index, "flush", |index| index.flush());
+    }
+}
+
+/// Interleaves bursts of submits with synchronous calls. A worker runs
+/// its whole queue as one batch, but publishes the batch's completions
+/// before any closure in it runs: so once a synchronous call returns,
+/// every event submitted before it is in `drain_results`. A call on one
+/// shard vouches only for that shard's halves, so with several shards
+/// `with_shard` is asked of every shard and `insert` is not checked.
+fn sync_calls_see_earlier_events(shards: usize, cap: usize, seed: u64) {
+    let index = ShardedIndex::new(
+        ServeConfig::new(IndexConfig::memory(3))
+            .with_shards(shards)
+            .with_queue_cap(cap)
+            .retaining_results(),
+    )
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut submitted = 0u64;
+    let mut seen = 0u64;
+    for (round, id) in (0..300u32).enumerate() {
+        for _ in 0..rng.gen_range(0..2 * cap.min(8)) {
+            let point: Vec<f32> = (0..3).map(|_| rng.gen_range(0.0f32..1.0)).collect();
+            assert_eq!(index.submit(SpatialQuery::point_enclosing(point)), submitted);
+            submitted += 1;
+        }
+        let vouches = match rng.gen_range(0..3u32) {
+            0 => {
+                index.insert(ObjectId(id), random_rect(&mut rng)).unwrap();
+                shards == 1
+            }
+            1 => {
+                for shard in 0..shards {
+                    index.with_shard(shard, |i: &mut AdaptiveClusterIndex| i.len());
+                }
+                true
+            }
+            _ => {
+                index.flush();
+                true
+            }
+        };
+        if vouches {
+            let results = index.drain_results();
+            let seqs: Vec<u64> = results.iter().map(|r| r.seq).collect();
+            assert_eq!(
+                seqs,
+                (seen..submitted).collect::<Vec<_>>(),
+                "{shards} shards, cap {cap}, round {round}: events submitted \
+                 before the call, and only those, completed"
+            );
+            seen = submitted;
+        }
+    }
+}
+
+#[test]
+fn a_synchronous_call_sees_every_event_submitted_before_it() {
+    for cap in [1, 2, 1024] {
+        for shards in [1, 2] {
+            within(Duration::from_secs(60), move || {
+                sync_calls_see_earlier_events(shards, cap, 0xCA11 + cap as u64)
+            });
+        }
     }
 }
 
