@@ -731,15 +731,21 @@ impl AdaptiveClusterIndex {
         if self.object_cluster.contains_key(&id.raw()) {
             return Err(IndexError::DuplicateObject(id.raw()));
         }
-        let flat = rect.to_flat();
+        let mut flat = rect.to_flat();
         // Write-ahead: the record is logged (and, per the flush policy,
         // durable) before any in-memory state moves, so a logged insert
-        // either fully applies or — on append failure — not at all.
+        // either fully applies or — on append failure — not at all. The
+        // record takes the coordinates and gives them back: no copy.
         if self.wal.is_some() {
-            self.wal_append(WalRecord::Insert {
+            let record = WalRecord::Insert {
                 id: id.raw(),
-                coords: flat.clone(),
-            })?;
+                coords: flat,
+            };
+            self.wal_append(&record)?;
+            let WalRecord::Insert { coords, .. } = record else {
+                unreachable!("built as an insert above")
+            };
+            flat = coords;
         }
 
         // Backward compatibility makes acceptance hereditary: descend the
@@ -822,7 +828,7 @@ impl AdaptiveClusterIndex {
             .object_cluster
             .get(&id.raw())
             .ok_or(IndexError::UnknownObject(id.raw()))?;
-        self.wal_append(WalRecord::Remove { id: id.raw() })?;
+        self.wal_append(&WalRecord::Remove { id: id.raw() })?;
         let (segment, idx) = self
             .store
             .position_of(id.raw())
@@ -859,7 +865,7 @@ impl AdaptiveClusterIndex {
             return Err(IndexError::UnknownObject(id.raw()));
         }
         if self.wal.is_some() {
-            self.wal_append(WalRecord::Update {
+            self.wal_append(&WalRecord::Update {
                 id: id.raw(),
                 coords: rect.to_flat(),
             })?;
@@ -2396,9 +2402,9 @@ impl AdaptiveClusterIndex {
 
     /// Appends a record on a user-facing mutation path: the failure
     /// aborts the mutation before any in-memory state has moved.
-    fn wal_append(&mut self, record: WalRecord) -> Result<(), IndexError> {
+    fn wal_append(&mut self, record: &WalRecord) -> Result<(), IndexError> {
         if let Some(wal) = self.wal.as_mut() {
-            wal.append(&record).map_err(IndexError::Wal)?;
+            wal.append(record).map_err(IndexError::Wal)?;
         }
         Ok(())
     }

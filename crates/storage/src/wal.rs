@@ -24,14 +24,22 @@
 //! does not marks the end of history.
 //!
 //! Durability is mediated by the [`BackingStore`] trait: [`FileBacking`]
-//! writes a real file (`flush` = `fsync`), [`MemBacking`] keeps bytes in
-//! memory for tests and benches, and [`FaultInjector`] wraps the same
-//! contract around a deterministic fault schedule ([`FaultPlan`]) —
-//! torn writes, short reads, `ENOSPC`, flush failures, and
-//! crash-after-N-ops — so every failure mode is a reproducible test
-//! case. The [`FlushPolicy`] decides how often appended frames are made
-//! durable: per record, per batch of N records, or only at epoch-close
-//! markers.
+//! writes a real file, [`MemBacking`] keeps bytes in memory for tests
+//! and benches, and [`FaultInjector`] wraps the same contract around a
+//! deterministic fault schedule ([`FaultPlan`]) — torn writes, short
+//! reads, `ENOSPC`, flush failures, and crash-after-N-ops — so every
+//! failure mode is a reproducible test case. The [`FlushPolicy`]
+//! decides how often appended frames are made durable: per record, per
+//! batch of N records, or only at epoch-close markers.
+//!
+//! A record is durable once a durability barrier covering it returns.
+//! [`FileBacking`] group-commits: frames are staged in the process and
+//! written with one positioned write per barrier, followed by
+//! `fdatasync`. Until its barrier a record lives in the process, so a
+//! process crash loses it, as a power cut would; a record a barrier
+//! covered survives both. A write error surfaces at the barrier, like
+//! an `fdatasync` error: the append that hit the barrier fails and the
+//! log is poisoned.
 //!
 //! The header's **checkpoint id** couples the log to the checkpoint
 //! that last truncated it: [`Wal::reset_to`] stamps the id of the
@@ -42,7 +50,8 @@
 //! nothing instead of double-applying history.
 
 use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use acx_geom::Scalar;
@@ -91,13 +100,12 @@ const TAG_MATERIALIZE: u8 = 5;
 const TAG_EPOCH_CLOSE: u8 = 6;
 
 impl WalRecord {
-    /// Serializes the record payload (without framing).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// Appends the record payload (without framing) to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Insert { id, coords } => {
                 out.push(TAG_INSERT);
-                encode_id_coords(&mut out, *id, coords);
+                encode_id_coords(out, *id, coords);
             }
             WalRecord::Remove { id } => {
                 out.push(TAG_REMOVE);
@@ -105,23 +113,22 @@ impl WalRecord {
             }
             WalRecord::Update { id, coords } => {
                 out.push(TAG_UPDATE);
-                encode_id_coords(&mut out, *id, coords);
+                encode_id_coords(out, *id, coords);
             }
             WalRecord::Merge { signature } => {
                 out.push(TAG_MERGE);
-                encode_bytes(&mut out, signature);
+                encode_bytes(out, signature);
             }
             WalRecord::Materialize {
                 signature,
                 candidate,
             } => {
                 out.push(TAG_MATERIALIZE);
-                encode_bytes(&mut out, signature);
+                encode_bytes(out, signature);
                 out.extend_from_slice(&candidate.to_le_bytes());
             }
             WalRecord::EpochClose => out.push(TAG_EPOCH_CLOSE),
         }
-        out
     }
 
     /// Parses a record payload. `None` means the payload is malformed
@@ -209,16 +216,22 @@ fn decode_id_coords(rest: &mut &[u8]) -> Option<(u32, Vec<Scalar>)> {
 // ---------------------------------------------------------------------------
 
 /// How often appended records are made durable (`fsync` frequency).
+///
+/// A record is durable once a barrier covering it returns; until then
+/// a [`FileBacking`] stages it in the process, where a process crash
+/// or a power cut loses it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FlushPolicy {
     /// Flush after every record — maximum durability, one sync per
-    /// mutation.
+    /// mutation, before the mutation applies.
     #[default]
     PerRecord,
     /// Flush after every N records (and at every epoch-close marker).
+    /// A process crash or a power cut loses the records appended since
+    /// the last barrier — fewer than N, never a closed epoch.
     PerBatch(u32),
-    /// Flush only at epoch-close markers: a crash may lose the open
-    /// epoch's mutations, never a closed one.
+    /// Flush only at epoch-close markers: a process crash or a power
+    /// cut may lose the open epoch's mutations, never a closed one.
     PerEpoch,
 }
 
@@ -280,10 +293,29 @@ pub trait BackingStore: std::fmt::Debug + Send + Sync {
     fn as_any(&self) -> &dyn std::any::Any;
 }
 
-/// File-backed log; `flush` is `File::sync_data`.
+/// Staged bytes at which a [`FileBacking`] writes them out without a
+/// barrier, so a policy that syncs rarely (`PerEpoch` under a bulk
+/// load) holds a bounded log in memory.
+const STAGE_LIMIT: usize = 64 * 1024;
+
+/// File-backed log, group-committed: `append` stages bytes in the
+/// process, and `flush` writes everything staged with one positioned
+/// write at the end of the file, then calls `File::sync_data`.
+///
+/// What survives which crash: bytes a returned `flush` covered survive
+/// a power cut. Staged bytes survive neither a process crash nor a
+/// power cut. They are written out unsynced — and then survive a
+/// process crash, not a power cut — once 64 KiB accumulate, before
+/// `read_durable`, and when the backing is dropped. A failed write
+/// keeps the bytes staged, and the next write starts over at the same
+/// offset.
 #[derive(Debug)]
 pub struct FileBacking {
     file: File,
+    /// Appended bytes not yet written to `file`.
+    staged: Vec<u8>,
+    /// Bytes written to `file`: where the staged bytes go.
+    written: u64,
 }
 
 impl FileBacking {
@@ -295,7 +327,11 @@ impl FileBacking {
             .create(true)
             .truncate(true)
             .open(path)?;
-        Ok(FileBacking { file })
+        Ok(FileBacking {
+            file,
+            staged: Vec::new(),
+            written: 0,
+        })
     }
 
     /// Opens an existing log file (creating an empty one if missing),
@@ -307,33 +343,72 @@ impl FileBacking {
             .create(true)
             .truncate(false)
             .open(path)?;
-        Ok(FileBacking { file })
+        let written = file.metadata()?.len();
+        Ok(FileBacking {
+            file,
+            staged: Vec::new(),
+            written,
+        })
+    }
+
+    /// Writes the staged bytes at the end of the file, without a sync.
+    fn write_staged(&mut self) -> io::Result<()> {
+        if !self.staged.is_empty() {
+            self.file.write_all_at(&self.staged, self.written)?;
+            self.written += self.staged.len() as u64;
+            self.staged.clear();
+        }
+        Ok(())
     }
 }
 
 impl BackingStore for FileBacking {
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.file.seek(SeekFrom::End(0))?;
-        self.file.write_all(bytes)
+        self.staged.extend_from_slice(bytes);
+        if self.staged.len() >= STAGE_LIMIT {
+            self.write_staged()?;
+        }
+        Ok(())
     }
 
     fn flush(&mut self) -> io::Result<()> {
+        self.write_staged()?;
         self.file.sync_data()
     }
 
     fn read_durable(&mut self) -> io::Result<Vec<u8>> {
+        self.write_staged()?;
         self.file.seek(SeekFrom::Start(0))?;
         let mut out = Vec::new();
         self.file.read_to_end(&mut out)?;
         Ok(out)
     }
 
+    /// Cuts the file only when `len` falls inside it; staged bytes past
+    /// `len` are dropped unwritten, so resetting a log on a full disk
+    /// writes nothing first.
     fn truncate(&mut self, len: u64) -> io::Result<()> {
-        self.file.set_len(len)
+        if len < self.written {
+            self.file.set_len(len)?;
+            self.written = len;
+            self.staged.clear();
+        } else {
+            self.staged.truncate((len - self.written) as usize);
+        }
+        Ok(())
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
         self
+    }
+}
+
+impl Drop for FileBacking {
+    /// Writes staged bytes out without a sync, so dropping a log that
+    /// was never synced leaves the bytes a write per append would have
+    /// left. A write error is ignored: no barrier covered those bytes.
+    fn drop(&mut self) {
+        let _ = self.write_staged();
     }
 }
 
@@ -779,6 +854,8 @@ pub struct Wal {
     records: u64,
     unflushed: u32,
     poisoned: bool,
+    /// The frame being appended, reused so no record allocates.
+    frame: Vec<u8>,
 }
 
 impl Wal {
@@ -798,6 +875,7 @@ impl Wal {
             records: 0,
             unflushed: 0,
             poisoned: false,
+            frame: Vec::new(),
         };
         wal.write_header()?;
         Ok(wal)
@@ -841,6 +919,7 @@ impl Wal {
             records: replay.records.len() as u64,
             unflushed: 0,
             poisoned: false,
+            frame: Vec::new(),
         };
         if replay.valid_len < WAL_HEADER_LEN {
             wal.write_header()?;
@@ -883,12 +962,14 @@ impl Wal {
         if self.poisoned {
             return Err(WalError::Poisoned);
         }
-        let payload = record.encode();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        if let Err(source) = self.store.append(&frame) {
+        let frame = &mut self.frame;
+        frame.clear();
+        frame.extend_from_slice(&[0; 8]);
+        record.encode_into(frame);
+        let (header, payload) = frame.split_at_mut(8);
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+        if let Err(source) = self.store.append(frame) {
             self.poisoned = true;
             return Err(WalError::Io {
                 op: "append",
@@ -1106,7 +1187,8 @@ mod tests {
     #[test]
     fn record_encode_decode_roundtrip() {
         for rec in sample_records() {
-            let payload = rec.encode();
+            let mut payload = Vec::new();
+            rec.encode_into(&mut payload);
             assert_eq!(WalRecord::decode(&payload), Some(rec.clone()), "{rec:?}");
             // Any strict prefix must fail to decode (or decode to a
             // different record is impossible because trailing bytes are
@@ -1499,35 +1581,249 @@ mod tests {
         }
     }
 
-    #[test]
-    fn file_backing_roundtrip_and_reopen() {
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "acx-wal-{}-{}",
+    /// A fresh path in the temp dir, unique per test and run.
+    fn temp_path(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!(
+            "acx-wal-{tag}-{}-{}",
             std::process::id(),
             std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
                 .unwrap()
                 .as_nanos()
-        ));
+        ))
+    }
+
+    /// Fourteen records: two epochs, then two records no barrier of
+    /// `PerBatch(3)` or `PerEpoch` covers.
+    fn fourteen_records() -> Vec<WalRecord> {
+        sample_records().into_iter().cycle().take(14).collect()
+    }
+
+    const POLICIES: [FlushPolicy; 3] = [
+        FlushPolicy::PerRecord,
+        FlushPolicy::PerBatch(3),
+        FlushPolicy::PerEpoch,
+    ];
+
+    #[test]
+    fn file_backing_roundtrip_and_reopen() {
+        for policy in POLICIES {
+            let path = temp_path("roundtrip");
+            let mut wal =
+                Wal::create(Box::new(FileBacking::create(&path).unwrap()), policy, 2).unwrap();
+            for rec in fourteen_records() {
+                wal.append(&rec).unwrap();
+            }
+            drop(wal); // no sync: reopen from the file alone
+            let (_, replay) =
+                Wal::reopen(Box::new(FileBacking::open(&path).unwrap()), policy, 2).unwrap();
+            assert_eq!(replay.records, fourteen_records(), "{policy}");
+            assert!(replay.torn.is_none());
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn file_backing_writes_once_per_barrier_the_bytes_of_a_memory_log() {
+        let records = fourteen_records();
+        // 1-based ordinals of the records whose append is a barrier.
+        let barriers: [Vec<usize>; 3] = [(1..=14).collect(), vec![3, 6, 9, 12], vec![6, 12]];
+        for (policy, barriers) in POLICIES.into_iter().zip(barriers) {
+            let mut mem = Wal::create(Box::new(MemBacking::new()), policy, 2).unwrap();
+            for rec in &records {
+                mem.append(rec).unwrap();
+            }
+            let image = mem.into_store().read_durable().unwrap();
+
+            let path = temp_path("barriers");
+            let mut wal =
+                Wal::create(Box::new(FileBacking::create(&path).unwrap()), policy, 2).unwrap();
+            let mut durable = WAL_HEADER_LEN as usize;
+            for (i, rec) in records.iter().enumerate() {
+                wal.append(rec).unwrap();
+                if barriers.contains(&(i + 1)) {
+                    durable = wal.offset() as usize;
+                }
+                let on_disk = std::fs::read(&path).unwrap();
+                assert_eq!(on_disk, image[..durable], "{policy}, record {}", i + 1);
+            }
+            assert_eq!(
+                durable < image.len(),
+                policy != FlushPolicy::PerRecord,
+                "{policy}: a tail stays staged"
+            );
+            drop(wal);
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                image,
+                "{policy}: drop writes it"
+            );
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn file_backing_reads_and_truncates_through_staged_bytes() {
+        let path = temp_path("staged");
+        let mut store = FileBacking::create(&path).unwrap();
+        store.append(&[1; 100]).unwrap();
+        store.flush().unwrap();
+        store.append(&[2; 50]).unwrap();
+        let mut expected = [vec![1; 100], vec![2; 50]].concat();
+        assert_eq!(store.read_durable().unwrap(), expected, "staged bytes read");
+
+        // Cut inside the staged bytes, then inside the written ones.
+        store.append(&[3; 30]).unwrap();
+        store.truncate(160).unwrap();
+        expected.extend_from_slice(&[3; 10]);
+        assert_eq!(store.read_durable().unwrap(), expected);
+        store.append(&[4; 30]).unwrap();
+        store.truncate(60).unwrap();
+        store.append(&[5; 5]).unwrap();
+        drop(store);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            [vec![1; 60], vec![5; 5]].concat()
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn file_backing_truncate_and_reset_reopen_to_the_expected_records() {
+        let records = fourteen_records();
+        // Truncate below the written length while a record is staged.
+        let path = temp_path("truncate");
         let mut wal = Wal::create(
             Box::new(FileBacking::create(&path).unwrap()),
-            FlushPolicy::PerRecord,
+            FlushPolicy::PerBatch(3),
             2,
         )
         .unwrap();
-        for rec in sample_records() {
-            wal.append(&rec).unwrap();
+        let mut offsets = Vec::new();
+        for rec in &records[..4] {
+            wal.append(rec).unwrap();
+            offsets.push(wal.offset());
         }
-        drop(wal); // "crash": reopen from the file alone
+        let mut store = wal.into_store();
+        store.truncate(offsets[1]).unwrap();
+        drop(store);
         let (_, replay) = Wal::reopen(
             Box::new(FileBacking::open(&path).unwrap()),
-            FlushPolicy::PerRecord,
+            FlushPolicy::PerBatch(3),
             2,
         )
         .unwrap();
-        assert_eq!(replay.records, sample_records());
+        assert_eq!(replay.records, records[..2]);
         assert!(replay.torn.is_none());
         std::fs::remove_file(&path).unwrap();
+
+        // Reset with records staged, then append more.
+        let path = temp_path("reset");
+        let mut wal = Wal::create(
+            Box::new(FileBacking::create(&path).unwrap()),
+            FlushPolicy::PerEpoch,
+            2,
+        )
+        .unwrap();
+        for rec in &records[..4] {
+            wal.append(rec).unwrap();
+        }
+        wal.reset_to(3).unwrap();
+        for rec in &records[6..8] {
+            wal.append(rec).unwrap();
+        }
+        drop(wal);
+        let (wal, replay) = Wal::reopen(
+            Box::new(FileBacking::open(&path).unwrap()),
+            FlushPolicy::PerEpoch,
+            2,
+        )
+        .unwrap();
+        assert_eq!(wal.checkpoint_id(), 3);
+        assert_eq!(replay.records, records[6..8]);
+        assert!(replay.torn.is_none());
+        drop(wal);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn file_backing_writes_out_a_full_stage_without_a_barrier() {
+        let path = temp_path("spill");
+        let mut store = FileBacking::create(&path).unwrap();
+        let chunk = [7u8; 1024];
+        for _ in 0..STAGE_LIMIT / chunk.len() - 1 {
+            store.append(&chunk).unwrap();
+        }
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        store.append(&chunk).unwrap();
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            STAGE_LIMIT as u64,
+            "written out, not synced"
+        );
+        drop(store);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// `/dev/full` behind the image of an empty log: reopening finds a
+    /// valid header, and every byte appended after it fails once
+    /// written.
+    #[derive(Debug)]
+    struct FullDevice {
+        device: FileBacking,
+        header: Vec<u8>,
+    }
+
+    impl BackingStore for FullDevice {
+        fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+            self.device.append(bytes)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.device.flush()
+        }
+        fn read_durable(&mut self) -> io::Result<Vec<u8>> {
+            Ok(self.header.clone())
+        }
+        fn truncate(&mut self, _: u64) -> io::Result<()> {
+            unreachable!("reopening a whole header truncates nothing")
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn a_failed_write_surfaces_at_the_barrier() {
+        let full = Path::new("/dev/full");
+        if !full.exists() {
+            eprintln!("skipped: no /dev/full");
+            return;
+        }
+        let mut device = FileBacking::open(full).unwrap();
+        device.append(b"staged").unwrap();
+        let err = device.flush().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+
+        let header = Wal::create(Box::new(MemBacking::new()), FlushPolicy::PerRecord, 2)
+            .unwrap()
+            .into_store()
+            .read_durable()
+            .unwrap();
+        let store = FullDevice {
+            device: FileBacking::open(full).unwrap(),
+            header,
+        };
+        let (mut wal, replay) = Wal::reopen(Box::new(store), FlushPolicy::PerBatch(3), 2).unwrap();
+        assert!(replay.records.is_empty());
+        wal.append(&WalRecord::Remove { id: 1 }).unwrap();
+        wal.append(&WalRecord::Remove { id: 2 }).unwrap();
+        let err = wal.append(&WalRecord::Remove { id: 3 }).unwrap_err();
+        assert!(matches!(err, WalError::Io { op: "flush", .. }), "{err}");
+        assert_eq!(err.io_kind(), Some(io::ErrorKind::StorageFull));
+        assert!(wal.poisoned());
+        assert!(matches!(
+            wal.append(&WalRecord::Remove { id: 4 }),
+            Err(WalError::Poisoned)
+        ));
     }
 }
