@@ -182,8 +182,12 @@ pub struct AdaptiveClusterIndex {
     clusters: Vec<Option<Cluster>>,
     free_slots: Vec<u32>,
     root: u32,
-    /// object id → cluster slot currently hosting it.
-    object_cluster: HashMap<u32, u32>,
+    /// Segment slot → the slot of the cluster that owns the segment. An
+    /// object's cluster is found through its segment, read from the
+    /// store's position map: the index keeps no id map of its own.
+    /// Written where a cluster gets its segment; a merged-away
+    /// cluster's entry is stale until the store reuses the segment slot.
+    segment_cluster: Vec<u32>,
     total_queries: u64,
     queries_since_reorg: u64,
     /// Bumped whenever a reorganization changes the clustering (merges
@@ -511,6 +515,8 @@ impl AdaptiveClusterIndex {
             weight: 0.0,
         };
         let reorg_scratch = ReorgScratch::with_candidate_capacity(&config);
+        let mut segment_cluster = Vec::new();
+        assign_segment(&mut segment_cluster, segment, 0);
         Ok(Self {
             config,
             model,
@@ -519,7 +525,7 @@ impl AdaptiveClusterIndex {
             clusters: vec![Some(root)],
             free_slots: Vec::new(),
             root: 0,
-            object_cluster: HashMap::new(),
+            segment_cluster,
             total_queries: 0,
             queries_since_reorg: 0,
             structure_epoch: 0,
@@ -568,12 +574,12 @@ impl AdaptiveClusterIndex {
 
     /// Number of indexed objects.
     pub fn len(&self) -> usize {
-        self.object_cluster.len()
+        self.store.len()
     }
 
     /// Whether the index holds no objects.
     pub fn is_empty(&self) -> bool {
-        self.object_cluster.is_empty()
+        self.store.is_empty()
     }
 
     /// Number of materialized clusters (including the root).
@@ -610,14 +616,14 @@ impl AdaptiveClusterIndex {
 
     /// Whether the object id is currently indexed.
     pub fn contains(&self, id: ObjectId) -> bool {
-        self.object_cluster.contains_key(&id.raw())
+        self.store.contains_object(id.raw())
     }
 
     /// All indexed object ids, in arbitrary order. Pair with
     /// [`AdaptiveClusterIndex::get`] to enumerate the full contents —
     /// e.g. to diff two indexes after crash recovery.
     pub fn object_ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.object_cluster.keys().map(|&id| ObjectId(id))
+        self.store.object_ids().map(ObjectId)
     }
 
     fn cluster(&self, slot: u32) -> &Cluster {
@@ -728,7 +734,7 @@ impl AdaptiveClusterIndex {
                 actual: rect.dims(),
             });
         }
-        if self.object_cluster.contains_key(&id.raw()) {
+        if self.store.contains_object(id.raw()) {
             return Err(IndexError::DuplicateObject(id.raw()));
         }
         let mut flat = rect.to_flat();
@@ -787,7 +793,6 @@ impl AdaptiveClusterIndex {
         self.stats_arena.slice_mut(cluster.candidates).record_member(&flat);
         self.store.push(segment, id.raw(), &flat);
         self.fold_if_due(segment);
-        self.object_cluster.insert(id.raw(), slot);
         Ok(())
     }
 
@@ -822,26 +827,22 @@ impl AdaptiveClusterIndex {
     }
 
     /// Removes an object, returning its rectangle. The object is located
-    /// through the store's position map in O(1) — no segment scan.
+    /// through the store's position map in O(1) — no segment scan — and
+    /// its cluster through its segment; an unknown id fails before
+    /// anything is logged.
     pub fn remove(&mut self, id: ObjectId) -> Result<HyperRect, IndexError> {
-        let slot = *self
-            .object_cluster
-            .get(&id.raw())
-            .ok_or(IndexError::UnknownObject(id.raw()))?;
-        self.wal_append(&WalRecord::Remove { id: id.raw() })?;
         let (segment, idx) = self
             .store
             .position_of(id.raw())
-            .expect("object map and position map agree");
+            .ok_or(IndexError::UnknownObject(id.raw()))?;
+        self.wal_append(&WalRecord::Remove { id: id.raw() })?;
         let flat: Vec<Scalar> = self.store.object_flat(segment, idx);
-        let cluster = self.clusters[slot as usize]
-            .as_mut()
-            .expect("cluster slot is live");
+        let cluster = self.cluster(self.segment_cluster[segment.0 as usize]);
         debug_assert_eq!(cluster.segment, segment);
-        self.stats_arena.slice_mut(cluster.candidates).unrecord_member(&flat);
+        let handle = cluster.candidates;
+        self.stats_arena.slice_mut(handle).unrecord_member(&flat);
         self.store.swap_remove(segment, idx);
         self.fold_if_due(segment);
-        self.object_cluster.remove(&id.raw());
         Ok(HyperRect::from_flat(&flat)?)
     }
 
@@ -861,7 +862,7 @@ impl AdaptiveClusterIndex {
                 actual: rect.dims(),
             });
         }
-        if !self.object_cluster.contains_key(&id.raw()) {
+        if !self.store.contains_object(id.raw()) {
             return Err(IndexError::UnknownObject(id.raw()));
         }
         if self.wal.is_some() {
@@ -1606,7 +1607,6 @@ impl AdaptiveClusterIndex {
                 debug_assert!(parent.signature.accepts_flat(flat));
                 pcands.record_member(flat);
                 self.store.push(parent_segment, *oid, flat);
-                self.object_cluster.insert(*oid, parent_slot);
             }
         }
         for child in cluster.children {
@@ -1889,6 +1889,7 @@ impl AdaptiveClusterIndex {
             q_eff: inherited_q_eff,
             weight: parent_weight,
         });
+        assign_segment(&mut self.segment_cluster, new_segment, new_slot);
 
         // Move qualifying objects; maintain the source cluster's candidate
         // counters and compute the new cluster's.
@@ -1904,9 +1905,8 @@ impl AdaptiveClusterIndex {
         let moved = || moved_ids.iter().zip(moved_coords.chunks_exact(width));
         {
             let mut pcands = self.stats_arena.slice_mut(parent_cluster.candidates);
-            for (oid, flat) in moved() {
+            for flat in moved_coords.chunks_exact(width) {
                 pcands.unrecord_member(flat);
-                self.object_cluster.insert(*oid, new_slot);
             }
         }
         parent_cluster.children.push(new_slot);
@@ -2149,7 +2149,7 @@ impl AdaptiveClusterIndex {
         let mut store = SegmentStore::with_reserve(dims, config.reserve_fraction);
         let mut stats_arena = StatsArena::new();
         let mut clusters: Vec<Option<Cluster>> = (0..capacity).map(|_| None).collect();
-        let mut object_cluster = HashMap::new();
+        let mut segment_cluster = Vec::with_capacity(cluster_records.len());
         let mut root = None;
         let mut parents: Vec<Option<u32>> = Vec::with_capacity(cluster_records.len());
         for (i, rec) in cluster_records.iter().enumerate() {
@@ -2167,6 +2167,7 @@ impl AdaptiveClusterIndex {
                 });
             }
             let segment = store.create(rec.ids.len());
+            assign_segment(&mut segment_cluster, segment, slot);
             for (k, &oid) in rec.ids.iter().enumerate() {
                 let flat = &rec.coords[k * width..(k + 1) * width];
                 if !signature.accepts_flat(flat) {
@@ -2174,7 +2175,7 @@ impl AdaptiveClusterIndex {
                         "cluster {i}: object #{oid} violates signature"
                     )));
                 }
-                if object_cluster.insert(oid, slot).is_some() {
+                if store.contains_object(oid) {
                     return Err(corrupt(format!("object #{oid} appears in two clusters")));
                 }
                 store.push(segment, oid, flat);
@@ -2273,7 +2274,7 @@ impl AdaptiveClusterIndex {
             clusters,
             free_slots,
             root,
-            object_cluster,
+            segment_cluster,
             total_queries: 0,
             queries_since_reorg: 0,
             structure_epoch: 0,
@@ -2625,14 +2626,19 @@ impl AdaptiveClusterIndex {
     /// accepts it, that candidate `n` counters agree with the stored
     /// members (recounted from the segment columns, independently of the
     /// incremental recording that maintains them), that parent/child
-    /// links are consistent, and that the object map matches segment
-    /// contents.
+    /// links are consistent, that every cluster's segment maps back to
+    /// it, and that the store's position map names each member's place
+    /// and nothing else (the members of all clusters number the map's
+    /// entries, so an object in a segment no cluster owns is caught).
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut seen_objects = 0usize;
         let mut flat = Vec::new();
         let mut expected_n = Vec::new();
         for (slot, cluster) in self.clusters.iter().enumerate() {
             let Some(cluster) = cluster else { continue };
+            if self.segment_cluster.get(cluster.segment.0 as usize) != Some(&(slot as u32)) {
+                return Err(format!("segment of cluster {slot} does not map back to it"));
+            }
             let cands = self.stats_arena.slice(cluster.candidates);
             let ids = self.store.ids(cluster.segment);
             seen_objects += ids.len();
@@ -2643,10 +2649,8 @@ impl AdaptiveClusterIndex {
                         "object #{oid} violates signature of cluster {slot}"
                     ));
                 }
-                if self.object_cluster.get(&oid) != Some(&(slot as u32)) {
-                    return Err(format!(
-                        "object #{oid} map entry disagrees with cluster {slot}"
-                    ));
+                if self.store.position_of(oid) != Some((cluster.segment, k)) {
+                    return Err(format!("position map misplaces object #{oid}"));
                 }
             }
             expected_n.clear();
@@ -2689,27 +2693,11 @@ impl AdaptiveClusterIndex {
                 return Err(format!("non-root cluster {slot} has no parent"));
             }
         }
-        if seen_objects != self.object_cluster.len() {
+        if seen_objects != self.store.len() {
             return Err(format!(
-                "{} objects in segments but {} in the object map",
-                seen_objects,
-                self.object_cluster.len()
+                "{seen_objects} objects in clusters but {} in the position map",
+                self.store.len()
             ));
-        }
-        for (&oid, &slot) in &self.object_cluster {
-            match self.store.position_of(oid) {
-                None => return Err(format!("object #{oid} missing from the position map")),
-                Some((segment, idx)) => {
-                    let cluster = self
-                        .clusters
-                        .get(slot as usize)
-                        .and_then(|c| c.as_ref())
-                        .ok_or_else(|| format!("object #{oid} maps to dead cluster {slot}"))?;
-                    if cluster.segment != segment || self.store.ids(segment)[idx] != oid {
-                        return Err(format!("position map misplaces object #{oid}"));
-                    }
-                }
-            }
         }
         self.stats_arena.check()?;
         if self.stats_arena.live_ranges() != self.cluster_count() {
@@ -2726,6 +2714,18 @@ impl AdaptiveClusterIndex {
 /// Shorthand for a corrupt-checkpoint error.
 fn corrupt(msg: String) -> IndexError {
     IndexError::Store(acx_storage::StoreError::Corrupt(msg))
+}
+
+/// Records in the segment → cluster table that cluster `slot` owns
+/// `segment`. The store hands out segment slots densely (a freed one or
+/// the next), so the table grows by at most one entry.
+fn assign_segment(segment_cluster: &mut Vec<u32>, segment: SegmentId, slot: u32) {
+    let at = segment.0 as usize;
+    if at == segment_cluster.len() {
+        segment_cluster.push(slot);
+    } else {
+        segment_cluster[at] = slot;
+    }
 }
 
 /// The live clusters by rendered signature, built once per recovery and
@@ -3133,10 +3133,12 @@ mod tests {
         let (segment, handle) = (cluster.segment, cluster.candidates);
         let outside = [0.0, 1.0, 0.0, 1.0, 0.0, 1.0];
         assert!(!cluster.signature.accepts_flat(&outside), "test premise");
-        // Every map and count agrees: only the signature is violated.
+        // Every position and count agrees: only the signature is violated.
         index.store.push(segment, 9999, &outside);
-        index.object_cluster.insert(9999, slot);
         index.stats_arena.slice_mut(handle).record_member(&outside);
+        let last = index.store.segment_len(segment) - 1;
+        assert_eq!(index.store.position_of(9999), Some((segment, last)));
+        assert!(index.contains(ObjectId(9999)));
         let err = index.check_invariants().unwrap_err();
         assert!(
             err.contains(&format!(
@@ -3156,6 +3158,21 @@ mod tests {
         let err = index.check_invariants().unwrap_err();
         assert!(
             err.contains(&format!("position map misplaces object #{moved}")),
+            "{err}"
+        );
+    }
+
+    /// The index's object count is the store's; an object the store
+    /// holds in a segment no cluster owns is an entry no cluster's
+    /// members account for.
+    #[test]
+    fn check_invariants_catches_an_object_in_a_segment_no_cluster_owns() {
+        let mut index = clustered_index();
+        let orphan = index.store.create(1);
+        index.store.push(orphan, 9999, &[0.5; 6]);
+        let err = index.check_invariants().unwrap_err();
+        assert!(
+            err.contains("objects in clusters but") && err.contains("in the position map"),
             "{err}"
         );
     }

@@ -224,25 +224,39 @@ fn execute_batch_rejects_zero_threads() {
 /// in the same process keeps the bound complexity-sensitive but robust:
 /// a linear-scan implementation is ~50× slower on the large index, an
 /// O(1) map is within noise.
+///
+/// The same large population under ids strided by 4 096 (`k << 12`)
+/// must cost what the dense ids cost: a position map that buckets on the
+/// low id bits puts every strided id in a few dozen buckets and probes
+/// thousands of entries per lookup.
 #[test]
 fn get_does_no_per_object_work_at_100k_objects() {
     let dims = 4;
     let lookups = 200_000u32;
     let small_n = 2_000u32;
     let large_n = 100_000u32;
+    let stride = 12;
     let config = |dims| {
         let mut c = paper(dims);
-        c.reorg_period = 0; // keep both indexes a single root cluster
+        c.reorg_period = 0; // keep every index a single root cluster
         c
     };
     let small = build(dims, small_n as usize, 30, config(dims));
     let large = build(dims, large_n as usize, 31, config(dims));
+    let strided = {
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut index = AdaptiveClusterIndex::new(config(dims)).unwrap();
+        for i in 0..large_n {
+            index.insert(ObjectId(i << stride), random_rect(&mut rng, dims)).unwrap();
+        }
+        index
+    };
 
-    let time_gets = |index: &AdaptiveClusterIndex, n: u32| {
+    let time_gets = |index: &AdaptiveClusterIndex, n: u32, shift: u32| {
         let started = Instant::now();
         let mut found = 0u32;
         for k in 0..lookups {
-            if index.get(ObjectId(k % n)).is_some() {
+            if index.get(ObjectId((k % n) << shift)).is_some() {
                 found += 1;
             }
         }
@@ -250,14 +264,21 @@ fn get_does_no_per_object_work_at_100k_objects() {
         started.elapsed()
     };
     // Warm both paths once before timing.
-    time_gets(&small, small_n);
-    let t_small = time_gets(&small, small_n);
-    let t_large = time_gets(&large, large_n);
+    time_gets(&small, small_n, 0);
+    let t_small = time_gets(&small, small_n, 0);
+    let t_large = time_gets(&large, large_n, 0);
     let ratio = t_large.as_secs_f64() / t_small.as_secs_f64().max(1e-9);
     assert!(
         ratio < 10.0,
         "get cost scaled with index size (50x objects -> {ratio:.1}x slower): \
          lookups are doing per-object work"
+    );
+    let t_strided = time_gets(&strided, large_n, stride);
+    let ratio = t_strided.as_secs_f64() / t_large.as_secs_f64().max(1e-9);
+    assert!(
+        ratio < 10.0,
+        "ids strided by 1 << {stride} look up {ratio:.1}x slower than dense ids: \
+         the position map's hash buckets on the low id bits"
     );
 }
 

@@ -650,3 +650,37 @@ fn fresh_child_cluster_beats_root_at_equal_probability() {
     );
     index.check_invariants().unwrap();
 }
+
+#[test]
+fn load_rejects_an_object_stored_in_two_clusters() {
+    use acx_core::Signature;
+    use acx_storage::{ClusterRecord, FileStore, StoreError};
+
+    let dims = 2;
+    let root_sig = Signature::root(dims);
+    let child_sig = root_sig.specialize(0, 4, 0, 0);
+    let records = [
+        ClusterRecord {
+            signature: [u32::MAX.to_le_bytes().as_slice(), &root_sig.to_bytes()].concat(),
+            ids: vec![1, 2],
+            coords: vec![0.5, 0.9, 0.5, 0.9, 0.1, 0.2, 0.3, 0.8],
+        },
+        ClusterRecord {
+            signature: [0u32.to_le_bytes().as_slice(), &child_sig.to_bytes()].concat(),
+            ids: vec![2],
+            coords: vec![0.1, 0.2, 0.3, 0.8],
+        },
+    ];
+    let mut path = std::env::temp_dir();
+    path.push(format!("acx-twice-{}.acx", std::process::id()));
+    FileStore::save(&path, dims, &records).unwrap();
+    let loaded = AdaptiveClusterIndex::load(&path, paper(dims));
+    std::fs::remove_file(&path).unwrap();
+    match loaded {
+        Err(IndexError::Store(StoreError::Corrupt(msg))) => {
+            assert!(msg.contains("object #2 appears in two clusters"), "{msg}")
+        }
+        Err(other) => panic!("expected a corrupt-checkpoint error, got {other}"),
+        Ok(_) => panic!("a checkpoint holding object #2 twice loaded"),
+    }
+}

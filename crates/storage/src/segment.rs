@@ -1,7 +1,62 @@
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher, RandomState};
 
 use acx_geom::scan::PairedColumns;
 use acx_geom::{object_size_bytes, Scalar};
+
+/// The position map's hash of an object id: murmur3's 64-bit finalizer
+/// over the id XORed with a key drawn once per store from `std`'s
+/// [`RandomState`].
+///
+/// Ids are small integers, often dense or strided (`k << 12`), and the
+/// map picks its bucket from the hash's low bits. A multiply alone
+/// leaves those bits a linear function of the id, so for a sizable
+/// share of keys a dense or strided run of ids lands in a fraction of
+/// the buckets; the finalizer's xor-shifts fold every id bit into every
+/// hash bit, so any run of distinct ids spreads as a random function
+/// would. The key means no fixed id set collides in every process.
+#[derive(Debug)]
+struct IdHash {
+    key: u64,
+}
+
+impl IdHash {
+    fn new() -> Self {
+        Self {
+            key: RandomState::new().hash_one(0u64),
+        }
+    }
+}
+
+impl BuildHasher for IdHash {
+    type Hasher = IdHasher;
+
+    fn build_hasher(&self) -> IdHasher {
+        IdHasher(self.key)
+    }
+}
+
+/// The key, XORed with the one id written.
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the position map is keyed by u32 ids only")
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 ^= u64::from(id);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut x = self.0;
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        x ^ (x >> 33)
+    }
+}
 
 /// Handle to one cluster's sequential object segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,9 +142,16 @@ impl Segment {
 /// in O(1) instead of scanning a segment, and the map is maintained
 /// through [`SegmentStore::push`], [`SegmentStore::swap_remove`],
 /// [`SegmentStore::extract`], [`SegmentStore::remove`],
-/// [`SegmentStore::merge_into`], [`SegmentStore::order`] and segment
-/// relocations (a relocation changes a segment's layout offset, never the
-/// positions of its members).
+/// [`SegmentStore::order`] and segment relocations (a relocation changes
+/// a segment's layout offset, never the positions of its members).
+///
+/// It is the only id map of an index: an owner that gives each of its
+/// clusters one segment finds an object's cluster through the object's
+/// segment, so every insert, remove and moved member pays one map
+/// update, not two. Its entry count is the store's [`SegmentStore::len`].
+/// The map hashes with a keyed murmur3 finalizer instead of SipHash: ids
+/// are not attacker-chosen, and the finalizer spreads dense and strided
+/// ids alike over the buckets.
 ///
 /// A segment's members are kept in *key order* — ascending lower bound
 /// in dimension 0 ([`SegmentStore::key`]) — so that the kernel's
@@ -101,9 +163,10 @@ impl Segment {
 /// by an unordered tail: [`SegmentStore::push`] extends the run when the
 /// new key continues it and appends to the tail otherwise,
 /// [`SegmentStore::swap_remove`] and [`SegmentStore::extract`] keep the
-/// run a run, [`SegmentStore::merge_into`] appends the source as it is
-/// stored (an ordered source arrives as a second ordered run, whose
-/// blocks agree as well as the first's), and [`SegmentStore::order`]
+/// run a run, a merge — [`SegmentStore::remove`] of the source, then a
+/// `push` of each of its members — appends the source as it was stored
+/// (an ordered source arrives as a second ordered run, whose blocks
+/// agree as well as the first's), and [`SegmentStore::order`]
 /// folds tail and strays back into the run. The store never orders on
 /// its own: [`SegmentStore::disorder`] says how much there is to fold,
 /// and the owner says when — `acx_core` on the write path, at the
@@ -119,9 +182,8 @@ pub struct SegmentStore {
     free_slots: Vec<u32>,
     next_offset: u64,
     relocations: u64,
-    live_objects: usize,
     /// object id → (segment slot, index within the segment).
-    positions: HashMap<u32, (u32, u32)>,
+    positions: HashMap<u32, (u32, u32), IdHash>,
     /// Scratch of [`SegmentStore::order`], grown to the largest segment
     /// ordered so far: the `(key, old index)` permutation and one column.
     order_perm: Vec<(Scalar, u32)>,
@@ -151,8 +213,7 @@ impl SegmentStore {
             free_slots: Vec::new(),
             next_offset: 0,
             relocations: 0,
-            live_objects: 0,
-            positions: HashMap::new(),
+            positions: HashMap::with_hasher(IdHash::new()),
             order_perm: Vec::new(),
             order_col: Vec::new(),
             order_ids: Vec::new(),
@@ -182,12 +243,12 @@ impl SegmentStore {
 
     /// Total number of stored objects across all segments.
     pub fn len(&self) -> usize {
-        self.live_objects
+        self.positions.len()
     }
 
     /// Whether the store holds no objects.
     pub fn is_empty(&self) -> bool {
-        self.live_objects == 0
+        self.positions.is_empty()
     }
 
     /// How many times a segment had to be moved because it outgrew its
@@ -301,7 +362,6 @@ impl SegmentStore {
             previous.is_none(),
             "object id #{object_id} pushed twice into the store"
         );
-        self.live_objects += 1;
     }
 
     /// Removes the object at `index` and returns its id; at most two
@@ -348,7 +408,6 @@ impl SegmentStore {
             }
         }
         self.positions.remove(&removed);
-        self.live_objects -= 1;
         removed
     }
 
@@ -424,7 +483,6 @@ impl SegmentStore {
         for object_id in &ids {
             self.positions.remove(object_id);
         }
-        self.live_objects -= ids.len();
         (ids, coords)
     }
 
@@ -548,6 +606,11 @@ impl SegmentStore {
         self.positions.contains_key(&object_id)
     }
 
+    /// Every stored object id, in an unspecified order.
+    pub fn object_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.positions.keys().copied()
+    }
+
     /// Points `object_id`'s position entry at `index` of its segment
     /// without moving any member — a deliberately inconsistent store, for
     /// tests of an owner's consistency checks. Never called otherwise.
@@ -576,24 +639,10 @@ impl SegmentStore {
             .take()
             .expect("segment was removed");
         self.free_slots.push(id.0);
-        self.live_objects -= seg.ids.len();
         for object_id in &seg.ids {
             self.positions.remove(object_id);
         }
         (seg.ids, coords)
-    }
-
-    /// Moves every member of `src` into `dst` (used by cluster merging),
-    /// in `src`'s storage order, removing `src`. Returns how many objects
-    /// moved.
-    pub fn merge_into(&mut self, src: SegmentId, dst: SegmentId) -> usize {
-        let (ids, coords) = self.remove(src);
-        let moved = ids.len();
-        let width = 2 * self.dims;
-        for (i, object_id) in ids.into_iter().enumerate() {
-            self.push(dst, object_id, &coords[i * width..(i + 1) * width]);
-        }
-        moved
     }
 }
 
@@ -713,21 +762,16 @@ mod tests {
         assert_eq!(b.0, a.0, "slot should be recycled");
     }
 
-    #[test]
-    fn merge_into_moves_all_members() {
-        let mut s = SegmentStore::new(1);
-        let a = s.create(2);
-        let b = s.create(2);
-        s.push(a, 1, &[0.0, 0.1]);
-        s.push(a, 2, &[0.2, 0.3]);
-        s.push(b, 3, &[0.4, 0.5]);
-        let moved = s.merge_into(a, b);
-        assert_eq!(moved, 2);
-        assert_eq!(s.segment_count(), 1);
-        assert_eq!(s.segment_len(b), 3);
-        let mut ids = s.ids(b).to_vec();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2, 3]);
+    /// What a cluster merge does to the store: removes `src` and pushes
+    /// its members into `dst` in `src`'s storage order. Returns how many
+    /// moved.
+    pub(super) fn merge(s: &mut SegmentStore, src: SegmentId, dst: SegmentId) -> usize {
+        let (ids, coords) = s.remove(src);
+        let width = 2 * s.dims();
+        for (&id, flat) in ids.iter().zip(coords.chunks_exact(width)) {
+            s.push(dst, id, flat);
+        }
+        ids.len()
     }
 
     #[test]
@@ -912,7 +956,9 @@ mod tests {
         }
         let b = s.create(2);
         s.push(b, 10, &flat(0.5, 0.6));
-        s.merge_into(a, b);
+        assert_eq!(merge(&mut s, a, b), 6);
+        assert_eq!(s.segment_count(), 1);
+        assert_eq!(s.len(), 7);
         for i in 0..6 {
             let (seg, idx) = s.position_of(i).expect("merged member is mapped");
             assert_eq!(seg, b);
@@ -932,10 +978,54 @@ mod tests {
         assert_eq!(s.position_of(2), None);
         assert!(!s.contains_object(1));
     }
+
+    #[test]
+    fn object_ids_lists_every_stored_id_once() {
+        let mut s = SegmentStore::new(1);
+        let a = s.create(2);
+        let b = s.create(2);
+        for id in [5, 3, 9] {
+            s.push(a, id, &[0.0, 1.0]);
+        }
+        s.push(b, 7, &[0.2, 0.4]);
+        s.swap_remove(a, 0);
+        let mut ids: Vec<u32> = s.object_ids().collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [3, 7, 9]);
+        assert_eq!(s.len(), 3);
+    }
+
+    /// The map takes its bucket from the hash's low bits. Dense ids and
+    /// ids strided by a power of two must spread over them as a random
+    /// function would (which fills 1 − 1/e of them), under every key a
+    /// store draws; a hasher that buckets on the low id bits puts the
+    /// strided runs in a handful.
+    #[test]
+    fn id_hash_spreads_dense_and_strided_ids_over_the_buckets() {
+        const BUCKETS: u64 = 4096;
+        for _ in 0..8 {
+            let hash = IdHash::new();
+            for shift in [0, 8, 16, 20] {
+                let mut filled = vec![false; BUCKETS as usize];
+                for i in 0..BUCKETS as u32 {
+                    let mut hasher = hash.build_hasher();
+                    hasher.write_u32(i << shift);
+                    filled[(hasher.finish() & (BUCKETS - 1)) as usize] = true;
+                }
+                let filled = filled.iter().filter(|&&f| f).count();
+                assert!(
+                    2 * filled >= BUCKETS as usize,
+                    "ids i << {shift} fill {filled} of {BUCKETS} buckets (key {:#x})",
+                    hash.key
+                );
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::merge;
     use super::*;
     use proptest::prelude::*;
 
@@ -1025,7 +1115,7 @@ mod proptests {
                         let ka = a as usize % live.len();
                         let mut kb = b as usize % live.len();
                         if ka == kb { kb = (kb + 1) % live.len(); }
-                        let moved = store.merge_into(live[ka], live[kb]);
+                        let moved = merge(&mut store, live[ka], live[kb]);
                         prop_assert_eq!(moved, model[ka].len());
                         let mut taken = std::mem::take(&mut model[ka]);
                         model[kb].append(&mut taken);
@@ -1120,7 +1210,7 @@ mod proptests {
                         let ka = a as usize % live.len();
                         let mut kb = b as usize % live.len();
                         if ka == kb { kb = (kb + 1) % live.len(); }
-                        store.merge_into(live[ka], live[kb]);
+                        merge(&mut store, live[ka], live[kb]);
                         live.remove(ka);
                     }
                     Op::Order(s) => {
