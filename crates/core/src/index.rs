@@ -2364,7 +2364,13 @@ impl AdaptiveClusterIndex {
     }
 
     /// Forces every appended WAL record down to durable storage,
-    /// regardless of the flush policy.
+    /// regardless of the flush policy, and returns once it is there.
+    ///
+    /// Under `batch` and `epoch` this is the durability point: their
+    /// barriers write the frames before the mutation returns (a process
+    /// crash keeps them) but sync behind it, so a power cut can lose
+    /// what was appended since the barrier before the last one.
+    /// `sync_wal` waits for that sync and syncs the rest itself.
     pub fn sync_wal(&mut self) -> Result<(), IndexError> {
         if let Some(wal) = self.wal.as_mut() {
             wal.sync().map_err(IndexError::Wal)?;

@@ -481,6 +481,37 @@ fn flush_failure_surfaces_under_per_record_policy() {
 }
 
 #[test]
+fn a_failed_behind_sync_fails_the_mutation_at_the_next_barrier() {
+    // Flush #1 is the header's. The barrier after the fourth insert is
+    // #2: it returns, and its sync fails behind the caller.
+    let injector = FaultInjector::new(FaultPlan::flush_fail_at(2));
+    let wal = Wal::create(Box::new(injector), FlushPolicy::PerBatch(4), 2).unwrap();
+    let mut index = AdaptiveClusterIndex::new(config_2d()).unwrap();
+    index.attach_wal(wal).unwrap();
+    let (applied, err) = insert_until_failure(&mut index, 7);
+    assert!(
+        err.is_none(),
+        "the barrier whose sync fails returned: {err:?}"
+    );
+    assert_eq!(applied, 7);
+
+    // The eighth insert's append is the next barrier: it fails, and
+    // nothing moved.
+    let before = index.snapshots();
+    let rect = HyperRect::from_bounds(&[0.4, 0.4], &[0.5, 0.5]).unwrap();
+    let err = index.insert(ObjectId(7), rect).unwrap_err();
+    assert!(matches!(err, IndexError::Wal(_)), "got {err:?}");
+    assert!(!index.contains(ObjectId(7)));
+    assert_eq!(index.len(), 7);
+    assert_eq!(index.snapshots(), before);
+    index.check_invariants().unwrap();
+    // The log is poisoned: later mutations keep failing.
+    let again = index.remove(ObjectId(0)).unwrap_err();
+    assert!(matches!(again, IndexError::Wal(_)), "got {again:?}");
+    assert!(index.contains(ObjectId(0)));
+}
+
+#[test]
 fn short_reads_do_not_produce_a_broken_index() {
     // Write a healthy log, then recover through a medium that drops
     // tail bytes from every read: recovery sees a shorter prefix but

@@ -46,13 +46,42 @@ fn shard_states(index: &ShardedIndex) -> Vec<(Vec<ClusterSnapshot>, usize)> {
         .collect()
 }
 
+/// Threads of this process named `acx-wal-sync`, where `/proc` lists
+/// them. Only one test of this file runs a policy that syncs behind the
+/// caller, so the count is that test's.
+fn wal_sync_threads() -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .filter_map(Result::ok)
+            .filter(|task| {
+                std::fs::read_to_string(task.path().join("comm"))
+                    .is_ok_and(|name| name.trim_end() == "acx-wal-sync")
+            })
+            .count(),
+    )
+}
+
 #[test]
 fn wal_checkpoint_recover_roundtrip() {
-    let dir = temp_dir("roundtrip");
+    roundtrip("roundtrip", FlushPolicy::PerRecord);
+}
+
+/// The same round trip with barriers synced behind the callers: every
+/// shard's log gets its own sync thread, and dropping the service
+/// joins them.
+#[test]
+fn wal_checkpoint_recover_roundtrip_synced_behind() {
+    roundtrip("behind", FlushPolicy::PerBatch(64));
+}
+
+fn roundtrip(tag: &str, policy: FlushPolicy) {
+    let behind = policy != FlushPolicy::PerRecord;
+    let dir = temp_dir(tag);
     let generator = PubSubGenerator::apartments();
     let mut rng = StdRng::seed_from_u64(31);
     let index = ShardedIndex::new(config()).unwrap();
-    index.attach_wal_dir(&dir, FlushPolicy::PerRecord).unwrap();
+    index.attach_wal_dir(&dir, policy).unwrap();
 
     // Phase 1: inserts + events, then a checkpoint.
     index
@@ -81,10 +110,15 @@ fn wal_checkpoint_recover_roundtrip() {
         "premise: some shard materialized clusters before the crash"
     );
     let survivors = index.object_ids();
+    if behind {
+        assert_eq!(wal_sync_threads().unwrap_or(3), 3, "one per shard");
+    }
     drop(index); // "crash": queues close, workers drain, logs stay
+    if behind {
+        assert_eq!(wal_sync_threads().unwrap_or(0), 0, "joined on drop");
+    }
 
-    let (recovered, reports) =
-        ShardedIndex::recover(&dir, FlushPolicy::PerRecord, config()).unwrap();
+    let (recovered, reports) = ShardedIndex::recover(&dir, policy, config()).unwrap();
     assert_eq!(reports.len(), 3);
     assert!(
         reports.iter().any(|r| r.replayed_records > 0),

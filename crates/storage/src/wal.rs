@@ -32,14 +32,32 @@
 //! decides how often appended frames are made durable: per record, per
 //! batch of N records, or only at epoch-close markers.
 //!
-//! A record is durable once a durability barrier covering it returns.
 //! [`FileBacking`] group-commits: frames are staged in the process and
-//! written with one positioned write per barrier, followed by
-//! `fdatasync`. Until its barrier a record lives in the process, so a
-//! process crash loses it, as a power cut would; a record a barrier
-//! covered survives both. A write error surfaces at the barrier, like
-//! an `fdatasync` error: the append that hit the barrier fails and the
-//! log is poisoned.
+//! written with one positioned write per barrier. What the barrier
+//! then waits for depends on the policy:
+//!
+//! - `PerRecord` syncs in the caller ([`BackingStore::flush`]): a
+//!   record is on stable storage before its mutation applies.
+//! - `PerBatch` and `PerEpoch` hand the `fdatasync` to the log's own
+//!   thread ([`BackingStore::flush_behind`]) and return once the
+//!   frames are written. So the event whose reorganization pass logs
+//!   the `EpochClose` marker does not wait on the disk.
+//!
+//! What survives which crash under `PerBatch` and `PerEpoch`:
+//!
+//! - **Process crash.** Every barrier's frames are in the file when
+//!   the barrier returns, so only the records appended since the last
+//!   barrier are lost.
+//! - **Power cut.** A barrier waits for the sync before it, so at most
+//!   one sync is in flight. Up to the records appended since the
+//!   barrier *before* the last one are lost.
+//! - **[`Wal::sync`]** (and `AdaptiveClusterIndex::sync_wal` above it)
+//!   is the durability point: it waits for the sync in flight and then
+//!   syncs in the caller, so everything appended survives both.
+//!
+//! A write error surfaces at the barrier that wrote, and a sync error
+//! on the log's thread at the next barrier, sync or truncation: the
+//! append that hit it fails and the log is poisoned.
 //!
 //! The header's **checkpoint id** couples the log to the checkpoint
 //! that last truncated it: [`Wal::reset_to`] stamps the id of the
@@ -53,6 +71,8 @@ use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 use acx_geom::Scalar;
 
@@ -217,21 +237,24 @@ fn decode_id_coords(rest: &mut &[u8]) -> Option<(u32, Vec<Scalar>)> {
 
 /// How often appended records are made durable (`fsync` frequency).
 ///
-/// A record is durable once a barrier covering it returns; until then
-/// a [`FileBacking`] stages it in the process, where a process crash
-/// or a power cut loses it.
+/// Until a barrier covers it, a [`FileBacking`] stages a record in the
+/// process, where a process crash or a power cut loses it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FlushPolicy {
     /// Flush after every record — maximum durability, one sync per
-    /// mutation, before the mutation applies.
+    /// mutation, in the caller, before the mutation applies.
     #[default]
     PerRecord,
-    /// Flush after every N records (and at every epoch-close marker).
-    /// A process crash or a power cut loses the records appended since
-    /// the last barrier — fewer than N, never a closed epoch.
+    /// Flush after every N records (and at every epoch-close marker),
+    /// syncing behind the caller ([`BackingStore::flush_behind`]). A
+    /// process crash loses the records appended since the last
+    /// barrier: fewer than N, never a closed epoch. A power cut loses
+    /// those since the barrier before the last one: fewer than 2N,
+    /// which may include the last epoch's close.
     PerBatch(u32),
-    /// Flush only at epoch-close markers: a process crash or a power
-    /// cut may lose the open epoch's mutations, never a closed one.
+    /// Flush only at epoch-close markers, syncing behind the caller. A
+    /// process crash may lose the open epoch's mutations, never a
+    /// closed one; a power cut may also lose the epoch closed last.
     PerEpoch,
 }
 
@@ -284,6 +307,14 @@ pub trait BackingStore: std::fmt::Debug + Send + Sync {
     fn append(&mut self, bytes: &[u8]) -> io::Result<()>;
     /// Durability barrier: everything appended so far survives a crash.
     fn flush(&mut self) -> io::Result<()>;
+    /// Barrier whose sync lands after it returns: everything appended
+    /// so far is handed to the medium (it survives a process crash) and
+    /// becomes durable later. An error of that later sync surfaces at
+    /// the next `flush_behind`, `flush` or `truncate`. The default is
+    /// a full [`flush`](BackingStore::flush).
+    fn flush_behind(&mut self) -> io::Result<()> {
+        self.flush()
+    }
     /// Reads the entire current log image (for replay).
     fn read_durable(&mut self) -> io::Result<Vec<u8>>;
     /// Discards everything past `len` bytes.
@@ -299,16 +330,28 @@ pub trait BackingStore: std::fmt::Debug + Send + Sync {
 const STAGE_LIMIT: usize = 64 * 1024;
 
 /// File-backed log, group-committed: `append` stages bytes in the
-/// process, and `flush` writes everything staged with one positioned
-/// write at the end of the file, then calls `File::sync_data`.
+/// process, and a barrier writes everything staged with one positioned
+/// write at the end of the file. `flush` then calls `File::sync_data`
+/// itself; `flush_behind` posts the sync to the backing's own thread
+/// (`acx-wal-sync`, spawned by the first `flush_behind`) and returns.
 ///
-/// What survives which crash: bytes a returned `flush` covered survive
-/// a power cut. Staged bytes survive neither a process crash nor a
-/// power cut. They are written out unsynced — and then survive a
-/// process crash, not a power cut — once 64 KiB accumulate, before
-/// `read_durable`, and when the backing is dropped. A failed write
-/// keeps the bytes staged, and the next write starts over at the same
-/// offset.
+/// What survives which crash:
+///
+/// - Bytes a returned `flush` covered survive a power cut.
+/// - Bytes a returned `flush_behind` covered survive a process crash,
+///   and a power cut once its sync lands. A `flush_behind` first waits
+///   for the previous one's sync, so after a power cut everything up to
+///   the `flush_behind` before the last one survives.
+/// - Staged bytes survive neither a process crash nor a power cut.
+///   They are written out unsynced — and then survive a process crash,
+///   not a power cut — once 64 KiB accumulate, before `read_durable`,
+///   and when the backing is dropped.
+///
+/// A failed write keeps the bytes staged, and the next write starts
+/// over at the same offset. A failed sync on the thread is kept and
+/// returned by the next `flush_behind`, `flush` or `truncate`. `flush`
+/// and `truncate` wait until no sync is in flight; dropping the
+/// backing writes what is staged and joins the thread.
 #[derive(Debug)]
 pub struct FileBacking {
     file: File,
@@ -316,6 +359,111 @@ pub struct FileBacking {
     staged: Vec<u8>,
     /// Bytes written to `file`: where the staged bytes go.
     written: u64,
+    /// The sync thread, once a `flush_behind` has spawned it.
+    syncer: Option<Syncer>,
+}
+
+/// A thread that syncs a [`FileBacking`]'s file on request, one sync
+/// at a time.
+#[derive(Debug)]
+struct Syncer {
+    shared: Arc<SyncShared>,
+    thread: Option<JoinHandle<()>>,
+}
+
+#[derive(Debug, Default)]
+struct SyncShared {
+    state: Mutex<SyncState>,
+    /// Signalled when `state` changes. The owner waits only while a
+    /// sync is pending and the thread only while none is, so one
+    /// waiter at most.
+    changed: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct SyncState {
+    /// A sync was requested and has not finished.
+    pending: bool,
+    stop: bool,
+    /// The first failed sync not yet returned to the owner.
+    error: Option<io::Error>,
+}
+
+impl Syncer {
+    fn spawn(file: &File) -> io::Result<Self> {
+        let file = file.try_clone()?;
+        let shared = Arc::new(SyncShared::default());
+        let theirs = Arc::clone(&shared);
+        let thread = std::thread::Builder::new()
+            .name("acx-wal-sync".into())
+            .spawn(move || theirs.serve(&file))?;
+        Ok(Syncer {
+            shared,
+            thread: Some(thread),
+        })
+    }
+
+    /// Waits until no sync is in flight; returns a failed one's error.
+    fn wait_idle(&self) -> io::Result<()> {
+        let mut state = self.shared.lock();
+        while state.pending {
+            state = self.shared.changed.wait(state).expect("wal sync lock");
+        }
+        state.error.take().map_or(Ok(()), Err)
+    }
+
+    /// Requests a sync. The caller has waited for the previous one.
+    fn post(&self) {
+        self.shared.lock().pending = true;
+        self.shared.changed.notify_one();
+    }
+}
+
+impl SyncShared {
+    fn lock(&self) -> MutexGuard<'_, SyncState> {
+        self.state.lock().expect("wal sync lock")
+    }
+
+    /// The thread's loop: sync on request, outside the lock, until
+    /// told to stop with nothing pending.
+    fn serve(&self, file: &File) {
+        let mut state = self.lock();
+        loop {
+            if state.pending {
+                drop(state);
+                let synced = file.sync_data();
+                state = self.lock();
+                state.pending = false;
+                if let Err(e) = synced {
+                    state.error.get_or_insert(e);
+                }
+                self.changed.notify_one();
+            } else if state.stop {
+                return;
+            } else {
+                state = self.changed.wait(state).expect("wal sync lock");
+            }
+        }
+    }
+}
+
+impl Drop for Syncer {
+    /// Lets a sync in flight finish, then joins the thread. Each update
+    /// of the state is one store, so a poisoned lock still holds valid
+    /// data.
+    fn drop(&mut self) {
+        let mut state = self
+            .shared
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        state.stop = true;
+        drop(state);
+        self.shared.changed.notify_one();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
 }
 
 impl FileBacking {
@@ -331,6 +479,7 @@ impl FileBacking {
             file,
             staged: Vec::new(),
             written: 0,
+            syncer: None,
         })
     }
 
@@ -348,6 +497,7 @@ impl FileBacking {
             file,
             staged: Vec::new(),
             written,
+            syncer: None,
         })
     }
 
@@ -359,6 +509,11 @@ impl FileBacking {
             self.staged.clear();
         }
         Ok(())
+    }
+
+    /// Waits until the sync thread, if any, has no sync in flight.
+    fn wait_idle(&self) -> io::Result<()> {
+        self.syncer.as_ref().map_or(Ok(()), Syncer::wait_idle)
     }
 }
 
@@ -373,7 +528,21 @@ impl BackingStore for FileBacking {
 
     fn flush(&mut self) -> io::Result<()> {
         self.write_staged()?;
+        self.wait_idle()?;
         self.file.sync_data()
+    }
+
+    /// Writes the staged bytes, waits for the previous sync, and posts
+    /// this one to the sync thread.
+    fn flush_behind(&mut self) -> io::Result<()> {
+        self.write_staged()?;
+        let syncer = match &mut self.syncer {
+            Some(syncer) => syncer,
+            none => none.insert(Syncer::spawn(&self.file)?),
+        };
+        syncer.wait_idle()?;
+        syncer.post();
+        Ok(())
     }
 
     fn read_durable(&mut self) -> io::Result<Vec<u8>> {
@@ -386,8 +555,9 @@ impl BackingStore for FileBacking {
 
     /// Cuts the file only when `len` falls inside it; staged bytes past
     /// `len` are dropped unwritten, so resetting a log on a full disk
-    /// writes nothing first.
+    /// writes nothing first. Waits for a sync in flight first.
     fn truncate(&mut self, len: u64) -> io::Result<()> {
+        self.wait_idle()?;
         if len < self.written {
             self.file.set_len(len)?;
             self.written = len;
@@ -407,6 +577,7 @@ impl Drop for FileBacking {
     /// Writes staged bytes out without a sync, so dropping a log that
     /// was never synced leaves the bytes a write per append would have
     /// left. A write error is ignored: no barrier covered those bytes.
+    /// The sync thread is joined after, when the fields drop.
     fn drop(&mut self) {
         let _ = self.write_staged();
     }
@@ -481,7 +652,9 @@ pub enum Fault {
     /// The append fails with [`io::ErrorKind::StorageFull`]; nothing is
     /// written and the medium stays alive.
     Enospc,
-    /// The flush fails and the staged (unflushed) bytes are lost.
+    /// The flush fails and the staged (unflushed) bytes are lost. On a
+    /// `flush_behind` the barrier returns `Ok` and the failure, with
+    /// the loss, surfaces at the next barrier.
     FlushFail,
     /// The medium crashes: the operation fails and every staged byte is
     /// discarded.
@@ -518,7 +691,8 @@ impl FaultPlan {
         FaultPlan::none().and_append_fault(n, Fault::Enospc)
     }
 
-    /// Fail flush `n`, losing the staged bytes.
+    /// Fail flush `n` (counting `flush` and `flush_behind`), losing the
+    /// staged bytes.
     pub fn flush_fail_at(n: u64) -> Self {
         FaultPlan::none().and_flush_fault(n, Fault::FlushFail)
     }
@@ -580,15 +754,24 @@ impl FaultPlan {
 /// A [`BackingStore`] that models a volatile write buffer over an
 /// ordered durable medium and fails on a [`FaultPlan`] schedule.
 ///
-/// `append` stages bytes; `flush` persists everything staged; a crash
-/// (scheduled, or the tail of a torn write) discards staged bytes so
-/// the surviving image is exactly what a real machine would find after
-/// reboot. `truncate` models the post-reboot repair and revives a
-/// crashed medium.
+/// `append` stages bytes; `flush` persists everything staged;
+/// `flush_behind` is a barrier that lands later: it persists what the
+/// *previous* `flush_behind` covered and leaves its own end pending. A
+/// crash (scheduled, or the tail of a torn write) discards everything
+/// not persisted, so the surviving image is exactly what a real machine
+/// would find after reboot. A scheduled [`Fault::FlushFail`] on a
+/// `flush_behind` lets it return `Ok` and fails the next barrier, as a
+/// sync that fails on another thread does. `truncate` models the
+/// post-reboot repair and revives a crashed medium.
 #[derive(Debug)]
 pub struct FaultInjector {
     appended: Vec<u8>,
     persisted: usize,
+    /// End of what the last `flush_behind` covered: persisted when the
+    /// next barrier comes.
+    landing: usize,
+    /// The last `flush_behind`'s sync failed; the next barrier says so.
+    landing_fails: bool,
     plan: FaultPlan,
     appends: u64,
     flushes: u64,
@@ -601,6 +784,8 @@ impl FaultInjector {
         FaultInjector {
             appended: Vec::new(),
             persisted: 0,
+            landing: 0,
+            landing_fails: false,
             plan,
             appends: 0,
             flushes: 0,
@@ -635,7 +820,28 @@ impl FaultInjector {
 
     fn crash(&mut self) {
         self.crashed = true;
+        self.landing_fails = false;
+        self.lose_unpersisted();
+    }
+
+    fn lose_unpersisted(&mut self) {
         self.appended.truncate(self.persisted);
+        self.landing = self.persisted;
+    }
+
+    /// Starts a barrier: the last `flush_behind` lands, or its failure
+    /// surfaces here and everything not persisted is lost.
+    fn land(&mut self) -> io::Result<()> {
+        if self.crashed {
+            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "medium crashed"));
+        }
+        self.flushes += 1;
+        if std::mem::take(&mut self.landing_fails) {
+            self.lose_unpersisted();
+            return Err(io::Error::other("earlier flush failed; staged bytes lost"));
+        }
+        self.persisted = self.persisted.max(self.landing);
+        Ok(())
     }
 }
 
@@ -671,18 +877,33 @@ impl BackingStore for FaultInjector {
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        if self.crashed {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "medium crashed"));
-        }
-        self.flushes += 1;
+        self.land()?;
         match FaultPlan::fault_at(&self.plan.on_flush, self.flushes) {
             None => {
                 self.persisted = self.appended.len();
                 Ok(())
             }
             Some(Fault::FlushFail) => {
-                self.appended.truncate(self.persisted);
+                self.lose_unpersisted();
                 Err(io::Error::other("flush failed; staged bytes lost"))
+            }
+            Some(_) => {
+                self.crash();
+                Err(io::Error::new(io::ErrorKind::BrokenPipe, "simulated crash"))
+            }
+        }
+    }
+
+    fn flush_behind(&mut self) -> io::Result<()> {
+        self.land()?;
+        match FaultPlan::fault_at(&self.plan.on_flush, self.flushes) {
+            None => {
+                self.landing = self.appended.len();
+                Ok(())
+            }
+            Some(Fault::FlushFail) => {
+                self.landing_fails = true;
+                Ok(())
             }
             Some(_) => {
                 self.crash();
@@ -700,6 +921,7 @@ impl BackingStore for FaultInjector {
     fn truncate(&mut self, len: u64) -> io::Result<()> {
         self.appended.truncate(len as usize);
         self.persisted = self.persisted.min(self.appended.len());
+        self.landing = self.landing.min(self.appended.len());
         // Post-reboot repair: the medium is usable again.
         self.crashed = false;
         Ok(())
@@ -958,6 +1180,8 @@ impl Wal {
     /// Appends one record and flushes according to the policy
     /// (epoch-close markers force a barrier under both `PerEpoch` and
     /// `PerBatch`, so a closed epoch is never lost to a partial batch).
+    /// `PerRecord` syncs before returning; the other two sync behind
+    /// the caller ([`BackingStore::flush_behind`]).
     pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
         if self.poisoned {
             return Err(WalError::Poisoned);
@@ -988,17 +1212,29 @@ impl Wal {
             FlushPolicy::PerEpoch => matches!(record, WalRecord::EpochClose),
         };
         if flush_now {
-            self.sync()?;
+            self.barrier(self.policy != FlushPolicy::PerRecord)?;
         }
         Ok(())
     }
 
-    /// Forces a durability barrier regardless of policy.
+    /// Forces a durability barrier regardless of policy, synced in the
+    /// caller: when it returns, every appended record survives a power
+    /// cut.
     pub fn sync(&mut self) -> Result<(), WalError> {
+        self.barrier(false)
+    }
+
+    /// A barrier whose sync lands in the caller, or behind it.
+    fn barrier(&mut self, behind: bool) -> Result<(), WalError> {
         if self.poisoned {
             return Err(WalError::Poisoned);
         }
-        if let Err(source) = self.store.flush() {
+        let flushed = if behind {
+            self.store.flush_behind()
+        } else {
+            self.store.flush()
+        };
+        if let Err(source) = flushed {
             self.poisoned = true;
             return Err(WalError::Io {
                 op: "flush",
@@ -1430,9 +1666,10 @@ mod tests {
 
         let mut store = wal.into_store();
         let replay = Wal::replay(store.as_mut()).unwrap();
-        // PerBatch(2): records 1–2 and 3–4 flushed; the crash drops
-        // nothing because all four appended records hit a barrier.
-        assert_eq!(replay.records.len(), 4);
+        // PerBatch(2) syncs behind the caller: the barrier after record
+        // 4 landed the one after record 2, and its own sync was still in
+        // flight when the medium crashed.
+        assert_eq!(replay.records.len(), 2);
         assert!(replay.torn.is_none());
     }
 
@@ -1447,7 +1684,7 @@ mod tests {
         .unwrap();
         wal.append(&WalRecord::Remove { id: 1 }).unwrap();
         wal.append(&WalRecord::Remove { id: 2 }).unwrap();
-        let err = wal.append(&WalRecord::Remove { id: 3 }).unwrap_err();
+        let err = wal.sync().unwrap_err();
         assert!(matches!(err, WalError::Io { op: "flush", .. }));
         assert_eq!(err.io_kind(), Some(io::ErrorKind::Other));
         let mut store = wal.into_store();
@@ -1455,6 +1692,90 @@ mod tests {
         assert!(
             replay.records.is_empty(),
             "staged records were lost with the flush"
+        );
+    }
+
+    fn injector(wal: &Wal) -> &FaultInjector {
+        wal.store.as_any().downcast_ref::<FaultInjector>().unwrap()
+    }
+
+    #[test]
+    fn a_crash_keeps_what_the_barrier_before_the_last_one_covered() {
+        let records: Vec<WalRecord> = sample_records().into_iter().cycle().take(40).collect();
+        for policy in [FlushPolicy::PerBatch(4), FlushPolicy::PerEpoch] {
+            // The header is append #1: crash on every record append.
+            for crash_after in 1..=records.len() as u64 {
+                let plan = FaultPlan::crash_after_appends(crash_after);
+                let mut wal = Wal::create(Box::new(FaultInjector::new(plan)), policy, 2).unwrap();
+                // Records covered by each barrier, the header's first.
+                let mut covered = vec![0];
+                for (i, rec) in records.iter().enumerate() {
+                    let flushes = injector(&wal).flushes();
+                    if wal.append(rec).is_err() {
+                        break;
+                    }
+                    if injector(&wal).flushes() > flushes {
+                        covered.push(i + 1);
+                    }
+                }
+                assert!(injector(&wal).crashed());
+                let image = injector(&wal).surviving().to_vec();
+                let replay = Wal::replay(&mut MemBacking::from_bytes(image)).unwrap();
+                let kept = replay.records.len();
+                assert_eq!(replay.records[..], records[..kept]);
+                // The contract promises at least what the barrier before
+                // the last one covered; the injector keeps exactly that,
+                // because the last barrier's sync had not landed.
+                let before_last = covered[covered.len().saturating_sub(2)];
+                assert_eq!(kept, before_last, "{policy}, crash after {crash_after}");
+            }
+        }
+    }
+
+    #[test]
+    fn sync_makes_every_appended_record_durable() {
+        let records = fourteen_records();
+        for policy in [FlushPolicy::PerBatch(4), FlushPolicy::PerEpoch] {
+            // Header plus the records succeed; the next append crashes.
+            let plan = FaultPlan::crash_after_appends(records.len() as u64 + 1);
+            let mut wal = Wal::create(Box::new(FaultInjector::new(plan)), policy, 2).unwrap();
+            for rec in &records {
+                wal.append(rec).unwrap();
+            }
+            wal.sync().unwrap();
+            assert!(wal.append(&WalRecord::EpochClose).is_err());
+            let image = injector(&wal).surviving().to_vec();
+            let replay = Wal::replay(&mut MemBacking::from_bytes(image)).unwrap();
+            assert_eq!(replay.records, records, "{policy}");
+        }
+    }
+
+    #[test]
+    fn a_failed_behind_sync_surfaces_at_the_next_barrier_and_poisons_the_log() {
+        let plan = FaultPlan::flush_fail_at(2); // header flush is #1
+        let mut wal = Wal::create(
+            Box::new(FaultInjector::new(plan)),
+            FlushPolicy::PerBatch(3),
+            2,
+        )
+        .unwrap();
+        // Record 3's barrier is flush #2: its sync fails behind the caller.
+        for id in 1..=5 {
+            wal.append(&WalRecord::Remove { id }).unwrap();
+        }
+        let err = wal.append(&WalRecord::Remove { id: 6 }).unwrap_err();
+        assert!(matches!(err, WalError::Io { op: "flush", .. }), "{err}");
+        assert!(wal.poisoned());
+        assert!(matches!(
+            wal.append(&WalRecord::Remove { id: 7 }),
+            Err(WalError::Poisoned)
+        ));
+        assert!(matches!(wal.sync(), Err(WalError::Poisoned)));
+        let mut store = wal.into_store();
+        let replay = Wal::replay(store.as_mut()).unwrap();
+        assert!(
+            replay.records.is_empty(),
+            "what the failed sync covered, and all after it, is lost"
         );
     }
 
@@ -1765,6 +2086,119 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    #[test]
+    fn a_behind_barrier_is_in_the_file_when_it_returns() {
+        let records = fourteen_records();
+        for (policy, barriers) in [
+            (FlushPolicy::PerBatch(3), vec![3, 6, 9, 12]),
+            (FlushPolicy::PerEpoch, vec![6, 12]),
+        ] {
+            let path = temp_path("behind");
+            let mut wal =
+                Wal::create(Box::new(FileBacking::create(&path).unwrap()), policy, 2).unwrap();
+            for (i, rec) in records.iter().enumerate() {
+                wal.append(rec).unwrap();
+                if barriers.contains(&(i + 1)) {
+                    // A second handle on the file, as a restarted process
+                    // would open it, with the first one still live.
+                    let mut reader = FileBacking::open(&path).unwrap();
+                    let replay = Wal::replay(&mut reader).unwrap();
+                    assert_eq!(replay.records, records[..=i], "{policy}");
+                }
+            }
+            drop(wal);
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn file_backing_flush_and_truncate_wait_for_the_sync_thread() {
+        type Op = fn(&mut FileBacking) -> io::Result<()>;
+        let ops: [(&str, Op, usize); 2] = [
+            ("flush", |store| store.flush(), 5 * 512),
+            ("truncate", |store| store.truncate(1000), 1000),
+        ];
+        for (name, op, len) in ops {
+            let path = temp_path("idle");
+            let mut store = FileBacking::create(&path).unwrap();
+            for i in 0..4u8 {
+                store.append(&[i; 512]).unwrap();
+                store.flush_behind().unwrap();
+            }
+            store.append(&[9; 512]).unwrap();
+            let shared = Arc::clone(&store.syncer.as_ref().expect("spawned").shared);
+            // While the sync state is held, the thread cannot finish a
+            // sync and `op` cannot see it idle.
+            let held = shared.lock();
+            let caller = std::thread::spawn(move || (op(&mut store), store));
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            let returned_early = caller.is_finished();
+            // Released before any assertion: dropping the store joins
+            // the thread, which needs the lock.
+            drop(held);
+            let (result, store) = caller.join().unwrap();
+            assert!(
+                !returned_early,
+                "{name} returned without asking the sync thread"
+            );
+            result.unwrap();
+            assert!(
+                !shared.lock().pending,
+                "{name} returned with a sync in flight"
+            );
+            drop(store);
+            assert_eq!(std::fs::read(&path).unwrap().len(), len, "{name}");
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
+    fn dropping_a_file_backing_joins_its_sync_thread() {
+        let path = temp_path("join");
+        let mut store = FileBacking::create(&path).unwrap();
+        store.append(&[1; 4096]).unwrap();
+        store.flush_behind().unwrap();
+        store.append(&[2; 10]).unwrap();
+        let shared = Arc::clone(&store.syncer.as_ref().expect("spawned").shared);
+        let started = std::time::Instant::now();
+        drop(store);
+        assert!(started.elapsed() < std::time::Duration::from_secs(10));
+        assert_eq!(Arc::strong_count(&shared), 1, "the thread has exited");
+        assert!(!shared.lock().pending);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            [vec![1; 4096], vec![2; 10]].concat()
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn only_a_behind_barrier_spawns_the_sync_thread() {
+        let spawned = |wal: Wal| {
+            let store = wal.into_store();
+            let backing = store.as_any().downcast_ref::<FileBacking>().unwrap();
+            backing.syncer.is_some()
+        };
+        for policy in POLICIES {
+            let path = temp_path("spawn");
+            let mut wal =
+                Wal::create(Box::new(FileBacking::create(&path).unwrap()), policy, 2).unwrap();
+            // Header, sync, reset and recovery sync in the caller.
+            wal.append(&WalRecord::Remove { id: 1 }).unwrap();
+            wal.sync().unwrap();
+            wal.reset_to(1).unwrap();
+            wal.append(&WalRecord::Remove { id: 2 }).unwrap();
+            assert!(!spawned(wal), "{policy}: no policy barrier ran yet");
+            let (mut wal, _) =
+                Wal::reopen(Box::new(FileBacking::open(&path).unwrap()), policy, 2).unwrap();
+            for rec in fourteen_records() {
+                wal.append(&rec).unwrap();
+            }
+            assert_eq!(spawned(wal), policy != FlushPolicy::PerRecord, "{policy}");
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
     /// `/dev/full` behind the image of an empty log: reopening finds a
     /// valid header, and every byte appended after it fails once
     /// written.
@@ -1780,6 +2214,9 @@ mod tests {
         }
         fn flush(&mut self) -> io::Result<()> {
             self.device.flush()
+        }
+        fn flush_behind(&mut self) -> io::Result<()> {
+            self.device.flush_behind()
         }
         fn read_durable(&mut self) -> io::Result<Vec<u8>> {
             Ok(self.header.clone())
