@@ -5,10 +5,8 @@
 //! adaptive clustering index, so the experiment harness prices all three
 //! methods with one cost model per storage scenario. They also verify
 //! objects through the same columnar batch kernel
-//! ([`acx_geom::scan`]), keeping the throughput comparison
-//! apples-to-apples at the verification level, and expose the shared
-//! [`BatchExecute`] batch API so it stays apples-to-apples at the API
-//! level too.
+//! ([`acx_geom::scan`]), keeping the comparison apples-to-apples at the
+//! verification level.
 //!
 //! * [`SeqScan`] — stores all objects in dimension-major columns of one
 //!   sequential segment and checks every object with early exit on the
@@ -24,146 +22,5 @@
 mod rstar;
 mod seqscan;
 
-use acx_geom::scan::ScanScratch;
-use acx_geom::SpatialQuery;
-use acx_storage::QueryResult;
-
 pub use rstar::{RStarConfig, RStarTree};
 pub use seqscan::SeqScan;
-
-/// Shared batch query API of the read-only baselines, mirroring
-/// `acx_core::AdaptiveClusterIndex::execute_batch`: results come back in
-/// query order and are identical to executing the queries one by one;
-/// only wall-clock changes with `threads`.
-///
-/// The baselines record no adaptive statistics, so batching is pure
-/// fan-out: queries are split into `threads` contiguous chunks, each
-/// chunk served by one scoped worker reusing one kernel scratch.
-pub trait BatchExecute {
-    /// Executes `queries` with `threads` worker threads, returning one
-    /// result per query in query order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or on query dimensionality mismatch.
-    fn execute_batch(&self, queries: &[SpatialQuery], threads: usize) -> Vec<QueryResult>;
-}
-
-/// Fans `queries` across `threads` scoped workers, each running `exec`
-/// with a worker-local kernel scratch.
-fn batch_with_scratch<F>(queries: &[SpatialQuery], threads: usize, exec: F) -> Vec<QueryResult>
-where
-    F: Fn(&SpatialQuery, &mut ScanScratch) -> QueryResult + Sync,
-{
-    assert!(threads > 0, "need at least one thread");
-    if threads == 1 || queries.len() < 2 {
-        let mut scratch = ScanScratch::new();
-        return queries.iter().map(|q| exec(q, &mut scratch)).collect();
-    }
-    let chunk = queries.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = queries
-            .chunks(chunk)
-            .map(|chunk_queries| {
-                let exec = &exec;
-                scope.spawn(move || {
-                    let mut scratch = ScanScratch::new();
-                    chunk_queries
-                        .iter()
-                        .map(|q| exec(q, &mut scratch))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("batch worker panicked"))
-            .collect()
-    })
-}
-
-impl BatchExecute for SeqScan {
-    fn execute_batch(&self, queries: &[SpatialQuery], threads: usize) -> Vec<QueryResult> {
-        batch_with_scratch(queries, threads, |q, scratch| self.execute_with(q, scratch))
-    }
-}
-
-impl BatchExecute for RStarTree {
-    fn execute_batch(&self, queries: &[SpatialQuery], threads: usize) -> Vec<QueryResult> {
-        batch_with_scratch(queries, threads, |q, scratch| self.execute_with(q, scratch))
-    }
-}
-
-#[cfg(test)]
-mod batch_tests {
-    use super::*;
-    use acx_geom::{HyperRect, ObjectId};
-    use acx_storage::StorageScenario;
-
-    fn queries() -> Vec<SpatialQuery> {
-        (0..37)
-            .map(|k| {
-                let c = (k % 10) as f32 / 10.0;
-                match k % 3 {
-                    0 => SpatialQuery::point_enclosing(vec![c, c]),
-                    1 => SpatialQuery::intersection(
-                        HyperRect::from_bounds(&[c, 0.0], &[(c + 0.2).min(1.0), 1.0]).unwrap(),
-                    ),
-                    _ => SpatialQuery::containment(HyperRect::unit(2)),
-                }
-            })
-            .collect()
-    }
-
-    fn objects() -> Vec<(ObjectId, HyperRect)> {
-        (0..500u32)
-            .map(|i| {
-                let lo = (i % 97) as f32 / 100.0;
-                let hi = (lo + 0.02 + (i % 7) as f32 / 20.0).min(1.0);
-                (
-                    ObjectId(i),
-                    HyperRect::from_bounds(&[lo, 1.0 - hi], &[hi, 1.0 - lo]).unwrap(),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn batch_matches_one_by_one_execution_for_both_baselines() {
-        let mut ss = SeqScan::new(2, StorageScenario::Memory);
-        let mut rs = RStarTree::new(RStarConfig {
-            page_size: 512,
-            ..RStarConfig::memory(2)
-        });
-        for (id, rect) in objects() {
-            ss.insert(id, &rect);
-            rs.insert(id, &rect);
-        }
-        let qs = queries();
-        for threads in [1usize, 3, 8] {
-            for (one_by_one, batched) in [
-                (
-                    qs.iter().map(|q| ss.execute(q)).collect::<Vec<_>>(),
-                    ss.execute_batch(&qs, threads),
-                ),
-                (
-                    qs.iter().map(|q| rs.execute(q)).collect::<Vec<_>>(),
-                    rs.execute_batch(&qs, threads),
-                ),
-            ] {
-                assert_eq!(one_by_one.len(), batched.len());
-                for (a, b) in one_by_one.iter().zip(&batched) {
-                    assert_eq!(a.matches, b.matches, "threads={threads}");
-                    assert_eq!(a.metrics.stats, b.metrics.stats, "threads={threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn batch_rejects_zero_threads() {
-        let ss = SeqScan::new(2, StorageScenario::Memory);
-        ss.execute_batch(&queries(), 0);
-    }
-}

@@ -145,72 +145,6 @@ impl SeqScan {
             },
         }
     }
-
-    /// Executes a spatial selection scanning the database with `threads`
-    /// worker threads over disjoint chunks of every column.
-    ///
-    /// A modern-hardware extension (the paper's 2004 platform was
-    /// single-core): results and access counters are identical to
-    /// [`SeqScan::execute`]; the priced cost model still reflects the
-    /// single-stream device of the paper, so only wall-clock improves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or on query dimensionality mismatch.
-    pub fn execute_parallel(&self, query: &SpatialQuery, threads: usize) -> QueryResult {
-        assert!(threads > 0, "need at least one thread");
-        assert_eq!(query.dims(), self.dims, "dimensionality mismatch");
-        if threads == 1 || self.ids.len() < threads * 64 {
-            return self.execute(query);
-        }
-        let started = Instant::now();
-        let n = self.ids.len();
-        let chunk = n.div_ceil(threads);
-        let results: Vec<(Vec<ObjectId>, u64)> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for t in 0..threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                if lo >= hi {
-                    break;
-                }
-                handles.push(scope.spawn(move || {
-                    let mut scratch = ScanScratch::new();
-                    let view = PairedColumns::slice(&self.cols, lo, hi - lo);
-                    let outcome = scan_columns(query, &view, &mut scratch);
-                    let matches = scratch
-                        .matches()
-                        .iter()
-                        .map(|&idx| ObjectId(self.ids[lo + idx as usize]))
-                        .collect();
-                    (matches, outcome.verified_bytes())
-                }));
-            }
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-        });
-        let mut stats = AccessStats {
-            signature_checks: 0,
-            clusters_explored: 1,
-            seeks: 1,
-            objects_verified: n as u64,
-            transfer_bytes: (n * self.model.object_bytes()) as u64,
-            ..AccessStats::new()
-        };
-        let mut matches = Vec::new();
-        for (m, vb) in results {
-            stats.verified_bytes += vb;
-            matches.extend(m);
-        }
-        let priced_ms = self.model.price(&stats);
-        QueryResult {
-            matches,
-            metrics: QueryMetrics {
-                stats,
-                priced_ms,
-                wall: started.elapsed(),
-            },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -318,58 +252,5 @@ mod tests {
         let b = s.execute_with(&q, &mut scratch);
         assert_eq!(a.matches, b.matches);
         assert_eq!(a.metrics.stats, b.metrics.stats);
-    }
-
-    #[test]
-    fn parallel_scan_matches_serial() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(41);
-        let dims = 4;
-        let mut s = SeqScan::new(dims, StorageScenario::Memory);
-        for i in 0..5000u32 {
-            let mut lo = Vec::with_capacity(dims);
-            let mut hi = Vec::with_capacity(dims);
-            for _ in 0..dims {
-                let a: f32 = rng.gen_range(0.0..=1.0);
-                let b: f32 = rng.gen_range(0.0..=1.0);
-                lo.push(a.min(b));
-                hi.push(a.max(b));
-            }
-            s.insert(ObjectId(i), &rect(&lo, &hi));
-        }
-        for threads in [1usize, 2, 4, 7] {
-            let q = SpatialQuery::intersection(rect(&[0.4; 4], &[0.6; 4]));
-            let serial = s.execute(&q);
-            let parallel = s.execute_parallel(&q, threads);
-            let mut a = serial.matches.clone();
-            let mut b = parallel.matches.clone();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "threads={threads}");
-            assert_eq!(
-                serial.metrics.stats.verified_bytes,
-                parallel.metrics.stats.verified_bytes
-            );
-            assert_eq!(
-                serial.metrics.stats.objects_verified,
-                parallel.metrics.stats.objects_verified
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_scan_on_tiny_input_falls_back_to_serial() {
-        let s = populated();
-        let q = SpatialQuery::point_enclosing(vec![0.2, 0.2]);
-        let r = s.execute_parallel(&q, 8);
-        assert_eq!(r.metrics.stats.objects_verified, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn parallel_scan_rejects_zero_threads() {
-        let s = populated();
-        s.execute_parallel(&SpatialQuery::point_enclosing(vec![0.5, 0.5]), 0);
     }
 }

@@ -4,7 +4,7 @@
 //! AC storage scenarios.
 //!
 //! The full table regeneration (all seven selectivities, paper-format
-//! output) is `cargo run --release -p acx-bench --bin fig7`.
+//! output) is `cargo run --release -p acx_bench --bin fig7`.
 
 use acx_bench::{build_ac, build_rs, build_ss};
 use acx_geom::SpatialQuery;

@@ -2,7 +2,7 @@
 //! execution over the skewed workload at increasing dimensionality
 //! (quarter of dimensions twice as selective, average selectivity 0.05 %).
 //!
-//! The full table regeneration is `cargo run --release -p acx-bench --bin fig8`.
+//! The full table regeneration is `cargo run --release -p acx_bench --bin fig8`.
 
 use acx_bench::{build_ac, build_rs, build_ss};
 use acx_geom::SpatialQuery;

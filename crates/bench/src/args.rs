@@ -3,11 +3,6 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
-
-use acx_core::AdaptiveClusterIndex;
-use acx_serve::{ShardBy, DEFAULT_QUEUE_CAP};
-use acx_storage::{FileBacking, FlushPolicy, Wal};
 
 /// Parsed `--key value` flags. Every lookup is remembered, so
 /// [`Flags::finish`] can reject what was passed but never asked for.
@@ -105,76 +100,6 @@ impl Flags {
     pub fn has(&self, name: &str) -> bool {
         self.value(name).is_some() || self.present.iter().any(|p| p == name)
     }
-
-    /// `--merge-cooldown N`: the split→merge thrash hysteresis window
-    /// in reorganization passes (`0` = off, the default). This
-    /// **changes reorganization decisions**, so only the binaries that
-    /// study it expose it.
-    pub fn merge_cooldown(&self) -> u64 {
-        self.get("merge-cooldown", 0)
-    }
-
-    /// `--wal PATH` and `--flush-policy record|batch[:N]|epoch`: log
-    /// every structural mutation to a write-ahead log at `PATH`. Off by
-    /// default — the experiments measure the index itself unless
-    /// durability overhead is the point; the policy defaults to
-    /// `record` (every record flushed before the mutation applies) and
-    /// is meaningful only together with a path.
-    pub fn wal(&self) -> WalFlags {
-        WalFlags {
-            path: self.value("wal").map(PathBuf::from),
-            policy: self.get("flush-policy", FlushPolicy::PerRecord),
-        }
-    }
-
-    /// `--shards N`: shard count for the serving-tier runs. Defaults
-    /// to the machine's parallelism (capped at 4 so quick runs stay
-    /// bounded), like `--threads` in the batch path.
-    pub fn shards(&self) -> usize {
-        let default = std::thread::available_parallelism()
-            .map(|n| n.get().min(4))
-            .unwrap_or(1);
-        self.get("shards", default).max(1)
-    }
-
-    /// `--shard-by hash|space`: subscription-to-shard assignment for
-    /// the serving tier.
-    pub fn shard_by(&self) -> ShardBy {
-        self.get("shard-by", ShardBy::Hash)
-    }
-
-    /// `--queue-cap N`: per-shard ingestion queue capacity for the
-    /// serving tier.
-    pub fn queue_cap(&self) -> usize {
-        self.get("queue-cap", DEFAULT_QUEUE_CAP).max(1)
-    }
-}
-
-/// The parsed `--wal` / `--flush-policy` pair ([`Flags::wal`]).
-pub struct WalFlags {
-    path: Option<PathBuf>,
-    policy: FlushPolicy,
-}
-
-impl WalFlags {
-    /// Attaches a [`FileBacking`] WAL to `index` when `--wal PATH` was
-    /// passed and returns whether one was attached. Logging adds I/O on
-    /// the mutation path but never changes a clustering decision, so
-    /// the bins that report decision-surface metrics stay byte-identical
-    /// with and without it.
-    pub fn attach(&self, index: &mut AdaptiveClusterIndex) -> bool {
-        let Some(path) = &self.path else {
-            return false;
-        };
-        let backing =
-            FileBacking::create(path).unwrap_or_else(|e| panic!("--wal {}: {e}", path.display()));
-        let wal = Wal::create(Box::new(backing), self.policy, index.config().dims)
-            .unwrap_or_else(|e| panic!("--wal {}: {e}", path.display()));
-        index
-            .attach_wal(wal)
-            .unwrap_or_else(|e| panic!("--wal {}: {e}", path.display()));
-        true
-    }
 }
 
 #[cfg(test)]
@@ -187,10 +112,10 @@ mod tests {
 
     #[test]
     fn finish_accepts_flags_that_were_all_read() {
-        let flags = flags(&["--objects", "40", "--quick", "--shard-by", "space"]);
+        let flags = flags(&["--objects", "40", "--quick", "--dims", "8"]);
         assert_eq!(flags.get("objects", 7usize), 40);
         assert!(flags.has("quick"));
-        assert_eq!(flags.shard_by(), ShardBy::Space);
+        assert_eq!(flags.get("dims", 16usize), 8);
         assert_eq!(flags.get("seed", 3u64), 3, "absent flags keep their default");
         flags.finish();
     }

@@ -4,9 +4,8 @@
 //!
 //! Usage:
 //! ```text
-//! cargo run --release -p acx-bench --bin fig7 [--objects 50000] [--dims 16]
+//! cargo run --release -p acx_bench --bin fig7 [--objects 50000] [--dims 16]
 //!     [--warmup 600] [--measured 200] [--seed 24029] [--full]
-//!     [--wal PATH] [--flush-policy record|batch[:N]|epoch]
 //! ```
 //! `--full` runs the paper's 2,000,000-object scale.
 
@@ -27,7 +26,6 @@ fn main() {
     let warmup_n: usize = flags.get("warmup", 600);
     let measured_n: usize = flags.get("measured", 200);
     let seed: u64 = flags.get("seed", 0x5EED);
-    let wal = flags.wal();
     flags.finish();
     let selectivities = [5e-7, 5e-6, 5e-5, 5e-4, 5e-3, 5e-2, 5e-1];
 
@@ -61,12 +59,10 @@ fn main() {
 
         eprintln!("selectivity {sel:.0e}: extent {extent:.4} — adaptive clustering (memory) …");
         let mut ac_mem = build_ac(dims, StorageScenario::Memory, &data);
-        wal.attach(&mut ac_mem);
         let ac_mem_report = run_ac(&mut ac_mem, &warmup, &measured, objects);
 
         eprintln!("selectivity {sel:.0e}: adaptive clustering (disk) …");
         let mut ac_disk = build_ac(dims, StorageScenario::Disk, &data);
-        wal.attach(&mut ac_disk);
         let ac_disk_report = run_ac(&mut ac_disk, &warmup, &measured, objects);
 
         let rs_report = run_baseline("RS", rs.node_count(), objects, dims, &measured, |q| {

@@ -5,9 +5,8 @@
 //!
 //! Usage:
 //! ```text
-//! cargo run --release -p acx-bench --bin fig8 [--objects 30000]
+//! cargo run --release -p acx_bench --bin fig8 [--objects 30000]
 //!     [--warmup 600] [--measured 200] [--seed 24029] [--full]
-//!     [--wal PATH] [--flush-policy record|batch[:N]|epoch]
 //! ```
 
 use acx_bench::args::Flags;
@@ -26,7 +25,6 @@ fn main() {
     let warmup_n: usize = flags.get("warmup", 600);
     let measured_n: usize = flags.get("measured", 200);
     let seed: u64 = flags.get("seed", 0x5EED);
-    let wal = flags.wal();
     flags.finish();
     let target_selectivity = 5e-4; // 0.05 % (paper §7.2)
     let dims_list = [16usize, 20, 24, 28, 32, 36, 40];
@@ -63,12 +61,10 @@ fn main() {
 
         eprintln!("dims={dims}: adaptive clustering (memory) …");
         let mut ac_mem = build_ac(dims, StorageScenario::Memory, &data);
-        wal.attach(&mut ac_mem);
         let ac_mem_report = run_ac(&mut ac_mem, &warmup, &measured, objects);
 
         eprintln!("dims={dims}: adaptive clustering (disk) …");
         let mut ac_disk = build_ac(dims, StorageScenario::Disk, &data);
-        wal.attach(&mut ac_disk);
         let ac_disk_report = run_ac(&mut ac_disk, &warmup, &measured, objects);
 
         let rs_report = run_baseline("RS", rs.node_count(), objects, dims, &measured, |q| {

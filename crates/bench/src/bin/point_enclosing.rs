@@ -4,9 +4,8 @@
 //!
 //! Usage:
 //! ```text
-//! cargo run --release -p acx-bench --bin point_enclosing
+//! cargo run --release -p acx_bench --bin point_enclosing
 //!     [--objects 50000] [--dims 16] [--warmup 600] [--measured 300]
-//!     [--wal PATH] [--flush-policy record|batch[:N]|epoch]
 //! ```
 
 use acx_bench::args::Flags;
@@ -22,7 +21,6 @@ fn main() {
     let warmup_n: usize = flags.get("warmup", 600);
     let measured_n: usize = flags.get("measured", 300);
     let seed: u64 = flags.get("seed", 0x5EED);
-    let wal = flags.wal();
     flags.finish();
 
     println!("== Point-enclosing queries: AC speedup over Sequential Scan ==");
@@ -53,10 +51,8 @@ fn main() {
         let ss_report = run_baseline("SS", 1, objects, dims, &measured, |q| ss.execute(q));
 
         let mut ac_mem = build_ac(dims, StorageScenario::Memory, &data);
-        wal.attach(&mut ac_mem);
         let ac_mem_report = run_ac(&mut ac_mem, &warmup, &measured, objects);
         let mut ac_disk = build_ac(dims, StorageScenario::Disk, &data);
-        wal.attach(&mut ac_disk);
         let ac_disk_report = run_ac(&mut ac_disk, &warmup, &measured, objects);
 
         let mem_speedup = ss_report.priced_memory_ms / ac_mem_report.priced_memory_ms;

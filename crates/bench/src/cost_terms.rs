@@ -46,7 +46,6 @@ use acx_storage::{DeviceProfile, StorageScenario};
 use acx_workloads::{calibrate, UniformWorkload, Workload, WorkloadConfig};
 use rand::Rng;
 
-use crate::adaptivity::percentile;
 use crate::build_ac_with;
 
 /// The dimensionalities the terms are measured at.
@@ -96,8 +95,13 @@ pub struct CostTerms {
     pub move_ns_per_object: f64,
 }
 
+/// Nearest-rank median: the lower middle of an even count (0 when empty).
 fn median(mut values: Vec<f64>) -> f64 {
-    percentile(&mut values, 0.5)
+    if values.is_empty() {
+        return 0.0;
+    }
+    values.sort_by(|a, b| a.partial_cmp(b).expect("finite readings"));
+    values[(values.len() - 1) / 2]
 }
 
 /// Least-squares line through `(x, y)`: `(slope, intercept)`.
@@ -395,6 +399,13 @@ impl CostTerms {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn median_is_nearest_rank() {
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 2.0);
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(Vec::new()), 0.0);
+    }
 
     /// Terms that are exactly what the committed constants make them.
     fn as_committed() -> CostTerms {

@@ -8,12 +8,11 @@
 //! average query execution time (wall-clock and cost-model priced),
 //! number of accessed clusters/nodes, and fraction of verified objects.
 
-pub mod adaptivity;
 pub mod args;
 pub mod cost_terms;
 pub mod runner;
 
 pub use runner::{
-    ac_config, adapted_ac, build_ac, build_ac_with, build_rs, build_ss, run_ac, run_ac_batch,
-    run_baseline, run_serve, strategies, MethodReport,
+    ac_config, adapted_ac, build_ac, build_ac_with, build_rs, build_ss, run_ac, run_baseline,
+    strategies, MethodReport,
 };

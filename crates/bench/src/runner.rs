@@ -27,14 +27,6 @@ pub struct MethodReport {
     pub verified_fraction: f64,
     /// Average result cardinality (for selectivity validation).
     pub avg_matches: f64,
-    /// Reorganization passes triggered during the measured stream
-    /// (always `0` for the baselines, which never reorganize).
-    pub reorg_passes: u64,
-    /// Wall-clock nanoseconds the measured stream spent inside those
-    /// passes — the serving stall that batching hides at window
-    /// boundaries, surfaced so the batched path and the sharded
-    /// serving tier are comparable on the same axis.
-    pub reorg_stall_ns: u64,
 }
 
 /// The paper's platform for a storage scenario
@@ -90,7 +82,7 @@ pub fn adapted_ac(
 
 /// The two executions every comparison measures — by the
 /// `recorded_execute` and `reorganize` criterion benches, the
-/// `scan_bench` snapshot and the `adaptivity` harness; one definition so
+/// `scan_bench` snapshot and the scenario-zoo suite; one definition so
 /// the measurements can never drift apart:
 ///
 /// * `production` — the default: columnar member kernel,
@@ -154,8 +146,6 @@ fn summarize(
         explored_fraction: avg.clusters_explored / total_units.max(1) as f64,
         verified_fraction: avg.objects_verified / n_objects.max(1) as f64,
         avg_matches: matches as f64 / q,
-        reorg_passes: 0,
-        reorg_stall_ns: 0,
     }
 }
 
@@ -174,7 +164,6 @@ pub fn run_ac(
     for q in warmup {
         index.execute(q);
     }
-    let reorg_base = (index.reorganizations(), index.reorg_wall_ns());
     let mut agg = AccessStats::new();
     let mut wall_ns = 0u128;
     let mut matches = 0u64;
@@ -184,7 +173,7 @@ pub fn run_ac(
         wall_ns += r.metrics.wall.as_nanos();
         matches += r.matches.len() as u64;
     }
-    let mut report = summarize(
+    summarize(
         "AC",
         index.cluster_count(),
         n_objects,
@@ -193,81 +182,7 @@ pub fn run_ac(
         wall_ns,
         matches,
         index.dims(),
-    );
-    report.reorg_passes = index.reorganizations() - reorg_base.0;
-    report.reorg_stall_ns = index.reorg_wall_ns() - reorg_base.1;
-    report
-}
-
-/// Warm up an AC index to its stable clustering state, then measure the
-/// **batched parallel** read path on the stream.
-///
-/// The adaptive state after a batch is identical to sequential execution
-/// (deltas are merged at reorganization boundaries), so reports are
-/// comparable with [`run_ac`] — only wall-clock changes with `threads`.
-pub fn run_ac_batch(
-    index: &mut AdaptiveClusterIndex,
-    warmup: &[SpatialQuery],
-    measured: &[SpatialQuery],
-    threads: usize,
-    n_objects: usize,
-) -> MethodReport {
-    index.execute_batch(warmup, threads);
-    let reorg_base = (index.reorganizations(), index.reorg_wall_ns());
-    let started = std::time::Instant::now();
-    let results = index.execute_batch(measured, threads);
-    let wall_ns = started.elapsed().as_nanos();
-    let mut agg = AccessStats::new();
-    let mut matches = 0u64;
-    for r in &results {
-        agg.merge(&r.metrics.stats);
-        matches += r.matches.len() as u64;
-    }
-    let mut report = summarize(
-        "AC",
-        index.cluster_count(),
-        n_objects,
-        measured.len(),
-        agg,
-        wall_ns,
-        matches,
-        index.dims(),
-    );
-    report.reorg_passes = index.reorganizations() - reorg_base.0;
-    report.reorg_stall_ns = index.reorg_wall_ns() - reorg_base.1;
-    report
-}
-
-/// Builds an [`acx_serve::ShardedIndex`] over the objects, adapts it on the warm-up
-/// stream, then measures the serving tier on the measured stream: every
-/// event is fanned out through the bounded queues and the window
-/// statistics (aggregate qps, latency percentiles, queue depth, reorg
-/// stall) are captured after a full drain.
-pub fn run_serve(
-    config: acx_serve::ServeConfig,
-    objects: &[HyperRect],
-    warmup: &[SpatialQuery],
-    measured: &[SpatialQuery],
-) -> acx_serve::ServeStats {
-    let index = acx_serve::ShardedIndex::new(config).expect("valid serve config");
-    index
-        .insert_all(
-            objects
-                .iter()
-                .enumerate()
-                .map(|(i, rect)| (ObjectId(i as u32), rect.clone())),
-        )
-        .expect("insertion succeeds");
-    for q in warmup {
-        index.submit(q.clone());
-    }
-    index.flush();
-    index.reset_stats_window();
-    for q in measured {
-        index.submit(q.clone());
-    }
-    index.flush();
-    index.stats()
+    )
 }
 
 /// Measures a baseline (RS or SS) on the query stream.

@@ -11,27 +11,68 @@
 //! reference row the bench binaries print.
 //!
 //! The same traces must come out whichever statistics sink carries the
-//! stream ([`Sink`]): `execute` writing the arena in place,
-//! `query_recorded` + `apply_stats`, or `execute_batch`.
+//! stream ([`Sink`]): `execute` writing the arena in place, or
+//! `query_recorded` + `apply_stats`.
 //!
 //! Both sides come from [`strategies`], which pins the paper's
 //! platform: at 500 objects it is Table 2 that materializes clusters,
 //! and every scenario must (`run_stream` asserts splits), or the
 //! traces would agree about a root that never moved.
 
-use acx_bench::adaptivity::{make_objects, make_scenario, SCENARIOS};
-use acx_bench::args::Flags;
 use acx_bench::{build_ac_with, strategies};
-use acx_core::{AdaptiveClusterIndex, ClusterSnapshot, IndexConfig, ReorgReport, StatsDelta};
-use acx_geom::{ObjectId, SpatialQuery};
+use acx_core::{ClusterSnapshot, IndexConfig, ReorgReport, StatsDelta};
+use acx_geom::{HyperRect, ObjectId};
 use acx_storage::AccessStats;
-use acx_workloads::WorkloadConfig;
+use acx_workloads::{
+    AdaptiveScenario, ClusteredObjects, DiurnalCycle, FlashCrowd, MigratingHotspot, MixedTraffic,
+    OscillatingHeat, UniformWorkload, WorkloadConfig,
+};
 
 const DIMS: usize = 4;
 const OBJECTS: usize = 500;
 const PERIODS: usize = 4;
 const QUERIES_PER_PERIOD: usize = 45;
 const SHIFT_AT: usize = 2;
+
+/// The scenario zoo. `clustered_migrating` pairs the migrating-hotspot
+/// stream with the clustered/correlated object population instead of
+/// the uniform one.
+const SCENARIOS: [&str; 6] = [
+    "migrating_hotspot",
+    "diurnal_cycle",
+    "flash_crowd",
+    "oscillating_heat",
+    "mixed_traffic",
+    "clustered_migrating",
+];
+
+/// Builds the named zoo scenario over `cfg` (seed-deterministic).
+///
+/// # Panics
+///
+/// Panics on a name outside [`SCENARIOS`].
+fn make_scenario(name: &str, cfg: &WorkloadConfig) -> Box<dyn AdaptiveScenario> {
+    match name {
+        "migrating_hotspot" | "clustered_migrating" => {
+            Box::new(MigratingHotspot::new(cfg, 2e-3, 0.35, 0.08))
+        }
+        "diurnal_cycle" => Box::new(DiurnalCycle::new(cfg, 600, 0.3, 0.08)),
+        "flash_crowd" => Box::new(FlashCrowd::new(cfg, 700, 300, 0.25, 0.06)),
+        "oscillating_heat" => Box::new(OscillatingHeat::new(cfg, 300, 0.3, 0.08)),
+        "mixed_traffic" => Box::new(MixedTraffic::new(cfg, 800, 0.35, 0.08)),
+        other => panic!("unknown scenario {other:?}"),
+    }
+}
+
+/// Generates the named scenario's object population: clustered for
+/// `clustered_migrating`, the uniform workload otherwise.
+fn make_objects(name: &str, cfg: &WorkloadConfig) -> Vec<HyperRect> {
+    if name == "clustered_migrating" {
+        ClusteredObjects::new(cfg.clone(), 8, 0.08, 0.15).generate_objects()
+    } else {
+        UniformWorkload::with_max_length(cfg.clone(), 0.4).generate_objects()
+    }
+}
 
 /// Everything observable about one replay of a scenario stream.
 struct Trace {
@@ -51,8 +92,6 @@ enum Sink {
     Direct,
     /// `query_recorded` into a delta, then `apply_stats`.
     TwoPhase,
-    /// `execute_batch` over a period's queries with this many threads.
-    Batch(usize),
 }
 
 /// Replays the scenario stream (with its mid-run shift) against an
@@ -68,39 +107,20 @@ fn run_stream(name: &str, config: IndexConfig, sink: Sink) -> Trace {
         if period == SHIFT_AT {
             scenario.shift();
         }
-        let period_queries: Vec<_> = (0..QUERIES_PER_PERIOD)
-            .map(|_| scenario.next_query())
-            .collect();
-        // A fresh delta per query, recorded read-only just before the
-        // query counts (or, for a batch, before the batch: the
-        // clustering only changes at the explicit pass below).
-        let record = |index: &AdaptiveClusterIndex, q: &SpatialQuery| {
+        for _ in 0..QUERIES_PER_PERIOD {
+            let q = scenario.next_query();
+            // A fresh delta per query, recorded read-only just before
+            // the query counts.
             let mut delta = StatsDelta::new();
-            let r = index.query_recorded(q, &mut delta);
-            (r, delta)
-        };
-        match sink {
-            Sink::Direct => {
-                for q in &period_queries {
-                    let (_, delta) = record(&index, q);
-                    let r = index.execute(q);
-                    queries.push((r.matches, r.metrics.stats, delta));
-                }
-            }
-            Sink::TwoPhase => {
-                for q in &period_queries {
-                    let (r, delta) = record(&index, q);
+            let recorded = index.query_recorded(&q, &mut delta);
+            let r = match sink {
+                Sink::Direct => index.execute(&q),
+                Sink::TwoPhase => {
                     index.apply_stats(&delta);
-                    queries.push((r.matches, r.metrics.stats, delta));
+                    recorded
                 }
-            }
-            Sink::Batch(threads) => {
-                let deltas: Vec<_> = period_queries.iter().map(|q| record(&index, q).1).collect();
-                let results = index.execute_batch(&period_queries, threads);
-                for (r, delta) in results.into_iter().zip(deltas) {
-                    queries.push((r.matches, r.metrics.stats, delta));
-                }
-            }
+            };
+            queries.push((r.matches, r.metrics.stats, delta));
         }
         passes.push(index.reorganize());
     }
@@ -144,32 +164,27 @@ fn zoo_is_green_and_answer_identical_across_strategy_matrix() {
     }
 }
 
-/// Every zoo scenario through each statistics sink, on both sides of
+/// Every zoo scenario through both statistics sinks, on both sides of
 /// [`IndexConfig::reference`]: `execute` ≡ `query_recorded` +
-/// `apply_stats` ≡ `execute_batch(…, 1 | 4)`.
+/// `apply_stats`.
 #[test]
 fn zoo_traces_are_identical_across_statistics_sinks() {
     for name in SCENARIOS {
         for (_, config) in strategies(DIMS) {
             let direct = run_stream(name, config.clone(), Sink::Direct);
-            for sink in [Sink::TwoPhase, Sink::Batch(1), Sink::Batch(4)] {
-                let other = run_stream(name, config.clone(), sink);
-                let what = format!("{name} (reference: {}) via {sink:?}", config.reference);
-                assert_same_trace(&what, &direct, &other);
-            }
+            let two_phase = run_stream(name, config.clone(), Sink::TwoPhase);
+            let what = format!("{name} (reference: {}) via TwoPhase", config.reference);
+            assert_same_trace(&what, &direct, &two_phase);
         }
     }
 }
 
-/// `--merge-cooldown` rides the CLI path (it changes reorganization
-/// *decisions*, so it is a flag, not an execution strategy) and must
-/// leave every scenario green and answer-identical: hysteresis defers
-/// reclustering, it never changes which objects match.
+/// [`IndexConfig::merge_cooldown`] changes reorganization *decisions*,
+/// not the execution strategy, and must leave every scenario green and
+/// answer-identical: hysteresis defers reclustering, it never changes
+/// which objects match.
 #[test]
-fn merge_cooldown_flag_keeps_zoo_green() {
-    let flags = Flags::from_args(vec!["--merge-cooldown".into(), "6".into()]);
-    assert_eq!(flags.merge_cooldown(), 6);
-    flags.finish();
+fn merge_cooldown_keeps_zoo_green() {
     let sorted_matches = |trace: Trace| -> Vec<Vec<ObjectId>> {
         trace
             .queries
@@ -183,7 +198,7 @@ fn merge_cooldown_flag_keeps_zoo_green() {
     for name in SCENARIOS {
         let baseline = run_stream(name, production_config(), Sink::Direct);
         let mut config = production_config();
-        config.merge_cooldown = flags.merge_cooldown();
+        config.merge_cooldown = 6;
         let cooled = run_stream(name, config, Sink::Direct);
         assert_eq!(
             sorted_matches(baseline),
@@ -191,4 +206,21 @@ fn merge_cooldown_flag_keeps_zoo_green() {
             "{name}: cool-down changed query answers"
         );
     }
+}
+
+#[test]
+fn zoo_factories_cover_every_name() {
+    let cfg = WorkloadConfig::new(4, 64, 7);
+    for name in SCENARIOS {
+        let mut s = make_scenario(name, &cfg);
+        assert_eq!(s.dims(), 4);
+        let _ = s.next_query();
+        assert!(!make_objects(name, &cfg).is_empty());
+    }
+}
+
+#[test]
+#[should_panic(expected = "unknown scenario")]
+fn unknown_scenario_panics() {
+    make_scenario("definitely_not_a_scenario", &WorkloadConfig::new(2, 8, 1));
 }

@@ -3,21 +3,16 @@
 //!
 //! One traversal, three sinks, identical state: `query` records
 //! nothing; [`crate::AdaptiveClusterIndex::execute`] holds `&mut self`
-//! and writes the statistics arena in place; and a caller that matches
-//! on `&self` — concurrent readers, the workers of
-//! [`crate::AdaptiveClusterIndex::execute_batch`] — *records* what an
-//! execution would have written — per-cluster matching-query counts,
-//! per-candidate matching-query counts (through the same
-//! compare-and-count kernel), and the epoch byte counters feeding the
-//! early-exit verification fraction — into a [`StatsDelta`] that is
-//! applied to the index afterwards, under the exclusive borrow. Applying
+//! and writes the statistics arena in place; and the two-phase path
+//! splits that execution in two. Phase one,
+//! [`crate::AdaptiveClusterIndex::query_recorded`], matches on `&self`
+//! and *records* what an execution would have written — per-cluster
+//! matching-query counts, per-candidate matching-query counts (through
+//! the same compare-and-count kernel), and the epoch byte counters
+//! feeding the early-exit verification fraction — into a [`StatsDelta`].
+//! Phase two, [`crate::AdaptiveClusterIndex::apply_stats`], applies it
+//! under the exclusive borrow and runs the pass if one is due. Applying
 //! a query's delta leaves the index exactly where `execute` leaves it.
-//!
-//! Deltas are pure sums of integers, so merging them is associative and
-//! commutative: a batch fanned across worker threads (one delta each,
-//! merged serially afterwards) leaves the index with *exactly* the same
-//! statistics as executing the same queries sequentially, and therefore
-//! with identical reorganization decisions.
 
 /// Statistics recorded by [`crate::AdaptiveClusterIndex::query_recorded`]
 /// and applied by [`crate::AdaptiveClusterIndex::apply_stats`].
@@ -28,15 +23,14 @@
 /// reorganization changed the clustering panics, and applying a stale
 /// delta drops the per-cluster increments (slots may have been recycled
 /// for unrelated clusters) while still counting the global query and
-/// byte totals. [`crate::AdaptiveClusterIndex::execute_batch`] never
-/// produces stale deltas — it splits batches at reorganization
-/// boundaries.
+/// byte totals. A caller that applies each delta before the next pass
+/// never produces a stale one.
+///
 /// Two deltas compare equal when they hold the same totals and the same
-/// **live** per-cluster increments — used by tests proving that
-/// different execution strategies (columnar vs. scalar verification,
-/// parallel vs. sequential batches) record
-/// identical statistics. A cleared, reused delta retains zeroed
-/// per-cluster entries for capacity; they are ignored by equality.
+/// **live** per-cluster increments — used by tests proving that the
+/// columnar and scalar verification strategies record identical
+/// statistics. A cleared, reused delta retains zeroed per-cluster
+/// entries for capacity; they are ignored by equality.
 #[derive(Debug, Clone, Default)]
 pub struct StatsDelta {
     /// Structural epoch of the index when recording started (`None`
@@ -159,36 +153,6 @@ impl StatsDelta {
         }
     }
 
-    /// Accumulates `other` into `self`. Merging is commutative, so
-    /// per-worker deltas of a parallel batch can be merged in any order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the deltas were recorded against different structural
-    /// epochs of the index (i.e. across a reorganization that changed
-    /// the clustering).
-    pub fn merge(&mut self, other: &StatsDelta) {
-        match (self.epoch, other.epoch) {
-            (Some(a), Some(b)) => assert_eq!(
-                a, b,
-                "merging StatsDelta recorded against a different clustering state"
-            ),
-            (None, Some(b)) => self.epoch = Some(b),
-            _ => {}
-        }
-        self.queries += other.queries;
-        self.verified_bytes += other.verified_bytes;
-        self.full_bytes += other.full_bytes;
-        for &slot in &other.touched {
-            let delta = &other.clusters[slot as usize];
-            let mine = self.cluster_mut(slot, delta.cand_q.len());
-            mine.q_count += delta.q_count;
-            for (acc, &q) in mine.cand_q.iter_mut().zip(&delta.cand_q) {
-                *acc = acc.saturating_add(q);
-            }
-        }
-    }
-
     /// The increment slot for one cluster, with its counter vector sized
     /// for at least `candidates` entries; marks the entry dirty. A
     /// reused entry may be longer — its slot once held a cluster with
@@ -220,74 +184,12 @@ impl ClusterDelta {
 mod tests {
     use super::*;
 
-    fn candidate_total(delta: &StatsDelta, slot: u32, cand: u32) -> u32 {
-        delta.clusters[slot as usize].cand_q[cand as usize]
-    }
-
     #[test]
     fn new_delta_is_empty() {
         let d = StatsDelta::new();
         assert!(d.is_empty());
         assert_eq!(d.queries(), 0);
         assert_eq!(d.epoch, None);
-    }
-
-    #[test]
-    fn merge_sums_all_counters() {
-        let mut a = StatsDelta::new();
-        a.queries = 2;
-        a.verified_bytes = 100;
-        a.full_bytes = 300;
-        a.cluster_mut(0, 4).q_count = 2;
-        a.cluster_mut(0, 4).bump_candidate(3);
-        let mut b = StatsDelta::new();
-        b.queries = 1;
-        b.verified_bytes = 50;
-        b.full_bytes = 120;
-        b.cluster_mut(0, 4).q_count = 1;
-        b.cluster_mut(0, 4).bump_candidate(3);
-        b.cluster_mut(7, 4).q_count = 1;
-
-        a.merge(&b);
-        assert_eq!(a.queries, 3);
-        assert_eq!(a.verified_bytes, 150);
-        assert_eq!(a.full_bytes, 420);
-        assert_eq!(a.clusters[0].q_count, 3);
-        assert_eq!(candidate_total(&a, 0, 3), 2);
-        assert_eq!(a.clusters[7].q_count, 1);
-    }
-
-    #[test]
-    fn merge_is_commutative() {
-        let mut a = StatsDelta::new();
-        a.queries = 1;
-        a.cluster_mut(1, 4).q_count = 1;
-        a.cluster_mut(1, 4).bump_candidate(0);
-        let mut b = StatsDelta::new();
-        b.queries = 4;
-        b.cluster_mut(1, 4).q_count = 2;
-        b.cluster_mut(2, 4).q_count = 2;
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab.queries, ba.queries);
-        assert_eq!(ab.clusters[1].q_count, ba.clusters[1].q_count);
-        assert_eq!(ab.clusters[2].q_count, ba.clusters[2].q_count);
-        assert_eq!(candidate_total(&ab, 1, 0), candidate_total(&ba, 1, 0));
-    }
-
-    #[test]
-    fn merge_adopts_and_keeps_matching_epochs() {
-        let mut a = StatsDelta::new();
-        let mut b = StatsDelta::new();
-        b.epoch = Some(3);
-        b.queries = 1;
-        a.merge(&b);
-        assert_eq!(a.epoch, Some(3));
-        a.merge(&b); // same epoch merges fine
-        assert_eq!(a.queries, 2);
     }
 
     #[test]
@@ -347,21 +249,5 @@ mod tests {
         d.cluster_mut(0, 2).bump_candidate(1);
         d.cluster_mut(0, 2).bump_candidate(1);
         assert_eq!(d.clusters[0].cand_q[1], u32::MAX);
-        // Merging two near-max deltas saturates too.
-        let mut other = StatsDelta::new();
-        other.cluster_mut(0, 2).cand_q[1] = u32::MAX;
-        other.queries = 1;
-        d.merge(&other);
-        assert_eq!(d.clusters[0].cand_q[1], u32::MAX);
-    }
-
-    #[test]
-    #[should_panic(expected = "different clustering state")]
-    fn merge_rejects_mismatched_epochs() {
-        let mut a = StatsDelta::new();
-        a.epoch = Some(1);
-        let mut b = StatsDelta::new();
-        b.epoch = Some(2);
-        a.merge(&b);
     }
 }

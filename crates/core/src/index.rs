@@ -34,7 +34,7 @@ use crate::{IndexConfig, IndexError};
 /// and are then reused, so a warmed-up scratch lets
 /// [`AdaptiveClusterIndex::query_with`] execute without allocating.
 ///
-/// One scratch serves one thread: batch execution gives each worker its
+/// One scratch serves one thread: each concurrent reader brings its
 /// own, and the sequential [`AdaptiveClusterIndex::execute`] path keeps
 /// one inside the index.
 #[derive(Debug, Default)]
@@ -209,10 +209,8 @@ pub struct AdaptiveClusterIndex {
     /// capacity: a root with thousands of children regrew a fresh one a
     /// dozen times per insert.
     insert_stack: Vec<(u32, usize)>,
-    /// Scratch arena reused by `execute` and `execute_batch`.
+    /// Scratch arena reused by `execute`.
     query_scratch: QueryScratch,
-    /// Statistics delta reused by `execute_batch`'s windows.
-    delta_scratch: StatsDelta,
     /// The clusters `execute`'s last query explored, in exploration
     /// order (kept for its capacity).
     explored_scratch: Vec<u32>,
@@ -258,8 +256,7 @@ pub struct AdaptiveClusterIndex {
     reorg_fault_hook: Option<Box<dyn FnMut(ReorgFaultPoint) + Send + Sync>>,
     /// Cumulative wall-clock nanoseconds spent inside
     /// [`AdaptiveClusterIndex::reorganize`] — the serving-path stall a
-    /// pass causes, surfaced per shard by the serving tier and per
-    /// measured stream by the throughput harness.
+    /// pass causes, surfaced per shard by the serving tier.
     reorg_wall_ns: u64,
     /// Set while [`AdaptiveClusterIndex::recover`] replays the log: the
     /// write path leaves segments as they fall and `recover` orders
@@ -347,8 +344,8 @@ struct ReadView<'a> {
 enum StatsSink<'a> {
     /// `query*`: nothing is recorded.
     None,
-    /// `query_recorded*` and `execute_batch` workers: into a
-    /// [`StatsDelta`], applied later under the exclusive borrow.
+    /// `query_recorded*`: into a [`StatsDelta`], applied later under
+    /// the exclusive borrow.
     Delta {
         arena: &'a StatsArena,
         delta: &'a mut StatsDelta,
@@ -538,7 +535,6 @@ impl AdaptiveClusterIndex {
             hist_full_bytes: 0.0,
             insert_stack: Vec::new(),
             query_scratch: QueryScratch::new(),
-            delta_scratch: StatsDelta::new(),
             explored_scratch: Vec::new(),
             stats_epoch: 0,
             reorg_scratch,
@@ -1035,7 +1031,7 @@ impl AdaptiveClusterIndex {
     /// [`AdaptiveClusterIndex::query_recorded`] through a reusable
     /// scratch arena: matches land in [`QueryScratch::matches`] and a
     /// warmed-up (scratch, delta) pair records queries without
-    /// allocating. Batch workers drive one such pair per thread.
+    /// allocating.
     ///
     /// # Panics
     ///
@@ -1166,134 +1162,6 @@ impl AdaptiveClusterIndex {
         self.query_scratch = scratch;
         self.explored_scratch = explored;
         Ok(QueryResult { matches, metrics })
-    }
-
-    /// Executes a batch of queries, fanning the read-only matching phase
-    /// across `threads` scoped worker threads.
-    ///
-    /// Results come back in query order, and the index ends up in
-    /// **exactly** the state sequential [`AdaptiveClusterIndex::execute`]
-    /// calls would have produced: the batch is processed in windows that
-    /// end at reorganization boundaries, each worker records one
-    /// [`StatsDelta`], and the deltas (commutative integer sums) are
-    /// merged serially before being applied. Only per-query wall-clock
-    /// times differ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or on query dimensionality mismatch; use
-    /// [`AdaptiveClusterIndex::try_execute_batch`] for a fallible variant.
-    pub fn execute_batch(&mut self, queries: &[SpatialQuery], threads: usize) -> Vec<QueryResult> {
-        self.try_execute_batch(queries, threads)
-            .unwrap_or_else(|e| panic!("{}", Self::dims_panic(&e)))
-    }
-
-    /// Fallible variant of [`AdaptiveClusterIndex::execute_batch`]:
-    /// returns [`IndexError::DimensionMismatch`] (before executing
-    /// anything) instead of panicking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn try_execute_batch(
-        &mut self,
-        queries: &[SpatialQuery],
-        threads: usize,
-    ) -> Result<Vec<QueryResult>, IndexError> {
-        assert!(threads > 0, "need at least one thread");
-        for query in queries {
-            self.check_query_dims(query)?;
-        }
-        let mut results = Vec::with_capacity(queries.len());
-        let mut rest = queries;
-        // Reuse the index-owned scratch pair across windows, exactly as
-        // the sequential path does per query.
-        let mut delta = std::mem::take(&mut self.delta_scratch);
-        let mut scratch = std::mem::take(&mut self.query_scratch);
-        while !rest.is_empty() {
-            // A window never crosses a reorganization boundary, so the
-            // cluster tree is frozen while workers read it and the pass
-            // triggered by `apply_stats` sees sequential statistics.
-            let window = if self.config.reorg_period == 0 {
-                rest.len()
-            } else {
-                let until_reorg = self
-                    .config
-                    .reorg_period
-                    .saturating_sub(self.queries_since_reorg)
-                    .max(1) as usize;
-                until_reorg.min(rest.len())
-            };
-            let (head, tail) = rest.split_at(window);
-            delta.clear();
-            self.query_window(head, threads, &mut results, &mut delta, &mut scratch);
-            self.apply_stats(&delta);
-            rest = tail;
-        }
-        self.delta_scratch = delta;
-        self.query_scratch = scratch;
-        Ok(results)
-    }
-
-    /// Runs one reorganization-free window of queries read-only, with one
-    /// worker thread (and one [`StatsDelta`] + [`QueryScratch`]) per
-    /// chunk, appending results in query order and accumulating the
-    /// merged statistics into `delta` (pre-cleared by the caller).
-    fn query_window(
-        &self,
-        queries: &[SpatialQuery],
-        threads: usize,
-        results: &mut Vec<QueryResult>,
-        delta: &mut StatsDelta,
-        scratch: &mut QueryScratch,
-    ) {
-        // Threading pays off only when every worker gets a few queries.
-        let workers = threads.min(queries.len().div_ceil(4)).max(1);
-        if workers == 1 {
-            // Single worker: record straight into the caller's reusable
-            // pair — no per-window allocations.
-            for q in queries {
-                let metrics = self.explore(q, Some(&mut *delta), &mut *scratch);
-                results.push(QueryResult {
-                    matches: scratch.matches.clone(),
-                    metrics,
-                });
-            }
-            return;
-        }
-        let chunk = queries.len().div_ceil(workers);
-        let per_worker: Vec<(Vec<QueryResult>, StatsDelta)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = queries
-                .chunks(chunk)
-                .map(|chunk_queries| {
-                    scope.spawn(move || {
-                        // One delta and one scratch per worker, reused
-                        // across its whole chunk.
-                        let mut delta = StatsDelta::new();
-                        let mut scratch = QueryScratch::new();
-                        let chunk_results: Vec<QueryResult> = chunk_queries
-                            .iter()
-                            .map(|q| {
-                                let metrics = self.explore(q, Some(&mut delta), &mut scratch);
-                                QueryResult {
-                                    matches: scratch.matches.clone(),
-                                    metrics,
-                                }
-                            })
-                            .collect();
-                        (chunk_results, delta)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("query worker panicked"))
-                .collect()
-        });
-        for (chunk_results, worker_delta) in per_worker {
-            results.extend(chunk_results);
-            delta.merge(&worker_delta);
-        }
     }
 
     /// Runs one cluster reorganization pass (paper Fig. 1): for every
@@ -2287,7 +2155,6 @@ impl AdaptiveClusterIndex {
             hist_full_bytes: 0.0,
             insert_stack: Vec::new(),
             query_scratch: QueryScratch::new(),
-            delta_scratch: StatsDelta::new(),
             explored_scratch: Vec::new(),
             stats_epoch: 0,
             reorg_scratch,

@@ -7,12 +7,11 @@
 //! reference index (object-at-a-time loops, every cluster scanned) are
 //! driven through identical workloads and compared query by query.
 //!
-//! The same holds across the three statistics sinks of one index
-//! configuration: `execute` (the arena, in place),
-//! `query_recorded_with` + `apply_stats` (a delta) and `execute_batch`
-//! (per-worker deltas, merged) answer alike and leave checkpoints that
-//! are equal byte for byte — every cluster's and candidate's `q`,
-//! `q_eff` and decay stamp included.
+//! The same holds across the two statistics-writing paths of one index
+//! configuration: `execute` (the arena, in place) and
+//! `query_recorded_with` + `apply_stats` (a delta) answer alike and
+//! leave checkpoints that are equal byte for byte — every cluster's and
+//! candidate's `q`, `q_eff` and decay stamp included.
 //!
 //! The layers underneath are pinned by their own suites: every
 //! instruction tier of the member kernel against `matches_flat` in
@@ -163,38 +162,33 @@ fn recorded_stats_deltas_are_identical() {
     assert_eq!(delta_c.queries(), 40);
 }
 
-/// One index per statistics sink, all of one configuration, driven
-/// through the same operations.
-struct Trio {
+/// One index per statistics-writing path, both of one configuration,
+/// driven through the same operations.
+struct Duo {
     /// `execute`: the arena, in place.
     direct: AdaptiveClusterIndex,
     /// `query_recorded_with` + `apply_stats`: a reused delta.
     two_phase: AdaptiveClusterIndex,
-    /// `execute_batch`: per-worker deltas, merged.
-    batch: AdaptiveClusterIndex,
     delta: StatsDelta,
     scratch: QueryScratch,
-    threads: usize,
     /// Slots the recorded deltas touched since the test last cleared it.
     touched: std::collections::HashSet<u32>,
 }
 
-impl Trio {
-    fn new(config: IndexConfig, threads: usize) -> Self {
+impl Duo {
+    fn new(config: IndexConfig) -> Self {
         let index = || AdaptiveClusterIndex::new(config.clone()).unwrap();
         Self {
             direct: index(),
             two_phase: index(),
-            batch: index(),
             delta: StatsDelta::new(),
             scratch: QueryScratch::new(),
-            threads,
             touched: Default::default(),
         }
     }
 
-    fn each(&mut self) -> [&mut AdaptiveClusterIndex; 3] {
-        [&mut self.direct, &mut self.two_phase, &mut self.batch]
+    fn each(&mut self) -> [&mut AdaptiveClusterIndex; 2] {
+        [&mut self.direct, &mut self.two_phase]
     }
 
     fn insert(&mut self, id: u32, rect: &HyperRect) {
@@ -206,8 +200,7 @@ impl Trio {
     /// Runs `queries` through each index's own path; answers, access
     /// counters and the state left behind must not differ.
     fn run(&mut self, queries: &[SpatialQuery]) {
-        let batched = self.batch.execute_batch(queries, self.threads);
-        for (q, c) in queries.iter().zip(batched) {
+        for q in queries {
             let a = self.direct.execute(q);
             self.delta.clear();
             let b = self
@@ -216,18 +209,15 @@ impl Trio {
             self.touched.extend(self.delta.touched_slots());
             self.two_phase.apply_stats(&self.delta);
             assert_eq!(a.matches, self.scratch.matches(), "two-phase matches on {q:?}");
-            assert_eq!(a.matches, c.matches, "batch matches on {q:?}");
             assert_eq!(a.metrics.stats, b.stats, "two-phase AccessStats on {q:?}");
-            assert_eq!(a.metrics.stats, c.metrics.stats, "batch AccessStats on {q:?}");
         }
         self.assert_same_state();
     }
 
-    /// An explicit pass on all three: the same report.
+    /// An explicit pass on both: the same report.
     fn reorganize(&mut self) -> ReorgReport {
-        let [a, b, c] = self.each().map(|index| index.reorganize());
+        let [a, b] = self.each().map(|index| index.reorganize());
         assert_eq!(a, b, "two-phase ReorgReport");
-        assert_eq!(a, c, "batch ReorgReport");
         self.assert_same_state();
         a
     }
@@ -247,13 +237,12 @@ impl Trio {
             std::fs::remove_file(&path).unwrap();
             bytes
         };
-        let direct = bytes(&self.direct);
-        assert!(direct == bytes(&self.two_phase), "two-phase checkpoint differs");
-        assert!(direct == bytes(&self.batch), "batch checkpoint differs");
+        assert!(
+            bytes(&self.direct) == bytes(&self.two_phase),
+            "two-phase checkpoint differs"
+        );
         assert_eq!(self.direct.snapshots(), self.two_phase.snapshots());
-        assert_eq!(self.direct.snapshots(), self.batch.snapshots());
         assert_eq!(self.direct.reorganizations(), self.two_phase.reorganizations());
-        assert_eq!(self.direct.reorganizations(), self.batch.reorganizations());
     }
 }
 
@@ -268,33 +257,33 @@ fn corner_points(rng: &mut StdRng, dims: usize, lo: f32, n: usize) -> Vec<Spatia
         .collect()
 }
 
-/// `execute` ≡ `query_recorded_with` + `apply_stats` ≡ `execute_batch`,
-/// with automatic passes (`period > 0`: batches split into windows at
-/// the boundaries) or explicit ones (`period == 0`: reports compared).
-fn assert_sinks_equivalent(reference: bool, threads: usize, period: u64) {
+/// `execute` ≡ `query_recorded_with` + `apply_stats`, with automatic
+/// passes (`period > 0`: fired from inside `apply_stats`) or explicit
+/// ones (`period == 0`: reports compared).
+fn assert_paths_equivalent(reference: bool, period: u64) {
     let dims = 3;
     let mut config = paper(dims);
     config.reference = reference;
     config.reorg_period = period;
-    let mut trio = Trio::new(config, threads);
-    let mut rng = StdRng::seed_from_u64(0x51C + threads as u64 + period);
+    let mut duo = Duo::new(config);
+    let mut rng = StdRng::seed_from_u64(0x51D + period);
     for i in 0..600u32 {
-        trio.insert(i, &random_rect(&mut rng, dims, 8));
+        duo.insert(i, &random_rect(&mut rng, dims, 8));
     }
-    // Ragged chunk sizes: single queries, chunks too small to fan out,
-    // chunks that cross an automatic pass.
-    let epoch = |trio: &mut Trio, queries: &[SpatialQuery]| -> ReorgReport {
+    // Ragged chunk sizes, state compared after each: single queries,
+    // short chunks, chunks that cross an automatic pass.
+    let epoch = |duo: &mut Duo, queries: &[SpatialQuery]| -> ReorgReport {
         let mut rest = queries;
         for size in [1usize, 3, 17].iter().cycle() {
             if rest.is_empty() {
                 break;
             }
             let (head, tail) = rest.split_at((*size).min(rest.len()));
-            trio.run(head);
+            duo.run(head);
             rest = tail;
         }
         if period == 0 {
-            trio.reorganize()
+            duo.reorganize()
         } else {
             ReorgReport::default()
         }
@@ -308,9 +297,9 @@ fn assert_sinks_equivalent(reference: bool, threads: usize, period: u64) {
     for _ in 0..4 {
         let mut queries = corner_points(&mut rng, dims, 0.0, 30);
         queries.extend(mixed(&mut rng));
-        changed |= epoch(&mut trio, &queries).changed();
+        changed |= epoch(&mut duo, &queries).changed();
     }
-    assert!(trio.direct.cluster_count() > 1, "test premise: clusters materialized");
+    assert!(duo.direct.cluster_count() > 1, "test premise: clusters materialized");
     assert!(period > 0 || changed, "test premise: a pass changed the clustering");
 
     // Three epochs that only visit the high corner: the low corner's
@@ -318,24 +307,24 @@ fn assert_sinks_equivalent(reference: bool, threads: usize, period: u64) {
     let mut awake = usize::MAX;
     for _ in 0..3 {
         let queries = corner_points(&mut rng, dims, 0.75, 70);
-        trio.touched.clear();
-        epoch(&mut trio, &queries);
+        duo.touched.clear();
+        epoch(&mut duo, &queries);
         if period == 0 {
             assert!(
-                trio.touched.len() < trio.direct.cluster_count(),
+                duo.touched.len() < duo.direct.cluster_count(),
                 "test premise: some clusters were left untouched"
             );
-            awake = awake.min(trio.touched.len());
+            awake = awake.min(duo.touched.len());
         }
     }
     // …and are then hit again: each replays the closes it skipped
     // before the first new increment lands on it.
     let queries = corner_points(&mut rng, dims, 0.0, 70);
-    trio.touched.clear();
-    epoch(&mut trio, &queries);
+    duo.touched.clear();
+    epoch(&mut duo, &queries);
     if period == 0 {
         assert!(
-            trio.touched.len() > awake,
+            duo.touched.len() > awake,
             "test premise: sleeping clusters were hit again"
         );
     }
@@ -345,8 +334,8 @@ fn assert_sinks_equivalent(reference: bool, threads: usize, period: u64) {
     // per-cluster increments dropped.
     if period == 0 {
         let stale_queries = mixed(&mut rng);
-        let mut stale = [StatsDelta::new(), StatsDelta::new(), StatsDelta::new()];
-        for (index, delta) in trio.each().into_iter().zip(&mut stale) {
+        let mut stale = [StatsDelta::new(), StatsDelta::new()];
+        for (index, delta) in duo.each().into_iter().zip(&mut stale) {
             for q in &stale_queries {
                 index.query_recorded(q, delta);
             }
@@ -355,21 +344,21 @@ fn assert_sinks_equivalent(reference: bool, threads: usize, period: u64) {
         for _ in 0..6 {
             let mut queries = corner_points(&mut rng, dims, 0.5, 40);
             queries.extend(mixed(&mut rng));
-            trio.run(&queries);
-            if trio.reorganize().changed() {
+            duo.run(&queries);
+            if duo.reorganize().changed() {
                 restructured = true;
                 break;
             }
         }
         assert!(restructured, "test premise: the clustering changed under the deltas");
-        let total = trio.direct.total_queries();
-        let before = trio.direct.snapshots();
-        for (index, delta) in trio.each().into_iter().zip(&stale) {
+        let total = duo.direct.total_queries();
+        let before = duo.direct.snapshots();
+        for (index, delta) in duo.each().into_iter().zip(&stale) {
             index.apply_stats(delta);
         }
-        trio.assert_same_state();
-        assert_eq!(trio.direct.total_queries(), total + stale_queries.len() as u64);
-        for (was, now) in before.iter().zip(trio.direct.snapshots()) {
+        duo.assert_same_state();
+        assert_eq!(duo.direct.total_queries(), total + stale_queries.len() as u64);
+        for (was, now) in before.iter().zip(duo.direct.snapshots()) {
             assert!(
                 now.access_probability <= was.access_probability,
                 "stale delta credited cluster {}",
@@ -377,28 +366,24 @@ fn assert_sinks_equivalent(reference: bool, threads: usize, period: u64) {
             );
         }
         let queries = mixed(&mut rng);
-        epoch(&mut trio, &queries);
+        epoch(&mut duo, &queries);
     }
-    for index in trio.each() {
+    for index in duo.each() {
         index.check_invariants().unwrap();
     }
 }
 
 #[test]
-fn three_sinks_leave_identical_state_with_explicit_passes() {
+fn both_paths_leave_identical_state_with_explicit_passes() {
     for reference in [false, true] {
-        for threads in [1, 4] {
-            assert_sinks_equivalent(reference, threads, 0);
-        }
+        assert_paths_equivalent(reference, 0);
     }
 }
 
 #[test]
-fn three_sinks_leave_identical_state_with_automatic_passes() {
+fn both_paths_leave_identical_state_with_automatic_passes() {
     for reference in [false, true] {
-        for threads in [1, 4] {
-            assert_sinks_equivalent(reference, threads, 35);
-        }
+        assert_paths_equivalent(reference, 35);
     }
 }
 

@@ -1,8 +1,8 @@
 //! The concurrent read path: `query` takes `&self` (compile-checked by
 //! issuing queries from scoped threads over a shared reference),
-//! `execute_batch` is byte-identical to sequential `execute`, and
-//! `get`/`remove` locate objects in O(1) through the store's position
-//! map.
+//! `query_recorded` + `apply_stats` leaves the index where `execute`
+//! does, and `get`/`remove` locate objects in O(1) through the store's
+//! position map.
 
 use std::time::Instant;
 
@@ -91,59 +91,6 @@ fn queries_run_concurrently_over_a_shared_reference() {
 }
 
 #[test]
-fn execute_batch_is_byte_identical_to_sequential_execution() {
-    let dims = 5;
-    let mut sequential = build(dims, 3000, 7, paper(dims));
-    let mut batched = build(dims, 3000, 7, paper(dims));
-
-    let mut rng = StdRng::seed_from_u64(8);
-    // 370 queries: crosses three reorganization boundaries (period 100).
-    let queries = mixed_queries(&mut rng, dims, 370);
-    let seq_results: Vec<_> = queries.iter().map(|q| sequential.execute(q)).collect();
-    let batch_results = batched.execute_batch(&queries, 4);
-
-    assert_eq!(seq_results.len(), batch_results.len());
-    for (k, (s, b)) in seq_results.iter().zip(&batch_results).enumerate() {
-        assert_eq!(s.matches, b.matches, "match set diverged on query {k}");
-        assert_eq!(s.metrics.stats, b.metrics.stats, "metrics diverged on query {k}");
-    }
-    // Identical adaptive state: same reorganization decisions, same tree.
-    assert_eq!(sequential.total_queries(), batched.total_queries());
-    assert_eq!(sequential.reorganizations(), batched.reorganizations());
-    assert_eq!(sequential.total_merges(), batched.total_merges());
-    assert_eq!(sequential.total_splits(), batched.total_splits());
-    assert_eq!(sequential.cluster_count(), batched.cluster_count());
-    assert!(
-        (sequential.verify_fraction() - batched.verify_fraction()).abs() < 1e-15,
-        "epoch byte counters diverged"
-    );
-    assert_eq!(sequential.snapshots(), batched.snapshots());
-    sequential.check_invariants().unwrap();
-    batched.check_invariants().unwrap();
-}
-
-#[test]
-fn batch_thread_count_does_not_change_outcomes() {
-    let dims = 3;
-    let mut rng = StdRng::seed_from_u64(21);
-    let queries = mixed_queries(&mut rng, dims, 230);
-    let mut reference: Option<(Vec<Vec<ObjectId>>, Vec<_>)> = None;
-    for threads in [1usize, 2, 4, 7] {
-        let mut index = build(dims, 1500, 20, paper(dims));
-        let results = index.execute_batch(&queries, threads);
-        let matches: Vec<Vec<ObjectId>> = results.into_iter().map(|r| r.matches).collect();
-        let snaps = index.snapshots();
-        match &reference {
-            None => reference = Some((matches, snaps)),
-            Some((m, s)) => {
-                assert_eq!(m, &matches, "threads={threads}");
-                assert_eq!(s, &snaps, "threads={threads}");
-            }
-        }
-    }
-}
-
-#[test]
 fn query_recorded_plus_apply_stats_equals_execute() {
     let dims = 4;
     let mut via_execute = build(dims, 1200, 3, paper(dims));
@@ -183,12 +130,6 @@ fn try_query_and_try_execute_report_dimension_mismatch() {
         Err(IndexError::DimensionMismatch { expected: 3, actual: 1 })
     ));
     let before = index.total_queries();
-    assert!(matches!(
-        index.try_execute_batch(&[SpatialQuery::point_enclosing(vec![0.5; 3]), bad], 2),
-        Err(IndexError::DimensionMismatch { .. })
-    ));
-    // A rejected batch executes nothing.
-    assert_eq!(index.total_queries(), before);
 
     let good = SpatialQuery::point_enclosing(vec![0.5, 0.5, 0.5]);
     let q = index.try_query(&good).unwrap();
@@ -202,20 +143,6 @@ fn try_query_and_try_execute_report_dimension_mismatch() {
 fn query_panics_on_dimension_mismatch() {
     let index = build(3, 10, 6, IndexConfig::memory(3));
     index.query(&SpatialQuery::point_enclosing(vec![0.5]));
-}
-
-#[test]
-#[should_panic(expected = "query dimensionality")]
-fn execute_batch_panics_on_dimension_mismatch() {
-    let mut index = build(3, 10, 6, IndexConfig::memory(3));
-    index.execute_batch(&[SpatialQuery::point_enclosing(vec![0.5])], 2);
-}
-
-#[test]
-#[should_panic(expected = "at least one thread")]
-fn execute_batch_rejects_zero_threads() {
-    let mut index = build(2, 10, 6, IndexConfig::memory(2));
-    index.execute_batch(&[SpatialQuery::point_enclosing(vec![0.5, 0.5])], 0);
 }
 
 /// Regression for the O(n) `position()` scans `get` used to perform: a

@@ -21,7 +21,7 @@
 //! move term both passes price alike, is compared at the scale it
 //! clusters at by `measured_profile_is_decision_identical_at_scale`.
 
-use acx_core::{AdaptiveClusterIndex, IndexConfig, ReorgReport};
+use acx_core::{AdaptiveClusterIndex, IndexConfig, QueryScratch, ReorgReport, StatsDelta};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
 use acx_storage::StorageScenario;
 use acx_workloads::{
@@ -439,9 +439,10 @@ fn abandoned_clusters_stay_decision_identical() {
     }
 }
 
-/// Auto-triggered passes (reorg_period > 0) through `execute` and
-/// `execute_batch` also stay identical across batch windows and delta
-/// merging.
+/// Auto-triggered passes (reorg_period > 0) stay identical when the
+/// production side runs the two-phase path one query at a time: each
+/// pass then fires from inside `apply_stats`, the reference's from
+/// inside `execute`.
 #[test]
 fn auto_triggered_passes_and_batches_are_identical() {
     let dims = 4;
@@ -454,18 +455,19 @@ fn auto_triggered_passes_and_batches_are_identical() {
         incremental.insert(ObjectId(i), rect.clone()).unwrap();
         oracle.insert(ObjectId(i), rect).unwrap();
     }
-    let queries: Vec<SpatialQuery> =
-        (0..310).map(|_| random_query(&mut rng, dims, 8)).collect();
-    // The incremental index runs the batched path (several reorg
-    // windows), the oracle runs sequentially: state must still agree.
-    let batched = incremental.execute_batch(&queries, 2);
-    for (k, q) in queries.iter().enumerate() {
-        let r = oracle.execute(q);
-        assert_eq!(batched[k].matches, r.matches, "query {k}");
-        assert_eq!(batched[k].metrics.stats, r.metrics.stats, "query {k}");
+    let mut delta = StatsDelta::new();
+    let mut scratch = QueryScratch::new();
+    for k in 0..310 {
+        let q = random_query(&mut rng, dims, 8);
+        delta.clear();
+        let metrics = incremental.query_recorded_with(&q, &mut delta, &mut scratch);
+        incremental.apply_stats(&delta);
+        let r = oracle.execute(&q);
+        assert_eq!(scratch.matches(), r.matches, "query {k}");
+        assert_eq!(metrics.stats, r.metrics.stats, "query {k}");
     }
     assert!(oracle.reorganizations() > 0, "stream must cross reorg boundaries");
-    assert_state_identical(&incremental, &oracle, "after batched stream");
+    assert_state_identical(&incremental, &oracle, "after two-phase stream");
 }
 
 /// Drifting hotspot: the query focus migrates every period, so new

@@ -77,8 +77,8 @@ pub const BLOCK: usize = 64;
 
 /// Borrowed view over paired columns stored as `[lo0, hi0, lo1, hi1, …]`
 /// — the layout of `acx_storage::SegmentStore`'s segments and of the
-/// sequential-scan baseline. Supports sub-ranges so parallel scans can
-/// hand each worker a disjoint slice of every column.
+/// sequential-scan baseline. Supports sub-ranges: a view may cover any
+/// window of the objects.
 #[derive(Debug, Clone, Copy)]
 pub struct PairedColumns<'a> {
     cols: &'a [Vec<Scalar>],

@@ -2,8 +2,8 @@
 //! current measurement window.
 //!
 //! Percentiles use the nearest-rank definition (the smallest sample
-//! with cumulative frequency ≥ p), matching the bench harness: exact
-//! over the collected sample, no interpolation.
+//! with cumulative frequency ≥ p): exact over the collected sample, no
+//! interpolation.
 
 /// One shard's view of the current window.
 #[derive(Debug, Clone, Default, PartialEq)]

@@ -1,7 +1,6 @@
-//! Batched event-stream driver for the serving scenario (paper §1): an
-//! arriving offer is one spatial query, and a high-fanout notification
-//! front-end drains events in batches so the index's concurrent read path
-//! can fan the matching phase across cores.
+//! Event-stream driver for the serving scenario (paper §1): an arriving
+//! offer is one spatial query, drawn one at a time or a batch at a time
+//! from a seeded stream.
 
 use acx_geom::{Scalar, SpatialQuery};
 use rand::rngs::StdRng;
@@ -80,8 +79,7 @@ impl EventStream {
         }
     }
 
-    /// Draws the next batch of `n` events, ready for
-    /// `AdaptiveClusterIndex::execute_batch`.
+    /// Draws the next `n` events, in stream order.
     pub fn next_batch(&mut self, n: usize) -> Vec<SpatialQuery> {
         (0..n).map(|_| self.next_query()).collect()
     }

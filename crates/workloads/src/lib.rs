@@ -20,7 +20,7 @@
 //!   [`DiurnalCycle`], [`FlashCrowd`], [`OscillatingHeat`],
 //!   [`MixedTraffic`]) plus the clustered object population
 //!   ([`ClusteredObjects`]), all behind the [`AdaptiveScenario`] trait
-//!   the adaptivity benchmark drives.
+//!   the scenario-zoo and equivalence suites drive.
 //!
 //! All generators are deterministic given a seed.
 

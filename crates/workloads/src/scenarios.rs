@@ -9,8 +9,7 @@
 //! [`Iterator<Item = SpatialQuery>`](Iterator) for idiomatic
 //! consumption, and exposes the [`AdaptiveScenario`] trait so one
 //! harness can drive them all — including [`AdaptiveScenario::shift`],
-//! a forced abrupt distribution change the adaptivity benchmark uses to
-//! anchor its *time-to-readapt* measurement.
+//! a forced abrupt distribution change at a chosen point of the stream.
 //!
 //! The zoo (ROADMAP direction 5):
 //!
@@ -34,7 +33,7 @@ use rand::Rng;
 
 use crate::{Workload, WorkloadConfig};
 
-/// A non-stationary query stream the adaptivity harness can drive.
+/// A non-stationary query stream a test harness can drive.
 ///
 /// Implementors are deterministic given their construction seed: two
 /// instances built from identical parameters yield bit-identical query
@@ -47,7 +46,7 @@ pub trait AdaptiveScenario {
     /// Draws the next query of the stream.
     fn next_query(&mut self) -> SpatialQuery;
 
-    /// Forces an abrupt distribution change *now* — the event the
+    /// Forces an abrupt distribution change *now* — the event a
     /// harness measures recovery from. Scenarios whose drift is
     /// continuous implement this as a jump (teleport, phase flip,
     /// spike onset) so "time since shift" is well defined.

@@ -33,26 +33,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("\n{} subscriptions indexed", index.len());
 
-    // Publish a stream of offers in batches: the read-only matching
-    // phase fans across worker threads while the index keeps adapting
-    // its clustering exactly as under sequential execution (reorganizing
-    // every 100 events by default).
-    let threads = 4;
+    // Publish a stream of offers, one `execute` each: the index keeps
+    // adapting its clustering as it answers (reorganizing every 100
+    // events by default).
     let mut stream = EventStream::new(generator.clone(), 2004);
     let mut notified = 0u64;
     let mut verified = 0u64;
     let events = 2_000;
     let started = Instant::now();
-    for _ in 0..(events / 250) {
-        let batch = stream.next_batch(250);
-        for result in index.execute_batch(&batch, threads) {
-            notified += result.matches.len() as u64;
-            verified += result.metrics.stats.objects_verified;
-        }
+    for _ in 0..events {
+        let result = index.execute(&stream.next_query());
+        notified += result.matches.len() as u64;
+        verified += result.metrics.stats.objects_verified;
     }
     let elapsed = started.elapsed();
     println!(
-        "{events} offers published ({threads} threads, {:.0} offers/sec), \
+        "{events} offers published ({:.0} offers/sec), \
          {notified} notifications, {:.1} subscriptions verified per offer (of {} total)",
         events as f64 / elapsed.as_secs_f64(),
         verified as f64 / events as f64,

@@ -49,7 +49,7 @@ pub use acx_workloads as workloads;
 
 /// Commonly used types, importable in one line.
 pub mod prelude {
-    pub use acx_baselines::{BatchExecute, RStarConfig, RStarTree, SeqScan};
+    pub use acx_baselines::{RStarConfig, RStarTree, SeqScan};
     pub use acx_core::{
         AdaptiveClusterIndex, ClusterSnapshot, IndexConfig, IndexError, QueryMetrics, QueryResult,
         QueryScratch, ReorgProfile, ReorgReport, StatsDelta,

@@ -147,49 +147,3 @@ fn methods_agree_under_concurrent_churn() {
         rs.check_invariants().unwrap();
     }
 }
-
-#[test]
-fn execute_batch_agrees_with_sequential_execution_and_the_scan() {
-    // The batched parallel read path must produce the same match sets as
-    // sequentially executing the same stream (and as the trivially
-    // correct scan), AND leave the index with identical clustering state
-    // and reorganization decisions — the statistics deltas recorded by
-    // the workers merge to exactly the sequential counters.
-    let dims = 6;
-    let workload = UniformWorkload::new(WorkloadConfig::new(dims, 2500, 77));
-    let objects = workload.generate_objects();
-
-    let mut sequential = AdaptiveClusterIndex::new(IndexConfig::memory(dims)).unwrap();
-    let mut batched = AdaptiveClusterIndex::new(IndexConfig::memory(dims)).unwrap();
-    let mut ss = SeqScan::new(dims, StorageScenario::Memory);
-    for (i, r) in objects.iter().enumerate() {
-        sequential.insert(ObjectId(i as u32), r.clone()).unwrap();
-        batched.insert(ObjectId(i as u32), r.clone()).unwrap();
-        ss.insert(ObjectId(i as u32), r);
-    }
-
-    let mut rng = StdRng::seed_from_u64(78);
-    // 330 queries cross three reorganization boundaries (period 100).
-    let stream = queries(&workload, &mut rng, 330);
-    let seq_results: Vec<_> = stream.iter().map(|q| sequential.execute(q)).collect();
-    let batch_results = batched.execute_batch(&stream, 4);
-
-    for (k, ((q, s), b)) in stream.iter().zip(&seq_results).zip(&batch_results).enumerate() {
-        assert_eq!(s.matches, b.matches, "batch diverged from sequential on query {k}");
-        assert_eq!(
-            sorted(b.matches.clone()),
-            sorted(ss.execute(q).matches),
-            "batch diverged from the scan on query {k}"
-        );
-    }
-    assert_eq!(sequential.reorganizations(), batched.reorganizations());
-    assert_eq!(sequential.total_merges(), batched.total_merges());
-    assert_eq!(sequential.total_splits(), batched.total_splits());
-    assert_eq!(
-        sequential.snapshots(),
-        batched.snapshots(),
-        "post-batch clustering state diverged"
-    );
-    sequential.check_invariants().unwrap();
-    batched.check_invariants().unwrap();
-}
