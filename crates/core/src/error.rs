@@ -17,6 +17,9 @@ pub enum IndexError {
     DuplicateObject(u32),
     /// Removal or lookup of an object id that is not present.
     UnknownObject(u32),
+    /// Insertion or update of an object the root cluster's signature
+    /// rejects: some coordinate lies outside the indexed domain.
+    OutOfDomain(u32),
     /// Underlying geometry error.
     Geom(GeomError),
     /// Underlying persistence error.
@@ -44,6 +47,7 @@ impl std::fmt::Display for IndexError {
             }
             IndexError::DuplicateObject(id) => write!(f, "object #{id} already indexed"),
             IndexError::UnknownObject(id) => write!(f, "object #{id} not found"),
+            IndexError::OutOfDomain(id) => write!(f, "object #{id} lies outside the domain"),
             IndexError::Geom(e) => write!(f, "geometry error: {e}"),
             IndexError::Store(e) => write!(f, "store error: {e}"),
             IndexError::Wal(e) => write!(f, "wal error: {e}"),

@@ -173,6 +173,17 @@ impl Signature {
             .all(|(ds, pair)| ds.accepts(pair[0], pair[1]))
     }
 
+    /// Whether every object this signature accepts, `outer` accepts too:
+    /// per dimension, both variation intervals lie within `outer`'s.
+    pub(crate) fn within(&self, outer: &Signature) -> bool {
+        let inside = |i: &SigInterval, o: &SigInterval| {
+            i.lo >= o.lo && (i.hi < o.hi || (i.hi == o.hi && (i.hi_open || !o.hi_open)))
+        };
+        self.dims.len() == outer.dims.len()
+            && (self.dims.iter().zip(outer.dims.iter()))
+                .all(|(d, o)| inside(&d.start, &o.start) && inside(&d.end, &o.end))
+    }
+
     /// Whether a materialized rectangle can be a member of the cluster.
     pub fn accepts_rect(&self, rect: &HyperRect) -> bool {
         debug_assert_eq!(rect.dims(), self.dims.len());

@@ -970,6 +970,21 @@ mod tests {
         ));
     }
 
+    /// The shard refuses the object with a typed error instead of its
+    /// worker dying on it, and the route claimed for it is released.
+    #[test]
+    fn an_insert_outside_the_domain_fails_and_releases_its_route() {
+        let index = small_index(2);
+        let outside = HyperRect::from_bounds(&[0.5, 0.5, 0.5], &[1.5, 0.6, 0.6]).unwrap();
+        assert!(matches!(
+            index.insert(ObjectId(7), outside),
+            Err(IndexError::OutOfDomain(7))
+        ));
+        assert!(!index.contains(ObjectId(7)));
+        index.insert(ObjectId(7), rect(0.1, 0.2)).unwrap();
+        assert_eq!(index.len(), 1);
+    }
+
     #[test]
     fn routes_mutations_and_answers_queries() {
         let index = small_index(3);
