@@ -337,7 +337,7 @@ impl RStarTree {
         path
     }
 
-    /// Leaf-level criterion: minimum overlap enlargement, ties broken by
+    /// Leaf-level rule: minimum overlap enlargement, ties broken by
     /// area enlargement then area. As in the original paper, only the
     /// 32 entries with least area enlargement are examined when the node
     /// is large.
@@ -380,7 +380,7 @@ impl RStarTree {
         best
     }
 
-    /// Internal-level criterion: minimum area enlargement, ties broken by
+    /// Internal-level rule: minimum area enlargement, ties broken by
     /// area.
     fn choose_by_area(&self, node: &Node, mbb: &[Scalar], width: usize) -> usize {
         let mut best = 0;

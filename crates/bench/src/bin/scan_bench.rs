@@ -353,7 +353,8 @@ fn index_point_enclosing(objects: usize, repeats: usize) -> Vec<IndexRow> {
 
 /// Recorded execution at 16 dims, two layers per strategy: the
 /// statistics-recording read phase (`query_recorded_with` through a
-/// reused, cleared delta — what batch workers run) and the full
+/// reused, cleared delta — the read half of the two-phase path that
+/// `apply_stats` completes) and the full
 /// `execute` (recording in place plus amortized periodic
 /// reorganization). The committed JSON additionally carries the
 /// numbers measured at the PR 3 commit with the same harness for the

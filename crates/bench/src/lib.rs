@@ -13,6 +13,6 @@ pub mod cost_terms;
 pub mod runner;
 
 pub use runner::{
-    ac_config, adapted_ac, build_ac, build_ac_with, build_rs, build_ss, run_ac, run_baseline,
+    adapted_ac, build_ac, build_ac_with, build_rs, build_ss, run_ac, run_baseline,
     strategies, MethodReport,
 };

@@ -29,30 +29,26 @@ pub struct MethodReport {
     pub avg_matches: f64,
 }
 
-/// The paper's platform for a storage scenario
-/// ([`IndexConfig::edbt2004`]): what the figures, and every harness
-/// whose subject is the mechanism rather than the wall clock, build.
-pub fn ac_config(dims: usize, scenario: StorageScenario) -> IndexConfig {
-    IndexConfig::edbt2004(dims, scenario)
-}
-
 /// The paper's Table 2 cost models `(memory, disk)` every method's
 /// access counters are priced with, so that AC, RS and SS are compared
 /// in one currency.
 fn paper_models(dims: usize) -> (CostModel, CostModel) {
     (
-        ac_config(dims, StorageScenario::Memory).cost_model(),
-        ac_config(dims, StorageScenario::Disk).cost_model(),
+        IndexConfig::edbt2004(dims, StorageScenario::Memory).cost_model(),
+        IndexConfig::edbt2004(dims, StorageScenario::Disk).cost_model(),
     )
 }
 
-/// Builds an adaptive clustering index over the objects.
+/// Builds an adaptive clustering index over the objects on the paper's
+/// platform ([`IndexConfig::edbt2004`]): what the figures, and every
+/// harness whose subject is the mechanism rather than the wall clock,
+/// build.
 pub fn build_ac(
     dims: usize,
     scenario: StorageScenario,
     objects: &[HyperRect],
 ) -> AdaptiveClusterIndex {
-    build_ac_with(ac_config(dims, scenario), objects)
+    build_ac_with(IndexConfig::edbt2004(dims, scenario), objects)
 }
 
 /// Builds an adaptive clustering index from an explicit configuration.
@@ -80,10 +76,9 @@ pub fn adapted_ac(
     index
 }
 
-/// The two executions every comparison measures — by the
-/// `recorded_execute` and `reorganize` criterion benches, the
-/// `scan_bench` snapshot and the scenario-zoo suite; one definition so
-/// the measurements can never drift apart:
+/// The two executions every comparison measures — by the `scan_bench`
+/// snapshot and the scenario-zoo suite; one definition so the
+/// measurements can never drift apart:
 ///
 /// * `production` — the default: columnar member kernel,
 ///   compare-and-count candidate kernel, screened columnar pass;
@@ -91,12 +86,12 @@ pub fn adapted_ac(
 ///   loops and the scalar scan of every cluster, decision- and
 ///   answer-identical.
 ///
-/// Both on the paper's platform ([`ac_config`]): what is compared is
+/// Both on the paper's platform ([`IndexConfig::edbt2004`]): what is compared is
 /// the mechanism, and at the few thousand objects these harnesses use
 /// it is Table 2 that builds the hundreds of clusters a traversal, a
 /// recording or a pass needs to be worth timing.
 pub fn strategies(dims: usize) -> [(&'static str, IndexConfig); 2] {
-    let production = ac_config(dims, StorageScenario::Memory);
+    let production = IndexConfig::edbt2004(dims, StorageScenario::Memory);
     let reference = IndexConfig {
         reference: true,
         ..production.clone()

@@ -147,12 +147,6 @@ fn assert_same_trace(what: &str, a: &Trace, b: &Trace) {
     assert_eq!(a.snapshots, b.snapshots, "{what}: snapshots");
 }
 
-/// The production configuration of [`strategies`].
-fn production_config() -> IndexConfig {
-    let [(_, production), _] = strategies(DIMS);
-    production
-}
-
 /// Every zoo scenario on both sides of [`IndexConfig::reference`]: both
 /// run green and leave the exact same trace.
 #[test]
@@ -176,35 +170,6 @@ fn zoo_traces_are_identical_across_statistics_sinks() {
             let what = format!("{name} (reference: {}) via TwoPhase", config.reference);
             assert_same_trace(&what, &direct, &two_phase);
         }
-    }
-}
-
-/// [`IndexConfig::merge_cooldown`] changes reorganization *decisions*,
-/// not the execution strategy, and must leave every scenario green and
-/// answer-identical: hysteresis defers reclustering, it never changes
-/// which objects match.
-#[test]
-fn merge_cooldown_keeps_zoo_green() {
-    let sorted_matches = |trace: Trace| -> Vec<Vec<ObjectId>> {
-        trace
-            .queries
-            .into_iter()
-            .map(|(mut matches, ..)| {
-                matches.sort_unstable();
-                matches
-            })
-            .collect()
-    };
-    for name in SCENARIOS {
-        let baseline = run_stream(name, production_config(), Sink::Direct);
-        let mut config = production_config();
-        config.merge_cooldown = 6;
-        let cooled = run_stream(name, config, Sink::Direct);
-        assert_eq!(
-            sorted_matches(baseline),
-            sorted_matches(cooled),
-            "{name}: cool-down changed query answers"
-        );
     }
 }
 

@@ -542,7 +542,7 @@ impl CandidateSliceMut<'_> {
     /// how many epochs it slept. Saturated `q` counters (pinned at
     /// `u32::MAX`) fold like any other value. The worst case is bounded
     /// by the rounds a history needs to underflow (≈ 1 100 for the
-    /// default `γ = 0.5`; configurations with `γ` near 1 pay
+    /// index's `γ =` [`crate::STATS_DECAY`]; a `γ` near 1 pays
     /// proportionally more, but only once, on the first touch after the
     /// idle stretch — the same multiplications an eager fold would have
     /// spread across the idle epochs).
@@ -563,12 +563,12 @@ impl CandidateSliceMut<'_> {
 
     /// Brings the counters up to statistics epoch `epoch` by replaying
     /// the closes the set's stamp lags behind
-    /// ([`CandidateSliceMut::catch_up`]) — a no-op for a set already
-    /// there.
-    pub(crate) fn catch_up_to(&mut self, epoch: u64, gamma: f64) {
+    /// ([`CandidateSliceMut::catch_up`] at [`crate::STATS_DECAY`]) — a
+    /// no-op for a set already there.
+    pub(crate) fn catch_up_to(&mut self, epoch: u64) {
         let behind = epoch - *self.stamp;
         if behind > 0 {
-            self.catch_up(gamma, behind);
+            self.catch_up(crate::STATS_DECAY, behind);
             *self.stamp = epoch;
         }
     }
@@ -1549,8 +1549,8 @@ mod tests {
             view.catch_up(0.5, 2);
             view.unrecord_member(&flat);
             view.set_stamp(9);
-            view.catch_up_to(11, 0.5);
-            view.catch_up_to(11, 0.25); // already there: a no-op
+            view.catch_up_to(11);
+            view.catch_up_to(11); // already there: a no-op
         }
         assert_eq!(arena.slice(h), owned.as_slice());
         for ci in 0..owned.len() {

@@ -1,6 +1,12 @@
 use acx_geom::object_size_bytes;
 use acx_storage::{CostModel, DeviceProfile, StorageScenario};
 
+/// Weight previous-epoch statistics retain at each reorganization. `0`
+/// would reproduce the paper's single-period statistics; `0.5` smooths
+/// access probabilities over an effective window of about two periods,
+/// damping split/merge oscillation at the profitability margin.
+pub const STATS_DECAY: f64 = 0.5;
+
 /// Configuration of an [`crate::AdaptiveClusterIndex`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexConfig {
@@ -19,19 +25,10 @@ pub struct IndexConfig {
     /// the paper's Table 2 ([`DeviceProfile::edbt2004`]) on disk and in
     /// [`IndexConfig::edbt2004`].
     pub profile: DeviceProfile,
-    /// Fraction of places reserved at the end of each cluster segment
-    /// (§6 uses 20–30 %).
-    pub reserve_fraction: f64,
     /// Minimum queries observed in a cluster's statistics epoch before
     /// reorganization decisions apply to it. Guards against acting on
     /// noise right after an epoch reset.
     pub min_epoch_queries: u64,
-    /// Weight retained by previous-epoch statistics at each
-    /// reorganization, in `[0, 1)`. `0` reproduces the paper's
-    /// single-period statistics; the default `0.5` smooths access
-    /// probabilities over an effective window of about two periods,
-    /// damping split/merge oscillation at the profitability margin.
-    pub stats_decay: f64,
     /// Pay-back horizon (in queries) used as a reorganization hysteresis:
     /// a split or merge must save more than the cost of moving the
     /// affected objects amortized over this many queries. Prevents
@@ -65,22 +62,11 @@ pub struct IndexConfig {
     /// two; only speed differs. It is the single index-level oracle the
     /// equivalence suites compare against, not a tuning knob.
     pub reference: bool,
-    /// Split→merge thrash hysteresis: a candidate whose signature was
-    /// merged away within the last `merge_cooldown` reorganization
-    /// passes is not eligible for re-materialization. `0` (the default)
-    /// disables the cool-down, reproducing the paper's bare benefit
-    /// functions. The veto is applied identically by the production and
-    /// the [`IndexConfig::reference`] pass, so decision-identity
-    /// between them is preserved for every value. Thrash cycles are
-    /// *counted* either way (see
-    /// [`crate::ReorgProfile::thrash_cycles`]); the cool-down only
-    /// changes whether they are acted on.
-    pub merge_cooldown: u64,
 }
 
 impl IndexConfig {
-    /// Memory-scenario defaults: the paper's `f = 4`, reorganization
-    /// every 100 queries and 25 % reserve, priced with the cost terms
+    /// Memory-scenario defaults: the paper's `f = 4` and reorganization
+    /// every 100 queries, priced with the cost terms
     /// measured on this implementation ([`DeviceProfile::measured`]) —
     /// the configuration of everything that is judged on the wall
     /// clock.
@@ -91,18 +77,13 @@ impl IndexConfig {
         }
     }
 
-    /// Disk-scenario defaults from the paper: [`IndexConfig::edbt2004`]
-    /// on disk (the disk terms of this implementation are not
-    /// measured).
-    pub fn disk(dims: usize) -> Self {
-        Self::edbt2004(dims, StorageScenario::Disk)
-    }
-
     /// The paper's platform by name: its defaults (`f = 4`,
-    /// reorganization every 100 queries, 25 % reserve) priced with its
-    /// own Table 2 constants ([`DeviceProfile::edbt2004`]) in either
-    /// scenario — for the figures, the paper-claims tests and every
-    /// suite whose subject is the mechanism rather than the constants.
+    /// reorganization every 100 queries) priced with its own Table 2
+    /// constants ([`DeviceProfile::edbt2004`]) in either scenario — for
+    /// the figures, the paper-claims tests and every suite whose subject
+    /// is the mechanism rather than the constants. It is also the disk
+    /// configuration: the disk terms of this implementation are not
+    /// measured.
     ///
     /// The confidence gate is looser on disk than in memory: disk
     /// benefits are dominated by the 15 ms seek in `B`, so at reduced
@@ -116,16 +97,13 @@ impl IndexConfig {
             reorg_period: 100,
             scenario,
             profile: DeviceProfile::edbt2004(),
-            reserve_fraction: 0.25,
             min_epoch_queries: 20,
-            stats_decay: 0.5,
             reorg_cost_horizon: 400.0,
             confidence_z: match scenario {
                 StorageScenario::Memory => 2.0,
                 StorageScenario::Disk => 1.5,
             },
             reference: false,
-            merge_cooldown: 0,
         }
     }
 
@@ -144,37 +122,24 @@ impl IndexConfig {
             .recording(self.candidates_per_cluster())
     }
 
-    /// Validates the configuration.
+    /// Validates the configuration. The dimensionality must fit the
+    /// checkpoint's and the WAL's `u16` dimension fields, and the
+    /// horizon and confidence factor must be finite: a NaN in either
+    /// makes every reorganization threshold NaN, and every comparison
+    /// against it false.
     pub fn validate(&self) -> Result<(), crate::IndexError> {
-        if self.dims == 0 {
-            return Err(crate::IndexError::InvalidConfig(
-                "dims must be positive".into(),
-            ));
+        let invalid = |why: &str| Err(crate::IndexError::InvalidConfig(why.into()));
+        if self.dims == 0 || self.dims > u16::MAX as usize {
+            return invalid("dims must be in 1..=65535");
         }
         if self.division_factor < 2 {
-            return Err(crate::IndexError::InvalidConfig(
-                "division factor must be at least 2".into(),
-            ));
+            return invalid("division factor must be at least 2");
         }
-        if !(0.0..=1.0).contains(&self.reserve_fraction) {
-            return Err(crate::IndexError::InvalidConfig(
-                "reserve fraction must be in [0, 1]".into(),
-            ));
+        if !(self.reorg_cost_horizon.is_finite() && self.reorg_cost_horizon > 0.0) {
+            return invalid("reorganization cost horizon must be finite and positive");
         }
-        if !(0.0..1.0).contains(&self.stats_decay) {
-            return Err(crate::IndexError::InvalidConfig(
-                "stats decay must be in [0, 1)".into(),
-            ));
-        }
-        if self.reorg_cost_horizon <= 0.0 {
-            return Err(crate::IndexError::InvalidConfig(
-                "reorganization cost horizon must be positive".into(),
-            ));
-        }
-        if self.confidence_z < 0.0 {
-            return Err(crate::IndexError::InvalidConfig(
-                "confidence factor must be non-negative".into(),
-            ));
+        if !(self.confidence_z.is_finite() && self.confidence_z >= 0.0) {
+            return invalid("confidence factor must be finite and non-negative");
         }
         Ok(())
     }
@@ -190,17 +155,15 @@ mod tests {
         assert_eq!(c.division_factor, 4);
         assert_eq!(c.reorg_period, 100);
         assert_eq!(c.scenario, StorageScenario::Memory);
-        assert!((0.20..=0.30).contains(&c.reserve_fraction));
         assert!(!c.reference, "the production path is the default");
         assert!(c.validate().is_ok());
     }
 
     #[test]
     fn disk_config_prices_seeks() {
-        let c = IndexConfig::disk(16);
+        let c = IndexConfig::edbt2004(16, StorageScenario::Disk);
         assert_eq!(c.scenario, StorageScenario::Disk);
         assert!(c.cost_model().b() > 15.0);
-        assert_eq!(c, IndexConfig::edbt2004(16, StorageScenario::Disk));
     }
 
     #[test]
@@ -238,8 +201,28 @@ mod tests {
         c.division_factor = 1;
         assert!(c.validate().is_err());
         c.division_factor = 4;
-        c.reserve_fraction = 1.5;
-        assert!(c.validate().is_err());
+        assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn validation_bounds_dims_by_the_on_disk_u16_field() {
+        assert!(IndexConfig::memory(65_535).validate().is_ok());
+        assert!(matches!(
+            crate::AdaptiveClusterIndex::new(IndexConfig::memory(65_536)),
+            Err(crate::IndexError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_horizon_and_confidence() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut c = IndexConfig::memory(4);
+            c.reorg_cost_horizon = bad;
+            assert!(c.validate().is_err(), "horizon {bad} accepted");
+            let mut c = IndexConfig::memory(4);
+            c.confidence_z = bad;
+            assert!(c.validate().is_err(), "confidence factor {bad} accepted");
+        }
     }
 
     #[test]

@@ -160,7 +160,7 @@ impl AdaptiveClusterIndex {
         }
         let f = config.division_factor;
         let width = 2 * dims;
-        let mut store = SegmentStore::with_reserve(dims, config.reserve_fraction);
+        let mut store = SegmentStore::new(dims);
         let mut stats_arena = StatsArena::new();
         let mut clusters: Vec<Option<Cluster>> = (0..capacity).map(|_| None).collect();
         let mut segment_cluster = Vec::with_capacity(cluster_records.len());

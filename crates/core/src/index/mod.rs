@@ -143,9 +143,8 @@ pub struct AdaptiveClusterIndex {
     /// Work profile of the most recent reorganization pass.
     last_profile: ReorgProfile,
     /// Recently merged-away cluster signatures (rendered bytes → the
-    /// pass count at merge time), feeding the thrash counter and the
-    /// optional [`IndexConfig::merge_cooldown`] hysteresis. Pruned each
-    /// pass to `max(THRASH_WINDOW, merge_cooldown)` passes of history.
+    /// pass count at merge time), feeding the thrash counter. Pruned
+    /// each pass to `THRASH_WINDOW` passes of history.
     recent_merges: HashMap<Vec<u8>, u64>,
     /// The attached write-ahead log, when durability is enabled. Every
     /// structural mutation is appended (and, per the flush policy, made
@@ -175,7 +174,7 @@ impl AdaptiveClusterIndex {
     /// signature accepts any spatial object.
     pub fn new(config: IndexConfig) -> Result<Self, IndexError> {
         config.validate()?;
-        let mut store = SegmentStore::with_reserve(config.dims, config.reserve_fraction);
+        let mut store = SegmentStore::new(config.dims);
         let segment = store.create(16);
         let signature = Signature::root(config.dims);
         let mut stats_arena = StatsArena::new();

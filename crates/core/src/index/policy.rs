@@ -157,12 +157,10 @@ pub(super) fn split_screen_rules_out(costs: &PassCosts, p_c: f64, denom: f64, n_
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct SplitChoice {
     /// The first candidate strictly exceeding its threshold and every
-    /// earlier qualifier's benefit, cool-down vetoes skipped.
+    /// earlier qualifier's benefit.
     pub(super) best: Option<usize>,
     /// Exact maximum member count, re-tightening [`CandidateSlice::n_hi`].
     pub(super) max_n: u32,
-    /// Qualifying candidates the cool-down vetoed.
-    pub(super) blocked: u64,
 }
 
 /// A candidate's access probability over `denom` effective observations.
@@ -180,21 +178,14 @@ fn candidate_probability(cands: &CandidateSlice<'_>, idx: usize, denom: f64) -> 
 /// with candidate-at-a-time scalar arithmetic — the decision oracle of
 /// [`select_split_columnar`]. The counters must be caught up to the
 /// current statistics epoch.
-///
-/// `on_cooldown` is asked only about a candidate that cleared its
-/// significance threshold and the best so far, so the veto is a pure
-/// filter on the qualifying set and both selections agree for every
-/// cool-down.
 pub(super) fn select_split_scalar(
     costs: &PassCosts,
     p_c: f64,
     denom: f64,
     cands: CandidateSlice<'_>,
-    mut on_cooldown: impl FnMut(usize) -> bool,
 ) -> SplitChoice {
     let mut best: Option<(usize, f64)> = None;
     let mut max_n = 0u32;
-    let mut blocked = 0u64;
     for idx in 0..cands.len() {
         let n = cands.n(idx);
         max_n = max_n.max(n);
@@ -206,17 +197,12 @@ pub(super) fn select_split_scalar(
         let benefit = materialization_benefit(costs.a, costs.b, costs.c, p_c, p_s, n);
         let threshold = costs.move_margin(n) + costs.confidence_margin(p_s, denom, n);
         if benefit > threshold && best.is_none_or(|(_, bst)| benefit > bst) {
-            if on_cooldown(idx) {
-                blocked += 1;
-                continue;
-            }
             best = Some((idx, benefit));
         }
     }
     SplitChoice {
         best: best.map(|(idx, _)| idx),
         max_n,
-        blocked,
     }
 }
 
@@ -237,7 +223,6 @@ pub(super) fn select_split_columnar(
     denom: f64,
     cands: CandidateSlice<'_>,
     benefits: &mut Vec<f64>,
-    mut on_cooldown: impl FnMut(usize) -> bool,
 ) -> SplitChoice {
     // Division- and sqrt-free threshold floor, hoisted per scan: a
     // candidate's significance threshold is at least
@@ -272,7 +257,6 @@ pub(super) fn select_split_columnar(
     let mut choice = SplitChoice {
         best: None,
         max_n: summary.max_n,
-        blocked: 0,
     };
     // Almost every scan of an adapted index finds *no* candidate above
     // its floor (memberless candidates have negative bounds, so they can
@@ -300,10 +284,6 @@ pub(super) fn select_split_columnar(
             continue;
         }
         if benefit > margin + costs.confidence_margin(p_s, denom, n) {
-            if on_cooldown(idx) {
-                choice.blocked += 1;
-                continue;
-            }
             best = Some((idx, benefit));
         }
     }
@@ -391,28 +371,25 @@ mod proptests {
             let cands = set.as_slice();
             let n_hi = cands.n_col().iter().copied().max().unwrap_or(0) + loose;
             if split_screen_rules_out(&costs, p_c, denom, n_hi) {
-                let choice = select_split_scalar(&costs, p_c, denom, cands, |_| false);
+                let choice = select_split_scalar(&costs, p_c, denom, cands);
                 prop_assert_eq!(choice.best, None, "screened out, yet {:?}", choice);
             }
         }
 
         /// The columnar selection is the scalar one: same candidate,
-        /// same member-count maximum, same cool-down vetoes.
+        /// same member-count maximum.
         #[test]
         fn the_columnar_selection_is_the_scalar_one(
             drawn in counters(),
             costs in costs(),
             p_c in prop_oneof![Just(0.0f64), 0.0f64..1.0],
             denom in prop_oneof![Just(0.0f64), 1.0f64..5_000.0],
-            vetoes in prop::collection::vec(prop_oneof![3 => Just(false), 1 => Just(true)], 1..8),
         ) {
             let p_c = if denom > 0.0 { p_c } else { 0.0 };
             let set = candidate_set(&drawn);
             let cands = set.as_slice();
-            let on_cooldown = |idx: usize| vetoes[idx % vetoes.len()];
-            let scalar = select_split_scalar(&costs, p_c, denom, cands, on_cooldown);
-            let columnar =
-                select_split_columnar(&costs, p_c, denom, cands, &mut Vec::new(), on_cooldown);
+            let scalar = select_split_scalar(&costs, p_c, denom, cands);
+            let columnar = select_split_columnar(&costs, p_c, denom, cands, &mut Vec::new());
             prop_assert_eq!(columnar, scalar);
         }
     }

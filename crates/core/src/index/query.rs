@@ -84,7 +84,6 @@ enum StatsSink<'a> {
     Arena {
         arena: &'a mut StatsArena,
         stats_epoch: u64,
-        gamma: f64,
         explored: &'a mut Vec<u32>,
     },
 }
@@ -122,11 +121,10 @@ impl StatsSink<'_> {
             StatsSink::Arena {
                 arena,
                 stats_epoch,
-                gamma,
                 explored,
             } => {
                 let mut cands = arena.slice_mut(handle);
-                cands.catch_up_to(*stats_epoch, *gamma);
+                cands.catch_up_to(*stats_epoch);
                 if reference {
                     for ci in 0..cands.len() {
                         if cands.as_slice().matches_query(ci, query) {
@@ -395,7 +393,7 @@ impl AdaptiveClusterIndex {
                 let recorded = &delta.clusters[slot as usize];
                 let handle = self.cluster(slot).candidates;
                 let mut cands = self.stats_arena.slice_mut(handle);
-                cands.catch_up_to(self.clocks.stats_epoch, self.config.stats_decay);
+                cands.catch_up_to(self.clocks.stats_epoch);
                 cands.add_q_slice(&recorded.cand_q);
                 self.cluster_mut(slot).q_count += recorded.q_count;
             }
@@ -470,7 +468,6 @@ impl AdaptiveClusterIndex {
         let sink = StatsSink::Arena {
             arena: &mut self.stats_arena,
             stats_epoch: self.clocks.stats_epoch,
-            gamma: self.config.stats_decay,
             explored: &mut explored,
         };
         let metrics = view.explore(query, sink, &mut scratch);

@@ -10,15 +10,12 @@ use super::policy::{self, PassCosts};
 use super::{assign_segment, AdaptiveClusterIndex, Cluster};
 use crate::candidates::generate_candidates;
 use crate::metrics::{ReorgProfile, ReorgReport};
-use crate::IndexConfig;
+use crate::{IndexConfig, STATS_DECAY};
 
 /// How many reorganization passes a merged-away signature is remembered
 /// for thrash accounting: a materialization re-creating a signature
 /// merged within this window counts as one completed split→merge→split
-/// cycle ([`ReorgProfile::thrash_cycles`]). The optional
-/// [`IndexConfig::merge_cooldown`] hysteresis reuses the same memory
-/// (entries are retained for `max(THRASH_WINDOW, merge_cooldown)`
-/// passes).
+/// cycle ([`ReorgProfile::thrash_cycles`]).
 const THRASH_WINDOW: u64 = 8;
 
 /// Boundaries of the atomic structural units of a reorganization pass.
@@ -119,16 +116,16 @@ impl AdaptiveClusterIndex {
 
     /// The epoch-close tail shared by a live pass and WAL replay:
     /// compact the arena off the query path, fold the statistics epoch,
-    /// advance the pass clock, prune merge memory older than both the
-    /// thrash window and the cool-down, and — when the pass changed the
-    /// clustering — open a new structure epoch.
+    /// advance the pass clock, prune merge memory older than the thrash
+    /// window, and — when the pass changed the clustering — open a new
+    /// structure epoch.
     pub(super) fn close_epoch(&mut self, structure_changed: bool) {
         self.stats_arena.maybe_compact();
         self.decay_statistics();
         self.clocks.reorganizations += 1;
         let passes = self.clocks.reorganizations;
-        let retention = THRASH_WINDOW.max(self.config.merge_cooldown);
-        self.recent_merges.retain(|_, at| passes - *at < retention);
+        self.recent_merges
+            .retain(|_, at| passes - *at < THRASH_WINDOW);
         self.clocks.queries_since_reorg = 0;
         if structure_changed {
             self.clocks.structure_epoch += 1;
@@ -221,8 +218,7 @@ impl AdaptiveClusterIndex {
         self.materialize_candidates(slot);
         let mut benefits = std::mem::take(&mut self.reorg_scratch.benefits);
         let cands = self.stats_arena.slice(handle);
-        let choice =
-            policy::select_split_columnar(costs, p_c, denom, cands, &mut benefits, |_| false);
+        let choice = policy::select_split_columnar(costs, p_c, denom, cands, &mut benefits);
         assert_eq!(
             choice.best, None,
             "screen wrongly skipped a split on slot {slot}: p_c={p_c} n_hi={n_hi} denom={denom}"
@@ -250,46 +246,20 @@ impl AdaptiveClusterIndex {
         let mut splits = 0;
         let mut benefits = std::mem::take(&mut self.reorg_scratch.benefits);
         loop {
-            let cluster = self.cluster(slot);
-            let handle = cluster.candidates;
+            let handle = self.cluster(slot).candidates;
             let cands = self.stats_arena.slice(handle);
-            let on_cooldown = |idx| self.candidate_on_cooldown(cluster, idx);
             let choice = if self.config.reference {
-                policy::select_split_scalar(costs, p_c, denom, cands, on_cooldown)
+                policy::select_split_scalar(costs, p_c, denom, cands)
             } else {
-                policy::select_split_columnar(costs, p_c, denom, cands, &mut benefits, on_cooldown)
+                policy::select_split_columnar(costs, p_c, denom, cands, &mut benefits)
             };
             self.stats_arena.slice_mut(handle).set_n_hi(choice.max_n);
-            profile.cooldown_blocked += choice.blocked;
             let Some(cand_idx) = choice.best else { break };
             self.materialize_candidate(slot, cand_idx, profile);
             splits += 1;
         }
         self.reorg_scratch.benefits = benefits;
         splits
-    }
-
-    /// Whether the [`IndexConfig::merge_cooldown`] hysteresis vetoes
-    /// materializing candidate `idx` of `cluster`: its signature was
-    /// merged away within the last `merge_cooldown` passes. The
-    /// selections ask only about qualifying candidates, so rendering the
-    /// signature stays off an adapted index's hot path; the screen
-    /// still prices vetoed candidates, so its soundness is unaffected.
-    fn candidate_on_cooldown(&self, cluster: &Cluster, idx: usize) -> bool {
-        if self.config.merge_cooldown == 0 || self.recent_merges.is_empty() {
-            return false;
-        }
-        let sig = self.stats_arena.slice(cluster.candidates).signature(
-            idx,
-            &cluster.signature,
-            self.config.division_factor,
-        );
-        match self.recent_merges.get(&sig.to_bytes()) {
-            Some(&at) => {
-                self.clocks.reorganizations.saturating_sub(at) < self.config.merge_cooldown
-            }
-            None => false,
-        }
     }
 
     /// Paper Fig. 2: moves all members of `slot` into its parent, updates
@@ -311,7 +281,7 @@ impl AdaptiveClusterIndex {
         // here on; the next reorganization-pass compaction reclaims it.
         self.stats_arena.retire(cluster.candidates);
         // Remember the dying signature: a near-term re-materialization
-        // of it is a thrash cycle (and, under the cool-down, vetoed).
+        // of it is a thrash cycle.
         self.recent_merges
             .insert(cluster.signature.to_bytes(), self.clocks.reorganizations);
 
@@ -372,9 +342,7 @@ impl AdaptiveClusterIndex {
             )
         };
         // A signature merged away a few passes ago coming back is one
-        // completed split→merge→split cycle. Counted regardless of the
-        // cool-down (which, when enabled, prevents reaching this point
-        // within its own window).
+        // completed split→merge→split cycle.
         if let Some(&merged_at) = self.recent_merges.get(&new_signature.to_bytes()) {
             if self.clocks.reorganizations.saturating_sub(merged_at) < THRASH_WINDOW {
                 profile.thrash_cycles += 1;
@@ -466,11 +434,11 @@ impl AdaptiveClusterIndex {
         let handle = self.cluster(slot).candidates;
         self.stats_arena
             .slice_mut(handle)
-            .catch_up_to(self.clocks.stats_epoch, self.config.stats_decay);
+            .catch_up_to(self.clocks.stats_epoch);
     }
 
     /// Closes the current statistics epoch: folds the per-cluster scalar
-    /// counters into the exponentially decayed history (`stats_decay`
+    /// counters into the exponentially decayed history ([`STATS_DECAY`]
     /// weight) and restarts the epoch, so access probabilities track
     /// recent periods while damping single-period noise.
     ///
@@ -484,7 +452,7 @@ impl AdaptiveClusterIndex {
     fn decay_statistics(&mut self) {
         let clocks = &mut self.clocks;
         let now = clocks.total_queries;
-        let gamma = self.config.stats_decay;
+        let gamma = STATS_DECAY;
         clocks.hist_verified_bytes =
             gamma * clocks.hist_verified_bytes + clocks.epoch_verified_bytes as f64;
         clocks.hist_full_bytes = gamma * clocks.hist_full_bytes + clocks.epoch_full_bytes as f64;

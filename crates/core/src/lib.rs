@@ -36,7 +36,7 @@ mod metrics;
 pub mod signature;
 
 pub use batch::StatsDelta;
-pub use config::IndexConfig;
+pub use config::{IndexConfig, STATS_DECAY};
 pub use error::IndexError;
 pub use index::{AdaptiveClusterIndex, QueryScratch, ReorgFaultPoint};
 pub use metrics::{

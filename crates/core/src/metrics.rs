@@ -47,13 +47,8 @@ pub struct ReorgProfile {
     pub objects_moved: u64,
     /// Materializations this pass that re-created a cluster signature
     /// merged away within the last few passes — one completed
-    /// split→merge→split cycle each. Counted whether or not the
-    /// [`crate::IndexConfig::merge_cooldown`] hysteresis is enabled.
+    /// split→merge→split cycle each.
     pub thrash_cycles: u64,
-    /// Would-be materializations this pass vetoed by the
-    /// [`crate::IndexConfig::merge_cooldown`] hysteresis (always `0`
-    /// when the cool-down is disabled).
-    pub cooldown_blocked: u64,
     /// Bytes of live candidate statistics in the index-wide arena at
     /// pass end.
     pub arena_live_bytes: u64,

@@ -478,7 +478,7 @@ fn disk_scenario_produces_fewer_clusters_than_memory() {
     };
     let mut mem_cfg = paper(dims);
     mem_cfg.reorg_period = 0;
-    let mut disk_cfg = IndexConfig::disk(dims);
+    let mut disk_cfg = IndexConfig::edbt2004(dims, StorageScenario::Disk);
     disk_cfg.reorg_period = 0;
     let mem = build(mem_cfg);
     let disk = build(disk_cfg);

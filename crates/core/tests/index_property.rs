@@ -3,6 +3,7 @@
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig};
 use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery};
+use acx_storage::StorageScenario;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -121,7 +122,7 @@ proptest! {
         prop_assert!(result.metrics.priced_ms > 0.0);
         // Pricing the same counters under the disk model adds seek and
         // transfer cost.
-        let disk_model = IndexConfig::disk(3).cost_model();
+        let disk_model = IndexConfig::edbt2004(3, StorageScenario::Disk).cost_model();
         prop_assert!(disk_model.price(s) > result.metrics.priced_ms);
     }
 }

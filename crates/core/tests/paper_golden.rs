@@ -15,7 +15,7 @@
 //! each set caught up to the final pass's epoch ([`caught_up`]) — the
 //! same value either way, in debug and optimized builds alike.
 
-use acx_core::{AdaptiveClusterIndex, IndexConfig};
+use acx_core::{AdaptiveClusterIndex, IndexConfig, STATS_DECAY};
 use acx_geom::{HyperRect, ObjectId, Scalar};
 use acx_storage::{crc32, ClusterRecord, FileStore, StorageScenario};
 use acx_workloads::{
@@ -100,7 +100,7 @@ fn canonical_digest(records: &[ClusterRecord]) -> u32 {
 /// `epoch` then reads as one the pass of `epoch` caught up; how lazily
 /// a set was decayed is no decision.
 fn caught_up(counters: &[u8], epoch: u64) -> Vec<u8> {
-    let gamma = IndexConfig::edbt2004(1, StorageScenario::Memory).stats_decay;
+    let gamma = STATS_DECAY;
     let mut out = counters.to_vec();
     let stamp = u64::from_le_bytes(out[32..40].try_into().unwrap());
     if stamp < epoch {

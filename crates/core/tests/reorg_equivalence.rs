@@ -115,13 +115,11 @@ fn drive_scenario_pair(
     mut config: IndexConfig,
     mut scenario: Box<dyn AdaptiveScenario>,
     objects: Vec<HyperRect>,
-    merge_cooldown: u64,
     periods: usize,
     queries_per_period: usize,
     shift_at: usize,
 ) -> (u64, u64, u64) {
     config.reorg_period = 0; // explicit passes below
-    config.merge_cooldown = merge_cooldown;
     let (mut incremental, mut oracle) = mode_pair(&config);
     for (i, rect) in objects.iter().enumerate() {
         incremental.insert(ObjectId(i as u32), rect.clone()).unwrap();
@@ -478,7 +476,7 @@ fn scenario_equivalence_migrating_hotspot() {
     let cfg = WorkloadConfig::new(5, 900, 0xD21F7);
     let objects = UniformWorkload::with_max_length(cfg.clone(), 0.4).generate_objects();
     let scenario = Box::new(MigratingHotspot::new(&cfg, 8e-3, 0.35, 0.08));
-    let (splits, ..) = drive_scenario_pair(paper(cfg.dims), scenario, objects, 0, 8, 80, 4);
+    let (splits, ..) = drive_scenario_pair(paper(cfg.dims), scenario, objects, 8, 80, 4);
     assert!(splits > 0, "a hotspot stream must force materializations");
 }
 
@@ -490,7 +488,7 @@ fn scenario_equivalence_flash_crowd() {
     let cfg = WorkloadConfig::new(4, 1000, 0xF1A58);
     let objects = UniformWorkload::with_max_length(cfg.clone(), 0.4).generate_objects();
     let scenario = Box::new(FlashCrowd::new(&cfg, 150, 90, 0.25, 0.06));
-    drive_scenario_pair(paper(cfg.dims), scenario, objects, 0, 8, 80, 4);
+    drive_scenario_pair(paper(cfg.dims), scenario, objects, 8, 80, 4);
 }
 
 /// Mixed query kinds over a drifting hotspot: mixed kinds move the
@@ -503,22 +501,19 @@ fn scenario_equivalence_mixed_traffic_clustered() {
     let cfg = WorkloadConfig::new(5, 1100, 0x31BED);
     let objects = ClusteredObjects::new(cfg.clone(), 6, 0.08, 0.15).generate_objects();
     let scenario = Box::new(MixedTraffic::new(&cfg, 160, 0.35, 0.08));
-    let (splits, ..) = drive_scenario_pair(paper(cfg.dims), scenario, objects, 0, 10, 80, 5);
+    let (splits, ..) = drive_scenario_pair(paper(cfg.dims), scenario, objects, 10, 80, 5);
     assert!(splits > 0, "mixed traffic must force materializations");
 }
 
-/// The oscillating adversary with the merge cool-down **enabled**: the
-/// hysteresis veto must fire identically in the scalar and columnar
-/// scans, so decision-identity holds for every cool-down value — and
-/// both modes count the same thrash cycles.
+/// The oscillating adversary: clusters built for one phase merge back
+/// in the other and come back when the heat flips again, and both modes
+/// make the same decisions and count the same thrash cycles.
 #[test]
-fn scenario_equivalence_oscillating_adversary_with_cooldown() {
+fn scenario_equivalence_oscillating_adversary() {
     let cfg = WorkloadConfig::new(3, 900, 0x05C11);
     let objects = UniformWorkload::with_max_length(cfg.clone(), 0.4).generate_objects();
-    for cooldown in [0u64, 3] {
-        let scenario = Box::new(OscillatingHeat::new(&cfg, 120, 0.3, 0.08));
-        drive_scenario_pair(paper(cfg.dims), scenario, objects.clone(), cooldown, 10, 60, 5);
-    }
+    let scenario = Box::new(OscillatingHeat::new(&cfg, 120, 0.3, 0.08));
+    drive_scenario_pair(paper(cfg.dims), scenario, objects, 10, 60, 5);
 }
 
 /// The measured profile at the scale it clusters at: 20 000 clustered
@@ -534,7 +529,7 @@ fn measured_profile_is_decision_identical_at_scale() {
     let scenario = Box::new(MigratingHotspot::new(&cfg, 2e-3, 0.3, 0.04));
     let config = IndexConfig::memory(cfg.dims);
     assert!(config.profile.move_ms_per_object > 0.0 && config.profile.record_ms_per_candidate > 0.0);
-    let (splits, merges, _) = drive_scenario_pair(config, scenario, objects, 0, 8, 100, 4);
+    let (splits, merges, _) = drive_scenario_pair(config, scenario, objects, 8, 100, 4);
     assert!(splits > 0, "the measured profile must split at this scale");
     println!("measured profile, 20 000 objects: {splits} splits, {merges} merges");
 }
@@ -552,7 +547,7 @@ fn scenario_equivalence_mixed_traffic_bench_scale() {
     let qry_cfg = WorkloadConfig::new(dims, 20_000, 0x5EED ^ 0xF1E1D);
     let objects = UniformWorkload::with_max_length(obj_cfg, 0.4).generate_objects();
     let scenario = Box::new(MixedTraffic::new(&qry_cfg, 800, 0.35, 0.08));
-    drive_scenario_pair(paper(dims), scenario, objects, 0, 60, 100, 30);
+    drive_scenario_pair(paper(dims), scenario, objects, 60, 100, 30);
 }
 
 proptest! {

@@ -39,7 +39,7 @@ impl std::fmt::Display for SpatialRelation {
 /// accounting.
 ///
 /// The paper observes (footnote 4) that Sequential Scan rejects an object
-/// as soon as one dimension fails the selection criterion, so the amount of
+/// as soon as one dimension fails the selection predicate, so the amount of
 /// *verified data* depends on the query selectivity. `dims_checked` is the
 /// number of dimensions actually inspected; callers convert it into bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -98,7 +98,8 @@ pub struct ServeConfig {
     pub index: IndexConfig,
     /// Number of shards (one worker thread each).
     pub shards: usize,
-    /// Subscription-to-shard assignment strategy.
+    /// Subscription-to-shard assignment strategy ([`ShardBy::Hash`],
+    /// the only one).
     pub shard_by: ShardBy,
     /// Per-shard ingestion queue capacity.
     pub queue_cap: usize,
@@ -623,7 +624,7 @@ impl ShardedIndex {
     /// Inserts a subscription on its owning shard. Waits for the shard
     /// to apply it (mutations are synchronous; events are not).
     pub fn insert(&self, id: ObjectId, rect: HyperRect) -> Result<(), IndexError> {
-        let shard = shard_of(self.config.shard_by, id, &rect, self.shards.len());
+        let shard = shard_of(id, self.shards.len());
         {
             // Claim the route first so a racing insert of the same id
             // fails fast; rolled back if the shard rejects the insert.
@@ -659,7 +660,7 @@ impl ShardedIndex {
                     }
                     return Err(IndexError::DuplicateObject(id.0));
                 }
-                let shard = shard_of(self.config.shard_by, id, &rect, self.shards.len());
+                let shard = shard_of(id, self.shards.len());
                 routes.insert(id.0, shard);
                 groups[shard].push((id, rect));
             }
@@ -711,43 +712,18 @@ impl ShardedIndex {
         result
     }
 
-    /// Replaces a subscription's rectangle, returning the old one.
-    /// Under [`ShardBy::Space`] the new rectangle may belong to a
-    /// different shard; the subscription then migrates (remove at the
-    /// old owner, insert at the new).
+    /// Replaces a subscription's rectangle on its owning shard,
+    /// returning the old one. The owner depends on the id alone, so the
+    /// update is one mutation on one shard's log.
     pub fn update(&self, id: ObjectId, rect: HyperRect) -> Result<HyperRect, IndexError> {
-        let old_shard = self
+        let shard = self
             .routes
             .lock()
             .expect("routes lock")
             .get(&id.0)
             .copied()
             .ok_or(IndexError::UnknownObject(id.0))?;
-        let new_shard = shard_of(self.config.shard_by, id, &rect, self.shards.len());
-        if new_shard == old_shard {
-            return self.with_shard(old_shard, move |index| index.update(id, rect));
-        }
-        let old = self.with_shard(old_shard, move |index| index.remove(id))?;
-        let attempt = {
-            let rect = rect.clone();
-            self.with_shard(new_shard, move |index| index.insert(id, rect))
-        };
-        match attempt {
-            Ok(()) => {
-                self.routes
-                    .lock()
-                    .expect("routes lock")
-                    .insert(id.0, new_shard);
-                Ok(old)
-            }
-            Err(e) => {
-                // Re-home the original so a failed migration is a no-op.
-                let restore = old.clone();
-                self.with_shard(old_shard, move |index| index.insert(id, restore))
-                    .expect("restore after failed migration");
-                Err(e)
-            }
-        }
+        self.with_shard(shard, move |index| index.update(id, rect))
     }
 
     /// The rectangle of a resident subscription.
@@ -1026,23 +1002,20 @@ mod tests {
         assert_eq!(results[0].matches, vec![ObjectId(2), ObjectId(3)]);
     }
 
+    /// The owner depends on the id alone: an update that moves the
+    /// rectangle across the domain leaves the subscription where it was.
     #[test]
-    fn space_partitioning_migrates_on_update() {
-        let index = ShardedIndex::new(
-            ServeConfig::new(IndexConfig::memory(3))
-                .with_shards(4)
-                .with_shard_by(ShardBy::Space),
-        )
-        .unwrap();
+    fn update_stays_on_the_owning_shard() {
+        let index = small_index(4);
         index.insert(ObjectId(7), rect(0.0, 0.1)).unwrap();
-        // Moves from the first slab to the last.
+        let owner = shard_of(ObjectId(7), 4);
         index.update(ObjectId(7), rect(0.9, 1.0)).unwrap();
         assert_eq!(index.len(), 1);
         assert_eq!(index.get(ObjectId(7)), Some(rect(0.9, 1.0)));
-        let on_last = index.with_shard(3, |i: &mut AdaptiveClusterIndex| i.len());
-        assert_eq!(on_last, 1);
-        let on_first = index.with_shard(0, |i: &mut AdaptiveClusterIndex| i.len());
-        assert_eq!(on_first, 0);
+        for shard in 0..4 {
+            let len = index.with_shard(shard, |i: &mut AdaptiveClusterIndex| i.len());
+            assert_eq!(len, usize::from(shard == owner), "shard {shard}");
+        }
     }
 
     #[test]

@@ -1,82 +1,38 @@
 //! Subscription-to-shard assignment.
 //!
-//! The partitioner is pure and deterministic: the same `(id, rect)`
-//! always lands on the same shard, so routing never needs coordination
-//! beyond the owner map kept for removals (under [`ShardBy::Space`] the
-//! rectangle that placed an object is no longer at hand when it is
-//! removed).
+//! The partitioner is pure and deterministic: the same id always lands
+//! on the same shard, whatever its rectangle, so an update never moves a
+//! subscription between shards and routing never needs coordination.
 
-use acx_geom::{HyperRect, ObjectId, Scalar};
+use acx_geom::ObjectId;
 
 /// How subscriptions are assigned to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardBy {
     /// Multiplicative hash of the subscription id — balanced regardless
-    /// of the data distribution (the default).
+    /// of the data distribution.
     #[default]
     Hash,
-    /// Equal-width slabs of dimension 0's center — keeps spatial
-    /// neighbours co-resident, at the price of load skew when the data
-    /// is clustered along that dimension.
-    Space,
 }
 
-impl std::str::FromStr for ShardBy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "hash" => Ok(ShardBy::Hash),
-            "space" => Ok(ShardBy::Space),
-            other => Err(format!("unknown shard-by '{other}' (hash|space)")),
-        }
-    }
-}
-
-impl std::fmt::Display for ShardBy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardBy::Hash => write!(f, "hash"),
-            ShardBy::Space => write!(f, "space"),
-        }
-    }
-}
-
-/// The owning shard of a subscription under the given strategy.
-pub(crate) fn shard_of(by: ShardBy, id: ObjectId, rect: &HyperRect, shards: usize) -> usize {
+/// The owning shard of a subscription.
+pub(crate) fn shard_of(id: ObjectId, shards: usize) -> usize {
     debug_assert!(shards > 0);
-    match by {
-        ShardBy::Hash => {
-            // Fibonacci multiplicative mix (2^64 / φ): consecutive ids —
-            // the common allocation pattern — spread evenly.
-            let h = (id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            ((h >> 32) as usize) % shards
-        }
-        ShardBy::Space => {
-            // Coordinates are normalized to [0, 1] throughout the
-            // workloads; the cast clamps strays below 0 and the `min`
-            // clamps center == 1.0.
-            let iv = rect.interval(0);
-            let center = 0.5 * (iv.lo() + iv.hi());
-            ((center * shards as Scalar) as usize).min(shards - 1)
-        }
-    }
+    // Fibonacci multiplicative mix (2^64 / φ): consecutive ids — the
+    // common allocation pattern — spread evenly.
+    let h = (id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    ((h >> 32) as usize) % shards
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rect(lo: Scalar, hi: Scalar) -> HyperRect {
-        HyperRect::from_bounds(&[lo, lo], &[hi, hi]).unwrap()
-    }
-
     #[test]
     fn hash_spreads_consecutive_ids() {
-        let r = rect(0.0, 1.0);
         let mut counts = [0usize; 4];
         for i in 0..1000 {
-            counts[shard_of(ShardBy::Hash, ObjectId(i), &r, 4)] += 1;
+            counts[shard_of(ObjectId(i), 4)] += 1;
         }
         for (s, &c) in counts.iter().enumerate() {
             assert!((150..=350).contains(&c), "shard {s} got {c} of 1000");
@@ -84,29 +40,9 @@ mod tests {
     }
 
     #[test]
-    fn space_slabs_dimension_zero() {
-        assert_eq!(shard_of(ShardBy::Space, ObjectId(1), &rect(0.0, 0.1), 4), 0);
-        assert_eq!(shard_of(ShardBy::Space, ObjectId(1), &rect(0.3, 0.4), 4), 1);
-        assert_eq!(shard_of(ShardBy::Space, ObjectId(1), &rect(0.9, 1.0), 4), 3);
-        // Center exactly 1.0 clamps to the last shard.
-        assert_eq!(shard_of(ShardBy::Space, ObjectId(1), &rect(1.0, 1.0), 4), 3);
-    }
-
-    #[test]
     fn single_shard_owns_everything() {
-        for by in [ShardBy::Hash, ShardBy::Space] {
-            for i in 0..50 {
-                assert_eq!(shard_of(by, ObjectId(i), &rect(0.2, 0.8), 1), 0);
-            }
+        for i in 0..50 {
+            assert_eq!(shard_of(ObjectId(i), 1), 0);
         }
-    }
-
-    #[test]
-    fn parses_and_displays() {
-        assert_eq!("hash".parse::<ShardBy>().unwrap(), ShardBy::Hash);
-        assert_eq!("space".parse::<ShardBy>().unwrap(), ShardBy::Space);
-        assert!("h3".parse::<ShardBy>().is_err());
-        assert_eq!(ShardBy::Hash.to_string(), "hash");
-        assert_eq!(ShardBy::Space.to_string(), "space");
     }
 }

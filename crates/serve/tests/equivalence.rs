@@ -1,11 +1,11 @@
 //! Sharded serving must be answer-identical to single-index execution.
 //!
-//! Three contracts, all under both partitioning strategies:
+//! Three contracts:
 //!
 //! * **Union**: for every event, the sorted union of per-shard matches
 //!   equals the match set of one index holding *all* subscriptions —
 //!   for 1, 2 and 4 shards, so the answer is independent of the shard
-//!   count and the partitioning strategy.
+//!   count.
 //! * **Per-shard identity**: each shard's index ends in exactly the
 //!   state (every [`ClusterSnapshot`], every counter) of an index built
 //!   independently over that shard's subscription partition and driven
@@ -17,7 +17,7 @@
 
 use acx_core::{AdaptiveClusterIndex, ClusterSnapshot, IndexConfig};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
-use acx_serve::{ServeConfig, ShardBy, ShardedIndex};
+use acx_serve::{ServeConfig, ShardedIndex};
 use acx_storage::StorageScenario;
 use acx_workloads::{EventStream, PubSubGenerator};
 use rand::rngs::StdRng;
@@ -71,32 +71,29 @@ fn union_is_identical_across_shard_counts_and_strategies() {
     assert!(reference.reorganizations() > 0, "premise: reorgs fired");
     assert!(reference.total_splits() > 0, "premise: clusters materialized");
 
-    for shard_by in [ShardBy::Hash, ShardBy::Space] {
-        for shards in [1usize, 2, 4] {
-            let index = ShardedIndex::new(
-                ServeConfig::new(config())
-                    .with_shards(shards)
-                    .with_shard_by(shard_by)
-                    .retaining_results(),
-            )
-            .unwrap();
-            index.insert_all(subs.iter().cloned()).unwrap();
-            for q in &stream {
-                index.submit(q.clone());
-            }
-            index.flush();
-            let results = index.drain_results();
-            assert_eq!(results.len(), stream.len(), "{shard_by}/{shards} shards");
-            for (k, result) in results.iter().enumerate() {
-                assert_eq!(result.seq, k as u64);
-                assert_eq!(
-                    result.matches, expected[k],
-                    "event {k} diverged under {shard_by}/{shards} shards"
-                );
-            }
-            let stats = index.stats();
-            assert_eq!(stats.events_completed, stream.len() as u64);
+    for shards in [1usize, 2, 4] {
+        let index = ShardedIndex::new(
+            ServeConfig::new(config())
+                .with_shards(shards)
+                .retaining_results(),
+        )
+        .unwrap();
+        index.insert_all(subs.iter().cloned()).unwrap();
+        for q in &stream {
+            index.submit(q.clone());
         }
+        index.flush();
+        let results = index.drain_results();
+        assert_eq!(results.len(), stream.len(), "{shards} shards");
+        for (k, result) in results.iter().enumerate() {
+            assert_eq!(result.seq, k as u64);
+            assert_eq!(
+                result.matches, expected[k],
+                "event {k} diverged under {shards} shards"
+            );
+        }
+        let stats = index.stats();
+        assert_eq!(stats.events_completed, stream.len() as u64);
     }
 }
 
@@ -105,67 +102,60 @@ fn each_shard_is_bit_identical_to_an_index_over_its_partition() {
     let subs = subscriptions(400);
     let stream = events(300, 7);
 
-    for shard_by in [ShardBy::Hash, ShardBy::Space] {
-        let index = ShardedIndex::new(
-            ServeConfig::new(config())
-                .with_shards(4)
-                .with_shard_by(shard_by),
-        )
-        .unwrap();
-        index.insert_all(subs.iter().cloned()).unwrap();
-        for q in &stream {
-            index.submit(q.clone());
-        }
-        index.flush();
-
-        let mut resident = 0usize;
-        for shard in 0..4 {
-            let owned: HashSet<u32> = index
-                .with_shard(shard, |i: &mut AdaptiveClusterIndex| {
-                    i.object_ids().map(|id| id.0).collect()
-                });
-            resident += owned.len();
-            // An independent index over the same partition, same
-            // insertion order, same event sequence.
-            let mut solo = AdaptiveClusterIndex::new(config()).unwrap();
-            for (id, rect) in &subs {
-                if owned.contains(&id.0) {
-                    solo.insert(*id, rect.clone()).unwrap();
-                }
-            }
-            for q in &stream {
-                solo.execute(q);
-            }
-            assert!(solo.total_splits() > 0, "premise: shard {shard} materialized clusters");
-            let shard_state = index.with_shard(
-                shard,
-                |i: &mut AdaptiveClusterIndex| -> (Vec<ClusterSnapshot>, u64, u64, usize) {
-                    (
-                        i.snapshots(),
-                        i.total_queries(),
-                        i.reorganizations(),
-                        i.cluster_count(),
-                    )
-                },
-            );
-            assert_eq!(
-                shard_state,
-                (
-                    solo.snapshots(),
-                    solo.total_queries(),
-                    solo.reorganizations(),
-                    solo.cluster_count()
-                ),
-                "shard {shard} under {shard_by} diverged from its solo twin"
-            );
-            index
-                .with_shard(shard, |i: &mut AdaptiveClusterIndex| {
-                    i.check_invariants()
-                })
-                .unwrap();
-        }
-        assert_eq!(resident, subs.len(), "partition covers every subscription");
+    let index = ShardedIndex::new(ServeConfig::new(config()).with_shards(4)).unwrap();
+    index.insert_all(subs.iter().cloned()).unwrap();
+    for q in &stream {
+        index.submit(q.clone());
     }
+    index.flush();
+
+    let mut resident = 0usize;
+    for shard in 0..4 {
+        let owned: HashSet<u32> = index.with_shard(shard, |i: &mut AdaptiveClusterIndex| {
+            i.object_ids().map(|id| id.0).collect()
+        });
+        resident += owned.len();
+        // An independent index over the same partition, same
+        // insertion order, same event sequence.
+        let mut solo = AdaptiveClusterIndex::new(config()).unwrap();
+        for (id, rect) in &subs {
+            if owned.contains(&id.0) {
+                solo.insert(*id, rect.clone()).unwrap();
+            }
+        }
+        for q in &stream {
+            solo.execute(q);
+        }
+        assert!(
+            solo.total_splits() > 0,
+            "premise: shard {shard} materialized clusters"
+        );
+        let shard_state = index.with_shard(
+            shard,
+            |i: &mut AdaptiveClusterIndex| -> (Vec<ClusterSnapshot>, u64, u64, usize) {
+                (
+                    i.snapshots(),
+                    i.total_queries(),
+                    i.reorganizations(),
+                    i.cluster_count(),
+                )
+            },
+        );
+        assert_eq!(
+            shard_state,
+            (
+                solo.snapshots(),
+                solo.total_queries(),
+                solo.reorganizations(),
+                solo.cluster_count()
+            ),
+            "shard {shard} diverged from its solo twin"
+        );
+        index
+            .with_shard(shard, |i: &mut AdaptiveClusterIndex| i.check_invariants())
+            .unwrap();
+    }
+    assert_eq!(resident, subs.len(), "partition covers every subscription");
 }
 
 #[test]
@@ -175,52 +165,52 @@ fn mutations_mid_stream_keep_the_union_contract() {
     let extra = subscriptions(360); // ids 300.. are fresh inserts
     let fresh = &extra[300..];
 
-    for shard_by in [ShardBy::Hash, ShardBy::Space] {
-        let mut reference = AdaptiveClusterIndex::new(config()).unwrap();
-        let index = ShardedIndex::new(
-            ServeConfig::new(config())
-                .with_shards(4)
-                .with_shard_by(shard_by)
-                .retaining_results(),
-        )
-        .unwrap();
-        for (id, rect) in &subs {
-            reference.insert(*id, rect.clone()).unwrap();
-        }
-        index.insert_all(subs.iter().cloned()).unwrap();
-
-        let mut expected = Vec::new();
-        let mut next_fresh = fresh.iter();
-        for (k, q) in stream.iter().enumerate() {
-            // Every 20 events: remove one subscription, insert a fresh
-            // one, through both paths in the same order.
-            if k % 20 == 10 {
-                let victim = ObjectId((k as u32 / 20) * 13 % 300);
-                if index.contains(victim) {
-                    let a = reference.remove(victim).unwrap();
-                    let b = index.remove(victim).unwrap();
-                    assert_eq!(a, b);
-                }
-                if let Some((id, rect)) = next_fresh.next() {
-                    reference.insert(*id, rect.clone()).unwrap();
-                    index.insert(*id, rect.clone()).unwrap();
-                }
-            }
-            expected.push(sorted(reference.execute(q).matches));
-            index.submit(q.clone());
-        }
-        index.flush();
-        let results = index.drain_results();
-        assert_eq!(results.len(), stream.len());
-        for (k, result) in results.iter().enumerate() {
-            assert_eq!(
-                result.matches, expected[k],
-                "event {k} diverged under {shard_by} with mutations in flight"
-            );
-        }
-        assert_eq!(index.len(), reference.len());
-        assert!(reference.total_splits() > 0, "premise: clusters materialized");
+    let mut reference = AdaptiveClusterIndex::new(config()).unwrap();
+    let index = ShardedIndex::new(
+        ServeConfig::new(config())
+            .with_shards(4)
+            .retaining_results(),
+    )
+    .unwrap();
+    for (id, rect) in &subs {
+        reference.insert(*id, rect.clone()).unwrap();
     }
+    index.insert_all(subs.iter().cloned()).unwrap();
+
+    let mut expected = Vec::new();
+    let mut next_fresh = fresh.iter();
+    for (k, q) in stream.iter().enumerate() {
+        // Every 20 events: remove one subscription, insert a fresh
+        // one, through both paths in the same order.
+        if k % 20 == 10 {
+            let victim = ObjectId((k as u32 / 20) * 13 % 300);
+            if index.contains(victim) {
+                let a = reference.remove(victim).unwrap();
+                let b = index.remove(victim).unwrap();
+                assert_eq!(a, b);
+            }
+            if let Some((id, rect)) = next_fresh.next() {
+                reference.insert(*id, rect.clone()).unwrap();
+                index.insert(*id, rect.clone()).unwrap();
+            }
+        }
+        expected.push(sorted(reference.execute(q).matches));
+        index.submit(q.clone());
+    }
+    index.flush();
+    let results = index.drain_results();
+    assert_eq!(results.len(), stream.len());
+    for (k, result) in results.iter().enumerate() {
+        assert_eq!(
+            result.matches, expected[k],
+            "event {k} diverged with mutations in flight"
+        );
+    }
+    assert_eq!(index.len(), reference.len());
+    assert!(
+        reference.total_splits() > 0,
+        "premise: clusters materialized"
+    );
 }
 
 #[test]
@@ -229,7 +219,9 @@ fn repeated_runs_are_deterministic() {
     let stream = events(150, 5);
     let run = || {
         let index = ShardedIndex::new(
-            ServeConfig::new(config()).with_shards(2).retaining_results(),
+            ServeConfig::new(config())
+                .with_shards(2)
+                .retaining_results(),
         )
         .unwrap();
         index.insert_all(subs.iter().cloned()).unwrap();

@@ -10,7 +10,7 @@ pub struct AccessStats {
     pub signature_checks: u64,
     /// Clusters (or nodes) actually explored, i.e. whose members were read.
     pub clusters_explored: u64,
-    /// Objects individually verified against the selection criterion.
+    /// Objects individually verified against the selection predicate.
     pub objects_verified: u64,
     /// Bytes of object data actually inspected, accounting for early exit
     /// on the first failing dimension (paper footnote 4).

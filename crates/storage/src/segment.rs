@@ -120,6 +120,10 @@ impl Segment {
     }
 }
 
+/// Fraction of places reserved at the end of each segment when it is
+/// created or relocated (paper §6 uses 20–30 %).
+const RESERVE_FRACTION: f64 = 0.25;
+
 /// Sequential cluster storage with reserved slack (paper §6, "Storage
 /// Utilization").
 ///
@@ -130,8 +134,9 @@ impl Segment {
 /// ([`acx_geom::scan::scan_columns`]) streams one column at a time at
 /// memory bandwidth; see [`SegmentStore::columns`]. Because a relocation
 /// is expensive, every created or relocated segment reserves
-/// `reserve_fraction` extra places (the paper uses 20–30 %, guaranteeing
-/// ≥ 70 % utilization right after a relocation).
+/// 25 % extra places (the paper uses 20–30 %), so utilization right
+/// after a relocation is 1/1.25 = 80 %, less the one place rounding the
+/// capacity up may add.
 ///
 /// The store also maintains a *virtual byte layout* (bump allocation +
 /// relocation) so the disk scenario can reason about segment offsets, and
@@ -177,7 +182,6 @@ impl Segment {
 pub struct SegmentStore {
     dims: usize,
     object_bytes: usize,
-    reserve_fraction: f64,
     segments: Vec<Option<Segment>>,
     free_slots: Vec<u32>,
     next_offset: u64,
@@ -192,23 +196,12 @@ pub struct SegmentStore {
 }
 
 impl SegmentStore {
-    /// Creates a store for `dims`-dimensional objects with the paper's
-    /// default 25 % reserve.
+    /// Creates a store for `dims`-dimensional objects.
     pub fn new(dims: usize) -> Self {
-        Self::with_reserve(dims, 0.25)
-    }
-
-    /// Creates a store with an explicit reserve fraction in `[0, 1]`.
-    pub fn with_reserve(dims: usize, reserve_fraction: f64) -> Self {
         assert!(dims > 0, "dims must be positive");
-        assert!(
-            (0.0..=1.0).contains(&reserve_fraction),
-            "reserve fraction must be in [0,1]"
-        );
         Self {
             dims,
             object_bytes: object_size_bytes(dims),
-            reserve_fraction,
             segments: Vec::new(),
             free_slots: Vec::new(),
             next_offset: 0,
@@ -274,7 +267,7 @@ impl SegmentStore {
 
     fn reserved_capacity(&self, n: usize) -> usize {
         // n live objects plus the reserve, at least one slot.
-        ((n as f64 * (1.0 + self.reserve_fraction)).ceil() as usize).max(1)
+        ((n as f64 * (1.0 + RESERVE_FRACTION)).ceil() as usize).max(1)
     }
 
     fn alloc_bytes(&mut self, capacity: usize) -> u64 {
@@ -698,7 +691,7 @@ mod tests {
 
     #[test]
     fn push_beyond_reserve_relocates() {
-        let mut s = SegmentStore::with_reserve(2, 0.25);
+        let mut s = SegmentStore::new(2);
         let seg = s.create(4); // capacity = ceil(4·1.25) = 5
         let first_offset = s.offset(seg);
         for i in 0..5 {
@@ -713,13 +706,15 @@ mod tests {
 
     #[test]
     fn utilization_at_least_70_percent_after_relocation() {
-        let mut s = SegmentStore::with_reserve(2, 0.30);
+        let mut s = SegmentStore::new(2);
         let seg = s.create(1);
         for i in 0..1000 {
             s.push(seg, i, &flat(0.0, 1.0));
         }
-        // Right after any relocation: used/capacity = 1/1.3 ≈ 0.77 ≥ 0.7.
-        assert!(s.utilization() >= 0.70, "utilization {}", s.utilization());
+        // Right after any relocation: used/capacity ≈ 1/1.25 = 0.8 ≥ 0.7,
+        // less the one place rounding the capacity up may add.
+        let floor = 1000.0 / (1000.0 * (1.0 + RESERVE_FRACTION) + 1.0);
+        assert!(s.utilization() >= floor, "utilization {}", s.utilization());
     }
 
     #[test]
@@ -945,7 +940,7 @@ mod tests {
 
     #[test]
     fn position_of_survives_relocation_and_merge() {
-        let mut s = SegmentStore::with_reserve(2, 0.25);
+        let mut s = SegmentStore::new(2);
         let a = s.create(2); // capacity 3: fourth push relocates
         for i in 0..6 {
             s.push(a, i, &flat(0.0, 1.0));
@@ -1176,7 +1171,7 @@ mod proptests {
         /// relocations).
         #[test]
         fn position_map_agrees_with_linear_scan(ops in prop::collection::vec(op(), 1..120)) {
-            let mut store = SegmentStore::with_reserve(1, 0.25);
+            let mut store = SegmentStore::new(1);
             let mut live: Vec<SegmentId> = Vec::new();
             let mut next_id = 0u32;
             for op in ops {
@@ -1238,18 +1233,20 @@ mod proptests {
         }
 
         /// The paper's §6 guarantee: a segment that has grown past its
-        /// initial reservation keeps utilization ≥ 1/(1 + reserve) — the
-        /// worst case is the instant right after a relocation.
+        /// initial reservation keeps utilization ≥ 1/(1 + reserve), less
+        /// the one place rounding the capacity up may add — the worst
+        /// case is the instant right after a relocation.
         #[test]
         fn grown_segment_keeps_utilization_floor(pushes in 20usize..400) {
-            let mut store = SegmentStore::with_reserve(1, 0.30);
+            let mut store = SegmentStore::new(1);
             let seg = store.create(1);
             for i in 0..pushes {
                 store.push(seg, i as u32, &[0.0, 1.0]);
             }
             prop_assert!(store.relocations() > 0, "test premise: segment must grow");
+            let n = pushes as f64;
             prop_assert!(
-                store.utilization() >= 0.70,
+                store.utilization() >= n / (n * (1.0 + RESERVE_FRACTION) + 1.0),
                 "utilization {} after {} pushes",
                 store.utilization(),
                 pushes

@@ -268,28 +268,6 @@ impl std::fmt::Display for FlushPolicy {
     }
 }
 
-impl std::str::FromStr for FlushPolicy {
-    type Err = String;
-
-    /// Accepts `record`, `epoch`, `batch` (N = 64), or `batch:N`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "record" | "per-record" => Ok(FlushPolicy::PerRecord),
-            "epoch" | "per-epoch" => Ok(FlushPolicy::PerEpoch),
-            "batch" => Ok(FlushPolicy::PerBatch(64)),
-            other => match other.strip_prefix("batch:") {
-                Some(n) => match n.parse::<u32>() {
-                    Ok(n) if n > 0 => Ok(FlushPolicy::PerBatch(n)),
-                    _ => Err(format!("invalid batch size {n:?} (want batch:N, N ≥ 1)")),
-                },
-                None => Err(format!(
-                    "unknown flush policy {other:?} (expected record, batch[:N], or epoch)"
-                )),
-            },
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Backing stores
 // ---------------------------------------------------------------------------
@@ -1834,36 +1812,6 @@ mod tests {
         let replay = Wal::replay(store.as_mut()).unwrap();
         assert_eq!(replay.records.len(), sample_records().len() - 1);
         assert!(replay.torn.is_some());
-    }
-
-    #[test]
-    fn flush_policy_parses_strictly() {
-        assert_eq!(
-            "record".parse::<FlushPolicy>().unwrap(),
-            FlushPolicy::PerRecord
-        );
-        assert_eq!(
-            "epoch".parse::<FlushPolicy>().unwrap(),
-            FlushPolicy::PerEpoch
-        );
-        assert_eq!(
-            "batch".parse::<FlushPolicy>().unwrap(),
-            FlushPolicy::PerBatch(64)
-        );
-        assert_eq!(
-            "batch:7".parse::<FlushPolicy>().unwrap(),
-            FlushPolicy::PerBatch(7)
-        );
-        assert!("batch:0".parse::<FlushPolicy>().is_err());
-        assert!("batch:x".parse::<FlushPolicy>().is_err());
-        assert!("sometimes".parse::<FlushPolicy>().is_err());
-        for policy in [
-            FlushPolicy::PerRecord,
-            FlushPolicy::PerBatch(7),
-            FlushPolicy::PerEpoch,
-        ] {
-            assert_eq!(policy.to_string().parse::<FlushPolicy>().unwrap(), policy);
-        }
     }
 
     #[test]

@@ -405,7 +405,7 @@ impl Iterator for FlashCrowd {
 /// functions: the cold region's clusters look unprofitable every
 /// half-cycle (merge), then the heat returns and the identical
 /// signatures split again — split→merge→split thrash unless hysteresis
-/// (statistics decay, cost horizon, or the merge cool-down) damps it.
+/// (statistics decay or the cost horizon) damps it.
 #[derive(Debug, Clone)]
 pub struct OscillatingHeat {
     dims: usize,

@@ -24,7 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // on the cost terms measured for this implementation, on disk on
     // the paper's.
     let mut ac = AdaptiveClusterIndex::new(IndexConfig::memory(dims))?;
-    let mut ac_disk = AdaptiveClusterIndex::new(IndexConfig::disk(dims))?;
+    let mut ac_disk =
+        AdaptiveClusterIndex::new(IndexConfig::edbt2004(dims, StorageScenario::Disk))?;
     let mut rs = RStarTree::new(RStarConfig::memory(dims));
     let mut ss = SeqScan::new(dims, StorageScenario::Memory);
     for (i, rect) in objects.iter().enumerate() {

@@ -66,7 +66,8 @@ fn all_methods_agree_on_skewed_workload() {
     let workload = SkewedWorkload::new(WorkloadConfig::new(dims, 2500, 5), 0.35);
     let objects = workload.generate_objects();
 
-    let mut ac = AdaptiveClusterIndex::new(IndexConfig::disk(dims)).unwrap();
+    let mut ac =
+        AdaptiveClusterIndex::new(IndexConfig::edbt2004(dims, StorageScenario::Disk)).unwrap();
     let mut rs = RStarTree::new(RStarConfig::memory(dims));
     let mut ss = SeqScan::new(dims, StorageScenario::Disk);
     for (i, rect) in objects.iter().enumerate() {
