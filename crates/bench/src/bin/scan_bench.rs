@@ -12,11 +12,12 @@
 //!   dimension 0, what `SegmentStore` keeps): pass words evaluated per
 //!   64-object block and nanoseconds per object, for 8-d point events
 //!   over subscriptions and for 16-d windows of 1 % selectivity.
-//! * **candidate kernel** — `count_candidates` (compare and count into
-//!   a counter column, bounds pre-loaded as `explore` does) against the
-//!   scalar candidate-at-a-time `matches_query` + bump loop over one
-//!   cluster's candidate range of a statistics arena, for division
-//!   factors yielding `f²·Nd` from a dozen to thousands.
+//! * **candidate counting** — `CandidateSlice::count_query` (`2f`
+//!   comparisons per dimension, then one bump per candidate into a
+//!   counter column, what `execute` runs) against the scalar
+//!   candidate-at-a-time `matches_query` + bump loop over one cluster's
+//!   candidate range of a statistics arena, for division factors
+//!   yielding `f²·Nd` from a dozen to thousands.
 //! * **index** — `AdaptiveClusterIndex` point-enclosing queries (§7.2,
 //!   the scan-dominated workload) through the read-only `query_with`
 //!   path, production vs reference, on identically adapted indexes.
@@ -55,9 +56,7 @@ use acx_bench::cost_terms::{self, CostTerms};
 use acx_bench::{adapted_ac, build_ac_with, strategies};
 use acx_core::candidates::{generate_candidates, StatsArena};
 use acx_core::{QueryScratch, Signature, StatsDelta};
-use acx_geom::scan::{
-    count_candidates, scan_columns, PairedColumns, QueryBounds, ScanScratch, BLOCK,
-};
+use acx_geom::scan::{scan_columns, PairedColumns, ScanScratch, BLOCK};
 use acx_geom::{HyperRect, Scalar, SpatialQuery, OBJECT_ID_BYTES};
 use acx_workloads::{
     calibrate, EventStream, PubSubGenerator, UniformWorkload, Workload, WorkloadConfig,
@@ -234,8 +233,8 @@ struct CandidateRow {
     scalar_ns: f64,
 }
 
-/// One cluster's candidate loop in isolation: the compare-and-count
-/// kernel vs the candidate-at-a-time scalar reference, across division
+/// One cluster's candidate loop in isolation: the per-dimension count
+/// vs the candidate-at-a-time scalar reference, across division
 /// factors pushing `f²·Nd` from a dozen past the paper's 160 (f = 4,
 /// 16 d) to thousands. Both read the same mid-slab range of a populated
 /// statistics arena and add into the same kind of counter column, as
@@ -265,18 +264,9 @@ fn candidate_matrix(configs: &[(usize, u8)], repeats: usize) -> Vec<CandidateRow
             })
             .collect();
 
-        // `explore` loads a query's bounds once, not once per cluster.
-        let bounds: Vec<QueryBounds> = queries
-            .iter()
-            .map(|q| {
-                let mut b = QueryBounds::new();
-                b.load(q);
-                b
-            })
-            .collect();
         let mut counters = vec![0u32; cands.len()];
         let kernel_ns = time_per_query(queries.len(), repeats, |k| {
-            count_candidates(&bounds[k], &cands.columns(), &mut counters);
+            cands.count_query(&queries[k], &mut counters);
             counters[k % counters.len()] as u64
         });
         counters.fill(0);
@@ -289,7 +279,7 @@ fn candidate_matrix(configs: &[(usize, u8)], repeats: usize) -> Vec<CandidateRow
             counters[k % counters.len()] as u64
         });
         println!(
-            "cands   d={dims} f={f} ({:>5} candidates): kernel {kernel_ns:>9.0} ns/q  scalar {scalar_ns:>9.0} ns/q  speedup {:.2}x",
+            "cands   d={dims} f={f} ({:>5} candidates): count_query {kernel_ns:>9.0} ns/q  scalar {scalar_ns:>9.0} ns/q  speedup {:.2}x",
             cands.len(),
             scalar_ns / kernel_ns,
         );
@@ -710,9 +700,9 @@ fn main() {
     let mut json = String::from("{\n  \"bench\": \"candidate_kernel\",\n");
     let _ = writeln!(json, "  \"quick\": {quick},");
     json.push_str(
-        "  \"measures\": \"compare and count into a u32 counter column, query bounds pre-loaded; \
-         kernel = count_candidates, scalar = matches_query + saturating bump \
-         (rows recorded before the fused kernel timed matching alone, without the count)\",\n",
+        "  \"measures\": \"one query counted into a u32 counter column per candidate; \
+         kernel = CandidateSlice::count_query (2f comparisons per dimension, one bump per candidate), \
+         scalar = matches_query + saturating bump per candidate\",\n",
     );
     json.push_str("  \"candidate_matching\": [\n");
     for (i, r) in cands.iter().enumerate() {

@@ -81,7 +81,7 @@ pub fn adapted_ac(
 /// measurements can never drift apart:
 ///
 /// * `production` — the default: columnar member kernel,
-///   compare-and-count candidate kernel, screened columnar pass;
+///   per-dimension candidate count, screened columnar pass;
 /// * `reference` — [`IndexConfig::reference`]: the object-at-a-time
 ///   loops and the scalar scan of every cluster, decision- and
 ///   answer-identical.

@@ -1,5 +1,4 @@
-//! Virtual candidate subclusters (paper §3.2, §4.2) — stored
-//! column-wise so the candidate loop batches like member verification.
+//! Virtual candidate subclusters (paper §3.2, §4.2), stored column-wise.
 //!
 //! Every materialized cluster carries a set of *candidate* subclusters —
 //! potential specializations of its signature on a single dimension. Only
@@ -7,27 +6,32 @@
 //! maintained; a candidate becomes a real cluster only when the
 //! materialization benefit function selects it.
 //!
-//! ## Structure-of-arrays layout
+//! ## Layout
 //!
-//! Per recorded query, every explored cluster checks **all** of its
-//! `≈ f²·Nd` candidates against the query — the same shape as member
-//! verification, and (after the columnar member kernel) the dominant
-//! cost of recorded execution at high dimensionality. [`CandidateSet`]
-//! therefore stores candidates as contiguous columns, grouped by their
-//! specialized dimension:
+//! In dimension `d` a cluster's candidates are the feasible cells
+//! `(i, j)` of `f` start × `f` end subintervals (§4.2). A candidate's
+//! start bounds depend only on `(d, i)` and its end bounds only on
+//! `(d, j)`, so [`CandidateSet`] stores each dimension's subinterval
+//! bounds once — `f` entries per dimension, entry `k` holding the `k`-th
+//! start and the `k`-th end subinterval — and per candidate only its
+//! identity (`dim`, `sub_i`, `sub_j`, grouped by dimension) and its
+//! counters (`n`, `q`, `q_eff`).
 //!
-//! * four bound columns (`start_lo`, `start_reach`, `end_lo`,
-//!   `end_reach`) shaped exactly like object coordinate columns, and
-//! * parallel counter columns (`n`, `q`, `q_eff`) addressed by candidate
-//!   index — the `q` column
-//!   [`acx_geom::scan::count_candidates`] adds into.
+//! A subinterval is stored as its lower bound and its *reach*: the
+//! largest value it contains, `hi` when closed and
+//! [`f32::next_down`]`(hi)` when open. For finite `f32` this encodes the
+//! half-open semantics losslessly — `contains(v) ⇔ lo ≤ v ≤ reach` and
+//! `can_reach(x) ⇔ reach ≥ x` — so every test is one comparison,
+//! bit-identical to the [`SigInterval`] predicates.
 //!
-//! `*_reach` is the variation interval's upper bound pre-adjusted for
-//! open intervals: `hi` when closed, [`f32::next_down`]`(hi)` when open.
-//! For finite `f32` this encodes the half-open semantics losslessly —
-//! `contains(v) ⇔ lo ≤ v ≤ reach` and `can_reach(x) ⇔ reach ≥ x` — so
-//! both the batch kernel and the scalar oracle are single two-sided
-//! comparisons, bit-identical to the [`SigInterval`] predicates.
+//! Recording a query ([`CandidateSlice::count_query`]) evaluates, per
+//! dimension, the relation's start-side comparison on the `f` start
+//! subintervals and its end-side comparison on the `f` end
+//! subintervals — `2f` comparisons — and adds
+//! `start_ok[sub_i] & end_ok[sub_j]` to each candidate. These are the
+//! comparisons [`CandidateSlice::matches_query`] makes per candidate,
+//! factored, so the counts equal that oracle's whatever order the
+//! bounds are in.
 //!
 //! Candidate counters saturate instead of wrapping: a `u32` query
 //! counter that hits `u32::MAX` stays pinned there (the benefit
@@ -53,7 +57,7 @@
 //! to the same view types, which is what lets this module's tests mirror
 //! every arena range against an independently mutated owned set.
 
-use acx_geom::scan::{count_candidates, CandidateColumns, PairedColumns, QueryBounds, RunBounds};
+use acx_geom::scan::PairedColumns;
 use acx_geom::{Scalar, SpatialQuery};
 
 use crate::signature::{SigInterval, Signature};
@@ -67,6 +71,16 @@ fn reach_of(iv: &SigInterval) -> Scalar {
     } else {
         iv.hi()
     }
+}
+
+/// The `k`-th start and the `k`-th end subinterval of one dimension,
+/// each as lower bound and reach.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct SubBounds {
+    start_lo: Scalar,
+    start_reach: Scalar,
+    end_lo: Scalar,
+    end_reach: Scalar,
 }
 
 /// The identity of one candidate: specialization `(i, j)` of dimension
@@ -115,32 +129,133 @@ impl CandidateBounds {
     }
 }
 
-/// Borrowed, read-only view of one cluster's candidate statistics —
-/// the common projection of an owned [`CandidateSet`] and a
-/// [`StatsArena`] range. All read logic lives here, so the two
-/// answer bit-identically by construction.
+/// What a candidate set fixes at generation: the per-dimension
+/// subinterval bounds and each candidate's identity. Shared by both
+/// views, which differ only in whether the counters are writable.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CandidateSlice<'a> {
+struct Layout<'a> {
     /// Candidate range per dimension, **range-relative** (first entry is
     /// always `0`). Length `dims + 1`.
     dim_offsets: &'a [u32],
-    /// Aggregate bounds per dimension run, driving the matches-all fast
-    /// path of [`acx_geom::scan::count_candidates`]. Length `dims`.
-    run_bounds: &'a [RunBounds],
+    /// Subinterval bounds, `f` entries per dimension: entry `d·f + k`
+    /// holds dimension `d`'s `k`-th start and end subintervals.
+    sub: &'a [SubBounds],
+    /// The division factor `f`.
+    f: usize,
     /// Specialized dimension per candidate.
     dim: &'a [u16],
     /// Start subinterval index per candidate.
     sub_i: &'a [u8],
     /// End subinterval index per candidate.
     sub_j: &'a [u8],
-    /// Inclusive lower bound of the start variation subinterval.
-    start_lo: &'a [Scalar],
-    /// Largest value the start variation subinterval contains.
-    start_reach: &'a [Scalar],
-    /// Inclusive lower bound of the end variation subinterval.
-    end_lo: &'a [Scalar],
-    /// Largest value the end variation subinterval contains.
-    end_reach: &'a [Scalar],
+}
+
+impl Layout<'_> {
+    fn dims(&self) -> usize {
+        self.dim_offsets.len() - 1
+    }
+
+    fn run(&self, d: usize) -> std::ops::Range<usize> {
+        self.dim_offsets[d] as usize..self.dim_offsets[d + 1] as usize
+    }
+
+    /// Dimension `d`'s `f` subinterval entries.
+    fn subs(&self, d: usize) -> &[SubBounds] {
+        &self.sub[d * self.f..(d + 1) * self.f]
+    }
+
+    #[inline]
+    fn bounds(&self, ci: usize) -> CandidateBounds {
+        let d = self.dim[ci] as usize;
+        let start = &self.sub[d * self.f + self.sub_i[ci] as usize];
+        let end = &self.sub[d * self.f + self.sub_j[ci] as usize];
+        CandidateBounds {
+            dim: d,
+            start_lo: start.start_lo,
+            start_reach: start.start_reach,
+            end_lo: end.end_lo,
+            end_reach: end.end_reach,
+        }
+    }
+
+    /// See [`CandidateSlice::count_query`]. Every relation is
+    /// `start side ∧ end side` against per-dimension thresholds
+    /// `(t1, t2)`: containment tests the start's reach against `t2` and
+    /// the end's lower bound against `t1`, the others the start's lower
+    /// bound against `t1` and the end's reach against `t2`.
+    fn count_query(&self, query: &SpatialQuery, counters: &mut [u32]) {
+        assert_eq!(counters.len(), self.dim.len(), "one counter per candidate");
+        debug_assert_eq!(query.dims(), self.dims(), "dimensionality mismatch");
+        match query {
+            SpatialQuery::Intersection(w) | SpatialQuery::Containment(w) => {
+                let containment = matches!(query, SpatialQuery::Containment(_));
+                let hi_lo = w.intervals().iter().map(|q| (q.hi(), q.lo()));
+                self.count_sides(containment, hi_lo, counters)
+            }
+            SpatialQuery::Enclosure(w) => {
+                let lo_hi = w.intervals().iter().map(|q| (q.lo(), q.hi()));
+                self.count_sides(false, lo_hi, counters)
+            }
+            SpatialQuery::PointEnclosing(p) => {
+                self.count_sides(false, p.iter().map(|&v| (v, v)), counters)
+            }
+        }
+    }
+
+    /// [`Layout::count_query`] given each dimension's `(t1, t2)`.
+    fn count_sides(
+        &self,
+        containment: bool,
+        thresholds: impl Iterator<Item = (Scalar, Scalar)>,
+        counters: &mut [u32],
+    ) {
+        let (mut start_ok, mut end_ok) = ([0u8; 256], [0u8; 256]);
+        let dims = self.sub.chunks_exact(self.f).zip(self.dim_offsets.windows(2));
+        for ((subs, run), (t1, t2)) in dims.zip(thresholds) {
+            for (k, s) in subs.iter().enumerate() {
+                (start_ok[k], end_ok[k]) = if containment {
+                    ((s.start_reach >= t2) as u8, (s.end_lo <= t1) as u8)
+                } else {
+                    ((s.start_lo <= t1) as u8, (s.end_reach >= t2) as u8)
+                };
+            }
+            let run = run[0] as usize..run[1] as usize;
+            let cells = self.sub_i[run.clone()].iter().zip(&self.sub_j[run.clone()]);
+            for (c, (&i, &j)) in counters[run].iter_mut().zip(cells) {
+                *c = c.saturating_add((start_ok[i as usize] & end_ok[j as usize]) as u32);
+            }
+        }
+    }
+
+    /// See [`CandidateSlice::count_members`]. The four comparisons are
+    /// combined with `&` rather than `&&`, so the member loop has no
+    /// branch and vectorizes.
+    fn count_members(&self, members: &PairedColumns<'_>, out: &mut [u32]) {
+        assert_eq!(out.len(), self.dim.len(), "one member count per candidate");
+        for (ci, n) in out.iter_mut().enumerate() {
+            let c = self.bounds(ci);
+            let (lo, hi) = (members.lo_col(c.dim), members.hi_col(c.dim));
+            *n = lo
+                .iter()
+                .zip(hi)
+                .map(|(&a, &b)| {
+                    ((c.start_lo <= a)
+                        & (a <= c.start_reach)
+                        & (c.end_lo <= b)
+                        & (b <= c.end_reach)) as u32
+                })
+                .sum();
+        }
+    }
+}
+
+/// Borrowed, read-only view of one cluster's candidate statistics —
+/// the common projection of an owned [`CandidateSet`] and a
+/// [`StatsArena`] range. All read logic lives here, so the two
+/// answer bit-identically by construction.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CandidateSlice<'a> {
+    layout: Layout<'a>,
     /// Member objects of the parent qualifying for each candidate.
     n: &'a [u32],
     /// Queries matching each candidate since the last statistics epoch.
@@ -157,51 +272,33 @@ impl<'a> CandidateSlice<'a> {
     /// Number of candidates.
     #[inline]
     pub fn len(&self) -> usize {
-        self.dim.len()
+        self.layout.dim.len()
     }
 
     /// Whether the set holds no candidates.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.dim.is_empty()
+        self.layout.dim.is_empty()
     }
 
     /// Number of dimensions the candidates specialize.
     #[inline]
     pub fn dims(&self) -> usize {
-        self.dim_offsets.len() - 1
-    }
-
-    /// The bound columns as the batch kernel's borrowed view.
-    pub fn columns(&self) -> CandidateColumns<'a> {
-        CandidateColumns::new(
-            self.start_lo,
-            self.start_reach,
-            self.end_lo,
-            self.end_reach,
-            self.dim_offsets,
-            self.run_bounds,
-        )
+        self.layout.dims()
     }
 
     /// The identity of candidate `ci`.
     pub fn id(&self, ci: usize) -> CandidateId {
         CandidateId {
-            dim: self.dim[ci],
-            i: self.sub_i[ci],
-            j: self.sub_j[ci],
+            dim: self.layout.dim[ci],
+            i: self.layout.sub_i[ci],
+            j: self.layout.sub_j[ci],
         }
     }
 
     /// The membership bounds of candidate `ci`, copied out.
     pub fn bounds(&self, ci: usize) -> CandidateBounds {
-        CandidateBounds {
-            dim: self.dim[ci] as usize,
-            start_lo: self.start_lo[ci],
-            start_reach: self.start_reach[ci],
-            end_lo: self.end_lo[ci],
-            end_reach: self.end_reach[ci],
-        }
+        self.layout.bounds(ci)
     }
 
     /// Qualifying-member count of candidate `ci`.
@@ -258,46 +355,52 @@ impl<'a> CandidateSlice<'a> {
     /// also satisfies candidate `ci`.
     #[inline]
     pub fn accepts_member(&self, ci: usize, flat: &[Scalar]) -> bool {
-        let d = self.dim[ci] as usize;
-        let a = flat[2 * d];
-        let b = flat[2 * d + 1];
-        self.start_lo[ci] <= a
-            && a <= self.start_reach[ci]
-            && self.end_lo[ci] <= b
-            && b <= self.end_reach[ci]
+        self.layout.bounds(ci).accepts_member(flat)
     }
 
     /// Whether a query *that already matches the parent signature* also
     /// matches candidate `ci` (only the specialized dimension is
-    /// checked) — the scalar oracle of
-    /// [`acx_geom::scan::count_candidates`], same comparisons in the same
-    /// order.
+    /// checked) — the per-candidate oracle of
+    /// [`CandidateSlice::count_query`].
     #[inline]
     pub fn matches_query(&self, ci: usize, query: &SpatialQuery) -> bool {
-        let d = self.dim[ci] as usize;
+        let c = self.layout.bounds(ci);
         match query {
             SpatialQuery::Intersection(w) => {
-                let q = w.interval(d);
-                self.start_lo[ci] <= q.hi() && self.end_reach[ci] >= q.lo()
+                let q = w.interval(c.dim);
+                c.start_lo <= q.hi() && c.end_reach >= q.lo()
             }
             SpatialQuery::Containment(w) => {
-                let q = w.interval(d);
-                self.end_lo[ci] <= q.hi() && self.start_reach[ci] >= q.lo()
+                let q = w.interval(c.dim);
+                c.end_lo <= q.hi() && c.start_reach >= q.lo()
             }
             SpatialQuery::Enclosure(w) => {
-                let q = w.interval(d);
-                self.start_lo[ci] <= q.lo() && self.end_reach[ci] >= q.hi()
+                let q = w.interval(c.dim);
+                c.start_lo <= q.lo() && c.end_reach >= q.hi()
             }
             SpatialQuery::PointEnclosing(p) => {
-                let v = p[d];
-                self.start_lo[ci] <= v && self.end_reach[ci] >= v
+                let v = p[c.dim];
+                c.start_lo <= v && c.end_reach >= v
             }
         }
     }
 
+    /// Adds one (saturating at `u32::MAX`) to `counters[ci]` for every
+    /// candidate `ci` that [`CandidateSlice::matches_query`] — from `2f`
+    /// comparisons per dimension rather than one per candidate (see the
+    /// module docs). The delta sink counts into its own column with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counters` is not exactly one entry per candidate.
+    pub fn count_query(&self, query: &SpatialQuery, counters: &mut [u32]) {
+        self.layout.count_query(query, counters);
+    }
+
     /// Materializes the full signature of candidate `ci`.
     pub fn signature(&self, ci: usize, parent: &Signature, f: u8) -> Signature {
-        parent.specialize(self.dim[ci] as usize, f, self.sub_i[ci], self.sub_j[ci])
+        let id = self.id(ci);
+        parent.specialize(id.dim as usize, f, id.i, id.j)
     }
 
     /// Counts, from scratch, how many of `members` (the parent
@@ -312,65 +415,17 @@ impl<'a> CandidateSlice<'a> {
     ///
     /// Panics if `out` is not exactly one entry per candidate.
     pub fn count_members(&self, members: &PairedColumns<'_>, out: &mut [u32]) {
-        count_members(
-            self.start_lo,
-            self.start_reach,
-            self.end_lo,
-            self.end_reach,
-            self.dim_offsets,
-            members,
-            out,
-        );
-    }
-}
-
-/// The column recount behind [`CandidateSlice::count_members`] and
-/// [`CandidateSliceMut::recount_members`], over a set's bound columns.
-/// A member qualifies when its bounds in the candidate's dimension fall
-/// into the start and end subintervals; the four comparisons are
-/// combined with `&` rather than `&&`, so the member loop has no branch
-/// and vectorizes.
-fn count_members(
-    start_lo: &[Scalar],
-    start_reach: &[Scalar],
-    end_lo: &[Scalar],
-    end_reach: &[Scalar],
-    dim_offsets: &[u32],
-    members: &PairedColumns<'_>,
-    out: &mut [u32],
-) {
-    assert_eq!(out.len(), start_lo.len(), "one member count per candidate");
-    for d in 0..dim_offsets.len() - 1 {
-        let (lo, hi) = (members.lo_col(d), members.hi_col(d));
-        for ci in dim_offsets[d] as usize..dim_offsets[d + 1] as usize {
-            let (s_lo, s_reach) = (start_lo[ci], start_reach[ci]);
-            let (e_lo, e_reach) = (end_lo[ci], end_reach[ci]);
-            out[ci] = lo
-                .iter()
-                .zip(hi)
-                .map(|(&a, &b)| {
-                    ((s_lo <= a) & (a <= s_reach) & (e_lo <= b) & (b <= e_reach)) as u32
-                })
-                .sum();
-        }
+        self.layout.count_members(members, out);
     }
 }
 
 /// Borrowed, mutable view of one cluster's candidate statistics — the
 /// single home of all counter-mutation logic (member recording, query
-/// counting, decay). Bound and identity columns stay immutable: they
-/// are fixed at generation.
+/// counting, decay). Bounds and identities stay immutable: they are
+/// fixed at generation.
 #[derive(Debug, PartialEq)]
 pub struct CandidateSliceMut<'a> {
-    dim_offsets: &'a [u32],
-    run_bounds: &'a [RunBounds],
-    dim: &'a [u16],
-    sub_i: &'a [u8],
-    sub_j: &'a [u8],
-    start_lo: &'a [Scalar],
-    start_reach: &'a [Scalar],
-    end_lo: &'a [Scalar],
-    end_reach: &'a [Scalar],
+    layout: Layout<'a>,
     n: &'a mut [u32],
     q: &'a mut [u32],
     q_eff: &'a mut [f64],
@@ -383,15 +438,7 @@ impl CandidateSliceMut<'_> {
     #[inline]
     pub fn as_slice(&self) -> CandidateSlice<'_> {
         CandidateSlice {
-            dim_offsets: self.dim_offsets,
-            run_bounds: self.run_bounds,
-            dim: self.dim,
-            sub_i: self.sub_i,
-            sub_j: self.sub_j,
-            start_lo: self.start_lo,
-            start_reach: self.start_reach,
-            end_lo: self.end_lo,
-            end_reach: self.end_reach,
+            layout: self.layout,
             n: self.n,
             q: self.q,
             q_eff: self.q_eff,
@@ -403,19 +450,19 @@ impl CandidateSliceMut<'_> {
     /// Number of candidates.
     #[inline]
     pub fn len(&self) -> usize {
-        self.dim.len()
+        self.layout.dim.len()
     }
 
     /// Whether the set holds no candidates.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.dim.is_empty()
+        self.layout.dim.is_empty()
     }
 
     /// Number of dimensions the candidates specialize.
     #[inline]
     pub fn dims(&self) -> usize {
-        self.dim_offsets.len() - 1
+        self.layout.dims()
     }
 
     /// Counts a new member of the parent cluster into every candidate
@@ -436,23 +483,27 @@ impl CandidateSliceMut<'_> {
     /// the member's start and end — or none does, when that cell was
     /// dropped as infeasible. The scan therefore stops at the first
     /// accepting candidate of each run; debug builds scan the rest of
-    /// the run and insist nothing else accepts.
+    /// the run and insist nothing else accepts. As in
+    /// [`CandidateSlice::count_query`], each subinterval is tested once
+    /// per dimension and a candidate reads its two outcomes.
     fn adjust_member(&mut self, flat: &[Scalar], add: bool) {
-        let accepts = |ci: usize, a: Scalar, b: Scalar| {
-            self.start_lo[ci] <= a
-                && a <= self.start_reach[ci]
-                && self.end_lo[ci] <= b
-                && b <= self.end_reach[ci]
-        };
-        for d in 0..self.dims() {
-            let a = flat[2 * d];
-            let b = flat[2 * d + 1];
-            let run = self.dim_offsets[d] as usize..self.dim_offsets[d + 1] as usize;
-            let Some(ci) = run.clone().find(|&ci| accepts(ci, a, b)) else {
+        let layout = self.layout;
+        let (mut start_in, mut end_in) = ([0u8; 256], [0u8; 256]);
+        for d in 0..layout.dims() {
+            let (a, b) = (flat[2 * d], flat[2 * d + 1]);
+            for (k, s) in layout.subs(d).iter().enumerate() {
+                start_in[k] = ((s.start_lo <= a) & (a <= s.start_reach)) as u8;
+                end_in[k] = ((s.end_lo <= b) & (b <= s.end_reach)) as u8;
+            }
+            let accepts = |ci: usize| {
+                start_in[layout.sub_i[ci] as usize] & end_in[layout.sub_j[ci] as usize] == 1
+            };
+            let run = layout.run(d);
+            let Some(ci) = run.clone().find(|&ci| accepts(ci)) else {
                 continue;
             };
             debug_assert!(
-                !(ci + 1..run.end).any(|other| accepts(other, a, b)),
+                !(ci + 1..run.end).any(accepts),
                 "two candidates of dimension {d} accept the member {flat:?}"
             );
             if add {
@@ -472,15 +523,7 @@ impl CandidateSliceMut<'_> {
     /// recording each member once into zeroed counters leaves, at a
     /// column pass per candidate instead of a candidate run per member.
     pub fn recount_members(&mut self, members: &PairedColumns<'_>) {
-        count_members(
-            self.start_lo,
-            self.start_reach,
-            self.end_lo,
-            self.end_reach,
-            self.dim_offsets,
-            members,
-            self.n,
-        );
+        self.layout.count_members(members, self.n);
         *self.n_hi = self.n.iter().copied().max().unwrap_or(0);
     }
 
@@ -502,19 +545,10 @@ impl CandidateSliceMut<'_> {
     }
 
     /// Counts one query into the `q` counter of every candidate it
-    /// matches, in place: [`acx_geom::scan::count_candidates`] over this
-    /// set's own bound columns — what [`CandidateSlice::matches_query`]
-    /// plus [`CandidateSliceMut::add_q`] per candidate would leave.
-    pub fn count_query(&mut self, bounds: &QueryBounds) {
-        let cols = CandidateColumns::new(
-            self.start_lo,
-            self.start_reach,
-            self.end_lo,
-            self.end_reach,
-            self.dim_offsets,
-            self.run_bounds,
-        );
-        count_candidates(bounds, &cols, self.q);
+    /// matches, in place: [`CandidateSlice::count_query`] into this
+    /// set's own `q` column.
+    pub fn count_query(&mut self, query: &SpatialQuery) {
+        self.layout.count_query(query, self.q);
     }
 
     /// Closes the statistics epoch: folds each candidate's `q` into its
@@ -637,19 +671,16 @@ impl CandidateSliceMut<'_> {
     }
 }
 
-/// The candidate subclusters of one cluster signature as owned,
-/// dimension-grouped columns (see the module docs): the generator and
-/// staging value [`StatsArena::alloc`] copies from, and the reference
-/// this module's tests mirror arena ranges against. The index never
-/// keeps one — clusters hold a [`CandHandle`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CandidateSet {
-    /// Candidate range per dimension: dimension `d` owns candidates
-    /// `dim_offsets[d] .. dim_offsets[d + 1]`. Length `dims + 1`.
+/// The columns a candidate set fixes at generation, owned: one per
+/// [`CandidateSet`], and one slab each for a whole [`StatsArena`].
+#[derive(Debug, Clone, Default, PartialEq)]
+struct FixedColumns {
+    /// Candidate range per dimension, `dims + 1` range-relative entries
+    /// per set: dimension `d` owns candidates
+    /// `dim_offsets[d] .. dim_offsets[d + 1]`.
     dim_offsets: Vec<u32>,
-    /// Aggregate bounds per dimension run (length `dims`), computed once
-    /// at generation — bound columns never change afterwards.
-    run_bounds: Vec<RunBounds>,
+    /// Subinterval bounds, `dims·f` entries per set.
+    sub: Vec<SubBounds>,
     /// Specialized dimension per candidate (redundant with the offsets,
     /// kept for O(1) per-candidate access).
     dim: Vec<u16>,
@@ -657,14 +688,43 @@ pub struct CandidateSet {
     sub_i: Vec<u8>,
     /// End subinterval index per candidate.
     sub_j: Vec<u8>,
-    /// Inclusive lower bound of the start variation subinterval.
-    start_lo: Vec<Scalar>,
-    /// Largest value the start variation subinterval contains.
-    start_reach: Vec<Scalar>,
-    /// Inclusive lower bound of the end variation subinterval.
-    end_lo: Vec<Scalar>,
-    /// Largest value the end variation subinterval contains.
-    end_reach: Vec<Scalar>,
+}
+
+impl FixedColumns {
+    /// The view of one set: candidates `cands`, its offsets from
+    /// `meta_base`, its `dims·f` bound entries from `sub_base`.
+    #[inline]
+    fn layout(
+        &self,
+        cands: std::ops::Range<usize>,
+        meta_base: usize,
+        sub_base: usize,
+        dims: usize,
+        f: u8,
+    ) -> Layout<'_> {
+        let f = f as usize;
+        Layout {
+            dim_offsets: &self.dim_offsets[meta_base..meta_base + dims + 1],
+            sub: &self.sub[sub_base..sub_base + dims * f],
+            f,
+            dim: &self.dim[cands.clone()],
+            sub_i: &self.sub_i[cands.clone()],
+            sub_j: &self.sub_j[cands],
+        }
+    }
+}
+
+/// The candidate subclusters of one cluster signature as owned,
+/// dimension-grouped columns (see the module docs): the generator and
+/// staging value [`StatsArena::alloc`] copies from, and the reference
+/// this module's tests mirror arena ranges against. The index never
+/// keeps one — clusters hold a [`CandHandle`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CandidateSet {
+    /// Offsets, subinterval bounds and candidate identities.
+    cols: FixedColumns,
+    /// The division factor `f`.
+    f: u8,
     /// Member objects of the parent qualifying for each candidate.
     n: Vec<u32>,
     /// Queries matching each candidate since the last statistics epoch
@@ -688,73 +748,53 @@ pub struct CandidateSet {
 
 impl CandidateSet {
     /// Generates the candidate set of a cluster signature: for each
-    /// dimension, every feasible `(i, j)` combination of `f` start/end
-    /// subintervals (paper §4.2). Candidate counters start at zero.
+    /// dimension, the bounds of its `f` start and `f` end subintervals
+    /// and every feasible `(i, j)` combination of them (paper §4.2).
+    /// Candidate counters start at zero.
     pub fn generate(sig: &Signature, f: u8) -> Self {
-        let cap = sig.dims() * (f as usize * (f as usize + 1)) / 2;
-        let mut set = Self {
-            dim_offsets: Vec::with_capacity(sig.dims() + 1),
-            run_bounds: Vec::new(),
-            dim: Vec::with_capacity(cap),
-            sub_i: Vec::with_capacity(cap),
-            sub_j: Vec::with_capacity(cap),
-            start_lo: Vec::with_capacity(cap),
-            start_reach: Vec::with_capacity(cap),
-            end_lo: Vec::with_capacity(cap),
-            end_reach: Vec::with_capacity(cap),
-            n: Vec::with_capacity(cap),
-            q: Vec::with_capacity(cap),
-            q_eff: Vec::with_capacity(cap),
-            n_hi: 0,
-            stamp: 0,
+        let mut cols = FixedColumns {
+            dim_offsets: vec![0],
+            ..FixedColumns::default()
         };
-        set.dim_offsets.push(0);
         for d in 0..sig.dims() {
             let ds = sig.dim(d);
+            for k in 0..f {
+                let (start, end) = (ds.start.subdivide(f, k), ds.end.subdivide(f, k));
+                cols.sub.push(SubBounds {
+                    start_lo: start.lo(),
+                    start_reach: reach_of(&start),
+                    end_lo: end.lo(),
+                    end_reach: reach_of(&end),
+                });
+            }
             for i in 0..f {
                 for j in 0..f {
-                    if !sig.combination_feasible(d, f, i, j) {
-                        continue;
+                    if sig.combination_feasible(d, f, i, j) {
+                        cols.dim.push(d as u16);
+                        cols.sub_i.push(i);
+                        cols.sub_j.push(j);
                     }
-                    let start = ds.start.subdivide(f, i);
-                    let end = ds.end.subdivide(f, j);
-                    set.dim.push(d as u16);
-                    set.sub_i.push(i);
-                    set.sub_j.push(j);
-                    set.start_lo.push(start.lo());
-                    set.start_reach.push(reach_of(&start));
-                    set.end_lo.push(end.lo());
-                    set.end_reach.push(reach_of(&end));
-                    set.n.push(0);
-                    set.q.push(0);
-                    set.q_eff.push(0.0);
                 }
             }
-            set.dim_offsets.push(set.dim.len() as u32);
+            cols.dim_offsets.push(cols.dim.len() as u32);
         }
-        set.run_bounds = RunBounds::compute_all(
-            &set.start_lo,
-            &set.start_reach,
-            &set.end_lo,
-            &set.end_reach,
-            &set.dim_offsets,
-        );
-        set
+        let len = cols.dim.len();
+        Self {
+            cols,
+            f,
+            n: vec![0; len],
+            q: vec![0; len],
+            q_eff: vec![0.0; len],
+            n_hi: 0,
+            stamp: 0,
+        }
     }
 
     /// Borrows the read-only view all read logic lives on.
     #[inline]
     pub fn as_slice(&self) -> CandidateSlice<'_> {
         CandidateSlice {
-            dim_offsets: &self.dim_offsets,
-            run_bounds: &self.run_bounds,
-            dim: &self.dim,
-            sub_i: &self.sub_i,
-            sub_j: &self.sub_j,
-            start_lo: &self.start_lo,
-            start_reach: &self.start_reach,
-            end_lo: &self.end_lo,
-            end_reach: &self.end_reach,
+            layout: self.cols.layout(0..self.len(), 0, 0, self.dims(), self.f),
             n: &self.n,
             q: &self.q,
             q_eff: &self.q_eff,
@@ -767,15 +807,7 @@ impl CandidateSet {
     #[inline]
     pub fn as_slice_mut(&mut self) -> CandidateSliceMut<'_> {
         CandidateSliceMut {
-            dim_offsets: &self.dim_offsets,
-            run_bounds: &self.run_bounds,
-            dim: &self.dim,
-            sub_i: &self.sub_i,
-            sub_j: &self.sub_j,
-            start_lo: &self.start_lo,
-            start_reach: &self.start_reach,
-            end_lo: &self.end_lo,
-            end_reach: &self.end_reach,
+            layout: self.cols.layout(0..self.len(), 0, 0, self.dims(), self.f),
             n: &mut self.n,
             q: &mut self.q,
             q_eff: &mut self.q_eff,
@@ -786,17 +818,17 @@ impl CandidateSet {
 
     /// Number of candidates.
     pub fn len(&self) -> usize {
-        self.dim.len()
+        self.cols.dim.len()
     }
 
     /// Whether the set holds no candidates.
     pub fn is_empty(&self) -> bool {
-        self.dim.is_empty()
+        self.cols.dim.is_empty()
     }
 
     /// Number of dimensions the candidates specialize.
     pub fn dims(&self) -> usize {
-        self.dim_offsets.len() - 1
+        self.cols.dim_offsets.len() - 1
     }
 }
 
@@ -813,8 +845,8 @@ pub fn generate_candidates(sig: &Signature, f: u8) -> CandidateSet {
 pub struct CandHandle(u32);
 
 /// One allocated range of the arena: `base..base + len` into the
-/// candidate slabs, plus its private meta rows (offsets, run bounds)
-/// and the per-set scalars (`n_hi`, lazy-decay stamp).
+/// candidate slabs, plus its private meta rows (offsets, subinterval
+/// bounds) and the per-set scalars (`n_hi`, lazy-decay stamp).
 #[derive(Debug, Clone)]
 struct RangeEntry {
     /// First candidate index in the per-candidate slabs.
@@ -823,10 +855,12 @@ struct RangeEntry {
     len: u32,
     /// First entry in the `dim_offsets` slab (`dims + 1` entries).
     meta_base: u32,
-    /// First entry in the `run_bounds` slab (`dims` entries).
-    runs_base: u32,
+    /// First entry in the `sub` slab (`dims·f` entries).
+    sub_base: u32,
     /// Number of specialized dimensions.
     dims: u32,
+    /// The division factor `f`.
+    f: u8,
     /// Whether the range is still owned by a cluster slot. Dead ranges
     /// keep their bytes until the next compaction.
     live: bool,
@@ -836,14 +870,30 @@ struct RangeEntry {
     stamp: u64,
 }
 
-/// Bytes per candidate across the per-candidate slabs
-/// (`dim` 2 + `sub_i` 1 + `sub_j` 1 + four `f32` bounds 16 + `n` 4 +
-/// `q` 4 + `q_eff` 8).
-const CAND_BYTES: usize = 36;
+impl RangeEntry {
+    /// The range's candidates in the per-candidate slabs.
+    fn cands(&self) -> std::ops::Range<usize> {
+        self.base as usize..(self.base + self.len) as usize
+    }
+
+    /// Entries of the `dim_offsets` slab the range owns.
+    fn metas(&self) -> usize {
+        self.dims as usize + 1
+    }
+
+    /// Entries of the `sub` slab the range owns.
+    fn subs(&self) -> usize {
+        self.dims as usize * self.f as usize
+    }
+}
+
+/// Bytes per candidate across the per-candidate slabs (`dim` 2 +
+/// `sub_i` 1 + `sub_j` 1 + `n` 4 + `q` 4 + `q_eff` 8).
+const CAND_BYTES: usize = 20;
 /// Bytes per `dim_offsets` entry.
 const META_BYTES: usize = 4;
-/// Bytes per `run_bounds` entry (four `f32` aggregates).
-const RUNS_BYTES: usize = 16;
+/// Bytes per `sub` entry (four `f32` bounds).
+const SUB_BYTES: usize = 16;
 
 /// Index-wide statistics arena: one contiguous slab per candidate
 /// column family, shared by every cluster slot. See the module docs for
@@ -867,20 +917,11 @@ const RUNS_BYTES: usize = 16;
 /// rewriting.
 #[derive(Debug, Default)]
 pub struct StatsArena {
-    dim: Vec<u16>,
-    sub_i: Vec<u8>,
-    sub_j: Vec<u8>,
-    start_lo: Vec<Scalar>,
-    start_reach: Vec<Scalar>,
-    end_lo: Vec<Scalar>,
-    end_reach: Vec<Scalar>,
+    /// Offsets, subinterval-bounds and identity slabs.
+    cols: FixedColumns,
     n: Vec<u32>,
     q: Vec<u32>,
     q_eff: Vec<f64>,
-    /// `dim_offsets` slab: `dims + 1` range-relative entries per range.
-    dim_offsets: Vec<u32>,
-    /// `run_bounds` slab: `dims` entries per range.
-    run_bounds: Vec<RunBounds>,
     /// Range table, indexed by [`CandHandle`] id. Never shrinks.
     ranges: Vec<RangeEntry>,
     /// Ids available for reuse — replenished **only** by compaction, so
@@ -894,8 +935,8 @@ pub struct StatsArena {
     live_candidates: usize,
     /// Live `dim_offsets` entries.
     live_meta: usize,
-    /// Live `run_bounds` entries.
-    live_runs: usize,
+    /// Live `sub` entries.
+    live_sub: usize,
     /// Number of compactions performed over the arena's lifetime.
     compactions: u64,
 }
@@ -910,32 +951,31 @@ impl StatsArena {
     /// the new range. The set's counters, `n_hi`, and stamp carry over.
     pub fn alloc(&mut self, set: &CandidateSet) -> CandHandle {
         let entry = RangeEntry {
-            base: self.dim.len() as u32,
+            base: self.cols.dim.len() as u32,
             len: set.len() as u32,
-            meta_base: self.dim_offsets.len() as u32,
-            runs_base: self.run_bounds.len() as u32,
+            meta_base: self.cols.dim_offsets.len() as u32,
+            sub_base: self.cols.sub.len() as u32,
             dims: set.dims() as u32,
+            f: set.f,
             live: true,
             n_hi: set.n_hi,
             stamp: set.stamp,
         };
-        self.dim.extend_from_slice(&set.dim);
-        self.sub_i.extend_from_slice(&set.sub_i);
-        self.sub_j.extend_from_slice(&set.sub_j);
-        self.start_lo.extend_from_slice(&set.start_lo);
-        self.start_reach.extend_from_slice(&set.start_reach);
-        self.end_lo.extend_from_slice(&set.end_lo);
-        self.end_reach.extend_from_slice(&set.end_reach);
+        self.cols.dim.extend_from_slice(&set.cols.dim);
+        self.cols.sub_i.extend_from_slice(&set.cols.sub_i);
+        self.cols.sub_j.extend_from_slice(&set.cols.sub_j);
         self.n.extend_from_slice(&set.n);
         self.q.extend_from_slice(&set.q);
         self.q_eff.extend_from_slice(&set.q_eff);
         // Owned sets index from 0 already, so the offsets are
         // range-relative verbatim.
-        self.dim_offsets.extend_from_slice(&set.dim_offsets);
-        self.run_bounds.extend_from_slice(&set.run_bounds);
-        self.live_candidates += set.len();
-        self.live_meta += set.dims() + 1;
-        self.live_runs += set.dims();
+        self.cols
+            .dim_offsets
+            .extend_from_slice(&set.cols.dim_offsets);
+        self.cols.sub.extend_from_slice(&set.cols.sub);
+        self.live_candidates += entry.len as usize;
+        self.live_meta += entry.metas();
+        self.live_sub += entry.subs();
         let id = match self.free_ids.pop() {
             Some(id) => {
                 self.ranges[id as usize] = entry;
@@ -964,8 +1004,15 @@ impl StatsArena {
         assert!(e.live, "candidate range retired twice");
         e.live = false;
         self.live_candidates -= e.len as usize;
-        self.live_meta -= e.dims as usize + 1;
-        self.live_runs -= e.dims as usize;
+        self.live_meta -= e.metas();
+        self.live_sub -= e.subs();
+    }
+
+    /// The generation-time columns of range `e`.
+    #[inline]
+    fn layout<'a>(cols: &'a FixedColumns, e: &RangeEntry) -> Layout<'a> {
+        let (mb, sb) = (e.meta_base as usize, e.sub_base as usize);
+        cols.layout(e.cands(), mb, sb, e.dims as usize, e.f)
     }
 
     /// Read-only view of a live range.
@@ -973,21 +1020,11 @@ impl StatsArena {
     pub fn slice(&self, h: CandHandle) -> CandidateSlice<'_> {
         let e = &self.ranges[h.0 as usize];
         debug_assert!(e.live, "viewing a retired candidate range");
-        let (base, len) = (e.base as usize, e.len as usize);
-        let (mb, rb, dims) = (e.meta_base as usize, e.runs_base as usize, e.dims as usize);
         CandidateSlice {
-            dim_offsets: &self.dim_offsets[mb..mb + dims + 1],
-            run_bounds: &self.run_bounds[rb..rb + dims],
-            dim: &self.dim[base..base + len],
-            sub_i: &self.sub_i[base..base + len],
-            sub_j: &self.sub_j[base..base + len],
-            start_lo: &self.start_lo[base..base + len],
-            start_reach: &self.start_reach[base..base + len],
-            end_lo: &self.end_lo[base..base + len],
-            end_reach: &self.end_reach[base..base + len],
-            n: &self.n[base..base + len],
-            q: &self.q[base..base + len],
-            q_eff: &self.q_eff[base..base + len],
+            layout: Self::layout(&self.cols, e),
+            n: &self.n[e.cands()],
+            q: &self.q[e.cands()],
+            q_eff: &self.q_eff[e.cands()],
             n_hi: e.n_hi,
             stamp: e.stamp,
         }
@@ -998,21 +1035,11 @@ impl StatsArena {
     pub fn slice_mut(&mut self, h: CandHandle) -> CandidateSliceMut<'_> {
         let e = &mut self.ranges[h.0 as usize];
         debug_assert!(e.live, "viewing a retired candidate range");
-        let (base, len) = (e.base as usize, e.len as usize);
-        let (mb, rb, dims) = (e.meta_base as usize, e.runs_base as usize, e.dims as usize);
         CandidateSliceMut {
-            dim_offsets: &self.dim_offsets[mb..mb + dims + 1],
-            run_bounds: &self.run_bounds[rb..rb + dims],
-            dim: &self.dim[base..base + len],
-            sub_i: &self.sub_i[base..base + len],
-            sub_j: &self.sub_j[base..base + len],
-            start_lo: &self.start_lo[base..base + len],
-            start_reach: &self.start_reach[base..base + len],
-            end_lo: &self.end_lo[base..base + len],
-            end_reach: &self.end_reach[base..base + len],
-            n: &mut self.n[base..base + len],
-            q: &mut self.q[base..base + len],
-            q_eff: &mut self.q_eff[base..base + len],
+            layout: Self::layout(&self.cols, e),
+            n: &mut self.n[e.cands()],
+            q: &mut self.q[e.cands()],
+            q_eff: &mut self.q_eff[e.cands()],
             n_hi: &mut e.n_hi,
             stamp: &mut e.stamp,
         }
@@ -1020,16 +1047,14 @@ impl StatsArena {
 
     /// Bytes owned by live ranges across all slabs.
     pub fn live_bytes(&self) -> usize {
-        self.live_candidates * CAND_BYTES
-            + self.live_meta * META_BYTES
-            + self.live_runs * RUNS_BYTES
+        self.live_candidates * CAND_BYTES + self.live_meta * META_BYTES + self.live_sub * SUB_BYTES
     }
 
     /// Bytes occupied by the slabs (live plus not-yet-compacted dead).
     pub fn capacity_bytes(&self) -> usize {
-        self.dim.len() * CAND_BYTES
-            + self.dim_offsets.len() * META_BYTES
-            + self.run_bounds.len() * RUNS_BYTES
+        self.cols.dim.len() * CAND_BYTES
+            + self.cols.dim_offsets.len() * META_BYTES
+            + self.cols.sub.len() * SUB_BYTES
     }
 
     /// Number of compactions performed over the arena's lifetime.
@@ -1065,71 +1090,49 @@ impl StatsArena {
 
     /// Slides every live range down over the dead ones, in allocation
     /// order, and returns retired ids to the free list. Handles stay
-    /// valid (only `base` moves); `dim_offsets` move verbatim because
+    /// valid (only the bases move); `dim_offsets` move verbatim because
     /// they are range-relative. Moves bytes with `copy_within` within
     /// the existing slabs — no allocation, no per-range scratch.
     pub fn compact(&mut self) {
-        let mut cand_w = 0usize;
-        let mut meta_w = 0usize;
-        let mut runs_w = 0usize;
+        let (mut cand_w, mut meta_w, mut sub_w) = (0usize, 0usize, 0usize);
         for &id in &self.order {
-            let (live, base, len, mb, rb, dims) = {
-                let e = &self.ranges[id as usize];
-                (
-                    e.live,
-                    e.base as usize,
-                    e.len as usize,
-                    e.meta_base as usize,
-                    e.runs_base as usize,
-                    e.dims as usize,
-                )
-            };
-            if !live {
+            let e = &mut self.ranges[id as usize];
+            if !e.live {
                 self.free_ids.push(id);
                 continue;
             }
-            // `order` is ascending in base and the write cursor never
-            // overtakes a live base, so the forward copies cannot clobber
+            // `order` is ascending in base and the write cursors never
+            // overtake a live base, so the forward copies cannot clobber
             // unread bytes.
-            if base != cand_w {
-                self.dim.copy_within(base..base + len, cand_w);
-                self.sub_i.copy_within(base..base + len, cand_w);
-                self.sub_j.copy_within(base..base + len, cand_w);
-                self.start_lo.copy_within(base..base + len, cand_w);
-                self.start_reach.copy_within(base..base + len, cand_w);
-                self.end_lo.copy_within(base..base + len, cand_w);
-                self.end_reach.copy_within(base..base + len, cand_w);
-                self.n.copy_within(base..base + len, cand_w);
-                self.q.copy_within(base..base + len, cand_w);
-                self.q_eff.copy_within(base..base + len, cand_w);
+            let (cands, mb, sb) = (e.cands(), e.meta_base as usize, e.sub_base as usize);
+            let c = &mut self.cols;
+            // Ranges before the first dead one stay where they are.
+            if (cands.start, mb, sb) != (cand_w, meta_w, sub_w) {
+                c.dim.copy_within(cands.clone(), cand_w);
+                c.sub_i.copy_within(cands.clone(), cand_w);
+                c.sub_j.copy_within(cands.clone(), cand_w);
+                self.n.copy_within(cands.clone(), cand_w);
+                self.q.copy_within(cands.clone(), cand_w);
+                self.q_eff.copy_within(cands, cand_w);
+                c.dim_offsets.copy_within(mb..mb + e.metas(), meta_w);
+                c.sub.copy_within(sb..sb + e.subs(), sub_w);
             }
-            if mb != meta_w {
-                self.dim_offsets.copy_within(mb..mb + dims + 1, meta_w);
-            }
-            if rb != runs_w {
-                self.run_bounds.copy_within(rb..rb + dims, runs_w);
-            }
-            let e = &mut self.ranges[id as usize];
             e.base = cand_w as u32;
             e.meta_base = meta_w as u32;
-            e.runs_base = runs_w as u32;
-            cand_w += len;
-            meta_w += dims + 1;
-            runs_w += dims;
+            e.sub_base = sub_w as u32;
+            cand_w += e.len as usize;
+            meta_w += e.metas();
+            sub_w += e.subs();
         }
         self.order.retain(|&id| self.ranges[id as usize].live);
-        self.dim.truncate(cand_w);
-        self.sub_i.truncate(cand_w);
-        self.sub_j.truncate(cand_w);
-        self.start_lo.truncate(cand_w);
-        self.start_reach.truncate(cand_w);
-        self.end_lo.truncate(cand_w);
-        self.end_reach.truncate(cand_w);
+        self.cols.dim.truncate(cand_w);
+        self.cols.sub_i.truncate(cand_w);
+        self.cols.sub_j.truncate(cand_w);
         self.n.truncate(cand_w);
         self.q.truncate(cand_w);
         self.q_eff.truncate(cand_w);
-        self.dim_offsets.truncate(meta_w);
-        self.run_bounds.truncate(runs_w);
+        self.cols.dim_offsets.truncate(meta_w);
+        self.cols.sub.truncate(sub_w);
         self.compactions += 1;
     }
 
@@ -1137,15 +1140,13 @@ impl StatsArena {
     /// the arena tests: slab lengths agree, every allocated id is
     /// tracked exactly once, live ranges are disjoint, in-bounds, and
     /// ascending in slab order, range-relative offsets partition each
-    /// range, and the live-byte accounting matches a linear rebuild.
+    /// range, each live candidate sits in its own dimension's run with
+    /// subinterval indices below `f`, and the live-byte accounting
+    /// matches a linear rebuild.
     pub fn check(&self) -> Result<(), String> {
-        let n = self.dim.len();
-        let cols_agree = self.sub_i.len() == n
-            && self.sub_j.len() == n
-            && self.start_lo.len() == n
-            && self.start_reach.len() == n
-            && self.end_lo.len() == n
-            && self.end_reach.len() == n
+        let n = self.cols.dim.len();
+        let cols_agree = self.cols.sub_i.len() == n
+            && self.cols.sub_j.len() == n
             && self.n.len() == n
             && self.q.len() == n
             && self.q_eff.len() == n;
@@ -1169,22 +1170,22 @@ impl StatsArena {
                 return Err(format!("id {id} tracked twice"));
             }
         }
-        let (mut cand_w, mut meta_w, mut runs_w) = (0usize, 0usize, 0usize);
-        let (mut live_c, mut live_m, mut live_r) = (0usize, 0usize, 0usize);
+        let (mut cand_w, mut meta_w, mut sub_w) = (0usize, 0usize, 0usize);
+        let (mut live_c, mut live_m, mut live_s) = (0usize, 0usize, 0usize);
         for &id in &self.order {
             let e = &self.ranges[id as usize];
-            let (base, len) = (e.base as usize, e.len as usize);
-            let (mb, rb, dims) = (e.meta_base as usize, e.runs_base as usize, e.dims as usize);
-            if base < cand_w || mb < meta_w || rb < runs_w {
+            let (base, len, dims) = (e.base as usize, e.len as usize, e.dims as usize);
+            let (mb, sb) = (e.meta_base as usize, e.sub_base as usize);
+            if base < cand_w || mb < meta_w || sb < sub_w {
                 return Err(format!("range {id} overlaps its predecessor"));
             }
             if base + len > n
-                || mb + dims + 1 > self.dim_offsets.len()
-                || rb + dims > self.run_bounds.len()
+                || mb + e.metas() > self.cols.dim_offsets.len()
+                || sb + e.subs() > self.cols.sub.len()
             {
                 return Err(format!("range {id} exceeds slab bounds"));
             }
-            let offs = &self.dim_offsets[mb..mb + dims + 1];
+            let offs = &self.cols.dim_offsets[mb..mb + e.metas()];
             if offs[0] != 0 || offs[dims] as usize != len {
                 return Err(format!("range {id} offsets do not span its candidates"));
             }
@@ -1192,19 +1193,36 @@ impl StatsArena {
                 return Err(format!("range {id} offsets decrease"));
             }
             cand_w = base + len;
-            meta_w = mb + dims + 1;
-            runs_w = rb + dims;
-            if e.live {
-                live_c += len;
-                live_m += dims + 1;
-                live_r += dims;
+            meta_w = mb + e.metas();
+            sub_w = sb + e.subs();
+            if !e.live {
+                continue;
             }
+            let layout = Self::layout(&self.cols, e);
+            for d in 0..dims {
+                for ci in layout.run(d) {
+                    if layout.dim[ci] as usize != d {
+                        return Err(format!(
+                            "range {id} candidate {ci} lies outside its dimension's run"
+                        ));
+                    }
+                    if layout.sub_i[ci] >= e.f || layout.sub_j[ci] >= e.f {
+                        return Err(format!(
+                            "range {id} candidate {ci} indexes past f = {}",
+                            e.f
+                        ));
+                    }
+                }
+            }
+            live_c += len;
+            live_m += e.metas();
+            live_s += e.subs();
         }
-        if (live_c, live_m, live_r) != (self.live_candidates, self.live_meta, self.live_runs) {
+        if (live_c, live_m, live_s) != (self.live_candidates, self.live_meta, self.live_sub) {
             return Err(format!(
-                "live accounting drifted: counted ({live_c}, {live_m}, {live_r}), \
+                "live accounting drifted: counted ({live_c}, {live_m}, {live_s}), \
                  recorded ({}, {}, {})",
-                self.live_candidates, self.live_meta, self.live_runs
+                self.live_candidates, self.live_meta, self.live_sub
             ));
         }
         Ok(())
@@ -1230,6 +1248,10 @@ mod tests {
         // §6: between 10·Nd and 16·Nd candidates per cluster.
         assert!(cands.len() >= 10 * 16 && cands.len() <= 16 * 16);
         assert_eq!(cands.dims(), 16);
+        // 20 B per candidate, 4 B per offset, 16 B per subinterval entry.
+        let mut arena = StatsArena::new();
+        arena.alloc(&cands);
+        assert_eq!(arena.live_bytes(), 160 * 20 + 17 * 4 + 16 * 4 * 16);
     }
 
     #[test]
@@ -1249,14 +1271,15 @@ mod tests {
     fn dim_offsets_partition_the_set() {
         let sig = Signature::root(3).specialize(1, 4, 0, 3);
         let cands = generate_candidates(&sig, 4);
+        assert_eq!(cands.as_slice().dims(), 3);
+        let offsets = &cands.cols.dim_offsets;
         for d in 0..cands.dims() {
-            let cols = cands.as_slice().columns();
-            assert_eq!(cols.dims(), 3);
-            for ci in cands.dim_offsets[d] as usize..cands.dim_offsets[d + 1] as usize {
+            for ci in offsets[d] as usize..offsets[d + 1] as usize {
                 assert_eq!(cands.as_slice().id(ci).dim as usize, d);
             }
         }
-        assert_eq!(*cands.dim_offsets.last().unwrap() as usize, cands.len());
+        assert_eq!(*offsets.last().unwrap() as usize, cands.len());
+        assert_eq!(cands.cols.sub.len(), 3 * 4, "f bound entries per dimension");
     }
 
     fn find(cands: &CandidateSet, dim: u16, i: u8, j: u8) -> usize {
@@ -1334,6 +1357,86 @@ mod tests {
         }
     }
 
+    /// A set built by hand instead of generated: `f` entries of
+    /// `(start, end)` subintervals per dimension, each as
+    /// `(lo, hi, open)`, the candidate cells `(i, j)` of every
+    /// dimension, and preset `q` counters.
+    pub(super) fn hand_built(
+        f: u8,
+        subs: &[[Sub; 2]],
+        cells: &[Vec<(u8, u8)>],
+        q: Vec<u32>,
+    ) -> CandidateSet {
+        assert_eq!(
+            subs.len(),
+            cells.len() * f as usize,
+            "f entries per dimension"
+        );
+        let reach = |(_, hi, open): Sub| if open { hi.next_down() } else { hi };
+        let mut cols = FixedColumns {
+            dim_offsets: vec![0],
+            ..FixedColumns::default()
+        };
+        cols.sub = subs
+            .iter()
+            .map(|&[s, e]| SubBounds {
+                start_lo: s.0,
+                start_reach: reach(s),
+                end_lo: e.0,
+                end_reach: reach(e),
+            })
+            .collect();
+        for (d, run) in cells.iter().enumerate() {
+            for &(i, j) in run {
+                cols.dim.push(d as u16);
+                cols.sub_i.push(i);
+                cols.sub_j.push(j);
+            }
+            cols.dim_offsets.push(cols.dim.len() as u32);
+        }
+        let len = cols.dim.len();
+        assert_eq!(q.len(), len, "one preset counter per candidate");
+        CandidateSet {
+            cols,
+            f,
+            n: vec![0; len],
+            q,
+            q_eff: vec![0.0; len],
+            n_hi: 0,
+            stamp: 0,
+        }
+    }
+
+    /// A subinterval as `(lo, hi, open)`.
+    pub(super) type Sub = (Scalar, Scalar, bool);
+
+    /// Counts every query `passes` times into the set's own `q` and into
+    /// a separate column starting from the same counts, asserts both
+    /// equal what the [`CandidateSlice::matches_query`] loop plus a
+    /// saturating bump leaves, and returns that.
+    pub(super) fn assert_counts_equal_oracle(
+        set: &mut CandidateSet,
+        queries: &[SpatialQuery],
+        passes: usize,
+    ) -> Vec<u32> {
+        let mut want = set.q.clone();
+        let mut column = set.q.clone();
+        for q in queries {
+            for _ in 0..passes {
+                for (ci, w) in want.iter_mut().enumerate() {
+                    if set.as_slice().matches_query(ci, q) {
+                        *w = w.saturating_add(1);
+                    }
+                }
+                set.as_slice().count_query(q, &mut column);
+                set.as_slice_mut().count_query(q);
+            }
+            assert_eq!(column, want, "into a separate column after {q:?}");
+            assert_eq!(set.as_slice().q_col(), &want[..], "in place after {q:?}");
+        }
+        want
+    }
+
     #[test]
     fn kernel_counts_agree_with_scalar_oracle() {
         // A specialized signature in 3 dims; boundary-coincident query
@@ -1348,22 +1451,70 @@ mod tests {
             SpatialQuery::point_enclosing(vec![0.25, 0.75, 0.5]),
             SpatialQuery::point_enclosing(vec![0.0, 1.0, 0.9999]),
         ];
-        let mut bounds = QueryBounds::new();
-        let mut want = vec![0u32; cands.len()];
-        let mut column = vec![0u32; cands.len()];
-        for q in &queries {
-            bounds.load(q);
-            count_candidates(&bounds, &cands.as_slice().columns(), &mut column);
-            cands.as_slice_mut().count_query(&bounds);
-            for (ci, w) in want.iter_mut().enumerate() {
-                *w += cands.as_slice().matches_query(ci, q) as u32;
-            }
-            assert_eq!(column, want, "separate column after {q:?}");
-            assert_eq!(cands.as_slice().q_col(), &want[..], "in place after {q:?}");
-        }
+        let want = assert_counts_equal_oracle(&mut cands, &queries, 1);
         assert!(
             want.iter().any(|&w| w > 1) && want.iter().min() != want.iter().max(),
             "test premise: counts accumulate and discriminate"
+        );
+
+        // Hand-built open and closed subintervals, one cell (k, k) per
+        // entry, against boundary-coincident windows and points and
+        // full-domain windows.
+        let (o, c) = (true, false);
+        let subs = [
+            [(0.0, 0.25, o), (0.0, 0.25, o)],
+            [(0.25, 0.5, o), (0.25, 0.75, o)],
+            [(0.5, 1.0, c), (0.75, 1.0, c)],
+            [(0.0, 0.5, o), (0.0, 0.5, c)],
+            [(0.5, 0.75, o), (0.5, 1.0, o)],
+            [(0.75, 1.0, c), (0.0, 1.0, c)],
+        ];
+        let diagonal = vec![(0, 0), (1, 1), (2, 2)];
+        let mut set = hand_built(3, &subs, &[diagonal.clone(), diagonal], vec![0; 6]);
+        let w = rect(&[0.25, 0.5], &[0.5, 0.75]);
+        let full = rect(&[0.0, 0.0], &[1.0, 1.0]);
+        let full_d0 = SpatialQuery::intersection(rect(&[0.0, 0.6], &[1.0, 0.6]));
+        let queries = [
+            SpatialQuery::intersection(w.clone()),
+            SpatialQuery::containment(w.clone()),
+            SpatialQuery::enclosure(w),
+            SpatialQuery::point_enclosing(vec![0.25, 0.5]),
+            SpatialQuery::point_enclosing(vec![0.5, 1.0]),
+            full_d0.clone(),
+            SpatialQuery::intersection(full.clone()),
+            SpatialQuery::containment(full.clone()),
+            SpatialQuery::enclosure(full),
+        ];
+        assert_counts_equal_oracle(&mut set, &queries, 1);
+        assert!(
+            (0..3).all(|ci| set.as_slice().matches_query(ci, &full_d0)),
+            "a full-domain interval matches its whole run"
+        );
+
+        // One run of 70 candidates, longer than any vector.
+        let subs: Vec<[Sub; 2]> = (0..70)
+            .map(|k| [(k as Scalar / 70.0, 1.0, c), (0.0, 1.0, c)])
+            .collect();
+        let cells = vec![(0..70).map(|k| (k, k)).collect()];
+        let mut set = hand_built(70, &subs, &cells, vec![0; 70]);
+        let want =
+            assert_counts_equal_oracle(&mut set, &[SpatialQuery::point_enclosing(vec![0.5])], 1);
+        let matched = want.iter().filter(|&&m| m == 1).count();
+        assert!(matched > 0 && matched < 70, "{matched}");
+
+        // Counters saturate at the maximum and never wrap.
+        let subs = [
+            [(0.0, 0.5, o), (0.0, 0.5, o)],
+            [(0.5, 1.0, c), (0.5, 1.0, c)],
+            [(0.0, 1.0, c), (0.0, 1.0, c)],
+            [(0.0, 1.0, c), (0.0, 1.0, c)],
+        ];
+        let cells = [vec![(0, 0), (1, 1)], vec![(0, 0)]];
+        let mut set = hand_built(2, &subs, &cells, vec![7, u32::MAX - 1, u32::MAX - 1]);
+        let q = SpatialQuery::intersection(rect(&[0.6, 0.0], &[0.7, 1.0]));
+        assert_eq!(
+            assert_counts_equal_oracle(&mut set, &[q], 3),
+            [7, u32::MAX, u32::MAX]
         );
     }
 
@@ -1617,20 +1768,47 @@ mod tests {
         arena.retire(h);
         arena.retire(h);
     }
+
+    #[test]
+    fn check_catches_a_broken_subinterval_layout() {
+        let arena = || {
+            let mut arena = StatsArena::new();
+            arena.alloc(&seasoned_set(2, 4, 5));
+            arena.alloc(&seasoned_set(3, 2, 6));
+            arena.check().unwrap();
+            arena
+        };
+        type Break = (&'static str, fn(&mut StatsArena));
+        let breaks: [Break; 5] = [
+            ("sub_i past f", |a| a.cols.sub_i[3] = 4),
+            ("sub_j past f", |a| a.cols.sub_j[25] = 2),
+            ("dim of another run", |a| a.cols.dim[0] = 1),
+            ("missing bound entry", |a| {
+                a.cols.sub.pop();
+            }),
+            ("range with f + 1 entries per dimension", |a| {
+                a.ranges[0].f = 5
+            }),
+        ];
+        for (what, break_it) in breaks {
+            let mut a = arena();
+            break_it(&mut a);
+            assert!(a.check().is_err(), "check missed: {what}");
+        }
+    }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{assert_counts_equal_oracle, hand_built, Sub};
     use super::*;
     use acx_geom::HyperRect;
     use proptest::prelude::*;
 
-    /// One kernel pass over zeroed counters, as match flags.
+    /// One counting pass over zeroed counters, as match flags.
     fn kernel_matches(cands: &CandidateSet, query: &SpatialQuery) -> Vec<bool> {
-        let mut bounds = QueryBounds::new();
-        bounds.load(query);
         let mut counters = vec![0u32; cands.len()];
-        count_candidates(&bounds, &cands.as_slice().columns(), &mut counters);
+        cands.as_slice().count_query(query, &mut counters);
         assert!(counters.iter().all(|&c| c <= 1), "one pass adds at most one");
         counters.iter().map(|&c| c == 1).collect()
     }
@@ -1642,21 +1820,22 @@ mod proptests {
     }
 
     proptest! {
-        /// The candidate kernel equals the scalar oracle for
-        /// 1–8 dimensions, both division factors, all four query kinds,
-        /// and signatures specialized to produce open and closed
-        /// variation intervals — including boundary-coincident query
-        /// edges.
+        /// Generation and the per-dimension count against the scalar
+        /// oracle for 1–8 dimensions at `f` = 2 and 4 and one dimension
+        /// at `f` = 255 (the largest `u8`), all four query kinds, and
+        /// signatures specialized to produce open and closed variation
+        /// intervals — including boundary-coincident query edges.
         #[test]
         fn candidate_kernel_equals_scalar_oracle(
             dims in 1usize..=8,
-            f in prop_oneof![Just(2u8), Just(4u8)],
+            f in prop_oneof![Just(2u8), Just(4u8), Just(255u8)],
             spec_dim in 0usize..8,
             spec_i in 0u8..4,
             spec_j in 0u8..4,
             pairs in prop::collection::vec((coord(), coord()), 8),
             kind in 0usize..4,
         ) {
+            let dims = if f == 255 { 1 } else { dims };
             let spec_dim = spec_dim % dims;
             let (spec_i, spec_j) = (spec_i % f, spec_j % f);
             let sig = if spec_i <= spec_j {
@@ -1666,6 +1845,10 @@ mod proptests {
             };
             let cands = CandidateSet::generate(&sig, f);
             prop_assert!(!cands.is_empty(), "every signature yields candidates");
+            if spec_i > spec_j {
+                let per_dim = f as usize * (f as usize + 1) / 2;
+                prop_assert_eq!(cands.len(), dims * per_dim, "the root keeps i <= j");
+            }
 
             let mut lo = Vec::with_capacity(dims);
             let mut hi = Vec::with_capacity(dims);
@@ -1699,11 +1882,9 @@ mod proptests {
             }
         }
 
-        /// The per-run matches-all fast path (a query interval spanning
-        /// the full domain of a specialized dimension) is bit-identical
-        /// to the per-candidate evaluation: counts equal the scalar
-        /// oracle, and full-domain intersection/containment runs are
-        /// counted whole.
+        /// A query interval spanning the full domain of a specialized
+        /// dimension: counts equal the scalar oracle, and full-domain
+        /// intersection/containment runs are counted whole.
         #[test]
         fn full_domain_query_intervals_match_whole_runs(
             dims in 1usize..=6,
@@ -1724,8 +1905,8 @@ mod proptests {
             };
             let cands = CandidateSet::generate(&sig, f);
 
-            // Force the full [0, 1] domain on the masked dimensions so
-            // the kernel's run screen fires; the rest stay random.
+            // Force the full [0, 1] domain on the masked dimensions; the
+            // rest stay random.
             let mut lo = Vec::with_capacity(dims);
             let mut hi = Vec::with_capacity(dims);
             for (d, &(a, b)) in pairs.iter().take(dims).enumerate() {
@@ -1762,59 +1943,59 @@ mod proptests {
             }
         }
 
-        /// The compare-and-count kernel against the scalar
-        /// [`CandidateSlice::matches_query`] loop on hand-built ragged
-        /// sets — empty runs, runs of 10–16 candidates, open and closed
-        /// upper bounds, runs a full-domain query interval counts whole
-        /// — with counters pre-seeded up to `u32::MAX − 1`: two passes
-        /// add exactly what the loop adds, pinned at the maximum.
+        /// The per-dimension count against the scalar
+        /// [`CandidateSlice::matches_query`] loop on hand-built sets:
+        /// arbitrary, unsorted subinterval bounds (so the factoring
+        /// assumes no order), open and closed upper bounds, dimensions
+        /// whose end subintervals equal their start ones, empty runs and
+        /// runs of 10–16 and 64–80 candidates over any cells, windows
+        /// spanning the full domain in some dimensions, and counters
+        /// preset up to `u32::MAX`: two passes add exactly what the loop
+        /// adds, pinned at the maximum.
         #[test]
         fn compare_and_count_equals_scalar_loop_on_ragged_runs(
-            runs in prop::collection::vec(prop_oneof![Just(0usize), 10usize..=16], 1..7),
-            starts in prop::collection::vec((coord(), coord(), 0u8..2), 6 * 16),
-            ends in prop::collection::vec((coord(), coord(), 0u8..2, 0u8..4), 6 * 16),
+            f in 1u8..=12,
+            runs in prop::collection::vec(
+                prop_oneof![Just(0usize), 10usize..=16, 64usize..=80],
+                1..7,
+            ),
+            subs in prop::collection::vec((coord(), coord(), 0u8..2), 2 * 6 * 12),
+            same_mask in 0u8..64,
+            cells in prop::collection::vec((0u8..=255, 0u8..=255, 0usize..4), 6 * 80),
             full_mask in 0u8..64,
             pairs in prop::collection::vec((coord(), coord()), 6),
             kind in 0usize..4,
         ) {
             let dims = runs.len();
-            let mut set = CandidateSet::generate(&Signature::root(dims), 2);
-            let n: usize = runs.iter().sum();
-            set.dim_offsets = std::iter::once(0)
-                .chain(runs.iter().scan(0u32, |at, &len| {
-                    *at += len as u32;
-                    Some(*at)
-                }))
+            let sub = |k: usize| {
+                let (a, b, open) = subs[k];
+                (a.min(b), a.max(b), open == 1)
+            };
+            let entries: Vec<[Sub; 2]> = (0..dims * f as usize)
+                .map(|k| {
+                    let start = sub(2 * k);
+                    let d = k / f as usize;
+                    [start, if same_mask >> d & 1 == 1 { start } else { sub(2 * k + 1) }]
+                })
                 .collect();
-            set.dim = runs
+            let mut drawn = cells.iter();
+            let mut preset = Vec::new();
+            let cells: Vec<Vec<(u8, u8)>> = runs
                 .iter()
-                .enumerate()
-                .flat_map(|(d, &len)| std::iter::repeat_n(d as u16, len))
+                .map(|&len| {
+                    drawn
+                        .by_ref()
+                        .take(len)
+                        .map(|&(i, j, q)| {
+                            preset.push([0, 7, u32::MAX - 1, u32::MAX][q]);
+                            (i % f, j % f)
+                        })
+                        .collect()
+                })
                 .collect();
-            let (starts, ends) = (&starts[..n], &ends[..n]);
-            let reach = |hi: Scalar, open: u8| if open == 1 { hi.next_down() } else { hi };
-            set.start_lo = starts.iter().map(|s| s.0.min(s.1)).collect();
-            set.start_reach = starts.iter().map(|s| reach(s.0.max(s.1), s.2)).collect();
-            set.end_lo = ends.iter().map(|e| e.0.min(e.1)).collect();
-            set.end_reach = ends.iter().map(|e| reach(e.0.max(e.1), e.2)).collect();
-            set.run_bounds = RunBounds::compute_all(
-                &set.start_lo,
-                &set.start_reach,
-                &set.end_lo,
-                &set.end_reach,
-                &set.dim_offsets,
-            );
-            set.sub_i = vec![0; n];
-            set.sub_j = vec![0; n];
-            set.n = vec![0; n];
-            set.q_eff = vec![0.0; n];
-            set.q = ends
-                .iter()
-                .map(|e| [0, 7, u32::MAX - 1, u32::MAX][e.3 as usize])
-                .collect();
+            let mut set = hand_built(f, &entries, &cells, preset);
 
-            // Full [0, 1] intervals on the masked dimensions: whole runs
-            // match an intersection there, whatever their bounds.
+            // Full [0, 1] intervals on the masked dimensions.
             let (lo, hi): (Vec<Scalar>, Vec<Scalar>) = pairs
                 .iter()
                 .take(dims)
@@ -1830,22 +2011,7 @@ mod proptests {
                 2 => SpatialQuery::enclosure(w),
                 _ => SpatialQuery::point_enclosing(lo.clone()),
             };
-
-            let mut want = set.q.clone();
-            let mut column = set.q.clone();
-            let mut bounds = QueryBounds::new();
-            bounds.load(&query);
-            for _ in 0..2 {
-                for (ci, w) in want.iter_mut().enumerate() {
-                    if set.as_slice().matches_query(ci, &query) {
-                        *w = w.saturating_add(1);
-                    }
-                }
-                count_candidates(&bounds, &set.as_slice().columns(), &mut column);
-                set.as_slice_mut().count_query(&bounds);
-            }
-            prop_assert_eq!(&column, &want, "into a separate column");
-            prop_assert_eq!(set.as_slice().q_col(), &want[..], "in place");
+            assert_counts_equal_oracle(&mut set, &[query], 2);
         }
 
         /// Member recording stops at the first accepting candidate of a

@@ -48,8 +48,8 @@ pub struct IndexConfig {
     /// Production (`false`) verifies members with the columnar batch
     /// kernel over the store's columns
     /// ([`acx_geom::scan::scan_columns`]), counts matching candidates
-    /// with the compare-and-count kernel
-    /// ([`acx_geom::scan::count_candidates`]) and
+    /// from `2f` comparisons per dimension
+    /// ([`crate::candidates::CandidateSlice::count_query`]) and
     /// reorganizes behind an O(1) screen with columnar benefit
     /// arithmetic. The reference (`true`) is the seed's
     /// object-at-a-time execution end to end: a

@@ -4,7 +4,7 @@
 
 use std::time::Instant;
 
-use acx_geom::scan::{count_candidates, scan_columns_loaded, QueryBounds, ScanScratch};
+use acx_geom::scan::{scan_columns_loaded, QueryBounds, ScanScratch};
 use acx_geom::{ObjectId, Scalar, SpatialQuery, OBJECT_ID_BYTES};
 use acx_storage::{AccessStats, CostModel, SegmentStore};
 
@@ -27,7 +27,7 @@ use crate::{IndexConfig, IndexError};
 #[derive(Debug, Default)]
 pub struct QueryScratch {
     /// The query's comparison shape and per-dimension bounds, loaded
-    /// once per exploration and shared by both kernels' every call.
+    /// once per exploration and shared by every member-kernel call.
     bounds: QueryBounds,
     /// Columnar kernel state (per-segment match indices).
     scan: ScanScratch,
@@ -65,9 +65,9 @@ struct ReadView<'a> {
 }
 
 /// Where the statistics of one exploration go. There is one traversal
-/// and one compare-and-count kernel; the sinks differ only in the
-/// counter column the kernel adds into, and all three leave the index
-/// in the same state once a delta is applied.
+/// and one candidate count ([`crate::candidates::CandidateSlice::count_query`]);
+/// the sinks differ only in the counter column it adds into, and all
+/// three leave the index in the same state once a delta is applied.
 enum StatsSink<'a> {
     /// `query*`: nothing is recorded.
     None,
@@ -90,17 +90,11 @@ enum StatsSink<'a> {
 
 impl StatsSink<'_> {
     /// Counts `query` on a cluster whose signature it matched and on
-    /// each of the cluster's candidates it matches: through the kernel,
-    /// or — under [`IndexConfig::reference`] — candidate by candidate.
+    /// each of the cluster's candidates it matches: per dimension from
+    /// its subinterval bounds, or — under [`IndexConfig::reference`] —
+    /// candidate by candidate.
     #[inline]
-    fn record(
-        &mut self,
-        slot: u32,
-        handle: CandHandle,
-        query: &SpatialQuery,
-        bounds: &QueryBounds,
-        reference: bool,
-    ) {
+    fn record(&mut self, slot: u32, handle: CandHandle, query: &SpatialQuery, reference: bool) {
         match self {
             StatsSink::None => {}
             StatsSink::Delta { arena, delta } => {
@@ -114,8 +108,7 @@ impl StatsSink<'_> {
                         }
                     }
                 } else {
-                    let counters = &mut recorded.cand_q[..cands.len()];
-                    count_candidates(bounds, &cands.columns(), counters);
+                    cands.count_query(query, &mut recorded.cand_q[..cands.len()]);
                 }
             }
             StatsSink::Arena {
@@ -132,7 +125,7 @@ impl StatsSink<'_> {
                         }
                     }
                 } else {
-                    cands.count_query(bounds);
+                    cands.count_query(query);
                 }
                 explored.push(slot);
             }
@@ -147,9 +140,9 @@ impl ReadView<'_> {
     /// its members sequentially, leaving the matches in `scratch`.
     ///
     /// Member verification and candidate matching follow
-    /// [`IndexConfig::reference`]: the batch kernels over the store's
-    /// member columns and the candidate bound columns, with the
-    /// query's bounds loaded once, or the object-at-a-time reference
+    /// [`IndexConfig::reference`]: the batch kernel over the store's
+    /// member columns, with the query's bounds loaded once, and the
+    /// per-dimension candidate count, or the object-at-a-time reference
     /// loops. Both are bit-identical in matches, match order, and every
     /// statistic. Nothing is allocated once the scratch's buffers have
     /// grown to the workload's high-water mark.
@@ -175,7 +168,7 @@ impl ReadView<'_> {
             if !cluster.signature.matches_query(query) {
                 continue;
             }
-            sink.record(slot, cluster.candidates, query, &scratch.bounds, reference);
+            sink.record(slot, cluster.candidates, query, reference);
             let n = self.store.segment_len(cluster.segment);
             stats.clusters_explored += 1;
             stats.seeks += 1;

@@ -3,7 +3,7 @@
 //! access counter (`AccessStats`), every recorded statistic
 //! (`StatsDelta`), and every reorganization decision derived from them.
 //! A production index (columnar member kernel,
-//! compare-and-count candidate kernel, screened columnar pass) and a
+//! per-dimension candidate count, screened columnar pass) and a
 //! reference index (object-at-a-time loops, every cluster scanned) are
 //! driven through identical workloads and compared query by query.
 //!
@@ -15,7 +15,7 @@
 //!
 //! The layers underneath are pinned by their own suites: every
 //! instruction tier of the member kernel against `matches_flat` in
-//! `acx_geom::scan`, the candidate kernel against the scalar loop and
+//! `acx_geom::scan`, the candidate count against the scalar loop and
 //! arena ranges against owned sets in `acx_core::candidates`.
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, QueryScratch, ReorgReport, StatsDelta};

@@ -26,18 +26,13 @@
 //! dimension and most blocks die in their first word (`scan_bench`'s
 //! `block_order` rows in `BENCH_scan.json` measure by how much).
 //!
-//! Three entry points, the first two sharing one block loop:
+//! Two entry points sharing one block loop:
 //!
 //! * [`scan_columns`] — member verification over [`PairedColumns`]
 //!   (the adaptive index's segments, the sequential-scan baseline).
 //! * [`scan_interleaved`] — the same kernel over row-major input
 //!   (R*-tree leaf pages), gathering one block-sized tile per
 //!   (block, dimension) lazily.
-//! * [`count_candidates`] — one query against *all candidate subclusters*
-//!   of a cluster, dimension-major over [`CandidateColumns`]; every
-//!   candidate is a single two-sided comparison on its own specialized
-//!   dimension, so there is no refinement and no mask: the outcome is
-//!   added straight into a counter column.
 //!
 //! A caller that runs many kernel calls for one query (an index
 //! exploring hundreds of clusters) loads the query's [`QueryBounds`]
@@ -357,9 +352,9 @@ impl Relation {
 
 /// A query's comparison shape and per-dimension bounds in the form the
 /// kernels consume. Loading is a copy of `2·dims` scalars: cheap once,
-/// but an index exploring hundreds of clusters runs two kernels per
+/// but an index exploring hundreds of clusters runs the kernel once per
 /// cluster, so it loads the bounds once per query and calls
-/// [`scan_columns_loaded`] and [`count_candidates`] with them.
+/// [`scan_columns_loaded`] with them.
 #[derive(Debug, Default)]
 pub struct QueryBounds {
     rel: Relation,
@@ -649,242 +644,15 @@ unsafe fn interleaved_on(
     scan_on(tier, bounds, &mut lanes, matches)
 }
 
-/// Per-dimension-run aggregate bounds over the candidate bound columns
-/// — the sparse-query fast path's screen. A query interval that spans
-/// the full domain of a specialized dimension cannot discriminate that
-/// dimension's candidates: when the run's *worst* candidate passes the
-/// relation's `x ≤ t1 ∧ y ≥ t2` condition, every candidate does, and
-/// the kernel counts the whole run without evaluating per-candidate
-/// bounds. Candidate bounds are immutable after
-/// generation, so these aggregates are computed once.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunBounds {
-    /// Maximum of `start_lo` over the run (`-∞` for an empty run).
-    pub start_lo_max: Scalar,
-    /// Minimum of `start_reach` over the run (`+∞` for an empty run).
-    pub start_reach_min: Scalar,
-    /// Maximum of `end_lo` over the run (`-∞` for an empty run).
-    pub end_lo_max: Scalar,
-    /// Minimum of `end_reach` over the run (`+∞` for an empty run).
-    pub end_reach_min: Scalar,
-}
-
-impl RunBounds {
-    /// Folds the aggregate bounds of every dimension run. The inputs
-    /// are the four bound columns and the run offsets exactly as passed
-    /// to [`CandidateColumns::new`]; the result has one entry per
-    /// dimension.
-    pub fn compute_all(
-        start_lo: &[Scalar],
-        start_reach: &[Scalar],
-        end_lo: &[Scalar],
-        end_reach: &[Scalar],
-        dim_offsets: &[u32],
-    ) -> Vec<RunBounds> {
-        assert!(!dim_offsets.is_empty());
-        let mut out = Vec::with_capacity(dim_offsets.len() - 1);
-        for w in dim_offsets.windows(2) {
-            let run = w[0] as usize..w[1] as usize;
-            let fold = |col: &[Scalar], max: bool| {
-                col[run.clone()].iter().copied().fold(
-                    if max { Scalar::NEG_INFINITY } else { Scalar::INFINITY },
-                    if max { Scalar::max } else { Scalar::min },
-                )
-            };
-            out.push(RunBounds {
-                start_lo_max: fold(start_lo, true),
-                start_reach_min: fold(start_reach, false),
-                end_lo_max: fold(end_lo, true),
-                end_reach_min: fold(end_reach, false),
-            });
-        }
-        out
-    }
-}
-
-/// Dimension-major candidate-subcluster bound columns — the statistics
-/// side of the adaptive index, laid out exactly like object coordinates
-/// so the same kernel shape applies.
-///
-/// Candidates are grouped by their specialized dimension: `dim_offsets`
-/// (length `dims + 1`) gives the contiguous candidate range of each
-/// dimension. Per candidate, four bounds describe its start/end
-/// variation intervals with **closed** upper bounds: half-open interval
-/// uppers must be pre-adjusted to the largest representable value below
-/// them (`f32::next_down`), which makes every open/closed membership and
-/// reachability test a plain `<=`/`>=` comparison.
-#[derive(Debug, Clone, Copy)]
-pub struct CandidateColumns<'a> {
-    /// Inclusive lower bound of each candidate's start variation interval.
-    start_lo: &'a [Scalar],
-    /// Largest value each candidate's start interval contains.
-    start_reach: &'a [Scalar],
-    /// Inclusive lower bound of each candidate's end variation interval.
-    end_lo: &'a [Scalar],
-    /// Largest value each candidate's end interval contains.
-    end_reach: &'a [Scalar],
-    /// Candidate range of each dimension: dimension `d` owns candidates
-    /// `dim_offsets[d] .. dim_offsets[d + 1]`.
-    dim_offsets: &'a [u32],
-    /// Aggregate bounds per dimension run (length `dims`), driving the
-    /// per-run matches-all fast path of [`count_candidates`].
-    run_bounds: &'a [RunBounds],
-}
-
-impl<'a> CandidateColumns<'a> {
-    /// Builds the view; all four bound columns must have equal length
-    /// matching the last offset, offsets must be non-decreasing, and
-    /// `run_bounds` must hold one entry per dimension (see
-    /// [`RunBounds::compute_all`]).
-    pub fn new(
-        start_lo: &'a [Scalar],
-        start_reach: &'a [Scalar],
-        end_lo: &'a [Scalar],
-        end_reach: &'a [Scalar],
-        dim_offsets: &'a [u32],
-        run_bounds: &'a [RunBounds],
-    ) -> Self {
-        let n = start_lo.len();
-        assert!(start_reach.len() == n && end_lo.len() == n && end_reach.len() == n);
-        assert!(!dim_offsets.is_empty());
-        // The runs must cover every candidate exactly: [`count_candidates`]
-        // only visits the offsets' runs, so an uncovered candidate would
-        // never be counted.
-        assert_eq!(dim_offsets[0], 0, "first dimension run must start at 0");
-        assert_eq!(*dim_offsets.last().expect("non-empty") as usize, n);
-        assert_eq!(run_bounds.len(), dim_offsets.len() - 1);
-        debug_assert!(dim_offsets.windows(2).all(|w| w[0] <= w[1]));
-        Self {
-            start_lo,
-            start_reach,
-            end_lo,
-            end_reach,
-            dim_offsets,
-            run_bounds,
-        }
-    }
-
-    /// Number of candidates.
-    pub fn len(&self) -> usize {
-        self.start_lo.len()
-    }
-
-    /// Whether the set holds no candidates.
-    pub fn is_empty(&self) -> bool {
-        self.start_lo.is_empty()
-    }
-
-    /// Number of dimensions the candidates specialize.
-    pub fn dims(&self) -> usize {
-        self.dim_offsets.len() - 1
-    }
-}
-
-/// Evaluates one query against every candidate of a cluster,
-/// dimension-major, and adds one (saturating at `u32::MAX`) to
-/// `counters[i]` for every matching candidate `i` — compare and count
-/// in one pass, with no intermediate mask.
-///
-/// A candidate constrains only its own specialized dimension, so unlike
-/// member verification there is no survivors refinement: every relation
-/// reduces to one two-sided comparison per candidate,
-///
-/// > `x[i] ≤ t1 ∧ y[i] ≥ t2`
-///
-/// with the `(x, y)` columns and `(t1, t2)` thresholds chosen per
-/// relation from the query bounds of the candidate's dimension. The
-/// increment of candidate `i` equals the scalar reference loop's
-/// `acx_core::candidates::CandidateSlice::matches_query` outcome exactly
-/// (the pre-adjusted closed bounds encode the open/closed upper-bound
-/// semantics losslessly for finite `f32`).
-///
-/// Each dimension run is one contiguous branch-free loop the compiler
-/// vectorizes. On x86_64 it is dispatched to an AVX2-compiled clone of
-/// the same loop when the CPU supports it (detected once) — identical
-/// comparisons, twice the lanes.
-///
-/// # Panics
-///
-/// Panics if `counters` does not hold exactly one counter per candidate.
-pub fn count_candidates(bounds: &QueryBounds, cols: &CandidateColumns<'_>, counters: &mut [u32]) {
-    debug_assert_eq!(cols.dims(), bounds.dims(), "dimensionality mismatch");
-    assert_eq!(counters.len(), cols.len(), "one counter per candidate");
-    #[cfg(target_arch = "x86_64")]
-    if avx2_detected() {
-        // SAFETY: AVX2 presence was just verified; the callee is the
-        // same safe loop compiled with the feature enabled.
-        unsafe {
-            return count_candidates_avx2(bounds, cols, counters);
-        }
-    }
-    count_candidates_impl(bounds, cols, counters);
-}
-
-/// [`count_candidates_impl`] compiled for AVX2 so the count loop
-/// auto-vectorizes at eight lanes — comparison outcomes are identical,
-/// only the lane width changes.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn count_candidates_avx2(bounds: &QueryBounds, cols: &CandidateColumns<'_>, counters: &mut [u32]) {
-    count_candidates_impl(bounds, cols, counters);
-}
-
 /// Whether the CPU supports AVX2 (detected once, cached) — the runtime
-/// dispatch gate shared by every kernel with an AVX2-compiled clone
-/// (candidate counting, and the reorganization benefit column in
-/// `acx_core`).
+/// gate of this module's AVX2 tier (`Tier::best`) and of the
+/// reorganization benefit column's AVX2 clone in `acx_core`.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 pub fn avx2_detected() -> bool {
     use std::sync::OnceLock;
     static AVX2: OnceLock<bool> = OnceLock::new();
     *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-}
-
-#[inline(always)]
-fn count_candidates_impl(bounds: &QueryBounds, cols: &CandidateColumns<'_>, counters: &mut [u32]) {
-    // Per relation: the `(x, y)` bound columns of the pass condition
-    // `x[i] ≤ t1 ∧ y[i] ≥ t2`, which query side each threshold comes
-    // from, and whether the run aggregates to screen with are the
-    // containment pair.
-    let (x_col, y_col, t1s, t2s, containment) = match bounds.rel {
-        // start.lo ≤ q.hi ∧ end can reach q.lo
-        Relation::Intersection => (cols.start_lo, cols.end_reach, &bounds.qb, &bounds.qa, false),
-        // end.lo ≤ q.hi ∧ start can reach q.lo
-        Relation::Containment => (cols.end_lo, cols.start_reach, &bounds.qb, &bounds.qa, true),
-        // start.lo ≤ q.lo ∧ end can reach q.hi (points: q.lo = q.hi)
-        Relation::Enclosure => (cols.start_lo, cols.end_reach, &bounds.qa, &bounds.qb, false),
-    };
-    for d in 0..cols.dims() {
-        let run = cols.dim_offsets[d] as usize..cols.dim_offsets[d + 1] as usize;
-        let (t1, t2) = (t1s[d], t2s[d]);
-        // Sparse-query fast path: when even the run's worst candidate
-        // passes (its largest `x` and smallest `y` — typically a query
-        // interval spanning the dimension's full domain), the run
-        // cannot be discriminated and every candidate is counted
-        // without touching the bound columns. Exact by monotonicity:
-        // all values are finite, so `max(x) ≤ t1` implies every
-        // `x ≤ t1` and `min(y) ≥ t2` implies every `y ≥ t2`. (An empty
-        // run aggregates to `-∞`/`+∞` and counts nothing here.)
-        let rb = &cols.run_bounds[d];
-        let (x_max, y_min) = if containment {
-            (rb.end_lo_max, rb.start_reach_min)
-        } else {
-            (rb.start_lo_max, rb.end_reach_min)
-        };
-        let out = &mut counters[run.clone()];
-        if x_max <= t1 && y_min >= t2 {
-            for c in out {
-                *c = c.saturating_add(1);
-            }
-            continue;
-        }
-        let x = &x_col[run.clone()];
-        let y = &y_col[run];
-        for ((c, &xv), &yv) in out.iter_mut().zip(x).zip(y) {
-            *c = c.saturating_add(((xv <= t1) & (yv >= t2)) as u32);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1102,176 +870,6 @@ mod tests {
             }
         }
         assert!(matched_by_kind.iter().all(|&m| m > 0), "vacuous: {matched_by_kind:?}");
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn cand_cols(
-        start: &[(Scalar, Scalar, bool)],
-        end: &[(Scalar, Scalar, bool)],
-        offsets: &[u32],
-    ) -> (Vec<Scalar>, Vec<Scalar>, Vec<Scalar>, Vec<Scalar>, Vec<u32>) {
-        let reach = |&(_, hi, open): &(Scalar, Scalar, bool)| if open { hi.next_down() } else { hi };
-        (
-            start.iter().map(|s| s.0).collect(),
-            start.iter().map(reach).collect(),
-            end.iter().map(|e| e.0).collect(),
-            end.iter().map(reach).collect(),
-            offsets.to_vec(),
-        )
-    }
-
-    /// Scalar candidate oracle with explicit open/closed semantics.
-    fn cand_oracle(
-        query: &SpatialQuery,
-        start: &[(Scalar, Scalar, bool)],
-        end: &[(Scalar, Scalar, bool)],
-        offsets: &[u32],
-    ) -> Vec<bool> {
-        let can_reach = |&(_, hi, open): &(Scalar, Scalar, bool), x: Scalar| {
-            if open { hi > x } else { hi >= x }
-        };
-        let dim_of = |i: usize| (0..offsets.len() - 1)
-            .find(|&d| (offsets[d] as usize..offsets[d + 1] as usize).contains(&i))
-            .expect("offset covers index");
-        (0..start.len())
-            .map(|i| {
-                let d = dim_of(i);
-                match query {
-                    SpatialQuery::Intersection(w) => {
-                        start[i].0 <= w.interval(d).hi() && can_reach(&end[i], w.interval(d).lo())
-                    }
-                    SpatialQuery::Containment(w) => {
-                        can_reach(&start[i], w.interval(d).lo()) && end[i].0 <= w.interval(d).hi()
-                    }
-                    SpatialQuery::Enclosure(w) => {
-                        start[i].0 <= w.interval(d).lo() && can_reach(&end[i], w.interval(d).hi())
-                    }
-                    SpatialQuery::PointEnclosing(p) => {
-                        start[i].0 <= p[d] && can_reach(&end[i], p[d])
-                    }
-                }
-            })
-            .collect()
-    }
-
-    /// One kernel pass over zeroed counters, as match flags.
-    fn kernel_matches(query: &SpatialQuery, cols: &CandidateColumns<'_>) -> Vec<bool> {
-        let mut bounds = QueryBounds::new();
-        bounds.load(query);
-        let mut counters = vec![0u32; cols.len()];
-        count_candidates(&bounds, cols, &mut counters);
-        assert!(counters.iter().all(|&c| c <= 1), "one pass adds at most one");
-        counters.iter().map(|&c| c == 1).collect()
-    }
-
-    #[test]
-    fn candidate_kernel_matches_oracle_with_open_bounds() {
-        // Two dimensions, three candidates each; open upper bounds make
-        // the reach adjustment load-bearing at boundary-coincident edges.
-        let start = [
-            (0.0, 0.25, true), (0.25, 0.5, true), (0.5, 1.0, false),
-            (0.0, 0.5, true), (0.5, 0.75, true), (0.75, 1.0, false),
-        ];
-        let end = [
-            (0.0, 0.25, true), (0.25, 0.75, true), (0.75, 1.0, false),
-            (0.0, 0.5, false), (0.5, 1.0, true), (0.0, 1.0, false),
-        ];
-        let offsets = [0u32, 3, 6];
-        let (sl, sr, el, er, off) = cand_cols(&start, &end, &offsets);
-        let rb = RunBounds::compute_all(&sl, &sr, &el, &er, &off);
-        let cols = CandidateColumns::new(&sl, &sr, &el, &er, &off, &rb);
-        let w = HyperRect::from_bounds(&[0.25, 0.5], &[0.5, 0.75]).unwrap();
-        for q in [
-            SpatialQuery::intersection(w.clone()),
-            SpatialQuery::containment(w.clone()),
-            SpatialQuery::enclosure(w),
-            SpatialQuery::point_enclosing(vec![0.25, 0.5]),
-            SpatialQuery::point_enclosing(vec![0.5, 1.0]),
-        ] {
-            let want = cand_oracle(&q, &start, &end, &offsets);
-            assert_eq!(kernel_matches(&q, &cols), want, "diverged on {q:?}");
-        }
-    }
-
-    #[test]
-    fn candidate_kernel_handles_runs_longer_than_a_vector() {
-        // One dimension with 70 candidates: several full vector steps
-        // and a ragged tail within a single run.
-        let start: Vec<(Scalar, Scalar, bool)> =
-            (0..70).map(|i| (i as Scalar / 70.0, 1.0, false)).collect();
-        let end: Vec<(Scalar, Scalar, bool)> = (0..70).map(|_| (0.0, 1.0, false)).collect();
-        let offsets = [0u32, 70];
-        let (sl, sr, el, er, off) = cand_cols(&start, &end, &offsets);
-        let rb = RunBounds::compute_all(&sl, &sr, &el, &er, &off);
-        let cols = CandidateColumns::new(&sl, &sr, &el, &er, &off, &rb);
-        let q = SpatialQuery::point_enclosing(vec![0.5]);
-        let want = cand_oracle(&q, &start, &end, &offsets);
-        let matched = want.iter().filter(|&&m| m).count();
-        assert!(matched > 0 && matched < 70);
-        assert_eq!(kernel_matches(&q, &cols), want);
-    }
-
-    #[test]
-    fn candidate_counters_accumulate_and_saturate() {
-        // Two runs: the first is matched through the per-candidate loop,
-        // the second through the matches-all path (full-domain window).
-        let start = [(0.0, 0.5, true), (0.5, 1.0, false), (0.0, 1.0, false)];
-        let end = [(0.0, 0.5, true), (0.5, 1.0, false), (0.0, 1.0, false)];
-        let offsets = [0u32, 2, 3];
-        let (sl, sr, el, er, off) = cand_cols(&start, &end, &offsets);
-        let rb = RunBounds::compute_all(&sl, &sr, &el, &er, &off);
-        let cols = CandidateColumns::new(&sl, &sr, &el, &er, &off, &rb);
-        let q = SpatialQuery::intersection(
-            HyperRect::from_bounds(&[0.6, 0.0], &[0.7, 1.0]).unwrap(),
-        );
-        assert_eq!(cand_oracle(&q, &start, &end, &offsets), [false, true, true]);
-        let mut bounds = QueryBounds::new();
-        bounds.load(&q);
-        let mut counters = [7, u32::MAX - 1, u32::MAX - 1];
-        for _ in 0..3 {
-            count_candidates(&bounds, &cols, &mut counters);
-        }
-        assert_eq!(counters, [7, u32::MAX, u32::MAX], "pinned at the maximum, never wrapped");
-    }
-
-    #[test]
-    fn full_domain_runs_take_the_matches_all_path_bit_identically() {
-        // Dimension 0's candidates are all reachable by a full-domain
-        // interval (the fast path fills the whole run); dimension 1 has
-        // one candidate that fails, forcing the per-candidate loop. The
-        // counts must equal the scalar oracle either way.
-        let start = [
-            (0.0, 0.25, true), (0.25, 0.5, true), (0.5, 1.0, false),
-            (0.0, 0.5, true), (0.5, 0.75, true), (0.75, 1.0, false),
-        ];
-        let end = [
-            (0.0, 0.25, true), (0.25, 0.75, true), (0.75, 1.0, false),
-            (0.0, 0.5, false), (0.5, 1.0, true), (0.0, 1.0, false),
-        ];
-        let offsets = [0u32, 3, 6];
-        let (sl, sr, el, er, off) = cand_cols(&start, &end, &offsets);
-        let rb = RunBounds::compute_all(&sl, &sr, &el, &er, &off);
-        let cols = CandidateColumns::new(&sl, &sr, &el, &er, &off, &rb);
-        // Full domain in dim 0, narrow in dim 1: intersection cannot
-        // discriminate dim 0's run.
-        let w = HyperRect::from_bounds(&[0.0, 0.6], &[1.0, 0.6]).unwrap();
-        let full = HyperRect::from_bounds(&[0.0, 0.0], &[1.0, 1.0]).unwrap();
-        for q in [
-            SpatialQuery::intersection(w),
-            SpatialQuery::intersection(full.clone()),
-            SpatialQuery::containment(full.clone()),
-            SpatialQuery::enclosure(full),
-        ] {
-            let want = cand_oracle(&q, &start, &end, &offsets);
-            assert_eq!(kernel_matches(&q, &cols), want, "diverged on {q:?}");
-        }
-        // Premise: the intersection over the full window really is
-        // all-match on dim 0's run (fast path taken, not vacuous).
-        let q = SpatialQuery::intersection(
-            HyperRect::from_bounds(&[0.0, 0.6], &[1.0, 0.6]).unwrap(),
-        );
-        let want = cand_oracle(&q, &start, &end, &offsets);
-        assert!(want[..3].iter().all(|&m| m), "dim 0 run must be all-match");
     }
 
     #[test]
