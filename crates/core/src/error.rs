@@ -1,5 +1,5 @@
 use acx_geom::GeomError;
-use acx_storage::{StoreError, WalError};
+use acx_storage::{Corruption, StoreError, WalError};
 
 /// Errors raised by the adaptive clustering index.
 #[derive(Debug)]
@@ -81,6 +81,12 @@ impl From<StoreError> for IndexError {
     }
 }
 
+impl From<Corruption> for IndexError {
+    fn from(c: Corruption) -> Self {
+        IndexError::Store(StoreError::Corrupt(c))
+    }
+}
+
 impl From<WalError> for IndexError {
     fn from(e: WalError) -> Self {
         IndexError::Wal(e)
@@ -131,11 +137,11 @@ mod tests {
 
     #[test]
     fn wraps_corrupt_wal_with_record_index() {
-        let we = WalError::Corrupt {
+        let we = WalError::Corrupt(Corruption {
             offset: 44,
             record: 7,
             reason: "checksum mismatch".into(),
-        };
+        });
         let e: IndexError = we.into();
         let text = e.to_string();
         assert!(text.contains("44") && text.contains('7'), "{text}");
@@ -155,7 +161,7 @@ mod tests {
 
     #[test]
     fn store_tail_corruption_carries_fault_context() {
-        let se = StoreError::CorruptTail(acx_storage::TailCorruption {
+        let se = StoreError::Corrupt(Corruption {
             record: 5,
             offset: 1024,
             reason: "record checksum mismatch".into(),

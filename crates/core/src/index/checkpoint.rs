@@ -1,285 +1,312 @@
-//! Checkpoints (paper §6): the cluster tree with its members, led by a
-//! META record of the adaptive state, and the load that turns any file
-//! whose bytes would not make a valid index into a typed error.
+//! Checkpoints (paper §6): the cluster tree with its members and its
+//! adaptive state as one stream of [`acx_storage::frame`] frames, and
+//! the load that turns any file whose bytes would not make a valid index
+//! into a typed error naming the frame it came from.
+//!
+//! ```text
+//! header   "ACXF", version 3, dims, checkpoint id
+//! CLOCKS   the 13 index-wide clocks, u64 each (histories as bit patterns)
+//! per cluster, depth-first from the root, children in their live order:
+//!   CLUSTER  slot u32, parent u32 (u32::MAX for the root), members u32,
+//!            signature (u32 length, bytes), q_count u64, epoch_start u64,
+//!            q_eff f64, weight f64, decay stamp u64, n_hi u32,
+//!            ncand u32, ncand × q u32, ncand × q_eff f64
+//!   MEMBERS  n u32, n × id u32, n × 2·dims f32 — one per chunk of
+//!            members, each under MAX_FRAME, in storage order
+//! FREE     count u32, count × slot u32
+//! MERGES   count u32, count × (signature: u32 length, bytes; pass u64)
+//! END      clusters u32, objects u64
+//! ```
+//!
+//! Signatures are stored with their members, so the tree is rebuilt
+//! from the file alone. A reloaded index has the live one's slots, child
+//! order, member order, statistics and clocks, so it makes the decisions
+//! the live one would. Candidate `n` counters are recounted on load.
 
+use std::collections::HashMap;
 use std::path::Path;
 
-use acx_storage::{ClusterRecord, FileStore, SegmentStore};
+use acx_geom::Scalar;
+use acx_storage::frame::{
+    push_frame, put_bytes, write_atomic, Corruption, Cursor, Frame, Frames, Header, MAX_FRAME,
+};
+use acx_storage::{SegmentStore, StoreError};
 
 use super::{assign_segment, AdaptiveClusterIndex, Clocks, Cluster};
 use crate::candidates::{generate_candidates, StatsArena};
 use crate::signature::Signature;
 use crate::{IndexConfig, IndexError};
 
-/// The parent field of the root's cluster record.
+const MAGIC: [u8; 4] = *b"ACXF";
+/// Version 3: one frame stream (version 2 was a record directory).
+const VERSION: u32 = 3;
+
+const TAG_CLOCKS: u8 = 1;
+const TAG_CLUSTER: u8 = 2;
+const TAG_MEMBERS: u8 = 3;
+const TAG_FREE: u8 = 4;
+const TAG_MERGES: u8 = 5;
+const TAG_END: u8 = 6;
+
+/// The parent field of the root's cluster frame.
 const NO_PARENT: u32 = u32::MAX;
 
-/// Magic prefix of the checkpoint metadata record (record 0 of a
-/// full-fidelity checkpoint). A legacy cluster record cannot collide:
-/// its blob starts with a parent index (`0x4D58_4341` would require
-/// over a billion clusters) and always carries members or a signature
-/// of its own, while the metadata record has no ids and no coords.
-const META_MAGIC: &[u8; 8] = b"ACXMETA1";
+/// Bytes of one member in a `MEMBERS` frame: its id and `2·dims`
+/// coordinates.
+fn member_bytes(dims: usize) -> usize {
+    4 + 8 * dims
+}
+
+/// Members per `MEMBERS` frame: as many as fit under [`MAX_FRAME`]
+/// beside the tag and the count.
+fn chunk_members(dims: usize) -> usize {
+    (MAX_FRAME as usize - 5) / member_bytes(dims)
+}
+
+fn put_u32(out: &mut Vec<u8>, v: usize) {
+    out.extend_from_slice(&(v as u32).to_le_bytes());
+}
 
 impl AdaptiveClusterIndex {
-    /// Persists a full-fidelity checkpoint to `path` following the
-    /// paper's recovery scheme (§6): signatures are stored with the
-    /// member objects behind a one-block directory. A leading metadata
-    /// record additionally carries the adaptive state — per-cluster
-    /// access statistics, candidate query counters, the slot layout,
-    /// and the pass clocks — so a reloaded index resumes making exactly
-    /// the reorganization decisions it would have made without the
-    /// restart (the crash-recovery equivalence the durability suite
-    /// asserts). Candidate `n` counters are *not* persisted: the load
-    /// recounts them exactly from the stored objects.
+    /// Persists a checkpoint to `path` (layout in the module doc),
+    /// replacing it atomically and durably ([`write_atomic`]). A frame
+    /// over [`MAX_FRAME`] fails it as [`StoreError::Io`] (`InvalidInput`)
+    /// before anything is written.
     pub fn save(&self, path: &Path) -> Result<(), IndexError> {
-        let live: Vec<u32> = (0..self.clusters.len() as u32)
-            .filter(|&s| self.clusters[s as usize].is_some())
-            .collect();
-        let mut records = Vec::with_capacity(live.len() + 1);
-        records.push(ClusterRecord {
-            signature: self.checkpoint_meta(&live).encode(),
-            ids: Vec::new(),
-            coords: Vec::new(),
-        });
-        for &slot in &live {
-            let cluster = self.cluster(slot);
-            // Parents stay in slot space: the metadata record carries
-            // the slot of every record, so no densification is needed
-            // (and replayed WAL suffixes address clusters by signature,
-            // which slot fidelity keeps deterministic).
-            let parent = cluster.parent.unwrap_or(NO_PARENT);
-            let mut signature = parent.to_le_bytes().to_vec();
-            signature.extend_from_slice(&cluster.signature.to_bytes());
-            records.push(ClusterRecord {
-                signature,
-                ids: self.store.ids(cluster.segment).to_vec(),
-                coords: self.store.interleaved_coords(cluster.segment),
-            });
-        }
-        FileStore::save(path, self.config.dims, &records)?;
+        let out = self.encode().map_err(StoreError::Io)?;
+        write_atomic(path, &out).map_err(StoreError::Io)?;
         Ok(())
     }
 
-    /// Gathers the adaptive state of the index into the checkpoint
-    /// metadata record. `live` is the ascending slot list matching the
-    /// cluster records that follow the metadata in the file.
-    fn checkpoint_meta(&self, live: &[u32]) -> CheckpointMeta {
-        let clusters = live
-            .iter()
-            .map(|&slot| {
-                let cluster = self.cluster(slot);
-                let cands = self.stats_arena.slice(cluster.candidates);
-                ClusterMeta {
-                    slot,
-                    q_count: cluster.q_count,
-                    epoch_start: cluster.epoch_start,
-                    q_eff: cluster.q_eff,
-                    weight: cluster.weight,
-                    stamp: cands.stamp(),
-                    n_hi: cands.n_hi(),
-                    cand_q: cands.q_col().to_vec(),
-                    cand_q_eff: cands.q_eff_col().to_vec(),
+    /// The checkpoint's bytes.
+    fn encode(&self) -> std::io::Result<Vec<u8>> {
+        let dims = self.config.dims;
+        let header = Header {
+            magic: MAGIC,
+            version: VERSION,
+            dims,
+            checkpoint_id: self.clocks.checkpoint_id,
+        };
+        let mut out = Vec::with_capacity(4096 + self.len() * member_bytes(dims));
+        out.extend_from_slice(&header.encode());
+        push_frame(&mut out, |o| {
+            o.push(TAG_CLOCKS);
+            self.clocks.encode(o);
+        })?;
+        let per_chunk = chunk_members(dims);
+        let mut flat = Vec::with_capacity(2 * dims);
+        let mut stack = vec![self.root];
+        while let Some(slot) = stack.pop() {
+            let cluster = self.cluster(slot);
+            stack.extend(cluster.children.iter().rev());
+            let cands = self.stats_arena.slice(cluster.candidates);
+            let ids = self.store.ids(cluster.segment);
+            push_frame(&mut out, |o| {
+                o.push(TAG_CLUSTER);
+                let parent = cluster.parent.unwrap_or(NO_PARENT);
+                for v in [slot, parent, ids.len() as u32] {
+                    o.extend_from_slice(&v.to_le_bytes());
                 }
-            })
-            .collect();
+                put_bytes(o, &cluster.signature.to_bytes());
+                o.extend_from_slice(&cluster.q_count.to_le_bytes());
+                o.extend_from_slice(&cluster.epoch_start.to_le_bytes());
+                o.extend_from_slice(&cluster.q_eff.to_bits().to_le_bytes());
+                o.extend_from_slice(&cluster.weight.to_bits().to_le_bytes());
+                o.extend_from_slice(&cands.stamp().to_le_bytes());
+                o.extend_from_slice(&cands.n_hi().to_le_bytes());
+                put_u32(o, cands.len());
+                o.extend(cands.q_col().iter().flat_map(|q| q.to_le_bytes()));
+                for q_eff in cands.q_eff_col() {
+                    o.extend_from_slice(&q_eff.to_bits().to_le_bytes());
+                }
+            })?;
+            for (c, chunk) in ids.chunks(per_chunk).enumerate() {
+                push_frame(&mut out, |o| {
+                    o.push(TAG_MEMBERS);
+                    put_u32(o, chunk.len());
+                    o.extend(chunk.iter().flat_map(|id| id.to_le_bytes()));
+                    for k in c * per_chunk..c * per_chunk + chunk.len() {
+                        self.store.read_object_into(cluster.segment, k, &mut flat);
+                        for v in &flat {
+                            o.extend_from_slice(&v.to_le_bytes());
+                        }
+                    }
+                })?;
+            }
+        }
+        push_frame(&mut out, |o| {
+            o.push(TAG_FREE);
+            put_u32(o, self.free_slots.len());
+            o.extend(self.free_slots.iter().flat_map(|s| s.to_le_bytes()));
+        })?;
         // Sorted for a byte-deterministic checkpoint (the map iterates
         // in arbitrary order).
-        let mut recent_merges: Vec<(Vec<u8>, u64)> = self
-            .recent_merges
-            .iter()
-            .map(|(sig, &pass)| (sig.clone(), pass))
-            .collect();
-        recent_merges.sort();
-        CheckpointMeta {
-            clocks: self.clocks,
-            clusters,
-            free_slots: self.free_slots.clone(),
-            recent_merges,
-        }
+        let mut merges: Vec<_> = self.recent_merges.iter().collect();
+        merges.sort();
+        push_frame(&mut out, |o| {
+            o.push(TAG_MERGES);
+            put_u32(o, merges.len());
+            for (signature, pass) in merges {
+                put_bytes(o, signature);
+                o.extend_from_slice(&pass.to_le_bytes());
+            }
+        })?;
+        push_frame(&mut out, |o| {
+            o.push(TAG_END);
+            put_u32(o, self.cluster_count());
+            o.extend_from_slice(&(self.len() as u64).to_le_bytes());
+        })?;
+        Ok(out)
     }
 
     /// Restores an index persisted by [`AdaptiveClusterIndex::save`].
     /// The configuration must use the same dimensionality.
     ///
-    /// Checkpoints carrying the metadata record restore the full
-    /// adaptive state (slot layout, statistics, pass clocks); files
-    /// without one — e.g. hand-built fixtures — load with dense slots
-    /// and zeroed statistics, exactly as before the metadata existed.
-    ///
-    /// A file no live index could have written fails with
-    /// [`acx_storage::StoreError::Corrupt`]: negative or non-finite
-    /// statistics, clocks behind what they stamp, or clusters that are
-    /// not one tree of children within their parents.
+    /// A file no live index could have written — a damaged, unknown or
+    /// misplaced frame, a parent after its child, impossible statistics,
+    /// slots or members, or counts the end frame disagrees with — fails
+    /// with [`StoreError::Corrupt`] naming the frame.
     pub fn load(path: &Path, config: IndexConfig) -> Result<Self, IndexError> {
         config.validate()?;
-        let (dims, records) = FileStore::load(path)?;
-        if dims != config.dims {
+        let bytes = std::fs::read(path).map_err(StoreError::Io)?;
+        let header = Header::parse(&bytes, MAGIC)?
+            .ok_or_else(|| Corruption::new(0, 0, "header cut short"))?;
+        if header.version != VERSION {
+            return Err(StoreError::UnsupportedVersion(header.version).into());
+        }
+        if header.dims != config.dims {
             return Err(IndexError::DimensionMismatch {
                 expected: config.dims,
-                actual: dims,
+                actual: header.dims,
             });
         }
-        let (meta, cluster_records) = match records.first() {
-            Some(first) if CheckpointMeta::is_meta(first) => {
-                let meta = CheckpointMeta::decode(&first.signature).map_err(corrupt)?;
-                meta.validate().map_err(corrupt)?;
-                (Some(meta), &records[1..])
-            }
-            _ => (None, &records[..]),
+        let mut frames = Frames::after_header(&bytes);
+        let clocks_frame = expect(&mut frames, &[TAG_CLOCKS])?;
+        let mut cur = clocks_frame.cursor();
+        let clocks = Clocks::decode(&mut cur)?;
+        cur.finish()?;
+        let same_id = clocks.checkpoint_id == header.checkpoint_id;
+        ensure(same_id, &clocks_frame, || {
+            "checkpoint id differs from the header's".into()
+        })?;
+        let sound = decayed(clocks.hist_verified_bytes) && decayed(clocks.hist_full_bytes);
+        ensure(sound, &clocks_frame, || {
+            "byte history is negative or not finite".into()
+        })?;
+
+        let mut tree = Loading {
+            store: SegmentStore::new(header.dims),
+            stats_arena: StatsArena::new(),
+            segment_cluster: Vec::new(),
+            clusters: Vec::new(),
+            by_slot: HashMap::new(),
+            file_len: bytes.len(),
+            division_factor: config.division_factor,
+            clocks,
         };
-        // The slot of each cluster record: from the metadata when
-        // present (parents are then in slot space), dense otherwise.
-        let slots: Vec<u32> = match &meta {
-            Some(meta) => {
-                if meta.clusters.len() != cluster_records.len() {
-                    return Err(corrupt(format!(
-                        "metadata describes {} clusters but the file holds {}",
-                        meta.clusters.len(),
-                        cluster_records.len()
-                    )));
-                }
-                for pair in meta.clusters.windows(2) {
-                    if pair[1].slot <= pair[0].slot {
-                        return Err(corrupt("cluster slots not strictly ascending".into()));
-                    }
-                }
-                meta.clusters.iter().map(|c| c.slot).collect()
-            }
-            None => (0..cluster_records.len() as u32).collect(),
+        let mut frame = expect(&mut frames, &[TAG_CLUSTER, TAG_FREE])?;
+        while frame.tag() == TAG_CLUSTER {
+            tree.read_cluster(&frame, &mut frames)?;
+            frame = expect(&mut frames, &[TAG_CLUSTER, TAG_FREE])?;
+        }
+        let Some(&(root, _)) = tree.clusters.first() else {
+            return Err(frame.corrupt("no root cluster").into());
         };
-        // Live and free slots partition the slot space (checked below),
-        // so its size is their count — not the highest live slot plus
-        // one: merges can free the topmost slots.
-        let capacity = slots.len() + meta.as_ref().map_or(0, |m| m.free_slots.len());
-        let mut live = vec![false; capacity];
-        for &slot in &slots {
-            *live
-                .get_mut(slot as usize)
-                .ok_or_else(|| corrupt(format!("cluster slot {slot} out of range")))? = true;
+        let mut cur = frame.cursor();
+        let count = cur.u32()? as usize;
+        let free_slots: Vec<u32> = u32s(cur.items(count, 4)?).collect();
+        cur.finish()?;
+        // Live and free slots partition the slot space, so its size is
+        // their count — not the highest live slot plus one: merges can
+        // free the topmost slots. The free list must be exactly the
+        // holes, so recycled slot numbers stay replay-stable.
+        let capacity = tree.clusters.len() + free_slots.len();
+        let mut taken = vec![false; capacity];
+        for (slot, what) in (tree.clusters.iter().map(|c| (c.0, "cluster")))
+            .chain(free_slots.iter().map(|&s| (s, "free")))
+        {
+            let place = taken.get_mut(slot as usize);
+            ensure(
+                place.is_some_and(|t| !std::mem::replace(t, true)),
+                &frame,
+                || format!("{what} slot {slot} is out of range or taken twice"),
+            )?;
         }
-        let f = config.division_factor;
-        let width = 2 * dims;
-        let mut store = SegmentStore::new(dims);
-        let mut stats_arena = StatsArena::new();
-        let mut clusters: Vec<Option<Cluster>> = (0..capacity).map(|_| None).collect();
-        let mut segment_cluster = Vec::with_capacity(cluster_records.len());
-        let mut root = None;
-        for (i, rec) in cluster_records.iter().enumerate() {
-            let slot = slots[i];
-            if rec.signature.len() < 4 {
-                return Err(corrupt(format!("cluster {i}: signature blob too short")));
-            }
-            let parent = u32::from_le_bytes(rec.signature[..4].try_into().unwrap());
-            let signature = Signature::from_bytes(&rec.signature[4..])
-                .ok_or_else(|| corrupt(format!("cluster {i}: undecodable signature")))?;
-            if signature.dims() != dims {
-                return Err(IndexError::DimensionMismatch {
-                    expected: dims,
-                    actual: signature.dims(),
-                });
-            }
-            let segment = store.create(rec.ids.len());
-            assign_segment(&mut segment_cluster, segment, slot);
-            for (k, &oid) in rec.ids.iter().enumerate() {
-                let flat = &rec.coords[k * width..(k + 1) * width];
-                if !signature.accepts_flat(flat) {
-                    return Err(corrupt(format!(
-                        "cluster {i}: object #{oid} violates signature"
-                    )));
-                }
-                if store.contains_object(oid) {
-                    return Err(corrupt(format!("object #{oid} appears in two clusters")));
-                }
-                store.push(segment, oid, flat);
-            }
-            let handle = stats_arena.alloc(&generate_candidates(&signature, f));
-            let mut candidates = stats_arena.slice_mut(handle);
-            candidates.recount_members(&store.columns(segment));
-            let mut cluster = Cluster {
-                signature,
-                parent: None,
-                children: Vec::new(),
-                segment,
-                candidates: handle,
-                q_count: 0,
-                epoch_start: 0,
-                q_eff: 0.0,
-                weight: 0.0,
-            };
-            if let Some(meta) = &meta {
-                let cm = &meta.clusters[i];
-                if cm.cand_q.len() != candidates.len() || cm.cand_q_eff.len() != candidates.len() {
-                    return Err(corrupt(format!(
-                        "cluster {i}: {} persisted candidate counters but the signature \
-                         generates {}",
-                        cm.cand_q.len(),
-                        candidates.len()
-                    )));
-                }
-                candidates.restore_counters(&cm.cand_q, &cm.cand_q_eff, cm.n_hi, cm.stamp);
-                cluster.q_count = cm.q_count;
-                cluster.epoch_start = cm.epoch_start;
-                cluster.q_eff = cm.q_eff;
-                cluster.weight = cm.weight;
-            }
-            if parent == NO_PARENT {
-                if root.replace(slot).is_some() {
-                    return Err(corrupt("multiple root clusters".into()));
-                }
-            } else {
-                if (parent as usize) >= capacity || !live[parent as usize] {
-                    return Err(corrupt(format!("cluster {i}: dangling parent {parent}")));
-                }
-                cluster.parent = Some(parent);
-            }
-            clusters[slot as usize] = Some(cluster);
+
+        let frame = expect(&mut frames, &[TAG_MERGES])?;
+        let mut cur = frame.cursor();
+        let mut recent_merges = HashMap::new();
+        for _ in 0..cur.u32()? {
+            let (signature, pass) = (cur.bytes()?.to_vec(), cur.u64()?);
+            ensure(pass <= clocks.reorganizations, &frame, || {
+                let clock = clocks.reorganizations;
+                format!("a merge is stamped at pass {pass}, after the pass clock {clock}")
+            })?;
+            recent_merges.insert(signature, pass);
         }
-        let root = root.ok_or_else(|| corrupt("no root cluster".into()))?;
-        for &slot in &slots {
-            if let Some(p) = clusters[slot as usize].as_ref().and_then(|c| c.parent) {
-                let parent = clusters[p as usize].as_mut().expect("parents are live");
-                parent.children.push(slot);
-            }
+        cur.finish()?;
+
+        let end = expect(&mut frames, &[TAG_END])?;
+        let mut cur = end.cursor();
+        let counts = (cur.u32()? as usize, cur.u64()?);
+        cur.finish()?;
+        let held = (tree.clusters.len(), tree.store.len() as u64);
+        ensure(counts == held, &end, || {
+            format!(
+                "the end frame counts (clusters, objects) {counts:?}, the stream holds {held:?}"
+            )
+        })?;
+        if let Some(extra) = frames.next() {
+            return Err(extra
+                .map_or_else(|c| c, |f| f.corrupt("a frame after the end frame"))
+                .into());
         }
-        // The free list must be exactly the holes in the slot space, so
-        // recycled slot numbers stay replay-stable (distinct + not live).
-        let free_slots = match &meta {
-            Some(meta) => {
-                let mut seen = vec![false; capacity];
-                for &slot in &meta.free_slots {
-                    if (slot as usize) >= capacity || live[slot as usize] {
-                        return Err(corrupt(format!("free slot {slot} is live or out of range")));
-                    }
-                    if std::mem::replace(&mut seen[slot as usize], true) {
-                        return Err(corrupt(format!("free slot {slot} listed twice")));
-                    }
-                }
-                meta.free_slots.clone()
-            }
-            None => Vec::new(),
-        };
+
+        let mut slots: Vec<Option<Cluster>> = (0..capacity).map(|_| None).collect();
+        for (slot, cluster) in tree.clusters {
+            slots[slot as usize] = Some(cluster);
+        }
         let mut index = Self::with_tree(
             config,
-            store,
-            stats_arena,
-            clusters,
+            tree.store,
+            tree.stats_arena,
+            slots,
             free_slots,
             root,
-            segment_cluster,
+            tree.segment_cluster,
         );
-        index.check_tree().map_err(corrupt)?;
-        if let Some(meta) = meta {
-            index.clocks = meta.clocks;
-            index.recent_merges = meta.recent_merges.into_iter().collect();
-        }
+        index.check_tree().map_err(|why| end.corrupt(why))?;
+        index.clocks = clocks;
+        index.recent_merges = recent_merges;
         Ok(index)
     }
 }
 
-/// Shorthand for a corrupt-checkpoint error.
-fn corrupt(msg: String) -> IndexError {
-    IndexError::Store(acx_storage::StoreError::Corrupt(msg))
+/// `Err` naming `frame` unless `ok`.
+fn ensure(ok: bool, frame: &Frame<'_>, why: impl FnOnce() -> String) -> Result<(), Corruption> {
+    if ok {
+        Ok(())
+    } else {
+        Err(frame.corrupt(why()))
+    }
+}
+
+/// The next frame, which must carry one of `tags`; the stream must not
+/// end before its end frame.
+fn expect<'a>(frames: &mut Frames<'a>, tags: &[u8]) -> Result<Frame<'a>, Corruption> {
+    let frame = match frames.next() {
+        Some(frame) => frame?,
+        None => return Err(frames.corrupt_here("the stream ends before its end frame")),
+    };
+    match frame.tag() {
+        t if tags.contains(&t) => Ok(frame),
+        t @ TAG_CLOCKS..=TAG_END => Err(frame.corrupt(format!("tag {t} out of place"))),
+        t => Err(frame.corrupt(format!("unknown tag {t}"))),
+    }
+}
+
+fn u32s(raw: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    raw.as_chunks().0.iter().map(|&b| u32::from_le_bytes(b))
 }
 
 /// Whether a live index can hold this decayed statistic.
@@ -287,71 +314,136 @@ fn decayed(value: f64) -> bool {
     value.is_finite() && value >= 0.0
 }
 
-/// Per-cluster adaptive state carried by the checkpoint metadata,
-/// aligned record-for-record with the cluster records that follow it.
-struct ClusterMeta {
-    /// The cluster's slot (recycled slot numbers stay stable across a
-    /// save/load cycle, keeping replayed WAL suffixes deterministic).
-    slot: u32,
-    q_count: u64,
-    epoch_start: u64,
-    q_eff: f64,
-    weight: f64,
-    /// The candidate columns' lazy-decay stamp.
-    stamp: u64,
-    /// Cached upper bound on the candidates' member counts.
-    n_hi: u32,
-    /// Per-candidate epoch matching-query counters.
-    cand_q: Vec<u32>,
-    /// Per-candidate decayed matching-query histories.
-    cand_q_eff: Vec<f64>,
-}
-
-/// The adaptive state a checkpoint carries beyond the cluster tree;
-/// everything else (candidate `n` counters, scratch) is recomputed or
-/// safely dropped on load.
-struct CheckpointMeta {
-    /// Its `checkpoint_id` is matched against the WAL header's stamp.
+/// The clusters `load` has read so far, in record order, and what they
+/// are built into.
+struct Loading {
+    store: SegmentStore,
+    stats_arena: StatsArena,
+    segment_cluster: Vec<u32>,
+    clusters: Vec<(u32, Cluster)>,
+    /// Slot → position in `clusters`.
+    by_slot: HashMap<u32, usize>,
+    /// Bounds the member counts cluster frames declare.
+    file_len: usize,
+    division_factor: u8,
     clocks: Clocks,
-    clusters: Vec<ClusterMeta>,
-    free_slots: Vec<u32>,
-    recent_merges: Vec<(Vec<u8>, u64)>,
 }
 
-/// Bounds-checked little-endian reader over the metadata blob.
-struct MetaCursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
+impl Loading {
+    /// Builds the cluster of a `CLUSTER` frame from it and the `MEMBERS`
+    /// frames that follow it, and hangs it under its parent.
+    fn read_cluster(
+        &mut self,
+        frame: &Frame<'_>,
+        frames: &mut Frames<'_>,
+    ) -> Result<(), IndexError> {
+        let dims = self.store.dims();
+        let mut cur = frame.cursor();
+        let slot = cur.u32()?;
+        let parent = cur.u32()?;
+        let members = cur.u32()? as usize;
+        let signature = Signature::from_bytes(cur.bytes()?)
+            .ok_or_else(|| frame.corrupt("undecodable signature"))?;
+        ensure(signature.dims() == dims, frame, || {
+            format!("a {}-dimensional signature", signature.dims())
+        })?;
+        let (q_count, epoch_start) = (cur.u64()?, cur.u64()?);
+        let (q_eff, weight) = (f64::from_bits(cur.u64()?), f64::from_bits(cur.u64()?));
+        let (stamp, n_hi, ncand) = (cur.u64()?, cur.u32()?, cur.u32()? as usize);
+        let handle = self
+            .stats_arena
+            .alloc(&generate_candidates(&signature, self.division_factor));
+        let mut candidates = self.stats_arena.slice_mut(handle);
+        let generated = candidates.len();
+        ensure(ncand == generated, frame, || {
+            format!("{ncand} persisted candidate counters but the signature generates {generated}")
+        })?;
+        let cand_q: Vec<u32> = u32s(cur.items(ncand, 4)?).collect();
+        let cand_q_eff = cur.items(ncand, 8)?.as_chunks().0;
+        let cand_q_eff: Vec<f64> = cand_q_eff.iter().map(|&b| f64::from_le_bytes(b)).collect();
+        cur.finish()?;
+        let (epoch, queries) = (self.clocks.stats_epoch, self.clocks.total_queries);
+        ensure(stamp <= epoch, frame, || {
+            format!("decay stamp {stamp} ahead of the statistics epoch {epoch}")
+        })?;
+        ensure(epoch_start <= queries, frame, || {
+            format!("epoch start {epoch_start} ahead of the query clock {queries}")
+        })?;
+        let sound = decayed(q_eff) && decayed(weight) && cand_q_eff.iter().all(|&v| decayed(v));
+        ensure(sound, frame, || "statistics negative or not finite".into())?;
+        ensure(members <= self.file_len / member_bytes(dims), frame, || {
+            format!("{members} members, more than the file holds")
+        })?;
 
-impl<'a> MetaCursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| format!("checkpoint metadata truncated at byte {}", self.pos))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
+        let parent = match parent {
+            NO_PARENT if self.clusters.is_empty() => None,
+            NO_PARENT => return Err(frame.corrupt("multiple root clusters").into()),
+            p => {
+                let Some(&at) = self.by_slot.get(&p) else {
+                    let why = format!("parent {p} does not come before cluster {slot}");
+                    return Err(frame.corrupt(why).into());
+                };
+                self.clusters[at].1.children.push(slot);
+                Some(p)
+            }
+        };
+        let listed = self.by_slot.insert(slot, self.clusters.len());
+        ensure(listed.is_none(), frame, || {
+            format!("cluster slot {slot} listed twice")
+        })?;
 
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
+        let segment = self.store.create(members);
+        assign_segment(&mut self.segment_cluster, segment, slot);
+        let width = 2 * dims;
+        let mut flat: Vec<Scalar> = Vec::with_capacity(width);
+        let mut read = 0;
+        while read < members {
+            let chunk = expect(frames, &[TAG_MEMBERS])?;
+            let mut cur = chunk.cursor();
+            let n = cur.u32()? as usize;
+            let left = members - read;
+            ensure((1..=left).contains(&n), &chunk, || {
+                format!("a chunk of {n} members where {left} remain")
+            })?;
+            let ids = cur.items(n, 4)?;
+            let coords = cur.items(n, 4 * width)?;
+            cur.finish()?;
+            for (oid, raw) in u32s(ids).zip(coords.chunks_exact(4 * width)) {
+                flat.clear();
+                flat.extend(raw.as_chunks().0.iter().map(|&b| Scalar::from_le_bytes(b)));
+                ensure(signature.accepts_flat(&flat), &chunk, || {
+                    format!("object #{oid} violates its cluster's signature")
+                })?;
+                ensure(!self.store.contains_object(oid), &chunk, || {
+                    format!("object #{oid} appears in two clusters")
+                })?;
+                self.store.push(segment, oid, &flat);
+            }
+            read += n;
+        }
+        candidates.recount_members(&self.store.columns(segment));
+        candidates.restore_counters(&cand_q, &cand_q_eff, n_hi, stamp);
+        self.clusters.push((
+            slot,
+            Cluster {
+                signature,
+                parent,
+                children: Vec::new(),
+                segment,
+                candidates: handle,
+                q_count,
+                epoch_start,
+                q_eff,
+                weight,
+            },
+        ));
+        Ok(())
     }
 }
 
 impl Clocks {
-    /// Appends the clocks in META order, eight little-endian bytes each
-    /// (the histories as their bit patterns).
+    /// Appends the clocks, eight little-endian bytes each (the
+    /// histories as their bit patterns).
     fn encode(&self, out: &mut Vec<u8>) {
         for v in [
             self.checkpoint_id,
@@ -373,7 +465,7 @@ impl Clocks {
     }
 
     /// Reads what [`Clocks::encode`] wrote (fields initialize in order).
-    fn decode(cur: &mut MetaCursor<'_>) -> Result<Self, String> {
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, Corruption> {
         Ok(Self {
             checkpoint_id: cur.u64()?,
             total_queries: cur.u64()?,
@@ -386,141 +478,8 @@ impl Clocks {
             total_thrash: cur.u64()?,
             epoch_verified_bytes: cur.u64()?,
             epoch_full_bytes: cur.u64()?,
-            hist_verified_bytes: cur.f64()?,
-            hist_full_bytes: cur.f64()?,
+            hist_verified_bytes: f64::from_bits(cur.u64()?),
+            hist_full_bytes: f64::from_bits(cur.u64()?),
         })
-    }
-}
-
-impl CheckpointMeta {
-    /// Whether a store record is the checkpoint metadata record.
-    fn is_meta(record: &ClusterRecord) -> bool {
-        record.ids.is_empty()
-            && record.coords.is_empty()
-            && record.signature.starts_with(META_MAGIC)
-    }
-
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(META_MAGIC);
-        self.clocks.encode(&mut out);
-        out.extend_from_slice(&(self.clusters.len() as u32).to_le_bytes());
-        for c in &self.clusters {
-            out.extend_from_slice(&c.slot.to_le_bytes());
-            out.extend_from_slice(&c.q_count.to_le_bytes());
-            out.extend_from_slice(&c.epoch_start.to_le_bytes());
-            out.extend_from_slice(&c.q_eff.to_bits().to_le_bytes());
-            out.extend_from_slice(&c.weight.to_bits().to_le_bytes());
-            out.extend_from_slice(&c.stamp.to_le_bytes());
-            out.extend_from_slice(&c.n_hi.to_le_bytes());
-            out.extend_from_slice(&(c.cand_q.len() as u32).to_le_bytes());
-            for &q in &c.cand_q {
-                out.extend_from_slice(&q.to_le_bytes());
-            }
-            for &q_eff in &c.cand_q_eff {
-                out.extend_from_slice(&q_eff.to_bits().to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&(self.free_slots.len() as u32).to_le_bytes());
-        for &slot in &self.free_slots {
-            out.extend_from_slice(&slot.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.recent_merges.len() as u32).to_le_bytes());
-        for (signature, pass) in &self.recent_merges {
-            out.extend_from_slice(&(signature.len() as u32).to_le_bytes());
-            out.extend_from_slice(signature);
-            out.extend_from_slice(&pass.to_le_bytes());
-        }
-        out
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self, String> {
-        let mut cur = MetaCursor { bytes, pos: 0 };
-        if cur.take(META_MAGIC.len())? != META_MAGIC {
-            return Err("checkpoint metadata magic mismatch".into());
-        }
-        let clocks = Clocks::decode(&mut cur)?;
-        let cluster_count = cur.u32()?;
-        let mut clusters = Vec::new();
-        for _ in 0..cluster_count {
-            // Fields initialize in the order written: the encoding's.
-            let mut c = ClusterMeta {
-                slot: cur.u32()?,
-                q_count: cur.u64()?,
-                epoch_start: cur.u64()?,
-                q_eff: cur.f64()?,
-                weight: cur.f64()?,
-                stamp: cur.u64()?,
-                n_hi: cur.u32()?,
-                cand_q: Vec::new(),
-                cand_q_eff: Vec::new(),
-            };
-            let ncand = cur.u32()?;
-            c.cand_q = (0..ncand).map(|_| cur.u32()).collect::<Result<_, _>>()?;
-            c.cand_q_eff = (0..ncand).map(|_| cur.f64()).collect::<Result<_, _>>()?;
-            clusters.push(c);
-        }
-        let free_count = cur.u32()?;
-        let free_slots = (0..free_count)
-            .map(|_| cur.u32())
-            .collect::<Result<_, _>>()?;
-        let merge_count = cur.u32()?;
-        let mut recent_merges = Vec::new();
-        for _ in 0..merge_count {
-            let len = cur.u32()? as usize;
-            recent_merges.push((cur.take(len)?.to_vec(), cur.u64()?));
-        }
-        if cur.pos != bytes.len() {
-            return Err(format!(
-                "checkpoint metadata has {} trailing bytes",
-                bytes.len() - cur.pos
-            ));
-        }
-        Ok(Self {
-            clocks,
-            clusters,
-            free_slots,
-            recent_merges,
-        })
-    }
-
-    /// Rejects statistics no live index holds, which the next pass would
-    /// overflow on or price unsoundly.
-    fn validate(&self) -> Result<(), String> {
-        let clocks = &self.clocks;
-        if !(decayed(clocks.hist_verified_bytes) && decayed(clocks.hist_full_bytes)) {
-            return Err("byte history is negative or not finite".into());
-        }
-        for (i, cm) in self.clusters.iter().enumerate() {
-            if cm.stamp > clocks.stats_epoch {
-                return Err(format!(
-                    "cluster {i}: decay stamp {} ahead of the statistics epoch {}",
-                    cm.stamp, clocks.stats_epoch
-                ));
-            }
-            if cm.epoch_start > clocks.total_queries {
-                return Err(format!(
-                    "cluster {i}: epoch start {} ahead of the query clock {}",
-                    cm.epoch_start, clocks.total_queries
-                ));
-            }
-            if !(decayed(cm.q_eff)
-                && decayed(cm.weight)
-                && cm.cand_q_eff.iter().all(|&v| decayed(v)))
-            {
-                return Err(format!("cluster {i}: statistics negative or not finite"));
-            }
-        }
-        if let Some((_, at)) = self
-            .recent_merges
-            .iter()
-            .find(|(_, at)| *at > clocks.reorganizations)
-        {
-            return Err(format!(
-                "a merge is stamped at pass {at}, after the pass clock {}",
-                clocks.reorganizations
-            ));
-        }
-        Ok(())
     }
 }

@@ -44,7 +44,7 @@ fn probabilities_tie(a: f64, b: f64) -> bool {
 }
 
 /// The index-wide clocks and counters, in the order the checkpoint's
-/// META record stores them (`checkpoint.rs` encodes them in one place).
+/// clocks frame stores them (`checkpoint.rs` encodes them in one place).
 #[derive(Debug, Clone, Copy, Default)]
 struct Clocks {
     /// Id of the last completed checkpoint (0 = never), also stamped

@@ -106,8 +106,8 @@ impl AdaptiveClusterIndex {
     /// attached WAL: the checkpoint now carries everything the log
     /// recorded, so recovery needs only the records appended after it.
     ///
-    /// The two steps are coupled by a checkpoint id: the saved META
-    /// record and the truncated log's header both carry the new id. A
+    /// The two steps are coupled by a checkpoint id: the saved
+    /// checkpoint and the truncated log's header both carry the new id. A
     /// crash *between* them leaves the new checkpoint next to a log
     /// still stamped with the previous id — recovery detects the stale
     /// stamp and discards those records instead of double-applying
@@ -123,7 +123,7 @@ impl AdaptiveClusterIndex {
     pub fn checkpoint(&mut self, path: &Path) -> Result<(), IndexError> {
         self.order_segments();
         let id = self.clocks.checkpoint_id + 1;
-        // The META record encodes the current id: bump before the save,
+        // The checkpoint encodes the current id: bump before the save,
         // roll back if it fails so a retry reuses the id.
         self.clocks.checkpoint_id = id;
         if let Err(e) = self.save(path) {

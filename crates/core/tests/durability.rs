@@ -19,9 +19,10 @@ use std::path::PathBuf;
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, IndexError};
 use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery};
+use acx_storage::frame::Frames;
 use acx_storage::{
-    BackingStore, FaultInjector, FaultPlan, FileStore, FlushPolicy, MemBacking, StorageScenario,
-    Wal, WalRecord,
+    BackingStore, FaultInjector, FaultPlan, FlushPolicy, MemBacking, StorageScenario, Wal,
+    WalRecord,
 };
 use proptest::prelude::*;
 
@@ -131,18 +132,6 @@ fn churn_until_compaction(index: &mut AdaptiveClusterIndex) {
         }
     }
     panic!("the alternating hotspot never forced an arena compaction");
-}
-
-/// Every cluster's snapshot, ascending by slot. A checkpoint does not
-/// record the order of a cluster's children (a reload lists them by
-/// slot, the live index in creation order; they differ once a merge
-/// freed a slot that a later materialization recycled), so depth-first
-/// *order* is compared across a reload only up to that permutation;
-/// every field of every snapshot is compared exactly.
-fn snapshots_by_id(index: &AdaptiveClusterIndex) -> Vec<acx_core::ClusterSnapshot> {
-    let mut snapshots = index.snapshots();
-    snapshots.sort_by_key(|s| s.id);
-    snapshots
 }
 
 /// The membership ground truth of a surviving WAL prefix: membership
@@ -295,8 +284,10 @@ proptest! {
 
     /// Bit-identical checkpoints on both sides of
     /// [`IndexConfig::reference`]: a save/load round-trip preserves the
-    /// `ClusterSnapshot`s exactly (statistics included), and original
-    /// and reloaded index make identical decisions on the next pass.
+    /// `ClusterSnapshot`s exactly, in depth-first order and statistics
+    /// included, queries match the same objects in the same order, and
+    /// original and reloaded index make identical decisions on the next
+    /// pass.
     ///
     /// The saved index has compacted its statistics arena at least once
     /// (`churn_until_compaction`), while a reload rebuilds a dense one —
@@ -322,7 +313,7 @@ proptest! {
         let mut reloaded = result.unwrap();
         reloaded.check_invariants().map_err(TestCaseError::fail)?;
 
-        prop_assert_eq!(snapshots_by_id(&reloaded), snapshots_by_id(&index));
+        prop_assert_eq!(reloaded.snapshots(), index.snapshots());
         prop_assert_eq!(reloaded.total_queries(), index.total_queries());
         prop_assert_eq!(reloaded.reorganizations(), index.reorganizations());
         prop_assert_eq!(reloaded.verify_fraction(), index.verify_fraction());
@@ -335,13 +326,10 @@ proptest! {
         ] {
             let (a, b) = (index.execute(&probe), reloaded.execute(&probe));
             prop_assert_eq!(a.metrics.stats, b.metrics.stats);
-            let (mut a, mut b) = (a.matches, b.matches);
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b);
+            prop_assert_eq!(a.matches, b.matches);
         }
         prop_assert_eq!(index.reorganize(), reloaded.reorganize());
-        prop_assert_eq!(snapshots_by_id(&reloaded), snapshots_by_id(&index));
+        prop_assert_eq!(reloaded.snapshots(), index.snapshots());
     }
 }
 
@@ -653,6 +641,42 @@ fn crash_between_checkpoint_save_and_wal_reset_does_not_double_apply() {
     assert!(replay.records.is_empty());
 }
 
+/// A configuration `validate` accepts can give the root more candidate
+/// counters than one frame holds: 50 dims × 240·241/2 subintervals is
+/// about 17 MB of them. The save refuses before writing anything, and
+/// `checkpoint` keeps the log and its checkpoint id, so no logged
+/// mutation is lost to a file `load` would refuse.
+#[test]
+fn a_checkpoint_over_the_frame_cap_fails_and_keeps_the_log() {
+    let dims = 50;
+    let mut config = IndexConfig::memory(dims);
+    config.division_factor = 240;
+    let mut index = AdaptiveClusterIndex::new(config).unwrap();
+    index
+        .attach_wal(mem_wal(dims, FlushPolicy::PerRecord))
+        .unwrap();
+    for i in 0..3u32 {
+        let lo = vec![0.3 * i as Scalar; dims];
+        let hi = vec![0.3 * i as Scalar + 0.1; dims];
+        let rect = HyperRect::from_bounds(&lo, &hi).unwrap();
+        index.insert(ObjectId(i), rect).unwrap();
+    }
+    let path = temp_path("over-cap");
+    let err = index.checkpoint(&path).unwrap_err();
+    let invalid = Some(std::io::ErrorKind::InvalidInput);
+    assert!(
+        matches!(&err, IndexError::Store(e) if e.io_kind() == invalid),
+        "{err:?}"
+    );
+    let mut tmp = path.clone().into_os_string();
+    tmp.push(".tmp");
+    assert!(!path.exists() && !PathBuf::from(tmp).exists());
+    let mut log = MemBacking::from_bytes(wal_bytes(&mut index));
+    let replay = Wal::replay(&mut log).unwrap();
+    assert_eq!(replay.checkpoint_id, Some(0));
+    assert_eq!(replay.records.len(), 3);
+}
+
 #[test]
 fn recovery_refuses_a_log_newer_than_its_checkpoint() {
     // A log already truncated by checkpoint 1, recovered without that
@@ -761,18 +785,97 @@ fn recovered_index_answers_like_the_live_one_and_comes_back_ordered() {
         assert_eq!(live, back, "{probe:?}");
     }
 
-    // A checkpoint lists members in storage order.
+    // A checkpoint lists each cluster's members in storage order, over
+    // as many member frames as it takes.
     let path = temp_path("ordered");
     recovered.save(&path).unwrap();
-    let (dims, records) = FileStore::load(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
     let mut members = 0;
-    for record in &records {
-        let keys: Vec<Scalar> = record.coords.chunks_exact(2 * dims).map(|c| c[0]).collect();
-        assert!(keys.windows(2).all(|w| w[0] <= w[1]), "a segment came back out of order");
-        members += keys.len();
+    let mut keys: Vec<Scalar> = Vec::new();
+    for frame in Frames::after_header(&bytes) {
+        let frame = frame.unwrap();
+        match frame.tag() {
+            // A cluster frame starts the next cluster's members.
+            2 => keys.clear(),
+            // A member frame: `n`, `n` ids, `n` × 4 coordinates.
+            3 => {
+                let mut cur = frame.cursor();
+                let n = cur.u32().unwrap() as usize;
+                cur.items(n, 4).unwrap();
+                let coords = cur.items(n, 16).unwrap();
+                keys.extend(
+                    coords
+                        .chunks_exact(16)
+                        .map(|c| Scalar::from_le_bytes(c[..4].try_into().unwrap())),
+                );
+                assert!(
+                    keys.windows(2).all(|w| w[0] <= w[1]),
+                    "a segment came back out of order"
+                );
+                members += n;
+            }
+            _ => {}
+        }
     }
     assert_eq!(members, recovered.len());
+}
+
+/// The save's temp file is the checkpoint's name with `.tmp` appended:
+/// a user's `state.tmp` beside `state.ckpt` keeps its bytes, and two
+/// checkpoints that differ only in extension do not share a temp file.
+#[test]
+fn save_leaves_a_neighbouring_tmp_file_alone() {
+    let dir = temp_path("neighbour");
+    std::fs::create_dir_all(&dir).unwrap();
+    let neighbour = dir.join("state.tmp");
+    std::fs::write(&neighbour, b"user data").unwrap();
+    let index = AdaptiveClusterIndex::new(IndexConfig::memory(2)).unwrap();
+    index.save(&dir.join("state.ckpt")).unwrap();
+    index.save(&dir.join("state.other")).unwrap();
+    assert_eq!(std::fs::read(&neighbour).unwrap(), b"user data");
+    let mut names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["state.ckpt", "state.other", "state.tmp"]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A merge frees a slot and a later split recycles it, so the live
+/// index lists that child after siblings with higher slots. A reload
+/// keeps the live order: `snapshots()` and a query's matches come back
+/// in the same order, not just as the same sets.
+#[test]
+fn a_reload_keeps_the_child_order_of_a_recycled_slot() {
+    let mut index = AdaptiveClusterIndex::new(config_2d()).unwrap();
+    churn_until_compaction(&mut index);
+    let snapshots = index.snapshots();
+    let recycled = snapshots.iter().any(|s| {
+        let siblings: Vec<u32> = snapshots
+            .iter()
+            .filter(|t| t.parent == s.parent && t.parent.is_some())
+            .map(|t| t.id)
+            .collect();
+        // Depth-first order pops children last-first: a sibling list
+        // in creation order reads descending unless a slot was recycled.
+        siblings.windows(2).any(|w| w[0] < w[1])
+    });
+    assert!(
+        recycled,
+        "test premise: a recycled slot sits among its siblings out of slot order"
+    );
+
+    let path = temp_path("recycled");
+    index.save(&path).unwrap();
+    let reloaded = AdaptiveClusterIndex::load(&path, config_2d());
+    std::fs::remove_file(&path).unwrap();
+    let reloaded = reloaded.unwrap();
+    assert_eq!(reloaded.snapshots(), index.snapshots());
+    let window = HyperRect::from_bounds(&[0.0, 0.0], &[1.0, 1.0]).unwrap();
+    let probe = SpatialQuery::intersection(window);
+    assert_eq!(reloaded.query(&probe).matches, index.query(&probe).matches);
 }
 
 // ---------------------------------------------------------------------

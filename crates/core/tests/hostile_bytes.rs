@@ -2,10 +2,10 @@
 //! load or replay into a typed error or a valid index — never a panic,
 //! never a failed invariant — and so must the mutations that write them.
 //!
-//! The checkpoint cases change 1–3 bytes of the META record or of one
-//! cluster record and re-frame the file through `FileStore::save`, so the
-//! change gets past the CRC and reaches the decoder and `load`'s checks;
-//! the reloaded index then runs three rounds of queries and a pass. The
+//! The checkpoint cases change 1–3 payload bytes of one checkpoint frame
+//! and re-frame the file through the public frame codec, so the change
+//! gets past the CRC and reaches `load`'s decoding and checks; the
+//! reloaded index then runs three rounds of queries and a pass. The
 //! WAL cases change one byte of one record's payload, keep the case only
 //! if `WalRecord::decode` still accepts it, re-append the whole stream to
 //! a fresh log and recover it; the recovered index then runs 120 queries.
@@ -20,9 +20,8 @@ use std::sync::OnceLock;
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, IndexError};
 use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery};
-use acx_storage::{
-    ClusterRecord, FileStore, FlushPolicy, MemBacking, StorageScenario, StoreError, Wal, WalRecord,
-};
+use acx_storage::frame::{push_frame, Frames, HEADER_LEN, MAX_FRAME};
+use acx_storage::{FlushPolicy, MemBacking, StorageScenario, StoreError, Wal, WalRecord};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -58,11 +57,38 @@ fn run_round(index: &mut AdaptiveClusterIndex, round: u32) {
     index.reorganize();
 }
 
-/// The records of a checkpoint and the log of a 3-d index after ten
-/// rounds of the adversary: several clusters, merges within the thrash
-/// window, and structural records in the log. Built once per run.
-fn fixture() -> &'static (Vec<ClusterRecord>, Vec<u8>) {
-    static FIXTURE: OnceLock<(Vec<ClusterRecord>, Vec<u8>)> = OnceLock::new();
+/// A checkpoint as its header and its frames' payloads (tag first).
+#[derive(Clone)]
+struct Checkpoint {
+    header: Vec<u8>,
+    frames: Vec<Vec<u8>>,
+}
+
+impl Checkpoint {
+    fn parse(bytes: &[u8]) -> Self {
+        Checkpoint {
+            header: bytes[..HEADER_LEN].to_vec(),
+            frames: Frames::after_header(bytes)
+                .map(|f| f.unwrap().payload().to_vec())
+                .collect(),
+        }
+    }
+
+    /// The file: the header, then each payload framed by the codec.
+    fn bytes(&self) -> Vec<u8> {
+        let mut out = self.header.clone();
+        for payload in &self.frames {
+            push_frame(&mut out, |o| o.extend_from_slice(payload)).unwrap();
+        }
+        out
+    }
+}
+
+/// The checkpoint and the log of a 3-d index after ten rounds of the
+/// adversary: several clusters, merges within the thrash window, and
+/// structural records in the log. Built once per run.
+fn fixture() -> &'static (Checkpoint, Vec<u8>) {
+    static FIXTURE: OnceLock<(Checkpoint, Vec<u8>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let mut index = AdaptiveClusterIndex::new(config()).unwrap();
         index.attach_wal(mem_wal()).unwrap();
@@ -84,10 +110,10 @@ fn fixture() -> &'static (Vec<ClusterRecord>, Vec<u8>) {
         assert!(index.total_merges() > 0, "test premise: the index merged");
         let path = temp_path("fixture");
         index.save(&path).unwrap();
-        let (_, records) = FileStore::load(&path).unwrap();
+        let checkpoint = Checkpoint::parse(&std::fs::read(&path).unwrap());
         std::fs::remove_file(&path).unwrap();
         let mut store = index.detach_wal().unwrap().into_store();
-        (records, store.read_durable().unwrap())
+        (checkpoint, store.read_durable().unwrap())
     })
 }
 
@@ -117,35 +143,16 @@ fn outcome(case: impl FnOnce() -> Result<Result<(), String>, IndexError>) -> Out
     }
 }
 
-/// Changes 1–3 bytes of a record as the file lays it out: the
-/// signature blob, then the ids, then the coordinates.
-fn mutate_record(record: &mut ClusterRecord, rng: &mut StdRng) {
-    let mut bytes = record.signature.clone();
-    bytes.extend(record.ids.iter().flat_map(|id| id.to_le_bytes()));
-    bytes.extend(record.coords.iter().flat_map(|c| c.to_le_bytes()));
-    for _ in 0..rng.gen_range(1..=3) {
-        let at = rng.gen_range(0..bytes.len());
-        bytes[at] ^= rng.gen_range(1..=255u8);
-    }
-    let (signature, rest) = bytes.split_at(record.signature.len());
-    let (ids, coords) = rest.split_at(4 * record.ids.len());
-    record.signature = signature.to_vec();
-    record.ids = ids
-        .chunks_exact(4)
-        .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-        .collect();
-    record.coords = coords
-        .chunks_exact(4)
-        .map(|b| Scalar::from_le_bytes(b.try_into().unwrap()))
-        .collect();
-}
-
 fn checkpoint_case(seed: u64, path: &Path) -> Outcome {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut records = fixture().0.clone();
-    let target = rng.gen_range(0..records.len());
-    mutate_record(&mut records[target], &mut rng);
-    FileStore::save(path, DIMS, &records).unwrap();
+    let mut checkpoint = fixture().0.clone();
+    let target = rng.gen_range(0..checkpoint.frames.len());
+    let payload = &mut checkpoint.frames[target];
+    for _ in 0..rng.gen_range(1..=3) {
+        let at = rng.gen_range(0..payload.len());
+        payload[at] ^= rng.gen_range(1..=255u8);
+    }
+    std::fs::write(path, checkpoint.bytes()).unwrap();
     outcome(|| {
         let mut index = AdaptiveClusterIndex::load(path, config())?;
         for round in 0..3 {
@@ -319,66 +326,67 @@ fn a_logged_insert_outside_the_domain_fails_recovery_with_a_typed_error() {
     );
 }
 
-/// Offsets into the fixture's META record: after the magic and 13
-/// clocks, per cluster `slot u32, q_count u64, epoch_start u64, q_eff
-/// f64, weight f64, stamp u64, n_hi u32, ncand u32`, the `q` and then the
-/// `q_eff` column; then the free list; then the recent merges as
-/// `(len u32, signature, pass u64)`.
-struct MetaLayout {
-    /// Each cluster's slot and where its candidate `q_eff` column starts.
-    clusters: Vec<(u32, usize)>,
-    /// Where each recent merge's pass stamp lies.
-    merge_passes: Vec<usize>,
+const TAG_CLUSTER: u8 = 2;
+const TAG_MERGES: u8 = 5;
+
+/// Offset of `reorganizations`, the fifth clock, in the clocks payload.
+const REORGANIZATIONS: usize = 1 + 4 * 8;
+
+fn u32_at(payload: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(payload[at..at + 4].try_into().unwrap())
 }
 
-/// Offset of `reorganizations`, the fifth clock.
-const REORGANIZATIONS: usize = 8 + 4 * 8;
-
-fn meta_layout(blob: &[u8]) -> MetaLayout {
-    let u32_at = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
-    let mut at = 8 + 13 * 8;
-    let count = u32_at(at);
-    at += 4;
-    let mut clusters = Vec::new();
-    for _ in 0..count {
-        let slot = u32_at(at);
-        at += 4 + 8 + 8 + 8 + 8 + 8 + 4;
-        let ncand = u32_at(at) as usize;
-        at += 4 + 4 * ncand;
-        clusters.push((slot, at));
-        at += 8 * ncand;
-    }
-    at += 4 + 4 * u32_at(at) as usize;
-    let merges = u32_at(at);
-    at += 4;
-    let mut merge_passes = Vec::new();
-    for _ in 0..merges {
-        at += 4 + u32_at(at) as usize;
-        merge_passes.push(at);
-        at += 8;
-    }
-    assert_eq!(at, blob.len(), "META layout");
-    MetaLayout {
-        clusters,
-        merge_passes,
-    }
+/// A cluster frame's fields by payload offset: tag, `slot`, `parent`,
+/// `members`, the signature's length and bytes, 44 bytes of counters,
+/// `ncand`, the `q` and then the `q_eff` column.
+struct ClusterFrame {
+    /// Index of the frame in the checkpoint.
+    frame: usize,
+    slot: u32,
+    parent: u32,
+    /// Where the signature's bytes start.
+    signature: usize,
+    /// Where the candidate `q_eff` column starts.
+    q_eff: usize,
 }
 
-/// The index and slot of a cluster record that is not the root's.
-fn child_record(records: &[ClusterRecord]) -> (usize, u32) {
-    let layout = meta_layout(&records[0].signature);
-    let i = (1..records.len())
-        .find(|&i| records[i].signature[..4] != u32::MAX.to_le_bytes())
-        .expect("test premise: a child cluster");
-    (i, layout.clusters[i - 1].0)
+fn cluster_frames(checkpoint: &Checkpoint) -> Vec<ClusterFrame> {
+    let frames = checkpoint.frames.iter().enumerate();
+    frames
+        .filter(|(_, p)| p[0] == TAG_CLUSTER)
+        .map(|(frame, p)| {
+            let signature = 17;
+            let counters = signature + u32_at(p, 13) as usize;
+            let ncand = u32_at(p, counters + 44) as usize;
+            ClusterFrame {
+                frame,
+                slot: u32_at(p, 1),
+                parent: u32_at(p, 5),
+                signature,
+                q_eff: counters + 48 + 4 * ncand,
+            }
+        })
+        .collect()
 }
 
-/// Loads the fixture's checkpoint after `patch` changed its records.
-fn load_patched(tag: &str, patch: impl FnOnce(&mut [ClusterRecord])) -> Result<(), IndexError> {
-    let mut records = fixture().0.clone();
-    patch(&mut records);
+/// The first cluster frame that is not the root's.
+fn child_frame(checkpoint: &Checkpoint) -> ClusterFrame {
+    cluster_frames(checkpoint)
+        .into_iter()
+        .find(|c| c.parent != u32::MAX)
+        .expect("test premise: a child cluster")
+}
+
+/// Loads the fixture's checkpoint after `patch` changed its frames.
+fn load_patched(tag: &str, patch: impl FnOnce(&mut Checkpoint)) -> Result<(), IndexError> {
+    let mut checkpoint = fixture().0.clone();
+    patch(&mut checkpoint);
+    load_bytes(tag, &checkpoint.bytes())
+}
+
+fn load_bytes(tag: &str, bytes: &[u8]) -> Result<(), IndexError> {
     let path = temp_path(tag);
-    FileStore::save(&path, DIMS, &records).unwrap();
+    std::fs::write(&path, bytes).unwrap();
     let loaded = AdaptiveClusterIndex::load(&path, config());
     std::fs::remove_file(&path).unwrap();
     loaded.map(|_| ())
@@ -386,8 +394,8 @@ fn load_patched(tag: &str, patch: impl FnOnce(&mut [ClusterRecord])) -> Result<(
 
 fn assert_corrupt(loaded: Result<(), IndexError>, why: &str) {
     match loaded {
-        Err(IndexError::Store(StoreError::Corrupt(detail))) => {
-            assert!(detail.contains(why), "{detail}")
+        Err(IndexError::Store(StoreError::Corrupt(c))) => {
+            assert!(c.reason.contains(why), "{c}")
         }
         Err(other) => panic!("expected a corrupt checkpoint ({why}), got {other}"),
         Ok(()) => panic!("a checkpoint that should fail with \"{why}\" loaded"),
@@ -397,15 +405,18 @@ fn assert_corrupt(loaded: Result<(), IndexError>, why: &str) {
 /// The pass clock would underflow at the next epoch close.
 #[test]
 fn a_merge_stamped_after_the_pass_clock_is_corrupt() {
-    let loaded = load_patched("late-merge", |records| {
-        let blob = &mut records[0].signature;
-        let at = *meta_layout(blob)
-            .merge_passes
-            .first()
-            .expect("test premise: a recent merge");
-        let passes = &blob[REORGANIZATIONS..REORGANIZATIONS + 8];
+    let loaded = load_patched("late-merge", |checkpoint| {
+        let passes = &checkpoint.frames[0][REORGANIZATIONS..REORGANIZATIONS + 8];
         let passes = u64::from_le_bytes(passes.try_into().unwrap());
-        blob[at..at + 8].copy_from_slice(&(passes + 5).to_le_bytes());
+        let merges = checkpoint
+            .frames
+            .iter_mut()
+            .find(|p| p[0] == TAG_MERGES)
+            .unwrap();
+        assert!(u32_at(merges, 1) > 0, "test premise: a recent merge");
+        // The first merge's pass follows its signature.
+        let at = 5 + 4 + u32_at(merges, 5) as usize;
+        merges[at..at + 8].copy_from_slice(&(passes + 5).to_le_bytes());
     });
     assert_corrupt(loaded, "after the pass clock");
 }
@@ -414,10 +425,11 @@ fn a_merge_stamped_after_the_pass_clock_is_corrupt() {
 #[test]
 fn a_negative_or_non_finite_candidate_history_is_corrupt() {
     for value in [-1.0, f64::NAN, f64::INFINITY] {
-        let loaded = load_patched("bad-history", |records| {
-            let blob = &mut records[0].signature;
-            let (_, at) = meta_layout(blob).clusters[0];
-            blob[at..at + 8].copy_from_slice(&value.to_bits().to_le_bytes());
+        let loaded = load_patched("bad-history", |checkpoint| {
+            let root = &cluster_frames(checkpoint)[0];
+            let payload = &mut checkpoint.frames[root.frame];
+            let at = root.q_eff;
+            payload[at..at + 8].copy_from_slice(&value.to_bits().to_le_bytes());
         });
         assert_corrupt(loaded, "negative or not finite");
     }
@@ -426,26 +438,26 @@ fn a_negative_or_non_finite_candidate_history_is_corrupt() {
 /// Its members would vanish from every answer.
 #[test]
 fn a_cluster_that_is_its_own_parent_is_corrupt() {
-    let loaded = load_patched("self-parent", |records| {
-        let (i, slot) = child_record(records);
-        records[i].signature[..4].copy_from_slice(&slot.to_le_bytes());
+    let loaded = load_patched("self-parent", |checkpoint| {
+        let child = child_frame(checkpoint);
+        checkpoint.frames[child.frame][5..9].copy_from_slice(&child.slot.to_le_bytes());
     });
-    assert_corrupt(loaded, "reachable from the root");
+    assert_corrupt(loaded, "does not come before");
 }
 
 /// A merge would hand the parent members its signature rejects.
 #[test]
 fn a_child_wider_than_its_parent_is_corrupt() {
-    let loaded = load_patched("wide-child", |records| {
-        let (i, _) = child_record(records);
-        // Past the parent field and the dimension count, 18 bytes per
-        // dimension: start and end intervals as `lo f32, hi f32, open u8`.
-        // Widen both intervals of a dimension the child does not
-        // specialize to `[-1, 2]`: its candidates stay the same, its
-        // members stay accepted, and no parent contains it.
-        let sig = &mut records[i].signature;
+    let loaded = load_patched("wide-child", |checkpoint| {
+        let child = child_frame(checkpoint);
+        // Past the dimension count, 18 bytes per dimension: start and
+        // end intervals as `lo f32, hi f32, open u8`. Widen both
+        // intervals of a dimension the child does not specialize to
+        // `[-1, 2]`: its candidates stay the same, its members stay
+        // accepted, and no parent contains it.
+        let sig = &mut checkpoint.frames[child.frame][child.signature..];
         let d = (0..DIMS)
-            .map(|d| 6 + 18 * d)
+            .map(|d| 2 + 18 * d)
             .find(|&at| sig[at..at + 9] == sig[at + 9..at + 18])
             .expect("test premise: an unspecialized dimension");
         for at in [d, d + 9] {
@@ -454,4 +466,99 @@ fn a_child_wider_than_its_parent_is_corrupt() {
         }
     });
     assert_corrupt(loaded, "not within its parent");
+}
+
+/// A child's frames moved ahead of its parent's: the parent it names
+/// is not yet known.
+#[test]
+fn a_child_before_its_parent_is_corrupt() {
+    let loaded = load_patched("child-first", |checkpoint| {
+        let child = child_frame(checkpoint).frame;
+        // The child and its member frames, up to the next cluster or
+        // the free-slot frame.
+        let end = (child + 1..checkpoint.frames.len())
+            .find(|&i| checkpoint.frames[i][0] != 3)
+            .unwrap();
+        let moved: Vec<_> = checkpoint.frames.drain(child..end).collect();
+        // Right after the clocks, before the root.
+        checkpoint.frames.splice(1..1, moved);
+    });
+    assert_corrupt(loaded, "does not come before");
+}
+
+/// A checkpoint of another format version is refused as such: the
+/// record directory of version 2 as much as a future one.
+#[test]
+fn a_checkpoint_of_another_version_is_refused() {
+    for version in [2u32, 99] {
+        let mut checkpoint = fixture().0.clone();
+        checkpoint.header[4..8].copy_from_slice(&version.to_le_bytes());
+        match load_bytes("version", &checkpoint.bytes()) {
+            Err(IndexError::Store(StoreError::UnsupportedVersion(v))) => assert_eq!(v, version),
+            other => panic!("version {version}: {other:?}"),
+        }
+    }
+}
+
+/// Cut after any whole frame, the stream misses what follows — at the
+/// latest its end frame.
+#[test]
+fn a_stream_cut_at_every_frame_boundary_is_corrupt() {
+    let checkpoint = &fixture().0;
+    for keep in 0..checkpoint.frames.len() {
+        let cut = Checkpoint {
+            header: checkpoint.header.clone(),
+            frames: checkpoint.frames[..keep].to_vec(),
+        };
+        let loaded = load_bytes("cut", &cut.bytes());
+        assert!(
+            matches!(loaded, Err(IndexError::Store(StoreError::Corrupt(_)))),
+            "{keep} frames kept: {loaded:?}"
+        );
+    }
+    // The header alone, and less than one.
+    assert_corrupt(load_bytes("header", &checkpoint.header), "ends before");
+    assert_corrupt(
+        load_bytes("short", &checkpoint.header[..7]),
+        "header cut short",
+    );
+}
+
+/// A header cut anywhere short of its end names no format at all: a
+/// hard error, never an empty index.
+#[test]
+fn a_checkpoint_cut_inside_its_header_is_corrupt() {
+    let header = &fixture().0.header;
+    for cut in 1..header.len() {
+        assert_corrupt(load_bytes("in-header", &header[..cut]), "header cut short");
+    }
+}
+
+#[test]
+fn an_unknown_tag_is_corrupt() {
+    for frame in [0, 1, 3] {
+        let loaded = load_patched("unknown-tag", |checkpoint| {
+            checkpoint.frames[frame][0] = 0xEE;
+        });
+        assert_corrupt(loaded, "unknown tag 238");
+    }
+    let loaded = load_patched("misplaced-tag", |checkpoint| {
+        let last = checkpoint.frames.len() - 1;
+        checkpoint.frames.swap(last - 1, last);
+    });
+    assert_corrupt(loaded, "out of place");
+}
+
+#[test]
+fn a_frame_over_max_frame_is_corrupt() {
+    let checkpoint = &fixture().0;
+    let mut bytes = Checkpoint {
+        header: checkpoint.header.clone(),
+        frames: checkpoint.frames[..2].to_vec(),
+    }
+    .bytes();
+    bytes.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
+    bytes.extend_from_slice(&0u32.to_le_bytes());
+    bytes.extend(std::iter::repeat_n(3, 64));
+    assert_corrupt(load_bytes("oversized", &bytes), "outside");
 }

@@ -577,36 +577,100 @@ fn priced_cost_drops_after_adaptation() {
     );
 }
 
+/// A hand-built 2-d cluster: its parent's slot, its signature and its
+/// `(id, coords)` members.
+type TreeCluster<'a> = (
+    Option<u32>,
+    &'a acx_core::Signature,
+    &'a [(u32, [Scalar; 4])],
+);
+
+/// Writes a checkpoint of a hand-built tree through the public frame
+/// codec: `clusters` in depth-first order, each cluster's slot its
+/// position, every statistic and clock zero — as if no query had run.
+fn write_tree(path: &std::path::Path, config: &IndexConfig, clusters: &[TreeCluster]) {
+    use acx_core::candidates::generate_candidates;
+    use acx_storage::frame::{push_frame, Header};
+
+    let header = Header {
+        magic: *b"ACXF",
+        version: 3,
+        dims: config.dims,
+        checkpoint_id: 0,
+    };
+    let mut out = header.encode().to_vec();
+    let u32s = |o: &mut Vec<u8>, vs: &[u32]| vs.iter().for_each(|v| o.extend(v.to_le_bytes()));
+    push_frame(&mut out, |o| {
+        o.push(1);
+        o.extend([0; 13 * 8]);
+    })
+    .unwrap();
+    for (slot, (parent, signature, members)) in clusters.iter().enumerate() {
+        let ncand = generate_candidates(signature, config.division_factor).len();
+        let signature = signature.to_bytes();
+        push_frame(&mut out, |o| {
+            o.push(2);
+            let parent = parent.unwrap_or(u32::MAX);
+            let len = signature.len() as u32;
+            u32s(o, &[slot as u32, parent, members.len() as u32, len]);
+            o.extend(&signature);
+            o.extend(vec![0; 44]);
+            u32s(o, &[ncand as u32]);
+            o.extend(vec![0; 12 * ncand]);
+        })
+        .unwrap();
+        push_frame(&mut out, |o| {
+            o.push(3);
+            u32s(o, &[members.len() as u32]);
+            members.iter().for_each(|(id, _)| u32s(o, &[*id]));
+            members
+                .iter()
+                .flat_map(|(_, coords)| coords)
+                .for_each(|c| o.extend(c.to_le_bytes()));
+        })
+        .unwrap();
+    }
+    let objects: usize = clusters.iter().map(|c| c.2.len()).sum();
+    for tag in [4, 5] {
+        push_frame(&mut out, |o| {
+            o.push(tag);
+            u32s(o, &[0]);
+        })
+        .unwrap();
+    }
+    push_frame(&mut out, |o| {
+        o.push(6);
+        u32s(o, &[clusters.len() as u32]);
+        o.extend((objects as u64).to_le_bytes());
+    })
+    .unwrap();
+    std::fs::write(path, out).unwrap();
+}
+
 #[test]
 fn fresh_child_cluster_beats_root_at_equal_probability() {
     // Paper §3.5: insertion breaks access-probability ties towards the
-    // most specific cluster. Build a root + child tree directly through
-    // the persistence layer (statistics restart empty after a load, so
-    // both clusters sit at identical access probability).
+    // most specific cluster. Build a root + child tree directly as a
+    // checkpoint with empty statistics, so both clusters sit at
+    // identical access probability.
     use acx_core::Signature;
-    use acx_storage::{ClusterRecord, FileStore};
 
     let dims = 2;
     let root_sig = Signature::root(dims);
     // Child: dim-0 interval starts and ends both in [0, 0.25).
     let child_sig = root_sig.specialize(0, 4, 0, 0);
-    let records = [
-        ClusterRecord {
-            signature: [u32::MAX.to_le_bytes().as_slice(), &root_sig.to_bytes()].concat(),
-            ids: vec![1],
-            coords: vec![0.5, 0.9, 0.5, 0.9],
-        },
-        ClusterRecord {
-            signature: [0u32.to_le_bytes().as_slice(), &child_sig.to_bytes()].concat(),
-            ids: vec![2],
-            coords: vec![0.1, 0.2, 0.3, 0.8],
-        },
-    ];
-    let mut path = std::env::temp_dir();
-    path.push(format!("acx-tie-break-{}.acx", std::process::id()));
-    FileStore::save(&path, dims, &records).unwrap();
     let mut config = paper(dims);
     config.reorg_period = 0;
+    let mut path = std::env::temp_dir();
+    path.push(format!("acx-tie-break-{}.acx", std::process::id()));
+    write_tree(
+        &path,
+        &config,
+        &[
+            (None, &root_sig, &[(1, [0.5, 0.9, 0.5, 0.9])]),
+            (Some(0), &child_sig, &[(2, [0.1, 0.2, 0.3, 0.8])]),
+        ],
+    );
     let mut index = AdaptiveClusterIndex::load(&path, config).unwrap();
     std::fs::remove_file(&path).unwrap();
     assert_eq!(index.cluster_count(), 2);
@@ -654,31 +718,33 @@ fn fresh_child_cluster_beats_root_at_equal_probability() {
 #[test]
 fn load_rejects_an_object_stored_in_two_clusters() {
     use acx_core::Signature;
-    use acx_storage::{ClusterRecord, FileStore, StoreError};
+    use acx_storage::StoreError;
 
     let dims = 2;
     let root_sig = Signature::root(dims);
     let child_sig = root_sig.specialize(0, 4, 0, 0);
-    let records = [
-        ClusterRecord {
-            signature: [u32::MAX.to_le_bytes().as_slice(), &root_sig.to_bytes()].concat(),
-            ids: vec![1, 2],
-            coords: vec![0.5, 0.9, 0.5, 0.9, 0.1, 0.2, 0.3, 0.8],
-        },
-        ClusterRecord {
-            signature: [0u32.to_le_bytes().as_slice(), &child_sig.to_bytes()].concat(),
-            ids: vec![2],
-            coords: vec![0.1, 0.2, 0.3, 0.8],
-        },
-    ];
     let mut path = std::env::temp_dir();
     path.push(format!("acx-twice-{}.acx", std::process::id()));
-    FileStore::save(&path, dims, &records).unwrap();
+    write_tree(
+        &path,
+        &paper(dims),
+        &[
+            (
+                None,
+                &root_sig,
+                &[(1, [0.5, 0.9, 0.5, 0.9]), (2, [0.1, 0.2, 0.3, 0.8])],
+            ),
+            (Some(0), &child_sig, &[(2, [0.1, 0.2, 0.3, 0.8])]),
+        ],
+    );
     let loaded = AdaptiveClusterIndex::load(&path, paper(dims));
     std::fs::remove_file(&path).unwrap();
     match loaded {
-        Err(IndexError::Store(StoreError::Corrupt(msg))) => {
-            assert!(msg.contains("object #2 appears in two clusters"), "{msg}")
+        Err(IndexError::Store(StoreError::Corrupt(c))) => {
+            assert!(
+                c.reason.contains("object #2 appears in two clusters"),
+                "{c}"
+            )
         }
         Err(other) => panic!("expected a corrupt-checkpoint error, got {other}"),
         Ok(_) => panic!("a checkpoint holding object #2 twice loaded"),

@@ -13,84 +13,109 @@
 //! production pass leaves the sets its screen rules out as they were,
 //! where `reference` catches every evaluated set up, so the digest reads
 //! each set caught up to the final pass's epoch ([`caught_up`]) — the
-//! same value either way, in debug and optimized builds alike.
+//! same value either way, in debug and optimized builds alike. Nor is
+//! the file format: the digest hashes the bytes each field has always
+//! been encoded as, wherever the checkpoint's frames carry them.
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, STATS_DECAY};
-use acx_geom::{HyperRect, ObjectId, Scalar};
-use acx_storage::{crc32, ClusterRecord, FileStore, StorageScenario};
+use acx_geom::{HyperRect, ObjectId};
+use acx_storage::frame::Frames;
+use acx_storage::{crc32, StorageScenario};
 use acx_workloads::{
     AdaptiveScenario, ClusteredObjects, MixedTraffic, OscillatingHeat, UniformWorkload,
     WorkloadConfig,
 };
 
 /// CRC-32 of a checkpoint's content in an order no storage layout can
-/// move: the metadata record's index-wide clocks and byte histories,
-/// then the clusters depth-first from the root (siblings by signature
-/// bytes), each as its depth, its signature, the per-cluster counters
-/// the metadata record carries for it (statistics, decay stamp, `n_hi`,
-/// candidate counters — caught up to the last pass's epoch) and its
-/// `(id, coords)` pairs by ascending id, then the metadata's free-slot
-/// and recent-merge lists.
-fn canonical_digest(records: &[ClusterRecord]) -> u32 {
-    // The metadata blob (`CheckpointMeta::encode`): an 8-byte magic, 13
-    // index-wide `u64`s, then per cluster — in the order of the records
-    // that follow — `slot: u32`, 44 bytes of counters, `ncand: u32` and
-    // `ncand` `u32` + `ncand` `f64` candidate counters.
-    let (meta, clusters) = records.split_first().expect("metadata record");
-    let blob = &meta.signature[..];
-    let u32_at = |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
-    let header_end = 8 + 13 * 8;
-    let stats_epoch = u64::from_le_bytes(blob[8 + 5 * 8..8 + 6 * 8].try_into().unwrap());
-    assert_eq!(u32_at(header_end) as usize, clusters.len());
-    let mut at = header_end + 4;
-    let mut counters = Vec::with_capacity(clusters.len());
-    let mut slots = Vec::with_capacity(clusters.len());
-    for _ in clusters {
-        slots.push(u32_at(at));
-        let ncand = u32_at(at + 48) as usize;
-        let end = at + 52 + 12 * ncand;
-        counters.push(caught_up(&blob[at + 4..end], stats_epoch - 1));
-        at = end;
+/// move: the clocks frame's index-wide clocks and byte histories, then
+/// the clusters depth-first from the root (siblings by signature bytes),
+/// each as its depth, its signature, the counters its cluster frame
+/// carries (statistics, decay stamp, `n_hi`, candidate counters —
+/// caught up to the last pass's epoch) and its `(id, coords)` pairs by
+/// ascending id, then the free-slot and recent-merge frames' bodies.
+fn canonical_digest(bytes: &[u8]) -> u32 {
+    struct Stored<'a> {
+        slot: u32,
+        parent: u32,
+        signature: &'a [u8],
+        counters: Vec<u8>,
+        members: Vec<(u32, &'a [u8])>,
     }
-    let parent = |k: usize| u32::from_le_bytes(clusters[k].signature[..4].try_into().unwrap());
+    let dims = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+    let mut frames = Frames::after_header(bytes).map(Result::unwrap);
+    let clocks = &frames.next().expect("clocks frame").payload()[1..];
+    let stats_epoch = u64::from_le_bytes(clocks[5 * 8..6 * 8].try_into().unwrap());
+    let mut clusters: Vec<Stored> = Vec::new();
+    let mut tail = Vec::new();
+    for frame in frames {
+        let mut cur = frame.cursor();
+        match frame.tag() {
+            // Cluster: slot, parent, member count, signature, then the
+            // 44 bytes of counters, `ncand` and the candidate counters.
+            2 => {
+                let (slot, parent, _) = (cur.u32().unwrap(), cur.u32().unwrap(), cur.u32());
+                let signature = cur.bytes().unwrap();
+                let counters = &frame.payload()[1 + 16 + signature.len()..];
+                clusters.push(Stored {
+                    slot,
+                    parent,
+                    signature,
+                    counters: caught_up(counters, stats_epoch - 1),
+                    members: Vec::new(),
+                });
+            }
+            // Members: `n`, `n` ids, `n` × `2·dims` coordinates.
+            3 => {
+                let n = cur.u32().unwrap() as usize;
+                let ids = cur.items(n, 4).unwrap().chunks_exact(4);
+                let coords = cur.items(n, 8 * dims).unwrap().chunks_exact(8 * dims);
+                let members = &mut clusters.last_mut().expect("a cluster").members;
+                members.extend(
+                    ids.map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+                        .zip(coords),
+                );
+            }
+            4 | 5 => tail.extend_from_slice(&frame.payload()[1..]),
+            _ => {}
+        }
+    }
     let children = |of: u32| {
-        let mut ks: Vec<usize> = (0..clusters.len()).filter(|&k| parent(k) == of).collect();
-        ks.sort_by_key(|&k| &clusters[k].signature[4..]);
+        let mut ks: Vec<usize> = (0..clusters.len())
+            .filter(|&k| clusters[k].parent == of)
+            .collect();
+        ks.sort_by_key(|&k| clusters[k].signature);
         ks
     };
 
-    let mut out = blob[8..header_end].to_vec();
+    let mut out = clocks.to_vec();
     let mut stack: Vec<(usize, u32)> = children(u32::MAX).into_iter().map(|k| (k, 0)).collect();
     assert_eq!(stack.len(), 1, "one root");
     let mut visited = 0;
     while let Some((k, depth)) = stack.pop() {
         visited += 1;
-        let record = &clusters[k];
+        let cluster = &clusters[k];
         out.extend_from_slice(&depth.to_le_bytes());
-        out.extend_from_slice(&record.signature[4..]);
-        out.extend_from_slice(&counters[k]);
-        let width = record.coords.len() / record.ids.len().max(1);
-        let mut members: Vec<(u32, &[Scalar])> = record
-            .ids
-            .iter()
-            .copied()
-            .zip(record.coords.chunks_exact(width.max(1)))
-            .collect();
+        out.extend_from_slice(cluster.signature);
+        out.extend_from_slice(&cluster.counters);
+        let mut members = cluster.members.clone();
         members.sort_by_key(|&(id, _)| id);
         for (id, coords) in members {
             out.extend_from_slice(&id.to_le_bytes());
-            for c in coords {
-                out.extend_from_slice(&c.to_bits().to_le_bytes());
-            }
+            out.extend_from_slice(coords);
         }
-        stack.extend(children(slots[k]).into_iter().rev().map(|c| (c, depth + 1)));
+        stack.extend(
+            children(cluster.slot)
+                .into_iter()
+                .rev()
+                .map(|c| (c, depth + 1)),
+        );
     }
     assert_eq!(visited, clusters.len(), "every cluster hangs off the root");
-    out.extend_from_slice(&blob[at..]);
+    out.extend_from_slice(&tail);
     crc32(&out)
 }
 
-/// One cluster's counters as the metadata record carries them (44 bytes
+/// One cluster's counters as its cluster frame carries them (44 bytes
 /// of statistics, decay stamp and `n_hi`, then `ncand: u32`, `ncand`
 /// `u32` epoch counters and `ncand` `f64` histories), with the candidate
 /// counters' lazy decay caught up to `epoch` exactly as
@@ -161,9 +186,9 @@ fn drive(
         scenario.label()
     ));
     index.save(&path).unwrap();
-    let (_, records) = FileStore::load(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
-    (trail, canonical_digest(&records))
+    (trail, canonical_digest(&bytes))
 }
 
 #[test]

@@ -80,7 +80,7 @@ use std::time::{Duration, Instant};
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, IndexError, RecoveryReport};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
-use acx_storage::{FileBacking, FlushPolicy, Wal};
+use acx_storage::{FileBacking, FlushPolicy, StoreError, Wal};
 use partition::shard_of;
 use queue::{reply_slot, BoundedQueue, Reply};
 
@@ -760,8 +760,7 @@ impl ShardedIndex {
     /// shard's log (the core checkpoint/WAL generation coupling applies
     /// per shard).
     pub fn checkpoint_all(&self, dir: &Path) -> Result<(), IndexError> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| IndexError::Wal(acx_storage::WalError::from(e)))?;
+        std::fs::create_dir_all(dir).map_err(|e| IndexError::Store(StoreError::Io(e)))?;
         for shard in 0..self.shards.len() {
             let path = dir.join(format!("shard-{shard}.ckpt"));
             self.with_shard(shard, move |index| index.checkpoint(&path))?;

@@ -3,10 +3,10 @@
 //! disjoint partitions mean each shard's log/checkpoint pair recovers
 //! in isolation and the reassembled service is state-identical.
 
-use acx_core::{AdaptiveClusterIndex, ClusterSnapshot, IndexConfig};
+use acx_core::{AdaptiveClusterIndex, ClusterSnapshot, IndexConfig, IndexError};
 use acx_geom::{ObjectId, SpatialQuery};
 use acx_serve::{ServeConfig, ShardBy, ShardedIndex};
-use acx_storage::{FlushPolicy, StorageScenario};
+use acx_storage::{FlushPolicy, StorageScenario, StoreError};
 use acx_workloads::{EventStream, PubSubGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -170,5 +170,22 @@ fn recovery_without_checkpoint_replays_the_whole_log() {
     assert_eq!(recovered.len(), 40);
 
     drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_checkpoint_directory_that_cannot_be_created_is_a_store_error() {
+    let dir = temp_dir("under-a-file");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("plain-file");
+    std::fs::write(&file, b"not a directory").unwrap();
+    let index = ShardedIndex::new(config()).unwrap();
+    match index.checkpoint_all(&file.join("checkpoints")) {
+        Err(IndexError::Store(e @ StoreError::Io(_))) => {
+            assert_eq!(e.io_kind(), Some(std::io::ErrorKind::NotADirectory))
+        }
+        other => panic!("expected a checkpoint i/o error, got {other:?}"),
+    }
+    drop(index);
     let _ = std::fs::remove_dir_all(&dir);
 }

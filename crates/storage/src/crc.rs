@@ -1,8 +1,8 @@
 //! CRC-32 (IEEE 802.3, polynomial `0xEDB88320`) — the checksum guarding
-//! every WAL frame and every checkpoint record. Implemented in-tree so
+//! every frame of the log and of a checkpoint. Implemented in-tree so
 //! the storage crate stays dependency-free. Every byte a recovery reads
-//! passes through it (a checkpoint load checksums the whole file before
-//! a single object is indexed), so it is table-driven *slicing-by-8*:
+//! passes through it (a checkpoint load checksums each frame before it
+//! decodes a field of it), so it is table-driven *slicing-by-8*:
 //! eight table lookups fold eight input bytes per step instead of one
 //! lookup per byte, with the same polynomial and therefore the same
 //! values.

@@ -1,5 +1,6 @@
-//! Storage substrate: device cost profiles, sequential segment store,
-//! a file-backed persistent store, and the write-ahead log.
+//! Storage substrate: device cost profiles, the sequential segment
+//! store, the frame codec both persistent files are written in, and the
+//! write-ahead log.
 //!
 //! The paper evaluates two storage scenarios (§5):
 //!
@@ -21,7 +22,7 @@ mod cost;
 mod counters;
 mod crc;
 mod device;
-mod file;
+pub mod frame;
 mod result;
 mod segment;
 pub mod wal;
@@ -30,7 +31,7 @@ pub use cost::CostModel;
 pub use counters::{AccessStats, AveragedStats};
 pub use crc::crc32;
 pub use device::{DeviceProfile, StorageScenario};
-pub use file::{ClusterRecord, FileStore, SalvagedStore, StoreError, TailCorruption};
+pub use frame::{Corruption, StoreError};
 pub use result::{QueryMetrics, QueryResult};
 pub use segment::{SegmentId, SegmentStore};
 pub use wal::{

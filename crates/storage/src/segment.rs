@@ -570,7 +570,7 @@ impl SegmentStore {
 
     /// All coordinates of a segment as one interleaved flat vector
     /// (`2·dims` scalars per object, storage order) — the row-major
-    /// serialization used by persistence and bulk moves.
+    /// form bulk moves hand on.
     pub fn interleaved_coords(&self, id: SegmentId) -> Vec<Scalar> {
         let seg = self.segment(id);
         let n = seg.ids.len();

@@ -1,27 +1,19 @@
-//! Write-ahead log of structural index mutations (ROADMAP direction 2:
-//! the step from "fast in-memory library" to "database").
+//! Write-ahead log of structural index mutations.
 //!
-//! The log is append-only and self-describing: a 20-byte header
-//! (`magic "ACXW"`, `version u32`, `dims u32`, `checkpoint_id u64`)
-//! followed by frames
+//! The log is a file of the [`frame`] format (magic `"ACXW"`, version
+//! 2): every structural mutation of the index is one frame.
+//! `Insert`/`Remove`/`Update` carry object id and flat coordinates,
+//! `Merge`/`Materialize` name the affected cluster by its serialized
+//! **signature** (slot numbers are not stable across a replay,
+//! signatures are), and `EpochClose` marks the end of a reorganization
+//! pass so replay closes the statistics epoch exactly where the live
+//! index did.
 //!
-//! ```text
-//! [payload_len u32][crc32 u32][payload payload_len bytes]
-//! ```
-//!
-//! where the CRC-32 (IEEE) covers the payload. Every structural
-//! mutation of the index is one frame: `Insert`/`Remove`/`Update`
-//! carry object id and flat coordinates, `Merge`/`Materialize` name
-//! the affected cluster by its serialized **signature** (slot numbers
-//! are not stable across a replay, signatures are), and `EpochClose`
-//! marks the end of a reorganization pass so replay closes the
-//! statistics epoch exactly where the live index did.
-//!
-//! Replay ([`Wal::replay`]) walks frames until the first one that is
-//! incomplete, oversized, or fails its checksum — everything from that
-//! offset on is a **torn tail** ([`TornTail`]) and is truncated by
-//! recovery. A record that survives its CRC is trusted; a record that
-//! does not marks the end of history.
+//! Replay ([`Wal::replay`]) keeps every frame before the first bad one
+//! — cut short, oversized, failing its checksum, or not a record —
+//! and reports the rest as a **torn tail** ([`TornTail`]), which
+//! recovery truncates. A record that survives its CRC is trusted; a
+//! record that does not marks the end of history.
 //!
 //! Durability is mediated by the [`BackingStore`] trait: [`FileBacking`]
 //! writes a real file, [`MemBacking`] keeps bytes in memory for tests
@@ -76,15 +68,13 @@ use std::thread::JoinHandle;
 
 use acx_geom::Scalar;
 
-use crate::crc::crc32;
+use crate::frame::{self, Corruption, Cursor, Frames, Header};
 
 const WAL_MAGIC: &[u8; 4] = b"ACXW";
 /// Version 2 added the checkpoint id to the header.
 const WAL_VERSION: u32 = 2;
 /// Header bytes: magic + version + dims + checkpoint id.
-pub const WAL_HEADER_LEN: u64 = 20;
-/// Frames longer than this are treated as torn garbage, not allocated.
-const MAX_FRAME: u32 = 1 << 24;
+pub const WAL_HEADER_LEN: u64 = frame::HEADER_LEN as u64;
 
 // ---------------------------------------------------------------------------
 // Records
@@ -137,14 +127,14 @@ impl WalRecord {
             }
             WalRecord::Merge { signature } => {
                 out.push(TAG_MERGE);
-                encode_bytes(out, signature);
+                frame::put_bytes(out, signature);
             }
             WalRecord::Materialize {
                 signature,
                 candidate,
             } => {
                 out.push(TAG_MATERIALIZE);
-                encode_bytes(out, signature);
+                frame::put_bytes(out, signature);
                 out.extend_from_slice(&candidate.to_le_bytes());
             }
             WalRecord::EpochClose => out.push(TAG_EPOCH_CLOSE),
@@ -155,34 +145,29 @@ impl WalRecord {
     /// (unknown tag, short buffer, trailing bytes) — replay treats that
     /// exactly like a failed checksum.
     pub fn decode(payload: &[u8]) -> Option<WalRecord> {
-        let (&tag, mut rest) = payload.split_first()?;
+        let (&tag, body) = payload.split_first()?;
+        let mut cur = Cursor::new(body);
         let rec = match tag {
             TAG_INSERT => {
-                let (id, coords) = decode_id_coords(&mut rest)?;
-                WalRecord::Insert { id, coords }
+                decode_id_coords(&mut cur).map(|(id, coords)| WalRecord::Insert { id, coords })
             }
-            TAG_REMOVE => WalRecord::Remove {
-                id: take_u32(&mut rest)?,
-            },
+            TAG_REMOVE => cur.u32().map(|id| WalRecord::Remove { id }),
             TAG_UPDATE => {
-                let (id, coords) = decode_id_coords(&mut rest)?;
-                WalRecord::Update { id, coords }
+                decode_id_coords(&mut cur).map(|(id, coords)| WalRecord::Update { id, coords })
             }
-            TAG_MERGE => WalRecord::Merge {
-                signature: take_bytes(&mut rest)?,
-            },
-            TAG_MATERIALIZE => {
-                let signature = take_bytes(&mut rest)?;
-                let candidate = take_u32(&mut rest)?;
-                WalRecord::Materialize {
-                    signature,
-                    candidate,
-                }
-            }
-            TAG_EPOCH_CLOSE => WalRecord::EpochClose,
+            TAG_MERGE => cur.bytes().map(|s| WalRecord::Merge {
+                signature: s.to_vec(),
+            }),
+            TAG_MATERIALIZE => cur.bytes().and_then(|s| {
+                Ok(WalRecord::Materialize {
+                    signature: s.to_vec(),
+                    candidate: cur.u32()?,
+                })
+            }),
+            TAG_EPOCH_CLOSE => Ok(WalRecord::EpochClose),
             _ => return None,
         };
-        rest.is_empty().then_some(rec)
+        rec.ok().filter(|_| cur.finish().is_ok())
     }
 }
 
@@ -194,41 +179,12 @@ fn encode_id_coords(out: &mut Vec<u8>, id: u32, coords: &[Scalar]) {
     }
 }
 
-fn encode_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(bytes);
-}
-
-fn take_u32(rest: &mut &[u8]) -> Option<u32> {
-    let (head, tail) = rest.split_first_chunk::<4>()?;
-    *rest = tail;
-    Some(u32::from_le_bytes(*head))
-}
-
-fn take_bytes(rest: &mut &[u8]) -> Option<Vec<u8>> {
-    let len = take_u32(rest)? as usize;
-    if rest.len() < len {
-        return None;
-    }
-    let (head, tail) = rest.split_at(len);
-    let out = head.to_vec();
-    *rest = tail;
-    Some(out)
-}
-
-fn decode_id_coords(rest: &mut &[u8]) -> Option<(u32, Vec<Scalar>)> {
-    let id = take_u32(rest)?;
-    let n = take_u32(rest)? as usize;
-    if rest.len() < n * 4 {
-        return None;
-    }
-    let mut coords = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (head, tail) = rest.split_first_chunk::<4>()?;
-        *rest = tail;
-        coords.push(Scalar::from_le_bytes(*head));
-    }
-    Some((id, coords))
+fn decode_id_coords(cur: &mut Cursor<'_>) -> Result<(u32, Vec<Scalar>), Corruption> {
+    let id = cur.u32()?;
+    let n = cur.u32()? as usize;
+    let coords = cur.items(n, 4)?.as_chunks().0;
+    let coords = coords.iter().map(|&b| Scalar::from_le_bytes(b)).collect();
+    Ok((id, coords))
 }
 
 // ---------------------------------------------------------------------------
@@ -926,11 +882,7 @@ pub enum WalError {
     },
     /// The log is structurally damaged before any torn tail could be
     /// identified (e.g. bad magic).
-    Corrupt {
-        offset: u64,
-        record: u64,
-        reason: String,
-    },
+    Corrupt(Corruption),
     /// The log was written by an unknown format version.
     UnsupportedVersion(u32),
     /// The log's dimensionality does not match the index it is replayed
@@ -943,6 +895,11 @@ pub enum WalError {
 }
 
 impl WalError {
+    /// Wraps a failure of the medium during `op` at byte `offset`.
+    fn io(op: &'static str, offset: u64) -> impl FnOnce(io::Error) -> WalError {
+        move |source| WalError::Io { op, offset, source }
+    }
+
     /// The underlying [`io::ErrorKind`], when the failure came from the
     /// medium.
     pub fn io_kind(&self) -> Option<io::ErrorKind> {
@@ -959,29 +916,12 @@ impl std::fmt::Display for WalError {
             WalError::Io { op, offset, source } => {
                 write!(f, "wal {op} failed at byte {offset}: {source}")
             }
-            WalError::Corrupt {
-                offset,
-                record,
-                reason,
-            } => {
-                write!(
-                    f,
-                    "corrupt wal at record {record} (byte {offset}): {reason}"
-                )
-            }
+            WalError::Corrupt(c) => write!(f, "corrupt wal at {c}"),
             WalError::UnsupportedVersion(v) => write!(f, "unsupported wal version {v}"),
             WalError::DimensionMismatch { expected, actual } => {
-                write!(
-                    f,
-                    "wal dimensionality {actual} != index dimensionality {expected}"
-                )
+                write!(f, "wal dimensionality {actual} != the index's {expected}")
             }
-            WalError::Poisoned => {
-                write!(
-                    f,
-                    "wal poisoned by an earlier failure; reset before appending"
-                )
-            }
+            WalError::Poisoned => write!(f, "wal poisoned by an earlier failure; reset it"),
         }
     }
 }
@@ -997,11 +937,7 @@ impl std::error::Error for WalError {
 
 impl From<io::Error> for WalError {
     fn from(source: io::Error) -> Self {
-        WalError::Io {
-            op: "i/o",
-            offset: 0,
-            source,
-        }
+        WalError::io("i/o", 0)(source)
     }
 }
 
@@ -1093,22 +1029,14 @@ impl Wal {
         dims: usize,
     ) -> Result<(Self, WalReplay), WalError> {
         let replay = Self::replay(store.as_mut())?;
-        if let Some(actual) = replay.dims {
-            if actual != dims {
-                return Err(WalError::DimensionMismatch {
-                    expected: dims,
-                    actual,
-                });
-            }
+        if let Some(actual) = replay.dims.filter(|&d| d != dims) {
+            let expected = dims;
+            return Err(WalError::DimensionMismatch { expected, actual });
         }
         if replay.torn.is_some() {
             store
                 .truncate(replay.valid_len)
-                .map_err(|source| WalError::Io {
-                    op: "truncate",
-                    offset: replay.valid_len,
-                    source,
-                })?;
+                .map_err(WalError::io("truncate", replay.valid_len))?;
         }
         let mut wal = Wal {
             store,
@@ -1128,26 +1056,20 @@ impl Wal {
     }
 
     fn write_header(&mut self) -> Result<(), WalError> {
-        self.store.truncate(0).map_err(|source| WalError::Io {
-            op: "truncate",
-            offset: 0,
-            source,
-        })?;
-        let mut header = Vec::with_capacity(WAL_HEADER_LEN as usize);
-        header.extend_from_slice(WAL_MAGIC);
-        header.extend_from_slice(&WAL_VERSION.to_le_bytes());
-        header.extend_from_slice(&(self.dims as u32).to_le_bytes());
-        header.extend_from_slice(&self.checkpoint_id.to_le_bytes());
-        self.store.append(&header).map_err(|source| WalError::Io {
-            op: "append",
-            offset: 0,
-            source,
-        })?;
-        self.store.flush().map_err(|source| WalError::Io {
-            op: "flush",
-            offset: 0,
-            source,
-        })?;
+        self.store
+            .truncate(0)
+            .map_err(WalError::io("truncate", 0))?;
+        let header = Header {
+            magic: *WAL_MAGIC,
+            version: WAL_VERSION,
+            dims: self.dims,
+            checkpoint_id: self.checkpoint_id,
+        }
+        .encode();
+        self.store
+            .append(&header)
+            .map_err(WalError::io("append", 0))?;
+        self.store.flush().map_err(WalError::io("flush", 0))?;
         self.offset = WAL_HEADER_LEN;
         self.records = 0;
         self.unflushed = 0;
@@ -1166,18 +1088,11 @@ impl Wal {
         }
         let frame = &mut self.frame;
         frame.clear();
-        frame.extend_from_slice(&[0; 8]);
-        record.encode_into(frame);
-        let (header, payload) = frame.split_at_mut(8);
-        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+        frame::push_frame(frame, |out| record.encode_into(out))
+            .map_err(WalError::io("append", self.offset))?;
         if let Err(source) = self.store.append(frame) {
             self.poisoned = true;
-            return Err(WalError::Io {
-                op: "append",
-                offset: self.offset,
-                source,
-            });
+            return Err(WalError::io("append", self.offset)(source));
         }
         self.offset += frame.len() as u64;
         self.records += 1;
@@ -1214,11 +1129,7 @@ impl Wal {
         };
         if let Err(source) = flushed {
             self.poisoned = true;
-            return Err(WalError::Io {
-                op: "flush",
-                offset: self.offset,
-                source,
-            });
+            return Err(WalError::io("flush", self.offset)(source));
         }
         self.unflushed = 0;
         Ok(())
@@ -1282,90 +1193,47 @@ impl Wal {
     /// missing, oversized, or checksum-failing one. Does **not** modify
     /// the store; [`Wal::reopen`] truncates the torn tail.
     pub fn replay(store: &mut dyn BackingStore) -> Result<WalReplay, WalError> {
-        let bytes = store.read_durable().map_err(|source| WalError::Io {
-            op: "read",
-            offset: 0,
-            source,
-        })?;
-        if bytes.is_empty() {
-            return Ok(WalReplay {
-                dims: None,
-                checkpoint_id: None,
-                records: Vec::new(),
-                valid_len: 0,
-                torn: None,
-            });
-        }
-        if bytes.len() < WAL_HEADER_LEN as usize {
-            // Even the header tore: nothing survives.
-            return Ok(WalReplay {
-                dims: None,
-                checkpoint_id: None,
-                records: Vec::new(),
-                valid_len: 0,
-                torn: Some(TornTail {
-                    offset: 0,
-                    record: 0,
-                    dropped_bytes: bytes.len() as u64,
-                }),
-            });
-        }
-        if &bytes[..4] != WAL_MAGIC {
-            return Err(WalError::Corrupt {
+        let bytes = store.read_durable().map_err(WalError::io("read", 0))?;
+        let Some(header) = Header::parse(&bytes, *WAL_MAGIC).map_err(WalError::Corrupt)? else {
+            // An empty log, or one whose header tore: nothing survives.
+            let torn = (!bytes.is_empty()).then_some(TornTail {
                 offset: 0,
                 record: 0,
-                reason: "bad magic".into(),
+                dropped_bytes: bytes.len() as u64,
             });
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version != WAL_VERSION {
-            return Err(WalError::UnsupportedVersion(version));
-        }
-        let dims = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        if dims == 0 {
-            return Err(WalError::Corrupt {
-                offset: 8,
-                record: 0,
-                reason: "zero dimensions".into(),
+            return Ok(WalReplay {
+                dims: None,
+                checkpoint_id: None,
+                records: Vec::new(),
+                valid_len: 0,
+                torn,
             });
-        }
-        let checkpoint_id = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-        let mut records = Vec::new();
-        let mut pos = WAL_HEADER_LEN as usize;
-        let torn = loop {
-            if pos == bytes.len() {
-                break None;
-            }
-            let frame_start = pos;
-            let Some(header) = bytes.get(pos..pos + 8) else {
-                break Some(frame_start);
-            };
-            let len = u32::from_le_bytes(header[..4].try_into().unwrap());
-            let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-            if len > MAX_FRAME {
-                break Some(frame_start);
-            }
-            let Some(payload) = bytes.get(pos + 8..pos + 8 + len as usize) else {
-                break Some(frame_start);
-            };
-            if crc32(payload) != crc {
-                break Some(frame_start);
-            }
-            let Some(record) = WalRecord::decode(payload) else {
-                break Some(frame_start);
-            };
-            records.push(record);
-            pos = frame_start + 8 + len as usize;
         };
-        let valid_len = torn.unwrap_or(pos) as u64;
+        if header.version != WAL_VERSION {
+            return Err(WalError::UnsupportedVersion(header.version));
+        }
+        // Everything from the first frame that is bad or no record on is
+        // the torn tail.
+        let mut records = Vec::new();
+        let torn = Frames::after_header(&bytes).find_map(|frame| {
+            match frame.map(|f| (f.offset, WalRecord::decode(f.payload()))) {
+                Ok((_, Some(record))) => {
+                    records.push(record);
+                    None
+                }
+                Ok((offset, None)) => Some(offset),
+                Err(bad) => Some(bad.offset),
+            }
+        });
+        let valid_len = torn.unwrap_or(bytes.len() as u64);
         Ok(WalReplay {
-            dims: Some(dims),
-            checkpoint_id: Some(checkpoint_id),
+            dims: Some(header.dims),
+            checkpoint_id: Some(header.checkpoint_id),
             valid_len,
             torn: torn.map(|offset| TornTail {
-                offset: offset as u64,
+                offset,
                 record: records.len() as u64,
-                dropped_bytes: (bytes.len() - offset) as u64,
+                dropped_bytes: bytes.len() as u64 - offset,
             }),
             records,
         })
@@ -1826,11 +1694,11 @@ mod tests {
         assert_eq!(io_err.io_kind(), Some(io::ErrorKind::StorageFull));
         assert!(std::error::Error::source(&io_err).is_some());
 
-        let corrupt = WalError::Corrupt {
+        let corrupt = WalError::Corrupt(Corruption {
             offset: 12,
             record: 3,
             reason: "bad".into(),
-        };
+        });
         assert!(corrupt.to_string().contains("record 3"));
         assert!(corrupt.io_kind().is_none());
 

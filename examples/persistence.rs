@@ -1,7 +1,7 @@
 //! Disk persistence and crash recovery (paper §6, "Fail Recovery"):
-//! cluster signatures are stored with the member objects behind a
-//! one-block directory, so the search structure survives restarts;
-//! statistics are simply re-gathered.
+//! each cluster's signature is stored with its member objects and its
+//! access statistics, so the search structure and what it has learnt
+//! survive restarts.
 //!
 //! ```text
 //! cargo run --release --example persistence
