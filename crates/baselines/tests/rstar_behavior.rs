@@ -4,42 +4,11 @@
 //! pruning effectiveness.
 
 use acx_baselines::{RStarConfig, RStarTree, SeqScan};
-use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery};
+use acx_geom::{HyperRect, ObjectId, SpatialQuery};
 use acx_storage::StorageScenario;
+use acx_testkit::{random_rect, rect, small_rect, sorted};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-fn rect(lo: &[Scalar], hi: &[Scalar]) -> HyperRect {
-    HyperRect::from_bounds(lo, hi).unwrap()
-}
-
-fn random_rect(rng: &mut StdRng, dims: usize) -> HyperRect {
-    let mut lo = Vec::with_capacity(dims);
-    let mut hi = Vec::with_capacity(dims);
-    for _ in 0..dims {
-        let a: f32 = rng.gen_range(0.0..=1.0);
-        let b: f32 = rng.gen_range(0.0..=1.0);
-        lo.push(a.min(b));
-        hi.push(a.max(b));
-    }
-    rect(&lo, &hi)
-}
-
-fn small_rect(rng: &mut StdRng, dims: usize, extent: f32) -> HyperRect {
-    let mut lo = Vec::with_capacity(dims);
-    let mut hi = Vec::with_capacity(dims);
-    for _ in 0..dims {
-        let a: f32 = rng.gen_range(0.0..=1.0 - extent);
-        lo.push(a);
-        hi.push(a + extent);
-    }
-    rect(&lo, &hi)
-}
-
-fn sorted(mut v: Vec<ObjectId>) -> Vec<ObjectId> {
-    v.sort_unstable();
-    v
-}
 
 /// Small pages force deep trees, exercising splits and reinserts hard.
 fn small_page_config(dims: usize) -> RStarConfig {

@@ -18,14 +18,7 @@ use std::sync::Mutex;
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, QueryScratch, StatsDelta};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
-
-/// The paper's platform, which materializes clusters from the few
-/// hundred to few thousand objects of these streams (`reorg_equivalence.rs`
-/// holds the measured profile to the same standard at its own scale).
-fn paper(dims: usize) -> IndexConfig {
-    IndexConfig::edbt2004(dims, StorageScenario::Memory)
-}
-use acx_storage::StorageScenario;
+use acx_testkit::paper;
 
 /// The allocation counter is process-global, so tests measuring it must
 /// not run concurrently — each one holds this lock across its body.

@@ -20,17 +20,10 @@
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, QueryScratch, ReorgReport, StatsDelta};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
-use acx_storage::StorageScenario;
+use acx_testkit::{checkpoint_bytes, paper, random_grid_query, random_grid_rect};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// The paper's platform, which materializes clusters from the few
-/// hundred to few thousand objects of these streams (`reorg_equivalence.rs`
-/// holds the measured profile to the same standard at its own scale).
-fn paper(dims: usize) -> IndexConfig {
-    IndexConfig::edbt2004(dims, StorageScenario::Memory)
-}
 
 /// A production index and its reference twin over the same configuration.
 fn pair(config: IndexConfig) -> (AdaptiveClusterIndex, AdaptiveClusterIndex) {
@@ -44,34 +37,6 @@ fn pair(config: IndexConfig) -> (AdaptiveClusterIndex, AdaptiveClusterIndex) {
     )
 }
 
-fn random_rect(rng: &mut StdRng, dims: usize, grid: u32) -> HyperRect {
-    // Snap coordinates to a coarse grid so query edges coincide with
-    // object edges constantly — the boundary cases where `<=` vs `<`
-    // mistakes would show up.
-    let mut lo = Vec::with_capacity(dims);
-    let mut hi = Vec::with_capacity(dims);
-    for _ in 0..dims {
-        let a = rng.gen_range(0..=grid) as f32 / grid as f32;
-        let b = rng.gen_range(0..=grid) as f32 / grid as f32;
-        lo.push(a.min(b));
-        hi.push(a.max(b));
-    }
-    HyperRect::from_bounds(&lo, &hi).unwrap()
-}
-
-fn random_query(rng: &mut StdRng, dims: usize, grid: u32) -> SpatialQuery {
-    match rng.gen_range(0..4u32) {
-        0 => SpatialQuery::intersection(random_rect(rng, dims, grid)),
-        1 => SpatialQuery::containment(random_rect(rng, dims, grid)),
-        2 => SpatialQuery::enclosure(random_rect(rng, dims, grid)),
-        _ => SpatialQuery::point_enclosing(
-            (0..dims)
-                .map(|_| rng.gen_range(0..=grid) as f32 / grid as f32)
-                .collect(),
-        ),
-    }
-}
-
 /// Drives the production index and the reference through the same
 /// insert + query stream, asserting bit-identical results, metrics, and
 /// adaptive state at every step.
@@ -82,13 +47,13 @@ fn assert_equivalent(dims: usize, objects: usize, queries: usize, seed: u64) {
 
     let mut rng = StdRng::seed_from_u64(seed);
     for i in 0..objects {
-        let rect = random_rect(&mut rng, dims, 8);
+        let rect = random_grid_rect(&mut rng, dims, 8);
         columnar.insert(ObjectId(i as u32), rect.clone()).unwrap();
         oracle.insert(ObjectId(i as u32), rect).unwrap();
     }
 
     for k in 0..queries {
-        let q = random_query(&mut rng, dims, 8);
+        let q = random_grid_query(&mut rng, dims, 8);
         let a = columnar.execute(&q);
         let b = oracle.execute(&q);
         assert_eq!(a.matches, b.matches, "match set/order diverged on query {k}");
@@ -135,13 +100,13 @@ fn recorded_stats_deltas_are_identical() {
     let (mut columnar, mut oracle) = pair(paper(dims));
     let mut rng = StdRng::seed_from_u64(0xDE17A);
     for i in 0..500u32 {
-        let rect = random_rect(&mut rng, dims, 8);
+        let rect = random_grid_rect(&mut rng, dims, 8);
         columnar.insert(ObjectId(i), rect.clone()).unwrap();
         oracle.insert(ObjectId(i), rect).unwrap();
     }
     // Shape both indexes identically first (same stream, reorgs included).
     for _ in 0..150 {
-        let q = random_query(&mut rng, dims, 8);
+        let q = random_grid_query(&mut rng, dims, 8);
         columnar.execute(&q);
         oracle.execute(&q);
     }
@@ -151,7 +116,7 @@ fn recorded_stats_deltas_are_identical() {
     let mut delta_o = StatsDelta::new();
     let mut scratch = QueryScratch::new();
     for _ in 0..40 {
-        let q = random_query(&mut rng, dims, 8);
+        let q = random_grid_query(&mut rng, dims, 8);
         let mc = columnar.query_recorded_with(&q, &mut delta_c, &mut scratch);
         let matches_c = scratch.matches().to_vec();
         let ro = oracle.query_recorded(&q, &mut delta_o);
@@ -225,20 +190,8 @@ impl Duo {
     /// Checkpoints are byte-deterministic and carry every counter of
     /// every cluster and candidate, so equal bytes are equal state.
     fn assert_same_state(&self) {
-        static NEXT: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
-        let bytes = |index: &AdaptiveClusterIndex| {
-            let path = std::env::temp_dir().join(format!(
-                "acx-sinks-{}-{}.ckpt",
-                std::process::id(),
-                NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            ));
-            index.save(&path).unwrap();
-            let bytes = std::fs::read(&path).unwrap();
-            std::fs::remove_file(&path).unwrap();
-            bytes
-        };
         assert!(
-            bytes(&self.direct) == bytes(&self.two_phase),
+            checkpoint_bytes(&self.direct) == checkpoint_bytes(&self.two_phase),
             "two-phase checkpoint differs"
         );
         assert_eq!(self.direct.snapshots(), self.two_phase.snapshots());
@@ -268,7 +221,7 @@ fn assert_paths_equivalent(reference: bool, period: u64) {
     let mut duo = Duo::new(config);
     let mut rng = StdRng::seed_from_u64(0x51D + period);
     for i in 0..600u32 {
-        duo.insert(i, &random_rect(&mut rng, dims, 8));
+        duo.insert(i, &random_grid_rect(&mut rng, dims, 8));
     }
     // Ragged chunk sizes, state compared after each: single queries,
     // short chunks, chunks that cross an automatic pass.
@@ -289,7 +242,7 @@ fn assert_paths_equivalent(reference: bool, period: u64) {
         }
     };
     let mixed = |rng: &mut StdRng| -> Vec<SpatialQuery> {
-        (0..40).map(|_| random_query(rng, dims, 8)).collect()
+        (0..40).map(|_| random_grid_query(rng, dims, 8)).collect()
     };
 
     // Shape a tree around the low corner.
@@ -393,15 +346,15 @@ fn read_only_paths_agree_with_execute() {
     let (mut columnar, _) = pair(paper(dims));
     let mut rng = StdRng::seed_from_u64(0x0A11);
     for i in 0..400u32 {
-        let rect = random_rect(&mut rng, dims, 8);
+        let rect = random_grid_rect(&mut rng, dims, 8);
         columnar.insert(ObjectId(i), rect).unwrap();
     }
     for _ in 0..120 {
-        columnar.execute(&random_query(&mut rng, dims, 8));
+        columnar.execute(&random_grid_query(&mut rng, dims, 8));
     }
     let mut scratch = QueryScratch::new();
     for _ in 0..30 {
-        let q = random_query(&mut rng, dims, 8);
+        let q = random_grid_query(&mut rng, dims, 8);
         let read_only = columnar.query(&q);
         let metrics = columnar.query_with(&q, &mut scratch);
         assert_eq!(read_only.matches, scratch.matches());
@@ -473,12 +426,12 @@ proptest! {
         let (mut columnar, mut oracle) = pair(config);
         let mut rng = StdRng::seed_from_u64(seed);
         for i in 0..n_objects {
-            let rect = random_rect(&mut rng, dims, 6);
+            let rect = random_grid_rect(&mut rng, dims, 6);
             columnar.insert(ObjectId(i as u32), rect.clone()).unwrap();
             oracle.insert(ObjectId(i as u32), rect).unwrap();
         }
         for _ in 0..n_queries {
-            let q = random_query(&mut rng, dims, 6);
+            let q = random_grid_query(&mut rng, dims, 6);
             // Record the query read-only on both indexes first: the
             // freshly recorded deltas must be equal field for field.
             // (Fresh deltas per query, so an `execute`-triggered

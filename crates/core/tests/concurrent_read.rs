@@ -8,28 +8,9 @@ use std::time::Instant;
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, IndexError, StatsDelta};
 use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery};
-use acx_storage::StorageScenario;
+use acx_testkit::{paper, random_rect};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// The paper's platform, which materializes clusters from the few
-/// hundred to few thousand objects of these streams (`reorg_equivalence.rs`
-/// holds the measured profile to the same standard at its own scale).
-fn paper(dims: usize) -> IndexConfig {
-    IndexConfig::edbt2004(dims, StorageScenario::Memory)
-}
-
-fn random_rect(rng: &mut StdRng, dims: usize) -> HyperRect {
-    let mut lo = Vec::with_capacity(dims);
-    let mut hi = Vec::with_capacity(dims);
-    for _ in 0..dims {
-        let a: Scalar = rng.gen_range(0.0..=1.0);
-        let b: Scalar = rng.gen_range(0.0..=1.0);
-        lo.push(a.min(b));
-        hi.push(a.max(b));
-    }
-    HyperRect::from_bounds(&lo, &hi).unwrap()
-}
 
 fn mixed_queries(rng: &mut StdRng, dims: usize, n: usize) -> Vec<SpatialQuery> {
     (0..n)

@@ -6,56 +6,32 @@
 //! [`AdaptiveClusterIndex::recover`] truncates the torn tail and
 //! rebuilds an index that is decision- and answer-identical to one that
 //! executed the surviving operation prefix directly. Faults injected by
-//! the deterministic [`FaultInjector`] (torn writes, ENOSPC, flush
+//! the testkit's deterministic `FaultInjector` (torn writes, ENOSPC, flush
 //! failures, crashes) must surface as typed errors without corrupting
 //! the in-memory index.
 //!
 //! The streams are a few hundred 2-d and 3-d objects; every index that
 //! is expected to log structural records runs on the paper's platform
-//! ([`paper`]), which splits and merges at that scale.
+//! (`paper`), which splits and merges at that scale.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, IndexError};
 use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery};
-use acx_storage::frame::Frames;
-use acx_storage::{
-    BackingStore, FaultInjector, FaultPlan, FlushPolicy, MemBacking, StorageScenario, Wal,
-    WalRecord,
+use acx_storage::{BackingStore, FlushPolicy, Wal, WalRecord};
+use acx_testkit::ckpt::Checkpoint;
+use acx_testkit::{
+    mem_wal, paper, recover_log, rect_of, replay_records, wal_bytes, FaultInjector, FaultPlan,
+    MemBacking, TempPath,
 };
 use proptest::prelude::*;
-
-fn temp_path(tag: &str) -> PathBuf {
-    let mut path = std::env::temp_dir();
-    path.push(format!(
-        "acx-durability-{tag}-{}-{:?}.acx",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    path
-}
-
-/// The paper's platform ([`IndexConfig::edbt2004`], in memory).
-fn paper(dims: usize) -> IndexConfig {
-    IndexConfig::edbt2004(dims, StorageScenario::Memory)
-}
 
 fn config_2d() -> IndexConfig {
     let mut config = paper(2);
     config.reorg_period = 17; // trigger automatic reorgs mid-stream
     config.min_epoch_queries = 5;
     config
-}
-
-fn mem_wal(dims: usize, policy: FlushPolicy) -> Wal {
-    Wal::create(Box::new(MemBacking::new()), policy, dims).unwrap()
-}
-
-/// Detaches the WAL and returns its full byte image.
-fn wal_bytes(index: &mut AdaptiveClusterIndex) -> Vec<u8> {
-    let mut store = index.detach_wal().expect("wal attached").into_store();
-    store.read_durable().unwrap()
 }
 
 // ---------------------------------------------------------------------
@@ -81,12 +57,6 @@ fn op(dims: usize) -> impl Strategy<Value = Op> {
         2 => (0u32..48, prop::collection::vec(pair(), dims)).prop_map(|(id, ps)| Op::Update(id, ps)),
         3 => prop::collection::vec(pair(), dims).prop_map(Op::Query),
     ]
-}
-
-fn rect_of(pairs: &[(Scalar, Scalar)]) -> HyperRect {
-    let lo: Vec<Scalar> = pairs.iter().map(|p| p.0).collect();
-    let hi: Vec<Scalar> = pairs.iter().map(|p| p.1).collect();
-    HyperRect::from_bounds(&lo, &hi).unwrap()
 }
 
 /// Runs an op stream against `index`, ignoring rejected mutations
@@ -157,12 +127,6 @@ fn membership_model(
     model
 }
 
-/// Decodes the surviving record prefix of a byte image.
-fn surviving_records(bytes: &[u8]) -> Vec<WalRecord> {
-    let mut mem = MemBacking::from_bytes(bytes.to_vec());
-    Wal::replay(&mut mem).unwrap().records
-}
-
 fn assert_matches_model(
     index: &AdaptiveClusterIndex,
     model: &HashMap<u32, HyperRect>,
@@ -217,25 +181,15 @@ proptest! {
 
         let k = (cut * bytes.len() as f64) as usize;
         let prefix = &bytes[..k.min(bytes.len())];
-        let records = surviving_records(prefix);
+        let records = replay_records(prefix);
         let model = membership_model(&HashMap::new(), &records);
 
-        let (recovered, report) = AdaptiveClusterIndex::recover(
-            None,
-            Box::new(MemBacking::from_bytes(prefix.to_vec())),
-            FlushPolicy::PerRecord,
-            config_2d(),
-        ).unwrap();
+        let (recovered, report) = recover_log(prefix.to_vec(), config_2d()).unwrap();
         prop_assert_eq!(report.replayed_records, records.len() as u64);
         recovered.check_invariants().map_err(TestCaseError::fail)?;
         assert_matches_model(&recovered, &model)?;
 
-        let (again, _) = AdaptiveClusterIndex::recover(
-            None,
-            Box::new(MemBacking::from_bytes(prefix.to_vec())),
-            FlushPolicy::PerRecord,
-            config_2d(),
-        ).unwrap();
+        let (again, _) = recover_log(prefix.to_vec(), config_2d()).unwrap();
         prop_assert_eq!(again.snapshots(), recovered.snapshots());
         prop_assert_eq!(again.reorganizations(), recovered.reorganizations());
         prop_assert_eq!(again.total_merges(), recovered.total_merges());
@@ -251,7 +205,7 @@ proptest! {
         after in prop::collection::vec(op(2), 1..60),
         cut in 0.0f64..=1.0,
     ) {
-        let path = temp_path("ckpt");
+        let path = TempPath::new("ckpt");
         let mut index = AdaptiveClusterIndex::new(config_2d()).unwrap();
         index.attach_wal(mem_wal(2, FlushPolicy::PerRecord)).unwrap();
         run_ops(&mut index, &before);
@@ -266,7 +220,7 @@ proptest! {
 
         let k = (cut * bytes.len() as f64) as usize;
         let prefix = &bytes[..k.min(bytes.len())];
-        let records = surviving_records(prefix);
+        let records = replay_records(prefix);
         let model = membership_model(&base, &records);
 
         let result = AdaptiveClusterIndex::recover(
@@ -275,7 +229,6 @@ proptest! {
             FlushPolicy::PerRecord,
             config_2d(),
         );
-        std::fs::remove_file(&path).unwrap();
         let (recovered, report) = result.unwrap();
         prop_assert_eq!(report.replayed_records, records.len() as u64);
         recovered.check_invariants().map_err(TestCaseError::fail)?;
@@ -306,11 +259,9 @@ proptest! {
         run_ops(&mut index, &ops);
         prop_assert!(index.last_reorg_profile().compactions > 0);
 
-        let path = temp_path("matrix");
+        let path = TempPath::new("matrix");
         index.save(&path).unwrap();
-        let result = AdaptiveClusterIndex::load(&path, config);
-        std::fs::remove_file(&path).unwrap();
-        let mut reloaded = result.unwrap();
+        let mut reloaded = AdaptiveClusterIndex::load(&path, config).unwrap();
         reloaded.check_invariants().map_err(TestCaseError::fail)?;
 
         prop_assert_eq!(reloaded.snapshots(), index.snapshots());
@@ -365,7 +316,7 @@ fn crash_fault_preserves_logged_prefix_and_recovers() {
     // Same stream over a medium that crashes at the 25th append (the
     // header is append #1, so record appends start at #2).
     let injector = FaultInjector::new(FaultPlan::crash_after_appends(25));
-    let wal = Wal::create(Box::new(injector), FlushPolicy::PerRecord, 2).unwrap();
+    let wal = Wal::create(Box::new(injector.clone()), FlushPolicy::PerRecord, 2).unwrap();
     let mut index = AdaptiveClusterIndex::new(config_2d()).unwrap();
     index.attach_wal(wal).unwrap();
     let (applied, err) = insert_until_failure(&mut index, 40);
@@ -376,25 +327,13 @@ fn crash_fault_preserves_logged_prefix_and_recovers() {
     assert_eq!(index.len(), applied as usize);
     index.check_invariants().unwrap();
 
-    let store = index.detach_wal().unwrap().into_store();
-    let survived = store
-        .as_any()
-        .downcast_ref::<FaultInjector>()
-        .unwrap()
-        .surviving()
-        .to_vec();
+    let survived = injector.surviving();
     // Determinism across media: what survived is a byte prefix of the
     // pristine image.
     assert!(survived.len() <= reference.len());
     assert_eq!(&reference[..survived.len()], &survived[..]);
 
-    let (recovered, report) = AdaptiveClusterIndex::recover(
-        None,
-        Box::new(MemBacking::from_bytes(survived)),
-        FlushPolicy::PerRecord,
-        config_2d(),
-    )
-    .unwrap();
+    let (recovered, report) = recover_log(survived, config_2d()).unwrap();
     assert_eq!(report.replayed_records, applied as u64);
     assert_eq!(recovered.len(), applied as usize);
     recovered.check_invariants().unwrap();
@@ -403,26 +342,14 @@ fn crash_fault_preserves_logged_prefix_and_recovers() {
 #[test]
 fn torn_write_is_truncated_at_first_bad_checksum() {
     let injector = FaultInjector::new(FaultPlan::torn_write_at(10, 5));
-    let wal = Wal::create(Box::new(injector), FlushPolicy::PerRecord, 2).unwrap();
+    let wal = Wal::create(Box::new(injector.clone()), FlushPolicy::PerRecord, 2).unwrap();
     let mut index = AdaptiveClusterIndex::new(config_2d()).unwrap();
     index.attach_wal(wal).unwrap();
     let (applied, err) = insert_until_failure(&mut index, 40);
     assert!(err.is_some());
-    let store = index.detach_wal().unwrap().into_store();
-    let survived = store
-        .as_any()
-        .downcast_ref::<FaultInjector>()
-        .unwrap()
-        .surviving()
-        .to_vec();
+    let survived = injector.surviving();
 
-    let (recovered, report) = AdaptiveClusterIndex::recover(
-        None,
-        Box::new(MemBacking::from_bytes(survived)),
-        FlushPolicy::PerRecord,
-        config_2d(),
-    )
-    .unwrap();
+    let (recovered, report) = recover_log(survived, config_2d()).unwrap();
     let torn = report
         .torn_tail
         .expect("the torn half-record must be detected");
@@ -542,7 +469,7 @@ fn wal_failure_inside_a_pass_degrades_gracefully() {
     // Crash the medium well after the membership stream, so the fault
     // lands on a structural record logged mid-pass.
     let injector = FaultInjector::new(FaultPlan::crash_after_appends(objects.len() as u64 + 3));
-    let wal = Wal::create(Box::new(injector), FlushPolicy::PerRecord, dims).unwrap();
+    let wal = Wal::create(Box::new(injector.clone()), FlushPolicy::PerRecord, dims).unwrap();
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     index.attach_wal(wal).unwrap();
     for (i, rect) in objects.iter().enumerate() {
@@ -571,20 +498,8 @@ fn wal_failure_inside_a_pass_degrades_gracefully() {
     );
 
     // What reached the medium before the crash still recovers.
-    let store = index.detach_wal().unwrap().into_store();
-    let survived = store
-        .as_any()
-        .downcast_ref::<FaultInjector>()
-        .unwrap()
-        .surviving()
-        .to_vec();
-    let (recovered, _) = AdaptiveClusterIndex::recover(
-        None,
-        Box::new(MemBacking::from_bytes(survived)),
-        FlushPolicy::PerRecord,
-        paper(dims),
-    )
-    .unwrap();
+    let survived = injector.surviving();
+    let (recovered, _) = recover_log(survived, paper(dims)).unwrap();
     recovered.check_invariants().unwrap();
 }
 
@@ -599,7 +514,7 @@ fn crash_between_checkpoint_save_and_wal_reset_does_not_double_apply() {
     // truncated, so the log still holds every record the checkpoint
     // already absorbed. Recovery must discard those records via the
     // checkpoint-id stamp instead of replaying duplicates.
-    let path = temp_path("ckpt-window");
+    let path = TempPath::new("ckpt-window");
     let mut index = AdaptiveClusterIndex::new(config_2d()).unwrap();
     index
         .attach_wal(mem_wal(2, FlushPolicy::PerRecord))
@@ -609,10 +524,7 @@ fn crash_between_checkpoint_save_and_wal_reset_does_not_double_apply() {
     // The log image the instant before checkpoint() would truncate it:
     // stamped with checkpoint id 0, holding every mutation.
     let pre_checkpoint_log = wal_bytes(&mut index);
-    let logged = {
-        let mut probe = MemBacking::from_bytes(pre_checkpoint_log.clone());
-        Wal::replay(&mut probe).unwrap().records.len() as u64
-    };
+    let logged = replay_records(&pre_checkpoint_log).len() as u64;
     assert!(logged >= u64::from(applied));
     index
         .attach_wal(mem_wal(2, FlushPolicy::PerRecord))
@@ -625,7 +537,6 @@ fn crash_between_checkpoint_save_and_wal_reset_does_not_double_apply() {
         FlushPolicy::PerRecord,
         config_2d(),
     );
-    std::fs::remove_file(&path).unwrap();
     let (recovered, report) = result.unwrap();
     assert_eq!(report.replayed_records, 0);
     assert_eq!(report.superseded_records, logged);
@@ -661,18 +572,17 @@ fn a_checkpoint_over_the_frame_cap_fails_and_keeps_the_log() {
         let rect = HyperRect::from_bounds(&lo, &hi).unwrap();
         index.insert(ObjectId(i), rect).unwrap();
     }
-    let path = temp_path("over-cap");
+    let path = TempPath::new("over-cap");
     let err = index.checkpoint(&path).unwrap_err();
     let invalid = Some(std::io::ErrorKind::InvalidInput);
     assert!(
         matches!(&err, IndexError::Store(e) if e.io_kind() == invalid),
         "{err:?}"
     );
-    let mut tmp = path.clone().into_os_string();
+    let mut tmp = path.to_path_buf().into_os_string();
     tmp.push(".tmp");
     assert!(!path.exists() && !PathBuf::from(tmp).exists());
-    let mut log = MemBacking::from_bytes(wal_bytes(&mut index));
-    let replay = Wal::replay(&mut log).unwrap();
+    let replay = Wal::replay(&mut MemBacking::from_bytes(wal_bytes(&mut index))).unwrap();
     assert_eq!(replay.checkpoint_id, Some(0));
     assert_eq!(replay.records.len(), 3);
 }
@@ -682,7 +592,7 @@ fn recovery_refuses_a_log_newer_than_its_checkpoint() {
     // A log already truncated by checkpoint 1, recovered without that
     // checkpoint: the records the log no longer holds would be silently
     // lost, so recovery must refuse instead of returning a hole.
-    let path = temp_path("ckpt-future");
+    let path = TempPath::new("ckpt-future");
     let mut index = AdaptiveClusterIndex::new(config_2d()).unwrap();
     index
         .attach_wal(mem_wal(2, FlushPolicy::PerRecord))
@@ -692,12 +602,7 @@ fn recovery_refuses_a_log_newer_than_its_checkpoint() {
     index.checkpoint(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
     let bytes = wal_bytes(&mut index); // stamped with checkpoint id 1
-    let err = match AdaptiveClusterIndex::recover(
-        None,
-        Box::new(MemBacking::from_bytes(bytes)),
-        FlushPolicy::PerRecord,
-        config_2d(),
-    ) {
+    let err = match recover_log(bytes, config_2d()) {
         Ok(_) => panic!("recovery accepted a log newer than its checkpoint"),
         Err(e) => e,
     };
@@ -707,7 +612,7 @@ fn recovery_refuses_a_log_newer_than_its_checkpoint() {
 
 #[test]
 fn checkpoint_ids_are_monotone_across_recoveries() {
-    let path = temp_path("ckpt-monotone");
+    let path = TempPath::new("ckpt-monotone");
     let mut index = AdaptiveClusterIndex::new(config_2d()).unwrap();
     index
         .attach_wal(mem_wal(2, FlushPolicy::PerRecord))
@@ -729,7 +634,6 @@ fn checkpoint_ids_are_monotone_across_recoveries() {
     recovered.checkpoint(&path).unwrap();
     let mut store = recovered.detach_wal().unwrap().into_store();
     let replay = Wal::replay(store.as_mut()).unwrap();
-    std::fs::remove_file(&path).unwrap();
     assert_eq!(replay.checkpoint_id, Some(3));
 }
 
@@ -756,13 +660,7 @@ fn recovered_index_answers_like_the_live_one_and_comes_back_ordered() {
     }
     assert!(index.total_splits() > 0 && index.cluster_count() > 1);
     let bytes = wal_bytes(&mut index);
-    let (recovered, report) = AdaptiveClusterIndex::recover(
-        None,
-        Box::new(MemBacking::from_bytes(bytes)),
-        FlushPolicy::PerRecord,
-        config_2d(),
-    )
-    .unwrap();
+    let (recovered, report) = recover_log(bytes, config_2d()).unwrap();
     assert!(report.replayed_records > 600);
     let tree = |index: &AdaptiveClusterIndex| {
         let mut tree: Vec<_> =
@@ -787,36 +685,16 @@ fn recovered_index_answers_like_the_live_one_and_comes_back_ordered() {
 
     // A checkpoint lists each cluster's members in storage order, over
     // as many member frames as it takes.
-    let path = temp_path("ordered");
-    recovered.save(&path).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).unwrap();
+    let checkpoint = Checkpoint::of(&recovered);
     let mut members = 0;
-    let mut keys: Vec<Scalar> = Vec::new();
-    for frame in Frames::after_header(&bytes) {
-        let frame = frame.unwrap();
-        match frame.tag() {
-            // A cluster frame starts the next cluster's members.
-            2 => keys.clear(),
-            // A member frame: `n`, `n` ids, `n` × 4 coordinates.
-            3 => {
-                let mut cur = frame.cursor();
-                let n = cur.u32().unwrap() as usize;
-                cur.items(n, 4).unwrap();
-                let coords = cur.items(n, 16).unwrap();
-                keys.extend(
-                    coords
-                        .chunks_exact(16)
-                        .map(|c| Scalar::from_le_bytes(c[..4].try_into().unwrap())),
-                );
-                assert!(
-                    keys.windows(2).all(|w| w[0] <= w[1]),
-                    "a segment came back out of order"
-                );
-                members += n;
-            }
-            _ => {}
-        }
+    for cluster in checkpoint.clusters() {
+        let stored = checkpoint.members(&cluster);
+        let keys: Vec<Scalar> = stored.iter().map(|m| m.1[0]).collect();
+        assert!(
+            keys.windows(2).all(|w| w[0] <= w[1]),
+            "a segment came back out of order"
+        );
+        members += keys.len();
     }
     assert_eq!(members, recovered.len());
 }
@@ -826,7 +704,7 @@ fn recovered_index_answers_like_the_live_one_and_comes_back_ordered() {
 /// checkpoints that differ only in extension do not share a temp file.
 #[test]
 fn save_leaves_a_neighbouring_tmp_file_alone() {
-    let dir = temp_path("neighbour");
+    let dir = TempPath::new("neighbour");
     std::fs::create_dir_all(&dir).unwrap();
     let neighbour = dir.join("state.tmp");
     std::fs::write(&neighbour, b"user data").unwrap();
@@ -840,7 +718,6 @@ fn save_leaves_a_neighbouring_tmp_file_alone() {
         .collect();
     names.sort();
     assert_eq!(names, ["state.ckpt", "state.other", "state.tmp"]);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A merge frees a slot and a later split recycles it, so the live
@@ -867,11 +744,9 @@ fn a_reload_keeps_the_child_order_of_a_recycled_slot() {
         "test premise: a recycled slot sits among its siblings out of slot order"
     );
 
-    let path = temp_path("recycled");
+    let path = TempPath::new("recycled");
     index.save(&path).unwrap();
-    let reloaded = AdaptiveClusterIndex::load(&path, config_2d());
-    std::fs::remove_file(&path).unwrap();
-    let reloaded = reloaded.unwrap();
+    let reloaded = AdaptiveClusterIndex::load(&path, config_2d()).unwrap();
     assert_eq!(reloaded.snapshots(), index.snapshots());
     let window = HyperRect::from_bounds(&[0.0, 0.0], &[1.0, 1.0]).unwrap();
     let probe = SpatialQuery::intersection(window);
@@ -907,41 +782,31 @@ fn update_logs_one_record() {
     index.insert(ObjectId(7), r1).unwrap();
     index.update(ObjectId(7), r2.clone()).unwrap();
     let bytes = wal_bytes(&mut index);
-    let records = surviving_records(&bytes);
+    let records = replay_records(&bytes);
     assert_eq!(records.len(), 2, "insert + update, nothing double-logged");
     assert!(matches!(records[0], WalRecord::Insert { id: 7, .. }));
     assert!(matches!(records[1], WalRecord::Update { id: 7, .. }));
 
-    let (recovered, _) = AdaptiveClusterIndex::recover(
-        None,
-        Box::new(MemBacking::from_bytes(bytes)),
-        FlushPolicy::PerRecord,
-        IndexConfig::memory(2),
-    )
-    .unwrap();
+    let (recovered, _) = recover_log(bytes, IndexConfig::memory(2)).unwrap();
     assert_eq!(recovered.get(ObjectId(7)), Some(r2));
 }
 
 #[test]
 fn per_epoch_policy_defers_flushes_to_the_close() {
-    let wal = mem_wal(2, FlushPolicy::PerEpoch);
+    let log = MemBacking::new();
+    let wal = Wal::create(Box::new(log.clone()), FlushPolicy::PerEpoch, 2).unwrap();
     let mut index = AdaptiveClusterIndex::new(config_2d()).unwrap();
     index.attach_wal(wal).unwrap();
     let (_, err) = insert_until_failure(&mut index, 20);
     assert!(err.is_none());
     index.reorganize(); // logs EpochClose, which flushes under PerEpoch
-    let mut store = index.detach_wal().unwrap().into_store();
-    let flushes = store
-        .as_any()
-        .downcast_ref::<MemBacking>()
-        .unwrap()
-        .flushes();
+    let flushes = log.flushes();
     assert!(
         (1..=2).contains(&flushes),
         "only the header sync and the epoch close should flush, got {flushes}"
     );
     // Everything is still recoverable.
-    let bytes = store.read_durable().unwrap();
+    let bytes = wal_bytes(&mut index);
     let (recovered, report) = AdaptiveClusterIndex::recover(
         None,
         Box::new(MemBacking::from_bytes(bytes)),

@@ -15,13 +15,15 @@
 //! the load checks exist for, so each has a deterministic test below.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::OnceLock;
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, IndexError};
 use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery};
-use acx_storage::frame::{push_frame, Frames, HEADER_LEN, MAX_FRAME};
-use acx_storage::{FlushPolicy, MemBacking, StorageScenario, StoreError, Wal, WalRecord};
+use acx_storage::frame::MAX_FRAME;
+use acx_storage::{FlushPolicy, StorageScenario, StoreError, WalRecord};
+use acx_testkit::ckpt::{self, Checkpoint, ClusterFrame};
+use acx_testkit::{mem_wal, recover_log, replay_records, wal_bytes, TempPath};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -34,14 +36,6 @@ fn config() -> IndexConfig {
         reorg_period: 0,
         ..IndexConfig::edbt2004(DIMS, StorageScenario::Memory)
     }
-}
-
-fn mem_wal() -> Wal {
-    Wal::create(Box::new(MemBacking::new()), FlushPolicy::PerRecord, DIMS).unwrap()
-}
-
-fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("acx-hostile-{tag}-{}.ckpt", std::process::id()))
 }
 
 /// One round of the oscillating adversary: 60 point queries around one
@@ -57,33 +51,6 @@ fn run_round(index: &mut AdaptiveClusterIndex, round: u32) {
     index.reorganize();
 }
 
-/// A checkpoint as its header and its frames' payloads (tag first).
-#[derive(Clone)]
-struct Checkpoint {
-    header: Vec<u8>,
-    frames: Vec<Vec<u8>>,
-}
-
-impl Checkpoint {
-    fn parse(bytes: &[u8]) -> Self {
-        Checkpoint {
-            header: bytes[..HEADER_LEN].to_vec(),
-            frames: Frames::after_header(bytes)
-                .map(|f| f.unwrap().payload().to_vec())
-                .collect(),
-        }
-    }
-
-    /// The file: the header, then each payload framed by the codec.
-    fn bytes(&self) -> Vec<u8> {
-        let mut out = self.header.clone();
-        for payload in &self.frames {
-            push_frame(&mut out, |o| o.extend_from_slice(payload)).unwrap();
-        }
-        out
-    }
-}
-
 /// The checkpoint and the log of a 3-d index after ten rounds of the
 /// adversary: several clusters, merges within the thrash window, and
 /// structural records in the log. Built once per run.
@@ -91,7 +58,8 @@ fn fixture() -> &'static (Checkpoint, Vec<u8>) {
     static FIXTURE: OnceLock<(Checkpoint, Vec<u8>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let mut index = AdaptiveClusterIndex::new(config()).unwrap();
-        index.attach_wal(mem_wal()).unwrap();
+        let wal = mem_wal(DIMS, FlushPolicy::PerRecord);
+        index.attach_wal(wal).unwrap();
         let mut rng = StdRng::seed_from_u64(0xAD7E);
         for i in 0..300u32 {
             let (lo, hi): (Vec<Scalar>, Vec<Scalar>) = (0..DIMS)
@@ -108,12 +76,7 @@ fn fixture() -> &'static (Checkpoint, Vec<u8>) {
         }
         assert!(index.cluster_count() >= 3, "test premise: the index split");
         assert!(index.total_merges() > 0, "test premise: the index merged");
-        let path = temp_path("fixture");
-        index.save(&path).unwrap();
-        let checkpoint = Checkpoint::parse(&std::fs::read(&path).unwrap());
-        std::fs::remove_file(&path).unwrap();
-        let mut store = index.detach_wal().unwrap().into_store();
-        (checkpoint, store.read_durable().unwrap())
+        (Checkpoint::of(&index), wal_bytes(&mut index))
     })
 }
 
@@ -165,15 +128,14 @@ fn checkpoint_case(seed: u64, path: &Path) -> Outcome {
 /// `None` when the changed payload no longer decodes.
 fn wal_case(seed: u64) -> Option<Outcome> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut log = MemBacking::from_bytes(fixture().1.clone());
-    let records = Wal::replay(&mut log).unwrap().records;
+    let records = replay_records(&fixture().1);
     let target = rng.gen_range(0..records.len());
     let mut payload = Vec::new();
     records[target].encode_into(&mut payload);
     let at = rng.gen_range(0..payload.len());
     payload[at] ^= rng.gen_range(1..=255u8);
     let changed = WalRecord::decode(&payload)?;
-    let mut wal = mem_wal();
+    let mut wal = mem_wal(DIMS, FlushPolicy::PerRecord);
     for (i, record) in records.iter().enumerate() {
         wal.append(if i == target { &changed } else { record })
             .unwrap();
@@ -219,12 +181,11 @@ fn tally(kind: &str, outcomes: impl Iterator<Item = (u64, Option<Outcome>)>) {
 }
 
 fn checkpoint_cases(tag: &str, cases: u64) {
-    let path = temp_path(tag);
+    let path = TempPath::new(tag);
     tally(
         tag,
         (0..cases).map(|seed| (seed, Some(checkpoint_case(seed, &path)))),
     );
-    let _ = std::fs::remove_file(&path);
 }
 
 fn wal_cases(tag: &str, cases: u64) {
@@ -264,30 +225,20 @@ fn outside_the_domain() -> HyperRect {
 }
 
 fn recover_2d(log: Vec<u8>) -> Result<(AdaptiveClusterIndex, u64), IndexError> {
-    let (index, report) = AdaptiveClusterIndex::recover(
-        None,
-        Box::new(MemBacking::from_bytes(log)),
-        FlushPolicy::PerRecord,
-        IndexConfig::memory(2),
-    )?;
+    let (index, report) = recover_log(log, IndexConfig::memory(2))?;
     Ok((index, report.replayed_records))
-}
-
-fn log_of(index: &mut AdaptiveClusterIndex) -> Vec<u8> {
-    let mut store = index.detach_wal().unwrap().into_store();
-    store.read_durable().unwrap()
 }
 
 #[test]
 fn an_insert_outside_the_domain_fails_before_it_is_logged() {
     let mut index = AdaptiveClusterIndex::new(IndexConfig::memory(2)).unwrap();
     index
-        .attach_wal(Wal::create(Box::new(MemBacking::new()), FlushPolicy::PerRecord, 2).unwrap())
+        .attach_wal(mem_wal(2, FlushPolicy::PerRecord))
         .unwrap();
     let err = index.insert(ObjectId(2), outside_the_domain()).unwrap_err();
     assert!(matches!(err, IndexError::OutOfDomain(2)), "{err}");
     assert!(index.is_empty());
-    let (recovered, replayed) = recover_2d(log_of(&mut index)).unwrap();
+    let (recovered, replayed) = recover_2d(wal_bytes(&mut index)).unwrap();
     assert_eq!((replayed, recovered.len()), (0, 0));
 }
 
@@ -295,7 +246,7 @@ fn an_insert_outside_the_domain_fails_before_it_is_logged() {
 fn an_update_outside_the_domain_keeps_the_object() {
     let mut index = AdaptiveClusterIndex::new(IndexConfig::memory(2)).unwrap();
     index
-        .attach_wal(Wal::create(Box::new(MemBacking::new()), FlushPolicy::PerRecord, 2).unwrap())
+        .attach_wal(mem_wal(2, FlushPolicy::PerRecord))
         .unwrap();
     let inside = HyperRect::from_bounds(&[0.1, 0.1], &[0.2, 0.3]).unwrap();
     index.insert(ObjectId(2), inside.clone()).unwrap();
@@ -303,14 +254,14 @@ fn an_update_outside_the_domain_keeps_the_object() {
     assert!(matches!(err, IndexError::OutOfDomain(2)), "{err}");
     assert_eq!(index.get(ObjectId(2)), Some(inside.clone()));
     index.check_invariants().unwrap();
-    let (recovered, replayed) = recover_2d(log_of(&mut index)).unwrap();
+    let (recovered, replayed) = recover_2d(wal_bytes(&mut index)).unwrap();
     assert_eq!(replayed, 1, "only the insert is logged");
     assert_eq!(recovered.get(ObjectId(2)), Some(inside));
 }
 
 #[test]
 fn a_logged_insert_outside_the_domain_fails_recovery_with_a_typed_error() {
-    let mut wal = Wal::create(Box::new(MemBacking::new()), FlushPolicy::PerRecord, 2).unwrap();
+    let mut wal = mem_wal(2, FlushPolicy::PerRecord);
     wal.append(&WalRecord::Insert {
         id: 2,
         coords: outside_the_domain().to_flat(),
@@ -326,52 +277,10 @@ fn a_logged_insert_outside_the_domain_fails_recovery_with_a_typed_error() {
     );
 }
 
-const TAG_CLUSTER: u8 = 2;
-const TAG_MERGES: u8 = 5;
-
-/// Offset of `reorganizations`, the fifth clock, in the clocks payload.
-const REORGANIZATIONS: usize = 1 + 4 * 8;
-
-fn u32_at(payload: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(payload[at..at + 4].try_into().unwrap())
-}
-
-/// A cluster frame's fields by payload offset: tag, `slot`, `parent`,
-/// `members`, the signature's length and bytes, 44 bytes of counters,
-/// `ncand`, the `q` and then the `q_eff` column.
-struct ClusterFrame {
-    /// Index of the frame in the checkpoint.
-    frame: usize,
-    slot: u32,
-    parent: u32,
-    /// Where the signature's bytes start.
-    signature: usize,
-    /// Where the candidate `q_eff` column starts.
-    q_eff: usize,
-}
-
-fn cluster_frames(checkpoint: &Checkpoint) -> Vec<ClusterFrame> {
-    let frames = checkpoint.frames.iter().enumerate();
-    frames
-        .filter(|(_, p)| p[0] == TAG_CLUSTER)
-        .map(|(frame, p)| {
-            let signature = 17;
-            let counters = signature + u32_at(p, 13) as usize;
-            let ncand = u32_at(p, counters + 44) as usize;
-            ClusterFrame {
-                frame,
-                slot: u32_at(p, 1),
-                parent: u32_at(p, 5),
-                signature,
-                q_eff: counters + 48 + 4 * ncand,
-            }
-        })
-        .collect()
-}
-
 /// The first cluster frame that is not the root's.
 fn child_frame(checkpoint: &Checkpoint) -> ClusterFrame {
-    cluster_frames(checkpoint)
+    checkpoint
+        .clusters()
         .into_iter()
         .find(|c| c.parent != u32::MAX)
         .expect("test premise: a child cluster")
@@ -385,11 +294,9 @@ fn load_patched(tag: &str, patch: impl FnOnce(&mut Checkpoint)) -> Result<(), In
 }
 
 fn load_bytes(tag: &str, bytes: &[u8]) -> Result<(), IndexError> {
-    let path = temp_path(tag);
+    let path = TempPath::new(tag);
     std::fs::write(&path, bytes).unwrap();
-    let loaded = AdaptiveClusterIndex::load(&path, config());
-    std::fs::remove_file(&path).unwrap();
-    loaded.map(|_| ())
+    AdaptiveClusterIndex::load(&path, config()).map(|_| ())
 }
 
 fn assert_corrupt(loaded: Result<(), IndexError>, why: &str) {
@@ -406,17 +313,11 @@ fn assert_corrupt(loaded: Result<(), IndexError>, why: &str) {
 #[test]
 fn a_merge_stamped_after_the_pass_clock_is_corrupt() {
     let loaded = load_patched("late-merge", |checkpoint| {
-        let passes = &checkpoint.frames[0][REORGANIZATIONS..REORGANIZATIONS + 8];
-        let passes = u64::from_le_bytes(passes.try_into().unwrap());
-        let merges = checkpoint
-            .frames
-            .iter_mut()
-            .find(|p| p[0] == TAG_MERGES)
-            .unwrap();
-        assert!(u32_at(merges, 1) > 0, "test premise: a recent merge");
-        // The first merge's pass follows its signature.
-        let at = 5 + 4 + u32_at(merges, 5) as usize;
-        merges[at..at + 8].copy_from_slice(&(passes + 5).to_le_bytes());
+        let passes = checkpoint.clock(ckpt::REORGANIZATIONS);
+        let (merges, stamps) = checkpoint.merge_passes();
+        assert!(!stamps.is_empty(), "test premise: a recent merge");
+        let at = stamps[0];
+        checkpoint.frames[merges][at..at + 8].copy_from_slice(&(passes + 5).to_le_bytes());
     });
     assert_corrupt(loaded, "after the pass clock");
 }
@@ -426,7 +327,7 @@ fn a_merge_stamped_after_the_pass_clock_is_corrupt() {
 fn a_negative_or_non_finite_candidate_history_is_corrupt() {
     for value in [-1.0, f64::NAN, f64::INFINITY] {
         let loaded = load_patched("bad-history", |checkpoint| {
-            let root = &cluster_frames(checkpoint)[0];
+            let root = &checkpoint.clusters()[0];
             let payload = &mut checkpoint.frames[root.frame];
             let at = root.q_eff;
             payload[at..at + 8].copy_from_slice(&value.to_bits().to_le_bytes());
@@ -440,7 +341,8 @@ fn a_negative_or_non_finite_candidate_history_is_corrupt() {
 fn a_cluster_that_is_its_own_parent_is_corrupt() {
     let loaded = load_patched("self-parent", |checkpoint| {
         let child = child_frame(checkpoint);
-        checkpoint.frames[child.frame][5..9].copy_from_slice(&child.slot.to_le_bytes());
+        let parent = &mut checkpoint.frames[child.frame][ckpt::PARENT..ckpt::PARENT + 4];
+        parent.copy_from_slice(&child.slot.to_le_bytes());
     });
     assert_corrupt(loaded, "does not come before");
 }
@@ -455,7 +357,7 @@ fn a_child_wider_than_its_parent_is_corrupt() {
         // intervals of a dimension the child does not specialize to
         // `[-1, 2]`: its candidates stay the same, its members stay
         // accepted, and no parent contains it.
-        let sig = &mut checkpoint.frames[child.frame][child.signature..];
+        let sig = &mut checkpoint.frames[child.frame][child.signature];
         let d = (0..DIMS)
             .map(|d| 2 + 18 * d)
             .find(|&at| sig[at..at + 9] == sig[at + 9..at + 18])
@@ -473,13 +375,10 @@ fn a_child_wider_than_its_parent_is_corrupt() {
 #[test]
 fn a_child_before_its_parent_is_corrupt() {
     let loaded = load_patched("child-first", |checkpoint| {
-        let child = child_frame(checkpoint).frame;
-        // The child and its member frames, up to the next cluster or
-        // the free-slot frame.
-        let end = (child + 1..checkpoint.frames.len())
-            .find(|&i| checkpoint.frames[i][0] != 3)
-            .unwrap();
-        let moved: Vec<_> = checkpoint.frames.drain(child..end).collect();
+        let child = child_frame(checkpoint);
+        // The child and its member frames.
+        let frames = child.frame..child.member_frames.end;
+        let moved: Vec<_> = checkpoint.frames.drain(frames).collect();
         // Right after the clocks, before the root.
         checkpoint.frames.splice(1..1, moved);
     });

@@ -3,62 +3,12 @@
 //! (split, merge, stability), persistence, and invariant preservation.
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, IndexError};
-use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery};
+use acx_geom::{HyperRect, ObjectId, SpatialQuery};
 use acx_storage::StorageScenario;
+use acx_testkit::ckpt::write_tree;
+use acx_testkit::{naive_matches, paper, random_rect, rect, small_rect, sorted, TempPath};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// The paper's platform, which materializes clusters from the few
-/// hundred to few thousand objects of these streams (`reorg_equivalence.rs`
-/// holds the measured profile to the same standard at its own scale).
-fn paper(dims: usize) -> IndexConfig {
-    IndexConfig::edbt2004(dims, StorageScenario::Memory)
-}
-
-fn rect(lo: &[Scalar], hi: &[Scalar]) -> HyperRect {
-    HyperRect::from_bounds(lo, hi).unwrap()
-}
-
-/// A uniform random rectangle: per dimension, an ordered pair of uniforms.
-fn random_rect(rng: &mut StdRng, dims: usize) -> HyperRect {
-    let mut lo = Vec::with_capacity(dims);
-    let mut hi = Vec::with_capacity(dims);
-    for _ in 0..dims {
-        let a: f32 = rng.gen_range(0.0..=1.0);
-        let b: f32 = rng.gen_range(0.0..=1.0);
-        lo.push(a.min(b));
-        hi.push(a.max(b));
-    }
-    rect(&lo, &hi)
-}
-
-/// Small random rectangle (selective as an intersection window).
-fn small_rect(rng: &mut StdRng, dims: usize, extent: f32) -> HyperRect {
-    let mut lo = Vec::with_capacity(dims);
-    let mut hi = Vec::with_capacity(dims);
-    for _ in 0..dims {
-        let a: f32 = rng.gen_range(0.0..=1.0 - extent);
-        lo.push(a);
-        hi.push(a + extent);
-    }
-    rect(&lo, &hi)
-}
-
-/// Reference implementation: exhaustive filter.
-fn naive_matches(objects: &[(u32, HyperRect)], query: &SpatialQuery) -> Vec<ObjectId> {
-    let mut out: Vec<ObjectId> = objects
-        .iter()
-        .filter(|(_, r)| query.matches_rect(r))
-        .map(|(id, _)| ObjectId(*id))
-        .collect();
-    out.sort_unstable();
-    out
-}
-
-fn sorted(mut v: Vec<ObjectId>) -> Vec<ObjectId> {
-    v.sort_unstable();
-    v
-}
 
 #[test]
 fn empty_index_answers_empty() {
@@ -510,11 +460,9 @@ fn save_load_roundtrip_preserves_contents_and_results() {
     index.reorganize();
     let clusters_saved = index.cluster_count();
 
-    let mut path = std::env::temp_dir();
-    path.push(format!("acx-index-roundtrip-{}.acx", std::process::id()));
+    let path = TempPath::new("index-roundtrip");
     index.save(&path).unwrap();
     let mut restored = AdaptiveClusterIndex::load(&path, config).unwrap();
-    std::fs::remove_file(&path).unwrap();
 
     assert_eq!(restored.len(), index.len());
     assert_eq!(restored.cluster_count(), clusters_saved);
@@ -532,11 +480,9 @@ fn save_load_roundtrip_preserves_contents_and_results() {
 fn load_rejects_wrong_dimensionality() {
     let mut index = AdaptiveClusterIndex::new(IndexConfig::memory(2)).unwrap();
     index.insert(ObjectId(1), rect(&[0.1, 0.1], &[0.2, 0.2])).unwrap();
-    let mut path = std::env::temp_dir();
-    path.push(format!("acx-index-wrongdims-{}.acx", std::process::id()));
+    let path = TempPath::new("index-wrongdims");
     index.save(&path).unwrap();
     let err = AdaptiveClusterIndex::load(&path, IndexConfig::memory(5));
-    std::fs::remove_file(&path).unwrap();
     assert!(matches!(
         err,
         Err(IndexError::DimensionMismatch { expected: 5, actual: 2 })
@@ -577,76 +523,6 @@ fn priced_cost_drops_after_adaptation() {
     );
 }
 
-/// A hand-built 2-d cluster: its parent's slot, its signature and its
-/// `(id, coords)` members.
-type TreeCluster<'a> = (
-    Option<u32>,
-    &'a acx_core::Signature,
-    &'a [(u32, [Scalar; 4])],
-);
-
-/// Writes a checkpoint of a hand-built tree through the public frame
-/// codec: `clusters` in depth-first order, each cluster's slot its
-/// position, every statistic and clock zero — as if no query had run.
-fn write_tree(path: &std::path::Path, config: &IndexConfig, clusters: &[TreeCluster]) {
-    use acx_core::candidates::generate_candidates;
-    use acx_storage::frame::{push_frame, Header};
-
-    let header = Header {
-        magic: *b"ACXF",
-        version: 3,
-        dims: config.dims,
-        checkpoint_id: 0,
-    };
-    let mut out = header.encode().to_vec();
-    let u32s = |o: &mut Vec<u8>, vs: &[u32]| vs.iter().for_each(|v| o.extend(v.to_le_bytes()));
-    push_frame(&mut out, |o| {
-        o.push(1);
-        o.extend([0; 13 * 8]);
-    })
-    .unwrap();
-    for (slot, (parent, signature, members)) in clusters.iter().enumerate() {
-        let ncand = generate_candidates(signature, config.division_factor).len();
-        let signature = signature.to_bytes();
-        push_frame(&mut out, |o| {
-            o.push(2);
-            let parent = parent.unwrap_or(u32::MAX);
-            let len = signature.len() as u32;
-            u32s(o, &[slot as u32, parent, members.len() as u32, len]);
-            o.extend(&signature);
-            o.extend(vec![0; 44]);
-            u32s(o, &[ncand as u32]);
-            o.extend(vec![0; 12 * ncand]);
-        })
-        .unwrap();
-        push_frame(&mut out, |o| {
-            o.push(3);
-            u32s(o, &[members.len() as u32]);
-            members.iter().for_each(|(id, _)| u32s(o, &[*id]));
-            members
-                .iter()
-                .flat_map(|(_, coords)| coords)
-                .for_each(|c| o.extend(c.to_le_bytes()));
-        })
-        .unwrap();
-    }
-    let objects: usize = clusters.iter().map(|c| c.2.len()).sum();
-    for tag in [4, 5] {
-        push_frame(&mut out, |o| {
-            o.push(tag);
-            u32s(o, &[0]);
-        })
-        .unwrap();
-    }
-    push_frame(&mut out, |o| {
-        o.push(6);
-        u32s(o, &[clusters.len() as u32]);
-        o.extend((objects as u64).to_le_bytes());
-    })
-    .unwrap();
-    std::fs::write(path, out).unwrap();
-}
-
 #[test]
 fn fresh_child_cluster_beats_root_at_equal_probability() {
     // Paper §3.5: insertion breaks access-probability ties towards the
@@ -661,8 +537,7 @@ fn fresh_child_cluster_beats_root_at_equal_probability() {
     let child_sig = root_sig.specialize(0, 4, 0, 0);
     let mut config = paper(dims);
     config.reorg_period = 0;
-    let mut path = std::env::temp_dir();
-    path.push(format!("acx-tie-break-{}.acx", std::process::id()));
+    let path = TempPath::new("tie-break");
     write_tree(
         &path,
         &config,
@@ -672,7 +547,6 @@ fn fresh_child_cluster_beats_root_at_equal_probability() {
         ],
     );
     let mut index = AdaptiveClusterIndex::load(&path, config).unwrap();
-    std::fs::remove_file(&path).unwrap();
     assert_eq!(index.cluster_count(), 2);
 
     let child_objects = |index: &AdaptiveClusterIndex| -> usize {
@@ -723,8 +597,7 @@ fn load_rejects_an_object_stored_in_two_clusters() {
     let dims = 2;
     let root_sig = Signature::root(dims);
     let child_sig = root_sig.specialize(0, 4, 0, 0);
-    let mut path = std::env::temp_dir();
-    path.push(format!("acx-twice-{}.acx", std::process::id()));
+    let path = TempPath::new("twice");
     write_tree(
         &path,
         &paper(dims),
@@ -737,9 +610,7 @@ fn load_rejects_an_object_stored_in_two_clusters() {
             (Some(0), &child_sig, &[(2, [0.1, 0.2, 0.3, 0.8])]),
         ],
     );
-    let loaded = AdaptiveClusterIndex::load(&path, paper(dims));
-    std::fs::remove_file(&path).unwrap();
-    match loaded {
+    match AdaptiveClusterIndex::load(&path, paper(dims)) {
         Err(IndexError::Store(StoreError::Corrupt(c))) => {
             assert!(
                 c.reason.contains("object #2 appears in two clusters"),

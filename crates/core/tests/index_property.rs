@@ -4,6 +4,7 @@
 use acx_core::{AdaptiveClusterIndex, IndexConfig};
 use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery};
 use acx_storage::StorageScenario;
+use acx_testkit::rect_of;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -25,12 +26,6 @@ fn op(dims: usize) -> impl Strategy<Value = Op> {
         3 => (prop::collection::vec(pair(), dims), 0u8..4).prop_map(|(ps, rel)| Op::Query(ps, rel)),
         1 => Just(Op::Reorganize),
     ]
-}
-
-fn rect_of(pairs: &[(Scalar, Scalar)]) -> HyperRect {
-    let lo: Vec<Scalar> = pairs.iter().map(|p| p.0).collect();
-    let hi: Vec<Scalar> = pairs.iter().map(|p| p.1).collect();
-    HyperRect::from_bounds(&lo, &hi).unwrap()
 }
 
 fn query_of(pairs: &[(Scalar, Scalar)], rel: u8) -> SpatialQuery {

@@ -19,8 +19,8 @@
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, STATS_DECAY};
 use acx_geom::{HyperRect, ObjectId};
-use acx_storage::frame::Frames;
 use acx_storage::{crc32, StorageScenario};
+use acx_testkit::ckpt::{self, Checkpoint, ClusterFrame};
 use acx_workloads::{
     AdaptiveScenario, ClusteredObjects, MixedTraffic, OscillatingHeat, UniformWorkload,
     WorkloadConfig,
@@ -33,75 +33,30 @@ use acx_workloads::{
 /// carries (statistics, decay stamp, `n_hi`, candidate counters —
 /// caught up to the last pass's epoch) and its `(id, coords)` pairs by
 /// ascending id, then the free-slot and recent-merge frames' bodies.
-fn canonical_digest(bytes: &[u8]) -> u32 {
-    struct Stored<'a> {
-        slot: u32,
-        parent: u32,
-        signature: &'a [u8],
-        counters: Vec<u8>,
-        members: Vec<(u32, &'a [u8])>,
-    }
-    let dims = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-    let mut frames = Frames::after_header(bytes).map(Result::unwrap);
-    let clocks = &frames.next().expect("clocks frame").payload()[1..];
-    let stats_epoch = u64::from_le_bytes(clocks[5 * 8..6 * 8].try_into().unwrap());
-    let mut clusters: Vec<Stored> = Vec::new();
-    let mut tail = Vec::new();
-    for frame in frames {
-        let mut cur = frame.cursor();
-        match frame.tag() {
-            // Cluster: slot, parent, member count, signature, then the
-            // 44 bytes of counters, `ncand` and the candidate counters.
-            2 => {
-                let (slot, parent, _) = (cur.u32().unwrap(), cur.u32().unwrap(), cur.u32());
-                let signature = cur.bytes().unwrap();
-                let counters = &frame.payload()[1 + 16 + signature.len()..];
-                clusters.push(Stored {
-                    slot,
-                    parent,
-                    signature,
-                    counters: caught_up(counters, stats_epoch - 1),
-                    members: Vec::new(),
-                });
-            }
-            // Members: `n`, `n` ids, `n` × `2·dims` coordinates.
-            3 => {
-                let n = cur.u32().unwrap() as usize;
-                let ids = cur.items(n, 4).unwrap().chunks_exact(4);
-                let coords = cur.items(n, 8 * dims).unwrap().chunks_exact(8 * dims);
-                let members = &mut clusters.last_mut().expect("a cluster").members;
-                members.extend(
-                    ids.map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-                        .zip(coords),
-                );
-            }
-            4 | 5 => tail.extend_from_slice(&frame.payload()[1..]),
-            _ => {}
-        }
-    }
+fn canonical_digest(checkpoint: &Checkpoint) -> u32 {
+    let clusters = checkpoint.clusters();
+    let stats_epoch = checkpoint.clock(ckpt::STATS_EPOCH);
     let children = |of: u32| {
-        let mut ks: Vec<usize> = (0..clusters.len())
-            .filter(|&k| clusters[k].parent == of)
-            .collect();
-        ks.sort_by_key(|&k| clusters[k].signature);
+        let mut ks: Vec<&ClusterFrame> = clusters.iter().filter(|c| c.parent == of).collect();
+        ks.sort_by_key(|c| &checkpoint.frames[c.frame][c.signature.clone()]);
         ks
     };
 
-    let mut out = clocks.to_vec();
-    let mut stack: Vec<(usize, u32)> = children(u32::MAX).into_iter().map(|k| (k, 0)).collect();
+    let mut out = checkpoint.frames[0][1..].to_vec();
+    let mut stack: Vec<_> = children(u32::MAX).into_iter().map(|c| (c, 0u32)).collect();
     assert_eq!(stack.len(), 1, "one root");
     let mut visited = 0;
-    while let Some((k, depth)) = stack.pop() {
+    while let Some((cluster, depth)) = stack.pop() {
         visited += 1;
-        let cluster = &clusters[k];
+        let payload = &checkpoint.frames[cluster.frame];
         out.extend_from_slice(&depth.to_le_bytes());
-        out.extend_from_slice(cluster.signature);
-        out.extend_from_slice(&cluster.counters);
-        let mut members = cluster.members.clone();
-        members.sort_by_key(|&(id, _)| id);
+        out.extend_from_slice(&payload[cluster.signature.clone()]);
+        out.extend(caught_up(payload, cluster, stats_epoch - 1));
+        let mut members = checkpoint.members(cluster);
+        members.sort_by_key(|m| m.0);
         for (id, coords) in members {
             out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(coords);
+            out.extend(coords.iter().flat_map(|c| c.to_le_bytes()));
         }
         stack.extend(
             children(cluster.slot)
@@ -111,26 +66,30 @@ fn canonical_digest(bytes: &[u8]) -> u32 {
         );
     }
     assert_eq!(visited, clusters.len(), "every cluster hangs off the root");
-    out.extend_from_slice(&tail);
+    for payload in &checkpoint.frames {
+        if matches!(payload[0], ckpt::FREE | ckpt::MERGES) {
+            out.extend_from_slice(&payload[1..]);
+        }
+    }
     crc32(&out)
 }
 
-/// One cluster's counters as its cluster frame carries them (44 bytes
-/// of statistics, decay stamp and `n_hi`, then `ncand: u32`, `ncand`
-/// `u32` epoch counters and `ncand` `f64` histories), with the candidate
-/// counters' lazy decay caught up to `epoch` exactly as
+/// One cluster's counters as its cluster frame carries them (from
+/// [`ClusterFrame::counters`] to the end: statistics, decay stamp and
+/// `n_hi`, `ncand`, then the `q` and `q_eff` columns), with the
+/// candidate counters' lazy decay caught up to `epoch` exactly as
 /// `CandidateSliceMut::catch_up` replays it: one fold of the epoch
 /// counter, then a `γ` multiply per further close until the history is
 /// zero. A candidate set no query or scan has touched since before
 /// `epoch` then reads as one the pass of `epoch` caught up; how lazily
 /// a set was decayed is no decision.
-fn caught_up(counters: &[u8], epoch: u64) -> Vec<u8> {
+fn caught_up(payload: &[u8], cluster: &ClusterFrame, epoch: u64) -> Vec<u8> {
     let gamma = STATS_DECAY;
-    let mut out = counters.to_vec();
-    let stamp = u64::from_le_bytes(out[32..40].try_into().unwrap());
+    let mut out = payload.to_vec();
+    let stamp_at = cluster.counters + ckpt::DECAY_STAMP;
+    let stamp = u64::from_le_bytes(out[stamp_at..stamp_at + 8].try_into().unwrap());
     if stamp < epoch {
-        let ncand = u32::from_le_bytes(out[44..48].try_into().unwrap()) as usize;
-        let (q, q_eff) = out[48..].split_at_mut(4 * ncand);
+        let (q, q_eff) = out[cluster.q..].split_at_mut(4 * cluster.ncand);
         for (q, hist) in q.chunks_exact_mut(4).zip(q_eff.chunks_exact_mut(8)) {
             let pending = u32::from_le_bytes((&*q).try_into().unwrap());
             let mut h = gamma * f64::from_le_bytes((&*hist).try_into().unwrap()) + pending as f64;
@@ -143,9 +102,9 @@ fn caught_up(counters: &[u8], epoch: u64) -> Vec<u8> {
             q.copy_from_slice(&0u32.to_le_bytes());
             hist.copy_from_slice(&h.to_le_bytes());
         }
-        out[32..40].copy_from_slice(&epoch.to_le_bytes());
+        out[stamp_at..stamp_at + 8].copy_from_slice(&epoch.to_le_bytes());
     }
-    out
+    out.split_off(cluster.counters)
 }
 
 /// `(cluster_count, total_splits, total_merges)` after each explicit
@@ -180,15 +139,7 @@ fn drive(
             index.total_merges(),
         ));
     }
-    let path = std::env::temp_dir().join(format!(
-        "acx-golden-{}-{}-{reference}.ckpt",
-        std::process::id(),
-        scenario.label()
-    ));
-    index.save(&path).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).unwrap();
-    (trail, canonical_digest(&bytes))
+    (trail, canonical_digest(&Checkpoint::of(&index)))
 }
 
 #[test]

@@ -23,7 +23,7 @@
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, QueryScratch, ReorgReport, StatsDelta};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
-use acx_storage::StorageScenario;
+use acx_testkit::{checkpoint_bytes, paper, random_grid_query, random_grid_rect};
 use acx_workloads::{
     AdaptiveScenario, ClusteredObjects, FlashCrowd, MigratingHotspot, MixedTraffic,
     OscillatingHeat, UniformWorkload, WorkloadConfig,
@@ -31,11 +31,6 @@ use acx_workloads::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// The paper's platform ([`IndexConfig::edbt2004`], in memory).
-fn paper(dims: usize) -> IndexConfig {
-    IndexConfig::edbt2004(dims, StorageScenario::Memory)
-}
 
 /// The production configuration (screened columnar pass, batch kernels)
 /// against the reference (every cluster scanned, object-at-a-time loops).
@@ -47,31 +42,6 @@ fn mode_pair(config: &IndexConfig) -> (AdaptiveClusterIndex, AdaptiveClusterInde
     })
     .unwrap();
     (incremental, oracle)
-}
-
-fn random_rect(rng: &mut StdRng, dims: usize, grid: u32) -> HyperRect {
-    let mut lo = Vec::with_capacity(dims);
-    let mut hi = Vec::with_capacity(dims);
-    for _ in 0..dims {
-        let a = rng.gen_range(0..=grid) as f32 / grid as f32;
-        let b = rng.gen_range(0..=grid) as f32 / grid as f32;
-        lo.push(a.min(b));
-        hi.push(a.max(b));
-    }
-    HyperRect::from_bounds(&lo, &hi).unwrap()
-}
-
-fn random_query(rng: &mut StdRng, dims: usize, grid: u32) -> SpatialQuery {
-    match rng.gen_range(0..4u32) {
-        0 => SpatialQuery::intersection(random_rect(rng, dims, grid)),
-        1 => SpatialQuery::containment(random_rect(rng, dims, grid)),
-        2 => SpatialQuery::enclosure(random_rect(rng, dims, grid)),
-        _ => SpatialQuery::point_enclosing(
-            (0..dims)
-                .map(|_| rng.gen_range(0..=grid) as f32 / grid as f32)
-                .collect(),
-        ),
-    }
 }
 
 /// Asserts every observable piece of adaptive state agrees.
@@ -159,21 +129,6 @@ fn drive_scenario_pair(
     )
 }
 
-/// The index's checkpoint: byte-deterministic, and every counter of
-/// every cluster and candidate is in it.
-fn checkpoint_bytes(index: &AdaptiveClusterIndex) -> Vec<u8> {
-    static NEXT: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
-    let path = std::env::temp_dir().join(format!(
-        "acx-reorg-eq-{}-{}.ckpt",
-        std::process::id(),
-        NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    ));
-    index.save(&path).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).unwrap();
-    bytes
-}
-
 /// Drives the production/reference pair through the same
 /// insert/query/mutate stream with explicit reorganization passes,
 /// comparing the per-pass reports and the full cluster state after
@@ -192,7 +147,7 @@ fn drive_and_compare(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut next_id = 0u32;
     for _ in 0..objects {
-        let rect = random_rect(&mut rng, dims, 8);
+        let rect = random_grid_rect(&mut rng, dims, 8);
         incremental.insert(ObjectId(next_id), rect.clone()).unwrap();
         oracle.insert(ObjectId(next_id), rect).unwrap();
         next_id += 1;
@@ -204,7 +159,7 @@ fn drive_and_compare(
             // passes see inserts, removals and updates mid-epoch.
             match rng.gen_range(0..10u32) {
                 0 => {
-                    let rect = random_rect(&mut rng, dims, 8);
+                    let rect = random_grid_rect(&mut rng, dims, 8);
                     incremental.insert(ObjectId(next_id), rect.clone()).unwrap();
                     oracle.insert(ObjectId(next_id), rect).unwrap();
                     next_id += 1;
@@ -222,13 +177,13 @@ fn drive_and_compare(
                 2 if next_id > 0 => {
                     let id = ObjectId(rng.gen_range(0..next_id));
                     if incremental.contains(id) {
-                        let rect = random_rect(&mut rng, dims, 8);
+                        let rect = random_grid_rect(&mut rng, dims, 8);
                         incremental.update(id, rect.clone()).unwrap();
                         oracle.update(id, rect).unwrap();
                     }
                 }
                 _ => {
-                    let q = random_query(&mut rng, dims, 8);
+                    let q = random_grid_query(&mut rng, dims, 8);
                     let a = incremental.execute(&q);
                     let b = oracle.execute(&q);
                     assert_eq!(a.matches, b.matches, "period {period} query {k}");
@@ -275,7 +230,7 @@ fn forced_splits_then_merges_are_identical() {
 
     let mut rng = StdRng::seed_from_u64(0xF0CED);
     for i in 0..1200u32 {
-        let rect = random_rect(&mut rng, dims, 10);
+        let rect = random_grid_rect(&mut rng, dims, 10);
         incremental.insert(ObjectId(i), rect.clone()).unwrap();
         oracle.insert(ObjectId(i), rect).unwrap();
     }
@@ -324,7 +279,7 @@ fn screen_skips_scans_without_changing_decisions() {
     let (mut incremental, mut oracle) = mode_pair(&config);
     let mut rng = StdRng::seed_from_u64(0x5C1);
     for i in 0..2000u32 {
-        let rect = random_rect(&mut rng, dims, 12);
+        let rect = random_grid_rect(&mut rng, dims, 12);
         incremental.insert(ObjectId(i), rect.clone()).unwrap();
         oracle.insert(ObjectId(i), rect).unwrap();
     }
@@ -381,7 +336,7 @@ fn abandoned_clusters_stay_decision_identical() {
         oracle.insert(ObjectId(i), rect).unwrap();
     }
     for i in 2000..2300u32 {
-        let rect = random_rect(&mut rng, dims, 8);
+        let rect = random_grid_rect(&mut rng, dims, 8);
         incremental.insert(ObjectId(i), rect.clone()).unwrap();
         oracle.insert(ObjectId(i), rect).unwrap();
     }
@@ -449,14 +404,14 @@ fn auto_triggered_passes_and_batches_are_identical() {
     let (mut incremental, mut oracle) = mode_pair(&config);
     let mut rng = StdRng::seed_from_u64(0xBA7C);
     for i in 0..800u32 {
-        let rect = random_rect(&mut rng, dims, 8);
+        let rect = random_grid_rect(&mut rng, dims, 8);
         incremental.insert(ObjectId(i), rect.clone()).unwrap();
         oracle.insert(ObjectId(i), rect).unwrap();
     }
     let mut delta = StatsDelta::new();
     let mut scratch = QueryScratch::new();
     for k in 0..310 {
-        let q = random_query(&mut rng, dims, 8);
+        let q = random_grid_query(&mut rng, dims, 8);
         delta.clear();
         let metrics = incremental.query_recorded_with(&q, &mut delta, &mut scratch);
         incremental.apply_stats(&delta);
@@ -569,7 +524,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut next_id = 0u32;
         for _ in 0..n_objects {
-            let rect = random_rect(&mut rng, dims, 6);
+            let rect = random_grid_rect(&mut rng, dims, 6);
             incremental.insert(ObjectId(next_id), rect.clone()).unwrap();
             oracle.insert(ObjectId(next_id), rect).unwrap();
             next_id += 1;
@@ -578,7 +533,7 @@ proptest! {
             for _ in 0..queries_per_period {
                 match rng.gen_range(0..8u32) {
                     0 => {
-                        let rect = random_rect(&mut rng, dims, 6);
+                        let rect = random_grid_rect(&mut rng, dims, 6);
                         incremental.insert(ObjectId(next_id), rect.clone()).unwrap();
                         oracle.insert(ObjectId(next_id), rect).unwrap();
                         next_id += 1;
@@ -591,7 +546,7 @@ proptest! {
                         }
                     }
                     _ => {
-                        let q = random_query(&mut rng, dims, 6);
+                        let q = random_grid_query(&mut rng, dims, 6);
                         let a = incremental.execute(&q);
                         let b = oracle.execute(&q);
                         prop_assert_eq!(a.matches, b.matches);

@@ -14,16 +14,19 @@ use std::sync::Arc;
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, ReorgFaultPoint};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
-use acx_storage::{FlushPolicy, MemBacking, Wal};
+use acx_storage::FlushPolicy;
+use acx_testkit::{mem_wal, naive_matches, recover_log, sorted, wal_bytes};
 use acx_workloads::{AdaptiveScenario, OscillatingHeat, UniformWorkload, WorkloadConfig};
 
 const DIMS: usize = 3;
 
 /// Builds the adversarial setup from the thrash suite: oscillating heat
 /// reliably forces both merges and splits, so every fault point fires.
-fn adversary(seed: u64) -> (AdaptiveClusterIndex, Vec<HyperRect>, OscillatingHeat) {
+/// Objects are `(id, rect)`, ids counting from 0.
+fn adversary(seed: u64) -> (AdaptiveClusterIndex, Vec<(u32, HyperRect)>, OscillatingHeat) {
     let cfg = WorkloadConfig::new(DIMS, 900, seed);
     let objects = UniformWorkload::with_max_length(cfg.clone(), 0.4).generate_objects();
+    let objects = (0..).zip(objects).collect();
     let scenario = OscillatingHeat::new(&cfg, 140, 0.3, 0.08);
     let mut config = IndexConfig::memory(DIMS);
     config.reorg_period = 0;
@@ -32,24 +35,12 @@ fn adversary(seed: u64) -> (AdaptiveClusterIndex, Vec<HyperRect>, OscillatingHea
     (index, objects, scenario)
 }
 
-fn naive_matches(objects: &[HyperRect], query: &SpatialQuery) -> Vec<u32> {
-    let mut out: Vec<u32> = objects
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| query.matches_rect(r))
-        .map(|(i, _)| i as u32)
-        .collect();
-    out.sort_unstable();
-    out
-}
-
 fn assert_answers_exactly(
     index: &AdaptiveClusterIndex,
-    objects: &[HyperRect],
+    objects: &[(u32, HyperRect)],
     query: &SpatialQuery,
 ) {
-    let mut got: Vec<u32> = index.query(query).matches.iter().map(|o| o.raw()).collect();
-    got.sort_unstable();
+    let got = sorted(index.query(query).matches);
     assert_eq!(got, naive_matches(objects, query), "answers after panic");
 }
 
@@ -91,7 +82,7 @@ fn panic_at(
 
 fn check_after_panic(
     index: &mut AdaptiveClusterIndex,
-    objects: &[HyperRect],
+    objects: &[(u32, HyperRect)],
     scenario: &mut OscillatingHeat,
 ) {
     index.check_invariants().unwrap();
@@ -113,8 +104,8 @@ fn check_after_panic(
 
 fn run_panic_point(point: ReorgFaultPoint, seed: u64) {
     let (mut index, objects, mut scenario) = adversary(seed);
-    for (i, rect) in objects.iter().enumerate() {
-        index.insert(ObjectId(i as u32), rect.clone()).unwrap();
+    for (id, rect) in &objects {
+        index.insert(ObjectId(*id), rect.clone()).unwrap();
     }
     panic_at(&mut index, &mut scenario, point);
     check_after_panic(&mut index, &objects, &mut scenario);
@@ -152,25 +143,18 @@ fn panic_before_epoch_close_leaves_index_valid() {
 fn wal_written_before_mid_reorg_panic_recovers() {
     let (mut index, objects, mut scenario) = adversary(0xA11C_E006);
     index
-        .attach_wal(Wal::create(Box::new(MemBacking::new()), FlushPolicy::PerRecord, DIMS).unwrap())
+        .attach_wal(mem_wal(DIMS, FlushPolicy::PerRecord))
         .unwrap();
-    for (i, rect) in objects.iter().enumerate() {
-        index.insert(ObjectId(i as u32), rect.clone()).unwrap();
+    for (id, rect) in &objects {
+        index.insert(ObjectId(*id), rect.clone()).unwrap();
     }
     panic_at(&mut index, &mut scenario, ReorgFaultPoint::AfterMaterialize);
     assert!(index.wal_failure().is_none(), "a panic is not a log fault");
 
     // Simulate the process dying at the panic: recover purely from what
     // the log holds at this instant.
-    let mut store = index.detach_wal().unwrap().into_store();
-    let bytes = store.read_durable().unwrap();
-    let (recovered, report) = AdaptiveClusterIndex::recover(
-        None,
-        Box::new(MemBacking::from_bytes(bytes)),
-        FlushPolicy::PerRecord,
-        IndexConfig::memory(DIMS),
-    )
-    .unwrap();
+    let bytes = wal_bytes(&mut index);
+    let (recovered, report) = recover_log(bytes, IndexConfig::memory(DIMS)).unwrap();
     recovered.check_invariants().unwrap();
     assert_eq!(report.objects, objects.len());
     assert_eq!(recovered.len(), objects.len());

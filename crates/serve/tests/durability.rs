@@ -7,21 +7,10 @@ use acx_core::{AdaptiveClusterIndex, ClusterSnapshot, IndexConfig, IndexError};
 use acx_geom::{ObjectId, SpatialQuery};
 use acx_serve::{ServeConfig, ShardBy, ShardedIndex};
 use acx_storage::{FlushPolicy, StorageScenario, StoreError};
+use acx_testkit::TempPath;
 use acx_workloads::{EventStream, PubSubGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let mut path = std::env::temp_dir();
-    path.push(format!(
-        "acx-serve-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&path);
-    path
-}
 
 /// Three shards on the paper's platform, which materializes clusters
 /// from a shard's few dozen subscriptions (asserted where a test needs
@@ -77,7 +66,7 @@ fn wal_checkpoint_recover_roundtrip_synced_behind() {
 
 fn roundtrip(tag: &str, policy: FlushPolicy) {
     let behind = policy != FlushPolicy::PerRecord;
-    let dir = temp_dir(tag);
+    let dir = TempPath::new(tag);
     let generator = PubSubGenerator::apartments();
     let mut rng = StdRng::seed_from_u64(31);
     let index = ShardedIndex::new(config()).unwrap();
@@ -141,14 +130,11 @@ fn roundtrip(tag: &str, policy: FlushPolicy) {
         .insert(ObjectId(9000), generator.subscription(9000, &mut rng).ranges)
         .unwrap();
     assert!(recovered.contains(ObjectId(9000)));
-
-    drop(recovered);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn recovery_without_checkpoint_replays_the_whole_log() {
-    let dir = temp_dir("no-ckpt");
+    let dir = TempPath::new("no-ckpt");
     let generator = PubSubGenerator::apartments();
     let mut rng = StdRng::seed_from_u64(77);
     let index = ShardedIndex::new(config()).unwrap();
@@ -168,14 +154,11 @@ fn recovery_without_checkpoint_replays_the_whole_log() {
     );
     assert_eq!(shard_states(&recovered), before);
     assert_eq!(recovered.len(), 40);
-
-    drop(recovered);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn a_checkpoint_directory_that_cannot_be_created_is_a_store_error() {
-    let dir = temp_dir("under-a-file");
+    let dir = TempPath::new("under-a-file");
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join("plain-file");
     std::fs::write(&file, b"not a directory").unwrap();
@@ -186,6 +169,4 @@ fn a_checkpoint_directory_that_cannot_be_created_is_a_store_error() {
         }
         other => panic!("expected a checkpoint i/o error, got {other:?}"),
     }
-    drop(index);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -19,6 +19,7 @@ use acx_core::{AdaptiveClusterIndex, ClusterSnapshot, IndexConfig};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
 use acx_serve::{ServeConfig, ShardedIndex};
 use acx_storage::StorageScenario;
+use acx_testkit::sorted;
 use acx_workloads::{EventStream, PubSubGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,11 +45,6 @@ fn config() -> IndexConfig {
 
 fn events(n: usize, seed: u64) -> Vec<SpatialQuery> {
     EventStream::with_flexibility(PubSubGenerator::apartments(), seed, 0.02).next_batch(n)
-}
-
-fn sorted(mut matches: Vec<ObjectId>) -> Vec<ObjectId> {
-    matches.sort_unstable();
-    matches
 }
 
 #[test]

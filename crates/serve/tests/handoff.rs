@@ -7,6 +7,7 @@
 use acx_core::{AdaptiveClusterIndex, IndexConfig};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
 use acx_serve::{ServeConfig, ShardedIndex};
+use acx_testkit::sorted;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
@@ -122,7 +123,7 @@ fn sync_calls_see_earlier_events(shards: usize, cap: usize, seed: u64) {
         }
         let vouches = match rng.gen_range(0..3u32) {
             0 => {
-                index.insert(ObjectId(id), random_rect(&mut rng)).unwrap();
+                index.insert(ObjectId(id), random_box(&mut rng)).unwrap();
                 shards == 1
             }
             1 => {
@@ -182,15 +183,10 @@ fn idle(rng: &mut StdRng) {
     }
 }
 
-fn random_rect(rng: &mut StdRng) -> HyperRect {
+fn random_box(rng: &mut StdRng) -> HyperRect {
     let lo: Vec<f32> = (0..3).map(|_| rng.gen_range(0.0f32..0.7)).collect();
     let hi: Vec<f32> = lo.iter().map(|l| l + rng.gen_range(0.05f32..0.3)).collect();
     HyperRect::from_bounds(&lo, &hi).unwrap()
-}
-
-fn sorted(mut ids: Vec<ObjectId>) -> Vec<ObjectId> {
-    ids.sort_unstable();
-    ids
 }
 
 /// Blocking and non-blocking submits and synchronous mutations against
@@ -237,12 +233,12 @@ fn stress(shards: usize, ops: usize, seed: u64) -> u64 {
                     if rng.gen_bool(0.5) {
                         assert_eq!(index.remove(id).unwrap(), solo.remove(id).unwrap());
                     } else {
-                        let rect = random_rect(&mut rng);
+                        let rect = random_box(&mut rng);
                         let old = solo.update(id, rect.clone()).unwrap();
                         assert_eq!(index.update(id, rect).unwrap(), old);
                     }
                 } else {
-                    let rect = random_rect(&mut rng);
+                    let rect = random_box(&mut rng);
                     solo.insert(id, rect.clone()).unwrap();
                     index.insert(id, rect).unwrap();
                 }

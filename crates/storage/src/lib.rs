@@ -1,6 +1,10 @@
 //! Storage substrate: device cost profiles, the sequential segment
 //! store, the frame codec both persistent files are written in, and the
-//! write-ahead log.
+//! write-ahead log. The log's one medium here is the file
+//! ([`FileBacking`]); [`BackingStore`] is public so that test media —
+//! the in-memory log and the fault injector of the workspace's
+//! `acx_testkit` — implement it from outside, and ship in no
+//! production crate.
 //!
 //! The paper evaluates two storage scenarios (§5):
 //!
@@ -35,6 +39,5 @@ pub use frame::{Corruption, StoreError};
 pub use result::{QueryMetrics, QueryResult};
 pub use segment::{SegmentId, SegmentStore};
 pub use wal::{
-    BackingStore, FaultInjector, FaultPlan, FileBacking, FlushPolicy, MemBacking, TornTail, Wal,
-    WalError, WalRecord, WalReplay,
+    BackingStore, FileBacking, FlushPolicy, TornTail, Wal, WalError, WalRecord, WalReplay,
 };

@@ -4,13 +4,9 @@
 //! reference.
 
 use acx::prelude::*;
+use acx_testkit::sorted;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-fn sorted(mut v: Vec<ObjectId>) -> Vec<ObjectId> {
-    v.sort_unstable();
-    v
-}
 
 fn queries(workload: &UniformWorkload, rng: &mut StdRng, n: usize) -> Vec<SpatialQuery> {
     (0..n)
