@@ -27,7 +27,9 @@
 //! * **reorganization** — the per-period maintenance pass on an adapted
 //!   index: the production pass (O(1) screen + columnar split scan)
 //!   against the reference's decision-identical scalar scan of every
-//!   cluster.
+//!   cluster; and passes that split and merge, under a 4-d hotspot
+//!   jumping between sites of clustered objects: nanoseconds per pass,
+//!   members moved per pass and nanoseconds per moved member.
 //!
 //! The index-level sections build both sides from
 //! [`acx_bench::strategies`].
@@ -55,12 +57,15 @@ use acx_bench::args::Flags;
 use acx_bench::cost_terms::{self, CostTerms};
 use acx_bench::{adapted_ac, build_ac_with, strategies};
 use acx_core::candidates::{generate_candidates, StatsArena};
-use acx_core::{QueryScratch, Signature, StatsDelta};
+use acx_core::{IndexConfig, QueryScratch, Signature, StatsDelta};
 use acx_geom::scan::{scan_columns, PairedColumns, ScanScratch, BLOCK};
 use acx_geom::{HyperRect, Scalar, SpatialQuery, OBJECT_ID_BYTES};
 use acx_workloads::{
-    calibrate, EventStream, PubSubGenerator, UniformWorkload, Workload, WorkloadConfig,
+    calibrate, ClusteredObjects, EventStream, PubSubGenerator, UniformWorkload, Workload,
+    WorkloadConfig,
 };
+use rand::rngs::StdRng;
+use rand::Rng;
 
 /// Median-of-repeats nanoseconds per query for one closure.
 fn time_per_query<F: FnMut(usize) -> u64>(queries: usize, repeats: usize, mut run: F) -> f64 {
@@ -521,6 +526,137 @@ fn reorg_matrix(objects: usize, repeats: usize) -> Vec<ReorgRow> {
     rows
 }
 
+struct MovingRow {
+    mode: &'static str,
+    /// Median nanoseconds of a pass that moved members.
+    pass_ns: f64,
+    /// Measured passes that moved members.
+    passes: u64,
+    splits: u64,
+    merges: u64,
+    /// Mean [`acx_core::ReorgProfile::objects_moved`] of those passes.
+    moved_per_pass: f64,
+    /// Their summed time over their summed moved members.
+    ns_per_moved: f64,
+}
+
+/// Sites the moving-pass hotspot visits round-robin: corners of
+/// `{0.25, 0.75}^4` two coordinates apart, so no two hotspots overlap.
+const MOVING_SITES: [[Scalar; 4]; 8] = [
+    [0.25, 0.25, 0.25, 0.25],
+    [0.75, 0.75, 0.25, 0.25],
+    [0.75, 0.25, 0.75, 0.25],
+    [0.25, 0.75, 0.75, 0.25],
+    [0.75, 0.25, 0.25, 0.75],
+    [0.25, 0.75, 0.25, 0.75],
+    [0.25, 0.25, 0.75, 0.75],
+    [0.75, 0.75, 0.75, 0.75],
+];
+
+/// A window of extent 0.08 placed uniformly inside the hotspot of
+/// extent 0.3 around `site`.
+fn hotspot_window(rng: &mut StdRng, site: &[Scalar]) -> SpatialQuery {
+    let (extent, window) = (0.3, 0.08);
+    let slack = (extent - window) * 0.5;
+    let lo: Vec<Scalar> = site
+        .iter()
+        .map(|c| c + rng.gen_range(-slack..=slack) - window * 0.5)
+        .collect();
+    let hi: Vec<Scalar> = lo.iter().map(|l| l + window).collect();
+    SpatialQuery::intersection(HyperRect::from_bounds(&lo, &hi).expect("inside the domain"))
+}
+
+/// Objects of the moving-pass stream, whatever `--index-objects` says:
+/// the measured prices cluster only from a few thousand objects up.
+const MOVING_OBJECTS: usize = 20_000;
+
+/// Passes that move members, on the default configuration
+/// (`IndexConfig::memory`, the measured prices) against its reference:
+/// 4-d objects in thousands of small clumps and a hotspot of
+/// intersection windows that jumps round-robin among eight sites every
+/// two periods, so the clustering never settles — passes split clusters
+/// out at the new site and merge them back at the old one. Both run the
+/// same stream (auto-reorganization off, one explicit pass every
+/// `period` events) after two warm-up rounds of the sites; the passes
+/// that moved members are timed. Decision identity is asserted on every
+/// pass's report and on the final clustering.
+fn moving_pass(repeats: usize) -> Vec<MovingRow> {
+    let (dims, objects) = (4, MOVING_OBJECTS);
+    let (period, shift_every) = (100usize, 200usize);
+    let site_round = MOVING_SITES.len() * shift_every;
+    let population =
+        ClusteredObjects::new(WorkloadConfig::new(dims, objects, 0x5EED), 4096, 0.05, 0.2);
+    let data = population.generate_objects();
+    let mut rng = WorkloadConfig::new(dims, objects, 17).rng();
+    let measured_rounds = repeats.max(9).div_ceil(4);
+    let events: Vec<SpatialQuery> = (0..(2 + measured_rounds) * site_round)
+        .map(|k| {
+            let site = &MOVING_SITES[(k / shift_every) % MOVING_SITES.len()];
+            hotspot_window(&mut rng, site)
+        })
+        .collect();
+
+    let mut rows = Vec::new();
+    let mut reports: Vec<Vec<acx_core::ReorgReport>> = Vec::new();
+    let mut finals: Vec<Vec<acx_core::ClusterSnapshot>> = Vec::new();
+    let production = IndexConfig {
+        reorg_period: 0,
+        ..IndexConfig::memory(dims)
+    };
+    let reference = IndexConfig {
+        reference: true,
+        ..production.clone()
+    };
+    for (label, config) in [("production", production), ("reference", reference)] {
+        let mut index = build_ac_with(config, &data);
+        let (mut samples, mut moved, mut passes_reports) = (Vec::new(), Vec::new(), Vec::new());
+        for (k, chunk) in events.chunks(period).enumerate() {
+            for q in chunk {
+                std::hint::black_box(index.execute(q).matches.len());
+            }
+            let started = Instant::now();
+            let report = std::hint::black_box(index.reorganize());
+            let elapsed = started.elapsed().as_nanos() as f64;
+            let profile = index.last_reorg_profile();
+            passes_reports.push(report);
+            if k * period >= 2 * site_round && profile.objects_moved > 0 {
+                samples.push(elapsed);
+                moved.push((profile.objects_moved, report.splits, report.merges));
+            }
+        }
+        assert!(!samples.is_empty(), "the hotspot stream moved no member");
+        let total_ns: f64 = samples.iter().sum();
+        let total_moved: u64 = moved.iter().map(|m| m.0).sum();
+        let passes = samples.len() as u64;
+        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        let row = MovingRow {
+            mode: label,
+            pass_ns: samples[samples.len() / 2],
+            passes,
+            splits: moved.iter().map(|m| m.1).sum(),
+            merges: moved.iter().map(|m| m.2).sum(),
+            moved_per_pass: total_moved as f64 / passes as f64,
+            ns_per_moved: total_ns / total_moved as f64,
+        };
+        println!(
+            "moving  d={dims} n={objects} [{label}]: {:>10.0} ns/pass  ({} moving passes, {} splits, {} merges; {:.1} moved/pass, {:.1} ns/moved member)",
+            row.pass_ns, row.passes, row.splits, row.merges, row.moved_per_pass, row.ns_per_moved
+        );
+        rows.push(row);
+        reports.push(passes_reports);
+        finals.push(index.snapshots());
+    }
+    assert_eq!(
+        reports[0], reports[1],
+        "production and reference passes must make the same decisions on the hotspot stream"
+    );
+    assert_eq!(
+        finals[0], finals[1],
+        "production and reference passes must leave the same clustering on the hotspot stream"
+    );
+    rows
+}
+
 /// First line of a command's output, or `"unknown"` — the provenance
 /// stamps of the calibration object.
 fn first_line_of(program: &str, args: &[&str]) -> String {
@@ -530,6 +666,19 @@ fn first_line_of(program: &str, args: &[&str]) -> String {
         .ok()
         .and_then(|out| String::from_utf8(out.stdout).ok())
         .and_then(|text| text.lines().next().map(str::to_owned))
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
+/// The host's CPU model (`/proc/cpuinfo`), or `"unknown"`.
+fn host_cpu() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|line| line.starts_with("model name"))
+                .and_then(|line| line.split(':').nth(1))
+                .map(|name| name.trim().to_owned())
+        })
         .unwrap_or_else(|| "unknown".to_owned())
 }
 
@@ -613,6 +762,9 @@ fn main() {
     let repeats: usize = flags.get("repeats", repeats);
     let cost_terms = flags.has("cost-terms");
     flags.finish();
+    // Stamped before this run writes any snapshot: `-dirty` means the
+    // measured tree differed from the commit named.
+    let commit = first_line_of("git", &["describe", "--always", "--dirty", "--abbrev=40"]);
     let dims_list = [2usize, 4, 8];
     let cand_configs: &[(usize, u8)] = if quick {
         &[(16, 4), (16, 12)]
@@ -629,6 +781,7 @@ fn main() {
     let index = index_point_enclosing(index_objects, repeats);
     let recorded = recorded_execute(index_objects, repeats);
     let reorg = reorg_matrix(index_objects, repeats);
+    let moving = moving_pass(repeats);
 
     // Hand-rolled JSON: the workspace is offline, no serde available.
     let mut json = String::from("{\n  \"bench\": \"scan_kernel\",\n");
@@ -723,6 +876,15 @@ fn main() {
     println!("wrote {cand_out}");
 
     let mut json = String::from("{\n  \"bench\": \"reorganize\",\n");
+    let _ = writeln!(
+        json,
+        "  \"commit\": \"{}\", \"rustc\": \"{}\", \"host_cores\": {}, \"host_cpu\": \"{}\",",
+        commit,
+        first_line_of("rustc", &["--version"]),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        host_cpu(),
+    );
+    let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"dims\": 16,");
     let _ = writeln!(json, "  \"objects\": {index_objects},");
     let _ = writeln!(json, "  \"reorg_period\": 100,");
@@ -745,10 +907,24 @@ fn main() {
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"production_speedup_vs_reference\": {:.3}",
+        "  \"production_speedup_vs_reference\": {:.3},",
         reorg[1].pass_ns / reorg[0].pass_ns
     );
-    json.push_str("}\n");
+    json.push_str(
+        "  \"moving_pass\": {\"dims\": 4, \"objects\": 20000, \"config\": \"IndexConfig::memory\", \
+         \"stream\": \"clustered objects (4096 clumps); \
+         a hotspot of 0.08-wide intersection windows jumping round-robin among 8 sites \
+         every 200 events; one pass every 100 events\", \"rows\": [\n",
+    );
+    for (i, r) in moving.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"mode\": \"{}\", \"pass_ns\": {:.0}, \"moving_passes\": {}, \"splits\": {}, \"merges\": {}, \"objects_moved_per_pass\": {:.1}, \"ns_per_moved_member\": {:.1}}}",
+            r.mode, r.pass_ns, r.passes, r.splits, r.merges, r.moved_per_pass, r.ns_per_moved
+        );
+        json.push_str(if i + 1 == moving.len() { "\n" } else { ",\n" });
+    }
+    json.push_str("  ]}\n}\n");
     std::fs::write(&reorg_out, &json).expect("write reorganization snapshot");
     println!("wrote {reorg_out}");
     if !uncalibrated.is_empty() {

@@ -227,25 +227,29 @@ impl Layout<'_> {
         }
     }
 
-    /// See [`CandidateSlice::count_members`]. The four comparisons are
-    /// combined with `&` rather than `&&`, so the member loop has no
-    /// branch and vectorizes.
+    /// See [`CandidateSlice::count_members`].
     fn count_members(&self, members: &PairedColumns<'_>, out: &mut [u32]) {
         assert_eq!(out.len(), self.dim.len(), "one member count per candidate");
         for (ci, n) in out.iter_mut().enumerate() {
-            let c = self.bounds(ci);
-            let (lo, hi) = (members.lo_col(c.dim), members.hi_col(c.dim));
-            *n = lo
-                .iter()
-                .zip(hi)
-                .map(|(&a, &b)| {
-                    ((c.start_lo <= a)
-                        & (a <= c.start_reach)
-                        & (c.end_lo <= b)
-                        & (b <= c.end_reach)) as u32
-                })
-                .sum();
+            *n = self.count_accepted(ci, members);
         }
+    }
+
+    /// How many of `members` candidate `ci` accepts: one pass over the
+    /// lower- and upper-bound columns of its specialized dimension. The
+    /// four comparisons are combined with `&` rather than `&&`, so the
+    /// member loop has no branch and vectorizes.
+    #[inline]
+    fn count_accepted(&self, ci: usize, members: &PairedColumns<'_>) -> u32 {
+        let c = self.bounds(ci);
+        let (lo, hi) = (members.lo_col(c.dim), members.hi_col(c.dim));
+        lo.iter()
+            .zip(hi)
+            .map(|(&a, &b)| {
+                ((c.start_lo <= a) & (a <= c.start_reach) & (c.end_lo <= b) & (b <= c.end_reach))
+                    as u32
+            })
+            .sum()
     }
 }
 
@@ -513,6 +517,33 @@ impl CandidateSliceMut<'_> {
                 debug_assert!(self.n[ci] > 0);
                 self.n[ci] -= 1;
             }
+        }
+    }
+
+    /// Counts members arriving in the parent cluster — a merged child's
+    /// segment columns — into every candidate accepting them: one
+    /// [`CandidateSlice::count_members`] pass per candidate, which is
+    /// what [`CandidateSliceMut::record_member`] of each member leaves,
+    /// `n_hi` included (raised to each count that grew).
+    pub fn record_members(&mut self, members: &PairedColumns<'_>) {
+        for ci in 0..self.len() {
+            let arriving = self.layout.count_accepted(ci, members);
+            if arriving > 0 {
+                self.n[ci] += arriving;
+                *self.n_hi = (*self.n_hi).max(self.n[ci]);
+            }
+        }
+    }
+
+    /// Removes members leaving the parent cluster — a split's new child
+    /// segment columns — from every candidate accepting them: one
+    /// [`CandidateSlice::count_members`] pass per candidate, which is
+    /// what [`CandidateSliceMut::unrecord_member`] of each member leaves.
+    pub fn unrecord_members(&mut self, members: &PairedColumns<'_>) {
+        for ci in 0..self.len() {
+            let leaving = self.layout.count_accepted(ci, members);
+            debug_assert!(self.n[ci] >= leaving);
+            self.n[ci] -= leaving;
         }
     }
 
@@ -887,6 +918,17 @@ impl RangeEntry {
     }
 }
 
+/// `index` into (or length of) an arena slab, as a [`RangeEntry`]
+/// stores it.
+///
+/// # Panics
+///
+/// Panics if `index` does not fit in a `u32`: a slab holds at most
+/// `u32::MAX` entries, and a wrapped base would alias another range.
+fn slab_index(index: usize) -> u32 {
+    u32::try_from(index).expect("a statistics slab holds at most u32::MAX entries")
+}
+
 /// Bytes per candidate across the per-candidate slabs (`dim` 2 +
 /// `sub_i` 1 + `sub_j` 1 + `n` 4 + `q` 4 + `q_eff` 8).
 const CAND_BYTES: usize = 20;
@@ -951,10 +993,10 @@ impl StatsArena {
     /// the new range. The set's counters, `n_hi`, and stamp carry over.
     pub fn alloc(&mut self, set: &CandidateSet) -> CandHandle {
         let entry = RangeEntry {
-            base: self.cols.dim.len() as u32,
-            len: set.len() as u32,
-            meta_base: self.cols.dim_offsets.len() as u32,
-            sub_base: self.cols.sub.len() as u32,
+            base: slab_index(self.cols.dim.len()),
+            len: slab_index(set.len()),
+            meta_base: slab_index(self.cols.dim_offsets.len()),
+            sub_base: slab_index(self.cols.sub.len()),
             dims: set.dims() as u32,
             f: set.f,
             live: true,
@@ -983,7 +1025,8 @@ impl StatsArena {
             }
             None => {
                 self.ranges.push(entry);
-                (self.ranges.len() - 1) as u32
+                u32::try_from(self.ranges.len() - 1)
+                    .expect("an arena holds at most u32::MAX ranges")
             }
         };
         // The new range has the largest base, so pushing keeps `order`
@@ -1117,9 +1160,9 @@ impl StatsArena {
                 c.dim_offsets.copy_within(mb..mb + e.metas(), meta_w);
                 c.sub.copy_within(sb..sb + e.subs(), sub_w);
             }
-            e.base = cand_w as u32;
-            e.meta_base = meta_w as u32;
-            e.sub_base = sub_w as u32;
+            e.base = slab_index(cand_w);
+            e.meta_base = slab_index(meta_w);
+            e.sub_base = slab_index(sub_w);
             cand_w += e.len as usize;
             meta_w += e.metas();
             sub_w += e.subs();
@@ -2098,6 +2141,93 @@ mod proptests {
             recounted.as_slice_mut().recount_members(&PairedColumns::of_equal_columns(&cols));
             prop_assert_eq!(recounted.as_slice().n_col(), &oracle[..]);
             prop_assert_eq!(recounted.as_slice().n_hi(), oracle.iter().copied().max().unwrap_or(0));
+        }
+
+        /// The column adjusts equal recording one member at a time:
+        /// [`CandidateSliceMut::record_members`] over a batch's columns
+        /// leaves the `n` column and `n_hi` that `record_member` of each
+        /// leaves, and [`CandidateSliceMut::unrecord_members`] what
+        /// `unrecord_member` of each leaves — from a loose `n_hi` or an
+        /// exact one, on the root and on materialized children, for
+        /// batches of zero to a dozen members, on and off the grid.
+        #[test]
+        fn column_adjusts_equal_per_member_recording(
+            dims in 1usize..=5,
+            f in prop_oneof![Just(2u8), Just(4u8)],
+            specs in prop::collection::vec((0usize..5, 0u8..4, 0u8..4), 0..4),
+            batches in prop::collection::vec(
+                (
+                    0u8..2,
+                    prop::collection::vec(
+                        prop::collection::vec((0u8..=16, 0u8..=16, 0u32..1 << 20), 5),
+                        0..12,
+                    ),
+                ),
+                1..8,
+            ),
+            slack in 0u32..3,
+        ) {
+            let mut sig = Signature::root(dims);
+            for &(d, i, j) in &specs {
+                let (d, i, j) = (d % dims, i % f, j % f);
+                if sig.combination_feasible(d, f, i, j) {
+                    sig = sig.specialize(d, f, i, j);
+                }
+            }
+            let coord = |k: u8, jitter: u32| {
+                if jitter.is_multiple_of(3) {
+                    k as Scalar / 16.0
+                } else {
+                    jitter as Scalar / (1 << 20) as Scalar
+                }
+            };
+            let (mut columnar, mut each) = (CandidateSet::generate(&sig, f), CandidateSet::generate(&sig, f));
+            // Members recorded so far, so a removal takes only those.
+            let mut present: Vec<Vec<Scalar>> = Vec::new();
+            for (arrive, batch) in batches {
+                let arrive = arrive == 1;
+                let flats: Vec<Vec<Scalar>> = if arrive {
+                    batch
+                        .iter()
+                        .map(|m| {
+                            m.iter()
+                                .take(dims)
+                                .flat_map(|&(a, b, jitter)| {
+                                    let (a, b) = (coord(a, jitter), coord(b, jitter / 3));
+                                    [a.min(b), a.max(b)]
+                                })
+                                .collect()
+                        })
+                        .collect()
+                } else {
+                    let leaving = batch.len().min(present.len());
+                    present.split_off(present.len() - leaving)
+                };
+                let cols: Vec<Vec<Scalar>> = (0..2 * dims)
+                    .map(|c| flats.iter().map(|flat| flat[c]).collect())
+                    .collect();
+                let members = PairedColumns::of_equal_columns(&cols);
+                if arrive {
+                    columnar.as_slice_mut().record_members(&members);
+                    for flat in &flats {
+                        each.as_slice_mut().record_member(flat);
+                    }
+                    present.extend(flats);
+                } else {
+                    columnar.as_slice_mut().unrecord_members(&members);
+                    for flat in &flats {
+                        each.as_slice_mut().unrecord_member(flat);
+                    }
+                }
+                prop_assert_eq!(columnar.as_slice().n_col(), each.as_slice().n_col());
+                prop_assert_eq!(columnar.as_slice().n_hi(), each.as_slice().n_hi());
+                // A pass re-tightens the bound, sometimes loosely.
+                let exact = each.as_slice().n_col().iter().copied().max().unwrap_or(0);
+                if exact % 2 == 1 {
+                    columnar.as_slice_mut().set_n_hi(exact + slack);
+                    each.as_slice_mut().set_n_hi(exact + slack);
+                }
+            }
         }
 
         /// Arena life-cycle invariants across random interleavings of

@@ -4,7 +4,7 @@
 
 use std::time::Instant;
 
-use acx_storage::{SegmentStore, WalRecord};
+use acx_storage::WalRecord;
 
 use super::policy::{self, PassCosts};
 use super::{assign_segment, AdaptiveClusterIndex, Cluster};
@@ -266,6 +266,10 @@ impl AdaptiveClusterIndex {
     /// the parent's candidate statistics, reparents the children, and
     /// removes the cluster. The moved members are counted into
     /// `profile`.
+    ///
+    /// The members move in bulk: one column pass per parent candidate
+    /// counts them in, and the store appends the child's columns to the
+    /// parent's ([`acx_storage::SegmentStore::merge_into`]).
     pub(super) fn merge_cluster(&mut self, slot: u32, profile: &mut ReorgProfile) {
         self.reorg_fault(ReorgFaultPoint::BeforeMerge);
         if self.wal.is_some() {
@@ -285,23 +289,20 @@ impl AdaptiveClusterIndex {
         self.recent_merges
             .insert(cluster.signature.to_bytes(), self.clocks.reorganizations);
 
-        let (ids, coords) = self.store.remove(cluster.segment);
-        profile.objects_moved += ids.len() as u64;
-        let width = 2 * self.config.dims;
-        {
-            let parent = self.clusters[parent_slot as usize]
-                .as_mut()
-                .expect("parent slot is live");
-            parent.children.retain(|&c| c != slot);
-            let parent_segment = parent.segment;
-            let mut pcands = self.stats_arena.slice_mut(parent.candidates);
-            for (i, oid) in ids.iter().enumerate() {
-                let flat = &coords[i * width..(i + 1) * width];
-                debug_assert!(parent.signature.accepts_flat(flat));
-                pcands.record_member(flat);
-                self.store.push(parent_segment, *oid, flat);
-            }
+        let parent = self.clusters[parent_slot as usize]
+            .as_mut()
+            .expect("parent slot is live");
+        parent.children.retain(|&c| c != slot);
+        #[cfg(debug_assertions)]
+        for index in 0..self.store.segment_len(cluster.segment) {
+            let flat = self.store.object_flat(cluster.segment, index);
+            debug_assert!(parent.signature.accepts_flat(&flat));
         }
+        self.stats_arena
+            .slice_mut(parent.candidates)
+            .record_members(&self.store.columns(cluster.segment));
+        let moved = self.store.merge_into(cluster.segment, parent.segment);
+        profile.objects_moved += moved as u64;
         for child in cluster.children {
             self.cluster_mut(child).parent = Some(parent_slot);
             self.cluster_mut(parent_slot).children.push(child);
@@ -313,6 +314,12 @@ impl AdaptiveClusterIndex {
     /// cluster, moving the qualifying objects; returns the new slot. The
     /// moved members, and the thrash cycle it may complete, are counted
     /// into `profile`.
+    ///
+    /// The members move in bulk: the store moves them column by column
+    /// into the new segment in key order ([`acx_storage::SegmentStore::split_into`]),
+    /// so the child starts life ordered, and one column pass per
+    /// candidate over the child's columns counts them out of the
+    /// parent's candidates and into the child's.
     pub(super) fn materialize_candidate(
         &mut self,
         slot: u32,
@@ -328,7 +335,6 @@ impl AdaptiveClusterIndex {
             });
         }
         let f = self.config.division_factor;
-        let width = 2 * self.config.dims;
         let (new_signature, expected, inherited_q, inherited_q_eff, parent_epoch, parent_weight) = {
             let cluster = self.cluster(slot);
             let cands = self.stats_arena.slice(cluster.candidates);
@@ -375,43 +381,30 @@ impl AdaptiveClusterIndex {
         let parent_cluster = self.clusters[slot as usize]
             .as_mut()
             .expect("cluster slot is live");
-        let parent_segment = parent_cluster.segment;
         let cand = self
             .stats_arena
             .slice(parent_cluster.candidates)
             .bounds(cand_idx);
-        let (moved_ids, moved_coords) = self.store.extract(parent_segment, cand.dim(), |lo, hi| {
-            cand.accepts_bounds(lo, hi)
-        });
-        profile.objects_moved += moved_ids.len() as u64;
-        {
-            let mut pcands = self.stats_arena.slice_mut(parent_cluster.candidates);
-            for flat in moved_coords.chunks_exact(width) {
-                pcands.unrecord_member(flat);
-            }
-        }
+        let moved = self
+            .store
+            .split_into(parent_cluster.segment, cand.dim(), new_segment, |lo, hi| {
+                cand.accepts_bounds(lo, hi)
+            });
+        profile.objects_moved += moved as u64;
         parent_cluster.children.push(new_slot);
+        let members = self.store.columns(new_segment);
+        self.stats_arena
+            .slice_mut(parent_cluster.candidates)
+            .unrecord_members(&members);
         debug_assert_eq!(
             self.stats_arena
                 .slice(parent_cluster.candidates)
                 .n(cand_idx),
             0
         );
-
-        // The child is built in key order, so it starts life ordered
-        // (an ordered parent hands its members over in that order
-        // already, and the sort finds nothing to do).
-        let mut in_key_order: Vec<_> = moved_ids
-            .iter()
-            .zip(moved_coords.chunks_exact(width))
-            .collect();
-        in_key_order.sort_by(|a, b| SegmentStore::key(a.1).total_cmp(&SegmentStore::key(b.1)));
-        for (oid, flat) in in_key_order {
-            self.store.push(new_segment, *oid, flat);
-        }
         self.stats_arena
             .slice_mut(candidates)
-            .recount_members(&self.store.columns(new_segment));
+            .recount_members(&members);
         self.reorg_fault(ReorgFaultPoint::AfterMaterialize);
         new_slot
     }

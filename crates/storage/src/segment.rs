@@ -118,11 +118,86 @@ impl Segment {
             out.push(col[index]);
         }
     }
+
+    /// Extends the ordered run over members `from..`, just appended, as
+    /// pushing them one at a time would: while the run reaches the end
+    /// of the segment, a member whose key is no lower than the one
+    /// before it joins the run.
+    fn extend_run(&mut self, from: usize) {
+        if self.ordered != from {
+            return;
+        }
+        let keys = &self.cols[0];
+        let mut ordered = from;
+        while ordered < keys.len() && (ordered == 0 || keys[ordered - 1] <= keys[ordered]) {
+            ordered += 1;
+        }
+        self.ordered = ordered;
+    }
+}
+
+/// `index` as the position map stores it.
+///
+/// # Panics
+///
+/// Panics if `index` does not fit in a `u32`: a segment holds at most
+/// `u32::MAX` members, and a wrapped index would map an object to
+/// another member's place.
+fn slot_index(index: usize) -> u32 {
+    u32::try_from(index).expect("a segment holds at most u32::MAX members")
 }
 
 /// Fraction of places reserved at the end of each segment when it is
 /// created or relocated (paper §6 uses 20–30 %).
 const RESERVE_FRACTION: f64 = 0.25;
+
+/// Places reserved for `n` live objects: `n` plus the reserve, at least
+/// one.
+fn reserved_capacity(n: usize) -> usize {
+    ((n as f64 * (1.0 + RESERVE_FRACTION)).ceil() as usize).max(1)
+}
+
+/// The virtual sequential layout segments are placed in: a bump
+/// allocator over byte offsets, which also counts the segments it had to
+/// move.
+#[derive(Debug)]
+struct VirtualLayout {
+    /// Bytes per stored object (id + `2·dims` scalars).
+    object_bytes: usize,
+    next_offset: u64,
+    relocations: u64,
+}
+
+impl VirtualLayout {
+    /// Places `capacity` objects at the end of the layout; returns their
+    /// byte offset.
+    fn alloc(&mut self, capacity: usize) -> u64 {
+        let offset = self.next_offset;
+        self.next_offset += (capacity * self.object_bytes) as u64;
+        offset
+    }
+
+    /// Relocates `seg`, as `more` pushes would, until its reservation
+    /// holds `more` further members: each push that finds the
+    /// reservation full moves the segment to the end of the layout with
+    /// a fresh reserve.
+    fn make_room(&mut self, seg: &mut Segment, more: usize) {
+        let len = seg.ids.len();
+        if seg.capacity >= len + more {
+            return;
+        }
+        while seg.capacity < len + more {
+            seg.capacity = reserved_capacity(seg.capacity + 1);
+            seg.offset = self.alloc(seg.capacity);
+            self.relocations += 1;
+        }
+        let grow = seg.capacity - len;
+        seg.ids.reserve(grow);
+        for col in seg.cols.iter_mut() {
+            col.reserve(grow);
+        }
+    }
+}
 
 /// Sequential cluster storage with reserved slack (paper §6, "Storage
 /// Utilization").
@@ -146,7 +221,7 @@ const RESERVE_FRACTION: f64 = 0.25;
 /// id → (segment, position) map so [`SegmentStore::position_of`] answers
 /// in O(1) instead of scanning a segment, and the map is maintained
 /// through [`SegmentStore::push`], [`SegmentStore::swap_remove`],
-/// [`SegmentStore::extract`], [`SegmentStore::remove`],
+/// [`SegmentStore::split_into`], [`SegmentStore::merge_into`],
 /// [`SegmentStore::order`] and segment relocations (a relocation changes
 /// a segment's layout offset, never the positions of its members).
 ///
@@ -158,6 +233,15 @@ const RESERVE_FRACTION: f64 = 0.25;
 /// are not attacker-chosen, and the finalizer spreads dense and strided
 /// ids alike over the buckets.
 ///
+/// A cluster split and a cluster merge move members between segments
+/// in bulk, column to column, with no per-member gather:
+/// [`SegmentStore::split_into`] moves the members a predicate on one
+/// dimension accepts into another segment, and
+/// [`SegmentStore::merge_into`] appends one segment's columns to
+/// another's and frees the first. Each leaves what a `push` of every
+/// moved member would: the same storage order, ordered run, capacity,
+/// offset, relocation count and position entries.
+///
 /// A segment's members are kept in *key order* — ascending lower bound
 /// in dimension 0 ([`SegmentStore::key`]) — so that the kernel's
 /// 64-object blocks hold members that agree on dimension 0 and most of
@@ -167,11 +251,11 @@ const RESERVE_FRACTION: f64 = 0.25;
 /// two. That makes it cheap to keep. A segment is an ordered run followed
 /// by an unordered tail: [`SegmentStore::push`] extends the run when the
 /// new key continues it and appends to the tail otherwise,
-/// [`SegmentStore::swap_remove`] and [`SegmentStore::extract`] keep the
-/// run a run, a merge — [`SegmentStore::remove`] of the source, then a
-/// `push` of each of its members — appends the source as it was stored
-/// (an ordered source arrives as a second ordered run, whose blocks
-/// agree as well as the first's), and [`SegmentStore::order`]
+/// [`SegmentStore::swap_remove`] keeps the run a run, a split keeps the
+/// source's run a run and hands the destination its members in key
+/// order, a merge appends the source as it was stored (an ordered
+/// source arrives as a second ordered run, whose blocks agree as well
+/// as the first's), and [`SegmentStore::order`]
 /// folds tail and strays back into the run. The store never orders on
 /// its own: [`SegmentStore::disorder`] says how much there is to fold,
 /// and the owner says when — `acx_core` on the write path, at the
@@ -181,18 +265,21 @@ const RESERVE_FRACTION: f64 = 0.25;
 #[derive(Debug)]
 pub struct SegmentStore {
     dims: usize,
-    object_bytes: usize,
+    layout: VirtualLayout,
     segments: Vec<Option<Segment>>,
     free_slots: Vec<u32>,
-    next_offset: u64,
-    relocations: u64,
     /// object id → (segment slot, index within the segment).
     positions: HashMap<u32, (u32, u32), IdHash>,
-    /// Scratch of [`SegmentStore::order`], grown to the largest segment
-    /// ordered so far: the `(key, old index)` permutation and one column.
+    /// Scratch of [`SegmentStore::order`] and [`SegmentStore::split_into`],
+    /// grown to the largest segment either has worked on: the
+    /// `(key, old index)` permutation and one column.
     order_perm: Vec<(Scalar, u32)>,
     order_col: Vec<Scalar>,
     order_ids: Vec<u32>,
+    /// Scratch of [`SegmentStore::split_into`]: where each member of the
+    /// source goes, and the `(from, to)` moves of its survivors.
+    split_to: Vec<u32>,
+    split_moves: Vec<(u32, u32)>,
 }
 
 impl SegmentStore {
@@ -201,15 +288,19 @@ impl SegmentStore {
         assert!(dims > 0, "dims must be positive");
         Self {
             dims,
-            object_bytes: object_size_bytes(dims),
+            layout: VirtualLayout {
+                object_bytes: object_size_bytes(dims),
+                next_offset: 0,
+                relocations: 0,
+            },
             segments: Vec::new(),
             free_slots: Vec::new(),
-            next_offset: 0,
-            relocations: 0,
             positions: HashMap::with_hasher(IdHash::new()),
             order_perm: Vec::new(),
             order_col: Vec::new(),
             order_ids: Vec::new(),
+            split_to: Vec::new(),
+            split_moves: Vec::new(),
         }
     }
 
@@ -226,7 +317,7 @@ impl SegmentStore {
 
     /// Bytes per stored object (id + `2·dims` scalars).
     pub fn object_bytes(&self) -> usize {
-        self.object_bytes
+        self.layout.object_bytes
     }
 
     /// Number of live segments.
@@ -247,7 +338,7 @@ impl SegmentStore {
     /// How many times a segment had to be moved because it outgrew its
     /// reservation.
     pub fn relocations(&self) -> u64 {
-        self.relocations
+        self.layout.relocations
     }
 
     /// Storage utilization: live object slots over reserved slots.
@@ -265,21 +356,10 @@ impl SegmentStore {
         }
     }
 
-    fn reserved_capacity(&self, n: usize) -> usize {
-        // n live objects plus the reserve, at least one slot.
-        ((n as f64 * (1.0 + RESERVE_FRACTION)).ceil() as usize).max(1)
-    }
-
-    fn alloc_bytes(&mut self, capacity: usize) -> u64 {
-        let offset = self.next_offset;
-        self.next_offset += (capacity * self.object_bytes) as u64;
-        offset
-    }
-
     /// Creates an empty segment sized for `expected` objects.
     pub fn create(&mut self, expected: usize) -> SegmentId {
-        let capacity = self.reserved_capacity(expected.max(1));
-        let offset = self.alloc_bytes(capacity);
+        let capacity = reserved_capacity(expected.max(1));
+        let offset = self.layout.alloc(capacity);
         let mut seg = Segment::new(self.dims, capacity);
         seg.offset = offset;
         if let Some(slot) = self.free_slots.pop() {
@@ -287,7 +367,8 @@ impl SegmentStore {
             SegmentId(slot)
         } else {
             self.segments.push(Some(seg));
-            SegmentId((self.segments.len() - 1) as u32)
+            let slot = self.segments.len() - 1;
+            SegmentId(u32::try_from(slot).expect("a store holds at most u32::MAX segments"))
         }
     }
 
@@ -297,60 +378,37 @@ impl SegmentStore {
             .expect("segment was removed")
     }
 
-    fn segment_mut(&mut self, id: SegmentId) -> &mut Segment {
-        self.segments[id.0 as usize]
-            .as_mut()
-            .expect("segment was removed")
-    }
-
     /// Appends one object; relocates the segment (with fresh reserve) when
     /// the reservation is exhausted.
     ///
     /// `flat` is interleaved `[lo0, hi0, lo1, hi1, …]`; the store
-    /// distributes it into the dimension-major columns.
+    /// distributes it into the dimension-major columns. A member that
+    /// continues a fully ordered segment extends the run (how a segment
+    /// built in key order stays ordered for free); any other joins the
+    /// tail.
     ///
     /// `object_id` must not already be stored anywhere in the store
     /// (checked by a debug assertion): the position map keeps exactly one
     /// location per id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flat` is not `2·dims` scalars long, or if the segment
+    /// already holds `u32::MAX + 1` members.
     pub fn push(&mut self, id: SegmentId, object_id: u32, flat: &[Scalar]) {
         assert_eq!(flat.len(), 2 * self.dims, "coordinate arity mismatch");
-        let object_bytes = self.object_bytes;
-        let needs_relocation = {
-            let seg = self.segment(id);
-            seg.ids.len() == seg.capacity
-        };
-        if needs_relocation {
-            let new_capacity = self.reserved_capacity(self.segment(id).ids.len() + 1);
-            let new_offset = {
-                let offset = self.next_offset;
-                self.next_offset += (new_capacity * object_bytes) as u64;
-                offset
-            };
-            let seg = self.segment_mut(id);
-            seg.capacity = new_capacity;
-            seg.offset = new_offset;
-            let grow = new_capacity - seg.ids.len();
-            seg.ids.reserve(grow);
-            for col in seg.cols.iter_mut() {
-                col.reserve(grow);
-            }
-            self.relocations += 1;
-        }
-        let seg = self.segment_mut(id);
-        // A member that continues a fully ordered segment extends the
-        // run (how a child built in key order stays ordered for free);
-        // any other joins the tail.
-        let continues = seg.keys().last().is_none_or(|&last| last <= Self::key(flat));
-        if continues && seg.ordered == seg.ids.len() {
-            seg.ordered += 1;
-        }
+        let seg = self.segments[id.0 as usize]
+            .as_mut()
+            .expect("segment was removed");
+        self.layout.make_room(seg, 1);
+        let index = seg.ids.len();
         seg.ids.push(object_id);
         for (col, &v) in seg.cols.iter_mut().zip(flat) {
             col.push(v);
         }
         seg.check_columns();
-        let index = (seg.ids.len() - 1) as u32;
-        let previous = self.positions.insert(object_id, (id.0, index));
+        seg.extend_run(index);
+        let previous = self.positions.insert(object_id, (id.0, slot_index(index)));
         debug_assert!(
             previous.is_none(),
             "object id #{object_id} pushed twice into the store"
@@ -397,86 +455,155 @@ impl SegmentStore {
         seg.check_columns();
         for at in [index, fill] {
             if let Some(&moved) = seg.ids.get(at) {
-                self.positions.insert(moved, (id.0, at as u32));
+                self.positions.insert(moved, (id.0, slot_index(at)));
             }
         }
         self.positions.remove(&removed);
         removed
     }
 
-    /// Removes every member whose bounds in dimension `d` `takes`
-    /// accepts, and returns their ids and interleaved coordinates (as
-    /// [`SegmentStore::remove`] does for a whole segment) in storage
-    /// order. Only dimension `d`'s two columns are read to decide, and
-    /// only the members that leave are gathered.
+    /// Moves every member of `src` whose bounds in dimension `d` `takes`
+    /// accepts to the end of `dst`, and returns how many moved. Only
+    /// dimension `d`'s two columns are read to decide. The movers then
+    /// go column by column from `src` straight into `dst`, in key order,
+    /// ties in `src`'s storage order, so the fresh child of a split
+    /// starts life ordered. `dst` grows as a `push` of each mover in
+    /// that order would grow it.
     ///
-    /// The ordered run's survivors close ranks without changing their
-    /// relative order, so what was ordered stays ordered; the tail has no
-    /// order to keep, so its survivors stay where they are unless that
-    /// place is cut off, and then fill the places vacated below. Only
-    /// members that move have their position entries rewritten.
-    pub fn extract(
+    /// In `src` the ordered run's survivors close ranks without changing
+    /// their relative order, so what was ordered stays ordered; the tail
+    /// has no order to keep, so its survivors stay where they are unless
+    /// that place is cut off, and then fill the places vacated below. Of
+    /// the members that stay, only those that move have their position
+    /// entries rewritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` and `dst` are the same segment, or if `dst` would
+    /// hold more than `u32::MAX` members.
+    pub fn split_into(
         &mut self,
-        id: SegmentId,
+        src: SegmentId,
         d: usize,
+        dst: SegmentId,
         mut takes: impl FnMut(Scalar, Scalar) -> bool,
-    ) -> (Vec<u32>, Vec<Scalar>) {
+    ) -> usize {
         const TAKEN: u32 = u32::MAX;
-        let seg = self.segments[id.0 as usize]
+        assert_ne!(src, dst, "a segment cannot split into itself");
+        let mut into = self.segments[dst.0 as usize]
+            .take()
+            .expect("segment was removed");
+        let seg = self.segments[src.0 as usize]
             .as_mut()
             .expect("segment was removed");
-        // Where every member goes, [`TAKEN`] for those that leave.
+        // Where every member goes, [`TAKEN`] for those that leave; and
+        // the leavers as `(key, place)`, in the order they arrive in.
+        let to = &mut self.split_to;
+        to.clear();
         let bounds = seg.cols[2 * d].iter().zip(&seg.cols[2 * d + 1]);
-        let mut to: Vec<u32> = bounds
-            .zip(0u32..)
-            .map(|((&lo, &hi), from)| if takes(lo, hi) { TAKEN } else { from })
-            .collect();
-        let (mut ids, mut coords) = (Vec::new(), Vec::new());
-        for from in (0..to.len()).filter(|&from| to[from] == TAKEN) {
-            ids.push(seg.ids[from]);
-            seg.read_into(from, &mut coords);
+        to.extend(
+            bounds
+                .zip(0u32..)
+                .map(|((&lo, &hi), from)| if takes(lo, hi) { TAKEN } else { from }),
+        );
+        let leavers = &mut self.order_perm;
+        leavers.clear();
+        let places = seg.keys().iter().zip(to.iter()).zip(0u32..);
+        leavers.extend(
+            places
+                .filter(|&((_, &to), _)| to == TAKEN)
+                .map(|((&key, _), from)| (key, from)),
+        );
+        leavers.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let taken = leavers.len();
+
+        self.layout.make_room(&mut into, taken);
+        let start = into.ids.len();
+        for (col, into_col) in seg.cols.iter().zip(into.cols.iter_mut()) {
+            into_col.extend(leavers.iter().map(|&(_, from)| col[from as usize]));
         }
+        into.ids
+            .extend(leavers.iter().map(|&(_, from)| seg.ids[from as usize]));
+        into.check_columns();
+        into.extend_run(start);
+        for (&object_id, at) in into.ids[start..].iter().zip(start..) {
+            self.positions.insert(object_id, (dst.0, slot_index(at)));
+        }
+
         // The run's survivors go to consecutive places from the front.
+        let ordered = seg.ordered;
         let mut run = 0;
-        for to in to[..seg.ordered].iter_mut().filter(|to| **to != TAKEN) {
+        for to in to[..ordered].iter_mut().filter(|to| **to != TAKEN) {
             *to = run;
             run += 1;
         }
         let run = run as usize;
         // The tail's survivors beyond the new length take the places
         // below it that no survivor of the tail sits in.
-        let len = to.len() - ids.len();
-        let free = (run..len).filter(|&at| at < seg.ordered || to[at] == TAKEN);
-        let cut_off = (len.max(seg.ordered)..to.len()).filter(|&from| to[from] != TAKEN);
-        let fills: Vec<(usize, usize)> = cut_off.zip(free).collect();
-        for (from, at) in fills {
-            to[from] = at as u32;
+        let len = to.len() - taken;
+        let (below, cut_off) = to.split_at_mut(len.max(ordered));
+        let free = (run..len).filter(|&at| at < ordered || below[at] == TAKEN);
+        for (to, at) in cut_off.iter_mut().filter(|to| **to != TAKEN).zip(free) {
+            *to = slot_index(at);
         }
         // A member only ever moves down, into a place read before it.
-        let moves: Vec<(usize, usize)> = to
-            .iter()
-            .enumerate()
-            .filter(|&(from, &to)| to != TAKEN && to as usize != from)
-            .map(|(from, &to)| (from, to as usize))
-            .collect();
+        let moves = &mut self.split_moves;
+        moves.clear();
+        moves.extend(
+            to.iter()
+                .zip(0u32..)
+                .filter(|&(&to, from)| to != TAKEN && to != from)
+                .map(|(&to, from)| (from, to)),
+        );
         for col in seg.cols.iter_mut() {
-            for &(from, to) in &moves {
-                col[to] = col[from];
+            for &(from, to) in moves.iter() {
+                col[to as usize] = col[from as usize];
             }
             col.truncate(len);
         }
-        for &(from, to) in &moves {
-            seg.ids[to] = seg.ids[from];
-            self.positions.insert(seg.ids[to], (id.0, to as u32));
+        for &(from, to) in moves.iter() {
+            let object_id = seg.ids[from as usize];
+            seg.ids[to as usize] = object_id;
+            self.positions.insert(object_id, (src.0, to));
         }
         seg.ids.truncate(len);
         seg.check_columns();
         seg.ordered = run;
         seg.strays = seg.strays.min(run);
-        for object_id in &ids {
-            self.positions.remove(object_id);
+        self.segments[dst.0 as usize] = Some(into);
+        taken
+    }
+
+    /// Appends every member of `src` to `dst`, column to column in
+    /// `src`'s storage order, removes `src` and returns how many moved.
+    /// `dst` grows as a `push` of each member in that order would grow
+    /// it, and its ordered run extends over the newcomers as far.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` and `dst` are the same segment, or if `dst` would
+    /// hold more than `u32::MAX` members.
+    pub fn merge_into(&mut self, src: SegmentId, dst: SegmentId) -> usize {
+        assert_ne!(src, dst, "a segment cannot merge into itself");
+        let from = self.segments[src.0 as usize]
+            .take()
+            .expect("segment was removed");
+        self.free_slots.push(src.0);
+        let into = self.segments[dst.0 as usize]
+            .as_mut()
+            .expect("segment was removed");
+        self.layout.make_room(into, from.ids.len());
+        let start = into.ids.len();
+        for (into_col, col) in into.cols.iter_mut().zip(from.cols.iter()) {
+            into_col.extend_from_slice(col);
         }
-        (ids, coords)
+        into.ids.extend_from_slice(&from.ids);
+        into.check_columns();
+        into.extend_run(start);
+        for (&object_id, at) in from.ids.iter().zip(start..) {
+            self.positions.insert(object_id, (dst.0, slot_index(at)));
+        }
+        from.ids.len()
     }
 
     /// How far a segment is from key order, in tail members: a member of
@@ -568,19 +695,6 @@ impl SegmentStore {
         self.segment(id).read_into(index, out);
     }
 
-    /// All coordinates of a segment as one interleaved flat vector
-    /// (`2·dims` scalars per object, storage order) — the row-major
-    /// form bulk moves hand on.
-    pub fn interleaved_coords(&self, id: SegmentId) -> Vec<Scalar> {
-        let seg = self.segment(id);
-        let n = seg.ids.len();
-        let mut out = Vec::with_capacity(n * 2 * self.dims);
-        for index in 0..n {
-            seg.read_into(index, &mut out);
-        }
-        out
-    }
-
     /// Number of objects in a segment.
     pub fn segment_len(&self, id: SegmentId) -> usize {
         self.segment(id).ids.len()
@@ -610,7 +724,7 @@ impl SegmentStore {
     #[doc(hidden)]
     pub fn misplace_for_test(&mut self, object_id: u32, index: usize) {
         if let Some(entry) = self.positions.get_mut(&object_id) {
-            entry.1 = index as u32;
+            entry.1 = slot_index(index);
         }
     }
 
@@ -621,21 +735,7 @@ impl SegmentStore {
 
     /// Bytes occupied by live objects of the segment.
     pub fn used_bytes(&self, id: SegmentId) -> u64 {
-        (self.segment(id).ids.len() * self.object_bytes) as u64
-    }
-
-    /// Removes a segment entirely, returning its members as ids plus
-    /// interleaved flat coordinates (storage order).
-    pub fn remove(&mut self, id: SegmentId) -> (Vec<u32>, Vec<Scalar>) {
-        let coords = self.interleaved_coords(id);
-        let seg = self.segments[id.0 as usize]
-            .take()
-            .expect("segment was removed");
-        self.free_slots.push(id.0);
-        for object_id in &seg.ids {
-            self.positions.remove(object_id);
-        }
-        (seg.ids, coords)
+        (self.segment(id).ids.len() * self.layout.object_bytes) as u64
     }
 }
 
@@ -655,7 +755,6 @@ mod tests {
         s.push(seg, 9, &flat(0.3, 0.4));
         assert_eq!(s.ids(seg), &[7, 9]);
         assert_eq!(s.segment_len(seg), 2);
-        assert_eq!(s.interleaved_coords(seg).len(), 2 * 4);
         assert_eq!(s.object_flat(seg, 0), flat(0.1, 0.2));
         assert_eq!(s.object_flat(seg, 1), flat(0.3, 0.4));
         assert_eq!(s.len(), 2);
@@ -740,33 +839,163 @@ mod tests {
         s.push(seg, 2, &[0.3, 0.4]);
         assert_eq!(s.swap_remove(seg, 1), 2);
         assert_eq!(s.ids(seg), &[1]);
-        assert_eq!(s.interleaved_coords(seg), vec![0.1, 0.2]);
+        assert_eq!(s.object_flat(seg, 0), vec![0.1, 0.2]);
     }
 
     #[test]
     fn remove_segment_recycles_slot() {
         let mut s = SegmentStore::new(1);
         let a = s.create(2);
-        s.push(a, 1, &[0.0, 1.0]);
-        let (ids, coords) = s.remove(a);
-        assert_eq!(ids, vec![1]);
-        assert_eq!(coords, vec![0.0, 1.0]);
-        assert_eq!(s.len(), 0);
-        assert_eq!(s.segment_count(), 0);
         let b = s.create(2);
-        assert_eq!(b.0, a.0, "slot should be recycled");
+        s.push(a, 1, &[0.0, 1.0]);
+        assert_eq!(s.merge_into(a, b), 1);
+        assert_eq!(s.ids(b), &[1]);
+        assert_eq!(s.object_flat(b, 0), vec![0.0, 1.0]);
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.segment_count(), 1);
+        let c = s.create(2);
+        assert_eq!(c.0, a.0, "slot should be recycled");
     }
 
-    /// What a cluster merge does to the store: removes `src` and pushes
-    /// its members into `dst` in `src`'s storage order. Returns how many
-    /// moved.
-    pub(super) fn merge(s: &mut SegmentStore, src: SegmentId, dst: SegmentId) -> usize {
-        let (ids, coords) = s.remove(src);
+    /// The merge's former store half, kept as its oracle: removes a
+    /// segment entirely, returning its members as ids plus interleaved
+    /// coordinates (storage order).
+    fn remove(s: &mut SegmentStore, id: SegmentId) -> (Vec<u32>, Vec<Scalar>) {
+        let seg = s.segments[id.0 as usize]
+            .take()
+            .expect("segment was removed");
+        let mut coords = Vec::new();
+        for index in 0..seg.ids.len() {
+            seg.read_into(index, &mut coords);
+        }
+        s.free_slots.push(id.0);
+        for object_id in &seg.ids {
+            s.positions.remove(object_id);
+        }
+        (seg.ids, coords)
+    }
+
+    /// The split's former store half, kept as its oracle: removes every
+    /// member whose bounds in dimension `d` `takes` accepts, and returns
+    /// their ids and interleaved coordinates in storage order. The
+    /// survivors are compacted as [`SegmentStore::split_into`] compacts
+    /// them.
+    fn extract(
+        s: &mut SegmentStore,
+        id: SegmentId,
+        d: usize,
+        mut takes: impl FnMut(Scalar, Scalar) -> bool,
+    ) -> (Vec<u32>, Vec<Scalar>) {
+        const TAKEN: u32 = u32::MAX;
+        let seg = s.segments[id.0 as usize]
+            .as_mut()
+            .expect("segment was removed");
+        let bounds = seg.cols[2 * d].iter().zip(&seg.cols[2 * d + 1]);
+        let mut to: Vec<u32> = bounds
+            .zip(0u32..)
+            .map(|((&lo, &hi), from)| if takes(lo, hi) { TAKEN } else { from })
+            .collect();
+        let (mut ids, mut coords) = (Vec::new(), Vec::new());
+        for from in (0..to.len()).filter(|&from| to[from] == TAKEN) {
+            ids.push(seg.ids[from]);
+            seg.read_into(from, &mut coords);
+        }
+        let mut run = 0;
+        for to in to[..seg.ordered].iter_mut().filter(|to| **to != TAKEN) {
+            *to = run;
+            run += 1;
+        }
+        let run = run as usize;
+        let len = to.len() - ids.len();
+        let free = (run..len).filter(|&at| at < seg.ordered || to[at] == TAKEN);
+        let cut_off = (len.max(seg.ordered)..to.len()).filter(|&from| to[from] != TAKEN);
+        let fills: Vec<(usize, usize)> = cut_off.zip(free).collect();
+        for (from, at) in fills {
+            to[from] = at as u32;
+        }
+        let moves: Vec<(usize, usize)> = to
+            .iter()
+            .enumerate()
+            .filter(|&(from, &to)| to != TAKEN && to as usize != from)
+            .map(|(from, &to)| (from, to as usize))
+            .collect();
+        for col in seg.cols.iter_mut() {
+            for &(from, to) in &moves {
+                col[to] = col[from];
+            }
+            col.truncate(len);
+        }
+        for &(from, to) in &moves {
+            seg.ids[to] = seg.ids[from];
+            s.positions.insert(seg.ids[to], (id.0, to as u32));
+        }
+        seg.ids.truncate(len);
+        seg.ordered = run;
+        seg.strays = seg.strays.min(run);
+        for object_id in &ids {
+            s.positions.remove(object_id);
+        }
+        (ids, coords)
+    }
+
+    /// A split one member at a time, the oracle of
+    /// [`SegmentStore::split_into`]: `extract`, a stable sort of the
+    /// leavers by key, then a `push` of each into `dst`.
+    pub(super) fn split_by_pushes(
+        s: &mut SegmentStore,
+        src: SegmentId,
+        d: usize,
+        dst: SegmentId,
+        takes: impl FnMut(Scalar, Scalar) -> bool,
+    ) -> usize {
+        let (ids, coords) = extract(s, src, d, takes);
+        let width = 2 * s.dims();
+        let mut in_key_order: Vec<_> = ids.iter().zip(coords.chunks_exact(width)).collect();
+        in_key_order.sort_by(|a, b| SegmentStore::key(a.1).total_cmp(&SegmentStore::key(b.1)));
+        for (&id, flat) in in_key_order {
+            s.push(dst, id, flat);
+        }
+        ids.len()
+    }
+
+    /// A merge one member at a time, the oracle of
+    /// [`SegmentStore::merge_into`]: `remove` of `src`, then a `push` of
+    /// each of its members into `dst` in `src`'s storage order.
+    pub(super) fn merge_by_pushes(s: &mut SegmentStore, src: SegmentId, dst: SegmentId) -> usize {
+        let (ids, coords) = remove(s, src);
         let width = 2 * s.dims();
         for (&id, flat) in ids.iter().zip(coords.chunks_exact(width)) {
             s.push(dst, id, flat);
         }
         ids.len()
+    }
+
+    /// Everything a store holds, as a comparable value: per slot the
+    /// members, every column, the run, strays, capacity and offset; the
+    /// free slots, the layout and every position entry.
+    #[allow(clippy::type_complexity)]
+    pub(super) fn state(
+        s: &SegmentStore,
+    ) -> (
+        Vec<Option<(Vec<u32>, Vec<Vec<Scalar>>, [usize; 3], u64)>>,
+        Vec<u32>,
+        [u64; 2],
+        Vec<(u32, (u32, u32))>,
+    ) {
+        let segments = s
+            .segments
+            .iter()
+            .map(|seg| {
+                seg.as_ref().map(|seg| {
+                    let cols = seg.cols.to_vec();
+                    (seg.ids.clone(), cols, [seg.ordered, seg.strays, seg.capacity], seg.offset)
+                })
+            })
+            .collect();
+        let mut positions: Vec<_> = s.positions.iter().map(|(&id, &at)| (id, at)).collect();
+        positions.sort_unstable();
+        let layout = [s.layout.next_offset, s.layout.relocations];
+        (segments, s.free_slots.clone(), layout, positions)
     }
 
     #[test]
@@ -869,14 +1098,15 @@ mod tests {
         assert_eq!(s.disorder(seg), 0);
     }
 
-    /// What `extract` guarantees: the taken members come back with their
-    /// coordinates in storage order; the run's survivors keep their
-    /// order (so the run stays a run, at the front); the tail's survivors
-    /// follow; every position is right.
+    /// What `split_into` guarantees: the taken members arrive in the
+    /// destination in key order with their coordinates; the run's
+    /// survivors keep their order (so the run stays a run, at the front);
+    /// the tail's survivors follow; every position is right.
     #[test]
-    fn extract_keeps_the_run_in_order() {
+    fn split_into_keeps_the_run_in_order() {
         let mut s = SegmentStore::new(2);
         let seg = s.create(4);
+        let child = s.create(4);
         let member = |i: u32| {
             // The first 200 in key order, then a tail of 100.
             let key = if i < 200 { i as Scalar / 200.0 } else { (i * 37 % 100) as Scalar / 100.0 };
@@ -889,11 +1119,17 @@ mod tests {
         let takes = |lo: Scalar, hi: Scalar| lo < 2.0 || hi == 6.0;
         let taken = |i: &u32| takes(member(*i)[2], member(*i)[3]);
 
-        let (ids, coords) = s.extract(seg, 1, takes);
-        assert_eq!(ids, (0..300).filter(taken).collect::<Vec<_>>(), "in storage order");
-        assert!(ids.len() > 100 && ids.len() < 200);
-        for (id, flat) in ids.iter().zip(coords.chunks_exact(4)) {
-            assert_eq!(flat, member(*id), "object {id}");
+        let moved = s.split_into(seg, 1, child, takes);
+        let mut want: Vec<u32> = (0..300).filter(taken).collect();
+        want.sort_by(|a, b| member(*a)[0].total_cmp(&member(*b)[0]));
+        assert_eq!(moved, want.len());
+        assert_eq!(s.ids(child), &want[..], "in key order, ties in storage order");
+        assert!(moved > 100 && moved < 200);
+        assert_eq!(s.disorder(child), 0, "the child starts life ordered");
+        assert!(s.relocations() > 0, "the child grew as pushes would grow it");
+        assert_positions_agree(&s, child);
+        for (index, &id) in s.ids(child).iter().enumerate() {
+            assert_eq!(s.object_flat(child, index), member(id), "object {id}");
         }
 
         let run_left: Vec<u32> = (0..200).filter(|i| !taken(i)).collect();
@@ -902,19 +1138,17 @@ mod tests {
         tail_left.sort_unstable();
         assert_eq!(tail_left, (200..300).filter(|i| !taken(i)).collect::<Vec<_>>());
         assert_eq!(s.disorder(seg), tail_left.len(), "the run is still a run");
-        assert_eq!(s.len(), 300 - ids.len());
+        assert_eq!(s.len(), 300);
         assert_positions_agree(&s, seg);
         for (index, &id) in s.ids(seg).iter().enumerate() {
             assert_eq!(s.object_flat(seg, index), member(id), "object {id}");
         }
-        for id in ids {
-            assert_eq!(s.position_of(id), None);
-        }
 
         // Nothing matches: nothing moves.
         let before = s.ids(seg).to_vec();
-        assert_eq!(s.extract(seg, 1, |_, _| false), (Vec::new(), Vec::new()));
+        assert_eq!(s.split_into(seg, 1, child, |_, _| false), 0);
         assert_eq!(s.ids(seg), before);
+        assert_eq!(s.ids(child), &want[..]);
     }
 
     #[test]
@@ -951,7 +1185,7 @@ mod tests {
         }
         let b = s.create(2);
         s.push(b, 10, &flat(0.5, 0.6));
-        assert_eq!(merge(&mut s, a, b), 6);
+        assert_eq!(s.merge_into(a, b), 6);
         assert_eq!(s.segment_count(), 1);
         assert_eq!(s.len(), 7);
         for i in 0..6 {
@@ -963,15 +1197,18 @@ mod tests {
     }
 
     #[test]
-    fn removing_a_segment_unmaps_its_members() {
+    fn merging_a_segment_maps_its_members_to_the_destination() {
         let mut s = SegmentStore::new(1);
         let a = s.create(2);
+        let b = s.create(2);
+        s.push(b, 3, &[0.5, 1.0]);
         s.push(a, 1, &[0.0, 1.0]);
         s.push(a, 2, &[0.2, 0.4]);
-        s.remove(a);
-        assert_eq!(s.position_of(1), None);
-        assert_eq!(s.position_of(2), None);
-        assert!(!s.contains_object(1));
+        s.merge_into(a, b);
+        assert_eq!(s.position_of(1), Some((b, 1)));
+        assert_eq!(s.position_of(2), Some((b, 2)));
+        assert_eq!(s.disorder(b), 2, "a lower key behind the run opens the tail");
+        assert!(s.contains_object(1));
     }
 
     #[test]
@@ -1020,7 +1257,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::merge;
+    use super::tests::{merge_by_pushes, split_by_pushes, state};
     use super::*;
     use proptest::prelude::*;
 
@@ -1029,8 +1266,9 @@ mod proptests {
         Create(u8),
         Push(u8),
         SwapRemove(u8, u8),
-        /// Extract from a segment the members whose key is below `k / 16`.
-        Extract(u8, u8),
+        /// Split from one segment into another the members whose lower
+        /// bound in dimension `k / 16` is below `(k % 16) / 16`.
+        Split(u8, u8, u8),
         Merge(u8, u8),
         Order(u8),
     }
@@ -1040,7 +1278,7 @@ mod proptests {
             1 => (1u8..8).prop_map(Op::Create),
             5 => (0u8..6).prop_map(Op::Push),
             2 => (0u8..6, 0u8..16).prop_map(|(s, k)| Op::SwapRemove(s, k)),
-            1 => (0u8..6, 0u8..16).prop_map(|(s, k)| Op::Extract(s, k)),
+            1 => (0u8..6, 0u8..6, 0u8..32).prop_map(|(a, b, k)| Op::Split(a, b, k)),
             1 => (0u8..6, 0u8..6).prop_map(|(a, b)| Op::Merge(a, b)),
             1 => (0u8..6).prop_map(Op::Order),
         ]
@@ -1051,9 +1289,26 @@ mod proptests {
         (id * 37 % 101) as Scalar / 101.0
     }
 
+    /// Two distinct indices into `live` picked by `a` and `b`, or `None`
+    /// when fewer than two segments live.
+    fn pair(live: usize, a: u8, b: u8) -> Option<(usize, usize)> {
+        if live < 2 {
+            return None;
+        }
+        let ka = a as usize % live;
+        let kb = b as usize % live;
+        Some((ka, if ka == kb { (kb + 1) % live } else { kb }))
+    }
+
+    /// [`Op::Split`]'s dimension and predicate on that dimension's bounds.
+    fn split_rule(k: u8) -> (usize, impl Fn(Scalar, Scalar) -> bool) {
+        let below = (k % 16) as Scalar / 16.0;
+        ((k / 16) as usize, move |lo: Scalar, _| lo < below)
+    }
+
     proptest! {
         /// The segment store behaves like a vector of (id, coords) sets
-        /// under arbitrary create/push/remove/extract/merge/order
+        /// under arbitrary create/push/remove/split/merge/order
         /// sequences — none of them loses, duplicates or alters a member,
         /// whatever order it leaves them in — and its id array and
         /// coordinate columns never fall out of step. Object ids are
@@ -1076,7 +1331,7 @@ mod proptests {
                         let k = s as usize % live.len();
                         let id = next_id;
                         next_id += 1;
-                        let flat = vec![key_of(id), 1.0, 0.25, id as Scalar];
+                        let flat = vec![key_of(id), 1.0, key_of(id + 7), id as Scalar];
                         store.push(live[k], id, &flat);
                         model[k].push((id, flat));
                     }
@@ -1089,28 +1344,22 @@ mod proptests {
                         prop_assert_eq!(store.swap_remove(live[k], i), expected);
                         model[k].retain(|(id, _)| *id != expected);
                     }
-                    Op::Extract(s, below) => {
-                        if live.is_empty() { continue; }
-                        let k = s as usize % live.len();
-                        let takes = |flat: &[Scalar]| flat[0] < below as Scalar / 16.0;
-                        let (ids, coords) = store.extract(live[k], 0, |lo, hi| takes(&[lo, hi]));
-                        let mut got: Vec<_> = ids.into_iter().zip(coords.chunks_exact(4)).collect();
-                        got.sort_by_key(|(id, _)| *id);
+                    Op::Split(a, b, k) => {
+                        let Some((ka, kb)) = pair(live.len(), a, b) else { continue };
+                        let (d, takes) = split_rule(k);
+                        let before = store.segment_len(live[kb]);
+                        let moved = store.split_into(live[ka], d, live[kb], &takes);
                         let (mut taken, kept): (Vec<_>, Vec<_>) =
-                            model[k].drain(..).partition(|(_, flat)| takes(flat));
-                        taken.sort_by_key(|(id, _)| *id);
-                        prop_assert_eq!(got.len(), taken.len());
-                        for ((id, flat), (want_id, want_flat)) in got.into_iter().zip(&taken) {
-                            prop_assert_eq!((id, flat), (*want_id, &want_flat[..]));
-                        }
-                        model[k] = kept;
+                            model[ka].drain(..).partition(|(_, flat)| takes(flat[2 * d], flat[2 * d + 1]));
+                        prop_assert_eq!(moved, taken.len());
+                        let keys = &store.lo_col(live[kb], 0)[before..];
+                        prop_assert!(keys.windows(2).all(|w| w[0] <= w[1]), "movers arrive in key order");
+                        model[ka] = kept;
+                        model[kb].append(&mut taken);
                     }
                     Op::Merge(a, b) => {
-                        if live.len() < 2 { continue; }
-                        let ka = a as usize % live.len();
-                        let mut kb = b as usize % live.len();
-                        if ka == kb { kb = (kb + 1) % live.len(); }
-                        let moved = merge(&mut store, live[ka], live[kb]);
+                        let Some((ka, kb)) = pair(live.len(), a, b) else { continue };
+                        let moved = store.merge_into(live[ka], live[kb]);
                         prop_assert_eq!(moved, model[ka].len());
                         let mut taken = std::mem::take(&mut model[ka]);
                         model[kb].append(&mut taken);
@@ -1141,10 +1390,6 @@ mod proptests {
                     got.sort_unstable();
                     want.sort_unstable();
                     prop_assert_eq!(got, want);
-                    prop_assert_eq!(
-                        store.interleaved_coords(*seg).len(),
-                        model[k].len() * 2 * store.dims()
-                    );
                     for d in 0..store.dims() {
                         prop_assert_eq!(store.lo_col(*seg, d).len(), model[k].len());
                         prop_assert_eq!(store.hi_col(*seg, d).len(), model[k].len());
@@ -1165,8 +1410,69 @@ mod proptests {
             }
         }
 
+        /// The column-to-column moves leave exactly what moving one member
+        /// at a time left: `split_into` what `extract`, a stable key sort
+        /// and a `push` of each leave, `merge_into` what `remove` and a
+        /// `push` of each leave — ids, every column, the ordered run,
+        /// strays, capacity, offset, relocations, free slots and every
+        /// position entry — after arbitrary sequences of every operation
+        /// (reservations of one to seven places make the destination
+        /// relocate, several times over for a large move; coarse keys
+        /// make ties).
+        #[test]
+        fn moves_equal_their_per_member_oracles(ops in prop::collection::vec(op(), 1..120)) {
+            let dims = 2;
+            let (mut fast, mut slow) = (SegmentStore::new(dims), SegmentStore::new(dims));
+            let mut live: Vec<SegmentId> = Vec::new();
+            let mut next_id = 0u32;
+            for op in ops {
+                match op {
+                    Op::Create(expected) => {
+                        let seg = fast.create(expected as usize);
+                        prop_assert_eq!(slow.create(expected as usize), seg);
+                        live.push(seg);
+                    }
+                    Op::Push(s) => {
+                        if live.is_empty() { continue; }
+                        let seg = live[s as usize % live.len()];
+                        let key = (next_id * 7 % 5) as Scalar / 5.0;
+                        let flat = [key, key + 0.5, key_of(next_id), 1.0];
+                        fast.push(seg, next_id, &flat);
+                        slow.push(seg, next_id, &flat);
+                        next_id += 1;
+                    }
+                    Op::SwapRemove(s, idx) => {
+                        if live.is_empty() { continue; }
+                        let seg = live[s as usize % live.len()];
+                        if fast.segment_len(seg) == 0 { continue; }
+                        let at = idx as usize % fast.segment_len(seg);
+                        prop_assert_eq!(fast.swap_remove(seg, at), slow.swap_remove(seg, at));
+                    }
+                    Op::Split(a, b, k) => {
+                        let Some((ka, kb)) = pair(live.len(), a, b) else { continue };
+                        let (d, takes) = split_rule(k);
+                        let moved = fast.split_into(live[ka], d, live[kb], &takes);
+                        prop_assert_eq!(split_by_pushes(&mut slow, live[ka], d, live[kb], &takes), moved);
+                    }
+                    Op::Merge(a, b) => {
+                        let Some((ka, kb)) = pair(live.len(), a, b) else { continue };
+                        let moved = fast.merge_into(live[ka], live[kb]);
+                        prop_assert_eq!(merge_by_pushes(&mut slow, live[ka], live[kb]), moved);
+                        live.remove(ka);
+                    }
+                    Op::Order(s) => {
+                        if live.is_empty() { continue; }
+                        let seg = live[s as usize % live.len()];
+                        fast.order(seg);
+                        slow.order(seg);
+                    }
+                }
+                prop_assert_eq!(state(&fast), state(&slow));
+            }
+        }
+
         /// The O(1) position map agrees with a linear scan of every
-        /// segment after arbitrary push/swap_remove/extract/relocation/
+        /// segment after arbitrary push/swap_remove/split/relocation/
         /// merge/order sequences (tiny initial reservations force
         /// relocations).
         #[test]
@@ -1192,20 +1498,14 @@ mod proptests {
                         if store.segment_len(seg) == 0 { continue; }
                         store.swap_remove(seg, idx as usize % store.segment_len(seg));
                     }
-                    Op::Extract(s, below) => {
-                        if live.is_empty() { continue; }
-                        let seg = live[s as usize % live.len()];
-                        let (ids, _) = store.extract(seg, 0, |lo, _| lo < below as Scalar / 16.0);
-                        for id in ids {
-                            prop_assert_eq!(store.position_of(id), None);
-                        }
+                    Op::Split(a, b, k) => {
+                        let Some((ka, kb)) = pair(live.len(), a, b) else { continue };
+                        let below = (k % 16) as Scalar / 16.0;
+                        store.split_into(live[ka], 0, live[kb], |lo, _| lo < below);
                     }
                     Op::Merge(a, b) => {
-                        if live.len() < 2 { continue; }
-                        let ka = a as usize % live.len();
-                        let mut kb = b as usize % live.len();
-                        if ka == kb { kb = (kb + 1) % live.len(); }
-                        merge(&mut store, live[ka], live[kb]);
+                        let Some((ka, kb)) = pair(live.len(), a, b) else { continue };
+                        store.merge_into(live[ka], live[kb]);
                         live.remove(ka);
                     }
                     Op::Order(s) => {
