@@ -1,5 +1,5 @@
-//! Snapshot benchmark of the production kernels and passes against
-//! their references, recorded to `BENCH_scan.json`,
+//! Snapshot benchmark of the kernels, the index and its passes,
+//! recorded to `BENCH_scan.json`,
 //! `BENCH_candidates.json` and `BENCH_reorg.json` so the repository's
 //! perf trajectory is tracked across PRs.
 //!
@@ -20,19 +20,20 @@
 //!   yielding `f²·Nd` from a dozen to thousands.
 //! * **index** — `AdaptiveClusterIndex` point-enclosing queries (§7.2,
 //!   the scan-dominated workload) through the read-only `query_with`
-//!   path, production vs reference, on identically adapted indexes.
+//!   path, on an adapted index.
 //! * **recorded execute** — the statistics-recording read phase (delta
 //!   sink) and the full `execute` path (arena sink plus the amortized
-//!   pass), production vs reference.
+//!   pass).
 //! * **reorganization** — the per-period maintenance pass on an adapted
-//!   index: the production pass (O(1) screen + columnar split scan)
-//!   against the reference's decision-identical scalar scan of every
-//!   cluster; and passes that split and merge, under a 4-d hotspot
-//!   jumping between sites of clustered objects: nanoseconds per pass,
-//!   members moved per pass and nanoseconds per moved member.
+//!   index (O(1) screen + columnar split scan); and passes that split
+//!   and merge, under a 4-d hotspot jumping between sites of clustered
+//!   objects: nanoseconds per pass, members moved per pass and
+//!   nanoseconds per moved member.
 //!
-//! The index-level sections build both sides from
-//! [`acx_bench::strategies`].
+//! The index and the pass make the paper's decisions by the equivalence
+//! suites, which compare them with the test crate's model of the paper;
+//! this binary only times them. Every file it writes is stamped with
+//! the commit, the compiler and the host.
 //!
 //! `--cost-terms` additionally measures the five terms of the memory
 //! cost model ([`acx_bench::cost_terms`]) and writes them, beside the
@@ -55,11 +56,12 @@ use std::time::Instant;
 
 use acx_bench::args::Flags;
 use acx_bench::cost_terms::{self, CostTerms};
-use acx_bench::{adapted_ac, build_ac_with, strategies};
+use acx_bench::{adapted_ac, build_ac_with};
 use acx_core::candidates::{generate_candidates, StatsArena};
 use acx_core::{IndexConfig, QueryScratch, Signature, StatsDelta};
 use acx_geom::scan::{scan_columns, PairedColumns, ScanScratch, BLOCK};
 use acx_geom::{HyperRect, Scalar, SpatialQuery, OBJECT_ID_BYTES};
+use acx_storage::StorageScenario;
 use acx_workloads::{
     calibrate, ClusteredObjects, EventStream, PubSubGenerator, UniformWorkload, Workload,
     WorkloadConfig,
@@ -299,62 +301,51 @@ fn candidate_matrix(configs: &[(usize, u8)], repeats: usize) -> Vec<CandidateRow
     rows
 }
 
-struct IndexRow {
-    mode: &'static str,
-    ns_per_query: f64,
+/// The index-level sections' configuration: the paper's platform, where
+/// the few thousand objects measured here build the hundreds of
+/// clusters a traversal, a recording or a pass needs to be worth timing.
+fn paper_platform(dims: usize) -> IndexConfig {
+    IndexConfig::edbt2004(dims, StorageScenario::Memory)
+}
+
+/// The acceptance workload: §7.2 point-enclosing queries on an adapted
+/// 16-d index through the read-only path; nanoseconds per query.
+fn index_point_enclosing(objects: usize, repeats: usize) -> f64 {
+    let dims = 16;
+    let workload =
+        UniformWorkload::with_max_length(WorkloadConfig::new(dims, objects, 0x5EED), 0.3);
+    let data = workload.generate_objects();
+    let mut rng = WorkloadConfig::new(dims, objects, 17).rng();
+    let queries: Vec<SpatialQuery> = (0..256)
+        .map(|_| SpatialQuery::point_enclosing(workload.sample_point(&mut rng)))
+        .collect();
+
+    let index = adapted_ac(paper_platform(dims), &data, &queries);
+    let mut scratch = QueryScratch::new();
+    let ns = time_per_query(queries.len(), repeats, |k| {
+        let metrics = index.query_with(&queries[k], &mut scratch);
+        metrics.stats.verified_bytes + scratch.matches().len() as u64
+    });
+    println!(
+        "index   point_enclosing d={dims} n={objects}: {ns:>10.0} ns/q  ({} clusters)",
+        index.cluster_count()
+    );
+    ns
 }
 
 struct RecordedRow {
-    mode: &'static str,
     recorded_ns: f64,
     execute_ns: f64,
 }
 
-/// The acceptance workload: §7.2 point-enclosing queries on an adapted
-/// 16-d index through the read-only path, production vs reference.
-fn index_point_enclosing(objects: usize, repeats: usize) -> Vec<IndexRow> {
-    let dims = 16;
-    let workload =
-        UniformWorkload::with_max_length(WorkloadConfig::new(dims, objects, 0x5EED), 0.3);
-    let data = workload.generate_objects();
-    let mut rng = WorkloadConfig::new(dims, objects, 17).rng();
-    let queries: Vec<SpatialQuery> = (0..256)
-        .map(|_| SpatialQuery::point_enclosing(workload.sample_point(&mut rng)))
-        .collect();
-
-    let mut rows = Vec::new();
-    for (label, config) in strategies(dims) {
-        let index = adapted_ac(config, &data, &queries);
-        let mut scratch = QueryScratch::new();
-        let ns = time_per_query(queries.len(), repeats, |k| {
-            let metrics = index.query_with(&queries[k], &mut scratch);
-            metrics.stats.verified_bytes + scratch.matches().len() as u64
-        });
-        println!(
-            "index   point_enclosing d={dims} n={objects} [{label}]: {ns:>10.0} ns/q  ({} clusters)",
-            index.cluster_count()
-        );
-        rows.push(IndexRow {
-            mode: label,
-            ns_per_query: ns,
-        });
-    }
-    println!(
-        "index   speedup production over reference: {:.2}x",
-        rows[1].ns_per_query / rows[0].ns_per_query
-    );
-    rows
-}
-
-/// Recorded execution at 16 dims, two layers per strategy: the
-/// statistics-recording read phase (`query_recorded_with` through a
-/// reused, cleared delta — the read half of the two-phase path that
-/// `apply_stats` completes) and the full
-/// `execute` (recording in place plus amortized periodic
+/// Recorded execution at 16 dims, two layers: the statistics-recording
+/// read phase (`query_recorded_with` through a reused, cleared delta —
+/// the read half of the two-phase path that `apply_stats` completes)
+/// and the full `execute` (recording in place plus amortized periodic
 /// reorganization). The committed JSON additionally carries the
 /// numbers measured at the PR 3 commit with the same harness for the
 /// cross-PR trajectory.
-fn recorded_execute(objects: usize, repeats: usize) -> Vec<RecordedRow> {
+fn recorded_execute(objects: usize, repeats: usize) -> RecordedRow {
     let dims = 16;
     let workload =
         UniformWorkload::with_max_length(WorkloadConfig::new(dims, objects, 0x5EED), 0.3);
@@ -364,47 +355,37 @@ fn recorded_execute(objects: usize, repeats: usize) -> Vec<RecordedRow> {
         .map(|_| SpatialQuery::point_enclosing(workload.sample_point(&mut rng)))
         .collect();
 
-    let mut rows = Vec::new();
-    for (label, config) in strategies(dims) {
-        let mut index = adapted_ac(config, &data, &queries);
-        let mut scratch = QueryScratch::new();
-        let mut delta = StatsDelta::new();
-        let mut explored = 0u64;
-        for q in &queries {
-            delta.clear();
-            explored += index
-                .query_recorded_with(q, &mut delta, &mut scratch)
-                .stats
-                .clusters_explored;
-        }
-        let recorded_ns = time_per_query(queries.len(), repeats, |k| {
-            delta.clear();
-            let metrics = index.query_recorded_with(&queries[k], &mut delta, &mut scratch);
-            metrics.stats.verified_bytes + scratch.matches().len() as u64
-        });
-        let execute_ns = time_per_query(queries.len(), repeats, |k| {
-            index.execute(&queries[k]).matches.len() as u64
-        });
-        println!(
-            "record  d={dims} n={objects} [{label}]: recorded {recorded_ns:>8.0} ns/q  execute {execute_ns:>8.0} ns/q  ({} clusters, {:.1} explored/q)",
-            index.cluster_count(),
-            explored as f64 / queries.len() as f64
-        );
-        rows.push(RecordedRow {
-            mode: label,
-            recorded_ns,
-            execute_ns,
-        });
+    let mut index = adapted_ac(paper_platform(dims), &data, &queries);
+    let mut scratch = QueryScratch::new();
+    let mut delta = StatsDelta::new();
+    let mut explored = 0u64;
+    for q in &queries {
+        delta.clear();
+        explored += index
+            .query_recorded_with(q, &mut delta, &mut scratch)
+            .stats
+            .clusters_explored;
     }
+    let recorded_ns = time_per_query(queries.len(), repeats, |k| {
+        delta.clear();
+        let metrics = index.query_recorded_with(&queries[k], &mut delta, &mut scratch);
+        metrics.stats.verified_bytes + scratch.matches().len() as u64
+    });
+    let execute_ns = time_per_query(queries.len(), repeats, |k| {
+        index.execute(&queries[k]).matches.len() as u64
+    });
     println!(
-        "record  execute speedup production over reference: {:.2}x",
-        rows[1].execute_ns / rows[0].execute_ns
+        "record  d={dims} n={objects}: recorded {recorded_ns:>8.0} ns/q  execute {execute_ns:>8.0} ns/q  ({} clusters, {:.1} explored/q)",
+        index.cluster_count(),
+        explored as f64 / queries.len() as f64
     );
-    rows
+    RecordedRow {
+        recorded_ns,
+        execute_ns,
+    }
 }
 
 struct ReorgRow {
-    mode: &'static str,
     pass_ns: f64,
     clusters: usize,
     evaluated: u64,
@@ -414,18 +395,16 @@ struct ReorgRow {
     compactions: u64,
 }
 
-/// The per-period reorganization cost on an adapted 16-d index: the
-/// production pass and the reference's decision-identical scalar scan
-/// of every cluster, driven through identical streams
-/// (auto-reorganization off, one explicit pass every `period` recorded
-/// executes — exactly the paper's `reorg_period` cadence) so the timed
-/// `reorganize()` call is what differs. Decision identity is asserted
-/// on the final clustering state.
-fn reorg_matrix(objects: usize, repeats: usize) -> Vec<ReorgRow> {
+/// The per-period reorganization cost on an adapted 16-d index, driven
+/// with auto-reorganization off and one explicit pass every `period`
+/// executes — exactly the paper's `reorg_period` cadence — so the timed
+/// `reorganize()` call is the pass alone. The pass's decisions are the
+/// model's by the equivalence suites, not here.
+fn reorg_matrix(objects: usize, repeats: usize) -> ReorgRow {
     let dims = 16;
     let period = 100usize;
     // Early passes run on cold caches; the median over more samples
-    // reflects the steady-state maintenance cost the mode pays.
+    // reflects the steady-state maintenance cost.
     let repeats = repeats.max(9);
     let workload =
         UniformWorkload::with_max_length(WorkloadConfig::new(dims, objects, 0x5EED), 0.3);
@@ -435,99 +414,58 @@ fn reorg_matrix(objects: usize, repeats: usize) -> Vec<ReorgRow> {
         .map(|_| SpatialQuery::point_enclosing(workload.sample_point(&mut rng)))
         .collect();
 
-    // Sampling is alternated between the strategies in fresh-build
-    // blocks: each block rebuilds and re-adapts its index from scratch
-    // so exactly one index is live while it is measured — the
-    // production footprint — while the alternation cancels slow host
-    // drift (frequency scaling, noisy neighbors) out of the reported
-    // ratio instead of biasing whichever mode was measured later.
-    // Blocks open with unmeasured warm-up periods (the pass's working
-    // set starts cold after the bulk adaptation); the workload is
-    // deterministic, so every block of a mode reproduces the identical
-    // index and decisions.
-    const MODES: usize = 2;
-    let rounds = 2usize;
-    let block = repeats.div_ceil(rounds);
-    let mut samples: [Vec<f64>; MODES] = std::array::from_fn(|_| Vec::with_capacity(repeats));
-    let mut counters = [[0u64; 4]; MODES];
-    let mut arena_stats = [[0u64; 2]; MODES];
-    let mut final_snapshots: [Vec<acx_core::ClusterSnapshot>; MODES] =
-        std::array::from_fn(|_| Vec::new());
-    let mut cluster_counts = [0usize; MODES];
-    for _ in 0..rounds {
-        for (which, (_, config)) in strategies(dims).into_iter().enumerate() {
-            let mut config = config;
-            config.reorg_period = 0;
-            let mut index = build_ac_with(config, &data);
-            for chunk in queries.chunks(period) {
-                for q in chunk {
-                    index.execute(q);
-                }
-                index.reorganize();
-            }
-            let mut k = 0usize;
-            for measured in 0..3 + block {
-                for _ in 0..period {
-                    k = (k + 1) % queries.len();
-                    std::hint::black_box(index.execute(&queries[k]).matches.len());
-                }
-                let started = Instant::now();
-                std::hint::black_box(index.reorganize());
-                let elapsed = started.elapsed().as_nanos() as f64;
-                if measured >= 3 {
-                    samples[which].push(elapsed);
-                    let profile = index.last_reorg_profile();
-                    counters[which][0] += profile.evaluated;
-                    counters[which][1] += profile.candidate_scans;
-                    counters[which][2] += profile.screened_out;
-                    counters[which][3] += 1;
-                }
-            }
+    let config = IndexConfig {
+        reorg_period: 0,
+        ..paper_platform(dims)
+    };
+    let mut index = build_ac_with(config, &data);
+    for chunk in queries.chunks(period) {
+        for q in chunk {
+            index.execute(q);
+        }
+        index.reorganize();
+    }
+    // Unmeasured warm-up periods first: the pass's working set starts
+    // cold after the bulk adaptation.
+    let mut samples = Vec::with_capacity(repeats);
+    let mut counters = [0u64; 3];
+    let mut k = 0usize;
+    for measured in 0..3 + repeats {
+        for _ in 0..period {
+            k = (k + 1) % queries.len();
+            std::hint::black_box(index.execute(&queries[k]).matches.len());
+        }
+        let started = Instant::now();
+        std::hint::black_box(index.reorganize());
+        let elapsed = started.elapsed().as_nanos() as f64;
+        if measured >= 3 {
+            samples.push(elapsed);
             let profile = index.last_reorg_profile();
-            arena_stats[which] = [profile.arena_live_bytes, profile.compactions];
-            cluster_counts[which] = index.cluster_count();
-            final_snapshots[which] = index.snapshots();
+            counters[0] += profile.evaluated;
+            counters[1] += profile.candidate_scans;
+            counters[2] += profile.screened_out;
         }
     }
-    assert_eq!(
-        final_snapshots[0], final_snapshots[1],
-        "production and reference passes must be decision-identical on the measured stream"
-    );
-    let mut rows = Vec::new();
-    for (which, (label, _)) in strategies(dims).into_iter().enumerate() {
-        let samples = &mut samples[which];
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        let pass_ns = samples[samples.len() / 2];
-        let [evaluated, scans, screened, passes] = counters[which];
-        println!(
-            "reorg   d={dims} n={objects} [{label}]: {pass_ns:>10.0} ns/pass  ({} clusters; per pass: {:.0} evaluated, {:.1} scans, {:.0} screened; arena {} live bytes, {} compactions)",
-            cluster_counts[which],
-            evaluated as f64 / passes as f64,
-            scans as f64 / passes as f64,
-            screened as f64 / passes as f64,
-            arena_stats[which][0],
-            arena_stats[which][1],
-        );
-        rows.push(ReorgRow {
-            mode: label,
-            pass_ns,
-            clusters: cluster_counts[which],
-            evaluated: evaluated / passes,
-            scans: scans / passes,
-            screened: screened / passes,
-            arena_live_bytes: arena_stats[which][0],
-            compactions: arena_stats[which][1],
-        });
-    }
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    let passes = samples.len() as u64;
+    let profile = index.last_reorg_profile();
+    let row = ReorgRow {
+        pass_ns: samples[samples.len() / 2],
+        clusters: index.cluster_count(),
+        evaluated: counters[0] / passes,
+        scans: counters[1] / passes,
+        screened: counters[2] / passes,
+        arena_live_bytes: profile.arena_live_bytes,
+        compactions: profile.compactions,
+    };
     println!(
-        "reorg   speedup production over reference: {:.2}x",
-        rows[1].pass_ns / rows[0].pass_ns
+        "reorg   d={dims} n={objects}: {:>10.0} ns/pass  ({} clusters; per pass: {} evaluated, {} scans, {} screened; arena {} live bytes, {} compactions)",
+        row.pass_ns, row.clusters, row.evaluated, row.scans, row.screened, row.arena_live_bytes, row.compactions,
     );
-    rows
+    row
 }
 
 struct MovingRow {
-    mode: &'static str,
     /// Median nanoseconds of a pass that moved members.
     pass_ns: f64,
     /// Measured passes that moved members.
@@ -571,16 +509,14 @@ fn hotspot_window(rng: &mut StdRng, site: &[Scalar]) -> SpatialQuery {
 const MOVING_OBJECTS: usize = 20_000;
 
 /// Passes that move members, on the default configuration
-/// (`IndexConfig::memory`, the measured prices) against its reference:
-/// 4-d objects in thousands of small clumps and a hotspot of
-/// intersection windows that jumps round-robin among eight sites every
-/// two periods, so the clustering never settles — passes split clusters
-/// out at the new site and merge them back at the old one. Both run the
-/// same stream (auto-reorganization off, one explicit pass every
-/// `period` events) after two warm-up rounds of the sites; the passes
-/// that moved members are timed. Decision identity is asserted on every
-/// pass's report and on the final clustering.
-fn moving_pass(repeats: usize) -> Vec<MovingRow> {
+/// (`IndexConfig::memory`, the measured prices): 4-d objects in
+/// thousands of small clumps and a hotspot of intersection windows that
+/// jumps round-robin among eight sites every two periods, so the
+/// clustering never settles — passes split clusters out at the new site
+/// and merge them back at the old one. Auto-reorganization is off and
+/// one explicit pass runs every `period` events; after two warm-up
+/// rounds of the sites, the passes that moved members are timed.
+fn moving_pass(repeats: usize) -> MovingRow {
     let (dims, objects) = (4, MOVING_OBJECTS);
     let (period, shift_every) = (100usize, 200usize);
     let site_round = MOVING_SITES.len() * shift_every;
@@ -596,65 +532,43 @@ fn moving_pass(repeats: usize) -> Vec<MovingRow> {
         })
         .collect();
 
-    let mut rows = Vec::new();
-    let mut reports: Vec<Vec<acx_core::ReorgReport>> = Vec::new();
-    let mut finals: Vec<Vec<acx_core::ClusterSnapshot>> = Vec::new();
-    let production = IndexConfig {
+    let config = IndexConfig {
         reorg_period: 0,
         ..IndexConfig::memory(dims)
     };
-    let reference = IndexConfig {
-        reference: true,
-        ..production.clone()
-    };
-    for (label, config) in [("production", production), ("reference", reference)] {
-        let mut index = build_ac_with(config, &data);
-        let (mut samples, mut moved, mut passes_reports) = (Vec::new(), Vec::new(), Vec::new());
-        for (k, chunk) in events.chunks(period).enumerate() {
-            for q in chunk {
-                std::hint::black_box(index.execute(q).matches.len());
-            }
-            let started = Instant::now();
-            let report = std::hint::black_box(index.reorganize());
-            let elapsed = started.elapsed().as_nanos() as f64;
-            let profile = index.last_reorg_profile();
-            passes_reports.push(report);
-            if k * period >= 2 * site_round && profile.objects_moved > 0 {
-                samples.push(elapsed);
-                moved.push((profile.objects_moved, report.splits, report.merges));
-            }
+    let mut index = build_ac_with(config, &data);
+    let (mut samples, mut moved) = (Vec::new(), Vec::new());
+    for (k, chunk) in events.chunks(period).enumerate() {
+        for q in chunk {
+            std::hint::black_box(index.execute(q).matches.len());
         }
-        assert!(!samples.is_empty(), "the hotspot stream moved no member");
-        let total_ns: f64 = samples.iter().sum();
-        let total_moved: u64 = moved.iter().map(|m| m.0).sum();
-        let passes = samples.len() as u64;
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        let row = MovingRow {
-            mode: label,
-            pass_ns: samples[samples.len() / 2],
-            passes,
-            splits: moved.iter().map(|m| m.1).sum(),
-            merges: moved.iter().map(|m| m.2).sum(),
-            moved_per_pass: total_moved as f64 / passes as f64,
-            ns_per_moved: total_ns / total_moved as f64,
-        };
-        println!(
-            "moving  d={dims} n={objects} [{label}]: {:>10.0} ns/pass  ({} moving passes, {} splits, {} merges; {:.1} moved/pass, {:.1} ns/moved member)",
-            row.pass_ns, row.passes, row.splits, row.merges, row.moved_per_pass, row.ns_per_moved
-        );
-        rows.push(row);
-        reports.push(passes_reports);
-        finals.push(index.snapshots());
+        let started = Instant::now();
+        let report = std::hint::black_box(index.reorganize());
+        let elapsed = started.elapsed().as_nanos() as f64;
+        let profile = index.last_reorg_profile();
+        if k * period >= 2 * site_round && profile.objects_moved > 0 {
+            samples.push(elapsed);
+            moved.push((profile.objects_moved, report.splits, report.merges));
+        }
     }
-    assert_eq!(
-        reports[0], reports[1],
-        "production and reference passes must make the same decisions on the hotspot stream"
+    assert!(!samples.is_empty(), "the hotspot stream moved no member");
+    let total_ns: f64 = samples.iter().sum();
+    let total_moved: u64 = moved.iter().map(|m| m.0).sum();
+    let passes = samples.len() as u64;
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    let row = MovingRow {
+        pass_ns: samples[samples.len() / 2],
+        passes,
+        splits: moved.iter().map(|m| m.1).sum(),
+        merges: moved.iter().map(|m| m.2).sum(),
+        moved_per_pass: total_moved as f64 / passes as f64,
+        ns_per_moved: total_ns / total_moved as f64,
+    };
+    println!(
+        "moving  d={dims} n={objects}: {:>10.0} ns/pass  ({} moving passes, {} splits, {} merges; {:.1} moved/pass, {:.1} ns/moved member)",
+        row.pass_ns, row.passes, row.splits, row.merges, row.moved_per_pass, row.ns_per_moved
     );
-    assert_eq!(
-        finals[0], finals[1],
-        "production and reference passes must leave the same clustering on the hotspot stream"
-    );
-    rows
+    row
 }
 
 /// First line of a command's output, or `"unknown"` — the provenance
@@ -774,7 +688,7 @@ fn main() {
         &[(4, 2), (16, 2), (8, 4), (16, 4), (16, 8), (16, 12), (32, 12)]
     };
 
-    println!("== scan kernel snapshot (production vs reference, single thread) ==");
+    println!("== scan kernel snapshot (single thread) ==");
     let kernel = kernel_matrix(&sizes, &dims_list, repeats);
     let order = block_order(quick, repeats);
     let cands = candidate_matrix(cand_configs, repeats);
@@ -784,7 +698,15 @@ fn main() {
     let moving = moving_pass(repeats);
 
     // Hand-rolled JSON: the workspace is offline, no serde available.
+    let provenance = format!(
+        "  \"commit\": \"{}\", \"rustc\": \"{}\", \"host_cores\": {}, \"host_cpu\": \"{}\",",
+        commit,
+        first_line_of("rustc", &["--version"]),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        host_cpu(),
+    );
     let mut json = String::from("{\n  \"bench\": \"scan_kernel\",\n");
+    let _ = writeln!(json, "{provenance}");
     let _ = writeln!(json, "  \"quick\": {quick},");
     let mut uncalibrated = Vec::new();
     if cost_terms {
@@ -816,27 +738,13 @@ fn main() {
     }
     json.push_str("  ],\n  \"index_point_enclosing_16d\": {\n");
     let _ = writeln!(json, "    \"objects\": {index_objects},");
-    for r in &index {
-        let _ = writeln!(json, "    \"{}_ns_per_query\": {:.0},", r.mode, r.ns_per_query);
-    }
-    let _ = writeln!(
-        json,
-        "    \"speedup\": {:.3}",
-        index[1].ns_per_query / index[0].ns_per_query
-    );
+    let _ = writeln!(json, "    \"ns_per_query\": {index:.0}");
     json.push_str("  },\n  \"recorded_execute_16d\": {\n");
     let _ = writeln!(json, "    \"objects\": {index_objects},");
-    for r in &recorded {
-        let _ = writeln!(
-            json,
-            "    \"{}\": {{\"recorded_ns_per_query\": {:.0}, \"execute_ns_per_query\": {:.0}}},",
-            r.mode, r.recorded_ns, r.execute_ns
-        );
-    }
     let _ = writeln!(
         json,
-        "    \"execute_speedup_vs_reference\": {:.3},",
-        recorded[1].execute_ns / recorded[0].execute_ns
+        "    \"recorded_ns_per_query\": {:.0}, \"execute_ns_per_query\": {:.0},",
+        recorded.recorded_ns, recorded.execute_ns
     );
     // Measured at commit 63cb979 (PR 3) on this container with the same
     // harness (256 point-enclosing queries, warmed index, min-of-9):
@@ -851,6 +759,7 @@ fn main() {
     println!("wrote {out}");
 
     let mut json = String::from("{\n  \"bench\": \"candidate_kernel\",\n");
+    let _ = writeln!(json, "{provenance}");
     let _ = writeln!(json, "  \"quick\": {quick},");
     json.push_str(
         "  \"measures\": \"one query counted into a u32 counter column per candidate; \
@@ -876,55 +785,33 @@ fn main() {
     println!("wrote {cand_out}");
 
     let mut json = String::from("{\n  \"bench\": \"reorganize\",\n");
-    let _ = writeln!(
-        json,
-        "  \"commit\": \"{}\", \"rustc\": \"{}\", \"host_cores\": {}, \"host_cpu\": \"{}\",",
-        commit,
-        first_line_of("rustc", &["--version"]),
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        host_cpu(),
-    );
+    let _ = writeln!(json, "{provenance}");
     let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"dims\": 16,");
     let _ = writeln!(json, "  \"objects\": {index_objects},");
     let _ = writeln!(json, "  \"reorg_period\": 100,");
-    json.push_str("  \"per_period_pass\": [\n");
-    for (i, r) in reorg.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"mode\": \"{}\", \"pass_ns\": {:.0}, \"clusters\": {}, \"evaluated\": {}, \"candidate_scans\": {}, \"screened_out\": {}, \"arena_live_bytes\": {}, \"compactions\": {}}}",
-            r.mode,
-            r.pass_ns,
-            r.clusters,
-            r.evaluated,
-            r.scans,
-            r.screened,
-            r.arena_live_bytes,
-            r.compactions
-        );
-        json.push_str(if i + 1 == reorg.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"production_speedup_vs_reference\": {:.3},",
-        reorg[1].pass_ns / reorg[0].pass_ns
+        "  \"per_period_pass\": {{\"pass_ns\": {:.0}, \"clusters\": {}, \"evaluated\": {}, \"candidate_scans\": {}, \"screened_out\": {}, \"arena_live_bytes\": {}, \"compactions\": {}}},",
+        reorg.pass_ns,
+        reorg.clusters,
+        reorg.evaluated,
+        reorg.scans,
+        reorg.screened,
+        reorg.arena_live_bytes,
+        reorg.compactions
     );
     json.push_str(
         "  \"moving_pass\": {\"dims\": 4, \"objects\": 20000, \"config\": \"IndexConfig::memory\", \
          \"stream\": \"clustered objects (4096 clumps); \
          a hotspot of 0.08-wide intersection windows jumping round-robin among 8 sites \
-         every 200 events; one pass every 100 events\", \"rows\": [\n",
+         every 200 events; one pass every 100 events\",\n",
     );
-    for (i, r) in moving.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"mode\": \"{}\", \"pass_ns\": {:.0}, \"moving_passes\": {}, \"splits\": {}, \"merges\": {}, \"objects_moved_per_pass\": {:.1}, \"ns_per_moved_member\": {:.1}}}",
-            r.mode, r.pass_ns, r.passes, r.splits, r.merges, r.moved_per_pass, r.ns_per_moved
-        );
-        json.push_str(if i + 1 == moving.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("  ]}\n}\n");
+    let _ = writeln!(
+        json,
+        "    \"pass_ns\": {:.0}, \"moving_passes\": {}, \"splits\": {}, \"merges\": {}, \"objects_moved_per_pass\": {:.1}, \"ns_per_moved_member\": {:.1}}}\n}}",
+        moving.pass_ns, moving.passes, moving.splits, moving.merges, moving.moved_per_pass, moving.ns_per_moved
+    );
     std::fs::write(&reorg_out, &json).expect("write reorganization snapshot");
     println!("wrote {reorg_out}");
     if !uncalibrated.is_empty() {

@@ -13,6 +13,5 @@ pub mod cost_terms;
 pub mod runner;
 
 pub use runner::{
-    adapted_ac, build_ac, build_ac_with, build_rs, build_ss, run_ac, run_baseline,
-    strategies, MethodReport,
+    adapted_ac, build_ac, build_ac_with, build_rs, build_ss, run_ac, run_baseline, MethodReport,
 };

@@ -76,29 +76,6 @@ pub fn adapted_ac(
     index
 }
 
-/// The two executions every comparison measures — by the `scan_bench`
-/// snapshot and the scenario-zoo suite; one definition so the
-/// measurements can never drift apart:
-///
-/// * `production` — the default: columnar member kernel,
-///   per-dimension candidate count, screened columnar pass;
-/// * `reference` — [`IndexConfig::reference`]: the object-at-a-time
-///   loops and the scalar scan of every cluster, decision- and
-///   answer-identical.
-///
-/// Both on the paper's platform ([`IndexConfig::edbt2004`]): what is compared is
-/// the mechanism, and at the few thousand objects these harnesses use
-/// it is Table 2 that builds the hundreds of clusters a traversal, a
-/// recording or a pass needs to be worth timing.
-pub fn strategies(dims: usize) -> [(&'static str, IndexConfig); 2] {
-    let production = IndexConfig::edbt2004(dims, StorageScenario::Memory);
-    let reference = IndexConfig {
-        reference: true,
-        ..production.clone()
-    };
-    [("production", production), ("reference", reference)]
-}
-
 /// Builds an R*-tree over the objects (structure is scenario-independent).
 pub fn build_rs(dims: usize, objects: &[HyperRect]) -> RStarTree {
     let mut tree = RStarTree::new(RStarConfig::memory(dims));

@@ -1,28 +1,26 @@
 //! Scenario-zoo equivalence: every zoo stream, built through the same
 //! [`build_ac_with`] path the experiment binaries use, runs green on the
-//! production index and on the reference
-//! ([`IndexConfig::reference`]) and leaves bit-identical traces — per
-//! query the ordered match set, the `AccessStats` and the recorded
-//! `StatsDelta`; per pass the `ReorgReport`; at the end the
-//! `ClusterSnapshot`s.
-//!
-//! `reference` selects an *execution strategy*: a stream that answers
-//! or reorganizes differently on one side would invalidate every
-//! reference row the bench binaries print.
+//! index and leaves the trace the paper's model (`acx_testkit::model`)
+//! leaves on the same stream — per query the match set, the
+//! `AccessStats` and the clusters a recorded `StatsDelta` touched; per
+//! pass the `ReorgReport`; at the end the `ClusterSnapshot`s and every
+//! counter.
 //!
 //! The same traces must come out whichever statistics sink carries the
 //! stream ([`Sink`]): `execute` writing the arena in place, or
 //! `query_recorded` + `apply_stats`.
 //!
-//! Both sides come from [`strategies`], which pins the paper's
-//! platform: at 500 objects it is Table 2 that materializes clusters,
-//! and every scenario must (`run_stream` asserts splits), or the
-//! traces would agree about a root that never moved.
+//! The streams run on the paper's platform: at 500 objects it is
+//! Table 2 that materializes clusters, and every scenario must
+//! (`run_stream` asserts splits), or the traces would agree about a
+//! root that never moved.
 
-use acx_bench::{build_ac_with, strategies};
-use acx_core::{ClusterSnapshot, IndexConfig, ReorgReport, StatsDelta};
+use acx_bench::build_ac_with;
+use acx_core::{AdaptiveClusterIndex, ClusterSnapshot, IndexConfig, ReorgReport, StatsDelta};
 use acx_geom::{HyperRect, ObjectId};
-use acx_storage::AccessStats;
+use acx_storage::{AccessStats, StorageScenario};
+use acx_testkit::model::{check, Model};
+use acx_testkit::sorted;
 use acx_workloads::{
     AdaptiveScenario, ClusteredObjects, DiurnalCycle, FlashCrowd, MigratingHotspot, MixedTraffic,
     OscillatingHeat, UniformWorkload, WorkloadConfig,
@@ -94,13 +92,19 @@ enum Sink {
     TwoPhase,
 }
 
+/// The configuration every zoo stream runs on: the paper's platform.
+fn config() -> IndexConfig {
+    IndexConfig::edbt2004(DIMS, StorageScenario::Memory)
+}
+
 /// Replays the scenario stream (with its mid-run shift) against an
-/// index built from `config`, its statistics going through `sink`.
-fn run_stream(name: &str, config: IndexConfig, sink: Sink) -> Trace {
+/// index, its statistics going through `sink`; returns the trace and
+/// the index the stream left.
+fn run_stream(name: &str, sink: Sink) -> (Trace, AdaptiveClusterIndex) {
     let cfg = WorkloadConfig::new(DIMS, OBJECTS, 0xA11CE);
     let objects = make_objects(name, &cfg);
     let mut scenario = make_scenario(name, &cfg);
-    let mut index = build_ac_with(config, &objects);
+    let mut index = build_ac_with(config(), &objects);
     let mut queries = Vec::with_capacity(PERIODS * QUERIES_PER_PERIOD);
     let mut passes = Vec::with_capacity(PERIODS);
     for period in 0..PERIODS {
@@ -129,11 +133,12 @@ fn run_stream(name: &str, config: IndexConfig, sink: Sink) -> Trace {
         index.total_splits() > 0,
         "{name}: the stream must materialize clusters to compare anything"
     );
-    Trace {
+    let trace = Trace {
         queries,
         passes,
         snapshots: index.snapshots(),
-    }
+    };
+    (trace, index)
 }
 
 fn assert_same_trace(what: &str, a: &Trace, b: &Trace) {
@@ -147,29 +152,56 @@ fn assert_same_trace(what: &str, a: &Trace, b: &Trace) {
     assert_eq!(a.snapshots, b.snapshots, "{what}: snapshots");
 }
 
-/// Every zoo scenario on both sides of [`IndexConfig::reference`]: both
-/// run green and leave the exact same trace.
+/// Every zoo scenario on the index and on the model: the index runs
+/// green and leaves the model's trace and state.
 #[test]
-fn zoo_is_green_and_answer_identical_across_strategy_matrix() {
+fn zoo_is_green_and_answer_identical_to_the_model() {
     for name in SCENARIOS {
-        let [production, reference] =
-            strategies(DIMS).map(|(_, config)| run_stream(name, config, Sink::Direct));
-        assert_same_trace(name, &production, &reference);
+        let (trace, index) = run_stream(name, Sink::Direct);
+        let cfg = WorkloadConfig::new(DIMS, OBJECTS, 0xA11CE);
+        let mut scenario = make_scenario(name, &cfg);
+        let mut model = Model::new(config());
+        for (i, rect) in make_objects(name, &cfg).into_iter().enumerate() {
+            model.insert(ObjectId(i as u32), rect).unwrap();
+        }
+        let mut queries = trace.queries.iter().enumerate();
+        for period in 0..PERIODS {
+            if period == SHIFT_AT {
+                scenario.shift();
+            }
+            for _ in 0..QUERIES_PER_PERIOD {
+                let answer = model.execute(&scenario.next_query());
+                let (k, (matches, stats, delta)) = queries.next().unwrap();
+                assert_eq!(
+                    sorted(matches.clone()),
+                    answer.matches,
+                    "{name}: query {k} matches"
+                );
+                assert_eq!(*stats, answer.stats, "{name}: query {k} AccessStats");
+                let mut touched = delta.touched_slots().to_vec();
+                touched.sort_unstable();
+                let mut explored = answer.explored.clone();
+                explored.sort_unstable();
+                assert_eq!(touched, explored, "{name}: query {k} recorded clusters");
+            }
+            let report = model.reorganize();
+            assert_eq!(trace.passes[period], report, "{name}: pass {period}");
+        }
+        assert_eq!(trace.snapshots, model.snapshots(), "{name}: snapshots");
+        if let Err(why) = check(&index, &model) {
+            panic!("{name}: the index and the model differ: {why}");
+        }
     }
 }
 
-/// Every zoo scenario through both statistics sinks, on both sides of
-/// [`IndexConfig::reference`]: `execute` ≡ `query_recorded` +
-/// `apply_stats`.
+/// Every zoo scenario through both statistics sinks: `execute` ≡
+/// `query_recorded` + `apply_stats`.
 #[test]
 fn zoo_traces_are_identical_across_statistics_sinks() {
     for name in SCENARIOS {
-        for (_, config) in strategies(DIMS) {
-            let direct = run_stream(name, config.clone(), Sink::Direct);
-            let two_phase = run_stream(name, config.clone(), Sink::TwoPhase);
-            let what = format!("{name} (reference: {}) via TwoPhase", config.reference);
-            assert_same_trace(&what, &direct, &two_phase);
-        }
+        let (direct, _) = run_stream(name, Sink::Direct);
+        let (two_phase, _) = run_stream(name, Sink::TwoPhase);
+        assert_same_trace(&format!("{name} via TwoPhase"), &direct, &two_phase);
     }
 }
 

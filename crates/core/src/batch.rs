@@ -27,10 +27,10 @@
 /// never produces a stale one.
 ///
 /// Two deltas compare equal when they hold the same totals and the same
-/// **live** per-cluster increments — used by tests proving that the
-/// columnar and scalar verification strategies record identical
-/// statistics. A cleared, reused delta retains zeroed per-cluster
-/// entries for capacity; they are ignored by equality.
+/// **live** per-cluster increments — used by tests proving that the two
+/// statistics sinks record alike. A cleared, reused delta retains
+/// zeroed per-cluster entries for capacity; they are ignored by
+/// equality.
 #[derive(Debug, Clone, Default)]
 pub struct StatsDelta {
     /// Structural epoch of the index when recording started (`None`
@@ -173,16 +173,16 @@ impl StatsDelta {
     }
 }
 
-impl ClusterDelta {
-    pub(crate) fn bump_candidate(&mut self, cand: u32) {
-        let q = &mut self.cand_q[cand as usize];
-        *q = q.saturating_add(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ClusterDelta {
+        fn bump_candidate(&mut self, cand: u32) {
+            let q = &mut self.cand_q[cand as usize];
+            *q = q.saturating_add(1);
+        }
+    }
 
     #[test]
     fn new_delta_is_empty() {

@@ -559,8 +559,9 @@ impl CandidateSliceMut<'_> {
     }
 
     /// Adds `inc` matching queries to candidate `ci`, saturating at
-    /// `u32::MAX` instead of wrapping.
-    pub fn add_q(&mut self, ci: usize, inc: u32) {
+    /// `u32::MAX` instead of wrapping: how tests set one counter.
+    #[cfg(test)]
+    pub(crate) fn add_q(&mut self, ci: usize, inc: u32) {
         self.q[ci] = self.q[ci].saturating_add(inc);
     }
 

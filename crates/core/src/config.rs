@@ -42,26 +42,6 @@ pub struct IndexConfig {
     /// the first split at reduced database scale is marginal and a two-
     /// standard-error gate never lets clustering start.
     pub confidence_z: f64,
-    /// Selects the **reference execution** instead of the production
-    /// one. Defaults to `false`.
-    ///
-    /// Production (`false`) verifies members with the columnar batch
-    /// kernel over the store's columns
-    /// ([`acx_geom::scan::scan_columns`]), counts matching candidates
-    /// from `2f` comparisons per dimension
-    /// ([`crate::candidates::CandidateSlice::count_query`]) and
-    /// reorganizes behind an O(1) screen with columnar benefit
-    /// arithmetic. The reference (`true`) is the seed's
-    /// object-at-a-time execution end to end: a
-    /// [`acx_geom::SpatialQuery::matches_flat`] loop over every member, a
-    /// [`crate::candidates::CandidateSlice::matches_query`] loop over
-    /// every candidate, and a full scalar sweep of every cluster each
-    /// pass. Match sets, match order, every access statistic, every
-    /// recorded [`crate::StatsDelta`], every [`crate::ReorgReport`] and
-    /// every [`crate::ClusterSnapshot`] are bit-identical between the
-    /// two; only speed differs. It is the single index-level oracle the
-    /// equivalence suites compare against, not a tuning knob.
-    pub reference: bool,
 }
 
 impl IndexConfig {
@@ -103,7 +83,6 @@ impl IndexConfig {
                 StorageScenario::Memory => 2.0,
                 StorageScenario::Disk => 1.5,
             },
-            reference: false,
         }
     }
 
@@ -155,7 +134,6 @@ mod tests {
         assert_eq!(c.division_factor, 4);
         assert_eq!(c.reorg_period, 100);
         assert_eq!(c.scenario, StorageScenario::Memory);
-        assert!(!c.reference, "the production path is the default");
         assert!(c.validate().is_ok());
     }
 

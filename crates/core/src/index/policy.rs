@@ -1,9 +1,11 @@
 //! The reorganization policy (paper Fig. 1–3, §5): when a cluster merges
 //! into its parent, whether its candidate scan can be skipped, and which
 //! candidate a split picks — functions of numbers and a
-//! [`CandidateSlice`], with no index in scope. Every comparison reuses
-//! the reference's exact float expression or bounds it through
-//! float-monotone steps with slack that dwarfs rounding error.
+//! [`CandidateSlice`], with no index in scope. Every decision is the
+//! exact float expression of the paper's benefit over its margins (what
+//! the test crate's model of the paper computes candidate by candidate)
+//! or bounds it through float-monotone steps with slack that dwarfs
+//! rounding error.
 
 use acx_storage::CostModel;
 
@@ -173,50 +175,18 @@ fn candidate_probability(cands: &CandidateSlice<'_>, idx: usize, denom: f64) -> 
     }
 }
 
-/// Paper Fig. 3, the reference selection: prices every candidate of a
-/// cluster (access probability `p_c`, `denom` effective observations)
-/// with candidate-at-a-time scalar arithmetic — the decision oracle of
-/// [`select_split_columnar`]. The counters must be caught up to the
-/// current statistics epoch.
-pub(super) fn select_split_scalar(
-    costs: &PassCosts,
-    p_c: f64,
-    denom: f64,
-    cands: CandidateSlice<'_>,
-) -> SplitChoice {
-    let mut best: Option<(usize, f64)> = None;
-    let mut max_n = 0u32;
-    for idx in 0..cands.len() {
-        let n = cands.n(idx);
-        max_n = max_n.max(n);
-        if n == 0 {
-            continue;
-        }
-        let n = n as usize;
-        let p_s = candidate_probability(&cands, idx, denom);
-        let benefit = materialization_benefit(costs.a, costs.b, costs.c, p_c, p_s, n);
-        let threshold = costs.move_margin(n) + costs.confidence_margin(p_s, denom, n);
-        if benefit > threshold && best.is_none_or(|(_, bst)| benefit > bst) {
-            best = Some((idx, benefit));
-        }
-    }
-    SplitChoice {
-        best: best.map(|(idx, _)| idx),
-        max_n,
-    }
-}
-
 /// The production selection: evaluates a sound benefit **bound** column
 /// in one vectorizable pass over the candidate counter columns
 /// ([`materialization_benefit_column`] — reciprocal-multiply upper
 /// bounds within parts in 10¹² of the exact benefits, AVX2-dispatched),
 /// prunes it against a division- and sqrt-free threshold floor, and
-/// re-prices only the rare survivors with [`select_split_scalar`]'s
-/// exact arithmetic and selection semantics. Every pruned candidate is
-/// provably rejected by the scalar selection too — its exact benefit
-/// sits at or below the bound, which sits at or below the floor, which
-/// under-prices its threshold — so the choice is identical. `benefits`
-/// is the bound column's reusable buffer.
+/// re-prices only the rare survivors with the exact arithmetic and
+/// selection semantics of Fig. 3 (the first candidate whose benefit
+/// exceeds its margins and every earlier qualifier's benefit). Every
+/// pruned candidate is provably rejected by the exact expressions too —
+/// its exact benefit sits at or below the bound, which sits at or below
+/// the floor, which under-prices its threshold — so the choice is
+/// identical. `benefits` is the bound column's reusable buffer.
 pub(super) fn select_split_columnar(
     costs: &PassCosts,
     p_c: f64,
@@ -297,6 +267,39 @@ mod proptests {
     use crate::candidates::{generate_candidates, CandidateSet};
     use crate::signature::Signature;
     use proptest::prelude::*;
+
+    /// Paper Fig. 3 candidate by candidate: prices every candidate of a
+    /// cluster (access probability `p_c`, `denom` effective observations)
+    /// with scalar arithmetic — the decision oracle of
+    /// [`select_split_columnar`]. The counters must be caught up to the
+    /// current statistics epoch.
+    fn select_split_scalar(
+        costs: &PassCosts,
+        p_c: f64,
+        denom: f64,
+        cands: CandidateSlice<'_>,
+    ) -> SplitChoice {
+        let mut best: Option<(usize, f64)> = None;
+        let mut max_n = 0u32;
+        for idx in 0..cands.len() {
+            let n = cands.n(idx);
+            max_n = max_n.max(n);
+            if n == 0 {
+                continue;
+            }
+            let n = n as usize;
+            let p_s = candidate_probability(&cands, idx, denom);
+            let benefit = materialization_benefit(costs.a, costs.b, costs.c, p_c, p_s, n);
+            let threshold = costs.move_margin(n) + costs.confidence_margin(p_s, denom, n);
+            if benefit > threshold && best.is_none_or(|(_, bst)| benefit > bst) {
+                best = Some((idx, benefit));
+            }
+        }
+        SplitChoice {
+            best: best.map(|(idx, _)| idx),
+            max_n,
+        }
+    }
 
     /// A 3-d root's candidate set (`3·f(f+1)/2` candidates at `f = 4`)
     /// carrying the drawn `(n, q, q_eff)` counters, cycled over its

@@ -5,19 +5,18 @@
 use std::time::Instant;
 
 use acx_geom::scan::{scan_columns_loaded, QueryBounds, ScanScratch};
-use acx_geom::{ObjectId, Scalar, SpatialQuery, OBJECT_ID_BYTES};
+use acx_geom::{ObjectId, SpatialQuery};
 use acx_storage::{AccessStats, CostModel, SegmentStore};
 
 use super::{AdaptiveClusterIndex, Cluster};
 use crate::batch::StatsDelta;
 use crate::candidates::{CandHandle, StatsArena};
 use crate::metrics::{QueryMetrics, QueryResult};
-use crate::{IndexConfig, IndexError};
+use crate::IndexError;
 
 /// Reusable per-query scratch arena for the matching phase: the query's
-/// loaded bounds, the scan kernel's match buffer,
-/// the result buffer, the cluster traversal stack, and the reference
-/// loop's gather buffer. Buffers grow to the workload's high-water mark
+/// loaded bounds, the scan kernel's match buffer, the result buffer and
+/// the cluster traversal stack. Buffers grow to the workload's high-water mark
 /// and are then reused, so a warmed-up scratch lets
 /// [`AdaptiveClusterIndex::query_with`] execute without allocating.
 ///
@@ -35,8 +34,6 @@ pub struct QueryScratch {
     matches: Vec<ObjectId>,
     /// DFS stack over cluster slots.
     stack: Vec<u32>,
-    /// Interleaved gather buffer of the [`IndexConfig::reference`] member loop.
-    flat: Vec<Scalar>,
 }
 
 impl QueryScratch {
@@ -57,7 +54,6 @@ impl QueryScratch {
 /// sink mutably while the traversal walks the cluster tree and the
 /// segment store.
 struct ReadView<'a> {
-    config: &'a IndexConfig,
     model: &'a CostModel,
     store: &'a SegmentStore,
     clusters: &'a [Option<Cluster>],
@@ -89,27 +85,18 @@ enum StatsSink<'a> {
 }
 
 impl StatsSink<'_> {
-    /// Counts `query` on a cluster whose signature it matched and on
-    /// each of the cluster's candidates it matches: per dimension from
-    /// its subinterval bounds, or — under [`IndexConfig::reference`] —
-    /// candidate by candidate.
+    /// Counts `query` on a cluster whose signature it matched and, per
+    /// dimension from its subinterval bounds, on each of the cluster's
+    /// candidates it matches.
     #[inline]
-    fn record(&mut self, slot: u32, handle: CandHandle, query: &SpatialQuery, reference: bool) {
+    fn record(&mut self, slot: u32, handle: CandHandle, query: &SpatialQuery) {
         match self {
             StatsSink::None => {}
             StatsSink::Delta { arena, delta } => {
                 let cands = arena.slice(handle);
                 let recorded = delta.cluster_mut(slot, cands.len());
                 recorded.q_count += 1;
-                if reference {
-                    for ci in 0..cands.len() {
-                        if cands.matches_query(ci, query) {
-                            recorded.bump_candidate(ci as u32);
-                        }
-                    }
-                } else {
-                    cands.count_query(query, &mut recorded.cand_q[..cands.len()]);
-                }
+                cands.count_query(query, &mut recorded.cand_q[..cands.len()]);
             }
             StatsSink::Arena {
                 arena,
@@ -118,15 +105,7 @@ impl StatsSink<'_> {
             } => {
                 let mut cands = arena.slice_mut(handle);
                 cands.catch_up_to(*stats_epoch);
-                if reference {
-                    for ci in 0..cands.len() {
-                        if cands.as_slice().matches_query(ci, query) {
-                            cands.add_q(ci, 1);
-                        }
-                    }
-                } else {
-                    cands.count_query(query);
-                }
+                cands.count_query(query);
                 explored.push(slot);
             }
         }
@@ -139,13 +118,10 @@ impl ReadView<'_> {
     /// signature matches the query, hands it to the sink, and verifies
     /// its members sequentially, leaving the matches in `scratch`.
     ///
-    /// Member verification and candidate matching follow
-    /// [`IndexConfig::reference`]: the batch kernel over the store's
-    /// member columns, with the query's bounds loaded once, and the
-    /// per-dimension candidate count, or the object-at-a-time reference
-    /// loops. Both are bit-identical in matches, match order, and every
-    /// statistic. Nothing is allocated once the scratch's buffers have
-    /// grown to the workload's high-water mark.
+    /// Members are verified by the batch kernel over the store's member
+    /// columns, with the query's bounds loaded once, and candidates are
+    /// counted per dimension. Nothing is allocated once the scratch's
+    /// buffers have grown to the workload's high-water mark.
     fn explore(
         &self,
         query: &SpatialQuery,
@@ -155,7 +131,6 @@ impl ReadView<'_> {
         let started = Instant::now();
         let mut stats = AccessStats::new();
         let object_bytes = self.store.object_bytes() as u64;
-        let reference = self.config.reference;
         scratch.matches.clear();
         scratch.bounds.load(query);
         scratch.stack.clear();
@@ -168,31 +143,18 @@ impl ReadView<'_> {
             if !cluster.signature.matches_query(query) {
                 continue;
             }
-            sink.record(slot, cluster.candidates, query, reference);
+            sink.record(slot, cluster.candidates, query);
             let n = self.store.segment_len(cluster.segment);
             stats.clusters_explored += 1;
             stats.seeks += 1;
             stats.transfer_bytes += n as u64 * object_bytes;
             stats.objects_verified += n as u64;
             let ids = self.store.ids(cluster.segment);
-            if reference {
-                for (idx, &oid) in ids.iter().enumerate() {
-                    self.store
-                        .read_object_into(cluster.segment, idx, &mut scratch.flat);
-                    let outcome = query.matches_flat(&scratch.flat);
-                    stats.verified_bytes +=
-                        OBJECT_ID_BYTES as u64 + 8 * outcome.dims_checked as u64;
-                    if outcome.matched {
-                        scratch.matches.push(ObjectId(oid));
-                    }
-                }
-            } else {
-                let columns = self.store.columns(cluster.segment);
-                let outcome = scan_columns_loaded(&scratch.bounds, &columns, &mut scratch.scan);
-                stats.verified_bytes += outcome.verified_bytes();
-                for &idx in scratch.scan.matches() {
-                    scratch.matches.push(ObjectId(ids[idx as usize]));
-                }
+            let columns = self.store.columns(cluster.segment);
+            let outcome = scan_columns_loaded(&scratch.bounds, &columns, &mut scratch.scan);
+            stats.verified_bytes += outcome.verified_bytes();
+            for &idx in scratch.scan.matches() {
+                scratch.matches.push(ObjectId(ids[idx as usize]));
             }
             scratch.stack.extend_from_slice(&cluster.children);
         }
@@ -210,7 +172,6 @@ impl AdaptiveClusterIndex {
     /// What the matching phase reads of the index.
     fn read_view(&self) -> ReadView<'_> {
         ReadView {
-            config: &self.config,
             model: &self.model,
             store: &self.store,
             clusters: &self.clusters,
@@ -452,7 +413,6 @@ impl AdaptiveClusterIndex {
         let mut explored = std::mem::take(&mut self.explored_scratch);
         explored.clear();
         let view = ReadView {
-            config: &self.config,
             model: &self.model,
             store: &self.store,
             clusters: &self.clusters,

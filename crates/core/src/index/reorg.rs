@@ -79,11 +79,6 @@ impl AdaptiveClusterIndex {
     /// materialized cluster, merge it into its parent when the merging
     /// benefit is positive, otherwise greedily materialize its profitable
     /// candidate subclusters. Statistics epochs restart afterwards.
-    ///
-    /// Production and [`IndexConfig::reference`] differ in the split
-    /// step alone (screen and columns against candidate-at-a-time) and
-    /// make the same decisions; only the work they spend differs
-    /// ([`AdaptiveClusterIndex::last_reorg_profile`]).
     pub fn reorganize(&mut self) -> ReorgReport {
         let pass_started = Instant::now();
         let mut report = ReorgReport {
@@ -134,9 +129,8 @@ impl AdaptiveClusterIndex {
 
     /// Work profile of the most recent reorganization pass — how many
     /// clusters were evaluated, candidate-scanned, or screened out.
-    /// Diagnostics only: unlike the [`ReorgReport`], the profile
-    /// legitimately differs between production and
-    /// [`IndexConfig::reference`].
+    /// Diagnostics only: the profile counts the work a decision took,
+    /// not the decision ([`ReorgReport`]).
     pub fn last_reorg_profile(&self) -> ReorgProfile {
         self.last_profile
     }
@@ -153,10 +147,10 @@ impl AdaptiveClusterIndex {
         self.reorg_wall_ns
     }
 
-    /// The pass loop (paper Fig. 1), one for both executions. Production
-    /// first asks the O(1) screen, which touches no candidate column and
-    /// so leaves the cluster's decay lazy; `reference` scans every
-    /// evaluated cluster.
+    /// The pass loop (paper Fig. 1). A cluster that does not merge first
+    /// meets the O(1) screen, which touches no candidate column and so
+    /// leaves the cluster's decay lazy; only a cluster it cannot rule
+    /// out is scanned.
     fn pass(&mut self, snapshot: &[u32], report: &mut ReorgReport, profile: &mut ReorgProfile) {
         let costs = PassCosts::new(&self.model, &self.config, self.verify_fraction());
         for &slot in snapshot {
@@ -185,14 +179,12 @@ impl AdaptiveClusterIndex {
                     continue;
                 }
             }
-            if !self.config.reference {
-                let n_hi = self.stats_arena.slice(handle).n_hi();
-                if policy::split_screen_rules_out(&costs, p_c, denom, n_hi) {
-                    #[cfg(debug_assertions)]
-                    self.screen_tripwire(slot, &costs, p_c, denom);
-                    profile.screened_out += 1;
-                    continue;
-                }
+            let n_hi = self.stats_arena.slice(handle).n_hi();
+            if policy::split_screen_rules_out(&costs, p_c, denom, n_hi) {
+                #[cfg(debug_assertions)]
+                self.screen_tripwire(slot, &costs, p_c, denom);
+                profile.screened_out += 1;
+                continue;
             }
             self.materialize_candidates(slot);
             let splits = self.split(slot, &costs, p_c, denom, profile);
@@ -231,10 +223,9 @@ impl AdaptiveClusterIndex {
         self.reorg_scratch.saved_q_eff = q_eff;
     }
 
-    /// Paper Fig. 3's greedy loop, one for both executions: select
-    /// (scalar under [`IndexConfig::reference`], columnar otherwise),
-    /// re-tighten the cached member-count bound, materialize, repeat.
-    /// The counters are caught up. Returns the materializations.
+    /// Paper Fig. 3's greedy loop: select, re-tighten the cached
+    /// member-count bound, materialize, repeat. The counters are caught
+    /// up. Returns the materializations.
     fn split(
         &mut self,
         slot: u32,
@@ -248,11 +239,7 @@ impl AdaptiveClusterIndex {
         loop {
             let handle = self.cluster(slot).candidates;
             let cands = self.stats_arena.slice(handle);
-            let choice = if self.config.reference {
-                policy::select_split_scalar(costs, p_c, denom, cands)
-            } else {
-                policy::select_split_columnar(costs, p_c, denom, cands, &mut benefits)
-            };
+            let choice = policy::select_split_columnar(costs, p_c, denom, cands, &mut benefits);
             self.stats_arena.slice_mut(handle).set_n_hi(choice.max_n);
             let Some(cand_idx) = choice.best else { break };
             self.materialize_candidate(slot, cand_idx, profile);

@@ -23,11 +23,10 @@ impl ReorgReport {
 /// Work profile of the most recent reorganization pass — diagnostics,
 /// *not* part of its decision surface.
 ///
-/// Unlike [`ReorgReport`], which is identical between production and
-/// [`crate::IndexConfig::reference`] by construction, the profile
-/// describes how much work a pass performed and therefore legitimately
-/// differs between them (`reference` scans every evaluated cluster and
-/// screens none).
+/// Unlike [`ReorgReport`], which the equivalence suites compare with the
+/// paper's model pass for pass, the profile describes how much work a
+/// pass performed — scans the screen skipped, members moved, arena
+/// occupancy — which the model has no counterpart for.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReorgProfile {
     /// Clusters that passed the epoch gate and had their merge and
@@ -64,7 +63,7 @@ pub struct ReorgProfile {
 
 /// A read-only view of one materialized cluster, for inspection, tests
 /// and the experiment harness. Comparable with `==` so tests can assert
-/// that two execution strategies leave identical clustering state.
+/// that two executions leave identical clustering state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSnapshot {
     /// Dense identifier of the cluster within the index.

@@ -21,9 +21,10 @@ use acx_core::{AdaptiveClusterIndex, IndexConfig, IndexError};
 use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery};
 use acx_storage::{BackingStore, FlushPolicy, Wal, WalRecord};
 use acx_testkit::ckpt::Checkpoint;
+use acx_testkit::model::{check, Model};
 use acx_testkit::{
-    mem_wal, paper, recover_log, rect_of, replay_records, wal_bytes, FaultInjector, FaultPlan,
-    MemBacking, TempPath,
+    mem_wal, paper, recover_log, rect_of, replay_records, sorted, wal_bytes, FaultInjector,
+    FaultPlan, MemBacking, TempPath,
 };
 use proptest::prelude::*;
 
@@ -80,25 +81,53 @@ fn run_ops(index: &mut AdaptiveClusterIndex, ops: &[Op]) {
     }
 }
 
+/// [`run_ops`] on the model: the same calls, the same rejections.
+fn run_model_ops(model: &mut Model, ops: &[Op]) {
+    for op in ops {
+        match op {
+            Op::Insert(id, ps) => {
+                let _ = model.insert(ObjectId(*id), rect_of(ps));
+            }
+            Op::Remove(id) => {
+                let _ = model.remove(ObjectId(*id));
+            }
+            Op::Update(id, ps) => {
+                let _ = model.update(ObjectId(*id), rect_of(ps));
+            }
+            Op::Query(ps) => {
+                model.execute(&SpatialQuery::intersection(rect_of(ps)));
+            }
+        }
+    }
+}
+
 /// Populates `index` (ids from 1 000 up, clear of the op streams') and
 /// alternates a point-query hotspot between two corners of the domain
 /// until merges of the abandoned corner's clusters have retired enough
 /// statistics ranges for the reorganization pass to compact the arena.
-fn churn_until_compaction(index: &mut AdaptiveClusterIndex) {
+/// Returns the objects inserted and the queries executed, in order.
+fn churn_until_compaction(
+    index: &mut AdaptiveClusterIndex,
+) -> (Vec<(ObjectId, HyperRect)>, Vec<SpatialQuery>) {
+    let mut objects = Vec::new();
     for i in 0..600u32 {
         let x = (i % 25) as Scalar / 25.0;
         let y = (i / 25) as Scalar / 24.0;
         let rect = HyperRect::from_bounds(&[x, y], &[x + 0.03, y + 0.03]).unwrap();
-        index.insert(ObjectId(1000 + i), rect).unwrap();
+        index.insert(ObjectId(1000 + i), rect.clone()).unwrap();
+        objects.push((ObjectId(1000 + i), rect));
     }
+    let mut queries = Vec::new();
     for phase in 0..40u32 {
         let lo: Scalar = if phase % 2 == 0 { 0.05 } else { 0.85 };
         for k in 0..68u32 {
             let p = vec![lo + (k % 5) as Scalar / 50.0, lo + (k / 5 % 5) as Scalar / 50.0];
-            index.execute(&SpatialQuery::point_enclosing(p));
+            let q = SpatialQuery::point_enclosing(p);
+            index.execute(&q);
+            queries.push(q);
         }
         if index.last_reorg_profile().compactions > 0 {
-            return;
+            return (objects, queries);
         }
     }
     panic!("the alternating hotspot never forced an arena compaction");
@@ -235,12 +264,12 @@ proptest! {
         assert_matches_model(&recovered, &model)?;
     }
 
-    /// Bit-identical checkpoints on both sides of
-    /// [`IndexConfig::reference`]: a save/load round-trip preserves the
-    /// `ClusterSnapshot`s exactly, in depth-first order and statistics
-    /// included, queries match the same objects in the same order, and
-    /// original and reloaded index make identical decisions on the next
-    /// pass.
+    /// A save/load round-trip preserves the `ClusterSnapshot`s
+    /// exactly, in depth-first order and statistics included, queries
+    /// match the same objects in the same order, and original and
+    /// reloaded index make the model's decisions on the next pass — the
+    /// state before and after it is the model's, every counter
+    /// included.
     ///
     /// The saved index has compacted its statistics arena at least once
     /// (`churn_until_compaction`), while a reload rebuilds a dense one —
@@ -249,14 +278,20 @@ proptest! {
     #[test]
     fn checkpoint_roundtrip_is_bit_identical_across_toggles(
         ops in prop::collection::vec(op(2), 20..100),
-        reference in (0u8..2).prop_map(|b| b != 0),
     ) {
         let mut config = config_2d();
-        config.reference = reference;
         config.confidence_z = 0.0; // act on any positive benefit: maximal churn
         let mut index = AdaptiveClusterIndex::new(config.clone()).unwrap();
-        churn_until_compaction(&mut index);
+        let mut model = Model::new(config.clone());
+        let (objects, queries) = churn_until_compaction(&mut index);
+        for (id, rect) in objects {
+            model.insert(id, rect).unwrap();
+        }
+        for q in &queries {
+            model.execute(q);
+        }
         run_ops(&mut index, &ops);
+        run_model_ops(&mut model, &ops);
         prop_assert!(index.last_reorg_profile().compactions > 0);
 
         let path = TempPath::new("matrix");
@@ -268,6 +303,9 @@ proptest! {
         prop_assert_eq!(reloaded.total_queries(), index.total_queries());
         prop_assert_eq!(reloaded.reorganizations(), index.reorganizations());
         prop_assert_eq!(reloaded.verify_fraction(), index.verify_fraction());
+        for side in [&index, &reloaded] {
+            check(side, &model).map_err(TestCaseError::fail)?;
+        }
 
         // Decision equivalence: the same subsequent traffic must
         // produce the same answers and the same next pass.
@@ -276,11 +314,19 @@ proptest! {
             SpatialQuery::intersection(HyperRect::from_bounds(&[0.1, 0.2], &[0.5, 0.9]).unwrap()),
         ] {
             let (a, b) = (index.execute(&probe), reloaded.execute(&probe));
+            let answer = model.execute(&probe);
             prop_assert_eq!(a.metrics.stats, b.metrics.stats);
+            prop_assert_eq!(a.metrics.stats, answer.stats);
+            prop_assert_eq!(sorted(a.matches.clone()), answer.matches);
             prop_assert_eq!(a.matches, b.matches);
         }
-        prop_assert_eq!(index.reorganize(), reloaded.reorganize());
+        let report = model.reorganize();
+        prop_assert_eq!(index.reorganize(), report);
+        prop_assert_eq!(reloaded.reorganize(), report);
         prop_assert_eq!(reloaded.snapshots(), index.snapshots());
+        for side in [&index, &reloaded] {
+            check(side, &model).map_err(TestCaseError::fail)?;
+        }
     }
 }
 

@@ -3,24 +3,27 @@
 //! [`IndexConfig::edbt2004`] both terms are `0.0`, and two fixed
 //! scenario-zoo streams must repeat, pass by pass, the cluster, split
 //! and merge counts and the final checkpoint digest that were recorded
-//! at commit db8861a (the last one whose only profile was Table 2) —
-//! through the production pass and through the `reference` sweep.
+//! at commit db8861a (the last one whose only profile was Table 2). The
+//! paper's model (`acx_testkit::model`) replays both streams too and
+//! must repeat the recorded trail, with the index's state after every
+//! pass.
 //!
 //! The digest is canonical ([`canonical_digest`], recorded at de6b4c8
 //! beside the CRC-32 of the checkpoint file it replaced): members are
 //! stored in key order since, and the order they are stored in is no
 //! decision. Nor is how lazily a candidate set's decay was applied: the
-//! production pass leaves the sets its screen rules out as they were,
-//! where `reference` catches every evaluated set up, so the digest reads
-//! each set caught up to the final pass's epoch ([`caught_up`]) — the
-//! same value either way, in debug and optimized builds alike. Nor is
-//! the file format: the digest hashes the bytes each field has always
-//! been encoded as, wherever the checkpoint's frames carry them.
+//! pass leaves the sets its screen rules out as they were, so the
+//! digest reads each set caught up to the final pass's epoch
+//! ([`ckpt::caught_up`]) — the value an eager decay leaves, in debug
+//! and optimized builds alike. Nor is the file format: the digest
+//! hashes the bytes each field has always been encoded as, wherever the
+//! checkpoint's frames carry them.
 
-use acx_core::{AdaptiveClusterIndex, IndexConfig, STATS_DECAY};
+use acx_core::{AdaptiveClusterIndex, IndexConfig};
 use acx_geom::{HyperRect, ObjectId};
 use acx_storage::{crc32, StorageScenario};
 use acx_testkit::ckpt::{self, Checkpoint, ClusterFrame};
+use acx_testkit::model::{assert_same, Model};
 use acx_workloads::{
     AdaptiveScenario, ClusteredObjects, MixedTraffic, OscillatingHeat, UniformWorkload,
     WorkloadConfig,
@@ -51,7 +54,7 @@ fn canonical_digest(checkpoint: &Checkpoint) -> u32 {
         let payload = &checkpoint.frames[cluster.frame];
         out.extend_from_slice(&depth.to_le_bytes());
         out.extend_from_slice(&payload[cluster.signature.clone()]);
-        out.extend(caught_up(payload, cluster, stats_epoch - 1));
+        out.extend(ckpt::caught_up(payload, cluster, stats_epoch - 1));
         let mut members = checkpoint.members(cluster);
         members.sort_by_key(|m| m.0);
         for (id, coords) in members {
@@ -74,72 +77,53 @@ fn canonical_digest(checkpoint: &Checkpoint) -> u32 {
     crc32(&out)
 }
 
-/// One cluster's counters as its cluster frame carries them (from
-/// [`ClusterFrame::counters`] to the end: statistics, decay stamp and
-/// `n_hi`, `ncand`, then the `q` and `q_eff` columns), with the
-/// candidate counters' lazy decay caught up to `epoch` exactly as
-/// `CandidateSliceMut::catch_up` replays it: one fold of the epoch
-/// counter, then a `γ` multiply per further close until the history is
-/// zero. A candidate set no query or scan has touched since before
-/// `epoch` then reads as one the pass of `epoch` caught up; how lazily
-/// a set was decayed is no decision.
-fn caught_up(payload: &[u8], cluster: &ClusterFrame, epoch: u64) -> Vec<u8> {
-    let gamma = STATS_DECAY;
-    let mut out = payload.to_vec();
-    let stamp_at = cluster.counters + ckpt::DECAY_STAMP;
-    let stamp = u64::from_le_bytes(out[stamp_at..stamp_at + 8].try_into().unwrap());
-    if stamp < epoch {
-        let (q, q_eff) = out[cluster.q..].split_at_mut(4 * cluster.ncand);
-        for (q, hist) in q.chunks_exact_mut(4).zip(q_eff.chunks_exact_mut(8)) {
-            let pending = u32::from_le_bytes((&*q).try_into().unwrap());
-            let mut h = gamma * f64::from_le_bytes((&*hist).try_into().unwrap()) + pending as f64;
-            for _ in 1..epoch - stamp {
-                if h == 0.0 {
-                    break;
-                }
-                h *= gamma;
-            }
-            q.copy_from_slice(&0u32.to_le_bytes());
-            hist.copy_from_slice(&h.to_le_bytes());
-        }
-        out[stamp_at..stamp_at + 8].copy_from_slice(&epoch.to_le_bytes());
-    }
-    out.split_off(cluster.counters)
-}
+/// `(cluster_count, total_splits, total_merges)` after each pass.
+type Trail = Vec<(usize, u64, u64)>;
 
-/// `(cluster_count, total_splits, total_merges)` after each explicit
-/// pass, and the canonical digest of the final checkpoint.
+/// The index's trail over the explicit passes, the model's, and the
+/// canonical digest of the index's final checkpoint. The model's state
+/// is the index's after every pass.
 fn drive(
-    reference: bool,
     mut scenario: Box<dyn AdaptiveScenario>,
     objects: &[HyperRect],
     queries_per_period: usize,
-) -> (Vec<(usize, u64, u64)>, u32) {
-    let mut index = AdaptiveClusterIndex::new(IndexConfig {
+) -> (Trail, Trail, u32) {
+    let config = IndexConfig {
         reorg_period: 0,
-        reference,
         ..IndexConfig::edbt2004(scenario.dims(), StorageScenario::Memory)
-    })
-    .unwrap();
+    };
+    let mut index = AdaptiveClusterIndex::new(config.clone()).unwrap();
+    let mut model = Model::new(config);
     for (i, rect) in objects.iter().enumerate() {
         index.insert(ObjectId(i as u32), rect.clone()).unwrap();
+        model.insert(ObjectId(i as u32), rect.clone()).unwrap();
     }
-    let mut trail = Vec::new();
+    let (mut trail, mut model_trail) = (Vec::new(), Vec::new());
     for period in 0..10 {
         if period == 5 {
             scenario.shift();
         }
         for _ in 0..queries_per_period {
-            index.execute(&scenario.next_query());
+            let q = scenario.next_query();
+            index.execute(&q);
+            model.execute(&q);
         }
         index.reorganize();
+        model.reorganize();
         trail.push((
             index.cluster_count(),
             index.total_splits(),
             index.total_merges(),
         ));
+        model_trail.push((
+            model.cluster_count(),
+            model.total_splits(),
+            model.total_merges(),
+        ));
+        assert_same(&index, &model, &format!("period {period}"));
     }
-    (trail, canonical_digest(&Checkpoint::of(&index)))
+    let digest = canonical_digest(&Checkpoint::of(&index));
+    (trail, model_trail, digest)
 }
 
 #[test]
@@ -158,12 +142,11 @@ fn mixed_traffic_over_clustered_objects_repeats_the_recorded_passes() {
         (49, 55, 7),
         (52, 60, 9),
     ];
-    for reference in [false, true] {
-        let scenario = Box::new(MixedTraffic::new(&cfg, 160, 0.35, 0.08));
-        let (trail, canonical) = drive(reference, scenario, &objects, 80);
-        assert_eq!(trail, golden, "reference = {reference}");
-        assert_eq!(canonical, 0x049b_ee2c, "reference = {reference}");
-    }
+    let scenario = Box::new(MixedTraffic::new(&cfg, 160, 0.35, 0.08));
+    let (trail, model_trail, canonical) = drive(scenario, &objects, 80);
+    assert_eq!(trail, golden, "the index");
+    assert_eq!(model_trail, golden, "the model");
+    assert_eq!(canonical, 0x049b_ee2c);
 }
 
 #[test]
@@ -182,10 +165,9 @@ fn oscillating_heat_repeats_the_recorded_passes() {
         (94, 137, 44),
         (101, 147, 47),
     ];
-    for reference in [false, true] {
-        let scenario = Box::new(OscillatingHeat::new(&cfg, 120, 0.3, 0.08));
-        let (trail, canonical) = drive(reference, scenario, &objects, 60);
-        assert_eq!(trail, golden, "reference = {reference}");
-        assert_eq!(canonical, 0xd9c9_1b9b, "reference = {reference}");
-    }
+    let scenario = Box::new(OscillatingHeat::new(&cfg, 120, 0.3, 0.08));
+    let (trail, model_trail, canonical) = drive(scenario, &objects, 60);
+    assert_eq!(trail, golden, "the index");
+    assert_eq!(model_trail, golden, "the model");
+    assert_eq!(canonical, 0xd9c9_1b9b);
 }

@@ -12,7 +12,7 @@ use std::ops::Range;
 use std::path::Path;
 
 use acx_core::candidates::generate_candidates;
-use acx_core::{AdaptiveClusterIndex, IndexConfig, Signature};
+use acx_core::{AdaptiveClusterIndex, IndexConfig, Signature, STATS_DECAY};
 use acx_geom::Scalar;
 use acx_storage::frame::{push_frame, Frames, Header, HEADER_LEN};
 
@@ -157,6 +157,34 @@ impl Checkpoint {
         (frame, passes)
     }
 
+    /// The free-slot frame's slots, in stack order (the next slot a
+    /// split reuses is the last).
+    pub fn free_slots(&self) -> Vec<u32> {
+        let p = self.frames.iter().find(|p| p[0] == FREE).unwrap();
+        (0..u32_at(p, 1) as usize)
+            .map(|k| u32_at(p, 5 + 4 * k))
+            .collect()
+    }
+
+    /// The recent-merge frame's `(signature bytes, pass)` pairs, in
+    /// stream order (sorted).
+    pub fn recent_merges(&self) -> Vec<(Vec<u8>, u64)> {
+        let (frame, passes) = self.merge_passes();
+        let p = &self.frames[frame];
+        let mut start = 5;
+        passes
+            .into_iter()
+            .map(|at| {
+                let signature = p[start + 4..at].to_vec();
+                start = at + 8;
+                (
+                    signature,
+                    u64::from_le_bytes(p[at..at + 8].try_into().unwrap()),
+                )
+            })
+            .collect()
+    }
+
     /// A cluster's members in storage order, across its member frames:
     /// `(id, 2·dims coordinates)`.
     pub fn members(&self, cluster: &ClusterFrame) -> Vec<(u32, Vec<Scalar>)> {
@@ -226,4 +254,64 @@ pub fn write_tree(path: &Path, config: &IndexConfig, clusters: &[TreeCluster]) {
         frames,
     };
     std::fs::write(path, checkpoint.bytes()).unwrap();
+}
+
+/// One cluster's counters as its cluster frame carries them (from
+/// [`ClusterFrame::counters`] to the end: statistics, decay stamp and
+/// `n_hi`, `ncand`, then the `q` and `q_eff` columns), with the
+/// candidate counters' lazy decay caught up to `epoch` exactly as
+/// `CandidateSliceMut::catch_up` replays it: one fold of the epoch
+/// counter, then a `γ` multiply per further close until the history is
+/// zero. A candidate set no query or scan has touched since before
+/// `epoch` then reads as one decayed eagerly at every close up to it;
+/// how lazily a set was decayed is no decision.
+pub fn caught_up(payload: &[u8], cluster: &ClusterFrame, epoch: u64) -> Vec<u8> {
+    let gamma = STATS_DECAY;
+    let mut out = payload.to_vec();
+    let stamp_at = cluster.counters + DECAY_STAMP;
+    let stamp = u64::from_le_bytes(out[stamp_at..stamp_at + 8].try_into().unwrap());
+    if stamp < epoch {
+        let (q, q_eff) = out[cluster.q..].split_at_mut(4 * cluster.ncand);
+        for (q, hist) in q.chunks_exact_mut(4).zip(q_eff.chunks_exact_mut(8)) {
+            let pending = u32::from_le_bytes((&*q).try_into().unwrap());
+            let mut h = gamma * f64::from_le_bytes((&*hist).try_into().unwrap()) + pending as f64;
+            for _ in 1..epoch - stamp {
+                if h == 0.0 {
+                    break;
+                }
+                h *= gamma;
+            }
+            q.copy_from_slice(&0u32.to_le_bytes());
+            hist.copy_from_slice(&h.to_le_bytes());
+        }
+        out[stamp_at..stamp_at + 8].copy_from_slice(&epoch.to_le_bytes());
+    }
+    out.split_off(cluster.counters)
+}
+
+/// `(q_count, epoch_start, q_eff, weight)` of [`caught_up`]'s counters.
+pub fn cluster_counters(counters: &[u8]) -> (u64, u64, f64, f64) {
+    let word = |at: usize| u64::from_le_bytes(counters[at..at + 8].try_into().unwrap());
+    (
+        word(0),
+        word(8),
+        f64::from_bits(word(16)),
+        f64::from_bits(word(24)),
+    )
+}
+
+/// Each candidate's `(q, q_eff)` from [`caught_up`]'s counters.
+pub fn candidate_counters(counters: &[u8], cluster: &ClusterFrame) -> Vec<(u32, f64)> {
+    let q_at = cluster.q - cluster.counters;
+    let q_eff_at = cluster.q_eff - cluster.counters;
+    (0..cluster.ncand)
+        .map(|ci| {
+            let q = &counters[q_at + 4 * ci..q_at + 4 * ci + 4];
+            let h = &counters[q_eff_at + 8 * ci..q_eff_at + 8 * ci + 8];
+            (
+                u32::from_le_bytes(q.try_into().unwrap()),
+                f64::from_le_bytes(h.try_into().unwrap()),
+            )
+        })
+        .collect()
 }

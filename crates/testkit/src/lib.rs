@@ -13,9 +13,12 @@
 //!   deterministic [`FaultInjector`];
 //! - the checkpoint's layout as tests read, patch and hand-build it
 //!   ([`ckpt`]);
+//! - an executable model of the paper that every equivalence suite
+//!   compares the index against ([`model`]);
 //! - [`TempPath`], a temp file that outlives no test.
 
 pub mod ckpt;
+pub mod model;
 pub mod wal;
 
 use std::path::{Path, PathBuf};
