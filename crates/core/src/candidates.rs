@@ -808,7 +808,7 @@ impl CandidateSet {
                     }
                 }
             }
-            cols.dim_offsets.push(cols.dim.len() as u32);
+            cols.dim_offsets.push(slab_index(cols.dim.len()));
         }
         let len = cols.dim.len();
         Self {
@@ -919,13 +919,15 @@ impl RangeEntry {
     }
 }
 
-/// `index` into (or length of) an arena slab, as a [`RangeEntry`]
-/// stores it.
+/// `index` into (or length of) an arena slab, as a [`RangeEntry`] or a
+/// `dim_offsets` entry stores it — a range's dimension count included,
+/// the length of its run of `dim_offsets` entries past the first.
 ///
 /// # Panics
 ///
 /// Panics if `index` does not fit in a `u32`: a slab holds at most
-/// `u32::MAX` entries, and a wrapped base would alias another range.
+/// `u32::MAX` entries, and a wrapped base, offset or count would alias
+/// another range or misread this one.
 fn slab_index(index: usize) -> u32 {
     u32::try_from(index).expect("a statistics slab holds at most u32::MAX entries")
 }
@@ -998,7 +1000,7 @@ impl StatsArena {
             len: slab_index(set.len()),
             meta_base: slab_index(self.cols.dim_offsets.len()),
             sub_base: slab_index(self.cols.sub.len()),
-            dims: set.dims() as u32,
+            dims: slab_index(set.dims()),
             f: set.f,
             live: true,
             n_hi: set.n_hi,
@@ -1280,6 +1282,23 @@ mod tests {
 
     fn rect(lo: &[Scalar], hi: &[Scalar]) -> HyperRect {
         HyperRect::from_bounds(lo, hi).unwrap()
+    }
+
+    /// The conversion behind every arena offset, length and dimension
+    /// count: exact up to `u32::MAX`, a panic one above it, never a wrap
+    /// to a small number.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn slab_index_is_exact_up_to_u32_max() {
+        assert_eq!(slab_index(u32::MAX as usize - 1), u32::MAX - 1);
+        assert_eq!(slab_index(u32::MAX as usize), u32::MAX);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "a statistics slab holds at most u32::MAX entries")]
+    fn slab_index_panics_just_above_u32_max() {
+        slab_index(u32::MAX as usize + 1);
     }
 
     #[test]

@@ -27,6 +27,8 @@
 //! assert!(query.matches_rect(&object));
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod error;
 mod interval;
 mod object;

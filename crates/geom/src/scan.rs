@@ -26,6 +26,16 @@
 //! dimension and most blocks die in their first word (`scan_bench`'s
 //! `block_order` rows in `BENCH_scan.json` measure by how much).
 //!
+//! The word of a full block — the block tested in one dimension — does
+//! only its comparisons. A scan over a view that holds a full block
+//! resolves each dimension's `(x, y)` column pair once, checking every
+//! column against the view's end before the first load; each full
+//! block's word then reads its 64 lanes through the resolved pointers,
+//! with no per-word lookup or length check, as a fixed 64-lane word.
+//! Only the view's partial last block, which reaches each dimension at
+//! most once, cuts its lanes from the columns by checked slicing and
+//! takes the masked word that handles any lane count.
+//!
 //! Two entry points sharing one block loop:
 //!
 //! * [`scan_columns`] — member verification over [`PairedColumns`]
@@ -55,12 +65,15 @@
 //! ## Instruction tiers
 //!
 //! One `#[inline(always)]` block loop is instantiated inside two
-//! whole-scan functions: AVX2 (`vcmpps` + `movmskps` straight into the
-//! survivors word, `vmaskmovps` for a partial block, no scalar tail) and
-//! a portable loop the compiler auto-vectorizes, for every other CPU.
-//! The best tier the CPU reports is resolved once per process and chosen
-//! once per scan call, outside the block and dimension loops; both tiers
-//! compute the same pass bits, so results do not depend on the machine.
+//! whole-scan functions. On AVX2 a full block's word is eight unrolled
+//! `vcmpps` + `movmskps` steps straight into the survivors word, and the
+//! partial block's word loads its last step with `vmaskmovps` (no
+//! scalar tail). The portable tier, for every other CPU, compares a
+//! fixed 64-lane tile into bytes the compiler auto-vectorizes and packs
+//! them into the word. The best tier the CPU reports is resolved once
+//! per process and chosen once per scan call, outside the block and
+//! dimension loops; both tiers compute the same pass bits, so results
+//! do not depend on the machine.
 
 use crate::{Scalar, SpatialQuery, OBJECT_ID_BYTES};
 
@@ -94,14 +107,15 @@ impl<'a> PairedColumns<'a> {
 
     /// [`PairedColumns::new`] for an owner that already checks, wherever
     /// it changes a column's length, that all of them are equally long:
-    /// the view is built without comparing the lengths again (a debug
-    /// build still does). A broken promise cannot read out of bounds —
-    /// every block's lanes are cut from the columns by checked slicing —
-    /// it only panics later, at the short column's first missing block.
+    /// the view takes the first column's length without comparing the
+    /// others. A broken promise cannot read out of bounds: a scan
+    /// ([`scan_columns`], [`scan_columns_loaded`]) checks every column it
+    /// resolves against the view before its first unchecked load, and
+    /// cuts the partial block's lanes by checked slicing, so a short
+    /// column panics; [`PairedColumns::lo_col`] and
+    /// [`PairedColumns::hi_col`] slice with checks too.
     pub fn of_equal_columns(cols: &'a [Vec<Scalar>]) -> Self {
-        let len = cols.first().map_or(0, Vec::len);
-        debug_assert!(cols.iter().all(|col| col.len() == len));
-        Self { cols, start: 0, len }
+        Self { cols, start: 0, len: cols.first().map_or(0, Vec::len) }
     }
 
     /// View over objects `start..start + len`.
@@ -163,8 +177,9 @@ impl ScanOutcome {
 }
 
 /// Reusable scan state: the match index buffer, the query bounds of the
-/// entry points that load them per call, and gather tiles for
-/// interleaved inputs. Allocations grow to the largest match set and are
+/// entry points that load them per call, the column table of a
+/// dimension-major scan, and gather tiles for interleaved inputs.
+/// Allocations grow to the largest match set and dimensionality and are
 /// then reused, so a warmed-up scratch performs no allocation per scan.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
@@ -173,8 +188,12 @@ pub struct ScanScratch {
     /// Bounds of the query last passed to [`scan_columns`] or
     /// [`scan_interleaved`].
     bounds: QueryBounds,
+    /// Each dimension's `x` and `y` columns, resolved by
+    /// [`resolve_columns`] at the start of a dimension-major scan that
+    /// holds a full block.
+    columns: Vec<ColumnPair>,
     /// Per-block gather tiles ([`BLOCK`] scalars each) for interleaved
-    /// inputs: the `x` and `y` sides of [`Compare::word`]'s comparison.
+    /// inputs: the `x` and `y` sides of the tiers' comparison.
     tile_x: Vec<Scalar>,
     tile_y: Vec<Scalar>,
 }
@@ -199,28 +218,36 @@ fn lane_mask(len: usize) -> u64 {
     !0u64 >> (BLOCK - len)
 }
 
-/// Packs up to [`BLOCK`] 0/1 bytes into mask bits (byte `i` → bit `i`):
-/// eight bytes at a time, a multiply gathers their low bits into the top
-/// byte of the product — the portable movemask.
+/// Packs [`BLOCK`] 0/1 bytes into mask bits (byte `i` → bit `i`): eight
+/// bytes at a time, a multiply gathers their low bits into the top byte
+/// of the product — the portable movemask.
 #[inline]
-fn pack_tile(tile: &[u8; BLOCK], len: usize) -> u64 {
+fn pack_tile(tile: &[u8; BLOCK]) -> u64 {
     let mut word = 0u64;
     for (k, chunk) in tile.chunks_exact(8).enumerate() {
         let bytes = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"))
             & 0x0101_0101_0101_0101;
         word |= (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
     }
-    word & lane_mask(len)
+    word
 }
 
-/// One instruction tier's pass word. Every relation is the same
+/// One instruction tier's pass words. Every relation is the same
 /// two-sided comparison `x ≤ t1 ∧ y ≥ t2` once the [`Relation`] has said
 /// which bound column is `x` and which query side is `t1`, so each tier
-/// implements exactly one comparison.
+/// implements exactly one comparison, at two widths.
 trait Compare {
-    /// Pass bits of the `x.len() ≤ 64` lanes: bit `i` set ⇔
-    /// `x[i] ≤ t1 ∧ y[i] ≥ t2`. Bits at and above `x.len()` are
-    /// unspecified (the block loop ANDs them away).
+    /// Pass bits of one full block: bit `i` set ⇔ `x[i] ≤ t1 ∧ y[i] ≥ t2`.
+    /// A fixed [`BLOCK`]-lane word: no length, no masked load.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the tier's instruction set.
+    unsafe fn full_word(x: &[Scalar; BLOCK], y: &[Scalar; BLOCK], t1: Scalar, t2: Scalar) -> u64;
+
+    /// [`Compare::full_word`] for the `x.len() < 64` lanes of a segment's
+    /// partial last block. Bits at and above `x.len()` are unspecified
+    /// (the block loop ANDs them away).
     ///
     /// # Safety
     ///
@@ -232,15 +259,29 @@ trait Compare {
 /// [`pack_tile`]: runs anywhere.
 struct Portable;
 
-impl Compare for Portable {
+impl Portable {
+    /// Pass bits of the first `x.len() ≤ 64` lanes; inlined with a full
+    /// block's arrays, the loop's trip count is the constant 64.
     #[inline(always)]
-    unsafe fn word(x: &[Scalar], y: &[Scalar], t1: Scalar, t2: Scalar) -> u64 {
-        debug_assert!(x.len() == y.len() && !x.is_empty() && x.len() <= BLOCK);
+    fn tile_word(x: &[Scalar], y: &[Scalar], t1: Scalar, t2: Scalar) -> u64 {
         let mut tile = [0u8; BLOCK];
         for ((t, &xv), &yv) in tile.iter_mut().zip(x).zip(y) {
             *t = ((xv <= t1) & (yv >= t2)) as u8;
         }
-        pack_tile(&tile, x.len())
+        pack_tile(&tile)
+    }
+}
+
+impl Compare for Portable {
+    #[inline(always)]
+    unsafe fn full_word(x: &[Scalar; BLOCK], y: &[Scalar; BLOCK], t1: Scalar, t2: Scalar) -> u64 {
+        Self::tile_word(x, y, t1, t2)
+    }
+
+    #[inline(always)]
+    unsafe fn word(x: &[Scalar], y: &[Scalar], t1: Scalar, t2: Scalar) -> u64 {
+        debug_assert!(x.len() == y.len() && !x.is_empty() && x.len() < BLOCK);
+        Self::tile_word(x, y, t1, t2)
     }
 }
 
@@ -257,11 +298,47 @@ mod x86 {
     /// Eight lanes per step: `vcmpps` + `movmskps`.
     pub(super) struct Avx2;
 
+    /// Pass bits of the eight lanes `xv`, `yv`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[inline(always)]
+    unsafe fn step(xv: __m256, yv: __m256, t1v: __m256, t2v: __m256) -> u64 {
+        let pass = _mm256_and_ps(
+            _mm256_cmp_ps::<_CMP_LE_OQ>(xv, t1v),
+            _mm256_cmp_ps::<_CMP_GE_OQ>(yv, t2v),
+        );
+        _mm256_movemask_ps(pass) as u32 as u64
+    }
+
     impl Compare for Avx2 {
+        #[inline(always)]
+        unsafe fn full_word(
+            x: &[Scalar; BLOCK],
+            y: &[Scalar; BLOCK],
+            t1: Scalar,
+            t2: Scalar,
+        ) -> u64 {
+            let (t1v, t2v) = (_mm256_set1_ps(t1), _mm256_set1_ps(t2));
+            let (x, y) = (x.as_ptr(), y.as_ptr());
+            let mut word = 0u64;
+            // Eight steps of a constant count: the loop unrolls.
+            for k in 0..BLOCK / 8 {
+                // SAFETY: step `k` reads lanes `8k..8k + 8 ≤ BLOCK` of
+                // two `BLOCK`-lane arrays.
+                let (xv, yv) = unsafe {
+                    (_mm256_loadu_ps(x.add(8 * k)), _mm256_loadu_ps(y.add(8 * k)))
+                };
+                word |= step(xv, yv, t1v, t2v) << (8 * k);
+            }
+            word
+        }
+
         #[inline(always)]
         unsafe fn word(x: &[Scalar], y: &[Scalar], t1: Scalar, t2: Scalar) -> u64 {
             let len = x.len();
-            assert!(y.len() == len && len <= BLOCK, "one block of paired lanes");
+            assert!(y.len() == len && len < BLOCK, "one partial block of paired lanes");
             let (t1v, t2v) = (_mm256_set1_ps(t1), _mm256_set1_ps(t2));
             let mut word = 0u64;
             let mut i = 0;
@@ -271,23 +348,21 @@ mod x86 {
                 // A full step reads lanes `i..i + 8 ≤ len`; the last,
                 // partial step enables only its `left < 8` lanes, and
                 // `vmaskmovps` does not access a disabled lane.
-                let (xv, yv) = if left >= 8 {
-                    (_mm256_loadu_ps(x.as_ptr().add(i)), _mm256_loadu_ps(y.as_ptr().add(i)))
-                } else {
-                    let lanes = _mm256_cmpgt_epi32(
-                        _mm256_set1_epi32(left as i32),
-                        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-                    );
-                    (
-                        _mm256_maskload_ps(x.as_ptr().add(i), lanes),
-                        _mm256_maskload_ps(y.as_ptr().add(i), lanes),
-                    )
+                let (xv, yv) = unsafe {
+                    if left >= 8 {
+                        (_mm256_loadu_ps(x.as_ptr().add(i)), _mm256_loadu_ps(y.as_ptr().add(i)))
+                    } else {
+                        let lanes = _mm256_cmpgt_epi32(
+                            _mm256_set1_epi32(left as i32),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                        );
+                        (
+                            _mm256_maskload_ps(x.as_ptr().add(i), lanes),
+                            _mm256_maskload_ps(y.as_ptr().add(i), lanes),
+                        )
+                    }
                 };
-                let pass = _mm256_and_ps(
-                    _mm256_cmp_ps::<_CMP_LE_OQ>(xv, t1v),
-                    _mm256_cmp_ps::<_CMP_GE_OQ>(yv, t2v),
-                );
-                word |= (_mm256_movemask_ps(pass) as u32 as u64) << i;
+                word |= step(xv, yv, t1v, t2v) << i;
                 i += 8;
             }
             word
@@ -408,33 +483,105 @@ trait Lanes {
     /// Number of objects.
     fn len(&self) -> usize;
 
-    /// The `x` and `y` sides of dimension `d` for objects
-    /// `start..start + len`, each cut to exactly `len` lanes.
-    fn block(&mut self, start: usize, len: usize, d: usize) -> (&[Scalar], &[Scalar]);
+    /// The `x` and `y` sides of dimension `d` for the full block of
+    /// objects `start..start + BLOCK`.
+    ///
+    /// # Safety
+    ///
+    /// `start + BLOCK ≤ self.len()`.
+    unsafe fn full(&mut self, start: usize, d: usize) -> (&[Scalar; BLOCK], &[Scalar; BLOCK]);
+
+    /// The `x` and `y` sides of dimension `d` for the partial block of
+    /// objects `start..start + len`, each cut to exactly `len` lanes.
+    fn partial(&mut self, start: usize, len: usize, d: usize) -> (&[Scalar], &[Scalar]);
 }
 
-/// Dimension-major input: the lanes are read in place.
-struct ColumnLanes<'a> {
-    cols: PairedColumns<'a>,
+/// One dimension's `x` and `y` columns, each pointing at the view's
+/// first object: what a dimension-major scan reads a word from, resolved
+/// once per scan by [`resolve_columns`].
+#[derive(Debug, Clone, Copy)]
+struct ColumnPair {
+    x: *const Scalar,
+    y: *const Scalar,
+}
+
+// SAFETY: a `ColumnPair` is dereferenced only by the scan call that
+// resolved it, while that call borrows the columns. The pairs a scratch
+// keeps between calls are never read again (the next scan clears them
+// first), so moving or sharing a scratch across threads shares no access
+// to the columns.
+unsafe impl Send for ColumnPair {}
+// SAFETY: as for `Send`.
+unsafe impl Sync for ColumnPair {}
+
+/// Resolves the `(x, y)` column pair of each of the `dims` dimensions of
+/// `cols` into `pairs`, once per scan, after checking that every column
+/// it resolves covers the view: the one length check per column per scan
+/// which the full blocks' unchecked loads rely on.
+///
+/// # Panics
+///
+/// Panics if a column is shorter than the view's end, or `cols` holds
+/// fewer than `2·dims` columns.
+fn resolve_columns(
+    cols: &PairedColumns<'_>,
+    dims: usize,
+    x_is_hi: bool,
+    pairs: &mut Vec<ColumnPair>,
+) {
+    let PairedColumns { cols, start, len } = *cols;
+    let end = start + len;
+    let mut covered = true;
+    pairs.clear();
+    pairs.extend(cols[..2 * dims].chunks_exact(2).map(|lo_hi| {
+        let (lo, hi) = (&lo_hi[0], &lo_hi[1]);
+        covered &= (lo.len() >= end) & (hi.len() >= end);
+        let (x, y) = if x_is_hi { (hi, lo) } else { (lo, hi) };
+        ColumnPair { x: x.as_ptr().wrapping_add(start), y: y.as_ptr().wrapping_add(start) }
+    }));
+    assert!(covered, "every column must cover the view's {end} objects");
+}
+
+/// Dimension-major input: the lanes are read in place. Full blocks read
+/// through the column table [`resolve_columns`] built at the start of
+/// the scan; the partial last block, which reaches each dimension at
+/// most once, slices its lanes from the columns with checks. Built and
+/// dropped inside one `columns_on` call, which borrows the columns
+/// throughout.
+struct ColumnLanes<'a, 'c> {
+    cols: PairedColumns<'c>,
     /// [`Relation::x_is_hi`].
     x_is_hi: bool,
+    /// Per dimension, columns holding at least `cols.len()` scalars from
+    /// the pointers on ([`resolve_columns`] checked them); empty when
+    /// the view holds no full block.
+    pairs: &'a [ColumnPair],
 }
 
-impl Lanes for ColumnLanes<'_> {
+impl Lanes for ColumnLanes<'_, '_> {
     #[inline(always)]
     fn len(&self) -> usize {
-        self.cols.len()
+        self.cols.len
     }
 
     #[inline(always)]
-    fn block(&mut self, start: usize, len: usize, d: usize) -> (&[Scalar], &[Scalar]) {
-        let lo = &self.cols.lo_col(d)[start..start + len];
-        let hi = &self.cols.hi_col(d)[start..start + len];
-        if self.x_is_hi {
-            (hi, lo)
-        } else {
-            (lo, hi)
+    unsafe fn full(&mut self, start: usize, d: usize) -> (&[Scalar; BLOCK], &[Scalar; BLOCK]) {
+        let ColumnPair { x, y } = self.pairs[d];
+        // SAFETY: the caller keeps `start + BLOCK ≤ self.len()`, so the
+        // view holds a full block and `columns_on` had `resolve_columns`
+        // assert that both columns hold `self.len()` scalars from `x` and
+        // `y` on: both blocks lie inside their columns, which stay
+        // borrowed and unmodified while the lanes live.
+        unsafe {
+            (&*x.add(start).cast::<[Scalar; BLOCK]>(), &*y.add(start).cast::<[Scalar; BLOCK]>())
         }
+    }
+
+    #[inline(always)]
+    fn partial(&mut self, start: usize, len: usize, d: usize) -> (&[Scalar], &[Scalar]) {
+        let (x, y) = if self.x_is_hi { (2 * d + 1, 2 * d) } else { (2 * d, 2 * d + 1) };
+        let lanes = self.cols.start + start..self.cols.start + start + len;
+        (&self.cols.cols[x][lanes.clone()], &self.cols.cols[y][lanes])
     }
 }
 
@@ -445,8 +592,23 @@ struct RowLanes<'a> {
     /// Scalars per row (`2·dims`).
     width: usize,
     x_is_hi: bool,
-    tile_x: &'a mut [Scalar],
-    tile_y: &'a mut [Scalar],
+    tile_x: &'a mut [Scalar; BLOCK],
+    tile_y: &'a mut [Scalar; BLOCK],
+}
+
+impl RowLanes<'_> {
+    /// Gathers dimension `d` of rows `start..start + len` into the first
+    /// `len` lanes of the tiles.
+    #[inline(always)]
+    fn gather(&mut self, start: usize, len: usize, d: usize) {
+        let (x_at, y_at) = if self.x_is_hi { (2 * d + 1, 2 * d) } else { (2 * d, 2 * d + 1) };
+        let rows = &self.flat[start * self.width..(start + len) * self.width];
+        let tiles = self.tile_x.iter_mut().zip(self.tile_y.iter_mut());
+        for ((tx, ty), row) in tiles.zip(rows.chunks_exact(self.width)) {
+            *tx = row[x_at];
+            *ty = row[y_at];
+        }
+    }
 }
 
 impl Lanes for RowLanes<'_> {
@@ -456,21 +618,71 @@ impl Lanes for RowLanes<'_> {
     }
 
     #[inline(always)]
-    fn block(&mut self, start: usize, len: usize, d: usize) -> (&[Scalar], &[Scalar]) {
-        let (x_at, y_at) = if self.x_is_hi { (2 * d + 1, 2 * d) } else { (2 * d, 2 * d + 1) };
-        let rows = &self.flat[start * self.width..(start + len) * self.width];
-        for (i, row) in rows.chunks_exact(self.width).enumerate() {
-            self.tile_x[i] = row[x_at];
-            self.tile_y[i] = row[y_at];
-        }
+    unsafe fn full(&mut self, start: usize, d: usize) -> (&[Scalar; BLOCK], &[Scalar; BLOCK]) {
+        self.gather(start, BLOCK, d);
+        (self.tile_x, self.tile_y)
+    }
+
+    #[inline(always)]
+    fn partial(&mut self, start: usize, len: usize, d: usize) -> (&[Scalar], &[Scalar]) {
+        self.gather(start, len, d);
         (&self.tile_x[..len], &self.tile_y[..len])
     }
 }
 
-/// The blocked kernel: per block of [`BLOCK`] objects, AND each
-/// dimension's pass word into the block's survivors mask; survivor
-/// counting is a popcount and a block with no survivors skips its
-/// remaining dimensions.
+/// Survivors of the block of `len` objects at `start`: per dimension,
+/// AND the pass word into the block's mask and add the objects still
+/// alive to `dims_checked`; a mask that reaches zero skips the remaining
+/// dimensions. `FULL` blocks (`len == BLOCK`) take the tier's fixed
+/// [`Compare::full_word`], the partial one its masked [`Compare::word`].
+///
+/// # Safety
+///
+/// The CPU must support `C`'s instruction set, `start + len ≤
+/// lanes.len()`, and `len == BLOCK` exactly when `FULL`.
+#[inline(always)]
+unsafe fn survivors<const FULL: bool, C: Compare, L: Lanes>(
+    lanes: &mut L,
+    start: usize,
+    len: usize,
+    t1s: &[Scalar],
+    t2s: &[Scalar],
+    dims_checked: &mut u64,
+) -> u64 {
+    let mut word = lane_mask(len);
+    for (d, (&t1, &t2)) in t1s.iter().zip(t2s).enumerate() {
+        let alive = word.count_ones() as u64;
+        if alive == 0 {
+            break;
+        }
+        *dims_checked += alive;
+        // SAFETY: the caller vouches for the tier and the block's range.
+        word &= unsafe {
+            if FULL {
+                let (x, y) = lanes.full(start, d);
+                C::full_word(x, y, t1, t2)
+            } else {
+                let (x, y) = lanes.partial(start, len, d);
+                C::word(x, y, t1, t2)
+            }
+        };
+    }
+    word
+}
+
+/// Appends the objects of `word`'s set bits, numbered from `start`.
+#[inline(always)]
+fn push_matches(matches: &mut Vec<u32>, start: usize, mut word: u64) {
+    while word != 0 {
+        matches.push((start + word.trailing_zeros() as usize) as u32);
+        word &= word - 1;
+    }
+}
+
+/// The blocked kernel: every full block of [`BLOCK`] objects, then the
+/// partial last one, through [`survivors`]; survivor counting is a
+/// popcount and a block with no survivors skips its remaining
+/// dimensions.
 ///
 /// # Safety
 ///
@@ -483,25 +695,24 @@ unsafe fn scan_blocks<C: Compare, L: Lanes>(
     matches: &mut Vec<u32>,
 ) -> ScanOutcome {
     let n = lanes.len();
+    let full_end = n - n % BLOCK;
     matches.clear();
     let mut dims_checked = 0u64;
-    for start in (0..n).step_by(BLOCK) {
-        let len = (n - start).min(BLOCK);
-        let mut word = lane_mask(len);
-        for (d, (&t1, &t2)) in t1s.iter().zip(t2s).enumerate() {
-            let alive = word.count_ones() as u64;
-            if alive == 0 {
-                break;
-            }
-            dims_checked += alive;
-            let (x, y) = lanes.block(start, len, d);
-            // SAFETY: the caller vouches for the tier.
-            word &= C::word(x, y, t1, t2);
-        }
-        while word != 0 {
-            matches.push((start + word.trailing_zeros() as usize) as u32);
-            word &= word - 1;
-        }
+    for start in (0..full_end).step_by(BLOCK) {
+        // SAFETY: `start + BLOCK ≤ full_end ≤ n`; the caller vouches for
+        // the tier.
+        let word = unsafe {
+            survivors::<true, C, L>(lanes, start, BLOCK, t1s, t2s, &mut dims_checked)
+        };
+        push_matches(matches, start, word);
+    }
+    if full_end < n {
+        // SAFETY: the partial block is `full_end..n`, `n - full_end <
+        // BLOCK`; the caller vouches for the tier.
+        let word = unsafe {
+            survivors::<false, C, L>(lanes, full_end, n - full_end, t1s, t2s, &mut dims_checked)
+        };
+        push_matches(matches, full_end, word);
     }
     ScanOutcome {
         objects: n,
@@ -524,7 +735,8 @@ unsafe fn scan_avx2<L: Lanes>(
     t2s: &[Scalar],
     matches: &mut Vec<u32>,
 ) -> ScanOutcome {
-    scan_blocks::<x86::Avx2, L>(lanes, t1s, t2s, matches)
+    // SAFETY: the caller vouches for the CPU.
+    unsafe { scan_blocks::<x86::Avx2, L>(lanes, t1s, t2s, matches) }
 }
 
 /// Runs one whole scan on `tier` — the only dispatch of a scan.
@@ -544,10 +756,12 @@ unsafe fn scan_on<L: Lanes>(
         (&bounds.qb[..], &bounds.qa[..])
     };
     // SAFETY: the caller vouches that the CPU supports `tier`.
-    match tier {
-        Tier::Portable => scan_blocks::<Portable, L>(lanes, t1s, t2s, matches),
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => scan_avx2(lanes, t1s, t2s, matches),
+    unsafe {
+        match tier {
+            Tier::Portable => scan_blocks::<Portable, L>(lanes, t1s, t2s, matches),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => scan_avx2(lanes, t1s, t2s, matches),
+        }
     }
 }
 
@@ -575,10 +789,10 @@ pub fn scan_columns(
     cols: &PairedColumns<'_>,
     scratch: &mut ScanScratch,
 ) -> ScanOutcome {
-    let ScanScratch { matches, bounds, .. } = scratch;
+    let ScanScratch { matches, bounds, columns, .. } = scratch;
     bounds.load(query);
     // SAFETY: `Tier::best` names AVX2 only after detecting it and `popcnt`.
-    unsafe { columns_on(Tier::best(), bounds, cols, matches) }
+    unsafe { columns_on(Tier::best(), bounds, cols, columns, matches) }
 }
 
 /// [`scan_columns`] for a query whose bounds the caller already loaded:
@@ -588,10 +802,14 @@ pub fn scan_columns_loaded(
     cols: &PairedColumns<'_>,
     scratch: &mut ScanScratch,
 ) -> ScanOutcome {
+    let ScanScratch { matches, columns, .. } = scratch;
     // SAFETY: `Tier::best` names AVX2 only after detecting it and `popcnt`.
-    unsafe { columns_on(Tier::best(), bounds, cols, &mut scratch.matches) }
+    unsafe { columns_on(Tier::best(), bounds, cols, columns, matches) }
 }
 
+/// Resolves the view's columns once if it holds a full block
+/// ([`resolve_columns`]: the length check), and scans them on `tier`.
+///
 /// # Safety
 ///
 /// `tier` must be [`Tier::Portable`] or [`Tier::best`].
@@ -599,10 +817,18 @@ unsafe fn columns_on(
     tier: Tier,
     bounds: &QueryBounds,
     cols: &PairedColumns<'_>,
+    columns: &mut Vec<ColumnPair>,
     matches: &mut Vec<u32>,
 ) -> ScanOutcome {
-    let mut lanes = ColumnLanes { cols: *cols, x_is_hi: bounds.rel.x_is_hi() };
-    scan_on(tier, bounds, &mut lanes, matches)
+    let x_is_hi = bounds.rel.x_is_hi();
+    if cols.len() >= BLOCK {
+        resolve_columns(cols, bounds.dims(), x_is_hi, columns);
+    } else {
+        columns.clear();
+    }
+    let mut lanes = ColumnLanes { cols: *cols, x_is_hi, pairs: columns };
+    // SAFETY: the caller vouches for the tier.
+    unsafe { scan_on(tier, bounds, &mut lanes, matches) }
 }
 
 /// Scans objects stored as interleaved flat `[lo0, hi0, lo1, hi1, …]`
@@ -635,13 +861,16 @@ unsafe fn interleaved_on(
 ) -> ScanOutcome {
     let width = 2 * query.dims();
     assert!(width > 0 && flat.len().is_multiple_of(width), "coordinate arity mismatch");
-    let ScanScratch { matches, bounds, tile_x, tile_y } = scratch;
+    let ScanScratch { matches, bounds, tile_x, tile_y, .. } = scratch;
     bounds.load(query);
     tile_x.resize(BLOCK, 0.0);
     tile_y.resize(BLOCK, 0.0);
     let x_is_hi = bounds.rel.x_is_hi();
+    let tile_x = (&mut tile_x[..]).try_into().expect("a tile holds one block");
+    let tile_y = (&mut tile_y[..]).try_into().expect("a tile holds one block");
     let mut lanes = RowLanes { flat, width, x_is_hi, tile_x, tile_y };
-    scan_on(tier, bounds, &mut lanes, matches)
+    // SAFETY: the caller vouches for the tier.
+    unsafe { scan_on(tier, bounds, &mut lanes, matches) }
 }
 
 /// Whether the CPU supports AVX2 (detected once, cached) — the runtime
@@ -686,6 +915,28 @@ mod tests {
             }
         }
         (matches, dims_checked)
+    }
+
+    /// The tiers this CPU runs, worst to best.
+    fn tiers() -> Vec<Tier> {
+        let mut tiers = vec![Tier::Portable];
+        if Tier::best() != Tier::Portable {
+            tiers.push(Tier::best());
+        }
+        tiers
+    }
+
+    /// [`scan_columns`] on a chosen tier.
+    fn scan_columns_on(
+        tier: Tier,
+        query: &SpatialQuery,
+        view: &PairedColumns<'_>,
+        scratch: &mut ScanScratch,
+    ) -> ScanOutcome {
+        let ScanScratch { matches, bounds, columns, .. } = scratch;
+        bounds.load(query);
+        // SAFETY: `tiers()` yields only `Tier::Portable` and `Tier::best()`.
+        unsafe { columns_on(tier, bounds, view, columns, matches) }
     }
 
     fn assert_agrees(query: &SpatialQuery, flat: &[Scalar], dims: usize) {
@@ -793,17 +1044,47 @@ mod tests {
         let _ = PairedColumns::new(&cols);
     }
 
+    /// A view built without comparing column lengths
+    /// ([`PairedColumns::of_equal_columns`]) over one short column panics
+    /// at the start of the scan on every tier — in the full-block and in
+    /// the partial-block position — instead of reading past the column.
+    #[test]
+    #[should_panic(expected = "every column must cover")]
+    fn short_column_panics_in_the_scan_on_every_tier() {
+        let q = SpatialQuery::point_enclosing(vec![0.5, 0.5]);
+        for n in [64usize, 65, 130] {
+            // The view takes the first column's length, so any later one
+            // can be the short one.
+            for short in 1..4 {
+                let mut cols = vec![vec![0.0; n], vec![1.0; n], vec![0.0; n], vec![1.0; n]];
+                cols[short].pop();
+                let view = PairedColumns::of_equal_columns(&cols);
+                for tier in tiers() {
+                    let scan = std::panic::AssertUnwindSafe(|| {
+                        scan_columns_on(tier, &q, &view, &mut ScanScratch::new())
+                    });
+                    let message = *std::panic::catch_unwind(scan)
+                        .expect_err("a short column must panic")
+                        .downcast::<String>()
+                        .expect("a formatted panic message");
+                    assert!(message.contains("every column must cover"), "{tier:?}: {message}");
+                }
+            }
+        }
+        let cols = vec![vec![0.0; 64], vec![1.0; 63], vec![0.0; 64], vec![1.0; 64]];
+        let _ = scan_columns(&q, &PairedColumns::of_equal_columns(&cols), &mut ScanScratch::new());
+    }
+
     /// Every tier the CPU reports computes what per-object
     /// `matches_flat` computes — matches, their order and `dims_checked`
     /// — through both entry points, at every block-boundary size and
     /// with query bounds that coincide with object edges (all
-    /// coordinates sit on a 1/8 grid).
+    /// coordinates sit on a 1/8 grid); and so does a sub-view of the same
+    /// objects at an unaligned or block-aligned offset into padded
+    /// columns.
     #[test]
     fn every_tier_agrees_with_scalar_oracle() {
-        let mut tiers = vec![Tier::Portable];
-        if Tier::best() != Tier::Portable {
-            tiers.push(Tier::best());
-        }
+        let tiers = tiers();
         println!("tiers exercised: {tiers:?}");
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut grid = |below: u64| {
@@ -843,6 +1124,16 @@ mod tests {
                     }
                 }
                 let cols = columns(&flat, dims);
+                // The same objects behind `start` padding objects (which
+                // match every query) and before three more.
+                let padded = |start: usize| {
+                    let pad = |count: usize| (0..count * dims).flat_map(|_| [0.0, 1.0]);
+                    let rows: Vec<Scalar> =
+                        pad(start).chain(flat.iter().copied()).chain(pad(3)).collect();
+                    columns(&rows, dims)
+                };
+                let shifted: Vec<(usize, Vec<Vec<Scalar>>)> =
+                    [1, 63, 64, 65].into_iter().map(|start| (start, padded(start))).collect();
                 for (kind, query) in queries.iter().enumerate() {
                     let (want_matches, want_checked) = oracle(query, &flat, dims);
                     matched_by_kind[kind] += want_matches.len();
@@ -853,15 +1144,19 @@ mod tests {
                     };
                     for &tier in &tiers {
                         let mut scratch = ScanScratch::new();
-                        scratch.bounds.load(query);
-                        let ScanScratch { matches, bounds, .. } = &mut scratch;
-                        // SAFETY: `tier` is `Tier::Portable` or `Tier::best()`.
-                        let got = unsafe {
-                            columns_on(tier, bounds, &PairedColumns::new(&cols), matches)
-                        };
+                        let got =
+                            scan_columns_on(tier, query, &PairedColumns::new(&cols), &mut scratch);
                         assert_eq!(got, want, "{tier:?} columns, {dims} dims, n = {n}, {query:?}");
                         assert_eq!(scratch.matches(), &want_matches[..], "{tier:?} columns");
-                        // SAFETY: as above.
+                        for (start, cols) in &shifted {
+                            let view = PairedColumns::slice(cols, *start, n);
+                            let got = scan_columns_on(tier, query, &view, &mut scratch);
+                            let at = format!("{tier:?} view at {start}, {dims} dims, n = {n}");
+                            assert_eq!(got, want, "{at}, {query:?}");
+                            assert_eq!(scratch.matches(), &want_matches[..], "{at}");
+                        }
+                        // SAFETY: `tiers()` yields only `Tier::Portable`
+                        // and `Tier::best()`.
                         let got = unsafe { interleaved_on(tier, query, &flat, &mut scratch) };
                         assert_eq!(got, want, "{tier:?} rows, {dims} dims, n = {n}, {query:?}");
                         assert_eq!(scratch.matches(), &want_matches[..], "{tier:?} rows");
@@ -879,9 +1174,7 @@ mod tests {
         tile[7] = 1;
         tile[8] = 1;
         tile[63] = 1;
-        assert_eq!(pack_tile(&tile, 64), (1 << 0) | (1 << 7) | (1 << 8) | (1 << 63));
-        assert_eq!(pack_tile(&tile, 8), (1 << 0) | (1 << 7));
-        assert_eq!(pack_tile(&tile, 1), 1);
+        assert_eq!(pack_tile(&tile), (1 << 0) | (1 << 7) | (1 << 8) | (1 << 63));
     }
 }
 
@@ -1024,11 +1317,11 @@ mod proptests {
                 for order in [&stored, &order] {
                     let cols = columns_in(order);
                     let mut scratch = ScanScratch::new();
-                    scratch.bounds.load(&query);
-                    let ScanScratch { matches, bounds, .. } = &mut scratch;
+                    let ScanScratch { matches, bounds, columns, .. } = &mut scratch;
+                    bounds.load(&query);
                     // SAFETY: `tier` is `Tier::Portable` or `Tier::best()`.
                     let outcome = unsafe {
-                        columns_on(tier, bounds, &PairedColumns::new(&cols), matches)
+                        columns_on(tier, bounds, &PairedColumns::new(&cols), columns, matches)
                     };
                     let mut matched: Vec<usize> =
                         scratch.matches().iter().map(|&i| order[i as usize]).collect();
