@@ -29,6 +29,10 @@
 //!   and merge, under a 4-d hotspot jumping between sites of clustered
 //!   objects: nanoseconds per pass, members moved per pass and
 //!   nanoseconds per moved member.
+//! * **insert descent** — on both reorganization indexes once their
+//!   passes are timed, nanoseconds per `insert` and per `remove` +
+//!   `insert` pair: §3.5's descent of the cluster tree, which tests
+//!   each child of an accepting cluster on its child-table row.
 //!
 //! The index and the pass make the paper's decisions by the equivalence
 //! suites, which compare them with the test crate's model of the paper;
@@ -58,9 +62,9 @@ use acx_bench::args::Flags;
 use acx_bench::cost_terms::{self, CostTerms};
 use acx_bench::{adapted_ac, build_ac_with};
 use acx_core::candidates::{generate_candidates, StatsArena};
-use acx_core::{IndexConfig, QueryScratch, Signature, StatsDelta};
+use acx_core::{AdaptiveClusterIndex, IndexConfig, QueryScratch, Signature, StatsDelta};
 use acx_geom::scan::{scan_columns, PairedColumns, ScanScratch, BLOCK};
-use acx_geom::{HyperRect, Scalar, SpatialQuery, OBJECT_ID_BYTES};
+use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery, OBJECT_ID_BYTES};
 use acx_storage::StorageScenario;
 use acx_workloads::{
     calibrate, ClusteredObjects, EventStream, PubSubGenerator, UniformWorkload, Workload,
@@ -393,6 +397,72 @@ struct ReorgRow {
     screened: u64,
     arena_live_bytes: u64,
     compactions: u64,
+    descent: DescentRow,
+}
+
+/// The write path's descent on an adapted index.
+struct DescentRow {
+    clusters: usize,
+    /// Median nanoseconds per `insert` of a new object.
+    insert_ns: f64,
+    /// Median nanoseconds per `remove` + `insert` of the same object.
+    remove_insert_ns: f64,
+}
+
+/// Objects each round of [`insert_descent`] inserts.
+const DESCENT_OBJECTS: usize = 1_000;
+
+/// Times §3.5's insert on `index`: per round, [`DESCENT_OBJECTS`] of
+/// `rects` are inserted under fresh ids, then each is removed and
+/// inserted again, then (untimed) removed, so every round starts from
+/// the same members. Medians over `repeats` rounds, after one warm-up
+/// round.
+fn insert_descent(
+    index: &mut AdaptiveClusterIndex,
+    rects: &[HyperRect],
+    repeats: usize,
+) -> DescentRow {
+    let rects = &rects[..DESCENT_OBJECTS.min(rects.len())];
+    let base = u32::try_from(index.len()).expect("bench indexes hold under u32::MAX objects");
+    let ids = || (base..).map(ObjectId).zip(rects);
+    let (mut inserts, mut pairs) = (Vec::new(), Vec::new());
+    for round in 0..=repeats {
+        let started = Instant::now();
+        for (id, rect) in ids() {
+            index.insert(id, rect.clone()).expect("a fresh id");
+        }
+        let inserted = started.elapsed().as_nanos() as f64;
+        let started = Instant::now();
+        for (id, rect) in ids() {
+            std::hint::black_box(index.remove(id).expect("inserted above"));
+            index.insert(id, rect.clone()).expect("removed above");
+        }
+        let paired = started.elapsed().as_nanos() as f64;
+        for (id, _) in ids() {
+            index.remove(id).expect("inserted above");
+        }
+        if round > 0 {
+            inserts.push(inserted / rects.len() as f64);
+            pairs.push(paired / rects.len() as f64);
+        }
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        v[v.len() / 2]
+    };
+    let row = DescentRow {
+        clusters: index.cluster_count(),
+        insert_ns: median(inserts),
+        remove_insert_ns: median(pairs),
+    };
+    println!(
+        "descent d={} ({} clusters): {:>8.0} ns/insert  {:>8.0} ns/remove+insert",
+        index.dims(),
+        row.clusters,
+        row.insert_ns,
+        row.remove_insert_ns
+    );
+    row
 }
 
 /// The per-period reorganization cost on an adapted 16-d index, driven
@@ -449,6 +519,7 @@ fn reorg_matrix(objects: usize, repeats: usize) -> ReorgRow {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     let passes = samples.len() as u64;
     let profile = index.last_reorg_profile();
+    let descent = insert_descent(&mut index, &data, repeats);
     let row = ReorgRow {
         pass_ns: samples[samples.len() / 2],
         clusters: index.cluster_count(),
@@ -457,6 +528,7 @@ fn reorg_matrix(objects: usize, repeats: usize) -> ReorgRow {
         screened: counters[2] / passes,
         arena_live_bytes: profile.arena_live_bytes,
         compactions: profile.compactions,
+        descent,
     };
     println!(
         "reorg   d={dims} n={objects}: {:>10.0} ns/pass  ({} clusters; per pass: {} evaluated, {} scans, {} screened; arena {} live bytes, {} compactions)",
@@ -476,6 +548,7 @@ struct MovingRow {
     moved_per_pass: f64,
     /// Their summed time over their summed moved members.
     ns_per_moved: f64,
+    descent: DescentRow,
 }
 
 /// Sites the moving-pass hotspot visits round-robin: corners of
@@ -556,6 +629,7 @@ fn moving_pass(repeats: usize) -> MovingRow {
     let total_moved: u64 = moved.iter().map(|m| m.0).sum();
     let passes = samples.len() as u64;
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    let descent = insert_descent(&mut index, &data, repeats);
     let row = MovingRow {
         pass_ns: samples[samples.len() / 2],
         passes,
@@ -563,6 +637,7 @@ fn moving_pass(repeats: usize) -> MovingRow {
         merges: moved.iter().map(|m| m.2).sum(),
         moved_per_pass: total_moved as f64 / passes as f64,
         ns_per_moved: total_ns / total_moved as f64,
+        descent,
     };
     println!(
         "moving  d={dims} n={objects}: {:>10.0} ns/pass  ({} moving passes, {} splits, {} merges; {:.1} moved/pass, {:.1} ns/moved member)",
@@ -809,9 +884,23 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"pass_ns\": {:.0}, \"moving_passes\": {}, \"splits\": {}, \"merges\": {}, \"objects_moved_per_pass\": {:.1}, \"ns_per_moved_member\": {:.1}}}\n}}",
+        "    \"pass_ns\": {:.0}, \"moving_passes\": {}, \"splits\": {}, \"merges\": {}, \"objects_moved_per_pass\": {:.1}, \"ns_per_moved_member\": {:.1}}},",
         moving.pass_ns, moving.passes, moving.splits, moving.merges, moving.moved_per_pass, moving.ns_per_moved
     );
+    let _ = writeln!(
+        json,
+        "  \"insert_descent\": {{\"objects_per_round\": {DESCENT_OBJECTS}, \"measures\": \"median ns per insert of a new object, and per remove + insert of the same object, on each pass row's index after its passes\","
+    );
+    for (name, row, end) in [
+        ("per_period_pass", &reorg.descent, ","),
+        ("moving_pass", &moving.descent, "\n  }\n}"),
+    ] {
+        let _ = writeln!(
+            json,
+            "    \"{name}\": {{\"clusters\": {}, \"insert_ns\": {:.0}, \"remove_insert_ns\": {:.0}}}{end}",
+            row.clusters, row.insert_ns, row.remove_insert_ns
+        );
+    }
     std::fs::write(&reorg_out, &json).expect("write reorganization snapshot");
     println!("wrote {reorg_out}");
     if !uncalibrated.is_empty() {

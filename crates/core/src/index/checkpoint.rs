@@ -32,7 +32,7 @@ use acx_storage::frame::{
 };
 use acx_storage::{SegmentStore, StoreError};
 
-use super::{assign_segment, AdaptiveClusterIndex, Clocks, Cluster};
+use super::{assign_segment, AdaptiveClusterIndex, ChildTable, Clocks, Cluster};
 use crate::candidates::{generate_candidates, StatsArena};
 use crate::signature::Signature;
 use crate::{IndexConfig, IndexError};
@@ -63,6 +63,9 @@ fn chunk_members(dims: usize) -> usize {
     (MAX_FRAME as usize - 5) / member_bytes(dims)
 }
 
+/// Appends a count as a `u32`. Each count is exact there: members per
+/// chunk and candidates per cluster frame fit one [`MAX_FRAME`] frame,
+/// and cluster and free-slot counts number `u32` slots.
 fn put_u32(out: &mut Vec<u8>, v: usize) {
     out.extend_from_slice(&(v as u32).to_le_bytes());
 }
@@ -98,15 +101,17 @@ impl AdaptiveClusterIndex {
         let mut stack = vec![self.root];
         while let Some(slot) = stack.pop() {
             let cluster = self.cluster(slot);
-            stack.extend(cluster.children.iter().rev());
+            stack.extend(cluster.children.slots().rev());
             let cands = self.stats_arena.slice(cluster.candidates);
             let ids = self.store.ids(cluster.segment);
             push_frame(&mut out, |o| {
                 o.push(TAG_CLUSTER);
                 let parent = cluster.parent.unwrap_or(NO_PARENT);
-                for v in [slot, parent, ids.len() as u32] {
+                for v in [slot, parent] {
                     o.extend_from_slice(&v.to_le_bytes());
                 }
+                // Exact: the store keeps a segment's positions in `u32`s.
+                put_u32(o, ids.len());
                 put_bytes(o, &cluster.signature.to_bytes());
                 o.extend_from_slice(&cluster.q_count.to_le_bytes());
                 o.extend_from_slice(&cluster.epoch_start.to_le_bytes());
@@ -383,7 +388,8 @@ impl Loading {
                     let why = format!("parent {p} does not come before cluster {slot}");
                     return Err(frame.corrupt(why).into());
                 };
-                self.clusters[at].1.children.push(slot);
+                let parent = &mut self.clusters[at].1;
+                parent.children.push(slot, &parent.signature, &signature);
                 Some(p)
             }
         };
@@ -428,7 +434,7 @@ impl Loading {
             Cluster {
                 signature,
                 parent,
-                children: Vec::new(),
+                children: ChildTable::default(),
                 segment,
                 candidates: handle,
                 q_count,

@@ -18,11 +18,13 @@ use crate::signature::Signature;
 use crate::{IndexConfig, IndexError};
 
 mod checkpoint;
+mod children;
 mod policy;
 mod query;
 mod recovery;
 mod reorg;
 
+use children::ChildTable;
 pub use query::QueryScratch;
 pub use reorg::ReorgFaultPoint;
 use reorg::ReorgScratch;
@@ -80,7 +82,9 @@ struct Clocks {
 struct Cluster {
     signature: Signature,
     parent: Option<u32>,
-    children: Vec<u32>,
+    /// The children, in live order, each with the dimensions where its
+    /// signature differs from this one's.
+    children: ChildTable,
     segment: SegmentId,
     /// The cluster's candidate statistics: a range of the index-wide
     /// [`StatsArena`]. The lazy-decay stamp travels with the range (see
@@ -183,7 +187,7 @@ impl AdaptiveClusterIndex {
         let root = Cluster {
             signature,
             parent: None,
-            children: Vec::new(),
+            children: ChildTable::default(),
             segment,
             candidates,
             q_count: 0,
@@ -395,16 +399,15 @@ impl AdaptiveClusterIndex {
         }
 
         // Backward compatibility makes acceptance hereditary: descend the
-        // tree, pruning subtrees whose root rejects the object.
+        // tree, pruning subtrees whose root rejects the object. A child
+        // is tested in the dimensions where it differs from its accepting
+        // parent only, so every slot on the stack accepts the object.
         let mut best: Option<(u32, f64, usize)> = None; // (slot, p, depth)
         let mut stack = std::mem::take(&mut self.insert_stack);
         stack.clear();
         stack.push((self.root, 0));
         while let Some((slot, depth)) = stack.pop() {
             let cluster = self.cluster(slot);
-            if !cluster.signature.accepts_flat(&flat) {
-                continue;
-            }
             let p = self.access_probability(cluster);
             let better = match best {
                 None => true,
@@ -419,8 +422,17 @@ impl AdaptiveClusterIndex {
             if better {
                 best = Some((slot, p, depth));
             }
-            for &child in &cluster.children {
-                stack.push((child, depth + 1));
+            for row in cluster.children.rows() {
+                let accepted = row.accepts_flat(&flat);
+                debug_assert_eq!(
+                    accepted,
+                    self.cluster(row.slot).signature.accepts_flat(&flat),
+                    "child row of cluster {} disagrees with its signature",
+                    row.slot
+                );
+                if accepted {
+                    stack.push((row.slot, depth + 1));
+                }
             }
         }
         self.insert_stack = stack;
@@ -521,9 +533,7 @@ impl AdaptiveClusterIndex {
                 depth,
                 signature: cluster.signature.to_string(),
             });
-            for &child in &cluster.children {
-                stack.push((child, depth + 1));
-            }
+            stack.extend(cluster.children.slots().map(|child| (child, depth + 1)));
         }
         out
     }
@@ -555,7 +565,7 @@ impl AdaptiveClusterIndex {
         let mut expected_n = Vec::new();
         for (slot, cluster) in self.clusters.iter().enumerate() {
             let Some(cluster) = cluster else { continue };
-            if self.segment_cluster.get(cluster.segment.0 as usize) != Some(&(slot as u32)) {
+            if self.segment_cluster.get(cluster.segment.0 as usize) != Some(&cluster_slot(slot)) {
                 return Err(format!("segment of cluster {slot} does not map back to it"));
             }
             let cands = self.stats_arena.slice(cluster.candidates);
@@ -612,10 +622,12 @@ impl AdaptiveClusterIndex {
 
     /// That the clusters form one tree under the root: every live cluster
     /// is reached from it exactly once (no self-parent, no cycle, no
-    /// detached component), through the child list of the parent it
-    /// names, and each child's signature lies within its parent's,
-    /// dimension by dimension — what a merge relies on when it hands the
-    /// child's members to the parent. O(clusters · dims).
+    /// detached component, no child missing from its parent's table),
+    /// through the child table of the parent it names; each child's
+    /// signature lies within its parent's, dimension by dimension — what
+    /// a merge relies on when it hands the child's members to the parent
+    /// — and its row holds exactly the dimensions where the two differ,
+    /// which is all either descent tests. O(clusters · dims).
     fn check_tree(&self) -> Result<(), String> {
         let live = |slot: u32| self.clusters.get(slot as usize).and_then(Option::as_ref);
         let mut seen = vec![false; self.clusters.len()];
@@ -627,7 +639,8 @@ impl AdaptiveClusterIndex {
                 return Err(format!("cluster {slot} is reached twice from the root"));
             }
             reached += 1;
-            for &child in &cluster.children {
+            for row in cluster.children.rows() {
+                let child = row.slot;
                 let c = live(child).ok_or_else(|| format!("dangling child {child}"))?;
                 if c.parent != Some(slot) {
                     return Err(format!("child {child} does not point back to {slot}"));
@@ -635,6 +648,11 @@ impl AdaptiveClusterIndex {
                 if !c.signature.within(&cluster.signature) {
                     return Err(format!(
                         "signature of cluster {child} is not within its parent {slot}'s"
+                    ));
+                }
+                if !row.is_current(&cluster.signature, &c.signature) {
+                    return Err(format!(
+                        "the row of child {child} in cluster {slot} is stale"
                     ));
                 }
                 stack.push(child);
@@ -648,6 +666,17 @@ impl AdaptiveClusterIndex {
         }
         Ok(())
     }
+}
+
+/// `index` as a cluster slot, which the log's replay, the checkpoint and
+/// every child table hold as a `u32`.
+///
+/// # Panics
+///
+/// Panics if `index` does not fit in a `u32`: a wrapped slot would name
+/// another cluster.
+fn cluster_slot(index: usize) -> u32 {
+    u32::try_from(index).expect("an index holds at most u32::MAX cluster slots")
 }
 
 /// Records in the segment → cluster table that cluster `slot` owns
@@ -784,7 +813,7 @@ mod tests {
 
     /// A live non-root cluster with at least two members.
     fn populated_child(index: &AdaptiveClusterIndex) -> u32 {
-        (0..index.clusters.len() as u32)
+        (0..cluster_slot(index.clusters.len()))
             .find(|&slot| {
                 slot != index.root
                     && index.clusters[slot as usize]
@@ -867,12 +896,59 @@ mod tests {
         let mut index = clustered_index();
         let slot = populated_child(&index);
         let parent = index.cluster(slot).parent.unwrap();
-        index.cluster_mut(parent).children.retain(|&c| c != slot);
+        index.cluster_mut(parent).children.remove(slot);
         let cluster = index.cluster_mut(slot);
         cluster.parent = Some(slot);
-        cluster.children.push(slot);
+        cluster
+            .children
+            .push(slot, &cluster.signature, &cluster.signature);
         let err = index.check_invariants().unwrap_err();
         assert!(err.contains("reachable from the root"), "{err}");
+    }
+
+    /// A row that tests fewer dimensions than its child differs in would
+    /// admit objects and queries the child's signature rejects.
+    #[test]
+    fn check_invariants_catches_a_stale_child_row() {
+        let mut index = clustered_index();
+        let slot = populated_child(&index);
+        let parent = index.cluster(slot).parent.unwrap();
+        let signature = index.cluster(slot).signature.clone();
+        let table = &mut index.cluster_mut(parent).children;
+        table.remove(slot);
+        table.push(slot, &signature, &signature);
+        let err = index.check_invariants().unwrap_err();
+        assert!(
+            err.contains(&format!(
+                "the row of child {slot} in cluster {parent} is stale"
+            )),
+            "{err}"
+        );
+    }
+
+    /// A child missing from its parent's table is a child neither
+    /// descent reaches.
+    #[test]
+    fn check_invariants_catches_a_missing_child_row() {
+        let mut index = clustered_index();
+        let slot = populated_child(&index);
+        let parent = index.cluster(slot).parent.unwrap();
+        index.cluster_mut(parent).children.remove(slot);
+        let err = index.check_invariants().unwrap_err();
+        assert!(err.contains("reachable from the root"), "{err}");
+    }
+
+    #[test]
+    fn cluster_slot_is_exact_up_to_u32_max() {
+        assert_eq!(cluster_slot(0), 0);
+        assert_eq!(cluster_slot(u32::MAX as usize), u32::MAX);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "an index holds at most u32::MAX cluster slots")]
+    fn cluster_slot_panics_just_above_u32_max() {
+        cluster_slot(u32::MAX as usize + 1);
     }
 
     /// A reload rebuilds every member count from the stored members

@@ -113,6 +113,13 @@ impl StatsSink<'_> {
 }
 
 impl ReadView<'_> {
+    #[inline]
+    fn cluster(&self, slot: u32) -> &Cluster {
+        self.clusters[slot as usize]
+            .as_ref()
+            .expect("cluster slot is live")
+    }
+
     /// The matching phase shared by every query entry point (paper
     /// §3.6, Fig. 5): explores every materialized cluster whose
     /// signature matches the query, hands it to the sink, and verifies
@@ -134,15 +141,15 @@ impl ReadView<'_> {
         scratch.matches.clear();
         scratch.bounds.load(query);
         scratch.stack.clear();
-        scratch.stack.push(self.root);
+        // One signature check per cluster, as the paper prices it: the
+        // root's on its whole signature, a child's on its row, the
+        // dimensions where it differs from the parent that matched.
+        stats.signature_checks += 1;
+        if self.cluster(self.root).signature.matches_query(query) {
+            scratch.stack.push(self.root);
+        }
         while let Some(slot) = scratch.stack.pop() {
-            stats.signature_checks += 1;
-            let cluster = self.clusters[slot as usize]
-                .as_ref()
-                .expect("cluster slot is live");
-            if !cluster.signature.matches_query(query) {
-                continue;
-            }
+            let cluster = self.cluster(slot);
             sink.record(slot, cluster.candidates, query);
             let n = self.store.segment_len(cluster.segment);
             stats.clusters_explored += 1;
@@ -156,7 +163,19 @@ impl ReadView<'_> {
             for &idx in scratch.scan.matches() {
                 scratch.matches.push(ObjectId(ids[idx as usize]));
             }
-            scratch.stack.extend_from_slice(&cluster.children);
+            stats.signature_checks += cluster.children.len() as u64;
+            for row in cluster.children.rows() {
+                let matched = row.matches_query(query);
+                debug_assert_eq!(
+                    matched,
+                    self.cluster(row.slot).signature.matches_query(query),
+                    "child row of cluster {} disagrees with its signature",
+                    row.slot
+                );
+                if matched {
+                    scratch.stack.push(row.slot);
+                }
+            }
         }
 
         let priced_ms = self.model.price(&stats);

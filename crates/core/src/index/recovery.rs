@@ -8,7 +8,7 @@ use std::path::Path;
 use acx_geom::{HyperRect, ObjectId};
 use acx_storage::{BackingStore, FlushPolicy, Wal, WalError, WalRecord};
 
-use super::AdaptiveClusterIndex;
+use super::{cluster_slot, AdaptiveClusterIndex};
 use crate::metrics::{RecoveryReport, ReorgProfile};
 use crate::{IndexConfig, IndexError};
 
@@ -193,7 +193,7 @@ impl AdaptiveClusterIndex {
         let mut by_signature = SlotsBySignature::default();
         for (slot, cluster) in index.clusters.iter().enumerate() {
             if let Some(cluster) = cluster {
-                by_signature.insert(cluster.signature.to_bytes(), slot as u32);
+                by_signature.insert(cluster.signature.to_bytes(), cluster_slot(slot));
             }
         }
         index.replaying = true;

@@ -7,7 +7,7 @@ use std::time::Instant;
 use acx_storage::WalRecord;
 
 use super::policy::{self, PassCosts};
-use super::{assign_segment, AdaptiveClusterIndex, Cluster};
+use super::{assign_segment, cluster_slot, AdaptiveClusterIndex, ChildTable, Cluster};
 use crate::candidates::generate_candidates;
 use crate::metrics::{ReorgProfile, ReorgReport};
 use crate::{IndexConfig, STATS_DECAY};
@@ -89,7 +89,7 @@ impl AdaptiveClusterIndex {
         let mut snapshot = std::mem::take(&mut self.reorg_scratch.snapshot);
         snapshot.clear();
         snapshot.extend(
-            (0..self.clusters.len() as u32).filter(|&s| self.clusters[s as usize].is_some()),
+            (0..cluster_slot(self.clusters.len())).filter(|&s| self.clusters[s as usize].is_some()),
         );
         self.pass(&snapshot, &mut report, &mut profile);
         self.reorg_scratch.snapshot = snapshot;
@@ -254,6 +254,10 @@ impl AdaptiveClusterIndex {
     /// removes the cluster. The moved members are counted into
     /// `profile`.
     ///
+    /// The parent's child table loses the cluster's row and gains one
+    /// per reparented child, after the others and in the cluster's
+    /// order, each recomputed against the parent's signature.
+    ///
     /// The members move in bulk: one column pass per parent candidate
     /// counts them in, and the store appends the child's columns to the
     /// parent's ([`acx_storage::SegmentStore::merge_into`]).
@@ -279,7 +283,7 @@ impl AdaptiveClusterIndex {
         let parent = self.clusters[parent_slot as usize]
             .as_mut()
             .expect("parent slot is live");
-        parent.children.retain(|&c| c != slot);
+        parent.children.remove(slot);
         #[cfg(debug_assertions)]
         for index in 0..self.store.segment_len(cluster.segment) {
             let flat = self.store.object_flat(cluster.segment, index);
@@ -290,9 +294,9 @@ impl AdaptiveClusterIndex {
             .record_members(&self.store.columns(cluster.segment));
         let moved = self.store.merge_into(cluster.segment, parent.segment);
         profile.objects_moved += moved as u64;
-        for child in cluster.children {
+        for child in cluster.children.slots() {
             self.cluster_mut(child).parent = Some(parent_slot);
-            self.cluster_mut(parent_slot).children.push(child);
+            self.append_child_row(parent_slot, child);
         }
         self.reorg_fault(ReorgFaultPoint::AfterMerge);
     }
@@ -318,6 +322,7 @@ impl AdaptiveClusterIndex {
             let signature = self.cluster(slot).signature.to_bytes();
             self.wal_log_structural(WalRecord::Materialize {
                 signature,
+                // Exact: an arena range's length is a `u32` (`slab_index`).
                 candidate: cand_idx as u32,
             });
         }
@@ -353,7 +358,7 @@ impl AdaptiveClusterIndex {
         let new_slot = self.alloc_slot(Cluster {
             signature: new_signature,
             parent: Some(slot),
-            children: Vec::new(),
+            children: ChildTable::default(),
             segment: new_segment,
             candidates,
             q_count: inherited_q,
@@ -362,6 +367,7 @@ impl AdaptiveClusterIndex {
             weight: parent_weight,
         });
         assign_segment(&mut self.segment_cluster, new_segment, new_slot);
+        self.append_child_row(slot, new_slot);
 
         // Move qualifying objects; maintain the source cluster's candidate
         // counters and compute the new cluster's.
@@ -378,7 +384,6 @@ impl AdaptiveClusterIndex {
                 cand.accepts_bounds(lo, hi)
             });
         profile.objects_moved += moved as u64;
-        parent_cluster.children.push(new_slot);
         let members = self.store.columns(new_segment);
         self.stats_arena
             .slice_mut(parent_cluster.candidates)
@@ -401,9 +406,22 @@ impl AdaptiveClusterIndex {
             self.clusters[slot as usize] = Some(cluster);
             slot
         } else {
+            let slot = cluster_slot(self.clusters.len());
             self.clusters.push(Some(cluster));
-            (self.clusters.len() - 1) as u32
+            slot
         }
+    }
+
+    /// Appends `child`'s row to `parent`'s child table: the dimensions
+    /// where the child's signature differs from the parent's.
+    fn append_child_row(&mut self, parent: u32, child: u32) {
+        let mut table = std::mem::take(&mut self.cluster_mut(parent).children);
+        table.push(
+            child,
+            &self.cluster(parent).signature,
+            &self.cluster(child).signature,
+        );
+        self.cluster_mut(parent).children = table;
     }
 
     /// Brings a cluster's candidate counters up to the current

@@ -118,6 +118,32 @@ impl DimSignature {
     pub fn accepts(&self, a: Scalar, b: Scalar) -> bool {
         self.start.contains(a) && self.end.contains(b)
     }
+
+    /// [`Signature::matches_query`] in dimension `d` alone: whether the
+    /// query's relation can hold in `d` for some member interval this
+    /// part admits. A signature matches iff every dimension does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query has no dimension `d`.
+    #[inline]
+    pub fn matches_query(&self, query: &SpatialQuery, d: usize) -> bool {
+        match query {
+            SpatialQuery::Intersection(w) => {
+                let q = w.interval(d);
+                self.start.lo() <= q.hi() && self.end.can_reach(q.lo())
+            }
+            SpatialQuery::Containment(w) => {
+                let q = w.interval(d);
+                self.start.can_reach(q.lo()) && self.end.lo() <= q.hi()
+            }
+            SpatialQuery::Enclosure(w) => {
+                let q = w.interval(d);
+                self.start.lo() <= q.lo() && self.end.can_reach(q.hi())
+            }
+            SpatialQuery::PointEnclosing(p) => self.start.lo() <= p[d] && self.end.can_reach(p[d]),
+        }
+    }
 }
 
 /// A cluster signature: one [`DimSignature`] per dimension (paper §4.1).
@@ -208,29 +234,14 @@ impl Signature {
     ///   `start.lo ≤ q.lo` and `end` can reach `q.hi`;
     /// * point-enclosing (`a ≤ p ∧ b ≥ p`):
     ///   `start.lo ≤ p` and `end` can reach `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query has fewer dimensions than the signature
+    /// (debug builds: any other number).
     pub fn matches_query(&self, query: &SpatialQuery) -> bool {
-        match query {
-            SpatialQuery::Intersection(w) => self
-                .dims
-                .iter()
-                .zip(w.intervals())
-                .all(|(ds, q)| ds.start.lo() <= q.hi() && ds.end.can_reach(q.lo())),
-            SpatialQuery::Containment(w) => self
-                .dims
-                .iter()
-                .zip(w.intervals())
-                .all(|(ds, q)| ds.start.can_reach(q.lo()) && ds.end.lo() <= q.hi()),
-            SpatialQuery::Enclosure(w) => self
-                .dims
-                .iter()
-                .zip(w.intervals())
-                .all(|(ds, q)| ds.start.lo() <= q.lo() && ds.end.can_reach(q.hi())),
-            SpatialQuery::PointEnclosing(p) => self
-                .dims
-                .iter()
-                .zip(p.iter())
-                .all(|(ds, &v)| ds.start.lo() <= v && ds.end.can_reach(v)),
-        }
+        debug_assert_eq!(query.dims(), self.dims.len());
+        (self.dims.iter().enumerate()).all(|(d, ds)| ds.matches_query(query, d))
     }
 
     /// Specializes dimension `d`: replaces the variation pair with the

@@ -22,10 +22,16 @@
 //!
 //! [`ClusterSnapshot`]: acx_core::ClusterSnapshot
 
-use acx_core::{AdaptiveClusterIndex, IndexConfig, QueryScratch, ReorgReport, StatsDelta};
+use acx_core::candidates::generate_candidates;
+use acx_core::{
+    AdaptiveClusterIndex, IndexConfig, QueryScratch, ReorgReport, Signature, StatsDelta,
+};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
+use acx_storage::{FlushPolicy, WalRecord};
 use acx_testkit::model::{assert_same, assert_same_answer, check, Model};
-use acx_testkit::{paper, random_grid_query, random_grid_rect, sorted};
+use acx_testkit::{
+    mem_wal, naive_matches, paper, random_grid_query, random_grid_rect, recover_log, sorted,
+};
 use acx_workloads::{
     AdaptiveScenario, ClusteredObjects, FlashCrowd, MigratingHotspot, MixedTraffic,
     OscillatingHeat, UniformWorkload, WorkloadConfig,
@@ -226,6 +232,115 @@ fn forced_splits_then_merges_are_identical() {
 /// its evaluated clusters (otherwise it silently degenerated into
 /// scanning everything and the equivalence above proves nothing about
 /// skipping).
+/// The slot of candidate `(d, i, j)` among those `signature` generates.
+fn candidate_of(signature: &Signature, f: u8, (d, i, j): (usize, u8, u8)) -> u32 {
+    let set = generate_candidates(signature, f);
+    let view = set.as_slice();
+    let want = signature.specialize(d, f, i, j);
+    (0..view.len())
+        .find(|&ci| view.signature(ci, signature, f) == want)
+        .expect("a feasible candidate") as u32
+}
+
+/// Materializations in a different dimension at each level down to
+/// depth 4, then merges of the two middle levels: the merges reparent
+/// grandchildren and great-grandchildren whose signatures differ from
+/// their new parent in up to three dimensions, which is all that either
+/// descent then tests them on. The structure is built by replaying a
+/// log, the live split and merge code, and the model takes the same
+/// steps. Placement of every later insert, the whole state and every
+/// answer must agree with the model, and the answers with a scan.
+#[test]
+fn deep_reparenting_keeps_placement_and_answers() {
+    let dims = 4;
+    let config = IndexConfig {
+        reorg_period: 0,
+        ..paper(dims)
+    };
+    let f = config.division_factor;
+    let mut rng = StdRng::seed_from_u64(0xDEE9);
+    let objects: Vec<HyperRect> = (0..1200)
+        .map(|_| random_grid_rect(&mut rng, dims, 16))
+        .collect();
+    let (settled, later) = objects.split_at(600);
+    let mut model = Model::new(config.clone());
+    let mut wal = mem_wal(dims, FlushPolicy::PerRecord);
+    for (id, rect) in (0u32..).zip(settled) {
+        model.insert(ObjectId(id), rect.clone()).unwrap();
+        let coords = rect.to_flat();
+        wal.append(&WalRecord::Insert { id, coords }).unwrap();
+    }
+
+    // (parent step, cell): step k makes slot k + 1 under the named one.
+    let long = |d| (d, 0, f - 1);
+    let steps: [(u32, (usize, u8, u8)); 7] = [
+        (0, long(0)), // 1: depth 1
+        (0, long(1)), // 2: depth 1, a sibling overlapping 1
+        (1, long(1)), // 3: depth 2
+        (1, long(2)), // 4: depth 2
+        (3, long(2)), // 5: depth 3
+        (3, long(3)), // 6: depth 3
+        (5, long(3)), // 7: depth 4
+    ];
+    let mut signatures = vec![Signature::root(dims)];
+    for (parent, cell) in steps {
+        let signature = &signatures[parent as usize];
+        let candidate = candidate_of(signature, f, cell);
+        let record = WalRecord::Materialize {
+            signature: signature.to_bytes(),
+            candidate,
+        };
+        wal.append(&record).unwrap();
+        let slot = model.replay_materialize(parent, candidate as usize);
+        assert_eq!(slot as usize, signatures.len());
+        signatures.push(signature.specialize(cell.0, f, cell.1, cell.2));
+    }
+    // The middle levels go: 5 and 6 move to 1, then 4, 5 and 6 to the
+    // root, with 5 and 6 differing from it in three dimensions.
+    for slot in [3u32, 1] {
+        let signature = signatures[slot as usize].to_bytes();
+        wal.append(&WalRecord::Merge { signature }).unwrap();
+        model.replay_merge(slot);
+    }
+    let mut store = wal.into_store();
+    let (mut index, _) = recover_log(store.read_durable().unwrap(), config).unwrap();
+
+    let parents: Vec<_> = (index.snapshots().iter())
+        .map(|s| (s.id, s.parent))
+        .collect();
+    for (slot, parent) in [(5, Some(0)), (6, Some(0)), (7, Some(5)), (4, Some(0))] {
+        assert!(parents.contains(&(slot, parent)), "{parents:?}");
+    }
+    let differing = |a: &Signature, b: &Signature| {
+        (a.dim_signatures().iter().zip(b.dim_signatures()))
+            .filter(|(x, y)| x != y)
+            .count()
+    };
+    assert_eq!(differing(&signatures[0], &signatures[5]), 3);
+    assert_eq!(differing(&signatures[0], &signatures[6]), 3);
+    index.check_invariants().unwrap();
+    assert_same(&index, &model, "after the replayed merges");
+
+    for (id, rect) in (600u32..).zip(later) {
+        index.insert(ObjectId(id), rect.clone()).unwrap();
+        model.insert(ObjectId(id), rect.clone()).unwrap();
+    }
+    assert_state_identical(&index, &model, "after the later inserts");
+    let deep = (index.snapshots().iter())
+        .filter(|s| [5, 6, 7].contains(&s.id))
+        .map(|s| s.objects)
+        .sum::<usize>();
+    assert!(deep > 0, "test premise: inserts land in reparented clusters");
+
+    let everything = model.objects();
+    for k in 0..400 {
+        let q = random_grid_query(&mut rng, dims, 16);
+        let got = index.query(&q);
+        assert_same_answer(&got.matches, &got.metrics, &model.query(&q), &format!("query {k}"));
+        assert_eq!(sorted(got.matches), naive_matches(&everything, &q), "query {k}");
+    }
+}
+
 #[test]
 fn screen_skips_scans_without_changing_decisions() {
     let dims = 6;

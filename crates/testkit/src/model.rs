@@ -469,7 +469,7 @@ impl Model {
                 }
             }
             while let Some(ci) = self.best_candidate(slot, &costs, p_c, denom) {
-                self.materialize(slot, ci);
+                let _ = self.materialize(slot, ci);
                 report.splits += 1;
             }
         }
@@ -520,10 +520,25 @@ impl Model {
         }
     }
 
+    /// What replaying a logged materialization does: Fig. 3's step
+    /// outside a pass, counted as a split, with no epoch close. Returns
+    /// the child's slot.
+    pub fn replay_materialize(&mut self, slot: u32, ci: usize) -> u32 {
+        self.total_splits += 1;
+        self.materialize(slot, ci)
+    }
+
+    /// What replaying a logged merge does: Fig. 2's step outside a pass,
+    /// counted as a merge, with no epoch close.
+    pub fn replay_merge(&mut self, slot: u32) {
+        self.total_merges += 1;
+        self.merge(slot);
+    }
+
     /// Candidate `ci` of `slot` becomes a child cluster holding the
     /// members it accepts and inheriting its counters and its parent's
-    /// epoch.
-    fn materialize(&mut self, slot: u32, ci: usize) {
+    /// epoch. Returns the child's slot.
+    fn materialize(&mut self, slot: u32, ci: usize) -> u32 {
         let f = self.config.division_factor;
         let parent = self.cluster_mut(slot);
         let cand = &parent.candidates[ci];
@@ -553,6 +568,7 @@ impl Model {
             }
         };
         self.cluster_mut(slot).children.push(new_slot);
+        new_slot
     }
 
     /// Closes the statistics epoch: every counter folds into its
