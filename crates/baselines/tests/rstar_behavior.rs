@@ -322,3 +322,111 @@ fn bulk_load_produces_fewer_nodes_than_insertion() {
         dynamic.node_count()
     );
 }
+
+/// FNV-1a over the little-endian bytes of 64-bit words.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// Digest of `tree`'s answers to `queries`: every match in returned
+/// order, every `AccessStats` field and the priced time's bits.
+fn answer_digest(tree: &RStarTree, queries: &[SpatialQuery]) -> u64 {
+    let mut h = Fnv1a::new();
+    for q in queries {
+        let r = tree.execute(q);
+        h.word(r.matches.len() as u64);
+        for id in &r.matches {
+            h.word(u64::from(id.raw()));
+        }
+        let s = &r.metrics.stats;
+        for field in [
+            s.clusters_explored,
+            s.seeks,
+            s.transfer_bytes,
+            s.signature_checks,
+            s.objects_verified,
+            s.verified_bytes,
+        ] {
+            h.word(field);
+        }
+        h.word(r.metrics.priced_ms.to_bits());
+    }
+    h.0
+}
+
+/// Tree shape, answer order and access accounting are pinned: an
+/// insertion-built tree with small pages, the same tree after seeded
+/// removals, and a bulk-loaded tree, at 2 and 16 dimensions, each
+/// answering 200 seeded queries of all four kinds. A change to page
+/// layout or traversal that keeps every answer *set* but moves a split,
+/// the order of the matches or a counter fails here.
+#[test]
+fn tree_shape_and_accounting_are_pinned() {
+    // (dims, page size, objects, removals)
+    let setups = [(2usize, 256usize, 1500u32, 600usize), (16, 2048, 1500, 600)];
+    // Per setup: (node_count, height, digest) of the inserted, the
+    // removed-from and the bulk-loaded tree.
+    let pinned: [[(usize, usize, u64); 3]; 2] = [
+        [
+            (219, 4, 0x3229_f504_fe41_039a),
+            (165, 4, 0xd0b0_c5b4_9edc_b2ab),
+            (140, 4, 0x4309_dc01_0a7d_3c67),
+        ],
+        [
+            (151, 3, 0x4712_8551_8156_4584),
+            (113, 3, 0x66f5_7f60_869f_2390),
+            (147, 4, 0x3606_1fb1_661e_5022),
+        ],
+    ];
+    let mut got = Vec::new();
+    for (setup, &(dims, page_size, objects, removals)) in setups.iter().enumerate() {
+        let config = RStarConfig { page_size, ..RStarConfig::memory(dims) };
+        let mut rng = StdRng::seed_from_u64(0x5EED_0000 + dims as u64);
+        let mut items: Vec<(ObjectId, HyperRect)> =
+            (0..objects).map(|i| (ObjectId(i), random_rect(&mut rng, dims))).collect();
+        let queries: Vec<SpatialQuery> = (0..200)
+            .map(|k| match k % 4 {
+                0 => SpatialQuery::intersection(small_rect(&mut rng, dims, 0.3)),
+                1 => SpatialQuery::containment(small_rect(&mut rng, dims, 0.6)),
+                2 => SpatialQuery::enclosure(small_rect(&mut rng, dims, 0.02)),
+                _ => SpatialQuery::point_enclosing(
+                    (0..dims).map(|_| rng.gen_range(0.0..=1.0)).collect(),
+                ),
+            })
+            .collect();
+        let mut matched = 0;
+        let mut pin = |tree: &RStarTree| {
+            tree.check_invariants().unwrap();
+            matched += queries.iter().map(|q| tree.execute(q).matches.len()).sum::<usize>();
+            (tree.node_count(), tree.height(), answer_digest(tree, &queries))
+        };
+
+        let mut tree = RStarTree::new(config.clone());
+        for (id, r) in &items {
+            tree.insert(*id, r);
+        }
+        assert!(tree.height() >= 3, "{dims} d: small pages should force a deep tree");
+        let inserted = pin(&tree);
+        for _ in 0..removals {
+            let (id, r) = items.swap_remove(rng.gen_range(0..items.len()));
+            assert!(tree.remove(id, &r));
+        }
+        let removed = pin(&tree);
+        let bulk = pin(&RStarTree::bulk_load(config, &items));
+        assert!(matched > 0, "{dims} d: vacuous queries");
+        got.push([inserted, removed, bulk]);
+        println!("{dims} d: {:x?}", got[setup]);
+    }
+    assert_eq!(got, pinned);
+}
