@@ -15,8 +15,8 @@ mod split;
 
 use std::time::Instant;
 
-use acx_geom::scan::{scan_interleaved, ScanScratch};
-use acx_geom::{object_size_bytes, HyperRect, ObjectId, Scalar, SpatialQuery, OBJECT_ID_BYTES};
+use acx_geom::scan::{scan_columns_loaded, PairedColumns, QueryBounds, ScanScratch};
+use acx_geom::{object_size_bytes, HyperRect, ObjectId, Scalar, SpatialQuery};
 use acx_storage::{
     AccessStats, CostModel, DeviceProfile, QueryMetrics, QueryResult, StorageScenario,
 };
@@ -180,7 +180,7 @@ impl RStarTree {
             idx
         } else {
             self.nodes.push(Some(node));
-            (self.nodes.len() - 1) as u32
+            u32::try_from(self.nodes.len() - 1).expect("node indices fit in u32")
         }
     }
 
@@ -233,9 +233,8 @@ impl RStarTree {
                 } else {
                     tree.alloc(Node::new(level, dims, tree.max_entries + 1))
                 };
-                for k in 0..count {
-                    let mbb = mbbs[k * width..(k + 1) * width].to_vec();
-                    tree.node_mut(root).push(&mbb, ptrs[k]);
+                for (mbb, &ptr) in mbbs.chunks_exact(width).zip(&ptrs) {
+                    tree.node_mut(root).push(mbb, ptr);
                 }
                 tree.node_mut(root).level = level;
                 tree.root = root;
@@ -249,7 +248,7 @@ impl RStarTree {
                 for &k in &group {
                     node.push(&mbbs[k * width..(k + 1) * width], ptrs[k]);
                 }
-                next_mbbs.extend_from_slice(&node.mbb(width));
+                next_mbbs.extend_from_slice(&node.mbb());
                 next_ptrs.push(tree.alloc(node));
             }
             mbbs = next_mbbs;
@@ -306,12 +305,11 @@ impl RStarTree {
                 break;
             }
             let parent = path[depth - 1];
-            let width = self.width();
             let pos = self
                 .node(parent)
                 .position_of(n)
                 .expect("parent links child");
-            self.node_mut(parent).set_entry_mbb(pos, &old_mbb, width);
+            self.node_mut(parent).set_entry_mbb(pos, &old_mbb);
             self.node_mut(parent).push(&new_mbb, new_node);
             depth -= 1;
         }
@@ -326,10 +324,11 @@ impl RStarTree {
         while self.node(current).level > level {
             let node = self.node(current);
             let choosing_leaves = node.level == 1;
+            let rows = node.rows();
             let chosen = if choosing_leaves && level == 0 {
-                self.choose_by_overlap(node, mbb, width)
+                Self::choose_by_overlap(&rows, mbb, width)
             } else {
-                self.choose_by_area(node, mbb, width)
+                Self::choose_by_area(&rows, mbb, width)
             };
             current = node.ptrs[chosen];
             path.push(current);
@@ -337,16 +336,18 @@ impl RStarTree {
         path
     }
 
-    /// Leaf-level rule: minimum overlap enlargement, ties broken by
-    /// area enlargement then area. As in the original paper, only the
-    /// 32 entries with least area enlargement are examined when the node
-    /// is large.
-    fn choose_by_overlap(&self, node: &Node, mbb: &[Scalar], width: usize) -> usize {
-        let mut order: Vec<usize> = (0..node.len()).collect();
-        if node.len() > 32 {
+    /// Leaf-level rule of ChooseSubtree over a node's flat entry `rows`:
+    /// minimum overlap enlargement, ties broken by area enlargement then
+    /// area. As in the original paper, only the 32 entries with least area
+    /// enlargement are examined when the node is large.
+    fn choose_by_overlap(rows: &[Scalar], mbb: &[Scalar], width: usize) -> usize {
+        let count = rows.len() / width;
+        let entry = |k: usize| &rows[k * width..(k + 1) * width];
+        let mut order: Vec<usize> = (0..count).collect();
+        if count > 32 {
             order.sort_by(|&a, &b| {
-                enlargement(node.entry(a, width), mbb)
-                    .partial_cmp(&enlargement(node.entry(b, width), mbb))
+                enlargement(entry(a), mbb)
+                    .partial_cmp(&enlargement(entry(b), mbb))
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
             order.truncate(32);
@@ -354,23 +355,23 @@ impl RStarTree {
         let mut best = order[0];
         let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
         for &k in &order {
-            let entry = node.entry(k, width);
-            let mut enlarged = entry.to_vec();
+            let entry_k = entry(k);
+            let mut enlarged = entry_k.to_vec();
             union_into(&mut enlarged, mbb);
             let mut overlap_before = 0.0;
             let mut overlap_after = 0.0;
-            for other in 0..node.len() {
+            for other in 0..count {
                 if other == k {
                     continue;
                 }
-                let o = node.entry(other, width);
-                overlap_before += overlap(entry, o);
+                let o = entry(other);
+                overlap_before += overlap(entry_k, o);
                 overlap_after += overlap(&enlarged, o);
             }
             let key = (
                 overlap_after - overlap_before,
-                enlargement(entry, mbb),
-                node::area(entry),
+                enlargement(entry_k, mbb),
+                node::area(entry_k),
             );
             if key < best_key {
                 best_key = key;
@@ -380,13 +381,12 @@ impl RStarTree {
         best
     }
 
-    /// Internal-level rule: minimum area enlargement, ties broken by
-    /// area.
-    fn choose_by_area(&self, node: &Node, mbb: &[Scalar], width: usize) -> usize {
+    /// Internal-level rule of ChooseSubtree over a node's flat entry `rows`:
+    /// minimum area enlargement, ties broken by area.
+    fn choose_by_area(rows: &[Scalar], mbb: &[Scalar], width: usize) -> usize {
         let mut best = 0;
         let mut best_key = (f64::INFINITY, f64::INFINITY);
-        for k in 0..node.len() {
-            let entry = node.entry(k, width);
+        for (k, entry) in rows.chunks_exact(width).enumerate() {
             let key = (enlargement(entry, mbb), node::area(entry));
             if key < best_key {
                 best_key = key;
@@ -398,16 +398,15 @@ impl RStarTree {
 
     /// Recomputes ancestor entry MBBs along `path` (deepest last).
     fn update_path_mbbs(&mut self, path: &[u32]) {
-        let width = self.width();
         for w in (1..path.len()).rev() {
             let child = path[w];
             let parent = path[w - 1];
-            let child_mbb = self.node(child).mbb(width);
+            let child_mbb = self.node(child).mbb();
             let pos = self
                 .node(parent)
                 .position_of(child)
                 .expect("parent links child");
-            self.node_mut(parent).set_entry_mbb(pos, &child_mbb, width);
+            self.node_mut(parent).set_entry_mbb(pos, &child_mbb);
         }
     }
 
@@ -419,17 +418,18 @@ impl RStarTree {
         let (level, removed) = {
             let node = self.node_mut(n);
             let count = node.len();
-            let chosen = reinsert_selection(&node.mbbs, count, width / 2, p);
+            let rows = node.rows();
+            let chosen = reinsert_selection(&rows, count, width / 2, p);
             // Capture the entries in re-insertion ("closest first") order
             // before removal invalidates the indices.
             let removed: Vec<(Vec<Scalar>, u32)> = chosen
                 .iter()
-                .map(|&k| (node.entry(k, width).to_vec(), node.ptrs[k]))
+                .map(|&k| (rows[k * width..(k + 1) * width].to_vec(), node.ptrs[k]))
                 .collect();
             let mut by_desc = chosen;
             by_desc.sort_unstable_by(|a, b| b.cmp(a));
             for k in by_desc {
-                node.swap_remove(k, width);
+                node.swap_remove(k);
             }
             (node.level, removed)
         };
@@ -443,16 +443,15 @@ impl RStarTree {
     fn split_node(&mut self, n: u32) -> (Vec<Scalar>, Vec<Scalar>, u32) {
         let width = self.width();
         let dims = self.config.dims;
+        let capacity = self.max_entries + 1;
         let (level, mbbs, ptrs) = {
             let node = self.node_mut(n);
-            (
-                node.level,
-                std::mem::take(&mut node.mbbs),
-                std::mem::take(&mut node.ptrs),
-            )
+            let emptied = Node::new(node.level, dims, capacity);
+            let full = std::mem::replace(node, emptied);
+            (full.level, full.rows(), full.ptrs)
         };
         let plan = rstar_split(&mbbs, ptrs.len(), dims, self.min_entries);
-        let mut new_node = Node::new(level, dims, self.max_entries + 1);
+        let mut new_node = Node::new(level, dims, capacity);
         {
             let node = self.node_mut(n);
             for &k in &plan.group1 {
@@ -462,8 +461,8 @@ impl RStarTree {
         for &k in &plan.group2 {
             new_node.push(&mbbs[k * width..(k + 1) * width], ptrs[k]);
         }
-        let old_mbb = self.node(n).mbb(width);
-        let new_mbb = new_node.mbb(width);
+        let old_mbb = self.node(n).mbb();
+        let new_mbb = new_node.mbb();
         let new_idx = self.alloc(new_node);
         (old_mbb, new_mbb, new_idx)
     }
@@ -472,7 +471,6 @@ impl RStarTree {
     /// an entry was found and removed.
     pub fn remove(&mut self, id: ObjectId, rect: &HyperRect) -> bool {
         assert_eq!(rect.dims(), self.config.dims, "dimensionality mismatch");
-        let width = self.width();
         let target = rect.to_flat();
         // Find the leaf containing the entry (DFS over containing MBBs).
         let Some(path) = self.find_leaf(&target, id.raw()) else {
@@ -482,10 +480,10 @@ impl RStarTree {
         let pos = {
             let node = self.node(leaf);
             (0..node.len())
-                .find(|&k| node.ptrs[k] == id.raw() && node.entry(k, width) == &target[..])
+                .find(|&k| node.ptrs[k] == id.raw() && node.row(k).eq(target.iter().copied()))
                 .expect("find_leaf located the entry")
         };
-        self.node_mut(leaf).swap_remove(pos, width);
+        self.node_mut(leaf).swap_remove(pos);
         self.len -= 1;
         self.condense(path);
         true
@@ -499,14 +497,14 @@ impl RStarTree {
             let node = self.node(n);
             if node.is_leaf() {
                 for k in 0..node.len() {
-                    if node.ptrs[k] == id && node.entry(k, width) == target {
+                    if node.ptrs[k] == id && node.row(k).eq(target.iter().copied()) {
                         return Some(path);
                     }
                 }
                 continue;
             }
-            for k in 0..node.len() {
-                let e = node.entry(k, width);
+            let rows = node.rows();
+            for (k, e) in rows.chunks_exact(width).enumerate() {
                 let contains = (0..width)
                     .step_by(2)
                     .all(|d| e[d] <= target[d] && e[d + 1] >= target[d + 1]);
@@ -523,7 +521,6 @@ impl RStarTree {
     /// CondenseTree: dissolve underfull nodes along the path and reinsert
     /// their orphaned entries at the correct level.
     fn condense(&mut self, path: Vec<u32>) {
-        let width = self.width();
         let mut orphans: Vec<(u16, Vec<Scalar>, u32)> = Vec::new();
         for depth in (1..path.len()).rev() {
             let n = path[depth];
@@ -534,23 +531,19 @@ impl RStarTree {
                     .node(parent)
                     .position_of(n)
                     .expect("parent links child");
-                self.node_mut(parent).swap_remove(pos, width);
+                self.node_mut(parent).swap_remove(pos);
                 let node = self.nodes[n as usize].take().expect("node is live");
                 self.free.push(n);
-                for k in 0..node.ptrs.len() {
-                    orphans.push((
-                        node.level,
-                        node.mbbs[k * width..(k + 1) * width].to_vec(),
-                        node.ptrs[k],
-                    ));
+                for (k, &ptr) in node.ptrs.iter().enumerate() {
+                    orphans.push((node.level, node.row(k).collect(), ptr));
                 }
             } else {
-                let child_mbb = self.node(n).mbb(width);
+                let child_mbb = self.node(n).mbb();
                 let pos = self
                     .node(parent)
                     .position_of(n)
                     .expect("parent links child");
-                self.node_mut(parent).set_entry_mbb(pos, &child_mbb, width);
+                self.node_mut(parent).set_entry_mbb(pos, &child_mbb);
             }
         }
         // Reinsert orphans, deepest levels first so subtrees rejoin at
@@ -580,17 +573,18 @@ impl RStarTree {
 
     /// [`RStarTree::execute`] through a reusable kernel scratch.
     ///
-    /// Leaf entries are verified by the same columnar batch kernel as the
-    /// adaptive index and the sequential scan
-    /// ([`acx_geom::scan::scan_interleaved`]): each visited leaf page is
-    /// scanned one dimension at a time over a survivors mask, gathering
-    /// dimension tiles lazily from the row-major page — a block of
-    /// entries rejected in its first dimensions never pays for the
-    /// remaining ones, so the early-exit economics of the previous
-    /// per-entry loop are preserved. Match sets and access counters are
-    /// bit-identical to per-entry verification. Internal nodes keep the
-    /// scalar MBB pruning checks (those are signature checks, not object
-    /// verification).
+    /// Every visited page is scanned in place, one dimension at a time
+    /// over a survivors mask, by the member kernel the adaptive index and
+    /// the sequential scan verify with
+    /// ([`acx_geom::scan::scan_columns_loaded`]): a leaf's entries
+    /// against the query, an internal node's child boxes against the
+    /// pruning predicate (a child may hold a match iff its box
+    /// intersects the window, or encloses it for enclosure and
+    /// point-enclosing queries). Children are visited in the order the
+    /// per-entry loop visited them, and the counters are what it
+    /// charged: each child box is one signature check, and verified bytes
+    /// count the inspected dimensions of every leaf entry and child box,
+    /// up to the first failing one.
     ///
     /// # Panics
     ///
@@ -598,7 +592,6 @@ impl RStarTree {
     pub fn execute_with(&self, query: &SpatialQuery, scratch: &mut ScanScratch) -> QueryResult {
         assert_eq!(query.dims(), self.config.dims, "dimensionality mismatch");
         let started = Instant::now();
-        let width = self.width();
         // Node-pruning predicate: a subtree may contain a match iff its
         // MBB …intersects the window (intersection/containment queries)
         // or contains the window (enclosure/point queries).
@@ -609,6 +602,9 @@ impl RStarTree {
             SpatialQuery::Enclosure(w) => SpatialQuery::Enclosure(w.clone()),
             SpatialQuery::PointEnclosing(p) => SpatialQuery::PointEnclosing(p.clone()),
         };
+        let (mut leaf_bounds, mut prune_bounds) = (QueryBounds::new(), QueryBounds::new());
+        leaf_bounds.load(query);
+        prune_bounds.load(&prune_query);
         let mut stats = AccessStats::new();
         let mut matches = Vec::new();
         let mut stack = vec![self.root];
@@ -617,24 +613,18 @@ impl RStarTree {
             stats.clusters_explored += 1;
             stats.seeks += 1;
             stats.transfer_bytes += self.config.page_size as u64;
+            let entries = PairedColumns::of_equal_columns(&node.cols);
+            let entry_count = node.len() as u64;
             if node.is_leaf() {
-                let n = node.len();
-                let outcome = scan_interleaved(query, &node.mbbs[..n * width], scratch);
-                stats.objects_verified += n as u64;
+                let outcome = scan_columns_loaded(&leaf_bounds, &entries, scratch);
+                stats.objects_verified += entry_count;
                 stats.verified_bytes += outcome.verified_bytes();
-                for &k in scratch.matches() {
-                    matches.push(ObjectId(node.ptrs[k as usize]));
-                }
+                matches.extend(scratch.matches().iter().map(|&k| ObjectId(node.ptrs[k as usize])));
             } else {
-                for k in 0..node.len() {
-                    let outcome = prune_query.matches_flat(node.entry(k, width));
-                    stats.signature_checks += 1;
-                    stats.verified_bytes +=
-                        OBJECT_ID_BYTES as u64 + 8 * outcome.dims_checked as u64;
-                    if outcome.matched {
-                        stack.push(node.ptrs[k]);
-                    }
-                }
+                let outcome = scan_columns_loaded(&prune_bounds, &entries, scratch);
+                stats.signature_checks += entry_count;
+                stats.verified_bytes += outcome.verified_bytes();
+                stack.extend(scratch.matches().iter().map(|&k| node.ptrs[k as usize]));
             }
         }
         let priced_ms = self.model.price(&stats);
@@ -650,15 +640,24 @@ impl RStarTree {
 
     /// Verifies R*-tree structural invariants; used by tests.
     ///
-    /// Checks fill bounds, uniform leaf level, MBB coverage (every entry
-    /// MBB equals the union of its child's entries), and that the stored
-    /// object count matches the leaf entry count.
+    /// Checks that every node holds `2·dims` bound columns as long as its
+    /// pointer array, fill bounds, uniform leaf level, MBB coverage (every
+    /// entry MBB equals the union of its child's entries), and that the
+    /// stored object count matches the leaf entry count.
     pub fn check_invariants(&self) -> Result<(), String> {
         let width = self.width();
         let mut leaf_entries = 0usize;
         let mut stack = vec![self.root];
         while let Some(n) = stack.pop() {
             let node = self.node(n);
+            let lengths: Vec<usize> = node.cols.iter().map(Vec::len).collect();
+            if lengths.len() != width || lengths.iter().any(|&l| l != node.len()) {
+                return Err(format!(
+                    "node {n} has {} entries but bound columns of lengths {lengths:?} \
+                     (want {width} columns)",
+                    node.len()
+                ));
+            }
             if n != self.root && node.len() < self.min_entries {
                 return Err(format!(
                     "node {n} underfull: {} < {}",
@@ -690,8 +689,8 @@ impl RStarTree {
                         child_node.level, node.level
                     ));
                 }
-                let expected = child_node.mbb(width);
-                if node.entry(k, width) != &expected[..] {
+                let expected = child_node.mbb();
+                if !node.row(k).eq(expected) {
                     return Err(format!("node {n} entry {k} MBB does not match child union"));
                 }
                 stack.push(child);
@@ -704,5 +703,24 @@ impl RStarTree {
             ));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn check_invariants_catches_a_short_bound_column() {
+        let mut tree = RStarTree::new(RStarConfig::memory(2));
+        for i in 0..3 {
+            let lo = 0.1 * i as Scalar;
+            tree.insert(ObjectId(i), &HyperRect::from_bounds(&[lo, lo], &[lo + 0.1, lo + 0.1]).unwrap());
+        }
+        tree.check_invariants().unwrap();
+        let root = tree.root;
+        tree.node_mut(root).cols[3].pop();
+        let err = tree.check_invariants().unwrap_err();
+        assert!(err.contains("bound columns of lengths [3, 3, 3, 2]"), "{err}");
     }
 }

@@ -1,8 +1,15 @@
 //! R*-tree nodes and flat MBB arithmetic.
 //!
-//! Entries are stored as flat `[lo0, hi0, lo1, hi1, …]` minimum bounding
-//! boxes parallel to a pointer array, mirroring the paper's page layout
-//! (`2·Nd` 4-byte reals plus a 4-byte pointer per entry).
+//! A node page stores its entries' bounds as `2·dims` columns — the
+//! lower and the upper bound of each dimension — beside a pointer array,
+//! the layout the member kernel (`acx_geom::scan`) scans, so queries
+//! verify leaf entries and prune child boxes without a transpose. The
+//! paper's page accounting is per entry and does not depend on the
+//! layout: `2·Nd` 4-byte reals plus a 4-byte pointer
+//! ([`super::RStarConfig::entry_bytes`]), so fan-out
+//! ([`super::RStarConfig::max_entries`]) is unchanged. Insertion, the R*
+//! split and forced reinsertion work on flat `[lo0, hi0, lo1, hi1, …]`
+//! rows, read through [`Node::row`].
 
 use acx_geom::Scalar;
 
@@ -11,9 +18,11 @@ use acx_geom::Scalar;
 #[derive(Debug, Clone)]
 pub(crate) struct Node {
     pub level: u16,
-    /// Flat entry MBBs, `2·dims` scalars per entry.
-    pub mbbs: Vec<Scalar>,
-    /// Child node index (internal) or object id (leaf), parallel to `mbbs`.
+    /// Entry bounds, one column per bound: dimension `d`'s lower bounds
+    /// at `2·d`, its upper bounds at `2·d + 1`. Every column is as long
+    /// as `ptrs`.
+    pub cols: Vec<Vec<Scalar>>,
+    /// Child node index (internal) or object id (leaf), one per entry.
     pub ptrs: Vec<u32>,
 }
 
@@ -21,7 +30,7 @@ impl Node {
     pub fn new(level: u16, dims: usize, capacity: usize) -> Self {
         Self {
             level,
-            mbbs: Vec::with_capacity(capacity * 2 * dims),
+            cols: (0..2 * dims).map(|_| Vec::with_capacity(capacity)).collect(),
             ptrs: Vec::with_capacity(capacity),
         }
     }
@@ -36,28 +45,36 @@ impl Node {
         self.level == 0
     }
 
+    /// Entry `k`'s bounds as a flat row `[lo0, hi0, lo1, hi1, …]`.
     #[inline]
-    pub fn entry(&self, k: usize, width: usize) -> &[Scalar] {
-        &self.mbbs[k * width..(k + 1) * width]
+    pub fn row(&self, k: usize) -> impl Iterator<Item = Scalar> + '_ {
+        self.cols.iter().map(move |col| col[k])
+    }
+
+    /// Every entry's row, one after another: the flat input of the split,
+    /// the reinsert selection and ChooseSubtree.
+    pub fn rows(&self) -> Vec<Scalar> {
+        let mut flat = Vec::with_capacity(self.len() * self.cols.len());
+        for k in 0..self.len() {
+            flat.extend(self.row(k));
+        }
+        flat
     }
 
     pub fn push(&mut self, mbb: &[Scalar], ptr: u32) {
-        self.mbbs.extend_from_slice(mbb);
+        debug_assert_eq!(mbb.len(), self.cols.len());
+        for (col, &v) in self.cols.iter_mut().zip(mbb) {
+            col.push(v);
+        }
         self.ptrs.push(ptr);
     }
 
     /// Removes entry `k`, swapping in the last entry. Returns its pointer.
-    pub fn swap_remove(&mut self, k: usize, width: usize) -> u32 {
-        let ptr = self.ptrs.swap_remove(k);
-        let last = self.ptrs.len();
-        if k < last {
-            let (from, to) = (last * width, k * width);
-            for i in 0..width {
-                self.mbbs[to + i] = self.mbbs[from + i];
-            }
+    pub fn swap_remove(&mut self, k: usize) -> u32 {
+        for col in &mut self.cols {
+            col.swap_remove(k);
         }
-        self.mbbs.truncate(last * width);
-        ptr
+        self.ptrs.swap_remove(k)
     }
 
     /// Position of the entry pointing at `ptr`.
@@ -65,19 +82,23 @@ impl Node {
         self.ptrs.iter().position(|&p| p == ptr)
     }
 
-    /// The node's own MBB: the union of all entry MBBs.
-    pub fn mbb(&self, width: usize) -> Vec<Scalar> {
+    /// The node's own MBB: the union of all entry MBBs, as a flat row —
+    /// per column the first entry's bound, lowered (raised) by each later
+    /// entry in turn, as [`union_into`] does row by row.
+    pub fn mbb(&self) -> Vec<Scalar> {
         debug_assert!(!self.ptrs.is_empty());
-        let mut acc = self.mbbs[..width].to_vec();
-        for k in 1..self.len() {
-            union_into(&mut acc, self.entry(k, width));
-        }
-        acc
+        let lowest = |col: &[Scalar]| col[1..].iter().fold(col[0], |a, &v| if v < a { v } else { a });
+        let highest = |col: &[Scalar]| col[1..].iter().fold(col[0], |a, &v| if v > a { v } else { a });
+        let bound = |(c, col): (usize, &Vec<Scalar>)| if c % 2 == 0 { lowest(col) } else { highest(col) };
+        self.cols.iter().enumerate().map(bound).collect()
     }
 
     /// Replaces the MBB of entry `k`.
-    pub fn set_entry_mbb(&mut self, k: usize, mbb: &[Scalar], width: usize) {
-        self.mbbs[k * width..(k + 1) * width].copy_from_slice(mbb);
+    pub fn set_entry_mbb(&mut self, k: usize, mbb: &[Scalar]) {
+        debug_assert_eq!(mbb.len(), self.cols.len());
+        for (col, &v) in self.cols.iter_mut().zip(mbb) {
+            col[k] = v;
+        }
     }
 }
 
@@ -189,9 +210,11 @@ mod tests {
         n.push(&[0.3, 0.4, 0.3, 0.4], 2);
         n.push(&[0.5, 0.6, 0.5, 0.6], 3);
         assert_eq!(n.len(), 3);
-        assert_eq!(n.swap_remove(0, 4), 1);
+        assert_eq!(n.swap_remove(0), 1);
         assert_eq!(n.ptrs, vec![3, 2]);
-        assert_eq!(n.entry(0, 4), &[0.5, 0.6, 0.5, 0.6]);
+        assert!(n.cols.iter().all(|col| col.len() == 2));
+        assert_eq!(n.row(0).collect::<Vec<_>>(), [0.5, 0.6, 0.5, 0.6]);
+        assert_eq!(n.rows(), [0.5, 0.6, 0.5, 0.6, 0.3, 0.4, 0.3, 0.4]);
         assert_eq!(n.position_of(2), Some(1));
         assert_eq!(n.position_of(9), None);
     }
@@ -201,7 +224,7 @@ mod tests {
         let mut n = Node::new(0, 2, 4);
         n.push(&[0.1, 0.2, 0.5, 0.9], 1);
         n.push(&[0.0, 0.4, 0.6, 0.7], 2);
-        assert_eq!(n.mbb(4), vec![0.0, 0.4, 0.5, 0.9]);
+        assert_eq!(n.mbb(), vec![0.0, 0.4, 0.5, 0.9]);
     }
 
     #[test]

@@ -39,9 +39,16 @@ fn main() {
     let data = workload.generate_objects();
 
     eprintln!("building R*-tree …");
+    let started = std::time::Instant::now();
     let rs = build_rs(dims, &data);
+    let rs_build = started.elapsed();
     let ss = build_ss(dims, &data);
-    eprintln!("R*-tree: {} nodes, height {}", rs.node_count(), rs.height());
+    eprintln!(
+        "R*-tree: {} nodes, height {}, built by insertion in {:.3} s",
+        rs.node_count(),
+        rs.height(),
+        rs_build.as_secs_f64()
+    );
 
     let mut rows_mem: Vec<(f64, MethodReport, MethodReport, MethodReport)> = Vec::new();
     let mut rows_disk: Vec<(f64, MethodReport)> = Vec::new();

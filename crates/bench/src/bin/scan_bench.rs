@@ -34,6 +34,10 @@
 //!   `insert` pair: §3.5's descent of the cluster tree, which tests
 //!   each child of an accepting cluster on its child-table row.
 //!
+//! `BENCH_reorg.json`'s timed rows carry the quartiles of their samples
+//! beside each median: on a shared host one run's median drifts by more
+//! than a regression, so commits are compared in alternating pairs.
+//!
 //! The index and the pass make the paper's decisions by the equivalence
 //! suites, which compare them with the test crate's model of the paper;
 //! this binary only times them. Every file it writes is stamped with
@@ -389,8 +393,35 @@ fn recorded_execute(objects: usize, repeats: usize) -> RecordedRow {
     }
 }
 
+/// The quartiles of a row's measured samples: one run's median alone
+/// cannot tell a regression from the host's drift.
+#[derive(Clone, Copy)]
+struct Spread {
+    p25: f64,
+    p50: f64,
+    p75: f64,
+}
+
+impl Spread {
+    /// Nearest-rank quartiles of `samples` (at least one).
+    fn of(mut samples: Vec<f64>) -> Self {
+        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        let at = |quarters: usize| samples[samples.len() * quarters / 4];
+        Self { p25: at(1), p50: at(2), p75: at(3) }
+    }
+
+    /// The spread as JSON fields `"<name>_ns"`, `"<name>_p25_ns"` and
+    /// `"<name>_p75_ns"`.
+    fn json(&self, name: &str) -> String {
+        format!(
+            "\"{name}_ns\": {:.0}, \"{name}_p25_ns\": {:.0}, \"{name}_p75_ns\": {:.0}",
+            self.p50, self.p25, self.p75
+        )
+    }
+}
+
 struct ReorgRow {
-    pass_ns: f64,
+    pass: Spread,
     clusters: usize,
     evaluated: u64,
     scans: u64,
@@ -403,10 +434,10 @@ struct ReorgRow {
 /// The write path's descent on an adapted index.
 struct DescentRow {
     clusters: usize,
-    /// Median nanoseconds per `insert` of a new object.
-    insert_ns: f64,
-    /// Median nanoseconds per `remove` + `insert` of the same object.
-    remove_insert_ns: f64,
+    /// Nanoseconds per `insert` of a new object.
+    insert: Spread,
+    /// Nanoseconds per `remove` + `insert` of the same object.
+    remove_insert: Spread,
 }
 
 /// Objects each round of [`insert_descent`] inserts.
@@ -415,7 +446,7 @@ const DESCENT_OBJECTS: usize = 1_000;
 /// Times §3.5's insert on `index`: per round, [`DESCENT_OBJECTS`] of
 /// `rects` are inserted under fresh ids, then each is removed and
 /// inserted again, then (untimed) removed, so every round starts from
-/// the same members. Medians over `repeats` rounds, after one warm-up
+/// the same members. Quartiles over `repeats` rounds, after one warm-up
 /// round.
 fn insert_descent(
     index: &mut AdaptiveClusterIndex,
@@ -446,21 +477,17 @@ fn insert_descent(
             pairs.push(paired / rects.len() as f64);
         }
     }
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        v[v.len() / 2]
-    };
     let row = DescentRow {
         clusters: index.cluster_count(),
-        insert_ns: median(inserts),
-        remove_insert_ns: median(pairs),
+        insert: Spread::of(inserts),
+        remove_insert: Spread::of(pairs),
     };
     println!(
         "descent d={} ({} clusters): {:>8.0} ns/insert  {:>8.0} ns/remove+insert",
         index.dims(),
         row.clusters,
-        row.insert_ns,
-        row.remove_insert_ns
+        row.insert.p50,
+        row.remove_insert.p50
     );
     row
 }
@@ -516,12 +543,11 @@ fn reorg_matrix(objects: usize, repeats: usize) -> ReorgRow {
             counters[2] += profile.screened_out;
         }
     }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     let passes = samples.len() as u64;
     let profile = index.last_reorg_profile();
     let descent = insert_descent(&mut index, &data, repeats);
     let row = ReorgRow {
-        pass_ns: samples[samples.len() / 2],
+        pass: Spread::of(samples),
         clusters: index.cluster_count(),
         evaluated: counters[0] / passes,
         scans: counters[1] / passes,
@@ -532,14 +558,14 @@ fn reorg_matrix(objects: usize, repeats: usize) -> ReorgRow {
     };
     println!(
         "reorg   d={dims} n={objects}: {:>10.0} ns/pass  ({} clusters; per pass: {} evaluated, {} scans, {} screened; arena {} live bytes, {} compactions)",
-        row.pass_ns, row.clusters, row.evaluated, row.scans, row.screened, row.arena_live_bytes, row.compactions,
+        row.pass.p50, row.clusters, row.evaluated, row.scans, row.screened, row.arena_live_bytes, row.compactions,
     );
     row
 }
 
 struct MovingRow {
-    /// Median nanoseconds of a pass that moved members.
-    pass_ns: f64,
+    /// Nanoseconds of a pass that moved members.
+    pass: Spread,
     /// Measured passes that moved members.
     passes: u64,
     splits: u64,
@@ -628,10 +654,9 @@ fn moving_pass(repeats: usize) -> MovingRow {
     let total_ns: f64 = samples.iter().sum();
     let total_moved: u64 = moved.iter().map(|m| m.0).sum();
     let passes = samples.len() as u64;
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     let descent = insert_descent(&mut index, &data, repeats);
     let row = MovingRow {
-        pass_ns: samples[samples.len() / 2],
+        pass: Spread::of(samples),
         passes,
         splits: moved.iter().map(|m| m.1).sum(),
         merges: moved.iter().map(|m| m.2).sum(),
@@ -641,7 +666,7 @@ fn moving_pass(repeats: usize) -> MovingRow {
     };
     println!(
         "moving  d={dims} n={objects}: {:>10.0} ns/pass  ({} moving passes, {} splits, {} merges; {:.1} moved/pass, {:.1} ns/moved member)",
-        row.pass_ns, row.passes, row.splits, row.merges, row.moved_per_pass, row.ns_per_moved
+        row.pass.p50, row.passes, row.splits, row.merges, row.moved_per_pass, row.ns_per_moved
     );
     row
 }
@@ -862,13 +887,19 @@ fn main() {
     let mut json = String::from("{\n  \"bench\": \"reorganize\",\n");
     let _ = writeln!(json, "{provenance}");
     let _ = writeln!(json, "  \"quick\": {quick},");
+    json.push_str(
+        "  \"measures\": \"per row, the median and the quartiles (p25, p75) of one run's samples. \
+         One run's median cannot tell a regression from host drift: ten consecutive runs of one \
+         commit on a 2-vCPU x86-64 host read per-period passes of 102-226 us. \
+         Compare commits with alternating parent/change pairs, not against this file.\",\n",
+    );
     let _ = writeln!(json, "  \"dims\": 16,");
     let _ = writeln!(json, "  \"objects\": {index_objects},");
     let _ = writeln!(json, "  \"reorg_period\": 100,");
     let _ = writeln!(
         json,
-        "  \"per_period_pass\": {{\"pass_ns\": {:.0}, \"clusters\": {}, \"evaluated\": {}, \"candidate_scans\": {}, \"screened_out\": {}, \"arena_live_bytes\": {}, \"compactions\": {}}},",
-        reorg.pass_ns,
+        "  \"per_period_pass\": {{{}, \"clusters\": {}, \"evaluated\": {}, \"candidate_scans\": {}, \"screened_out\": {}, \"arena_live_bytes\": {}, \"compactions\": {}}},",
+        reorg.pass.json("pass"),
         reorg.clusters,
         reorg.evaluated,
         reorg.scans,
@@ -884,12 +915,12 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"pass_ns\": {:.0}, \"moving_passes\": {}, \"splits\": {}, \"merges\": {}, \"objects_moved_per_pass\": {:.1}, \"ns_per_moved_member\": {:.1}}},",
-        moving.pass_ns, moving.passes, moving.splits, moving.merges, moving.moved_per_pass, moving.ns_per_moved
+        "    {}, \"moving_passes\": {}, \"splits\": {}, \"merges\": {}, \"objects_moved_per_pass\": {:.1}, \"ns_per_moved_member\": {:.1}}},",
+        moving.pass.json("pass"), moving.passes, moving.splits, moving.merges, moving.moved_per_pass, moving.ns_per_moved
     );
     let _ = writeln!(
         json,
-        "  \"insert_descent\": {{\"objects_per_round\": {DESCENT_OBJECTS}, \"measures\": \"median ns per insert of a new object, and per remove + insert of the same object, on each pass row's index after its passes\","
+        "  \"insert_descent\": {{\"objects_per_round\": {DESCENT_OBJECTS}, \"measures\": \"ns per insert of a new object, and per remove + insert of the same object, on each pass row's index after its passes: median and quartiles over the rounds\","
     );
     for (name, row, end) in [
         ("per_period_pass", &reorg.descent, ","),
@@ -897,8 +928,10 @@ fn main() {
     ] {
         let _ = writeln!(
             json,
-            "    \"{name}\": {{\"clusters\": {}, \"insert_ns\": {:.0}, \"remove_insert_ns\": {:.0}}}{end}",
-            row.clusters, row.insert_ns, row.remove_insert_ns
+            "    \"{name}\": {{\"clusters\": {}, {}, {}}}{end}",
+            row.clusters,
+            row.insert.json("insert"),
+            row.remove_insert.json("remove_insert")
         );
     }
     std::fs::write(&reorg_out, &json).expect("write reorganization snapshot");

@@ -36,17 +36,14 @@
 //! most once, cuts its lanes from the columns by checked slicing and
 //! takes the masked word that handles any lane count.
 //!
-//! Two entry points sharing one block loop:
-//!
-//! * [`scan_columns`] — member verification over [`PairedColumns`]
-//!   (the adaptive index's segments, the sequential-scan baseline).
-//! * [`scan_interleaved`] — the same kernel over row-major input
-//!   (R*-tree leaf pages), gathering one block-sized tile per
-//!   (block, dimension) lazily.
-//!
-//! A caller that runs many kernel calls for one query (an index
-//! exploring hundreds of clusters) loads the query's [`QueryBounds`]
-//! once and uses the `*_loaded` entry points.
+//! One input layout and one entry point: [`scan_columns`] verifies the
+//! objects of a [`PairedColumns`] view. Every access method stores what
+//! it verifies in that layout — the adaptive index's segments, the
+//! sequential-scan baseline and the R*-tree's pages (leaf entries and
+//! internal nodes' child boxes alike). A caller that runs many kernel
+//! calls for one query (an index exploring hundreds of clusters, a tree
+//! visiting hundreds of pages) loads the query's [`QueryBounds`] once and
+//! calls [`scan_columns_loaded`].
 //!
 //! ## Metrics are bit-identical to the scalar path
 //!
@@ -84,9 +81,9 @@ use crate::{Scalar, SpatialQuery, OBJECT_ID_BYTES};
 pub const BLOCK: usize = 64;
 
 /// Borrowed view over paired columns stored as `[lo0, hi0, lo1, hi1, …]`
-/// — the layout of `acx_storage::SegmentStore`'s segments and of the
-/// sequential-scan baseline. Supports sub-ranges: a view may cover any
-/// window of the objects.
+/// — the layout of `acx_storage::SegmentStore`'s segments, of the
+/// sequential-scan baseline and of the R*-tree's pages. Supports
+/// sub-ranges: a view may cover any window of the objects.
 #[derive(Debug, Clone, Copy)]
 pub struct PairedColumns<'a> {
     cols: &'a [Vec<Scalar>],
@@ -176,26 +173,20 @@ impl ScanOutcome {
     }
 }
 
-/// Reusable scan state: the match index buffer, the query bounds of the
-/// entry points that load them per call, the column table of a
-/// dimension-major scan, and gather tiles for interleaved inputs.
+/// Reusable scan state: the match index buffer, the query bounds
+/// [`scan_columns`] loads per call, and the column table of a scan.
 /// Allocations grow to the largest match set and dimensionality and are
 /// then reused, so a warmed-up scratch performs no allocation per scan.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
     /// Indices (ascending) of the objects that matched the last scan.
     matches: Vec<u32>,
-    /// Bounds of the query last passed to [`scan_columns`] or
-    /// [`scan_interleaved`].
+    /// Bounds of the query last passed to [`scan_columns`].
     bounds: QueryBounds,
     /// Each dimension's `x` and `y` columns, resolved by
-    /// [`resolve_columns`] at the start of a dimension-major scan that
-    /// holds a full block.
+    /// [`resolve_columns`] at the start of a scan that holds a full
+    /// block.
     columns: Vec<ColumnPair>,
-    /// Per-block gather tiles ([`BLOCK`] scalars each) for interleaved
-    /// inputs: the `x` and `y` sides of the tiers' comparison.
-    tile_x: Vec<Scalar>,
-    tile_y: Vec<Scalar>,
 }
 
 impl ScanScratch {
@@ -309,6 +300,8 @@ mod x86 {
             _mm256_cmp_ps::<_CMP_LE_OQ>(xv, t1v),
             _mm256_cmp_ps::<_CMP_GE_OQ>(yv, t2v),
         );
+        // Exact: `movmskps` sets only the low 8 bits (one per lane), so
+        // the mask is a non-negative `i32` below 256.
         _mm256_movemask_ps(pass) as u32 as u64
     }
 
@@ -478,24 +471,6 @@ impl QueryBounds {
     }
 }
 
-/// Where the block loop reads a (block, dimension) pair's lanes from.
-trait Lanes {
-    /// Number of objects.
-    fn len(&self) -> usize;
-
-    /// The `x` and `y` sides of dimension `d` for the full block of
-    /// objects `start..start + BLOCK`.
-    ///
-    /// # Safety
-    ///
-    /// `start + BLOCK ≤ self.len()`.
-    unsafe fn full(&mut self, start: usize, d: usize) -> (&[Scalar; BLOCK], &[Scalar; BLOCK]);
-
-    /// The `x` and `y` sides of dimension `d` for the partial block of
-    /// objects `start..start + len`, each cut to exactly `len` lanes.
-    fn partial(&mut self, start: usize, len: usize, d: usize) -> (&[Scalar], &[Scalar]);
-}
-
 /// One dimension's `x` and `y` columns, each pointing at the view's
 /// first object: what a dimension-major scan reads a word from, resolved
 /// once per scan by [`resolve_columns`].
@@ -542,12 +517,12 @@ fn resolve_columns(
     assert!(covered, "every column must cover the view's {end} objects");
 }
 
-/// Dimension-major input: the lanes are read in place. Full blocks read
-/// through the column table [`resolve_columns`] built at the start of
-/// the scan; the partial last block, which reaches each dimension at
-/// most once, slices its lanes from the columns with checks. Built and
-/// dropped inside one `columns_on` call, which borrows the columns
-/// throughout.
+/// Where the block loop reads a (block, dimension) pair's lanes from:
+/// in place, from the columns. Full blocks read through the column table
+/// [`resolve_columns`] built at the start of the scan; the partial last
+/// block, which reaches each dimension at most once, slices its lanes
+/// from the columns with checks. Built and dropped inside one
+/// `columns_on` call, which borrows the columns throughout.
 struct ColumnLanes<'a, 'c> {
     cols: PairedColumns<'c>,
     /// [`Relation::x_is_hi`].
@@ -558,14 +533,21 @@ struct ColumnLanes<'a, 'c> {
     pairs: &'a [ColumnPair],
 }
 
-impl Lanes for ColumnLanes<'_, '_> {
+impl ColumnLanes<'_, '_> {
+    /// Number of objects.
     #[inline(always)]
     fn len(&self) -> usize {
         self.cols.len
     }
 
+    /// The `x` and `y` sides of dimension `d` for the full block of
+    /// objects `start..start + BLOCK`.
+    ///
+    /// # Safety
+    ///
+    /// `start + BLOCK ≤ self.len()`.
     #[inline(always)]
-    unsafe fn full(&mut self, start: usize, d: usize) -> (&[Scalar; BLOCK], &[Scalar; BLOCK]) {
+    unsafe fn full(&self, start: usize, d: usize) -> (&[Scalar; BLOCK], &[Scalar; BLOCK]) {
         let ColumnPair { x, y } = self.pairs[d];
         // SAFETY: the caller keeps `start + BLOCK ≤ self.len()`, so the
         // view holds a full block and `columns_on` had `resolve_columns`
@@ -577,56 +559,13 @@ impl Lanes for ColumnLanes<'_, '_> {
         }
     }
 
+    /// The `x` and `y` sides of dimension `d` for the partial block of
+    /// objects `start..start + len`, each cut to exactly `len` lanes.
     #[inline(always)]
-    fn partial(&mut self, start: usize, len: usize, d: usize) -> (&[Scalar], &[Scalar]) {
+    fn partial(&self, start: usize, len: usize, d: usize) -> (&[Scalar], &[Scalar]) {
         let (x, y) = if self.x_is_hi { (2 * d + 1, 2 * d) } else { (2 * d, 2 * d + 1) };
         let lanes = self.cols.start + start..self.cols.start + start + len;
         (&self.cols.cols[x][lanes.clone()], &self.cols.cols[y][lanes])
-    }
-}
-
-/// Row-major input: one dimension of the block's rows is gathered into
-/// the scratch tiles first.
-struct RowLanes<'a> {
-    flat: &'a [Scalar],
-    /// Scalars per row (`2·dims`).
-    width: usize,
-    x_is_hi: bool,
-    tile_x: &'a mut [Scalar; BLOCK],
-    tile_y: &'a mut [Scalar; BLOCK],
-}
-
-impl RowLanes<'_> {
-    /// Gathers dimension `d` of rows `start..start + len` into the first
-    /// `len` lanes of the tiles.
-    #[inline(always)]
-    fn gather(&mut self, start: usize, len: usize, d: usize) {
-        let (x_at, y_at) = if self.x_is_hi { (2 * d + 1, 2 * d) } else { (2 * d, 2 * d + 1) };
-        let rows = &self.flat[start * self.width..(start + len) * self.width];
-        let tiles = self.tile_x.iter_mut().zip(self.tile_y.iter_mut());
-        for ((tx, ty), row) in tiles.zip(rows.chunks_exact(self.width)) {
-            *tx = row[x_at];
-            *ty = row[y_at];
-        }
-    }
-}
-
-impl Lanes for RowLanes<'_> {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        self.flat.len() / self.width
-    }
-
-    #[inline(always)]
-    unsafe fn full(&mut self, start: usize, d: usize) -> (&[Scalar; BLOCK], &[Scalar; BLOCK]) {
-        self.gather(start, BLOCK, d);
-        (self.tile_x, self.tile_y)
-    }
-
-    #[inline(always)]
-    fn partial(&mut self, start: usize, len: usize, d: usize) -> (&[Scalar], &[Scalar]) {
-        self.gather(start, len, d);
-        (&self.tile_x[..len], &self.tile_y[..len])
     }
 }
 
@@ -641,8 +580,8 @@ impl Lanes for RowLanes<'_> {
 /// The CPU must support `C`'s instruction set, `start + len ≤
 /// lanes.len()`, and `len == BLOCK` exactly when `FULL`.
 #[inline(always)]
-unsafe fn survivors<const FULL: bool, C: Compare, L: Lanes>(
-    lanes: &mut L,
+unsafe fn survivors<const FULL: bool, C: Compare>(
+    lanes: &ColumnLanes<'_, '_>,
     start: usize,
     len: usize,
     t1s: &[Scalar],
@@ -674,6 +613,8 @@ unsafe fn survivors<const FULL: bool, C: Compare, L: Lanes>(
 #[inline(always)]
 fn push_matches(matches: &mut Vec<u32>, start: usize, mut word: u64) {
     while word != 0 {
+        // Exact: the object's number is below the view's length, which
+        // `scan_blocks` asserted fits in a `u32`.
         matches.push((start + word.trailing_zeros() as usize) as u32);
         word &= word - 1;
     }
@@ -684,17 +625,22 @@ fn push_matches(matches: &mut Vec<u32>, start: usize, mut word: u64) {
 /// popcount and a block with no survivors skips its remaining
 /// dimensions.
 ///
+/// # Panics
+///
+/// Panics if the view holds more objects than a `u32` numbers.
+///
 /// # Safety
 ///
 /// The CPU must support `C`'s instruction set.
 #[inline(always)]
-unsafe fn scan_blocks<C: Compare, L: Lanes>(
-    lanes: &mut L,
+unsafe fn scan_blocks<C: Compare>(
+    lanes: &ColumnLanes<'_, '_>,
     t1s: &[Scalar],
     t2s: &[Scalar],
     matches: &mut Vec<u32>,
 ) -> ScanOutcome {
     let n = lanes.len();
+    assert!(u32::try_from(n).is_ok(), "a scan numbers its {n} objects in u32");
     let full_end = n - n % BLOCK;
     matches.clear();
     let mut dims_checked = 0u64;
@@ -702,7 +648,7 @@ unsafe fn scan_blocks<C: Compare, L: Lanes>(
         // SAFETY: `start + BLOCK ≤ full_end ≤ n`; the caller vouches for
         // the tier.
         let word = unsafe {
-            survivors::<true, C, L>(lanes, start, BLOCK, t1s, t2s, &mut dims_checked)
+            survivors::<true, C>(lanes, start, BLOCK, t1s, t2s, &mut dims_checked)
         };
         push_matches(matches, start, word);
     }
@@ -710,7 +656,7 @@ unsafe fn scan_blocks<C: Compare, L: Lanes>(
         // SAFETY: the partial block is `full_end..n`, `n - full_end <
         // BLOCK`; the caller vouches for the tier.
         let word = unsafe {
-            survivors::<false, C, L>(lanes, full_end, n - full_end, t1s, t2s, &mut dims_checked)
+            survivors::<false, C>(lanes, full_end, n - full_end, t1s, t2s, &mut dims_checked)
         };
         push_matches(matches, full_end, word);
     }
@@ -729,40 +675,14 @@ unsafe fn scan_blocks<C: Compare, L: Lanes>(
 /// The CPU must support AVX2 and `popcnt`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,popcnt")]
-unsafe fn scan_avx2<L: Lanes>(
-    lanes: &mut L,
+unsafe fn scan_avx2(
+    lanes: &ColumnLanes<'_, '_>,
     t1s: &[Scalar],
     t2s: &[Scalar],
     matches: &mut Vec<u32>,
 ) -> ScanOutcome {
     // SAFETY: the caller vouches for the CPU.
-    unsafe { scan_blocks::<x86::Avx2, L>(lanes, t1s, t2s, matches) }
-}
-
-/// Runs one whole scan on `tier` — the only dispatch of a scan.
-///
-/// # Safety
-///
-/// `tier` must be [`Tier::Portable`] or [`Tier::best`].
-unsafe fn scan_on<L: Lanes>(
-    tier: Tier,
-    bounds: &QueryBounds,
-    lanes: &mut L,
-    matches: &mut Vec<u32>,
-) -> ScanOutcome {
-    let (t1s, t2s) = if bounds.rel.t1_is_a() {
-        (&bounds.qa[..], &bounds.qb[..])
-    } else {
-        (&bounds.qb[..], &bounds.qa[..])
-    };
-    // SAFETY: the caller vouches that the CPU supports `tier`.
-    unsafe {
-        match tier {
-            Tier::Portable => scan_blocks::<Portable, L>(lanes, t1s, t2s, matches),
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => scan_avx2(lanes, t1s, t2s, matches),
-        }
-    }
+    unsafe { scan_blocks::<x86::Avx2>(lanes, t1s, t2s, matches) }
 }
 
 /// Scans a dimension-major column set against the query, leaving the
@@ -789,7 +709,7 @@ pub fn scan_columns(
     cols: &PairedColumns<'_>,
     scratch: &mut ScanScratch,
 ) -> ScanOutcome {
-    let ScanScratch { matches, bounds, columns, .. } = scratch;
+    let ScanScratch { matches, bounds, columns } = scratch;
     bounds.load(query);
     // SAFETY: `Tier::best` names AVX2 only after detecting it and `popcnt`.
     unsafe { columns_on(Tier::best(), bounds, cols, columns, matches) }
@@ -808,7 +728,8 @@ pub fn scan_columns_loaded(
 }
 
 /// Resolves the view's columns once if it holds a full block
-/// ([`resolve_columns`]: the length check), and scans them on `tier`.
+/// ([`resolve_columns`]: the length check), and scans them on `tier` —
+/// the only dispatch of a scan.
 ///
 /// # Safety
 ///
@@ -826,51 +747,20 @@ unsafe fn columns_on(
     } else {
         columns.clear();
     }
-    let mut lanes = ColumnLanes { cols: *cols, x_is_hi, pairs: columns };
-    // SAFETY: the caller vouches for the tier.
-    unsafe { scan_on(tier, bounds, &mut lanes, matches) }
-}
-
-/// Scans objects stored as interleaved flat `[lo0, hi0, lo1, hi1, …]`
-/// coordinates — used by access methods whose native layout is
-/// row-major (R*-tree leaf pages).
-///
-/// Columns are gathered **lazily**, one [`BLOCK`]-sized tile per
-/// (block, dimension), only while the block still has survivors: a
-/// block rejected in its first dimensions never pays the gather for the
-/// remaining ones, preserving the early-exit economics the scalar
-/// per-entry loop had on row-major data. Accounting is bit-identical to
-/// [`scan_columns`] and to per-object [`SpatialQuery::matches_flat`].
-pub fn scan_interleaved(
-    query: &SpatialQuery,
-    flat: &[Scalar],
-    scratch: &mut ScanScratch,
-) -> ScanOutcome {
-    // SAFETY: `Tier::best` names AVX2 only after detecting it and `popcnt`.
-    unsafe { interleaved_on(Tier::best(), query, flat, scratch) }
-}
-
-/// # Safety
-///
-/// `tier` must be [`Tier::Portable`] or [`Tier::best`].
-unsafe fn interleaved_on(
-    tier: Tier,
-    query: &SpatialQuery,
-    flat: &[Scalar],
-    scratch: &mut ScanScratch,
-) -> ScanOutcome {
-    let width = 2 * query.dims();
-    assert!(width > 0 && flat.len().is_multiple_of(width), "coordinate arity mismatch");
-    let ScanScratch { matches, bounds, tile_x, tile_y, .. } = scratch;
-    bounds.load(query);
-    tile_x.resize(BLOCK, 0.0);
-    tile_y.resize(BLOCK, 0.0);
-    let x_is_hi = bounds.rel.x_is_hi();
-    let tile_x = (&mut tile_x[..]).try_into().expect("a tile holds one block");
-    let tile_y = (&mut tile_y[..]).try_into().expect("a tile holds one block");
-    let mut lanes = RowLanes { flat, width, x_is_hi, tile_x, tile_y };
-    // SAFETY: the caller vouches for the tier.
-    unsafe { scan_on(tier, bounds, &mut lanes, matches) }
+    let lanes = ColumnLanes { cols: *cols, x_is_hi, pairs: columns };
+    let (t1s, t2s) = if bounds.rel.t1_is_a() {
+        (&bounds.qa[..], &bounds.qb[..])
+    } else {
+        (&bounds.qb[..], &bounds.qa[..])
+    };
+    // SAFETY: the caller vouches that the CPU supports `tier`.
+    unsafe {
+        match tier {
+            Tier::Portable => scan_blocks::<Portable>(&lanes, t1s, t2s, matches),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => scan_avx2(&lanes, t1s, t2s, matches),
+        }
+    }
 }
 
 /// Whether the CPU supports AVX2 (detected once, cached) — the runtime
@@ -933,7 +823,7 @@ mod tests {
         view: &PairedColumns<'_>,
         scratch: &mut ScanScratch,
     ) -> ScanOutcome {
-        let ScanScratch { matches, bounds, columns, .. } = scratch;
+        let ScanScratch { matches, bounds, columns } = scratch;
         bounds.load(query);
         // SAFETY: `tiers()` yields only `Tier::Portable` and `Tier::best()`.
         unsafe { columns_on(tier, bounds, view, columns, matches) }
@@ -948,10 +838,6 @@ mod tests {
         assert_eq!(got.dims_checked, want_checked, "dims_checked diverged");
         assert_eq!(got.matched, want_matches.len());
         assert_eq!(got.objects, flat.len() / (2 * dims));
-
-        let via_rows = scan_interleaved(query, flat, &mut scratch);
-        assert_eq!(via_rows, got, "interleaved adapter diverged");
-        assert_eq!(scratch.matches(), &want_matches[..]);
     }
 
     #[test]
@@ -1077,7 +963,7 @@ mod tests {
 
     /// Every tier the CPU reports computes what per-object
     /// `matches_flat` computes — matches, their order and `dims_checked`
-    /// — through both entry points, at every block-boundary size and
+    /// — at every block-boundary size and
     /// with query bounds that coincide with object edges (all
     /// coordinates sit on a 1/8 grid); and so does a sub-view of the same
     /// objects at an unaligned or block-aligned offset into padded
@@ -1155,11 +1041,6 @@ mod tests {
                             assert_eq!(got, want, "{at}, {query:?}");
                             assert_eq!(scratch.matches(), &want_matches[..], "{at}");
                         }
-                        // SAFETY: `tiers()` yields only `Tier::Portable`
-                        // and `Tier::best()`.
-                        let got = unsafe { interleaved_on(tier, query, &flat, &mut scratch) };
-                        assert_eq!(got, want, "{tier:?} rows, {dims} dims, n = {n}, {query:?}");
-                        assert_eq!(scratch.matches(), &want_matches[..], "{tier:?} rows");
                     }
                 }
             }
@@ -1257,10 +1138,6 @@ mod proptests {
             prop_assert_eq!(scratch.matches(), &want_matches[..]);
             prop_assert_eq!(got.dims_checked, want_checked);
             prop_assert_eq!(got.matched, want_matches.len());
-
-            let via_rows = scan_interleaved(&query, &flat, &mut scratch);
-            prop_assert_eq!(via_rows, got);
-            prop_assert_eq!(scratch.matches(), &want_matches[..]);
         }
 
         /// Storage order is no input of a scan: on every tier, any
@@ -1317,7 +1194,7 @@ mod proptests {
                 for order in [&stored, &order] {
                     let cols = columns_in(order);
                     let mut scratch = ScanScratch::new();
-                    let ScanScratch { matches, bounds, columns, .. } = &mut scratch;
+                    let ScanScratch { matches, bounds, columns } = &mut scratch;
                     bounds.load(&query);
                     // SAFETY: `tier` is `Tier::Portable` or `Tier::best()`.
                     let outcome = unsafe {
