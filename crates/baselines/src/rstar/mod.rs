@@ -580,11 +580,11 @@ impl RStarTree {
     /// against the query, an internal node's child boxes against the
     /// pruning predicate (a child may hold a match iff its box
     /// intersects the window, or encloses it for enclosure and
-    /// point-enclosing queries). Children are visited in the order the
-    /// per-entry loop visited them, and the counters are what it
-    /// charged: each child box is one signature check, and verified bytes
-    /// count the inspected dimensions of every leaf entry and child box,
-    /// up to the first failing one.
+    /// point-enclosing queries). Accepted children are pushed in
+    /// ascending entry order; each child box counts as one signature
+    /// check, and verified bytes count the object identifier and the
+    /// inspected dimensions, up to the first failing one, of every leaf
+    /// entry and child box (paper footnote 4).
     ///
     /// # Panics
     ///
@@ -619,7 +619,8 @@ impl RStarTree {
                 let outcome = scan_columns_loaded(&leaf_bounds, &entries, scratch);
                 stats.objects_verified += entry_count;
                 stats.verified_bytes += outcome.verified_bytes();
-                matches.extend(scratch.matches().iter().map(|&k| ObjectId(node.ptrs[k as usize])));
+                let matched = scratch.matches().iter();
+                matches.extend(matched.map(|&k| ObjectId(node.ptrs[k as usize])));
             } else {
                 let outcome = scan_columns_loaded(&prune_bounds, &entries, scratch);
                 stats.signature_checks += entry_count;
@@ -715,12 +716,14 @@ mod tests {
         let mut tree = RStarTree::new(RStarConfig::memory(2));
         for i in 0..3 {
             let lo = 0.1 * i as Scalar;
-            tree.insert(ObjectId(i), &HyperRect::from_bounds(&[lo, lo], &[lo + 0.1, lo + 0.1]).unwrap());
+            let rect = HyperRect::from_bounds(&[lo, lo], &[lo + 0.1, lo + 0.1]).unwrap();
+            tree.insert(ObjectId(i), &rect);
         }
         tree.check_invariants().unwrap();
         let root = tree.root;
         tree.node_mut(root).cols[3].pop();
         let err = tree.check_invariants().unwrap_err();
-        assert!(err.contains("bound columns of lengths [3, 3, 3, 2]"), "{err}");
+        let expected = "bound columns of lengths [3, 3, 3, 2]";
+        assert!(err.contains(expected), "{err}");
     }
 }

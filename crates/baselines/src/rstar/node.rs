@@ -30,7 +30,9 @@ impl Node {
     pub fn new(level: u16, dims: usize, capacity: usize) -> Self {
         Self {
             level,
-            cols: (0..2 * dims).map(|_| Vec::with_capacity(capacity)).collect(),
+            cols: (0..2 * dims)
+                .map(|_| Vec::with_capacity(capacity))
+                .collect(),
             ptrs: Vec::with_capacity(capacity),
         }
     }
@@ -54,9 +56,12 @@ impl Node {
     /// Every entry's row, one after another: the flat input of the split,
     /// the reinsert selection and ChooseSubtree.
     pub fn rows(&self) -> Vec<Scalar> {
-        let mut flat = Vec::with_capacity(self.len() * self.cols.len());
-        for k in 0..self.len() {
-            flat.extend(self.row(k));
+        let width = self.cols.len();
+        let mut flat = vec![0.0; self.len() * width];
+        for (c, col) in self.cols.iter().enumerate() {
+            for (slot, &v) in flat.iter_mut().skip(c).step_by(width).zip(col) {
+                *slot = v;
+            }
         }
         flat
     }
@@ -83,14 +88,22 @@ impl Node {
     }
 
     /// The node's own MBB: the union of all entry MBBs, as a flat row —
-    /// per column the first entry's bound, lowered (raised) by each later
-    /// entry in turn, as [`union_into`] does row by row.
+    /// the first entry's bounds, widened by each later entry in turn as
+    /// [`union_into`] widens them.
     pub fn mbb(&self) -> Vec<Scalar> {
         debug_assert!(!self.ptrs.is_empty());
-        let lowest = |col: &[Scalar]| col[1..].iter().fold(col[0], |a, &v| if v < a { v } else { a });
-        let highest = |col: &[Scalar]| col[1..].iter().fold(col[0], |a, &v| if v > a { v } else { a });
-        let bound = |(c, col): (usize, &Vec<Scalar>)| if c % 2 == 0 { lowest(col) } else { highest(col) };
-        self.cols.iter().enumerate().map(bound).collect()
+        let mut acc: Vec<Scalar> = self.row(0).collect();
+        for (d, lo_hi) in self.cols.chunks_exact(2).enumerate() {
+            for (&lo, &hi) in lo_hi[0].iter().zip(&lo_hi[1]).skip(1) {
+                if lo < acc[2 * d] {
+                    acc[2 * d] = lo;
+                }
+                if hi > acc[2 * d + 1] {
+                    acc[2 * d + 1] = hi;
+                }
+            }
+        }
+        acc
     }
 
     /// Replaces the MBB of entry `k`.
@@ -206,6 +219,7 @@ mod tests {
     #[test]
     fn node_push_swap_remove() {
         let mut n = Node::new(0, 2, 4);
+        assert!(n.rows().is_empty());
         n.push(&[0.1, 0.2, 0.1, 0.2], 1);
         n.push(&[0.3, 0.4, 0.3, 0.4], 2);
         n.push(&[0.5, 0.6, 0.5, 0.6], 3);

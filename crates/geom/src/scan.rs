@@ -471,6 +471,28 @@ impl QueryBounds {
     }
 }
 
+/// Where the block loop reads a (block, dimension) pair's lanes from.
+/// [`ColumnLanes`] is the one implementation. Folded into it, with the
+/// dispatch inlined into `columns_on`, the scan measured 1–3 % slower
+/// end to end (perfbench pairs on a 2-vCPU x86-64 host), so the generic
+/// block loop and its separate dispatch stay.
+trait Lanes {
+    /// Number of objects.
+    fn len(&self) -> usize;
+
+    /// The `x` and `y` sides of dimension `d` for the full block of
+    /// objects `start..start + BLOCK`.
+    ///
+    /// # Safety
+    ///
+    /// `start + BLOCK ≤ self.len()`.
+    unsafe fn full(&mut self, start: usize, d: usize) -> (&[Scalar; BLOCK], &[Scalar; BLOCK]);
+
+    /// The `x` and `y` sides of dimension `d` for the partial block of
+    /// objects `start..start + len`, each cut to exactly `len` lanes.
+    fn partial(&mut self, start: usize, len: usize, d: usize) -> (&[Scalar], &[Scalar]);
+}
+
 /// One dimension's `x` and `y` columns, each pointing at the view's
 /// first object: what a dimension-major scan reads a word from, resolved
 /// once per scan by [`resolve_columns`].
@@ -517,12 +539,12 @@ fn resolve_columns(
     assert!(covered, "every column must cover the view's {end} objects");
 }
 
-/// Where the block loop reads a (block, dimension) pair's lanes from:
-/// in place, from the columns. Full blocks read through the column table
-/// [`resolve_columns`] built at the start of the scan; the partial last
-/// block, which reaches each dimension at most once, slices its lanes
-/// from the columns with checks. Built and dropped inside one
-/// `columns_on` call, which borrows the columns throughout.
+/// The block loop's input: the lanes are read in place. Full blocks read
+/// through the column table [`resolve_columns`] built at the start of
+/// the scan; the partial last block, which reaches each dimension at
+/// most once, slices its lanes from the columns with checks. Built and
+/// dropped inside one `columns_on` call, which borrows the columns
+/// throughout.
 struct ColumnLanes<'a, 'c> {
     cols: PairedColumns<'c>,
     /// [`Relation::x_is_hi`].
@@ -533,21 +555,14 @@ struct ColumnLanes<'a, 'c> {
     pairs: &'a [ColumnPair],
 }
 
-impl ColumnLanes<'_, '_> {
-    /// Number of objects.
+impl Lanes for ColumnLanes<'_, '_> {
     #[inline(always)]
     fn len(&self) -> usize {
         self.cols.len
     }
 
-    /// The `x` and `y` sides of dimension `d` for the full block of
-    /// objects `start..start + BLOCK`.
-    ///
-    /// # Safety
-    ///
-    /// `start + BLOCK ≤ self.len()`.
     #[inline(always)]
-    unsafe fn full(&self, start: usize, d: usize) -> (&[Scalar; BLOCK], &[Scalar; BLOCK]) {
+    unsafe fn full(&mut self, start: usize, d: usize) -> (&[Scalar; BLOCK], &[Scalar; BLOCK]) {
         let ColumnPair { x, y } = self.pairs[d];
         // SAFETY: the caller keeps `start + BLOCK ≤ self.len()`, so the
         // view holds a full block and `columns_on` had `resolve_columns`
@@ -559,10 +574,8 @@ impl ColumnLanes<'_, '_> {
         }
     }
 
-    /// The `x` and `y` sides of dimension `d` for the partial block of
-    /// objects `start..start + len`, each cut to exactly `len` lanes.
     #[inline(always)]
-    fn partial(&self, start: usize, len: usize, d: usize) -> (&[Scalar], &[Scalar]) {
+    fn partial(&mut self, start: usize, len: usize, d: usize) -> (&[Scalar], &[Scalar]) {
         let (x, y) = if self.x_is_hi { (2 * d + 1, 2 * d) } else { (2 * d, 2 * d + 1) };
         let lanes = self.cols.start + start..self.cols.start + start + len;
         (&self.cols.cols[x][lanes.clone()], &self.cols.cols[y][lanes])
@@ -580,8 +593,8 @@ impl ColumnLanes<'_, '_> {
 /// The CPU must support `C`'s instruction set, `start + len ≤
 /// lanes.len()`, and `len == BLOCK` exactly when `FULL`.
 #[inline(always)]
-unsafe fn survivors<const FULL: bool, C: Compare>(
-    lanes: &ColumnLanes<'_, '_>,
+unsafe fn survivors<const FULL: bool, C: Compare, L: Lanes>(
+    lanes: &mut L,
     start: usize,
     len: usize,
     t1s: &[Scalar],
@@ -633,8 +646,8 @@ fn push_matches(matches: &mut Vec<u32>, start: usize, mut word: u64) {
 ///
 /// The CPU must support `C`'s instruction set.
 #[inline(always)]
-unsafe fn scan_blocks<C: Compare>(
-    lanes: &ColumnLanes<'_, '_>,
+unsafe fn scan_blocks<C: Compare, L: Lanes>(
+    lanes: &mut L,
     t1s: &[Scalar],
     t2s: &[Scalar],
     matches: &mut Vec<u32>,
@@ -648,7 +661,7 @@ unsafe fn scan_blocks<C: Compare>(
         // SAFETY: `start + BLOCK ≤ full_end ≤ n`; the caller vouches for
         // the tier.
         let word = unsafe {
-            survivors::<true, C>(lanes, start, BLOCK, t1s, t2s, &mut dims_checked)
+            survivors::<true, C, L>(lanes, start, BLOCK, t1s, t2s, &mut dims_checked)
         };
         push_matches(matches, start, word);
     }
@@ -656,7 +669,7 @@ unsafe fn scan_blocks<C: Compare>(
         // SAFETY: the partial block is `full_end..n`, `n - full_end <
         // BLOCK`; the caller vouches for the tier.
         let word = unsafe {
-            survivors::<false, C>(lanes, full_end, n - full_end, t1s, t2s, &mut dims_checked)
+            survivors::<false, C, L>(lanes, full_end, n - full_end, t1s, t2s, &mut dims_checked)
         };
         push_matches(matches, full_end, word);
     }
@@ -675,14 +688,40 @@ unsafe fn scan_blocks<C: Compare>(
 /// The CPU must support AVX2 and `popcnt`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,popcnt")]
-unsafe fn scan_avx2(
-    lanes: &ColumnLanes<'_, '_>,
+unsafe fn scan_avx2<L: Lanes>(
+    lanes: &mut L,
     t1s: &[Scalar],
     t2s: &[Scalar],
     matches: &mut Vec<u32>,
 ) -> ScanOutcome {
     // SAFETY: the caller vouches for the CPU.
-    unsafe { scan_blocks::<x86::Avx2>(lanes, t1s, t2s, matches) }
+    unsafe { scan_blocks::<x86::Avx2, L>(lanes, t1s, t2s, matches) }
+}
+
+/// Runs one whole scan on `tier` — the only dispatch of a scan.
+///
+/// # Safety
+///
+/// `tier` must be [`Tier::Portable`] or [`Tier::best`].
+unsafe fn scan_on<L: Lanes>(
+    tier: Tier,
+    bounds: &QueryBounds,
+    lanes: &mut L,
+    matches: &mut Vec<u32>,
+) -> ScanOutcome {
+    let (t1s, t2s) = if bounds.rel.t1_is_a() {
+        (&bounds.qa[..], &bounds.qb[..])
+    } else {
+        (&bounds.qb[..], &bounds.qa[..])
+    };
+    // SAFETY: the caller vouches that the CPU supports `tier`.
+    unsafe {
+        match tier {
+            Tier::Portable => scan_blocks::<Portable, L>(lanes, t1s, t2s, matches),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => scan_avx2(lanes, t1s, t2s, matches),
+        }
+    }
 }
 
 /// Scans a dimension-major column set against the query, leaving the
@@ -728,8 +767,7 @@ pub fn scan_columns_loaded(
 }
 
 /// Resolves the view's columns once if it holds a full block
-/// ([`resolve_columns`]: the length check), and scans them on `tier` —
-/// the only dispatch of a scan.
+/// ([`resolve_columns`]: the length check), and scans them on `tier`.
 ///
 /// # Safety
 ///
@@ -747,20 +785,9 @@ unsafe fn columns_on(
     } else {
         columns.clear();
     }
-    let lanes = ColumnLanes { cols: *cols, x_is_hi, pairs: columns };
-    let (t1s, t2s) = if bounds.rel.t1_is_a() {
-        (&bounds.qa[..], &bounds.qb[..])
-    } else {
-        (&bounds.qb[..], &bounds.qa[..])
-    };
-    // SAFETY: the caller vouches that the CPU supports `tier`.
-    unsafe {
-        match tier {
-            Tier::Portable => scan_blocks::<Portable>(&lanes, t1s, t2s, matches),
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => scan_avx2(&lanes, t1s, t2s, matches),
-        }
-    }
+    let mut lanes = ColumnLanes { cols: *cols, x_is_hi, pairs: columns };
+    // SAFETY: the caller vouches for the tier.
+    unsafe { scan_on(tier, bounds, &mut lanes, matches) }
 }
 
 /// Whether the CPU supports AVX2 (detected once, cached) — the runtime
