@@ -343,11 +343,12 @@ impl RStarTree {
     fn choose_by_overlap(rows: &[Scalar], mbb: &[Scalar], width: usize) -> usize {
         let count = rows.len() / width;
         let entry = |k: usize| &rows[k * width..(k + 1) * width];
+        let enlargements: Vec<f64> = (0..count).map(|k| enlargement(entry(k), mbb)).collect();
         let mut order: Vec<usize> = (0..count).collect();
         if count > 32 {
             order.sort_by(|&a, &b| {
-                enlargement(entry(a), mbb)
-                    .partial_cmp(&enlargement(entry(b), mbb))
+                enlargements[a]
+                    .partial_cmp(&enlargements[b])
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
             order.truncate(32);
@@ -365,12 +366,18 @@ impl RStarTree {
                     continue;
                 }
                 let o = entry(other);
-                overlap_before += overlap(entry_k, o);
-                overlap_after += overlap(&enlarged, o);
+                let after = overlap(&enlarged, o);
+                // `entry_k` lies inside `enlarged`, so its overlap with
+                // `o` is no larger: where this one is 0, both sums would
+                // add exactly 0.
+                if after > 0.0 {
+                    overlap_before += overlap(entry_k, o);
+                    overlap_after += after;
+                }
             }
             let key = (
                 overlap_after - overlap_before,
-                enlargement(entry_k, mbb),
+                enlargements[k],
                 node::area(entry_k),
             );
             if key < best_key {

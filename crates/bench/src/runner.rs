@@ -39,6 +39,13 @@ fn paper_models(dims: usize) -> (CostModel, CostModel) {
     )
 }
 
+/// The id of the `i`-th object. Ids are `u32`, so an object count past
+/// that (from `--objects`) is refused rather than wrapped into duplicates.
+fn object_id(i: usize) -> ObjectId {
+    let id = u32::try_from(i);
+    ObjectId(id.unwrap_or_else(|_| panic!("object #{i} has no u32 id: too many objects")))
+}
+
 /// Builds an adaptive clustering index over the objects on the paper's
 /// platform ([`IndexConfig::edbt2004`]): what the figures, and every
 /// harness whose subject is the mechanism rather than the wall clock,
@@ -56,7 +63,7 @@ pub fn build_ac_with(config: IndexConfig, objects: &[HyperRect]) -> AdaptiveClus
     let mut index = AdaptiveClusterIndex::new(config).expect("valid config");
     for (i, rect) in objects.iter().enumerate() {
         index
-            .insert(ObjectId(i as u32), rect.clone())
+            .insert(object_id(i), rect.clone())
             .expect("insertion succeeds");
     }
     index
@@ -80,7 +87,7 @@ pub fn adapted_ac(
 pub fn build_rs(dims: usize, objects: &[HyperRect]) -> RStarTree {
     let mut tree = RStarTree::new(RStarConfig::memory(dims));
     for (i, rect) in objects.iter().enumerate() {
-        tree.insert(ObjectId(i as u32), rect);
+        tree.insert(object_id(i), rect);
     }
     tree
 }
@@ -89,7 +96,7 @@ pub fn build_rs(dims: usize, objects: &[HyperRect]) -> RStarTree {
 pub fn build_ss(dims: usize, objects: &[HyperRect]) -> SeqScan {
     let mut scan = SeqScan::new(dims, StorageScenario::Memory);
     for (i, rect) in objects.iter().enumerate() {
-        scan.insert(ObjectId(i as u32), rect);
+        scan.insert(object_id(i), rect);
     }
     scan
 }

@@ -222,7 +222,7 @@ impl Layout<'_> {
             let run = run[0] as usize..run[1] as usize;
             let cells = self.sub_i[run.clone()].iter().zip(&self.sub_j[run.clone()]);
             for (c, (&i, &j)) in counters[run].iter_mut().zip(cells) {
-                *c = c.saturating_add((start_ok[i as usize] & end_ok[j as usize]) as u32);
+                *c = c.saturating_add(u32::from(start_ok[i as usize] & end_ok[j as usize]));
             }
         }
     }
@@ -246,8 +246,9 @@ impl Layout<'_> {
         lo.iter()
             .zip(hi)
             .map(|(&a, &b)| {
-                ((c.start_lo <= a) & (a <= c.start_reach) & (c.end_lo <= b) & (b <= c.end_reach))
-                    as u32
+                u32::from(
+                    (c.start_lo <= a) & (a <= c.start_reach) & (c.end_lo <= b) & (b <= c.end_reach),
+                )
             })
             .sum()
     }

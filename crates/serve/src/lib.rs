@@ -8,6 +8,10 @@
 //! the per-shard match sets **is** the answer — no cross-shard merge,
 //! reconciliation, or statistics exchange ever happens (each shard's
 //! adaptive statistics describe exactly the subscriptions it owns).
+//! A subscription's shard is `shard_of(id)`, a pure function of its id,
+//! so the tier keeps no id table: every mutation and id-keyed read is a
+//! round trip to that shard, whose index refuses a bad id or rectangle,
+//! and `len`/`object_ids` are round trips to every shard.
 //!
 //! ## Threading model
 //!
@@ -34,11 +38,11 @@
 //! syscall. A worker whose queue empties spins briefly on an atomic
 //! depth hint before it parks, because on a mutation-heavy stream the
 //! next command is usually microseconds away. A synchronous call
-//! ([`ShardedIndex::with_shard`], [`ShardedIndex::flush`] and every
-//! mutation) waits for its answer in a one-shot reply slot, again
-//! spinning before it parks; a slot the worker drops unanswered (the
-//! closure panicked, or the worker is gone) wakes the caller, which
-//! panics with "shard worker exited". Spinning pays only when the
+//! ([`ShardedIndex::with_shard`], [`ShardedIndex::flush`], every
+//! mutation and every read) waits for its answer in a one-shot reply
+//! slot, again spinning before it parks; a slot the worker drops
+//! unanswered (the closure panicked, or the worker is gone) wakes the
+//! caller, which panics with "shard worker exited". Spinning pays only when the
 //! waiting thread has a core to itself, so the spin budget is zero —
 //! park at once — when `available_parallelism()` is no more than the
 //! shard count (the submitter needs a core too); it is read once, at
@@ -62,7 +66,8 @@
 //! [`ShardedIndex::checkpoint_all`] writes `shard-<i>.ckpt`, and
 //! [`ShardedIndex::recover`] replays each shard pair in isolation —
 //! the disjoint partition means per-shard logs never need a global
-//! order.
+//! order. A directory recovers only under the shard count that wrote
+//! it; any other is refused before a file is opened.
 
 mod partition;
 mod queue;
@@ -72,7 +77,7 @@ pub use partition::ShardBy;
 pub use stats::{ServeStats, ShardStats};
 
 use std::collections::{HashMap, VecDeque};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -304,10 +309,6 @@ pub struct ShardedIndex {
     shards: Vec<Arc<ShardShared>>,
     workers: Vec<Option<JoinHandle<()>>>,
     collector: Arc<Collector>,
-    /// Owning shard of every resident subscription. Routing for
-    /// removals (the placing rectangle is gone by then) and the
-    /// cross-shard duplicate-id guard.
-    routes: Mutex<HashMap<u32, usize>>,
     next_seq: AtomicU64,
     events_submitted: AtomicU64,
     queue_full_rejections: AtomicU64,
@@ -343,23 +344,18 @@ impl ShardedIndex {
     }
 
     /// Wraps pre-built per-shard indexes (empty on the `new` path,
-    /// recovered ones on the `recover` path), rebuilding the route map
-    /// and rejecting partitions that overlap.
+    /// recovered ones on the `recover` path), rejecting an object held
+    /// by a shard that does not own it (so partitions cannot overlap).
     fn assemble(
         config: ServeConfig,
         indexes: Vec<AdaptiveClusterIndex>,
     ) -> Result<Self, IndexError> {
-        debug_assert_eq!(indexes.len(), config.shards);
-        let mut routes = HashMap::new();
+        let n = config.shards;
+        debug_assert_eq!(indexes.len(), n);
         for (shard, index) in indexes.iter().enumerate() {
-            for id in index.object_ids() {
-                if let Some(owner) = routes.insert(id.0, shard) {
-                    return Err(IndexError::InvalidConfig(format!(
-                        "object #{} recovered on shards {owner} and {shard}: \
-                         the partition must be disjoint",
-                        id.0
-                    )));
-                }
+            if let Some(id) = index.object_ids().find(|&id| shard_of(id, n) != shard) {
+                let msg = format!("object #{} recovered on shard {shard}, not its owner", id.0);
+                return Err(IndexError::InvalidConfig(msg));
             }
         }
         let collector = Arc::new(Collector {
@@ -432,7 +428,6 @@ impl ShardedIndex {
             shards,
             workers,
             collector,
-            routes: Mutex::new(routes),
             next_seq: AtomicU64::new(0),
             events_submitted: AtomicU64::new(0),
             queue_full_rejections: AtomicU64::new(0),
@@ -456,32 +451,33 @@ impl ShardedIndex {
         &self.config
     }
 
-    /// Resident subscriptions across all shards.
-    pub fn len(&self) -> usize {
-        self.routes.lock().expect("routes lock").len()
+    /// The shard that owns `id`.
+    fn owner(&self, id: ObjectId) -> usize {
+        shard_of(id, self.shards.len())
     }
 
-    /// Whether no subscriptions are resident.
+    /// Resident subscriptions across all shards: a round trip through
+    /// every shard's queue, so it waits behind queued work.
+    pub fn len(&self) -> usize {
+        self.ask_all(|index| index.len()).into_iter().sum()
+    }
+
+    /// Whether no subscriptions are resident (waits as `len` does).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Whether `id` is resident on some shard.
+    /// Whether `id` is resident on its owning shard (a round trip).
     pub fn contains(&self, id: ObjectId) -> bool {
-        self.routes
-            .lock()
-            .expect("routes lock")
-            .contains_key(&id.0)
+        self.with_shard(self.owner(id), move |index| index.contains(id))
     }
 
-    /// All resident subscription ids, ascending.
+    /// All resident subscription ids, ascending (waits as `len` does).
     pub fn object_ids(&self) -> Vec<ObjectId> {
         let mut ids: Vec<ObjectId> = self
-            .routes
-            .lock()
-            .expect("routes lock")
-            .keys()
-            .map(|&id| ObjectId(id))
+            .ask_all(|index| index.object_ids().collect::<Vec<_>>())
+            .into_iter()
+            .flatten()
             .collect();
         ids.sort_unstable();
         ids
@@ -547,12 +543,7 @@ impl ShardedIndex {
     /// executed on every shard. Queues are FIFO, so one round-trip
     /// no-op per shard is a full barrier.
     pub fn flush(&self) {
-        let replies: Vec<_> = (0..self.shards.len())
-            .map(|i| self.ask(i, |_| ()))
-            .collect();
-        for reply in replies {
-            reply.wait(self.spin).expect("shard worker exited");
-        }
+        self.ask_all(|_| ());
     }
 
     /// Completed results accumulated since the last drain, ascending by
@@ -565,7 +556,7 @@ impl ShardedIndex {
     }
 
     // ------------------------------------------------------------------
-    // Mutations (routed to the owning shard, synchronous)
+    // Mutations and reads (routed to the owning shard, synchronous)
     // ------------------------------------------------------------------
 
     /// Enqueues a closure on `shard`'s worker, behind everything
@@ -588,18 +579,32 @@ impl ShardedIndex {
         reply
     }
 
+    /// Runs `f` on every shard behind its queued work, enqueueing on all
+    /// before waiting on any, and returns the results in shard order.
+    fn ask_all<R, F>(&self, f: F) -> Vec<R>
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut AdaptiveClusterIndex) -> R + Clone + Send + 'static,
+    {
+        let replies: Vec<_> = (0..self.shards()).map(|s| self.ask(s, f.clone())).collect();
+        replies.into_iter().map(|reply| self.wait(reply)).collect()
+    }
+
+    /// The answer in `reply`; panics if its shard's worker is gone.
+    fn wait<R>(&self, reply: Reply<R>) -> R {
+        reply.wait(self.spin).expect("shard worker exited")
+    }
+
     /// Runs `f` against `shard`'s index from its worker thread, after
     /// everything already queued there, and returns its result. The
     /// inspection hook for tests and stats — also how every mutation
-    /// below reaches its owning shard.
+    /// and read below reaches its owning shard.
     pub fn with_shard<R, F>(&self, shard: usize, f: F) -> R
     where
         R: Send + 'static,
         F: FnOnce(&mut AdaptiveClusterIndex) -> R + Send + 'static,
     {
-        self.ask(shard, f)
-            .wait(self.spin)
-            .expect("shard worker exited")
+        self.wait(self.ask(shard, f))
     }
 
     /// Like [`ShardedIndex::with_shard`], but returns the receiving end
@@ -624,117 +629,51 @@ impl ShardedIndex {
     /// Inserts a subscription on its owning shard. Waits for the shard
     /// to apply it (mutations are synchronous; events are not).
     pub fn insert(&self, id: ObjectId, rect: HyperRect) -> Result<(), IndexError> {
-        let shard = shard_of(id, self.shards.len());
-        {
-            // Claim the route first so a racing insert of the same id
-            // fails fast; rolled back if the shard rejects the insert.
-            let mut routes = self.routes.lock().expect("routes lock");
-            if routes.contains_key(&id.0) {
-                return Err(IndexError::DuplicateObject(id.0));
-            }
-            routes.insert(id.0, shard);
-        }
-        let result = self.with_shard(shard, move |index| index.insert(id, rect));
-        if result.is_err() {
-            self.routes.lock().expect("routes lock").remove(&id.0);
-        }
-        result
+        self.with_shard(self.owner(id), move |index| index.insert(id, rect))
     }
 
-    /// Bulk insert, grouped into one application per shard.
+    /// Bulk insert, one application per shard. Each shard inserts its
+    /// objects in input order until the first it refuses (a duplicate
+    /// id, resident or repeated in `objects`, included) and keeps those
+    /// before it; the call returns the first refusing shard's error.
     pub fn insert_all<I>(&self, objects: I) -> Result<(), IndexError>
     where
         I: IntoIterator<Item = (ObjectId, HyperRect)>,
     {
         let mut groups: Vec<Vec<(ObjectId, HyperRect)>> = vec![Vec::new(); self.shards.len()];
-        {
-            let mut routes = self.routes.lock().expect("routes lock");
-            for (id, rect) in objects {
-                if routes.contains_key(&id.0) {
-                    // Nothing has been sent to any shard yet: roll back
-                    // the routes this call claimed and reject.
-                    for group in &groups {
-                        for (claimed, _) in group {
-                            routes.remove(&claimed.0);
-                        }
-                    }
-                    return Err(IndexError::DuplicateObject(id.0));
-                }
-                let shard = shard_of(id, self.shards.len());
-                routes.insert(id.0, shard);
-                groups[shard].push((id, rect));
+        for (id, rect) in objects {
+            groups[self.owner(id)].push((id, rect));
+        }
+        let mut replies = Vec::new();
+        for (shard, group) in groups.into_iter().enumerate() {
+            if !group.is_empty() {
+                let insert = move |index: &mut AdaptiveClusterIndex| {
+                    group
+                        .into_iter()
+                        .try_for_each(|(id, rect)| index.insert(id, rect))
+                };
+                replies.push(self.ask(shard, insert));
             }
         }
-        let replies: Vec<_> = groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, group)| !group.is_empty())
-            .map(|(shard, group)| {
-                let ids: Vec<ObjectId> = group.iter().map(|(id, _)| *id).collect();
-                let reply = self.ask(shard, move |index| -> Result<(), (usize, IndexError)> {
-                    for (k, (id, rect)) in group.into_iter().enumerate() {
-                        index.insert(id, rect).map_err(|e| (k, e))?;
-                    }
-                    Ok(())
-                });
-                (ids, reply)
-            })
-            .collect();
-        let mut first_error = None;
-        for (ids, reply) in replies {
-            if let Err((applied, e)) = reply.wait(self.spin).expect("shard worker exited") {
-                let mut routes = self.routes.lock().expect("routes lock");
-                for id in &ids[applied..] {
-                    routes.remove(&id.0);
-                }
-                first_error.get_or_insert(e);
-            }
-        }
-        match first_error {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        let results = replies.into_iter().map(|reply| self.wait(reply));
+        results.fold(Ok(()), Result::and)
     }
 
     /// Removes a subscription from its owning shard.
     pub fn remove(&self, id: ObjectId) -> Result<HyperRect, IndexError> {
-        let shard = self
-            .routes
-            .lock()
-            .expect("routes lock")
-            .get(&id.0)
-            .copied()
-            .ok_or(IndexError::UnknownObject(id.0))?;
-        let result = self.with_shard(shard, move |index| index.remove(id));
-        if result.is_ok() {
-            self.routes.lock().expect("routes lock").remove(&id.0);
-        }
-        result
+        self.with_shard(self.owner(id), move |index| index.remove(id))
     }
 
     /// Replaces a subscription's rectangle on its owning shard,
     /// returning the old one. The owner depends on the id alone, so the
     /// update is one mutation on one shard's log.
     pub fn update(&self, id: ObjectId, rect: HyperRect) -> Result<HyperRect, IndexError> {
-        let shard = self
-            .routes
-            .lock()
-            .expect("routes lock")
-            .get(&id.0)
-            .copied()
-            .ok_or(IndexError::UnknownObject(id.0))?;
-        self.with_shard(shard, move |index| index.update(id, rect))
+        self.with_shard(self.owner(id), move |index| index.update(id, rect))
     }
 
-    /// The rectangle of a resident subscription.
+    /// The rectangle of a resident subscription (a round trip).
     pub fn get(&self, id: ObjectId) -> Option<HyperRect> {
-        let shard = self
-            .routes
-            .lock()
-            .expect("routes lock")
-            .get(&id.0)
-            .copied()?;
-        self.with_shard(shard, move |index| index.get(id))
+        self.with_shard(self.owner(id), move |index| index.get(id))
     }
 
     // ------------------------------------------------------------------
@@ -748,7 +687,7 @@ impl ShardedIndex {
             .map_err(|e| IndexError::Wal(acx_storage::WalError::from(e)))?;
         let dims = self.config.index.dims;
         for shard in 0..self.shards.len() {
-            let store = FileBacking::create(&dir.join(format!("shard-{shard}.wal")))
+            let store = FileBacking::create(&shard_file(dir, shard, "wal"))
                 .map_err(|e| IndexError::Wal(acx_storage::WalError::from(e)))?;
             let wal = Wal::create(Box::new(store), policy, dims).map_err(IndexError::Wal)?;
             self.with_shard(shard, move |index| index.attach_wal(wal))?;
@@ -762,7 +701,7 @@ impl ShardedIndex {
     pub fn checkpoint_all(&self, dir: &Path) -> Result<(), IndexError> {
         std::fs::create_dir_all(dir).map_err(|e| IndexError::Store(StoreError::Io(e)))?;
         for shard in 0..self.shards.len() {
-            let path = dir.join(format!("shard-{shard}.ckpt"));
+            let path = shard_file(dir, shard, "ckpt");
             self.with_shard(shard, move |index| index.checkpoint(&path))?;
         }
         Ok(())
@@ -771,21 +710,30 @@ impl ShardedIndex {
     /// Rebuilds a sharded index from `dir`: each shard recovers from
     /// its own `shard-<i>.ckpt` (when present) plus `shard-<i>.wal`,
     /// independently — disjoint partitions need no cross-log order.
-    /// `config` must describe the same shard count and partitioning
-    /// the files were written under; overlapping recovered partitions
-    /// are rejected.
+    /// `config.shards` must be the count the files were written with:
+    /// files of shard `config.shards`, or none of some shard below it,
+    /// are refused with [`IndexError::InvalidConfig`] before a file is
+    /// opened or created, and so is an object on a shard not its owner.
     pub fn recover(
         dir: &Path,
         policy: FlushPolicy,
         config: ServeConfig,
     ) -> Result<(Self, Vec<RecoveryReport>), IndexError> {
         Self::validate(&config)?;
-        let mut indexes = Vec::with_capacity(config.shards);
-        let mut reports = Vec::with_capacity(config.shards);
-        for shard in 0..config.shards {
-            let ckpt = dir.join(format!("shard-{shard}.ckpt"));
+        let n = config.shards;
+        let written = |s| shard_file(dir, s, "wal").exists() || shard_file(dir, s, "ckpt").exists();
+        // Shards below `n` each left a log or a checkpoint; shard `n` none.
+        if let Some(shard) = (0..=n).find(|&s| written(s) == (s == n)) {
+            let found = if shard == n { "files" } else { "no files" };
+            let msg = format!("{found} of shard {shard} in {dir:?}: not {n} shards");
+            return Err(IndexError::InvalidConfig(msg));
+        }
+        let mut indexes = Vec::with_capacity(n);
+        let mut reports = Vec::with_capacity(n);
+        for shard in 0..n {
+            let ckpt = shard_file(dir, shard, "ckpt");
             let ckpt = ckpt.exists().then_some(ckpt);
-            let store = FileBacking::open(&dir.join(format!("shard-{shard}.wal")))
+            let store = FileBacking::open(&shard_file(dir, shard, "wal"))
                 .map_err(|e| IndexError::Wal(acx_storage::WalError::from(e)))?;
             let (index, report) = AdaptiveClusterIndex::recover(
                 ckpt.as_deref(),
@@ -817,16 +765,17 @@ impl ShardedIndex {
         let mut per_shard = Vec::with_capacity(self.shards.len());
         let mut reorg_passes = 0u64;
         let mut reorg_stall_ns = 0u64;
-        for (i, shared) in self.shards.iter().enumerate() {
-            let (objects, clusters, passes, stall_ns) =
-                self.with_shard(i, |index: &mut AdaptiveClusterIndex| {
-                    (
-                        index.len(),
-                        index.cluster_count(),
-                        index.reorganizations(),
-                        index.reorg_wall_ns(),
-                    )
-                });
+        let counters = self.ask_all(|index| {
+            (
+                index.len(),
+                index.cluster_count(),
+                index.reorganizations(),
+                index.reorg_wall_ns(),
+            )
+        });
+        for (i, (shared, (objects, clusters, passes, stall_ns))) in
+            self.shards.iter().zip(counters).enumerate()
+        {
             let (base_passes, base_stall) = baselines[i];
             let hist: Vec<u64> = shared
                 .depth_hist
@@ -873,12 +822,8 @@ impl ShardedIndex {
     /// and sample, and re-baselines the per-shard reorganization
     /// counters. The benches call this between warm-up and measurement.
     pub fn reset_stats_window(&self) {
-        let mut reorg = Vec::with_capacity(self.shards.len());
-        for (i, shared) in self.shards.iter().enumerate() {
-            let baseline = self.with_shard(i, |index: &mut AdaptiveClusterIndex| {
-                (index.reorganizations(), index.reorg_wall_ns())
-            });
-            reorg.push(baseline);
+        let reorg = self.ask_all(|index| (index.reorganizations(), index.reorg_wall_ns()));
+        for shared in &self.shards {
             shared.events.store(0, Ordering::Relaxed);
             for counter in &shared.depth_hist {
                 counter.store(0, Ordering::Relaxed);
@@ -898,6 +843,11 @@ impl ShardedIndex {
         window.started = Instant::now();
         window.reorg = reorg;
     }
+}
+
+/// `dir/shard-<shard>.<ext>`: a shard's log (`wal`) or checkpoint (`ckpt`).
+fn shard_file(dir: &Path, shard: usize, ext: &str) -> PathBuf {
+    dir.join(format!("shard-{shard}.{ext}"))
 }
 
 impl Drop for ShardedIndex {
@@ -945,8 +895,8 @@ mod tests {
         ));
     }
 
-    /// The shard refuses the object with a typed error instead of its
-    /// worker dying on it, and the route claimed for it is released.
+    /// The owning shard refuses the object with a typed error instead of
+    /// its worker dying on it, and the id stays free for a later insert.
     #[test]
     fn an_insert_outside_the_domain_fails_and_releases_its_route() {
         let index = small_index(2);
@@ -1017,6 +967,13 @@ mod tests {
         }
     }
 
+    /// The objects each shard holds, summed.
+    fn held(index: &ShardedIndex) -> usize {
+        (0..index.shards())
+            .map(|s| index.with_shard(s, |i: &mut AdaptiveClusterIndex| i.len()))
+            .sum()
+    }
+
     #[test]
     fn insert_all_groups_by_shard() {
         let index = small_index(4);
@@ -1024,15 +981,104 @@ mod tests {
             .insert_all((0..40).map(|i| (ObjectId(i), rect(0.1, 0.6))))
             .unwrap();
         assert_eq!(index.len(), 40);
-        let total: usize = (0..4)
-            .map(|s| index.with_shard(s, |i: &mut AdaptiveClusterIndex| i.len()))
-            .sum();
-        assert_eq!(total, 40);
+        assert_eq!(held(&index), 40);
         assert!(matches!(
             index.insert_all([(ObjectId(5), rect(0.0, 1.0))]),
             Err(IndexError::DuplicateObject(5))
         ));
-        assert_eq!(index.len(), 40, "failed bulk insert must not leak routes");
+        assert_eq!(index.len(), 40, "a refused bulk insert must not add objects");
+    }
+
+    /// Each shard inserts its share of a batch in order until the first
+    /// id it refuses and keeps the ones before it; the other shards take
+    /// their whole share. The call returns the refusal.
+    #[test]
+    fn insert_all_keeps_each_shards_objects_before_its_first_refusal() {
+        let index = small_index(4);
+        let owner = |id: u32| shard_of(ObjectId(id), 4);
+        let insert_all = |ids: Vec<u32>| {
+            index.insert_all(ids.into_iter().map(|id| (ObjectId(id), rect(0.1, 0.6))))
+        };
+        let mut kept_total = 0;
+        // A duplicate inside the batch, then an already-resident id.
+        for (repeated, fresh, tail) in [(5, 0..20, 20..30), (3, 30..40, 40..50)] {
+            assert!(
+                tail.clone().any(|id| owner(id) == owner(repeated)),
+                "premise: the refusing shard has objects after the refusal"
+            );
+            let ids = fresh.clone().chain([repeated]).chain(tail.clone()).collect();
+            assert!(matches!(
+                insert_all(ids),
+                Err(IndexError::DuplicateObject(id)) if id == repeated
+            ));
+            for id in fresh.chain(tail.clone()) {
+                let kept = owner(id) != owner(repeated) || !tail.contains(&id);
+                assert_eq!(index.contains(ObjectId(id)), kept, "#{id}");
+                kept_total += usize::from(kept);
+            }
+        }
+        assert_eq!(held(&index), kept_total);
+        assert_eq!(index.len(), kept_total);
+        assert_eq!(index.object_ids().len(), kept_total);
+    }
+
+    /// Two inserts of one id meet in the owning shard's queue: the first
+    /// there is applied, the second refused.
+    #[test]
+    fn racing_inserts_of_one_id_admit_exactly_one() {
+        const IDS: u32 = 100;
+        let index = Arc::new(small_index(4));
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let racers: Vec<_> = (0..2)
+            .map(|_| {
+                let index = Arc::clone(&index);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    (0..IDS)
+                        .map(|id| {
+                            barrier.wait();
+                            index.insert(ObjectId(id), rect(0.1, 0.2))
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let outcomes: Vec<_> = racers.into_iter().map(|t| t.join().unwrap()).collect();
+        for (id, (a, b)) in outcomes[0].iter().zip(&outcomes[1]).enumerate() {
+            let refused = if a.is_ok() { b } else { a };
+            assert!(a.is_ok() != b.is_ok(), "#{id}: {a:?} and {b:?}");
+            assert!(matches!(refused, Err(IndexError::DuplicateObject(r)) if *r as usize == id));
+        }
+        assert_eq!(index.len(), IDS as usize);
+        assert_eq!(held(&index), IDS as usize);
+    }
+
+    /// An id no shard holds is answered by its owner: absent, unknown to
+    /// a removal or an update, and the shard keeps serving.
+    #[test]
+    fn an_id_no_shard_holds_is_refused_by_its_owner() {
+        for shards in [1, 4] {
+            let index = small_index(shards);
+            index.insert(ObjectId(1), rect(0.1, 0.3)).unwrap();
+            let absent = ObjectId(9);
+            assert!(!index.contains(absent));
+            assert_eq!(index.get(absent), None);
+            assert!(matches!(
+                index.remove(absent),
+                Err(IndexError::UnknownObject(9))
+            ));
+            assert!(matches!(
+                index.update(absent, rect(0.2, 0.4)),
+                Err(IndexError::UnknownObject(9))
+            ));
+            index.insert(absent, rect(0.2, 0.4)).unwrap();
+            index.submit(SpatialQuery::point_enclosing(vec![0.25, 0.25, 0.25]));
+            index.flush();
+            let results = index.drain_results();
+            assert_eq!(results[0].matches, vec![ObjectId(1), absent], "{shards} shards");
+            assert_eq!(index.len(), 2);
+            assert_eq!(index.get(absent), Some(rect(0.2, 0.4)));
+        }
     }
 
     #[test]

@@ -170,3 +170,69 @@ fn a_checkpoint_directory_that_cannot_be_created_is_a_store_error() {
         other => panic!("expected a checkpoint i/o error, got {other:?}"),
     }
 }
+
+/// A directory recovers only under the shard count that wrote it: with
+/// one shard fewer a shard's files would be ignored, with one more a
+/// log would be created for a shard that never wrote. Both are refused
+/// and leave every file as it was; the right count then brings back
+/// every object. Files swapped between two shards put objects on shards
+/// that do not own them, which is refused too.
+#[test]
+fn recovering_with_another_shard_count_is_refused() {
+    let dir = TempPath::new("shard-count");
+    let generator = PubSubGenerator::apartments();
+    let mut rng = StdRng::seed_from_u64(5);
+    let index = ShardedIndex::new(config()).unwrap();
+    index.attach_wal_dir(&dir, FlushPolicy::PerRecord).unwrap();
+    let mut subscribe = |ids: std::ops::Range<u32>| {
+        index
+            .insert_all(ids.map(|i| (ObjectId(i), generator.subscription(i, &mut rng).ranges)))
+            .unwrap()
+    };
+    subscribe(0..40);
+    index.checkpoint_all(&dir).unwrap();
+    subscribe(40..60);
+    let survivors = index.object_ids();
+    assert_eq!(survivors.len(), 60);
+    drop(index);
+
+    let files = || {
+        let mut files: Vec<_> = std::fs::read_dir(&*dir)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                (path.clone(), std::fs::read(path).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let written = files();
+    assert_eq!(written.len(), 6, "a log and a checkpoint per shard");
+    for shards in [2, 4] {
+        assert!(
+            matches!(
+                ShardedIndex::recover(&dir, FlushPolicy::PerRecord, config().with_shards(shards)),
+                Err(IndexError::InvalidConfig(_))
+            ),
+            "{shards} shards"
+        );
+        assert!(files() == written, "{shards} shards: the directory changed");
+    }
+
+    let (recovered, _) = ShardedIndex::recover(&dir, FlushPolicy::PerRecord, config()).unwrap();
+    assert_eq!(recovered.object_ids(), survivors);
+    drop(recovered);
+
+    for ext in ["wal", "ckpt"] {
+        let (zero, one) = (dir.join(format!("shard-0.{ext}")), dir.join(format!("shard-1.{ext}")));
+        let swap = dir.join("swap");
+        std::fs::rename(&zero, &swap).unwrap();
+        std::fs::rename(&one, &zero).unwrap();
+        std::fs::rename(&swap, &one).unwrap();
+    }
+    assert!(matches!(
+        ShardedIndex::recover(&dir, FlushPolicy::PerRecord, config()),
+        Err(IndexError::InvalidConfig(_))
+    ));
+}

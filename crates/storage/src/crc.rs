@@ -14,7 +14,7 @@ const fn build_tables() -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
-        let mut crc = i as u32;
+        let mut crc = i as u32; // exact: `i < 256`
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
@@ -60,7 +60,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
             ^ t[0][(hi >> 24) as usize];
     }
     for &b in words.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }

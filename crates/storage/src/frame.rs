@@ -114,7 +114,8 @@ impl Header {
         let mut out = [0; HEADER_LEN];
         out[..4].copy_from_slice(&self.magic);
         out[4..8].copy_from_slice(&self.version.to_le_bytes());
-        out[8..12].copy_from_slice(&(self.dims as u32).to_le_bytes());
+        let dims = u32::try_from(self.dims).expect("a dimensionality past u32::MAX has no header");
+        out[8..12].copy_from_slice(&dims.to_le_bytes());
         out[12..].copy_from_slice(&self.checkpoint_id.to_le_bytes());
         out
     }
@@ -145,6 +146,8 @@ impl Header {
 
 /// Appends a `u32` length, then `bytes` — what [`Cursor::bytes`] reads.
 pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    // Exact for every frame written: a field past `u32::MAX` bytes makes
+    // its payload longer than `MAX_FRAME`, which `push_frame` refuses.
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
     out.extend_from_slice(bytes);
 }
@@ -164,6 +167,7 @@ pub fn push_frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) -> io::
         let why = format!("a frame of {len} bytes is over the {MAX_FRAME}-byte cap");
         return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
     }
+    // Exact: `len` is at most `MAX_FRAME`, a `u32`, by the check above.
     head[..4].copy_from_slice(&(len as u32).to_le_bytes());
     head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
     Ok(())

@@ -648,7 +648,7 @@ impl SegmentStore {
         self.order_ids.clear();
         self.order_ids.extend(perm.iter().map(|&(_, from)| seg.ids[from as usize]));
         seg.ids[first..].copy_from_slice(&self.order_ids);
-        for ((&(_, from), to), &object_id) in perm.iter().zip(first as u32..).zip(&self.order_ids) {
+        for ((&(_, from), to), &object_id) in perm.iter().zip(slot_index(first)..).zip(&self.order_ids) {
             if from != to {
                 self.positions.insert(object_id, (id.0, to));
             }

@@ -173,6 +173,9 @@ impl WalRecord {
 
 fn encode_id_coords(out: &mut Vec<u8>, id: u32, coords: &[Scalar]) {
     out.extend_from_slice(&id.to_le_bytes());
+    // Exact for every record written: an index logs `2·dims` ≤ 131 070
+    // coordinates, and a record past `u32::MAX` of them would be over
+    // `MAX_FRAME`, which `push_frame` refuses.
     out.extend_from_slice(&(coords.len() as u32).to_le_bytes());
     for v in coords {
         out.extend_from_slice(&v.to_le_bytes());
