@@ -12,17 +12,17 @@
 //!   dimension 0, what `SegmentStore` keeps): pass words evaluated per
 //!   64-object block and nanoseconds per object, for 8-d point events
 //!   over subscriptions and for 16-d windows of 1 % selectivity.
-//! * **candidate counting** — `CandidateSlice::count_query` (`2f`
+//! * **candidate counting** — `CandidateSet::count_query_into` (`2f`
 //!   comparisons per dimension, then one bump per candidate into a
 //!   counter column, what `execute` runs) against the scalar
 //!   candidate-at-a-time `matches_query` + bump loop over one cluster's
-//!   candidate range of a statistics arena, for division factors
+//!   candidate set, for division factors
 //!   yielding `f²·Nd` from a dozen to thousands.
 //! * **index** — `AdaptiveClusterIndex` point-enclosing queries (§7.2,
 //!   the scan-dominated workload) through the read-only `query_with`
 //!   path, on an adapted index.
 //! * **recorded execute** — the statistics-recording read phase (delta
-//!   sink) and the full `execute` path (arena sink plus the amortized
+//!   sink) and the full `execute` path (in-place sink plus the amortized
 //!   pass).
 //! * **reorganization** — the per-period maintenance pass on an adapted
 //!   index (O(1) screen + columnar split scan); and passes that split
@@ -65,7 +65,7 @@ use std::time::Instant;
 use acx_bench::args::Flags;
 use acx_bench::cost_terms::{self, CostTerms};
 use acx_bench::{adapted_ac, build_ac_with};
-use acx_core::candidates::{generate_candidates, StatsArena};
+use acx_core::candidates::CandidateSet;
 use acx_core::{AdaptiveClusterIndex, IndexConfig, QueryScratch, Signature, StatsDelta};
 use acx_geom::scan::{scan_columns, PairedColumns, ScanScratch, BLOCK};
 use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery, OBJECT_ID_BYTES};
@@ -251,24 +251,14 @@ struct CandidateRow {
 /// One cluster's candidate loop in isolation: the per-dimension count
 /// vs the candidate-at-a-time scalar reference, across division
 /// factors pushing `f²·Nd` from a dozen past the paper's 160 (f = 4,
-/// 16 d) to thousands. Both read the same mid-slab range of a populated
-/// statistics arena and add into the same kind of counter column, as
-/// they do inside an index.
+/// 16 d) to thousands. Both read one cluster's candidate set and add
+/// into the same kind of counter column, as they do inside an index.
 fn candidate_matrix(configs: &[(usize, u8)], repeats: usize) -> Vec<CandidateRow> {
     let mut rows = Vec::new();
     for &(dims, f) in configs {
-        let set = generate_candidates(&Signature::root(dims), f);
-        // The measured range sits between neighbors, as it would in an
-        // index whose clusters all share the slab.
-        let mut arena = StatsArena::new();
-        arena.alloc(&set);
-        let mid = arena.alloc(&set);
-        arena.alloc(&set);
-        let cands = arena.slice(mid);
-        let workload = UniformWorkload::with_max_length(
-            WorkloadConfig::new(dims, 1024, 0xCA7D),
-            0.3,
-        );
+        let cands = CandidateSet::generate(&Signature::root(dims), f);
+        let workload =
+            UniformWorkload::with_max_length(WorkloadConfig::new(dims, 1024, 0xCA7D), 0.3);
         let mut rng = WorkloadConfig::new(dims, 1024, 0xCA7D).rng();
         let queries: Vec<SpatialQuery> = (0..64)
             .map(|k| match k % 4 {
@@ -281,7 +271,7 @@ fn candidate_matrix(configs: &[(usize, u8)], repeats: usize) -> Vec<CandidateRow
 
         let mut counters = vec![0u32; cands.len()];
         let kernel_ns = time_per_query(queries.len(), repeats, |k| {
-            cands.count_query(&queries[k], &mut counters);
+            cands.count_query_into(&queries[k], &mut counters);
             counters[k % counters.len()] as u64
         });
         counters.fill(0);
@@ -427,7 +417,6 @@ struct ReorgRow {
     scans: u64,
     screened: u64,
     arena_live_bytes: u64,
-    compactions: u64,
     descent: DescentRow,
 }
 
@@ -553,12 +542,11 @@ fn reorg_matrix(objects: usize, repeats: usize) -> ReorgRow {
         scans: counters[1] / passes,
         screened: counters[2] / passes,
         arena_live_bytes: profile.arena_live_bytes,
-        compactions: profile.compactions,
         descent,
     };
     println!(
-        "reorg   d={dims} n={objects}: {:>10.0} ns/pass  ({} clusters; per pass: {} evaluated, {} scans, {} screened; arena {} live bytes, {} compactions)",
-        row.pass.p50, row.clusters, row.evaluated, row.scans, row.screened, row.arena_live_bytes, row.compactions,
+        "reorg   d={dims} n={objects}: {:>10.0} ns/pass  ({} clusters; per pass: {} evaluated, {} scans, {} screened; {} bytes of candidate sets)",
+        row.pass.p50, row.clusters, row.evaluated, row.scans, row.screened, row.arena_live_bytes,
     );
     row
 }
@@ -863,7 +851,7 @@ fn main() {
     let _ = writeln!(json, "  \"quick\": {quick},");
     json.push_str(
         "  \"measures\": \"one query counted into a u32 counter column per candidate; \
-         kernel = CandidateSlice::count_query (2f comparisons per dimension, one bump per candidate), \
+         kernel = CandidateSet::count_query_into (2f comparisons per dimension, one bump per candidate), \
          scalar = matches_query + saturating bump per candidate\",\n",
     );
     json.push_str("  \"candidate_matching\": [\n");
@@ -898,14 +886,13 @@ fn main() {
     let _ = writeln!(json, "  \"reorg_period\": 100,");
     let _ = writeln!(
         json,
-        "  \"per_period_pass\": {{{}, \"clusters\": {}, \"evaluated\": {}, \"candidate_scans\": {}, \"screened_out\": {}, \"arena_live_bytes\": {}, \"compactions\": {}}},",
+        "  \"per_period_pass\": {{{}, \"clusters\": {}, \"evaluated\": {}, \"candidate_scans\": {}, \"screened_out\": {}, \"arena_live_bytes\": {}}},",
         reorg.pass.json("pass"),
         reorg.clusters,
         reorg.evaluated,
         reorg.scans,
         reorg.screened,
-        reorg.arena_live_bytes,
-        reorg.compactions
+        reorg.arena_live_bytes
     );
     json.push_str(
         "  \"moving_pass\": {\"dims\": 4, \"objects\": 20000, \"config\": \"IndexConfig::memory\", \

@@ -7,7 +7,7 @@
 //! counter.
 //!
 //! The same traces must come out whichever statistics sink carries the
-//! stream ([`Sink`]): `execute` writing the arena in place, or
+//! stream ([`Sink`]): `execute` writing the candidate sets in place, or
 //! `query_recorded` + `apply_stats`.
 //!
 //! The streams run on the paper's platform: at 500 objects it is
@@ -86,7 +86,7 @@ struct Trace {
 /// The path a stream's statistics take into the index.
 #[derive(Clone, Copy, Debug)]
 enum Sink {
-    /// `execute`: the arena, in place.
+    /// `execute`: the candidate sets, in place.
     Direct,
     /// `query_recorded` into a delta, then `apply_stats`.
     TwoPhase,

@@ -3,8 +3,8 @@
 //!
 //! One traversal, three sinks, identical state: `query` records
 //! nothing; [`crate::AdaptiveClusterIndex::execute`] holds `&mut self`
-//! and writes the statistics arena in place; and the two-phase path
-//! splits that execution in two. Phase one,
+//! and writes each explored cluster's candidate set in place; and the
+//! two-phase path splits that execution in two. Phase one,
 //! [`crate::AdaptiveClusterIndex::query_recorded`], matches on `&self`
 //! and *records* what an execution would have written — per-cluster
 //! matching-query counts, per-candidate matching-query counts (through

@@ -24,12 +24,12 @@
 //! `can_reach(x) ⇔ reach ≥ x` — so every test is one comparison,
 //! bit-identical to the [`SigInterval`] predicates.
 //!
-//! Recording a query ([`CandidateSlice::count_query`]) evaluates, per
+//! Recording a query ([`CandidateSet::count_query_into`]) evaluates, per
 //! dimension, the relation's start-side comparison on the `f` start
 //! subintervals and its end-side comparison on the `f` end
 //! subintervals — `2f` comparisons — and adds
 //! `start_ok[sub_i] & end_ok[sub_j]` to each candidate. These are the
-//! comparisons [`CandidateSlice::matches_query`] makes per candidate,
+//! comparisons [`CandidateSet::matches_query`] makes per candidate,
 //! factored, so the counts equal that oracle's whatever order the
 //! bounds are in.
 //!
@@ -38,24 +38,15 @@
 //! functions only compare magnitudes, so saturation is benign; wrapping
 //! would invert a reorganization decision).
 //!
-//! ## Index-wide statistics arena
+//! ## One set per cluster
 //!
-//! Clusters do **not** own their columns: the index holds one
-//! [`StatsArena`] — a single slab per column family — and each cluster
-//! slot owns a [`CandHandle`] naming a `(base, len)` range into the
-//! slabs. The reorganization pass then streams one contiguous counter
-//! column instead of pointer-chasing ~11 separate `Vec`s per cluster.
-//! Ranges are bump-allocated at the tail, retired (not freed) when a
-//! cluster is merged away or re-materialized, and compacted during
-//! reorganization when dead bytes reach a quarter of capacity — the pass
-//! walks every slot anyway, so compaction is amortized free and keeps
-//! hot clusters' columns adjacent.
-//!
-//! All statistics logic is written once, on the borrowed views
-//! [`CandidateSlice`] / [`CandidateSliceMut`]. An owned [`CandidateSet`]
-//! is only the *generator* handed to [`StatsArena::alloc`]; it projects
-//! to the same view types, which is what lets this module's tests mirror
-//! every arena range against an independently mutated owned set.
+//! The index keeps one owned [`CandidateSet`] per cluster slot, beside
+//! the cluster (§3.2 keeps a cluster's statistics with it). A set's
+//! fixed columns are written once, by [`CandidateSet::generate`], and
+//! never change; its counters, `n_hi` bound and lazy-decay stamp are the
+//! only state the index writes. A merge takes the dying slot's set out,
+//! which frees it; a materialization generates a fresh one into the new
+//! slot.
 
 use acx_geom::scan::PairedColumns;
 use acx_geom::{Scalar, SpatialQuery};
@@ -129,46 +120,163 @@ impl CandidateBounds {
     }
 }
 
-/// What a candidate set fixes at generation: the per-dimension
-/// subinterval bounds and each candidate's identity. Shared by both
-/// views, which differ only in whether the counters are writable.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Layout<'a> {
-    /// Candidate range per dimension, **range-relative** (first entry is
-    /// always `0`). Length `dims + 1`.
-    dim_offsets: &'a [u32],
+/// The candidate subclusters of one cluster signature as owned,
+/// dimension-grouped columns (see the module docs), with their counters.
+/// The default set is empty: what a free cluster slot holds.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CandidateSet {
+    /// Candidate range per dimension, `dims + 1` entries: dimension `d`
+    /// owns candidates `dim_offsets[d] .. dim_offsets[d + 1]`.
+    dim_offsets: Vec<u32>,
     /// Subinterval bounds, `f` entries per dimension: entry `d·f + k`
     /// holds dimension `d`'s `k`-th start and end subintervals.
-    sub: &'a [SubBounds],
+    sub: Vec<SubBounds>,
     /// The division factor `f`.
-    f: usize,
-    /// Specialized dimension per candidate.
-    dim: &'a [u16],
+    f: u8,
+    /// Specialized dimension per candidate (redundant with the offsets,
+    /// kept for O(1) per-candidate access).
+    dim: Vec<u16>,
     /// Start subinterval index per candidate.
-    sub_i: &'a [u8],
+    sub_i: Vec<u8>,
     /// End subinterval index per candidate.
-    sub_j: &'a [u8],
+    sub_j: Vec<u8>,
+    /// Member objects of the parent qualifying for each candidate.
+    n: Vec<u32>,
+    /// Queries matching each candidate since the last statistics epoch
+    /// (saturating).
+    q: Vec<u32>,
+    /// Exponentially decayed query count from previous epochs (smooths
+    /// the access-probability estimate across reorganization periods).
+    q_eff: Vec<f64>,
+    /// Cached **upper bound** on `max(n)`: raised whenever a member
+    /// recording pushes a counter above it, left untouched by removals
+    /// (so it may be loose, never low), and re-tightened to the exact
+    /// maximum whenever a reorganization scan walks the counters anyway.
+    /// The incremental reorganization's O(1) no-split screen prices its
+    /// most-profitable-possible candidate with this bound; a loose bound
+    /// only costs an unnecessary scan, never a wrong decision.
+    n_hi: u32,
+    /// Statistics epoch up to which this set's lazy decay is applied
+    /// (the index's `stats_epoch` at the last touch).
+    stamp: u64,
 }
 
-impl Layout<'_> {
-    fn dims(&self) -> usize {
-        self.dim_offsets.len() - 1
+/// An index into a set's per-candidate columns (its statistics slabs) as
+/// the `u32` its `dim_offsets` hold.
+///
+/// # Panics
+///
+/// Panics if `index` does not fit in a `u32`, rather than wrap into an
+/// offset that misreads another dimension's run. `IndexConfig::validate`
+/// bounds a cluster's candidates by one checkpoint frame, far below.
+fn slab_index(index: usize) -> u32 {
+    u32::try_from(index).expect("a statistics slab holds at most u32::MAX entries")
+}
+
+impl CandidateSet {
+    /// Generates the candidate set of a cluster signature: for each
+    /// dimension, the bounds of its `f` start and `f` end subintervals
+    /// and every feasible `(i, j)` combination of them (paper §4.2).
+    /// Candidate counters start at zero.
+    pub fn generate(sig: &Signature, f: u8) -> Self {
+        let mut set = Self {
+            dim_offsets: vec![0],
+            f,
+            ..Self::default()
+        };
+        for d in 0..sig.dims() {
+            let ds = sig.dim(d);
+            for k in 0..f {
+                let (start, end) = (ds.start.subdivide(f, k), ds.end.subdivide(f, k));
+                set.sub.push(SubBounds {
+                    start_lo: start.lo(),
+                    start_reach: reach_of(&start),
+                    end_lo: end.lo(),
+                    end_reach: reach_of(&end),
+                });
+            }
+            for i in 0..f {
+                for j in 0..f {
+                    if sig.combination_feasible(d, f, i, j) {
+                        set.dim.push(d as u16);
+                        set.sub_i.push(i);
+                        set.sub_j.push(j);
+                    }
+                }
+            }
+            set.dim_offsets.push(slab_index(set.dim.len()));
+        }
+        let len = set.dim.len();
+        set.n = vec![0; len];
+        set.q = vec![0; len];
+        set.q_eff = vec![0.0; len];
+        set
     }
 
+    /// Number of candidates.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.dim.len()
+    }
+
+    /// Whether the set holds no candidates.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.dim.is_empty()
+    }
+
+    /// Number of dimensions the candidates specialize (`0` for the empty
+    /// default set).
+    #[inline]
+    pub fn dims(&self) -> usize {
+        self.dim_offsets.len().saturating_sub(1)
+    }
+
+    /// Whether `other` fixes the same columns as this set — offsets,
+    /// subinterval bounds, `f` and every candidate's identity — whatever
+    /// either's counters hold.
+    pub fn same_layout(&self, other: &CandidateSet) -> bool {
+        self.dim_offsets == other.dim_offsets
+            && self.sub == other.sub
+            && self.f == other.f
+            && self.dim == other.dim
+            && self.sub_i == other.sub_i
+            && self.sub_j == other.sub_j
+    }
+
+    /// Bytes the set's columns hold: 20 per candidate (`dim` 2, `sub_i`
+    /// and `sub_j` 1 each, `n` and `q` 4 each, `q_eff` 8), 4 per offset
+    /// and 16 per subinterval entry (four `f32` bounds).
+    pub fn bytes(&self) -> usize {
+        self.len() * 20 + self.dim_offsets.len() * 4 + self.sub.len() * 16
+    }
+
+    /// Dimension `d`'s candidates.
     fn run(&self, d: usize) -> std::ops::Range<usize> {
         self.dim_offsets[d] as usize..self.dim_offsets[d + 1] as usize
     }
 
     /// Dimension `d`'s `f` subinterval entries.
     fn subs(&self, d: usize) -> &[SubBounds] {
-        &self.sub[d * self.f..(d + 1) * self.f]
+        let f = self.f as usize;
+        &self.sub[d * f..(d + 1) * f]
     }
 
+    /// The identity of candidate `ci`.
+    pub fn id(&self, ci: usize) -> CandidateId {
+        CandidateId {
+            dim: self.dim[ci],
+            i: self.sub_i[ci],
+            j: self.sub_j[ci],
+        }
+    }
+
+    /// The membership bounds of candidate `ci`, copied out.
     #[inline]
-    fn bounds(&self, ci: usize) -> CandidateBounds {
-        let d = self.dim[ci] as usize;
-        let start = &self.sub[d * self.f + self.sub_i[ci] as usize];
-        let end = &self.sub[d * self.f + self.sub_j[ci] as usize];
+    pub fn bounds(&self, ci: usize) -> CandidateBounds {
+        let (d, f) = (self.dim[ci] as usize, self.f as usize);
+        let start = &self.sub[d * f + self.sub_i[ci] as usize];
+        let end = &self.sub[d * f + self.sub_j[ci] as usize];
         CandidateBounds {
             dim: d,
             start_lo: start.start_lo,
@@ -176,134 +284,6 @@ impl Layout<'_> {
             end_lo: end.end_lo,
             end_reach: end.end_reach,
         }
-    }
-
-    /// See [`CandidateSlice::count_query`]. Every relation is
-    /// `start side ∧ end side` against per-dimension thresholds
-    /// `(t1, t2)`: containment tests the start's reach against `t2` and
-    /// the end's lower bound against `t1`, the others the start's lower
-    /// bound against `t1` and the end's reach against `t2`.
-    fn count_query(&self, query: &SpatialQuery, counters: &mut [u32]) {
-        assert_eq!(counters.len(), self.dim.len(), "one counter per candidate");
-        debug_assert_eq!(query.dims(), self.dims(), "dimensionality mismatch");
-        match query {
-            SpatialQuery::Intersection(w) | SpatialQuery::Containment(w) => {
-                let containment = matches!(query, SpatialQuery::Containment(_));
-                let hi_lo = w.intervals().iter().map(|q| (q.hi(), q.lo()));
-                self.count_sides(containment, hi_lo, counters)
-            }
-            SpatialQuery::Enclosure(w) => {
-                let lo_hi = w.intervals().iter().map(|q| (q.lo(), q.hi()));
-                self.count_sides(false, lo_hi, counters)
-            }
-            SpatialQuery::PointEnclosing(p) => {
-                self.count_sides(false, p.iter().map(|&v| (v, v)), counters)
-            }
-        }
-    }
-
-    /// [`Layout::count_query`] given each dimension's `(t1, t2)`.
-    fn count_sides(
-        &self,
-        containment: bool,
-        thresholds: impl Iterator<Item = (Scalar, Scalar)>,
-        counters: &mut [u32],
-    ) {
-        let (mut start_ok, mut end_ok) = ([0u8; 256], [0u8; 256]);
-        let dims = self.sub.chunks_exact(self.f).zip(self.dim_offsets.windows(2));
-        for ((subs, run), (t1, t2)) in dims.zip(thresholds) {
-            for (k, s) in subs.iter().enumerate() {
-                (start_ok[k], end_ok[k]) = if containment {
-                    ((s.start_reach >= t2) as u8, (s.end_lo <= t1) as u8)
-                } else {
-                    ((s.start_lo <= t1) as u8, (s.end_reach >= t2) as u8)
-                };
-            }
-            let run = run[0] as usize..run[1] as usize;
-            let cells = self.sub_i[run.clone()].iter().zip(&self.sub_j[run.clone()]);
-            for (c, (&i, &j)) in counters[run].iter_mut().zip(cells) {
-                *c = c.saturating_add(u32::from(start_ok[i as usize] & end_ok[j as usize]));
-            }
-        }
-    }
-
-    /// See [`CandidateSlice::count_members`].
-    fn count_members(&self, members: &PairedColumns<'_>, out: &mut [u32]) {
-        assert_eq!(out.len(), self.dim.len(), "one member count per candidate");
-        for (ci, n) in out.iter_mut().enumerate() {
-            *n = self.count_accepted(ci, members);
-        }
-    }
-
-    /// How many of `members` candidate `ci` accepts: one pass over the
-    /// lower- and upper-bound columns of its specialized dimension. The
-    /// four comparisons are combined with `&` rather than `&&`, so the
-    /// member loop has no branch and vectorizes.
-    #[inline]
-    fn count_accepted(&self, ci: usize, members: &PairedColumns<'_>) -> u32 {
-        let c = self.bounds(ci);
-        let (lo, hi) = (members.lo_col(c.dim), members.hi_col(c.dim));
-        lo.iter()
-            .zip(hi)
-            .map(|(&a, &b)| {
-                u32::from(
-                    (c.start_lo <= a) & (a <= c.start_reach) & (c.end_lo <= b) & (b <= c.end_reach),
-                )
-            })
-            .sum()
-    }
-}
-
-/// Borrowed, read-only view of one cluster's candidate statistics —
-/// the common projection of an owned [`CandidateSet`] and a
-/// [`StatsArena`] range. All read logic lives here, so the two
-/// answer bit-identically by construction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CandidateSlice<'a> {
-    layout: Layout<'a>,
-    /// Member objects of the parent qualifying for each candidate.
-    n: &'a [u32],
-    /// Queries matching each candidate since the last statistics epoch.
-    q: &'a [u32],
-    /// Exponentially decayed query count from previous epochs.
-    q_eff: &'a [f64],
-    /// Cached upper bound on `max(n)` (may be loose, never low).
-    n_hi: u32,
-    /// Statistics epoch up to which this set's decay is applied.
-    stamp: u64,
-}
-
-impl<'a> CandidateSlice<'a> {
-    /// Number of candidates.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.layout.dim.len()
-    }
-
-    /// Whether the set holds no candidates.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.layout.dim.is_empty()
-    }
-
-    /// Number of dimensions the candidates specialize.
-    #[inline]
-    pub fn dims(&self) -> usize {
-        self.layout.dims()
-    }
-
-    /// The identity of candidate `ci`.
-    pub fn id(&self, ci: usize) -> CandidateId {
-        CandidateId {
-            dim: self.layout.dim[ci],
-            i: self.layout.sub_i[ci],
-            j: self.layout.sub_j[ci],
-        }
-    }
-
-    /// The membership bounds of candidate `ci`, copied out.
-    pub fn bounds(&self, ci: usize) -> CandidateBounds {
-        self.layout.bounds(ci)
     }
 
     /// Qualifying-member count of candidate `ci`.
@@ -327,20 +307,20 @@ impl<'a> CandidateSlice<'a> {
     /// The qualifying-member counter column (parallel to the candidate
     /// index) — input of the batched benefit evaluation.
     #[inline]
-    pub fn n_col(&self) -> &'a [u32] {
-        self.n
+    pub fn n_col(&self) -> &[u32] {
+        &self.n
     }
 
     /// The epoch matching-query counter column.
     #[inline]
-    pub fn q_col(&self) -> &'a [u32] {
-        self.q
+    pub fn q_col(&self) -> &[u32] {
+        &self.q
     }
 
     /// The decayed matching-query history column.
     #[inline]
-    pub fn q_eff_col(&self) -> &'a [f64] {
-        self.q_eff
+    pub fn q_eff_col(&self) -> &[f64] {
+        &self.q_eff
     }
 
     /// Cached upper bound on the maximal qualifying-member count over
@@ -360,16 +340,16 @@ impl<'a> CandidateSlice<'a> {
     /// also satisfies candidate `ci`.
     #[inline]
     pub fn accepts_member(&self, ci: usize, flat: &[Scalar]) -> bool {
-        self.layout.bounds(ci).accepts_member(flat)
+        self.bounds(ci).accepts_member(flat)
     }
 
     /// Whether a query *that already matches the parent signature* also
     /// matches candidate `ci` (only the specialized dimension is
     /// checked) — the per-candidate oracle of
-    /// [`CandidateSlice::count_query`].
+    /// [`CandidateSet::count_query_into`].
     #[inline]
     pub fn matches_query(&self, ci: usize, query: &SpatialQuery) -> bool {
-        let c = self.layout.bounds(ci);
+        let c = self.bounds(ci);
         match query {
             SpatialQuery::Intersection(w) => {
                 let q = w.interval(c.dim);
@@ -391,83 +371,114 @@ impl<'a> CandidateSlice<'a> {
     }
 
     /// Adds one (saturating at `u32::MAX`) to `counters[ci]` for every
-    /// candidate `ci` that [`CandidateSlice::matches_query`] — from `2f`
+    /// candidate `ci` that [`CandidateSet::matches_query`] — from `2f`
     /// comparisons per dimension rather than one per candidate (see the
     /// module docs). The delta sink counts into its own column with it.
+    ///
+    /// Every relation is `start side ∧ end side` against per-dimension
+    /// thresholds `(t1, t2)`: containment tests the start's reach
+    /// against `t2` and the end's lower bound against `t1`, the others
+    /// the start's lower bound against `t1` and the end's reach against
+    /// `t2`.
     ///
     /// # Panics
     ///
     /// Panics if `counters` is not exactly one entry per candidate.
-    pub fn count_query(&self, query: &SpatialQuery, counters: &mut [u32]) {
-        self.layout.count_query(query, counters);
+    pub fn count_query_into(&self, query: &SpatialQuery, counters: &mut [u32]) {
+        assert_eq!(counters.len(), self.len(), "one counter per candidate");
+        debug_assert_eq!(query.dims(), self.dims(), "dimensionality mismatch");
+        match query {
+            SpatialQuery::Intersection(w) | SpatialQuery::Containment(w) => {
+                let containment = matches!(query, SpatialQuery::Containment(_));
+                let hi_lo = w.intervals().iter().map(|q| (q.hi(), q.lo()));
+                self.count_sides(containment, hi_lo, counters)
+            }
+            SpatialQuery::Enclosure(w) => {
+                let lo_hi = w.intervals().iter().map(|q| (q.lo(), q.hi()));
+                self.count_sides(false, lo_hi, counters)
+            }
+            SpatialQuery::PointEnclosing(p) => {
+                self.count_sides(false, p.iter().map(|&v| (v, v)), counters)
+            }
+        }
+    }
+
+    /// Counts one query into the `q` counter of every candidate it
+    /// matches, in place: [`CandidateSet::count_query_into`] this set's
+    /// own `q` column.
+    pub fn count_query(&mut self, query: &SpatialQuery) {
+        let mut q = std::mem::take(&mut self.q);
+        self.count_query_into(query, &mut q);
+        self.q = q;
+    }
+
+    /// [`CandidateSet::count_query_into`] given each dimension's
+    /// `(t1, t2)`.
+    fn count_sides(
+        &self,
+        containment: bool,
+        thresholds: impl Iterator<Item = (Scalar, Scalar)>,
+        counters: &mut [u32],
+    ) {
+        let (mut start_ok, mut end_ok) = ([0u8; 256], [0u8; 256]);
+        let dims = self
+            .sub
+            .chunks_exact(self.f as usize)
+            .zip(self.dim_offsets.windows(2));
+        for ((subs, run), (t1, t2)) in dims.zip(thresholds) {
+            for (k, s) in subs.iter().enumerate() {
+                (start_ok[k], end_ok[k]) = if containment {
+                    ((s.start_reach >= t2) as u8, (s.end_lo <= t1) as u8)
+                } else {
+                    ((s.start_lo <= t1) as u8, (s.end_reach >= t2) as u8)
+                };
+            }
+            let run = run[0] as usize..run[1] as usize;
+            let cells = self.sub_i[run.clone()].iter().zip(&self.sub_j[run.clone()]);
+            for (c, (&i, &j)) in counters[run].iter_mut().zip(cells) {
+                *c = c.saturating_add(u32::from(start_ok[i as usize] & end_ok[j as usize]));
+            }
+        }
     }
 
     /// Materializes the full signature of candidate `ci`.
-    pub fn signature(&self, ci: usize, parent: &Signature, f: u8) -> Signature {
+    pub fn signature(&self, ci: usize, parent: &Signature) -> Signature {
         let id = self.id(ci);
-        parent.specialize(id.dim as usize, f, id.i, id.j)
+        parent.specialize(id.dim as usize, self.f, id.i, id.j)
     }
 
     /// Counts, from scratch, how many of `members` (the parent
     /// cluster's segment columns) each candidate accepts, into `out`
-    /// (one entry per candidate): per candidate, one branch-free pass
-    /// over the lower- and upper-bound columns of its specialized
-    /// dimension. Independent of the incremental
-    /// [`CandidateSliceMut::record_member`] bookkeeping, which is what
-    /// lets `check_invariants` audit that bookkeeping with it.
+    /// (one entry per candidate). Independent of the incremental
+    /// [`CandidateSet::record_member`] bookkeeping, which is what lets
+    /// `check_invariants` audit that bookkeeping with it.
     ///
     /// # Panics
     ///
     /// Panics if `out` is not exactly one entry per candidate.
     pub fn count_members(&self, members: &PairedColumns<'_>, out: &mut [u32]) {
-        self.layout.count_members(members, out);
-    }
-}
-
-/// Borrowed, mutable view of one cluster's candidate statistics — the
-/// single home of all counter-mutation logic (member recording, query
-/// counting, decay). Bounds and identities stay immutable: they are
-/// fixed at generation.
-#[derive(Debug, PartialEq)]
-pub struct CandidateSliceMut<'a> {
-    layout: Layout<'a>,
-    n: &'a mut [u32],
-    q: &'a mut [u32],
-    q_eff: &'a mut [f64],
-    n_hi: &'a mut u32,
-    stamp: &'a mut u64,
-}
-
-impl CandidateSliceMut<'_> {
-    /// Reborrows as the read-only view.
-    #[inline]
-    pub fn as_slice(&self) -> CandidateSlice<'_> {
-        CandidateSlice {
-            layout: self.layout,
-            n: self.n,
-            q: self.q,
-            q_eff: self.q_eff,
-            n_hi: *self.n_hi,
-            stamp: *self.stamp,
+        assert_eq!(out.len(), self.len(), "one member count per candidate");
+        for (ci, n) in out.iter_mut().enumerate() {
+            *n = self.count_accepted(ci, members);
         }
     }
 
-    /// Number of candidates.
+    /// How many of `members` candidate `ci` accepts: one pass over the
+    /// lower- and upper-bound columns of its specialized dimension. The
+    /// four comparisons are combined with `&` rather than `&&`, so the
+    /// member loop has no branch and vectorizes.
     #[inline]
-    pub fn len(&self) -> usize {
-        self.layout.dim.len()
-    }
-
-    /// Whether the set holds no candidates.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.layout.dim.is_empty()
-    }
-
-    /// Number of dimensions the candidates specialize.
-    #[inline]
-    pub fn dims(&self) -> usize {
-        self.layout.dims()
+    fn count_accepted(&self, ci: usize, members: &PairedColumns<'_>) -> u32 {
+        let c = self.bounds(ci);
+        let (lo, hi) = (members.lo_col(c.dim), members.hi_col(c.dim));
+        lo.iter()
+            .zip(hi)
+            .map(|(&a, &b)| {
+                u32::from(
+                    (c.start_lo <= a) & (a <= c.start_reach) & (c.end_lo <= b) & (b <= c.end_reach),
+                )
+            })
+            .sum()
     }
 
     /// Counts a new member of the parent cluster into every candidate
@@ -489,21 +500,20 @@ impl CandidateSliceMut<'_> {
     /// dropped as infeasible. The scan therefore stops at the first
     /// accepting candidate of each run; debug builds scan the rest of
     /// the run and insist nothing else accepts. As in
-    /// [`CandidateSlice::count_query`], each subinterval is tested once
-    /// per dimension and a candidate reads its two outcomes.
+    /// [`CandidateSet::count_query_into`], each subinterval is tested
+    /// once per dimension and a candidate reads its two outcomes.
     fn adjust_member(&mut self, flat: &[Scalar], add: bool) {
-        let layout = self.layout;
         let (mut start_in, mut end_in) = ([0u8; 256], [0u8; 256]);
-        for d in 0..layout.dims() {
+        for d in 0..self.dims() {
             let (a, b) = (flat[2 * d], flat[2 * d + 1]);
-            for (k, s) in layout.subs(d).iter().enumerate() {
+            for (k, s) in self.subs(d).iter().enumerate() {
                 start_in[k] = ((s.start_lo <= a) & (a <= s.start_reach)) as u8;
                 end_in[k] = ((s.end_lo <= b) & (b <= s.end_reach)) as u8;
             }
             let accepts = |ci: usize| {
-                start_in[layout.sub_i[ci] as usize] & end_in[layout.sub_j[ci] as usize] == 1
+                start_in[self.sub_i[ci] as usize] & end_in[self.sub_j[ci] as usize] == 1
             };
-            let run = layout.run(d);
+            let run = self.run(d);
             let Some(ci) = run.clone().find(|&ci| accepts(ci)) else {
                 continue;
             };
@@ -513,7 +523,7 @@ impl CandidateSliceMut<'_> {
             );
             if add {
                 self.n[ci] += 1;
-                *self.n_hi = (*self.n_hi).max(self.n[ci]);
+                self.n_hi = self.n_hi.max(self.n[ci]);
             } else {
                 debug_assert!(self.n[ci] > 0);
                 self.n[ci] -= 1;
@@ -523,26 +533,26 @@ impl CandidateSliceMut<'_> {
 
     /// Counts members arriving in the parent cluster — a merged child's
     /// segment columns — into every candidate accepting them: one
-    /// [`CandidateSlice::count_members`] pass per candidate, which is
-    /// what [`CandidateSliceMut::record_member`] of each member leaves,
+    /// [`CandidateSet::count_members`] pass per candidate, which is
+    /// what [`CandidateSet::record_member`] of each member leaves,
     /// `n_hi` included (raised to each count that grew).
     pub fn record_members(&mut self, members: &PairedColumns<'_>) {
         for ci in 0..self.len() {
-            let arriving = self.layout.count_accepted(ci, members);
+            let arriving = self.count_accepted(ci, members);
             if arriving > 0 {
                 self.n[ci] += arriving;
-                *self.n_hi = (*self.n_hi).max(self.n[ci]);
+                self.n_hi = self.n_hi.max(self.n[ci]);
             }
         }
     }
 
     /// Removes members leaving the parent cluster — a split's new child
     /// segment columns — from every candidate accepting them: one
-    /// [`CandidateSlice::count_members`] pass per candidate, which is
-    /// what [`CandidateSliceMut::unrecord_member`] of each member leaves.
+    /// [`CandidateSet::count_members`] pass per candidate, which is
+    /// what [`CandidateSet::unrecord_member`] of each member leaves.
     pub fn unrecord_members(&mut self, members: &PairedColumns<'_>) {
         for ci in 0..self.len() {
-            let leaving = self.layout.count_accepted(ci, members);
+            let leaving = self.count_accepted(ci, members);
             debug_assert!(self.n[ci] >= leaving);
             self.n[ci] -= leaving;
         }
@@ -551,12 +561,14 @@ impl CandidateSliceMut<'_> {
     /// Replaces every candidate's member count with a recount over
     /// `members` — the parent cluster's segment columns — and the
     /// cached bound with their exact maximum
-    /// ([`CandidateSlice::count_members`], written in place): what
+    /// ([`CandidateSet::count_members`], written in place): what
     /// recording each member once into zeroed counters leaves, at a
     /// column pass per candidate instead of a candidate run per member.
     pub fn recount_members(&mut self, members: &PairedColumns<'_>) {
-        self.layout.count_members(members, self.n);
-        *self.n_hi = self.n.iter().copied().max().unwrap_or(0);
+        for ci in 0..self.len() {
+            self.n[ci] = self.count_accepted(ci, members);
+        }
+        self.n_hi = self.n.iter().copied().max().unwrap_or(0);
     }
 
     /// Adds `inc` matching queries to candidate `ci`, saturating at
@@ -577,13 +589,6 @@ impl CandidateSliceMut<'_> {
         }
     }
 
-    /// Counts one query into the `q` counter of every candidate it
-    /// matches, in place: [`CandidateSlice::count_query`] into this
-    /// set's own `q` column.
-    pub fn count_query(&mut self, query: &SpatialQuery) {
-        self.layout.count_query(query, self.q);
-    }
-
     /// Closes the statistics epoch: folds each candidate's `q` into its
     /// decayed history with weight `gamma` and resets the epoch counter.
     pub fn decay(&mut self, gamma: f64) {
@@ -596,7 +601,7 @@ impl CandidateSliceMut<'_> {
     /// Replays `epochs` missed statistics-epoch closes at once — the
     /// lazy-decay catch-up applied on the first touch after epoch rolls.
     ///
-    /// Bit-identical to calling [`CandidateSliceMut::decay`] `epochs`
+    /// Bit-identical to calling [`CandidateSet::decay`] `epochs`
     /// times: the first replayed close folds the pending `q` counters
     /// (which accumulated while the set's stamp epoch was open — later
     /// epochs saw no touches, so their folds add exactly zero), and
@@ -630,27 +635,21 @@ impl CandidateSliceMut<'_> {
 
     /// Brings the counters up to statistics epoch `epoch` by replaying
     /// the closes the set's stamp lags behind
-    /// ([`CandidateSliceMut::catch_up`] at [`crate::STATS_DECAY`]) — a
+    /// ([`CandidateSet::catch_up`] at [`crate::STATS_DECAY`]) — a
     /// no-op for a set already there.
     pub(crate) fn catch_up_to(&mut self, epoch: u64) {
-        let behind = epoch - *self.stamp;
+        let behind = epoch - self.stamp;
         if behind > 0 {
             self.catch_up(crate::STATS_DECAY, behind);
-            *self.stamp = epoch;
+            self.stamp = epoch;
         }
-    }
-
-    /// Cached upper bound on the maximal qualifying-member count.
-    #[inline]
-    pub fn n_hi(&self) -> u32 {
-        *self.n_hi
     }
 
     /// The member-count column, writable: lets tests break the counts
     /// the index's consistency check must catch.
     #[cfg(test)]
     pub(crate) fn n_col_mut(&mut self) -> &mut [u32] {
-        self.n
+        &mut self.n
     }
 
     /// Re-tightens the cached bound to the exact maximum, as computed by
@@ -661,24 +660,18 @@ impl CandidateSliceMut<'_> {
     /// Debug-asserts that `exact_max` really bounds every counter.
     pub(crate) fn set_n_hi(&mut self, exact_max: u32) {
         debug_assert!(self.n.iter().all(|&n| n <= exact_max));
-        *self.n_hi = exact_max;
-    }
-
-    /// Statistics epoch up to which this set's lazy decay is applied.
-    #[inline]
-    pub fn stamp(&self) -> u64 {
-        *self.stamp
+        self.n_hi = exact_max;
     }
 
     /// Advances the lazy-decay stamp to `epoch`.
     pub(crate) fn set_stamp(&mut self, epoch: u64) {
-        *self.stamp = epoch;
+        self.stamp = epoch;
     }
 
     /// Restores saved query counters, `n_hi` bound and decay stamp onto
     /// the set, leaving the `n` column as it is — the checkpoint-recovery
     /// path (`n` is never persisted: the load recounts it from the
-    /// members, [`CandidateSliceMut::recount_members`]), and how the
+    /// members, [`CandidateSet::recount_members`]), and how the
     /// pass's debug tripwire puts back what its scan touched.
     ///
     /// # Panics
@@ -699,580 +692,8 @@ impl CandidateSliceMut<'_> {
         // damaged or hand-built checkpoint's may be, so keep whichever is
         // higher (the bound may be loose, never low).
         let replayed_max = self.n.iter().copied().max().unwrap_or(0);
-        *self.n_hi = n_hi.max(replayed_max);
-        *self.stamp = stamp;
-    }
-}
-
-/// The columns a candidate set fixes at generation, owned: one per
-/// [`CandidateSet`], and one slab each for a whole [`StatsArena`].
-#[derive(Debug, Clone, Default, PartialEq)]
-struct FixedColumns {
-    /// Candidate range per dimension, `dims + 1` range-relative entries
-    /// per set: dimension `d` owns candidates
-    /// `dim_offsets[d] .. dim_offsets[d + 1]`.
-    dim_offsets: Vec<u32>,
-    /// Subinterval bounds, `dims·f` entries per set.
-    sub: Vec<SubBounds>,
-    /// Specialized dimension per candidate (redundant with the offsets,
-    /// kept for O(1) per-candidate access).
-    dim: Vec<u16>,
-    /// Start subinterval index per candidate.
-    sub_i: Vec<u8>,
-    /// End subinterval index per candidate.
-    sub_j: Vec<u8>,
-}
-
-impl FixedColumns {
-    /// The view of one set: candidates `cands`, its offsets from
-    /// `meta_base`, its `dims·f` bound entries from `sub_base`.
-    #[inline]
-    fn layout(
-        &self,
-        cands: std::ops::Range<usize>,
-        meta_base: usize,
-        sub_base: usize,
-        dims: usize,
-        f: u8,
-    ) -> Layout<'_> {
-        let f = f as usize;
-        Layout {
-            dim_offsets: &self.dim_offsets[meta_base..meta_base + dims + 1],
-            sub: &self.sub[sub_base..sub_base + dims * f],
-            f,
-            dim: &self.dim[cands.clone()],
-            sub_i: &self.sub_i[cands.clone()],
-            sub_j: &self.sub_j[cands],
-        }
-    }
-}
-
-/// The candidate subclusters of one cluster signature as owned,
-/// dimension-grouped columns (see the module docs): the generator and
-/// staging value [`StatsArena::alloc`] copies from, and the reference
-/// this module's tests mirror arena ranges against. The index never
-/// keeps one — clusters hold a [`CandHandle`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CandidateSet {
-    /// Offsets, subinterval bounds and candidate identities.
-    cols: FixedColumns,
-    /// The division factor `f`.
-    f: u8,
-    /// Member objects of the parent qualifying for each candidate.
-    n: Vec<u32>,
-    /// Queries matching each candidate since the last statistics epoch
-    /// (saturating).
-    q: Vec<u32>,
-    /// Exponentially decayed query count from previous epochs (smooths
-    /// the access-probability estimate across reorganization periods).
-    q_eff: Vec<f64>,
-    /// Cached **upper bound** on `max(n)`: raised whenever a member
-    /// recording pushes a counter above it, left untouched by removals
-    /// (so it may be loose, never low), and re-tightened to the exact
-    /// maximum whenever a reorganization scan walks the counters anyway.
-    /// The incremental reorganization's O(1) no-split screen prices its
-    /// most-profitable-possible candidate with this bound; a loose bound
-    /// only costs an unnecessary scan, never a wrong decision.
-    n_hi: u32,
-    /// Statistics epoch up to which this set's lazy decay is applied
-    /// (the index's `stats_epoch` at the last touch).
-    stamp: u64,
-}
-
-impl CandidateSet {
-    /// Generates the candidate set of a cluster signature: for each
-    /// dimension, the bounds of its `f` start and `f` end subintervals
-    /// and every feasible `(i, j)` combination of them (paper §4.2).
-    /// Candidate counters start at zero.
-    pub fn generate(sig: &Signature, f: u8) -> Self {
-        let mut cols = FixedColumns {
-            dim_offsets: vec![0],
-            ..FixedColumns::default()
-        };
-        for d in 0..sig.dims() {
-            let ds = sig.dim(d);
-            for k in 0..f {
-                let (start, end) = (ds.start.subdivide(f, k), ds.end.subdivide(f, k));
-                cols.sub.push(SubBounds {
-                    start_lo: start.lo(),
-                    start_reach: reach_of(&start),
-                    end_lo: end.lo(),
-                    end_reach: reach_of(&end),
-                });
-            }
-            for i in 0..f {
-                for j in 0..f {
-                    if sig.combination_feasible(d, f, i, j) {
-                        cols.dim.push(d as u16);
-                        cols.sub_i.push(i);
-                        cols.sub_j.push(j);
-                    }
-                }
-            }
-            cols.dim_offsets.push(slab_index(cols.dim.len()));
-        }
-        let len = cols.dim.len();
-        Self {
-            cols,
-            f,
-            n: vec![0; len],
-            q: vec![0; len],
-            q_eff: vec![0.0; len],
-            n_hi: 0,
-            stamp: 0,
-        }
-    }
-
-    /// Borrows the read-only view all read logic lives on.
-    #[inline]
-    pub fn as_slice(&self) -> CandidateSlice<'_> {
-        CandidateSlice {
-            layout: self.cols.layout(0..self.len(), 0, 0, self.dims(), self.f),
-            n: &self.n,
-            q: &self.q,
-            q_eff: &self.q_eff,
-            n_hi: self.n_hi,
-            stamp: self.stamp,
-        }
-    }
-
-    /// Borrows the mutable view all mutation logic lives on.
-    #[inline]
-    pub fn as_slice_mut(&mut self) -> CandidateSliceMut<'_> {
-        CandidateSliceMut {
-            layout: self.cols.layout(0..self.len(), 0, 0, self.dims(), self.f),
-            n: &mut self.n,
-            q: &mut self.q,
-            q_eff: &mut self.q_eff,
-            n_hi: &mut self.n_hi,
-            stamp: &mut self.stamp,
-        }
-    }
-
-    /// Number of candidates.
-    pub fn len(&self) -> usize {
-        self.cols.dim.len()
-    }
-
-    /// Whether the set holds no candidates.
-    pub fn is_empty(&self) -> bool {
-        self.cols.dim.is_empty()
-    }
-
-    /// Number of dimensions the candidates specialize.
-    pub fn dims(&self) -> usize {
-        self.cols.dim_offsets.len() - 1
-    }
-}
-
-/// Generates the candidate set of a cluster signature — see
-/// [`CandidateSet::generate`].
-pub fn generate_candidates(sig: &Signature, f: u8) -> CandidateSet {
-    CandidateSet::generate(sig, f)
-}
-
-/// Opaque handle to one cluster's candidate range inside a
-/// [`StatsArena`]. Handles stay valid across compaction (ranges move,
-/// ids do not) and are invalidated only by [`StatsArena::retire`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CandHandle(u32);
-
-/// One allocated range of the arena: `base..base + len` into the
-/// candidate slabs, plus its private meta rows (offsets, subinterval
-/// bounds) and the per-set scalars (`n_hi`, lazy-decay stamp).
-#[derive(Debug, Clone)]
-struct RangeEntry {
-    /// First candidate index in the per-candidate slabs.
-    base: u32,
-    /// Number of candidates.
-    len: u32,
-    /// First entry in the `dim_offsets` slab (`dims + 1` entries).
-    meta_base: u32,
-    /// First entry in the `sub` slab (`dims·f` entries).
-    sub_base: u32,
-    /// Number of specialized dimensions.
-    dims: u32,
-    /// The division factor `f`.
-    f: u8,
-    /// Whether the range is still owned by a cluster slot. Dead ranges
-    /// keep their bytes until the next compaction.
-    live: bool,
-    /// Cached upper bound on `max(n)` for this range.
-    n_hi: u32,
-    /// Statistics epoch up to which this range's lazy decay is applied.
-    stamp: u64,
-}
-
-impl RangeEntry {
-    /// The range's candidates in the per-candidate slabs.
-    fn cands(&self) -> std::ops::Range<usize> {
-        self.base as usize..(self.base + self.len) as usize
-    }
-
-    /// Entries of the `dim_offsets` slab the range owns.
-    fn metas(&self) -> usize {
-        self.dims as usize + 1
-    }
-
-    /// Entries of the `sub` slab the range owns.
-    fn subs(&self) -> usize {
-        self.dims as usize * self.f as usize
-    }
-}
-
-/// `index` into (or length of) an arena slab, as a [`RangeEntry`] or a
-/// `dim_offsets` entry stores it — a range's dimension count included,
-/// the length of its run of `dim_offsets` entries past the first.
-///
-/// # Panics
-///
-/// Panics if `index` does not fit in a `u32`: a slab holds at most
-/// `u32::MAX` entries, and a wrapped base, offset or count would alias
-/// another range or misread this one.
-fn slab_index(index: usize) -> u32 {
-    u32::try_from(index).expect("a statistics slab holds at most u32::MAX entries")
-}
-
-/// Bytes per candidate across the per-candidate slabs (`dim` 2 +
-/// `sub_i` 1 + `sub_j` 1 + `n` 4 + `q` 4 + `q_eff` 8).
-const CAND_BYTES: usize = 20;
-/// Bytes per `dim_offsets` entry.
-const META_BYTES: usize = 4;
-/// Bytes per `sub` entry (four `f32` bounds).
-const SUB_BYTES: usize = 16;
-
-/// Index-wide statistics arena: one contiguous slab per candidate
-/// column family, shared by every cluster slot. See the module docs for
-/// the layout rationale; the life cycle is:
-///
-/// 1. [`StatsArena::alloc`] copies a freshly generated (or staged)
-///    [`CandidateSet`] to the slab tail — bump allocation, O(len).
-/// 2. [`StatsArena::slice`] / [`StatsArena::slice_mut`] project a range
-///    to the shared view types; all statistics logic goes through them.
-/// 3. [`StatsArena::retire`] marks a range dead when its cluster is
-///    merged away or re-materialized. Bytes stay in place (no id reuse
-///    before compaction, so stale handles cannot alias a new range).
-/// 4. [`StatsArena::maybe_compact`] — called from the reorganization
-///    pass, which walks every slot anyway — slides live ranges down in
-///    allocation order once dead bytes reach a quarter of capacity,
-///    returning retired ids to the free list. Compaction moves bytes
-///    with `copy_within` and never allocates.
-///
-/// `dim_offsets` entries are stored **range-relative** (each range's
-/// first entry is `0`), so compaction moves them verbatim without
-/// rewriting.
-#[derive(Debug, Default)]
-pub struct StatsArena {
-    /// Offsets, subinterval-bounds and identity slabs.
-    cols: FixedColumns,
-    n: Vec<u32>,
-    q: Vec<u32>,
-    q_eff: Vec<f64>,
-    /// Range table, indexed by [`CandHandle`] id. Never shrinks.
-    ranges: Vec<RangeEntry>,
-    /// Ids available for reuse — replenished **only** by compaction, so
-    /// a dead range's id stays unique until its bytes are reclaimed.
-    free_ids: Vec<u32>,
-    /// Allocated ids in slab order (live and dead until compaction) —
-    /// ascending `base`, which makes the compaction slide-down a single
-    /// forward walk.
-    order: Vec<u32>,
-    /// Live candidates across all ranges.
-    live_candidates: usize,
-    /// Live `dim_offsets` entries.
-    live_meta: usize,
-    /// Live `sub` entries.
-    live_sub: usize,
-    /// Number of compactions performed over the arena's lifetime.
-    compactions: u64,
-}
-
-impl StatsArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Copies `set`'s columns to the slab tail and returns the handle of
-    /// the new range. The set's counters, `n_hi`, and stamp carry over.
-    pub fn alloc(&mut self, set: &CandidateSet) -> CandHandle {
-        let entry = RangeEntry {
-            base: slab_index(self.cols.dim.len()),
-            len: slab_index(set.len()),
-            meta_base: slab_index(self.cols.dim_offsets.len()),
-            sub_base: slab_index(self.cols.sub.len()),
-            dims: slab_index(set.dims()),
-            f: set.f,
-            live: true,
-            n_hi: set.n_hi,
-            stamp: set.stamp,
-        };
-        self.cols.dim.extend_from_slice(&set.cols.dim);
-        self.cols.sub_i.extend_from_slice(&set.cols.sub_i);
-        self.cols.sub_j.extend_from_slice(&set.cols.sub_j);
-        self.n.extend_from_slice(&set.n);
-        self.q.extend_from_slice(&set.q);
-        self.q_eff.extend_from_slice(&set.q_eff);
-        // Owned sets index from 0 already, so the offsets are
-        // range-relative verbatim.
-        self.cols
-            .dim_offsets
-            .extend_from_slice(&set.cols.dim_offsets);
-        self.cols.sub.extend_from_slice(&set.cols.sub);
-        self.live_candidates += entry.len as usize;
-        self.live_meta += entry.metas();
-        self.live_sub += entry.subs();
-        let id = match self.free_ids.pop() {
-            Some(id) => {
-                self.ranges[id as usize] = entry;
-                id
-            }
-            None => {
-                self.ranges.push(entry);
-                u32::try_from(self.ranges.len() - 1)
-                    .expect("an arena holds at most u32::MAX ranges")
-            }
-        };
-        // The new range has the largest base, so pushing keeps `order`
-        // sorted by base.
-        self.order.push(id);
-        CandHandle(id)
-    }
-
-    /// Marks a range dead. Its bytes stay in place and its id stays
-    /// unavailable until the next compaction, so no live handle can
-    /// alias it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle was already retired.
-    pub fn retire(&mut self, h: CandHandle) {
-        let e = &mut self.ranges[h.0 as usize];
-        assert!(e.live, "candidate range retired twice");
-        e.live = false;
-        self.live_candidates -= e.len as usize;
-        self.live_meta -= e.metas();
-        self.live_sub -= e.subs();
-    }
-
-    /// The generation-time columns of range `e`.
-    #[inline]
-    fn layout<'a>(cols: &'a FixedColumns, e: &RangeEntry) -> Layout<'a> {
-        let (mb, sb) = (e.meta_base as usize, e.sub_base as usize);
-        cols.layout(e.cands(), mb, sb, e.dims as usize, e.f)
-    }
-
-    /// Read-only view of a live range.
-    #[inline]
-    pub fn slice(&self, h: CandHandle) -> CandidateSlice<'_> {
-        let e = &self.ranges[h.0 as usize];
-        debug_assert!(e.live, "viewing a retired candidate range");
-        CandidateSlice {
-            layout: Self::layout(&self.cols, e),
-            n: &self.n[e.cands()],
-            q: &self.q[e.cands()],
-            q_eff: &self.q_eff[e.cands()],
-            n_hi: e.n_hi,
-            stamp: e.stamp,
-        }
-    }
-
-    /// Mutable view of a live range.
-    #[inline]
-    pub fn slice_mut(&mut self, h: CandHandle) -> CandidateSliceMut<'_> {
-        let e = &mut self.ranges[h.0 as usize];
-        debug_assert!(e.live, "viewing a retired candidate range");
-        CandidateSliceMut {
-            layout: Self::layout(&self.cols, e),
-            n: &mut self.n[e.cands()],
-            q: &mut self.q[e.cands()],
-            q_eff: &mut self.q_eff[e.cands()],
-            n_hi: &mut e.n_hi,
-            stamp: &mut e.stamp,
-        }
-    }
-
-    /// Bytes owned by live ranges across all slabs.
-    pub fn live_bytes(&self) -> usize {
-        self.live_candidates * CAND_BYTES + self.live_meta * META_BYTES + self.live_sub * SUB_BYTES
-    }
-
-    /// Bytes occupied by the slabs (live plus not-yet-compacted dead).
-    pub fn capacity_bytes(&self) -> usize {
-        self.cols.dim.len() * CAND_BYTES
-            + self.cols.dim_offsets.len() * META_BYTES
-            + self.cols.sub.len() * SUB_BYTES
-    }
-
-    /// Number of compactions performed over the arena's lifetime.
-    pub fn compactions(&self) -> u64 {
-        self.compactions
-    }
-
-    /// Number of live ranges.
-    pub fn live_ranges(&self) -> usize {
-        self.order
-            .iter()
-            .filter(|&&id| self.ranges[id as usize].live)
-            .count()
-    }
-
-    /// Whether dead bytes have reached a quarter of slab capacity — the
-    /// compaction trigger.
-    pub fn should_compact(&self) -> bool {
-        let cap = self.capacity_bytes();
-        cap > 0 && (cap - self.live_bytes()) * 4 >= cap
-    }
-
-    /// Compacts if [`StatsArena::should_compact`]; returns whether a
-    /// compaction ran.
-    pub fn maybe_compact(&mut self) -> bool {
-        if self.should_compact() {
-            self.compact();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Slides every live range down over the dead ones, in allocation
-    /// order, and returns retired ids to the free list. Handles stay
-    /// valid (only the bases move); `dim_offsets` move verbatim because
-    /// they are range-relative. Moves bytes with `copy_within` within
-    /// the existing slabs — no allocation, no per-range scratch.
-    pub fn compact(&mut self) {
-        let (mut cand_w, mut meta_w, mut sub_w) = (0usize, 0usize, 0usize);
-        for &id in &self.order {
-            let e = &mut self.ranges[id as usize];
-            if !e.live {
-                self.free_ids.push(id);
-                continue;
-            }
-            // `order` is ascending in base and the write cursors never
-            // overtake a live base, so the forward copies cannot clobber
-            // unread bytes.
-            let (cands, mb, sb) = (e.cands(), e.meta_base as usize, e.sub_base as usize);
-            let c = &mut self.cols;
-            // Ranges before the first dead one stay where they are.
-            if (cands.start, mb, sb) != (cand_w, meta_w, sub_w) {
-                c.dim.copy_within(cands.clone(), cand_w);
-                c.sub_i.copy_within(cands.clone(), cand_w);
-                c.sub_j.copy_within(cands.clone(), cand_w);
-                self.n.copy_within(cands.clone(), cand_w);
-                self.q.copy_within(cands.clone(), cand_w);
-                self.q_eff.copy_within(cands, cand_w);
-                c.dim_offsets.copy_within(mb..mb + e.metas(), meta_w);
-                c.sub.copy_within(sb..sb + e.subs(), sub_w);
-            }
-            e.base = slab_index(cand_w);
-            e.meta_base = slab_index(meta_w);
-            e.sub_base = slab_index(sub_w);
-            cand_w += e.len as usize;
-            meta_w += e.metas();
-            sub_w += e.subs();
-        }
-        self.order.retain(|&id| self.ranges[id as usize].live);
-        self.cols.dim.truncate(cand_w);
-        self.cols.sub_i.truncate(cand_w);
-        self.cols.sub_j.truncate(cand_w);
-        self.n.truncate(cand_w);
-        self.q.truncate(cand_w);
-        self.q_eff.truncate(cand_w);
-        self.cols.dim_offsets.truncate(meta_w);
-        self.cols.sub.truncate(sub_w);
-        self.compactions += 1;
-    }
-
-    /// Structural self-check, used by the index's `check_invariants` and
-    /// the arena tests: slab lengths agree, every allocated id is
-    /// tracked exactly once, live ranges are disjoint, in-bounds, and
-    /// ascending in slab order, range-relative offsets partition each
-    /// range, each live candidate sits in its own dimension's run with
-    /// subinterval indices below `f`, and the live-byte accounting
-    /// matches a linear rebuild.
-    pub fn check(&self) -> Result<(), String> {
-        let n = self.cols.dim.len();
-        let cols_agree = self.cols.sub_i.len() == n
-            && self.cols.sub_j.len() == n
-            && self.n.len() == n
-            && self.q.len() == n
-            && self.q_eff.len() == n;
-        if !cols_agree {
-            return Err("candidate slabs disagree on length".into());
-        }
-        if self.order.len() + self.free_ids.len() != self.ranges.len() {
-            return Err(format!(
-                "id accounting broken: {} in order + {} free != {} ranges",
-                self.order.len(),
-                self.free_ids.len(),
-                self.ranges.len()
-            ));
-        }
-        let mut seen = vec![false; self.ranges.len()];
-        for &id in self.order.iter().chain(&self.free_ids) {
-            let slot = seen
-                .get_mut(id as usize)
-                .ok_or_else(|| format!("id {id} out of range"))?;
-            if std::mem::replace(slot, true) {
-                return Err(format!("id {id} tracked twice"));
-            }
-        }
-        let (mut cand_w, mut meta_w, mut sub_w) = (0usize, 0usize, 0usize);
-        let (mut live_c, mut live_m, mut live_s) = (0usize, 0usize, 0usize);
-        for &id in &self.order {
-            let e = &self.ranges[id as usize];
-            let (base, len, dims) = (e.base as usize, e.len as usize, e.dims as usize);
-            let (mb, sb) = (e.meta_base as usize, e.sub_base as usize);
-            if base < cand_w || mb < meta_w || sb < sub_w {
-                return Err(format!("range {id} overlaps its predecessor"));
-            }
-            if base + len > n
-                || mb + e.metas() > self.cols.dim_offsets.len()
-                || sb + e.subs() > self.cols.sub.len()
-            {
-                return Err(format!("range {id} exceeds slab bounds"));
-            }
-            let offs = &self.cols.dim_offsets[mb..mb + e.metas()];
-            if offs[0] != 0 || offs[dims] as usize != len {
-                return Err(format!("range {id} offsets do not span its candidates"));
-            }
-            if offs.windows(2).any(|w| w[0] > w[1]) {
-                return Err(format!("range {id} offsets decrease"));
-            }
-            cand_w = base + len;
-            meta_w = mb + e.metas();
-            sub_w = sb + e.subs();
-            if !e.live {
-                continue;
-            }
-            let layout = Self::layout(&self.cols, e);
-            for d in 0..dims {
-                for ci in layout.run(d) {
-                    if layout.dim[ci] as usize != d {
-                        return Err(format!(
-                            "range {id} candidate {ci} lies outside its dimension's run"
-                        ));
-                    }
-                    if layout.sub_i[ci] >= e.f || layout.sub_j[ci] >= e.f {
-                        return Err(format!(
-                            "range {id} candidate {ci} indexes past f = {}",
-                            e.f
-                        ));
-                    }
-                }
-            }
-            live_c += len;
-            live_m += e.metas();
-            live_s += e.subs();
-        }
-        if (live_c, live_m, live_s) != (self.live_candidates, self.live_meta, self.live_sub) {
-            return Err(format!(
-                "live accounting drifted: counted ({live_c}, {live_m}, {live_s}), \
-                 recorded ({}, {}, {})",
-                self.live_candidates, self.live_meta, self.live_sub
-            ));
-        }
-        Ok(())
+        self.n_hi = n_hi.max(replayed_max);
+        self.stamp = stamp;
     }
 }
 
@@ -1285,9 +706,8 @@ mod tests {
         HyperRect::from_bounds(lo, hi).unwrap()
     }
 
-    /// The conversion behind every arena offset, length and dimension
-    /// count: exact up to `u32::MAX`, a panic one above it, never a wrap
-    /// to a small number.
+    /// The conversion behind every `dim_offsets` entry: exact up to
+    /// `u32::MAX`, a panic one above it, never a wrap to a small number.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn slab_index_is_exact_up_to_u32_max() {
@@ -1307,15 +727,13 @@ mod tests {
         // Root: identical variation intervals in every dimension →
         // f(f+1)/2 = 10 candidates per dimension with f = 4.
         let sig = Signature::root(16);
-        let cands = generate_candidates(&sig, 4);
+        let cands = CandidateSet::generate(&sig, 4);
         assert_eq!(cands.len(), 16 * 10);
         // §6: between 10·Nd and 16·Nd candidates per cluster.
         assert!(cands.len() >= 10 * 16 && cands.len() <= 16 * 16);
         assert_eq!(cands.dims(), 16);
         // 20 B per candidate, 4 B per offset, 16 B per subinterval entry.
-        let mut arena = StatsArena::new();
-        arena.alloc(&cands);
-        assert_eq!(arena.live_bytes(), 160 * 20 + 17 * 4 + 16 * 4 * 16);
+        assert_eq!(cands.bytes(), 160 * 20 + 17 * 4 + 16 * 4 * 16);
     }
 
     #[test]
@@ -1323,7 +741,7 @@ mod tests {
         // After specializing d0 with distinct start/end variation
         // intervals, d0 contributes up to 16 combinations.
         let sig = Signature::root(4).specialize(0, 4, 0, 3);
-        let cands = generate_candidates(&sig, 4);
+        let cands = CandidateSet::generate(&sig, 4);
         assert!(
             cands.len() > 4 * 10 && cands.len() <= 4 * 16,
             "{}",
@@ -1334,22 +752,22 @@ mod tests {
     #[test]
     fn dim_offsets_partition_the_set() {
         let sig = Signature::root(3).specialize(1, 4, 0, 3);
-        let cands = generate_candidates(&sig, 4);
-        assert_eq!(cands.as_slice().dims(), 3);
-        let offsets = &cands.cols.dim_offsets;
+        let cands = CandidateSet::generate(&sig, 4);
+        assert_eq!(cands.dims(), 3);
+        let offsets = &cands.dim_offsets;
         for d in 0..cands.dims() {
             for ci in offsets[d] as usize..offsets[d + 1] as usize {
-                assert_eq!(cands.as_slice().id(ci).dim as usize, d);
+                assert_eq!(cands.id(ci).dim as usize, d);
             }
         }
         assert_eq!(*offsets.last().unwrap() as usize, cands.len());
-        assert_eq!(cands.cols.sub.len(), 3 * 4, "f bound entries per dimension");
+        assert_eq!(cands.sub.len(), 3 * 4, "f bound entries per dimension");
     }
 
     fn find(cands: &CandidateSet, dim: u16, i: u8, j: u8) -> usize {
         (0..cands.len())
             .find(|&ci| {
-                let id = cands.as_slice().id(ci);
+                let id = cands.id(ci);
                 id.dim == dim && id.i == i && id.j == j
             })
             .expect("candidate exists")
@@ -1358,18 +776,16 @@ mod tests {
     #[test]
     fn accepts_member_checks_only_specialized_dimension() {
         let sig = Signature::root(2);
-        let cands = generate_candidates(&sig, 4);
+        let cands = CandidateSet::generate(&sig, 4);
         // Candidate: d0, starts in [0,0.25), ends in [0,0.25).
         let c = find(&cands, 0, 0, 0);
-        assert!(cands.as_slice().accepts_member(c, &rect(&[0.1, 0.9], &[0.2, 1.0]).to_flat()));
-        assert!(!cands.as_slice().accepts_member(c, &rect(&[0.1, 0.9], &[0.3, 1.0]).to_flat()));
+        assert!(cands.accepts_member(c, &rect(&[0.1, 0.9], &[0.2, 1.0]).to_flat()));
+        assert!(!cands.accepts_member(c, &rect(&[0.1, 0.9], &[0.3, 1.0]).to_flat()));
         // The copied-out bounds agree.
         assert!(cands
-            .as_slice()
             .bounds(c)
             .accepts_member(&rect(&[0.1, 0.9], &[0.2, 1.0]).to_flat()));
         assert!(!cands
-            .as_slice()
             .bounds(c)
             .accepts_member(&rect(&[0.1, 0.9], &[0.3, 1.0]).to_flat()));
     }
@@ -1380,28 +796,28 @@ mod tests {
         // object touching 0.25 must be rejected despite the closed
         // `reach` encoding.
         let sig = Signature::root(1);
-        let cands = generate_candidates(&sig, 4);
+        let cands = CandidateSet::generate(&sig, 4);
         let c = find(&cands, 0, 0, 0);
-        assert!(cands.as_slice().accepts_member(c, &[0.0, 0.2499]));
-        assert!(!cands.as_slice().accepts_member(c, &[0.0, 0.25]));
-        assert!(cands.as_slice().accepts_member(c, &[0.0, 0.25f32.next_down()]));
+        assert!(cands.accepts_member(c, &[0.0, 0.2499]));
+        assert!(!cands.accepts_member(c, &[0.0, 0.25]));
+        assert!(cands.accepts_member(c, &[0.0, 0.25f32.next_down()]));
     }
 
     #[test]
     fn candidate_signature_equals_specialization() {
         let sig = Signature::root(3);
-        let cands = generate_candidates(&sig, 4);
+        let cands = CandidateSet::generate(&sig, 4);
         for ci in 0..5 {
-            let id = cands.as_slice().id(ci);
+            let id = cands.id(ci);
             let expected = sig.specialize(id.dim as usize, 4, id.i, id.j);
-            assert_eq!(cands.as_slice().signature(ci, &sig, 4), expected);
+            assert_eq!(cands.signature(ci, &sig), expected);
         }
     }
 
     #[test]
     fn matches_query_agrees_with_full_signature_matching() {
         let sig = Signature::root(2);
-        let cands = generate_candidates(&sig, 4);
+        let cands = CandidateSet::generate(&sig, 4);
         let queries = [
             SpatialQuery::intersection(rect(&[0.1, 0.2], &[0.3, 0.6])),
             SpatialQuery::containment(rect(&[0.0, 0.0], &[0.5, 0.5])),
@@ -1409,13 +825,13 @@ mod tests {
             SpatialQuery::point_enclosing(vec![0.3, 0.7]),
         ];
         for ci in 0..cands.len() {
-            let full = cands.as_slice().signature(ci, &sig, 4);
+            let full = cands.signature(ci, &sig);
             for q in &queries {
                 assert_eq!(
-                    cands.as_slice().matches_query(ci, q),
+                    cands.matches_query(ci, q),
                     full.matches_query(q),
                     "candidate {:?} vs query {q:?}",
-                    cands.as_slice().id(ci)
+                    cands.id(ci)
                 );
             }
         }
@@ -1437,11 +853,12 @@ mod tests {
             "f entries per dimension"
         );
         let reach = |(_, hi, open): Sub| if open { hi.next_down() } else { hi };
-        let mut cols = FixedColumns {
+        let mut set = CandidateSet {
             dim_offsets: vec![0],
-            ..FixedColumns::default()
+            f,
+            ..CandidateSet::default()
         };
-        cols.sub = subs
+        set.sub = subs
             .iter()
             .map(|&[s, e]| SubBounds {
                 start_lo: s.0,
@@ -1452,23 +869,18 @@ mod tests {
             .collect();
         for (d, run) in cells.iter().enumerate() {
             for &(i, j) in run {
-                cols.dim.push(d as u16);
-                cols.sub_i.push(i);
-                cols.sub_j.push(j);
+                set.dim.push(d as u16);
+                set.sub_i.push(i);
+                set.sub_j.push(j);
             }
-            cols.dim_offsets.push(cols.dim.len() as u32);
+            set.dim_offsets.push(set.dim.len() as u32);
         }
-        let len = cols.dim.len();
+        let len = set.dim.len();
         assert_eq!(q.len(), len, "one preset counter per candidate");
-        CandidateSet {
-            cols,
-            f,
-            n: vec![0; len],
-            q,
-            q_eff: vec![0.0; len],
-            n_hi: 0,
-            stamp: 0,
-        }
+        set.n = vec![0; len];
+        set.q = q;
+        set.q_eff = vec![0.0; len];
+        set
     }
 
     /// A subinterval as `(lo, hi, open)`.
@@ -1476,7 +888,7 @@ mod tests {
 
     /// Counts every query `passes` times into the set's own `q` and into
     /// a separate column starting from the same counts, asserts both
-    /// equal what the [`CandidateSlice::matches_query`] loop plus a
+    /// equal what the [`CandidateSet::matches_query`] loop plus a
     /// saturating bump leaves, and returns that.
     pub(super) fn assert_counts_equal_oracle(
         set: &mut CandidateSet,
@@ -1488,15 +900,15 @@ mod tests {
         for q in queries {
             for _ in 0..passes {
                 for (ci, w) in want.iter_mut().enumerate() {
-                    if set.as_slice().matches_query(ci, q) {
+                    if set.matches_query(ci, q) {
                         *w = w.saturating_add(1);
                     }
                 }
-                set.as_slice().count_query(q, &mut column);
-                set.as_slice_mut().count_query(q);
+                set.count_query_into(q, &mut column);
+                set.count_query(q);
             }
             assert_eq!(column, want, "into a separate column after {q:?}");
-            assert_eq!(set.as_slice().q_col(), &want[..], "in place after {q:?}");
+            assert_eq!(set.q_col(), &want[..], "in place after {q:?}");
         }
         want
     }
@@ -1507,7 +919,7 @@ mod tests {
         // edges on the f = 4 grid. The counters accumulate across the
         // queries, in place and into a separate column alike.
         let sig = Signature::root(3).specialize(2, 4, 1, 3);
-        let mut cands = generate_candidates(&sig, 4);
+        let mut cands = CandidateSet::generate(&sig, 4);
         let queries = [
             SpatialQuery::intersection(rect(&[0.25, 0.0, 0.5], &[0.5, 0.25, 0.75])),
             SpatialQuery::containment(rect(&[0.0, 0.25, 0.25], &[0.75, 1.0, 1.0])),
@@ -1551,7 +963,7 @@ mod tests {
         ];
         assert_counts_equal_oracle(&mut set, &queries, 1);
         assert!(
-            (0..3).all(|ci| set.as_slice().matches_query(ci, &full_d0)),
+            (0..3).all(|ci| set.matches_query(ci, &full_d0)),
             "a full-domain interval matches its whole run"
         );
 
@@ -1586,41 +998,41 @@ mod tests {
     fn division_factor_two_produces_three_per_dim() {
         let sig = Signature::root(5);
         // f = 2 on identical intervals → 2·3/2 = 3 combinations per dim.
-        assert_eq!(generate_candidates(&sig, 2).len(), 5 * 3);
+        assert_eq!(CandidateSet::generate(&sig, 2).len(), 5 * 3);
     }
 
     #[test]
     fn counters_start_at_zero_and_members_roundtrip() {
         let sig = Signature::root(2);
-        let mut cands = generate_candidates(&sig, 4);
+        let mut cands = CandidateSet::generate(&sig, 4);
         for ci in 0..cands.len() {
-            assert_eq!(cands.as_slice().n(ci), 0);
-            assert_eq!(cands.as_slice().q(ci), 0);
-            assert_eq!(cands.as_slice().q_eff(ci), 0.0);
+            assert_eq!(cands.n(ci), 0);
+            assert_eq!(cands.q(ci), 0);
+            assert_eq!(cands.q_eff(ci), 0.0);
         }
         let flat = rect(&[0.1, 0.6], &[0.2, 0.9]).to_flat();
-        cands.as_slice_mut().record_member(&flat);
-        let total: u32 = (0..cands.len()).map(|ci| cands.as_slice().n(ci)).sum();
+        cands.record_member(&flat);
+        let total: u32 = (0..cands.len()).map(|ci| cands.n(ci)).sum();
         // Exactly one accepting candidate per dimension (§4.2 cells).
         assert_eq!(total, 2);
-        cands.as_slice_mut().unrecord_member(&flat);
-        assert!((0..cands.len()).all(|ci| cands.as_slice().n(ci) == 0));
+        cands.unrecord_member(&flat);
+        assert!((0..cands.len()).all(|ci| cands.n(ci) == 0));
     }
 
     #[test]
     fn q_counters_saturate_instead_of_wrapping() {
         let sig = Signature::root(1);
-        let mut cands = generate_candidates(&sig, 2);
-        cands.as_slice_mut().add_q(0, u32::MAX - 1);
-        cands.as_slice_mut().add_q(0, 5);
-        assert_eq!(cands.as_slice().q(0), u32::MAX, "increment must saturate");
-        cands.as_slice_mut().add_q(0, 1);
-        assert_eq!(cands.as_slice().q(0), u32::MAX, "saturated counter stays pinned");
+        let mut cands = CandidateSet::generate(&sig, 2);
+        cands.add_q(0, u32::MAX - 1);
+        cands.add_q(0, 5);
+        assert_eq!(cands.q(0), u32::MAX, "increment must saturate");
+        cands.add_q(0, 1);
+        assert_eq!(cands.q(0), u32::MAX, "saturated counter stays pinned");
         // Decay folds the saturated value into history and reopens the
         // epoch counter.
-        cands.as_slice_mut().decay(0.5);
-        assert_eq!(cands.as_slice().q(0), 0);
-        assert_eq!(cands.as_slice().q_eff(0), u32::MAX as f64);
+        cands.decay(0.5);
+        assert_eq!(cands.q(0), 0);
+        assert_eq!(cands.q_eff(0), u32::MAX as f64);
     }
 
     #[test]
@@ -1628,236 +1040,121 @@ mod tests {
         // The eager oracle: one `decay` per epoch, exactly as the index
         // performed before decay went lazy.
         let sig = Signature::root(2);
-        let mut eager = generate_candidates(&sig, 4);
+        let mut eager = CandidateSet::generate(&sig, 4);
         // A spread of magnitudes, including a saturated counter and a
         // tiny history that decays through many epochs.
-        eager.as_slice_mut().add_q(0, 10);
-        eager.as_slice_mut().add_q(3, u32::MAX);
-        eager.as_slice_mut().add_q(7, 1);
-        eager.as_slice_mut().decay(0.5);
-        eager.as_slice_mut().add_q(7, 3);
+        eager.add_q(0, 10);
+        eager.add_q(3, u32::MAX);
+        eager.add_q(7, 1);
+        eager.decay(0.5);
+        eager.add_q(7, 3);
         let mut lazy = eager.clone();
         let gamma = 0.37;
         for k in [1u64, 2, 5, 40] {
             for _ in 0..k {
-                eager.as_slice_mut().decay(gamma);
+                eager.decay(gamma);
             }
-            lazy.as_slice_mut().catch_up(gamma, k);
+            lazy.catch_up(gamma, k);
             assert_eq!(lazy, eager, "diverged after catching up {k} epochs");
             for ci in 0..eager.len() {
                 assert_eq!(
-                    lazy.as_slice().q_eff(ci).to_bits(),
-                    eager.as_slice().q_eff(ci).to_bits(),
+                    lazy.q_eff(ci).to_bits(),
+                    eager.q_eff(ci).to_bits(),
                     "candidate {ci} after {k} epochs"
                 );
             }
         }
+        // `catch_up_to` replays exactly the closes its stamp lags behind,
+        // at the index's decay, and only once.
+        let mut stamped = lazy.clone();
+        stamped.set_stamp(9);
+        stamped.catch_up_to(11);
+        stamped.catch_up_to(11);
+        let mut twice = lazy.clone();
+        twice.decay(crate::STATS_DECAY);
+        twice.decay(crate::STATS_DECAY);
+        assert_eq!(stamped.q_eff_col(), twice.q_eff_col());
+        assert_eq!(stamped.stamp(), 11);
         // Far past underflow: every history is exactly +0.0 in both, and
         // the lazy early-exit must not change that.
         for _ in 0..4000 {
-            eager.as_slice_mut().decay(gamma);
+            eager.decay(gamma);
         }
-        lazy.as_slice_mut().catch_up(gamma, 4000);
+        lazy.catch_up(gamma, 4000);
         for ci in 0..eager.len() {
-            assert_eq!(lazy.as_slice().q_eff(ci).to_bits(), eager.as_slice().q_eff(ci).to_bits());
-            assert_eq!(lazy.as_slice().q_eff(ci), 0.0, "histories underflow to exact zero");
+            assert_eq!(lazy.q_eff(ci).to_bits(), eager.q_eff(ci).to_bits());
+            assert_eq!(lazy.q_eff(ci), 0.0, "histories underflow to exact zero");
         }
-        lazy.as_slice_mut().catch_up(gamma, 0); // no-op
+        lazy.catch_up(gamma, 0); // no-op
         assert_eq!(lazy, eager);
     }
 
     #[test]
     fn n_hi_bounds_member_counts() {
         let sig = Signature::root(2);
-        let mut cands = generate_candidates(&sig, 4);
-        assert_eq!(cands.as_slice().n_hi(), 0);
+        let mut cands = CandidateSet::generate(&sig, 4);
+        assert_eq!(cands.n_hi(), 0);
         let a = rect(&[0.1, 0.6], &[0.2, 0.9]).to_flat();
         let b = rect(&[0.12, 0.6], &[0.2, 0.9]).to_flat();
-        cands.as_slice_mut().record_member(&a);
-        cands.as_slice_mut().record_member(&b);
-        assert_eq!(cands.as_slice().n_hi(), 2, "raised by recordings");
-        cands.as_slice_mut().unrecord_member(&a);
-        assert_eq!(cands.as_slice().n_hi(), 2, "removals leave the bound loose, never low");
-        let max_n = (0..cands.len()).map(|ci| cands.as_slice().n(ci)).max().unwrap();
-        assert!(cands.as_slice().n_hi() >= max_n);
-        cands.as_slice_mut().set_n_hi(max_n);
-        assert_eq!(cands.as_slice().n_hi(), 1, "scans re-tighten to the exact maximum");
+        cands.record_member(&a);
+        cands.record_member(&b);
+        assert_eq!(cands.n_hi(), 2, "raised by recordings");
+        cands.unrecord_member(&a);
+        assert_eq!(cands.n_hi(), 2, "removals leave the bound loose, never low");
+        let max_n = (0..cands.len()).map(|ci| cands.n(ci)).max().unwrap();
+        assert!(cands.n_hi() >= max_n);
+        cands.set_n_hi(max_n);
+        assert_eq!(cands.n_hi(), 1, "scans re-tighten to the exact maximum");
         // Decay never touches member counts or the bound.
-        cands.as_slice_mut().catch_up(0.5, 3);
-        assert_eq!(cands.as_slice().n_hi(), 1);
+        cands.catch_up(0.5, 3);
+        assert_eq!(cands.n_hi(), 1);
     }
 
     #[test]
     fn decay_folds_and_resets() {
         let sig = Signature::root(1);
-        let mut cands = generate_candidates(&sig, 2);
-        cands.as_slice_mut().add_q(1, 10);
-        cands.as_slice_mut().decay(0.5);
-        assert_eq!(cands.as_slice().q(1), 0);
-        assert_eq!(cands.as_slice().q_eff(1), 10.0);
-        cands.as_slice_mut().add_q(1, 4);
-        cands.as_slice_mut().decay(0.5);
-        assert_eq!(cands.as_slice().q_eff(1), 9.0);
+        let mut cands = CandidateSet::generate(&sig, 2);
+        cands.add_q(1, 10);
+        cands.decay(0.5);
+        assert_eq!(cands.q(1), 0);
+        assert_eq!(cands.q_eff(1), 10.0);
+        cands.add_q(1, 4);
+        cands.decay(0.5);
+        assert_eq!(cands.q_eff(1), 9.0);
     }
 
-    /// A candidate set with pseudo-random member/query history, used as
-    /// arena test fodder.
-    fn seasoned_set(dims: usize, f: u8, seed: u64) -> CandidateSet {
-        let mut set = generate_candidates(&Signature::root(dims), f);
-        let mut s = seed;
-        let mut next = move || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((s >> 33) % 33) as Scalar / 32.0
-        };
-        for _ in 0..5 {
-            let mut flat = Vec::with_capacity(2 * dims);
-            for _ in 0..dims {
-                let (a, b) = (next(), next());
-                flat.push(a.min(b));
-                flat.push(a.max(b));
-            }
-            set.as_slice_mut().record_member(&flat);
-        }
-        for ci in 0..set.len().min(7) {
-            set.as_slice_mut().add_q(ci, (seed % 11) as u32 + ci as u32);
-        }
-        set.as_slice_mut().decay(0.5);
-        set.as_slice_mut().add_q(0, 3);
-        set.as_slice_mut().set_stamp(seed % 5);
-        set
-    }
-
-    #[test]
-    fn arena_ranges_project_identically_to_owned_sets() {
-        let mut arena = StatsArena::new();
-        let sets: Vec<CandidateSet> = (0..4)
-            .map(|k| seasoned_set(1 + k, 4, 17 * k as u64 + 1))
-            .collect();
-        let handles: Vec<CandHandle> = sets.iter().map(|s| arena.alloc(s)).collect();
-        arena.check().unwrap();
-        for (set, &h) in sets.iter().zip(&handles) {
-            assert_eq!(arena.slice(h), set.as_slice());
-        }
-        assert_eq!(arena.live_bytes(), arena.capacity_bytes());
-        assert_eq!(arena.live_ranges(), 4);
-    }
-
-    #[test]
-    fn mutations_through_arena_views_match_owned_mutations() {
-        let mut arena = StatsArena::new();
-        let mut owned = seasoned_set(3, 4, 99);
-        let h = arena.alloc(&owned);
-        let flat = rect(&[0.1, 0.4, 0.6], &[0.3, 0.5, 0.9]).to_flat();
-        let incs = [2u32, 0, 5, 1];
-        for (target, is_arena) in [(true, true), (false, false)] {
-            let _ = target;
-            let mut view = if is_arena {
-                arena.slice_mut(h)
-            } else {
-                owned.as_slice_mut()
-            };
-            view.record_member(&flat);
-            view.add_q_slice(&incs);
-            view.add_q(1, 7);
-            view.catch_up(0.5, 2);
-            view.unrecord_member(&flat);
-            view.set_stamp(9);
-            view.catch_up_to(11);
-            view.catch_up_to(11); // already there: a no-op
-        }
-        assert_eq!(arena.slice(h), owned.as_slice());
-        for ci in 0..owned.len() {
-            assert_eq!(
-                arena.slice(h).q_eff(ci).to_bits(),
-                owned.as_slice().q_eff(ci).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn retire_and_compact_preserve_survivors_and_recycle_ids() {
-        let mut arena = StatsArena::new();
-        let sets: Vec<CandidateSet> = (0..5)
-            .map(|k| seasoned_set(2, 4, 1000 + k as u64))
-            .collect();
-        let handles: Vec<CandHandle> = sets.iter().map(|s| arena.alloc(s)).collect();
-        // Retire the middle and last ranges.
-        arena.retire(handles[2]);
-        arena.retire(handles[4]);
-        arena.check().unwrap();
-        let live_before = arena.live_bytes();
-        assert!(
-            arena.should_compact(),
-            "2/5 dead is past the quarter trigger"
-        );
-        assert!(arena.maybe_compact());
-        arena.check().unwrap();
-        assert_eq!(arena.compactions(), 1);
-        assert_eq!(
-            arena.live_bytes(),
-            live_before,
-            "compaction conserves live bytes"
-        );
-        assert_eq!(
-            arena.capacity_bytes(),
-            live_before,
-            "compaction reclaims all dead bytes"
-        );
-        for (k, (&h, set)) in handles.iter().zip(&sets).enumerate() {
-            if k != 2 && k != 4 {
-                assert_eq!(arena.slice(h), set.as_slice(), "survivor {k} moved intact");
-            }
-        }
-        // Retired ids are recycled only after compaction.
-        let fresh = seasoned_set(2, 4, 7);
-        let h_new = arena.alloc(&fresh);
-        assert!(
-            h_new == handles[2] || h_new == handles[4],
-            "freed id is reused: {h_new:?}"
-        );
-        assert_eq!(arena.slice(h_new), fresh.as_slice());
-        arena.check().unwrap();
-        // An idle arena with no dead bytes declines to compact.
-        assert!(!arena.maybe_compact());
-        assert_eq!(arena.compactions(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "retired twice")]
-    fn double_retire_panics() {
-        let mut arena = StatsArena::new();
-        let h = arena.alloc(&seasoned_set(1, 2, 3));
-        arena.retire(h);
-        arena.retire(h);
-    }
-
+    /// `same_layout` against a fresh generation — the comparison
+    /// `check_invariants` makes for every live cluster — ignores the
+    /// counters and catches every broken fixed column.
     #[test]
     fn check_catches_a_broken_subinterval_layout() {
-        let arena = || {
-            let mut arena = StatsArena::new();
-            arena.alloc(&seasoned_set(2, 4, 5));
-            arena.alloc(&seasoned_set(3, 2, 6));
-            arena.check().unwrap();
-            arena
+        let seasoned = |dims: usize, f: u8| {
+            let mut set = CandidateSet::generate(&Signature::root(dims), f);
+            for k in 0..5 {
+                let v = k as Scalar / 8.0;
+                set.record_member(&[v, v + 0.25].repeat(dims));
+            }
+            set.add_q(0, 3);
+            set.decay(0.5);
+            set.set_stamp(2);
+            set
         };
-        type Break = (&'static str, fn(&mut StatsArena));
+        type Break = (&'static str, usize, u8, fn(&mut CandidateSet));
         let breaks: [Break; 5] = [
-            ("sub_i past f", |a| a.cols.sub_i[3] = 4),
-            ("sub_j past f", |a| a.cols.sub_j[25] = 2),
-            ("dim of another run", |a| a.cols.dim[0] = 1),
-            ("missing bound entry", |a| {
-                a.cols.sub.pop();
+            ("sub_i past f", 2, 4, |s| s.sub_i[3] = 4),
+            ("sub_j past f", 3, 2, |s| s.sub_j[5] = 2),
+            ("dim of another run", 2, 4, |s| s.dim[0] = 1),
+            ("missing bound entry", 3, 2, |s| {
+                s.sub.pop();
             }),
-            ("range with f + 1 entries per dimension", |a| {
-                a.ranges[0].f = 5
-            }),
+            ("range with f + 1 entries per dimension", 2, 4, |s| s.f = 5),
         ];
-        for (what, break_it) in breaks {
-            let mut a = arena();
-            break_it(&mut a);
-            assert!(a.check().is_err(), "check missed: {what}");
+        for (what, dims, f, break_it) in breaks {
+            let generated = CandidateSet::generate(&Signature::root(dims), f);
+            let mut set = seasoned(dims, f);
+            assert!(set.same_layout(&generated), "counters are not layout");
+            break_it(&mut set);
+            assert!(!set.same_layout(&generated), "check missed: {what}");
         }
     }
 }
@@ -1872,8 +1169,11 @@ mod proptests {
     /// One counting pass over zeroed counters, as match flags.
     fn kernel_matches(cands: &CandidateSet, query: &SpatialQuery) -> Vec<bool> {
         let mut counters = vec![0u32; cands.len()];
-        cands.as_slice().count_query(query, &mut counters);
-        assert!(counters.iter().all(|&c| c <= 1), "one pass adds at most one");
+        cands.count_query_into(query, &mut counters);
+        assert!(
+            counters.iter().all(|&c| c <= 1),
+            "one pass adds at most one"
+        );
         counters.iter().map(|&c| c == 1).collect()
     }
 
@@ -1930,8 +1230,8 @@ mod proptests {
 
             let matched = kernel_matches(&cands, &query);
             for (ci, &bit) in matched.iter().enumerate() {
-                let oracle = cands.as_slice().matches_query(ci, &query);
-                prop_assert_eq!(bit, oracle, "candidate {} ({:?})", ci, cands.as_slice().id(ci));
+                let oracle = cands.matches_query(ci, &query);
+                prop_assert_eq!(bit, oracle, "candidate {} ({:?})", ci, cands.id(ci));
                 // When the parent signature matches the query — the
                 // precondition under which `explore` consults candidates
                 // — the one-dimension check equals full-signature
@@ -1939,7 +1239,7 @@ mod proptests {
                 if sig.matches_query(&query) {
                     prop_assert_eq!(
                         oracle,
-                        cands.as_slice().signature(ci, &sig, f).matches_query(&query),
+                        cands.signature(ci, &sig).matches_query(&query),
                         "candidate matching diverged from the full signature"
                     );
                 }
@@ -1993,14 +1293,14 @@ mod proptests {
             for (ci, &bit) in matched.iter().enumerate() {
                 prop_assert_eq!(
                     bit,
-                    cands.as_slice().matches_query(ci, &query),
+                    cands.matches_query(ci, &query),
                     "candidate {} under {:?}", ci, &query
                 );
                 // A full-domain interval cannot discriminate candidates
                 // of its dimension for intersection/containment: all
                 // bounds live inside the domain, so the whole run
                 // matches.
-                let d = cands.as_slice().id(ci).dim as usize;
+                let d = cands.id(ci).dim as usize;
                 if full_mask >> d & 1 == 1 && kind < 2 {
                     prop_assert!(bit, "full-domain run candidate {} must match", ci);
                 }
@@ -2008,7 +1308,7 @@ mod proptests {
         }
 
         /// The per-dimension count against the scalar
-        /// [`CandidateSlice::matches_query`] loop on hand-built sets:
+        /// [`CandidateSet::matches_query`] loop on hand-built sets:
         /// arbitrary, unsorted subinterval bounds (so the factoring
         /// assumes no order), open and closed upper bounds, dimensions
         /// whose end subintervals equal their start ones, empty runs and
@@ -2130,14 +1430,14 @@ mod proptests {
             let mut oracle = vec![0u32; set.len()];
             let record = |set: &mut CandidateSet, oracle: &mut [u32], flat: &[Scalar], add: bool| {
                 for (ci, n) in oracle.iter_mut().enumerate() {
-                    if set.as_slice().accepts_member(ci, flat) {
+                    if set.accepts_member(ci, flat) {
                         *n = if add { *n + 1 } else { *n - 1 };
                     }
                 }
                 if add {
-                    set.as_slice_mut().record_member(flat);
+                    set.record_member(flat);
                 } else {
-                    set.as_slice_mut().unrecord_member(flat);
+                    set.unrecord_member(flat);
                 }
             };
             for flat in &flats {
@@ -2145,13 +1445,13 @@ mod proptests {
             }
             // Counts only rose so far: the running maximum is the last.
             let oracle_hi = oracle.iter().copied().max().unwrap_or(0);
-            prop_assert_eq!(set.as_slice().n_col(), &oracle[..]);
-            prop_assert_eq!(set.as_slice().n_hi(), oracle_hi);
+            prop_assert_eq!(set.n_col(), &oracle[..]);
+            prop_assert_eq!(set.n_hi(), oracle_hi);
             for flat in flats.iter().step_by(3) {
                 record(&mut set, &mut oracle, flat, false);
             }
-            prop_assert_eq!(set.as_slice().n_col(), &oracle[..]);
-            prop_assert_eq!(set.as_slice().n_hi(), oracle_hi);
+            prop_assert_eq!(set.n_col(), &oracle[..]);
+            prop_assert_eq!(set.n_hi(), oracle_hi);
 
             let kept: Vec<&Vec<Scalar>> =
                 flats.iter().enumerate().filter(|(k, _)| k % 3 != 0).map(|(_, f)| f).collect();
@@ -2159,15 +1459,15 @@ mod proptests {
                 .map(|c| kept.iter().map(|flat| flat[c]).collect())
                 .collect();
             let mut recounted = CandidateSet::generate(&sig, f);
-            recounted.as_slice_mut().recount_members(&PairedColumns::of_equal_columns(&cols));
-            prop_assert_eq!(recounted.as_slice().n_col(), &oracle[..]);
-            prop_assert_eq!(recounted.as_slice().n_hi(), oracle.iter().copied().max().unwrap_or(0));
+            recounted.recount_members(&PairedColumns::of_equal_columns(&cols));
+            prop_assert_eq!(recounted.n_col(), &oracle[..]);
+            prop_assert_eq!(recounted.n_hi(), oracle.iter().copied().max().unwrap_or(0));
         }
 
         /// The column adjusts equal recording one member at a time:
-        /// [`CandidateSliceMut::record_members`] over a batch's columns
+        /// [`CandidateSet::record_members`] over a batch's columns
         /// leaves the `n` column and `n_hi` that `record_member` of each
-        /// leaves, and [`CandidateSliceMut::unrecord_members`] what
+        /// leaves, and [`CandidateSet::unrecord_members`] what
         /// `unrecord_member` of each leaves — from a loose `n_hi` or an
         /// exact one, on the root and on materialized children, for
         /// batches of zero to a dozen members, on and off the grid.
@@ -2229,114 +1529,24 @@ mod proptests {
                     .collect();
                 let members = PairedColumns::of_equal_columns(&cols);
                 if arrive {
-                    columnar.as_slice_mut().record_members(&members);
+                    columnar.record_members(&members);
                     for flat in &flats {
-                        each.as_slice_mut().record_member(flat);
+                        each.record_member(flat);
                     }
                     present.extend(flats);
                 } else {
-                    columnar.as_slice_mut().unrecord_members(&members);
+                    columnar.unrecord_members(&members);
                     for flat in &flats {
-                        each.as_slice_mut().unrecord_member(flat);
+                        each.unrecord_member(flat);
                     }
                 }
-                prop_assert_eq!(columnar.as_slice().n_col(), each.as_slice().n_col());
-                prop_assert_eq!(columnar.as_slice().n_hi(), each.as_slice().n_hi());
+                prop_assert_eq!(columnar.n_col(), each.n_col());
+                prop_assert_eq!(columnar.n_hi(), each.n_hi());
                 // A pass re-tightens the bound, sometimes loosely.
-                let exact = each.as_slice().n_col().iter().copied().max().unwrap_or(0);
+                let exact = each.n_col().iter().copied().max().unwrap_or(0);
                 if exact % 2 == 1 {
-                    columnar.as_slice_mut().set_n_hi(exact + slack);
-                    each.as_slice_mut().set_n_hi(exact + slack);
-                }
-            }
-        }
-
-        /// Arena life-cycle invariants across random interleavings of
-        /// alloc / retire / mutate / compact, mirrored against owned
-        /// [`CandidateSet`]s: the structural `check()` holds after every
-        /// step, live bytes are conserved across compaction, and every
-        /// live range stays bit-identical to its independently mutated
-        /// mirror (the "linear rebuild" of the slot→range map).
-        #[test]
-        fn compaction_preserves_live_ranges_and_accounting(
-            ops in prop::collection::vec((0usize..6, 0usize..8, 0u64..u64::MAX), 1..40),
-        ) {
-            let mut arena = StatsArena::new();
-            // Mirror of every live slot: the handle plus an owned set
-            // receiving the same mutations.
-            let mut mirror: Vec<(CandHandle, CandidateSet)> = Vec::new();
-            for (op, pick, seed) in ops {
-                match op {
-                    // Alloc (twice as likely as the others).
-                    0 | 1 => {
-                        let dims = 1 + (seed % 3) as usize;
-                        let f = if seed & 4 == 0 { 2 } else { 4 };
-                        let set = CandidateSet::generate(&Signature::root(dims), f);
-                        let h = arena.alloc(&set);
-                        mirror.push((h, set));
-                    }
-                    2 => {
-                        if !mirror.is_empty() {
-                            let (h, _) = mirror.swap_remove(pick % mirror.len());
-                            arena.retire(h);
-                        }
-                    }
-                    3 => {
-                        if !mirror.is_empty() {
-                            let idx = pick % mirror.len();
-                            let (h, set) = &mut mirror[idx];
-                            let dims = set.dims();
-                            let mut s = seed;
-                            let mut next = move || {
-                                s = s
-                                    .wrapping_mul(6364136223846793005)
-                                    .wrapping_add(1442695040888963407);
-                                ((s >> 33) % 33) as Scalar / 32.0
-                            };
-                            let mut flat = Vec::with_capacity(2 * dims);
-                            for _ in 0..dims {
-                                let (a, b) = (next(), next());
-                                flat.push(a.min(b));
-                                flat.push(a.max(b));
-                            }
-                            arena.slice_mut(*h).record_member(&flat);
-                            set.as_slice_mut().record_member(&flat);
-                        }
-                    }
-                    4 => {
-                        if !mirror.is_empty() {
-                            let idx = pick % mirror.len();
-                            let (h, set) = &mut mirror[idx];
-                            let ci = pick % set.len();
-                            let inc = (seed % 100) as u32;
-                            arena.slice_mut(*h).add_q(ci, inc);
-                            set.as_slice_mut().add_q(ci, inc);
-                            arena.slice_mut(*h).catch_up(0.5, seed % 3);
-                            set.as_slice_mut().catch_up(0.5, seed % 3);
-                        }
-                    }
-                    _ => {
-                        let live = arena.live_bytes();
-                        arena.compact();
-                        prop_assert_eq!(arena.live_bytes(), live);
-                        prop_assert_eq!(arena.capacity_bytes(), live);
-                    }
-                }
-                prop_assert!(arena.check().is_ok(), "{:?}", arena.check());
-                prop_assert_eq!(arena.live_ranges(), mirror.len());
-            }
-            // Final compaction, then the whole map must equal the
-            // mirror's linear rebuild.
-            arena.compact();
-            prop_assert!(arena.check().is_ok());
-            prop_assert_eq!(arena.capacity_bytes(), arena.live_bytes());
-            for (h, set) in &mirror {
-                prop_assert_eq!(arena.slice(*h), set.as_slice());
-                for ci in 0..set.len() {
-                    prop_assert_eq!(
-                        arena.slice(*h).q_eff(ci).to_bits(),
-                        set.as_slice().q_eff(ci).to_bits()
-                    );
+                    columnar.set_n_hi(exact + slack);
+                    each.set_n_hi(exact + slack);
                 }
             }
         }

@@ -1,4 +1,5 @@
 use acx_geom::object_size_bytes;
+use acx_storage::frame::MAX_FRAME;
 use acx_storage::{CostModel, DeviceProfile, StorageScenario};
 
 /// Weight previous-epoch statistics retain at each reorganization. `0`
@@ -102,10 +103,12 @@ impl IndexConfig {
     }
 
     /// Validates the configuration. The dimensionality must fit the
-    /// checkpoint's and the WAL's `u16` dimension fields, and the
-    /// horizon and confidence factor must be finite: a NaN in either
-    /// makes every reorganization threshold NaN, and every comparison
-    /// against it false.
+    /// checkpoint's and the WAL's `u16` dimension fields; the cluster
+    /// frame of the most candidates a cluster can own (`dims · f²`, a
+    /// specialized one) must fit one checkpoint frame, the one bound on a
+    /// cluster's candidate statistics; and the horizon and confidence
+    /// factor must be finite: a NaN in either makes every reorganization
+    /// threshold NaN, and every comparison against it false.
     pub fn validate(&self) -> Result<(), crate::IndexError> {
         let invalid = |why: &str| Err(crate::IndexError::InvalidConfig(why.into()));
         if self.dims == 0 || self.dims > u16::MAX as usize {
@@ -113,6 +116,14 @@ impl IndexConfig {
         }
         if self.division_factor < 2 {
             return invalid("division factor must be at least 2");
+        }
+        let (dims, f) = (self.dims as u64, u64::from(self.division_factor));
+        let frame = crate::index::cluster_frame_bytes(dims, dims * f * f);
+        if frame > u64::from(MAX_FRAME) {
+            return invalid(&format!(
+                "{dims} dims at division factor {f} make {frame}-byte cluster frames, \
+                 over the {MAX_FRAME}-byte checkpoint frame"
+            ));
         }
         if !(self.reorg_cost_horizon.is_finite() && self.reorg_cost_horizon > 0.0) {
             return invalid("reorganization cost horizon must be finite and positive");
@@ -189,6 +200,33 @@ mod tests {
             crate::AdaptiveClusterIndex::new(IndexConfig::memory(65_536)),
             Err(crate::IndexError::InvalidConfig(_))
         ));
+    }
+
+    /// A configuration whose largest cluster frame (`dims · f²`
+    /// candidates) is over one checkpoint frame is refused before
+    /// anything is built: at 65 535 d and `f = 255` the root alone would
+    /// hold 2.1·10⁹ candidates, about 43 GB of counters.
+    #[test]
+    fn validation_refuses_cluster_frames_over_one_checkpoint_frame() {
+        let config = |dims, f| IndexConfig {
+            division_factor: f,
+            ..IndexConfig::memory(dims)
+        };
+        for (dims, f) in [(22, 255), (50, 240), (65_535, 5), (65_535, 255)] {
+            assert!(
+                matches!(
+                    crate::AdaptiveClusterIndex::new(config(dims, f)),
+                    Err(crate::IndexError::InvalidConfig(_))
+                ),
+                "{dims} d at f = {f} accepted"
+            );
+        }
+        for (dims, f) in [(21, 255), (65_535, 4), (1, 255)] {
+            assert!(
+                config(dims, f).validate().is_ok(),
+                "{dims} d at f = {f} refused"
+            );
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ const RECIPROCAL_SLACK: f64 = 1e-12;
 
 /// Sound per-candidate **upper bounds** on the materialization benefits
 /// of one cluster's whole candidate set, evaluated in a single
-/// branch-free pass over the [`crate::candidates::CandidateSlice`] counter
+/// branch-free pass over the [`crate::candidates::CandidateSet`] counter
 /// columns (`n`, `q`, `q_eff`) into a benefit column. On x86_64 the
 /// pass is dispatched to an AVX2-compiled clone when the CPU supports
 /// it (runtime-detected once, like the scan kernels' byte fills).
@@ -87,7 +87,7 @@ const RECIPROCAL_SLACK: f64 = 1e-12;
 /// caller) in the same traversal. The returned summary carries the
 /// maximum `n` over all candidates — the exact value of the cached
 /// member-count bound the reorganization screen uses
-/// ([`crate::candidates::CandidateSlice::n_hi`]) — and whether any bound
+/// ([`crate::candidates::CandidateSet::n_hi`]) — and whether any bound
 /// exceeded its floor; when none did, the caller skips its selection
 /// sweep outright, since every exact benefit provably fails its
 /// threshold.

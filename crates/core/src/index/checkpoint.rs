@@ -33,7 +33,7 @@ use acx_storage::frame::{
 use acx_storage::{SegmentStore, StoreError};
 
 use super::{assign_segment, AdaptiveClusterIndex, ChildTable, Clocks, Cluster};
-use crate::candidates::{generate_candidates, StatsArena};
+use crate::candidates::CandidateSet;
 use crate::signature::Signature;
 use crate::{IndexConfig, IndexError};
 
@@ -61,6 +61,15 @@ fn member_bytes(dims: usize) -> usize {
 /// beside the tag and the count.
 fn chunk_members(dims: usize) -> usize {
     (MAX_FRAME as usize - 5) / member_bytes(dims)
+}
+
+/// Bytes of the payload of a cluster frame of a `dims`-dimensional
+/// cluster owning `candidates` candidates: the tag and the fixed fields
+/// (65 bytes), the signature (2 + 18·`dims`) and 12 bytes per candidate
+/// (`q` and `q_eff`). `IndexConfig::validate` refuses a configuration
+/// whose largest cluster could not be written in one [`MAX_FRAME`] frame.
+pub(crate) fn cluster_frame_bytes(dims: u64, candidates: u64) -> u64 {
+    67 + 18 * dims + 12 * candidates
 }
 
 /// Appends a count as a `u32`. Each count is exact there: members per
@@ -102,7 +111,7 @@ impl AdaptiveClusterIndex {
         while let Some(slot) = stack.pop() {
             let cluster = self.cluster(slot);
             stack.extend(cluster.children.slots().rev());
-            let cands = self.stats_arena.slice(cluster.candidates);
+            let cands = &self.candidates[slot as usize];
             let ids = self.store.ids(cluster.segment);
             push_frame(&mut out, |o| {
                 o.push(TAG_CLUSTER);
@@ -201,7 +210,6 @@ impl AdaptiveClusterIndex {
 
         let mut tree = Loading {
             store: SegmentStore::new(header.dims),
-            stats_arena: StatsArena::new(),
             segment_cluster: Vec::new(),
             clusters: Vec::new(),
             by_slot: HashMap::new(),
@@ -214,7 +222,7 @@ impl AdaptiveClusterIndex {
             tree.read_cluster(&frame, &mut frames)?;
             frame = expect(&mut frames, &[TAG_CLUSTER, TAG_FREE])?;
         }
-        let Some(&(root, _)) = tree.clusters.first() else {
+        let Some(&(root, ..)) = tree.clusters.first() else {
             return Err(frame.corrupt("no root cluster").into());
         };
         let mut cur = frame.cursor();
@@ -268,14 +276,16 @@ impl AdaptiveClusterIndex {
         }
 
         let mut slots: Vec<Option<Cluster>> = (0..capacity).map(|_| None).collect();
-        for (slot, cluster) in tree.clusters {
+        let mut candidates = vec![CandidateSet::default(); capacity];
+        for (slot, cluster, set) in tree.clusters {
             slots[slot as usize] = Some(cluster);
+            candidates[slot as usize] = set;
         }
         let mut index = Self::with_tree(
             config,
             tree.store,
-            tree.stats_arena,
             slots,
+            candidates,
             free_slots,
             root,
             tree.segment_cluster,
@@ -323,9 +333,9 @@ fn decayed(value: f64) -> bool {
 /// are built into.
 struct Loading {
     store: SegmentStore,
-    stats_arena: StatsArena,
     segment_cluster: Vec<u32>,
-    clusters: Vec<(u32, Cluster)>,
+    /// Each cluster read so far, with its slot and candidate set.
+    clusters: Vec<(u32, Cluster, CandidateSet)>,
     /// Slot → position in `clusters`.
     by_slot: HashMap<u32, usize>,
     /// Bounds the member counts cluster frames declare.
@@ -355,10 +365,7 @@ impl Loading {
         let (q_count, epoch_start) = (cur.u64()?, cur.u64()?);
         let (q_eff, weight) = (f64::from_bits(cur.u64()?), f64::from_bits(cur.u64()?));
         let (stamp, n_hi, ncand) = (cur.u64()?, cur.u32()?, cur.u32()? as usize);
-        let handle = self
-            .stats_arena
-            .alloc(&generate_candidates(&signature, self.division_factor));
-        let mut candidates = self.stats_arena.slice_mut(handle);
+        let mut candidates = CandidateSet::generate(&signature, self.division_factor);
         let generated = candidates.len();
         ensure(ncand == generated, frame, || {
             format!("{ncand} persisted candidate counters but the signature generates {generated}")
@@ -429,20 +436,17 @@ impl Loading {
         }
         candidates.recount_members(&self.store.columns(segment));
         candidates.restore_counters(&cand_q, &cand_q_eff, n_hi, stamp);
-        self.clusters.push((
-            slot,
-            Cluster {
-                signature,
-                parent,
-                children: ChildTable::default(),
-                segment,
-                candidates: handle,
-                q_count,
-                epoch_start,
-                q_eff,
-                weight,
-            },
-        ));
+        let cluster = Cluster {
+            signature,
+            parent,
+            children: ChildTable::default(),
+            segment,
+            q_count,
+            epoch_start,
+            q_eff,
+            weight,
+        };
+        self.clusters.push((slot, cluster, candidates));
         Ok(())
     }
 }

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use acx_geom::{HyperRect, ObjectId, Scalar};
 use acx_storage::{CostModel, SegmentId, SegmentStore, Wal, WalError, WalRecord};
 
-use crate::candidates::{generate_candidates, CandHandle, StatsArena};
+use crate::candidates::CandidateSet;
 use crate::metrics::{ClusterSnapshot, ReorgProfile};
 use crate::signature::Signature;
 use crate::{IndexConfig, IndexError};
@@ -24,6 +24,7 @@ mod query;
 mod recovery;
 mod reorg;
 
+pub(crate) use checkpoint::cluster_frame_bytes;
 use children::ChildTable;
 pub use query::QueryScratch;
 pub use reorg::ReorgFaultPoint;
@@ -86,10 +87,6 @@ struct Cluster {
     /// signature differs from this one's.
     children: ChildTable,
     segment: SegmentId,
-    /// The cluster's candidate statistics: a range of the index-wide
-    /// [`StatsArena`]. The lazy-decay stamp travels with the range (see
-    /// `AdaptiveClusterIndex::materialize_candidates`).
-    candidates: CandHandle,
     /// Queries whose signature matched this cluster since `epoch_start`.
     q_count: u64,
     /// Global query counter value when this cluster's statistics epoch
@@ -120,10 +117,10 @@ pub struct AdaptiveClusterIndex {
     config: IndexConfig,
     model: CostModel,
     store: SegmentStore,
-    /// The index-wide candidate statistics slabs, one range per
-    /// cluster. Compacted by the reorganization pass.
-    stats_arena: StatsArena,
     clusters: Vec<Option<Cluster>>,
+    /// Each cluster's candidate statistics, indexed by cluster slot
+    /// beside `clusters`; a free slot holds the empty set.
+    candidates: Vec<CandidateSet>,
     free_slots: Vec<u32>,
     root: u32,
     /// Segment slot → the slot of the cluster that owns the segment. An
@@ -181,15 +178,12 @@ impl AdaptiveClusterIndex {
         let mut store = SegmentStore::new(config.dims);
         let segment = store.create(16);
         let signature = Signature::root(config.dims);
-        let mut stats_arena = StatsArena::new();
-        let candidates =
-            stats_arena.alloc(&generate_candidates(&signature, config.division_factor));
+        let candidates = vec![CandidateSet::generate(&signature, config.division_factor)];
         let root = Cluster {
             signature,
             parent: None,
             children: ChildTable::default(),
             segment,
-            candidates,
             q_count: 0,
             epoch_start: 0,
             q_eff: 0.0,
@@ -201,8 +195,8 @@ impl AdaptiveClusterIndex {
         Ok(Self::with_tree(
             config,
             store,
-            stats_arena,
             clusters,
+            candidates,
             Vec::new(),
             0,
             segment_cluster,
@@ -214,8 +208,8 @@ impl AdaptiveClusterIndex {
     fn with_tree(
         config: IndexConfig,
         store: SegmentStore,
-        stats_arena: StatsArena,
         clusters: Vec<Option<Cluster>>,
+        candidates: Vec<CandidateSet>,
         free_slots: Vec<u32>,
         root: u32,
         segment_cluster: Vec<u32>,
@@ -225,8 +219,8 @@ impl AdaptiveClusterIndex {
             reorg_scratch: ReorgScratch::with_candidate_capacity(&config),
             config,
             store,
-            stats_arena,
             clusters,
+            candidates,
             free_slots,
             root,
             segment_cluster,
@@ -438,13 +432,8 @@ impl AdaptiveClusterIndex {
         self.insert_stack = stack;
         let (slot, _, _) = best.expect("the root accepts the object");
 
-        let cluster = self.clusters[slot as usize]
-            .as_mut()
-            .expect("cluster slot is live");
-        let segment = cluster.segment;
-        self.stats_arena
-            .slice_mut(cluster.candidates)
-            .record_member(&flat);
+        let segment = self.cluster(slot).segment;
+        self.candidates[slot as usize].record_member(&flat);
         self.store.push(segment, id.raw(), &flat);
         self.fold_if_due(segment);
         Ok(())
@@ -473,10 +462,9 @@ impl AdaptiveClusterIndex {
             .ok_or(IndexError::UnknownObject(id.raw()))?;
         self.wal_append(&WalRecord::Remove { id: id.raw() })?;
         let flat: Vec<Scalar> = self.store.object_flat(segment, idx);
-        let cluster = self.cluster(self.segment_cluster[segment.0 as usize]);
-        debug_assert_eq!(cluster.segment, segment);
-        let handle = cluster.candidates;
-        self.stats_arena.slice_mut(handle).unrecord_member(&flat);
+        let slot = self.segment_cluster[segment.0 as usize];
+        debug_assert_eq!(self.cluster(slot).segment, segment);
+        self.candidates[slot as usize].unrecord_member(&flat);
         self.store.swap_remove(segment, idx);
         self.fold_if_due(segment);
         Ok(HyperRect::from_flat(&flat)?)
@@ -558,8 +546,17 @@ impl AdaptiveClusterIndex {
     /// cluster's segment maps back to it, and that the store's position
     /// map names each member's place and nothing else (the members of
     /// all clusters number the map's entries, so an object in a segment
-    /// no cluster owns is caught).
+    /// no cluster owns is caught), and that every slot holds one
+    /// candidate set whose fixed columns are its signature's
+    /// generation.
     pub fn check_invariants(&self) -> Result<(), String> {
+        if self.candidates.len() != self.clusters.len() {
+            return Err(format!(
+                "{} candidate sets for {} cluster slots",
+                self.candidates.len(),
+                self.clusters.len()
+            ));
+        }
         let mut seen_objects = 0usize;
         let mut flat = Vec::new();
         let mut expected_n = Vec::new();
@@ -568,7 +565,13 @@ impl AdaptiveClusterIndex {
             if self.segment_cluster.get(cluster.segment.0 as usize) != Some(&cluster_slot(slot)) {
                 return Err(format!("segment of cluster {slot} does not map back to it"));
             }
-            let cands = self.stats_arena.slice(cluster.candidates);
+            let cands = &self.candidates[slot];
+            let generated = CandidateSet::generate(&cluster.signature, self.config.division_factor);
+            if !cands.same_layout(&generated) {
+                return Err(format!(
+                    "cluster {slot}: candidate columns differ from its signature's generation"
+                ));
+            }
             let ids = self.store.ids(cluster.segment);
             seen_objects += ids.len();
             for (k, &oid) in ids.iter().enumerate() {
@@ -608,16 +611,7 @@ impl AdaptiveClusterIndex {
                 self.store.len()
             ));
         }
-        self.check_tree()?;
-        self.stats_arena.check()?;
-        if self.stats_arena.live_ranges() != self.cluster_count() {
-            return Err(format!(
-                "{} live arena ranges for {} clusters",
-                self.stats_arena.live_ranges(),
-                self.cluster_count()
-            ));
-        }
-        Ok(())
+        self.check_tree()
     }
 
     /// That the clusters form one tree under the root: every live cluster
@@ -702,17 +696,10 @@ mod tests {
         // A reused delta keeps each slot's counter vector at the widest
         // cluster the slot ever held. Once the slot is recycled for a
         // cluster with fewer candidates, applying must stop at the
-        // cluster's own range — whatever the surplus holds — and leave
-        // the next range of the slab alone.
+        // cluster's own candidates, whatever the surplus holds.
         let mut index = AdaptiveClusterIndex::new(IndexConfig::memory(2)).unwrap();
         let root = index.root;
-        let neighbour = index
-            .stats_arena
-            .alloc(&generate_candidates(&Signature::root(2), 4));
-        let len = index
-            .stats_arena
-            .slice(index.cluster(root).candidates)
-            .len();
+        let len = index.candidates[root as usize].len();
         let mut delta = StatsDelta::new();
         let entry = delta.cluster_mut(root, len + 5);
         entry.q_count = 3;
@@ -720,14 +707,11 @@ mod tests {
         delta.queries = 3;
         index.apply_stats(&delta);
 
-        let cands = index.stats_arena.slice(index.cluster(root).candidates);
+        let cands = &index.candidates[root as usize];
         assert_eq!(cands.q_col(), &vec![2; len][..]);
+        assert_eq!(cands.len(), len, "the surplus grew the set");
         assert_eq!(index.cluster(root).q_count, 3);
-        let next = index.stats_arena.slice(neighbour);
-        assert!(
-            next.q_col().iter().all(|&q| q == 0),
-            "the surplus spilled over"
-        );
+        index.check_invariants().unwrap();
 
         // Recording after a clear keeps the wide vector and writes only
         // the cluster's own prefix of it.
@@ -827,8 +811,7 @@ mod tests {
     fn check_invariants_catches_a_member_count_off_by_one() {
         let mut index = clustered_index();
         let slot = populated_child(&index);
-        let handle = index.cluster(slot).candidates;
-        index.stats_arena.slice_mut(handle).n_col_mut()[3] += 1;
+        index.candidates[slot as usize].n_col_mut()[3] += 1;
         let err = index.check_invariants().unwrap_err();
         assert!(
             err.contains(&format!("cluster {slot} candidate 3")),
@@ -836,17 +819,48 @@ mod tests {
         );
     }
 
+    /// A set generated for another signature, at another division
+    /// factor, or taken out of its slot counts the wrong candidates,
+    /// however consistent its counters are with the members.
+    #[test]
+    fn check_invariants_catches_candidate_columns_not_generated_from_the_signature() {
+        let mut index = clustered_index();
+        let slot = populated_child(&index);
+        let parent = index.cluster(slot).parent.unwrap() as usize;
+        let signature = index.cluster(slot).signature.clone();
+        let segment = index.cluster(slot).segment;
+        let breaks = [
+            ("the parent's generation", index.candidates[parent].clone()),
+            (
+                "another division factor",
+                CandidateSet::generate(&signature, 2),
+            ),
+            ("the empty set", CandidateSet::default()),
+        ];
+        for (what, mut set) in breaks {
+            set.recount_members(&index.store.columns(segment));
+            let kept = std::mem::replace(&mut index.candidates[slot as usize], set);
+            let err = index.check_invariants().unwrap_err();
+            assert!(
+                err.contains(&format!("cluster {slot}: candidate columns differ")),
+                "{what}: {err}"
+            );
+            index.candidates[slot as usize] = kept;
+        }
+        index.check_invariants().unwrap();
+    }
+
     #[test]
     fn check_invariants_catches_a_member_outside_its_signature() {
         let mut index = clustered_index();
         let slot = populated_child(&index);
         let cluster = index.cluster(slot);
-        let (segment, handle) = (cluster.segment, cluster.candidates);
+        let segment = cluster.segment;
         let outside = [0.0, 1.0, 0.0, 1.0, 0.0, 1.0];
         assert!(!cluster.signature.accepts_flat(&outside), "test premise");
         // Every position and count agrees: only the signature is violated.
         index.store.push(segment, 9999, &outside);
-        index.stats_arena.slice_mut(handle).record_member(&outside);
+        index.candidates[slot as usize].record_member(&outside);
         let last = index.store.segment_len(segment) - 1;
         assert_eq!(index.store.position_of(9999), Some((segment, last)));
         assert!(index.contains(ObjectId(9999)));
@@ -972,12 +986,8 @@ mod tests {
         assert!(a == b, "the reloaded index wrote a different checkpoint");
 
         let mut loose = 0;
-        for (slot, cluster) in index.clusters.iter().enumerate() {
-            let Some(cluster) = cluster else { continue };
-            let live = index.stats_arena.slice(cluster.candidates);
-            let back = loaded
-                .stats_arena
-                .slice(loaded.cluster(slot as u32).candidates);
+        assert_eq!(loaded.candidates.len(), index.candidates.len());
+        for (slot, (live, back)) in index.candidates.iter().zip(&loaded.candidates).enumerate() {
             assert_eq!(back.n_col(), live.n_col(), "cluster {slot} member counts");
             assert_eq!(back.n_hi(), live.n_hi(), "cluster {slot} bound");
             loose += usize::from(live.n_col().iter().max() < Some(&live.n_hi()));

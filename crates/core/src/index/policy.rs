@@ -1,7 +1,7 @@
 //! The reorganization policy (paper Fig. 1–3, §5): when a cluster merges
 //! into its parent, whether its candidate scan can be skipped, and which
 //! candidate a split picks — functions of numbers and a
-//! [`CandidateSlice`], with no index in scope. Every decision is the
+//! [`CandidateSet`], with no index in scope. Every decision is the
 //! exact float expression of the paper's benefit over its margins (what
 //! the test crate's model of the paper computes candidate by candidate)
 //! or bounds it through float-monotone steps with slack that dwarfs
@@ -9,7 +9,7 @@
 
 use acx_storage::CostModel;
 
-use crate::candidates::CandidateSlice;
+use crate::candidates::CandidateSet;
 use crate::cost::{materialization_benefit, materialization_benefit_column, merging_benefit};
 use crate::IndexConfig;
 
@@ -105,7 +105,7 @@ pub(super) fn merge_profitable(
 ///
 /// The screen prices the most profitable candidate any scan could find:
 /// a hypothetical candidate holding `n_hi` members
-/// ([`CandidateSlice::n_hi`] — exact after every scan, only ever
+/// ([`CandidateSet::n_hi`] — exact after every scan, only ever
 /// *raised* by mutations in between) with access probability zero.
 /// Soundness against the scalar selection, including its float
 /// arithmetic:
@@ -161,13 +161,13 @@ pub(super) struct SplitChoice {
     /// The first candidate strictly exceeding its threshold and every
     /// earlier qualifier's benefit.
     pub(super) best: Option<usize>,
-    /// Exact maximum member count, re-tightening [`CandidateSlice::n_hi`].
+    /// Exact maximum member count, re-tightening [`CandidateSet::n_hi`].
     pub(super) max_n: u32,
 }
 
 /// A candidate's access probability over `denom` effective observations.
 #[inline]
-fn candidate_probability(cands: &CandidateSlice<'_>, idx: usize, denom: f64) -> f64 {
+fn candidate_probability(cands: &CandidateSet, idx: usize, denom: f64) -> f64 {
     if denom <= 0.0 {
         0.0
     } else {
@@ -191,7 +191,7 @@ pub(super) fn select_split_columnar(
     costs: &PassCosts,
     p_c: f64,
     denom: f64,
-    cands: CandidateSlice<'_>,
+    cands: &CandidateSet,
     benefits: &mut Vec<f64>,
 ) -> SplitChoice {
     // Division- and sqrt-free threshold floor, hoisted per scan: a
@@ -244,7 +244,7 @@ pub(super) fn select_split_columnar(
         // Exact expressions from here on: the benefit, margin and
         // threshold of the scalar selection, bit for bit.
         let n = n_s as usize;
-        let p_s = candidate_probability(&cands, idx, denom);
+        let p_s = candidate_probability(cands, idx, denom);
         let benefit = materialization_benefit(costs.a, costs.b, costs.c, p_c, p_s, n);
         if best.is_some_and(|(_, bst)| benefit <= bst) {
             continue;
@@ -264,7 +264,7 @@ pub(super) fn select_split_columnar(
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::candidates::{generate_candidates, CandidateSet};
+    use crate::candidates::CandidateSet;
     use crate::signature::Signature;
     use proptest::prelude::*;
 
@@ -277,7 +277,7 @@ mod proptests {
         costs: &PassCosts,
         p_c: f64,
         denom: f64,
-        cands: CandidateSlice<'_>,
+        cands: &CandidateSet,
     ) -> SplitChoice {
         let mut best: Option<(usize, f64)> = None;
         let mut max_n = 0u32;
@@ -288,7 +288,7 @@ mod proptests {
                 continue;
             }
             let n = n as usize;
-            let p_s = candidate_probability(&cands, idx, denom);
+            let p_s = candidate_probability(cands, idx, denom);
             let benefit = materialization_benefit(costs.a, costs.b, costs.c, p_c, p_s, n);
             let threshold = costs.move_margin(n) + costs.confidence_margin(p_s, denom, n);
             if benefit > threshold && best.is_none_or(|(_, bst)| benefit > bst) {
@@ -305,15 +305,14 @@ mod proptests {
     /// carrying the drawn `(n, q, q_eff)` counters, cycled over its
     /// columns.
     fn candidate_set(counters: &[(u32, u32, f64)]) -> CandidateSet {
-        let mut set = generate_candidates(&Signature::root(3), 4);
+        let mut set = CandidateSet::generate(&Signature::root(3), 4);
         let at = |i: usize| counters[i % counters.len()];
         let q: Vec<u32> = (0..set.len()).map(|i| at(i).1).collect();
         let q_eff: Vec<f64> = (0..set.len()).map(|i| at(i).2).collect();
-        let mut cands = set.as_slice_mut();
-        for (i, n) in cands.n_col_mut().iter_mut().enumerate() {
+        for (i, n) in set.n_col_mut().iter_mut().enumerate() {
             *n = at(i).0;
         }
-        cands.restore_counters(&q, &q_eff, 0, 0);
+        set.restore_counters(&q, &q_eff, 0, 0);
         set
     }
 
@@ -371,7 +370,7 @@ mod proptests {
             // The index prices `p_c` over the same observations: none, no hits.
             let p_c = if denom > 0.0 { p_c } else { 0.0 };
             let set = candidate_set(&drawn);
-            let cands = set.as_slice();
+            let cands = &set;
             let n_hi = cands.n_col().iter().copied().max().unwrap_or(0) + loose;
             if split_screen_rules_out(&costs, p_c, denom, n_hi) {
                 let choice = select_split_scalar(&costs, p_c, denom, cands);
@@ -390,7 +389,7 @@ mod proptests {
         ) {
             let p_c = if denom > 0.0 { p_c } else { 0.0 };
             let set = candidate_set(&drawn);
-            let cands = set.as_slice();
+            let cands = &set;
             let scalar = select_split_scalar(&costs, p_c, denom, cands);
             let columnar = select_split_columnar(&costs, p_c, denom, cands, &mut Vec::new());
             prop_assert_eq!(columnar, scalar);

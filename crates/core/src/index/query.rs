@@ -10,7 +10,7 @@ use acx_storage::{AccessStats, CostModel, SegmentStore};
 
 use super::{AdaptiveClusterIndex, Cluster};
 use crate::batch::StatsDelta;
-use crate::candidates::{CandHandle, StatsArena};
+use crate::candidates::CandidateSet;
 use crate::metrics::{QueryMetrics, QueryResult};
 use crate::IndexError;
 
@@ -50,7 +50,7 @@ impl QueryScratch {
 }
 
 /// What the matching phase reads of the index, borrowed field by field:
-/// [`AdaptiveClusterIndex::execute`] lends the statistics arena to its
+/// [`AdaptiveClusterIndex::execute`] lends the candidate sets to its
 /// sink mutably while the traversal walks the cluster tree and the
 /// segment store.
 struct ReadView<'a> {
@@ -61,7 +61,7 @@ struct ReadView<'a> {
 }
 
 /// Where the statistics of one exploration go. There is one traversal
-/// and one candidate count ([`crate::candidates::CandidateSlice::count_query`]);
+/// and one candidate count ([`CandidateSet::count_query_into`]);
 /// the sinks differ only in the counter column it adds into, and all
 /// three leave the index in the same state once a delta is applied.
 enum StatsSink<'a> {
@@ -70,15 +70,15 @@ enum StatsSink<'a> {
     /// `query_recorded*`: into a [`StatsDelta`], applied later under
     /// the exclusive borrow.
     Delta {
-        arena: &'a StatsArena,
+        candidates: &'a [CandidateSet],
         delta: &'a mut StatsDelta,
     },
-    /// `execute`: straight into the arena's `q` column, each cluster
+    /// `execute`: straight into each set's own `q` column, each cluster
     /// caught up on its lazily skipped decay epochs first. The explored
     /// slots are listed for the caller, which owns the per-cluster
     /// counters.
     Arena {
-        arena: &'a mut StatsArena,
+        candidates: &'a mut [CandidateSet],
         stats_epoch: u64,
         explored: &'a mut Vec<u32>,
     },
@@ -89,21 +89,21 @@ impl StatsSink<'_> {
     /// dimension from its subinterval bounds, on each of the cluster's
     /// candidates it matches.
     #[inline]
-    fn record(&mut self, slot: u32, handle: CandHandle, query: &SpatialQuery) {
+    fn record(&mut self, slot: u32, query: &SpatialQuery) {
         match self {
             StatsSink::None => {}
-            StatsSink::Delta { arena, delta } => {
-                let cands = arena.slice(handle);
+            StatsSink::Delta { candidates, delta } => {
+                let cands = &candidates[slot as usize];
                 let recorded = delta.cluster_mut(slot, cands.len());
                 recorded.q_count += 1;
-                cands.count_query(query, &mut recorded.cand_q[..cands.len()]);
+                cands.count_query_into(query, &mut recorded.cand_q[..cands.len()]);
             }
             StatsSink::Arena {
-                arena,
+                candidates,
                 stats_epoch,
                 explored,
             } => {
-                let mut cands = arena.slice_mut(handle);
+                let cands = &mut candidates[slot as usize];
                 cands.catch_up_to(*stats_epoch);
                 cands.count_query(query);
                 explored.push(slot);
@@ -150,7 +150,7 @@ impl ReadView<'_> {
         }
         while let Some(slot) = scratch.stack.pop() {
             let cluster = self.cluster(slot);
-            sink.record(slot, cluster.candidates, query);
+            sink.record(slot, query);
             let n = self.store.segment_len(cluster.segment);
             stats.clusters_explored += 1;
             stats.seeks += 1;
@@ -217,7 +217,7 @@ impl AdaptiveClusterIndex {
             ),
         }
         let sink = StatsSink::Delta {
-            arena: &self.stats_arena,
+            candidates: &self.candidates,
             delta: &mut *delta,
         };
         let metrics = self.read_view().explore(query, sink, scratch);
@@ -364,8 +364,7 @@ impl AdaptiveClusterIndex {
             // new increments land on it.
             for &slot in &delta.touched {
                 let recorded = &delta.clusters[slot as usize];
-                let handle = self.cluster(slot).candidates;
-                let mut cands = self.stats_arena.slice_mut(handle);
+                let cands = &mut self.candidates[slot as usize];
                 cands.catch_up_to(self.clocks.stats_epoch);
                 cands.add_q_slice(&recorded.cand_q);
                 self.cluster_mut(slot).q_count += recorded.q_count;
@@ -400,7 +399,7 @@ impl AdaptiveClusterIndex {
     /// Executes a spatial selection (paper §3.6, Fig. 5) and maintains
     /// the statistics of explored clusters and their candidate
     /// subclusters, in place: the one traversal every entry point shares,
-    /// with the statistics arena as its sink. It leaves the index
+    /// with the candidate sets as its sink. It leaves the index
     /// exactly where
     /// [`AdaptiveClusterIndex::query_recorded_with`] followed by
     /// [`AdaptiveClusterIndex::apply_stats`] would.
@@ -427,7 +426,7 @@ impl AdaptiveClusterIndex {
         self.check_dims(query.dims())?;
         // Move the scratch out (pointer swaps, not allocations) and
         // borrow the index field by field: the traversal reads the
-        // tree and the store while the sink writes the arena.
+        // tree and the store while the sink writes the candidate sets.
         let mut scratch = std::mem::take(&mut self.query_scratch);
         let mut explored = std::mem::take(&mut self.explored_scratch);
         explored.clear();
@@ -438,7 +437,7 @@ impl AdaptiveClusterIndex {
             root: self.root,
         };
         let sink = StatsSink::Arena {
-            arena: &mut self.stats_arena,
+            candidates: &mut self.candidates,
             stats_epoch: self.clocks.stats_epoch,
             explored: &mut explored,
         };

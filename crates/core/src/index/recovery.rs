@@ -282,7 +282,7 @@ impl AdaptiveClusterIndex {
                 // child inherits identically decayed statistics.
                 self.materialize_candidates(slot);
                 let ci = *candidate as usize;
-                let ncand = self.stats_arena.slice(self.cluster(slot).candidates).len();
+                let ncand = self.candidates[slot as usize].len();
                 if ci >= ncand {
                     return Err(format!("candidate {ci} out of range ({ncand} candidates)"));
                 }

@@ -8,7 +8,7 @@ use acx_storage::WalRecord;
 
 use super::policy::{self, PassCosts};
 use super::{assign_segment, cluster_slot, AdaptiveClusterIndex, ChildTable, Cluster};
-use crate::candidates::generate_candidates;
+use crate::candidates::CandidateSet;
 use crate::metrics::{ReorgProfile, ReorgReport};
 use crate::{IndexConfig, STATS_DECAY};
 
@@ -99,9 +99,11 @@ impl AdaptiveClusterIndex {
             self.wal_log_structural(WalRecord::EpochClose);
         }
         self.close_epoch(report.changed());
-        profile.arena_live_bytes = self.stats_arena.live_bytes() as u64;
-        profile.arena_capacity_bytes = self.stats_arena.capacity_bytes() as u64;
-        profile.compactions = self.stats_arena.compactions();
+        profile.arena_live_bytes = self
+            .candidates
+            .iter()
+            .map(CandidateSet::bytes)
+            .sum::<usize>() as u64;
         self.clocks.total_merges += report.merges;
         self.clocks.total_splits += report.splits;
         self.last_profile = profile;
@@ -109,13 +111,11 @@ impl AdaptiveClusterIndex {
         report
     }
 
-    /// The epoch-close tail shared by a live pass and WAL replay:
-    /// compact the arena off the query path, fold the statistics epoch,
-    /// advance the pass clock, prune merge memory older than the thrash
-    /// window, and — when the pass changed the clustering — open a new
-    /// structure epoch.
+    /// The epoch-close tail shared by a live pass and WAL replay: fold
+    /// the statistics epoch, advance the pass clock, prune merge memory
+    /// older than the thrash window, and — when the pass changed the
+    /// clustering — open a new structure epoch.
     pub(super) fn close_epoch(&mut self, structure_changed: bool) {
-        self.stats_arena.maybe_compact();
         self.decay_statistics();
         self.clocks.reorganizations += 1;
         let passes = self.clocks.reorganizations;
@@ -169,7 +169,6 @@ impl AdaptiveClusterIndex {
             // No scalar statistic moves while a pass runs, so the merge
             // test, the screen and every selection share one `p_c`.
             let p_c = self.access_probability(cluster);
-            let handle = cluster.candidates;
             if let Some(parent) = cluster.parent {
                 let p_parent = self.access_probability(self.cluster(parent));
                 let n_c = self.store.segment_len(cluster.segment);
@@ -179,7 +178,7 @@ impl AdaptiveClusterIndex {
                     continue;
                 }
             }
-            let n_hi = self.stats_arena.slice(handle).n_hi();
+            let n_hi = self.candidates[slot as usize].n_hi();
             if policy::split_screen_rules_out(&costs, p_c, denom, n_hi) {
                 #[cfg(debug_assertions)]
                 self.screen_tripwire(slot, &costs, p_c, denom);
@@ -198,10 +197,9 @@ impl AdaptiveClusterIndex {
     /// build leaves the state (and checkpoint) an optimized one does.
     #[cfg(debug_assertions)]
     fn screen_tripwire(&mut self, slot: u32, costs: &PassCosts, p_c: f64, denom: f64) {
-        let handle = self.cluster(slot).candidates;
         let mut q = std::mem::take(&mut self.reorg_scratch.saved_q);
         let mut q_eff = std::mem::take(&mut self.reorg_scratch.saved_q_eff);
-        let saved = self.stats_arena.slice(handle);
+        let saved = &self.candidates[slot as usize];
         q.clear();
         q.extend_from_slice(saved.q_col());
         q_eff.clear();
@@ -209,15 +207,13 @@ impl AdaptiveClusterIndex {
         let (n_hi, stamp) = (saved.n_hi(), saved.stamp());
         self.materialize_candidates(slot);
         let mut benefits = std::mem::take(&mut self.reorg_scratch.benefits);
-        let cands = self.stats_arena.slice(handle);
+        let cands = &self.candidates[slot as usize];
         let choice = policy::select_split_columnar(costs, p_c, denom, cands, &mut benefits);
         assert_eq!(
             choice.best, None,
             "screen wrongly skipped a split on slot {slot}: p_c={p_c} n_hi={n_hi} denom={denom}"
         );
-        self.stats_arena
-            .slice_mut(handle)
-            .restore_counters(&q, &q_eff, n_hi, stamp);
+        self.candidates[slot as usize].restore_counters(&q, &q_eff, n_hi, stamp);
         self.reorg_scratch.benefits = benefits;
         self.reorg_scratch.saved_q = q;
         self.reorg_scratch.saved_q_eff = q_eff;
@@ -237,10 +233,9 @@ impl AdaptiveClusterIndex {
         let mut splits = 0;
         let mut benefits = std::mem::take(&mut self.reorg_scratch.benefits);
         loop {
-            let handle = self.cluster(slot).candidates;
-            let cands = self.stats_arena.slice(handle);
+            let cands = &mut self.candidates[slot as usize];
             let choice = policy::select_split_columnar(costs, p_c, denom, cands, &mut benefits);
-            self.stats_arena.slice_mut(handle).set_n_hi(choice.max_n);
+            cands.set_n_hi(choice.max_n);
             let Some(cand_idx) = choice.best else { break };
             self.materialize_candidate(slot, cand_idx, profile);
             splits += 1;
@@ -272,9 +267,8 @@ impl AdaptiveClusterIndex {
             .take()
             .expect("cluster slot is live");
         self.free_slots.push(slot);
-        // The dying cluster's statistics range is dead arena bytes from
-        // here on; the next reorganization-pass compaction reclaims it.
-        self.stats_arena.retire(cluster.candidates);
+        // The dying cluster's statistics are freed with it.
+        self.candidates[slot as usize] = CandidateSet::default();
         // Remember the dying signature: a near-term re-materialization
         // of it is a thrash cycle.
         self.recent_merges
@@ -289,9 +283,7 @@ impl AdaptiveClusterIndex {
             let flat = self.store.object_flat(cluster.segment, index);
             debug_assert!(parent.signature.accepts_flat(&flat));
         }
-        self.stats_arena
-            .slice_mut(parent.candidates)
-            .record_members(&self.store.columns(cluster.segment));
+        self.candidates[parent_slot as usize].record_members(&self.store.columns(cluster.segment));
         let moved = self.store.merge_into(cluster.segment, parent.segment);
         profile.objects_moved += moved as u64;
         for child in cluster.children.slots() {
@@ -322,16 +314,17 @@ impl AdaptiveClusterIndex {
             let signature = self.cluster(slot).signature.to_bytes();
             self.wal_log_structural(WalRecord::Materialize {
                 signature,
-                // Exact: an arena range's length is a `u32` (`slab_index`).
+                // Exact: `IndexConfig::validate` bounds a cluster's
+                // candidates by one checkpoint frame.
                 candidate: cand_idx as u32,
             });
         }
         let f = self.config.division_factor;
         let (new_signature, expected, inherited_q, inherited_q_eff, parent_epoch, parent_weight) = {
             let cluster = self.cluster(slot);
-            let cands = self.stats_arena.slice(cluster.candidates);
+            let cands = &self.candidates[slot as usize];
             (
-                cands.signature(cand_idx, &cluster.signature, f),
+                cands.signature(cand_idx, &cluster.signature),
                 cands.n(cand_idx) as usize,
                 cands.q(cand_idx) as u64,
                 cands.q_eff(cand_idx),
@@ -348,66 +341,53 @@ impl AdaptiveClusterIndex {
             }
         }
         let new_segment = self.store.create(expected.max(1));
-        let candidates = self
-            .stats_arena
-            .alloc(&generate_candidates(&new_signature, f));
+        let mut candidates = CandidateSet::generate(&new_signature, f);
         // Fresh counters are de-facto materialized to the open epoch.
-        self.stats_arena
-            .slice_mut(candidates)
-            .set_stamp(self.clocks.stats_epoch);
-        let new_slot = self.alloc_slot(Cluster {
+        candidates.set_stamp(self.clocks.stats_epoch);
+        let cluster = Cluster {
             signature: new_signature,
             parent: Some(slot),
             children: ChildTable::default(),
             segment: new_segment,
-            candidates,
             q_count: inherited_q,
             epoch_start: parent_epoch,
             q_eff: inherited_q_eff,
             weight: parent_weight,
-        });
+        };
+        let new_slot = self.alloc_slot(cluster, candidates);
         assign_segment(&mut self.segment_cluster, new_segment, new_slot);
         self.append_child_row(slot, new_slot);
 
         // Move qualifying objects; maintain the source cluster's candidate
         // counters and compute the new cluster's.
-        let parent_cluster = self.clusters[slot as usize]
-            .as_mut()
-            .expect("cluster slot is live");
-        let cand = self
-            .stats_arena
-            .slice(parent_cluster.candidates)
-            .bounds(cand_idx);
+        let parent_segment = self.cluster(slot).segment;
+        let cand = self.candidates[slot as usize].bounds(cand_idx);
         let moved = self
             .store
-            .split_into(parent_cluster.segment, cand.dim(), new_segment, |lo, hi| {
+            .split_into(parent_segment, cand.dim(), new_segment, |lo, hi| {
                 cand.accepts_bounds(lo, hi)
             });
         profile.objects_moved += moved as u64;
         let members = self.store.columns(new_segment);
-        self.stats_arena
-            .slice_mut(parent_cluster.candidates)
-            .unrecord_members(&members);
-        debug_assert_eq!(
-            self.stats_arena
-                .slice(parent_cluster.candidates)
-                .n(cand_idx),
-            0
-        );
-        self.stats_arena
-            .slice_mut(candidates)
-            .recount_members(&members);
+        let parent_cands = &mut self.candidates[slot as usize];
+        parent_cands.unrecord_members(&members);
+        debug_assert_eq!(parent_cands.n(cand_idx), 0);
+        self.candidates[new_slot as usize].recount_members(&members);
         self.reorg_fault(ReorgFaultPoint::AfterMaterialize);
         new_slot
     }
 
-    fn alloc_slot(&mut self, cluster: Cluster) -> u32 {
+    /// Places a new cluster and its candidate set in a free slot, or
+    /// past the last one.
+    fn alloc_slot(&mut self, cluster: Cluster, candidates: CandidateSet) -> u32 {
         if let Some(slot) = self.free_slots.pop() {
             self.clusters[slot as usize] = Some(cluster);
+            self.candidates[slot as usize] = candidates;
             slot
         } else {
             let slot = cluster_slot(self.clusters.len());
             self.clusters.push(Some(cluster));
+            self.candidates.push(candidates);
             slot
         }
     }
@@ -427,12 +407,9 @@ impl AdaptiveClusterIndex {
     /// Brings a cluster's candidate counters up to the current
     /// statistics epoch by replaying every close it skipped — the lazy
     /// half of [`AdaptiveClusterIndex::decay_statistics`], bit-identical
-    /// to eager folding ([`crate::candidates::CandidateSliceMut::catch_up`]).
+    /// to eager folding ([`CandidateSet::catch_up`]).
     pub(super) fn materialize_candidates(&mut self, slot: u32) {
-        let handle = self.cluster(slot).candidates;
-        self.stats_arena
-            .slice_mut(handle)
-            .catch_up_to(self.clocks.stats_epoch);
+        self.candidates[slot as usize].catch_up_to(self.clocks.stats_epoch);
     }
 
     /// Closes the current statistics epoch: folds the per-cluster scalar

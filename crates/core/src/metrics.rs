@@ -25,8 +25,8 @@ impl ReorgReport {
 ///
 /// Unlike [`ReorgReport`], which the equivalence suites compare with the
 /// paper's model pass for pass, the profile describes how much work a
-/// pass performed — scans the screen skipped, members moved, arena
-/// occupancy — which the model has no counterpart for.
+/// pass performed — scans the screen skipped, members moved, bytes of
+/// candidate statistics — which the model has no counterpart for.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReorgProfile {
     /// Clusters that passed the epoch gate and had their merge and
@@ -48,17 +48,11 @@ pub struct ReorgProfile {
     /// merged away within the last few passes — one completed
     /// split→merge→split cycle each.
     pub thrash_cycles: u64,
-    /// Bytes of live candidate statistics in the index-wide arena at
-    /// pass end.
+    /// Bytes the live clusters' candidate sets hold at pass end
+    /// ([`crate::candidates::CandidateSet::bytes`] summed over the
+    /// clusters; a free slot's empty set holds none). The name is the
+    /// one the benchmark reports it under.
     pub arena_live_bytes: u64,
-    /// Bytes the arena slabs currently occupy, live or dead. The gap to
-    /// [`ReorgProfile::arena_live_bytes`] is garbage from retired
-    /// ranges awaiting the next compaction.
-    pub arena_capacity_bytes: u64,
-    /// Arena compactions performed over the index's lifetime (cumulative,
-    /// not per-pass: compactions are rare enough that the running total
-    /// is the useful signal).
-    pub compactions: u64,
 }
 
 /// A read-only view of one materialized cluster, for inspection, tests

@@ -145,7 +145,7 @@ fn warmed_up_read_path_allocates_nothing_per_query() {
     );
 
     // `execute` — candidate counting included — runs through the
-    // index-owned scratch and writes the statistics arena in place; once
+    // index-owned scratch and writes the candidate sets in place; once
     // warm, what it allocates is the match vector it returns, and an
     // empty one is no allocation.
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -170,8 +170,9 @@ fn warmed_up_read_path_allocates_nothing_per_query() {
 /// A *settled* production reorganization pass — the stream
 /// has stopped forcing splits and merges, so the pass only screens,
 /// scans candidate columns, and folds the epoch — allocates nothing:
-/// the columns live in the statistics slab and every scratch buffer is
-/// index-owned and warm.
+/// the columns live in each cluster's candidate set, which `execute`
+/// writes through the `Arena` statistics sink, and every scratch
+/// buffer is index-owned and warm.
 #[test]
 fn warmed_reorg_pass_allocates_nothing_under_arena() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -222,7 +223,7 @@ fn warmed_reorg_pass_allocates_nothing_under_arena() {
     );
 
     // Measured pass: same query window, then one pass through warm
-    // arena columns and warm pass scratch.
+    // candidate columns and warm pass scratch.
     for q in &queries {
         index.execute(q);
     }
@@ -236,7 +237,7 @@ fn warmed_reorg_pass_allocates_nothing_under_arena() {
     assert_eq!(
         after - before,
         0,
-        "settled arena reorganization pass allocated {} times",
+        "settled reorganization pass allocated {} times",
         after - before
     );
 }

@@ -4,20 +4,20 @@
 //! (each cluster's and candidate's `q`/`q_eff` bits, read from the
 //! index's checkpoint) and every reorganization decision derived from
 //! them. The index (columnar member kernel, per-dimension candidate
-//! count, screened columnar pass, lazily decayed arena) and the model
+//! count, screened columnar pass, lazily decayed candidate sets) and the model
 //! (plain member lists, per-candidate signature tests, eager decay) are
 //! driven through identical workloads and compared query by query.
 //!
 //! The same holds across the two statistics-writing paths of one index:
-//! `execute` (the arena, in place) and `query_recorded_with` +
+//! `execute` (the candidate sets, in place) and `query_recorded_with` +
 //! `apply_stats` (a delta) answer alike and leave checkpoints that are
 //! equal byte for byte — every cluster's and candidate's `q`, `q_eff`
 //! and decay stamp included — and the state the model is in.
 //!
 //! The layers underneath are pinned by their own suites: every
 //! instruction tier of the member kernel against `matches_flat` in
-//! `acx_geom::scan`, the candidate count against the scalar loop and
-//! arena ranges against owned sets in `acx_core::candidates`.
+//! `acx_geom::scan`, and the candidate count against the scalar loop in
+//! `acx_core::candidates`.
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, QueryScratch, ReorgReport, StatsDelta};
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
@@ -130,7 +130,7 @@ fn recorded_stats_deltas_are_identical() {
 /// One index per statistics-writing path, both of one configuration,
 /// and the model, driven through the same operations.
 struct Duo {
-    /// `execute`: the arena, in place.
+    /// `execute`: the candidate sets, in place.
     direct: AdaptiveClusterIndex,
     /// `query_recorded_with` + `apply_stats`: a reused delta.
     two_phase: AdaptiveClusterIndex,

@@ -14,8 +14,7 @@
 //! is expected to log structural records runs on the paper's platform
 //! (`paper`), which splits and merges at that scale.
 
-use std::collections::HashMap;
-use std::path::PathBuf;
+use std::collections::{HashMap, HashSet};
 
 use acx_core::{AdaptiveClusterIndex, IndexConfig, IndexError};
 use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery};
@@ -23,8 +22,8 @@ use acx_storage::{BackingStore, FlushPolicy, Wal, WalRecord};
 use acx_testkit::ckpt::Checkpoint;
 use acx_testkit::model::{check, Model};
 use acx_testkit::{
-    mem_wal, paper, recover_log, rect_of, replay_records, sorted, wal_bytes, FaultInjector,
-    FaultPlan, MemBacking, TempPath,
+    checkpoint_bytes, mem_wal, paper, recover_log, rect_of, replay_records, sorted, wal_bytes,
+    FaultInjector, FaultPlan, MemBacking, TempPath,
 };
 use proptest::prelude::*;
 
@@ -103,12 +102,17 @@ fn run_model_ops(model: &mut Model, ops: &[Op]) {
 
 /// Populates `index` (ids from 1 000 up, clear of the op streams') and
 /// alternates a point-query hotspot between two corners of the domain
-/// until merges of the abandoned corner's clusters have retired enough
-/// statistics ranges for the reorganization pass to compact the arena.
-/// Returns the objects inserted and the queries executed, in order.
-fn churn_until_compaction(
+/// until a merge of the abandoned corner's clusters has freed a cluster
+/// slot and a later materialization has reused it, with a candidate set
+/// generated into the recycled slot, and some cluster lists its children
+/// out of slot order. Returns the objects inserted and the queries
+/// executed, in order.
+fn churn_until_slot_reuse(
     index: &mut AdaptiveClusterIndex,
 ) -> (Vec<(ObjectId, HyperRect)>, Vec<SpatialQuery>) {
+    let live = |index: &AdaptiveClusterIndex| -> HashSet<u32> {
+        index.snapshots().iter().map(|s| s.id).collect()
+    };
     let mut objects = Vec::new();
     for i in 0..600u32 {
         let x = (i % 25) as Scalar / 25.0;
@@ -118,6 +122,7 @@ fn churn_until_compaction(
         objects.push((ObjectId(1000 + i), rect));
     }
     let mut queries = Vec::new();
+    let (mut before, mut freed, mut reused) = (live(index), HashSet::new(), false);
     for phase in 0..40u32 {
         let lo: Scalar = if phase % 2 == 0 { 0.05 } else { 0.85 };
         for k in 0..68u32 {
@@ -125,12 +130,31 @@ fn churn_until_compaction(
             let q = SpatialQuery::point_enclosing(p);
             index.execute(&q);
             queries.push(q);
+            let now = live(index);
+            freed.extend(before.difference(&now).copied());
+            reused |= now.iter().any(|slot| freed.contains(slot));
+            before = now;
         }
-        if index.last_reorg_profile().compactions > 0 {
+        if reused && siblings_out_of_slot_order(index) {
             return (objects, queries);
         }
     }
-    panic!("the alternating hotspot never forced an arena compaction");
+    panic!("the alternating hotspot never reused a freed cluster slot");
+}
+
+/// Whether some cluster lists a child after a sibling with a higher
+/// slot. Depth-first order pops children last-first, so a sibling list
+/// in creation order reads descending in `snapshots()`.
+fn siblings_out_of_slot_order(index: &AdaptiveClusterIndex) -> bool {
+    let snapshots = index.snapshots();
+    snapshots.iter().any(|s| {
+        let siblings: Vec<u32> = snapshots
+            .iter()
+            .filter(|t| t.parent == s.parent && t.parent.is_some())
+            .map(|t| t.id)
+            .collect();
+        siblings.windows(2).any(|w| w[0] < w[1])
+    })
 }
 
 /// The membership ground truth of a surviving WAL prefix: membership
@@ -271,10 +295,11 @@ proptest! {
     /// state before and after it is the model's, every counter
     /// included.
     ///
-    /// The saved index has compacted its statistics arena at least once
-    /// (`churn_until_compaction`), while a reload rebuilds a dense one —
-    /// so the identity below also compares a compacted arena, ranges
-    /// moved and ids recycled, against a freshly allocated one.
+    /// The saved index has freed a cluster slot in a merge and reused it
+    /// for a later materialization (`churn_until_slot_reuse`), while a
+    /// reload builds every slot's candidate set at once — so the identity
+    /// below also compares a set generated into a recycled slot against
+    /// one the load generated.
     #[test]
     fn checkpoint_roundtrip_is_bit_identical_across_toggles(
         ops in prop::collection::vec(op(2), 20..100),
@@ -283,7 +308,7 @@ proptest! {
         config.confidence_z = 0.0; // act on any positive benefit: maximal churn
         let mut index = AdaptiveClusterIndex::new(config.clone()).unwrap();
         let mut model = Model::new(config.clone());
-        let (objects, queries) = churn_until_compaction(&mut index);
+        let (objects, queries) = churn_until_slot_reuse(&mut index);
         for (id, rect) in objects {
             model.insert(id, rect).unwrap();
         }
@@ -292,7 +317,7 @@ proptest! {
         }
         run_ops(&mut index, &ops);
         run_model_ops(&mut model, &ops);
-        prop_assert!(index.last_reorg_profile().compactions > 0);
+        prop_assert!(index.total_merges() > 0 && index.total_splits() > 0);
 
         let path = TempPath::new("matrix");
         index.save(&path).unwrap();
@@ -598,39 +623,22 @@ fn crash_between_checkpoint_save_and_wal_reset_does_not_double_apply() {
     assert!(replay.records.is_empty());
 }
 
-/// A configuration `validate` accepts can give the root more candidate
-/// counters than one frame holds: 50 dims × 240·241/2 subintervals is
-/// about 17 MB of them. The save refuses before writing anything, and
-/// `checkpoint` keeps the log and its checkpoint id, so no logged
-/// mutation is lost to a file `load` would refuse.
+/// A configuration whose clusters could own more candidate counters
+/// than one checkpoint frame holds — 50 dims × 240² subinterval cells
+/// is about 35 MB of them — is refused before an index exists, by `new`
+/// and by `load` alike: no index is built whose log a checkpoint could
+/// never truncate.
 #[test]
-fn a_checkpoint_over_the_frame_cap_fails_and_keeps_the_log() {
-    let dims = 50;
-    let mut config = IndexConfig::memory(dims);
+fn a_configuration_whose_clusters_overflow_a_frame_is_refused() {
+    let mut config = IndexConfig::memory(50);
     config.division_factor = 240;
-    let mut index = AdaptiveClusterIndex::new(config).unwrap();
-    index
-        .attach_wal(mem_wal(dims, FlushPolicy::PerRecord))
-        .unwrap();
-    for i in 0..3u32 {
-        let lo = vec![0.3 * i as Scalar; dims];
-        let hi = vec![0.3 * i as Scalar + 0.1; dims];
-        let rect = HyperRect::from_bounds(&lo, &hi).unwrap();
-        index.insert(ObjectId(i), rect).unwrap();
-    }
+    let refused = |r: Result<AdaptiveClusterIndex, IndexError>| {
+        matches!(r, Err(IndexError::InvalidConfig(_)))
+    };
+    assert!(refused(AdaptiveClusterIndex::new(config.clone())));
     let path = TempPath::new("over-cap");
-    let err = index.checkpoint(&path).unwrap_err();
-    let invalid = Some(std::io::ErrorKind::InvalidInput);
-    assert!(
-        matches!(&err, IndexError::Store(e) if e.io_kind() == invalid),
-        "{err:?}"
-    );
-    let mut tmp = path.to_path_buf().into_os_string();
-    tmp.push(".tmp");
-    assert!(!path.exists() && !PathBuf::from(tmp).exists());
-    let replay = Wal::replay(&mut MemBacking::from_bytes(wal_bytes(&mut index))).unwrap();
-    assert_eq!(replay.checkpoint_id, Some(0));
-    assert_eq!(replay.records.len(), 3);
+    assert!(refused(AdaptiveClusterIndex::load(&path, config)));
+    assert!(!path.exists());
 }
 
 #[test]
@@ -695,7 +703,7 @@ fn recovered_index_answers_like_the_live_one_and_comes_back_ordered() {
     index
         .attach_wal(mem_wal(2, FlushPolicy::PerRecord))
         .unwrap();
-    churn_until_compaction(&mut index);
+    churn_until_slot_reuse(&mut index);
     // Mutations on top of the clustered population: removals leave
     // strays in the ordered runs and re-insertions land in the tails.
     for i in (0..600u32).step_by(3) {
@@ -773,20 +781,9 @@ fn save_leaves_a_neighbouring_tmp_file_alone() {
 #[test]
 fn a_reload_keeps_the_child_order_of_a_recycled_slot() {
     let mut index = AdaptiveClusterIndex::new(config_2d()).unwrap();
-    churn_until_compaction(&mut index);
-    let snapshots = index.snapshots();
-    let recycled = snapshots.iter().any(|s| {
-        let siblings: Vec<u32> = snapshots
-            .iter()
-            .filter(|t| t.parent == s.parent && t.parent.is_some())
-            .map(|t| t.id)
-            .collect();
-        // Depth-first order pops children last-first: a sibling list
-        // in creation order reads descending unless a slot was recycled.
-        siblings.windows(2).any(|w| w[0] < w[1])
-    });
+    churn_until_slot_reuse(&mut index);
     assert!(
-        recycled,
+        siblings_out_of_slot_order(&index),
         "test premise: a recycled slot sits among its siblings out of slot order"
     );
 
@@ -863,4 +860,53 @@ fn per_epoch_policy_defers_flushes_to_the_close() {
     assert_eq!(recovered.len(), 20);
     assert_eq!(report.replayed_records, 21); // 20 inserts + EpochClose
     assert_eq!(recovered.reorganizations(), 1);
+}
+
+/// The widest configuration `validate` accepts at the largest division
+/// factor: at 21 d and `f = 255` a specialized cluster's frame (up to
+/// `21 · 255²` candidates) still fits one checkpoint frame, one more
+/// dimension does not. The root's 685 440 candidates checkpoint with a
+/// log attached and load back into the same index, byte for byte.
+#[test]
+fn the_widest_accepted_configuration_checkpoints_and_loads() {
+    let widest = |dims| IndexConfig {
+        division_factor: 255,
+        ..IndexConfig::memory(dims)
+    };
+    assert!(matches!(
+        AdaptiveClusterIndex::new(widest(22)),
+        Err(IndexError::InvalidConfig(_))
+    ));
+    let config = widest(21);
+    let mut index = AdaptiveClusterIndex::new(config.clone()).unwrap();
+    index
+        .attach_wal(mem_wal(21, FlushPolicy::PerRecord))
+        .unwrap();
+    for i in 0..40u32 {
+        // Every fourth object lies above the probe point in dimension 0.
+        let lo: Vec<Scalar> = (0..21)
+            .map(|d| if d == 0 && i % 4 == 0 { 0.5 } else { ((i + d) % 10) as Scalar / 50.0 })
+            .collect();
+        let hi: Vec<Scalar> = lo.iter().map(|v| v + 0.5).collect();
+        index
+            .insert(ObjectId(i), HyperRect::from_bounds(&lo, &hi).unwrap())
+            .unwrap();
+    }
+    let probe = SpatialQuery::point_enclosing(vec![0.45; 21]);
+    assert_eq!(index.execute(&probe).matches.len(), 30, "test premise");
+    let path = TempPath::new("widest");
+    index.checkpoint(&path).unwrap();
+
+    let root = &Checkpoint::parse(&std::fs::read(&path).unwrap()).frames[1];
+    let candidates = 21 * 255 * 256 / 2;
+    assert_eq!(
+        root.len(),
+        67 + 18 * 21 + 12 * candidates,
+        "the root's cluster frame"
+    );
+    let loaded = AdaptiveClusterIndex::load(&path, config).unwrap();
+    loaded.check_invariants().unwrap();
+    assert_eq!(loaded.snapshots(), index.snapshots());
+    assert_eq!(checkpoint_bytes(&loaded), checkpoint_bytes(&index));
+    assert_eq!(loaded.query(&probe).matches, index.query(&probe).matches);
 }

@@ -8,8 +8,9 @@
 //! the model are driven through identical workloads and compared pass
 //! by pass.
 //!
-//! The screen, the columnar split scan, the bulk member moves, arena
-//! compaction and the lazy candidate decay are all exercised here: the
+//! The screen, the columnar split scan, the bulk member moves, the
+//! freeing and regeneration of candidate sets and the lazy candidate
+//! decay are all exercised here: the
 //! index skips scans and leaves untouched counters un-decayed, yet
 //! every observable decision must equal the model's, and every counter,
 //! caught up, the model's eagerly decayed one.
@@ -22,13 +23,12 @@
 //!
 //! [`ClusterSnapshot`]: acx_core::ClusterSnapshot
 
-use acx_core::candidates::generate_candidates;
 use acx_core::{
     AdaptiveClusterIndex, IndexConfig, QueryScratch, ReorgReport, Signature, StatsDelta,
 };
 use acx_geom::{HyperRect, ObjectId, SpatialQuery};
 use acx_storage::{FlushPolicy, WalRecord};
-use acx_testkit::model::{assert_same, assert_same_answer, check, Model};
+use acx_testkit::model::{assert_same, assert_same_answer, candidate_cells, check, Model};
 use acx_testkit::{
     mem_wal, naive_matches, paper, random_grid_query, random_grid_rect, recover_log, sorted,
 };
@@ -234,11 +234,9 @@ fn forced_splits_then_merges_are_identical() {
 /// skipping).
 /// The slot of candidate `(d, i, j)` among those `signature` generates.
 fn candidate_of(signature: &Signature, f: u8, (d, i, j): (usize, u8, u8)) -> u32 {
-    let set = generate_candidates(signature, f);
-    let view = set.as_slice();
-    let want = signature.specialize(d, f, i, j);
-    (0..view.len())
-        .find(|&ci| view.signature(ci, signature, f) == want)
+    candidate_cells(signature, f)
+        .iter()
+        .position(|&cell| cell == (d, i, j))
         .expect("a feasible candidate") as u32
 }
 

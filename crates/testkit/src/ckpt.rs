@@ -11,7 +11,6 @@
 use std::ops::Range;
 use std::path::Path;
 
-use acx_core::candidates::generate_candidates;
 use acx_core::{AdaptiveClusterIndex, IndexConfig, Signature, STATS_DECAY};
 use acx_geom::Scalar;
 use acx_storage::frame::{push_frame, Frames, Header, HEADER_LEN};
@@ -222,7 +221,7 @@ pub fn write_tree(path: &Path, config: &IndexConfig, clusters: &[TreeCluster]) {
     let u32s = |o: &mut Vec<u8>, vs: &[u32]| vs.iter().for_each(|v| o.extend(v.to_le_bytes()));
     let mut frames = vec![[vec![CLOCKS], vec![0; 8 * CLOCK_COUNT]].concat()];
     for (slot, (parent, signature, members)) in clusters.iter().enumerate() {
-        let ncand = generate_candidates(signature, config.division_factor).len();
+        let ncand = crate::model::candidate_cells(signature, config.division_factor).len();
         let signature = signature.to_bytes();
         let mut o = vec![CLUSTER];
         let parent = parent.unwrap_or(u32::MAX);
@@ -260,7 +259,7 @@ pub fn write_tree(path: &Path, config: &IndexConfig, clusters: &[TreeCluster]) {
 /// [`ClusterFrame::counters`] to the end: statistics, decay stamp and
 /// `n_hi`, `ncand`, then the `q` and `q_eff` columns), with the
 /// candidate counters' lazy decay caught up to `epoch` exactly as
-/// `CandidateSliceMut::catch_up` replays it: one fold of the epoch
+/// `CandidateSet::catch_up` replays it: one fold of the epoch
 /// counter, then a `γ` multiply per further close until the history is
 /// zero. A candidate set no query or scan has touched since before
 /// `epoch` then reads as one decayed eagerly at every close up to it;

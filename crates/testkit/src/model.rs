@@ -2,12 +2,14 @@
 //! equivalence suite compares [`AdaptiveClusterIndex`] against.
 //!
 //! It shares nothing with the index but the paper's vocabulary:
-//! [`Signature`] (membership and exploration tests), the candidate
-//! enumeration of §4.2 ([`generate_candidates`], read for each
-//! candidate's signature only) and the §5 benefit functions
+//! [`Signature`] (membership and exploration tests, the feasibility and
+//! specialization of a subinterval cell) and the §5 benefit functions
 //! ([`materialization_benefit`], [`merging_benefit`]). Everything else
 //! is written out naively from its definition:
 //!
+//! - a cluster's candidates are §4.2's enumeration ([`candidate_cells`]):
+//!   per dimension, each feasible start × end cell `(i, j)`, specialized
+//!   into its own signature;
 //! - a cluster's members are a plain `Vec` of `(id, coordinates)`;
 //!   cluster slots come from a LIFO free list;
 //! - a query bumps each candidate whose signature
@@ -15,7 +17,7 @@
 //!   recounted with [`Signature::accepts_flat`] whenever a pass prices
 //!   it — no cached count, no bound, no screen;
 //! - every epoch close decays every counter eagerly,
-//!   `q_eff ← γ·q_eff + q` — no stamps, no arena, no catch-up;
+//!   `q_eff ← γ·q_eff + q` — no stamps, no catch-up;
 //! - answers come from a [`SpatialQuery::matches_flat`] loop over each
 //!   explored cluster's members;
 //! - the pass is Fig. 1–3: for every cluster live at its start, the
@@ -30,7 +32,6 @@
 
 use std::collections::HashMap;
 
-use acx_core::candidates::generate_candidates;
 use acx_core::cost::{materialization_benefit, merging_benefit};
 use acx_core::{
     AdaptiveClusterIndex, ClusterSnapshot, IndexConfig, IndexError, ReorgReport, Signature,
@@ -48,6 +49,17 @@ const THRASH_WINDOW: u64 = 8;
 /// Two access probabilities within this relative distance tie when an
 /// insert picks its cluster (§3.5: ties go to the most specific one).
 const TIE_RELATIVE_EPS: f64 = 1e-9;
+
+/// The candidates of a cluster of `signature` at division factor `f`
+/// (§4.2), in the order the index numbers them: per dimension `d`, every
+/// start × end subinterval cell `(i, j)` the signature can be
+/// specialized to ([`Signature::combination_feasible`]), `i` major.
+pub fn candidate_cells(signature: &Signature, f: u8) -> Vec<(usize, u8, u8)> {
+    (0..signature.dims())
+        .flat_map(|d| (0..f).flat_map(move |i| (0..f).map(move |j| (d, i, j))))
+        .filter(|&(d, i, j)| signature.combination_feasible(d, f, i, j))
+        .collect()
+}
 
 /// A virtual candidate subcluster: its signature and query counters.
 #[derive(Debug, Clone)]
@@ -73,11 +85,10 @@ struct Cluster {
 impl Cluster {
     /// A cluster of `signature` with fresh candidates and no members.
     fn new(signature: Signature, parent: Option<u32>, f: u8) -> Self {
-        let set = generate_candidates(&signature, f);
-        let view = set.as_slice();
-        let candidates = (0..view.len())
-            .map(|ci| Candidate {
-                signature: view.signature(ci, &signature, f),
+        let candidates = candidate_cells(&signature, f)
+            .into_iter()
+            .map(|(d, i, j)| Candidate {
+                signature: signature.specialize(d, f, i, j),
                 q: 0,
                 q_eff: 0.0,
             })
