@@ -41,17 +41,6 @@ impl SeqScan {
         }
     }
 
-    /// Creates a scan baseline with an explicit cost model.
-    pub fn with_model(dims: usize, model: CostModel) -> Self {
-        assert!(dims > 0, "dims must be positive");
-        Self {
-            dims,
-            ids: Vec::new(),
-            cols: vec![Vec::new(); 2 * dims],
-            model,
-        }
-    }
-
     /// Number of stored objects.
     pub fn len(&self) -> usize {
         self.ids.len()
@@ -219,7 +208,7 @@ mod tests {
     fn disk_pricing_includes_full_transfer() {
         let mut s = SeqScan::new(16, StorageScenario::Disk);
         for i in 0..1000 {
-            s.insert(ObjectId(i), &HyperRect::unit(16));
+            s.insert(ObjectId(i), &rect(&[0.0; 16], &[1.0; 16]));
         }
         let r = s.execute(&SpatialQuery::point_enclosing(vec![0.5; 16]));
         // 1000 objects × 132 B at ≈ 4.77e-5 ms/B plus one 15 ms seek.
@@ -240,7 +229,7 @@ mod tests {
     #[should_panic(expected = "dimensionality mismatch")]
     fn insert_rejects_wrong_dims() {
         let mut s = SeqScan::new(3, StorageScenario::Memory);
-        s.insert(ObjectId(1), &HyperRect::unit(2));
+        s.insert(ObjectId(1), &rect(&[0.0; 2], &[1.0; 2]));
     }
 
     #[test]

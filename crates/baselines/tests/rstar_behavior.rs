@@ -235,7 +235,7 @@ fn duplicate_rectangles_are_supported() {
 #[should_panic(expected = "dimensionality mismatch")]
 fn insert_rejects_wrong_dims() {
     let mut tree = RStarTree::new(RStarConfig::memory(3));
-    tree.insert(ObjectId(1), &HyperRect::unit(2));
+    tree.insert(ObjectId(1), &rect(&[0.0; 2], &[1.0; 2]));
 }
 
 #[test]
@@ -295,7 +295,7 @@ fn bulk_load_empty_and_tiny_inputs() {
     empty.check_invariants().unwrap();
     let one = RStarTree::bulk_load(
         RStarConfig::memory(2),
-        &[(ObjectId(1), HyperRect::unit(2))],
+        &[(ObjectId(1), rect(&[0.0; 2], &[1.0; 2]))],
     );
     assert_eq!(one.len(), 1);
     assert_eq!(one.height(), 1);

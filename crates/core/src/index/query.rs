@@ -238,7 +238,7 @@ impl AdaptiveClusterIndex {
     /// use acx_geom::{HyperRect, ObjectId, SpatialQuery};
     ///
     /// let mut index = AdaptiveClusterIndex::new(IndexConfig::memory(2)).unwrap();
-    /// index.insert(ObjectId(1), HyperRect::unit(2)).unwrap();
+    /// index.insert(ObjectId(1), HyperRect::from_bounds(&[0.0; 2], &[1.0; 2]).unwrap()).unwrap();
     /// let q = SpatialQuery::point_enclosing(vec![0.5, 0.5]);
     /// let (a, b) = std::thread::scope(|s| {
     ///     let (shared, q) = (&index, &q); // no `mut`: readers share the index
@@ -284,7 +284,7 @@ impl AdaptiveClusterIndex {
     /// use acx_geom::{HyperRect, ObjectId, SpatialQuery};
     ///
     /// let mut index = AdaptiveClusterIndex::new(IndexConfig::memory(2)).unwrap();
-    /// index.insert(ObjectId(1), HyperRect::unit(2)).unwrap();
+    /// index.insert(ObjectId(1), HyperRect::from_bounds(&[0.0; 2], &[1.0; 2]).unwrap()).unwrap();
     /// let mut scratch = QueryScratch::new();
     /// let q = SpatialQuery::point_enclosing(vec![0.5, 0.5]);
     /// let metrics = index.query_with(&q, &mut scratch);

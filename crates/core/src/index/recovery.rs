@@ -41,11 +41,6 @@ impl AdaptiveClusterIndex {
         self.wal.take()
     }
 
-    /// Whether a write-ahead log is attached.
-    pub fn wal_attached(&self) -> bool {
-        self.wal.is_some()
-    }
-
     /// Forces every appended WAL record down to durable storage,
     /// regardless of the flush policy, and returns once it is there.
     ///
@@ -66,11 +61,6 @@ impl AdaptiveClusterIndex {
     /// of aborting between its atomic units (graceful degradation).
     pub fn wal_failure(&self) -> Option<&WalError> {
         self.wal_failure.as_ref()
-    }
-
-    /// Takes (and clears) the stashed reorganization WAL failure.
-    pub fn take_wal_failure(&mut self) -> Option<WalError> {
-        self.wal_failure.take()
     }
 
     /// Appends a record on a user-facing mutation path: the failure

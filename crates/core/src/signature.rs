@@ -165,14 +165,6 @@ impl Signature {
         }
     }
 
-    /// Builds a signature from explicit per-dimension parts.
-    pub fn from_dims(dims: Vec<DimSignature>) -> Self {
-        assert!(!dims.is_empty());
-        Self {
-            dims: dims.into_boxed_slice(),
-        }
-    }
-
     /// Number of dimensions.
     pub fn dims(&self) -> usize {
         self.dims.len()
@@ -464,10 +456,12 @@ mod tests {
     fn infeasible_combination_detected() {
         // start ∈ [0.75,1.0], end ∈ [0,0.25): no a ≤ b exists unless the
         // subintervals touch.
-        let sig = Signature::from_dims(vec![DimSignature {
-            start: SigInterval::new(0.75, 1.0, false),
-            end: SigInterval::new(0.0, 0.25, true),
-        }]);
+        let sig = Signature {
+            dims: Box::new([DimSignature {
+                start: SigInterval::new(0.75, 1.0, false),
+                end: SigInterval::new(0.0, 0.25, true),
+            }]),
+        };
         // start sub 3 = [0.9375,1.0], end sub 0 = [0,0.0625): infeasible.
         assert!(!sig.combination_feasible(0, 4, 3, 0));
     }

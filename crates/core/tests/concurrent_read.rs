@@ -28,7 +28,7 @@ fn mixed_queries(rng: &mut StdRng, dims: usize, n: usize) -> Vec<SpatialQuery> {
                 }
                 SpatialQuery::intersection(HyperRect::from_bounds(&lo, &hi).unwrap())
             }
-            _ => SpatialQuery::containment(HyperRect::unit(dims)),
+            _ => SpatialQuery::containment(HyperRect::from_bounds(&vec![0.0; dims], &vec![1.0; dims]).unwrap()),
         })
         .collect()
 }

@@ -195,7 +195,7 @@ fn broad_queries_trigger_merges_back_to_coarser_clustering() {
     assert!(split_clusters > 1);
     // Phase 2: only full-domain intersection queries → every cluster is
     // explored by every query, separate management is pure overhead.
-    let everything = SpatialQuery::intersection(HyperRect::unit(dims));
+    let everything = SpatialQuery::intersection(rect(&vec![0.0; dims], &vec![1.0; dims]));
     let mut merges = 0;
     for _ in 0..10 {
         for _ in 0..100 {

@@ -211,7 +211,7 @@ fn answers_and_objects(index: &AdaptiveClusterIndex, model: &Model) -> Result<()
     let dims = index.dims();
     let mut rng = StdRng::seed_from_u64(0x9E0B);
     let probes = (0..12).map(|_| random_grid_query(&mut rng, dims, 8));
-    for q in probes.chain([SpatialQuery::intersection(HyperRect::unit(dims))]) {
+    for q in probes.chain([SpatialQuery::intersection(HyperRect::from_bounds(&vec![0.0; dims], &vec![1.0; dims]).unwrap())]) {
         if sorted(index.query(&q).matches) != model.query(&q).matches {
             return Err(format!("the recovered index answers {q:?} differently"));
         }
@@ -277,7 +277,7 @@ fn long_sequences_match_the_model() {
 /// The shrinker keeps exactly the ops a failure needs, in order.
 #[test]
 fn shrinking_keeps_only_what_the_failure_needs() {
-    let rect = HyperRect::unit(1);
+    let rect = HyperRect::from_bounds(&[0.0], &[1.0]).unwrap();
     let point = SpatialQuery::point_enclosing(vec![0.5]);
     let mut ops: Vec<Op> = (0..5).map(|id| Op::Insert(id, rect.clone())).collect();
     ops.extend([Op::Reorganize, Op::Execute(point.clone()), Op::Remove(9)]);

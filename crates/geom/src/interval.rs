@@ -38,12 +38,6 @@ impl Interval {
         Self::new_unchecked(v, v)
     }
 
-    /// The full normalized domain `[0, 1]`.
-    #[inline]
-    pub fn domain() -> Self {
-        Self::new_unchecked(crate::DOMAIN_MIN, crate::DOMAIN_MAX)
-    }
-
     /// Lower bound.
     #[inline]
     pub fn lo(&self) -> Scalar {
@@ -91,12 +85,6 @@ impl Interval {
     pub fn union(&self, other: &Interval) -> Interval {
         Interval::new_unchecked(self.lo.min(other.lo), self.hi.max(other.hi))
     }
-
-    /// Overlap length between the two intervals (zero when disjoint).
-    #[inline]
-    pub fn overlap_length(&self, other: &Interval) -> Scalar {
-        (self.hi.min(other.hi) - self.lo.max(other.lo)).max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -120,15 +108,6 @@ mod tests {
         assert_eq!(p.length(), 0.0);
         assert!(p.contains_point(0.4));
         assert!(!p.contains_point(0.40001));
-    }
-
-    #[test]
-    fn domain_covers_unit_range() {
-        let d = Interval::domain();
-        assert_eq!(d.lo(), 0.0);
-        assert_eq!(d.hi(), 1.0);
-        assert!(d.contains_point(0.0));
-        assert!(d.contains_point(1.0));
     }
 
     #[test]
@@ -157,15 +136,6 @@ mod tests {
         let u = a.union(&b);
         assert_eq!(u.lo(), 0.1);
         assert_eq!(u.hi(), 0.8);
-    }
-
-    #[test]
-    fn overlap_length_is_zero_for_disjoint() {
-        let a = Interval::new(0.0, 0.2).unwrap();
-        let b = Interval::new(0.5, 0.9).unwrap();
-        assert_eq!(a.overlap_length(&b), 0.0);
-        let c = Interval::new(0.1, 0.6).unwrap();
-        assert!((a.overlap_length(&c) - 0.1).abs() < 1e-6);
     }
 
     #[test]
@@ -199,14 +169,6 @@ mod tests {
             let u = a.union(&b);
             prop_assert!(u.contains(&a));
             prop_assert!(u.contains(&b));
-        }
-
-        #[test]
-        fn prop_overlap_bounded_by_lengths(a in interval_strategy(), b in interval_strategy()) {
-            let o = a.overlap_length(&b);
-            prop_assert!(o >= 0.0);
-            prop_assert!(o <= a.length() + 1e-6);
-            prop_assert!(o <= b.length() + 1e-6);
         }
 
         #[test]

@@ -2,12 +2,12 @@
 //!
 //! This crate defines *multidimensional extended objects* — hyper-rectangles
 //! (equivalently, hyper-intervals) over the normalized domain `[0, 1]` in
-//! each dimension — together with the spatial relations the index answers:
+//! each dimension — together with the spatial queries the index answers:
 //!
-//! * [`SpatialRelation::Intersection`] — the object overlaps the query window,
-//! * [`SpatialRelation::Containment`] — the object lies inside the query window,
-//! * [`SpatialRelation::Enclosure`]   — the object encloses the query window,
-//! * point-enclosing queries — the object contains a query point.
+//! * [`SpatialQuery::intersection`] — the object overlaps the query window,
+//! * [`SpatialQuery::containment`] — the object lies inside the query window,
+//! * [`SpatialQuery::enclosure`] — the object encloses the query window,
+//! * [`SpatialQuery::point_enclosing`] — the object contains a query point.
 //!
 //! Coordinates are `f32` on purpose: the paper stores each interval limit on
 //! 4 bytes and the cost model prices verification and transfer *per byte*,
@@ -39,7 +39,7 @@ pub mod scan;
 pub use error::GeomError;
 pub use interval::Interval;
 pub use object::{object_size_bytes, ObjectId, OBJECT_ID_BYTES};
-pub use query::{MatchOutcome, SpatialQuery, SpatialRelation};
+pub use query::{MatchOutcome, SpatialQuery};
 pub use rect::HyperRect;
 
 /// Coordinate scalar used throughout the system.

@@ -1,40 +1,5 @@
 use crate::{HyperRect, Scalar};
 
-/// The spatial relation requested between a database object and the query
-/// object (paper §3.6).
-///
-/// Conventions follow the paper's subscription-matching motivation: the
-/// *object* is the stored hyper-rectangle, the *query* is the incoming one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SpatialRelation {
-    /// Object and query share at least one point (spatial range query).
-    Intersection,
-    /// The object lies entirely inside the query window (`object ⊆ query`).
-    Containment,
-    /// The object encloses the query window (`object ⊇ query`).
-    Enclosure,
-}
-
-impl SpatialRelation {
-    /// All supported relations, handy for exhaustive tests and benches.
-    pub const ALL: [SpatialRelation; 3] = [
-        SpatialRelation::Intersection,
-        SpatialRelation::Containment,
-        SpatialRelation::Enclosure,
-    ];
-}
-
-impl std::fmt::Display for SpatialRelation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            SpatialRelation::Intersection => "intersection",
-            SpatialRelation::Containment => "containment",
-            SpatialRelation::Enclosure => "enclosure",
-        };
-        f.write_str(s)
-    }
-}
-
 /// Result of verifying one object against a query, with early-exit cost
 /// accounting.
 ///
@@ -91,15 +56,6 @@ impl SpatialQuery {
     /// Point-enclosing query at `point`.
     pub fn point_enclosing(point: Vec<Scalar>) -> Self {
         SpatialQuery::PointEnclosing(point.into_boxed_slice())
-    }
-
-    /// Builds a query with an explicit relation over a window rectangle.
-    pub fn with_relation(relation: SpatialRelation, window: HyperRect) -> Self {
-        match relation {
-            SpatialRelation::Intersection => SpatialQuery::Intersection(window),
-            SpatialRelation::Containment => SpatialQuery::Containment(window),
-            SpatialRelation::Enclosure => SpatialQuery::Enclosure(window),
-        }
     }
 
     /// Dimensionality of the query object.
@@ -201,18 +157,6 @@ impl SpatialQuery {
             }
         }
     }
-
-    /// The relation implemented by this query. Point-enclosing queries are
-    /// enclosure queries over a degenerate window.
-    pub fn relation(&self) -> SpatialRelation {
-        match self {
-            SpatialQuery::Intersection(_) => SpatialRelation::Intersection,
-            SpatialQuery::Containment(_) => SpatialRelation::Containment,
-            SpatialQuery::Enclosure(_) | SpatialQuery::PointEnclosing(_) => {
-                SpatialRelation::Enclosure
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -252,7 +196,6 @@ mod tests {
         let q = SpatialQuery::point_enclosing(vec![0.5, 0.5]);
         assert!(q.matches_rect(&rect(&[0.5, 0.0], &[0.5, 1.0]))); // boundary
         assert!(!q.matches_rect(&rect(&[0.6, 0.0], &[0.9, 1.0])));
-        assert_eq!(q.relation(), SpatialRelation::Enclosure);
     }
 
     #[test]
@@ -278,24 +221,13 @@ mod tests {
     fn window_of_point_query_is_degenerate() {
         let q = SpatialQuery::point_enclosing(vec![0.25, 0.75]);
         let w = q.window();
-        assert_eq!(w.volume(), 0.0);
+        assert_eq!(w.margin(), 0.0);
         assert!(w.contains_point(&[0.25, 0.75]));
     }
 
-    #[test]
-    fn with_relation_constructs_matching_variant() {
-        let w = rect(&[0.0], &[1.0]);
-        for rel in SpatialRelation::ALL {
-            let q = SpatialQuery::with_relation(rel, w.clone());
-            assert_eq!(q.relation(), rel);
-        }
-    }
-
-    #[test]
-    fn relation_display_names() {
-        assert_eq!(SpatialRelation::Intersection.to_string(), "intersection");
-        assert_eq!(SpatialRelation::Containment.to_string(), "containment");
-        assert_eq!(SpatialRelation::Enclosure.to_string(), "enclosure");
+    /// The query over `window` of each relation a window can carry.
+    fn window_query(kind: usize, window: HyperRect) -> SpatialQuery {
+        [SpatialQuery::intersection, SpatialQuery::containment, SpatialQuery::enclosure][kind](window)
     }
 
     fn rect_strategy(dims: usize) -> impl Strategy<Value = HyperRect> {
@@ -318,7 +250,7 @@ mod tests {
             win in rect_strategy(4),
             rel_idx in 0usize..3,
         ) {
-            let q = SpatialQuery::with_relation(SpatialRelation::ALL[rel_idx], win);
+            let q = window_query(rel_idx, win);
             prop_assert_eq!(q.matches_flat(&obj.to_flat()).matched, q.matches_rect(&obj));
         }
 
@@ -350,7 +282,7 @@ mod tests {
             win in rect_strategy(4),
             rel_idx in 0usize..3,
         ) {
-            let q = SpatialQuery::with_relation(SpatialRelation::ALL[rel_idx], win);
+            let q = window_query(rel_idx, win);
             let out = q.matches_flat(&obj.to_flat());
             prop_assert!(out.dims_checked >= 1 && out.dims_checked <= 4);
             if out.matched {

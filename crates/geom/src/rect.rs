@@ -49,14 +49,6 @@ impl HyperRect {
         Self::new(intervals)
     }
 
-    /// The full-domain rectangle (`[0,1]` in every dimension).
-    pub fn unit(dims: usize) -> Self {
-        assert!(dims > 0, "rectangle must have at least one dimension");
-        Self {
-            intervals: vec![Interval::domain(); dims].into_boxed_slice(),
-        }
-    }
-
     /// A degenerate rectangle representing a point.
     pub fn from_point(point: &[Scalar]) -> Result<Self, GeomError> {
         if point.is_empty() {
@@ -115,14 +107,6 @@ impl HyperRect {
             .all(|(i, &p)| i.contains_point(p))
     }
 
-    /// Volume of the rectangle (product of interval lengths).
-    pub fn volume(&self) -> f64 {
-        self.intervals
-            .iter()
-            .map(|i| i.length() as f64)
-            .product()
-    }
-
     /// Sum of interval lengths — the *margin* used by the R*-tree split.
     pub fn margin(&self) -> f64 {
         self.intervals.iter().map(|i| i.length() as f64).sum()
@@ -140,20 +124,6 @@ impl HyperRect {
         HyperRect {
             intervals: intervals.into_boxed_slice(),
         }
-    }
-
-    /// Volume of the intersection of the two rectangles (zero if disjoint).
-    pub fn overlap_volume(&self, other: &HyperRect) -> f64 {
-        debug_assert_eq!(self.dims(), other.dims());
-        let mut v = 1.0f64;
-        for (a, b) in self.intervals.iter().zip(other.intervals.iter()) {
-            let o = a.overlap_length(b) as f64;
-            if o == 0.0 {
-                return 0.0;
-            }
-            v *= o;
-        }
-        v
     }
 
     /// Appends the flat `[lo0, hi0, …]` coordinates to `out`.
@@ -211,14 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn unit_rect_contains_everything() {
-        let u = HyperRect::unit(4);
-        let r = rect(&[0.2, 0.0, 0.9, 0.5], &[0.3, 1.0, 1.0, 0.5]);
-        assert!(u.contains(&r));
-        assert!(u.intersects(&r));
-    }
-
-    #[test]
     fn intersects_requires_overlap_in_all_dims() {
         let a = rect(&[0.0, 0.0], &[0.5, 0.5]);
         let b = rect(&[0.4, 0.4], &[0.9, 0.9]);
@@ -250,23 +212,13 @@ mod tests {
     #[test]
     fn volume_and_margin() {
         let r = rect(&[0.0, 0.0], &[0.5, 0.25]);
-        assert!((r.volume() - 0.125).abs() < 1e-9);
         assert!((r.margin() - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn overlap_volume_zero_when_disjoint() {
-        let a = rect(&[0.0, 0.0], &[0.2, 0.2]);
-        let b = rect(&[0.5, 0.5], &[0.9, 0.9]);
-        assert_eq!(a.overlap_volume(&b), 0.0);
-        let c = rect(&[0.1, 0.1], &[0.3, 0.3]);
-        assert!((a.overlap_volume(&c) - 0.01).abs() < 1e-6);
     }
 
     #[test]
     fn point_rect_is_degenerate() {
         let p = HyperRect::from_point(&[0.3, 0.7]).unwrap();
-        assert_eq!(p.volume(), 0.0);
+        assert_eq!(p.margin(), 0.0);
         assert!(p.contains_point(&[0.3, 0.7]));
     }
 
@@ -305,14 +257,6 @@ mod tests {
         fn prop_flat_roundtrip(a in rect_strategy(5)) {
             let r = HyperRect::from_flat(&a.to_flat()).unwrap();
             prop_assert_eq!(a, r);
-        }
-
-        #[test]
-        fn prop_overlap_volume_bounded(a in rect_strategy(3), b in rect_strategy(3)) {
-            let o = a.overlap_volume(&b);
-            prop_assert!(o >= 0.0);
-            prop_assert!(o <= a.volume() + 1e-9);
-            prop_assert!(o <= b.volume() + 1e-9);
         }
     }
 }

@@ -804,7 +804,7 @@ pub fn avx2_detected() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HyperRect, SpatialRelation};
+    use crate::HyperRect;
 
     /// Builds paired columns from interleaved flat coordinates.
     fn columns(flat: &[Scalar], dims: usize) -> Vec<Vec<Scalar>> {
@@ -890,8 +890,8 @@ mod tests {
             0.0, 1.0, 0.0, 1.0, // covers everything
         ];
         let w = HyperRect::from_bounds(&[0.3, 0.3], &[0.7, 0.7]).unwrap();
-        for rel in SpatialRelation::ALL {
-            assert_agrees(&SpatialQuery::with_relation(rel, w.clone()), &flat, dims);
+        for query in [SpatialQuery::intersection, SpatialQuery::containment, SpatialQuery::enclosure] {
+            assert_agrees(&query(w.clone()), &flat, dims);
         }
         assert_agrees(&SpatialQuery::point_enclosing(vec![0.3, 0.3]), &flat, dims);
     }
@@ -1089,7 +1089,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::{HyperRect, Interval, SpatialRelation};
+    use crate::{HyperRect, Interval};
     use proptest::prelude::*;
 
     /// A coordinate grid coarse enough that boundary-coincident edges
@@ -1137,9 +1137,9 @@ mod proptests {
                 (0..dims).map(|d| *win.interval(d)).collect::<Vec<_>>()
             ).unwrap();
             let query = match kind {
-                0 => SpatialQuery::with_relation(SpatialRelation::Intersection, win),
-                1 => SpatialQuery::with_relation(SpatialRelation::Containment, win),
-                2 => SpatialQuery::with_relation(SpatialRelation::Enclosure, win),
+                0 => SpatialQuery::intersection(win),
+                1 => SpatialQuery::containment(win),
+                2 => SpatialQuery::enclosure(win),
                 _ => SpatialQuery::point_enclosing(point[..dims].to_vec()),
             };
 

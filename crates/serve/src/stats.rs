@@ -61,16 +61,6 @@ pub struct ServeStats {
     pub window_wall_ns: u64,
 }
 
-impl ServeStats {
-    /// Aggregate completed events per second over the window.
-    pub fn qps(&self) -> f64 {
-        if self.window_wall_ns == 0 {
-            return 0.0;
-        }
-        self.events_completed as f64 / (self.window_wall_ns as f64 / 1e9)
-    }
-}
-
 /// Nearest-rank percentile over a **sorted** sample; `0` when empty.
 pub(crate) fn nearest_rank(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
@@ -125,16 +115,5 @@ mod tests {
             );
         }
         assert_eq!(nearest_rank_hist(&[0, 0, 0], 50.0), 0);
-    }
-
-    #[test]
-    fn qps_is_completed_over_window() {
-        let stats = ServeStats {
-            events_completed: 500,
-            window_wall_ns: 2_000_000_000,
-            ..Default::default()
-        };
-        assert!((stats.qps() - 250.0).abs() < 1e-9);
-        assert_eq!(ServeStats::default().qps(), 0.0);
     }
 }

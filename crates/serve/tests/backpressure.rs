@@ -15,12 +15,12 @@ fn query() -> SpatialQuery {
 }
 
 fn build() -> ShardedIndex {
-    let index = ShardedIndex::new(
-        ServeConfig::new(IndexConfig::memory(3))
+    let index = ShardedIndex::new(ServeConfig {
+        queue_cap: CAP,
+        ..ServeConfig::new(IndexConfig::memory(3))
             .with_shards(2)
-            .with_queue_cap(CAP)
-            .retaining_results(),
-    )
+            .retaining_results()
+    })
     .unwrap();
     index
         .insert(

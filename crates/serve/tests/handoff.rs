@@ -105,12 +105,12 @@ fn a_dead_worker_fails_later_calls_instead_of_hanging() {
 /// shard vouches only for that shard's halves, so with several shards
 /// `with_shard` is asked of every shard and `insert` is not checked.
 fn sync_calls_see_earlier_events(shards: usize, cap: usize, seed: u64) {
-    let index = ShardedIndex::new(
-        ServeConfig::new(IndexConfig::memory(3))
+    let index = ShardedIndex::new(ServeConfig {
+        queue_cap: cap,
+        ..ServeConfig::new(IndexConfig::memory(3))
             .with_shards(shards)
-            .with_queue_cap(cap)
-            .retaining_results(),
-    )
+            .retaining_results()
+    })
     .unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut submitted = 0u64;
@@ -197,12 +197,12 @@ fn random_box(rng: &mut StdRng) -> HyperRect {
 /// publishes plus replies waited for).
 fn stress(shards: usize, ops: usize, seed: u64) -> u64 {
     const IDS: u32 = 64;
-    let index = ShardedIndex::new(
-        ServeConfig::new(IndexConfig::memory(3))
+    let index = ShardedIndex::new(ServeConfig {
+        queue_cap: 2,
+        ..ServeConfig::new(IndexConfig::memory(3))
             .with_shards(shards)
-            .with_queue_cap(2)
-            .retaining_results(),
-    )
+            .retaining_results()
+    })
     .unwrap();
     let mut solo = AdaptiveClusterIndex::new(IndexConfig::memory(3)).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);

@@ -145,19 +145,11 @@ impl CostModel {
         self.profile.move_ms_per_object
     }
 
-    /// Expected per-query time `T = A + p·(B + n·C)` for a cluster with
-    /// access probability `p` and `n` objects (ms).
-    pub fn expected_cluster_time(&self, p: f64, n: usize) -> f64 {
-        self.a() + p * (self.b() + n as f64 * self.c())
-    }
-
     /// Prices a set of measured access counters (ms).
     ///
-    /// Unlike [`CostModel::expected_cluster_time`], which the index uses
-    /// *prospectively* to decide reorganizations, this prices what a query
-    /// *actually did*: signature checks, explorations (each with its
-    /// candidate recording), byte verifications, and — in the disk
-    /// scenario — seeks and transfers.
+    /// This prices what a query *actually did*: signature checks,
+    /// explorations (each with its candidate recording), byte
+    /// verifications, and — in the disk scenario — seeks and transfers.
     pub fn price(&self, stats: &AccessStats) -> f64 {
         let mut ms = stats.signature_checks as f64 * self.profile.signature_check_ms
             + stats.clusters_explored as f64 * self.exploration_cpu_ms()
@@ -249,20 +241,6 @@ mod tests {
         // C' − C = transfer time of one object.
         let delta = disk.c() - mem.c();
         assert!((delta - 132.0 * 4.77e-5).abs() / delta < 1e-2);
-    }
-
-    #[test]
-    fn expected_time_formula() {
-        let m = CostModel::memory(OBJ_16D);
-        let t = m.expected_cluster_time(0.5, 1000);
-        let manual = m.a() + 0.5 * (m.b() + 1000.0 * m.c());
-        assert!((t - manual).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_probability_cluster_costs_only_signature_check() {
-        let m = CostModel::disk(OBJ_16D);
-        assert_eq!(m.expected_cluster_time(0.0, 10_000), m.a());
     }
 
     #[test]

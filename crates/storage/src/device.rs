@@ -138,16 +138,6 @@ impl DeviceProfile {
             ..Self::edbt2004()
         }
     }
-
-    /// Disk transfer rate in MiB/s implied by this profile.
-    pub fn transfer_rate_mib_s(&self) -> f64 {
-        1000.0 / (self.transfer_ms_per_byte * MIB)
-    }
-
-    /// Verification rate in MiB/s implied by this profile.
-    pub fn verify_rate_mib_s(&self) -> f64 {
-        1000.0 / (self.verify_ms_per_byte * MIB)
-    }
 }
 
 impl Default for DeviceProfile {
@@ -193,8 +183,9 @@ mod tests {
     #[test]
     fn rates_roundtrip() {
         let p = DeviceProfile::edbt2004();
-        assert!((p.transfer_rate_mib_s() - 20.0).abs() < 0.01);
-        assert!((p.verify_rate_mib_s() - 300.0).abs() < 0.1);
+        let mib_s = |ms_per_byte: f64| 1000.0 / (ms_per_byte * MIB);
+        assert!((mib_s(p.transfer_ms_per_byte) - 20.0).abs() < 0.01);
+        assert!((mib_s(p.verify_ms_per_byte) - 300.0).abs() < 0.1);
     }
 
     #[test]

@@ -63,8 +63,7 @@ impl Hasher for IdHasher {
 pub struct SegmentId(pub u32);
 
 /// One cluster's members, stored sequentially: a parallel id array plus
-/// dimension-major coordinate columns, and the segment's position in the
-/// (virtual) disk layout.
+/// dimension-major coordinate columns.
 #[derive(Debug)]
 struct Segment {
     ids: Vec<u32>,
@@ -72,10 +71,6 @@ struct Segment {
     /// lower bound in dimension `d`, `cols[2d + 1]` the upper bound. All
     /// `2·dims` columns are exactly `ids.len()` long.
     cols: Box<[Vec<Scalar>]>,
-    /// Reserved capacity in objects (allocation size on the layout).
-    capacity: usize,
-    /// Byte offset of the segment in the virtual sequential layout.
-    offset: u64,
     /// Members `..ordered` are in key order (see [`SegmentStore`]) but
     /// for `strays` of them; members `ordered..` are the unordered tail.
     ordered: usize,
@@ -85,19 +80,6 @@ struct Segment {
 }
 
 impl Segment {
-    fn new(dims: usize, capacity: usize) -> Self {
-        Self {
-            ids: Vec::with_capacity(capacity),
-            cols: (0..2 * dims)
-                .map(|_| Vec::with_capacity(capacity))
-                .collect(),
-            capacity,
-            offset: 0,
-            ordered: 0,
-            strays: 0,
-        }
-    }
-
     /// The locality key of every member: the lower bound in dimension 0.
     fn keys(&self) -> &[Scalar] {
         &self.cols[0]
@@ -147,83 +129,19 @@ fn slot_index(index: usize) -> u32 {
     u32::try_from(index).expect("a segment holds at most u32::MAX members")
 }
 
-/// Fraction of places reserved at the end of each segment when it is
-/// created or relocated (paper §6 uses 20–30 %).
-const RESERVE_FRACTION: f64 = 0.25;
-
-/// Places reserved for `n` live objects: `n` plus the reserve, at least
-/// one.
-fn reserved_capacity(n: usize) -> usize {
-    ((n as f64 * (1.0 + RESERVE_FRACTION)).ceil() as usize).max(1)
-}
-
-/// The virtual sequential layout segments are placed in: a bump
-/// allocator over byte offsets, which also counts the segments it had to
-/// move.
-#[derive(Debug)]
-struct VirtualLayout {
-    /// Bytes per stored object (id + `2·dims` scalars).
-    object_bytes: usize,
-    next_offset: u64,
-    relocations: u64,
-}
-
-impl VirtualLayout {
-    /// Places `capacity` objects at the end of the layout; returns their
-    /// byte offset.
-    fn alloc(&mut self, capacity: usize) -> u64 {
-        let offset = self.next_offset;
-        self.next_offset += (capacity * self.object_bytes) as u64;
-        offset
-    }
-
-    /// Relocates `seg`, as `more` pushes would, until its reservation
-    /// holds `more` further members: each push that finds the
-    /// reservation full moves the segment to the end of the layout with
-    /// a fresh reserve.
-    fn make_room(&mut self, seg: &mut Segment, more: usize) {
-        let len = seg.ids.len();
-        if seg.capacity >= len + more {
-            return;
-        }
-        while seg.capacity < len + more {
-            seg.capacity = reserved_capacity(seg.capacity + 1);
-            seg.offset = self.alloc(seg.capacity);
-            self.relocations += 1;
-        }
-        let grow = seg.capacity - len;
-        seg.ids.reserve(grow);
-        for col in seg.cols.iter_mut() {
-            col.reserve(grow);
-        }
-    }
-}
-
-/// Sequential cluster storage with reserved slack (paper §6, "Storage
-/// Utilization").
+/// Sequential cluster storage (paper §6).
 ///
 /// Each cluster's objects are stored contiguously — in memory for cache
 /// locality, on disk to favour sequential transfer. Coordinates are kept
 /// in *dimension-major* columns (one contiguous `lo` and `hi` column per
 /// dimension) so the batch verification kernel
 /// ([`acx_geom::scan::scan_columns`]) streams one column at a time at
-/// memory bandwidth; see [`SegmentStore::columns`]. Because a relocation
-/// is expensive, every created or relocated segment reserves
-/// 25 % extra places (the paper uses 20–30 %), so utilization right
-/// after a relocation is 1/1.25 = 80 %, less the one place rounding the
-/// capacity up may add.
+/// memory bandwidth; see [`SegmentStore::columns`]. A segment is created
+/// with room for the members its owner expects and grows as a `Vec` does.
 ///
-/// The store also maintains a *virtual byte layout* (bump allocation +
-/// relocation) so the disk scenario can reason about segment offsets, and
-/// counts relocations so tests can assert they stay rare.
-///
-/// Object ids must be unique across the whole store: the store keeps an
-/// id → (segment, position) map so [`SegmentStore::position_of`] answers
-/// in O(1) instead of scanning a segment, and the map is maintained
-/// through [`SegmentStore::push`], [`SegmentStore::swap_remove`],
-/// [`SegmentStore::split_into`], [`SegmentStore::merge_into`],
-/// [`SegmentStore::order`] and segment relocations (a relocation changes
-/// a segment's layout offset, never the positions of its members).
+/// Object ids must be unique across the whole store: every operation
+/// keeps an id → (segment, position) map, so [`SegmentStore::position_of`]
+/// answers in O(1) instead of scanning a segment.
 ///
 /// It is the only id map of an index: an owner that gives each of its
 /// clusters one segment finds an object's cluster through the object's
@@ -239,8 +157,8 @@ impl VirtualLayout {
 /// dimension accepts into another segment, and
 /// [`SegmentStore::merge_into`] appends one segment's columns to
 /// another's and frees the first. Each leaves what a `push` of every
-/// moved member would: the same storage order, ordered run, capacity,
-/// offset, relocation count and position entries.
+/// moved member would: the same storage order, ordered run and position
+/// entries.
 ///
 /// A segment's members are kept in *key order* — ascending lower bound
 /// in dimension 0 ([`SegmentStore::key`]) — so that the kernel's
@@ -265,7 +183,8 @@ impl VirtualLayout {
 #[derive(Debug)]
 pub struct SegmentStore {
     dims: usize,
-    layout: VirtualLayout,
+    /// Bytes per stored object (id + `2·dims` scalars).
+    object_bytes: usize,
     segments: Vec<Option<Segment>>,
     free_slots: Vec<u32>,
     /// object id → (segment slot, index within the segment).
@@ -288,11 +207,7 @@ impl SegmentStore {
         assert!(dims > 0, "dims must be positive");
         Self {
             dims,
-            layout: VirtualLayout {
-                object_bytes: object_size_bytes(dims),
-                next_offset: 0,
-                relocations: 0,
-            },
+            object_bytes: object_size_bytes(dims),
             segments: Vec::new(),
             free_slots: Vec::new(),
             positions: HashMap::with_hasher(IdHash::new()),
@@ -317,10 +232,11 @@ impl SegmentStore {
 
     /// Bytes per stored object (id + `2·dims` scalars).
     pub fn object_bytes(&self) -> usize {
-        self.layout.object_bytes
+        self.object_bytes
     }
 
     /// Number of live segments.
+    #[cfg(test)]
     pub fn segment_count(&self) -> usize {
         self.segments.len() - self.free_slots.len()
     }
@@ -335,33 +251,14 @@ impl SegmentStore {
         self.positions.is_empty()
     }
 
-    /// How many times a segment had to be moved because it outgrew its
-    /// reservation.
-    pub fn relocations(&self) -> u64 {
-        self.layout.relocations
-    }
-
-    /// Storage utilization: live object slots over reserved slots.
-    pub fn utilization(&self) -> f64 {
-        let mut used = 0usize;
-        let mut cap = 0usize;
-        for seg in self.segments.iter().flatten() {
-            used += seg.ids.len();
-            cap += seg.capacity;
-        }
-        if cap == 0 {
-            1.0
-        } else {
-            used as f64 / cap as f64
-        }
-    }
-
-    /// Creates an empty segment sized for `expected` objects.
+    /// Creates an empty segment with room for `expected` objects.
     pub fn create(&mut self, expected: usize) -> SegmentId {
-        let capacity = reserved_capacity(expected.max(1));
-        let offset = self.layout.alloc(capacity);
-        let mut seg = Segment::new(self.dims, capacity);
-        seg.offset = offset;
+        let seg = Segment {
+            ids: Vec::with_capacity(expected),
+            cols: (0..2 * self.dims).map(|_| Vec::with_capacity(expected)).collect(),
+            ordered: 0,
+            strays: 0,
+        };
         if let Some(slot) = self.free_slots.pop() {
             self.segments[slot as usize] = Some(seg);
             SegmentId(slot)
@@ -378,8 +275,7 @@ impl SegmentStore {
             .expect("segment was removed")
     }
 
-    /// Appends one object; relocates the segment (with fresh reserve) when
-    /// the reservation is exhausted.
+    /// Appends one object.
     ///
     /// `flat` is interleaved `[lo0, hi0, lo1, hi1, …]`; the store
     /// distributes it into the dimension-major columns. A member that
@@ -400,7 +296,6 @@ impl SegmentStore {
         let seg = self.segments[id.0 as usize]
             .as_mut()
             .expect("segment was removed");
-        self.layout.make_room(seg, 1);
         let index = seg.ids.len();
         seg.ids.push(object_id);
         for (col, &v) in seg.cols.iter_mut().zip(flat) {
@@ -467,8 +362,8 @@ impl SegmentStore {
     /// dimension `d`'s two columns are read to decide. The movers then
     /// go column by column from `src` straight into `dst`, in key order,
     /// ties in `src`'s storage order, so the fresh child of a split
-    /// starts life ordered. `dst` grows as a `push` of each mover in
-    /// that order would grow it.
+    /// starts life ordered. `dst` ends as a `push` of each mover in that
+    /// order would leave it.
     ///
     /// In `src` the ordered run's survivors close ranks without changing
     /// their relative order, so what was ordered stays ordered; the tail
@@ -517,7 +412,6 @@ impl SegmentStore {
         leavers.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let taken = leavers.len();
 
-        self.layout.make_room(&mut into, taken);
         let start = into.ids.len();
         for (col, into_col) in seg.cols.iter().zip(into.cols.iter_mut()) {
             into_col.extend(leavers.iter().map(|&(_, from)| col[from as usize]));
@@ -576,8 +470,8 @@ impl SegmentStore {
 
     /// Appends every member of `src` to `dst`, column to column in
     /// `src`'s storage order, removes `src` and returns how many moved.
-    /// `dst` grows as a `push` of each member in that order would grow
-    /// it, and its ordered run extends over the newcomers as far.
+    /// `dst`'s ordered run extends over the newcomers as far as a `push`
+    /// of each member in that order would extend it.
     ///
     /// # Panics
     ///
@@ -592,7 +486,6 @@ impl SegmentStore {
         let into = self.segments[dst.0 as usize]
             .as_mut()
             .expect("segment was removed");
-        self.layout.make_room(into, from.ids.len());
         let start = into.ids.len();
         for (into_col, col) in into.cols.iter_mut().zip(from.cols.iter()) {
             into_col.extend_from_slice(col);
@@ -718,24 +611,28 @@ impl SegmentStore {
         self.positions.keys().copied()
     }
 
-    /// Points `object_id`'s position entry at `index` of its segment
-    /// without moving any member — a deliberately inconsistent store, for
-    /// tests of an owner's consistency checks. Never called otherwise.
-    #[doc(hidden)]
-    pub fn misplace_for_test(&mut self, object_id: u32, index: usize) {
-        if let Some(entry) = self.positions.get_mut(&object_id) {
-            entry.1 = slot_index(index);
+    /// Checks the position map against the segments: every live
+    /// segment's member `k` maps to `(segment, k)`, and the map holds
+    /// exactly as many entries as the segments hold members.
+    pub fn check_positions(&self) -> Result<(), String> {
+        let mut members = 0;
+        for (slot, seg) in (0u32..).zip(&self.segments) {
+            let ids = seg.as_ref().map_or(&[][..], |seg| &seg.ids);
+            for (&object_id, k) in ids.iter().zip(0u32..) {
+                let mapped = self.positions.get(&object_id);
+                if mapped != Some(&(slot, k)) {
+                    return Err(format!(
+                        "position map misplaces object #{object_id}: member {k} of segment {slot}, mapped to {mapped:?}"
+                    ));
+                }
+            }
+            members += ids.len();
         }
-    }
-
-    /// Byte offset of the segment in the virtual layout.
-    pub fn offset(&self, id: SegmentId) -> u64 {
-        self.segment(id).offset
-    }
-
-    /// Bytes occupied by live objects of the segment.
-    pub fn used_bytes(&self, id: SegmentId) -> u64 {
-        (self.segment(id).ids.len() * self.layout.object_bytes) as u64
+        if self.positions.len() != members {
+            let entries = self.positions.len();
+            return Err(format!("the position map has {entries} entries for {members} members"));
+        }
+        Ok(())
     }
 }
 
@@ -789,34 +686,6 @@ mod tests {
     }
 
     #[test]
-    fn push_beyond_reserve_relocates() {
-        let mut s = SegmentStore::new(2);
-        let seg = s.create(4); // capacity = ceil(4·1.25) = 5
-        let first_offset = s.offset(seg);
-        for i in 0..5 {
-            s.push(seg, i, &flat(0.0, 1.0));
-        }
-        assert_eq!(s.relocations(), 0);
-        s.push(seg, 5, &flat(0.0, 1.0)); // sixth object exceeds capacity
-        assert_eq!(s.relocations(), 1);
-        assert_ne!(s.offset(seg), first_offset);
-        assert_eq!(s.segment_len(seg), 6);
-    }
-
-    #[test]
-    fn utilization_at_least_70_percent_after_relocation() {
-        let mut s = SegmentStore::new(2);
-        let seg = s.create(1);
-        for i in 0..1000 {
-            s.push(seg, i, &flat(0.0, 1.0));
-        }
-        // Right after any relocation: used/capacity ≈ 1/1.25 = 0.8 ≥ 0.7,
-        // less the one place rounding the capacity up may add.
-        let floor = 1000.0 / (1000.0 * (1.0 + RESERVE_FRACTION) + 1.0);
-        assert!(s.utilization() >= floor, "utilization {}", s.utilization());
-    }
-
-    #[test]
     fn swap_remove_keeps_arrays_parallel() {
         let mut s = SegmentStore::new(2);
         let seg = s.create(4);
@@ -855,6 +724,18 @@ mod tests {
         assert_eq!(s.segment_count(), 1);
         let c = s.create(2);
         assert_eq!(c.0, a.0, "slot should be recycled");
+    }
+
+    #[test]
+    fn check_positions_catches_a_misplaced_position_entry() {
+        let mut s = SegmentStore::new(1);
+        let seg = s.create(2);
+        push_keys(&mut s, seg, 0, &[0.1, 0.2]);
+        assert_eq!(s.check_positions(), Ok(()));
+        // Object 0's entry points at object 1's place; nothing moved.
+        s.positions.get_mut(&0).expect("object 0 is stored").1 = 1;
+        let err = s.check_positions().unwrap_err();
+        assert!(err.contains("position map misplaces object #0"), "{err}");
     }
 
     /// The merge's former store half, kept as its oracle: removes a
@@ -971,15 +852,14 @@ mod tests {
     }
 
     /// Everything a store holds, as a comparable value: per slot the
-    /// members, every column, the run, strays, capacity and offset; the
-    /// free slots, the layout and every position entry.
+    /// members, every column, the run and strays; the free slots and
+    /// every position entry.
     #[allow(clippy::type_complexity)]
     pub(super) fn state(
         s: &SegmentStore,
     ) -> (
-        Vec<Option<(Vec<u32>, Vec<Vec<Scalar>>, [usize; 3], u64)>>,
+        Vec<Option<(Vec<u32>, Vec<Vec<Scalar>>, [usize; 2])>>,
         Vec<u32>,
-        [u64; 2],
         Vec<(u32, (u32, u32))>,
     ) {
         let segments = s
@@ -988,23 +868,13 @@ mod tests {
             .map(|seg| {
                 seg.as_ref().map(|seg| {
                     let cols = seg.cols.to_vec();
-                    (seg.ids.clone(), cols, [seg.ordered, seg.strays, seg.capacity], seg.offset)
+                    (seg.ids.clone(), cols, [seg.ordered, seg.strays])
                 })
             })
             .collect();
         let mut positions: Vec<_> = s.positions.iter().map(|(&id, &at)| (id, at)).collect();
         positions.sort_unstable();
-        let layout = [s.layout.next_offset, s.layout.relocations];
-        (segments, s.free_slots.clone(), layout, positions)
-    }
-
-    #[test]
-    fn offsets_are_disjoint_in_layout() {
-        let mut s = SegmentStore::new(2);
-        let a = s.create(10);
-        let b = s.create(10);
-        let bytes_a = 13 * s.object_bytes() as u64; // ceil(10·1.25)=13 slots
-        assert!(s.offset(b) >= s.offset(a) + bytes_a);
+        (segments, s.free_slots.clone(), positions)
     }
 
     #[test]
@@ -1126,7 +996,6 @@ mod tests {
         assert_eq!(s.ids(child), &want[..], "in key order, ties in storage order");
         assert!(moved > 100 && moved < 200);
         assert_eq!(s.disorder(child), 0, "the child starts life ordered");
-        assert!(s.relocations() > 0, "the child grew as pushes would grow it");
         assert_positions_agree(&s, child);
         for (index, &id) in s.ids(child).iter().enumerate() {
             assert_eq!(s.object_flat(child, index), member(id), "object {id}");
@@ -1175,11 +1044,10 @@ mod tests {
     #[test]
     fn position_of_survives_relocation_and_merge() {
         let mut s = SegmentStore::new(2);
-        let a = s.create(2); // capacity 3: fourth push relocates
+        let a = s.create(2);
         for i in 0..6 {
             s.push(a, i, &flat(0.0, 1.0));
         }
-        assert!(s.relocations() > 0);
         for i in 0..6 {
             assert_eq!(s.position_of(i), Some((a, i as usize)));
         }
@@ -1414,11 +1282,8 @@ mod proptests {
         /// at a time left: `split_into` what `extract`, a stable key sort
         /// and a `push` of each leave, `merge_into` what `remove` and a
         /// `push` of each leave — ids, every column, the ordered run,
-        /// strays, capacity, offset, relocations, free slots and every
-        /// position entry — after arbitrary sequences of every operation
-        /// (reservations of one to seven places make the destination
-        /// relocate, several times over for a large move; coarse keys
-        /// make ties).
+        /// strays, free slots and every position entry — after arbitrary
+        /// sequences of every operation (coarse keys make ties).
         #[test]
         fn moves_equal_their_per_member_oracles(ops in prop::collection::vec(op(), 1..120)) {
             let dims = 2;
@@ -1472,9 +1337,8 @@ mod proptests {
         }
 
         /// The O(1) position map agrees with a linear scan of every
-        /// segment after arbitrary push/swap_remove/split/relocation/
-        /// merge/order sequences (tiny initial reservations force
-        /// relocations).
+        /// segment after arbitrary push/swap_remove/split/merge/order
+        /// sequences, and so does [`SegmentStore::check_positions`].
         #[test]
         fn position_map_agrees_with_linear_scan(ops in prop::collection::vec(op(), 1..120)) {
             let mut store = SegmentStore::new(1);
@@ -1483,7 +1347,6 @@ mod proptests {
             for op in ops {
                 match op {
                     Op::Create(_) => {
-                        // Reserve a single slot so growth relocates early.
                         live.push(store.create(1));
                     }
                     Op::Push(s) => {
@@ -1529,28 +1392,8 @@ mod proptests {
                 }
                 prop_assert_eq!(mapped, store.len());
                 prop_assert_eq!(store.position_of(next_id), None);
+                prop_assert_eq!(store.check_positions(), Ok(()));
             }
-        }
-
-        /// The paper's §6 guarantee: a segment that has grown past its
-        /// initial reservation keeps utilization ≥ 1/(1 + reserve), less
-        /// the one place rounding the capacity up may add — the worst
-        /// case is the instant right after a relocation.
-        #[test]
-        fn grown_segment_keeps_utilization_floor(pushes in 20usize..400) {
-            let mut store = SegmentStore::new(1);
-            let seg = store.create(1);
-            for i in 0..pushes {
-                store.push(seg, i as u32, &[0.0, 1.0]);
-            }
-            prop_assert!(store.relocations() > 0, "test premise: segment must grow");
-            let n = pushes as f64;
-            prop_assert!(
-                store.utilization() >= n / (n * (1.0 + RESERVE_FRACTION) + 1.0),
-                "utilization {} after {} pushes",
-                store.utilization(),
-                pushes
-            );
         }
     }
 }

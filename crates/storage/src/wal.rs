@@ -783,13 +783,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Truncates the log back to a fresh header, keeping the current
-    /// checkpoint id. Clears poisoning on success (the medium
-    /// demonstrably works again).
-    pub fn reset(&mut self) -> Result<(), WalError> {
-        self.write_header()
-    }
-
     /// Truncates the log back to a fresh header stamped with
     /// `checkpoint_id` — the id of the checkpoint whose save just
     /// superseded every record. Recovery compares this stamp against
@@ -825,11 +818,6 @@ impl Wal {
     /// The log dimensionality.
     pub fn dims(&self) -> usize {
         self.dims
-    }
-
-    /// Whether an earlier failure poisoned the log.
-    pub fn poisoned(&self) -> bool {
-        self.poisoned
     }
 
     /// Surrenders the backing store (e.g. to read its surviving image).
@@ -1280,7 +1268,6 @@ mod tests {
         let err = wal.append(&WalRecord::Remove { id: 3 }).unwrap_err();
         assert!(matches!(err, WalError::Io { op: "flush", .. }), "{err}");
         assert_eq!(err.io_kind(), Some(io::ErrorKind::StorageFull));
-        assert!(wal.poisoned());
         assert!(matches!(
             wal.append(&WalRecord::Remove { id: 4 }),
             Err(WalError::Poisoned)

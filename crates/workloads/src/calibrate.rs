@@ -130,32 +130,32 @@ pub fn skewed_base_length(dims: usize, target: f64, seed: u64) -> Scalar {
     0.5 * (lo + hi)
 }
 
-/// Measures the empirical selectivity of intersection windows of the
-/// given extent against a sample of workload objects — used by tests and
-/// the experiment harness to validate a calibration.
-pub fn measure_selectivity<W: Workload>(
-    workload: &W,
-    extent: Scalar,
-    objects: usize,
-    queries: usize,
-    seed: u64,
-) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let sample: Vec<_> = (0..objects)
-        .map(|_| workload.sample_object(&mut rng))
-        .collect();
-    let mut matched = 0u64;
-    for _ in 0..queries {
-        let window = workload.sample_window(&mut rng, extent);
-        matched += sample.iter().filter(|o| o.intersects(&window)).count() as u64;
-    }
-    matched as f64 / (objects as u64 * queries as u64) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{SkewedWorkload, WorkloadConfig};
+
+    /// Measures the empirical selectivity of intersection windows of the
+    /// given extent against a sample of workload objects: the oracle a
+    /// calibration is checked against.
+    fn measure_selectivity<W: Workload>(
+        workload: &W,
+        extent: Scalar,
+        objects: usize,
+        queries: usize,
+        seed: u64,
+    ) -> f64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sample: Vec<_> = (0..objects)
+            .map(|_| workload.sample_object(&mut rng))
+            .collect();
+        let mut matched = 0u64;
+        for _ in 0..queries {
+            let window = workload.sample_window(&mut rng, extent);
+            matched += sample.iter().filter(|o| o.intersects(&window)).count() as u64;
+        }
+        matched as f64 / (objects as u64 * queries as u64) as f64
+    }
 
     #[test]
     fn uniform_calibration_hits_moderate_target() {

@@ -21,7 +21,6 @@ use crate::PubSubGenerator;
 /// let mut stream = EventStream::new(PubSubGenerator::apartments(), 7);
 /// let batch = stream.next_batch(32);
 /// assert_eq!(batch.len(), 32);
-/// assert_eq!(stream.issued(), 32);
 /// assert_eq!(batch[0].dims(), 8);
 /// ```
 #[derive(Debug, Clone)]
@@ -29,7 +28,6 @@ pub struct EventStream {
     generator: PubSubGenerator,
     rng: StdRng,
     flexibility: Scalar,
-    issued: u64,
 }
 
 impl EventStream {
@@ -50,7 +48,6 @@ impl EventStream {
             generator,
             rng: StdRng::seed_from_u64(seed),
             flexibility,
-            issued: 0,
         }
     }
 
@@ -64,14 +61,8 @@ impl EventStream {
         self.generator.dims()
     }
 
-    /// Events issued so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
     /// Draws the next event as a ready-to-execute spatial query.
     pub fn next_query(&mut self) -> SpatialQuery {
-        self.issued += 1;
         if self.flexibility > 0.0 {
             SpatialQuery::intersection(self.generator.range_event(&mut self.rng, self.flexibility))
         } else {
@@ -106,7 +97,6 @@ mod tests {
         let mut parts = split.next_batch(25);
         parts.extend(split.next_batch(15));
         assert_eq!(format!("{all:?}"), format!("{parts:?}"));
-        assert_eq!(split.issued(), 40);
     }
 
     #[test]

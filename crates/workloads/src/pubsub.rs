@@ -35,11 +35,6 @@ impl Attribute {
         }
     }
 
-    /// Maps a real-world value into the normalized `[0, 1]` domain.
-    pub fn normalize(&self, value: f64) -> Scalar {
-        (((value - self.min) / (self.max - self.min)).clamp(0.0, 1.0)) as Scalar
-    }
-
     /// Maps a normalized coordinate back to real-world units.
     pub fn denormalize(&self, v: Scalar) -> f64 {
         self.min + (v as f64) * (self.max - self.min)
@@ -152,11 +147,9 @@ mod tests {
     #[test]
     fn attribute_normalization_roundtrip() {
         let a = Attribute::new("rent_usd", 0.0, 5000.0, 0.15);
-        assert_eq!(a.normalize(2500.0), 0.5);
         assert!((a.denormalize(0.5) - 2500.0).abs() < 1e-9);
-        // Clamped outside the domain.
-        assert_eq!(a.normalize(-10.0), 0.0);
-        assert_eq!(a.normalize(99999.0), 1.0);
+        assert_eq!(a.denormalize(0.0), 0.0);
+        assert_eq!(a.denormalize(1.0), 5000.0);
     }
 
     #[test]

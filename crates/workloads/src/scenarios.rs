@@ -336,11 +336,6 @@ impl FlashCrowd {
         let half = extent * 0.5;
         (0..dims).map(|_| rng.gen_range(half..=1.0 - half)).collect()
     }
-
-    /// Whether the stream is currently inside a spike.
-    pub fn in_spike(&self) -> bool {
-        self.in_spike
-    }
 }
 
 impl AdaptiveScenario for FlashCrowd {
@@ -646,11 +641,6 @@ impl ClusteredObjects {
         &self.config
     }
 
-    /// Cluster centers of the population.
-    pub fn centers(&self) -> &[Vec<Scalar>] {
-        &self.centers
-    }
-
     /// Generates the full database deterministically from the seed.
     pub fn generate_objects(&self) -> Vec<HyperRect> {
         let mut rng = self.config.rng();
@@ -730,13 +720,13 @@ mod tests {
     #[test]
     fn flash_crowd_alternates_states() {
         let mut s = FlashCrowd::new(&cfg(2, 4), 50, 20, 0.2, 0.05);
-        assert!(!s.in_spike());
+        assert!(!s.in_spike);
         drain(&mut s, 55);
-        assert!(s.in_spike());
+        assert!(s.in_spike);
         drain(&mut s, 25);
-        assert!(!s.in_spike());
+        assert!(!s.in_spike);
         s.shift();
-        assert!(s.in_spike());
+        assert!(s.in_spike);
     }
 
     #[test]
@@ -780,7 +770,7 @@ mod tests {
         // Every object center sits within spread + max length of some
         // cluster center.
         for o in &objects {
-            let near = w.centers().iter().any(|c| {
+            let near = w.centers.iter().any(|c| {
                 o.intervals()
                     .iter()
                     .zip(c)

@@ -40,11 +40,6 @@ impl SkewedWorkload {
         &self.config
     }
 
-    /// The calibrated base interval length.
-    pub fn base_length(&self) -> Scalar {
-        self.base_length
-    }
-
     /// Number of extra-selective dimensions per object (a quarter,
     /// at least one).
     pub fn selective_dims(&self) -> usize {

@@ -29,8 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut stream = ShiftingHotspot::new(dims, phase_len, 0.35, 0.08, &mut rng);
 
     println!(
-        "{:>6} {:>16} {:>14} {:>10} {:>8} {:>8}",
-        "phase", "hotspot center", "avg cost [ms]", "clusters", "merges", "splits"
+        "{:>6} {:>16} {:>14} {:>10} {:>8} {:>8} {:>8}",
+        "phase", "hotspot center", "avg cost [ms]", "clusters", "merges", "splits", "thrash"
     );
     for phase in 0..5 {
         let mut cost = 0.0;
@@ -43,20 +43,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let center = stream.center();
         println!(
-            "{:>6} ({:.2}, {:.2}, …) {:>14.4} {:>10} {:>8} {:>8}",
+            "{:>6} ({:.2}, {:.2}, …) {:>14.4} {:>10} {:>8} {:>8} {:>8}",
             phase,
             center[0],
             center[1],
             cost / phase_len as f64,
             index.cluster_count(),
             index.total_merges(),
-            index.total_splits()
+            index.total_splits(),
+            index.total_thrash()
         );
     }
     println!(
         "\nEach phase uses a different hotspot; merges climb as clusters built\n\
          for abandoned hotspots are reclaimed, keeping the clustering tuned\n\
-         to the *current* query distribution."
+         to the *current* query distribution. Thrash counts the splits that\n\
+         re-created a cluster merged away a few passes earlier."
     );
     Ok(())
 }

@@ -38,9 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut restored = AdaptiveClusterIndex::load(&path, IndexConfig::memory(dims))?;
     restored.check_invariants().map_err(std::io::Error::other)?;
     println!(
-        "restored {} objects in {} clusters (invariants verified)",
+        "restored {} objects in {} clusters, with the statistics of {} queries (invariants verified)",
         restored.len(),
-        restored.cluster_count()
+        restored.cluster_count(),
+        restored.total_queries()
     );
 
     let probe = SpatialQuery::point_enclosing(vec![0.4; 6]);

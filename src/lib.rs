@@ -11,7 +11,7 @@
 //!
 //! ## Crate map
 //!
-//! * [`geom`] — intervals, hyper-rectangles, spatial relations.
+//! * [`geom`] — intervals, hyper-rectangles, spatial queries.
 //! * [`storage`] — device cost profiles, segment and file-backed
 //!   stores, the write-ahead log.
 //! * [`index`] — the paper's contribution: signatures, candidate
@@ -54,9 +54,7 @@ pub mod prelude {
         AdaptiveClusterIndex, ClusterSnapshot, IndexConfig, IndexError, QueryMetrics, QueryResult,
         QueryScratch, ReorgProfile, ReorgReport, StatsDelta,
     };
-    pub use acx_geom::{
-        HyperRect, Interval, ObjectId, Scalar, SpatialQuery, SpatialRelation,
-    };
+    pub use acx_geom::{HyperRect, Interval, ObjectId, Scalar, SpatialQuery};
     pub use acx_serve::{ServeConfig, ServeStats, ShardBy, ShardedIndex, SubmitError};
     pub use acx_storage::{AccessStats, CostModel, DeviceProfile, StorageScenario};
     pub use acx_workloads::{
