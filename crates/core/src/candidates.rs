@@ -179,12 +179,21 @@ impl CandidateSet {
     /// and every feasible `(i, j)` combination of them (paper §4.2).
     /// Candidate counters start at zero.
     pub fn generate(sig: &Signature, f: u8) -> Self {
+        // Sized once: at most `f²` combinations per dimension.
+        let dims = sig.dims();
+        let (per_dim, combinations) = (usize::from(f), usize::from(f) * usize::from(f));
+        let mut dim_offsets = Vec::with_capacity(dims + 1);
+        dim_offsets.push(0);
         let mut set = Self {
-            dim_offsets: vec![0],
+            dim_offsets,
+            sub: Vec::with_capacity(dims * per_dim),
             f,
+            dim: Vec::with_capacity(dims * combinations),
+            sub_i: Vec::with_capacity(dims * combinations),
+            sub_j: Vec::with_capacity(dims * combinations),
             ..Self::default()
         };
-        for d in 0..sig.dims() {
+        for d in 0..dims {
             let ds = sig.dim(d);
             for k in 0..f {
                 let (start, end) = (ds.start.subdivide(f, k), ds.end.subdivide(f, k));

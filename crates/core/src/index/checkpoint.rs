@@ -208,8 +208,13 @@ impl AdaptiveClusterIndex {
             "byte history is negative or not finite".into()
         })?;
 
+        // The object count is in the end frame, read last; every member
+        // takes `member_bytes` of the file and members are nearly all of
+        // it, so the file's length sizes the id table once, closely and
+        // never short.
+        let most_objects = bytes.len() / member_bytes(header.dims);
         let mut tree = Loading {
-            store: SegmentStore::new(header.dims),
+            store: SegmentStore::with_capacity(header.dims, most_objects),
             segment_cluster: Vec::new(),
             clusters: Vec::new(),
             by_slot: HashMap::new(),

@@ -125,7 +125,7 @@ pub struct AdaptiveClusterIndex {
     root: u32,
     /// Segment slot → the slot of the cluster that owns the segment. An
     /// object's cluster is found through its segment, read from the
-    /// store's position map: the index keeps no id map of its own.
+    /// store's id table: the index keeps no id map of its own.
     /// Written where a cluster gets its segment; a merged-away
     /// cluster's entry is stale until the store reuses the segment slot.
     segment_cluster: Vec<u32>,
@@ -391,11 +391,21 @@ impl AdaptiveClusterIndex {
             };
             flat = coords;
         }
+        let slot = self.choose_cluster(&flat);
+        let segment = self.cluster(slot).segment;
+        self.candidates[slot as usize].record_member(&flat);
+        self.store.push(segment, id.raw(), &flat);
+        self.fold_if_due(segment);
+        Ok(())
+    }
 
-        // Backward compatibility makes acceptance hereditary: descend the
-        // tree, pruning subtrees whose root rejects the object. A child
-        // is tested in the dimensions where it differs from its accepting
-        // parent only, so every slot on the stack accepts the object.
+    /// The cluster an object the root accepts is inserted into (paper
+    /// §3.5, Fig. 4): backward compatibility makes acceptance
+    /// hereditary, so the descent prunes subtrees whose root rejects the
+    /// object. A child is tested in the dimensions where it differs from
+    /// its accepting parent only, so every slot on the stack accepts the
+    /// object.
+    fn choose_cluster(&mut self, flat: &[Scalar]) -> u32 {
         let mut best: Option<(u32, f64, usize)> = None; // (slot, p, depth)
         let mut stack = std::mem::take(&mut self.insert_stack);
         stack.clear();
@@ -417,10 +427,10 @@ impl AdaptiveClusterIndex {
                 best = Some((slot, p, depth));
             }
             for row in cluster.children.rows() {
-                let accepted = row.accepts_flat(&flat);
+                let accepted = row.accepts_flat(flat);
                 debug_assert_eq!(
                     accepted,
-                    self.cluster(row.slot).signature.accepts_flat(&flat),
+                    self.cluster(row.slot).signature.accepts_flat(flat),
                     "child row of cluster {} disagrees with its signature",
                     row.slot
                 );
@@ -431,12 +441,7 @@ impl AdaptiveClusterIndex {
         }
         self.insert_stack = stack;
         let (slot, _, _) = best.expect("the root accepts the object");
-
-        let segment = self.cluster(slot).segment;
-        self.candidates[slot as usize].record_member(&flat);
-        self.store.push(segment, id.raw(), &flat);
-        self.fold_if_due(segment);
-        Ok(())
+        slot
     }
 
     /// Keeps segments in key order from the write path: the mutation
@@ -452,7 +457,7 @@ impl AdaptiveClusterIndex {
     }
 
     /// Removes an object, returning its rectangle. The object is located
-    /// through the store's position map in O(1) — no segment scan — and
+    /// through the store's id table in O(1) — no segment scan — and
     /// its cluster through its segment; an unknown id fails before
     /// anything is logged.
     pub fn remove(&mut self, id: ObjectId) -> Result<HyperRect, IndexError> {
@@ -471,7 +476,7 @@ impl AdaptiveClusterIndex {
     }
 
     /// Returns the rectangle of an indexed object, located through the
-    /// store's position map in O(1) — no per-object work at any index
+    /// store's id table in O(1) — no per-object work at any index
     /// size.
     pub fn get(&self, id: ObjectId) -> Option<HyperRect> {
         let (segment, idx) = self.store.position_of(id.raw())?;
@@ -481,29 +486,45 @@ impl AdaptiveClusterIndex {
     /// Replaces the rectangle of an existing object. A rectangle outside
     /// the domain fails with [`IndexError::OutOfDomain`] before anything
     /// is logged, and the object keeps its old one.
+    ///
+    /// One record is logged, and the object moves as a
+    /// [`AdaptiveClusterIndex::remove`] and an
+    /// [`AdaptiveClusterIndex::insert`] would move it, in their order,
+    /// but its id is looked up once: the store keeps the object's id
+    /// table slot while it is out of every segment.
     pub fn update(&mut self, id: ObjectId, rect: HyperRect) -> Result<HyperRect, IndexError> {
         self.check_dims(rect.dims())?;
-        if !self.store.contains_object(id.raw()) {
-            return Err(IndexError::UnknownObject(id.raw()));
-        }
+        let (old_segment, idx) = self
+            .store
+            .position_of(id.raw())
+            .ok_or(IndexError::UnknownObject(id.raw()))?;
         if !self.cluster(self.root).signature.accepts_rect(&rect) {
             return Err(IndexError::OutOfDomain(id.raw()));
         }
+        let mut flat = rect.to_flat();
         if self.wal.is_some() {
-            self.wal_append(&WalRecord::Update {
+            let record = WalRecord::Update {
                 id: id.raw(),
-                coords: rect.to_flat(),
-            })?;
+                coords: flat,
+            };
+            self.wal_append(&record)?;
+            let WalRecord::Update { coords, .. } = record else {
+                unreachable!("built as an update above")
+            };
+            flat = coords;
         }
-        // One logical mutation, one WAL record: detach the log so the
-        // internal remove+insert pair does not log again.
-        let wal = self.wal.take();
-        let result = self.remove(id).and_then(|old| {
-            self.insert(id, rect)?;
-            Ok(old)
-        });
-        self.wal = wal;
-        result
+        let old = self.store.object_flat(old_segment, idx);
+        let old_slot = self.segment_cluster[old_segment.0 as usize];
+        debug_assert_eq!(self.cluster(old_slot).segment, old_segment);
+        self.candidates[old_slot as usize].unrecord_member(&old);
+        let taken = self.store.take_out(old_segment, idx);
+        self.fold_if_due(old_segment);
+        let slot = self.choose_cluster(&flat);
+        let segment = self.cluster(slot).segment;
+        self.candidates[slot as usize].record_member(&flat);
+        self.store.put_back(segment, taken, &flat);
+        self.fold_if_due(segment);
+        Ok(HyperRect::from_flat(&old)?)
     }
 
     /// Read-only snapshots of all materialized clusters (depth-first
@@ -533,9 +554,9 @@ impl AdaptiveClusterIndex {
     /// members (recounted from the segment columns, independently of the
     /// incremental recording that maintains them), that parent/child
     /// links are consistent and form one tree under the root, that every
-    /// cluster's segment maps back to it, and that the store's position
-    /// map names each member's place and nothing else (the members of
-    /// all clusters number the map's entries, so an object in a segment
+    /// cluster's segment maps back to it, and that the store's id table
+    /// names each member's place and nothing else (the members of all
+    /// clusters number the table's entries, so an object in a segment
     /// no cluster owns is caught), and that every slot holds one
     /// candidate set whose fixed columns are its signature's
     /// generation.
@@ -595,7 +616,7 @@ impl AdaptiveClusterIndex {
         self.store.check_positions()?;
         if seen_objects != self.store.len() {
             return Err(format!(
-                "{seen_objects} objects in clusters but {} in the position map",
+                "{seen_objects} objects in clusters but {} in the id table",
                 self.store.len()
             ));
         }
@@ -871,7 +892,7 @@ mod tests {
         index.store.push(orphan, 9999, &[0.5; 6]);
         let err = index.check_invariants().unwrap_err();
         assert!(
-            err.contains("objects in clusters but") && err.contains("in the position map"),
+            err.contains("objects in clusters but") && err.contains("in the id table"),
             "{err}"
         );
     }

@@ -2,7 +2,7 @@
 //! issuing queries from scoped threads over a shared reference),
 //! `query_recorded` + `apply_stats` leaves the index where `execute`
 //! does, and `get`/`remove` locate objects in O(1) through the store's
-//! position map.
+//! id table.
 
 use std::time::Instant;
 
@@ -134,9 +134,9 @@ fn query_panics_on_dimension_mismatch() {
 /// O(1) map is within noise.
 ///
 /// The same large population under ids strided by 4 096 (`k << 12`)
-/// must cost what the dense ids cost: a position map that buckets on the
-/// low id bits puts every strided id in a few dozen buckets and probes
-/// thousands of entries per lookup.
+/// must cost what the dense ids cost: an id table that hashes to the
+/// low id bits puts every strided id in a few dozen home slots and
+/// probes thousands of entries per lookup.
 #[test]
 fn get_does_no_per_object_work_at_100k_objects() {
     let dims = 4;
@@ -186,7 +186,7 @@ fn get_does_no_per_object_work_at_100k_objects() {
     assert!(
         ratio < 10.0,
         "ids strided by 1 << {stride} look up {ratio:.1}x slower than dense ids: \
-         the position map's hash buckets on the low id bits"
+         the id table's hash keeps the low id bits"
     );
 }
 

@@ -27,6 +27,7 @@ mod counters;
 mod crc;
 mod device;
 pub mod frame;
+mod id_table;
 mod result;
 mod segment;
 pub mod wal;
@@ -37,7 +38,7 @@ pub use crc::crc32;
 pub use device::{DeviceProfile, StorageScenario};
 pub use frame::{Corruption, StoreError};
 pub use result::{QueryMetrics, QueryResult};
-pub use segment::{SegmentId, SegmentStore};
+pub use segment::{SegmentId, SegmentStore, Taken};
 pub use wal::{
     BackingStore, FileBacking, FlushPolicy, TornTail, Wal, WalError, WalRecord, WalReplay,
 };

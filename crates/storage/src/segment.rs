@@ -1,72 +1,21 @@
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher, RandomState};
-
 use acx_geom::scan::PairedColumns;
 use acx_geom::{object_size_bytes, Scalar};
 
-/// The position map's hash of an object id: murmur3's 64-bit finalizer
-/// over the id XORed with a key drawn once per store from `std`'s
-/// [`RandomState`].
-///
-/// Ids are small integers, often dense or strided (`k << 12`), and the
-/// map picks its bucket from the hash's low bits. A multiply alone
-/// leaves those bits a linear function of the id, so for a sizable
-/// share of keys a dense or strided run of ids lands in a fraction of
-/// the buckets; the finalizer's xor-shifts fold every id bit into every
-/// hash bit, so any run of distinct ids spreads as a random function
-/// would. The key means no fixed id set collides in every process.
-#[derive(Debug)]
-struct IdHash {
-    key: u64,
-}
-
-impl IdHash {
-    fn new() -> Self {
-        Self {
-            key: RandomState::new().hash_one(0u64),
-        }
-    }
-}
-
-impl BuildHasher for IdHash {
-    type Hasher = IdHasher;
-
-    fn build_hasher(&self) -> IdHasher {
-        IdHasher(self.key)
-    }
-}
-
-/// The key, XORed with the one id written.
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("the position map is keyed by u32 ids only")
-    }
-
-    fn write_u32(&mut self, id: u32) {
-        self.0 ^= u64::from(id);
-    }
-
-    fn finish(&self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        x ^ (x >> 33)
-    }
-}
+use crate::id_table::{Entry, IdTable};
 
 /// Handle to one cluster's sequential object segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SegmentId(pub u32);
 
-/// One cluster's members, stored sequentially: a parallel id array plus
-/// dimension-major coordinate columns.
+/// One cluster's members, stored sequentially: a parallel id array, the
+/// id table slot of every member, and dimension-major coordinate
+/// columns.
 #[derive(Debug)]
 struct Segment {
     ids: Vec<u32>,
+    /// Member `k`'s slot in the store's id table, whose entry names
+    /// `(this segment, k)`.
+    slots: Vec<u32>,
     /// Dimension-major (SoA) columns: `cols[2d]` holds every member's
     /// lower bound in dimension `d`, `cols[2d + 1]` the upper bound. All
     /// `2·dims` columns are exactly `ids.len()` long.
@@ -85,11 +34,13 @@ impl Segment {
         &self.cols[0]
     }
 
-    /// The store keeps every column as long as the id array; checked
-    /// wherever the lengths change, so [`SegmentStore::columns`] need not.
+    /// The store keeps every column and the slot array as long as the id
+    /// array; checked wherever the lengths change, so
+    /// [`SegmentStore::columns`] need not.
     fn check_columns(&self) {
         assert!(
-            self.cols.iter().all(|col| col.len() == self.ids.len()),
+            self.cols.iter().all(|col| col.len() == self.ids.len())
+                && self.slots.len() == self.ids.len(),
             "segment columns fell out of step with the id array"
         );
     }
@@ -99,6 +50,20 @@ impl Segment {
         for col in self.cols.iter() {
             out.push(col[index]);
         }
+    }
+
+    /// Appends one member whose id table slot is `slot`. A member that
+    /// continues a fully ordered segment extends the run; any other
+    /// joins the tail.
+    fn append(&mut self, object_id: u32, slot: u32, flat: &[Scalar]) {
+        let index = self.ids.len();
+        self.ids.push(object_id);
+        self.slots.push(slot);
+        for (col, &v) in self.cols.iter_mut().zip(flat) {
+            col.push(v);
+        }
+        self.check_columns();
+        self.extend_run(index);
     }
 
     /// Extends the ordered run over members `from..`, just appended, as
@@ -118,7 +83,7 @@ impl Segment {
     }
 }
 
-/// `index` as the position map stores it.
+/// `index` as the id table stores it.
 ///
 /// # Panics
 ///
@@ -127,6 +92,25 @@ impl Segment {
 /// another member's place.
 fn slot_index(index: usize) -> u32 {
     u32::try_from(index).expect("a segment holds at most u32::MAX members")
+}
+
+/// Tells the member an id table entry names that the entry now sits in
+/// `slot` (the table's `moved` callback).
+fn reslot(segments: &mut [Option<Segment>], entry: Entry, slot: u32) {
+    let seg = segments[entry.segment as usize]
+        .as_mut()
+        .expect("an id table entry names a live segment");
+    seg.slots[entry.index as usize] = slot;
+}
+
+/// A member taken out of its segment by [`SegmentStore::take_out`],
+/// still holding its id table slot until [`SegmentStore::put_back`]
+/// stores it again.
+#[derive(Debug)]
+#[must_use = "a taken-out member stays in the id table until it is put back"]
+pub struct Taken {
+    id: u32,
+    slot: u32,
 }
 
 /// Sequential cluster storage (paper §6).
@@ -139,17 +123,22 @@ fn slot_index(index: usize) -> u32 {
 /// memory bandwidth; see [`SegmentStore::columns`]. A segment is created
 /// with room for the members its owner expects and grows as a `Vec` does.
 ///
-/// Object ids must be unique across the whole store: every operation
-/// keeps an id → (segment, position) map, so [`SegmentStore::position_of`]
-/// answers in O(1) instead of scanning a segment.
+/// Object ids must be unique across the whole store: the store keeps one
+/// open-addressing id table whose slot holds an object's id and its
+/// place, `(segment, index)`, so [`SegmentStore::position_of`] answers in
+/// O(1) instead of scanning a segment. Every member carries its table
+/// slot beside its id. Only an id that comes from outside is hashed:
+/// [`SegmentStore::push`], a lookup and [`SegmentStore::swap_remove`]
+/// each probe the table once. A member that moves — in a split, a
+/// merge, [`SegmentStore::order`] or a removal's fill — writes its new
+/// place into its own slot, with no hashing.
 ///
 /// It is the only id map of an index: an owner that gives each of its
 /// clusters one segment finds an object's cluster through the object's
-/// segment, so every insert, remove and moved member pays one map
-/// update, not two. Its entry count is the store's [`SegmentStore::len`].
-/// The map hashes with a keyed murmur3 finalizer instead of SipHash: ids
-/// are not attacker-chosen, and the finalizer spreads dense and strided
-/// ids alike over the buckets.
+/// segment. Its entry count is the store's [`SegmentStore::len`]. The
+/// table hashes with a keyed murmur3 finalizer: ids are not
+/// attacker-chosen, and the finalizer spreads dense and strided ids
+/// alike over the slots.
 ///
 /// A cluster split and a cluster merge move members between segments
 /// in bulk, column to column, with no per-member gather:
@@ -157,8 +146,7 @@ fn slot_index(index: usize) -> u32 {
 /// dimension accepts into another segment, and
 /// [`SegmentStore::merge_into`] appends one segment's columns to
 /// another's and frees the first. Each leaves what a `push` of every
-/// moved member would: the same storage order, ordered run and position
-/// entries.
+/// moved member would: the same storage order, ordered run and places.
 ///
 /// A segment's members are kept in *key order* — ascending lower bound
 /// in dimension 0 ([`SegmentStore::key`]) — so that the kernel's
@@ -188,7 +176,7 @@ pub struct SegmentStore {
     segments: Vec<Option<Segment>>,
     free_slots: Vec<u32>,
     /// object id → (segment slot, index within the segment).
-    positions: HashMap<u32, (u32, u32), IdHash>,
+    table: IdTable,
     /// Scratch of [`SegmentStore::order`] and [`SegmentStore::split_into`],
     /// grown to the largest segment either has worked on: the
     /// `(key, old index)` permutation and one column.
@@ -204,13 +192,19 @@ pub struct SegmentStore {
 impl SegmentStore {
     /// Creates a store for `dims`-dimensional objects.
     pub fn new(dims: usize) -> Self {
+        Self::with_capacity(dims, 0)
+    }
+
+    /// Creates a store for `dims`-dimensional objects whose id table
+    /// holds `objects` before it first grows.
+    pub fn with_capacity(dims: usize, objects: usize) -> Self {
         assert!(dims > 0, "dims must be positive");
         Self {
             dims,
             object_bytes: object_size_bytes(dims),
             segments: Vec::new(),
             free_slots: Vec::new(),
-            positions: HashMap::with_hasher(IdHash::new()),
+            table: IdTable::with_capacity(objects),
             order_perm: Vec::new(),
             order_col: Vec::new(),
             order_ids: Vec::new(),
@@ -243,18 +237,24 @@ impl SegmentStore {
 
     /// Total number of stored objects across all segments.
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.table.len()
     }
 
     /// Whether the store holds no objects.
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
+        self.table.len() == 0
     }
 
     /// Creates an empty segment with room for `expected` objects.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store would hold `u32::MAX` segments: that slot
+    /// number marks a vacant id table slot.
     pub fn create(&mut self, expected: usize) -> SegmentId {
         let seg = Segment {
             ids: Vec::with_capacity(expected),
+            slots: Vec::with_capacity(expected),
             cols: (0..2 * self.dims).map(|_| Vec::with_capacity(expected)).collect(),
             ordered: 0,
             strays: 0,
@@ -265,13 +265,20 @@ impl SegmentStore {
         } else {
             self.segments.push(Some(seg));
             let slot = self.segments.len() - 1;
-            SegmentId(u32::try_from(slot).expect("a store holds at most u32::MAX segments"))
+            let slot = u32::try_from(slot).ok().filter(|&slot| slot < u32::MAX);
+            SegmentId(slot.expect("a store holds fewer than u32::MAX segments"))
         }
     }
 
     fn segment(&self, id: SegmentId) -> &Segment {
         self.segments[id.0 as usize]
             .as_ref()
+            .expect("segment was removed")
+    }
+
+    fn segment_mut(&mut self, id: SegmentId) -> &mut Segment {
+        self.segments[id.0 as usize]
+            .as_mut()
             .expect("segment was removed")
     }
 
@@ -284,8 +291,8 @@ impl SegmentStore {
     /// tail.
     ///
     /// `object_id` must not already be stored anywhere in the store
-    /// (checked by a debug assertion): the position map keeps exactly one
-    /// location per id.
+    /// (checked by a debug assertion): the id table keeps exactly one
+    /// place per id.
     ///
     /// # Panics
     ///
@@ -293,25 +300,30 @@ impl SegmentStore {
     /// already holds `u32::MAX + 1` members.
     pub fn push(&mut self, id: SegmentId, object_id: u32, flat: &[Scalar]) {
         assert_eq!(flat.len(), 2 * self.dims, "coordinate arity mismatch");
-        let seg = self.segments[id.0 as usize]
-            .as_mut()
-            .expect("segment was removed");
-        let index = seg.ids.len();
-        seg.ids.push(object_id);
-        for (col, &v) in seg.cols.iter_mut().zip(flat) {
-            col.push(v);
-        }
-        seg.check_columns();
-        seg.extend_run(index);
-        let previous = self.positions.insert(object_id, (id.0, slot_index(index)));
-        debug_assert!(
-            previous.is_none(),
-            "object id #{object_id} pushed twice into the store"
-        );
+        let index = slot_index(self.segment(id).ids.len());
+        let segments = &mut self.segments;
+        let slot = self
+            .table
+            .insert(object_id, id.0, index, |entry, slot| reslot(segments, entry, slot));
+        self.segment_mut(id).append(object_id, slot, flat);
     }
 
     /// Removes the object at `index` and returns its id; at most two
-    /// other members move.
+    /// other members move. Which ones is [`SegmentStore::take_out`]'s
+    /// rule.
+    pub fn swap_remove(&mut self, id: SegmentId, index: usize) -> u32 {
+        let Taken { id: removed, slot } = self.take_out(id, index);
+        let segments = &mut self.segments;
+        self.table
+            .remove(slot, |entry, slot| reslot(segments, entry, slot));
+        removed
+    }
+
+    /// Takes the object at `index` out of its segment as
+    /// [`SegmentStore::swap_remove`] does, but keeps its id table slot:
+    /// [`SegmentStore::put_back`] stores it again without hashing its id.
+    /// Until then the store must not push or remove an object, which
+    /// could move the kept slot; the segments may be ordered.
     ///
     /// The segment's last member takes the vacated place — except inside
     /// the ordered run when that member's key is lower than the one
@@ -323,7 +335,7 @@ impl SegmentStore {
     /// in its first word rejects the new one there too, and the block
     /// dies as early as before; a member with a lower key could survive
     /// where its block would otherwise have died.
-    pub fn swap_remove(&mut self, id: SegmentId, index: usize) -> u32 {
+    pub fn take_out(&mut self, id: SegmentId, index: usize) -> Taken {
         let seg = self.segments[id.0 as usize]
             .as_mut()
             .expect("segment was removed");
@@ -338,10 +350,15 @@ impl SegmentStore {
             seg.strays = (seg.strays + usize::from(fill != index)).min(seg.ordered);
         }
         // `fill` takes the vacated place and the last member `fill`'s.
-        let removed = seg.ids[index];
-        seg.ids[index] = seg.ids[fill];
-        seg.ids[fill] = seg.ids[last];
-        seg.ids.truncate(last);
+        let taken = Taken {
+            id: seg.ids[index],
+            slot: seg.slots[index],
+        };
+        for column in [&mut seg.ids, &mut seg.slots] {
+            column[index] = column[fill];
+            column[fill] = column[last];
+            column.truncate(last);
+        }
         for col in seg.cols.iter_mut() {
             col[index] = col[fill];
             col[fill] = col[last];
@@ -349,12 +366,29 @@ impl SegmentStore {
         }
         seg.check_columns();
         for at in [index, fill] {
-            if let Some(&moved) = seg.ids.get(at) {
-                self.positions.insert(moved, (id.0, slot_index(at)));
+            if let Some(&slot) = seg.slots.get(at) {
+                self.table.set_place(slot, id.0, slot_index(at));
             }
         }
-        self.positions.remove(&removed);
-        removed
+        taken
+    }
+
+    /// Appends a member [`SegmentStore::take_out`] took out, under its
+    /// id and its kept id table slot, as [`SegmentStore::push`] of it
+    /// would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flat` is not `2·dims` scalars long, or if the segment
+    /// already holds `u32::MAX + 1` members.
+    pub fn put_back(&mut self, id: SegmentId, taken: Taken, flat: &[Scalar]) {
+        assert_eq!(flat.len(), 2 * self.dims, "coordinate arity mismatch");
+        let Taken { id: object_id, slot } = taken;
+        debug_assert_eq!(self.table.entry(slot).id, object_id, "the kept slot moved");
+        let seg = self.segment_mut(id);
+        let index = slot_index(seg.ids.len());
+        seg.append(object_id, slot, flat);
+        self.table.set_place(slot, id.0, index);
     }
 
     /// Moves every member of `src` whose bounds in dimension `d` `takes`
@@ -369,7 +403,7 @@ impl SegmentStore {
     /// their relative order, so what was ordered stays ordered; the tail
     /// has no order to keep, so its survivors stay where they are unless
     /// that place is cut off, and then fill the places vacated below. Of
-    /// the members that stay, only those that move have their position
+    /// the members that stay, only those that move have their id table
     /// entries rewritten.
     ///
     /// # Panics
@@ -416,12 +450,13 @@ impl SegmentStore {
         for (col, into_col) in seg.cols.iter().zip(into.cols.iter_mut()) {
             into_col.extend(leavers.iter().map(|&(_, from)| col[from as usize]));
         }
-        into.ids
-            .extend(leavers.iter().map(|&(_, from)| seg.ids[from as usize]));
+        for (column, into_column) in [(&seg.ids, &mut into.ids), (&seg.slots, &mut into.slots)] {
+            into_column.extend(leavers.iter().map(|&(_, from)| column[from as usize]));
+        }
         into.check_columns();
         into.extend_run(start);
-        for (&object_id, at) in into.ids[start..].iter().zip(start..) {
-            self.positions.insert(object_id, (dst.0, slot_index(at)));
+        for (&slot, at) in into.slots[start..].iter().zip(start..) {
+            self.table.set_place(slot, dst.0, slot_index(at));
         }
 
         // The run's survivors go to consecutive places from the front.
@@ -456,11 +491,13 @@ impl SegmentStore {
             col.truncate(len);
         }
         for &(from, to) in moves.iter() {
-            let object_id = seg.ids[from as usize];
-            seg.ids[to as usize] = object_id;
-            self.positions.insert(object_id, (src.0, to));
+            let slot = seg.slots[from as usize];
+            seg.ids[to as usize] = seg.ids[from as usize];
+            seg.slots[to as usize] = slot;
+            self.table.set_place(slot, src.0, to);
         }
         seg.ids.truncate(len);
+        seg.slots.truncate(len);
         seg.check_columns();
         seg.ordered = run;
         seg.strays = seg.strays.min(run);
@@ -491,10 +528,11 @@ impl SegmentStore {
             into_col.extend_from_slice(col);
         }
         into.ids.extend_from_slice(&from.ids);
+        into.slots.extend_from_slice(&from.slots);
         into.check_columns();
         into.extend_run(start);
-        for (&object_id, at) in from.ids.iter().zip(start..) {
-            self.positions.insert(object_id, (dst.0, slot_index(at)));
+        for (&slot, at) in from.slots.iter().zip(start..) {
+            self.table.set_place(slot, dst.0, slot_index(at));
         }
         from.ids.len()
     }
@@ -512,7 +550,7 @@ impl SegmentStore {
 
     /// Puts a segment's members in key order (ties by current position,
     /// so the result is a function of the storage order it starts from).
-    /// Works in store-owned scratch and rewrites the position entry of
+    /// Works in store-owned scratch and rewrites the id table entry of
     /// the members that moved, no others; a segment with no disorder is
     /// left alone.
     pub fn order(&mut self, id: SegmentId) {
@@ -538,12 +576,14 @@ impl SegmentStore {
             self.order_col.extend(perm.iter().map(|&(_, from)| col[from as usize]));
             col[first..].copy_from_slice(&self.order_col);
         }
-        self.order_ids.clear();
-        self.order_ids.extend(perm.iter().map(|&(_, from)| seg.ids[from as usize]));
-        seg.ids[first..].copy_from_slice(&self.order_ids);
-        for ((&(_, from), to), &object_id) in perm.iter().zip(slot_index(first)..).zip(&self.order_ids) {
+        for column in [&mut seg.ids, &mut seg.slots] {
+            self.order_ids.clear();
+            self.order_ids.extend(perm.iter().map(|&(_, from)| column[from as usize]));
+            column[first..].copy_from_slice(&self.order_ids);
+        }
+        for ((&(_, from), to), &slot) in perm.iter().zip(slot_index(first)..).zip(&seg.slots[first..]) {
             if from != to {
-                self.positions.insert(object_id, (id.0, to));
+                self.table.set_place(slot, id.0, to);
             }
         }
         seg.check_columns();
@@ -594,43 +634,47 @@ impl SegmentStore {
     }
 
     /// Segment and in-segment position currently holding `object_id`, in
-    /// O(1) via the position map (no segment scan).
+    /// O(1): one probe of the id table (no segment scan).
     pub fn position_of(&self, object_id: u32) -> Option<(SegmentId, usize)> {
-        self.positions
-            .get(&object_id)
-            .map(|&(slot, index)| (SegmentId(slot), index as usize))
+        let slot = self.table.find(object_id)?;
+        let entry = self.table.entry(slot);
+        Some((SegmentId(entry.segment), entry.index as usize))
     }
 
     /// Whether the store holds an object with this id.
     pub fn contains_object(&self, object_id: u32) -> bool {
-        self.positions.contains_key(&object_id)
+        self.table.find(object_id).is_some()
     }
 
     /// Every stored object id, in an unspecified order.
     pub fn object_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.positions.keys().copied()
+        self.table.ids()
     }
 
-    /// Checks the position map against the segments: every live
-    /// segment's member `k` maps to `(segment, k)`, and the map holds
+    /// Checks the id table against the segments: every live segment's
+    /// member `k` names a slot whose entry is `(its id, segment, k)`,
+    /// every entry is reachable from its home slot, and the table holds
     /// exactly as many entries as the segments hold members.
     pub fn check_positions(&self) -> Result<(), String> {
         let mut members = 0;
-        for (slot, seg) in (0u32..).zip(&self.segments) {
-            let ids = seg.as_ref().map_or(&[][..], |seg| &seg.ids);
-            for (&object_id, k) in ids.iter().zip(0u32..) {
-                let mapped = self.positions.get(&object_id);
-                if mapped != Some(&(slot, k)) {
+        for (segment, seg) in (0u32..).zip(&self.segments) {
+            let Some(seg) = seg else { continue };
+            for ((&id, &slot), index) in seg.ids.iter().zip(&seg.slots).zip(0u32..) {
+                let want = Entry { id, segment, index };
+                let entry = (slot as usize) < self.table.capacity();
+                let entry = entry.then(|| self.table.entry(slot));
+                if entry != Some(want) {
                     return Err(format!(
-                        "position map misplaces object #{object_id}: member {k} of segment {slot}, mapped to {mapped:?}"
+                        "member {index} of segment {segment} (object #{id}) names id table slot {slot}, which holds {entry:?}"
                     ));
                 }
             }
-            members += ids.len();
+            members += seg.ids.len();
         }
-        if self.positions.len() != members {
-            let entries = self.positions.len();
-            return Err(format!("the position map has {entries} entries for {members} members"));
+        self.table.check()?;
+        if self.table.len() != members {
+            let entries = self.table.len();
+            return Err(format!("the id table has {entries} entries for {members} members"));
         }
         Ok(())
     }
@@ -726,22 +770,65 @@ mod tests {
         assert_eq!(c.0, a.0, "slot should be recycled");
     }
 
-    #[test]
-    fn check_positions_catches_a_misplaced_position_entry() {
+    /// A store of two members, #0 and #1, in one segment.
+    fn two_members() -> (SegmentStore, SegmentId) {
         let mut s = SegmentStore::new(1);
         let seg = s.create(2);
         push_keys(&mut s, seg, 0, &[0.1, 0.2]);
         assert_eq!(s.check_positions(), Ok(()));
-        // Object 0's entry points at object 1's place; nothing moved.
-        s.positions.get_mut(&0).expect("object 0 is stored").1 = 1;
+        (s, seg)
+    }
+
+    #[test]
+    fn check_positions_catches_a_member_naming_another_slot() {
+        let (mut s, seg) = two_members();
+        // Member 0 names member 1's slot; the table is untouched.
+        let slots = &mut s.segments[seg.0 as usize].as_mut().unwrap().slots;
+        slots[0] = slots[1];
         let err = s.check_positions().unwrap_err();
-        assert!(err.contains("position map misplaces object #0"), "{err}");
+        assert!(
+            err.contains("member 0 of segment 0 (object #0) names id table slot"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn check_positions_catches_a_misplaced_position_entry() {
+        let (mut s, _) = two_members();
+        // Object 0's entry points at object 1's place; nothing moved.
+        let slot = s.table.find(0).expect("object 0 is stored");
+        s.table.set_place(slot, 0, 1);
+        let err = s.check_positions().unwrap_err();
+        assert!(err.contains("member 0 of segment 0 (object #0)"), "{err}");
+        assert!(err.contains("index: 1"), "{err}");
+    }
+
+    #[test]
+    fn check_positions_catches_an_entry_its_lookup_cannot_reach() {
+        let (mut s, seg) = two_members();
+        // Object 0's entry and member move to a slot its probe from home
+        // never reaches: past a vacant slot behind the home slot.
+        let slot = s.table.find(0).expect("object 0 is stored");
+        let cap = s.table.capacity() as u32;
+        let away = (0..cap)
+            .map(|k| (slot + cap - 2 - k) % cap)
+            .find(|&at| at != slot && s.table.entry(at).segment == u32::MAX)
+            .expect("a vacant slot");
+        s.table.relocate(slot, away);
+        s.segments[seg.0 as usize].as_mut().unwrap().slots[0] = away;
+        // Object 1 may have sat behind object 0 in its home slot's probe
+        // cluster, and be cut off too.
+        let err = s.check_positions().unwrap_err();
+        assert!(err.contains("is not reachable from its home slot"), "{err}");
     }
 
     /// The merge's former store half, kept as its oracle: removes a
     /// segment entirely, returning its members as ids plus interleaved
     /// coordinates (storage order).
     fn remove(s: &mut SegmentStore, id: SegmentId) -> (Vec<u32>, Vec<Scalar>) {
+        for object_id in s.ids(id).to_vec() {
+            unmap(s, object_id);
+        }
         let seg = s.segments[id.0 as usize]
             .take()
             .expect("segment was removed");
@@ -750,9 +837,6 @@ mod tests {
             seg.read_into(index, &mut coords);
         }
         s.free_slots.push(id.0);
-        for object_id in &seg.ids {
-            s.positions.remove(object_id);
-        }
         (seg.ids, coords)
     }
 
@@ -768,14 +852,21 @@ mod tests {
         mut takes: impl FnMut(Scalar, Scalar) -> bool,
     ) -> (Vec<u32>, Vec<Scalar>) {
         const TAKEN: u32 = u32::MAX;
-        let seg = s.segments[id.0 as usize]
-            .as_mut()
-            .expect("segment was removed");
+        let seg = s.segment(id);
         let bounds = seg.cols[2 * d].iter().zip(&seg.cols[2 * d + 1]);
         let mut to: Vec<u32> = bounds
             .zip(0u32..)
             .map(|((&lo, &hi), from)| if takes(lo, hi) { TAKEN } else { from })
             .collect();
+        // The leavers leave the id table while every member still sits
+        // where its entry says.
+        let leaving = (0..to.len()).filter(|&from| to[from] == TAKEN);
+        for object_id in leaving.map(|from| seg.ids[from]).collect::<Vec<_>>() {
+            unmap(s, object_id);
+        }
+        let seg = s.segments[id.0 as usize]
+            .as_mut()
+            .expect("segment was removed");
         let (mut ids, mut coords) = (Vec::new(), Vec::new());
         for from in (0..to.len()).filter(|&from| to[from] == TAKEN) {
             ids.push(seg.ids[from]);
@@ -808,14 +899,13 @@ mod tests {
         }
         for &(from, to) in &moves {
             seg.ids[to] = seg.ids[from];
-            s.positions.insert(seg.ids[to], (id.0, to as u32));
+            seg.slots[to] = seg.slots[from];
+            s.table.set_place(seg.slots[to], id.0, to as u32);
         }
         seg.ids.truncate(len);
+        seg.slots.truncate(len);
         seg.ordered = run;
         seg.strays = seg.strays.min(run);
-        for object_id in &ids {
-            s.positions.remove(object_id);
-        }
         (ids, coords)
     }
 
@@ -851,9 +941,18 @@ mod tests {
         ids.len()
     }
 
+    /// Deletes `object_id`'s id table entry, leaving its member (if any)
+    /// in place: as [`SegmentStore::swap_remove`] deletes it.
+    fn unmap(s: &mut SegmentStore, object_id: u32) {
+        let slot = s.table.find(object_id).expect("object is stored");
+        let segments = &mut s.segments;
+        s.table.remove(slot, |entry, slot| reslot(segments, entry, slot));
+    }
+
     /// Everything a store holds, as a comparable value: per slot the
     /// members, every column, the run and strays; the free slots and
-    /// every position entry.
+    /// every stored id's place as a lookup resolves it (two stores that
+    /// agree on these may still hold their ids in other table slots).
     #[allow(clippy::type_complexity)]
     pub(super) fn state(
         s: &SegmentStore,
@@ -872,7 +971,13 @@ mod tests {
                 })
             })
             .collect();
-        let mut positions: Vec<_> = s.positions.iter().map(|(&id, &at)| (id, at)).collect();
+        let mut positions: Vec<_> = s
+            .object_ids()
+            .map(|id| {
+                let (seg, index) = s.position_of(id).expect("a listed id is stored");
+                (id, (seg.0, slot_index(index)))
+            })
+            .collect();
         positions.sort_unstable();
         (segments, s.free_slots.clone(), positions)
     }
@@ -1094,33 +1199,6 @@ mod tests {
         assert_eq!(ids, [3, 7, 9]);
         assert_eq!(s.len(), 3);
     }
-
-    /// The map takes its bucket from the hash's low bits. Dense ids and
-    /// ids strided by a power of two must spread over them as a random
-    /// function would (which fills 1 − 1/e of them), under every key a
-    /// store draws; a hasher that buckets on the low id bits puts the
-    /// strided runs in a handful.
-    #[test]
-    fn id_hash_spreads_dense_and_strided_ids_over_the_buckets() {
-        const BUCKETS: u64 = 4096;
-        for _ in 0..8 {
-            let hash = IdHash::new();
-            for shift in [0, 8, 16, 20] {
-                let mut filled = vec![false; BUCKETS as usize];
-                for i in 0..BUCKETS as u32 {
-                    let mut hasher = hash.build_hasher();
-                    hasher.write_u32(i << shift);
-                    filled[(hasher.finish() & (BUCKETS - 1)) as usize] = true;
-                }
-                let filled = filled.iter().filter(|&&f| f).count();
-                assert!(
-                    2 * filled >= BUCKETS as usize,
-                    "ids i << {shift} fill {filled} of {BUCKETS} buckets (key {:#x})",
-                    hash.key
-                );
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1282,7 +1360,7 @@ mod proptests {
         /// at a time left: `split_into` what `extract`, a stable key sort
         /// and a `push` of each leave, `merge_into` what `remove` and a
         /// `push` of each leave — ids, every column, the ordered run,
-        /// strays, free slots and every position entry — after arbitrary
+        /// strays, free slots and every resolved place — after arbitrary
         /// sequences of every operation (coarse keys make ties).
         #[test]
         fn moves_equal_their_per_member_oracles(ops in prop::collection::vec(op(), 1..120)) {
@@ -1336,7 +1414,7 @@ mod proptests {
             }
         }
 
-        /// The O(1) position map agrees with a linear scan of every
+        /// The O(1) id table agrees with a linear scan of every
         /// segment after arbitrary push/swap_remove/split/merge/order
         /// sequences, and so does [`SegmentStore::check_positions`].
         #[test]
