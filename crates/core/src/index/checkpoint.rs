@@ -432,10 +432,9 @@ impl Loading {
                 ensure(signature.accepts_flat(&flat), &chunk, || {
                     format!("object #{oid} violates its cluster's signature")
                 })?;
-                ensure(!self.store.contains_object(oid), &chunk, || {
+                ensure(self.store.push(segment, oid, &flat), &chunk, || {
                     format!("object #{oid} appears in two clusters")
                 })?;
-                self.store.push(segment, oid, &flat);
             }
             read += n;
         }

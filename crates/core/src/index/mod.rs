@@ -394,7 +394,8 @@ impl AdaptiveClusterIndex {
         let slot = self.choose_cluster(&flat);
         let segment = self.cluster(slot).segment;
         self.candidates[slot as usize].record_member(&flat);
-        self.store.push(segment, id.raw(), &flat);
+        let pushed = self.store.push(segment, id.raw(), &flat);
+        debug_assert!(pushed, "object #{} was checked absent above", id.raw());
         self.fold_if_due(segment);
         Ok(())
     }

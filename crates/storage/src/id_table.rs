@@ -125,18 +125,17 @@ impl IdTable {
         (entry.segment, entry.index) = (segment, index);
     }
 
-    /// Adds `id` at `(segment, index)` and returns its slot. `id` must
-    /// not be stored yet (checked by a debug assertion). When the table
-    /// grows first, every entry it holds gets a new slot, reported
-    /// through `moved`.
+    /// Adds `id` at `(segment, index)` and returns its slot, or `None`
+    /// and adds nothing when `id` is stored already: one probe answers
+    /// both. When the table would be too full it grows first, and every
+    /// entry it holds gets a new slot, reported through `moved`.
     pub(crate) fn insert(
         &mut self,
         id: u32,
         segment: u32,
         index: u32,
         moved: impl FnMut(Entry, u32),
-    ) -> u32 {
-        debug_assert!(self.find(id).is_none(), "object id #{id} stored twice");
+    ) -> Option<u32> {
         debug_assert_ne!(
             segment, VACANT_SEGMENT,
             "segment {segment} cannot be stored"
@@ -144,10 +143,17 @@ impl IdTable {
         if over_full(self.len + 1, self.entries.len()) {
             self.grow(moved);
         }
-        let slot = self.vacant_from(self.home(id));
-        self.entries[slot] = Entry { id, segment, index };
+        let mask = self.mask();
+        let mut at = self.home(id);
+        while self.entries[at].segment != VACANT_SEGMENT {
+            if self.entries[at].id == id {
+                return None;
+            }
+            at = (at + 1) & mask;
+        }
+        self.entries[at] = Entry { id, segment, index };
         self.len += 1;
-        slot as u32
+        Some(at as u32)
     }
 
     /// The first vacant slot at or after `at`, wrapping.
@@ -222,8 +228,7 @@ impl IdTable {
     /// entries. An entry is reachable when its home slot lies in the run
     /// of occupied slots the entry sits in, so one pass over the slots
     /// that tracks where the current run starts checks them all. (Two
-    /// entries of one id are refused where ids enter: `insert` asserts
-    /// it, and the store's owners look an id up before they push it.)
+    /// entries of one id cannot arise: `insert` refuses the second.)
     pub(crate) fn check(&self) -> Result<(), String> {
         let mask = self.mask();
         let Some(last_vacant) = self
@@ -285,7 +290,7 @@ mod tests {
         let slot = t.insert(id, place.0, place.1, |e, s| {
             slots.insert(e.id, s);
         });
-        slots.insert(id, slot);
+        slots.insert(id, slot.expect("a new id"));
     }
 
     fn remove(t: &mut IdTable, slots: &mut Slots, id: u32) {
@@ -442,11 +447,11 @@ mod tests {
 
         proptest! {
             /// The table holds what a `HashMap` of id → place holds, after
-            /// arbitrary inserts, deletions and lookups from a 16-slot
-            /// start (so tables grow, and probe clusters and backward
-            /// shifts wrap past the end of small ones); every entry the
-            /// table moves is reported, so each id's owner always knows
-            /// its slot.
+            /// arbitrary inserts (a stored id's refused), deletions and
+            /// lookups from a 16-slot start (so tables grow, and probe
+            /// clusters and backward shifts wrap past the end of small
+            /// ones); every entry the table moves is reported, so each
+            /// id's owner always knows its slot.
             #[test]
             fn id_table_matches_a_hash_map(key in 0u64..u64::MAX, ops in prop::collection::vec(op(), 1..300)) {
                 let mut t = IdTable::keyed(16, key);
@@ -454,9 +459,16 @@ mod tests {
                 for (step, op) in (0u32..).zip(ops) {
                     match op {
                         Op::Insert(id) => {
-                            if oracle.contains_key(&id) { continue; }
-                            insert(&mut t, &mut slots, id, (id % 5, step));
-                            oracle.insert(id, (id % 5, step));
+                            let stored = oracle.contains_key(&id);
+                            let slot = t.insert(id, id % 5, step, |e, s| {
+                                slots.insert(e.id, s);
+                            });
+                            if stored {
+                                prop_assert_eq!(slot, None, "#{} stored twice", id);
+                            } else {
+                                slots.insert(id, slot.expect("a new id"));
+                                oracle.insert(id, (id % 5, step));
+                            }
                         }
                         Op::Remove(id) => {
                             if oracle.remove(&id).is_none() { continue; }

@@ -290,22 +290,24 @@ impl SegmentStore {
     /// built in key order stays ordered for free); any other joins the
     /// tail.
     ///
-    /// `object_id` must not already be stored anywhere in the store
-    /// (checked by a debug assertion): the id table keeps exactly one
-    /// place per id.
+    /// Returns `false`, and stores nothing, when `object_id` is already
+    /// stored anywhere in the store: the id table keeps exactly one
+    /// place per id, and one probe finds either the id or its slot.
     ///
     /// # Panics
     ///
     /// Panics if `flat` is not `2·dims` scalars long, or if the segment
     /// already holds `u32::MAX + 1` members.
-    pub fn push(&mut self, id: SegmentId, object_id: u32, flat: &[Scalar]) {
+    pub fn push(&mut self, id: SegmentId, object_id: u32, flat: &[Scalar]) -> bool {
         assert_eq!(flat.len(), 2 * self.dims, "coordinate arity mismatch");
         let index = slot_index(self.segment(id).ids.len());
         let segments = &mut self.segments;
-        let slot = self
-            .table
-            .insert(object_id, id.0, index, |entry, slot| reslot(segments, entry, slot));
+        let slot = self.table.insert(object_id, id.0, index, |entry, slot| {
+            reslot(segments, entry, slot)
+        });
+        let Some(slot) = slot else { return false };
         self.segment_mut(id).append(object_id, slot, flat);
+        true
     }
 
     /// Removes the object at `index` and returns its id; at most two
@@ -980,6 +982,17 @@ mod tests {
             .collect();
         positions.sort_unstable();
         (segments, s.free_slots.clone(), positions)
+    }
+
+    #[test]
+    fn push_refuses_a_stored_id_and_stores_nothing() {
+        let mut s = SegmentStore::new(1);
+        let (a, b) = (s.create(2), s.create(2));
+        assert!(s.push(a, 7, &[0.1, 0.2]));
+        assert!(!s.push(b, 7, &[0.3, 0.4]), "id 7 is stored in segment a");
+        assert_eq!((s.len(), s.segment_len(b)), (1, 0));
+        assert_eq!(s.position_of(7), Some((a, 0)));
+        assert_eq!(s.check_positions(), Ok(()));
     }
 
     #[test]
