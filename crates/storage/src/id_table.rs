@@ -156,21 +156,16 @@ impl IdTable {
         Some(at as u32)
     }
 
-    /// The first vacant slot at or after `at`, wrapping.
-    fn vacant_from(&self, mut at: usize) -> usize {
-        let mask = self.mask();
-        while self.entries[at].segment != VACANT_SEGMENT {
-            at = (at + 1) & mask;
-        }
-        at
-    }
-
     /// Doubles the slot count and places every entry again.
     fn grow(&mut self, mut moved: impl FnMut(Entry, u32)) {
         let capacity = 2 * self.entries.len();
         let old = std::mem::replace(&mut self.entries, vec![VACANT; capacity]);
+        let mask = self.mask();
         for entry in old.into_iter().filter(|e| e.segment != VACANT_SEGMENT) {
-            let slot = self.vacant_from(self.home(entry.id));
+            let mut slot = self.home(entry.id);
+            while self.entries[slot].segment != VACANT_SEGMENT {
+                slot = (slot + 1) & mask;
+            }
             self.entries[slot] = entry;
             moved(entry, slot as u32);
         }
