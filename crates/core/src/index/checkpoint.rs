@@ -221,6 +221,7 @@ impl AdaptiveClusterIndex {
             file_len: bytes.len(),
             division_factor: config.division_factor,
             clocks,
+            accepted: Vec::new(),
         };
         let mut frame = expect(&mut frames, &[TAG_CLUSTER, TAG_FREE])?;
         while frame.tag() == TAG_CLUSTER {
@@ -347,11 +348,15 @@ struct Loading {
     file_len: usize,
     division_factor: u8,
     clocks: Clocks,
+    /// [`Signature::first_rejected`]'s scratch, reused across clusters.
+    accepted: Vec<bool>,
 }
 
 impl Loading {
     /// Builds the cluster of a `CLUSTER` frame from it and the `MEMBERS`
-    /// frames that follow it, and hangs it under its parent.
+    /// frames that follow it, and hangs it under its parent. The members
+    /// are held to the signature by columns once all are in the segment,
+    /// so one that falls outside it is reported on the cluster frame.
     fn read_cluster(
         &mut self,
         frame: &Frame<'_>,
@@ -429,16 +434,19 @@ impl Loading {
             for (oid, raw) in u32s(ids).zip(coords.chunks_exact(4 * width)) {
                 flat.clear();
                 flat.extend(raw.as_chunks().0.iter().map(|&b| Scalar::from_le_bytes(b)));
-                ensure(signature.accepts_flat(&flat), &chunk, || {
-                    format!("object #{oid} violates its cluster's signature")
-                })?;
                 ensure(self.store.push(segment, oid, &flat), &chunk, || {
                     format!("object #{oid} appears in two clusters")
                 })?;
             }
             read += n;
         }
-        candidates.recount_members(&self.store.columns(segment));
+        let columns = self.store.columns(segment);
+        if let Some(k) = signature.first_rejected(&columns, &mut self.accepted) {
+            let oid = self.store.ids(segment)[k];
+            let why = format!("object #{oid} violates its cluster's signature");
+            return Err(frame.corrupt(why).into());
+        }
+        candidates.recount_members(&columns);
         candidates.restore_counters(&cand_q, &cand_q_eff, n_hi, stamp);
         let cluster = Cluster {
             signature,

@@ -467,7 +467,8 @@ impl AdaptiveClusterIndex {
             .position_of(id.raw())
             .ok_or(IndexError::UnknownObject(id.raw()))?;
         self.wal_append(&WalRecord::Remove { id: id.raw() })?;
-        let flat: Vec<Scalar> = self.store.object_flat(segment, idx);
+        let mut flat = Vec::new();
+        self.store.read_object_into(segment, idx, &mut flat);
         let slot = self.segment_cluster[segment.0 as usize];
         debug_assert_eq!(self.cluster(slot).segment, segment);
         self.candidates[slot as usize].unrecord_member(&flat);
@@ -481,7 +482,9 @@ impl AdaptiveClusterIndex {
     /// size.
     pub fn get(&self, id: ObjectId) -> Option<HyperRect> {
         let (segment, idx) = self.store.position_of(id.raw())?;
-        HyperRect::from_flat(&self.store.object_flat(segment, idx)).ok()
+        let mut flat = Vec::new();
+        self.store.read_object_into(segment, idx, &mut flat);
+        HyperRect::from_flat(&flat).ok()
     }
 
     /// Replaces the rectangle of an existing object. A rectangle outside
@@ -514,7 +517,8 @@ impl AdaptiveClusterIndex {
             };
             flat = coords;
         }
-        let old = self.store.object_flat(old_segment, idx);
+        let mut old = Vec::new();
+        self.store.read_object_into(old_segment, idx, &mut old);
         let old_slot = self.segment_cluster[old_segment.0 as usize];
         debug_assert_eq!(self.cluster(old_slot).segment, old_segment);
         self.candidates[old_slot as usize].unrecord_member(&old);
@@ -570,7 +574,7 @@ impl AdaptiveClusterIndex {
             ));
         }
         let mut seen_objects = 0usize;
-        let mut flat = Vec::new();
+        let mut accepted = Vec::new();
         let mut expected_n = Vec::new();
         for (slot, cluster) in self.clusters.iter().enumerate() {
             let Some(cluster) = cluster else { continue };
@@ -586,17 +590,16 @@ impl AdaptiveClusterIndex {
             }
             let ids = self.store.ids(cluster.segment);
             seen_objects += ids.len();
-            for (k, &oid) in ids.iter().enumerate() {
-                self.store.read_object_into(cluster.segment, k, &mut flat);
-                if !cluster.signature.accepts_flat(&flat) {
-                    return Err(format!(
-                        "object #{oid} violates signature of cluster {slot}"
-                    ));
-                }
+            let members = self.store.columns(cluster.segment);
+            if let Some(k) = cluster.signature.first_rejected(&members, &mut accepted) {
+                return Err(format!(
+                    "object #{} violates signature of cluster {slot}",
+                    ids[k]
+                ));
             }
             expected_n.clear();
             expected_n.resize(cands.len(), 0);
-            cands.count_members(&self.store.columns(cluster.segment), &mut expected_n);
+            cands.count_members(&members, &mut expected_n);
             for (ci, &expected) in expected_n.iter().enumerate() {
                 if cands.n(ci) != expected {
                     return Err(format!(

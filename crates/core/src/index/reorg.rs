@@ -278,12 +278,13 @@ impl AdaptiveClusterIndex {
             .as_mut()
             .expect("parent slot is live");
         parent.children.remove(slot);
-        #[cfg(debug_assertions)]
-        for index in 0..self.store.segment_len(cluster.segment) {
-            let flat = self.store.object_flat(cluster.segment, index);
-            debug_assert!(parent.signature.accepts_flat(&flat));
-        }
-        self.candidates[parent_slot as usize].record_members(&self.store.columns(cluster.segment));
+        let members = self.store.columns(cluster.segment);
+        debug_assert_eq!(
+            parent.signature.first_rejected(&members, &mut Vec::new()),
+            None,
+            "the parent rejects a member of cluster {slot}"
+        );
+        self.candidates[parent_slot as usize].record_members(&members);
         let moved = self.store.merge_into(cluster.segment, parent.segment);
         profile.objects_moved += moved as u64;
         for child in cluster.children.slots() {

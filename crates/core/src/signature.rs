@@ -11,6 +11,7 @@
 //! closedness of its parent's upper bound, so membership at boundaries is
 //! unambiguous.
 
+use acx_geom::scan::PairedColumns;
 use acx_geom::{HyperRect, Scalar, SpatialQuery};
 
 /// A signature variation interval: `[lo, hi)` or `[lo, hi]`.
@@ -56,6 +57,15 @@ impl SigInterval {
     #[inline]
     pub fn contains(&self, v: Scalar) -> bool {
         self.lo <= v && (v < self.hi || (!self.hi_open && v == self.hi))
+    }
+
+    /// [`SigInterval::contains`] with the upper bound's closedness fixed
+    /// by the caller: `OPEN` must be `self.hi_open()`. Closed, `v <= hi`
+    /// is exactly `v < hi || v == hi`, NaN and infinities included.
+    #[inline(always)]
+    fn contains_as<const OPEN: bool>(&self, v: Scalar) -> bool {
+        debug_assert_eq!(OPEN, self.hi_open);
+        (self.lo <= v) & if OPEN { v < self.hi } else { v <= self.hi }
     }
 
     /// Largest value the interval can supply is `hi` (closed) or anything
@@ -117,6 +127,22 @@ impl DimSignature {
     #[inline]
     pub fn accepts(&self, a: Scalar, b: Scalar) -> bool {
         self.start.contains(a) && self.end.contains(b)
+    }
+
+    /// Clears `accepted[k]` for every member `k` whose bounds `(lo[k],
+    /// hi[k])` this dimension rejects, in one branch-free pass over the
+    /// two columns. `START_OPEN` and `END_OPEN` are the closedness of
+    /// the two upper bounds, which the caller chooses once.
+    #[inline(always)]
+    fn keep_accepted<const START_OPEN: bool, const END_OPEN: bool>(
+        &self,
+        lo: &[Scalar],
+        hi: &[Scalar],
+        accepted: &mut [bool],
+    ) {
+        for ((ok, &a), &b) in accepted.iter_mut().zip(lo).zip(hi) {
+            *ok &= self.start.contains_as::<START_OPEN>(a) & self.end.contains_as::<END_OPEN>(b);
+        }
     }
 
     /// [`Signature::matches_query`] in dimension `d` alone: whether the
@@ -189,6 +215,35 @@ impl Signature {
             .iter()
             .zip(coords.chunks_exact(2))
             .all(|(ds, pair)| ds.accepts(pair[0], pair[1]))
+    }
+
+    /// The first of `members` (a segment's columns) that the signature
+    /// rejects, by [`Signature::accepts_flat`]'s predicate: one pass per
+    /// dimension over its lower- and upper-bound columns, which clears
+    /// the rejected members' entries of `accepted` (the caller's reused
+    /// scratch, one entry per member), instead of gathering each member
+    /// into a row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `members` has fewer dimensions than the signature.
+    pub fn first_rejected(
+        &self,
+        members: &PairedColumns<'_>,
+        accepted: &mut Vec<bool>,
+    ) -> Option<usize> {
+        accepted.clear();
+        accepted.resize(members.len(), true);
+        for (d, ds) in self.dims.iter().enumerate() {
+            let (lo, hi, ok) = (members.lo_col(d), members.hi_col(d), &mut accepted[..]);
+            match (ds.start.hi_open, ds.end.hi_open) {
+                (false, false) => ds.keep_accepted::<false, false>(lo, hi, ok),
+                (false, true) => ds.keep_accepted::<false, true>(lo, hi, ok),
+                (true, false) => ds.keep_accepted::<true, false>(lo, hi, ok),
+                (true, true) => ds.keep_accepted::<true, true>(lo, hi, ok),
+            }
+        }
+        accepted.iter().position(|&ok| !ok)
     }
 
     /// Whether every object this signature accepts, `outer` accepts too:
@@ -547,7 +602,69 @@ mod tests {
         })
     }
 
+    /// A signature `steps` random specializations below the root: interior
+    /// subintervals are open, last ones closed, so both kinds occur.
+    fn specialized(dims: usize, steps: &[(usize, u8, u8)]) -> Signature {
+        let root = Signature::root(dims);
+        (steps.iter()).fold(root, |sig, &(d, i, j)| sig.specialize(d % dims, 4, i, j))
+    }
+
+    /// A coordinate for a member of `iv`: kinds 0–7 land on the edges
+    /// and on the values no interval holds, any other kind inside.
+    fn coordinate(iv: &SigInterval, kind: u8, u: Scalar) -> Scalar {
+        match kind {
+            0 => iv.lo(),
+            1 => iv.lo().next_down(),
+            2 => iv.hi(),
+            3 => iv.hi().next_down(),
+            4 => Scalar::NAN,
+            5 => Scalar::INFINITY,
+            6 => Scalar::NEG_INFINITY,
+            7 => iv.hi().next_up(),
+            _ => iv.lo() + u * (iv.hi() - iv.lo()),
+        }
+    }
+
     proptest! {
+        /// The columnar check finds the member the row-at-a-time one
+        /// finds first, and leaves each member's verdict in the scratch.
+        /// Members before `clean` land inside their signature, on `lo`
+        /// or on `hi.next_down()`, so the first rejection falls anywhere
+        /// in the segment.
+        #[test]
+        fn prop_first_rejected_is_the_first_row_accepts_flat_rejects(
+            dims in 1usize..=3,
+            steps in prop::collection::vec((0usize..3, 0u8..4, 0u8..4), 0..6),
+            draws in prop::collection::vec(
+                prop::collection::vec((0u8..64, 0.0f32..=1.0), 6), 0..131),
+            clean in 0usize..=130,
+            stale in 0usize..8,
+        ) {
+            let sig = specialized(dims, &steps);
+            let rows: Vec<Vec<Scalar>> = draws
+                .iter()
+                .enumerate()
+                .map(|(k, draw)| {
+                    (0..2 * dims)
+                        .map(|c| {
+                            let ds = sig.dim(c / 2);
+                            let iv = if c % 2 == 0 { &ds.start } else { &ds.end };
+                            let (kind, u) = draw[c];
+                            let kind = if k < clean && kind < 8 { 3 * (kind % 2) } else { kind };
+                            coordinate(iv, kind, u)
+                        })
+                        .collect()
+                })
+                .collect();
+            let cols: Vec<Vec<Scalar>> =
+                (0..2 * dims).map(|c| rows.iter().map(|row| row[c]).collect()).collect();
+            let mut accepted = vec![false; stale];
+            let got = sig.first_rejected(&PairedColumns::new(&cols), &mut accepted);
+            prop_assert_eq!(got, rows.iter().position(|row| !sig.accepts_flat(row)));
+            let verdicts: Vec<bool> = rows.iter().map(|row| sig.accepts_flat(row)).collect();
+            prop_assert_eq!(accepted, verdicts);
+        }
+
         /// Backward compatibility (§3.3): an object accepted by a
         /// specialized signature is accepted by its parent.
         #[test]

@@ -18,7 +18,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::OnceLock;
 
-use acx_core::{AdaptiveClusterIndex, IndexConfig, IndexError};
+use acx_core::{AdaptiveClusterIndex, IndexConfig, IndexError, Signature};
 use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery};
 use acx_storage::frame::MAX_FRAME;
 use acx_storage::{FlushPolicy, StorageScenario, StoreError, WalRecord};
@@ -368,6 +368,46 @@ fn a_child_wider_than_its_parent_is_corrupt() {
         }
     });
     assert_corrupt(loaded, "not within its parent");
+}
+
+/// A member moved out of its cluster's signature, though still inside
+/// the domain, would be missed by every query that prunes the cluster.
+/// `load` reports it on the cluster's frame, by its id.
+#[test]
+fn a_member_outside_its_cluster_signature_is_corrupt() {
+    let child = child_frame(&fixture().0);
+    let mut moved_id = None;
+    let loaded = load_patched("outside-signature", |checkpoint| {
+        let payload = &checkpoint.frames[child.frame];
+        let signature = Signature::from_bytes(&payload[child.signature.clone()]).unwrap();
+        let members = checkpoint.members(&child);
+        // A member inside the first member frame, past its first.
+        let frame = &checkpoint.frames[child.member_frames.start];
+        let in_frame = u32::from_le_bytes(frame[1..5].try_into().unwrap()) as usize;
+        assert!(in_frame > 2, "test premise: a child with members");
+        let k = in_frame / 2;
+        let (id, flat) = &members[k];
+        // One coordinate moved onto the domain's quarter grid: the member
+        // stays a rectangle inside the domain, outside the signature.
+        let grid: [Scalar; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
+        let (c, v) = (0..flat.len())
+            .flat_map(|c| grid.map(|v| (c, v)))
+            .find(|&(c, v)| {
+                let mut moved = flat.clone();
+                moved[c] = v;
+                moved.chunks_exact(2).all(|p| p[0] <= p[1]) && !signature.accepts_flat(&moved)
+            })
+            .expect("test premise: a grid value outside the child's signature");
+        let at = 5 + 4 * in_frame + 4 * (k * flat.len() + c);
+        let frame = &mut checkpoint.frames[child.member_frames.start];
+        frame[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        moved_id = Some(*id);
+    });
+    if let Err(IndexError::Store(StoreError::Corrupt(c))) = &loaded {
+        assert_eq!(c.record, child.frame as u64, "reported on the cluster frame: {c}");
+    }
+    let id = moved_id.unwrap();
+    assert_corrupt(loaded, &format!("object #{id} violates its cluster's signature"));
 }
 
 /// A child's frames moved ahead of its parent's: the parent it names

@@ -614,19 +614,12 @@ impl SegmentStore {
         &self.segment(id).cols[2 * d + 1]
     }
 
-    /// Interleaved flat coordinates (`[lo0, hi0, …]`) of the member at
-    /// `index`, gathered from the columns into a fresh vector.
-    pub fn object_flat(&self, id: SegmentId, index: usize) -> Vec<Scalar> {
-        let mut out = Vec::with_capacity(2 * self.dims);
-        self.segment(id).read_into(index, &mut out);
-        out
-    }
-
     /// Gathers the member at `index` into `out` (cleared first) as
-    /// interleaved flat coordinates — the allocation-free variant of
-    /// [`SegmentStore::object_flat`] for loops with a reusable buffer.
+    /// interleaved flat coordinates (`[lo0, hi0, …]`). A buffer reused
+    /// across calls allocates once; a fresh one, exactly once.
     pub fn read_object_into(&self, id: SegmentId, index: usize, out: &mut Vec<Scalar>) {
         out.clear();
+        out.reserve(2 * self.dims);
         self.segment(id).read_into(index, out);
     }
 
@@ -690,6 +683,13 @@ mod tests {
         vec![lo, hi, lo, hi]
     }
 
+    /// Member `index` of segment `id`, read into a fresh buffer.
+    pub(super) fn object(s: &SegmentStore, id: SegmentId, index: usize) -> Vec<Scalar> {
+        let mut out = Vec::new();
+        s.read_object_into(id, index, &mut out);
+        out
+    }
+
     #[test]
     fn create_push_read_roundtrip() {
         let mut s = SegmentStore::new(2);
@@ -698,8 +698,8 @@ mod tests {
         s.push(seg, 9, &flat(0.3, 0.4));
         assert_eq!(s.ids(seg), &[7, 9]);
         assert_eq!(s.segment_len(seg), 2);
-        assert_eq!(s.object_flat(seg, 0), flat(0.1, 0.2));
-        assert_eq!(s.object_flat(seg, 1), flat(0.3, 0.4));
+        assert_eq!(object(&s, seg, 0), flat(0.1, 0.2));
+        assert_eq!(object(&s, seg, 1), flat(0.3, 0.4));
         assert_eq!(s.len(), 2);
     }
 
@@ -741,8 +741,8 @@ mod tests {
         let removed = s.swap_remove(seg, 0);
         assert_eq!(removed, 1);
         assert_eq!(s.ids(seg), &[3, 2]);
-        assert_eq!(s.object_flat(seg, 0), flat(0.3, 0.35)); // object 3 moved to slot 0
-        assert_eq!(s.object_flat(seg, 1), flat(0.2, 0.25)); // object 2 untouched
+        assert_eq!(object(&s, seg, 0), flat(0.3, 0.35)); // object 3 moved to slot 0
+        assert_eq!(object(&s, seg, 1), flat(0.2, 0.25)); // object 2 untouched
         assert_eq!(s.len(), 2);
     }
 
@@ -754,7 +754,7 @@ mod tests {
         s.push(seg, 2, &[0.3, 0.4]);
         assert_eq!(s.swap_remove(seg, 1), 2);
         assert_eq!(s.ids(seg), &[1]);
-        assert_eq!(s.object_flat(seg, 0), vec![0.1, 0.2]);
+        assert_eq!(object(&s, seg, 0), vec![0.1, 0.2]);
     }
 
     #[test]
@@ -765,7 +765,7 @@ mod tests {
         s.push(a, 1, &[0.0, 1.0]);
         assert_eq!(s.merge_into(a, b), 1);
         assert_eq!(s.ids(b), &[1]);
-        assert_eq!(s.object_flat(b, 0), vec![0.0, 1.0]);
+        assert_eq!(object(&s, b, 0), vec![0.0, 1.0]);
         assert_eq!(s.len(), 1);
         assert_eq!(s.segment_count(), 1);
         let c = s.create(2);
@@ -1116,7 +1116,7 @@ mod tests {
         assert_eq!(s.disorder(child), 0, "the child starts life ordered");
         assert_positions_agree(&s, child);
         for (index, &id) in s.ids(child).iter().enumerate() {
-            assert_eq!(s.object_flat(child, index), member(id), "object {id}");
+            assert_eq!(object(&s, child, index), member(id), "object {id}");
         }
 
         let run_left: Vec<u32> = (0..200).filter(|i| !taken(i)).collect();
@@ -1128,7 +1128,7 @@ mod tests {
         assert_eq!(s.len(), 300);
         assert_positions_agree(&s, seg);
         for (index, &id) in s.ids(seg).iter().enumerate() {
-            assert_eq!(s.object_flat(seg, index), member(id), "object {id}");
+            assert_eq!(object(&s, seg, index), member(id), "object {id}");
         }
 
         // Nothing matches: nothing moves.
@@ -1216,7 +1216,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::{merge_by_pushes, split_by_pushes, state};
+    use super::tests::{merge_by_pushes, object, split_by_pushes, state};
     use super::*;
     use proptest::prelude::*;
 
@@ -1354,7 +1354,7 @@ mod proptests {
                         prop_assert_eq!(store.hi_col(*seg, d).len(), model[k].len());
                     }
                     for (idx, id) in store.ids(*seg).iter().enumerate() {
-                        let flat = store.object_flat(*seg, idx);
+                        let flat = object(&store, *seg, idx);
                         let (_, expected) = model[k]
                             .iter()
                             .find(|(mid, _)| mid == id)
