@@ -222,6 +222,8 @@ impl AdaptiveClusterIndex {
             division_factor: config.division_factor,
             clocks,
             accepted: Vec::new(),
+            chunk_ids: Vec::new(),
+            chunk_flat: Vec::new(),
         };
         let mut frame = expect(&mut frames, &[TAG_CLUSTER, TAG_FREE])?;
         while frame.tag() == TAG_CLUSTER {
@@ -350,13 +352,20 @@ struct Loading {
     clocks: Clocks,
     /// [`Signature::first_rejected`]'s scratch, reused across clusters.
     accepted: Vec<bool>,
+    /// One `MEMBERS` frame decoded, reused across frames: its ids and
+    /// its members' interleaved coordinates.
+    chunk_ids: Vec<u32>,
+    chunk_flat: Vec<Scalar>,
 }
 
 impl Loading {
     /// Builds the cluster of a `CLUSTER` frame from it and the `MEMBERS`
-    /// frames that follow it, and hangs it under its parent. The members
-    /// are held to the signature by columns once all are in the segment,
-    /// so one that falls outside it is reported on the cluster frame.
+    /// frames that follow it, and hangs it under its parent. Each
+    /// `MEMBERS` frame is decoded whole and appended in one call, which
+    /// stops at an id already stored: that frame is reported. The
+    /// members are held to the signature by columns once all are in the
+    /// segment, so one that falls outside it is reported on the cluster
+    /// frame.
     fn read_cluster(
         &mut self,
         frame: &Frame<'_>,
@@ -418,7 +427,6 @@ impl Loading {
         let segment = self.store.create(members);
         assign_segment(&mut self.segment_cluster, segment, slot);
         let width = 2 * dims;
-        let mut flat: Vec<Scalar> = Vec::with_capacity(width);
         let mut read = 0;
         while read < members {
             let chunk = expect(frames, &[TAG_MEMBERS])?;
@@ -431,12 +439,16 @@ impl Loading {
             let ids = cur.items(n, 4)?;
             let coords = cur.items(n, 4 * width)?;
             cur.finish()?;
-            for (oid, raw) in u32s(ids).zip(coords.chunks_exact(4 * width)) {
-                flat.clear();
-                flat.extend(raw.as_chunks().0.iter().map(|&b| Scalar::from_le_bytes(b)));
-                ensure(self.store.push(segment, oid, &flat), &chunk, || {
-                    format!("object #{oid} appears in two clusters")
-                })?;
+            let (chunk_ids, flat) = (&mut self.chunk_ids, &mut self.chunk_flat);
+            chunk_ids.clear();
+            chunk_ids.extend(u32s(ids));
+            flat.clear();
+            let coords = coords.as_chunks().0.iter();
+            flat.extend(coords.map(|&b| Scalar::from_le_bytes(b)));
+            let stored = self.store.append(segment, chunk_ids, flat);
+            if let Some(oid) = chunk_ids.get(stored) {
+                let why = format!("object #{oid} appears in two clusters");
+                return Err(chunk.corrupt(why).into());
             }
             read += n;
         }

@@ -621,3 +621,32 @@ fn load_rejects_an_object_stored_in_two_clusters() {
         Ok(_) => panic!("a checkpoint holding object #2 twice loaded"),
     }
 }
+
+#[test]
+fn load_rejects_an_id_repeated_inside_one_members_frame() {
+    use acx_core::Signature;
+    use acx_storage::StoreError;
+
+    let dims = 2;
+    let root_sig = Signature::root(dims);
+    let path = TempPath::new("repeated");
+    let members = [
+        (1, [0.5, 0.9, 0.5, 0.9]),
+        (2, [0.1, 0.2, 0.3, 0.8]),
+        (1, [0.5, 0.9, 0.5, 0.9]),
+        (3, [0.2, 0.4, 0.1, 0.3]),
+    ];
+    write_tree(&path, &paper(dims), &[(None, &root_sig, &members)]);
+    match AdaptiveClusterIndex::load(&path, paper(dims)) {
+        Err(IndexError::Store(StoreError::Corrupt(c))) => {
+            assert!(
+                c.reason.contains("object #1 appears in two clusters"),
+                "{c}"
+            );
+            // Frames: clocks, the root's cluster frame, its members.
+            assert_eq!(c.record, 2, "the members frame is named: {c}");
+        }
+        Err(other) => panic!("expected a corrupt-checkpoint error, got {other}"),
+        Ok(_) => panic!("a checkpoint holding object #1 twice in one frame loaded"),
+    }
+}

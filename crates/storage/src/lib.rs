@@ -22,6 +22,8 @@
 //! own Table 2 constants ([`DeviceProfile::edbt2004`]): the priced times
 //! depend only on what a query touched, not on the host that ran it.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod cost;
 mod counters;
 mod crc;

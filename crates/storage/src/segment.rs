@@ -52,18 +52,20 @@ impl Segment {
         }
     }
 
-    /// Appends one member whose id table slot is `slot`. A member that
-    /// continues a fully ordered segment extends the run; any other
-    /// joins the tail.
-    fn append(&mut self, object_id: u32, slot: u32, flat: &[Scalar]) {
-        let index = self.ids.len();
-        self.ids.push(object_id);
-        self.slots.push(slot);
-        for (col, &v) in self.cols.iter_mut().zip(flat) {
-            col.push(v);
+    /// Appends the members `ids`, whose coordinates `flat` holds as one
+    /// interleaved row each and whose id table slots the caller has
+    /// pushed already: each column grows by one `extend`, the lengths
+    /// are checked once, and the ordered run extends over the newcomers
+    /// as pushing them one at a time would.
+    fn extend(&mut self, ids: &[u32], flat: &[Scalar]) {
+        let start = self.ids.len();
+        self.ids.extend_from_slice(ids);
+        let rows = flat.chunks_exact(self.cols.len());
+        for (c, col) in self.cols.iter_mut().enumerate() {
+            col.extend(rows.clone().map(|row| row[c]));
         }
         self.check_columns();
-        self.extend_run(index);
+        self.extend_run(start);
     }
 
     /// Extends the ordered run over members `from..`, just appended, as
@@ -128,10 +130,11 @@ pub struct Taken {
 /// place, `(segment, index)`, so [`SegmentStore::position_of`] answers in
 /// O(1) instead of scanning a segment. Every member carries its table
 /// slot beside its id. Only an id that comes from outside is hashed:
-/// [`SegmentStore::push`], a lookup and [`SegmentStore::swap_remove`]
-/// each probe the table once. A member that moves — in a split, a
-/// merge, [`SegmentStore::order`] or a removal's fill — writes its new
-/// place into its own slot, with no hashing.
+/// [`SegmentStore::append`] probes the table once per member (and
+/// [`SegmentStore::push`] is its one-member case), a lookup and
+/// [`SegmentStore::swap_remove`] once each. A member that moves — in a
+/// split, a merge, [`SegmentStore::order`] or a removal's fill — writes
+/// its new place into its own slot, with no hashing.
 ///
 /// It is the only id map of an index: an owner that gives each of its
 /// clusters one segment finds an object's cluster through the object's
@@ -282,32 +285,66 @@ impl SegmentStore {
             .expect("segment was removed")
     }
 
-    /// Appends one object.
-    ///
-    /// `flat` is interleaved `[lo0, hi0, lo1, hi1, …]`; the store
-    /// distributes it into the dimension-major columns. A member that
-    /// continues a fully ordered segment extends the run (how a segment
-    /// built in key order stays ordered for free); any other joins the
-    /// tail.
-    ///
+    /// Appends one object: [`SegmentStore::append`] of one member.
     /// Returns `false`, and stores nothing, when `object_id` is already
-    /// stored anywhere in the store: the id table keeps exactly one
-    /// place per id, and one probe finds either the id or its slot.
+    /// stored anywhere in the store.
     ///
     /// # Panics
     ///
     /// Panics if `flat` is not `2·dims` scalars long, or if the segment
     /// already holds `u32::MAX + 1` members.
+    #[inline]
     pub fn push(&mut self, id: SegmentId, object_id: u32, flat: &[Scalar]) -> bool {
-        assert_eq!(flat.len(), 2 * self.dims, "coordinate arity mismatch");
-        let index = slot_index(self.segment(id).ids.len());
-        let segments = &mut self.segments;
-        let slot = self.table.insert(object_id, id.0, index, |entry, slot| {
-            reslot(segments, entry, slot)
-        });
-        let Some(slot) = slot else { return false };
-        self.segment_mut(id).append(object_id, slot, flat);
-        true
+        self.append(id, &[object_id], flat) == 1
+    }
+
+    /// Appends the objects `object_ids`, in order, and returns how many
+    /// it stored.
+    ///
+    /// `flat` holds each object's coordinates as one interleaved row
+    /// `[lo0, hi0, lo1, hi1, …]`, in the order of `object_ids`; the
+    /// store distributes the rows into the dimension-major columns, one
+    /// `extend` per column. Members that continue a fully ordered
+    /// segment extend the run (how a segment built in key order stays
+    /// ordered for free); from the first that does not, they join the
+    /// tail.
+    ///
+    /// Each id is probed once in the id table, which finds either the
+    /// id or its slot: the table keeps exactly one place per id. The
+    /// first id already stored anywhere in the store — an earlier one
+    /// of the same call included — is refused: it and every object
+    /// after it are not stored, and those before it are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flat` is not `2·dims` scalars per object long, or if
+    /// the segment would hold more than `u32::MAX + 1` members.
+    pub fn append(&mut self, id: SegmentId, object_ids: &[u32], flat: &[Scalar]) -> usize {
+        let width = 2 * self.dims;
+        assert_eq!(
+            flat.len(),
+            width * object_ids.len(),
+            "coordinate arity mismatch"
+        );
+        let start = self.segment(id).ids.len();
+        // Each slot joins the slot array as its id is stored, so that a
+        // growth of the table partway through reslots it with the rest.
+        let mut stored = 0;
+        for (&object_id, index) in object_ids.iter().zip(start..) {
+            let segments = &mut self.segments;
+            let slot = self
+                .table
+                .insert(object_id, id.0, slot_index(index), |entry, slot| {
+                    reslot(segments, entry, slot)
+                });
+            let Some(slot) = slot else { break };
+            let seg = segments[id.0 as usize].as_mut();
+            seg.expect("segment was removed").slots.push(slot);
+            stored += 1;
+        }
+        let seg = self.segment_mut(id);
+        seg.extend(&object_ids[..stored], &flat[..stored * width]);
+        stored
     }
 
     /// Removes the object at `index` and returns its id; at most two
@@ -389,7 +426,8 @@ impl SegmentStore {
         debug_assert_eq!(self.table.entry(slot).id, object_id, "the kept slot moved");
         let seg = self.segment_mut(id);
         let index = slot_index(seg.ids.len());
-        seg.append(object_id, slot, flat);
+        seg.slots.push(slot);
+        seg.extend(&[object_id], flat);
         self.table.set_place(slot, id.0, index);
     }
 
@@ -984,6 +1022,133 @@ mod tests {
         (segments, s.free_slots.clone(), positions)
     }
 
+    /// A 2-d member whose key is `key`.
+    fn member(key: Scalar) -> [Scalar; 4] {
+        [key, key + 0.5, 0.25, 0.75]
+    }
+
+    /// Appends `chunk` (ids and keys) to `seg` of a store built by
+    /// `build`, and pushes the same members one at a time to `seg` of a
+    /// second one, up to the first the push refuses. Both must store the
+    /// same members and leave the same state; returns how many were
+    /// stored.
+    fn append_as_pushes(
+        build: impl Fn() -> (SegmentStore, SegmentId),
+        chunk: &[(u32, Scalar)],
+    ) -> usize {
+        let (mut fast, seg) = build();
+        let (mut slow, _) = build();
+        let ids: Vec<u32> = chunk.iter().map(|&(id, _)| id).collect();
+        let flat: Vec<Scalar> = chunk.iter().flat_map(|&(_, key)| member(key)).collect();
+        let stored = fast.append(seg, &ids, &flat);
+        let pushed = chunk
+            .iter()
+            .take_while(|&&(id, key)| slow.push(seg, id, &member(key)))
+            .count();
+        assert_eq!(stored, pushed);
+        assert_eq!(state(&fast), state(&slow));
+        assert_eq!(fast.check_positions(), Ok(()));
+        stored
+    }
+
+    /// `count` members with ids from `first` and keys from `key`,
+    /// rising by `step`.
+    fn run_of(first: u32, count: u32, key: Scalar, step: Scalar) -> Vec<(u32, Scalar)> {
+        (0..count)
+            .map(|k| (first + k, key + step * k as Scalar))
+            .collect()
+    }
+
+    /// A store with a 2-d segment holding the members `members`, and a
+    /// second segment holding object #1000.
+    fn store_with(objects: usize, members: &[(u32, Scalar)]) -> (SegmentStore, SegmentId) {
+        let mut s = SegmentStore::with_capacity(2, objects);
+        let (seg, other) = (s.create(4), s.create(1));
+        for &(id, key) in members {
+            assert!(s.push(seg, id, &member(key)));
+        }
+        assert!(s.push(other, 1000, &member(0.5)));
+        (s, seg)
+    }
+
+    #[test]
+    fn append_equals_pushing_each_member_onto_any_segment() {
+        // Onto an empty segment: the chunk rises, then falls once.
+        let mut chunk = run_of(0, 20, 0.1, 0.01);
+        chunk.extend(run_of(20, 5, 0.0, 0.02));
+        assert_eq!(append_as_pushes(|| store_with(64, &[]), &chunk), 25);
+        // Onto an ordered segment: the run extends over the chunk's
+        // rising prefix, and a tie continues it.
+        let ordered = run_of(0, 10, 0.0, 0.01);
+        let (s, seg) = store_with(64, &ordered);
+        assert_eq!(s.disorder(seg), 0);
+        let mut chunk = run_of(100, 6, 0.09, 0.01);
+        chunk.extend(run_of(200, 4, 0.05, 0.1));
+        assert_eq!(append_as_pushes(|| store_with(64, &ordered), &chunk), 10);
+        // Onto a disordered segment: every member joins the tail.
+        let mut disordered = run_of(0, 8, 0.3, 0.01);
+        disordered.extend(run_of(8, 3, 0.0, 0.01));
+        let (s, seg) = store_with(64, &disordered);
+        assert_eq!(s.disorder(seg), 3);
+        let chunk = run_of(100, 12, 0.9, 0.001);
+        assert_eq!(append_as_pushes(|| store_with(64, &disordered), &chunk), 12);
+        // An empty chunk stores nothing.
+        assert_eq!(append_as_pushes(|| store_with(64, &ordered), &[]), 0);
+    }
+
+    #[test]
+    fn append_equals_pushing_each_member_when_the_id_table_grows_partway() {
+        // A store built at capacity 0 holds 12 ids in its 16 slots: the
+        // 13th grows the table, the 25th again, both inside the chunk.
+        let prefix = run_of(0, 7, 0.0, 0.01);
+        let (s, _) = store_with(0, &prefix);
+        assert_eq!((s.len(), s.table.capacity()), (8, 16));
+        let chunk = run_of(100, 40, 0.07, 0.01);
+        assert_eq!(append_as_pushes(|| store_with(0, &prefix), &chunk), 40);
+        let (mut s, seg) = store_with(0, &prefix);
+        let flat: Vec<Scalar> = chunk.iter().flat_map(|&(_, key)| member(key)).collect();
+        let ids: Vec<u32> = chunk.iter().map(|&(id, _)| id).collect();
+        assert_eq!(s.append(seg, &ids, &flat), 40);
+        assert_eq!(s.table.capacity(), 64, "grown twice");
+        assert_eq!(s.disorder(seg), 0);
+    }
+
+    #[test]
+    fn append_refuses_a_stored_id_and_keeps_the_members_before_it() {
+        let prefix = run_of(0, 5, 0.0, 0.01);
+        // #1000 is stored in the other segment; #3 in this one.
+        for stored in [1000, 3] {
+            let mut chunk = run_of(100, 4, 0.1, 0.01);
+            chunk.push((stored, 0.5));
+            chunk.extend(run_of(104, 3, 0.6, 0.01));
+            assert_eq!(append_as_pushes(|| store_with(0, &prefix), &chunk), 4);
+            let (mut s, seg) = store_with(0, &prefix);
+            let ids: Vec<u32> = chunk.iter().map(|&(id, _)| id).collect();
+            let flat: Vec<Scalar> = chunk.iter().flat_map(|&(_, key)| member(key)).collect();
+            assert_eq!(s.append(seg, &ids, &flat), 4);
+            assert_eq!(s.ids(seg), &[0, 1, 2, 3, 4, 100, 101, 102, 103]);
+            assert_eq!((s.len(), s.contains_object(104)), (10, false));
+        }
+        // An id the chunk itself stored a moment before is refused too.
+        let mut chunk = run_of(100, 3, 0.1, 0.01);
+        chunk.push((101, 0.5));
+        chunk.push((110, 0.6));
+        assert_eq!(append_as_pushes(|| store_with(0, &prefix), &chunk), 3);
+        // So is one at the front: nothing is stored.
+        assert_eq!(
+            append_as_pushes(|| store_with(0, &prefix), &[(2, 0.9), (120, 0.9)]),
+            0
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "coordinate arity mismatch")]
+    fn append_rejects_rows_of_the_wrong_arity() {
+        let mut s = SegmentStore::new(2);
+        let seg = s.create(2);
+        s.append(seg, &[1, 2], &[0.0; 6]); // needs 8 scalars for two 2-d members
+    }
+
     #[test]
     fn push_refuses_a_stored_id_and_stores_nothing() {
         let mut s = SegmentStore::new(1);
@@ -1224,6 +1389,9 @@ mod proptests {
     enum Op {
         Create(u8),
         Push(u8),
+        /// Append a chunk of `n` members to one segment; where the
+        /// proptest allows, member `k` repeats the id before it.
+        Append(u8, u8, u8),
         SwapRemove(u8, u8),
         /// Split from one segment into another the members whose lower
         /// bound in dimension `k / 16` is below `(k % 16) / 16`.
@@ -1236,6 +1404,7 @@ mod proptests {
         prop_oneof![
             1 => (1u8..8).prop_map(Op::Create),
             5 => (0u8..6).prop_map(Op::Push),
+            1 => (0u8..6, 0u8..12, 0u8..24).prop_map(|(s, n, k)| Op::Append(s, n, k)),
             2 => (0u8..6, 0u8..16).prop_map(|(s, k)| Op::SwapRemove(s, k)),
             1 => (0u8..6, 0u8..6, 0u8..32).prop_map(|(a, b, k)| Op::Split(a, b, k)),
             1 => (0u8..6, 0u8..6).prop_map(|(a, b)| Op::Merge(a, b)),
@@ -1267,7 +1436,7 @@ mod proptests {
 
     proptest! {
         /// The segment store behaves like a vector of (id, coords) sets
-        /// under arbitrary create/push/remove/split/merge/order
+        /// under arbitrary create/push/append/remove/split/merge/order
         /// sequences — none of them loses, duplicates or alters a member,
         /// whatever order it leaves them in — and its id array and
         /// coordinate columns never fall out of step. Object ids are
@@ -1293,6 +1462,18 @@ mod proptests {
                         let flat = vec![key_of(id), 1.0, key_of(id + 7), id as Scalar];
                         store.push(live[k], id, &flat);
                         model[k].push((id, flat));
+                    }
+                    Op::Append(s, n, _) => {
+                        if live.is_empty() { continue; }
+                        let k = s as usize % live.len();
+                        let ids: Vec<u32> = (next_id..).take(n as usize).collect();
+                        next_id += u32::from(n);
+                        let rows: Vec<Vec<Scalar>> = ids
+                            .iter()
+                            .map(|&id| vec![key_of(id), 1.0, key_of(id + 7), id as Scalar])
+                            .collect();
+                        prop_assert_eq!(store.append(live[k], &ids, &rows.concat()), ids.len());
+                        model[k].extend(ids.into_iter().zip(rows));
                     }
                     Op::SwapRemove(s, idx) => {
                         if live.is_empty() { continue; }
@@ -1372,7 +1553,8 @@ mod proptests {
         /// The column-to-column moves leave exactly what moving one member
         /// at a time left: `split_into` what `extract`, a stable key sort
         /// and a `push` of each leave, `merge_into` what `remove` and a
-        /// `push` of each leave — ids, every column, the ordered run,
+        /// `push` of each leave, `append` what a `push` of each up to the
+        /// first refused leaves — ids, every column, the ordered run,
         /// strays, free slots and every resolved place — after arbitrary
         /// sequences of every operation (coarse keys make ties).
         #[test]
@@ -1396,6 +1578,32 @@ mod proptests {
                         fast.push(seg, next_id, &flat);
                         slow.push(seg, next_id, &flat);
                         next_id += 1;
+                    }
+                    Op::Append(s, n, dup) => {
+                        if live.is_empty() { continue; }
+                        let seg = live[s as usize % live.len()];
+                        let mut ids: Vec<u32> = (next_id..).take(n as usize).collect();
+                        next_id += u32::from(n);
+                        // A repeat of the id before it: stored in the
+                        // store, or earlier in the chunk.
+                        if let Some(id) = ids.get_mut(dup as usize) {
+                            *id = id.saturating_sub(1);
+                        }
+                        let rows: Vec<[Scalar; 4]> = ids
+                            .iter()
+                            .map(|&id| {
+                                let key = (id * 7 % 5) as Scalar / 5.0;
+                                [key, key + 0.5, key_of(id), 1.0]
+                            })
+                            .collect();
+                        let stored = fast.append(seg, &ids, rows.as_flattened());
+                        let pushed = ids
+                            .iter()
+                            .zip(&rows)
+                            .take_while(|&(&id, row)| slow.push(seg, id, row))
+                            .count();
+                        prop_assert_eq!(stored, pushed);
+                        prop_assert_eq!(fast.check_positions(), Ok(()));
                     }
                     Op::SwapRemove(s, idx) => {
                         if live.is_empty() { continue; }
@@ -1428,7 +1636,7 @@ mod proptests {
         }
 
         /// The O(1) id table agrees with a linear scan of every
-        /// segment after arbitrary push/swap_remove/split/merge/order
+        /// segment after arbitrary push/append/swap_remove/split/merge/order
         /// sequences, and so does [`SegmentStore::check_positions`].
         #[test]
         fn position_map_agrees_with_linear_scan(ops in prop::collection::vec(op(), 1..120)) {
@@ -1445,6 +1653,14 @@ mod proptests {
                         let k = s as usize % live.len();
                         store.push(live[k], next_id, &[key_of(next_id), 1.0]);
                         next_id += 1;
+                    }
+                    Op::Append(s, n, _) => {
+                        if live.is_empty() { continue; }
+                        let k = s as usize % live.len();
+                        let ids: Vec<u32> = (next_id..).take(n as usize).collect();
+                        next_id += u32::from(n);
+                        let flat: Vec<Scalar> = ids.iter().flat_map(|&id| [key_of(id), 1.0]).collect();
+                        prop_assert_eq!(store.append(live[k], &ids, &flat), ids.len());
                     }
                     Op::SwapRemove(s, idx) => {
                         if live.is_empty() { continue; }
