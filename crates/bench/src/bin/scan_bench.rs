@@ -21,9 +21,9 @@
 //! * **index** — `AdaptiveClusterIndex` point-enclosing queries (§7.2,
 //!   the scan-dominated workload) through the read-only `query_with`
 //!   path, on an adapted index.
-//! * **recorded execute** — the statistics-recording read phase (delta
-//!   sink) and the full `execute` path (in-place sink plus the amortized
-//!   pass).
+//! * **recorded execute** — the statistics-recording read phase (into a
+//!   `StatsDelta`) and the full `execute` path (recording into the
+//!   candidate sets in place, plus the amortized pass).
 //! * **reorganization** — the per-period maintenance pass on an adapted
 //!   index (O(1) screen + columnar split scan); and passes that split
 //!   and merge, under a 4-d hotspot jumping between sites of clustered

@@ -1,15 +1,16 @@
-//! Recorded statistics of read-only query execution — the delta sink of
-//! the one traversal every query entry point shares.
+//! Recorded statistics of read-only query execution.
 //!
-//! One traversal, three sinks, identical state: `query` records
-//! nothing; [`crate::AdaptiveClusterIndex::execute`] holds `&mut self`
-//! and writes each explored cluster's candidate set in place; and the
-//! two-phase path splits that execution in two. Phase one,
+//! One traversal lists the clusters a query explored, and records
+//! nothing; `query` stops there. [`crate::AdaptiveClusterIndex::execute`]
+//! holds `&mut self` and records over that list into each explored
+//! cluster's candidate set in place; the two-phase path splits that
+//! execution in two. Phase one,
 //! [`crate::AdaptiveClusterIndex::query_recorded`], matches on `&self`
-//! and *records* what an execution would have written — per-cluster
-//! matching-query counts, per-candidate matching-query counts (through
-//! the same compare-and-count kernel), and the epoch byte counters
-//! feeding the early-exit verification fraction — into a [`StatsDelta`].
+//! and *records* over the list what an execution would have written —
+//! per-cluster matching-query counts, per-candidate matching-query
+//! counts (through the same compare-and-count kernel), and the epoch
+//! byte counters feeding the early-exit verification fraction — into a
+//! [`StatsDelta`].
 //! Phase two, [`crate::AdaptiveClusterIndex::apply_stats`], applies it
 //! under the exclusive borrow and runs the pass if one is due. Applying
 //! a query's delta leaves the index exactly where `execute` leaves it.
@@ -28,7 +29,7 @@
 ///
 /// Two deltas compare equal when they hold the same totals and the same
 /// **live** per-cluster increments — used by tests proving that the two
-/// statistics sinks record alike. A cleared, reused delta retains
+/// statistics-writing paths record alike. A cleared, reused delta retains
 /// zeroed per-cluster entries for capacity; they are ignored by
 /// equality.
 #[derive(Debug, Clone, Default)]

@@ -382,7 +382,8 @@ impl CandidateSet {
     /// Adds one (saturating at `u32::MAX`) to `counters[ci]` for every
     /// candidate `ci` that [`CandidateSet::matches_query`] — from `2f`
     /// comparisons per dimension rather than one per candidate (see the
-    /// module docs). The delta sink counts into its own column with it.
+    /// module docs). `query_recorded_with` counts into a delta's column
+    /// with it.
     ///
     /// Every relation is `start side ∧ end side` against per-dimension
     /// thresholds `(t1, t2)`: containment tests the start's reach

@@ -136,9 +136,6 @@ pub struct AdaptiveClusterIndex {
     insert_stack: Vec<(u32, usize)>,
     /// Scratch arena reused by `execute`.
     query_scratch: QueryScratch,
-    /// The clusters `execute`'s last query explored, in exploration
-    /// order (kept for its capacity).
-    explored_scratch: Vec<u32>,
     /// Buffers reused by the reorganization pass.
     reorg_scratch: ReorgScratch,
     /// Work profile of the most recent reorganization pass.
@@ -227,7 +224,6 @@ impl AdaptiveClusterIndex {
             clocks: Clocks::default(),
             insert_stack: Vec::new(),
             query_scratch: QueryScratch::new(),
-            explored_scratch: Vec::new(),
             last_profile: ReorgProfile::default(),
             recent_merges: HashMap::new(),
             wal: None,

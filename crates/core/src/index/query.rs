@@ -1,24 +1,25 @@
-//! The matching phase (paper §3.6, Fig. 5) and the statistics it
-//! records: one traversal ([`ReadView::explore`]) behind every query
-//! entry point, writing into one of three sinks.
+//! The matching phase (paper §3.6, Fig. 5) and the statistics recorded
+//! over it: one traversal (`explore`) behind every query entry point,
+//! which lists the clusters it explored and records nothing, then a
+//! recorder per statistics-keeping entry point that walks that list.
 
 use std::time::Instant;
 
 use acx_geom::scan::{scan_columns_loaded, QueryBounds, ScanScratch};
 use acx_geom::{ObjectId, SpatialQuery};
-use acx_storage::{AccessStats, CostModel, SegmentStore};
+use acx_storage::AccessStats;
 
-use super::{AdaptiveClusterIndex, Cluster};
+use super::AdaptiveClusterIndex;
 use crate::batch::StatsDelta;
-use crate::candidates::CandidateSet;
 use crate::metrics::{QueryMetrics, QueryResult};
 use crate::IndexError;
 
 /// Reusable per-query scratch arena for the matching phase: the query's
-/// loaded bounds, the scan kernel's match buffer, the result buffer and
-/// the cluster traversal stack. Buffers grow to the workload's high-water mark
-/// and are then reused, so a warmed-up scratch lets
-/// [`AdaptiveClusterIndex::query_with`] execute without allocating.
+/// loaded bounds, the scan kernel's match buffer, the result buffer,
+/// the cluster traversal stack and the explored slots. Buffers grow to
+/// the workload's high-water mark and are then reused, so a warmed-up
+/// scratch lets [`AdaptiveClusterIndex::query_with`] execute without
+/// allocating.
 ///
 /// One scratch serves one thread: each concurrent reader brings its
 /// own, and the sequential [`AdaptiveClusterIndex::execute`] path keeps
@@ -34,6 +35,9 @@ pub struct QueryScratch {
     matches: Vec<ObjectId>,
     /// DFS stack over cluster slots.
     stack: Vec<u32>,
+    /// Slots of the clusters the last query explored, in exploration
+    /// order: what the recording entry points record over.
+    explored: Vec<u32>,
 }
 
 impl QueryScratch {
@@ -49,96 +53,24 @@ impl QueryScratch {
     }
 }
 
-/// What the matching phase reads of the index, borrowed field by field:
-/// [`AdaptiveClusterIndex::execute`] lends the candidate sets to its
-/// sink mutably while the traversal walks the cluster tree and the
-/// segment store.
-struct ReadView<'a> {
-    model: &'a CostModel,
-    store: &'a SegmentStore,
-    clusters: &'a [Option<Cluster>],
-    root: u32,
-}
-
-/// Where the statistics of one exploration go. There is one traversal
-/// and one candidate count ([`CandidateSet::count_query_into`]);
-/// the sinks differ only in the counter column it adds into, and all
-/// three leave the index in the same state once a delta is applied.
-enum StatsSink<'a> {
-    /// `query*`: nothing is recorded.
-    None,
-    /// `query_recorded*`: into a [`StatsDelta`], applied later under
-    /// the exclusive borrow.
-    Delta {
-        candidates: &'a [CandidateSet],
-        delta: &'a mut StatsDelta,
-    },
-    /// `execute`: straight into each set's own `q` column, each cluster
-    /// caught up on its lazily skipped decay epochs first. The explored
-    /// slots are listed for the caller, which owns the per-cluster
-    /// counters.
-    Arena {
-        candidates: &'a mut [CandidateSet],
-        stats_epoch: u64,
-        explored: &'a mut Vec<u32>,
-    },
-}
-
-impl StatsSink<'_> {
-    /// Counts `query` on a cluster whose signature it matched and, per
-    /// dimension from its subinterval bounds, on each of the cluster's
-    /// candidates it matches.
-    #[inline]
-    fn record(&mut self, slot: u32, query: &SpatialQuery) {
-        match self {
-            StatsSink::None => {}
-            StatsSink::Delta { candidates, delta } => {
-                let cands = &candidates[slot as usize];
-                let recorded = delta.cluster_mut(slot, cands.len());
-                recorded.q_count += 1;
-                cands.count_query_into(query, &mut recorded.cand_q[..cands.len()]);
-            }
-            StatsSink::Arena {
-                candidates,
-                stats_epoch,
-                explored,
-            } => {
-                let cands = &mut candidates[slot as usize];
-                cands.catch_up_to(*stats_epoch);
-                cands.count_query(query);
-                explored.push(slot);
-            }
-        }
-    }
-}
-
-impl ReadView<'_> {
-    #[inline]
-    fn cluster(&self, slot: u32) -> &Cluster {
-        self.clusters[slot as usize]
-            .as_ref()
-            .expect("cluster slot is live")
-    }
-
+impl AdaptiveClusterIndex {
     /// The matching phase shared by every query entry point (paper
     /// §3.6, Fig. 5): explores every materialized cluster whose
-    /// signature matches the query, hands it to the sink, and verifies
-    /// its members sequentially, leaving the matches in `scratch`.
+    /// signature matches the query and verifies its members
+    /// sequentially, leaving the matches and the explored slots, in
+    /// exploration order, in `scratch`. It records nothing; the callers
+    /// that keep statistics record over the explored slots afterwards.
     ///
     /// Members are verified by the batch kernel over the store's member
-    /// columns, with the query's bounds loaded once, and candidates are
-    /// counted per dimension. Nothing is allocated once the scratch's
-    /// buffers have grown to the workload's high-water mark.
-    fn explore(
-        &self,
-        query: &SpatialQuery,
-        mut sink: StatsSink<'_>,
-        scratch: &mut QueryScratch,
-    ) -> QueryMetrics {
+    /// columns, with the query's bounds loaded once. Nothing is
+    /// allocated once the scratch's buffers have grown to the
+    /// workload's high-water mark.
+    fn explore(&self, query: &SpatialQuery, scratch: &mut QueryScratch) -> QueryMetrics {
         let started = Instant::now();
         let mut stats = AccessStats::new();
         let object_bytes = self.store.object_bytes() as u64;
         scratch.matches.clear();
+        scratch.explored.clear();
         scratch.bounds.load(query);
         scratch.stack.clear();
         // One signature check per cluster, as the paper prices it: the
@@ -150,7 +82,7 @@ impl ReadView<'_> {
         }
         while let Some(slot) = scratch.stack.pop() {
             let cluster = self.cluster(slot);
-            sink.record(slot, query);
+            scratch.explored.push(slot);
             let n = self.store.segment_len(cluster.segment);
             stats.clusters_explored += 1;
             stats.seeks += 1;
@@ -184,47 +116,6 @@ impl ReadView<'_> {
             priced_ms,
             wall: started.elapsed(),
         }
-    }
-}
-
-impl AdaptiveClusterIndex {
-    /// What the matching phase reads of the index.
-    fn read_view(&self) -> ReadView<'_> {
-        ReadView {
-            model: &self.model,
-            store: &self.store,
-            clusters: &self.clusters,
-            root: self.root,
-        }
-    }
-
-    /// The matching phase of the `&self` entry points: read-only, or
-    /// recording into `delta` what `execute` would have written.
-    fn explore(
-        &self,
-        query: &SpatialQuery,
-        delta: Option<&mut StatsDelta>,
-        scratch: &mut QueryScratch,
-    ) -> QueryMetrics {
-        let Some(delta) = delta else {
-            return self.read_view().explore(query, StatsSink::None, scratch);
-        };
-        match delta.epoch {
-            None => delta.epoch = Some(self.clocks.structure_epoch),
-            Some(e) => assert_eq!(
-                e, self.clocks.structure_epoch,
-                "StatsDelta was recorded against a different clustering state"
-            ),
-        }
-        let sink = StatsSink::Delta {
-            candidates: &self.candidates,
-            delta: &mut *delta,
-        };
-        let metrics = self.read_view().explore(query, sink, scratch);
-        delta.queries += 1;
-        delta.verified_bytes += metrics.stats.verified_bytes;
-        delta.full_bytes += metrics.stats.objects_verified * self.store.object_bytes() as u64;
-        metrics
     }
 
     /// Executes a spatial selection **read-only**: identical match set and
@@ -264,7 +155,7 @@ impl AdaptiveClusterIndex {
     pub fn try_query(&self, query: &SpatialQuery) -> Result<QueryResult, IndexError> {
         self.check_dims(query.dims())?;
         let mut scratch = QueryScratch::new();
-        let metrics = self.explore(query, None, &mut scratch);
+        let metrics = self.explore(query, &mut scratch);
         Ok(QueryResult {
             matches: std::mem::take(&mut scratch.matches),
             metrics,
@@ -298,7 +189,7 @@ impl AdaptiveClusterIndex {
     pub fn query_with(&self, query: &SpatialQuery, scratch: &mut QueryScratch) -> QueryMetrics {
         self.check_dims(query.dims())
             .unwrap_or_else(|e| panic!("{}", Self::dims_panic(&e)));
-        self.explore(query, None, scratch)
+        self.explore(query, scratch)
     }
 
     /// Read-only execution that additionally records the statistics the
@@ -341,7 +232,24 @@ impl AdaptiveClusterIndex {
     ) -> QueryMetrics {
         self.check_dims(query.dims())
             .unwrap_or_else(|e| panic!("{}", Self::dims_panic(&e)));
-        self.explore(query, Some(delta), scratch)
+        match delta.epoch {
+            None => delta.epoch = Some(self.clocks.structure_epoch),
+            Some(e) => assert_eq!(
+                e, self.clocks.structure_epoch,
+                "StatsDelta was recorded against a different clustering state"
+            ),
+        }
+        let metrics = self.explore(query, scratch);
+        for &slot in &scratch.explored {
+            let cands = &self.candidates[slot as usize];
+            let recorded = delta.cluster_mut(slot, cands.len());
+            recorded.q_count += 1;
+            cands.count_query_into(query, &mut recorded.cand_q[..cands.len()]);
+        }
+        delta.queries += 1;
+        delta.verified_bytes += metrics.stats.verified_bytes;
+        delta.full_bytes += metrics.stats.objects_verified * self.store.object_bytes() as u64;
+        metrics
     }
 
     /// Applies statistics recorded by
@@ -398,9 +306,9 @@ impl AdaptiveClusterIndex {
 
     /// Executes a spatial selection (paper §3.6, Fig. 5) and maintains
     /// the statistics of explored clusters and their candidate
-    /// subclusters, in place: the one traversal every entry point shares,
-    /// with the candidate sets as its sink. It leaves the index
-    /// exactly where
+    /// subclusters, in place: the one traversal every entry point
+    /// shares, then each explored cluster caught up on its skipped decay
+    /// epochs and counted. It leaves the index exactly where
     /// [`AdaptiveClusterIndex::query_recorded_with`] followed by
     /// [`AdaptiveClusterIndex::apply_stats`] would.
     ///
@@ -424,28 +332,17 @@ impl AdaptiveClusterIndex {
     /// vector.
     pub fn try_execute(&mut self, query: &SpatialQuery) -> Result<QueryResult, IndexError> {
         self.check_dims(query.dims())?;
-        // Move the scratch out (pointer swaps, not allocations) and
-        // borrow the index field by field: the traversal reads the
-        // tree and the store while the sink writes the candidate sets.
+        // Move the scratch out (pointer swaps, not allocations): the
+        // traversal reads the index, then the record writes it.
         let mut scratch = std::mem::take(&mut self.query_scratch);
-        let mut explored = std::mem::take(&mut self.explored_scratch);
-        explored.clear();
-        let view = ReadView {
-            model: &self.model,
-            store: &self.store,
-            clusters: &self.clusters,
-            root: self.root,
-        };
-        let sink = StatsSink::Arena {
-            candidates: &mut self.candidates,
-            stats_epoch: self.clocks.stats_epoch,
-            explored: &mut explored,
-        };
-        let metrics = view.explore(query, sink, &mut scratch);
-        // The part of the record that lives in the clusters themselves,
-        // in exploration order — the order `apply_stats` walks a
+        let metrics = self.explore(query, &mut scratch);
+        // In exploration order — the order `apply_stats` walks a
         // one-query delta's touched list in.
-        for &slot in &explored {
+        let stats_epoch = self.clocks.stats_epoch;
+        for &slot in &scratch.explored {
+            let cands = &mut self.candidates[slot as usize];
+            cands.catch_up_to(stats_epoch);
+            cands.count_query(query);
             self.cluster_mut(slot).q_count += 1;
         }
         self.close_queries(
@@ -455,7 +352,6 @@ impl AdaptiveClusterIndex {
         );
         let matches = scratch.matches.clone();
         self.query_scratch = scratch;
-        self.explored_scratch = explored;
         Ok(QueryResult { matches, metrics })
     }
 }

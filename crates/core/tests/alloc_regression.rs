@@ -171,7 +171,7 @@ fn warmed_up_read_path_allocates_nothing_per_query() {
 /// has stopped forcing splits and merges, so the pass only screens,
 /// scans candidate columns, and folds the epoch — allocates nothing:
 /// the columns live in each cluster's candidate set, which `execute`
-/// writes through the `Arena` statistics sink, and every scratch
+/// writes in place, and every scratch
 /// buffer is index-owned and warm.
 #[test]
 fn warmed_reorg_pass_allocates_nothing_under_arena() {

@@ -365,10 +365,24 @@ fn read_only_paths_agree_with_execute() {
     for k in 0..30 {
         let q = random_grid_query(&mut rng, dims, 8);
         let read_only = index.query(&q);
-        assert_same_answer(&read_only.matches, &read_only.metrics, &model.query(&q), &format!("{k}"));
+        let answer = model.query(&q);
+        assert_same_answer(
+            &read_only.matches,
+            &read_only.metrics,
+            &answer,
+            &format!("{k}"),
+        );
         let metrics = index.query_with(&q, &mut scratch);
         assert_eq!(read_only.matches, scratch.matches());
         assert_eq!(read_only.metrics.stats, metrics.stats);
+        // The scratch carries the explored slots from one entry point
+        // to the next: a recorded query through it records what this
+        // query explored, not what an earlier one did.
+        let mut delta = StatsDelta::new();
+        let recorded = index.query_recorded_with(&q, &mut delta, &mut scratch);
+        assert_eq!(read_only.matches, scratch.matches());
+        assert_eq!(read_only.metrics.stats, recorded.stats);
+        assert_eq!(touched(&delta), explored(&[answer]), "query {k}");
         let executed = index.execute(&q);
         model.execute(&q);
         assert_eq!(executed.matches, read_only.matches);
