@@ -6,9 +6,9 @@
 //! pass the `ReorgReport`; at the end the `ClusterSnapshot`s and every
 //! counter.
 //!
-//! The same traces must come out whichever statistics sink carries the
-//! stream ([`Sink`]): `execute` writing the candidate sets in place, or
-//! `query_recorded` + `apply_stats`.
+//! The same traces must come out whichever recording path carries the
+//! stream ([`Recorder`]): `execute` writing the candidate sets in place,
+//! or `query_recorded` + `apply_stats`.
 //!
 //! The streams run on the paper's platform: at 500 objects it is
 //! Table 2 that materializes clusters, and every scenario must
@@ -85,7 +85,7 @@ struct Trace {
 
 /// The path a stream's statistics take into the index.
 #[derive(Clone, Copy, Debug)]
-enum Sink {
+enum Recorder {
     /// `execute`: the candidate sets, in place.
     Direct,
     /// `query_recorded` into a delta, then `apply_stats`.
@@ -98,9 +98,9 @@ fn config() -> IndexConfig {
 }
 
 /// Replays the scenario stream (with its mid-run shift) against an
-/// index, its statistics going through `sink`; returns the trace and
+/// index, its statistics going through `recorder`; returns the trace and
 /// the index the stream left.
-fn run_stream(name: &str, sink: Sink) -> (Trace, AdaptiveClusterIndex) {
+fn run_stream(name: &str, recorder: Recorder) -> (Trace, AdaptiveClusterIndex) {
     let cfg = WorkloadConfig::new(DIMS, OBJECTS, 0xA11CE);
     let objects = make_objects(name, &cfg);
     let mut scenario = make_scenario(name, &cfg);
@@ -117,9 +117,9 @@ fn run_stream(name: &str, sink: Sink) -> (Trace, AdaptiveClusterIndex) {
             // the query counts.
             let mut delta = StatsDelta::new();
             let recorded = index.query_recorded(&q, &mut delta);
-            let r = match sink {
-                Sink::Direct => index.execute(&q),
-                Sink::TwoPhase => {
+            let r = match recorder {
+                Recorder::Direct => index.execute(&q),
+                Recorder::TwoPhase => {
                     index.apply_stats(&delta);
                     recorded
                 }
@@ -157,7 +157,7 @@ fn assert_same_trace(what: &str, a: &Trace, b: &Trace) {
 #[test]
 fn zoo_is_green_and_answer_identical_to_the_model() {
     for name in SCENARIOS {
-        let (trace, index) = run_stream(name, Sink::Direct);
+        let (trace, index) = run_stream(name, Recorder::Direct);
         let cfg = WorkloadConfig::new(DIMS, OBJECTS, 0xA11CE);
         let mut scenario = make_scenario(name, &cfg);
         let mut model = Model::new(config());
@@ -194,13 +194,13 @@ fn zoo_is_green_and_answer_identical_to_the_model() {
     }
 }
 
-/// Every zoo scenario through both statistics sinks: `execute` ≡
+/// Every zoo scenario through both recording paths: `execute` ≡
 /// `query_recorded` + `apply_stats`.
 #[test]
-fn zoo_traces_are_identical_across_statistics_sinks() {
+fn zoo_traces_are_identical_across_recording_paths() {
     for name in SCENARIOS {
-        let (direct, _) = run_stream(name, Sink::Direct);
-        let (two_phase, _) = run_stream(name, Sink::TwoPhase);
+        let (direct, _) = run_stream(name, Recorder::Direct);
+        let (two_phase, _) = run_stream(name, Recorder::TwoPhase);
         assert_same_trace(&format!("{name} via TwoPhase"), &direct, &two_phase);
     }
 }

@@ -174,7 +174,7 @@ fn warmed_up_read_path_allocates_nothing_per_query() {
 /// writes in place, and every scratch
 /// buffer is index-owned and warm.
 #[test]
-fn warmed_reorg_pass_allocates_nothing_under_arena() {
+fn warmed_reorg_pass_allocates_nothing() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let dims = 5;
     let mut state = 0xA2E7A_u64;

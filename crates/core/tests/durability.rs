@@ -836,12 +836,12 @@ fn update_logs_one_record() {
 #[test]
 fn per_epoch_policy_defers_flushes_to_the_close() {
     let log = MemBacking::new();
-    let wal = Wal::create(Box::new(log.clone()), FlushPolicy::PerEpoch, 2).unwrap();
+    let wal = Wal::create(Box::new(log.clone()), FlushPolicy::PerBatch(u32::MAX), 2).unwrap();
     let mut index = AdaptiveClusterIndex::new(config_2d()).unwrap();
     index.attach_wal(wal).unwrap();
     let (_, err) = insert_until_failure(&mut index, 20);
     assert!(err.is_none());
-    index.reorganize(); // logs EpochClose, which flushes under PerEpoch
+    index.reorganize(); // logs EpochClose, which flushes under PerBatch(u32::MAX)
     let flushes = log.flushes();
     assert!(
         (1..=2).contains(&flushes),
@@ -852,7 +852,7 @@ fn per_epoch_policy_defers_flushes_to_the_close() {
     let (recovered, report) = AdaptiveClusterIndex::recover(
         None,
         Box::new(MemBacking::from_bytes(bytes)),
-        FlushPolicy::PerEpoch,
+        FlushPolicy::PerBatch(u32::MAX),
         config_2d(),
     )
     .unwrap();

@@ -5,25 +5,32 @@
 //! index behind a dedicated worker thread, and every arriving event is
 //! fanned out to all shards through bounded ingestion queues. Because
 //! the partition is disjoint and query answering is exact, the union of
-//! the per-shard match sets **is** the answer — no cross-shard merge,
-//! reconciliation, or statistics exchange ever happens (each shard's
-//! adaptive statistics describe exactly the subscriptions it owns).
-//! A subscription's shard is `shard_of(id)`, a pure function of its id,
-//! so the tier keeps no id table: every mutation and id-keyed read is a
-//! round trip to that shard, whose index refuses a bad id or rectangle,
-//! and `len`/`object_ids` are round trips to every shard.
+//! the per-shard match sets **is** the answer. A subscription's shard is
+//! `shard_of(id)`, a pure function of its id, so the tier keeps no id
+//! table: every mutation and id-keyed read is a round trip to that
+//! shard, whose index refuses a bad id or rectangle, and
+//! `len`/`object_ids` are round trips to every shard.
+//!
+//! ## Why no statistics cross a shard
+//!
+//! Every statistic is per cluster or per candidate, and every cluster
+//! belongs to one shard's index. A cluster's query probability divides
+//! its counter by *that index's* query total, both counting every event
+//! (each reaches every shard), and the benefit functions read nothing
+//! else. So each shard's index is bit-identical to a solo index over its
+//! partition fed the same events (`tests/equivalence.rs`); spreading one
+//! clustering's *queries* over threads would instead need per-thread
+//! statistics merged before every decision.
 //!
 //! ## Threading model
 //!
-//! One worker per shard owns that shard's index outright; nothing else
-//! ever touches it. Submitting threads communicate with workers only
-//! through each shard's bounded FIFO, so the index needs no locks and
-//! the per-query hot path is identical to single-index execution —
-//! including adaptive reorganization, which the worker triggers exactly
-//! where a single index would (inside `execute`, when the statistics
-//! epoch comes due). A reorganizing shard stalls only itself: its queue
-//! absorbs arrivals up to the cap while the other shards keep serving,
-//! which is what bounds event-to-match latency during a pass.
+//! One worker per shard owns that shard's index outright. Submitters
+//! reach it only through the shard's bounded FIFO, so the index needs no
+//! locks and runs exactly as a single index does, reorganization
+//! included (inside `execute`, when the statistics epoch comes due). A
+//! reorganizing shard stalls only itself: its queue absorbs arrivals up
+//! to the cap while the other shards keep serving, which is what bounds
+//! event-to-match latency during a pass.
 //!
 //! A worker serves a batch per wake-up: it takes everything queued under
 //! one lock, which frees every slot and wakes parked submitters at most
@@ -36,17 +43,16 @@
 //! sleep. Each side notifies the other's condvar only when the other is
 //! parked on it, so a publish to a busy or spinning worker makes no
 //! syscall. A worker whose queue empties spins briefly on an atomic
-//! depth hint before it parks, because on a mutation-heavy stream the
-//! next command is usually microseconds away. A synchronous call
+//! depth hint before it parks: on a mutation-heavy stream the next
+//! command is usually microseconds away. A synchronous call
 //! ([`ShardedIndex::with_shard`], [`ShardedIndex::flush`], every
-//! mutation and every read) waits for its answer in a one-shot reply
-//! slot, again spinning before it parks; a slot the worker drops
-//! unanswered (the closure panicked, or the worker is gone) wakes the
-//! caller, which panics with "shard worker exited". Spinning pays only when the
-//! waiting thread has a core to itself, so the spin budget is zero —
-//! park at once — when `available_parallelism()` is no more than the
-//! shard count (the submitter needs a core too); it is read once, at
-//! construction.
+//! mutation and read) waits for its answer in a one-shot reply slot,
+//! spinning the same way; a slot the worker drops unanswered (the
+//! closure panicked, or the worker is gone) wakes the caller, which
+//! panics with "shard worker exited". Spinning pays only when the
+//! waiting thread has a core to itself, so the spin budget is zero when
+//! `available_parallelism()`, read once at construction, is no more
+//! than the shard count (the submitter needs a core too).
 //!
 //! ## Backpressure contract
 //!
@@ -64,10 +70,9 @@
 //! Each shard persists independently: [`ShardedIndex::attach_wal_dir`]
 //! gives every shard its own log (`shard-<i>.wal`),
 //! [`ShardedIndex::checkpoint_all`] writes `shard-<i>.ckpt`, and
-//! [`ShardedIndex::recover`] replays each shard pair in isolation —
-//! the disjoint partition means per-shard logs never need a global
-//! order. A directory recovers only under the shard count that wrote
-//! it; any other is refused before a file is opened.
+//! [`ShardedIndex::recover`] replays each pair in isolation, the
+//! partition being disjoint. A directory recovers only under the shard
+//! count that wrote it; any other is refused before a file is opened.
 
 mod partition;
 mod queue;

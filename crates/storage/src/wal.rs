@@ -20,8 +20,9 @@
 //! other media implement it from outside this crate, as the workspace's
 //! test-support crate (`acx_testkit`) does with an in-memory log and a
 //! deterministic fault injector. The [`FlushPolicy`] decides how often
-//! appended frames are made durable: per record, per batch of N
-//! records, or only at epoch-close markers.
+//! appended frames are made durable: per record, or per batch of N
+//! records and at every epoch-close marker (`PerBatch(u32::MAX)`
+//! flushes at the markers alone).
 //!
 //! [`FileBacking`] group-commits: frames are staged in the process and
 //! written with one positioned write per barrier. What the barrier
@@ -29,12 +30,12 @@
 //!
 //! - `PerRecord` syncs in the caller ([`BackingStore::flush`]): a
 //!   record is on stable storage before its mutation applies.
-//! - `PerBatch` and `PerEpoch` hand the `fdatasync` to the log's own
-//!   thread ([`BackingStore::flush_behind`]) and return once the
-//!   frames are written. So the event whose reorganization pass logs
-//!   the `EpochClose` marker does not wait on the disk.
+//! - `PerBatch` hands the `fdatasync` to the log's own thread
+//!   ([`BackingStore::flush_behind`]) and returns once the frames are
+//!   written. So the event whose reorganization pass logs the
+//!   `EpochClose` marker does not wait on the disk.
 //!
-//! What survives which crash under `PerBatch` and `PerEpoch`:
+//! What survives which crash under `PerBatch`:
 //!
 //! - **Process crash.** Every barrier's frames are in the file when
 //!   the barrier returns, so only the records appended since the last
@@ -211,10 +212,6 @@ pub enum FlushPolicy {
     /// those since the barrier before the last one: fewer than 2N,
     /// which may include the last epoch's close.
     PerBatch(u32),
-    /// Flush only at epoch-close markers, syncing behind the caller. A
-    /// process crash may lose the open epoch's mutations, never a
-    /// closed one; a power cut may also lose the epoch closed last.
-    PerEpoch,
 }
 
 impl std::fmt::Display for FlushPolicy {
@@ -222,7 +219,6 @@ impl std::fmt::Display for FlushPolicy {
         match self {
             FlushPolicy::PerRecord => write!(f, "record"),
             FlushPolicy::PerBatch(n) => write!(f, "batch:{n}"),
-            FlushPolicy::PerEpoch => write!(f, "epoch"),
         }
     }
 }
@@ -260,8 +256,8 @@ pub trait BackingStore: Any + std::fmt::Debug + Send + Sync {
 }
 
 /// Staged bytes at which a [`FileBacking`] writes them out without a
-/// barrier, so a policy that syncs rarely (`PerEpoch` under a bulk
-/// load) holds a bounded log in memory.
+/// barrier, so a policy that syncs rarely (a large `PerBatch` under a
+/// bulk load) holds a bounded log in memory.
 const STAGE_LIMIT: usize = 64 * 1024;
 
 /// File-backed log, group-committed: `append` stages bytes in the
@@ -726,10 +722,10 @@ impl Wal {
     }
 
     /// Appends one record and flushes according to the policy
-    /// (epoch-close markers force a barrier under both `PerEpoch` and
-    /// `PerBatch`, so a closed epoch is never lost to a partial batch).
-    /// `PerRecord` syncs before returning; the other two sync behind
-    /// the caller ([`BackingStore::flush_behind`]).
+    /// (epoch-close markers force a barrier under `PerBatch`, so a
+    /// closed epoch is never lost to a partial batch). `PerRecord`
+    /// syncs before returning; `PerBatch` syncs behind the caller
+    /// ([`BackingStore::flush_behind`]).
     pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
         if self.poisoned {
             return Err(WalError::Poisoned);
@@ -750,7 +746,6 @@ impl Wal {
             FlushPolicy::PerBatch(n) => {
                 self.unflushed >= n || matches!(record, WalRecord::EpochClose)
             }
-            FlushPolicy::PerEpoch => matches!(record, WalRecord::EpochClose),
         };
         if flush_now {
             self.barrier(self.policy != FlushPolicy::PerRecord)?;
@@ -968,7 +963,7 @@ mod tests {
     }
 
     /// Fourteen records: two epochs, then two records no barrier of
-    /// `PerBatch(3)` or `PerEpoch` covers.
+    /// `PerBatch(3)` or `PerBatch(u32::MAX)` covers.
     fn fourteen_records() -> Vec<WalRecord> {
         sample_records().into_iter().cycle().take(14).collect()
     }
@@ -976,7 +971,7 @@ mod tests {
     const POLICIES: [FlushPolicy; 3] = [
         FlushPolicy::PerRecord,
         FlushPolicy::PerBatch(3),
-        FlushPolicy::PerEpoch,
+        FlushPolicy::PerBatch(u32::MAX),
     ];
 
     #[test]
@@ -1056,7 +1051,7 @@ mod tests {
         let path = temp_path("reset");
         let mut wal = Wal::create(
             Box::new(FileBacking::create(&path).unwrap()),
-            FlushPolicy::PerEpoch,
+            FlushPolicy::PerBatch(u32::MAX),
             2,
         )
         .unwrap();
@@ -1070,7 +1065,7 @@ mod tests {
         drop(wal);
         let (wal, replay) = Wal::reopen(
             Box::new(FileBacking::open(&path).unwrap()),
-            FlushPolicy::PerEpoch,
+            FlushPolicy::PerBatch(u32::MAX),
             2,
         )
         .unwrap();
@@ -1105,7 +1100,7 @@ mod tests {
         let records = fourteen_records();
         for (policy, barriers) in [
             (FlushPolicy::PerBatch(3), vec![3, 6, 9, 12]),
-            (FlushPolicy::PerEpoch, vec![6, 12]),
+            (FlushPolicy::PerBatch(u32::MAX), vec![6, 12]),
         ] {
             let path = temp_path("behind");
             let mut wal =

@@ -444,7 +444,7 @@ mod tests {
         // epoch-close barrier) / one per epoch-close marker (2).
         assert_eq!(count(FlushPolicy::PerRecord), 1 + 12);
         assert_eq!(count(FlushPolicy::PerBatch(5)), 1 + 4);
-        assert_eq!(count(FlushPolicy::PerEpoch), 1 + 2);
+        assert_eq!(count(FlushPolicy::PerBatch(u32::MAX)), 1 + 2);
     }
 
     #[test]
@@ -670,7 +670,7 @@ mod tests {
     #[test]
     fn a_crash_keeps_what_the_barrier_before_the_last_one_covered() {
         let records: Vec<WalRecord> = sample_records().into_iter().cycle().take(40).collect();
-        for policy in [FlushPolicy::PerBatch(4), FlushPolicy::PerEpoch] {
+        for policy in [FlushPolicy::PerBatch(4), FlushPolicy::PerBatch(u32::MAX)] {
             // The header is append #1: crash on every record append.
             for crash_after in 1..=records.len() as u64 {
                 let injector = FaultInjector::new(FaultPlan::crash_after_appends(crash_after));
@@ -703,7 +703,7 @@ mod tests {
     #[test]
     fn sync_makes_every_appended_record_durable() {
         let records = fourteen_records();
-        for policy in [FlushPolicy::PerBatch(4), FlushPolicy::PerEpoch] {
+        for policy in [FlushPolicy::PerBatch(4), FlushPolicy::PerBatch(u32::MAX)] {
             // Header plus the records succeed; the next append crashes.
             let plan = FaultPlan::crash_after_appends(records.len() as u64 + 1);
             let injector = FaultInjector::new(plan);
@@ -805,7 +805,7 @@ mod tests {
     }
 
     /// Fourteen records: two epochs, then two records no barrier of
-    /// `PerBatch(3)` or `PerEpoch` covers.
+    /// `PerBatch(3)` or `PerBatch(u32::MAX)` covers.
     fn fourteen_records() -> Vec<WalRecord> {
         sample_records().into_iter().cycle().take(14).collect()
     }
@@ -813,7 +813,7 @@ mod tests {
     const POLICIES: [FlushPolicy; 3] = [
         FlushPolicy::PerRecord,
         FlushPolicy::PerBatch(3),
-        FlushPolicy::PerEpoch,
+        FlushPolicy::PerBatch(u32::MAX),
     ];
 
     #[test]
