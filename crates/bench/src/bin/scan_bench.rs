@@ -14,10 +14,14 @@
 //!   over subscriptions and for 16-d windows of 1 % selectivity.
 //! * **candidate counting** — `CandidateSet::count_query_into` (`2f`
 //!   comparisons per dimension, then one bump per candidate into a
-//!   counter column, what `execute` runs) against the scalar
+//!   counter column, what the delta path runs) against the scalar
 //!   candidate-at-a-time `matches_query` + bump loop over one cluster's
 //!   candidate set, for division factors
-//!   yielding `f²·Nd` from a dozen to thousands.
+//!   yielding `f²·Nd` from a dozen to thousands; and per period of a
+//!   cluster explored k = 1, 8, 32 or 100 times, what `execute` runs
+//!   (k × `note_query`, one cut-point cell per dimension, plus one
+//!   `expand`) against k × `count_query_into`. These are layer numbers
+//!   and claim nothing end to end.
 //! * **index** — `AdaptiveClusterIndex` point-enclosing queries (§7.2,
 //!   the scan-dominated workload) through the read-only `query_with`
 //!   path, on an adapted index.
@@ -248,6 +252,20 @@ struct CandidateRow {
     scalar_ns: f64,
 }
 
+/// The candidate rows' 64 queries: the four kinds in turn.
+fn candidate_queries(dims: usize) -> Vec<SpatialQuery> {
+    let workload = UniformWorkload::with_max_length(WorkloadConfig::new(dims, 1024, 0xCA7D), 0.3);
+    let mut rng = WorkloadConfig::new(dims, 1024, 0xCA7D).rng();
+    (0..64)
+        .map(|k| match k % 4 {
+            0 => SpatialQuery::intersection(workload.sample_window(&mut rng, 0.3)),
+            1 => SpatialQuery::containment(workload.sample_window(&mut rng, 0.5)),
+            2 => SpatialQuery::enclosure(workload.sample_window(&mut rng, 0.1)),
+            _ => SpatialQuery::point_enclosing(workload.sample_point(&mut rng)),
+        })
+        .collect()
+}
+
 /// One cluster's candidate loop in isolation: the per-dimension count
 /// vs the candidate-at-a-time scalar reference, across division
 /// factors pushing `f²·Nd` from a dozen past the paper's 160 (f = 4,
@@ -257,17 +275,7 @@ fn candidate_matrix(configs: &[(usize, u8)], repeats: usize) -> Vec<CandidateRow
     let mut rows = Vec::new();
     for &(dims, f) in configs {
         let cands = CandidateSet::generate(&Signature::root(dims), f);
-        let workload =
-            UniformWorkload::with_max_length(WorkloadConfig::new(dims, 1024, 0xCA7D), 0.3);
-        let mut rng = WorkloadConfig::new(dims, 1024, 0xCA7D).rng();
-        let queries: Vec<SpatialQuery> = (0..64)
-            .map(|k| match k % 4 {
-                0 => SpatialQuery::intersection(workload.sample_window(&mut rng, 0.3)),
-                1 => SpatialQuery::containment(workload.sample_window(&mut rng, 0.5)),
-                2 => SpatialQuery::enclosure(workload.sample_window(&mut rng, 0.1)),
-                _ => SpatialQuery::point_enclosing(workload.sample_point(&mut rng)),
-            })
-            .collect();
+        let queries = candidate_queries(dims);
 
         let mut counters = vec![0u32; cands.len()];
         let kernel_ns = time_per_query(queries.len(), repeats, |k| {
@@ -284,7 +292,7 @@ fn candidate_matrix(configs: &[(usize, u8)], repeats: usize) -> Vec<CandidateRow
             counters[k % counters.len()] as u64
         });
         println!(
-            "cands   d={dims} f={f} ({:>5} candidates): count_query {kernel_ns:>9.0} ns/q  scalar {scalar_ns:>9.0} ns/q  speedup {:.2}x",
+            "cands   d={dims} f={f} ({:>5} candidates): count_query_into {kernel_ns:>9.0} ns/q  scalar {scalar_ns:>9.0} ns/q  speedup {:.2}x",
             cands.len(),
             scalar_ns / kernel_ns,
         );
@@ -295,6 +303,59 @@ fn candidate_matrix(configs: &[(usize, u8)], repeats: usize) -> Vec<CandidateRow
             kernel_ns,
             scalar_ns,
         });
+    }
+    rows
+}
+
+struct PeriodRow {
+    dims: usize,
+    division_factor: u8,
+    candidates: usize,
+    explored: usize,
+    noted_ns: f64,
+    counted_ns: f64,
+}
+
+/// One cluster explored `k` times per period, per query: `k` ×
+/// `note_query` plus the period's one `expand`, as `execute` and the
+/// pass's scan run them, against `k` × `count_query_into` into a
+/// counter column. Both leave the same counts.
+fn candidate_periods(configs: &[(usize, u8)], repeats: usize) -> Vec<PeriodRow> {
+    let mut rows = Vec::new();
+    for &(dims, f) in configs {
+        let queries = candidate_queries(dims);
+        for k in [1usize, 8, 32, 100] {
+            let periods = (6_400 / k).max(1);
+            let mut noted = CandidateSet::generate(&Signature::root(dims), f);
+            let counted = noted.clone();
+            let mut counters = vec![0u32; counted.len()];
+            let noted_ns = time_per_query(periods, repeats, |p| {
+                for t in 0..k {
+                    noted.note_query(&queries[(p * k + t) % queries.len()]);
+                }
+                noted.expand();
+                noted.q(p % noted.len()) as u64
+            }) / k as f64;
+            let counted_ns = time_per_query(periods, repeats, |p| {
+                for t in 0..k {
+                    counted.count_query_into(&queries[(p * k + t) % queries.len()], &mut counters);
+                }
+                counters[p % counters.len()] as u64
+            }) / k as f64;
+            assert_eq!(noted.q_col(), &counters[..], "the two paths count alike");
+            println!(
+                "period  d={dims} f={f} k={k:>3}: note_query+expand {noted_ns:>7.0} ns/q  count_query_into {counted_ns:>7.0} ns/q  ratio {:.2}",
+                noted_ns / counted_ns,
+            );
+            rows.push(PeriodRow {
+                dims,
+                division_factor: f,
+                candidates: noted.len(),
+                explored: k,
+                noted_ns,
+                counted_ns,
+            });
+        }
     }
     rows
 }
@@ -780,6 +841,7 @@ fn main() {
     let kernel = kernel_matrix(&sizes, &dims_list, repeats);
     let order = block_order(quick, repeats);
     let cands = candidate_matrix(cand_configs, repeats);
+    let periods = candidate_periods(&[(8, 4), (16, 4)], repeats);
     let index = index_point_enclosing(index_objects, repeats);
     let recorded = recorded_execute(index_objects, repeats);
     let reorg = reorg_matrix(index_objects, repeats);
@@ -850,9 +912,13 @@ fn main() {
     let _ = writeln!(json, "{provenance}");
     let _ = writeln!(json, "  \"quick\": {quick},");
     json.push_str(
-        "  \"measures\": \"one query counted into a u32 counter column per candidate; \
+        "  \"measures\": \"candidate_matching: one query counted into a u32 counter column per candidate; \
          kernel = CandidateSet::count_query_into (2f comparisons per dimension, one bump per candidate), \
-         scalar = matches_query + saturating bump per candidate\",\n",
+         scalar = matches_query + saturating bump per candidate. \
+         period: a cluster explored k times per period, ns per query; \
+         noted = k x CandidateSet::note_query (2f comparisons and one cut-point cell per dimension) \
+         plus one CandidateSet::expand, counted = k x count_query_into. \
+         Layer numbers only: they claim nothing end to end\",\n",
     );
     json.push_str("  \"candidate_matching\": [\n");
     for (i, r) in cands.iter().enumerate() {
@@ -867,6 +933,21 @@ fn main() {
             r.scalar_ns / r.kernel_ns,
         );
         json.push_str(if i + 1 == cands.len() { "\n" } else { ",\n" });
+    }
+    json.push_str("  ],\n  \"period\": [\n");
+    for (i, r) in periods.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"dims\": {}, \"division_factor\": {}, \"candidates\": {}, \"explored_per_period\": {}, \"noted_ns_per_query\": {:.0}, \"counted_ns_per_query\": {:.0}, \"noted_over_counted\": {:.3}}}",
+            r.dims,
+            r.division_factor,
+            r.candidates,
+            r.explored,
+            r.noted_ns,
+            r.counted_ns,
+            r.noted_ns / r.counted_ns,
+        );
+        json.push_str(if i + 1 == periods.len() { "\n" } else { ",\n" });
     }
     json.push_str("  ]\n}\n");
     std::fs::write(&cand_out, &json).expect("write candidate snapshot");

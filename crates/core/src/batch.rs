@@ -73,7 +73,10 @@ impl PartialEq for StatsDelta {
         b.sort_unstable();
         a == b
             && a.iter().all(|&slot| {
-                let (x, y) = (&self.clusters[slot as usize], &other.clusters[slot as usize]);
+                let (x, y) = (
+                    &self.clusters[slot as usize],
+                    &other.clusters[slot as usize],
+                );
                 x.q_count == y.q_count && cand_eq(&x.cand_q, &y.cand_q)
             })
     }
@@ -160,7 +163,8 @@ impl StatsDelta {
     /// more candidates — and the surplus stays zero.
     pub(crate) fn cluster_mut(&mut self, slot: u32, candidates: usize) -> &mut ClusterDelta {
         if self.clusters.len() <= slot as usize {
-            self.clusters.resize_with(slot as usize + 1, ClusterDelta::default);
+            self.clusters
+                .resize_with(slot as usize + 1, ClusterDelta::default);
         }
         let delta = &mut self.clusters[slot as usize];
         if !delta.dirty {

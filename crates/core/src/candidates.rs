@@ -24,7 +24,7 @@
 //! `can_reach(x) ⇔ reach ≥ x` — so every test is one comparison,
 //! bit-identical to the [`SigInterval`] predicates.
 //!
-//! Recording a query ([`CandidateSet::count_query_into`]) evaluates, per
+//! Counting a query ([`CandidateSet::count_query_into`]) evaluates, per
 //! dimension, the relation's start-side comparison on the `f` start
 //! subintervals and its end-side comparison on the `f` end
 //! subintervals — `2f` comparisons — and adds
@@ -32,6 +32,29 @@
 //! comparisons [`CandidateSet::matches_query`] makes per candidate,
 //! factored, so the counts equal that oracle's whatever order the
 //! bounds are in.
+//!
+//! ## Noting a query: one cut-point cell per dimension
+//!
+//! `execute` records a query with [`CandidateSet::note_query`] instead,
+//! which bumps one cell per dimension and leaves `q` for later.
+//! [`CandidateSet::generate`] writes each dimension's bounds in
+//! non-decreasing order of subinterval index (`subdivide` computes
+//! `lo + w·k` with a finite `w ≥ 0`), so the start-side outcomes of a
+//! query are a prefix or a suffix of the `f` entries, and so are the
+//! end-side ones. Their counts `s` and `e` — the query's cut points —
+//! name the cells it matches, a quadrant of the `(i, j)` grid:
+//! intersection, enclosure and point queries match `i < s` and
+//! `j ≥ f − e`; containment queries match `i ≥ f − s` and `j < e`.
+//! `note_query` bumps cell `(s − 1, f − e)` of the dimension's `f × f`
+//! table (nothing when `s` or `e` is zero), one table per dimension for
+//! containment and one for the other kinds. An expansion
+//! ([`CandidateSet::expand`]) turns every table into its dominance sums
+//! and adds each candidate's to its `q`: one sweep per dimension, O(f²).
+//! It runs before anything reads or folds `q` — the lazy-decay fold,
+//! the pass's scan, the checkpoint writer (on a copy) — and before a
+//! `u16` cell could overflow. Every increment is non-negative, so one
+//! saturating add at expansion leaves what saturating at every bump
+//! leaves: the counts equal [`CandidateSet::count_query_into`]'s.
 //!
 //! Candidate counters saturate instead of wrapping: a `u32` query
 //! counter that hits `u32::MAX` stays pinned there (the benefit
@@ -43,10 +66,12 @@
 //! The index keeps one owned [`CandidateSet`] per cluster slot, beside
 //! the cluster (§3.2 keeps a cluster's statistics with it). A set's
 //! fixed columns are written once, by [`CandidateSet::generate`], and
-//! never change; its counters, `n_hi` bound and lazy-decay stamp are the
-//! only state the index writes. A merge takes the dying slot's set out,
-//! which frees it; a materialization generates a fresh one into the new
-//! slot.
+//! never change; its counters, cut tables, `n_hi` bound and lazy-decay
+//! stamp are the only state the index writes. A merge takes the dying
+//! slot's set out, which frees it; a materialization generates a fresh
+//! one into the new slot.
+
+use std::borrow::Cow;
 
 use acx_geom::scan::PairedColumns;
 use acx_geom::{Scalar, SpatialQuery};
@@ -159,6 +184,18 @@ pub struct CandidateSet {
     /// Statistics epoch up to which this set's lazy decay is applied
     /// (the index's `stats_epoch` at the last touch).
     stamp: u64,
+    /// Noted queries not yet in `q` (see the module docs): `dims`
+    /// tables of `f × f` cells for intersection, enclosure and point
+    /// queries, then `dims` for containment. Cell `(s − 1, f − e)` of a
+    /// table counts the noted queries with cut points `s` and `e` in
+    /// its dimension.
+    cuts: Vec<u16>,
+    /// Queries noted since the last expansion: at most `u16::MAX`, so
+    /// no cell overflows.
+    notes: u16,
+    /// Which halves of `cuts` hold notes: bit 0 the first, bit 1 the
+    /// containment half.
+    pending: u8,
 }
 
 /// An index into a set's per-candidate columns (its statistics slabs) as
@@ -171,6 +208,26 @@ pub struct CandidateSet {
 /// bounds a cluster's candidates by one checkpoint frame, far below.
 fn slab_index(index: usize) -> u32 {
     u32::try_from(index).expect("a statistics slab holds at most u32::MAX entries")
+}
+
+/// Rewrites one dimension's `f × f` table of notes as its dominance
+/// sums, in place: running column sums from the last row up, then a
+/// prefix over each row's columns, so that cell `(x, y)` holds the notes
+/// of every cell `(r, c)` with `r ≥ x` and `c ≤ y` — the queries that
+/// match candidate `(x, y)` (see the module docs). A sum is at most the
+/// notes, which fit a `u16`.
+fn dominance_sums(table: &mut [u16], f: usize) {
+    for x in (0..f - 1).rev() {
+        let (row, below) = table[x * f..].split_at_mut(f);
+        for (c, &n) in row.iter_mut().zip(&below[..f]) {
+            *c += n;
+        }
+    }
+    for row in table.chunks_exact_mut(f) {
+        for c in 1..f {
+            row[c] += row[c - 1];
+        }
+    }
 }
 
 impl CandidateSet {
@@ -219,6 +276,7 @@ impl CandidateSet {
         set.n = vec![0; len];
         set.q = vec![0; len];
         set.q_eff = vec![0.0; len];
+        set.cuts = vec![0; 2 * dims * combinations];
         set
     }
 
@@ -242,8 +300,8 @@ impl CandidateSet {
     }
 
     /// Whether `other` fixes the same columns as this set — offsets,
-    /// subinterval bounds, `f` and every candidate's identity — whatever
-    /// either's counters hold.
+    /// subinterval bounds, `f`, every candidate's identity and the size
+    /// of the cut tables — whatever either's counters and notes hold.
     pub fn same_layout(&self, other: &CandidateSet) -> bool {
         self.dim_offsets == other.dim_offsets
             && self.sub == other.sub
@@ -251,13 +309,15 @@ impl CandidateSet {
             && self.dim == other.dim
             && self.sub_i == other.sub_i
             && self.sub_j == other.sub_j
+            && self.cuts.len() == other.cuts.len()
     }
 
     /// Bytes the set's columns hold: 20 per candidate (`dim` 2, `sub_i`
-    /// and `sub_j` 1 each, `n` and `q` 4 each, `q_eff` 8), 4 per offset
-    /// and 16 per subinterval entry (four `f32` bounds).
+    /// and `sub_j` 1 each, `n` and `q` 4 each, `q_eff` 8), 4 per offset,
+    /// 16 per subinterval entry (four `f32` bounds) and 2 per cut-table
+    /// cell (`2·f²` per dimension, so `4·dims·f²` bytes).
     pub fn bytes(&self) -> usize {
-        self.len() * 20 + self.dim_offsets.len() * 4 + self.sub.len() * 16
+        self.len() * 20 + self.dim_offsets.len() * 4 + self.sub.len() * 16 + self.cuts.len() * 2
     }
 
     /// Dimension `d`'s candidates.
@@ -302,8 +362,10 @@ impl CandidateSet {
     }
 
     /// Matching-query count of candidate `ci` in the current epoch.
+    /// The set holds no unexpanded notes ([`CandidateSet::expand`]).
     #[inline]
     pub fn q(&self, ci: usize) -> u32 {
+        debug_assert_eq!(self.pending, 0, "q read with notes pending");
         self.q[ci]
     }
 
@@ -320,10 +382,24 @@ impl CandidateSet {
         &self.n
     }
 
-    /// The epoch matching-query counter column.
+    /// The epoch matching-query counter column. The set holds no
+    /// unexpanded notes ([`CandidateSet::expand`]).
     #[inline]
     pub fn q_col(&self) -> &[u32] {
+        debug_assert_eq!(self.pending, 0, "q read with notes pending");
         &self.q
+    }
+
+    /// The epoch matching-query counter column with the pending notes
+    /// added, leaving the set as it is: what [`CandidateSet::q_col`]
+    /// reads after an expansion. The checkpoint writer saves it.
+    pub(crate) fn expanded_q(&self) -> Cow<'_, [u32]> {
+        if self.pending == 0 {
+            return Cow::Borrowed(&self.q);
+        }
+        let (mut cuts, mut q) = (self.cuts.clone(), self.q.clone());
+        self.add_notes(&mut cuts, &mut q);
+        Cow::Owned(q)
     }
 
     /// The decayed matching-query history column.
@@ -413,13 +489,110 @@ impl CandidateSet {
         }
     }
 
-    /// Counts one query into the `q` counter of every candidate it
-    /// matches, in place: [`CandidateSet::count_query_into`] this set's
-    /// own `q` column.
-    pub fn count_query(&mut self, query: &SpatialQuery) {
-        let mut q = std::mem::take(&mut self.q);
-        self.count_query_into(query, &mut q);
-        self.q = q;
+    /// Notes one query for every candidate it matches: one cut-point
+    /// cell per dimension (see the module docs), which the next
+    /// [`CandidateSet::expand`] adds into `q` exactly as
+    /// [`CandidateSet::count_query_into`] this set's own `q` column
+    /// would have. `execute` records each explored cluster with it.
+    pub fn note_query(&mut self, query: &SpatialQuery) {
+        debug_assert_eq!(query.dims(), self.dims(), "dimensionality mismatch");
+        if self.notes == u16::MAX {
+            self.expand();
+        }
+        self.notes += 1;
+        match query {
+            SpatialQuery::Intersection(w) | SpatialQuery::Containment(w) => {
+                let containment = matches!(query, SpatialQuery::Containment(_));
+                let hi_lo = w.intervals().iter().map(|q| (q.hi(), q.lo()));
+                self.note_sides(containment, hi_lo)
+            }
+            SpatialQuery::Enclosure(w) => {
+                let lo_hi = w.intervals().iter().map(|q| (q.lo(), q.hi()));
+                self.note_sides(false, lo_hi)
+            }
+            SpatialQuery::PointEnclosing(p) => self.note_sides(false, p.iter().map(|&v| (v, v))),
+        }
+    }
+
+    /// [`CandidateSet::note_query`] given each dimension's `(t1, t2)`,
+    /// compared as [`CandidateSet::count_query_into`] compares them.
+    fn note_sides(
+        &mut self,
+        containment: bool,
+        thresholds: impl Iterator<Item = (Scalar, Scalar)>,
+    ) {
+        let f = self.f as usize;
+        let half = usize::from(containment);
+        self.pending |= 1 << half;
+        let per_half = self.cuts.len() / 2;
+        let tables = self.cuts[half * per_half..][..per_half].chunks_exact_mut(f * f);
+        for ((subs, table), (t1, t2)) in self.sub.chunks_exact(f).zip(tables).zip(thresholds) {
+            let (mut s, mut e) = (0, 0);
+            for b in subs {
+                let (start_ok, end_ok) = if containment {
+                    (b.start_reach >= t2, b.end_lo <= t1)
+                } else {
+                    (b.start_lo <= t1, b.end_reach >= t2)
+                };
+                s += usize::from(start_ok);
+                e += usize::from(end_ok);
+            }
+            if s > 0 && e > 0 {
+                table[(s - 1) * f + (f - e)] += 1;
+            }
+        }
+    }
+
+    /// Adds every noted query into `q` and clears the notes (see the
+    /// module docs); a no-op when nothing is pending.
+    pub fn expand(&mut self) {
+        if self.pending == 0 {
+            return;
+        }
+        let (mut cuts, mut q) = (std::mem::take(&mut self.cuts), std::mem::take(&mut self.q));
+        self.add_notes(&mut cuts, &mut q);
+        (self.cuts, self.q) = (cuts, q);
+        self.clear_notes();
+    }
+
+    /// Turns each pending table of `cuts` (the set's own or a copy) into
+    /// its dominance sums and adds each candidate's cell into `q`:
+    /// candidate `(i, j)` reads cell `(i, j)`, or `(f − 1 − i, f − 1 − j)`
+    /// in the containment half, whose cut points run the other way.
+    fn add_notes(&self, cuts: &mut [u16], q: &mut [u32]) {
+        let f = self.f as usize;
+        let per_half = cuts.len() / 2;
+        for half in 0..2 {
+            if self.pending >> half & 1 == 0 {
+                continue;
+            }
+            let tables = cuts[half * per_half..][..per_half].chunks_exact_mut(f * f);
+            for (table, run) in tables.zip(self.dim_offsets.windows(2)) {
+                dominance_sums(table, f);
+                let run = run[0] as usize..run[1] as usize;
+                let cells = self.sub_i[run.clone()].iter().zip(&self.sub_j[run.clone()]);
+                for (c, (&i, &j)) in q[run].iter_mut().zip(cells) {
+                    let (i, j) = (usize::from(i), usize::from(j));
+                    let (x, y) = if half == 1 {
+                        (f - 1 - i, f - 1 - j)
+                    } else {
+                        (i, j)
+                    };
+                    *c = c.saturating_add(u32::from(table[x * f + y]));
+                }
+            }
+        }
+    }
+
+    /// Zeroes the halves of the cut tables that hold notes.
+    fn clear_notes(&mut self) {
+        let per_half = self.cuts.len() / 2;
+        for half in 0..2 {
+            if self.pending >> half & 1 == 1 {
+                self.cuts[half * per_half..][..per_half].fill(0);
+            }
+        }
+        (self.pending, self.notes) = (0, 0);
     }
 
     /// [`CandidateSet::count_query_into`] given each dimension's
@@ -599,9 +772,11 @@ impl CandidateSet {
         }
     }
 
-    /// Closes the statistics epoch: folds each candidate's `q` into its
-    /// decayed history with weight `gamma` and resets the epoch counter.
+    /// Closes the statistics epoch: expands the pending notes, folds
+    /// each candidate's `q` into its decayed history with weight `gamma`
+    /// and resets the epoch counter.
     pub fn decay(&mut self, gamma: f64) {
+        self.expand();
         for (q_eff, q) in self.q_eff.iter_mut().zip(self.q.iter_mut()) {
             *q_eff = gamma * *q_eff + *q as f64;
             *q = 0;
@@ -679,10 +854,11 @@ impl CandidateSet {
     }
 
     /// Restores saved query counters, `n_hi` bound and decay stamp onto
-    /// the set, leaving the `n` column as it is — the checkpoint-recovery
-    /// path (`n` is never persisted: the load recounts it from the
-    /// members, [`CandidateSet::recount_members`]), and how the
-    /// pass's debug tripwire puts back what its scan touched.
+    /// the set and drops its notes, leaving the `n` column as it is —
+    /// the checkpoint-recovery path (`n` is never persisted: the load
+    /// recounts it from the members, [`CandidateSet::recount_members`]),
+    /// and how the pass's debug tripwire puts back what its scan
+    /// touched.
     ///
     /// # Panics
     ///
@@ -698,6 +874,7 @@ impl CandidateSet {
         );
         self.q.copy_from_slice(q);
         self.q_eff.copy_from_slice(q_eff);
+        self.clear_notes();
         // A bound saved for these members is never below their counts; a
         // damaged or hand-built checkpoint's may be, so keep whichever is
         // higher (the bound may be loose, never low).
@@ -742,8 +919,12 @@ mod tests {
         // §6: between 10·Nd and 16·Nd candidates per cluster.
         assert!(cands.len() >= 10 * 16 && cands.len() <= 16 * 16);
         assert_eq!(cands.dims(), 16);
-        // 20 B per candidate, 4 B per offset, 16 B per subinterval entry.
-        assert_eq!(cands.bytes(), 160 * 20 + 17 * 4 + 16 * 4 * 16);
+        // 20 B per candidate, 4 B per offset, 16 B per subinterval entry,
+        // 4·f² B of cut tables per dimension.
+        assert_eq!(
+            cands.bytes(),
+            160 * 20 + 17 * 4 + 16 * 4 * 16 + 16 * 4 * 4 * 4
+        );
     }
 
     #[test]
@@ -890,21 +1071,42 @@ mod tests {
         set.n = vec![0; len];
         set.q = q;
         set.q_eff = vec![0.0; len];
+        set.cuts = vec![0; 2 * subs.len() * f as usize];
         set
     }
 
     /// A subinterval as `(lo, hi, open)`.
     pub(super) type Sub = (Scalar, Scalar, bool);
 
-    /// Counts every query `passes` times into the set's own `q` and into
-    /// a separate column starting from the same counts, asserts both
-    /// equal what the [`CandidateSet::matches_query`] loop plus a
-    /// saturating bump leaves, and returns that.
+    /// Whether each dimension's four bound columns never decrease in
+    /// the subinterval index: the premise of the cut-point tables.
+    pub(super) fn bounds_sorted(set: &CandidateSet) -> bool {
+        set.sub.chunks_exact(set.f as usize).all(|subs| {
+            subs.windows(2).all(|w| {
+                w[0].start_lo <= w[1].start_lo
+                    && w[0].start_reach <= w[1].start_reach
+                    && w[0].end_lo <= w[1].end_lo
+                    && w[0].end_reach <= w[1].end_reach
+            })
+        })
+    }
+
+    /// Counts every query `passes` times into a separate column starting
+    /// from the set's counts, asserts it equals what the
+    /// [`CandidateSet::matches_query`] loop plus a saturating bump
+    /// leaves, and returns that. With `noted`, which needs
+    /// [`bounds_sorted`] bounds, it also notes every query into the set
+    /// and expands after each, and the set's own `q` must equal it too.
     pub(super) fn assert_counts_equal_oracle(
         set: &mut CandidateSet,
         queries: &[SpatialQuery],
         passes: usize,
+        noted: bool,
     ) -> Vec<u32> {
+        assert!(
+            !noted || bounds_sorted(set),
+            "the table path needs sorted bounds"
+        );
         let mut want = set.q.clone();
         let mut column = set.q.clone();
         for q in queries {
@@ -915,10 +1117,15 @@ mod tests {
                     }
                 }
                 set.count_query_into(q, &mut column);
-                set.count_query(q);
+                if noted {
+                    set.note_query(q);
+                }
             }
             assert_eq!(column, want, "into a separate column after {q:?}");
-            assert_eq!(set.q_col(), &want[..], "in place after {q:?}");
+            if noted {
+                set.expand();
+                assert_eq!(set.q_col(), &want[..], "noted and expanded after {q:?}");
+            }
         }
         want
     }
@@ -937,7 +1144,7 @@ mod tests {
             SpatialQuery::point_enclosing(vec![0.25, 0.75, 0.5]),
             SpatialQuery::point_enclosing(vec![0.0, 1.0, 0.9999]),
         ];
-        let want = assert_counts_equal_oracle(&mut cands, &queries, 1);
+        let want = assert_counts_equal_oracle(&mut cands, &queries, 1, true);
         assert!(
             want.iter().any(|&w| w > 1) && want.iter().min() != want.iter().max(),
             "test premise: counts accumulate and discriminate"
@@ -945,7 +1152,8 @@ mod tests {
 
         // Hand-built open and closed subintervals, one cell (k, k) per
         // entry, against boundary-coincident windows and points and
-        // full-domain windows.
+        // full-domain windows. The second dimension's end bounds are
+        // out of order on purpose: only the per-cell count runs here.
         let (o, c) = (true, false);
         let subs = [
             [(0.0, 0.25, o), (0.0, 0.25, o)],
@@ -957,6 +1165,7 @@ mod tests {
         ];
         let diagonal = vec![(0, 0), (1, 1), (2, 2)];
         let mut set = hand_built(3, &subs, &[diagonal.clone(), diagonal], vec![0; 6]);
+        assert!(!bounds_sorted(&set), "test premise: unsorted bounds");
         let w = rect(&[0.25, 0.5], &[0.5, 0.75]);
         let full = rect(&[0.0, 0.0], &[1.0, 1.0]);
         let full_d0 = SpatialQuery::intersection(rect(&[0.0, 0.6], &[1.0, 0.6]));
@@ -971,7 +1180,7 @@ mod tests {
             SpatialQuery::containment(full.clone()),
             SpatialQuery::enclosure(full),
         ];
-        assert_counts_equal_oracle(&mut set, &queries, 1);
+        assert_counts_equal_oracle(&mut set, &queries, 1, false);
         assert!(
             (0..3).all(|ci| set.matches_query(ci, &full_d0)),
             "a full-domain interval matches its whole run"
@@ -983,8 +1192,8 @@ mod tests {
             .collect();
         let cells = vec![(0..70).map(|k| (k, k)).collect()];
         let mut set = hand_built(70, &subs, &cells, vec![0; 70]);
-        let want =
-            assert_counts_equal_oracle(&mut set, &[SpatialQuery::point_enclosing(vec![0.5])], 1);
+        let point = SpatialQuery::point_enclosing(vec![0.5]);
+        let want = assert_counts_equal_oracle(&mut set, &[point], 1, true);
         let matched = want.iter().filter(|&&m| m == 1).count();
         assert!(matched > 0 && matched < 70, "{matched}");
 
@@ -999,7 +1208,7 @@ mod tests {
         let mut set = hand_built(2, &subs, &cells, vec![7, u32::MAX - 1, u32::MAX - 1]);
         let q = SpatialQuery::intersection(rect(&[0.6, 0.0], &[0.7, 1.0]));
         assert_eq!(
-            assert_counts_equal_oracle(&mut set, &[q], 3),
+            assert_counts_equal_oracle(&mut set, &[q], 3, true),
             [7, u32::MAX, u32::MAX]
         );
     }
@@ -1167,11 +1376,67 @@ mod tests {
             assert!(!set.same_layout(&generated), "check missed: {what}");
         }
     }
+
+    /// A stream of more than `u16::MAX` notes forces an expansion before
+    /// a cell could overflow — one query repeated past `u16::MAX` times
+    /// bumps one cell per dimension that often — and what the notes add
+    /// equals the per-cell count of the same stream, onto counters
+    /// preset near `u32::MAX`, which saturate, and onto zeroed ones.
+    #[test]
+    fn notes_past_u16_max_expand_to_the_per_cell_count() {
+        let sig = Signature::root(2).specialize(1, 4, 0, 2);
+        let mut set = CandidateSet::generate(&sig, 4);
+        let near_max = u32::MAX - 30_000;
+        for ci in (0..set.len()).step_by(3) {
+            set.add_q(ci, near_max);
+        }
+        let mut column = set.q.clone();
+        let w = rect(&[0.1, 0.2], &[0.6, 0.3]);
+        let point = SpatialQuery::point_enclosing(vec![0.3, 0.25]);
+        let kinds = [
+            SpatialQuery::intersection(w.clone()),
+            SpatialQuery::containment(w.clone()),
+            SpatialQuery::enclosure(w),
+            point.clone(),
+        ];
+        let repeated = std::iter::repeat_n(&point, usize::from(u16::MAX) + 3_000);
+        for q in repeated.chain(kinds.iter().cycle().take(1_000)) {
+            set.note_query(q);
+            set.count_query_into(q, &mut column);
+        }
+        assert_eq!(
+            set.notes, 4_000,
+            "an expansion was forced at u16::MAX notes"
+        );
+        set.expand();
+        assert_eq!(set.q_col(), &column[..]);
+        assert!(
+            column.contains(&u32::MAX),
+            "test premise: some counter saturates"
+        );
+        assert!(
+            column.iter().any(|&q| q > 0 && q < near_max),
+            "test premise: some zeroed counter counts"
+        );
+    }
+
+    /// Restored counters replace whatever the set had noted: the
+    /// checkpoint's `q` already holds those notes.
+    #[test]
+    fn restoring_counters_drops_the_notes() {
+        let mut set = CandidateSet::generate(&Signature::root(2), 4);
+        set.note_query(&SpatialQuery::point_enclosing(vec![0.3, 0.6]));
+        let saved = vec![5; set.len()];
+        set.restore_counters(&saved, &vec![0.0; set.len()], 0, 0);
+        assert_eq!(set.q_col(), &saved[..]);
+        set.expand();
+        assert_eq!(set.q_col(), &saved[..], "no note survives a restore");
+    }
 }
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::{assert_counts_equal_oracle, hand_built, Sub};
+    use super::tests::{self, assert_counts_equal_oracle, hand_built, Sub};
     use super::*;
     use acx_geom::HyperRect;
     use proptest::prelude::*;
@@ -1385,7 +1650,7 @@ mod proptests {
                 2 => SpatialQuery::enclosure(w),
                 _ => SpatialQuery::point_enclosing(lo.clone()),
             };
-            assert_counts_equal_oracle(&mut set, &[query], 2);
+            assert_counts_equal_oracle(&mut set, &[query], 2, false);
         }
 
         /// Member recording stops at the first accepting candidate of a
@@ -1559,6 +1824,103 @@ mod proptests {
                     each.set_n_hi(exact + slack);
                 }
             }
+        }
+
+        /// The premise of the cut-point tables: [`CandidateSet::generate`]
+        /// writes each dimension's four bound columns in non-decreasing
+        /// order of subinterval index, on the root, on a signature with
+        /// zero-width variation intervals, and on random chains of
+        /// specializations at `f` = 2, 4 and 255 — chains that at 255
+        /// shrink intervals below one `f32` step, to zero width.
+        #[test]
+        fn generated_bounds_never_decrease_in_the_subinterval_index(
+            dims in 1usize..=4,
+            f in prop_oneof![Just(2u8), Just(4u8), Just(255u8)],
+            zero_width in prop::collection::vec((0u8..=8, 0u8..3), 4),
+            specs in prop::collection::vec((0usize..4, 0u8..=255, 0u8..=255), 0..8),
+        ) {
+            // Per dimension a signature of `[v, v]` intervals on the
+            // start side, the end side or both, or the full domain.
+            let mut bytes = (dims as u16).to_le_bytes().to_vec();
+            for &(v, which) in zero_width.iter().take(dims) {
+                let v = v as Scalar / 8.0;
+                for side in 0..2u8 {
+                    let point = which == 2 || which == side;
+                    let (lo, hi) = if point { (v, v) } else { (0.0, 1.0) };
+                    bytes.extend(lo.to_le_bytes());
+                    bytes.extend(hi.to_le_bytes());
+                    bytes.push(0);
+                }
+            }
+            let seeds = [Signature::root(dims), Signature::from_bytes(&bytes).unwrap()];
+            for mut sig in seeds {
+                prop_assert!(tests::bounds_sorted(&CandidateSet::generate(&sig, f)));
+                for &(d, i, j) in &specs {
+                    let (d, i, j) = (d % dims, i % f, j % f);
+                    if sig.combination_feasible(d, f, i, j) {
+                        sig = sig.specialize(d, f, i, j);
+                        let set = CandidateSet::generate(&sig, f);
+                        prop_assert!(tests::bounds_sorted(&set), "{:?}", sig);
+                    }
+                }
+            }
+        }
+
+        /// The table path equals the per-cell count: a random stream of
+        /// all four kinds, noted into a set with expansions interleaved,
+        /// leaves `q` where [`CandidateSet::count_query_into`] of the
+        /// same stream leaves a column — on the root and on chains of
+        /// materialized children at `f` = 2 and 4 and on one dimension
+        /// at `f` = 255, grid-snapped and off-grid edges, counters
+        /// preset up to `u32::MAX`.
+        #[test]
+        fn noted_queries_expand_to_the_per_cell_count(
+            dims in 1usize..=6,
+            f in prop_oneof![Just(2u8), Just(4u8), Just(255u8)],
+            specs in prop::collection::vec((0usize..6, 0u8..=255, 0u8..=255), 0..4),
+            preset in prop::collection::vec(0usize..4, 1..16),
+            stream in prop::collection::vec(
+                (0usize..4, prop::collection::vec((0u32..=64, 0u32..=64), 6), 0u8..4),
+                1..40,
+            ),
+        ) {
+            let dims = if f == 255 { 1 } else { dims };
+            let mut sig = Signature::root(dims);
+            for &(d, i, j) in &specs {
+                let (d, i, j) = (d % dims, i % f, j % f);
+                if sig.combination_feasible(d, f, i, j) {
+                    sig = sig.specialize(d, f, i, j);
+                }
+            }
+            let mut set = CandidateSet::generate(&sig, f);
+            for ci in 0..set.len() {
+                let q = [0, 7, u32::MAX - 2, u32::MAX][preset[ci % preset.len()]];
+                set.add_q(ci, q);
+            }
+            let mut column = set.q.clone();
+            // Odd steps of 1/64 fall off the f = 4 grid; even ones on it.
+            for (kind, pairs, expand) in &stream {
+                let (lo, hi): (Vec<Scalar>, Vec<Scalar>) = pairs
+                    .iter()
+                    .take(dims)
+                    .map(|&(a, b)| (a.min(b) as Scalar / 64.0, a.max(b) as Scalar / 64.0))
+                    .unzip();
+                let w = HyperRect::from_bounds(&lo, &hi).unwrap();
+                let query = match kind {
+                    0 => SpatialQuery::intersection(w),
+                    1 => SpatialQuery::containment(w),
+                    2 => SpatialQuery::enclosure(w),
+                    _ => SpatialQuery::point_enclosing(lo.clone()),
+                };
+                set.note_query(&query);
+                set.count_query_into(&query, &mut column);
+                if *expand == 0 {
+                    set.expand();
+                    prop_assert_eq!(set.q_col(), &column[..]);
+                }
+            }
+            set.expand();
+            prop_assert_eq!(set.q_col(), &column[..]);
         }
     }
 }

@@ -301,17 +301,23 @@ mod tests {
         let q_eff = [0.0, 1.5, 0.25, 900.75, 1e9];
         let (p_c, denom) = (0.37, 240.0);
         let mut col = Vec::new();
-        let summary = materialization_benefit_column(
-            a, b, c, p_c, denom, 0.0, 0.0, &n, &q, &q_eff, &mut col,
-        );
+        let summary =
+            materialization_benefit_column(a, b, c, p_c, denom, 0.0, 0.0, &n, &q, &q_eff, &mut col);
         assert_eq!(summary.max_n, u32::MAX);
-        assert!(summary.any_above_floor, "zero floors: positive bounds must fire");
+        assert!(
+            summary.any_above_floor,
+            "zero floors: positive bounds must fire"
+        );
         assert_eq!(col.len(), n.len());
         for i in 0..n.len() {
             let p_s = (q_eff[i] + q[i] as f64) / denom;
             let exact = materialization_benefit(a, b, c, p_c, p_s, n[i] as usize);
             // Sound upper bound…
-            assert!(col[i] >= exact, "candidate {i}: bound {} < exact {exact}", col[i]);
+            assert!(
+                col[i] >= exact,
+                "candidate {i}: bound {} < exact {exact}",
+                col[i]
+            );
             // …within a few parts in 10¹² of the exact value's scale.
             let scale = exact.abs().max(p_s * (n[i] as f64 * c + b)).max(1e-300);
             assert!(
@@ -332,18 +338,16 @@ mod tests {
         }
         // Degenerate denominator: every p_s collapses to exactly 0 in
         // the scalar loop, and the column is bit-identical to it.
-        let summary = materialization_benefit_column(
-            a, b, c, p_c, 0.0, 0.0, 0.0, &n, &q, &q_eff, &mut col,
-        );
+        let summary =
+            materialization_benefit_column(a, b, c, p_c, 0.0, 0.0, 0.0, &n, &q, &q_eff, &mut col);
         assert_eq!(summary.max_n, u32::MAX);
         for (i, &got) in col.iter().enumerate() {
             let want = materialization_benefit(a, b, c, p_c, 0.0, n[i] as usize);
             assert_eq!(got.to_bits(), want.to_bits(), "candidate {i} (denom 0)");
         }
         // A floor above every bound reports no candidate above it.
-        let summary = materialization_benefit_column(
-            a, b, c, p_c, denom, 1e9, 1e9, &n, &q, &q_eff, &mut col,
-        );
+        let summary =
+            materialization_benefit_column(a, b, c, p_c, denom, 1e9, 1e9, &n, &q, &q_eff, &mut col);
         assert!(!summary.any_above_floor);
     }
 

@@ -129,7 +129,7 @@ impl AdaptiveClusterIndex {
                 o.extend_from_slice(&cands.stamp().to_le_bytes());
                 o.extend_from_slice(&cands.n_hi().to_le_bytes());
                 put_u32(o, cands.len());
-                o.extend(cands.q_col().iter().flat_map(|q| q.to_le_bytes()));
+                o.extend(cands.expanded_q().iter().flat_map(|q| q.to_le_bytes()));
                 for q_eff in cands.q_eff_col() {
                     o.extend_from_slice(&q_eff.to_bits().to_le_bytes());
                 }
@@ -381,6 +381,13 @@ impl Loading {
         ensure(signature.dims() == dims, frame, || {
             format!("a {}-dimensional signature", signature.dims())
         })?;
+        // The root's signature never changes after `new`; a wider one
+        // would generate candidates of non-finite bounds.
+        ensure(
+            parent != NO_PARENT || signature == Signature::root(dims),
+            frame,
+            || "a root whose signature is not the domain".into(),
+        )?;
         let (q_count, epoch_start) = (cur.u64()?, cur.u64()?);
         let (q_eff, weight) = (f64::from_bits(cur.u64()?), f64::from_bits(cur.u64()?));
         let (stamp, n_hi, ncand) = (cur.u64()?, cur.u32()?, cur.u32()? as usize);
@@ -515,5 +522,87 @@ impl Clocks {
             hist_verified_bytes: f64::from_bits(cur.u64()?),
             hist_full_bytes: f64::from_bits(cur.u64()?),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::borrow::Cow;
+
+    use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery};
+    use acx_storage::StorageScenario;
+
+    use crate::{AdaptiveClusterIndex, IndexConfig};
+
+    /// The writer saves each set's `q` with its pending notes added,
+    /// without expanding them: the bytes equal those saved after every
+    /// set was expanded.
+    #[test]
+    fn a_checkpoint_with_notes_pending_equals_one_saved_after_expansion() {
+        let config = IndexConfig {
+            reorg_period: 0,
+            ..IndexConfig::edbt2004(3, StorageScenario::Memory)
+        };
+        let mut index = AdaptiveClusterIndex::new(config).unwrap();
+        let mut state = 0x5EED_u64;
+        let mut coord = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 40) as Scalar / (1u64 << 24) as Scalar
+        };
+        for i in 0..400 {
+            let (lo, hi): (Vec<Scalar>, Vec<Scalar>) = (0..3)
+                .map(|_| {
+                    let a = coord() * 0.9;
+                    (a, a + coord() * 0.1)
+                })
+                .unzip();
+            index
+                .insert(ObjectId(i), HyperRect::from_bounds(&lo, &hi).unwrap())
+                .unwrap();
+        }
+        let mut queries = Vec::new();
+        for k in 0..240 {
+            let (a, b, c) = (coord() * 0.3, coord() * 0.3, coord() * 0.3);
+            let w = HyperRect::from_bounds(&[a, b, c], &[a + 0.2, b + 0.3, c + 0.1]).unwrap();
+            queries.push(match k % 4 {
+                0 => SpatialQuery::intersection(w),
+                1 => SpatialQuery::containment(w),
+                2 => SpatialQuery::enclosure(w),
+                _ => SpatialQuery::point_enclosing(vec![a, b, c]),
+            });
+        }
+        for (round, chunk) in queries.chunks(80).enumerate() {
+            for q in chunk {
+                index.execute(q);
+            }
+            if round < 2 {
+                index.reorganize();
+            }
+        }
+        assert!(index.cluster_count() > 1, "test premise: the index split");
+        let pending = |index: &AdaptiveClusterIndex| {
+            let sets = index.candidates.iter();
+            sets.filter(|c| matches!(c.expanded_q(), Cow::Owned(_)))
+                .count()
+        };
+        assert!(pending(&index) > 1, "test premise: notes pending");
+        let saved_pending = index.encode().unwrap();
+        for cands in &mut index.candidates {
+            cands.expand();
+        }
+        assert_eq!(pending(&index), 0);
+        assert!(
+            index
+                .candidates
+                .iter()
+                .any(|c| c.q_col().iter().any(|&q| q > 0)),
+            "test premise: notes expanded into counts"
+        );
+        assert!(
+            saved_pending == index.encode().unwrap(),
+            "checkpoint bytes differ"
+        );
     }
 }

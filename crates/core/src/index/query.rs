@@ -308,7 +308,9 @@ impl AdaptiveClusterIndex {
     /// the statistics of explored clusters and their candidate
     /// subclusters, in place: the one traversal every entry point
     /// shares, then each explored cluster caught up on its skipped decay
-    /// epochs and counted. It leaves the index exactly where
+    /// epochs and the query noted in its candidate set
+    /// ([`crate::candidates::CandidateSet::note_query`]). It leaves the
+    /// index exactly where
     /// [`AdaptiveClusterIndex::query_recorded_with`] followed by
     /// [`AdaptiveClusterIndex::apply_stats`] would.
     ///
@@ -342,7 +344,7 @@ impl AdaptiveClusterIndex {
         for &slot in &scratch.explored {
             let cands = &mut self.candidates[slot as usize];
             cands.catch_up_to(stats_epoch);
-            cands.count_query(query);
+            cands.note_query(query);
             self.cluster_mut(slot).q_count += 1;
         }
         self.close_queries(

@@ -194,11 +194,13 @@ impl AdaptiveClusterIndex {
 
     /// Debug builds run the selection the screen skipped and insist it
     /// picks nothing. The counters it catches up are put back, so a debug
-    /// build leaves the state (and checkpoint) an optimized one does.
+    /// build leaves the state (and checkpoint) an optimized one does; the
+    /// notes it expands first add what they would have later.
     #[cfg(debug_assertions)]
     fn screen_tripwire(&mut self, slot: u32, costs: &PassCosts, p_c: f64, denom: f64) {
         let mut q = std::mem::take(&mut self.reorg_scratch.saved_q);
         let mut q_eff = std::mem::take(&mut self.reorg_scratch.saved_q_eff);
+        self.candidates[slot as usize].expand();
         let saved = &self.candidates[slot as usize];
         q.clear();
         q.extend_from_slice(saved.q_col());
@@ -408,9 +410,12 @@ impl AdaptiveClusterIndex {
     /// Brings a cluster's candidate counters up to the current
     /// statistics epoch by replaying every close it skipped — the lazy
     /// half of [`AdaptiveClusterIndex::decay_statistics`], bit-identical
-    /// to eager folding ([`CandidateSet::catch_up`]).
+    /// to eager folding ([`CandidateSet::catch_up`]) — and expands the
+    /// queries noted since ([`CandidateSet::expand`]).
     pub(super) fn materialize_candidates(&mut self, slot: u32) {
-        self.candidates[slot as usize].catch_up_to(self.clocks.stats_epoch);
+        let cands = &mut self.candidates[slot as usize];
+        cands.catch_up_to(self.clocks.stats_epoch);
+        cands.expand();
     }
 
     /// Closes the current statistics epoch: folds the per-cluster scalar

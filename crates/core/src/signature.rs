@@ -452,9 +452,7 @@ mod tests {
         let full = SigInterval::full();
         for f in [2u8, 4, 8] {
             for v in [0.0f32, 0.1, 0.25, 0.33, 0.5, 0.75, 0.999, 1.0] {
-                let owners = (0..f)
-                    .filter(|&k| full.subdivide(f, k).contains(v))
-                    .count();
+                let owners = (0..f).filter(|&k| full.subdivide(f, k).contains(v)).count();
                 assert_eq!(owners, 1, "value {v} with f={f}");
             }
         }

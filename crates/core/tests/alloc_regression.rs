@@ -3,8 +3,9 @@
 //! [`StatsDelta`]) performs **zero heap allocations per query**,
 //! `execute` allocates **exactly the match vector it returns** — and
 //! a settled reorganization pass performs **zero heap allocations**
-//! outright: every candidate column it scans lives in the index-wide
-//! statistics slab, and the pass scratch is index-owned. So does the
+//! outright: each cluster slot owns its `CandidateSet`, whose columns
+//! and cut tables are sized once in `CandidateSet::generate`, and the
+//! pass scratch is index-owned. So does the
 //! write path when it puts a segment back in key order: the mutation
 //! that folds allocates what any other does.
 //!

@@ -370,6 +370,25 @@ fn a_child_wider_than_its_parent_is_corrupt() {
     assert_corrupt(loaded, "not within its parent");
 }
 
+/// The root's signature is the domain from `new` on. A wider one
+/// accepts what no insert would, and one as wide as `f32` allows
+/// generates candidates of non-finite bounds.
+#[test]
+fn a_root_wider_than_the_domain_is_corrupt() {
+    for (lo, hi) in [(-1.0, 2.0), (-3e38, 3e38)] {
+        let loaded = load_patched("wide-root", |checkpoint| {
+            let root = checkpoint.clusters()[0].clone();
+            assert_eq!(root.parent, u32::MAX, "test premise: the root comes first");
+            let sig = &mut checkpoint.frames[root.frame][root.signature];
+            for at in (0..2 * DIMS).map(|k| 2 + 9 * k) {
+                sig[at..at + 4].copy_from_slice(&(lo as Scalar).to_le_bytes());
+                sig[at + 4..at + 8].copy_from_slice(&(hi as Scalar).to_le_bytes());
+            }
+        });
+        assert_corrupt(loaded, "a root whose signature is not the domain");
+    }
+}
+
 /// A member moved out of its cluster's signature, though still inside
 /// the domain, would be missed by every query that prunes the cluster.
 /// `load` reports it on the cluster's frame, by its id.
