@@ -59,7 +59,9 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// (avoids pulling the `rand` dev-dependency into this binary: setup
 /// allocations don't matter, but determinism of the measured loop does).
 fn coord(state: &mut u64) -> f32 {
-    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
     ((*state >> 33) % 33) as f32 / 32.0
 }
 
@@ -110,7 +112,10 @@ fn warmed_up_read_path_allocates_nothing_per_query() {
         }
         index.reorganize();
     }
-    assert!(index.cluster_count() > 1, "test premise: clusters must have materialized");
+    assert!(
+        index.cluster_count() > 1,
+        "test premise: clusters must have materialized"
+    );
     for q in &queries {
         index.execute(q);
     }
@@ -198,9 +203,7 @@ fn warmed_reorg_pass_allocates_nothing() {
     // converges on it, after which passes stop restructuring.
     let queries: Vec<SpatialQuery> = (0..48)
         .map(|_| {
-            SpatialQuery::point_enclosing(
-                (0..dims).map(|_| coord(&mut state) * 0.4).collect(),
-            )
+            SpatialQuery::point_enclosing((0..dims).map(|_| coord(&mut state) * 0.4).collect())
         })
         .collect();
     let mut settled_rounds = 0;
@@ -231,10 +234,20 @@ fn warmed_reorg_pass_allocates_nothing() {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let report = index.reorganize();
     let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!((report.splits, report.merges), (0, 0), "test premise: settled pass");
+    assert_eq!(
+        (report.splits, report.merges),
+        (0, 0),
+        "test premise: settled pass"
+    );
     let profile = index.last_reorg_profile();
-    assert!(profile.evaluated > 0, "test premise: the pass must evaluate clusters");
-    assert!(index.cluster_count() > 1, "test premise: clusters must have materialized");
+    assert!(
+        profile.evaluated > 0,
+        "test premise: the pass must evaluate clusters"
+    );
+    assert!(
+        index.cluster_count() > 1,
+        "test premise: clusters must have materialized"
+    );
     assert_eq!(
         after - before,
         0,
@@ -266,7 +279,11 @@ fn warmed_write_path_fold_allocates_nothing() {
             .insert(ObjectId(i), HyperRect::from_bounds(&lo, &hi).unwrap())
             .unwrap();
     }
-    assert_eq!(index.cluster_count(), 1, "test premise: one segment holds everything");
+    assert_eq!(
+        index.cluster_count(),
+        1,
+        "test premise: one segment holds everything"
+    );
     // Matches come back in storage order: a segment with no member below
     // its predecessor's key has just been put in key order.
     let everything =
@@ -297,6 +314,13 @@ fn warmed_write_path_fold_allocates_nothing() {
             measured_folds += u32::from(folded);
         }
     }
-    assert!(measured_folds >= 1, "test premise: a warm fold must fall into the measured removes");
-    assert_eq!(per_remove.len(), 1, "a folding remove allocated differently: {per_remove:?}");
+    assert!(
+        measured_folds >= 1,
+        "test premise: a warm fold must fall into the measured removes"
+    );
+    assert_eq!(
+        per_remove.len(),
+        1,
+        "a folding remove allocated differently: {per_remove:?}"
+    );
 }

@@ -29,7 +29,10 @@ use rand::{Rng, SeedableRng};
 
 /// An index and the model over the same configuration.
 fn pair(config: IndexConfig) -> (AdaptiveClusterIndex, Model) {
-    (AdaptiveClusterIndex::new(config.clone()).unwrap(), Model::new(config))
+    (
+        AdaptiveClusterIndex::new(config.clone()).unwrap(),
+        Model::new(config),
+    )
 }
 
 /// Drives the index and the model through the same insert + query
@@ -118,7 +121,12 @@ fn recorded_stats_deltas_are_identical() {
         let q = random_grid_query(&mut rng, dims, 8);
         let metrics = index.query_recorded_with(&q, &mut delta, &mut scratch);
         let answer = model.execute(&q);
-        assert_same_answer(scratch.matches(), &metrics, &answer, &format!("recorded query {k}"));
+        assert_same_answer(
+            scratch.matches(),
+            &metrics,
+            &answer,
+            &format!("recorded query {k}"),
+        );
         answers.push(answer);
     }
     assert_eq!(delta.queries(), 40);
@@ -177,7 +185,11 @@ impl Duo {
                 .query_recorded_with(q, &mut self.delta, &mut self.scratch);
             self.touched.extend(self.delta.touched_slots());
             self.two_phase.apply_stats(&self.delta);
-            assert_eq!(a.matches, self.scratch.matches(), "two-phase matches on {q:?}");
+            assert_eq!(
+                a.matches,
+                self.scratch.matches(),
+                "two-phase matches on {q:?}"
+            );
             assert_eq!(a.metrics.stats, b.stats, "two-phase AccessStats on {q:?}");
             let answer = self.model.execute(q);
             assert_same_answer(&a.matches, &a.metrics, &answer, &format!("{q:?}"));
@@ -203,7 +215,10 @@ impl Duo {
             "two-phase checkpoint differs"
         );
         assert_eq!(self.direct.snapshots(), self.two_phase.snapshots());
-        assert_eq!(self.direct.reorganizations(), self.two_phase.reorganizations());
+        assert_eq!(
+            self.direct.reorganizations(),
+            self.two_phase.reorganizations()
+        );
         assert_same(&self.direct, &self.model, "two paths");
     }
 }
@@ -213,7 +228,9 @@ fn corner_points(rng: &mut StdRng, dims: usize, lo: f32, n: usize) -> Vec<Spatia
     (0..n)
         .map(|_| {
             SpatialQuery::point_enclosing(
-                (0..dims).map(|_| lo + rng.gen_range(0..=8) as f32 / 32.0).collect(),
+                (0..dims)
+                    .map(|_| lo + rng.gen_range(0..=8) as f32 / 32.0)
+                    .collect(),
             )
         })
         .collect()
@@ -260,8 +277,14 @@ fn assert_paths_equivalent(period: u64) {
         queries.extend(mixed(&mut rng));
         changed |= epoch(&mut duo, &queries).changed();
     }
-    assert!(duo.direct.cluster_count() > 1, "test premise: clusters materialized");
-    assert!(period > 0 || changed, "test premise: a pass changed the clustering");
+    assert!(
+        duo.direct.cluster_count() > 1,
+        "test premise: clusters materialized"
+    );
+    assert!(
+        period > 0 || changed,
+        "test premise: a pass changed the clustering"
+    );
 
     // Three epochs that only visit the high corner: the low corner's
     // clusters sleep through three closes…
@@ -312,7 +335,10 @@ fn assert_paths_equivalent(period: u64) {
                 break;
             }
         }
-        assert!(restructured, "test premise: the clustering changed under the deltas");
+        assert!(
+            restructured,
+            "test premise: the clustering changed under the deltas"
+        );
         let total = duo.direct.total_queries();
         let before = duo.direct.snapshots();
         for (index, delta) in duo.each().into_iter().zip(&stale) {
@@ -320,7 +346,10 @@ fn assert_paths_equivalent(period: u64) {
         }
         duo.model.count_stale(&stale_answers);
         duo.assert_same_state();
-        assert_eq!(duo.direct.total_queries(), total + stale_queries.len() as u64);
+        assert_eq!(
+            duo.direct.total_queries(),
+            total + stale_queries.len() as u64
+        );
         for (was, now) in before.iter().zip(duo.direct.snapshots()) {
             assert!(
                 now.access_probability <= was.access_probability,
@@ -429,7 +458,10 @@ fn boundary_coincident_edges_agree() {
         let a = index.execute(q);
         let b = model.execute(q);
         assert_same_answer(&a.matches, &a.metrics, &b, &format!("{q:?}"));
-        assert!(!a.matches.is_empty(), "boundary query should match something");
+        assert!(
+            !a.matches.is_empty(),
+            "boundary query should match something"
+        );
     }
     assert_same(&index, &model, "boundary queries");
 }

@@ -15,9 +15,9 @@ use rand::{Rng, SeedableRng};
 fn mixed_queries(rng: &mut StdRng, dims: usize, n: usize) -> Vec<SpatialQuery> {
     (0..n)
         .map(|k| match k % 3 {
-            0 => SpatialQuery::point_enclosing(
-                (0..dims).map(|_| rng.gen_range(0.0..=1.0)).collect(),
-            ),
+            0 => {
+                SpatialQuery::point_enclosing((0..dims).map(|_| rng.gen_range(0.0..=1.0)).collect())
+            }
             1 => {
                 let mut lo = Vec::with_capacity(dims);
                 let mut hi = Vec::with_capacity(dims);
@@ -28,7 +28,9 @@ fn mixed_queries(rng: &mut StdRng, dims: usize, n: usize) -> Vec<SpatialQuery> {
                 }
                 SpatialQuery::intersection(HyperRect::from_bounds(&lo, &hi).unwrap())
             }
-            _ => SpatialQuery::containment(HyperRect::from_bounds(&vec![0.0; dims], &vec![1.0; dims]).unwrap()),
+            _ => SpatialQuery::containment(
+                HyperRect::from_bounds(&vec![0.0; dims], &vec![1.0; dims]).unwrap(),
+            ),
         })
         .collect()
 }
@@ -37,7 +39,9 @@ fn build(dims: usize, n: usize, seed: u64, config: IndexConfig) -> AdaptiveClust
     let mut rng = StdRng::seed_from_u64(seed);
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     for i in 0..n as u32 {
-        index.insert(ObjectId(i), random_rect(&mut rng, dims)).unwrap();
+        index
+            .insert(ObjectId(i), random_rect(&mut rng, dims))
+            .unwrap();
     }
     index
 }
@@ -59,7 +63,13 @@ fn queries_run_concurrently_over_a_shared_reference() {
     let concurrent: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = queries
             .chunks(10)
-            .map(|qs| scope.spawn(move || qs.iter().map(|q| shared.query(q).matches).collect::<Vec<_>>()))
+            .map(|qs| {
+                scope.spawn(move || {
+                    qs.iter()
+                        .map(|q| shared.query(q).matches)
+                        .collect::<Vec<_>>()
+                })
+            })
             .collect();
         handles
             .into_iter()
@@ -104,11 +114,17 @@ fn try_query_and_try_execute_report_dimension_mismatch() {
     let bad = SpatialQuery::point_enclosing(vec![0.5]);
     assert!(matches!(
         index.try_query(&bad),
-        Err(IndexError::DimensionMismatch { expected: 3, actual: 1 })
+        Err(IndexError::DimensionMismatch {
+            expected: 3,
+            actual: 1
+        })
     ));
     assert!(matches!(
         index.try_execute(&bad),
-        Err(IndexError::DimensionMismatch { expected: 3, actual: 1 })
+        Err(IndexError::DimensionMismatch {
+            expected: 3,
+            actual: 1
+        })
     ));
     let before = index.total_queries();
 
@@ -155,7 +171,9 @@ fn get_does_no_per_object_work_at_100k_objects() {
         let mut rng = StdRng::seed_from_u64(31);
         let mut index = AdaptiveClusterIndex::new(config(dims)).unwrap();
         for i in 0..large_n {
-            index.insert(ObjectId(i << stride), random_rect(&mut rng, dims)).unwrap();
+            index
+                .insert(ObjectId(i << stride), random_rect(&mut rng, dims))
+                .unwrap();
         }
         index
     };
@@ -200,10 +218,7 @@ fn recording_into_one_delta_across_a_reorganization_panics() {
     let mut rng = StdRng::seed_from_u64(41);
 
     let mut delta = StatsDelta::new();
-    index.query_recorded(
-        &SpatialQuery::point_enclosing(vec![0.5; 4]),
-        &mut delta,
-    );
+    index.query_recorded(&SpatialQuery::point_enclosing(vec![0.5; 4]), &mut delta);
     // Selective queries then a reorganization that changes the clustering.
     for q in mixed_queries(&mut rng, dims, 120) {
         index.execute(&q);
@@ -212,10 +227,7 @@ fn recording_into_one_delta_across_a_reorganization_panics() {
     assert!(report.changed(), "test premise: clustering must change");
     // The delta is stamped with the old structural epoch: recording more
     // queries into it must be rejected rather than silently mixed.
-    index.query_recorded(
-        &SpatialQuery::point_enclosing(vec![0.5; 4]),
-        &mut delta,
-    );
+    index.query_recorded(&SpatialQuery::point_enclosing(vec![0.5; 4]), &mut delta);
 }
 
 #[test]
@@ -230,9 +242,7 @@ fn applying_a_stale_delta_drops_cluster_increments_but_counts_queries() {
     let mut stale = StatsDelta::new();
     for _ in 0..10 {
         index.query_recorded(
-            &SpatialQuery::point_enclosing(
-                (0..dims).map(|_| rng.gen_range(0.0..=1.0)).collect(),
-            ),
+            &SpatialQuery::point_enclosing((0..dims).map(|_| rng.gen_range(0.0..=1.0)).collect()),
             &mut stale,
         );
     }

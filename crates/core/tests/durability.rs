@@ -126,7 +126,10 @@ fn churn_until_slot_reuse(
     for phase in 0..40u32 {
         let lo: Scalar = if phase % 2 == 0 { 0.05 } else { 0.85 };
         for k in 0..68u32 {
-            let p = vec![lo + (k % 5) as Scalar / 50.0, lo + (k / 5 % 5) as Scalar / 50.0];
+            let p = vec![
+                lo + (k % 5) as Scalar / 50.0,
+                lo + (k / 5 % 5) as Scalar / 50.0,
+            ];
             let q = SpatialQuery::point_enclosing(p);
             index.execute(&q);
             queries.push(q);
@@ -716,8 +719,11 @@ fn recovered_index_answers_like_the_live_one_and_comes_back_ordered() {
     let (recovered, report) = recover_log(bytes, config_2d()).unwrap();
     assert!(report.replayed_records > 600);
     let tree = |index: &AdaptiveClusterIndex| {
-        let mut tree: Vec<_> =
-            index.snapshots().into_iter().map(|s| (s.depth, s.signature)).collect();
+        let mut tree: Vec<_> = index
+            .snapshots()
+            .into_iter()
+            .map(|s| (s.depth, s.signature))
+            .collect();
         tree.sort();
         tree
     };
@@ -730,7 +736,10 @@ fn recovered_index_answers_like_the_live_one_and_comes_back_ordered() {
         SpatialQuery::containment(HyperRect::from_bounds(&[0.2, 0.1], &[0.9, 0.8]).unwrap()),
     ] {
         let (mut live, mut back) = (index.query(&probe).matches, recovered.query(&probe).matches);
-        assert!(!live.is_empty(), "test premise: {probe:?} matches something");
+        assert!(
+            !live.is_empty(),
+            "test premise: {probe:?} matches something"
+        );
         live.sort_unstable();
         back.sort_unstable();
         assert_eq!(live, back, "{probe:?}");
@@ -884,7 +893,13 @@ fn the_widest_accepted_configuration_checkpoints_and_loads() {
     for i in 0..40u32 {
         // Every fourth object lies above the probe point in dimension 0.
         let lo: Vec<Scalar> = (0..21)
-            .map(|d| if d == 0 && i % 4 == 0 { 0.5 } else { ((i + d) % 10) as Scalar / 50.0 })
+            .map(|d| {
+                if d == 0 && i % 4 == 0 {
+                    0.5
+                } else {
+                    ((i + d) % 10) as Scalar / 50.0
+                }
+            })
             .collect();
         let hi: Vec<Scalar> = lo.iter().map(|v| v + 0.5).collect();
         index

@@ -423,10 +423,16 @@ fn a_member_outside_its_cluster_signature_is_corrupt() {
         moved_id = Some(*id);
     });
     if let Err(IndexError::Store(StoreError::Corrupt(c))) = &loaded {
-        assert_eq!(c.record, child.frame as u64, "reported on the cluster frame: {c}");
+        assert_eq!(
+            c.record, child.frame as u64,
+            "reported on the cluster frame: {c}"
+        );
     }
     let id = moved_id.unwrap();
-    assert_corrupt(loaded, &format!("object #{id} violates its cluster's signature"));
+    assert_corrupt(
+        loaded,
+        &format!("object #{id} violates its cluster's signature"),
+    );
 }
 
 /// A child's frames moved ahead of its parent's: the parent it names

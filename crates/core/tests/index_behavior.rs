@@ -24,8 +24,12 @@ fn empty_index_answers_empty() {
 #[test]
 fn insert_then_query_all_relations() {
     let mut index = AdaptiveClusterIndex::new(IndexConfig::memory(2)).unwrap();
-    index.insert(ObjectId(1), rect(&[0.2, 0.2], &[0.4, 0.4])).unwrap();
-    index.insert(ObjectId(2), rect(&[0.6, 0.6], &[0.9, 0.9])).unwrap();
+    index
+        .insert(ObjectId(1), rect(&[0.2, 0.2], &[0.4, 0.4]))
+        .unwrap();
+    index
+        .insert(ObjectId(2), rect(&[0.6, 0.6], &[0.9, 0.9]))
+        .unwrap();
 
     let inter = index.execute(&SpatialQuery::intersection(rect(&[0.3, 0.3], &[0.7, 0.7])));
     assert_eq!(sorted(inter.matches), vec![ObjectId(1), ObjectId(2)]);
@@ -56,7 +60,10 @@ fn dimension_mismatch_is_rejected() {
     let mut index = AdaptiveClusterIndex::new(IndexConfig::memory(3)).unwrap();
     assert!(matches!(
         index.insert(ObjectId(1), rect(&[0.1], &[0.2])),
-        Err(IndexError::DimensionMismatch { expected: 3, actual: 1 })
+        Err(IndexError::DimensionMismatch {
+            expected: 3,
+            actual: 1
+        })
     ));
 }
 
@@ -88,7 +95,9 @@ fn remove_and_get_roundtrip() {
 #[test]
 fn update_moves_object() {
     let mut index = AdaptiveClusterIndex::new(IndexConfig::memory(2)).unwrap();
-    index.insert(ObjectId(1), rect(&[0.0, 0.0], &[0.1, 0.1])).unwrap();
+    index
+        .insert(ObjectId(1), rect(&[0.0, 0.0], &[0.1, 0.1]))
+        .unwrap();
     let old = index
         .update(ObjectId(1), rect(&[0.8, 0.8], &[0.9, 0.9]))
         .unwrap();
@@ -115,9 +124,9 @@ fn query_results_match_naive_reference_before_and_after_reorg() {
     let queries: Vec<SpatialQuery> = (0..150)
         .map(|k| match k % 3 {
             0 => SpatialQuery::intersection(small_rect(&mut rng, dims, 0.1)),
-            1 => SpatialQuery::point_enclosing(
-                (0..dims).map(|_| rng.gen_range(0.0..=1.0)).collect(),
-            ),
+            1 => {
+                SpatialQuery::point_enclosing((0..dims).map(|_| rng.gen_range(0.0..=1.0)).collect())
+            }
             _ => SpatialQuery::containment(small_rect(&mut rng, dims, 0.6)),
         })
         .collect();
@@ -126,7 +135,10 @@ fn query_results_match_naive_reference_before_and_after_reorg() {
         assert_eq!(sorted(index.execute(q).matches), naive_matches(&objects, q));
     }
     let report = index.reorganize();
-    assert!(report.splits > 0, "selective workload should split: {report:?}");
+    assert!(
+        report.splits > 0,
+        "selective workload should split: {report:?}"
+    );
     index.check_invariants().unwrap();
     for q in &queries {
         assert_eq!(
@@ -145,7 +157,9 @@ fn reorganization_reduces_verified_objects_on_selective_workload() {
     config.reorg_period = 0;
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     for i in 0..3000u32 {
-        index.insert(ObjectId(i), random_rect(&mut rng, dims)).unwrap();
+        index
+            .insert(ObjectId(i), random_rect(&mut rng, dims))
+            .unwrap();
     }
     let mut points: Vec<Vec<f32>> = Vec::new();
     for _ in 0..200 {
@@ -183,7 +197,9 @@ fn broad_queries_trigger_merges_back_to_coarser_clustering() {
     config.reorg_period = 0;
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     for i in 0..2000u32 {
-        index.insert(ObjectId(i), random_rect(&mut rng, dims)).unwrap();
+        index
+            .insert(ObjectId(i), random_rect(&mut rng, dims))
+            .unwrap();
     }
     // Phase 1: selective point queries → splits.
     for _ in 0..100 {
@@ -227,7 +243,9 @@ fn clustering_reaches_stable_state_under_fixed_distribution() {
     config.reorg_period = 0;
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     for i in 0..3000u32 {
-        index.insert(ObjectId(i), random_rect(&mut rng, dims)).unwrap();
+        index
+            .insert(ObjectId(i), random_rect(&mut rng, dims))
+            .unwrap();
     }
     let mut query_rng = StdRng::seed_from_u64(1234);
     let mut stable_steps = 0;
@@ -265,7 +283,9 @@ fn automatic_reorganization_fires_every_period() {
     config.reorg_period = 50;
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     for i in 0..1000u32 {
-        index.insert(ObjectId(i), random_rect(&mut rng, dims)).unwrap();
+        index
+            .insert(ObjectId(i), random_rect(&mut rng, dims))
+            .unwrap();
     }
     assert_eq!(index.reorganizations(), 0);
     for _ in 0..49 {
@@ -380,7 +400,9 @@ fn snapshots_reflect_tree_shape() {
     config.reorg_period = 0;
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     for i in 0..2000u32 {
-        index.insert(ObjectId(i), random_rect(&mut rng, dims)).unwrap();
+        index
+            .insert(ObjectId(i), random_rect(&mut rng, dims))
+            .unwrap();
     }
     for _ in 0..100 {
         let p: Vec<f32> = (0..dims).map(|_| rng.gen_range(0.0..=1.0)).collect();
@@ -414,7 +436,9 @@ fn disk_scenario_produces_fewer_clusters_than_memory() {
         let mut rng = StdRng::seed_from_u64(31);
         let mut index = AdaptiveClusterIndex::new(config).unwrap();
         for i in 0..4000u32 {
-            index.insert(ObjectId(i), random_rect(&mut rng, dims)).unwrap();
+            index
+                .insert(ObjectId(i), random_rect(&mut rng, dims))
+                .unwrap();
         }
         let mut qrng = StdRng::seed_from_u64(77);
         for _ in 0..3 {
@@ -479,13 +503,18 @@ fn save_load_roundtrip_preserves_contents_and_results() {
 #[test]
 fn load_rejects_wrong_dimensionality() {
     let mut index = AdaptiveClusterIndex::new(IndexConfig::memory(2)).unwrap();
-    index.insert(ObjectId(1), rect(&[0.1, 0.1], &[0.2, 0.2])).unwrap();
+    index
+        .insert(ObjectId(1), rect(&[0.1, 0.1], &[0.2, 0.2]))
+        .unwrap();
     let path = TempPath::new("index-wrongdims");
     index.save(&path).unwrap();
     let err = AdaptiveClusterIndex::load(&path, IndexConfig::memory(5));
     assert!(matches!(
         err,
-        Err(IndexError::DimensionMismatch { expected: 5, actual: 2 })
+        Err(IndexError::DimensionMismatch {
+            expected: 5,
+            actual: 2
+        })
     ));
 }
 
@@ -500,7 +529,9 @@ fn priced_cost_drops_after_adaptation() {
     config.reorg_period = 0;
     let mut index = AdaptiveClusterIndex::new(config).unwrap();
     for i in 0..5000u32 {
-        index.insert(ObjectId(i), random_rect(&mut rng, dims)).unwrap();
+        index
+            .insert(ObjectId(i), random_rect(&mut rng, dims))
+            .unwrap();
     }
     let mut qrng = StdRng::seed_from_u64(9);
     let gen_query = |rng: &mut StdRng| {

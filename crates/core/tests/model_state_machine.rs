@@ -211,7 +211,9 @@ fn answers_and_objects(index: &AdaptiveClusterIndex, model: &Model) -> Result<()
     let dims = index.dims();
     let mut rng = StdRng::seed_from_u64(0x9E0B);
     let probes = (0..12).map(|_| random_grid_query(&mut rng, dims, 8));
-    for q in probes.chain([SpatialQuery::intersection(HyperRect::from_bounds(&vec![0.0; dims], &vec![1.0; dims]).unwrap())]) {
+    for q in probes.chain([SpatialQuery::intersection(
+        HyperRect::from_bounds(&vec![0.0; dims], &vec![1.0; dims]).unwrap(),
+    )]) {
         if sorted(index.query(&q).matches) != model.query(&q).matches {
             return Err(format!("the recovered index answers {q:?} differently"));
         }

@@ -81,14 +81,23 @@ fn drive_scenario_pair(
             let q = scenario.next_query();
             let a = index.execute(&q);
             let b = model.execute(&q);
-            assert_same_answer(&a.matches, &a.metrics, &b, &format!("period {period} query {k}"));
+            assert_same_answer(
+                &a.matches,
+                &a.metrics,
+                &b,
+                &format!("period {period} query {k}"),
+            );
         }
         let ra = index.reorganize();
         let rb = model.reorganize();
         assert_eq!(ra, rb, "period {period}: ReorgReport diverged");
         assert_state_identical(&index, &model, &format!("period {period}"));
     }
-    (index.total_splits(), index.total_merges(), index.total_thrash())
+    (
+        index.total_splits(),
+        index.total_merges(),
+        index.total_thrash(),
+    )
 }
 
 /// Drives the index and the model through the same insert/query/mutate
@@ -163,13 +172,19 @@ fn drive_and_compare(
 #[test]
 fn incremental_equals_full_low_dims() {
     let (splits, _) = drive_and_compare(2, 900, 8, 60, 0x1E01);
-    assert!(splits > 0, "stream must force materializations to be meaningful");
+    assert!(
+        splits > 0,
+        "stream must force materializations to be meaningful"
+    );
 }
 
 #[test]
 fn incremental_equals_full_mid_dims() {
     let (splits, _) = drive_and_compare(5, 700, 7, 50, 0x1E05);
-    assert!(splits > 0, "stream must force materializations to be meaningful");
+    assert!(
+        splits > 0,
+        "stream must force materializations to be meaningful"
+    );
 }
 
 #[test]
@@ -210,7 +225,10 @@ fn forced_splits_then_merges_are_identical() {
 
     let mut total_merges = 0u64;
     let mut total_splits = 0u64;
-    for (phase, lo) in [0.0f32, 0.0, 0.0, 0.8, 0.8, 0.8, 0.8].into_iter().enumerate() {
+    for (phase, lo) in [0.0f32, 0.0, 0.0, 0.8, 0.8, 0.8, 0.8]
+        .into_iter()
+        .enumerate()
+    {
         for q in hotspot_phase(lo) {
             let a = index.execute(&q);
             let b = model.execute(&q);
@@ -224,7 +242,10 @@ fn forced_splits_then_merges_are_identical() {
         assert_state_identical(&index, &model, &format!("phase {phase}"));
     }
     assert!(total_splits > 0, "hotspot phases must materialize clusters");
-    assert!(total_merges > 0, "the moved hotspot must merge old clusters back");
+    assert!(
+        total_merges > 0,
+        "the moved hotspot must merge old clusters back"
+    );
 }
 
 /// The screen must actually skip work while staying decision-identical:
@@ -328,14 +349,26 @@ fn deep_reparenting_keeps_placement_and_answers() {
         .filter(|s| [5, 6, 7].contains(&s.id))
         .map(|s| s.objects)
         .sum::<usize>();
-    assert!(deep > 0, "test premise: inserts land in reparented clusters");
+    assert!(
+        deep > 0,
+        "test premise: inserts land in reparented clusters"
+    );
 
     let everything = model.objects();
     for k in 0..400 {
         let q = random_grid_query(&mut rng, dims, 16);
         let got = index.query(&q);
-        assert_same_answer(&got.matches, &got.metrics, &model.query(&q), &format!("query {k}"));
-        assert_eq!(sorted(got.matches), naive_matches(&everything, &q), "query {k}");
+        assert_same_answer(
+            &got.matches,
+            &got.metrics,
+            &model.query(&q),
+            &format!("query {k}"),
+        );
+        assert_eq!(
+            sorted(got.matches),
+            naive_matches(&everything, &q),
+            "query {k}"
+        );
     }
 }
 
@@ -355,7 +388,9 @@ fn screen_skips_scans_without_changing_decisions() {
     let mut evaluated = 0u64;
     for _ in 0..10 {
         for _ in 0..100 {
-            let p: Vec<f32> = (0..dims).map(|_| rng.gen_range(0..=5) as f32 / 25.0).collect();
+            let p: Vec<f32> = (0..dims)
+                .map(|_| rng.gen_range(0..=5) as f32 / 25.0)
+                .collect();
             let q = SpatialQuery::point_enclosing(p);
             assert_eq!(sorted(index.execute(&q).matches), model.execute(&q).matches);
         }
@@ -404,16 +439,17 @@ fn abandoned_clusters_stay_decision_identical() {
         model.insert(ObjectId(i), rect).unwrap();
     }
     let run_phase = |index: &mut AdaptiveClusterIndex,
-                         model: &mut Model,
-                         rng: &mut StdRng,
-                         lo: f32,
-                         passes: usize|
+                     model: &mut Model,
+                     rng: &mut StdRng,
+                     lo: f32,
+                     passes: usize|
      -> ReorgReport {
         let mut last = ReorgReport::default();
         for _ in 0..passes {
             for _ in 0..60 {
-                let p: Vec<f32> =
-                    (0..dims).map(|_| lo + rng.gen_range(0..=9) as f32 / 50.0).collect();
+                let p: Vec<f32> = (0..dims)
+                    .map(|_| lo + rng.gen_range(0..=9) as f32 / 50.0)
+                    .collect();
                 let q = SpatialQuery::point_enclosing(p);
                 assert_eq!(sorted(index.execute(&q).matches), model.execute(&q).matches);
             }
@@ -427,7 +463,10 @@ fn abandoned_clusters_stay_decision_identical() {
     // is cold and huge, so it materializes as one big specialized
     // cluster.
     run_phase(&mut index, &mut model, &mut rng, 0.8, 2);
-    assert!(index.total_splits() > 0, "phase A must materialize the cold corner");
+    assert!(
+        index.total_splits() > 0,
+        "phase A must materialize the cold corner"
+    );
     // Phase B: low-corner points heat that cluster up — it fails the
     // screen, is scanned every pass, and its refinement cascade narrows
     // it down to the 2000 identical objects.
@@ -439,11 +478,23 @@ fn abandoned_clusters_stay_decision_identical() {
     // merges it away, while the clusters around it keep changing.
     run_phase(&mut index, &mut model, &mut rng, 0.8, 1);
     let abandoned = |index: &AdaptiveClusterIndex| {
-        let cluster = index.snapshots().into_iter().max_by_key(|c| c.objects).unwrap();
-        (cluster.signature, cluster.objects, cluster.access_probability)
+        let cluster = index
+            .snapshots()
+            .into_iter()
+            .max_by_key(|c| c.objects)
+            .unwrap();
+        (
+            cluster.signature,
+            cluster.objects,
+            cluster.access_probability,
+        )
     };
     let before = abandoned(&index);
-    assert_eq!((before.1, before.2), (2000, 0.0), "test premise: one cluster is abandoned");
+    assert_eq!(
+        (before.1, before.2),
+        (2000, 0.0),
+        "test premise: one cluster is abandoned"
+    );
     for pass in 0..3 {
         let report = run_phase(&mut index, &mut model, &mut rng, 0.8, 1);
         assert_eq!(
@@ -451,7 +502,11 @@ fn abandoned_clusters_stay_decision_identical() {
             report.clusters_before as u64,
             "pass {pass}: every cluster, the abandoned one included, is evaluated"
         );
-        assert_eq!(abandoned(&index), before, "pass {pass}: the abandoned cluster changed");
+        assert_eq!(
+            abandoned(&index),
+            before,
+            "pass {pass}: the abandoned cluster changed"
+        );
     }
 }
 
@@ -480,7 +535,10 @@ fn auto_triggered_passes_and_batches_are_identical() {
         let r = model.execute(&q);
         assert_same_answer(scratch.matches(), &metrics, &r, &format!("query {k}"));
     }
-    assert!(model.reorganizations() > 0, "stream must cross reorg boundaries");
+    assert!(
+        model.reorganizations() > 0,
+        "stream must cross reorg boundaries"
+    );
     assert_state_identical(&index, &model, "after two-phase stream");
 }
 
@@ -544,7 +602,9 @@ fn measured_profile_is_decision_identical_at_scale() {
     let objects = ClusteredObjects::new(cfg.clone(), 8, 0.06, 0.05).generate_objects();
     let scenario = Box::new(MigratingHotspot::new(&cfg, 2e-3, 0.3, 0.04));
     let config = IndexConfig::memory(cfg.dims);
-    assert!(config.profile.move_ms_per_object > 0.0 && config.profile.record_ms_per_candidate > 0.0);
+    assert!(
+        config.profile.move_ms_per_object > 0.0 && config.profile.record_ms_per_candidate > 0.0
+    );
     let (splits, merges, _) = drive_scenario_pair(config, scenario, objects, 8, 100, 4);
     assert!(splits > 0, "the measured profile must split at this scale");
     println!("measured profile, 20 000 objects: {splits} splits, {merges} merges");
