@@ -12,22 +12,21 @@
 //!   dimension 0, what `SegmentStore` keeps): pass words evaluated per
 //!   64-object block and nanoseconds per object, for 8-d point events
 //!   over subscriptions and for 16-d windows of 1 % selectivity.
-//! * **candidate counting** — `CandidateSet::count_query_into` (`2f`
-//!   comparisons per dimension, then one bump per candidate into a
-//!   counter column, what the delta path runs) against the scalar
-//!   candidate-at-a-time `matches_query` + bump loop over one cluster's
-//!   candidate set, for division factors
-//!   yielding `f²·Nd` from a dozen to thousands; and per period of a
-//!   cluster explored k = 1, 8, 32 or 100 times, what `execute` runs
-//!   (k × `note_query`, one cut-point cell per dimension, plus one
-//!   `expand`) against k × `count_query_into`. These are layer numbers
-//!   and claim nothing end to end.
+//! * **candidate counting** — one `CandidateSet::note_query` (`2f`
+//!   comparisons and one cut-point cell per dimension) plus one
+//!   `expand` per query against the scalar candidate-at-a-time
+//!   `matches_query` + bump loop over one cluster's candidate set, for
+//!   division factors yielding `f²·Nd` from a dozen to thousands; and
+//!   per period of a cluster explored k = 1, 8, 32 or 100 times, what
+//!   every recording path runs: k × `note_query` plus one `expand`.
+//!   These are layer numbers and claim nothing end to end.
 //! * **index** — `AdaptiveClusterIndex` point-enclosing queries (§7.2,
 //!   the scan-dominated workload) through the read-only `query_with`
 //!   path, on an adapted index.
-//! * **recorded execute** — the statistics-recording read phase (into a
-//!   `StatsDelta`) and the full `execute` path (recording into the
-//!   candidate sets in place, plus the amortized pass).
+//! * **recorded execute** — the read phase of the two-phase path
+//!   (exploration plus logging the query into a `StatsDelta`) and the
+//!   full `execute` path (recording into the candidate sets in place,
+//!   plus the amortized pass).
 //! * **reorganization** — the per-period maintenance pass on an adapted
 //!   index (O(1) screen + columnar split scan); and passes that split
 //!   and merge, under a 4-d hotspot jumping between sites of clustered
@@ -248,7 +247,7 @@ struct CandidateRow {
     dims: usize,
     division_factor: u8,
     candidates: usize,
-    kernel_ns: f64,
+    noted_ns: f64,
     scalar_ns: f64,
 }
 
@@ -266,23 +265,24 @@ fn candidate_queries(dims: usize) -> Vec<SpatialQuery> {
         .collect()
 }
 
-/// One cluster's candidate loop in isolation: the per-dimension count
-/// vs the candidate-at-a-time scalar reference, across division
-/// factors pushing `f²·Nd` from a dozen past the paper's 160 (f = 4,
-/// 16 d) to thousands. Both read one cluster's candidate set and add
-/// into the same kind of counter column, as they do inside an index.
+/// One cluster's candidate loop in isolation: a note and an expansion
+/// per query vs the candidate-at-a-time scalar reference, across
+/// division factors pushing `f²·Nd` from a dozen past the paper's 160
+/// (f = 4, 16 d) to thousands. Both read one cluster's candidate set
+/// and leave the same counts in a `u32` column per candidate.
 fn candidate_matrix(configs: &[(usize, u8)], repeats: usize) -> Vec<CandidateRow> {
     let mut rows = Vec::new();
     for &(dims, f) in configs {
-        let cands = CandidateSet::generate(&Signature::root(dims), f);
+        let mut noted = CandidateSet::generate(&Signature::root(dims), f);
+        let cands = noted.clone();
         let queries = candidate_queries(dims);
 
-        let mut counters = vec![0u32; cands.len()];
-        let kernel_ns = time_per_query(queries.len(), repeats, |k| {
-            cands.count_query_into(&queries[k], &mut counters);
-            counters[k % counters.len()] as u64
+        let noted_ns = time_per_query(queries.len(), repeats, |k| {
+            noted.note_query(&queries[k]);
+            noted.expand();
+            noted.q(k % noted.len()) as u64
         });
-        counters.fill(0);
+        let mut counters = vec![0u32; cands.len()];
         let scalar_ns = time_per_query(queries.len(), repeats, |k| {
             for (ci, c) in counters.iter_mut().enumerate() {
                 if cands.matches_query(ci, &queries[k]) {
@@ -291,16 +291,17 @@ fn candidate_matrix(configs: &[(usize, u8)], repeats: usize) -> Vec<CandidateRow
             }
             counters[k % counters.len()] as u64
         });
+        assert_eq!(noted.q_col(), &counters[..], "the two count alike");
         println!(
-            "cands   d={dims} f={f} ({:>5} candidates): count_query_into {kernel_ns:>9.0} ns/q  scalar {scalar_ns:>9.0} ns/q  speedup {:.2}x",
+            "cands   d={dims} f={f} ({:>5} candidates): note_query+expand {noted_ns:>9.0} ns/q  scalar {scalar_ns:>9.0} ns/q  speedup {:.2}x",
             cands.len(),
-            scalar_ns / kernel_ns,
+            scalar_ns / noted_ns,
         );
         rows.push(CandidateRow {
             dims,
             division_factor: f,
             candidates: cands.len(),
-            kernel_ns,
+            noted_ns,
             scalar_ns,
         });
     }
@@ -313,13 +314,11 @@ struct PeriodRow {
     candidates: usize,
     explored: usize,
     noted_ns: f64,
-    counted_ns: f64,
 }
 
 /// One cluster explored `k` times per period, per query: `k` ×
-/// `note_query` plus the period's one `expand`, as `execute` and the
-/// pass's scan run them, against `k` × `count_query_into` into a
-/// counter column. Both leave the same counts.
+/// `note_query` plus the period's one `expand`, as every recording path
+/// and the pass's scan run them.
 fn candidate_periods(configs: &[(usize, u8)], repeats: usize) -> Vec<PeriodRow> {
     let mut rows = Vec::new();
     for &(dims, f) in configs {
@@ -327,8 +326,6 @@ fn candidate_periods(configs: &[(usize, u8)], repeats: usize) -> Vec<PeriodRow> 
         for k in [1usize, 8, 32, 100] {
             let periods = (6_400 / k).max(1);
             let mut noted = CandidateSet::generate(&Signature::root(dims), f);
-            let counted = noted.clone();
-            let mut counters = vec![0u32; counted.len()];
             let noted_ns = time_per_query(periods, repeats, |p| {
                 for t in 0..k {
                     noted.note_query(&queries[(p * k + t) % queries.len()]);
@@ -336,24 +333,13 @@ fn candidate_periods(configs: &[(usize, u8)], repeats: usize) -> Vec<PeriodRow> 
                 noted.expand();
                 noted.q(p % noted.len()) as u64
             }) / k as f64;
-            let counted_ns = time_per_query(periods, repeats, |p| {
-                for t in 0..k {
-                    counted.count_query_into(&queries[(p * k + t) % queries.len()], &mut counters);
-                }
-                counters[p % counters.len()] as u64
-            }) / k as f64;
-            assert_eq!(noted.q_col(), &counters[..], "the two paths count alike");
-            println!(
-                "period  d={dims} f={f} k={k:>3}: note_query+expand {noted_ns:>7.0} ns/q  count_query_into {counted_ns:>7.0} ns/q  ratio {:.2}",
-                noted_ns / counted_ns,
-            );
+            println!("period  d={dims} f={f} k={k:>3}: note_query+expand {noted_ns:>7.0} ns/q");
             rows.push(PeriodRow {
                 dims,
                 division_factor: f,
                 candidates: noted.len(),
                 explored: k,
                 noted_ns,
-                counted_ns,
             });
         }
     }
@@ -397,11 +383,11 @@ struct RecordedRow {
     execute_ns: f64,
 }
 
-/// Recorded execution at 16 dims, two layers: the statistics-recording
-/// read phase (`query_recorded_with` through a reused, cleared delta —
-/// the read half of the two-phase path that `apply_stats` completes)
-/// and the full `execute` (recording in place plus amortized periodic
-/// reorganization). The committed JSON additionally carries the
+/// Recorded execution at 16 dims, two layers: the read phase of the
+/// two-phase path (`query_recorded_with` through a reused, cleared
+/// delta: exploration plus logging the query, whose statistics
+/// `apply_stats` records later) and the full `execute` (exploration,
+/// recording in place and amortized periodic reorganization). The committed JSON additionally carries the
 /// numbers measured at the PR 3 commit with the same harness for the
 /// cross-PR trajectory.
 fn recorded_execute(objects: usize, repeats: usize) -> RecordedRow {
@@ -912,25 +898,24 @@ fn main() {
     let _ = writeln!(json, "{provenance}");
     let _ = writeln!(json, "  \"quick\": {quick},");
     json.push_str(
-        "  \"measures\": \"candidate_matching: one query counted into a u32 counter column per candidate; \
-         kernel = CandidateSet::count_query_into (2f comparisons per dimension, one bump per candidate), \
-         scalar = matches_query + saturating bump per candidate. \
+        "  \"measures\": \"candidate_matching: one query counted into a u32 counter per candidate; \
+         noted = one CandidateSet::note_query (2f comparisons and one cut-point cell per dimension) \
+         plus one CandidateSet::expand, scalar = matches_query + saturating bump per candidate. \
          period: a cluster explored k times per period, ns per query; \
-         noted = k x CandidateSet::note_query (2f comparisons and one cut-point cell per dimension) \
-         plus one CandidateSet::expand, counted = k x count_query_into. \
+         noted = k x CandidateSet::note_query plus one CandidateSet::expand. \
          Layer numbers only: they claim nothing end to end\",\n",
     );
     json.push_str("  \"candidate_matching\": [\n");
     for (i, r) in cands.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"dims\": {}, \"division_factor\": {}, \"candidates\": {}, \"kernel_ns_per_query\": {:.0}, \"scalar_ns_per_query\": {:.0}, \"speedup\": {:.3}}}",
+            "    {{\"dims\": {}, \"division_factor\": {}, \"candidates\": {}, \"noted_ns_per_query\": {:.0}, \"scalar_ns_per_query\": {:.0}, \"speedup\": {:.3}}}",
             r.dims,
             r.division_factor,
             r.candidates,
-            r.kernel_ns,
+            r.noted_ns,
             r.scalar_ns,
-            r.scalar_ns / r.kernel_ns,
+            r.scalar_ns / r.noted_ns,
         );
         json.push_str(if i + 1 == cands.len() { "\n" } else { ",\n" });
     }
@@ -938,14 +923,12 @@ fn main() {
     for (i, r) in periods.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"dims\": {}, \"division_factor\": {}, \"candidates\": {}, \"explored_per_period\": {}, \"noted_ns_per_query\": {:.0}, \"counted_ns_per_query\": {:.0}, \"noted_over_counted\": {:.3}}}",
+            "    {{\"dims\": {}, \"division_factor\": {}, \"candidates\": {}, \"explored_per_period\": {}, \"noted_ns_per_query\": {:.0}}}",
             r.dims,
             r.division_factor,
             r.candidates,
             r.explored,
             r.noted_ns,
-            r.counted_ns,
-            r.noted_ns / r.counted_ns,
         );
         json.push_str(if i + 1 == periods.len() { "\n" } else { ",\n" });
     }

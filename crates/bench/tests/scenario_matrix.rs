@@ -8,7 +8,7 @@
 //!
 //! The same traces must come out whichever recording path carries the
 //! stream ([`Recorder`]): `execute` writing the candidate sets in place,
-//! or `query_recorded` + `apply_stats`.
+//! or `query_recorded_with` + `apply_stats`.
 //!
 //! The streams run on the paper's platform: at 500 objects it is
 //! Table 2 that materializes clusters, and every scenario must
@@ -16,7 +16,9 @@
 //! root that never moved.
 
 use acx_bench::build_ac_with;
-use acx_core::{AdaptiveClusterIndex, ClusterSnapshot, IndexConfig, ReorgReport, StatsDelta};
+use acx_core::{
+    AdaptiveClusterIndex, ClusterSnapshot, IndexConfig, QueryScratch, ReorgReport, StatsDelta,
+};
 use acx_geom::{HyperRect, ObjectId};
 use acx_storage::{AccessStats, StorageScenario};
 use acx_testkit::model::{check, Model};
@@ -88,7 +90,7 @@ struct Trace {
 enum Recorder {
     /// `execute`: the candidate sets, in place.
     Direct,
-    /// `query_recorded` into a delta, then `apply_stats`.
+    /// `query_recorded_with` into a delta, then `apply_stats`.
     TwoPhase,
 }
 
@@ -116,15 +118,19 @@ fn run_stream(name: &str, recorder: Recorder) -> (Trace, AdaptiveClusterIndex) {
             // A fresh delta per query, recorded read-only just before
             // the query counts.
             let mut delta = StatsDelta::new();
-            let recorded = index.query_recorded(&q, &mut delta);
-            let r = match recorder {
-                Recorder::Direct => index.execute(&q),
+            let mut scratch = QueryScratch::new();
+            let recorded = index.query_recorded_with(&q, &mut delta, &mut scratch);
+            let (matches, stats) = match recorder {
+                Recorder::Direct => {
+                    let r = index.execute(&q);
+                    (r.matches, r.metrics.stats)
+                }
                 Recorder::TwoPhase => {
                     index.apply_stats(&delta);
-                    recorded
+                    (scratch.matches().to_vec(), recorded.stats)
                 }
             };
-            queries.push((r.matches, r.metrics.stats, delta));
+            queries.push((matches, stats, delta));
         }
         passes.push(index.reorganize());
     }
@@ -195,7 +201,7 @@ fn zoo_is_green_and_answer_identical_to_the_model() {
 }
 
 /// Every zoo scenario through both recording paths: `execute` ≡
-/// `query_recorded` + `apply_stats`.
+/// `query_recorded_with` + `apply_stats`.
 #[test]
 fn zoo_traces_are_identical_across_recording_paths() {
     for name in SCENARIOS {

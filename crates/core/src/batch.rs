@@ -1,112 +1,63 @@
-//! Recorded statistics of read-only query execution.
+//! Recorded statistics of read-only query execution, as a log.
 //!
 //! One traversal lists the clusters a query explored, and records
 //! nothing; `query` stops there. [`crate::AdaptiveClusterIndex::execute`]
-//! holds `&mut self` and records over that list into each explored
-//! cluster's candidate set in place; the two-phase path splits that
-//! execution in two. Phase one,
-//! [`crate::AdaptiveClusterIndex::query_recorded`], matches on `&self`
-//! and *records* over the list what an execution would have written —
-//! per-cluster matching-query counts, per-candidate matching-query
-//! counts (through the same compare-and-count kernel), and the epoch
-//! byte counters feeding the early-exit verification fraction — into a
-//! [`StatsDelta`].
-//! Phase two, [`crate::AdaptiveClusterIndex::apply_stats`], applies it
-//! under the exclusive borrow and runs the pass if one is due. Applying
-//! a query's delta leaves the index exactly where `execute` leaves it.
+//! holds `&mut self` and records over that list in place: per explored
+//! slot, the candidate set's lazy-decay catch-up, the query noted
+//! ([`crate::candidates::CandidateSet::note_query`]) and the cluster's
+//! `q_count`. The two-phase path splits that execution in two. Phase
+//! one, [`crate::AdaptiveClusterIndex::query_recorded_with`], matches on
+//! `&self` and *logs* the query into a [`StatsDelta`]: how the candidate
+//! tests read it (`query_sides!`), the slots it explored and the bytes
+//! it verified. Phase two, [`crate::AdaptiveClusterIndex::apply_stats`],
+//! replays each logged query over its slots through `execute`'s own
+//! per-slot recorder under the exclusive borrow, then counts the totals
+//! and runs the pass if one is due. One recorder writes candidate
+//! statistics on both paths, so applying a query's delta leaves every
+//! candidate set exactly where `execute` leaves it, unexpanded notes
+//! included. The `2f` comparisons per dimension that noting a query
+//! makes therefore run in `apply_stats`, not in `query_recorded_with`.
 
-/// Statistics recorded by [`crate::AdaptiveClusterIndex::query_recorded`]
-/// and applied by [`crate::AdaptiveClusterIndex::apply_stats`].
+use acx_geom::{Scalar, SpatialQuery};
+
+use crate::candidates::query_sides;
+
+/// The queries logged by
+/// [`crate::AdaptiveClusterIndex::query_recorded_with`], replayed by
+/// [`crate::AdaptiveClusterIndex::apply_stats`].
+///
+/// A delta grows with the queries it holds — `dims` threshold pairs and
+/// one slot per explored cluster for each — not with the clusters they
+/// touched times their candidates. Every non-test caller logs one query
+/// per delta and clears it before the next; [`StatsDelta::clear`] keeps
+/// the buffers, so such a delta stops allocating once it has seen the
+/// widest exploration.
 ///
 /// A delta is only meaningful against the clustering state it was
 /// recorded from, so the index stamps it with its structural epoch at
-/// the first recorded query: recording into the same delta after a
+/// the first logged query: logging into the same delta after a
 /// reorganization changed the clustering panics, and applying a stale
-/// delta drops the per-cluster increments (slots may have been recycled
-/// for unrelated clusters) while still counting the global query and
-/// byte totals. A caller that applies each delta before the next pass
-/// never produces a stale one.
-///
-/// Two deltas compare equal when they hold the same totals and the same
-/// **live** per-cluster increments — used by tests proving that the two
-/// statistics-writing paths record alike. A cleared, reused delta retains
-/// zeroed per-cluster entries for capacity; they are ignored by
-/// equality.
-#[derive(Debug, Clone, Default)]
+/// delta drops the per-cluster part (slots may have been recycled for
+/// unrelated clusters) while still counting the global query and byte
+/// totals. A caller that applies each delta before the next pass never
+/// produces a stale one.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsDelta {
-    /// Structural epoch of the index when recording started (`None`
-    /// until the first query is recorded).
+    /// Structural epoch of the index when logging started (`None` until
+    /// the first query is logged).
     pub(crate) epoch: Option<u64>,
-    /// Queries recorded into this delta.
-    pub(crate) queries: u64,
-    /// Early-exit-accounted bytes verified by the recorded queries.
+    /// Early-exit-accounted bytes verified by the logged queries.
     pub(crate) verified_bytes: u64,
-    /// Full-object bytes of the objects the recorded queries verified.
+    /// Full-object bytes of the objects the logged queries verified.
     pub(crate) full_bytes: u64,
-    /// Per-cluster increments, indexed by cluster slot (slots are small
-    /// dense integers, so recording is an array index, not a lookup).
-    /// Grown on demand to the highest slot recorded.
-    pub(crate) clusters: Vec<ClusterDelta>,
-    /// Slots whose entry has recorded something since the last
-    /// [`StatsDelta::clear`] — the *dirty list*. Clearing and applying a
-    /// delta walk this list instead of the whole vector, so a reused
-    /// delta costs O(explored clusters) per query even after it has
-    /// grown entries for every cluster of the index.
-    pub(crate) touched: Vec<u32>,
-}
-
-impl PartialEq for StatsDelta {
-    fn eq(&self, other: &Self) -> bool {
-        if self.epoch != other.epoch
-            || self.queries != other.queries
-            || self.verified_bytes != other.verified_bytes
-            || self.full_bytes != other.full_bytes
-        {
-            return false;
-        }
-        // Dirty entries must agree pairwise; retained zeroed entries and
-        // the order slots were first touched in are capacity, not
-        // content.
-        let mut a = self.touched.clone();
-        let mut b = other.touched.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        a == b
-            && a.iter().all(|&slot| {
-                let (x, y) = (
-                    &self.clusters[slot as usize],
-                    &other.clusters[slot as usize],
-                );
-                x.q_count == y.q_count && cand_eq(&x.cand_q, &y.cand_q)
-            })
-    }
-}
-
-/// Candidate counter vectors compare equal up to trailing zeros (a
-/// reused delta may have grown its vector beyond another's).
-fn cand_eq(a: &[u32], b: &[u32]) -> bool {
-    let shared = a.len().min(b.len());
-    a[..shared] == b[..shared]
-        && a[shared..].iter().all(|&q| q == 0)
-        && b[shared..].iter().all(|&q| q == 0)
-}
-
-/// Increments destined for one cluster's statistics.
-///
-/// Candidate increments are a dense counter vector indexed by candidate
-/// position (sized to the cluster's candidate count on first use) — the
-/// column the compare-and-count kernel adds into — so a delta's size
-/// stays O(explored clusters × candidates) regardless of how many
-/// queries it accumulates.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ClusterDelta {
-    /// Queries whose signature matched the cluster.
-    pub(crate) q_count: u64,
-    /// Matching-query increments, indexed by candidate position.
-    pub(crate) cand_q: Vec<u32>,
-    /// Whether the entry recorded anything since the last clear (its
-    /// slot is then on [`StatsDelta::touched`]).
-    pub(crate) dirty: bool,
+    /// Per logged query: whether it is a containment query, and where
+    /// its slots end in `slots`.
+    queries: Vec<(bool, usize)>,
+    /// Each logged query's `(t1, t2)` per dimension, query after query.
+    thresholds: Vec<(Scalar, Scalar)>,
+    /// The slots each logged query explored, in exploration order, query
+    /// after query.
+    slots: Vec<u32>,
 }
 
 impl StatsDelta {
@@ -115,78 +66,87 @@ impl StatsDelta {
         Self::default()
     }
 
-    /// Number of queries recorded so far.
+    /// Number of queries logged so far.
     pub fn queries(&self) -> u64 {
-        self.queries
+        self.queries.len() as u64
     }
 
-    /// Whether no query has been recorded yet.
+    /// Whether no query has been logged yet.
     pub fn is_empty(&self) -> bool {
-        self.queries == 0
+        self.queries.is_empty()
     }
 
-    /// The slots of the clusters this delta recorded statistics for — the
-    /// *dirty list*, in first-touch order.
-    ///
-    /// Applying a delta walks exactly this list: a cluster absent from
-    /// it has its candidate counters neither incremented nor caught up
-    /// on lazily skipped decay epochs.
+    /// The slots the logged queries explored, in exploration order: one
+    /// entry per query that explored the slot. Applying the delta
+    /// records exactly these, so a cluster absent from them has its
+    /// candidate counters neither noted into nor caught up on lazily
+    /// skipped decay epochs.
     pub fn touched_slots(&self) -> &[u32] {
-        &self.touched
+        &self.slots
     }
 
-    /// Resets the delta for reuse while keeping its allocations: only
-    /// the entries on the dirty list are zeroed (in place, keeping their
-    /// counter vectors), so clearing costs O(explored clusters of the
-    /// recorded queries) — not O(every cluster the delta ever saw) — and
-    /// a scratch delta reused across sequential queries stops allocating
-    /// once it has seen every explored cluster.
-    /// [`crate::AdaptiveClusterIndex::apply_stats`] walks the same dirty
-    /// list, so retained entries whose cluster was since merged away are
-    /// harmless.
+    /// Empties the delta for reuse, keeping its buffers.
     pub fn clear(&mut self) {
-        self.epoch = None;
-        self.queries = 0;
-        self.verified_bytes = 0;
-        self.full_bytes = 0;
-        for slot in self.touched.drain(..) {
-            let delta = &mut self.clusters[slot as usize];
-            delta.q_count = 0;
-            delta.cand_q.iter_mut().for_each(|q| *q = 0);
-            delta.dirty = false;
-        }
+        (self.epoch, self.verified_bytes, self.full_bytes) = (None, 0, 0);
+        self.queries.clear();
+        self.thresholds.clear();
+        self.slots.clear();
     }
 
-    /// The increment slot for one cluster, with its counter vector sized
-    /// for at least `candidates` entries; marks the entry dirty. A
-    /// reused entry may be longer — its slot once held a cluster with
-    /// more candidates — and the surplus stays zero.
-    pub(crate) fn cluster_mut(&mut self, slot: u32, candidates: usize) -> &mut ClusterDelta {
-        if self.clusters.len() <= slot as usize {
-            self.clusters
-                .resize_with(slot as usize + 1, ClusterDelta::default);
-        }
-        let delta = &mut self.clusters[slot as usize];
-        if !delta.dirty {
-            delta.dirty = true;
-            self.touched.push(slot);
-        }
-        if delta.cand_q.len() < candidates {
-            delta.cand_q.resize(candidates, 0);
-        }
-        delta
+    /// Logs one query that explored `slots`.
+    pub(crate) fn log(&mut self, query: &SpatialQuery, slots: &[u32]) {
+        let thresholds = &mut self.thresholds;
+        let containment = query_sides!(query, |containment, sides| {
+            thresholds.extend(sides);
+            containment
+        });
+        self.slots.extend_from_slice(slots);
+        self.queries.push((containment, self.slots.len()));
+    }
+
+    /// The logged queries in order, each as whether it is a containment
+    /// query, its `dims` thresholds and the slots it explored.
+    pub(crate) fn logged(
+        &self,
+        dims: usize,
+    ) -> impl Iterator<Item = (bool, &[(Scalar, Scalar)], &[u32])> {
+        let starts = std::iter::once(0).chain(self.queries.iter().map(|&(_, end)| end));
+        self.queries
+            .iter()
+            .zip(starts)
+            .zip(self.thresholds.chunks_exact(dims))
+            .map(|((&(containment, end), start), thresholds)| {
+                (containment, thresholds, &self.slots[start..end])
+            })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidates::CandidateSet;
+    use crate::Signature;
+    use acx_geom::HyperRect;
 
-    impl ClusterDelta {
-        fn bump_candidate(&mut self, cand: u32) {
-            let q = &mut self.cand_q[cand as usize];
-            *q = q.saturating_add(1);
+    fn window(lo: &[Scalar], hi: &[Scalar]) -> HyperRect {
+        HyperRect::from_bounds(lo, hi).unwrap()
+    }
+
+    /// A delta logging `queries`, each explored over `slots` and
+    /// verifying 3 bytes, 5 in full.
+    fn logged(queries: &[SpatialQuery], slots: &[u32]) -> StatsDelta {
+        let mut d = StatsDelta::new();
+        for q in queries {
+            log(&mut d, q, slots, 3, 5);
         }
+        d
+    }
+
+    /// What `query_recorded_with` writes into `d` for a query.
+    fn log(d: &mut StatsDelta, q: &SpatialQuery, slots: &[u32], verified: u64, full: u64) {
+        d.log(q, slots);
+        d.verified_bytes += verified;
+        d.full_bytes += full;
     }
 
     #[test]
@@ -195,64 +155,141 @@ mod tests {
         assert!(d.is_empty());
         assert_eq!(d.queries(), 0);
         assert_eq!(d.epoch, None);
+        assert!(d.touched_slots().is_empty());
+        assert_eq!(d.logged(2).count(), 0);
     }
 
     #[test]
     fn clear_zeroes_but_keeps_capacity() {
-        let mut d = StatsDelta::new();
+        let w = window(&[0.1, 0.2], &[0.4, 0.6]);
+        let queries = [
+            SpatialQuery::containment(w.clone()),
+            SpatialQuery::enclosure(w),
+            SpatialQuery::point_enclosing(vec![0.3, 0.5]),
+        ];
+        let mut d = logged(&queries, &[0, 4, 2]);
         d.epoch = Some(4);
-        d.queries = 3;
-        d.verified_bytes = 10;
-        d.full_bytes = 20;
-        d.cluster_mut(2, 4).q_count = 3;
-        d.cluster_mut(2, 4).bump_candidate(1);
+        assert_eq!(d.queries(), 3);
+        assert_eq!((d.verified_bytes, d.full_bytes), (9, 15));
+        let capacities = |d: &StatsDelta| {
+            (
+                d.queries.capacity(),
+                d.thresholds.capacity(),
+                d.slots.capacity(),
+            )
+        };
+        let grown = capacities(&d);
         d.clear();
         assert!(d.is_empty());
         assert_eq!(d.epoch, None);
-        assert_eq!(d.verified_bytes, 0);
-        assert_eq!(d.full_bytes, 0);
-        // The per-cluster entry survives, zeroed, with its counter
-        // vector, but is off the dirty list.
-        assert!(!d.clusters[2].dirty);
-        assert!(d.touched.is_empty());
-        assert_eq!(d.clusters[2].q_count, 0);
-        assert!(d.clusters[2].cand_q.iter().all(|&q| q == 0));
-        assert_eq!(d.clusters[2].cand_q.len(), 4);
-        // Reuse records into the retained storage and re-dirties it.
-        d.cluster_mut(2, 4).q_count = 1;
-        assert!(d.clusters[2].dirty);
-        assert_eq!(d.touched, vec![2]);
+        assert_eq!((d.verified_bytes, d.full_bytes), (0, 0));
+        assert!(d.touched_slots().is_empty());
+        assert_eq!(capacities(&d), grown, "clear keeps the buffers");
+        // Logging as much again fits the kept buffers.
+        for q in &queries {
+            log(&mut d, q, &[1, 3, 5], 1, 1);
+        }
+        assert_eq!(capacities(&d), grown);
+        assert_eq!(d.touched_slots(), [1, 3, 5].repeat(3));
     }
 
     #[test]
     fn cleared_delta_compares_equal_to_a_fresh_recording() {
-        // Equality ignores retained zeroed entries: a reused delta that
-        // once saw other clusters equals a fresh delta with the same
-        // live increments.
-        let mut reused = StatsDelta::new();
-        reused.queries = 1;
-        reused.cluster_mut(9, 4).q_count = 1; // later cleared away
+        let w = window(&[0.1, 0.2], &[0.4, 0.6]);
+        let point = SpatialQuery::point_enclosing(vec![0.5, 0.25]);
+        // A point query over `slots`, then `second` over slot 0.
+        let pair = |d: &mut StatsDelta, slots: &[u32], second: SpatialQuery, bytes: u64| {
+            log(d, &point, slots, 7, 8);
+            log(d, &second, &[0], 1, bytes);
+        };
+        // A reused delta that once logged other queries equals a fresh
+        // delta that logged the same queries over the same slots.
+        let mut reused = logged(
+            &[SpatialQuery::enclosure(w.clone()), point.clone()],
+            &[9, 7],
+        );
         reused.clear();
-        reused.queries = 2;
-        reused.verified_bytes = 7;
-        reused.cluster_mut(1, 4).q_count = 2;
-        reused.cluster_mut(1, 4).bump_candidate(3);
+        pair(
+            &mut reused,
+            &[0, 2],
+            SpatialQuery::intersection(w.clone()),
+            1,
+        );
         let mut fresh = StatsDelta::new();
-        fresh.queries = 2;
-        fresh.verified_bytes = 7;
-        fresh.cluster_mut(1, 4).q_count = 2;
-        fresh.cluster_mut(1, 4).bump_candidate(3);
+        pair(
+            &mut fresh,
+            &[0, 2],
+            SpatialQuery::intersection(w.clone()),
+            1,
+        );
         assert_eq!(reused, fresh);
-        fresh.cluster_mut(1, 4).bump_candidate(0);
-        assert_ne!(reused, fresh);
+        // The slots' order, the orientation, the thresholds and the
+        // totals each tell two deltas apart.
+        let differing = [
+            (
+                "exploration order",
+                [2, 0],
+                SpatialQuery::intersection(w.clone()),
+                1,
+            ),
+            (
+                "orientation",
+                [0, 2],
+                SpatialQuery::containment(w.clone()),
+                1,
+            ),
+            ("thresholds", [0, 2], SpatialQuery::enclosure(w.clone()), 1),
+            ("totals", [0, 2], SpatialQuery::intersection(w), 2),
+        ];
+        for (what, slots, second, bytes) in differing {
+            let mut other = StatsDelta::new();
+            pair(&mut other, &slots, second, bytes);
+            assert_ne!(reused, other, "{what}");
+        }
     }
 
+    /// Replaying a delta's log notes each query into a set as the set's
+    /// own `note_query` does: past `u16::MAX` notes, and onto counters
+    /// preset near `u32::MAX`, which saturate and never wrap.
     #[test]
     fn candidate_counters_saturate_not_wrap() {
-        let mut d = StatsDelta::new();
-        d.cluster_mut(0, 2).cand_q[1] = u32::MAX - 1;
-        d.cluster_mut(0, 2).bump_candidate(1);
-        d.cluster_mut(0, 2).bump_candidate(1);
-        assert_eq!(d.clusters[0].cand_q[1], u32::MAX);
+        let sig = Signature::root(2);
+        let mut replayed = CandidateSet::generate(&sig, 4);
+        for ci in (0..replayed.len()).step_by(2) {
+            replayed.add_q(ci, u32::MAX - 40_000);
+        }
+        let (mut noted, mut want) = (replayed.clone(), replayed.q_col().to_vec());
+        let queries = [
+            SpatialQuery::point_enclosing(vec![0.3, 0.6]),
+            SpatialQuery::intersection(window(&[0.1, 0.5], &[0.2, 0.9])),
+            SpatialQuery::containment(window(&[0.0, 0.25], &[0.75, 1.0])),
+        ];
+        let stream: Vec<SpatialQuery> = queries.iter().cycle().take(70_000).cloned().collect();
+        let d = logged(&stream, &[0]);
+        for (containment, thresholds, slots) in d.logged(2) {
+            assert_eq!(slots, [0]);
+            replayed.note_sides(containment, thresholds.iter().copied());
+        }
+        for q in &stream {
+            noted.note_query(q);
+        }
+        assert_eq!(replayed, noted, "the replay notes what note_query notes");
+        for q in &stream {
+            for (ci, w) in want.iter_mut().enumerate() {
+                if replayed.matches_query(ci, q) {
+                    *w = w.saturating_add(1);
+                }
+            }
+        }
+        replayed.expand();
+        assert_eq!(replayed.q_col(), &want[..]);
+        assert!(
+            replayed.q_col().contains(&u32::MAX),
+            "test premise: saturation"
+        );
+        assert!(
+            replayed.q_col().iter().any(|&q| q > 0 && q < 70_000),
+            "test premise: zeroed counters count"
+        );
     }
 }

@@ -24,37 +24,34 @@
 //! `can_reach(x) ⇔ reach ≥ x` — so every test is one comparison,
 //! bit-identical to the [`SigInterval`] predicates.
 //!
-//! Counting a query ([`CandidateSet::count_query_into`]) evaluates, per
-//! dimension, the relation's start-side comparison on the `f` start
-//! subintervals and its end-side comparison on the `f` end
-//! subintervals — `2f` comparisons — and adds
-//! `start_ok[sub_i] & end_ok[sub_j]` to each candidate. These are the
-//! comparisons [`CandidateSet::matches_query`] makes per candidate,
-//! factored, so the counts equal that oracle's whatever order the
-//! bounds are in.
-//!
 //! ## Noting a query: one cut-point cell per dimension
 //!
-//! `execute` records a query with [`CandidateSet::note_query`] instead,
-//! which bumps one cell per dimension and leaves `q` for later.
-//! [`CandidateSet::generate`] writes each dimension's bounds in
-//! non-decreasing order of subinterval index (`subdivide` computes
-//! `lo + w·k` with a finite `w ≥ 0`), so the start-side outcomes of a
-//! query are a prefix or a suffix of the `f` entries, and so are the
-//! end-side ones. Their counts `s` and `e` — the query's cut points —
-//! name the cells it matches, a quadrant of the `(i, j)` grid:
-//! intersection, enclosure and point queries match `i < s` and
-//! `j ≥ f − e`; containment queries match `i ≥ f − s` and `j < e`.
-//! `note_query` bumps cell `(s − 1, f − e)` of the dimension's `f × f`
-//! table (nothing when `s` or `e` is zero), one table per dimension for
-//! containment and one for the other kinds. An expansion
+//! Every relation is `start side ∧ end side` against per-dimension
+//! thresholds `(t1, t2)` (`query_sides!`): containment tests a start
+//! subinterval's reach against `t2` and an end subinterval's lower bound
+//! against `t1`, the other kinds the start's lower bound against `t1`
+//! and the end's reach against `t2` — the comparisons
+//! [`CandidateSet::matches_query`] makes per candidate, factored.
+//! [`CandidateSet::note_query`] makes them on each dimension's `f`
+//! start and `f` end subintervals — `2f` comparisons — and bumps one
+//! cell, leaving `q` for later. [`CandidateSet::generate`] writes each
+//! dimension's bounds in non-decreasing order of subinterval index
+//! (`subdivide` computes `lo + w·k` with a finite `w ≥ 0`), so the
+//! start-side outcomes of a query are a prefix or a suffix of the `f`
+//! entries, and so are the end-side ones. Their counts `s` and `e` —
+//! the query's cut points — name the cells it matches, a quadrant of
+//! the `(i, j)` grid: intersection, enclosure and point queries match
+//! `i < s` and `j ≥ f − e`; containment queries match `i ≥ f − s` and
+//! `j < e`. `note_query` bumps cell `(s − 1, f − e)` of the dimension's
+//! `f × f` table (nothing when `s` or `e` is zero), one table per
+//! dimension for containment and one for the other kinds. An expansion
 //! ([`CandidateSet::expand`]) turns every table into its dominance sums
 //! and adds each candidate's to its `q`: one sweep per dimension, O(f²).
 //! It runs before anything reads or folds `q` — the lazy-decay fold,
 //! the pass's scan, the checkpoint writer (on a copy) — and before a
 //! `u16` cell could overflow. Every increment is non-negative, so one
 //! saturating add at expansion leaves what saturating at every bump
-//! leaves: the counts equal [`CandidateSet::count_query_into`]'s.
+//! leaves: the counts equal the [`CandidateSet::matches_query`] loop's.
 //!
 //! Candidate counters saturate instead of wrapping: a `u32` query
 //! counter that hits `u32::MAX` stays pinned there (the benefit
@@ -229,6 +226,34 @@ fn dominance_sums(table: &mut [u16], f: usize) {
         }
     }
 }
+
+/// How the candidate tests read a query (see the module docs): binds
+/// `$containment` to whether it is a containment query and `$sides` to
+/// an iterator over each dimension's thresholds `(t1, t2)`, then
+/// evaluates `$then`, compiled once per query kind. Noting a query and
+/// logging one into a [`crate::StatsDelta`] both read it through here.
+macro_rules! query_sides {
+    ($query:expr, |$containment:ident, $sides:ident| $then:expr) => {{
+        use acx_geom::SpatialQuery as Q;
+        match $query {
+            Q::Intersection(w) | Q::Containment(w) => {
+                let $containment = matches!($query, Q::Containment(_));
+                let $sides = w.intervals().iter().map(|q| (q.hi(), q.lo()));
+                $then
+            }
+            Q::Enclosure(w) => {
+                let ($containment, $sides) =
+                    (false, w.intervals().iter().map(|q| (q.lo(), q.hi())));
+                $then
+            }
+            Q::PointEnclosing(p) => {
+                let ($containment, $sides) = (false, p.iter().map(|&v| (v, v)));
+                $then
+            }
+        }
+    }};
+}
+pub(crate) use query_sides;
 
 impl CandidateSet {
     /// Generates the candidate set of a cluster signature: for each
@@ -431,7 +456,7 @@ impl CandidateSet {
     /// Whether a query *that already matches the parent signature* also
     /// matches candidate `ci` (only the specialized dimension is
     /// checked) — the per-candidate oracle of
-    /// [`CandidateSet::count_query_into`].
+    /// [`CandidateSet::note_query`].
     #[inline]
     pub fn matches_query(&self, ci: usize, query: &SpatialQuery) -> bool {
         let c = self.bounds(ci);
@@ -455,72 +480,26 @@ impl CandidateSet {
         }
     }
 
-    /// Adds one (saturating at `u32::MAX`) to `counters[ci]` for every
-    /// candidate `ci` that [`CandidateSet::matches_query`] — from `2f`
-    /// comparisons per dimension rather than one per candidate (see the
-    /// module docs). `query_recorded_with` counts into a delta's column
-    /// with it.
-    ///
-    /// Every relation is `start side ∧ end side` against per-dimension
-    /// thresholds `(t1, t2)`: containment tests the start's reach
-    /// against `t2` and the end's lower bound against `t1`, the others
-    /// the start's lower bound against `t1` and the end's reach against
-    /// `t2`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counters` is not exactly one entry per candidate.
-    pub fn count_query_into(&self, query: &SpatialQuery, counters: &mut [u32]) {
-        assert_eq!(counters.len(), self.len(), "one counter per candidate");
-        debug_assert_eq!(query.dims(), self.dims(), "dimensionality mismatch");
-        match query {
-            SpatialQuery::Intersection(w) | SpatialQuery::Containment(w) => {
-                let containment = matches!(query, SpatialQuery::Containment(_));
-                let hi_lo = w.intervals().iter().map(|q| (q.hi(), q.lo()));
-                self.count_sides(containment, hi_lo, counters)
-            }
-            SpatialQuery::Enclosure(w) => {
-                let lo_hi = w.intervals().iter().map(|q| (q.lo(), q.hi()));
-                self.count_sides(false, lo_hi, counters)
-            }
-            SpatialQuery::PointEnclosing(p) => {
-                self.count_sides(false, p.iter().map(|&v| (v, v)), counters)
-            }
-        }
-    }
-
     /// Notes one query for every candidate it matches: one cut-point
     /// cell per dimension (see the module docs), which the next
-    /// [`CandidateSet::expand`] adds into `q` exactly as
-    /// [`CandidateSet::count_query_into`] this set's own `q` column
-    /// would have. `execute` records each explored cluster with it.
+    /// [`CandidateSet::expand`] adds into `q`.
     pub fn note_query(&mut self, query: &SpatialQuery) {
         debug_assert_eq!(query.dims(), self.dims(), "dimensionality mismatch");
-        if self.notes == u16::MAX {
-            self.expand();
-        }
-        self.notes += 1;
-        match query {
-            SpatialQuery::Intersection(w) | SpatialQuery::Containment(w) => {
-                let containment = matches!(query, SpatialQuery::Containment(_));
-                let hi_lo = w.intervals().iter().map(|q| (q.hi(), q.lo()));
-                self.note_sides(containment, hi_lo)
-            }
-            SpatialQuery::Enclosure(w) => {
-                let lo_hi = w.intervals().iter().map(|q| (q.lo(), q.hi()));
-                self.note_sides(false, lo_hi)
-            }
-            SpatialQuery::PointEnclosing(p) => self.note_sides(false, p.iter().map(|&v| (v, v))),
-        }
+        query_sides!(query, |containment, sides| self
+            .note_sides(containment, sides))
     }
 
-    /// [`CandidateSet::note_query`] given each dimension's `(t1, t2)`,
-    /// compared as [`CandidateSet::count_query_into`] compares them.
-    fn note_sides(
+    /// [`CandidateSet::note_query`] given the query's `query_sides!`:
+    /// every statistics-writing path notes through it.
+    pub(crate) fn note_sides(
         &mut self,
         containment: bool,
         thresholds: impl Iterator<Item = (Scalar, Scalar)>,
     ) {
+        if self.notes == u16::MAX {
+            self.expand();
+        }
+        self.notes += 1;
         let f = self.f as usize;
         let half = usize::from(containment);
         self.pending |= 1 << half;
@@ -595,35 +574,6 @@ impl CandidateSet {
         (self.pending, self.notes) = (0, 0);
     }
 
-    /// [`CandidateSet::count_query_into`] given each dimension's
-    /// `(t1, t2)`.
-    fn count_sides(
-        &self,
-        containment: bool,
-        thresholds: impl Iterator<Item = (Scalar, Scalar)>,
-        counters: &mut [u32],
-    ) {
-        let (mut start_ok, mut end_ok) = ([0u8; 256], [0u8; 256]);
-        let dims = self
-            .sub
-            .chunks_exact(self.f as usize)
-            .zip(self.dim_offsets.windows(2));
-        for ((subs, run), (t1, t2)) in dims.zip(thresholds) {
-            for (k, s) in subs.iter().enumerate() {
-                (start_ok[k], end_ok[k]) = if containment {
-                    ((s.start_reach >= t2) as u8, (s.end_lo <= t1) as u8)
-                } else {
-                    ((s.start_lo <= t1) as u8, (s.end_reach >= t2) as u8)
-                };
-            }
-            let run = run[0] as usize..run[1] as usize;
-            let cells = self.sub_i[run.clone()].iter().zip(&self.sub_j[run.clone()]);
-            for (c, (&i, &j)) in counters[run].iter_mut().zip(cells) {
-                *c = c.saturating_add(u32::from(start_ok[i as usize] & end_ok[j as usize]));
-            }
-        }
-    }
-
     /// Materializes the full signature of candidate `ci`.
     pub fn signature(&self, ci: usize, parent: &Signature) -> Signature {
         let id = self.id(ci);
@@ -683,8 +633,8 @@ impl CandidateSet {
     /// dropped as infeasible. The scan therefore stops at the first
     /// accepting candidate of each run; debug builds scan the rest of
     /// the run and insist nothing else accepts. As in
-    /// [`CandidateSet::count_query_into`], each subinterval is tested
-    /// once per dimension and a candidate reads its two outcomes.
+    /// [`CandidateSet::note_query`], each subinterval is tested once per
+    /// dimension and a candidate reads its two outcomes.
     fn adjust_member(&mut self, flat: &[Scalar], add: bool) {
         let (mut start_in, mut end_in) = ([0u8; 256], [0u8; 256]);
         for d in 0..self.dims() {
@@ -759,17 +709,6 @@ impl CandidateSet {
     #[cfg(test)]
     pub(crate) fn add_q(&mut self, ci: usize, inc: u32) {
         self.q[ci] = self.q[ci].saturating_add(inc);
-    }
-
-    /// Adds a whole per-candidate increment vector (saturating) — the
-    /// branch-free bulk form [`crate::StatsDelta`] application uses.
-    /// `incs` and the set are zipped: a shorter `incs` adds nothing to
-    /// the missing entries, and the surplus of a longer one (a reused
-    /// delta entry whose slot once held a wider cluster) is ignored.
-    pub fn add_q_slice(&mut self, incs: &[u32]) {
-        for (q, &inc) in self.q.iter_mut().zip(incs) {
-            *q = q.saturating_add(inc);
-        }
     }
 
     /// Closes the statistics epoch: expands the pending notes, folds
@@ -1091,41 +1030,35 @@ mod tests {
         })
     }
 
-    /// Counts every query `passes` times into a separate column starting
-    /// from the set's counts, asserts it equals what the
-    /// [`CandidateSet::matches_query`] loop plus a saturating bump
-    /// leaves, and returns that. With `noted`, which needs
-    /// [`bounds_sorted`] bounds, it also notes every query into the set
-    /// and expands after each, and the set's own `q` must equal it too.
+    /// The scalar oracle of a noted query: one saturating bump of
+    /// `column[ci]` for every candidate `ci` that
+    /// [`CandidateSet::matches_query`].
+    pub(super) fn bump_matching(set: &CandidateSet, query: &SpatialQuery, column: &mut [u32]) {
+        for (ci, c) in column.iter_mut().enumerate() {
+            if set.matches_query(ci, query) {
+                *c = c.saturating_add(1);
+            }
+        }
+    }
+
+    /// Notes every query `passes` times into the set, which needs
+    /// [`bounds_sorted`] bounds, and expands after each; asserts that
+    /// the set's `q` then equals what the [`bump_matching`] oracle
+    /// leaves from the set's counts, and returns that.
     pub(super) fn assert_counts_equal_oracle(
         set: &mut CandidateSet,
         queries: &[SpatialQuery],
         passes: usize,
-        noted: bool,
     ) -> Vec<u32> {
-        assert!(
-            !noted || bounds_sorted(set),
-            "the table path needs sorted bounds"
-        );
+        assert!(bounds_sorted(set), "the table path needs sorted bounds");
         let mut want = set.q.clone();
-        let mut column = set.q.clone();
         for q in queries {
             for _ in 0..passes {
-                for (ci, w) in want.iter_mut().enumerate() {
-                    if set.matches_query(ci, q) {
-                        *w = w.saturating_add(1);
-                    }
-                }
-                set.count_query_into(q, &mut column);
-                if noted {
-                    set.note_query(q);
-                }
+                bump_matching(set, q, &mut want);
+                set.note_query(q);
             }
-            assert_eq!(column, want, "into a separate column after {q:?}");
-            if noted {
-                set.expand();
-                assert_eq!(set.q_col(), &want[..], "noted and expanded after {q:?}");
-            }
+            set.expand();
+            assert_eq!(set.q_col(), &want[..], "noted and expanded after {q:?}");
         }
         want
     }
@@ -1134,7 +1067,7 @@ mod tests {
     fn kernel_counts_agree_with_scalar_oracle() {
         // A specialized signature in 3 dims; boundary-coincident query
         // edges on the f = 4 grid. The counters accumulate across the
-        // queries, in place and into a separate column alike.
+        // queries.
         let sig = Signature::root(3).specialize(2, 4, 1, 3);
         let mut cands = CandidateSet::generate(&sig, 4);
         let queries = [
@@ -1144,7 +1077,7 @@ mod tests {
             SpatialQuery::point_enclosing(vec![0.25, 0.75, 0.5]),
             SpatialQuery::point_enclosing(vec![0.0, 1.0, 0.9999]),
         ];
-        let want = assert_counts_equal_oracle(&mut cands, &queries, 1, true);
+        let want = assert_counts_equal_oracle(&mut cands, &queries, 1);
         assert!(
             want.iter().any(|&w| w > 1) && want.iter().min() != want.iter().max(),
             "test premise: counts accumulate and discriminate"
@@ -1152,8 +1085,9 @@ mod tests {
 
         // Hand-built open and closed subintervals, one cell (k, k) per
         // entry, against boundary-coincident windows and points and
-        // full-domain windows. The second dimension's end bounds are
-        // out of order on purpose: only the per-cell count runs here.
+        // full-domain windows. The second dimension's end subintervals
+        // overlap and share a lower bound; `generate` never writes
+        // bounds out of order, so neither does this set.
         let (o, c) = (true, false);
         let subs = [
             [(0.0, 0.25, o), (0.0, 0.25, o)],
@@ -1161,11 +1095,10 @@ mod tests {
             [(0.5, 1.0, c), (0.75, 1.0, c)],
             [(0.0, 0.5, o), (0.0, 0.5, c)],
             [(0.5, 0.75, o), (0.5, 1.0, o)],
-            [(0.75, 1.0, c), (0.0, 1.0, c)],
+            [(0.75, 1.0, c), (0.5, 1.0, c)],
         ];
         let diagonal = vec![(0, 0), (1, 1), (2, 2)];
         let mut set = hand_built(3, &subs, &[diagonal.clone(), diagonal], vec![0; 6]);
-        assert!(!bounds_sorted(&set), "test premise: unsorted bounds");
         let w = rect(&[0.25, 0.5], &[0.5, 0.75]);
         let full = rect(&[0.0, 0.0], &[1.0, 1.0]);
         let full_d0 = SpatialQuery::intersection(rect(&[0.0, 0.6], &[1.0, 0.6]));
@@ -1180,7 +1113,7 @@ mod tests {
             SpatialQuery::containment(full.clone()),
             SpatialQuery::enclosure(full),
         ];
-        assert_counts_equal_oracle(&mut set, &queries, 1, false);
+        assert_counts_equal_oracle(&mut set, &queries, 1);
         assert!(
             (0..3).all(|ci| set.matches_query(ci, &full_d0)),
             "a full-domain interval matches its whole run"
@@ -1193,7 +1126,7 @@ mod tests {
         let cells = vec![(0..70).map(|k| (k, k)).collect()];
         let mut set = hand_built(70, &subs, &cells, vec![0; 70]);
         let point = SpatialQuery::point_enclosing(vec![0.5]);
-        let want = assert_counts_equal_oracle(&mut set, &[point], 1, true);
+        let want = assert_counts_equal_oracle(&mut set, &[point], 1);
         let matched = want.iter().filter(|&&m| m == 1).count();
         assert!(matched > 0 && matched < 70, "{matched}");
 
@@ -1208,7 +1141,7 @@ mod tests {
         let mut set = hand_built(2, &subs, &cells, vec![7, u32::MAX - 1, u32::MAX - 1]);
         let q = SpatialQuery::intersection(rect(&[0.6, 0.0], &[0.7, 1.0]));
         assert_eq!(
-            assert_counts_equal_oracle(&mut set, &[q], 3, true),
+            assert_counts_equal_oracle(&mut set, &[q], 3),
             [7, u32::MAX, u32::MAX]
         );
     }
@@ -1380,7 +1313,7 @@ mod tests {
     /// A stream of more than `u16::MAX` notes forces an expansion before
     /// a cell could overflow — one query repeated past `u16::MAX` times
     /// bumps one cell per dimension that often — and what the notes add
-    /// equals the per-cell count of the same stream, onto counters
+    /// equals the scalar oracle over the same stream, onto counters
     /// preset near `u32::MAX`, which saturate, and onto zeroed ones.
     #[test]
     fn notes_past_u16_max_expand_to_the_per_cell_count() {
@@ -1402,7 +1335,7 @@ mod tests {
         let repeated = std::iter::repeat_n(&point, usize::from(u16::MAX) + 3_000);
         for q in repeated.chain(kinds.iter().cycle().take(1_000)) {
             set.note_query(q);
-            set.count_query_into(q, &mut column);
+            bump_matching(&set, q, &mut column);
         }
         assert_eq!(
             set.notes, 4_000,
@@ -1436,18 +1369,21 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::{self, assert_counts_equal_oracle, hand_built, Sub};
+    use super::tests::{self, bump_matching};
     use super::*;
     use acx_geom::HyperRect;
     use proptest::prelude::*;
 
-    /// One counting pass over zeroed counters, as match flags.
+    /// One query noted into a copy of a generated set, whose counters
+    /// are zero, and expanded, as match flags.
     fn kernel_matches(cands: &CandidateSet, query: &SpatialQuery) -> Vec<bool> {
-        let mut counters = vec![0u32; cands.len()];
-        cands.count_query_into(query, &mut counters);
+        let mut noted = cands.clone();
+        noted.note_query(query);
+        noted.expand();
+        let counters = noted.q_col();
         assert!(
             counters.iter().all(|&c| c <= 1),
-            "one pass adds at most one"
+            "one note adds at most one"
         );
         counters.iter().map(|&c| c == 1).collect()
     }
@@ -1580,77 +1516,6 @@ mod proptests {
                     prop_assert!(bit, "full-domain run candidate {} must match", ci);
                 }
             }
-        }
-
-        /// The per-dimension count against the scalar
-        /// [`CandidateSet::matches_query`] loop on hand-built sets:
-        /// arbitrary, unsorted subinterval bounds (so the factoring
-        /// assumes no order), open and closed upper bounds, dimensions
-        /// whose end subintervals equal their start ones, empty runs and
-        /// runs of 10–16 and 64–80 candidates over any cells, windows
-        /// spanning the full domain in some dimensions, and counters
-        /// preset up to `u32::MAX`: two passes add exactly what the loop
-        /// adds, pinned at the maximum.
-        #[test]
-        fn compare_and_count_equals_scalar_loop_on_ragged_runs(
-            f in 1u8..=12,
-            runs in prop::collection::vec(
-                prop_oneof![Just(0usize), 10usize..=16, 64usize..=80],
-                1..7,
-            ),
-            subs in prop::collection::vec((coord(), coord(), 0u8..2), 2 * 6 * 12),
-            same_mask in 0u8..64,
-            cells in prop::collection::vec((0u8..=255, 0u8..=255, 0usize..4), 6 * 80),
-            full_mask in 0u8..64,
-            pairs in prop::collection::vec((coord(), coord()), 6),
-            kind in 0usize..4,
-        ) {
-            let dims = runs.len();
-            let sub = |k: usize| {
-                let (a, b, open) = subs[k];
-                (a.min(b), a.max(b), open == 1)
-            };
-            let entries: Vec<[Sub; 2]> = (0..dims * f as usize)
-                .map(|k| {
-                    let start = sub(2 * k);
-                    let d = k / f as usize;
-                    [start, if same_mask >> d & 1 == 1 { start } else { sub(2 * k + 1) }]
-                })
-                .collect();
-            let mut drawn = cells.iter();
-            let mut preset = Vec::new();
-            let cells: Vec<Vec<(u8, u8)>> = runs
-                .iter()
-                .map(|&len| {
-                    drawn
-                        .by_ref()
-                        .take(len)
-                        .map(|&(i, j, q)| {
-                            preset.push([0, 7, u32::MAX - 1, u32::MAX][q]);
-                            (i % f, j % f)
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut set = hand_built(f, &entries, &cells, preset);
-
-            // Full [0, 1] intervals on the masked dimensions.
-            let (lo, hi): (Vec<Scalar>, Vec<Scalar>) = pairs
-                .iter()
-                .take(dims)
-                .enumerate()
-                .map(|(d, &(a, b))| {
-                    if full_mask >> d & 1 == 1 { (0.0, 1.0) } else { (a.min(b), a.max(b)) }
-                })
-                .unzip();
-            let w = HyperRect::from_bounds(&lo, &hi).unwrap();
-            let query = match kind {
-                0 => SpatialQuery::intersection(w),
-                1 => SpatialQuery::containment(w),
-                2 => SpatialQuery::enclosure(w),
-                _ => SpatialQuery::point_enclosing(lo.clone()),
-            };
-            assert_counts_equal_oracle(&mut set, &[query], 2, false);
         }
 
         /// Member recording stops at the first accepting candidate of a
@@ -1866,10 +1731,10 @@ mod proptests {
             }
         }
 
-        /// The table path equals the per-cell count: a random stream of
+        /// The table path equals the scalar oracle: a random stream of
         /// all four kinds, noted into a set with expansions interleaved,
-        /// leaves `q` where [`CandidateSet::count_query_into`] of the
-        /// same stream leaves a column — on the root and on chains of
+        /// leaves `q` where [`tests::bump_matching`] of the same stream
+        /// leaves a column — on the root and on chains of
         /// materialized children at `f` = 2 and 4 and on one dimension
         /// at `f` = 255, grid-snapped and off-grid edges, counters
         /// preset up to `u32::MAX`.
@@ -1913,7 +1778,7 @@ mod proptests {
                     _ => SpatialQuery::point_enclosing(lo.clone()),
                 };
                 set.note_query(&query);
-                set.count_query_into(&query, &mut column);
+                bump_matching(&set, &query, &mut column);
                 if *expand == 0 {
                     set.expand();
                     prop_assert_eq!(set.q_col(), &column[..]);

@@ -48,7 +48,7 @@ fn probabilities_tie(a: f64, b: f64) -> bool {
 
 /// The index-wide clocks and counters, in the order the checkpoint's
 /// clocks frame stores them (`checkpoint.rs` encodes them in one place).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Clocks {
     /// Id of the last completed checkpoint (0 = never), also stamped
     /// into the WAL header so recovery can tell a live log suffix from
@@ -700,37 +700,72 @@ mod tests {
     use crate::batch::StatsDelta;
     use acx_geom::SpatialQuery;
 
+    /// The two statistics-writing paths run one recorder: a stream
+    /// through `execute` and the same stream through one-query deltas
+    /// leave every candidate set equal, unexpanded notes included, and
+    /// every cluster's counters and the clocks, across automatic passes.
     #[test]
-    fn apply_adds_only_as_many_counters_as_the_cluster_has() {
-        // A reused delta keeps each slot's counter vector at the widest
-        // cluster the slot ever held. Once the slot is recycled for a
-        // cluster with fewer candidates, applying must stop at the
-        // cluster's own candidates, whatever the surplus holds.
-        let mut index = AdaptiveClusterIndex::new(IndexConfig::memory(2)).unwrap();
-        let root = index.root;
-        let len = index.candidates[root as usize].len();
-        let mut delta = StatsDelta::new();
-        let entry = delta.cluster_mut(root, len + 5);
-        entry.q_count = 3;
-        entry.cand_q.fill(2);
-        delta.queries = 3;
-        index.apply_stats(&delta);
+    fn execute_and_one_query_deltas_leave_equal_statistics() {
+        use acx_testkit::{random_grid_query, random_grid_rect};
+        use rand::{rngs::StdRng, SeedableRng};
+        use std::borrow::Cow;
 
-        let cands = &index.candidates[root as usize];
-        assert_eq!(cands.q_col(), &vec![2; len][..]);
-        assert_eq!(cands.len(), len, "the surplus grew the set");
-        assert_eq!(index.cluster(root).q_count, 3);
-        index.check_invariants().unwrap();
-
-        // Recording after a clear keeps the wide vector and writes only
-        // the cluster's own prefix of it.
-        delta.clear();
-        let q = SpatialQuery::point_enclosing(vec![0.5, 0.5]);
-        index.query_recorded_with(&q, &mut delta, &mut QueryScratch::new());
-        let entry = &delta.clusters[root as usize];
-        assert_eq!(entry.cand_q.len(), len + 5);
-        assert!(entry.cand_q[..len].contains(&1));
-        assert!(entry.cand_q[len..].iter().all(|&q| q == 0));
+        let dims = 3;
+        let mut config = IndexConfig::edbt2004(dims, acx_storage::StorageScenario::Memory);
+        config.reorg_period = 40;
+        let new = || AdaptiveClusterIndex::new(config.clone()).unwrap();
+        let (mut direct, mut two_phase) = (new(), new());
+        let mut rng = StdRng::seed_from_u64(0x0E5);
+        for i in 0..600 {
+            let rect = random_grid_rect(&mut rng, dims, 8);
+            direct.insert(ObjectId(i), rect.clone()).unwrap();
+            two_phase.insert(ObjectId(i), rect).unwrap();
+        }
+        let counters = |index: &AdaptiveClusterIndex| -> Vec<_> {
+            let live = index.clusters.iter().flatten();
+            live.map(|c| {
+                (
+                    c.q_count,
+                    c.epoch_start,
+                    c.q_eff.to_bits(),
+                    c.weight.to_bits(),
+                )
+            })
+            .collect()
+        };
+        let (mut delta, mut scratch) = (StatsDelta::new(), QueryScratch::new());
+        let mut pending = false;
+        for k in 0..130 {
+            let q = random_grid_query(&mut rng, dims, 8);
+            direct.execute(&q);
+            delta.clear();
+            two_phase.query_recorded_with(&q, &mut delta, &mut scratch);
+            two_phase.apply_stats(&delta);
+            assert!(
+                direct.candidates == two_phase.candidates,
+                "candidate sets after query {k}"
+            );
+            assert_eq!(
+                counters(&direct),
+                counters(&two_phase),
+                "clusters after query {k}"
+            );
+            assert_eq!(direct.clocks, two_phase.clocks, "clocks after query {k}");
+            pending |= direct
+                .candidates
+                .iter()
+                .any(|c| matches!(c.expanded_q(), Cow::Owned(_)));
+        }
+        assert!(
+            direct.reorganizations() >= 3,
+            "test premise: passes crossed"
+        );
+        assert!(
+            direct.cluster_count() > 1,
+            "test premise: clusters materialized"
+        );
+        assert!(pending, "test premise: notes were pending");
+        two_phase.check_invariants().unwrap();
     }
 
     #[test]

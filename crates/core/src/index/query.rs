@@ -1,16 +1,18 @@
 //! The matching phase (paper §3.6, Fig. 5) and the statistics recorded
 //! over it: one traversal (`explore`) behind every query entry point,
-//! which lists the clusters it explored and records nothing, then a
-//! recorder per statistics-keeping entry point that walks that list.
+//! which lists the clusters it explored and records nothing, then one
+//! per-slot recorder (`record`) that `execute` runs over that list and
+//! `apply_stats` over the lists a delta logged.
 
 use std::time::Instant;
 
 use acx_geom::scan::{scan_columns_loaded, QueryBounds, ScanScratch};
-use acx_geom::{ObjectId, SpatialQuery};
+use acx_geom::{ObjectId, Scalar, SpatialQuery};
 use acx_storage::AccessStats;
 
 use super::AdaptiveClusterIndex;
 use crate::batch::StatsDelta;
+use crate::candidates::query_sides;
 use crate::metrics::{QueryMetrics, QueryResult};
 use crate::IndexError;
 
@@ -192,13 +194,14 @@ impl AdaptiveClusterIndex {
         self.explore(query, scratch)
     }
 
-    /// Read-only execution that additionally records the statistics the
-    /// query would have written into `delta`. Apply the delta later with
-    /// [`AdaptiveClusterIndex::apply_stats`] to make the adaptive
-    /// reorganization see the queries exactly as if they had been run via
-    /// [`AdaptiveClusterIndex::execute`].
+    /// Read-only execution that additionally logs the query into
+    /// `delta`, matches landing in [`QueryScratch::matches`]. Apply the
+    /// delta later with [`AdaptiveClusterIndex::apply_stats`] to make the
+    /// adaptive reorganization see the queries exactly as if they had
+    /// been run via [`AdaptiveClusterIndex::execute`]. A warmed-up
+    /// (scratch, delta) pair logs queries without allocating.
     ///
-    /// The first recorded query stamps the delta with the index's current
+    /// The first logged query stamps the delta with the index's current
     /// structural epoch, so one delta never mixes queries recorded across
     /// a reorganization that changed the clustering.
     ///
@@ -207,23 +210,6 @@ impl AdaptiveClusterIndex {
     /// Panics if the query dimensionality differs from the index's, or if
     /// `delta` already holds queries recorded against a different
     /// clustering state.
-    pub fn query_recorded(&self, query: &SpatialQuery, delta: &mut StatsDelta) -> QueryResult {
-        let mut scratch = QueryScratch::new();
-        let metrics = self.query_recorded_with(query, delta, &mut scratch);
-        QueryResult {
-            matches: std::mem::take(&mut scratch.matches),
-            metrics,
-        }
-    }
-
-    /// [`AdaptiveClusterIndex::query_recorded`] through a reusable
-    /// scratch arena: matches land in [`QueryScratch::matches`] and a
-    /// warmed-up (scratch, delta) pair records queries without
-    /// allocating.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`AdaptiveClusterIndex::query_recorded`].
     pub fn query_recorded_with(
         &self,
         query: &SpatialQuery,
@@ -240,45 +226,50 @@ impl AdaptiveClusterIndex {
             ),
         }
         let metrics = self.explore(query, scratch);
-        for &slot in &scratch.explored {
-            let cands = &self.candidates[slot as usize];
-            let recorded = delta.cluster_mut(slot, cands.len());
-            recorded.q_count += 1;
-            cands.count_query_into(query, &mut recorded.cand_q[..cands.len()]);
-        }
-        delta.queries += 1;
+        delta.log(query, &scratch.explored);
         delta.verified_bytes += metrics.stats.verified_bytes;
         delta.full_bytes += metrics.stats.objects_verified * self.store.object_bytes() as u64;
         metrics
     }
 
-    /// Applies statistics recorded by
-    /// [`AdaptiveClusterIndex::query_recorded`], then runs a
-    /// reorganization pass if the configured `reorg_period` has elapsed.
+    /// Replays the queries logged by
+    /// [`AdaptiveClusterIndex::query_recorded_with`] over their slots
+    /// through `execute`'s own per-slot recorder, then counts them and
+    /// runs a reorganization pass if the configured `reorg_period` has
+    /// elapsed.
     ///
     /// Apply a delta before the next reorganization. If a reorganization
     /// *changed* the clustering in between, the delta is stale: its
-    /// per-cluster increments are dropped (merges recycle cluster slots,
-    /// so applying them could credit unrelated clusters), while the
-    /// global query and byte totals — which stay meaningful — are still
+    /// per-cluster part is dropped (merges recycle cluster slots, so
+    /// replaying it could credit unrelated clusters), while the global
+    /// query and byte totals — which stay meaningful — are still
     /// counted.
     pub fn apply_stats(&mut self, delta: &StatsDelta) {
         if delta.epoch.is_none_or(|e| e == self.clocks.structure_epoch) {
-            // Only the touched list carries increments: a reused delta
-            // (see [`StatsDelta::clear`]) may retain zeroed entries for
-            // clusters of earlier epochs whose slots were since recycled
-            // or freed, but those are not on the list. Each touched
-            // cluster replays any lazily skipped decay epochs before the
-            // new increments land on it.
-            for &slot in &delta.touched {
-                let recorded = &delta.clusters[slot as usize];
-                let cands = &mut self.candidates[slot as usize];
-                cands.catch_up_to(self.clocks.stats_epoch);
-                cands.add_q_slice(&recorded.cand_q);
-                self.cluster_mut(slot).q_count += recorded.q_count;
+            for (containment, thresholds, slots) in delta.logged(self.dims()) {
+                for &slot in slots {
+                    self.record(slot, containment, thresholds.iter().copied());
+                }
             }
         }
-        self.close_queries(delta.queries, delta.verified_bytes, delta.full_bytes);
+        self.close_queries(delta.queries(), delta.verified_bytes, delta.full_bytes);
+    }
+
+    /// The per-slot recorder of every statistics-writing path: catches
+    /// the cluster's candidate set up on its skipped decay epochs, notes
+    /// the query, given as its `query_sides!`, in the set, and counts it
+    /// in the cluster's `q_count`.
+    fn record(
+        &mut self,
+        slot: u32,
+        containment: bool,
+        thresholds: impl Iterator<Item = (Scalar, Scalar)>,
+    ) {
+        let stats_epoch = self.clocks.stats_epoch;
+        let cands = &mut self.candidates[slot as usize];
+        cands.catch_up_to(stats_epoch);
+        cands.note_sides(containment, thresholds);
+        self.cluster_mut(slot).q_count += 1;
     }
 
     /// The tail of every statistics-writing path: counts the queries
@@ -312,7 +303,8 @@ impl AdaptiveClusterIndex {
     /// ([`crate::candidates::CandidateSet::note_query`]). It leaves the
     /// index exactly where
     /// [`AdaptiveClusterIndex::query_recorded_with`] followed by
-    /// [`AdaptiveClusterIndex::apply_stats`] would.
+    /// [`AdaptiveClusterIndex::apply_stats`] would: both run one
+    /// per-slot recorder.
     ///
     /// When `reorg_period` is non-zero, a cluster reorganization pass runs
     /// automatically every `reorg_period` executed queries.
@@ -338,15 +330,12 @@ impl AdaptiveClusterIndex {
         // traversal reads the index, then the record writes it.
         let mut scratch = std::mem::take(&mut self.query_scratch);
         let metrics = self.explore(query, &mut scratch);
-        // In exploration order — the order `apply_stats` walks a
-        // one-query delta's touched list in.
-        let stats_epoch = self.clocks.stats_epoch;
-        for &slot in &scratch.explored {
-            let cands = &mut self.candidates[slot as usize];
-            cands.catch_up_to(stats_epoch);
-            cands.note_query(query);
-            self.cluster_mut(slot).q_count += 1;
-        }
+        // In exploration order, as `apply_stats` replays a logged query.
+        query_sides!(query, |containment, sides| {
+            for &slot in &scratch.explored {
+                self.record(slot, containment, sides.clone());
+            }
+        });
         self.close_queries(
             1,
             metrics.stats.verified_bytes,

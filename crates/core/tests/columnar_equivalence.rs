@@ -79,18 +79,19 @@ fn columnar_equals_oracle_high_dims() {
     assert_equivalent(8, 600, 200, 0xC08);
 }
 
-/// The slots a delta touched, ascending.
+/// The slots a delta logged, ascending: one entry per query that
+/// explored the slot.
 fn touched(delta: &StatsDelta) -> Vec<u32> {
     let mut slots = delta.touched_slots().to_vec();
     slots.sort_unstable();
     slots
 }
 
-/// The slots the model explored over `answers`, ascending, once each.
+/// The slots the model explored over `answers`, ascending: one entry per
+/// answer that explored the slot.
 fn explored(answers: &[Answer]) -> Vec<u32> {
     let mut slots: Vec<u32> = answers.iter().flat_map(|a| a.explored.clone()).collect();
     slots.sort_unstable();
-    slots.dedup();
     slots
 }
 
@@ -111,8 +112,9 @@ fn recorded_stats_deltas_are_identical() {
         model.execute(&q);
     }
     assert_same(&index, &model, "shaped");
-    // Record queries into one delta: it touches the clusters the model
-    // explores, and applying it leaves the index where the model's
+    // Record queries into one delta: it logs the clusters the model
+    // explores, as often as the model explores them, and applying it
+    // leaves the index where the model's
     // executions of the same queries leave the model.
     let mut delta = StatsDelta::new();
     let mut scratch = QueryScratch::new();
@@ -319,9 +321,10 @@ fn assert_paths_equivalent(period: u64) {
     if period == 0 {
         let stale_queries = mixed(&mut rng);
         let mut stale = [StatsDelta::new(), StatsDelta::new()];
+        let mut scratch = QueryScratch::new();
         for (index, delta) in duo.each().into_iter().zip(&mut stale) {
             for q in &stale_queries {
-                index.query_recorded(q, delta);
+                index.query_recorded_with(q, delta, &mut scratch);
             }
         }
         let stale_answers: Vec<Answer> = stale_queries.iter().map(|q| duo.model.query(q)).collect();
@@ -493,10 +496,10 @@ proptest! {
             // Record the query read-only first. (A fresh delta per
             // query, so an `execute`-triggered reorganization between
             // queries never strands an epoch.)
-            let mut delta = StatsDelta::new();
-            let recorded = index.query_recorded(&q, &mut delta);
+            let (mut delta, mut scratch) = (StatsDelta::new(), QueryScratch::new());
+            index.query_recorded_with(&q, &mut delta, &mut scratch);
             let answer = model.query(&q);
-            prop_assert_eq!(sorted(recorded.matches), answer.matches.clone());
+            prop_assert_eq!(sorted(scratch.matches().to_vec()), answer.matches.clone());
             prop_assert_eq!(touched(&delta), explored(&[answer]));
             let a = index.execute(&q);
             let b = model.execute(&q);

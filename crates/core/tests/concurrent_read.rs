@@ -1,12 +1,12 @@
 //! The concurrent read path: `query` takes `&self` (compile-checked by
 //! issuing queries from scoped threads over a shared reference),
-//! `query_recorded` + `apply_stats` leaves the index where `execute`
+//! `query_recorded_with` + `apply_stats` leaves the index where `execute`
 //! does, and `get`/`remove` locate objects in O(1) through the store's
 //! id table.
 
 use std::time::Instant;
 
-use acx_core::{AdaptiveClusterIndex, IndexConfig, IndexError, StatsDelta};
+use acx_core::{AdaptiveClusterIndex, IndexConfig, IndexError, QueryScratch, StatsDelta};
 use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery};
 use acx_testkit::{paper, random_rect};
 use rand::rngs::StdRng;
@@ -91,11 +91,11 @@ fn query_recorded_plus_apply_stats_equals_execute() {
     // grouped freely before being applied.
     let queries = mixed_queries(&mut rng, dims, 99);
 
-    let mut delta = StatsDelta::new();
+    let (mut delta, mut scratch) = (StatsDelta::new(), QueryScratch::new());
     for q in &queries {
         let a = via_execute.execute(q);
-        let b = via_delta.query_recorded(q, &mut delta);
-        assert_eq!(a.matches, b.matches);
+        via_delta.query_recorded_with(q, &mut delta, &mut scratch);
+        assert_eq!(a.matches, scratch.matches());
     }
     assert_eq!(delta.queries(), 99);
     assert!(!delta.is_empty());
@@ -217,8 +217,12 @@ fn recording_into_one_delta_across_a_reorganization_panics() {
     let mut index = build(dims, 1500, 40, config);
     let mut rng = StdRng::seed_from_u64(41);
 
-    let mut delta = StatsDelta::new();
-    index.query_recorded(&SpatialQuery::point_enclosing(vec![0.5; 4]), &mut delta);
+    let (mut delta, mut scratch) = (StatsDelta::new(), QueryScratch::new());
+    index.query_recorded_with(
+        &SpatialQuery::point_enclosing(vec![0.5; 4]),
+        &mut delta,
+        &mut scratch,
+    );
     // Selective queries then a reorganization that changes the clustering.
     for q in mixed_queries(&mut rng, dims, 120) {
         index.execute(&q);
@@ -227,7 +231,11 @@ fn recording_into_one_delta_across_a_reorganization_panics() {
     assert!(report.changed(), "test premise: clustering must change");
     // The delta is stamped with the old structural epoch: recording more
     // queries into it must be rejected rather than silently mixed.
-    index.query_recorded(&SpatialQuery::point_enclosing(vec![0.5; 4]), &mut delta);
+    index.query_recorded_with(
+        &SpatialQuery::point_enclosing(vec![0.5; 4]),
+        &mut delta,
+        &mut scratch,
+    );
 }
 
 #[test]
@@ -239,11 +247,12 @@ fn applying_a_stale_delta_drops_cluster_increments_but_counts_queries() {
     let mut rng = StdRng::seed_from_u64(43);
 
     // Record a delta against the initial single-root clustering.
-    let mut stale = StatsDelta::new();
+    let (mut stale, mut scratch) = (StatsDelta::new(), QueryScratch::new());
     for _ in 0..10 {
-        index.query_recorded(
+        index.query_recorded_with(
             &SpatialQuery::point_enclosing((0..dims).map(|_| rng.gen_range(0.0..=1.0)).collect()),
             &mut stale,
+            &mut scratch,
         );
     }
     // Change the clustering: the old slots' statistics may now belong to
