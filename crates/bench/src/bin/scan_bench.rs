@@ -20,6 +20,10 @@
 //!   per period of a cluster explored k = 1, 8, 32 or 100 times, what
 //!   every recording path runs: k × `note_query` plus one `expand`.
 //!   These are layer numbers and claim nothing end to end.
+//! * **member passes** — the two passes a restart runs over every
+//!   cluster's members twice (`count_members`, `first_rejected`), per
+//!   member, on the portable body and on the tier the CPU dispatches
+//!   to (AVX2 where it has it).
 //! * **index** — `AdaptiveClusterIndex` point-enclosing queries (§7.2,
 //!   the scan-dominated workload) through the read-only `query_with`
 //!   path, on an adapted index.
@@ -37,9 +41,10 @@
 //!   `insert` pair: §3.5's descent of the cluster tree, which tests
 //!   each child of an accepting cluster on its child-table row.
 //!
-//! `BENCH_reorg.json`'s timed rows carry the quartiles of their samples
-//! beside each median: on a shared host one run's median drifts by more
-//! than a regression, so commits are compared in alternating pairs.
+//! `BENCH_reorg.json`'s timed rows, and `BENCH_candidates.json`'s (each
+//! from at least five runs), carry the quartiles of their samples beside
+//! each median: on a shared host one run's median drifts by more than a
+//! regression, so commits are compared in alternating pairs.
 //!
 //! The index and the pass make the paper's decisions by the equivalence
 //! suites, which compare them with the test crate's model of the paper;
@@ -79,6 +84,10 @@ use acx_workloads::{
 };
 use rand::rngs::StdRng;
 use rand::Rng;
+
+/// Members of the cluster whose restart passes `member_passes` times:
+/// a large cluster of the memory platform, which clusters hundreds.
+const MEMBER_PASS_MEMBERS: usize = 1_024;
 
 /// Median-of-repeats nanoseconds per query for one closure.
 fn time_per_query<F: FnMut(usize) -> u64>(queries: usize, repeats: usize, mut run: F) -> f64 {
@@ -247,8 +256,8 @@ struct CandidateRow {
     dims: usize,
     division_factor: u8,
     candidates: usize,
-    noted_ns: f64,
-    scalar_ns: f64,
+    noted: Spread,
+    scalar: Spread,
 }
 
 /// The candidate rows' 64 queries: the four kinds in turn.
@@ -269,40 +278,47 @@ fn candidate_queries(dims: usize) -> Vec<SpatialQuery> {
 /// per query vs the candidate-at-a-time scalar reference, across
 /// division factors pushing `f²·Nd` from a dozen past the paper's 160
 /// (f = 4, 16 d) to thousands. Both read one cluster's candidate set
-/// and leave the same counts in a `u32` column per candidate.
-fn candidate_matrix(configs: &[(usize, u8)], repeats: usize) -> Vec<CandidateRow> {
+/// and leave the same counts in a `u32` column per candidate. Each
+/// timing is the spread of `runs` medians of `repeats`.
+fn candidate_matrix(configs: &[(usize, u8)], repeats: usize, runs: usize) -> Vec<CandidateRow> {
     let mut rows = Vec::new();
     for &(dims, f) in configs {
         let mut noted = CandidateSet::generate(&Signature::root(dims), f);
         let cands = noted.clone();
         let queries = candidate_queries(dims);
 
-        let noted_ns = time_per_query(queries.len(), repeats, |k| {
-            noted.note_query(&queries[k]);
-            noted.expand();
-            noted.q(k % noted.len()) as u64
+        let noted_ns = Spread::of_runs(runs, || {
+            time_per_query(queries.len(), repeats, |k| {
+                noted.note_query(&queries[k]);
+                noted.expand();
+                noted.q(k % noted.len()) as u64
+            })
         });
         let mut counters = vec![0u32; cands.len()];
-        let scalar_ns = time_per_query(queries.len(), repeats, |k| {
-            for (ci, c) in counters.iter_mut().enumerate() {
-                if cands.matches_query(ci, &queries[k]) {
-                    *c = c.saturating_add(1);
+        let scalar_ns = Spread::of_runs(runs, || {
+            time_per_query(queries.len(), repeats, |k| {
+                for (ci, c) in counters.iter_mut().enumerate() {
+                    if cands.matches_query(ci, &queries[k]) {
+                        *c = c.saturating_add(1);
+                    }
                 }
-            }
-            counters[k % counters.len()] as u64
+                counters[k % counters.len()] as u64
+            })
         });
         assert_eq!(noted.q_col(), &counters[..], "the two count alike");
         println!(
-            "cands   d={dims} f={f} ({:>5} candidates): note_query+expand {noted_ns:>9.0} ns/q  scalar {scalar_ns:>9.0} ns/q  speedup {:.2}x",
+            "cands   d={dims} f={f} ({:>5} candidates): note_query+expand {:>9.0} ns/q  scalar {:>9.0} ns/q  speedup {:.2}x",
             cands.len(),
-            scalar_ns / noted_ns,
+            noted_ns.p50,
+            scalar_ns.p50,
+            scalar_ns.p50 / noted_ns.p50,
         );
         rows.push(CandidateRow {
             dims,
             division_factor: f,
             candidates: cands.len(),
-            noted_ns,
-            scalar_ns,
+            noted: noted_ns,
+            scalar: scalar_ns,
         });
     }
     rows
@@ -313,37 +329,145 @@ struct PeriodRow {
     division_factor: u8,
     candidates: usize,
     explored: usize,
-    noted_ns: f64,
+    noted: Spread,
 }
 
 /// One cluster explored `k` times per period, per query: `k` ×
 /// `note_query` plus the period's one `expand`, as every recording path
-/// and the pass's scan run them.
-fn candidate_periods(configs: &[(usize, u8)], repeats: usize) -> Vec<PeriodRow> {
+/// and the pass's scan run them. Each timing is the spread of `runs`
+/// medians of `repeats`.
+fn candidate_periods(configs: &[(usize, u8)], repeats: usize, runs: usize) -> Vec<PeriodRow> {
     let mut rows = Vec::new();
     for &(dims, f) in configs {
         let queries = candidate_queries(dims);
         for k in [1usize, 8, 32, 100] {
             let periods = (6_400 / k).max(1);
             let mut noted = CandidateSet::generate(&Signature::root(dims), f);
-            let noted_ns = time_per_query(periods, repeats, |p| {
-                for t in 0..k {
-                    noted.note_query(&queries[(p * k + t) % queries.len()]);
-                }
-                noted.expand();
-                noted.q(p % noted.len()) as u64
-            }) / k as f64;
-            println!("period  d={dims} f={f} k={k:>3}: note_query+expand {noted_ns:>7.0} ns/q");
+            let noted_ns = Spread::of_runs(runs, || {
+                time_per_query(periods, repeats, |p| {
+                    for t in 0..k {
+                        noted.note_query(&queries[(p * k + t) % queries.len()]);
+                    }
+                    noted.expand();
+                    noted.q(p % noted.len()) as u64
+                }) / k as f64
+            });
+            println!(
+                "period  d={dims} f={f} k={k:>3}: note_query+expand {:>7.0} ns/q",
+                noted_ns.p50
+            );
             rows.push(PeriodRow {
                 dims,
                 division_factor: f,
                 candidates: noted.len(),
                 explored: k,
-                noted_ns,
+                noted: noted_ns,
             });
         }
     }
     rows
+}
+
+struct MemberPassRow {
+    dims: usize,
+    candidates: usize,
+    /// Nanoseconds per member of one `count_members`, on the portable
+    /// body and on the tier the CPU dispatches to.
+    count: (Spread, Spread),
+    /// The same for one `first_rejected` that rejects no member.
+    reject: (Spread, Spread),
+}
+
+/// The two member passes a restart runs twice over every cluster, in
+/// `load` and in `check_invariants`' audit: every candidate's member
+/// count (`count_members`, f = 4) and every member held to the
+/// cluster's signature (`first_rejected`; the root signature rejects no
+/// member, so every dimension's columns are read). Each is timed on the
+/// portable body — `CandidateBounds::count_in` per candidate and
+/// `Signature::clear_rejected`, compiled here without AVX2 — and as the
+/// index calls it, on the tier the CPU has. Nanoseconds per member, the
+/// spread of `runs` medians of `repeats`.
+fn member_passes(
+    dims_list: &[usize],
+    members: usize,
+    repeats: usize,
+    runs: usize,
+) -> Vec<MemberPassRow> {
+    let passes = 16;
+    let per_member = |ns: f64| ns / members as f64;
+    let mut rows = Vec::new();
+    for &dims in dims_list {
+        let workload =
+            UniformWorkload::with_max_length(WorkloadConfig::new(dims, members, 0x3E3B), 0.3);
+        let mut rng = WorkloadConfig::new(dims, members, 0x3E3B).rng();
+        let mut cols = vec![Vec::with_capacity(members); 2 * dims];
+        for _ in 0..members {
+            for (col, v) in cols
+                .iter_mut()
+                .zip(workload.sample_object(&mut rng).to_flat())
+            {
+                col.push(v);
+            }
+        }
+        let view = PairedColumns::new(&cols);
+        let sig = Signature::root(dims);
+        let set = CandidateSet::generate(&sig, 4);
+        let (mut portable, mut dispatched) = (vec![0u32; set.len()], vec![0u32; set.len()]);
+        let count_portable = Spread::of_runs(runs, || {
+            per_member(time_per_query(passes, repeats, |k| {
+                for (ci, n) in portable.iter_mut().enumerate() {
+                    let c = set.bounds(ci);
+                    *n = c.count_in(view.lo_col(c.dim()), view.hi_col(c.dim()));
+                }
+                u64::from(portable[k % portable.len()])
+            }))
+        });
+        let count_dispatched = Spread::of_runs(runs, || {
+            per_member(time_per_query(passes, repeats, |k| {
+                set.count_members(&view, &mut dispatched);
+                u64::from(dispatched[k % dispatched.len()])
+            }))
+        });
+        assert_eq!(portable, dispatched, "the two tiers count alike");
+        let mut accepted = Vec::new();
+        let reject_portable = Spread::of_runs(runs, || {
+            per_member(time_per_query(passes, repeats, |_| {
+                accepted.clear();
+                accepted.resize(members, true);
+                sig.clear_rejected(&view, &mut accepted);
+                accepted
+                    .iter()
+                    .position(|&ok| !ok)
+                    .map_or(0, |k| k as u64 + 1)
+            }))
+        });
+        let reject_dispatched = Spread::of_runs(runs, || {
+            per_member(time_per_query(passes, repeats, |_| {
+                sig.first_rejected(&view, &mut accepted)
+                    .map_or(0, |k| k as u64 + 1)
+            }))
+        });
+        println!(
+            "members d={dims} f=4 n={members}: count_members {:.3} -> {:.3} ns/member  first_rejected {:.3} -> {:.3} ns/member (portable -> dispatched)",
+            count_portable.p50, count_dispatched.p50, reject_portable.p50, reject_dispatched.p50,
+        );
+        rows.push(MemberPassRow {
+            dims,
+            candidates: set.len(),
+            count: (count_portable, count_dispatched),
+            reject: (reject_portable, reject_dispatched),
+        });
+    }
+    rows
+}
+
+/// The tier the member passes dispatch to on this CPU.
+fn dispatched_tier() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if acx_geom::scan::avx2_detected() {
+        return "avx2";
+    }
+    "portable"
 }
 
 /// The index-level sections' configuration: the paper's platform, where
@@ -447,11 +571,21 @@ impl Spread {
         Self { p25: at(1), p50: at(2), p75: at(3) }
     }
 
+    /// Quartiles of `runs` samples of `sample`.
+    fn of_runs(runs: usize, mut sample: impl FnMut() -> f64) -> Self {
+        Self::of((0..runs).map(|_| sample()).collect())
+    }
+
     /// The spread as JSON fields `"<name>_ns"`, `"<name>_p25_ns"` and
-    /// `"<name>_p75_ns"`.
+    /// `"<name>_p75_ns"`, in whole nanoseconds.
     fn json(&self, name: &str) -> String {
+        self.json_to(name, 0)
+    }
+
+    /// [`Spread::json`] to `decimals` places.
+    fn json_to(&self, name: &str, decimals: usize) -> String {
         format!(
-            "\"{name}_ns\": {:.0}, \"{name}_p25_ns\": {:.0}, \"{name}_p75_ns\": {:.0}",
+            "\"{name}_ns\": {:.decimals$}, \"{name}_p25_ns\": {:.decimals$}, \"{name}_p75_ns\": {:.decimals$}",
             self.p50, self.p25, self.p75
         )
     }
@@ -826,8 +960,13 @@ fn main() {
     println!("== scan kernel snapshot (single thread) ==");
     let kernel = kernel_matrix(&sizes, &dims_list, repeats);
     let order = block_order(quick, repeats);
-    let cands = candidate_matrix(cand_configs, repeats);
-    let periods = candidate_periods(&[(8, 4), (16, 4)], repeats);
+    // The candidate and member rows are cheap: their spread comes from
+    // at least five runs, since one run's median drifts more than a
+    // change moves it.
+    let runs = repeats.max(5);
+    let cands = candidate_matrix(cand_configs, repeats, runs);
+    let periods = candidate_periods(&[(8, 4), (16, 4)], repeats, runs);
+    let member_rows = member_passes(&[4, 8, 16], MEMBER_PASS_MEMBERS, repeats, runs);
     let index = index_point_enclosing(index_objects, repeats);
     let recorded = recorded_execute(index_objects, repeats);
     let reorg = reorg_matrix(index_objects, repeats);
@@ -903,19 +1042,24 @@ fn main() {
          plus one CandidateSet::expand, scalar = matches_query + saturating bump per candidate. \
          period: a cluster explored k times per period, ns per query; \
          noted = k x CandidateSet::note_query plus one CandidateSet::expand. \
+         member_count: ns per member of one CandidateSet::count_members (f = 4) and of one \
+         Signature::first_rejected that rejects no member, on the portable body and on the tier \
+         the CPU dispatches to. Every timing is the median (_ns) and quartiles (_p25_ns, _p75_ns) \
+         of the runs, each run the median of the repeats. \
          Layer numbers only: they claim nothing end to end\",\n",
     );
+    let _ = writeln!(json, "  \"runs\": {runs}, \"repeats\": {repeats},");
     json.push_str("  \"candidate_matching\": [\n");
     for (i, r) in cands.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"dims\": {}, \"division_factor\": {}, \"candidates\": {}, \"noted_ns_per_query\": {:.0}, \"scalar_ns_per_query\": {:.0}, \"speedup\": {:.3}}}",
+            "    {{\"dims\": {}, \"division_factor\": {}, \"candidates\": {}, {}, {}, \"speedup\": {:.3}}}",
             r.dims,
             r.division_factor,
             r.candidates,
-            r.noted_ns,
-            r.scalar_ns,
-            r.scalar_ns / r.noted_ns,
+            r.noted.json("noted_per_query"),
+            r.scalar.json("scalar_per_query"),
+            r.scalar.p50 / r.noted.p50,
         );
         json.push_str(if i + 1 == cands.len() { "\n" } else { ",\n" });
     }
@@ -923,16 +1067,38 @@ fn main() {
     for (i, r) in periods.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"dims\": {}, \"division_factor\": {}, \"candidates\": {}, \"explored_per_period\": {}, \"noted_ns_per_query\": {:.0}}}",
+            "    {{\"dims\": {}, \"division_factor\": {}, \"candidates\": {}, \"explored_per_period\": {}, {}}}",
             r.dims,
             r.division_factor,
             r.candidates,
             r.explored,
-            r.noted_ns,
+            r.noted.json("noted_per_query"),
         );
         json.push_str(if i + 1 == periods.len() { "\n" } else { ",\n" });
     }
-    json.push_str("  ]\n}\n");
+    let _ = writeln!(
+        json,
+        "  ],\n  \"member_count\": {{\"members\": {MEMBER_PASS_MEMBERS}, \"division_factor\": 4, \"dispatched_tier\": \"{}\", \"rows\": [",
+        dispatched_tier()
+    );
+    for (i, r) in member_rows.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"dims\": {}, \"candidates\": {}, \"count_members\": {{{}, {}}}, \"first_rejected\": {{{}, {}}}}}",
+            r.dims,
+            r.candidates,
+            r.count.0.json_to("portable_per_member", 3),
+            r.count.1.json_to("dispatched_per_member", 3),
+            r.reject.0.json_to("portable_per_member", 3),
+            r.reject.1.json_to("dispatched_per_member", 3),
+        );
+        json.push_str(if i + 1 == member_rows.len() {
+            "\n"
+        } else {
+            ",\n"
+        });
+    }
+    json.push_str("  ]}\n}\n");
     std::fs::write(&cand_out, &json).expect("write candidate snapshot");
     println!("wrote {cand_out}");
 

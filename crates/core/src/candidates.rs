@@ -140,6 +140,28 @@ impl CandidateBounds {
     pub fn accepts_bounds(&self, lo: Scalar, hi: Scalar) -> bool {
         self.start_lo <= lo && lo <= self.start_reach && self.end_lo <= hi && hi <= self.end_reach
     }
+
+    /// How many members this candidate accepts, given their bounds in
+    /// [`CandidateBounds::dim`] as the columns `lo` and `hi`: the
+    /// member loop of every member-count pass
+    /// ([`CandidateSet::count_members`]), which runs it compiled for AVX2
+    /// on CPUs that have it (`scan_bench` times both). The four
+    /// comparisons are combined with `&` rather than `&&`, so the loop
+    /// has no branch and vectorizes.
+    #[inline(always)]
+    pub fn count_in(&self, lo: &[Scalar], hi: &[Scalar]) -> u32 {
+        lo.iter()
+            .zip(hi)
+            .map(|(&a, &b)| {
+                u32::from(
+                    (self.start_lo <= a)
+                        & (a <= self.start_reach)
+                        & (self.end_lo <= b)
+                        & (b <= self.end_reach),
+                )
+            })
+            .sum()
+    }
 }
 
 /// The candidate subclusters of one cluster signature as owned,
@@ -591,27 +613,57 @@ impl CandidateSet {
     /// Panics if `out` is not exactly one entry per candidate.
     pub fn count_members(&self, members: &PairedColumns<'_>, out: &mut [u32]) {
         assert_eq!(out.len(), self.len(), "one member count per candidate");
-        for (ci, n) in out.iter_mut().enumerate() {
-            *n = self.count_accepted(ci, members);
-        }
+        self.fold_counts(members, out, |n, count| *n = count);
     }
 
-    /// How many of `members` candidate `ci` accepts: one pass over the
-    /// lower- and upper-bound columns of its specialized dimension. The
-    /// four comparisons are combined with `&` rather than `&&`, so the
-    /// member loop has no branch and vectorizes.
-    #[inline]
-    fn count_accepted(&self, ci: usize, members: &PairedColumns<'_>) -> u32 {
-        let c = self.bounds(ci);
-        let (lo, hi) = (members.lo_col(c.dim), members.hi_col(c.dim));
-        lo.iter()
-            .zip(hi)
-            .map(|(&a, &b)| {
-                u32::from(
-                    (c.start_lo <= a) & (a <= c.start_reach) & (c.end_lo <= b) & (b <= c.end_reach),
-                )
-            })
-            .sum()
+    /// Folds each candidate's count of `members` into its entry of `n`
+    /// by `fold(entry, count)`, at AVX2 width when the CPU has it
+    /// ([`CandidateSet::fold_counts_portable`]).
+    fn fold_counts(
+        &self,
+        members: &PairedColumns<'_>,
+        n: &mut [u32],
+        fold: impl FnMut(&mut u32, u32),
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if acx_geom::scan::avx2_detected() {
+            // SAFETY: AVX2 presence was just verified; the callee is the
+            // same safe loop compiled with the feature enabled.
+            return unsafe { self.fold_counts_avx2(members, n, fold) };
+        }
+        self.fold_counts_portable(members, n, fold)
+    }
+
+    /// [`CandidateSet::fold_counts_portable`] compiled for AVX2, so each
+    /// member loop runs at eight lanes: the same counts.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn fold_counts_avx2(
+        &self,
+        members: &PairedColumns<'_>,
+        n: &mut [u32],
+        fold: impl FnMut(&mut u32, u32),
+    ) {
+        self.fold_counts_portable(members, n, fold)
+    }
+
+    /// The portable body of every member-count pass: per candidate, one
+    /// pass over the lower- and upper-bound columns of its specialized
+    /// dimension ([`CandidateBounds::count_in`]), whose count `fold`
+    /// takes with the candidate's entry of `n`.
+    #[inline(always)]
+    fn fold_counts_portable(
+        &self,
+        members: &PairedColumns<'_>,
+        n: &mut [u32],
+        mut fold: impl FnMut(&mut u32, u32),
+    ) {
+        for d in 0..self.dims() {
+            let (lo, hi) = (members.lo_col(d), members.hi_col(d));
+            for ci in self.run(d) {
+                fold(&mut n[ci], self.bounds(ci).count_in(lo, hi));
+            }
+        }
     }
 
     /// Counts a new member of the parent cluster into every candidate
@@ -670,13 +722,14 @@ impl CandidateSet {
     /// what [`CandidateSet::record_member`] of each member leaves,
     /// `n_hi` included (raised to each count that grew).
     pub fn record_members(&mut self, members: &PairedColumns<'_>) {
-        for ci in 0..self.len() {
-            let arriving = self.count_accepted(ci, members);
+        let (mut n, mut n_hi) = (std::mem::take(&mut self.n), self.n_hi);
+        self.fold_counts(members, &mut n, |n, arriving| {
             if arriving > 0 {
-                self.n[ci] += arriving;
-                self.n_hi = self.n_hi.max(self.n[ci]);
+                *n += arriving;
+                n_hi = n_hi.max(*n);
             }
-        }
+        });
+        (self.n, self.n_hi) = (n, n_hi);
     }
 
     /// Removes members leaving the parent cluster — a split's new child
@@ -684,11 +737,12 @@ impl CandidateSet {
     /// [`CandidateSet::count_members`] pass per candidate, which is
     /// what [`CandidateSet::unrecord_member`] of each member leaves.
     pub fn unrecord_members(&mut self, members: &PairedColumns<'_>) {
-        for ci in 0..self.len() {
-            let leaving = self.count_accepted(ci, members);
-            debug_assert!(self.n[ci] >= leaving);
-            self.n[ci] -= leaving;
-        }
+        let mut n = std::mem::take(&mut self.n);
+        self.fold_counts(members, &mut n, |n, leaving| {
+            debug_assert!(*n >= leaving);
+            *n -= leaving;
+        });
+        self.n = n;
     }
 
     /// Replaces every candidate's member count with a recount over
@@ -698,10 +752,10 @@ impl CandidateSet {
     /// recording each member once into zeroed counters leaves, at a
     /// column pass per candidate instead of a candidate run per member.
     pub fn recount_members(&mut self, members: &PairedColumns<'_>) {
-        for ci in 0..self.len() {
-            self.n[ci] = self.count_accepted(ci, members);
-        }
-        self.n_hi = self.n.iter().copied().max().unwrap_or(0);
+        let mut n = std::mem::take(&mut self.n);
+        self.fold_counts(members, &mut n, |n, count| *n = count);
+        self.n_hi = n.iter().copied().max().unwrap_or(0);
+        self.n = n;
     }
 
     /// Adds `inc` matching queries to candidate `ci`, saturating at
@@ -826,6 +880,7 @@ impl CandidateSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::signature::tests::{edge_values, tiers, Tier};
     use acx_geom::HyperRect;
 
     fn rect(lo: &[Scalar], hi: &[Scalar]) -> HyperRect {
@@ -1364,6 +1419,102 @@ mod tests {
         assert_eq!(set.q_col(), &saved[..]);
         set.expand();
         assert_eq!(set.q_col(), &saved[..], "no note survives a restore");
+    }
+
+    /// [`CandidateSet::count_members`] on a chosen tier.
+    fn count_on(tier: Tier, set: &CandidateSet, members: &PairedColumns<'_>, out: &mut [u32]) {
+        match tier {
+            Tier::Portable => set.fold_counts_portable(members, out, |n, count| *n = count),
+            // SAFETY: `tiers()` yields `Avx2` only after detecting AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => unsafe { set.fold_counts_avx2(members, out, |n, count| *n = count) },
+        }
+    }
+
+    /// A one-dimensional signature from its two variation intervals,
+    /// each `(lo, hi, hi_open)`, through the checkpoint encoding.
+    fn one_dim_signature(start: (Scalar, Scalar, bool), end: (Scalar, Scalar, bool)) -> Signature {
+        let mut bytes = 1u16.to_le_bytes().to_vec();
+        for (lo, hi, open) in [start, end] {
+            bytes.extend_from_slice(&lo.to_le_bytes());
+            bytes.extend_from_slice(&hi.to_le_bytes());
+            bytes.push(u8::from(open));
+        }
+        Signature::from_bytes(&bytes).expect("a valid signature")
+    }
+
+    /// Every tier counts what `accepts_bounds` accepts, candidate for
+    /// candidate, and so does `count_members`. The sets are generated at
+    /// `f` = 2, 4 and 255 from signatures whose intervals are the
+    /// domain, an open pair, a point, a few ulps (zero-width
+    /// subintervals) and subnormal-wide. Every member bound is drawn
+    /// from the subintervals' `start_lo`, `start_reach`, `end_lo` and
+    /// `end_reach`, one ulp either side, and `SPECIALS`: at each column
+    /// length 0–70 for `f` ≤ 4; at `f = 255` from the first, second,
+    /// middle and last two subintervals, at the lengths around the
+    /// vector widths.
+    #[test]
+    fn every_tier_counts_alike() {
+        let tiers = tiers();
+        println!("member-pass tiers exercised: {tiers:?}");
+        let few_ulps = |v: Scalar| v.next_up().next_up().next_up();
+        let tiny = Scalar::from_bits(5);
+        let sigs = [
+            Signature::root(1),
+            Signature::root(1).specialize(0, 4, 1, 2),
+            one_dim_signature((0.5, 0.5, false), (0.5, 0.5, false)),
+            one_dim_signature((0.25, few_ulps(0.25), false), (0.25, few_ulps(0.25), true)),
+            one_dim_signature((0.0, tiny, true), (-tiny, tiny, false)),
+        ];
+        let (mut counted, mut possible) = (0, 0);
+        for sig in &sigs {
+            for f in [2u8, 4, 255] {
+                let set = CandidateSet::generate(sig, f);
+                let picked = |k: usize| f <= 4 || [0, 1, f / 2, f - 2, f - 1].contains(&(k as u8));
+                let edges: Vec<Scalar> = (set.subs(0).iter().enumerate())
+                    .filter(|&(k, _)| picked(k))
+                    .flat_map(|(_, b)| [b.start_lo, b.start_reach, b.end_lo, b.end_reach])
+                    .collect();
+                let pool = edge_values(&edges);
+                let lengths: Vec<usize> = if f <= 4 {
+                    (0..=70).collect()
+                } else {
+                    vec![0, 1, 7, 8, 9, 15, 16, 17, 70]
+                };
+                for len in lengths {
+                    let cols = [
+                        (0..len).map(|k| pool[(k + len) % pool.len()]).collect(),
+                        (0..len)
+                            .map(|k| pool[(2 * k + 3 * len) % pool.len()])
+                            .collect(),
+                    ];
+                    let members = PairedColumns::of_equal_columns(&cols);
+                    let want: Vec<u32> = (0..set.len())
+                        .map(|ci| {
+                            let c = set.bounds(ci);
+                            let accepted = (cols[0].iter().zip(&cols[1]))
+                                .filter(|&(&a, &b)| c.accepts_bounds(a, b))
+                                .count();
+                            accepted as u32
+                        })
+                        .collect();
+                    for &tier in &tiers {
+                        let mut got = vec![0; set.len()];
+                        count_on(tier, &set, &members, &mut got);
+                        assert_eq!(got, want, "{tier:?}, {sig} f={f}, {len} members");
+                    }
+                    let mut got = vec![0; set.len()];
+                    set.count_members(&members, &mut got);
+                    assert_eq!(got, want, "{sig} f={f}, {len} members");
+                    counted += want.iter().sum::<u32>();
+                    possible += set.len() * len;
+                }
+            }
+        }
+        assert!(
+            counted > 0 && (counted as usize) < possible,
+            "test premise: both verdicts occur"
+        );
     }
 }
 

@@ -4,12 +4,13 @@
 
 use std::collections::HashMap;
 use std::path::Path;
+use std::time::Instant;
 
 use acx_geom::{HyperRect, ObjectId};
 use acx_storage::{BackingStore, FlushPolicy, Wal, WalError, WalRecord};
 
 use super::{cluster_slot, AdaptiveClusterIndex};
-use crate::metrics::{RecoveryReport, ReorgProfile};
+use crate::metrics::{RecoveryProfile, RecoveryReport, ReorgProfile};
 use crate::{IndexConfig, IndexError};
 
 impl AdaptiveClusterIndex {
@@ -152,10 +153,13 @@ impl AdaptiveClusterIndex {
         policy: FlushPolicy,
         config: IndexConfig,
     ) -> Result<(Self, RecoveryReport), IndexError> {
+        let mut profile = RecoveryProfile::default();
+        let started = Instant::now();
         let mut index = match checkpoint {
             Some(path) => Self::load(path, config)?,
             None => Self::new(config)?,
         };
+        profile.load_ns = nanos_since(started);
         let checkpoint_id = index.clocks.checkpoint_id;
         let (mut wal, replay) = Wal::reopen(store, policy, index.config.dims)?;
         if wal.checkpoint_id() > checkpoint_id {
@@ -187,16 +191,19 @@ impl AdaptiveClusterIndex {
             }
         }
         index.replaying = true;
+        let started = Instant::now();
         for (i, record) in records.iter().enumerate() {
             index
-                .apply_wal_record(record, &mut by_signature, &mut epoch_changed)
+                .apply_wal_record(record, &mut by_signature, &mut epoch_changed, &mut profile)
                 .map_err(|detail| IndexError::Recovery {
                     record: i as u64,
                     detail,
                 })?;
         }
+        profile.replay_ns = nanos_since(started);
         index.replaying = false;
         // One ordering of everything instead of the write path's many.
+        let started = Instant::now();
         index.order_segments();
         index
             .check_invariants()
@@ -204,6 +211,7 @@ impl AdaptiveClusterIndex {
                 record: records.len() as u64,
                 detail,
             })?;
+        profile.audit_ns = nanos_since(started);
         if stale {
             wal.reset_to(checkpoint_id).map_err(IndexError::Wal)?;
         }
@@ -213,6 +221,7 @@ impl AdaptiveClusterIndex {
             torn_tail: torn,
             clusters: index.cluster_count(),
             objects: index.len(),
+            profile,
         };
         index.wal = Some(wal);
         Ok((index, report))
@@ -225,29 +234,37 @@ impl AdaptiveClusterIndex {
     /// log-stable, signatures are both — resolved through
     /// `by_signature`, which the record keeps current, and mirror
     /// exactly the state transitions the live pass performs around
-    /// them.
+    /// them. Each record is counted into `profile` by kind, and the
+    /// structural ones are timed.
     fn apply_wal_record(
         &mut self,
         record: &WalRecord,
         by_signature: &mut SlotsBySignature,
         epoch_changed: &mut bool,
+        profile: &mut RecoveryProfile,
     ) -> Result<(), String> {
         match record {
             WalRecord::Insert { id, coords } => {
+                profile.inserts += 1;
                 let rect = HyperRect::from_flat(coords).map_err(|e| e.to_string())?;
                 self.insert(ObjectId(*id), rect).map_err(|e| e.to_string())
             }
-            WalRecord::Remove { id } => self
-                .remove(ObjectId(*id))
-                .map(|_| ())
-                .map_err(|e| e.to_string()),
+            WalRecord::Remove { id } => {
+                profile.removes += 1;
+                self.remove(ObjectId(*id))
+                    .map(|_| ())
+                    .map_err(|e| e.to_string())
+            }
             WalRecord::Update { id, coords } => {
+                profile.updates += 1;
                 let rect = HyperRect::from_flat(coords).map_err(|e| e.to_string())?;
                 self.update(ObjectId(*id), rect)
                     .map(|_| ())
                     .map_err(|e| e.to_string())
             }
             WalRecord::Merge { signature } => {
+                profile.merges += 1;
+                let started = Instant::now();
                 let slot = by_signature
                     .slot(signature)
                     .ok_or("merge of an unknown cluster signature")?;
@@ -258,12 +275,15 @@ impl AdaptiveClusterIndex {
                 by_signature.remove(signature, slot);
                 self.clocks.total_merges += 1;
                 *epoch_changed = true;
+                profile.merge_ns += nanos_since(started);
                 Ok(())
             }
             WalRecord::Materialize {
                 signature,
                 candidate,
             } => {
+                profile.materializes += 1;
+                let started = Instant::now();
                 let slot = by_signature
                     .slot(signature)
                     .ok_or("materialization from an unknown cluster signature")?;
@@ -280,15 +300,22 @@ impl AdaptiveClusterIndex {
                 by_signature.insert(self.cluster(child).signature.to_bytes(), child);
                 self.clocks.total_splits += 1;
                 *epoch_changed = true;
+                profile.materialize_ns += nanos_since(started);
                 Ok(())
             }
             WalRecord::EpochClose => {
+                profile.epoch_closes += 1;
                 self.close_epoch(*epoch_changed);
                 *epoch_changed = false;
                 Ok(())
             }
         }
     }
+}
+
+/// Wall nanoseconds since `started`, saturating at `u64::MAX`.
+fn nanos_since(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// The live clusters by rendered signature, built once per recovery and

@@ -26,6 +26,8 @@
 //! a sequential scan: when exploration is not worth avoiding, the index
 //! degenerates to a single root cluster scanned sequentially.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod batch;
 pub mod candidates;
 mod config;
@@ -40,6 +42,7 @@ pub use config::{IndexConfig, STATS_DECAY};
 pub use error::IndexError;
 pub use index::{AdaptiveClusterIndex, QueryScratch, ReorgFaultPoint};
 pub use metrics::{
-    ClusterSnapshot, QueryMetrics, QueryResult, RecoveryReport, ReorgProfile, ReorgReport,
+    ClusterSnapshot, QueryMetrics, QueryResult, RecoveryProfile, RecoveryReport, ReorgProfile,
+    ReorgReport,
 };
 pub use signature::Signature;

@@ -91,6 +91,38 @@ pub struct RecoveryReport {
     pub clusters: usize,
     /// Indexed objects after recovery.
     pub objects: usize,
+    /// Where the restart's time went and which records it replayed.
+    pub profile: RecoveryProfile,
+}
+
+/// The phases of one [`crate::AdaptiveClusterIndex::recover`], in wall
+/// nanoseconds, and its replayed records by kind. Membership records are
+/// counted only; the structural ones are timed too, each one clock read
+/// either side.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecoveryProfile {
+    /// Loading the checkpoint, or building the empty index without one.
+    pub load_ns: u64,
+    /// Replaying the log's records on top of it.
+    pub replay_ns: u64,
+    /// Putting every segment in key order and `check_invariants`.
+    pub audit_ns: u64,
+    /// Replayed `Insert` records.
+    pub inserts: u64,
+    /// Replayed `Remove` records.
+    pub removes: u64,
+    /// Replayed `Update` records.
+    pub updates: u64,
+    /// Replayed `Materialize` records.
+    pub materializes: u64,
+    /// Replayed `Merge` records.
+    pub merges: u64,
+    /// Replayed `EpochClose` records.
+    pub epoch_closes: u64,
+    /// Of `replay_ns`, the time in `Materialize` records.
+    pub materialize_ns: u64,
+    /// Of `replay_ns`, the time in `Merge` records.
+    pub merge_ns: u64,
 }
 
 #[cfg(test)]

@@ -222,7 +222,8 @@ impl Signature {
     /// dimension over its lower- and upper-bound columns, which clears
     /// the rejected members' entries of `accepted` (the caller's reused
     /// scratch, one entry per member), instead of gathering each member
-    /// into a row.
+    /// into a row ([`Signature::clear_rejected`], at AVX2 width when the
+    /// CPU has it).
     ///
     /// # Panics
     ///
@@ -234,6 +235,40 @@ impl Signature {
     ) -> Option<usize> {
         accepted.clear();
         accepted.resize(members.len(), true);
+        self.clear_rejected_on_best(members, accepted);
+        accepted.iter().position(|&ok| !ok)
+    }
+
+    /// [`Signature::clear_rejected`] at AVX2 width when the CPU has it.
+    fn clear_rejected_on_best(&self, members: &PairedColumns<'_>, accepted: &mut [bool]) {
+        #[cfg(target_arch = "x86_64")]
+        if acx_geom::scan::avx2_detected() {
+            // SAFETY: AVX2 presence was just verified; the callee is the
+            // same safe loop compiled with the feature enabled.
+            return unsafe { self.clear_rejected_avx2(members, accepted) };
+        }
+        self.clear_rejected(members, accepted)
+    }
+
+    /// [`Signature::clear_rejected`] compiled for AVX2, so each
+    /// dimension's pass runs at eight lanes: the same verdicts.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn clear_rejected_avx2(&self, members: &PairedColumns<'_>, accepted: &mut [bool]) {
+        self.clear_rejected(members, accepted)
+    }
+
+    /// Clears `accepted[k]` (one entry per member) for every member `k`
+    /// of `members` that the signature rejects: one pass per dimension
+    /// over its two bound columns. The portable body of
+    /// [`Signature::first_rejected`], which runs it compiled for AVX2 on
+    /// CPUs that have it (`scan_bench` times both).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `members` has fewer dimensions than the signature.
+    #[inline(always)]
+    pub fn clear_rejected(&self, members: &PairedColumns<'_>, accepted: &mut [bool]) {
         for (d, ds) in self.dims.iter().enumerate() {
             let (lo, hi, ok) = (members.lo_col(d), members.hi_col(d), &mut accepted[..]);
             match (ds.start.hi_open, ds.end.hi_open) {
@@ -243,7 +278,6 @@ impl Signature {
                 (true, true) => ds.keep_accepted::<true, true>(lo, hi, ok),
             }
         }
-        accepted.iter().position(|&ok| !ok)
     }
 
     /// Whether every object this signature accepts, `outer` accepts too:
@@ -407,10 +441,162 @@ impl std::fmt::Display for Signature {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use acx_geom::HyperRect;
     use proptest::prelude::*;
+
+    /// The instruction tiers of the member passes: the portable body,
+    /// and its AVX2 copy when the CPU has it.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum Tier {
+        Portable,
+        #[cfg(target_arch = "x86_64")]
+        Avx2,
+    }
+
+    /// Every tier this CPU runs, portable first.
+    pub(crate) fn tiers() -> Vec<Tier> {
+        #[cfg(target_arch = "x86_64")]
+        if acx_geom::scan::avx2_detected() {
+            return vec![Tier::Portable, Tier::Avx2];
+        }
+        vec![Tier::Portable]
+    }
+
+    /// Member bounds that sit on no interval's edge but that a pass must
+    /// still decide as a comparison does: signed zeros, the smallest and
+    /// the largest subnormal of each sign, NaN and the infinities.
+    pub(crate) const SPECIALS: [Scalar; 9] = [
+        0.0,
+        -0.0,
+        Scalar::from_bits(1),
+        -Scalar::from_bits(1),
+        Scalar::from_bits(0x007F_FFFF),
+        -Scalar::from_bits(0x007F_FFFF),
+        Scalar::NAN,
+        Scalar::INFINITY,
+        Scalar::NEG_INFINITY,
+    ];
+
+    /// `SPECIALS` and every edge of `edges` with one ulp either side.
+    pub(crate) fn edge_values(edges: &[Scalar]) -> Vec<Scalar> {
+        let near = edges.iter().flat_map(|&v| [v.next_down(), v, v.next_up()]);
+        SPECIALS.into_iter().chain(near).collect()
+    }
+
+    /// [`Signature::clear_rejected`] on a chosen tier.
+    fn clear_on(tier: Tier, sig: &Signature, members: &PairedColumns<'_>, accepted: &mut [bool]) {
+        match tier {
+            Tier::Portable => sig.clear_rejected(members, accepted),
+            // SAFETY: `tiers()` yields `Avx2` only after detecting AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => unsafe { sig.clear_rejected_avx2(members, accepted) },
+        }
+    }
+
+    /// The largest value `iv` holds: `hi`, or the next `f32` below an
+    /// open `hi`.
+    fn reach(iv: &SigInterval) -> Scalar {
+        if iv.hi_open {
+            iv.hi.next_down()
+        } else {
+            iv.hi
+        }
+    }
+
+    /// Every tier clears what `accepts_flat` rejects, member for member,
+    /// and `first_rejected` finds the first of them. The signatures hold
+    /// all four open/closed combinations of a dimension's two upper
+    /// bounds, zero-width and subnormal-width intervals, and
+    /// specializations at `f` = 2, 4 and 255 (those of a few-ulp-wide
+    /// interval are zero-width); each column length 0–70 draws every
+    /// member bound from its dimension's edges (lower bound and reach,
+    /// one ulp either side) and `SPECIALS`.
+    #[test]
+    fn every_tier_rejects_alike() {
+        let tiers = tiers();
+        println!("member-pass tiers exercised: {tiers:?}");
+        let one = |start: SigInterval, end: SigInterval| Signature {
+            dims: Box::new([DimSignature { start, end }]),
+        };
+        let mut sigs = Vec::new();
+        for (start_open, end_open) in [(false, false), (false, true), (true, false), (true, true)] {
+            sigs.push(one(
+                SigInterval::new(0.25, 0.5, start_open),
+                SigInterval::new(0.375, 0.75, end_open),
+            ));
+            sigs.push(one(
+                SigInterval::new(0.5, 0.5, start_open),
+                SigInterval::new(0.5, 0.5, end_open),
+            ));
+            let tiny = Scalar::from_bits(3);
+            sigs.push(one(
+                SigInterval::new(0.0, tiny, start_open),
+                SigInterval::new(-tiny, tiny, end_open),
+            ));
+        }
+        let narrow = one(
+            SigInterval::new(0.25, (0.25 as Scalar).next_up().next_up(), false),
+            SigInterval::new(0.5, (0.5 as Scalar).next_up(), true),
+        );
+        for f in [2u8, 4, 255] {
+            for (i, j) in [
+                (0, 0),
+                (0, f - 1),
+                (f / 2, f - 1),
+                (f - 1, f - 1),
+                (1, f / 2),
+            ] {
+                sigs.push(narrow.specialize(0, f, i, j));
+                sigs.push(
+                    Signature::root(2)
+                        .specialize(0, f, i, j)
+                        .specialize(1, f, j, j),
+                );
+            }
+        }
+        let (mut kept, mut cleared) = (0, 0);
+        for sig in &sigs {
+            let pools: Vec<Vec<Scalar>> = (sig.dims.iter())
+                .map(|ds| edge_values(&[ds.start.lo, reach(&ds.start), ds.end.lo, reach(&ds.end)]))
+                .collect();
+            for len in 0..=70usize {
+                let cols: Vec<Vec<Scalar>> = (0..2 * sig.dims())
+                    .map(|c| {
+                        // Strides prime to the pool's 21 values.
+                        let (pool, stride) = (&pools[c / 2], [1, 2, 4, 5][c]);
+                        (0..len)
+                            .map(|k| pool[(k * stride + len * (c + 2)) % pool.len()])
+                            .collect()
+                    })
+                    .collect();
+                let members = PairedColumns::of_equal_columns(&cols);
+                let verdicts: Vec<bool> = (0..len)
+                    .map(|k| {
+                        let row: Vec<Scalar> = cols.iter().map(|col| col[k]).collect();
+                        sig.accepts_flat(&row)
+                    })
+                    .collect();
+                for &tier in &tiers {
+                    let mut accepted = vec![true; len];
+                    clear_on(tier, sig, &members, &mut accepted);
+                    assert_eq!(accepted, verdicts, "{tier:?}, {sig}, {len} members");
+                }
+                let mut accepted = Vec::new();
+                let first = sig.first_rejected(&members, &mut accepted);
+                assert_eq!(
+                    first,
+                    verdicts.iter().position(|&ok| !ok),
+                    "{sig}, {len} members"
+                );
+                assert_eq!(accepted, verdicts);
+                kept += verdicts.iter().filter(|&&ok| ok).count();
+                cleared += verdicts.iter().filter(|&&ok| !ok).count();
+            }
+        }
+        assert!(kept > 0 && cleared > 0, "test premise: both verdicts occur");
+    }
 
     fn rect(lo: &[Scalar], hi: &[Scalar]) -> HyperRect {
         HyperRect::from_bounds(lo, hi).unwrap()

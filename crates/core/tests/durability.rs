@@ -16,7 +16,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use acx_core::{AdaptiveClusterIndex, IndexConfig, IndexError};
+use acx_core::{AdaptiveClusterIndex, IndexConfig, IndexError, RecoveryProfile};
 use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery};
 use acx_storage::{BackingStore, FlushPolicy, Wal, WalRecord};
 use acx_testkit::ckpt::Checkpoint;
@@ -623,6 +623,80 @@ fn crash_between_checkpoint_save_and_wal_reset_does_not_double_apply() {
     let replay = Wal::replay(store.as_mut()).unwrap();
     assert_eq!(replay.checkpoint_id, Some(1));
     assert!(replay.records.is_empty());
+}
+
+/// A recovery counts the records it replays by kind: the counts equal
+/// the kinds of the log it read and sum to `replayed_records`, and the
+/// structural records' time lies within the replay's. A log the
+/// checkpoint superseded replays nothing and counts nothing.
+#[test]
+fn the_recovery_profile_counts_the_replayed_kinds() {
+    let mut index = AdaptiveClusterIndex::new(config_2d()).unwrap();
+    index
+        .attach_wal(mem_wal(2, FlushPolicy::PerRecord))
+        .unwrap();
+    churn_until_slot_reuse(&mut index);
+    for i in (0..600u32).step_by(7) {
+        let rect = index.remove(ObjectId(1000 + i)).unwrap();
+        index.update(ObjectId(1001 + i), rect).unwrap();
+    }
+    let bytes = wal_bytes(&mut index);
+    let records = replay_records(&bytes);
+    let kind = |pick: fn(&WalRecord) -> bool| records.iter().filter(|&r| pick(r)).count() as u64;
+    let (_, report) = recover_log(bytes, config_2d()).unwrap();
+    let p = report.profile;
+    let counted = [
+        (p.inserts, kind(|r| matches!(r, WalRecord::Insert { .. }))),
+        (p.removes, kind(|r| matches!(r, WalRecord::Remove { .. }))),
+        (p.updates, kind(|r| matches!(r, WalRecord::Update { .. }))),
+        (
+            p.materializes,
+            kind(|r| matches!(r, WalRecord::Materialize { .. })),
+        ),
+        (p.merges, kind(|r| matches!(r, WalRecord::Merge { .. }))),
+        (p.epoch_closes, kind(|r| matches!(r, WalRecord::EpochClose))),
+    ];
+    for (got, logged) in counted {
+        assert_eq!(got, logged, "{p:?}");
+        assert!(got > 0, "test premise: every kind is logged ({p:?})");
+    }
+    let total: u64 = counted.iter().map(|&(got, _)| got).sum();
+    assert_eq!(total, report.replayed_records);
+    assert!(
+        p.materialize_ns > 0 && p.materialize_ns + p.merge_ns <= p.replay_ns,
+        "{p:?}"
+    );
+
+    // A log stamped with the checkpoint's predecessor is superseded.
+    let path = TempPath::new("profile-superseded");
+    let mut index = AdaptiveClusterIndex::new(config_2d()).unwrap();
+    index
+        .attach_wal(mem_wal(2, FlushPolicy::PerRecord))
+        .unwrap();
+    insert_until_failure(&mut index, 30);
+    let superseded = wal_bytes(&mut index);
+    index
+        .attach_wal(mem_wal(2, FlushPolicy::PerRecord))
+        .unwrap();
+    index.checkpoint(&path).unwrap();
+    let (_, report) = AdaptiveClusterIndex::recover(
+        Some(&path),
+        Box::new(MemBacking::from_bytes(superseded)),
+        FlushPolicy::PerRecord,
+        config_2d(),
+    )
+    .unwrap();
+    assert!(report.superseded_records > 0);
+    assert_eq!(
+        RecoveryProfile {
+            load_ns: 0,
+            replay_ns: 0,
+            audit_ns: 0,
+            ..report.profile
+        },
+        RecoveryProfile::default(),
+        "a superseded log replays no record"
+    );
 }
 
 /// A configuration whose clusters could own more candidate counters
