@@ -116,14 +116,25 @@ mod tests {
         assert_eq!(flags.get("objects", 7usize), 40);
         assert!(flags.has("quick"));
         assert_eq!(flags.get("dims", 16usize), 8);
-        assert_eq!(flags.get("seed", 3u64), 3, "absent flags keep their default");
+        assert_eq!(
+            flags.get("seed", 3u64),
+            3,
+            "absent flags keep their default"
+        );
         flags.finish();
     }
 
     #[test]
     #[should_panic(expected = "unknown flag(s): --stats-layout, --zone-maps")]
     fn finish_rejects_flags_nobody_read() {
-        let flags = flags(&["--zone-maps", "off", "--objects", "40", "--stats-layout", "per-cluster"]);
+        let flags = flags(&[
+            "--zone-maps",
+            "off",
+            "--objects",
+            "40",
+            "--stats-layout",
+            "per-cluster",
+        ]);
         assert_eq!(flags.get("objects", 7usize), 40);
         flags.finish();
     }

@@ -144,9 +144,8 @@ fn kernel_matrix(sizes: &[usize], dims_list: &[usize], repeats: usize) -> Vec<Ke
                 let mut acc = 0u64;
                 for row in flat.chunks_exact(width) {
                     let out = queries[k].matches_flat(row);
-                    acc += OBJECT_ID_BYTES as u64
-                        + 8 * out.dims_checked as u64
-                        + out.matched as u64;
+                    acc +=
+                        OBJECT_ID_BYTES as u64 + 8 * out.dims_checked as u64 + out.matched as u64;
                 }
                 acc
             });
@@ -198,7 +197,11 @@ fn block_order(quick: bool, repeats: usize) -> Vec<BlockOrderRow> {
         let queries = (0..64)
             .map(|_| SpatialQuery::intersection(workload.sample_window(&mut rng, extent)))
             .collect();
-        ("uniform_16d_window_1pct", workload.generate_objects(), queries)
+        (
+            "uniform_16d_window_1pct",
+            workload.generate_objects(),
+            queries,
+        )
     };
     let mut rows = Vec::new();
     for (workload, rects, queries) in [pubsub, uniform] {
@@ -568,7 +571,11 @@ impl Spread {
     fn of(mut samples: Vec<f64>) -> Self {
         samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         let at = |quarters: usize| samples[samples.len() * quarters / 4];
-        Self { p25: at(1), p50: at(2), p75: at(3) }
+        Self {
+            p25: at(1),
+            p50: at(2),
+            p75: at(3),
+        }
     }
 
     /// Quartiles of `runs` samples of `sample`.
@@ -908,7 +915,11 @@ fn report_calibration(
             t.verify_ns_per_byte,
             t.move_ns_per_object,
         );
-        json.push_str(if i + 1 == terms.per_dims.len() { "\n" } else { ",\n" });
+        json.push_str(if i + 1 == terms.per_dims.len() {
+            "\n"
+        } else {
+            ",\n"
+        });
     }
     json.push_str("    ],\n    \"terms\": {\n");
     let rows = terms.against_committed();
@@ -954,7 +965,15 @@ fn main() {
     } else {
         // (4,2)/(16,2) are the small sets (12 and 48 candidates) where
         // the kernel's fixed costs show; the rest sweep f²·Nd past 1k.
-        &[(4, 2), (16, 2), (8, 4), (16, 4), (16, 8), (16, 12), (32, 12)]
+        &[
+            (4, 2),
+            (16, 2),
+            (8, 4),
+            (16, 4),
+            (16, 8),
+            (16, 12),
+            (32, 12),
+        ]
     };
 
     println!("== scan kernel snapshot (single thread) ==");

@@ -227,7 +227,11 @@ mod tests {
 
     /// The query over `window` of each relation a window can carry.
     fn window_query(kind: usize, window: HyperRect) -> SpatialQuery {
-        [SpatialQuery::intersection, SpatialQuery::containment, SpatialQuery::enclosure][kind](window)
+        [
+            SpatialQuery::intersection,
+            SpatialQuery::containment,
+            SpatialQuery::enclosure,
+        ][kind](window)
     }
 
     fn rect_strategy(dims: usize) -> impl Strategy<Value = HyperRect> {

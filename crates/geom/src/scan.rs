@@ -112,7 +112,11 @@ impl<'a> PairedColumns<'a> {
     /// column panics; [`PairedColumns::lo_col`] and
     /// [`PairedColumns::hi_col`] slice with checks too.
     pub fn of_equal_columns(cols: &'a [Vec<Scalar>]) -> Self {
-        Self { cols, start: 0, len: cols.first().map_or(0, Vec::len) }
+        Self {
+            cols,
+            start: 0,
+            len: cols.first().map_or(0, Vec::len),
+        }
     }
 
     /// View over objects `start..start + len`.
@@ -216,8 +220,8 @@ fn lane_mask(len: usize) -> u64 {
 fn pack_tile(tile: &[u8; BLOCK]) -> u64 {
     let mut word = 0u64;
     for (k, chunk) in tile.chunks_exact(8).enumerate() {
-        let bytes = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"))
-            & 0x0101_0101_0101_0101;
+        let bytes =
+            u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")) & 0x0101_0101_0101_0101;
         word |= (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
     }
     word
@@ -320,9 +324,8 @@ mod x86 {
             for k in 0..BLOCK / 8 {
                 // SAFETY: step `k` reads lanes `8k..8k + 8 ≤ BLOCK` of
                 // two `BLOCK`-lane arrays.
-                let (xv, yv) = unsafe {
-                    (_mm256_loadu_ps(x.add(8 * k)), _mm256_loadu_ps(y.add(8 * k)))
-                };
+                let (xv, yv) =
+                    unsafe { (_mm256_loadu_ps(x.add(8 * k)), _mm256_loadu_ps(y.add(8 * k))) };
                 word |= step(xv, yv, t1v, t2v) << (8 * k);
             }
             word
@@ -331,7 +334,10 @@ mod x86 {
         #[inline(always)]
         unsafe fn word(x: &[Scalar], y: &[Scalar], t1: Scalar, t2: Scalar) -> u64 {
             let len = x.len();
-            assert!(y.len() == len && len < BLOCK, "one partial block of paired lanes");
+            assert!(
+                y.len() == len && len < BLOCK,
+                "one partial block of paired lanes"
+            );
             let (t1v, t2v) = (_mm256_set1_ps(t1), _mm256_set1_ps(t2));
             let mut word = 0u64;
             let mut i = 0;
@@ -343,7 +349,10 @@ mod x86 {
                 // `vmaskmovps` does not access a disabled lane.
                 let (xv, yv) = unsafe {
                     if left >= 8 {
-                        (_mm256_loadu_ps(x.as_ptr().add(i)), _mm256_loadu_ps(y.as_ptr().add(i)))
+                        (
+                            _mm256_loadu_ps(x.as_ptr().add(i)),
+                            _mm256_loadu_ps(y.as_ptr().add(i)),
+                        )
                     } else {
                         let lanes = _mm256_cmpgt_epi32(
                             _mm256_set1_epi32(left as i32),
@@ -534,7 +543,10 @@ fn resolve_columns(
         let (lo, hi) = (&lo_hi[0], &lo_hi[1]);
         covered &= (lo.len() >= end) & (hi.len() >= end);
         let (x, y) = if x_is_hi { (hi, lo) } else { (lo, hi) };
-        ColumnPair { x: x.as_ptr().wrapping_add(start), y: y.as_ptr().wrapping_add(start) }
+        ColumnPair {
+            x: x.as_ptr().wrapping_add(start),
+            y: y.as_ptr().wrapping_add(start),
+        }
     }));
     assert!(covered, "every column must cover the view's {end} objects");
 }
@@ -570,13 +582,20 @@ impl Lanes for ColumnLanes<'_, '_> {
         // `y` on: both blocks lie inside their columns, which stay
         // borrowed and unmodified while the lanes live.
         unsafe {
-            (&*x.add(start).cast::<[Scalar; BLOCK]>(), &*y.add(start).cast::<[Scalar; BLOCK]>())
+            (
+                &*x.add(start).cast::<[Scalar; BLOCK]>(),
+                &*y.add(start).cast::<[Scalar; BLOCK]>(),
+            )
         }
     }
 
     #[inline(always)]
     fn partial(&mut self, start: usize, len: usize, d: usize) -> (&[Scalar], &[Scalar]) {
-        let (x, y) = if self.x_is_hi { (2 * d + 1, 2 * d) } else { (2 * d, 2 * d + 1) };
+        let (x, y) = if self.x_is_hi {
+            (2 * d + 1, 2 * d)
+        } else {
+            (2 * d, 2 * d + 1)
+        };
         let lanes = self.cols.start + start..self.cols.start + start + len;
         (&self.cols.cols[x][lanes.clone()], &self.cols.cols[y][lanes])
     }
@@ -653,16 +672,18 @@ unsafe fn scan_blocks<C: Compare, L: Lanes>(
     matches: &mut Vec<u32>,
 ) -> ScanOutcome {
     let n = lanes.len();
-    assert!(u32::try_from(n).is_ok(), "a scan numbers its {n} objects in u32");
+    assert!(
+        u32::try_from(n).is_ok(),
+        "a scan numbers its {n} objects in u32"
+    );
     let full_end = n - n % BLOCK;
     matches.clear();
     let mut dims_checked = 0u64;
     for start in (0..full_end).step_by(BLOCK) {
         // SAFETY: `start + BLOCK ≤ full_end ≤ n`; the caller vouches for
         // the tier.
-        let word = unsafe {
-            survivors::<true, C, L>(lanes, start, BLOCK, t1s, t2s, &mut dims_checked)
-        };
+        let word =
+            unsafe { survivors::<true, C, L>(lanes, start, BLOCK, t1s, t2s, &mut dims_checked) };
         push_matches(matches, start, word);
     }
     if full_end < n {
@@ -748,7 +769,11 @@ pub fn scan_columns(
     cols: &PairedColumns<'_>,
     scratch: &mut ScanScratch,
 ) -> ScanOutcome {
-    let ScanScratch { matches, bounds, columns } = scratch;
+    let ScanScratch {
+        matches,
+        bounds,
+        columns,
+    } = scratch;
     bounds.load(query);
     // SAFETY: `Tier::best` names AVX2 only after detecting it and `popcnt`.
     unsafe { columns_on(Tier::best(), bounds, cols, columns, matches) }
@@ -761,7 +786,9 @@ pub fn scan_columns_loaded(
     cols: &PairedColumns<'_>,
     scratch: &mut ScanScratch,
 ) -> ScanOutcome {
-    let ScanScratch { matches, columns, .. } = scratch;
+    let ScanScratch {
+        matches, columns, ..
+    } = scratch;
     // SAFETY: `Tier::best` names AVX2 only after detecting it and `popcnt`.
     unsafe { columns_on(Tier::best(), bounds, cols, columns, matches) }
 }
@@ -785,7 +812,11 @@ unsafe fn columns_on(
     } else {
         columns.clear();
     }
-    let mut lanes = ColumnLanes { cols: *cols, x_is_hi, pairs: columns };
+    let mut lanes = ColumnLanes {
+        cols: *cols,
+        x_is_hi,
+        pairs: columns,
+    };
     // SAFETY: the caller vouches for the tier.
     unsafe { scan_on(tier, bounds, &mut lanes, matches) }
 }
@@ -850,7 +881,11 @@ mod tests {
         view: &PairedColumns<'_>,
         scratch: &mut ScanScratch,
     ) -> ScanOutcome {
-        let ScanScratch { matches, bounds, columns } = scratch;
+        let ScanScratch {
+            matches,
+            bounds,
+            columns,
+        } = scratch;
         bounds.load(query);
         // SAFETY: `tiers()` yields only `Tier::Portable` and `Tier::best()`.
         unsafe { columns_on(tier, bounds, view, columns, matches) }
@@ -873,7 +908,14 @@ mod tests {
         let mut scratch = ScanScratch::new();
         let q = SpatialQuery::point_enclosing(vec![0.5, 0.5]);
         let out = scan_columns(&q, &PairedColumns::new(&cols), &mut scratch);
-        assert_eq!(out, ScanOutcome { objects: 0, matched: 0, dims_checked: 0 });
+        assert_eq!(
+            out,
+            ScanOutcome {
+                objects: 0,
+                matched: 0,
+                dims_checked: 0
+            }
+        );
         assert!(scratch.matches().is_empty());
     }
 
@@ -890,7 +932,11 @@ mod tests {
             0.0, 1.0, 0.0, 1.0, // covers everything
         ];
         let w = HyperRect::from_bounds(&[0.3, 0.3], &[0.7, 0.7]).unwrap();
-        for query in [SpatialQuery::intersection, SpatialQuery::containment, SpatialQuery::enclosure] {
+        for query in [
+            SpatialQuery::intersection,
+            SpatialQuery::containment,
+            SpatialQuery::enclosure,
+        ] {
             assert_agrees(&query(w.clone()), &flat, dims);
         }
         assert_agrees(&SpatialQuery::point_enclosing(vec![0.3, 0.3]), &flat, dims);
@@ -914,7 +960,11 @@ mod tests {
 
     #[test]
     fn verified_bytes_accounts_id_and_checked_dims() {
-        let out = ScanOutcome { objects: 3, matched: 1, dims_checked: 5 };
+        let out = ScanOutcome {
+            objects: 3,
+            matched: 1,
+            dims_checked: 5,
+        };
         assert_eq!(out.verified_bytes(), 3 * OBJECT_ID_BYTES as u64 + 40);
     }
 
@@ -922,10 +972,12 @@ mod tests {
     fn scratch_is_reusable_across_queries_and_sizes() {
         let mut scratch = ScanScratch::new();
         for n in [100usize, 10, 300] {
-            let flat: Vec<Scalar> = (0..n).flat_map(|i| {
-                let x = (i % 17) as Scalar / 17.0;
-                [x, x + 0.1, 0.0, 1.0]
-            }).collect();
+            let flat: Vec<Scalar> = (0..n)
+                .flat_map(|i| {
+                    let x = (i % 17) as Scalar / 17.0;
+                    [x, x + 0.1, 0.0, 1.0]
+                })
+                .collect();
             assert_agrees(&SpatialQuery::point_enclosing(vec![0.2, 0.5]), &flat, 2);
             let cols = columns(&flat, 2);
             let q = SpatialQuery::point_enclosing(vec![0.2, 0.5]);
@@ -980,12 +1032,19 @@ mod tests {
                         .expect_err("a short column must panic")
                         .downcast::<String>()
                         .expect("a formatted panic message");
-                    assert!(message.contains("every column must cover"), "{tier:?}: {message}");
+                    assert!(
+                        message.contains("every column must cover"),
+                        "{tier:?}: {message}"
+                    );
                 }
             }
         }
         let cols = vec![vec![0.0; 64], vec![1.0; 63], vec![0.0; 64], vec![1.0; 64]];
-        let _ = scan_columns(&q, &PairedColumns::of_equal_columns(&cols), &mut ScanScratch::new());
+        let _ = scan_columns(
+            &q,
+            &PairedColumns::of_equal_columns(&cols),
+            &mut ScanScratch::new(),
+        );
     }
 
     /// Every tier the CPU reports computes what per-object
@@ -1001,7 +1060,9 @@ mod tests {
         println!("tiers exercised: {tiers:?}");
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut grid = |below: u64| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 33) % below
         };
         let mut matched_by_kind = [0usize; 4];
@@ -1041,12 +1102,16 @@ mod tests {
                 // match every query) and before three more.
                 let padded = |start: usize| {
                     let pad = |count: usize| (0..count * dims).flat_map(|_| [0.0, 1.0]);
-                    let rows: Vec<Scalar> =
-                        pad(start).chain(flat.iter().copied()).chain(pad(3)).collect();
+                    let rows: Vec<Scalar> = pad(start)
+                        .chain(flat.iter().copied())
+                        .chain(pad(3))
+                        .collect();
                     columns(&rows, dims)
                 };
-                let shifted: Vec<(usize, Vec<Vec<Scalar>>)> =
-                    [1, 63, 64, 65].into_iter().map(|start| (start, padded(start))).collect();
+                let shifted: Vec<(usize, Vec<Vec<Scalar>>)> = [1, 63, 64, 65]
+                    .into_iter()
+                    .map(|start| (start, padded(start)))
+                    .collect();
                 for (kind, query) in queries.iter().enumerate() {
                     let (want_matches, want_checked) = oracle(query, &flat, dims);
                     matched_by_kind[kind] += want_matches.len();
@@ -1059,7 +1124,10 @@ mod tests {
                         let mut scratch = ScanScratch::new();
                         let got =
                             scan_columns_on(tier, query, &PairedColumns::new(&cols), &mut scratch);
-                        assert_eq!(got, want, "{tier:?} columns, {dims} dims, n = {n}, {query:?}");
+                        assert_eq!(
+                            got, want,
+                            "{tier:?} columns, {dims} dims, n = {n}, {query:?}"
+                        );
                         assert_eq!(scratch.matches(), &want_matches[..], "{tier:?} columns");
                         for (start, cols) in &shifted {
                             let view = PairedColumns::slice(cols, *start, n);
@@ -1072,7 +1140,10 @@ mod tests {
                 }
             }
         }
-        assert!(matched_by_kind.iter().all(|&m| m > 0), "vacuous: {matched_by_kind:?}");
+        assert!(
+            matched_by_kind.iter().all(|&m| m > 0),
+            "vacuous: {matched_by_kind:?}"
+        );
     }
 
     #[test]

@@ -190,7 +190,10 @@ mod tests {
             assert_eq!(recording.m(), 0.0);
         }
         assert_eq!(CostModel::memory(OBJ_16D).b().to_bits(), 1e-3f64.to_bits());
-        assert_eq!(CostModel::disk(OBJ_16D).b().to_bits(), (1e-3f64 + 15.0).to_bits());
+        assert_eq!(
+            CostModel::disk(OBJ_16D).b().to_bits(),
+            (1e-3f64 + 15.0).to_bits()
+        );
     }
 
     #[test]
@@ -225,9 +228,8 @@ mod tests {
         assert!((extra - 10.0 * 160.0 * profile.record_ms_per_candidate).abs() < 1e-12);
         // What a query is priced at is what the prospective model
         // expects of the clusters it explored.
-        let expected = 100.0 * recording.a()
-            + 10.0 * recording.b()
-            + 132_000.0 * profile.verify_ms_per_byte;
+        let expected =
+            100.0 * recording.a() + 10.0 * recording.b() + 132_000.0 * profile.verify_ms_per_byte;
         assert!((recording.price(&stats) - expected).abs() < 1e-12);
     }
 

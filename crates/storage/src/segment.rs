@@ -258,7 +258,9 @@ impl SegmentStore {
         let seg = Segment {
             ids: Vec::with_capacity(expected),
             slots: Vec::with_capacity(expected),
-            cols: (0..2 * self.dims).map(|_| Vec::with_capacity(expected)).collect(),
+            cols: (0..2 * self.dims)
+                .map(|_| Vec::with_capacity(expected))
+                .collect(),
             ordered: 0,
             strays: 0,
         };
@@ -422,7 +424,10 @@ impl SegmentStore {
     /// already holds `u32::MAX + 1` members.
     pub fn put_back(&mut self, id: SegmentId, taken: Taken, flat: &[Scalar]) {
         assert_eq!(flat.len(), 2 * self.dims, "coordinate arity mismatch");
-        let Taken { id: object_id, slot } = taken;
+        let Taken {
+            id: object_id,
+            slot,
+        } = taken;
         debug_assert_eq!(self.table.entry(slot).id, object_id, "the kept slot moved");
         let seg = self.segment_mut(id);
         let index = slot_index(seg.ids.len());
@@ -613,15 +618,21 @@ impl SegmentStore {
         let perm = &perm[first..];
         for col in seg.cols.iter_mut() {
             self.order_col.clear();
-            self.order_col.extend(perm.iter().map(|&(_, from)| col[from as usize]));
+            self.order_col
+                .extend(perm.iter().map(|&(_, from)| col[from as usize]));
             col[first..].copy_from_slice(&self.order_col);
         }
         for column in [&mut seg.ids, &mut seg.slots] {
             self.order_ids.clear();
-            self.order_ids.extend(perm.iter().map(|&(_, from)| column[from as usize]));
+            self.order_ids
+                .extend(perm.iter().map(|&(_, from)| column[from as usize]));
             column[first..].copy_from_slice(&self.order_ids);
         }
-        for ((&(_, from), to), &slot) in perm.iter().zip(slot_index(first)..).zip(&seg.slots[first..]) {
+        for ((&(_, from), to), &slot) in perm
+            .iter()
+            .zip(slot_index(first)..)
+            .zip(&seg.slots[first..])
+        {
             if from != to {
                 self.table.set_place(slot, id.0, to);
             }
@@ -707,7 +718,9 @@ impl SegmentStore {
         self.table.check()?;
         if self.table.len() != members {
             let entries = self.table.len();
-            return Err(format!("the id table has {entries} entries for {members} members"));
+            return Err(format!(
+                "the id table has {entries} entries for {members} members"
+            ));
         }
         Ok(())
     }
@@ -986,7 +999,8 @@ mod tests {
     fn unmap(s: &mut SegmentStore, object_id: u32) {
         let slot = s.table.find(object_id).expect("object is stored");
         let segments = &mut s.segments;
-        s.table.remove(slot, |entry, slot| reslot(segments, entry, slot));
+        s.table
+            .remove(slot, |entry, slot| reslot(segments, entry, slot));
     }
 
     /// Everything a store holds, as a comparable value: per slot the
@@ -1197,7 +1211,11 @@ mod tests {
         assert_eq!(s.disorder(seg), 1, "a lower key opens the tail");
         push_keys(&mut s, seg, 20, &[0.9]);
         assert_eq!(s.disorder(seg), 2, "behind a tail every member joins it");
-        assert_eq!(s.ids(seg), &[0, 1, 2, 3, 10, 20], "pushing never moves a member");
+        assert_eq!(
+            s.ids(seg),
+            &[0, 1, 2, 3, 10, 20],
+            "pushing never moves a member"
+        );
     }
 
     #[test]
@@ -1213,7 +1231,11 @@ mod tests {
         assert_eq!(s.swap_remove(seg, 1), 1);
         assert_eq!(s.ids(seg), &[0, 3, 2, 11, 10]);
         assert_eq!(s.lo_col(seg, 0), &[0.1, 0.4, 0.3, 0.05, 0.25]);
-        assert_eq!(s.disorder(seg), 2 + 4, "two in the tail, and one stray counting four");
+        assert_eq!(
+            s.disorder(seg),
+            2 + 4,
+            "two in the tail, and one stray counting four"
+        );
         assert_positions_agree(&s, seg);
         // The segment's last (#10) has a higher key than #0: it takes
         // #0's place itself, and the run keeps its length.
@@ -1227,7 +1249,11 @@ mod tests {
         // Without a tail the run's last is the segment's last.
         assert_eq!(s.swap_remove(seg, 0), 10);
         assert_eq!(s.ids(seg), &[2, 3]);
-        assert_eq!(s.disorder(seg), 2 * 4, "never more strays than the run has members");
+        assert_eq!(
+            s.disorder(seg),
+            2 * 4,
+            "never more strays than the run has members"
+        );
         assert_positions_agree(&s, seg);
     }
 
@@ -1245,7 +1271,11 @@ mod tests {
         assert_eq!(s.disorder(seg), 0);
         assert_positions_agree(&s, seg);
         s.order(seg);
-        assert_eq!(s.ids(seg), &[0, 1, 11, 2, 10, 3, 12], "ordering twice is ordering once");
+        assert_eq!(
+            s.ids(seg),
+            &[0, 1, 11, 2, 10, 3, 12],
+            "ordering twice is ordering once"
+        );
         // An ordered segment goes on extending its run.
         push_keys(&mut s, seg, 20, &[0.95]);
         assert_eq!(s.disorder(seg), 0);
@@ -1262,7 +1292,11 @@ mod tests {
         let child = s.create(4);
         let member = |i: u32| {
             // The first 200 in key order, then a tail of 100.
-            let key = if i < 200 { i as Scalar / 200.0 } else { (i * 37 % 100) as Scalar / 100.0 };
+            let key = if i < 200 {
+                i as Scalar / 200.0
+            } else {
+                (i * 37 % 100) as Scalar / 100.0
+            };
             [key, key, (i % 5) as Scalar, (i % 7) as Scalar]
         };
         for i in 0..300u32 {
@@ -1276,7 +1310,11 @@ mod tests {
         let mut want: Vec<u32> = (0..300).filter(taken).collect();
         want.sort_by(|a, b| member(*a)[0].total_cmp(&member(*b)[0]));
         assert_eq!(moved, want.len());
-        assert_eq!(s.ids(child), &want[..], "in key order, ties in storage order");
+        assert_eq!(
+            s.ids(child),
+            &want[..],
+            "in key order, ties in storage order"
+        );
         assert!(moved > 100 && moved < 200);
         assert_eq!(s.disorder(child), 0, "the child starts life ordered");
         assert_positions_agree(&s, child);
@@ -1285,10 +1323,17 @@ mod tests {
         }
 
         let run_left: Vec<u32> = (0..200).filter(|i| !taken(i)).collect();
-        assert_eq!(s.ids(seg)[..run_left.len()], run_left[..], "survivors closed ranks");
+        assert_eq!(
+            s.ids(seg)[..run_left.len()],
+            run_left[..],
+            "survivors closed ranks"
+        );
         let mut tail_left = s.ids(seg)[run_left.len()..].to_vec();
         tail_left.sort_unstable();
-        assert_eq!(tail_left, (200..300).filter(|i| !taken(i)).collect::<Vec<_>>());
+        assert_eq!(
+            tail_left,
+            (200..300).filter(|i| !taken(i)).collect::<Vec<_>>()
+        );
         assert_eq!(s.disorder(seg), tail_left.len(), "the run is still a run");
         assert_eq!(s.len(), 300);
         assert_positions_agree(&s, seg);
@@ -1358,7 +1403,11 @@ mod tests {
         s.merge_into(a, b);
         assert_eq!(s.position_of(1), Some((b, 1)));
         assert_eq!(s.position_of(2), Some((b, 2)));
-        assert_eq!(s.disorder(b), 2, "a lower key behind the run opens the tail");
+        assert_eq!(
+            s.disorder(b),
+            2,
+            "a lower key behind the run opens the tail"
+        );
         assert!(s.contains_object(1));
     }
 
