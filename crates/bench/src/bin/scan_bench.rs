@@ -22,8 +22,8 @@
 //!   These are layer numbers and claim nothing end to end.
 //! * **member passes** — the two passes a restart runs over every
 //!   cluster's members twice (`count_members`, `first_rejected`), per
-//!   member, on the portable body and on the tier the CPU dispatches
-//!   to (AVX2 where it has it).
+//!   member, on every instruction tier the CPU runs (portable, and AVX2
+//!   where it has it).
 //! * **index** — `AdaptiveClusterIndex` point-enclosing queries (§7.2,
 //!   the scan-dominated workload) through the read-only `query_with`
 //!   path, on an adapted index.
@@ -76,6 +76,7 @@ use acx_bench::{adapted_ac, build_ac_with};
 use acx_core::candidates::CandidateSet;
 use acx_core::{AdaptiveClusterIndex, IndexConfig, QueryScratch, Signature, StatsDelta};
 use acx_geom::scan::{scan_columns, PairedColumns, ScanScratch, BLOCK};
+use acx_geom::tier::Tier;
 use acx_geom::{HyperRect, ObjectId, Scalar, SpatialQuery, OBJECT_ID_BYTES};
 use acx_storage::StorageScenario;
 use acx_workloads::{
@@ -375,7 +376,7 @@ struct MemberPassRow {
     dims: usize,
     candidates: usize,
     /// Nanoseconds per member of one `count_members`, on the portable
-    /// body and on the tier the CPU dispatches to.
+    /// tier and on the one the index dispatches to.
     count: (Spread, Spread),
     /// The same for one `first_rejected` that rejects no member.
     reject: (Spread, Spread),
@@ -385,11 +386,10 @@ struct MemberPassRow {
 /// `load` and in `check_invariants`' audit: every candidate's member
 /// count (`count_members`, f = 4) and every member held to the
 /// cluster's signature (`first_rejected`; the root signature rejects no
-/// member, so every dimension's columns are read). Each is timed on the
-/// portable body — `CandidateBounds::count_in` per candidate and
-/// `Signature::clear_rejected`, compiled here without AVX2 — and as the
-/// index calls it, on the tier the CPU has. Nanoseconds per member, the
-/// spread of `runs` medians of `repeats`.
+/// member, so every dimension's columns are read). Each is timed as the
+/// index calls it, on every tier of `Tier::all`: the first is the
+/// portable tier, the last the one the index dispatches to.
+/// Nanoseconds per member, the spread of `runs` medians of `repeats`.
 fn member_passes(
     dims_list: &[usize],
     members: usize,
@@ -415,62 +415,37 @@ fn member_passes(
         let view = PairedColumns::new(&cols);
         let sig = Signature::root(dims);
         let set = CandidateSet::generate(&sig, 4);
-        let (mut portable, mut dispatched) = (vec![0u32; set.len()], vec![0u32; set.len()]);
-        let count_portable = Spread::of_runs(runs, || {
-            per_member(time_per_query(passes, repeats, |k| {
-                for (ci, n) in portable.iter_mut().enumerate() {
-                    let c = set.bounds(ci);
-                    *n = c.count_in(view.lo_col(c.dim()), view.hi_col(c.dim()));
-                }
-                u64::from(portable[k % portable.len()])
-            }))
-        });
-        let count_dispatched = Spread::of_runs(runs, || {
-            per_member(time_per_query(passes, repeats, |k| {
-                set.count_members(&view, &mut dispatched);
-                u64::from(dispatched[k % dispatched.len()])
-            }))
-        });
-        assert_eq!(portable, dispatched, "the two tiers count alike");
-        let mut accepted = Vec::new();
-        let reject_portable = Spread::of_runs(runs, || {
-            per_member(time_per_query(passes, repeats, |_| {
-                accepted.clear();
-                accepted.resize(members, true);
-                sig.clear_rejected(&view, &mut accepted);
-                accepted
-                    .iter()
-                    .position(|&ok| !ok)
-                    .map_or(0, |k| k as u64 + 1)
-            }))
-        });
-        let reject_dispatched = Spread::of_runs(runs, || {
-            per_member(time_per_query(passes, repeats, |_| {
-                sig.first_rejected(&view, &mut accepted)
-                    .map_or(0, |k| k as u64 + 1)
-            }))
-        });
+        let (mut counts, mut accepted) = (vec![0u32; set.len()], Vec::new());
+        let timed: Vec<(Spread, Spread)> = (Tier::all().iter())
+            .map(|&tier| {
+                let count = Spread::of_runs(runs, || {
+                    per_member(time_per_query(passes, repeats, |k| {
+                        set.count_members(tier, &view, &mut counts);
+                        u64::from(counts[k % counts.len()])
+                    }))
+                });
+                let reject = Spread::of_runs(runs, || {
+                    per_member(time_per_query(passes, repeats, |_| {
+                        sig.first_rejected(tier, &view, &mut accepted)
+                            .map_or(0, |k| k as u64 + 1)
+                    }))
+                });
+                (count, reject)
+            })
+            .collect();
+        let (portable, dispatched) = (timed[0], timed[timed.len() - 1]);
         println!(
             "members d={dims} f=4 n={members}: count_members {:.3} -> {:.3} ns/member  first_rejected {:.3} -> {:.3} ns/member (portable -> dispatched)",
-            count_portable.p50, count_dispatched.p50, reject_portable.p50, reject_dispatched.p50,
+            portable.0.p50, dispatched.0.p50, portable.1.p50, dispatched.1.p50,
         );
         rows.push(MemberPassRow {
             dims,
             candidates: set.len(),
-            count: (count_portable, count_dispatched),
-            reject: (reject_portable, reject_dispatched),
+            count: (portable.0, dispatched.0),
+            reject: (portable.1, dispatched.1),
         });
     }
     rows
-}
-
-/// The tier the member passes dispatch to on this CPU.
-fn dispatched_tier() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if acx_geom::scan::avx2_detected() {
-        return "avx2";
-    }
-    "portable"
 }
 
 /// The index-level sections' configuration: the paper's platform, where
@@ -1098,7 +1073,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  ],\n  \"member_count\": {{\"members\": {MEMBER_PASS_MEMBERS}, \"division_factor\": 4, \"dispatched_tier\": \"{}\", \"rows\": [",
-        dispatched_tier()
+        format!("{:?}", Tier::best()).to_lowercase()
     );
     for (i, r) in member_rows.iter().enumerate() {
         let _ = write!(

@@ -71,6 +71,7 @@
 use std::borrow::Cow;
 
 use acx_geom::scan::PairedColumns;
+use acx_geom::tier::Tier;
 use acx_geom::{Scalar, SpatialQuery};
 
 use crate::signature::{SigInterval, Signature};
@@ -144,8 +145,7 @@ impl CandidateBounds {
     /// How many members this candidate accepts, given their bounds in
     /// [`CandidateBounds::dim`] as the columns `lo` and `hi`: the
     /// member loop of every member-count pass
-    /// ([`CandidateSet::count_members`]), which runs it compiled for AVX2
-    /// on CPUs that have it (`scan_bench` times both). The four
+    /// ([`CandidateSet::count_members`]), on every tier. The four
     /// comparisons are combined with `&` rather than `&&`, so the loop
     /// has no branch and vectorizes.
     #[inline(always)]
@@ -604,66 +604,16 @@ impl CandidateSet {
 
     /// Counts, from scratch, how many of `members` (the parent
     /// cluster's segment columns) each candidate accepts, into `out`
-    /// (one entry per candidate). Independent of the incremental
-    /// [`CandidateSet::record_member`] bookkeeping, which is what lets
-    /// `check_invariants` audit that bookkeeping with it.
+    /// (one entry per candidate), on `tier`. Independent of the
+    /// incremental [`CandidateSet::record_member`] bookkeeping, which is
+    /// what lets `check_invariants` audit that bookkeeping with it.
     ///
     /// # Panics
     ///
     /// Panics if `out` is not exactly one entry per candidate.
-    pub fn count_members(&self, members: &PairedColumns<'_>, out: &mut [u32]) {
+    pub fn count_members(&self, tier: Tier, members: &PairedColumns<'_>, out: &mut [u32]) {
         assert_eq!(out.len(), self.len(), "one member count per candidate");
-        self.fold_counts(members, out, |n, count| *n = count);
-    }
-
-    /// Folds each candidate's count of `members` into its entry of `n`
-    /// by `fold(entry, count)`, at AVX2 width when the CPU has it
-    /// ([`CandidateSet::fold_counts_portable`]).
-    fn fold_counts(
-        &self,
-        members: &PairedColumns<'_>,
-        n: &mut [u32],
-        fold: impl FnMut(&mut u32, u32),
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if acx_geom::scan::avx2_detected() {
-            // SAFETY: AVX2 presence was just verified; the callee is the
-            // same safe loop compiled with the feature enabled.
-            return unsafe { self.fold_counts_avx2(members, n, fold) };
-        }
-        self.fold_counts_portable(members, n, fold)
-    }
-
-    /// [`CandidateSet::fold_counts_portable`] compiled for AVX2, so each
-    /// member loop runs at eight lanes: the same counts.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn fold_counts_avx2(
-        &self,
-        members: &PairedColumns<'_>,
-        n: &mut [u32],
-        fold: impl FnMut(&mut u32, u32),
-    ) {
-        self.fold_counts_portable(members, n, fold)
-    }
-
-    /// The portable body of every member-count pass: per candidate, one
-    /// pass over the lower- and upper-bound columns of its specialized
-    /// dimension ([`CandidateBounds::count_in`]), whose count `fold`
-    /// takes with the candidate's entry of `n`.
-    #[inline(always)]
-    fn fold_counts_portable(
-        &self,
-        members: &PairedColumns<'_>,
-        n: &mut [u32],
-        mut fold: impl FnMut(&mut u32, u32),
-    ) {
-        for d in 0..self.dims() {
-            let (lo, hi) = (members.lo_col(d), members.hi_col(d));
-            for ci in self.run(d) {
-                fold(&mut n[ci], self.bounds(ci).count_in(lo, hi));
-            }
-        }
+        fold_counts(tier, self, members, out, &mut |n, count| *n = count);
     }
 
     /// Counts a new member of the parent cluster into every candidate
@@ -723,7 +673,7 @@ impl CandidateSet {
     /// `n_hi` included (raised to each count that grew).
     pub fn record_members(&mut self, members: &PairedColumns<'_>) {
         let (mut n, mut n_hi) = (std::mem::take(&mut self.n), self.n_hi);
-        self.fold_counts(members, &mut n, |n, arriving| {
+        fold_counts(Tier::best(), self, members, &mut n, &mut |n, arriving| {
             if arriving > 0 {
                 *n += arriving;
                 n_hi = n_hi.max(*n);
@@ -738,7 +688,7 @@ impl CandidateSet {
     /// what [`CandidateSet::unrecord_member`] of each member leaves.
     pub fn unrecord_members(&mut self, members: &PairedColumns<'_>) {
         let mut n = std::mem::take(&mut self.n);
-        self.fold_counts(members, &mut n, |n, leaving| {
+        fold_counts(Tier::best(), self, members, &mut n, &mut |n, leaving| {
             debug_assert!(*n >= leaving);
             *n -= leaving;
         });
@@ -753,7 +703,9 @@ impl CandidateSet {
     /// column pass per candidate instead of a candidate run per member.
     pub fn recount_members(&mut self, members: &PairedColumns<'_>) {
         let mut n = std::mem::take(&mut self.n);
-        self.fold_counts(members, &mut n, |n, count| *n = count);
+        fold_counts(Tier::best(), self, members, &mut n, &mut |n, count| {
+            *n = count
+        });
         self.n_hi = n.iter().copied().max().unwrap_or(0);
         self.n = n;
     }
@@ -877,10 +829,30 @@ impl CandidateSet {
     }
 }
 
+acx_geom::tiered! {
+    /// Folds each candidate's count of `members` into its entry of `n`
+    /// by `fold(entry, count)`: the body of every member-count pass. Per
+    /// candidate, one pass over the lower- and upper-bound columns of
+    /// its specialized dimension ([`CandidateBounds::count_in`]).
+    fn fold_counts(
+        set: &CandidateSet,
+        members: &PairedColumns<'_>,
+        n: &mut [u32],
+        fold: &mut impl FnMut(&mut u32, u32),
+    ) {
+        for d in 0..set.dims() {
+            let (lo, hi) = (members.lo_col(d), members.hi_col(d));
+            for ci in set.run(d) {
+                fold(&mut n[ci], set.bounds(ci).count_in(lo, hi));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::signature::tests::{edge_values, tiers, Tier};
+    use crate::signature::tests::edge_values;
     use acx_geom::HyperRect;
 
     fn rect(lo: &[Scalar], hi: &[Scalar]) -> HyperRect {
@@ -1421,16 +1393,6 @@ mod tests {
         assert_eq!(set.q_col(), &saved[..], "no note survives a restore");
     }
 
-    /// [`CandidateSet::count_members`] on a chosen tier.
-    fn count_on(tier: Tier, set: &CandidateSet, members: &PairedColumns<'_>, out: &mut [u32]) {
-        match tier {
-            Tier::Portable => set.fold_counts_portable(members, out, |n, count| *n = count),
-            // SAFETY: `tiers()` yields `Avx2` only after detecting AVX2.
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => unsafe { set.fold_counts_avx2(members, out, |n, count| *n = count) },
-        }
-    }
-
     /// A one-dimensional signature from its two variation intervals,
     /// each `(lo, hi, hi_open)`, through the checkpoint encoding.
     fn one_dim_signature(start: (Scalar, Scalar, bool), end: (Scalar, Scalar, bool)) -> Signature {
@@ -1455,8 +1417,7 @@ mod tests {
     /// vector widths.
     #[test]
     fn every_tier_counts_alike() {
-        let tiers = tiers();
-        println!("member-pass tiers exercised: {tiers:?}");
+        println!("tiers exercised: {:?}", Tier::all());
         let few_ulps = |v: Scalar| v.next_up().next_up().next_up();
         let tiny = Scalar::from_bits(5);
         let sigs = [
@@ -1498,14 +1459,11 @@ mod tests {
                             accepted as u32
                         })
                         .collect();
-                    for &tier in &tiers {
+                    for &tier in Tier::all() {
                         let mut got = vec![0; set.len()];
-                        count_on(tier, &set, &members, &mut got);
+                        set.count_members(tier, &members, &mut got);
                         assert_eq!(got, want, "{tier:?}, {sig} f={f}, {len} members");
                     }
-                    let mut got = vec![0; set.len()];
-                    set.count_members(&members, &mut got);
-                    assert_eq!(got, want, "{sig} f={f}, {len} members");
                     counted += want.iter().sum::<u32>();
                     possible += set.len() * len;
                 }

@@ -58,70 +58,87 @@ pub fn merging_benefit(a: f64, b: f64, c: f64, p_c: f64, p_a: f64, n_c: usize) -
 /// flip a comparison.
 const RECIPROCAL_SLACK: f64 = 1e-12;
 
-/// Sound per-candidate **upper bounds** on the materialization benefits
-/// of one cluster's whole candidate set, evaluated in a single
-/// branch-free pass over the [`crate::candidates::CandidateSet`] counter
-/// columns (`n`, `q`, `q_eff`) into a benefit column. On x86_64 the
-/// pass is dispatched to an AVX2-compiled clone when the CPU supports
-/// it (runtime-detected once, like the scan kernels' byte fills).
-///
-/// Each element prices the scalar expression `materialization_benefit(a,
-/// b, c, p_c, p_s, n)` with the candidate's access probability replaced
-/// by `(q_eff + q) · (1 − 1e-12)/denom` — one hoisted reciprocal
-/// multiply instead of a division per candidate. The deflated
-/// reciprocal under-estimates every true `p_s` by construction (the
-/// slack dwarfs the reciprocal's rounding error), and the benefit is
-/// monotonically non-increasing in `p_s` under IEEE rounding, so every
-/// column element is `≥` the exact scalar benefit while staying within
-/// a few parts in 10¹² of it. A candidate whose *bound* already fails a
-/// threshold is provably rejected by the exact arithmetic too; the
-/// caller re-prices the rare survivors exactly (division, sqrt
-/// threshold) before deciding — see
-/// `AdaptiveClusterIndex::reorganize`. When `denom ≤ 0` every
-/// probability is exactly zero in the scalar loop, and the column is
-/// bit-identical to it.
-///
-/// The pass additionally compares every bound against the caller's
-/// per-candidate threshold floor `n·floor_r + floor_s` (the move margin
-/// plus the confidence margin's variance floor, slack-deflated by the
-/// caller) in the same traversal. The returned summary carries the
-/// maximum `n` over all candidates — the exact value of the cached
-/// member-count bound the reorganization screen uses
-/// ([`crate::candidates::CandidateSet::n_hi`]) — and whether any bound
-/// exceeded its floor; when none did, the caller skips its selection
-/// sweep outright, since every exact benefit provably fails its
-/// threshold.
-///
-/// In that common no-survivor case the column itself is never read, so
-/// the pass runs **store-free** first (pure reduction over the counter
-/// columns) and fills `out` only when some bound cleared its floor —
-/// `out` then holds one bound per candidate, recomputed by the same
-/// expressions.
-#[allow(clippy::too_many_arguments)] // mirrors the scalar call plus the three counter columns
-pub fn materialization_benefit_column(
-    a: f64,
-    b: f64,
-    c: f64,
-    p_c: f64,
-    denom: f64,
-    floor_r: f64,
-    floor_s: f64,
-    n: &[u32],
-    q: &[u32],
-    q_eff: &[f64],
-    out: &mut Vec<f64>,
-) -> BenefitColumnSummary {
-    #[cfg(target_arch = "x86_64")]
-    if acx_geom::scan::avx2_detected() {
-        // SAFETY: AVX2 presence was just verified; the callee is the
-        // same safe loop compiled with the feature enabled.
-        return unsafe {
-            materialization_benefit_column_avx2(
-                a, b, c, p_c, denom, floor_r, floor_s, n, q, q_eff, out,
-            )
+acx_geom::tiered! {
+    /// Sound per-candidate **upper bounds** on the materialization benefits
+    /// of one cluster's whole candidate set, evaluated in a single
+    /// branch-free pass over the [`crate::candidates::CandidateSet`] counter
+    /// columns (`n`, `q`, `q_eff`) into a benefit column, on any
+    /// instruction tier (`acx_geom::tier`).
+    ///
+    /// Each element prices the scalar expression `materialization_benefit(a,
+    /// b, c, p_c, p_s, n)` with the candidate's access probability replaced
+    /// by `(q_eff + q) · (1 − 1e-12)/denom` — one hoisted reciprocal
+    /// multiply instead of a division per candidate. The deflated
+    /// reciprocal under-estimates every true `p_s` by construction (the
+    /// slack dwarfs the reciprocal's rounding error), and the benefit is
+    /// monotonically non-increasing in `p_s` under IEEE rounding, so every
+    /// column element is `≥` the exact scalar benefit while staying within
+    /// a few parts in 10¹² of it. A candidate whose *bound* already fails a
+    /// threshold is provably rejected by the exact arithmetic too; the
+    /// caller re-prices the rare survivors exactly (division, sqrt
+    /// threshold) before deciding — see
+    /// `AdaptiveClusterIndex::reorganize`. When `denom ≤ 0` every
+    /// probability is exactly zero in the scalar loop, and the column is
+    /// bit-identical to it.
+    ///
+    /// The pass additionally compares every bound against the caller's
+    /// per-candidate threshold floor `n·floor_r + floor_s` (the move margin
+    /// plus the confidence margin's variance floor, slack-deflated by the
+    /// caller) in the same traversal. The returned summary carries the
+    /// maximum `n` over all candidates — the exact value of the cached
+    /// member-count bound the reorganization screen uses
+    /// ([`crate::candidates::CandidateSet::n_hi`]) — and whether any bound
+    /// exceeded its floor; when none did, the caller skips its selection
+    /// sweep outright, since every exact benefit provably fails its
+    /// threshold.
+    ///
+    /// In that common no-survivor case the column itself is never read, so
+    /// the pass runs **store-free** first (pure reduction over the counter
+    /// columns) and fills `out` only when some bound cleared its floor —
+    /// `out` then holds one bound per candidate, recomputed by the same
+    /// expressions.
+    #[allow(clippy::too_many_arguments)] // mirrors the scalar call plus the three counter columns
+    pub fn materialization_benefit_column(
+        a: f64,
+        b: f64,
+        c: f64,
+        p_c: f64,
+        denom: f64,
+        floor_r: f64,
+        floor_s: f64,
+        n: &[u32],
+        q: &[u32],
+        q_eff: &[f64],
+        out: &mut Vec<f64>,
+    ) -> BenefitColumnSummary {
+        debug_assert!(q.len() == n.len() && q_eff.len() == n.len());
+        let mut any_above_floor = false;
+        let inv = if denom <= 0.0 {
+            // Every probability is exactly zero in the scalar loop; a zero
+            // reciprocal reproduces that (`s · 0.0 = +0.0` for the
+            // non-negative counters stored here).
+            0.0
+        } else {
+            (1.0 / denom) * (1.0 - RECIPROCAL_SLACK)
         };
+        for ((&n_s, &q_s), &q_eff_s) in n.iter().zip(q).zip(q_eff) {
+            let p_s_lo = (q_eff_s + q_s as f64) * inv;
+            let bound = materialization_benefit(a, b, c, p_c, p_s_lo, n_s as usize);
+            any_above_floor |= bound > n_s as f64 * floor_r + floor_s;
+        }
+        out.clear();
+        if any_above_floor {
+            out.resize(n.len(), 0.0);
+            for (((out_s, &n_s), &q_s), &q_eff_s) in out.iter_mut().zip(n).zip(q).zip(q_eff) {
+                let p_s_lo = (q_eff_s + q_s as f64) * inv;
+                *out_s = materialization_benefit(a, b, c, p_c, p_s_lo, n_s as usize);
+            }
+        }
+        BenefitColumnSummary {
+            max_n: n.iter().copied().max().unwrap_or(0),
+            any_above_floor,
+        }
     }
-    materialization_benefit_column_impl(a, b, c, p_c, denom, floor_r, floor_s, n, q, q_eff, out)
 }
 
 /// What one benefit-column pass found — see
@@ -135,76 +152,11 @@ pub struct BenefitColumnSummary {
     pub any_above_floor: bool,
 }
 
-/// [`materialization_benefit_column_impl`] compiled for AVX2 so the
-/// fill vectorizes at four lanes — bound semantics are identical, only
-/// the lane width changes.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2")]
-fn materialization_benefit_column_avx2(
-    a: f64,
-    b: f64,
-    c: f64,
-    p_c: f64,
-    denom: f64,
-    floor_r: f64,
-    floor_s: f64,
-    n: &[u32],
-    q: &[u32],
-    q_eff: &[f64],
-    out: &mut Vec<f64>,
-) -> BenefitColumnSummary {
-    materialization_benefit_column_impl(a, b, c, p_c, denom, floor_r, floor_s, n, q, q_eff, out)
-}
-
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn materialization_benefit_column_impl(
-    a: f64,
-    b: f64,
-    c: f64,
-    p_c: f64,
-    denom: f64,
-    floor_r: f64,
-    floor_s: f64,
-    n: &[u32],
-    q: &[u32],
-    q_eff: &[f64],
-    out: &mut Vec<f64>,
-) -> BenefitColumnSummary {
-    debug_assert!(q.len() == n.len() && q_eff.len() == n.len());
-    let mut any_above_floor = false;
-    let inv = if denom <= 0.0 {
-        // Every probability is exactly zero in the scalar loop; a zero
-        // reciprocal reproduces that (`s · 0.0 = +0.0` for the
-        // non-negative counters stored here).
-        0.0
-    } else {
-        (1.0 / denom) * (1.0 - RECIPROCAL_SLACK)
-    };
-    for ((&n_s, &q_s), &q_eff_s) in n.iter().zip(q).zip(q_eff) {
-        let p_s_lo = (q_eff_s + q_s as f64) * inv;
-        let bound = materialization_benefit(a, b, c, p_c, p_s_lo, n_s as usize);
-        any_above_floor |= bound > n_s as f64 * floor_r + floor_s;
-    }
-    out.clear();
-    if any_above_floor {
-        out.resize(n.len(), 0.0);
-        for (((out_s, &n_s), &q_s), &q_eff_s) in out.iter_mut().zip(n).zip(q).zip(q_eff) {
-            let p_s_lo = (q_eff_s + q_s as f64) * inv;
-            *out_s = materialization_benefit(a, b, c, p_c, p_s_lo, n_s as usize);
-        }
-    }
-    BenefitColumnSummary {
-        max_n: n.iter().copied().max().unwrap_or(0),
-        any_above_floor,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use acx_geom::object_size_bytes;
+    use acx_geom::tier::Tier;
     use acx_storage::CostModel;
 
     fn mem_terms() -> (f64, f64, f64) {
@@ -301,8 +253,20 @@ mod tests {
         let q_eff = [0.0, 1.5, 0.25, 900.75, 1e9];
         let (p_c, denom) = (0.37, 240.0);
         let mut col = Vec::new();
-        let summary =
-            materialization_benefit_column(a, b, c, p_c, denom, 0.0, 0.0, &n, &q, &q_eff, &mut col);
+        let summary = materialization_benefit_column(
+            Tier::best(),
+            a,
+            b,
+            c,
+            p_c,
+            denom,
+            0.0,
+            0.0,
+            &n,
+            &q,
+            &q_eff,
+            &mut col,
+        );
         assert_eq!(summary.max_n, u32::MAX);
         assert!(
             summary.any_above_floor,
@@ -326,29 +290,58 @@ mod tests {
                 col[i]
             );
         }
-        // Zero statistics: the bound degenerates to the exact value.
-        let zeros = [0u32; 5];
-        let zeros_f = [0.0f64; 5];
-        materialization_benefit_column(
-            a, b, c, p_c, denom, 0.0, 0.0, &n, &zeros, &zeros_f, &mut col,
+    }
+
+    /// Every tier's summary and column equal the scalar loop's bit for
+    /// bit: [`materialization_benefit`] at the slack-deflated reciprocal
+    /// probability, per candidate. At column lengths 0–70, under a
+    /// positive, a zero and a negative `denom`, and under zero floors,
+    /// floors every bound clears and floors none does.
+    #[test]
+    fn every_tier_bounds_alike() {
+        println!("tiers exercised: {:?}", Tier::all());
+        let (a, b, c) = mem_terms();
+        let p_c = 0.37;
+        let (mut col, mut fired) = (Vec::new(), [0; 2]);
+        for len in 0..=70usize {
+            let n: Vec<u32> = (0..len)
+                .map(|k| [0, 1, 40, 10_000, u32::MAX][k % 5] / (1 + k as u32 % 3))
+                .collect();
+            let q: Vec<u32> = (0..len).map(|k| (k as u32 * 37) % 500).collect();
+            let q_eff: Vec<f64> = (0..len).map(|k| k as f64 * 1.25).collect();
+            for denom in [240.0, 0.0, -3.0] {
+                let inv = if denom > 0.0 {
+                    (1.0 / denom) * (1.0 - RECIPROCAL_SLACK)
+                } else {
+                    0.0
+                };
+                let want: Vec<u64> = (0..len)
+                    .map(|k| {
+                        let p_s = (q_eff[k] + q[k] as f64) * inv;
+                        materialization_benefit(a, b, c, p_c, p_s, n[k] as usize).to_bits()
+                    })
+                    .collect();
+                for (floor_r, floor_s) in [(0.0, 0.0), (0.0, f64::MIN), (1e-3, f64::MAX)] {
+                    let above = (want.iter().zip(&n))
+                        .any(|(&w, &n)| f64::from_bits(w) > n as f64 * floor_r + floor_s);
+                    fired[usize::from(above)] += 1;
+                    for &tier in Tier::all() {
+                        let got = materialization_benefit_column(
+                            tier, a, b, c, p_c, denom, floor_r, floor_s, &n, &q, &q_eff, &mut col,
+                        );
+                        let at = format!("{tier:?}, {len} candidates, denom {denom}, {floor_s}");
+                        assert_eq!(got.max_n, n.iter().copied().max().unwrap_or(0), "{at}");
+                        assert_eq!(got.any_above_floor, above, "{at}");
+                        let bits: Vec<u64> = col.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(bits, if above { &want[..] } else { &[] }, "{at}");
+                    }
+                }
+            }
+        }
+        assert!(
+            fired[0] > 0 && fired[1] > 0,
+            "test premise: both summaries occur"
         );
-        for (i, &got) in col.iter().enumerate() {
-            let want = materialization_benefit(a, b, c, p_c, 0.0, n[i] as usize);
-            assert_eq!(got.to_bits(), want.to_bits(), "candidate {i} (cold)");
-        }
-        // Degenerate denominator: every p_s collapses to exactly 0 in
-        // the scalar loop, and the column is bit-identical to it.
-        let summary =
-            materialization_benefit_column(a, b, c, p_c, 0.0, 0.0, 0.0, &n, &q, &q_eff, &mut col);
-        assert_eq!(summary.max_n, u32::MAX);
-        for (i, &got) in col.iter().enumerate() {
-            let want = materialization_benefit(a, b, c, p_c, 0.0, n[i] as usize);
-            assert_eq!(got.to_bits(), want.to_bits(), "candidate {i} (denom 0)");
-        }
-        // A floor above every bound reports no candidate above it.
-        let summary =
-            materialization_benefit_column(a, b, c, p_c, denom, 1e9, 1e9, &n, &q, &q_eff, &mut col);
-        assert!(!summary.any_above_floor);
     }
 
     #[test]

@@ -26,6 +26,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 
+use acx_geom::tier::Tier;
 use acx_geom::Scalar;
 use acx_storage::frame::{
     push_frame, put_bytes, write_atomic, Corruption, Cursor, Frame, Frames, Header, MAX_FRAME,
@@ -460,7 +461,7 @@ impl Loading {
             read += n;
         }
         let columns = self.store.columns(segment);
-        if let Some(k) = signature.first_rejected(&columns, &mut self.accepted) {
+        if let Some(k) = signature.first_rejected(Tier::best(), &columns, &mut self.accepted) {
             let oid = self.store.ids(segment)[k];
             let why = format!("object #{oid} violates its cluster's signature");
             return Err(frame.corrupt(why).into());

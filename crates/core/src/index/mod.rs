@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 
+use acx_geom::tier::Tier;
 use acx_geom::{HyperRect, ObjectId, Scalar};
 use acx_storage::{CostModel, SegmentId, SegmentStore, Wal, WalError, WalRecord};
 
@@ -587,7 +588,10 @@ impl AdaptiveClusterIndex {
             let ids = self.store.ids(cluster.segment);
             seen_objects += ids.len();
             let members = self.store.columns(cluster.segment);
-            if let Some(k) = cluster.signature.first_rejected(&members, &mut accepted) {
+            if let Some(k) = cluster
+                .signature
+                .first_rejected(Tier::best(), &members, &mut accepted)
+            {
                 return Err(format!(
                     "object #{} violates signature of cluster {slot}",
                     ids[k]
@@ -595,7 +599,7 @@ impl AdaptiveClusterIndex {
             }
             expected_n.clear();
             expected_n.resize(cands.len(), 0);
-            cands.count_members(&members, &mut expected_n);
+            cands.count_members(Tier::best(), &members, &mut expected_n);
             for (ci, &expected) in expected_n.iter().enumerate() {
                 if cands.n(ci) != expected {
                     return Err(format!(

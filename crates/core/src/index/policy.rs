@@ -7,6 +7,7 @@
 //! or bounds it through float-monotone steps with slack that dwarfs
 //! rounding error.
 
+use acx_geom::tier::Tier;
 use acx_storage::CostModel;
 
 use crate::candidates::CandidateSet;
@@ -178,7 +179,7 @@ fn candidate_probability(cands: &CandidateSet, idx: usize, denom: f64) -> f64 {
 /// The production selection: evaluates a sound benefit **bound** column
 /// in one vectorizable pass over the candidate counter columns
 /// ([`materialization_benefit_column`] — reciprocal-multiply upper
-/// bounds within parts in 10¹² of the exact benefits, AVX2-dispatched),
+/// bounds within parts in 10¹² of the exact benefits, on the best tier),
 /// prunes it against a division- and sqrt-free threshold floor, and
 /// re-prices only the rare survivors with the exact arithmetic and
 /// selection semantics of Fig. 3 (the first candidate whose benefit
@@ -212,6 +213,7 @@ pub(super) fn select_split_columnar(
     let r_floor = (costs.moved / costs.horizon + zd * costs.c) * (1.0 - FLOOR_SLACK);
     let s_floor = zd * costs.b * (1.0 - FLOOR_SLACK);
     let summary = materialization_benefit_column(
+        Tier::best(),
         costs.a,
         costs.b,
         costs.c,

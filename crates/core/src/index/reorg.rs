@@ -4,6 +4,7 @@
 
 use std::time::Instant;
 
+use acx_geom::tier::Tier;
 use acx_storage::WalRecord;
 
 use super::policy::{self, PassCosts};
@@ -282,7 +283,9 @@ impl AdaptiveClusterIndex {
         parent.children.remove(slot);
         let members = self.store.columns(cluster.segment);
         debug_assert_eq!(
-            parent.signature.first_rejected(&members, &mut Vec::new()),
+            parent
+                .signature
+                .first_rejected(Tier::best(), &members, &mut Vec::new()),
             None,
             "the parent rejects a member of cluster {slot}"
         );

@@ -12,6 +12,7 @@
 //! unambiguous.
 
 use acx_geom::scan::PairedColumns;
+use acx_geom::tier::Tier;
 use acx_geom::{HyperRect, Scalar, SpatialQuery};
 
 /// A signature variation interval: `[lo, hi)` or `[lo, hi]`.
@@ -219,65 +220,24 @@ impl Signature {
 
     /// The first of `members` (a segment's columns) that the signature
     /// rejects, by [`Signature::accepts_flat`]'s predicate: one pass per
-    /// dimension over its lower- and upper-bound columns, which clears
-    /// the rejected members' entries of `accepted` (the caller's reused
-    /// scratch, one entry per member), instead of gathering each member
-    /// into a row ([`Signature::clear_rejected`], at AVX2 width when the
-    /// CPU has it).
+    /// dimension over its lower- and upper-bound columns on `tier`,
+    /// which clears the rejected members' entries of `accepted` (the
+    /// caller's reused scratch, one entry per member), instead of
+    /// gathering each member into a row.
     ///
     /// # Panics
     ///
     /// Panics if `members` has fewer dimensions than the signature.
     pub fn first_rejected(
         &self,
+        tier: Tier,
         members: &PairedColumns<'_>,
         accepted: &mut Vec<bool>,
     ) -> Option<usize> {
         accepted.clear();
         accepted.resize(members.len(), true);
-        self.clear_rejected_on_best(members, accepted);
+        clear_rejected(tier, self, members, accepted);
         accepted.iter().position(|&ok| !ok)
-    }
-
-    /// [`Signature::clear_rejected`] at AVX2 width when the CPU has it.
-    fn clear_rejected_on_best(&self, members: &PairedColumns<'_>, accepted: &mut [bool]) {
-        #[cfg(target_arch = "x86_64")]
-        if acx_geom::scan::avx2_detected() {
-            // SAFETY: AVX2 presence was just verified; the callee is the
-            // same safe loop compiled with the feature enabled.
-            return unsafe { self.clear_rejected_avx2(members, accepted) };
-        }
-        self.clear_rejected(members, accepted)
-    }
-
-    /// [`Signature::clear_rejected`] compiled for AVX2, so each
-    /// dimension's pass runs at eight lanes: the same verdicts.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn clear_rejected_avx2(&self, members: &PairedColumns<'_>, accepted: &mut [bool]) {
-        self.clear_rejected(members, accepted)
-    }
-
-    /// Clears `accepted[k]` (one entry per member) for every member `k`
-    /// of `members` that the signature rejects: one pass per dimension
-    /// over its two bound columns. The portable body of
-    /// [`Signature::first_rejected`], which runs it compiled for AVX2 on
-    /// CPUs that have it (`scan_bench` times both).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members` has fewer dimensions than the signature.
-    #[inline(always)]
-    pub fn clear_rejected(&self, members: &PairedColumns<'_>, accepted: &mut [bool]) {
-        for (d, ds) in self.dims.iter().enumerate() {
-            let (lo, hi, ok) = (members.lo_col(d), members.hi_col(d), &mut accepted[..]);
-            match (ds.start.hi_open, ds.end.hi_open) {
-                (false, false) => ds.keep_accepted::<false, false>(lo, hi, ok),
-                (false, true) => ds.keep_accepted::<false, true>(lo, hi, ok),
-                (true, false) => ds.keep_accepted::<true, false>(lo, hi, ok),
-                (true, true) => ds.keep_accepted::<true, true>(lo, hi, ok),
-            }
-        }
     }
 
     /// Whether every object this signature accepts, `outer` accepts too:
@@ -440,29 +400,32 @@ impl std::fmt::Display for Signature {
     }
 }
 
+acx_geom::tiered! {
+    /// Clears `accepted[k]` (one entry per member) for every member `k`
+    /// of `members` that `sig` rejects: one pass per dimension over its
+    /// two bound columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `members` has fewer dimensions than the signature.
+    fn clear_rejected(sig: &Signature, members: &PairedColumns<'_>, accepted: &mut [bool]) {
+        for (d, ds) in sig.dims.iter().enumerate() {
+            let (lo, hi, ok) = (members.lo_col(d), members.hi_col(d), &mut accepted[..]);
+            match (ds.start.hi_open, ds.end.hi_open) {
+                (false, false) => ds.keep_accepted::<false, false>(lo, hi, ok),
+                (false, true) => ds.keep_accepted::<false, true>(lo, hi, ok),
+                (true, false) => ds.keep_accepted::<true, false>(lo, hi, ok),
+                (true, true) => ds.keep_accepted::<true, true>(lo, hi, ok),
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use acx_geom::HyperRect;
     use proptest::prelude::*;
-
-    /// The instruction tiers of the member passes: the portable body,
-    /// and its AVX2 copy when the CPU has it.
-    #[derive(Debug, Clone, Copy)]
-    pub(crate) enum Tier {
-        Portable,
-        #[cfg(target_arch = "x86_64")]
-        Avx2,
-    }
-
-    /// Every tier this CPU runs, portable first.
-    pub(crate) fn tiers() -> Vec<Tier> {
-        #[cfg(target_arch = "x86_64")]
-        if acx_geom::scan::avx2_detected() {
-            return vec![Tier::Portable, Tier::Avx2];
-        }
-        vec![Tier::Portable]
-    }
 
     /// Member bounds that sit on no interval's edge but that a pass must
     /// still decide as a comparison does: signed zeros, the smallest and
@@ -485,16 +448,6 @@ pub(crate) mod tests {
         SPECIALS.into_iter().chain(near).collect()
     }
 
-    /// [`Signature::clear_rejected`] on a chosen tier.
-    fn clear_on(tier: Tier, sig: &Signature, members: &PairedColumns<'_>, accepted: &mut [bool]) {
-        match tier {
-            Tier::Portable => sig.clear_rejected(members, accepted),
-            // SAFETY: `tiers()` yields `Avx2` only after detecting AVX2.
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => unsafe { sig.clear_rejected_avx2(members, accepted) },
-        }
-    }
-
     /// The largest value `iv` holds: `hi`, or the next `f32` below an
     /// open `hi`.
     fn reach(iv: &SigInterval) -> Scalar {
@@ -515,8 +468,7 @@ pub(crate) mod tests {
     /// one ulp either side) and `SPECIALS`.
     #[test]
     fn every_tier_rejects_alike() {
-        let tiers = tiers();
-        println!("member-pass tiers exercised: {tiers:?}");
+        println!("tiers exercised: {:?}", Tier::all());
         let one = |start: SigInterval, end: SigInterval| Signature {
             dims: Box::new([DimSignature { start, end }]),
         };
@@ -578,19 +530,13 @@ pub(crate) mod tests {
                         sig.accepts_flat(&row)
                     })
                     .collect();
-                for &tier in &tiers {
-                    let mut accepted = vec![true; len];
-                    clear_on(tier, sig, &members, &mut accepted);
-                    assert_eq!(accepted, verdicts, "{tier:?}, {sig}, {len} members");
+                for &tier in Tier::all() {
+                    let mut accepted = Vec::new();
+                    let first = sig.first_rejected(tier, &members, &mut accepted);
+                    let at = format!("{tier:?}, {sig}, {len} members");
+                    assert_eq!(first, verdicts.iter().position(|&ok| !ok), "{at}");
+                    assert_eq!(accepted, verdicts, "{at}");
                 }
-                let mut accepted = Vec::new();
-                let first = sig.first_rejected(&members, &mut accepted);
-                assert_eq!(
-                    first,
-                    verdicts.iter().position(|&ok| !ok),
-                    "{sig}, {len} members"
-                );
-                assert_eq!(accepted, verdicts);
                 kept += verdicts.iter().filter(|&&ok| ok).count();
                 cleared += verdicts.iter().filter(|&&ok| !ok).count();
             }
@@ -843,7 +789,7 @@ pub(crate) mod tests {
             let cols: Vec<Vec<Scalar>> =
                 (0..2 * dims).map(|c| rows.iter().map(|row| row[c]).collect()).collect();
             let mut accepted = vec![false; stale];
-            let got = sig.first_rejected(&PairedColumns::new(&cols), &mut accepted);
+            let got = sig.first_rejected(Tier::best(), &PairedColumns::new(&cols), &mut accepted);
             prop_assert_eq!(got, rows.iter().position(|row| !sig.accepts_flat(row)));
             let verdicts: Vec<bool> = rows.iter().map(|row| sig.accepts_flat(row)).collect();
             prop_assert_eq!(accepted, verdicts);

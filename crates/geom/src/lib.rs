@@ -35,6 +35,7 @@ mod object;
 mod query;
 mod rect;
 pub mod scan;
+pub mod tier;
 
 pub use error::GeomError;
 pub use interval::Interval;

@@ -61,17 +61,15 @@
 //!
 //! ## Instruction tiers
 //!
-//! One `#[inline(always)]` block loop is instantiated inside two
-//! whole-scan functions. On AVX2 a full block's word is eight unrolled
-//! `vcmpps` + `movmskps` steps straight into the survivors word, and the
-//! partial block's word loads its last step with `vmaskmovps` (no
-//! scalar tail). The portable tier, for every other CPU, compares a
+//! The scan runs on the tiers of [`crate::tier`], chosen once per scan
+//! call, outside the block and dimension loops. On AVX2 a full block's
+//! word is eight unrolled `vcmpps` + `movmskps` steps straight into the
+//! survivors word, and the partial block's word loads its last step
+//! with `vmaskmovps` (no scalar tail). The portable tier compares a
 //! fixed 64-lane tile into bytes the compiler auto-vectorizes and packs
-//! them into the word. The best tier the CPU reports is resolved once
-//! per process and chosen once per scan call, outside the block and
-//! dimension loops; both tiers compute the same pass bits, so results
-//! do not depend on the machine.
+//! them into the word.
 
+use crate::tier::Tier;
 use crate::{Scalar, SpatialQuery, OBJECT_ID_BYTES};
 
 /// Objects per kernel block — and lanes per survivors-mask word: small
@@ -372,29 +370,6 @@ mod x86 {
     }
 }
 
-/// The instruction tiers, worst to best.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tier {
-    Portable,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-impl Tier {
-    /// The best tier this CPU runs. The detection macro caches the CPU's
-    /// answer for the process; a scan call reads it once.
-    #[inline]
-    fn best() -> Tier {
-        // `popcnt` rides along so the block loop's survivor count is one
-        // instruction in the tier compiled for these CPUs.
-        #[cfg(target_arch = "x86_64")]
-        if avx2_detected() && std::arch::is_x86_feature_detected!("popcnt") {
-            return Tier::Avx2;
-        }
-        Tier::Portable
-    }
-}
-
 /// The three comparison shapes; point-enclosing queries reduce to
 /// [`Relation::Enclosure`] with degenerate per-dimension bounds. Each is
 /// the tiers' `x ≤ t1 ∧ y ≥ t2` under a choice of columns and sides,
@@ -477,6 +452,16 @@ impl QueryBounds {
     /// Dimensionality of the loaded query.
     pub fn dims(&self) -> usize {
         self.qa.len()
+    }
+
+    /// The per-dimension `t1` and `t2` sides of the tiers' comparison.
+    #[inline(always)]
+    fn sides(&self) -> (&[Scalar], &[Scalar]) {
+        if self.rel.t1_is_a() {
+            (&self.qa, &self.qb)
+        } else {
+            (&self.qb, &self.qa)
+        }
     }
 }
 
@@ -701,47 +686,20 @@ unsafe fn scan_blocks<C: Compare, L: Lanes>(
     }
 }
 
-/// [`scan_blocks`] compiled with AVX2 (and `popcnt`) enabled, so the
-/// tier's intrinsics inline into the block loop.
-///
-/// # Safety
-///
-/// The CPU must support AVX2 and `popcnt`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,popcnt")]
-unsafe fn scan_avx2<L: Lanes>(
-    lanes: &mut L,
-    t1s: &[Scalar],
-    t2s: &[Scalar],
-    matches: &mut Vec<u32>,
-) -> ScanOutcome {
-    // SAFETY: the caller vouches for the CPU.
-    unsafe { scan_blocks::<x86::Avx2, L>(lanes, t1s, t2s, matches) }
-}
-
-/// Runs one whole scan on `tier` — the only dispatch of a scan.
-///
-/// # Safety
-///
-/// `tier` must be [`Tier::Portable`] or [`Tier::best`].
-unsafe fn scan_on<L: Lanes>(
-    tier: Tier,
-    bounds: &QueryBounds,
-    lanes: &mut L,
-    matches: &mut Vec<u32>,
-) -> ScanOutcome {
-    let (t1s, t2s) = if bounds.rel.t1_is_a() {
-        (&bounds.qa[..], &bounds.qb[..])
-    } else {
-        (&bounds.qb[..], &bounds.qa[..])
-    };
-    // SAFETY: the caller vouches that the CPU supports `tier`.
-    unsafe {
-        match tier {
-            Tier::Portable => scan_blocks::<Portable, L>(lanes, t1s, t2s, matches),
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => scan_avx2(lanes, t1s, t2s, matches),
-        }
+crate::tiered! {
+    /// Runs one whole scan: the only dispatch of a scan.
+    fn scan_on(
+        bounds: &QueryBounds,
+        lanes: &mut impl Lanes,
+        matches: &mut Vec<u32>,
+    ) -> ScanOutcome {
+        let (t1s, t2s) = bounds.sides();
+        // SAFETY: the portable tier runs on every CPU.
+        unsafe { scan_blocks::<Portable, _>(lanes, t1s, t2s, matches) }
+    } avx2 {
+        let (t1s, t2s) = bounds.sides();
+        // SAFETY: this copy is compiled with, and run only on, AVX2.
+        unsafe { scan_blocks::<x86::Avx2, _>(lanes, t1s, t2s, matches) }
     }
 }
 
@@ -775,8 +733,7 @@ pub fn scan_columns(
         columns,
     } = scratch;
     bounds.load(query);
-    // SAFETY: `Tier::best` names AVX2 only after detecting it and `popcnt`.
-    unsafe { columns_on(Tier::best(), bounds, cols, columns, matches) }
+    columns_on(Tier::best(), bounds, cols, columns, matches)
 }
 
 /// [`scan_columns`] for a query whose bounds the caller already loaded:
@@ -789,17 +746,12 @@ pub fn scan_columns_loaded(
     let ScanScratch {
         matches, columns, ..
     } = scratch;
-    // SAFETY: `Tier::best` names AVX2 only after detecting it and `popcnt`.
-    unsafe { columns_on(Tier::best(), bounds, cols, columns, matches) }
+    columns_on(Tier::best(), bounds, cols, columns, matches)
 }
 
 /// Resolves the view's columns once if it holds a full block
 /// ([`resolve_columns`]: the length check), and scans them on `tier`.
-///
-/// # Safety
-///
-/// `tier` must be [`Tier::Portable`] or [`Tier::best`].
-unsafe fn columns_on(
+fn columns_on(
     tier: Tier,
     bounds: &QueryBounds,
     cols: &PairedColumns<'_>,
@@ -817,19 +769,7 @@ unsafe fn columns_on(
         x_is_hi,
         pairs: columns,
     };
-    // SAFETY: the caller vouches for the tier.
-    unsafe { scan_on(tier, bounds, &mut lanes, matches) }
-}
-
-/// Whether the CPU supports AVX2 (detected once, cached) — the runtime
-/// gate of this module's AVX2 tier (`Tier::best`) and of the
-/// reorganization benefit column's AVX2 clone in `acx_core`.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-pub fn avx2_detected() -> bool {
-    use std::sync::OnceLock;
-    static AVX2: OnceLock<bool> = OnceLock::new();
-    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+    scan_on(tier, bounds, &mut lanes, matches)
 }
 
 #[cfg(test)]
@@ -863,32 +803,6 @@ mod tests {
             }
         }
         (matches, dims_checked)
-    }
-
-    /// The tiers this CPU runs, worst to best.
-    fn tiers() -> Vec<Tier> {
-        let mut tiers = vec![Tier::Portable];
-        if Tier::best() != Tier::Portable {
-            tiers.push(Tier::best());
-        }
-        tiers
-    }
-
-    /// [`scan_columns`] on a chosen tier.
-    fn scan_columns_on(
-        tier: Tier,
-        query: &SpatialQuery,
-        view: &PairedColumns<'_>,
-        scratch: &mut ScanScratch,
-    ) -> ScanOutcome {
-        let ScanScratch {
-            matches,
-            bounds,
-            columns,
-        } = scratch;
-        bounds.load(query);
-        // SAFETY: `tiers()` yields only `Tier::Portable` and `Tier::best()`.
-        unsafe { columns_on(tier, bounds, view, columns, matches) }
     }
 
     fn assert_agrees(query: &SpatialQuery, flat: &[Scalar], dims: usize) {
@@ -1024,9 +938,11 @@ mod tests {
                 let mut cols = vec![vec![0.0; n], vec![1.0; n], vec![0.0; n], vec![1.0; n]];
                 cols[short].pop();
                 let view = PairedColumns::of_equal_columns(&cols);
-                for tier in tiers() {
+                let mut bounds = QueryBounds::new();
+                bounds.load(&q);
+                for &tier in Tier::all() {
                     let scan = std::panic::AssertUnwindSafe(|| {
-                        scan_columns_on(tier, &q, &view, &mut ScanScratch::new())
+                        columns_on(tier, &bounds, &view, &mut Vec::new(), &mut Vec::new())
                     });
                     let message = *std::panic::catch_unwind(scan)
                         .expect_err("a short column must panic")
@@ -1056,8 +972,8 @@ mod tests {
     /// columns.
     #[test]
     fn every_tier_agrees_with_scalar_oracle() {
-        let tiers = tiers();
-        println!("tiers exercised: {tiers:?}");
+        println!("tiers exercised: {:?}", Tier::all());
+        let (mut bounds, mut pairs, mut matches) = (QueryBounds::new(), Vec::new(), Vec::new());
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut grid = |below: u64| {
             state = state
@@ -1120,21 +1036,19 @@ mod tests {
                         matched: want_matches.len(),
                         dims_checked: want_checked,
                     };
-                    for &tier in &tiers {
-                        let mut scratch = ScanScratch::new();
-                        let got =
-                            scan_columns_on(tier, query, &PairedColumns::new(&cols), &mut scratch);
-                        assert_eq!(
-                            got, want,
-                            "{tier:?} columns, {dims} dims, n = {n}, {query:?}"
-                        );
-                        assert_eq!(scratch.matches(), &want_matches[..], "{tier:?} columns");
+                    bounds.load(query);
+                    for &tier in Tier::all() {
+                        let view = PairedColumns::new(&cols);
+                        let got = columns_on(tier, &bounds, &view, &mut pairs, &mut matches);
+                        let at = format!("{tier:?} columns, {dims} dims, n = {n}");
+                        assert_eq!(got, want, "{at}, {query:?}");
+                        assert_eq!(matches, want_matches, "{at}");
                         for (start, cols) in &shifted {
                             let view = PairedColumns::slice(cols, *start, n);
-                            let got = scan_columns_on(tier, query, &view, &mut scratch);
+                            let got = columns_on(tier, &bounds, &view, &mut pairs, &mut matches);
                             let at = format!("{tier:?} view at {start}, {dims} dims, n = {n}");
                             assert_eq!(got, want, "{at}, {query:?}");
-                            assert_eq!(scratch.matches(), &want_matches[..], "{at}");
+                            assert_eq!(matches, want_matches, "{at}");
                         }
                     }
                 }
@@ -1283,23 +1197,16 @@ mod proptests {
                 cols
             };
             let stored: Vec<usize> = (0..rows.len()).collect();
-            let mut tiers = vec![Tier::Portable];
-            if Tier::best() != Tier::Portable {
-                tiers.push(Tier::best());
-            }
-            for tier in tiers {
+            let mut bounds = QueryBounds::new();
+            bounds.load(&query);
+            for &tier in Tier::all() {
                 let mut outcomes = Vec::new();
                 for order in [&stored, &order] {
-                    let cols = columns_in(order);
-                    let mut scratch = ScanScratch::new();
-                    let ScanScratch { matches, bounds, columns } = &mut scratch;
-                    bounds.load(&query);
-                    // SAFETY: `tier` is `Tier::Portable` or `Tier::best()`.
-                    let outcome = unsafe {
-                        columns_on(tier, bounds, &PairedColumns::new(&cols), columns, matches)
-                    };
+                    let (cols, mut matches) = (columns_in(order), Vec::new());
+                    let view = PairedColumns::new(&cols);
+                    let outcome = columns_on(tier, &bounds, &view, &mut Vec::new(), &mut matches);
                     let mut matched: Vec<usize> =
-                        scratch.matches().iter().map(|&i| order[i as usize]).collect();
+                        matches.iter().map(|&i| order[i as usize]).collect();
                     matched.sort_unstable();
                     outcomes.push((outcome, matched));
                 }

@@ -2,23 +2,25 @@
 //! every frame of the log and of a checkpoint. Implemented in-tree so
 //! the storage crate stays dependency-free. Every byte a recovery reads
 //! passes through it (a checkpoint load checksums each frame before it
-//! decodes a field of it), so it runs in one of two tiers, chosen once
-//! per process from the CPU:
+//! decodes a field of it), so it runs on the two instruction tiers of
+//! `acx_geom::tier` (see its "Instruction tiers"):
 //!
 //! * **Portable** — table-driven *slicing-by-8*: eight table lookups fold
 //!   eight input bytes per step instead of one lookup per byte. It is
-//!   the only tier off x86-64, the reference the other is tested
-//!   against, and the carry-less tier's code for inputs under 64 bytes
-//!   and for the tail behind its last 16-byte block.
-//! * **Carry-less** (x86-64 with PCLMULQDQ and SSE4.1) — four 128-bit
-//!   accumulators each fold 16 bytes per step by carry-less
-//!   multiplication with `x^(4·128±32) mod P`, are folded into one, and
-//!   that one is reduced to 32 bits by a Barrett reduction (Gopal et
-//!   al., *Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
-//!   Instruction*, Intel, 2009).
+//!   the reference the other tier is tested against, and that tier's
+//!   code for inputs under 64 bytes and for the tail behind its last
+//!   16-byte block. A CPU with PCLMULQDQ but not AVX2 runs it too.
+//! * **Avx2**, carry-less — four 128-bit accumulators each fold 16
+//!   bytes per step by carry-less multiplication with
+//!   `x^(4·128±32) mod P`, are folded into one, and that one is reduced
+//!   to 32 bits by a Barrett reduction (Gopal et al., *Fast CRC
+//!   Computation for Generic Polynomials Using PCLMULQDQ Instruction*,
+//!   Intel, 2009).
 //!
 //! Both compute the same polynomial, so every value — and every byte of
 //! a log or checkpoint — is the same whichever tier ran.
+
+use acx_geom::tier::Tier;
 
 /// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][b]` is
 /// the CRC contribution of byte `b` followed by `k` zero bytes, so the
@@ -57,58 +59,16 @@ static TABLES: [[u32; 256]; 8] = build_tables();
 
 /// CRC-32 of `bytes` (IEEE, reflected, init and final XOR `!0`).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    // SAFETY: `Tier::best` names the carry-less tier only after
-    // detecting PCLMULQDQ and SSE4.1.
-    !unsafe { update_on(Tier::best(), !0, bytes) }
+    !update(Tier::best(), !0, bytes)
 }
 
-/// The instruction tiers, worst to best.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tier {
-    Portable,
-    #[cfg(target_arch = "x86_64")]
-    Clmul,
-}
-
-impl Tier {
-    /// The best tier this CPU runs, detected once per process.
-    #[inline]
-    fn best() -> Tier {
-        #[cfg(target_arch = "x86_64")]
-        if clmul_detected() {
-            return Tier::Clmul;
-        }
-        Tier::Portable
-    }
-}
-
-/// Whether the CPU supports PCLMULQDQ and SSE4.1 (detected once,
-/// cached): the gate of the carry-less tier.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn clmul_detected() -> bool {
-    use std::sync::OnceLock;
-    static CLMUL: OnceLock<bool> = OnceLock::new();
-    *CLMUL.get_or_init(|| {
-        std::arch::is_x86_feature_detected!("pclmulqdq")
-            && std::arch::is_x86_feature_detected!("sse4.1")
-    })
-}
-
-/// Folds `bytes` into the running CRC register `crc` (the value before
-/// the final XOR) on `tier`.
-///
-/// # Safety
-///
-/// `tier` must be [`Tier::Portable`] or [`Tier::best`].
-unsafe fn update_on(tier: Tier, crc: u32, bytes: &[u8]) -> u32 {
-    // SAFETY: the caller vouches that the CPU supports `tier`.
-    unsafe {
-        match tier {
-            Tier::Portable => slicing_by_8(crc, bytes),
-            #[cfg(target_arch = "x86_64")]
-            Tier::Clmul => clmul::fold_by_4(crc, bytes),
-        }
+acx_geom::tiered! {
+    /// Folds `bytes` into the running CRC register `crc` (the value
+    /// before the final XOR).
+    fn update(crc: u32, bytes: &[u8]) -> u32 {
+        slicing_by_8(crc, bytes)
+    } avx2 {
+        clmul::fold_by_4(crc, bytes)
     }
 }
 
@@ -168,12 +128,8 @@ mod clmul {
     /// Folds `bytes` into the register `crc` as the portable tier does.
     /// Inputs under [`STEP`] bytes, and the 0–15 bytes behind the last
     /// 16-byte block, go to the portable tier.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support PCLMULQDQ and SSE4.1.
     #[target_feature(enable = "pclmulqdq,sse4.1")]
-    pub(super) unsafe fn fold_by_4(crc: u32, bytes: &[u8]) -> u32 {
+    pub(super) fn fold_by_4(crc: u32, bytes: &[u8]) -> u32 {
         if bytes.len() < STEP {
             return super::slicing_by_8(crc, bytes);
         }
@@ -247,27 +203,12 @@ mod tests {
         !crc
     }
 
-    /// The tiers this CPU runs, worst to best.
-    fn tiers() -> Vec<Tier> {
-        let mut tiers = vec![Tier::Portable];
-        if Tier::best() != Tier::Portable {
-            tiers.push(Tier::best());
-        }
-        tiers
-    }
-
-    /// CRC-32 of `bytes` on a chosen tier.
-    fn crc32_on(tier: Tier, bytes: &[u8]) -> u32 {
-        // SAFETY: `tiers()` yields only `Tier::Portable` and `Tier::best()`.
-        !unsafe { update_on(tier, !0, bytes) }
-    }
-
     /// `crc32`, each tier and the bytewise loop agree on `bytes`.
     fn assert_all_agree(bytes: &[u8], what: &str) {
         let want = crc32_bytewise(bytes);
         assert_eq!(crc32(bytes), want, "crc32, {what}");
-        for tier in tiers() {
-            assert_eq!(crc32_on(tier, bytes), want, "{tier:?}, {what}");
+        for &tier in Tier::all() {
+            assert_eq!(!update(tier, !0, bytes), want, "{tier:?}, {what}");
         }
     }
 
@@ -346,7 +287,7 @@ mod tests {
     /// 0–15 bytes occurs at each misalignment — and on one 3 MB buffer.
     #[test]
     fn every_tier_agrees_with_the_bytewise_loop() {
-        println!("crc tiers exercised: {:?}", tiers());
+        println!("tiers exercised: {:?}", Tier::all());
         let buffer: Vec<u8> = (0..1024 + 16u32).map(|i| (i * 151 + 7) as u8).collect();
         for start in 0..16 {
             for len in 0..=1024 {
@@ -384,8 +325,8 @@ mod tests {
             let slice = &bytes[start..end];
             let want = crc32_bytewise(slice);
             prop_assert_eq!(crc32(slice), want);
-            for tier in tiers() {
-                prop_assert_eq!(crc32_on(tier, slice), want, "{:?}", tier);
+            for &tier in Tier::all() {
+                prop_assert_eq!(!update(tier, !0, slice), want, "{:?}", tier);
             }
         }
     }
