@@ -453,16 +453,6 @@ impl QueryBounds {
     pub fn dims(&self) -> usize {
         self.qa.len()
     }
-
-    /// The per-dimension `t1` and `t2` sides of the tiers' comparison.
-    #[inline(always)]
-    fn sides(&self) -> (&[Scalar], &[Scalar]) {
-        if self.rel.t1_is_a() {
-            (&self.qa, &self.qb)
-        } else {
-            (&self.qb, &self.qa)
-        }
-    }
 }
 
 /// Where the block loop reads a (block, dimension) pair's lanes from.
@@ -689,15 +679,14 @@ unsafe fn scan_blocks<C: Compare, L: Lanes>(
 crate::tiered! {
     /// Runs one whole scan: the only dispatch of a scan.
     fn scan_on(
-        bounds: &QueryBounds,
         lanes: &mut impl Lanes,
+        t1s: &[Scalar],
+        t2s: &[Scalar],
         matches: &mut Vec<u32>,
     ) -> ScanOutcome {
-        let (t1s, t2s) = bounds.sides();
         // SAFETY: the portable tier runs on every CPU.
         unsafe { scan_blocks::<Portable, _>(lanes, t1s, t2s, matches) }
     } avx2 {
-        let (t1s, t2s) = bounds.sides();
         // SAFETY: this copy is compiled with, and run only on, AVX2.
         unsafe { scan_blocks::<x86::Avx2, _>(lanes, t1s, t2s, matches) }
     }
@@ -769,7 +758,12 @@ fn columns_on(
         x_is_hi,
         pairs: columns,
     };
-    scan_on(tier, bounds, &mut lanes, matches)
+    let (t1s, t2s) = if bounds.rel.t1_is_a() {
+        (&bounds.qa, &bounds.qb)
+    } else {
+        (&bounds.qb, &bounds.qa)
+    };
+    scan_on(tier, &mut lanes, t1s, t2s, matches)
 }
 
 #[cfg(test)]

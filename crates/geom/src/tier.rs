@@ -123,9 +123,10 @@ macro_rules! tiered {
 
             #[cfg(target_arch = "x86_64")]
             if tier.is_avx2() {
-                // SAFETY: a `Tier` comes only from `Tier::best`, which
-                // names `Avx2` only on a CPU that reports AVX2, POPCNT,
-                // PCLMULQDQ and SSE4.1: every feature this copy enables.
+                // SAFETY: a `Tier` comes only from `Tier::best` and
+                // `Tier::all`, which name `Avx2` only on a CPU that
+                // reports AVX2, POPCNT, PCLMULQDQ and SSE4.1: every
+                // feature this copy enables.
                 return unsafe { avx2($($arg),*) };
             }
             portable($($arg),*)
